@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race fuzz crash-test parallel-test chaos-test wal-crash-test executor-test planner-test serve-smoke loadgen loadgen-smoke bench bench-smoke bench-smoke-parallel bench-regression ci clean
+.PHONY: all build vet test test-procs race fuzz crash-test parallel-test chaos-test wal-crash-test planner-test serve-smoke loadgen loadgen-smoke bench bench-smoke bench-smoke-parallel bench-regression ci clean
 
 all: build
 
@@ -14,6 +14,16 @@ vet:
 test:
 	$(GO) test ./...
 
+# Tier-1 at explicit core counts: the default worker count follows
+# GOMAXPROCS, so a suite that is green on one box can be red on another
+# (the profile counters were, at GOMAXPROCS >= 2). Run it at each.
+test-procs:
+	GOMAXPROCS=1 $(GO) test -count=1 ./...
+	GOMAXPROCS=2 $(GO) test -count=1 ./...
+	GOMAXPROCS=4 $(GO) test -count=1 ./...
+
+# Everything under the race detector — including the operator property
+# tests of internal/exec and the DoesNotAllocate pins in internal/core.
 race:
 	$(GO) test -race ./...
 
@@ -31,12 +41,13 @@ crash-test:
 	$(GO) test -race -run 'Checkpoint|CrashRecovery|Resume|Snapshot|Torn' ./internal/core ./internal/snapshot ./datalog ./cmd/mdl
 	$(GO) test -race ./internal/faults
 
-# Parallel-engine suite under the race detector: the determinism
+# Component-scheduler suite under the race detector: the determinism
 # contract over every example program at explicit worker counts, the
-# scheduler stress tests, and worker-crash containment. These pin
-# Parallelism >= 2 so the multi-worker path runs even on one CPU.
+# T_P-fixpoint oracle with tracing on, the scheduler stress tests, and
+# worker-crash containment. These pin Parallelism >= 2 so the
+# multi-worker path runs even on one CPU.
 parallel-test:
-	$(GO) test -race -run 'Parallel|Concurrent' ./datalog ./internal/relation ./internal/server ./cmd/mdl
+	$(GO) test -race -run 'Parallel|Concurrent|TPFixpoint' ./datalog ./internal/core ./internal/relation ./internal/server ./cmd/mdl
 
 # Chaos suite for the serve tier under the race detector: group-commit
 # coalescing and poison isolation, admission control and shedding,
@@ -57,18 +68,10 @@ wal-crash-test:
 	$(GO) test -race -run 'WAL|SeqWatermark|DirSync|Watermark' ./internal/wal ./internal/snapshot ./internal/server ./datalog ./cmd/mdl
 	$(GO) test -race -run 'TestChaosWALSigkillRecovery' -count=1 ./cmd/mdl
 
-# Streaming-executor suite under the race detector: the operator
-# property tests, and the tuple-vs-stream differential over every
-# example program (byte-identical models, traces, stats, checkpoints,
-# at parallelism 1/2/N).
-executor-test:
-	$(GO) test -race ./internal/exec
-	$(GO) test -race -run 'Executor|DoesNotAllocate' ./datalog ./internal/core ./cmd/mdl
-
 # Cost-based planner suite under the race detector: the estimator
 # property tests, and the syntactic-vs-cost differential over every
 # example program (byte-identical models, traces, stats, checkpoints,
-# both executors, at parallelism 1/2/N). See docs/PLANNER.md.
+# at parallelism 1/2/N). See docs/PLANNER.md.
 planner-test:
 	$(GO) test -race ./internal/planner
 	$(GO) test -race -run 'Planner|Plan' ./datalog ./cmd/mdl
@@ -98,18 +101,18 @@ bench:
 bench-smoke:
 	BENCHTIME=1x BENCH_OUT=/tmp/bench-smoke.json sh scripts/bench.sh
 
-# Smoke the multi-worker scheduler benchmarks specifically (parallelism
-# 1/2/GOMAXPROCS sub-runs of the solve workloads).
+# Smoke the component-scheduler benchmark specifically (parallelism
+# 1/2/GOMAXPROCS sub-runs of the eight-component workload).
 bench-smoke-parallel:
-	BENCHTIME=1x BENCH_PATTERN='SolveParallel|SolveAtParallelism' \
+	BENCHTIME=1x BENCH_PATTERN='SolveParallel' \
 		BENCH_OUT=/tmp/bench-smoke-parallel.json sh scripts/bench.sh
 
-# Allocation-regression gate: fail if the streaming executor's
-# allocs/op on BenchmarkSolve exceeds 25% of the tuple executor's.
+# Allocation-regression gate: fail if BenchmarkSolve's allocs/op moves
+# off its pin, or the cost plan is slower than the syntactic one.
 bench-regression:
 	sh scripts/bench_regression.sh
 
-ci: vet build race fuzz crash-test parallel-test chaos-test wal-crash-test executor-test planner-test serve-smoke loadgen-smoke bench-smoke bench-smoke-parallel bench-regression
+ci: vet build test-procs race fuzz crash-test parallel-test chaos-test wal-crash-test planner-test serve-smoke loadgen-smoke bench-smoke bench-smoke-parallel bench-regression
 
 clean:
 	$(GO) clean ./...

@@ -107,19 +107,16 @@ func BenchmarkExample21Averages(b *testing.B) {
 }
 
 // BenchmarkShortestPath (E3): the engine on the three graph topologies.
-// The unsuffixed runs keep their historical names (tuple executor); the
-// /stream runs measure the streaming relational-algebra executor and
-// the /cost runs the cost-based planner on top of it, all on the same
-// instances.
+// The unsuffixed runs are the engine with its default (syntactic) plan;
+// the /cost runs the cost-based planner on the same instances.
 func BenchmarkShortestPath(b *testing.B) {
 	type variant struct {
 		suffix string
 		lim    core.Limits
 	}
 	variants := []variant{
-		{"", core.Limits{Executor: core.ExecutorTuple}},
-		{"/stream", core.Limits{Executor: core.ExecutorStream}},
-		{"/cost", core.Limits{Executor: core.ExecutorStream, Plan: core.PlanCost}},
+		{"", core.Limits{}},
+		{"/cost", core.Limits{Plan: core.PlanCost}},
 	}
 	for _, kind := range []gen.GraphKind{gen.LayeredDAG, gen.CycleGraph, gen.RandomGraph} {
 		for _, n := range []int{32, 64, 128} {
@@ -139,14 +136,13 @@ func BenchmarkShortestPath(b *testing.B) {
 }
 
 // BenchmarkSolvePlan: the planner ablation on one fixed shortest-path
-// instance — identical engine, identical executor, only Limits.Plan
-// differs. The pair is what scripts/bench.sh records as the planner
+// instance — identical engine, only Limits.Plan differs. The pair is what scripts/bench.sh records as the planner
 // ratio and scripts/bench_regression.sh gates on.
 func BenchmarkSolvePlan(b *testing.B) {
 	g := gen.Graph(gen.CycleGraph, 128, 512, 9, 128)
 	src := programs.ShortestPath + gen.GraphFacts(g)
 	for _, pl := range []core.Plan{core.PlanSyntactic, core.PlanCost} {
-		en := mustEngine(b, src, core.Options{Limits: core.Limits{Executor: core.ExecutorStream, Plan: pl}})
+		en := mustEngine(b, src, core.Options{Limits: core.Limits{Plan: pl}})
 		b.Run(pl.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -198,8 +194,7 @@ func BenchmarkCompanyControl(b *testing.B) {
 	}
 }
 
-// BenchmarkParty (E5): engine (both executors) vs the direct
-// propagation.
+// BenchmarkParty (E5): engine (both plans) vs the direct propagation.
 func BenchmarkParty(b *testing.B) {
 	for _, n := range []int{64, 256} {
 		p := gen.Party(n, 5, 3, int64(n))
@@ -211,14 +206,7 @@ func BenchmarkParty(b *testing.B) {
 				solveB(b, en)
 			}
 		})
-		enStream := mustEngine(b, src, core.Options{Limits: core.Limits{Executor: core.ExecutorStream}})
-		b.Run(fmt.Sprintf("engine-stream/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				solveB(b, enStream)
-			}
-		})
-		enCost := mustEngine(b, src, core.Options{Limits: core.Limits{Executor: core.ExecutorStream, Plan: core.PlanCost}})
+		enCost := mustEngine(b, src, core.Options{Limits: core.Limits{Plan: core.PlanCost}})
 		b.Run(fmt.Sprintf("engine-cost/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -25,8 +25,8 @@ func TestConflictingFlagCombinations(t *testing.T) {
 		{"check with stats", []string{"-check", "-stats", f}},
 		{"check with pprof", []string{"-check", "-pprof-addr", "127.0.0.1:0", f}},
 		{"check with parallel", []string{"-check", "-parallel", "2", f}},
-		{"check with executor", []string{"-check", "-executor", "stream", f}},
 		{"check with plan", []string{"-check", "-plan", "cost", f}},
+		{"check with profile", []string{"-check", "-profile", f}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -151,7 +151,7 @@ func TestPprofFlag(t *testing.T) {
 
 // TestParallelFlag: the worker count must name at least one worker when
 // given explicitly (the unset default means one per CPU), and any
-// accepted value prints the same model as the sequential engine.
+// accepted value prints the same model as -parallel 1.
 func TestParallelFlag(t *testing.T) {
 	f := writeProgram(t, "sp.mdl", shortestPath)
 	for _, bad := range []string{"0", "-1"} {
@@ -178,41 +178,25 @@ func TestParallelFlag(t *testing.T) {
 	}
 }
 
-// TestExecutorFlag: the backend must be one of the two spellings, and
-// either accepted value prints the same model and the same -stats
-// totals (the executor-equivalence contract, observed end to end
-// through the CLI).
-func TestExecutorFlag(t *testing.T) {
+// TestExecutorFlagGone: there is one executor, so -executor is not a
+// flag any more — on the batch CLI and on serve it is rejected like any
+// other undefined flag (usage exit, the flag package's message) before
+// any work is done.
+func TestExecutorFlagGone(t *testing.T) {
 	f := writeProgram(t, "sp.mdl", shortestPath)
-	_, errOut, code := runMdl(t, "-executor", "vectorized", f)
-	if code != exitUsage {
-		t.Fatalf("-executor vectorized: exit %d, want %d (usage)", code, exitUsage)
+	out, errOut, code := runMdl(t, "-executor=stream", f)
+	if code != exitUsage || out != "" {
+		t.Fatalf("mdl -executor=stream: exit %d, stdout %q; want %d (usage) and no output", code, out, exitUsage)
 	}
-	if !strings.Contains(errOut, `-executor must be "stream" or "tuple"`) {
-		t.Fatalf("stderr must explain the bad value:\n%s", errOut)
+	if !strings.Contains(errOut, "flag provided but not defined: -executor") {
+		t.Fatalf("stderr must name the undefined flag:\n%s", errOut)
 	}
-	tupOut, tupStats, code := runMdl(t, "-executor", "tuple", "-stats", f)
-	if code != exitOK {
-		t.Fatalf("-executor tuple: exit %d\n%s", code, tupStats)
+	var sout, serr strings.Builder
+	if code := runServe(context.Background(), []string{"-executor=stream", f}, &sout, &serr); code != exitUsage {
+		t.Fatalf("mdl serve -executor=stream: exit %d, want %d (usage)", code, exitUsage)
 	}
-	strOut, strStats, code := runMdl(t, "-executor", "stream", "-stats", f)
-	if code != exitOK {
-		t.Fatalf("-executor stream: exit %d\n%s", code, strStats)
-	}
-	if strOut != tupOut {
-		t.Fatalf("-executor stream output differs from tuple:\n%s\nvs\n%s", strOut, tupOut)
-	}
-	statLine := func(s string) string {
-		for _, line := range strings.Split(s, "\n") {
-			if strings.HasPrefix(line, "components=") {
-				return line
-			}
-		}
-		t.Fatalf("no stats totals line in:\n%s", s)
-		return ""
-	}
-	if got, want := statLine(strStats), statLine(tupStats); got != want {
-		t.Fatalf("-executor stream stats totals differ:\n%s\nvs\n%s", got, want)
+	if !strings.Contains(serr.String(), "flag provided but not defined: -executor") {
+		t.Fatalf("serve stderr must name the undefined flag:\n%s", serr.String())
 	}
 }
 
@@ -254,30 +238,20 @@ func TestPlanFlag(t *testing.T) {
 	}
 }
 
-// TestProfileExecutorConflict: -profile needs the instrumented streaming
-// executor. The implied override is explicit in the help text, and an
-// explicit -executor=tuple contradicts it — a usage error, not a silent
-// override.
-func TestProfileExecutorConflict(t *testing.T) {
+// TestProfileFlag: -profile needs no other flag and prints the
+// annotated operator trees to stderr, leaving the model on stdout.
+func TestProfileFlag(t *testing.T) {
 	f := writeProgram(t, "sp.mdl", shortestPath)
-	_, errOut, code := runMdl(t, "-executor", "tuple", "-profile", f)
-	if code != exitUsage {
-		t.Fatalf("exit %d, want %d (usage)", code, exitUsage)
-	}
-	if !strings.Contains(errOut, "-profile requires the streaming executor") {
-		t.Fatalf("stderr must explain the conflict:\n%s", errOut)
-	}
-	// An explicit -executor=stream agrees with the implication: accepted.
-	if _, errOut, code := runMdl(t, "-executor", "stream", "-profile", f); code != exitOK {
-		t.Fatalf("-executor stream -profile: exit %d\n%s", code, errOut)
-	}
-	// Bare -profile selects the streaming executor and reports it.
-	_, errOut, code = runMdl(t, "-profile", f)
+	plain, _, _ := runMdl(t, f)
+	out, errOut, code := runMdl(t, "-profile", f)
 	if code != exitOK {
 		t.Fatalf("-profile: exit %d\n%s", code, errOut)
 	}
+	if out != plain {
+		t.Fatalf("-profile changed the model output:\n%s\nvs\n%s", out, plain)
+	}
 	if !strings.Contains(errOut, "EXPLAIN ANALYZE (executor=stream") {
-		t.Fatalf("-profile must run the streaming executor:\n%s", errOut)
+		t.Fatalf("-profile must print the operator profile:\n%s", errOut)
 	}
 }
 
@@ -293,7 +267,6 @@ func TestServeFlagValidation(t *testing.T) {
 		{"negative slow request", []string{"-slow-request", "-1s", f}, "-slow-request must be ≥ 0"},
 		{"zero parallel", []string{"-parallel", "0", f}, "-parallel must be ≥ 1"},
 		{"negative parallel", []string{"-parallel", "-3", f}, "-parallel must be ≥ 1"},
-		{"bad executor", []string{"-executor", "vectorized", f}, `-executor must be "stream" or "tuple"`},
 		{"bad plan", []string{"-plan", "genetic", f}, `-plan must be "syntactic" or "cost"`},
 	}
 	for _, tc := range cases {

@@ -12,11 +12,9 @@
 //	-eps ε         numeric convergence tolerance (for ω-limit programs)
 //	-max-rounds N  fixpoint round bound per component
 //	-max-facts N   derivation budget per solve (0 = unlimited)
-//	-parallel N    evaluation workers (default: one per CPU; 1 = the
-//	               sequential engine; output is identical either way)
-//	-executor x    rule-body execution backend: "stream" (lazy operator
-//	               pipelines, low allocation) or "tuple" (the reference
-//	               interpreter); output is identical either way
+//	-parallel N    component workers: independent program components
+//	               evaluate concurrently (default: one per CPU; 1 = one
+//	               after another; output is identical either way)
 //	-plan x        rule planner: "syntactic" (written left-to-right body
 //	               order) or "cost" (statistics-driven join ordering,
 //	               presizing, subplan sharing and adaptive re-planning;
@@ -27,7 +25,7 @@
 //	               per-component and per-rule hot-spot tables
 //	-profile       print EXPLAIN ANALYZE to stderr: the compiled operator
 //	               tree of every rule annotated with measured row counts,
-//	               index probes and build sizes (implies -executor=stream)
+//	               index probes and build sizes
 //	-profile-json f  also write the profile as JSON to file f (the
 //	               machine-readable EXPLAIN ANALYZE form; implies -profile)
 //	-pprof-addr a  serve net/http/pprof on its own listener at address a
@@ -113,8 +111,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	eps := fs.Float64("eps", 0, "numeric convergence tolerance")
 	maxRounds := fs.Int("max-rounds", 0, "fixpoint round bound per component")
 	maxFacts := fs.Int64("max-facts", 0, "derivation budget per solve (0 = unlimited)")
-	parallel := fs.Int("parallel", 0, "evaluation workers (default one per CPU; 1 = sequential)")
-	executor := fs.String("executor", "", `execution backend: "stream" or "tuple"`)
+	parallel := fs.Int("parallel", 0, "component workers (default one per CPU; 1 = sequential)")
 	plan := fs.String("plan", "", `rule planner: "syntactic" or "cost"`)
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for evaluation, e.g. 1s (0 = none)")
 	query := fs.String("query", "", "print only this predicate")
@@ -122,7 +119,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	unchecked := fs.Bool("unchecked", false, "skip static checks")
 	wfsFallback := fs.Bool("wfs-fallback", false, "evaluate negation-recursive components by WFS (§6.3)")
 	explain := fs.String("explain", "", "print the derivation tree of a ground atom, e.g. 's(a, c)'")
-	profile := fs.Bool("profile", false, "print EXPLAIN ANALYZE (per-operator row counts and probe totals) to stderr; implies -executor=stream")
+	profile := fs.Bool("profile", false, "print EXPLAIN ANALYZE (per-operator row counts and probe totals) to stderr")
 	profileJSON := fs.String("profile-json", "", "write the EXPLAIN ANALYZE profile as JSON to this file (implies -profile)")
 	ckptPath := fs.String("checkpoint", "", "durably checkpoint the evolving model to this file")
 	ckptEvery := fs.Int("checkpoint-every", 1, "rounds between periodic checkpoints (with -checkpoint)")
@@ -148,38 +145,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *ckptEvery < 0 {
 		return usage("-checkpoint-every must be ≥ 0")
 	}
-	timeoutSet, parallelSet, executorSet, planSet := false, false, false, false
+	timeoutSet, parallelSet, planSet := false, false, false
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "timeout":
 			timeoutSet = true
 		case "parallel":
 			parallelSet = true
-		case "executor":
-			executorSet = true
 		case "plan":
 			planSet = true
 		}
 	})
-	exe, err := datalog.ParseExecutor(*executor)
-	if err != nil {
-		return usage(`-executor must be "stream" or "tuple"`)
-	}
 	pln, err := datalog.ParsePlan(*plan)
 	if err != nil {
 		return usage(`-plan must be "syntactic" or "cost"`)
 	}
 	if *profileJSON != "" {
 		*profile = true
-	}
-	if *profile {
-		// Only the streaming executor carries operator counters, so
-		// -profile selects it; an explicit -executor=tuple is a
-		// contradiction, not something to silently override.
-		if executorSet && exe == datalog.ExecutorTuple {
-			return usage("-profile requires the streaming executor; drop -executor=tuple")
-		}
-		exe = datalog.ExecutorStream
 	}
 	if timeoutSet && *timeout <= 0 {
 		return usage("-timeout must be > 0")
@@ -210,9 +192,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *check && parallelSet {
 		return usage("-check does not evaluate; it cannot be combined with -parallel")
 	}
-	if *check && executorSet {
-		return usage("-check does not evaluate; it cannot be combined with -executor")
-	}
 	if *check && planSet {
 		return usage("-check does not evaluate; it cannot be combined with -plan")
 	}
@@ -241,7 +220,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		MaxFacts:    *maxFacts,
 		MaxDuration: *timeout,
 		Parallelism: *parallel,
-		Executor:    exe,
 		Plan:        pln,
 		SkipChecks:  *unchecked || *check,
 		WFSFallback: *wfsFallback,

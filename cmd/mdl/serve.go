@@ -21,11 +21,8 @@
 //	-eps ε         numeric convergence tolerance
 //	-max-rounds N  fixpoint round bound per component
 //	-max-facts N   derivation budget per solve and per assert batch
-//	-parallel N    evaluation workers per solve (default: one per CPU;
-//	               1 = the sequential engine; output is identical)
-//	-executor x    rule-body execution backend: "stream" (lazy operator
-//	               pipelines, low allocation) or "tuple" (the reference
-//	               interpreter); output is identical either way
+//	-parallel N    component workers per solve (default: one per CPU;
+//	               1 = one component after another; output is identical)
 //	-plan x        rule planner: "syntactic" or "cost" (statistics-driven;
 //	               see docs/PLANNER.md); output is identical either way
 //	-timeout d     wall-clock budget per solve and per assert batch
@@ -100,8 +97,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	eps := fs.Float64("eps", 0, "numeric convergence tolerance")
 	maxRounds := fs.Int("max-rounds", 0, "fixpoint round bound per component")
 	maxFacts := fs.Int64("max-facts", 0, "derivation budget per solve and per assert batch (0 = unlimited)")
-	parallel := fs.Int("parallel", 0, "evaluation workers per solve (default one per CPU; 1 = sequential)")
-	executor := fs.String("executor", "", `execution backend: "stream" or "tuple"`)
+	parallel := fs.Int("parallel", 0, "component workers per solve (default one per CPU; 1 = sequential)")
 	plan := fs.String("plan", "", `rule planner: "syntactic" or "cost"`)
 	timeout := fs.Duration("timeout", 0, "wall-clock budget per solve and per assert batch (0 = none)")
 	trace := fs.Bool("trace", true, "record provenance for /v1/explain")
@@ -145,10 +141,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	})
 	if parallelSet && *parallel < 1 {
 		return usage("-parallel must be ≥ 1")
-	}
-	exe, err := datalog.ParseExecutor(*executor)
-	if err != nil {
-		return usage(`-executor must be "stream" or "tuple"`)
 	}
 	pln, err := datalog.ParsePlan(*plan)
 	if err != nil {
@@ -197,7 +189,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		MaxFacts:    *maxFacts,
 		MaxDuration: *timeout,
 		Parallelism: *parallel,
-		Executor:    exe,
 		Plan:        pln,
 		Trace:       *trace,
 	}

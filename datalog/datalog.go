@@ -80,35 +80,6 @@ const (
 	Naive     = core.Naive
 )
 
-// Executor selects the rule-body evaluation backend.
-type Executor = core.Executor
-
-// The executors: ExecutorStream runs compiled streaming operator
-// pipelines — lazy iterators with index-aware scans and delta-driven
-// probes — over pooled register machines; ExecutorTuple (currently the
-// default) is the recursive tuple-at-a-time interpreter. Both produce
-// byte-identical models, traces and stats; the knob exists for
-// benchmarking, differential testing and as an escape hatch.
-const (
-	ExecutorDefault = core.ExecutorDefault
-	ExecutorTuple   = core.ExecutorTuple
-	ExecutorStream  = core.ExecutorStream
-)
-
-// ParseExecutor maps the command-line spellings "stream" and "tuple"
-// (and "" for the default) to an Executor.
-func ParseExecutor(s string) (Executor, error) {
-	switch s {
-	case "":
-		return ExecutorDefault, nil
-	case "stream":
-		return ExecutorStream, nil
-	case "tuple":
-		return ExecutorTuple, nil
-	}
-	return ExecutorDefault, fmt.Errorf("datalog: unknown executor %q (want \"stream\" or \"tuple\")", s)
-}
-
 // Plan selects the rule planner.
 type Plan = core.Plan
 
@@ -177,19 +148,17 @@ type Options struct {
 	// consecutive times with nothing else changing (0 = default 1000,
 	// negative disables).
 	DivergenceStreak int
-	// Parallelism sets the evaluation worker-pool size: independent
-	// program components run concurrently and each round's rules are
-	// evaluated speculatively in parallel, with results merged so that
-	// models, traces and stats totals are byte-identical to sequential
-	// evaluation (see docs/ARCHITECTURE.md). 0 means one worker per
-	// CPU (runtime.GOMAXPROCS); 1 selects exactly the sequential
-	// engine.
+	// Parallelism is the number of component workers: program
+	// components (strongly connected sets of mutually recursive
+	// predicates) that do not depend on one another are evaluated
+	// concurrently, each joined back into the model when it reaches its
+	// fixpoint. A program that is one recursive component therefore runs
+	// on one worker whatever the value, and incremental SolveMore always
+	// does. Results — models, fact order, traces, stats, profiles,
+	// checkpoints — are identical at any value (docs/ARCHITECTURE.md).
+	// 0 means one worker per CPU (runtime.GOMAXPROCS); 1 evaluates the
+	// components one after another.
 	Parallelism int
-	// Executor selects the rule-body evaluation backend (streaming
-	// operator pipelines by default; ExecutorTuple for the
-	// tuple-at-a-time interpreter). Both backends produce byte-identical
-	// results.
-	Executor Executor
 	// Plan selects the rule planner (syntactic left-to-right order by
 	// default; PlanCost for statistics-driven join ordering, presizing,
 	// subplan sharing and adaptive re-planning). Both planners produce
@@ -200,11 +169,11 @@ type Options struct {
 	// flushes and resource warnings. Events are emitted synchronously
 	// from the evaluation loop; nil keeps the engine at full speed.
 	Sink EventSink
-	// Profile enables per-operator execution counters on the streaming
-	// executor (rows in/out, probes, build sizes, Δ rows, aggregate
+	// Profile enables per-operator execution counters on the rule
+	// pipelines (rows in/out, probes, build sizes, Δ rows, aggregate
 	// groups), retrievable with Program.Profile — the data behind
-	// EXPLAIN ANALYZE. The tuple interpreter ignores it; the streaming
-	// executor pays one predictable branch per counted event.
+	// EXPLAIN ANALYZE. It costs one predictable branch per counted
+	// event.
 	Profile bool
 }
 
@@ -238,7 +207,6 @@ func Load(src string, opts Options) (*Program, error) {
 		CheckEvery:       opts.CheckEvery,
 		DivergenceStreak: opts.DivergenceStreak,
 		Parallelism:      opts.Parallelism,
-		Executor:         opts.Executor,
 		Plan:             opts.Plan,
 	}
 	en, err := core.New(prog, core.Options{
@@ -402,19 +370,11 @@ func WithDivergenceStreak(n int) SolveOption {
 	return func(c *solveConfig) { c.lim.DivergenceStreak = n }
 }
 
-// WithParallelism overrides the evaluation worker-pool size for this
-// solve (0 = one worker per CPU, 1 = sequential). The parallel engine
-// is deterministic: the model, traces and stats totals are identical at
-// every parallelism level.
+// WithParallelism overrides the number of component workers for this
+// solve (0 = one worker per CPU, 1 = sequential); see
+// Options.Parallelism. The result is identical at every value.
 func WithParallelism(n int) SolveOption {
 	return func(c *solveConfig) { c.lim.Parallelism = n }
-}
-
-// WithExecutor overrides the rule-body execution backend for this
-// solve. Both executors produce byte-identical models, traces and
-// stats; ExecutorStream avoids per-tuple allocation.
-func WithExecutor(e Executor) SolveOption {
-	return func(c *solveConfig) { c.lim.Executor = e }
 }
 
 // WithPlan overrides the rule planner for this solve. Both planners

@@ -1,12 +1,12 @@
 package datalog_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -14,12 +14,13 @@ import (
 	"repro/internal/faults"
 )
 
-// The parallel engine's determinism contract (docs/ARCHITECTURE.md):
+// The component scheduler's determinism contract (docs/ARCHITECTURE.md):
 // for every program and every parallelism level, the model, the
-// insertion order of facts, the recorded derivations and the Stats
-// totals are byte-identical to the sequential engine's. These tests
-// enforce the contract differentially over every shipped example
-// program; timing fields (Nanos) are the only tolerated difference.
+// insertion order of facts, the recorded derivations, the Stats, the
+// Profile row counts and the checkpoint bytes are identical to the
+// sequential walk's. These tests enforce the contract differentially
+// over every shipped example program; timing fields (Nanos) and the
+// profile's probe counts are the only tolerated differences.
 
 // normStats strips wall-clock time from a Stats, the one field the
 // determinism contract exempts.
@@ -70,9 +71,25 @@ func traceFingerprint(t *testing.T, p *datalog.Program, m *datalog.Model) string
 	return b.String()
 }
 
-// solveParallel loads one example with tracing and the given worker
-// count and solves it.
-func solveParallel(t *testing.T, name string, par int) (*datalog.Program, *datalog.Model, datalog.Stats) {
+// profileFingerprint renders the operator row counts of a profile. Nanos
+// and Probes are exempt from the determinism contract (docs/PLANNER.md:
+// time is time, and probes depend on which lazily built index a cursor
+// finds), so they are left out.
+func profileFingerprint(pr *datalog.Profile) string {
+	var b strings.Builder
+	for _, rp := range pr.Rules {
+		fmt.Fprintf(&b, "rule %d %s\n", rp.Index, rp.Rule)
+		for _, op := range rp.Ops {
+			fmt.Fprintf(&b, "  %d %s in=%d out=%d delta=%d groups=%d\n", op.Step, op.Kind, op.In, op.Out, op.Delta, op.Groups)
+		}
+	}
+	return b.String()
+}
+
+// solveParallel loads one example with tracing, profiling and the given
+// worker count and solves it, checkpointing every round; it also
+// returns the bytes of the final checkpoint.
+func solveParallel(t *testing.T, name string, par int) (*datalog.Program, *datalog.Model, datalog.Stats, []byte) {
 	t.Helper()
 	src, err := os.ReadFile(filepath.Join(exampleDir, name))
 	if err != nil {
@@ -80,22 +97,28 @@ func solveParallel(t *testing.T, name string, par int) (*datalog.Program, *datal
 	}
 	opts := exampleOptions(name)
 	opts.Trace = true
+	opts.Profile = true
 	opts.Parallelism = par
 	p, err := datalog.Load(string(src), opts)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	m, stats, err := p.Solve()
+	ckpt := filepath.Join(t.TempDir(), "model.ckpt")
+	m, stats, err := p.SolveContext(context.Background(), nil, datalog.WithCheckpoint(datalog.FileCheckpoint(ckpt), 1))
 	if err != nil {
 		t.Fatalf("%s at parallelism %d: %v", name, par, err)
 	}
-	return p, m, stats
+	snap, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, m, stats, snap
 }
 
 // TestParallelDeterminism solves every shipped example program
 // (omega.mdl diverges by design and is excluded) sequentially and at
-// parallelism 2 and GOMAXPROCS, asserting model, fact order, traces
-// and stats agree exactly.
+// parallelism 2, 4 and 8, asserting model, fact order, traces, stats,
+// profile row counts and final checkpoint bytes agree exactly.
 func TestParallelDeterminism(t *testing.T) {
 	entries, err := os.ReadDir(exampleDir)
 	if err != nil {
@@ -107,12 +130,13 @@ func TestParallelDeterminism(t *testing.T) {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			seqP, seqM, seqStats := solveParallel(t, name, 1)
+			seqP, seqM, seqStats, seqSnap := solveParallel(t, name, 1)
 			seqModel := seqM.String()
 			seqFacts := factFingerprint(seqM)
 			seqTrace := traceFingerprint(t, seqP, seqM)
-			for _, par := range []int{2, runtime.GOMAXPROCS(0)} {
-				parP, parM, parStats := solveParallel(t, name, par)
+			seqProfile := profileFingerprint(seqP.Profile())
+			for _, par := range []int{2, 4, 8} {
+				parP, parM, parStats, parSnap := solveParallel(t, name, par)
 				if got := parM.String(); got != seqModel {
 					t.Fatalf("parallelism %d model differs:\n%s\nwant:\n%s", par, got, seqModel)
 				}
@@ -125,6 +149,12 @@ func TestParallelDeterminism(t *testing.T) {
 				if got, want := fmt.Sprintf("%+v", normStats(parStats)), fmt.Sprintf("%+v", normStats(seqStats)); got != want {
 					t.Fatalf("parallelism %d stats differ:\n%s\nwant:\n%s", par, got, want)
 				}
+				if got := profileFingerprint(parP.Profile()); got != seqProfile {
+					t.Fatalf("parallelism %d profile row counts differ:\n%s\nwant:\n%s", par, got, seqProfile)
+				}
+				if !bytes.Equal(parSnap, seqSnap) {
+					t.Fatalf("parallelism %d final checkpoint differs (%d vs %d bytes)", par, len(parSnap), len(seqSnap))
+				}
 			}
 		})
 	}
@@ -136,7 +166,7 @@ func TestParallelDeterminism(t *testing.T) {
 func TestParallelSolveMoreChain(t *testing.T) {
 	chain := func(par int) (string, string, datalog.Stats) {
 		t.Helper()
-		p, m, _ := solveParallel(t, "shortestpath.mdl", par)
+		p, m, _, _ := solveParallel(t, "shortestpath.mdl", par)
 		m2, _, err := p.SolveMore(m,
 			datalog.NewFact("arc", datalog.Sym("f"), datalog.Sym("a"), datalog.Num(1)),
 			datalog.NewFact("arc", datalog.Sym("e"), datalog.Sym("f"), datalog.Num(2)))
@@ -151,7 +181,7 @@ func TestParallelSolveMoreChain(t *testing.T) {
 		return m3.String(), factFingerprint(m3), stats
 	}
 	seqModel, seqFacts, seqStats := chain(1)
-	for _, par := range []int{2, runtime.GOMAXPROCS(0)} {
+	for _, par := range []int{2, 4, 8} {
 		parModel, parFacts, parStats := chain(par)
 		if parModel != seqModel {
 			t.Fatalf("parallelism %d chained model differs:\n%s\nwant:\n%s", par, parModel, seqModel)
@@ -175,7 +205,7 @@ func TestParallelSolveMoreChain(t *testing.T) {
 func TestParallelKillResume(t *testing.T) {
 	for _, name := range []string{"shortestpath.mdl", "companycontrol.mdl"} {
 		t.Run(name, func(t *testing.T) {
-			_, full, _ := solveParallel(t, name, 1)
+			_, full, _, _ := solveParallel(t, name, 1)
 
 			src, err := os.ReadFile(filepath.Join(exampleDir, name))
 			if err != nil {

@@ -14,8 +14,8 @@ import (
 )
 
 // The planner contract (docs/PLANNER.md): the cost-based planner is a
-// pure physical optimization — for every program, every executor, every
-// parallelism level and every incremental chain, the model, fact
+// pure physical optimization — for every program, every parallelism
+// level and every incremental chain, the model, fact
 // insertion order, traces, checkpoint bytes and the Stats ledger's
 // Firings/Derived/Rounds/Components totals are byte-identical to the
 // syntactic left-to-right plan. Probes (and Nanos) are exempt: a
@@ -36,9 +36,9 @@ func normPlanStats(s datalog.Stats) datalog.Stats {
 	return n
 }
 
-// solvePlanned loads one example with tracing and the given planner,
-// executor and worker count, and solves it.
-func solvePlanned(t *testing.T, name string, pl datalog.Plan, exe datalog.Executor, par int) (*datalog.Program, *datalog.Model, datalog.Stats) {
+// solvePlanned loads one example with tracing and the given planner and
+// worker count, and solves it.
+func solvePlanned(t *testing.T, name string, pl datalog.Plan, par int) (*datalog.Program, *datalog.Model, datalog.Stats) {
 	t.Helper()
 	src, err := os.ReadFile(filepath.Join(exampleDir, name))
 	if err != nil {
@@ -47,7 +47,6 @@ func solvePlanned(t *testing.T, name string, pl datalog.Plan, exe datalog.Execut
 	opts := exampleOptions(name)
 	opts.Trace = true
 	opts.Plan = pl
-	opts.Executor = exe
 	opts.Parallelism = par
 	p, err := datalog.Load(string(src), opts)
 	if err != nil {
@@ -55,16 +54,16 @@ func solvePlanned(t *testing.T, name string, pl datalog.Plan, exe datalog.Execut
 	}
 	m, stats, err := p.Solve()
 	if err != nil {
-		t.Fatalf("%s plan=%v executor=%v parallelism=%d: %v", name, pl, exe, par, err)
+		t.Fatalf("%s plan=%v parallelism=%d: %v", name, pl, par, err)
 	}
 	return p, m, stats
 }
 
 // TestPlannerDifferential solves every shipped example program
 // (omega.mdl diverges by design and is covered separately) under the
-// syntactic plan and under the cost plan, on both executors at
-// parallelism 1, 2 and GOMAXPROCS, asserting model, fact order, traces
-// and the exempt-normalized stats agree exactly.
+// syntactic plan and under the cost plan at parallelism 1, 2 and
+// GOMAXPROCS, asserting model, fact order, traces and the
+// exempt-normalized stats agree exactly.
 func TestPlannerDifferential(t *testing.T) {
 	entries, err := os.ReadDir(exampleDir)
 	if err != nil {
@@ -76,27 +75,25 @@ func TestPlannerDifferential(t *testing.T) {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			refP, refM, refStats := solvePlanned(t, name, datalog.PlanSyntactic, datalog.ExecutorTuple, 1)
+			refP, refM, refStats := solvePlanned(t, name, datalog.PlanSyntactic, 1)
 			refModel := refM.String()
 			refFacts := factFingerprint(refM)
 			refTrace := traceFingerprint(t, refP, refM)
 			refNorm := fmt.Sprintf("%+v", normPlanStats(refStats))
-			for _, exe := range []datalog.Executor{datalog.ExecutorTuple, datalog.ExecutorStream} {
-				for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-					costP, costM, costStats := solvePlanned(t, name, datalog.PlanCost, exe, par)
-					tag := fmt.Sprintf("cost executor=%v parallelism=%d", exe, par)
-					if got := costM.String(); got != refModel {
-						t.Fatalf("%s model differs:\n%s\nwant:\n%s", tag, got, refModel)
-					}
-					if got := factFingerprint(costM); got != refFacts {
-						t.Fatalf("%s fact order differs:\n%s\nwant:\n%s", tag, got, refFacts)
-					}
-					if got := traceFingerprint(t, costP, costM); got != refTrace {
-						t.Fatalf("%s traces differ:\n%s\nwant:\n%s", tag, got, refTrace)
-					}
-					if got := fmt.Sprintf("%+v", normPlanStats(costStats)); got != refNorm {
-						t.Fatalf("%s stats differ:\n%s\nwant:\n%s", tag, got, refNorm)
-					}
+			for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+				costP, costM, costStats := solvePlanned(t, name, datalog.PlanCost, par)
+				tag := fmt.Sprintf("cost parallelism=%d", par)
+				if got := costM.String(); got != refModel {
+					t.Fatalf("%s model differs:\n%s\nwant:\n%s", tag, got, refModel)
+				}
+				if got := factFingerprint(costM); got != refFacts {
+					t.Fatalf("%s fact order differs:\n%s\nwant:\n%s", tag, got, refFacts)
+				}
+				if got := traceFingerprint(t, costP, costM); got != refTrace {
+					t.Fatalf("%s traces differ:\n%s\nwant:\n%s", tag, got, refTrace)
+				}
+				if got := fmt.Sprintf("%+v", normPlanStats(costStats)); got != refNorm {
+					t.Fatalf("%s stats differ:\n%s\nwant:\n%s", tag, got, refNorm)
 				}
 			}
 		})
@@ -129,10 +126,12 @@ func TestWithPlanOption(t *testing.T) {
 }
 
 // TestPlannerDivergenceParity runs the intentionally divergent
-// omega.mdl under both planners: the ω-limit detector must trip either
-// way with identical structured errors and an identical partial model.
+// omega.mdl under both planners at parallelism 1, 2 and 4: the ω-limit
+// detector must trip every time with identical structured errors
+// (component, round, offending group, trajectory) and an identical
+// partial model.
 func TestPlannerDivergenceParity(t *testing.T) {
-	run := func(pl datalog.Plan) (string, string) {
+	run := func(pl datalog.Plan, par int) (string, string) {
 		t.Helper()
 		src, err := os.ReadFile(filepath.Join(exampleDir, "omega.mdl"))
 		if err != nil {
@@ -140,6 +139,7 @@ func TestPlannerDivergenceParity(t *testing.T) {
 		}
 		opts := exampleOptions("omega.mdl")
 		opts.Plan = pl
+		opts.Parallelism = par
 		opts.DivergenceStreak = 50
 		p, err := datalog.Load(string(src), opts)
 		if err != nil {
@@ -147,20 +147,24 @@ func TestPlannerDivergenceParity(t *testing.T) {
 		}
 		m, _, err := p.Solve()
 		if !errors.Is(err, datalog.ErrDiverged) {
-			t.Fatalf("plan=%v err = %v, want ErrDiverged", pl, err)
+			t.Fatalf("plan=%v parallelism=%d err = %v, want ErrDiverged", pl, par, err)
 		}
 		if m == nil {
-			t.Fatalf("plan=%v divergence must return the partial model", pl)
+			t.Fatalf("plan=%v parallelism=%d divergence must return the partial model", pl, par)
 		}
 		return err.Error(), m.String()
 	}
-	synErr, synModel := run(datalog.PlanSyntactic)
-	costErr, costModel := run(datalog.PlanCost)
-	if costErr != synErr {
-		t.Fatalf("divergence errors differ:\ncost:      %s\nsyntactic: %s", costErr, synErr)
-	}
-	if costModel != synModel {
-		t.Fatalf("partial models differ:\ncost:\n%s\nsyntactic:\n%s", costModel, synModel)
+	refErr, refModel := run(datalog.PlanSyntactic, 1)
+	for _, pl := range []datalog.Plan{datalog.PlanSyntactic, datalog.PlanCost} {
+		for _, par := range []int{1, 2, 4} {
+			gotErr, gotModel := run(pl, par)
+			if gotErr != refErr {
+				t.Fatalf("plan=%v parallelism=%d divergence error differs:\n%s\nwant:\n%s", pl, par, gotErr, refErr)
+			}
+			if gotModel != refModel {
+				t.Fatalf("plan=%v parallelism=%d partial model differs:\n%s\nwant:\n%s", pl, par, gotModel, refModel)
+			}
+		}
 	}
 }
 
@@ -172,7 +176,7 @@ func TestPlannerDivergenceParity(t *testing.T) {
 func TestPlannerSolveMoreChain(t *testing.T) {
 	chain := func(pl datalog.Plan) (string, string, datalog.Stats) {
 		t.Helper()
-		p, m, _ := solvePlanned(t, "shortestpath.mdl", pl, datalog.ExecutorDefault, 1)
+		p, m, _ := solvePlanned(t, "shortestpath.mdl", pl, 1)
 		m2, _, err := p.SolveMore(m,
 			datalog.NewFact("arc", datalog.Sym("f"), datalog.Sym("a"), datalog.Num(1)),
 			datalog.NewFact("arc", datalog.Sym("e"), datalog.Sym("f"), datalog.Num(2)))
@@ -200,10 +204,11 @@ func TestPlannerSolveMoreChain(t *testing.T) {
 }
 
 // TestPlannerCheckpointParity checkpoints a solve under each planner at
-// every round boundary; the final checkpoint bytes must be
-// byte-identical (the durable format must not leak the plan).
+// every round boundary, at parallelism 1, 2 and 4; the final checkpoint
+// bytes must be byte-identical (the durable format must leak neither
+// the plan nor the worker count).
 func TestPlannerCheckpointParity(t *testing.T) {
-	snap := func(pl datalog.Plan) []byte {
+	snap := func(pl datalog.Plan, par int) []byte {
 		t.Helper()
 		src, err := os.ReadFile(filepath.Join(exampleDir, "shortestpath.mdl"))
 		if err != nil {
@@ -211,13 +216,14 @@ func TestPlannerCheckpointParity(t *testing.T) {
 		}
 		opts := exampleOptions("shortestpath.mdl")
 		opts.Plan = pl
+		opts.Parallelism = par
 		p, err := datalog.Load(string(src), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(t.TempDir(), "model.ckpt")
 		if _, _, err := p.SolveContext(context.Background(), nil, datalog.WithCheckpoint(datalog.FileCheckpoint(path), 1)); err != nil {
-			t.Fatalf("plan=%v solve: %v", pl, err)
+			t.Fatalf("plan=%v parallelism=%d solve: %v", pl, par, err)
 		}
 		b, err := os.ReadFile(path)
 		if err != nil {
@@ -225,10 +231,13 @@ func TestPlannerCheckpointParity(t *testing.T) {
 		}
 		return b
 	}
-	syn := snap(datalog.PlanSyntactic)
-	cost := snap(datalog.PlanCost)
-	if string(syn) != string(cost) {
-		t.Fatalf("checkpoint bytes differ between planners (%d vs %d bytes)", len(syn), len(cost))
+	ref := snap(datalog.PlanSyntactic, 1)
+	for _, pl := range []datalog.Plan{datalog.PlanSyntactic, datalog.PlanCost} {
+		for _, par := range []int{1, 2, 4} {
+			if got := snap(pl, par); string(got) != string(ref) {
+				t.Fatalf("plan=%v parallelism=%d checkpoint bytes differ (%d vs %d bytes)", pl, par, len(got), len(ref))
+			}
+		}
 	}
 }
 

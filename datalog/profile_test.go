@@ -28,7 +28,7 @@ arc(c, d, 1).
 // relation exactly once, so its single scan operator must report 5 rows
 // out, 5 probes, and a build side of 5 — the relation's size.
 func TestProfileCounters(t *testing.T) {
-	p, err := Load(profileSrc, Options{Executor: ExecutorStream, Profile: true})
+	p, err := Load(profileSrc, Options{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,35 +94,4 @@ func TestProfileCounters(t *testing.T) {
 		}
 	}
 	_ = m
-}
-
-// TestProfileTupleExecutorZero: the tuple interpreter is uninstrumented;
-// the profile still carries the operator structure with zero counters.
-func TestProfileTupleExecutorZero(t *testing.T) {
-	p, err := Load(profileSrc, Options{Executor: ExecutorTuple, Profile: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := p.Solve(); err != nil {
-		t.Fatal(err)
-	}
-	prof := p.Profile()
-	if prof.Executor != "tuple" {
-		t.Fatalf("executor = %q, want tuple", prof.Executor)
-	}
-	ops := 0
-	for _, rp := range prof.Rules {
-		for _, op := range rp.Ops {
-			ops++
-			if op.In != 0 || op.Out != 0 || op.Probes != 0 {
-				t.Fatalf("tuple profile has live counters: %+v", op)
-			}
-			if op.Kind == "" || op.Op == "" {
-				t.Fatalf("missing operator description: %+v", op)
-			}
-		}
-	}
-	if ops == 0 {
-		t.Fatal("no operators in profile")
-	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/exec"
 	"repro/internal/lattice"
 	"repro/internal/val"
 )
@@ -20,10 +19,7 @@ import (
 //     enumerated by grouping the conjunction's matches, yielding one
 //     extension per nonempty group — this is how
 //     "s(X,Y,C) :- C ?= min D : path(X,Z,Y,D)" executes.
-//
-// onlyGroups, when non-nil, limits evaluation to the listed groups (the
-// semi-naive Δ-driven restriction; see solveSemiNaive).
-func (ev *evaluator) aggregate(s *aggStep, stepIdx int, onlyGroups map[string]exec.GroupRef, e *env, cont func() error) error {
+func (ev *evaluator) aggregate(s *aggStep, stepIdx int, e *env, cont func() error) error {
 	allBound := true
 	for _, v := range s.groupVars {
 		if !e.bound[v] {
@@ -33,49 +29,6 @@ func (ev *evaluator) aggregate(s *aggStep, stepIdx int, onlyGroups map[string]ex
 	}
 	if !allBound && !s.restricted {
 		return fmt.Errorf("core: total aggregate %s with unbound grouping variables", s.g)
-	}
-
-	// Δ-driven grouped evaluation: instead of enumerating every group,
-	// bind the grouping variables to each changed group's values and
-	// recurse in (indexed) point mode.
-	if onlyGroups != nil && !allBound {
-		for _, gk := range sortedKeys(onlyGroups) {
-			ref := onlyGroups[gk]
-			var saved []int
-			ok := true
-			for j, v := range s.groupVars {
-				if e.bound[v] {
-					if !val.Equal(e.vals[v], ref.At(j)) {
-						ok = false
-						break
-					}
-					continue
-				}
-				e.vals[v] = ref.At(j)
-				e.bound[v] = true
-				saved = append(saved, v)
-			}
-			if ok {
-				if err := ev.aggregate(s, stepIdx, nil, e, cont); err != nil {
-					unbind(e, saved)
-					return err
-				}
-			}
-			unbind(e, saved)
-		}
-		return nil
-	}
-
-	// Point mode under a Δ restriction: skip unchanged groups before any
-	// enumeration work.
-	if allBound && onlyGroups != nil {
-		key := make([]val.T, len(s.groupVars))
-		for j, v := range s.groupVars {
-			key[j] = e.vals[v]
-		}
-		if _, ok := onlyGroups[val.KeyOf(key)]; !ok {
-			return nil
-		}
 	}
 
 	// Order the conjunction for the current binding pattern.

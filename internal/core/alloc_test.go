@@ -9,11 +9,13 @@ import (
 	"repro/internal/val"
 )
 
-// The inner-loop steps of the tuple interpreter that run once per join
-// probe must not allocate: negSatisfied and the default-value point
+// The inner-loop steps of the reference interpreter that run once per
+// join probe must not allocate: negSatisfied and the default-value point
 // lookup both instantiate the atom's arguments into a per-step buffer
-// (atomSpec.abuf), not a fresh slice. These assertions pin that — a
-// regression here multiplies straight into allocs/op on every solve.
+// (atomSpec.abuf), not a fresh slice. The interpreter no longer runs
+// solves, but it is the oracle every model check (TP, IsModel,
+// GroupStratified) enumerates with, and these assertions keep that
+// enumeration from regressing to a slice per probe.
 
 // allocHarness compiles a program with a negated subgoal and a
 // default-value scan and returns the evaluator, the interesting steps

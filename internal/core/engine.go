@@ -63,11 +63,11 @@ type Options struct {
 	// Trace records, for every derived tuple, the rule and ground body
 	// of its last improvement, queryable through Explain/ExplainTree.
 	Trace bool
-	// Profile enables per-operator counters in the streaming executor
+	// Profile enables per-operator counters in the rule pipelines
 	// (rows in/out, probes, hash-build sizes, Δ sizes, changed groups
 	// per γ), read back through Engine.Profile — the EXPLAIN ANALYZE
-	// data. It has no effect on the tuple interpreter, and off (the
-	// default) the executor pays one nil check per counted event.
+	// data. Off (the default) a pipeline pays one nil check per counted
+	// event.
 	Profile bool
 	// Sink, when non-nil, receives the typed event stream of every
 	// solve (see package obs). The engine emits behind a nil check, so
@@ -98,26 +98,24 @@ type Engine struct {
 	// nrules is the number of compiled plans across all components;
 	// plans carry engine-global indices into Stats.Rules.
 	nrules int
-	// compDeps and compLDB drive the parallel scheduler: per component,
+	// compDeps and compLDB drive the component scheduler: per component,
 	// the (sorted) indices of the lower components it depends on, and
 	// the (sorted) lower-defined predicates its rules read.
 	compDeps [][]int
 	compLDB  [][]ast.PredKey
 	// sink is Options.Sink (nil = no event emission).
 	sink obs.Sink
-	// exe is the executor resolved for the current solve (set at the top
-	// of fixpoint / fixpointParallel / SolveMoreFrom, before any pass
-	// constructs a runner). Engines are not safe for concurrent solves,
-	// so a per-solve field is sufficient. plan is the planner resolved
-	// the same way: PlanCost makes each semi-naive component install
-	// cost-based physicals (plancost.go) before its fixpoint starts.
-	exe  Executor
+	// plan is the planner resolved for the current solve (set by the
+	// solve frame before any pass runs; engines are not safe for
+	// concurrent solves, so a per-solve field is sufficient): PlanCost
+	// makes each semi-naive component install cost-based physicals
+	// (plancost.go) before its fixpoint starts.
 	plan Plan
 	// prof is the per-rule per-step operator-counter table, allocated at
 	// New when Options.Profile is set (nil otherwise). Counters are
-	// atomic because speculative parallel passes fold concurrently; they
-	// accumulate over the engine's lifetime — Profile snapshots, and
-	// Profile.Sub produces per-solve deltas.
+	// atomic because Profile may snapshot while a solve folds into them;
+	// they accumulate over the engine's lifetime — Profile snapshots,
+	// and Profile.Sub produces per-solve deltas.
 	prof [][]exec.OpAccum
 	// trace holds the provenance of the most recent traced Solve.
 	trace map[string]*Derivation
@@ -137,7 +135,7 @@ func New(prog *ast.Program, opts Options) (*Engine, error) {
 	if err := ast.ValidateProgram(prog, schemas); err != nil {
 		return nil, err
 	}
-	// The sink is mutex-wrapped once at construction: parallel solves
+	// The sink is mutex-wrapped once at construction: scheduled solves
 	// emit from several goroutines, and the wrapper keeps plain sinks
 	// correct there at the cost of one uncontended lock per event.
 	en := &Engine{Prog: prog, Schemas: schemas, opts: opts, sink: obs.Locked(opts.Sink)}
@@ -201,11 +199,6 @@ func New(prog *ast.Program, opts Options) (*Engine, error) {
 		}
 		en.plans = append(en.plans, ps)
 	}
-	// Component dependency edges (for the parallel scheduler): ci
-	// depends on every distinct lower component defining a predicate
-	// its predicates reach. SCCs returns bottom-up order, so every
-	// dependency has a smaller index and the DAG is acyclic by
-	// construction.
 	if opts.Profile {
 		en.prof = make([][]exec.OpAccum, en.nrules)
 		for _, ps := range en.plans {
@@ -214,6 +207,11 @@ func New(prog *ast.Program, opts Options) (*Engine, error) {
 			}
 		}
 	}
+	// Component dependency edges (for the component scheduler): ci
+	// depends on every distinct lower component defining a predicate
+	// its predicates reach. SCCs returns bottom-up order, so every
+	// dependency has a smaller index and the DAG is acyclic by
+	// construction.
 	cidx := deps.ComponentIndex(en.comps)
 	en.compDeps = make([][]int, len(en.comps))
 	for ci, c := range en.comps {
@@ -279,68 +277,106 @@ func (en *Engine) Resume(ctx context.Context, prev *relation.DB, lim Limits, bas
 	return en.fixpoint(ctx, db, lim, base)
 }
 
-// fixpoint runs the iterated fixpoint of §6.3 over db in place,
-// starting the stats from base.
-func (en *Engine) fixpoint(ctx context.Context, db *relation.DB, lim Limits, base Stats) (_ *relation.DB, _ Stats, err error) {
-	en.exe = resolveExecutor(lim)
+// solve is the frame every solve entry point runs in: it resolves the
+// planner, folds MaxDuration into the context, seeds the stats from
+// base, builds the guard (whose trace store is the engine's) and
+// brackets body with the SolveBegin/SolveEnd events. par is the worker
+// count the events report.
+func (en *Engine) solve(ctx context.Context, lim Limits, base Stats, par int, body func(g *guard, stats *Stats) (*relation.DB, error)) (_ *relation.DB, _ Stats, err error) {
 	en.plan = resolvePlan(lim)
 	en.resetPlans()
-	if par := effectiveParallelism(lim); par > 1 {
-		return en.fixpointParallel(ctx, db, lim, base, par)
-	}
 	if lim.MaxDuration > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, lim.MaxDuration)
 		defer cancel()
 	}
-	en.trace = nil
 	stats := base.Clone()
 	en.ensureStats(&stats)
 	g := newGuard(ctx, lim, &stats)
 	g.sink = en.sink
+	if en.opts.Trace && en.trace == nil {
+		en.trace = map[string]*Derivation{}
+	}
+	g.trace = en.trace
 	if en.sink != nil {
 		start := time.Now()
-		en.sink.Event(obs.Event{Kind: obs.SolveBegin, Component: -1})
+		en.sink.Event(obs.Event{Kind: obs.SolveBegin, Component: -1, Parallelism: par})
 		defer func() {
 			e := obs.Event{Kind: obs.SolveEnd, Component: -1, Round: stats.Rounds,
 				Firings: stats.Firings, Derived: stats.Derived, Probes: stats.Probes,
-				Nanos: time.Since(start).Nanoseconds()}
+				Nanos: time.Since(start).Nanoseconds(), Parallelism: par}
 			if err != nil {
 				e.Err = err.Error()
 			}
 			en.sink.Event(e)
 		}()
 	}
-	// Checkpoint the starting interpretation before any evaluation, so
-	// the sink holds a recoverable state even if the very first round
-	// is interrupted.
-	if err := g.checkpoint(db, true); err != nil {
-		return db, stats, err
-	}
-	for ci, c := range en.comps {
-		ps := en.plans[ci]
-		if !en.wfsComp[ci] && len(ps) == 0 {
-			continue // EDB-only component
-		}
-		g.comp, g.rule = c.Preds, nil
-		stats.Components++
-		cerr := en.runInstrumented(g, db, ci, c, ps, &stats)
-		if cerr != nil {
-			return db, stats, cerr
-		}
-		// A component fixpoint is the strongest consistency boundary:
-		// always durable when checkpointing is on.
-		if err := g.checkpoint(db, true); err != nil {
-			return db, stats, err
-		}
-	}
-	return db, stats, nil
+	db, err := body(g, &stats)
+	return db, stats, err
 }
 
-// runInstrumented evaluates one component inside the panic-recovery
-// boundary, attributing its work to the per-component breakdown and
-// emitting the ComponentBegin/ComponentEnd events.
-func (en *Engine) runInstrumented(g *guard, db *relation.DB, ci int, c *deps.Component, ps []*plan, stats *Stats) error {
+// fixpoint runs the iterated fixpoint of §6.3 over db in place,
+// starting the stats from base: the sequential bottom-up walk at one
+// worker, the component scheduler (parallel.go) above that. Both
+// evaluate each component through solveComponent.
+func (en *Engine) fixpoint(ctx context.Context, db *relation.DB, lim Limits, base Stats) (*relation.DB, Stats, error) {
+	en.trace = nil
+	par := effectiveParallelism(lim)
+	return en.solve(ctx, lim, base, par, func(g *guard, stats *Stats) (*relation.DB, error) {
+		// Checkpoint the starting interpretation before any evaluation,
+		// so the sink holds a recoverable state even if the very first
+		// round is interrupted.
+		if err := g.checkpoint(db, true); err != nil {
+			return db, err
+		}
+		if par > 1 {
+			return db, en.runScheduled(g, db, lim, par)
+		}
+		for ci, c := range en.comps {
+			if !en.evaluable(ci) {
+				continue // EDB-only component
+			}
+			g.comp, g.rule = c.Preds, nil
+			stats.Components++
+			err := en.runInstrumented(g, ci, func() error { return en.solveComponent(g, db, ci, stats) })
+			if err != nil {
+				return db, err
+			}
+			// A component fixpoint is the strongest consistency
+			// boundary: always durable when checkpointing is on.
+			if err := g.checkpoint(db, true); err != nil {
+				return db, err
+			}
+		}
+		return db, nil
+	})
+}
+
+// evaluable reports whether component ci has anything to evaluate
+// (EDB-only components carry no rules).
+func (en *Engine) evaluable(ci int) bool {
+	return en.wfsComp[ci] || len(en.plans[ci]) > 0
+}
+
+// solveComponent computes component ci's fixpoint over db in place — the
+// one evaluation path of a fresh solve, whether db is the solve's
+// database (sequential walk) or a scheduler worker's private view.
+func (en *Engine) solveComponent(g *guard, db *relation.DB, ci int, stats *Stats) error {
+	switch {
+	case en.wfsComp[ci]:
+		return en.solveWFSComponent(g, db, ci, stats)
+	case en.opts.Strategy == Naive:
+		return en.solveNaive(g, db, ci, stats)
+	}
+	return en.semiNaiveLoop(g, db, ci, stats, nil, nil)
+}
+
+// runInstrumented evaluates one component (fn) inside the
+// panic-recovery boundary, attributing the work it adds to g.stats to
+// the per-component breakdown and emitting the
+// ComponentBegin/ComponentEnd events.
+func (en *Engine) runInstrumented(g *guard, ci int, fn func() error) error {
+	stats := g.stats
 	cs := &stats.Comps[ci]
 	if en.sink != nil {
 		en.sink.Event(obs.Event{Kind: obs.ComponentBegin, Component: ci,
@@ -348,15 +384,7 @@ func (en *Engine) runInstrumented(g *guard, db *relation.DB, ci int, c *deps.Com
 	}
 	r0, f0, d0, p0 := stats.Rounds, stats.Firings, stats.Derived, stats.Probes
 	t0 := time.Now()
-	err := en.runComponent(g, func() error {
-		if en.wfsComp[ci] {
-			return en.solveWFSComponent(g, db, ci, stats)
-		}
-		if en.opts.Strategy == Naive {
-			return en.solveNaive(g, db, ci, c, ps, stats)
-		}
-		return en.solveSemiNaive(g, db, ci, c, ps, stats)
-	})
+	err := en.runComponent(g, fn)
 	cs.Rounds += stats.Rounds - r0
 	cs.Firings += stats.Firings - f0
 	cs.Derived += stats.Derived - d0
@@ -390,34 +418,9 @@ func (en *Engine) runComponent(g *guard, fn func() error) (err error) {
 	return fn()
 }
 
-// headTuple extracts the head instantiation from a completed environment.
-func headTuple(p *plan, e *env) (args []val.T, cost lattice.Elem, err error) {
-	hs := &p.head
-	args = make([]val.T, len(hs.argVar))
-	for j, v := range hs.argVar {
-		if v >= 0 {
-			args[j] = e.vals[v]
-		} else {
-			args[j] = hs.argVal[j]
-		}
-	}
-	if hs.pi.HasCost {
-		if hs.costVar >= 0 {
-			cost = e.vals[hs.costVar]
-		} else {
-			cost = hs.costVal
-		}
-		if !hs.pi.L.Contains(cost) {
-			return nil, lattice.Elem{}, fmt.Errorf("core: rule %q derived cost %s outside lattice %s",
-				p.rule, cost, hs.pi.L.Name())
-		}
-	}
-	return args, cost, nil
-}
-
-// headTupleInto is headTuple projecting into the plan's reusable head
-// buffer. Callers that retain args beyond the immediate insert (the
-// parallel scheduler's speculative buffers) must use headTuple instead.
+// headTupleInto projects the head instantiation of a completed
+// environment into the plan's reusable head buffer; the result is valid
+// until the plan's next projection.
 func headTupleInto(p *plan, e *env) (args []val.T, cost lattice.Elem, err error) {
 	hs := &p.head
 	args = p.hbuf
@@ -442,9 +445,55 @@ func headTupleInto(p *plan, e *env) (args []val.T, cost lattice.Elem, err error)
 	return args, cost, nil
 }
 
+// headTuple is headTupleInto with freshly allocated args, for callers
+// that retain them beyond the next projection.
+func headTuple(p *plan, e *env) ([]val.T, lattice.Elem, error) {
+	buf, cost, err := headTupleInto(p, e)
+	if err != nil {
+		return nil, lattice.Elem{}, err
+	}
+	args := make([]val.T, len(buf))
+	copy(args, buf)
+	return args, cost, nil
+}
+
+// passConfig is the part of a pass's configuration every pass of one
+// component loop shares; the loops copy it and set the Δ restriction.
+func (en *Engine) passConfig(g *guard, db *relation.DB) exec.Config {
+	return exec.Config{DB: db, Trace: g.trace != nil, Prof: en.prof != nil, Check: g.check}
+}
+
+// runPass evaluates one pass of p's installed pipeline under cfg —
+// every satisfying assignment of the body, or the Δ-restricted subset
+// cfg selects — handing each completed environment to emit, and adds
+// the pass's firings and probes to stats. With profiling on, the pass's
+// per-operator counters fold into the engine's accumulators.
+func (en *Engine) runPass(p *plan, cfg exec.Config, stats *Stats, emit func(*plan, *env) error) error {
+	ph := p.ph()
+	m := ph.stream.Acquire(cfg)
+	aux := m.Aux.(*streamAux)
+	err := m.Run(func(*exec.Machine) error { return emit(p, aux.env) })
+	stats.Firings += m.Firings
+	stats.Probes += m.Probes
+	if pc := m.Profile(); pc != nil {
+		// The accumulators are keyed by canonical step position so
+		// counters stay attributed to the same operator across plan
+		// switches; buffer steps (canon < 0) have no canonical slot.
+		acc := en.prof[p.idx]
+		for i := range pc {
+			if c := ph.canon[i]; c >= 0 {
+				acc[c].Fold(pc[i])
+			}
+		}
+	}
+	ph.stream.Release(m)
+	return err
+}
+
 // solveNaive iterates J ← T_P(J, I) until lattice equality (within
 // Epsilon) over the component's predicates.
-func (en *Engine) solveNaive(g *guard, db *relation.DB, ci int, c *deps.Component, ps []*plan, stats *Stats) error {
+func (en *Engine) solveNaive(g *guard, db *relation.DB, ci int, stats *Stats) error {
+	c, ps := en.comps[ci], en.plans[ci]
 	// EDB rows supplied for component predicates behave as part of I and
 	// must survive the per-round relation replacement.
 	seed := map[ast.PredKey]*relation.Relation{}
@@ -453,6 +502,34 @@ func (en *Engine) solveNaive(g *guard, db *relation.DB, ci int, c *deps.Componen
 			seed[k] = db.Rel(k).Clone()
 		}
 	}
+	var out *relation.DB
+	insert := func(p *plan, e *env) error {
+		args, cost, err := headTuple(p, e)
+		if err != nil {
+			return err
+		}
+		rel := out.Rel(p.head.pred)
+		if en.opts.StrictConflicts {
+			return rel.InsertStrict(args, cost)
+		}
+		if rel.InsertJoin(args, cost) {
+			stats.Derived++
+			if g.trace != nil {
+				g.recordTrace(p, e, args)
+			}
+			// Improvement relative to the previous round's
+			// interpretation (a plain re-derivation of a known tuple is
+			// budget work but not progress).
+			cur, _ := rel.Get(args)
+			old, had := db.Rel(p.head.pred).Get(args)
+			improved := !had || (rel.Info.HasCost && !lattice.Eq(rel.Info.L, old.Cost, cur.Cost))
+			if err := g.derived(p.head.pred, args, cur.Cost, rel.Info.HasCost, improved); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	cfg := en.passConfig(g, db)
 	for round := 0; ; round++ {
 		if round >= en.opts.MaxRounds {
 			return g.maxRounds(en.opts.MaxRounds)
@@ -461,51 +538,22 @@ func (en *Engine) solveNaive(g *guard, db *relation.DB, ci int, c *deps.Componen
 			return err
 		}
 		stats.Rounds++
-		roundDerived := stats.Derived
-		out := relation.NewDB(db.Schemas)
-		ev := newRunner(en.exe, db, 0, nil, nil, en.opts.Trace, g.check, en.prof)
+		roundF, roundD, roundP := stats.Firings, stats.Derived, stats.Probes
+		out = relation.NewDB(db.Schemas)
 		for _, p := range ps {
-			p := p
 			g.rule = p.rule
-			rf0, rd0, rp0 := ev.fir(), stats.Derived, ev.pr()
-			rt0 := time.Now()
-			err := ev.run(p, func(e *env) error {
-				args, cost, err := headTuple(p, e)
-				if err != nil {
-					return err
-				}
-				rel := out.Rel(p.head.pred)
-				if en.opts.StrictConflicts {
-					return rel.InsertStrict(args, cost)
-				}
-				if rel.InsertJoin(args, cost) {
-					stats.Derived++
-					if en.opts.Trace {
-						en.recordTrace(p, e, args)
-					}
-					// Improvement relative to the previous round's
-					// interpretation (a plain re-derivation of a known
-					// tuple is budget work but not progress).
-					cur, _ := rel.Get(args)
-					old, had := db.Rel(p.head.pred).Get(args)
-					improved := !had || (rel.Info.HasCost && !lattice.Eq(rel.Info.L, old.Cost, cur.Cost))
-					if err := g.derived(p.head.pred, args, cur.Cost, rel.Info.HasCost, improved); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
+			f0, d0, p0 := stats.Firings, stats.Derived, stats.Probes
+			t0 := time.Now()
+			err := en.runPass(p, cfg, stats, insert)
 			en.noteRule(&stats.Rules[p.idx], ci, round,
-				ev.fir()-rf0, stats.Derived-rd0, ev.pr()-rp0, time.Since(rt0).Nanoseconds())
+				stats.Firings-f0, stats.Derived-d0, stats.Probes-p0, time.Since(t0).Nanoseconds())
 			if err != nil {
 				return err
 			}
 		}
-		stats.Firings += ev.fir()
-		stats.Probes += ev.pr()
 		if en.sink != nil {
 			en.sink.Event(obs.Event{Kind: obs.RoundEnd, Component: ci, Round: round,
-				Firings: ev.fir(), Derived: stats.Derived - roundDerived, Probes: ev.pr()})
+				Firings: stats.Firings - roundF, Derived: stats.Derived - roundD, Probes: stats.Probes - roundP})
 		}
 		for k, r := range seed {
 			out.Rel(k).Join(r)
@@ -635,20 +683,22 @@ func (d *deltaSet) preds() []ast.PredKey {
 	return out
 }
 
-// solveSemiNaive accumulates the interpretation and refires only rules
-// whose CDB inputs changed: rules with positive CDB scans run once per
-// changed-scan seed; rules referencing CDB predicates inside aggregates
-// re-run (group-restricted where possible) when such a predicate changed.
-func (en *Engine) solveSemiNaive(g *guard, db *relation.DB, ci int, c *deps.Component, ps []*plan, stats *Stats) error {
-	return en.semiNaiveLoop(g, db, ci, ps, stats, nil, nil)
-}
-
-// semiNaiveLoop runs the Δ-driven fixpoint. When init is nil, round 0
-// fires every rule (the fresh-solve case); otherwise init seeds the Δ set
-// (the incremental SolveMore case, where init holds newly added EDB rows
-// and derivations recorded by lower components). record, when non-nil,
-// mirrors every derived change outward (for cross-component seeding).
-func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, ps []*plan, stats *Stats, init *deltaSet, record func(ast.PredKey, relation.Row)) error {
+// semiNaiveLoop runs the Δ-driven fixpoint of component ci: the
+// interpretation accumulates in db and a round refires only rules whose
+// inputs changed — rules with positive scans of a changed predicate run
+// once per changed-scan seed; rules referencing a changed predicate
+// inside an aggregate re-run (group-restricted where possible).
+//
+// When init is nil, round 0 fires every rule (the fresh-solve case);
+// otherwise init seeds the Δ set (the incremental SolveMore case, where
+// init holds newly added EDB rows and derivations recorded by lower
+// components). record, when non-nil, mirrors every derived change
+// outward (for cross-component seeding). Every caller — the sequential
+// walk, SolveMoreFrom and each scheduler worker — runs this loop; what
+// differs between them (trace store, round-boundary hook, budget) is on
+// the guard.
+func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats, init *deltaSet, record func(ast.PredKey, relation.Row)) error {
+	ps := en.plans[ci]
 	// Install cost-based physical plans for this component when the
 	// solve runs with PlanCost (nil — and inert — otherwise). CSE is
 	// disabled on incremental continuations: their Δ seeds can drive
@@ -675,13 +725,28 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, ps []*plan, s
 			if record != nil {
 				record(p.head.pred, row)
 			}
-			if en.opts.Trace {
-				en.recordTrace(p, e, row.Args)
+			if g.trace != nil {
+				g.recordTrace(p, e, row.Args)
 			}
 			if err := g.derived(p.head.pred, row.Args, row.Cost, rel.Info.HasCost, true); err != nil {
 				return err
 			}
 		}
+		return nil
+	}
+	cfg := en.passConfig(g, db)
+	// endRound closes one round: the RoundEnd event, the round-boundary
+	// hook (fault point and periodic checkpoint) and, at this
+	// deterministic point, the planner's divergence test.
+	endRound := func(round int, f0, d0, p0 int64) error {
+		if en.sink != nil {
+			en.sink.Event(obs.Event{Kind: obs.RoundEnd, Component: ci, Round: round,
+				Firings: stats.Firings - f0, Derived: stats.Derived - d0, Probes: stats.Probes - p0})
+		}
+		if err := g.roundBoundary(db); err != nil {
+			return err
+		}
+		cp.maybeReplan()
 		return nil
 	}
 
@@ -691,30 +756,21 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, ps []*plan, s
 			return err
 		}
 		stats.Rounds++
-		rd0 := stats.Derived
-		ev := newRunner(en.exe, db, 0, nil, nil, en.opts.Trace, g.check, en.prof)
+		roundF, roundD, roundP := stats.Firings, stats.Derived, stats.Probes
 		for _, p := range ps {
-			p := p
 			g.rule = p.rule
-			f0, d0, p0 := ev.fir(), stats.Derived, ev.pr()
+			f0, d0, p0 := stats.Firings, stats.Derived, stats.Probes
 			t0 := time.Now()
-			err := ev.run(p, func(e *env) error { return insert(p, e) })
+			err := en.runPass(p, cfg, stats, insert)
 			en.noteRule(&stats.Rules[p.idx], ci, 0,
-				ev.fir()-f0, stats.Derived-d0, ev.pr()-p0, time.Since(t0).Nanoseconds())
+				stats.Firings-f0, stats.Derived-d0, stats.Probes-p0, time.Since(t0).Nanoseconds())
 			if err != nil {
 				return err
 			}
 		}
-		stats.Firings += ev.fir()
-		stats.Probes += ev.pr()
-		if en.sink != nil {
-			en.sink.Event(obs.Event{Kind: obs.RoundEnd, Component: ci, Round: 0,
-				Firings: ev.fir(), Derived: stats.Derived - rd0, Probes: ev.pr()})
-		}
-		if err := g.roundBoundary(db); err != nil {
+		if err := endRound(0, roundF, roundD, roundP); err != nil {
 			return err
 		}
-		cp.maybeReplan()
 	} else {
 		delta = init
 	}
@@ -741,7 +797,6 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, ps []*plan, s
 		}
 		changedPreds := prev.preds()
 		for _, p := range ps {
-			p := p
 			g.rule = p.rule
 			// Decide up front which passes this rule needs so a rule
 			// untouched by the Δ set costs nothing (not even a clock
@@ -772,10 +827,9 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, ps []*plan, s
 				if en.opts.DisableGroupDelta {
 					groups, restricted = nil, false
 				}
-				ev := newRunner(en.exe, db, 0, nil, groups, en.opts.Trace, g.check, en.prof)
-				perr = ev.run(p, func(e *env) error { return insert(p, e) })
-				stats.Firings += ev.fir()
-				stats.Probes += ev.pr()
+				pass := cfg
+				pass.AggGroups = groups
+				perr = en.runPass(p, pass, stats, insert)
 				ranFull = !restricted
 			}
 			if perr == nil && !ranFull && hasScan {
@@ -784,13 +838,11 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, ps []*plan, s
 				// seeded incrementally).
 			scans:
 				for _, k := range changedPreds {
-					rows := prev.rows[k]
+					pass := cfg
+					pass.RestrictRows = prev.rows[k]
 					for _, si := range ph.scanSteps[k] {
-						ev := newRunner(en.exe, db, si, rows, nil, en.opts.Trace, g.check, en.prof)
-						perr = ev.run(p, func(e *env) error { return insert(p, e) })
-						stats.Firings += ev.fir()
-						stats.Probes += ev.pr()
-						if perr != nil {
+						pass.RestrictStep = si
+						if perr = en.runPass(p, pass, stats, insert); perr != nil {
 							break scans
 						}
 					}
@@ -802,14 +854,9 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, ps []*plan, s
 				return perr
 			}
 		}
-		if en.sink != nil {
-			en.sink.Event(obs.Event{Kind: obs.RoundEnd, Component: ci, Round: round,
-				Firings: stats.Firings - roundF, Derived: stats.Derived - roundD, Probes: stats.Probes - roundP})
-		}
-		if err := g.roundBoundary(db); err != nil {
+		if err := endRound(round, roundF, roundD, roundP); err != nil {
 			return err
 		}
-		cp.maybeReplan()
 		if prev != init {
 			prev.reset()
 			spare = prev
@@ -823,7 +870,7 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, ps []*plan, s
 // the Δ set. restricted is false when some changed conjunct cannot be
 // projected onto the full group key (the caller then treats the run as
 // unrestricted). The returned map is keyed by step position in the
-// arrangement passed in, matching the runner's AggGroups keying.
+// arrangement passed in, matching exec.Config.AggGroups' keying.
 func changedGroups(steps []step, d *deltaSet) (map[int]map[string]exec.GroupRef, bool) {
 	out := map[int]map[string]exec.GroupRef{}
 	// Group keys are built into a per-call scratch buffer and the group

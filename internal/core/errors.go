@@ -69,20 +69,15 @@ type Limits struct {
 	// (0 disables round-boundary checkpoints; component boundaries
 	// always checkpoint while Checkpoint is set).
 	CheckpointEvery int
-	// Parallelism sets the evaluation worker-pool size: independent
-	// components run concurrently, and within a recursive component the
-	// rules of one round are evaluated speculatively in parallel (see
-	// docs/ARCHITECTURE.md for the determinism contract — models, traces
-	// and stats totals are byte-identical to sequential evaluation).
-	// 0 means runtime.GOMAXPROCS(0); 1 (or any value below 1) selects
-	// exactly the sequential engine.
+	// Parallelism sets the number of component workers: components of
+	// the program's SCC DAG that do not depend on one another evaluate
+	// concurrently, each on a private view joined back at its component
+	// boundary (docs/ARCHITECTURE.md), so a single-SCC program runs on
+	// one worker whatever the value. Results — models, fact order,
+	// traces, stats, profiles, checkpoints — are identical at any value.
+	// 0 means runtime.GOMAXPROCS(0); 1 (or any value below 1) walks the
+	// components sequentially in place.
 	Parallelism int
-	// Executor selects the rule-body execution backend. The two
-	// executors implement the same contract — semi-naive Δ restriction,
-	// firings/probes accounting, provenance, budget polling — and
-	// produce byte-identical models, traces and checkpoints; they differ
-	// only in evaluation mechanics and allocation behaviour.
-	Executor Executor
 	// Plan selects the rule-planning strategy: the syntactic textual
 	// join order, or the cost-based planner in internal/planner (join
 	// ordering by estimated selectivity, γ-map presizing, common-subplan
@@ -91,31 +86,6 @@ type Limits struct {
 	// changes the order work is performed in, never its outcome (see
 	// docs/PLANNER.md for the equivalence contract).
 	Plan Plan
-}
-
-// Executor names a rule-body execution backend (Limits.Executor).
-type Executor int
-
-const (
-	// ExecutorDefault selects the engine's default backend (currently
-	// the tuple interpreter).
-	ExecutorDefault Executor = iota
-	// ExecutorTuple is the tuple-at-a-time backtracking interpreter in
-	// eval.go: simple, allocation-heavy, the reference semantics.
-	ExecutorTuple
-	// ExecutorStream is the streaming relational-algebra executor in
-	// internal/exec: lazy iterator pipelines over the same index
-	// structures, with Δ-aware hash joins and pooled per-rule machines
-	// so steady-state evaluation performs no per-tuple allocation.
-	ExecutorStream
-)
-
-// String renders the executor name as the CLIs spell it.
-func (x Executor) String() string {
-	if x == ExecutorStream {
-		return "stream"
-	}
-	return "tuple"
 }
 
 // Plan names a rule-planning strategy (Limits.Plan).
@@ -262,8 +232,9 @@ func (e *EngineError) Unwrap() []error {
 
 // guard enforces one solve's limits: cooperative cancellation, the
 // derivation budget, and the ω-limit divergence detector. The fixpoint
-// loops poll it at round boundaries and (through evaluator.check) every
-// CheckEvery firings, and report every derivation to it.
+// loops poll it at round boundaries and (through exec.Config.Check)
+// every CheckEvery firings, and report every derivation to it. A solve
+// has one guard; under the component scheduler every worker has its own.
 type guard struct {
 	ctx      context.Context
 	maxFacts int64
@@ -298,6 +269,16 @@ type guard struct {
 	sinceCkpt int
 	// sink receives checkpoint/divergence/budget events (nil = none).
 	sink obs.Sink
+	// trace, non-nil exactly when the engine traces, is where the
+	// fixpoint loops store derivations: the engine's own map on the
+	// sequential walk, a worker-private map under the scheduler (merged
+	// into the engine's under the scheduler lock, so concurrent component
+	// workers never share a map).
+	trace map[string]*Derivation
+	// cut, when non-nil, replaces the periodic round-boundary checkpoint:
+	// the scheduler snapshots a consistent cut of the global database
+	// overlaid with the worker's private view instead of the view alone.
+	cut func(db *relation.DB) error
 }
 
 func newGuard(ctx context.Context, lim Limits, stats *Stats) *guard {
@@ -321,6 +302,9 @@ func newGuard(ctx context.Context, lim Limits, stats *Stats) *guard {
 func (g *guard) roundBoundary(db *relation.DB) error {
 	if err := faults.Check(faults.CoreRound); err != nil {
 		return g.fail(ErrInternal, err)
+	}
+	if g.cut != nil {
+		return g.cut(db)
 	}
 	return g.checkpoint(db, false)
 }
@@ -386,8 +370,8 @@ func (g *guard) poll() error {
 	}
 }
 
-// check is handed to evaluators and polls every checkEvery firings, so
-// cancellation is noticed even inside one long round.
+// check is handed to the rule pipelines and polls every checkEvery
+// firings, so cancellation is noticed even inside one long round.
 func (g *guard) check() error {
 	g.polls++
 	if g.polls%g.checkEvery != 0 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/ast"
-	"repro/internal/exec"
 	"repro/internal/lattice"
 	"repro/internal/relation"
 	"repro/internal/val"
@@ -26,58 +25,32 @@ func newEnv(n int) *env {
 	return &env{vals: make([]val.T, n), bound: make([]bool, n)}
 }
 
-func (e *env) reset() {
-	for i := range e.bound {
-		e.bound[i] = false
-	}
-}
-
-// evaluator runs plans against a database.
+// evaluator is the tuple-at-a-time reference interpreter: a direct
+// backtracking reading of rule satisfaction (Definitions 3.4–3.5) over
+// the compiled steps in their syntactic order. Solves never run on it —
+// they run the streaming pipelines of internal/exec — it is the oracle
+// behind Engine.TP, IsModel, IsPreModel and GroupStratified that the
+// property tests hold the pipelines to.
 type evaluator struct {
 	db *relation.DB
-	// restrict, when non-nil, restricts the scan at step restrictStep of
-	// the driving plan to the given rows (the semi-naive Δ set).
-	restrictStep int
-	restrictRows []relation.Row
-	// aggGroups, when non-nil for a step index, restricts that aggregate
-	// step to the given groups (key string -> grouping values), the
-	// semi-naive Δ-driven restriction.
-	aggGroups map[int]map[string]exec.GroupRef
 	// trace makes aggregate steps record their contributing atoms into
-	// the environment for provenance capture.
+	// the environment (GroupStratified's dependency edges).
 	trace bool
-	// check, when non-nil, is polled on every firing (the guard
-	// rate-limits the actual cancellation test), so one long round
-	// cannot outrun a deadline or a Ctrl-C.
-	check func() error
-	// stats counters: completed body enumerations, and join probes
-	// (rows offered by scans and point lookups before binding filters).
-	firings int64
-	probes  int64
 }
 
 // run enumerates every satisfying assignment of the plan body and calls
-// emit with the completed environment. Evaluation walks the currently
-// installed physical arrangement (plan.ph()); the cost planner also
-// drives step directly over prefixes when materializing CSE buffers.
+// emit with the completed environment.
 func (ev *evaluator) run(p *plan, emit func(*env) error) error {
-	e := newEnv(p.nvars)
-	return ev.step(p.ph().steps, 0, e, emit)
+	return ev.step(p.steps, 0, newEnv(p.nvars), emit)
 }
 
 func (ev *evaluator) step(steps []step, i int, e *env, emit func(*env) error) error {
 	if i == len(steps) {
-		ev.firings++
-		if ev.check != nil {
-			if err := ev.check(); err != nil {
-				return err
-			}
-		}
 		return emit(e)
 	}
 	switch s := steps[i].(type) {
 	case *scanStep:
-		next := func(row relation.Row) error {
+		return ev.scan(&s.atomSpec, e, func(row relation.Row) error {
 			saved, ok := bindAtom(&s.atomSpec, row, e)
 			if !ok {
 				return nil
@@ -85,23 +58,7 @@ func (ev *evaluator) step(steps []step, i int, e *env, emit func(*env) error) er
 			err := ev.step(steps, i+1, e, emit)
 			unbind(e, saved)
 			return err
-		}
-		if ev.restrictRows != nil && i == ev.restrictStep {
-			rel := ev.db.Rel(s.pred)
-			for _, row := range ev.restrictRows {
-				// Re-fetch the current cost: the Δ row may have been
-				// improved again later in the same round.
-				if cur, ok := rel.Get(row.Args); ok {
-					row = cur
-				}
-				ev.probes++
-				if err := next(row); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		return ev.scan(&s.atomSpec, e, next)
+		})
 	case *negStep:
 		ok, err := ev.negSatisfied(&s.atomSpec, e)
 		if err != nil {
@@ -123,44 +80,9 @@ func (ev *evaluator) step(steps []step, i int, e *env, emit func(*env) error) er
 		unbind(e, saved)
 		return err
 	case *aggStep:
-		return ev.aggregate(s, i, ev.aggGroups[i], e, func() error { return ev.step(steps, i+1, e, emit) })
-	case *bufferStep:
-		return ev.buffer(steps, i, s, e, emit)
+		return ev.aggregate(s, i, e, func() error { return ev.step(steps, i+1, e, emit) })
 	}
 	return fmt.Errorf("core: unknown step type %T", steps[i])
-}
-
-// buffer replays a materialized CSE prefix (plancost.go): each row
-// binds the buffer's variables like the folded scans would have,
-// counting one probe per row offered.
-func (ev *evaluator) buffer(steps []step, i int, b *bufferStep, e *env, emit func(*env) error) error {
-	for _, row := range b.rows {
-		ev.probes++
-		saved := b.sbuf[:0]
-		ok := true
-		for j, v := range b.vars {
-			if e.bound[v] {
-				if !val.Equal(e.vals[v], row[j]) {
-					ok = false
-					break
-				}
-				continue
-			}
-			e.vals[v] = row[j]
-			e.bound[v] = true
-			saved = append(saved, v)
-		}
-		if !ok {
-			unbind(e, saved)
-			continue
-		}
-		err := ev.step(steps, i+1, e, emit)
-		unbind(e, saved)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // scan enumerates rows of the atom's relation matching the bound part of
@@ -184,7 +106,6 @@ func (ev *evaluator) scan(sp *atomSpec, e *env, f func(relation.Row) error) erro
 			// (§2.3.2).
 			row = relation.Row{Args: args, Cost: sp.pi.L.Bottom(), HasCost: true}
 		}
-		ev.probes++
 		return f(row)
 	}
 	pattern := sp.pat
@@ -200,7 +121,6 @@ func (ev *evaluator) scan(sp *atomSpec, e *env, f func(relation.Row) error) erro
 	}
 	var ferr error
 	rel.Match(pattern, func(row relation.Row) bool {
-		ev.probes++
 		if err := f(row); err != nil {
 			ferr = err
 			return false

@@ -5,20 +5,19 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/exec"
-	"repro/internal/relation"
 	"repro/internal/val"
 )
 
 // This file lowers compiled rule plans (plan.go) to the streaming
-// relational-algebra executor (internal/exec) and adapts both executors
-// behind the runner interface the fixpoint loops evaluate through.
+// relational-algebra pipelines of internal/exec, the engine's one rule
+// executor (Engine.runPass drives them).
 //
 // The lowering is 1:1 — exec step index i is plan step index i — so the
 // semi-naive restriction keys (Config.RestrictStep, Config.AggGroups)
-// carry over unchanged. Binding patterns are static: each step binds a
+// index the same steps. Binding patterns are static: each step binds a
 // fixed variable set whenever it succeeds, so the aggregate conjunction
-// orders the tuple interpreter derives at runtime (agg.go) are computed
-// once here, for both the grouped and the point mode.
+// orders the reference interpreter derives at runtime (agg.go) are
+// computed once here, for both the grouped and the point mode.
 
 // compileStream lowers one step arrangement of a plan to a streaming
 // pipeline: the syntactic order at compile time (steps == p.steps) and
@@ -69,7 +68,7 @@ func compileStream(p *plan, planSteps []step, hints []int) *exec.Rule {
 	return exec.NewRule(p.nvars, steps, streamHooks(planSteps))
 }
 
-// compileAgg lowers a γ step, fixing the conjunction orders the tuple
+// compileAgg lowers a γ step, fixing the conjunction orders the reference
 // interpreter computes per invocation: OrderFull for the grouped mode
 // (bound set as of this step, restricted to variables the conjunction
 // mentions — exactly agg.go's noteBound) and OrderPoint for the point
@@ -141,7 +140,7 @@ type streamAux struct {
 // streamHooks adapts the host-side pieces of pipeline evaluation —
 // builtin expressions and provenance capture — to the given step
 // arrangement (hooks index by pipeline position, which is physical),
-// preserving the tuple interpreter's semantics and error text exactly.
+// with the reference interpreter's semantics and error text.
 func streamHooks(planSteps []step) exec.Hooks {
 	return exec.Hooks{
 		Init: func(m *exec.Machine) {
@@ -215,86 +214,4 @@ func makeBuiltinEval(s *builtinStep, e *env) func() (bool, bool, error) {
 		}
 		return res, false, nil
 	}
-}
-
-// runner abstracts the two rule-body executors behind the evaluation
-// pass the fixpoint loops construct: enumerate every satisfying
-// assignment of a plan, accumulating firings and probes.
-type runner interface {
-	run(p *plan, emit func(*env) error) error
-	fir() int64
-	pr() int64
-}
-
-func (ev *evaluator) fir() int64 { return ev.firings }
-func (ev *evaluator) pr() int64  { return ev.probes }
-
-// streamRunner evaluates plans on their streaming pipelines, acquiring
-// a pooled machine per run so concurrent speculative passes never share
-// mutable state. When the engine profiles (prof non-nil, indexed by
-// plan index), each run's per-step counters fold into the shared
-// accumulators after the pass.
-type streamRunner struct {
-	cfg     exec.Config
-	prof    [][]exec.OpAccum
-	firings int64
-	probes  int64
-}
-
-func (sr *streamRunner) run(p *plan, emit func(*env) error) error {
-	ph := p.ph()
-	m := ph.stream.Acquire(sr.cfg)
-	aux := m.Aux.(*streamAux)
-	err := m.Run(func(*exec.Machine) error { return emit(aux.env) })
-	sr.firings += m.Firings
-	sr.probes += m.Probes
-	if sr.prof != nil {
-		if pc := m.Profile(); pc != nil {
-			// The accumulators are keyed by canonical step position so
-			// counters stay attributed to the same operator across plan
-			// switches; buffer steps (canon < 0) have no canonical slot.
-			acc := sr.prof[p.idx]
-			for i := range pc {
-				if c := ph.canon[i]; c >= 0 {
-					acc[c].Fold(pc[i])
-				}
-			}
-		}
-	}
-	ph.stream.Release(m)
-	return err
-}
-
-func (sr *streamRunner) fir() int64 { return sr.firings }
-func (sr *streamRunner) pr() int64  { return sr.probes }
-
-// newRunner builds the evaluation pass for the selected executor. The
-// parameters are exactly the evaluator's fields; the streaming config
-// maps them 1:1 because step indices coincide. prof, when non-nil, is
-// the engine's per-rule operator-counter table (Options.Profile); only
-// the streaming executor feeds it.
-func newRunner(exe Executor, db *relation.DB, restrictStep int, restrictRows []relation.Row,
-	aggGroups map[int]map[string]exec.GroupRef, trace bool, check func() error,
-	prof [][]exec.OpAccum) runner {
-	if exe == ExecutorStream {
-		return &streamRunner{cfg: exec.Config{
-			DB:           db,
-			RestrictStep: restrictStep,
-			RestrictRows: restrictRows,
-			AggGroups:    aggGroups,
-			Trace:        trace,
-			Prof:         prof != nil,
-			Check:        check,
-		}, prof: prof}
-	}
-	return &evaluator{db: db, restrictStep: restrictStep, restrictRows: restrictRows,
-		aggGroups: aggGroups, trace: trace, check: check}
-}
-
-// resolveExecutor maps the Limits knob to a concrete executor.
-func resolveExecutor(lim Limits) Executor {
-	if lim.Executor == ExecutorStream {
-		return ExecutorStream
-	}
-	return ExecutorTuple
 }

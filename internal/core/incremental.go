@@ -3,13 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/ast"
 	"repro/internal/lattice"
 	"repro/internal/obs"
 	"repro/internal/relation"
-	"repro/internal/val"
 )
 
 // SolveMore continues a previously computed model with additional EDB
@@ -40,9 +38,8 @@ func (en *Engine) SolveMoreContext(ctx context.Context, prev *relation.DB, added
 // SolveMoreObserved is SolveMoreFrom with an additional per-call event
 // sink observing just this solve (tracing a single commit, say) on top
 // of the engine's configured Options.Sink. The extra sink is
-// mutex-wrapped like the construction-time one, so plain sinks stay
-// safe under the parallel scheduler. Engines do not support concurrent
-// solves (the fixpoint mutates shared per-plan scratch), so swapping
+// mutex-wrapped like the construction-time one. Engines do not support
+// concurrent solves (the fixpoint mutates shared per-plan scratch), so swapping
 // the sink for the duration of the call introduces no new constraint;
 // callers already serialize solves externally.
 func (en *Engine) SolveMoreObserved(ctx context.Context, prev *relation.DB, added *relation.DB, base Stats, extra obs.Sink) (*relation.DB, Stats, error) {
@@ -60,164 +57,92 @@ func (en *Engine) SolveMoreObserved(ctx context.Context, prev *relation.DB, adde
 // checkpoints, whose metadata records cumulative work) pass the stats
 // of the model being extended, so rounds/firings/derivations report
 // running totals rather than per-resume counts.
-func (en *Engine) SolveMoreFrom(ctx context.Context, prev *relation.DB, added *relation.DB, base Stats) (_ *relation.DB, _ Stats, err error) {
-	stats := base.Clone()
-	en.ensureStats(&stats)
-	lim := en.opts.Limits
-	en.exe = resolveExecutor(lim)
-	en.plan = resolvePlan(lim)
-	en.resetPlans()
-	if lim.MaxDuration > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, lim.MaxDuration)
-		defer cancel()
-	}
-	g := newGuard(ctx, lim, &stats)
-	g.sink = en.sink
-	if en.sink != nil {
-		start := time.Now()
-		en.sink.Event(obs.Event{Kind: obs.SolveBegin, Component: -1})
-		defer func() {
-			e := obs.Event{Kind: obs.SolveEnd, Component: -1, Round: stats.Rounds,
-				Firings: stats.Firings, Derived: stats.Derived, Probes: stats.Probes,
-				Nanos: time.Since(start).Nanoseconds()}
-			if err != nil {
-				e.Err = err.Error()
+func (en *Engine) SolveMoreFrom(ctx context.Context, prev *relation.DB, added *relation.DB, base Stats) (*relation.DB, Stats, error) {
+	// Components run one after another here whatever Limits.Parallelism
+	// says: incremental seeds flow bottom-up through `changed`, a
+	// cross-component dependency the DAG scheduler does not model.
+	return en.solve(ctx, en.opts.Limits, base, 1, func(g *guard, stats *Stats) (*relation.DB, error) {
+		for _, w := range en.wfsComp {
+			if w {
+				return nil, fmt.Errorf("core: SolveMore is unsound with well-founded fallback components (negation is not insert-monotone)")
 			}
-			en.sink.Event(e)
-		}()
-	}
-	for _, w := range en.wfsComp {
-		if w {
-			return nil, stats, fmt.Errorf("core: SolveMore is unsound with well-founded fallback components (negation is not insert-monotone)")
 		}
-	}
-	addedPreds := map[ast.PredKey]bool{}
-	for _, k := range added.Preds() {
-		if added.Rel(k).Len() > 0 {
-			addedPreds[k] = true
+		addedPreds := map[ast.PredKey]bool{}
+		for _, k := range added.Preds() {
+			if added.Rel(k).Len() > 0 {
+				addedPreds[k] = true
+			}
 		}
-	}
-	if err := en.checkInsertMonotone(addedPreds); err != nil {
-		return nil, stats, err
-	}
+		if err := en.checkInsertMonotone(addedPreds); err != nil {
+			return nil, err
+		}
 
-	// Parallelism > 1 swaps in the intra-round parallel loop. Components
-	// still run sequentially here — incremental seeds flow bottom-up
-	// through `changed`, a cross-component dependency the DAG scheduler
-	// does not model — and the merge phase replays in rule order, so the
-	// result stays byte-identical to the sequential path (including the
-	// classic local MaxFacts accounting, which is why no shared budget
-	// is involved).
-	var pc *parRun
-	if par := effectiveParallelism(lim); par > 1 {
-		pc = &parRun{
-			sem: make(chan struct{}, par-1),
-			store: func(k ast.PredKey, args []val.T, d *Derivation) {
-				if d == nil {
-					return
+		db := prev.Clone()
+		changed := newDeltaSet()
+		for k := range addedPreds {
+			rel := db.Rel(k)
+			added.Rel(k).Each(func(row relation.Row) bool {
+				if !rel.Info.HasCost {
+					if rel.InsertJoin(row.Args, lattice.Elem{}) {
+						changed.add(k, row)
+					}
+					return true
 				}
-				if en.trace == nil {
-					en.trace = map[string]*Derivation{}
-				}
-				en.trace[traceKey(k, args)] = d
-			},
-			roundBoundary: func(g *guard, dbv *relation.DB) error { return g.roundBoundary(dbv) },
-		}
-	}
-
-	db := prev.Clone()
-	changed := newDeltaSet()
-	for k := range addedPreds {
-		rel := db.Rel(k)
-		added.Rel(k).Each(func(row relation.Row) bool {
-			if !rel.Info.HasCost {
-				if rel.InsertJoin(row.Args, lattice.Elem{}) {
-					changed.add(k, row)
+				if insertEps(rel, row.Args, row.Cost, en.opts.Epsilon) {
+					cur, _ := rel.GetOrDefault(row.Args)
+					changed.add(k, cur)
 				}
 				return true
-			}
-			if insertEps(rel, row.Args, row.Cost, en.opts.Epsilon) {
-				cur, _ := rel.GetOrDefault(row.Args)
-				changed.add(k, cur)
-			}
-			return true
-		})
-	}
-
-	// Re-run each component bottom-up, seeded with everything that has
-	// changed so far; each component's own derivations join the seed for
-	// the components above it.
-	for ci, c := range en.comps {
-		ps := en.plans[ci]
-		if len(ps) == 0 {
-			continue
+			})
 		}
-		// Restrict the seed to predicates this component's plans read.
-		seed := newDeltaSet()
-		touched := false
-		for _, p := range ps {
-			for k := range p.scanSteps {
-				for _, row := range changed.rows[k] {
-					seed.add(k, row)
-					touched = true
-				}
+		record := func(k ast.PredKey, row relation.Row) { changed.add(k, row) }
+
+		// Re-run each component bottom-up, seeded with everything that
+		// has changed so far; each component's own derivations join the
+		// seed for the components above it.
+		for ci, c := range en.comps {
+			ps := en.plans[ci]
+			if len(ps) == 0 {
+				continue
 			}
-			for _, st := range p.steps {
-				if ag, ok := st.(*aggStep); ok {
-					for _, sp := range ag.conj {
-						for _, row := range changed.rows[sp.pred] {
-							seed.add(sp.pred, row)
-							touched = true
+			// Restrict the seed to predicates this component's plans read.
+			seed := newDeltaSet()
+			touched := false
+			for _, p := range ps {
+				for k := range p.scanSteps {
+					for _, row := range changed.rows[k] {
+						seed.add(k, row)
+						touched = true
+					}
+				}
+				for _, st := range p.steps {
+					if ag, ok := st.(*aggStep); ok {
+						for _, sp := range ag.conj {
+							for _, row := range changed.rows[sp.pred] {
+								seed.add(sp.pred, row)
+								touched = true
+							}
 						}
 					}
 				}
 			}
-		}
-		if !touched {
-			continue
-		}
-		stats.Components++
-		g.comp, g.rule = c.Preds, nil
-		cs := &stats.Comps[ci]
-		if en.sink != nil {
-			en.sink.Event(obs.Event{Kind: obs.ComponentBegin, Component: ci,
-				Preds: cs.Preds, WFS: cs.WFS, Admissible: cs.Admissible})
-		}
-		r0, f0, d0, p0 := stats.Rounds, stats.Firings, stats.Derived, stats.Probes
-		t0 := time.Now()
-		cerr := en.runComponent(g, func() error {
-			record := func(k ast.PredKey, row relation.Row) {
-				changed.add(k, row)
+			if !touched {
+				continue
 			}
-			if pc != nil {
-				return en.parSemiNaiveLoop(pc, g, db, ci, ps, &stats, seed, record)
+			stats.Components++
+			g.comp, g.rule = c.Preds, nil
+			err := en.runInstrumented(g, ci, func() error {
+				return en.semiNaiveLoop(g, db, ci, stats, seed, record)
+			})
+			if err != nil {
+				return db, err
 			}
-			return en.semiNaiveLoop(g, db, ci, ps, &stats, seed, record)
-		})
-		cs.Rounds += stats.Rounds - r0
-		cs.Firings += stats.Firings - f0
-		cs.Derived += stats.Derived - d0
-		cs.Probes += stats.Probes - p0
-		cs.Nanos += time.Since(t0).Nanoseconds()
-		if en.sink != nil {
-			e := obs.Event{Kind: obs.ComponentEnd, Component: ci,
-				Preds: cs.Preds, WFS: cs.WFS, Admissible: cs.Admissible,
-				Round: cs.Rounds, Firings: cs.Firings, Derived: cs.Derived,
-				Probes: cs.Probes, Nanos: cs.Nanos}
-			if cerr != nil {
-				e.Err = cerr.Error()
+			if err := g.checkpoint(db, true); err != nil {
+				return db, err
 			}
-			en.sink.Event(e)
 		}
-		if cerr != nil {
-			return db, stats, cerr
-		}
-		if err := g.checkpoint(db, true); err != nil {
-			return db, stats, err
-		}
-	}
-	return db, stats, nil
+		return db, nil
+	})
 }
 
 // checkInsertMonotone verifies that the program uses each added predicate

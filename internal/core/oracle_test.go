@@ -1,0 +1,159 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/ast"
+	"repro/internal/parser"
+	"repro/internal/programs"
+	"repro/internal/relation"
+)
+
+// The engine's correctness oracle is the paper's definition itself:
+// iterate the immediate-consequence operator T_P (Definition 3.7,
+// Engine.TP, computed by the tuple-at-a-time reference interpreter)
+// component by component from the EDB until nothing changes, and the
+// result is the least model Solve must return — on whatever path Solve
+// took to it: sequential walk or component scheduler, fresh or as an
+// incremental SolveMore continuation.
+
+// oracleCases pairs each example of internal/programs with the inputs
+// the example tests above use. edb is the first batch of facts; more, when
+// non-empty, is a second batch restricted to predicates SolveMore
+// accepts (used monotonically and not defined by rules). eps is the
+// convergence tolerance an ω-limit program needs.
+// programs.TwoMinimalModels is left out: it is not admissible, so it has
+// no least fixpoint to compare against.
+var oracleCases = []struct {
+	name, src, edb, more string
+	eps                  float64
+}{
+	{name: "shortestpath/cycle", src: programs.ShortestPath,
+		edb:  "arc(a, b, 1). arc(b, c, 1). arc(c, a, 1).",
+		more: "arc(c, d, 1). arc(a, d, 9)."},
+	{name: "shortestpath/diamond", src: programs.ShortestPath,
+		edb:  "arc(a, b, 1). arc(a, c, 4). arc(b, d, 2).",
+		more: "arc(c, d, 1). arc(a, d, 9)."},
+	{name: "companycontrol/chain", src: programs.CompanyControl,
+		edb:  "s(a, b, 0.6). s(a, c, 0.3).",
+		more: "s(b, c, 0.3)."},
+	{name: "companycontrol/vangelder", src: programs.CompanyControl,
+		edb:  "s(a, b, 0.3). s(a, c, 0.3). s(b, c, 0.6).",
+		more: "s(c, b, 0.6)."},
+	{name: "companycontrolfused", src: programs.CompanyControlFused,
+		edb:  "s(a, b, 0.6). s(a, c, 0.3).",
+		more: "s(b, c, 0.3)."},
+	{name: "party", src: programs.Party,
+		edb: "requires(ann, 0). requires(bob, 1). requires(cal, 2). requires(dee, 1). " +
+			"knows(bob, ann). knows(cal, ann). knows(dee, cal).",
+		more: "knows(cal, bob). knows(ann, dee)."},
+	{name: "circuit", src: programs.Circuit,
+		edb: "input(w2, 0). gate(g1, and). connect(g1, w1). connect(g1, w2). " +
+			"gate(g2, or). connect(g2, w1). connect(g2, g1).",
+		more: "input(w1, 1)."},
+	{name: "halfsum", src: programs.Halfsum, eps: 1e-9},
+	{name: "averages", src: programs.Averages,
+		edb: "record(john, math, 80). record(john, physics, 60). record(mary, math, 90). " +
+			"courses(math). courses(physics).",
+		more: "courses(art)."},
+}
+
+// factsDB parses ground facts into an EDB over the engine's schemas.
+func factsDB(t *testing.T, en *Engine, text string) *relation.DB {
+	t.Helper()
+	db := relation.NewDB(en.Schemas)
+	prog, err := parser.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range prog.Rules {
+		key := r.Head.Key()
+		args, cost, _, err := ast.FactValue(&r.Head, en.Schemas.Info(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.Rel(key).InsertJoin(args, cost)
+	}
+	return db
+}
+
+// tpLeastFixpoint iterates J ← J ⊔ T_P(J, I) per component, bottom-up,
+// until the interpretation stops changing (within eps).
+func tpLeastFixpoint(t *testing.T, en *Engine, edb *relation.DB, eps float64) *relation.DB {
+	t.Helper()
+	db := relation.NewDB(en.Schemas)
+	db.Join(edb)
+	for ci := 0; ci < en.ComponentCount(); ci++ {
+		for round := 0; ; round++ {
+			if round > 10000 {
+				t.Fatalf("T_P iteration on component %v does not converge", en.ComponentPreds(ci))
+			}
+			out, err := en.TP(db, ci)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next := db.Clone()
+			next.Join(out)
+			if EqualEps(next, db, eps) {
+				break
+			}
+			db = next
+		}
+	}
+	return db
+}
+
+func TestSolveEqualsTPFixpoint(t *testing.T) {
+	for _, tc := range oracleCases {
+		t.Run(tc.name, func(t *testing.T) {
+			var seq Stats // the sequential walk's totals, which every worker count must reproduce
+			for _, par := range []int{1, 2} {
+				en := mustEngine(t, tc.src, Options{Trace: true, Epsilon: tc.eps,
+					Limits: Limits{Parallelism: par}})
+				edb, more := factsDB(t, en, tc.edb), factsDB(t, en, tc.more)
+				all := edb.Clone()
+				all.Join(more)
+				want := tpLeastFixpoint(t, en, all, tc.eps)
+				// The comparison tolerance is looser than the convergence
+				// tolerance: the two iterations stop at different points
+				// of the same ω-chain.
+				check := func(how string, got *relation.DB) {
+					t.Helper()
+					if !EqualEps(got, want, tc.eps*1e3) {
+						t.Fatalf("parallelism %d: %s model differs from the T_P fixpoint:\n%s\nwant:\n%s", par, how, got, want)
+					}
+					if tc.eps > 0 {
+						return // an ε-converged interpretation is not an exact model
+					}
+					if ok, err := en.IsModel(got); err != nil || !ok {
+						t.Fatalf("parallelism %d: %s model is not a model (Definition 3.5): %v %v", par, how, ok, err)
+					}
+				}
+				fresh, st, err := en.Solve(all)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check("fresh", fresh)
+				st.Rules, st.Comps = nil, nil
+				if par == 1 {
+					seq = st
+				} else if fmt.Sprint(st) != fmt.Sprint(seq) {
+					t.Fatalf("parallelism %d: stats totals %+v, want the sequential %+v", par, st, seq)
+				}
+				if tc.more == "" {
+					continue
+				}
+				first, _, err := en.Solve(edb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				split, _, err := en.SolveMore(first, more)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check("Solve+SolveMore", split)
+			}
+		})
+	}
+}

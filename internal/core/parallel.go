@@ -2,37 +2,32 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ast"
-	"repro/internal/deps"
 	"repro/internal/faults"
-	"repro/internal/lattice"
 	"repro/internal/obs"
 	"repro/internal/relation"
-	"repro/internal/val"
 )
 
-// This file implements the parallel fixpoint evaluator: the component
-// scheduler (independent SCCs evaluated concurrently) and the
-// intra-round rule parallelism (one round's rules evaluated
-// speculatively against the frozen start-of-round interpretation, then
-// merged in rule order). Both axes preserve the sequential engine's
-// observable behavior exactly — models, fact ordering, traces and
-// Stats totals are byte-identical to Parallelism == 1 — see
-// docs/ARCHITECTURE.md for the determinism contract and its proof
-// sketch.
+// This file implements the component scheduler: components of the
+// program's SCC DAG that do not depend on one another evaluate
+// concurrently, each through the same solveComponent the sequential
+// walk calls, on a private view of the database that is installed back
+// under the scheduler lock at the component boundary. Within a
+// component evaluation is sequential, so a single-SCC program runs on
+// one worker.
 //
-// Soundness rests on the lattice semantics of the paper: T_P is
-// monotone (Theorem 3.1), so joining independently computed component
-// models is the lub of sound intermediate interpretations, and any
-// tuple derived from a smaller interpretation remains derivable from a
-// larger one.
+// Everything observable — models, fact order, traces, Stats, Profile
+// row counts, checkpoints — is identical to the sequential walk: a
+// component's evaluation reads only its own predicates and those of
+// completed lower components, so its view holds exactly what the
+// sequential engine's database would, and T_P is monotone (Theorem 3.1),
+// so installing independently computed component models is the join of
+// sound intermediate interpretations whatever the completion order. See
+// docs/ARCHITECTURE.md.
 
 // effectiveParallelism resolves the Limits.Parallelism knob: 0 means
 // one worker per available CPU, anything below 1 means sequential.
@@ -70,539 +65,6 @@ func (b *sharedBudget) spend(g *guard) error {
 	return e
 }
 
-// parRun carries the per-solve parallel machinery into the fixpoint
-// loops: the rule-task worker pool, the trace store (worker-local under
-// the scheduler, the engine map for incremental solves) and the
-// round-boundary hook (consistent-cut checkpoints under the scheduler,
-// the plain guard boundary otherwise).
-type parRun struct {
-	sem           chan struct{}
-	store         func(ast.PredKey, []val.T, *Derivation)
-	roundBoundary func(*guard, *relation.DB) error
-}
-
-// runTasks executes n rule tasks, spilling onto the bounded worker pool
-// when slots are free and running inline otherwise, returning once all
-// have finished. The inline fallback keeps the pool deadlock-free: the
-// calling goroutine always makes progress on its own work even when
-// every slot is held by another component's round.
-func (pc *parRun) runTasks(n int, run func(int)) {
-	if n == 1 {
-		run(0)
-		return
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		select {
-		case pc.sem <- struct{}{}:
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-pc.sem }()
-				run(i)
-			}(i)
-		default:
-			run(i)
-		}
-	}
-	wg.Wait()
-}
-
-// bufEntry is one speculative head emission: the ground tuple, its cost
-// and (when tracing) the prebuilt derivation, captured during Phase A
-// and inserted during the sequential merge.
-type bufEntry struct {
-	args  []val.T
-	cost  lattice.Elem
-	deriv *Derivation
-}
-
-// ruleTask is the result of one rule's speculative evaluation pass.
-type ruleTask struct {
-	// ran marks tasks that executed Phase A (self-reading rules skip it
-	// and always evaluate live during the merge).
-	ran bool
-	// active mirrors the sequential Δ-skip: false when no pass of this
-	// rule was driven by the round's Δ set.
-	active  bool
-	firings int64
-	probes  int64
-	buf     []bufEntry
-	err     error
-}
-
-// taskRecover converts a panic inside a rule task into the same
-// structured ErrInternal the component boundary would produce. It must
-// live on the task goroutine: the component's recover cannot see it.
-func taskRecover(g *guard, p *plan, t *ruleTask) {
-	if r := recover(); r != nil {
-		e := g.fail(ErrInternal, fmt.Errorf("panic: %v", r))
-		e.Rule = p.text
-		e.Stack = debug.Stack()
-		t.err = e
-	}
-}
-
-// taskCheck mirrors guard.check without touching the guard's counters:
-// Phase A tasks run concurrently and must not write shared state.
-func taskCheck(g *guard, p *plan) func() error {
-	polls := 0
-	return func() error {
-		polls++
-		if polls%g.checkEvery != 0 {
-			return nil
-		}
-		select {
-		case <-g.ctx.Done():
-			e := g.fail(ErrCanceled, g.ctx.Err())
-			e.Rule = p.text
-			return e
-		default:
-			return nil
-		}
-	}
-}
-
-// bufferEmit captures head tuples (and, when tracing, their
-// derivations) instead of inserting them. headTuple allocates fresh
-// argument slices and buildDerivation owns all its data, so nothing in
-// the buffer aliases the reused environment.
-func (en *Engine) bufferEmit(p *plan, t *ruleTask) func(*env) error {
-	trace := en.opts.Trace
-	return func(e *env) error {
-		args, cost, err := headTuple(p, e)
-		if err != nil {
-			return err
-		}
-		var d *Derivation
-		if trace {
-			d = buildDerivation(p, e)
-		}
-		t.buf = append(t.buf, bufEntry{args: args, cost: cost, deriv: d})
-		return nil
-	}
-}
-
-// bufferFullPass speculatively evaluates one rule over the whole
-// interpretation (round 0 of the semi-naive strategy; every naive
-// round).
-func (en *Engine) bufferFullPass(g *guard, p *plan, db *relation.DB, t *ruleTask) {
-	defer taskRecover(g, p, t)
-	t.ran, t.active = true, true
-	ev := newRunner(en.exe, db, 0, nil, nil, en.opts.Trace, taskCheck(g, p), en.prof)
-	err := ev.run(p, en.bufferEmit(p, t))
-	t.firings, t.probes = ev.fir(), ev.pr()
-	t.err = err
-}
-
-// bufferDeltaPass speculatively runs one rule's Δ-driven passes.
-func (en *Engine) bufferDeltaPass(g *guard, p *plan, db *relation.DB, prev *deltaSet, changedPreds []ast.PredKey, t *ruleTask) {
-	defer taskRecover(g, p, t)
-	t.ran = true
-	firings, probes, active, err := en.deltaPasses(p, db, prev, changedPreds, taskCheck(g, p), en.bufferEmit(p, t))
-	t.firings, t.probes, t.active = firings, probes, active
-	t.err = err
-}
-
-// deltaPasses replicates one rule's Δ-round pass structure from
-// semiNaiveLoop — the aggregate-driven re-run (group-restricted where
-// possible) followed by one restricted pass per changed scanned
-// predicate — parameterized on the emit target so the parallel engine
-// can buffer speculatively and replay or re-run live with identical
-// enumeration. Any change to the sequential pass structure must be
-// mirrored here (and vice versa); the determinism tests pin the two
-// against each other on every example program.
-func (en *Engine) deltaPasses(p *plan, db *relation.DB, prev *deltaSet, changedPreds []ast.PredKey, check func() error, emit func(*env) error) (firings, probes int64, active bool, err error) {
-	runAgg := aggPredChanged(p, prev)
-	ph := p.ph()
-	hasScan := false
-	for _, k := range changedPreds {
-		if len(ph.scanSteps[k]) > 0 {
-			hasScan = true
-			break
-		}
-	}
-	if !runAgg && !hasScan {
-		return 0, 0, false, nil
-	}
-	ranFull := false
-	if runAgg {
-		groups, restricted := changedGroups(ph.steps, prev)
-		if en.opts.DisableGroupDelta {
-			groups, restricted = nil, false
-		}
-		ev := newRunner(en.exe, db, 0, nil, groups, en.opts.Trace, check, en.prof)
-		err = ev.run(p, emit)
-		firings += ev.fir()
-		probes += ev.pr()
-		ranFull = !restricted
-	}
-	if err == nil && !ranFull && hasScan {
-	scans:
-		for _, k := range changedPreds {
-			rows := prev.rows[k]
-			for _, si := range ph.scanSteps[k] {
-				ev := newRunner(en.exe, db, si, rows, nil, en.opts.Trace, check, en.prof)
-				err = ev.run(p, emit)
-				firings += ev.fir()
-				probes += ev.pr()
-				if err != nil {
-					break scans
-				}
-			}
-		}
-	}
-	return firings, probes, true, err
-}
-
-// ruleTouched reports whether the Δ set drives any pass of the rule —
-// the sequential loop's skip condition, needed for rules whose Phase A
-// was skipped.
-func ruleTouched(p *plan, prev *deltaSet, changedPreds []ast.PredKey) bool {
-	if aggPredChanged(p, prev) {
-		return true
-	}
-	ph := p.ph()
-	for _, k := range changedPreds {
-		if len(ph.scanSteps[k]) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// readsImproved reports whether the rule reads any predicate improved
-// earlier in the merge — the conflict condition invalidating its
-// speculative buffer.
-func readsImproved(p *plan, improved map[ast.PredKey]bool) bool {
-	for k := range improved {
-		if p.reads[k] {
-			return true
-		}
-	}
-	return false
-}
-
-// materializeRels pre-creates every relation the component's plans read
-// or write, so Phase A tasks never race on the database's lazy relation
-// construction.
-func materializeRels(db *relation.DB, ps []*plan) {
-	for _, p := range ps {
-		db.Rel(p.head.pred)
-		for k := range p.reads {
-			db.Rel(k)
-		}
-	}
-}
-
-// parSemiNaiveLoop is semiNaiveLoop with intra-round rule parallelism.
-//
-// Each round splits in two phases. Phase A evaluates every
-// non-self-reading rule concurrently against the frozen start-of-round
-// interpretation (no insertions happen, so the database is immutable;
-// lazy index builds are safe under the relation package's
-// frozen-snapshot contract), buffering head emissions. Phase B merges
-// in rule-index order on one goroutine: a rule whose reads intersect
-// the head predicates already improved this round — or that reads its
-// own head (its nested scans observe its own inserts under sequential
-// evaluation) — discards its buffer and re-runs live through exactly
-// the sequential passes; every other rule replays its buffer through
-// the sequential insert path. Either way the per-round insert order,
-// Δ-set contents, trace stores and guard observations are identical to
-// the sequential loop, which is what makes models, traces and stats
-// byte-identical (docs/ARCHITECTURE.md documents the argument).
-func (en *Engine) parSemiNaiveLoop(pc *parRun, g *guard, db *relation.DB, ci int, ps []*plan, stats *Stats, init *deltaSet, record func(ast.PredKey, relation.Row)) error {
-	materializeRels(db, ps)
-	// Cost-plan the component against the private view — its content is
-	// identical to the sequential engine's database at this point, so
-	// the planner's estimates, CSE buffers and re-plan decisions are
-	// identical too (the determinism contract; see plancost.go).
-	cp := en.planComponent(db, ps, init == nil)
-	delta := newDeltaSet()
-	// Phase B is single-goroutine, so insert and replay share one key
-	// scratch, exactly like the sequential loop's insert closure. (Phase
-	// A only buffers through bufferEmit, which allocates fresh args.)
-	var kbuf []byte
-	insert := func(p *plan, e *env) error {
-		args, cost, err := headTupleInto(p, e)
-		if err != nil {
-			return err
-		}
-		rel := db.Rel(p.head.pred)
-		kbuf = val.AppendKeyOf(kbuf[:0], args)
-		if insertEpsKey(rel, kbuf, args, cost, en.opts.Epsilon) {
-			stats.Derived++
-			row, ik, _ := rel.LookupKey(kbuf)
-			delta.addInterned(p.head.pred, row, ik)
-			if record != nil {
-				record(p.head.pred, row)
-			}
-			if en.opts.Trace {
-				pc.store(p.head.pred, row.Args, buildDerivation(p, e))
-			}
-			if err := g.derived(p.head.pred, row.Args, row.Cost, rel.Info.HasCost, true); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// replay pushes one rule's speculative buffer through the sequential
-	// insert path, then surfaces the task's terminal error (a canceled
-	// poll, a head-cost failure, or a contained panic) exactly where the
-	// sequential evaluation would have stopped.
-	replay := func(p *plan, t *ruleTask) error {
-		rel := db.Rel(p.head.pred)
-		for i := range t.buf {
-			be := &t.buf[i]
-			kbuf = val.AppendKeyOf(kbuf[:0], be.args)
-			if !insertEpsKey(rel, kbuf, be.args, be.cost, en.opts.Epsilon) {
-				continue
-			}
-			stats.Derived++
-			row, ik, _ := rel.LookupKey(kbuf)
-			delta.addInterned(p.head.pred, row, ik)
-			if record != nil {
-				record(p.head.pred, row)
-			}
-			if be.deriv != nil {
-				pc.store(p.head.pred, be.args, be.deriv)
-			}
-			if err := g.derived(p.head.pred, be.args, row.Cost, rel.Info.HasCost, true); err != nil {
-				return err
-			}
-		}
-		return t.err
-	}
-
-	if init == nil {
-		// Round 0: fire everything.
-		if err := g.poll(); err != nil {
-			return err
-		}
-		stats.Rounds++
-		roundF, roundD, roundP := stats.Firings, stats.Derived, stats.Probes
-		tasks := make([]ruleTask, len(ps))
-		pc.runTasks(len(ps), func(i int) {
-			p := ps[i]
-			if p.reads[p.head.pred] {
-				return // self-reading: must observe its own inserts
-			}
-			en.bufferFullPass(g, p, db, &tasks[i])
-		})
-		improved := map[ast.PredKey]bool{}
-		for i, p := range ps {
-			t := &tasks[i]
-			g.rule = p.rule
-			f0, d0, p0 := stats.Firings, stats.Derived, stats.Probes
-			t0 := time.Now()
-			var perr error
-			if t.ran && (t.err != nil || !readsImproved(p, improved)) {
-				stats.Firings += t.firings
-				stats.Probes += t.probes
-				perr = replay(p, t)
-			} else {
-				ev := newRunner(en.exe, db, 0, nil, nil, en.opts.Trace, g.check, en.prof)
-				perr = ev.run(p, func(e *env) error { return insert(p, e) })
-				stats.Firings += ev.fir()
-				stats.Probes += ev.pr()
-			}
-			if stats.Derived > d0 {
-				improved[p.head.pred] = true
-			}
-			en.noteRule(&stats.Rules[p.idx], ci, 0,
-				stats.Firings-f0, stats.Derived-d0, stats.Probes-p0, time.Since(t0).Nanoseconds())
-			if perr != nil {
-				return perr
-			}
-		}
-		if en.sink != nil {
-			en.sink.Event(obs.Event{Kind: obs.RoundEnd, Component: ci, Round: 0,
-				Firings: stats.Firings - roundF, Derived: stats.Derived - roundD, Probes: stats.Probes - roundP})
-		}
-		if err := pc.roundBoundary(g, db); err != nil {
-			return err
-		}
-		cp.maybeReplan()
-	} else {
-		delta = init
-	}
-
-	// Rounds ping-pong between two Δ sets exactly like the sequential
-	// loop; the reset happens after phase B, when no worker references
-	// the previous round's set. The caller-owned init is never recycled.
-	var spare *deltaSet
-	for round := 1; !delta.empty(); round++ {
-		if round >= en.opts.MaxRounds {
-			return g.maxRounds(en.opts.MaxRounds)
-		}
-		if err := g.poll(); err != nil {
-			return err
-		}
-		stats.Rounds++
-		roundF, roundD, roundP := stats.Firings, stats.Derived, stats.Probes
-		prev := delta
-		if spare != nil {
-			delta, spare = spare, nil
-		} else {
-			delta = newDeltaSet()
-		}
-		changedPreds := prev.preds()
-		tasks := make([]ruleTask, len(ps))
-		pc.runTasks(len(ps), func(i int) {
-			p := ps[i]
-			if p.reads[p.head.pred] {
-				return
-			}
-			en.bufferDeltaPass(g, p, db, prev, changedPreds, &tasks[i])
-		})
-		improved := map[ast.PredKey]bool{}
-		for i, p := range ps {
-			t := &tasks[i]
-			if t.ran {
-				if t.err == nil && !t.active {
-					continue
-				}
-			} else if !ruleTouched(p, prev, changedPreds) {
-				continue
-			}
-			g.rule = p.rule
-			f0, d0, p0 := stats.Firings, stats.Derived, stats.Probes
-			t0 := time.Now()
-			var perr error
-			if t.ran && (t.err != nil || !readsImproved(p, improved)) {
-				stats.Firings += t.firings
-				stats.Probes += t.probes
-				perr = replay(p, t)
-			} else {
-				firings, probes, _, rerr := en.deltaPasses(p, db, prev, changedPreds, g.check,
-					func(e *env) error { return insert(p, e) })
-				stats.Firings += firings
-				stats.Probes += probes
-				perr = rerr
-			}
-			if stats.Derived > d0 {
-				improved[p.head.pred] = true
-			}
-			en.noteRule(&stats.Rules[p.idx], ci, round,
-				stats.Firings-f0, stats.Derived-d0, stats.Probes-p0, time.Since(t0).Nanoseconds())
-			if perr != nil {
-				return perr
-			}
-		}
-		if en.sink != nil {
-			en.sink.Event(obs.Event{Kind: obs.RoundEnd, Component: ci, Round: round,
-				Firings: stats.Firings - roundF, Derived: stats.Derived - roundD, Probes: stats.Probes - roundP})
-		}
-		if err := pc.roundBoundary(g, db); err != nil {
-			return err
-		}
-		cp.maybeReplan()
-		if prev != init {
-			prev.reset()
-			spare = prev
-		}
-	}
-	return nil
-}
-
-// parNaive is solveNaive with intra-round rule parallelism. The naive
-// strategy is a pure Jacobi iteration — every rule reads the previous
-// round's interpretation and writes a fresh one — so speculative
-// buffers are always conflict-free and replay alone reproduces the
-// sequential behavior.
-func (en *Engine) parNaive(pc *parRun, g *guard, db *relation.DB, ci int, c *deps.Component, ps []*plan, stats *Stats) error {
-	materializeRels(db, ps)
-	seed := map[ast.PredKey]*relation.Relation{}
-	for _, k := range c.Preds {
-		if db.Has(k) && db.Rel(k).Len() > 0 {
-			seed[k] = db.Rel(k).Clone()
-		}
-	}
-	for round := 0; ; round++ {
-		if round >= en.opts.MaxRounds {
-			return g.maxRounds(en.opts.MaxRounds)
-		}
-		if err := g.poll(); err != nil {
-			return err
-		}
-		stats.Rounds++
-		roundDerived := stats.Derived
-		out := relation.NewDB(db.Schemas)
-		tasks := make([]ruleTask, len(ps))
-		pc.runTasks(len(ps), func(i int) {
-			en.bufferFullPass(g, ps[i], db, &tasks[i])
-		})
-		var roundFirings, roundProbes int64
-		for i, p := range ps {
-			t := &tasks[i]
-			g.rule = p.rule
-			d0 := stats.Derived
-			t0 := time.Now()
-			var perr error
-			rel := out.Rel(p.head.pred)
-			for bi := range t.buf {
-				be := &t.buf[bi]
-				if en.opts.StrictConflicts {
-					if perr = rel.InsertStrict(be.args, be.cost); perr != nil {
-						break
-					}
-					continue
-				}
-				if !rel.InsertJoin(be.args, be.cost) {
-					continue
-				}
-				stats.Derived++
-				if be.deriv != nil {
-					pc.store(p.head.pred, be.args, be.deriv)
-				}
-				// Improvement relative to the previous round's
-				// interpretation, as in solveNaive.
-				cur, _ := rel.Get(be.args)
-				old, had := db.Rel(p.head.pred).Get(be.args)
-				imp := !had || (rel.Info.HasCost && !lattice.Eq(rel.Info.L, old.Cost, cur.Cost))
-				if perr = g.derived(p.head.pred, be.args, cur.Cost, rel.Info.HasCost, imp); perr != nil {
-					break
-				}
-			}
-			if perr == nil {
-				perr = t.err
-			}
-			roundFirings += t.firings
-			roundProbes += t.probes
-			en.noteRule(&stats.Rules[p.idx], ci, round,
-				t.firings, stats.Derived-d0, t.probes, time.Since(t0).Nanoseconds())
-			if perr != nil {
-				return perr
-			}
-		}
-		stats.Firings += roundFirings
-		stats.Probes += roundProbes
-		if en.sink != nil {
-			en.sink.Event(obs.Event{Kind: obs.RoundEnd, Component: ci, Round: round,
-				Firings: roundFirings, Derived: stats.Derived - roundDerived, Probes: roundProbes})
-		}
-		for k, r := range seed {
-			out.Rel(k).Join(r)
-		}
-		same := true
-		for _, k := range c.Preds {
-			if !relEqualEps(out.Rel(k), db.Rel(k), en.opts.Epsilon) {
-				same = false
-				break
-			}
-		}
-		for _, k := range c.Preds {
-			db.SetRel(k, out.Rel(k))
-		}
-		if same {
-			return nil
-		}
-		if err := pc.roundBoundary(g, db); err != nil {
-			return err
-		}
-	}
-}
-
 // sched runs the component DAG on a bounded worker pool: a component is
 // dispatched once every component it depends on has completed, and
 // completed component relations are installed into the global database
@@ -615,11 +77,9 @@ type sched struct {
 	db     *relation.DB
 	lim    Limits
 	budget *sharedBudget
-	sem    chan struct{}
 
 	mu         sync.Mutex
-	stats      *Stats
-	sg         *guard // scheduler guard: global checkpoints
+	sg         *guard // the solve's guard: global stats, trace store, checkpoints
 	indeg      []int
 	dependents [][]int
 	readyCh    chan int
@@ -630,42 +90,13 @@ type sched struct {
 	closed     bool
 }
 
-// fixpointParallel is the Parallelism > 1 form of fixpoint: it runs the
-// component DAG concurrently, each component on a private view of the
-// database, and joins results at component boundaries.
-func (en *Engine) fixpointParallel(ctx context.Context, db *relation.DB, lim Limits, base Stats, par int) (_ *relation.DB, _ Stats, err error) {
-	if lim.MaxDuration > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, lim.MaxDuration)
-		defer cancel()
-	}
-	ctx, cancel := context.WithCancel(ctx)
+// runScheduled is the Parallelism > 1 form of the fixpoint walk: it runs
+// the component DAG on par workers, each component on a private view of
+// db, and joins results into db and sg.stats at component boundaries.
+func (en *Engine) runScheduled(sg *guard, db *relation.DB, lim Limits, par int) error {
+	ctx, cancel := context.WithCancel(sg.ctx)
 	defer cancel()
-	en.trace = nil
-	stats := base.Clone()
-	en.ensureStats(&stats)
-	sg := newGuard(ctx, lim, &stats)
-	sg.sink = en.sink
-	if en.sink != nil {
-		start := time.Now()
-		en.sink.Event(obs.Event{Kind: obs.SolveBegin, Component: -1, Parallelism: par})
-		defer func() {
-			e := obs.Event{Kind: obs.SolveEnd, Component: -1, Round: stats.Rounds,
-				Firings: stats.Firings, Derived: stats.Derived, Probes: stats.Probes,
-				Nanos: time.Since(start).Nanoseconds(), Parallelism: par}
-			if err != nil {
-				e.Err = err.Error()
-			}
-			en.sink.Event(e)
-		}()
-	}
-	if cerr := sg.checkpoint(db, true); cerr != nil {
-		return db, stats, cerr
-	}
-
-	s := &sched{en: en, ctx: ctx, cancel: cancel, db: db, lim: lim,
-		stats: &stats, sg: sg,
-		sem:        make(chan struct{}, par-1),
+	s := &sched{en: en, ctx: ctx, cancel: cancel, db: db, lim: lim, sg: sg,
 		indeg:      make([]int, len(en.comps)),
 		dependents: make([][]int, len(en.comps)),
 		readyCh:    make(chan int, len(en.comps)),
@@ -680,15 +111,22 @@ func (en *Engine) fixpointParallel(ctx context.Context, db *relation.DB, lim Lim
 			s.indeg[ci]++
 			s.dependents[d] = append(s.dependents[d], ci)
 		}
-		if en.wfsComp[ci] || len(en.plans[ci]) > 0 {
+		if en.evaluable(ci) {
 			evaluable++
 		}
 	}
-	s.mu.Lock()
+	// Collect the roots before dispatching any: an EDB-only root settles
+	// on the spot and cascades, and a dependent it releases must not be
+	// mistaken for a root (and dispatched twice) later in the scan.
+	var roots []int
 	for ci := range en.comps {
 		if s.indeg[ci] == 0 {
-			s.dispatchLocked(ci)
+			roots = append(roots, ci)
 		}
+	}
+	s.mu.Lock()
+	for _, ci := range roots {
+		s.dispatchLocked(ci)
 	}
 	s.maybeCloseLocked()
 	s.mu.Unlock()
@@ -708,7 +146,7 @@ func (en *Engine) fixpointParallel(ctx context.Context, db *relation.DB, lim Lim
 		}()
 	}
 	wg.Wait()
-	return db, stats, s.firstErr
+	return s.firstErr
 }
 
 // dispatchLocked hands a ready component to the worker pool. EDB-only
@@ -717,7 +155,7 @@ func (en *Engine) fixpointParallel(ctx context.Context, db *relation.DB, lim Lim
 // cascade immediately. After a failure nothing new starts; the
 // component is settled so the queue can drain.
 func (s *sched) dispatchLocked(ci int) {
-	if s.firstErr == nil && (s.en.wfsComp[ci] || len(s.en.plans[ci]) > 0) {
+	if s.firstErr == nil && s.en.evaluable(ci) {
 		s.readyCh <- ci
 		return
 	}
@@ -773,10 +211,12 @@ func mergeStats(dst, src *Stats, ci int) {
 // runComp evaluates one component on a worker goroutine: assemble a
 // private database view (lower-defined predicates shared as frozen
 // relations, own predicates cloned so the global database keeps the
-// pre-state for consistent checkpoint cuts), run the fixpoint with
-// worker-local stats, then install and merge under the scheduler lock.
+// pre-state for consistent checkpoint cuts), run solveComponent on it
+// with a worker-local guard (own stats, own trace store), then install
+// and merge under the scheduler lock.
 func (s *sched) runComp(ci int) {
 	en := s.en
+	stats := s.sg.stats
 	s.mu.Lock()
 	if s.firstErr != nil {
 		s.finishLocked(ci)
@@ -793,7 +233,7 @@ func (s *sched) runComp(ci int) {
 	for _, k := range c.Preds {
 		pv.SetRel(k, s.db.Rel(k).Clone())
 	}
-	cs := &s.stats.Comps[ci]
+	cs := &stats.Comps[ci]
 	if en.sink != nil {
 		en.sink.Event(obs.Event{Kind: obs.ComponentBegin, Component: ci,
 			Preds: cs.Preds, WFS: cs.WFS, Admissible: cs.Admissible, Workers: s.active})
@@ -809,34 +249,16 @@ func (s *sched) runComp(ci int) {
 	g.budget = s.budget
 	g.sink = en.sink
 	g.comp = c.Preds
-	var trace map[string]*Derivation
-	pc := &parRun{
-		sem: s.sem,
-		store: func(k ast.PredKey, args []val.T, d *Derivation) {
-			if d == nil {
-				return
-			}
-			if trace == nil {
-				trace = map[string]*Derivation{}
-			}
-			trace[traceKey(k, args)] = d
-		},
-		roundBoundary: func(g *guard, dbv *relation.DB) error {
-			return s.parRoundBoundary(g, dbv, ci, &ls)
-		},
+	if s.sg.trace != nil {
+		g.trace = map[string]*Derivation{}
 	}
+	g.cut = func(pv *relation.DB) error { return s.checkpointCut(g, pv, ci) }
 	t0 := time.Now()
 	cerr := en.runComponent(g, func() error {
 		if err := faults.Check(faults.CoreParallelWorker); err != nil {
 			return g.fail(ErrInternal, err)
 		}
-		if en.wfsComp[ci] {
-			return en.solveWFSComponent(g, pv, ci, &ls)
-		}
-		if en.opts.Strategy == Naive {
-			return en.parNaive(pc, g, pv, ci, c, en.plans[ci], &ls)
-		}
-		return en.parSemiNaiveLoop(pc, g, pv, ci, en.plans[ci], &ls, nil, nil)
+		return en.solveComponent(g, pv, ci, &ls)
 	})
 	nanos := time.Since(t0).Nanoseconds()
 
@@ -849,16 +271,12 @@ func (s *sched) runComp(ci int) {
 		for _, k := range c.Preds {
 			s.db.SetRel(k, pv.Rel(k))
 		}
-		mergeStats(s.stats, &ls, ci)
-		s.stats.Components++
-		if trace != nil && en.trace == nil {
-			en.trace = map[string]*Derivation{}
-		}
-		for key, d := range trace {
-			en.trace[key] = d
+		mergeStats(stats, &ls, ci)
+		stats.Components++
+		for key, d := range g.trace {
+			s.sg.trace[key] = d
 		}
 	}
-	cs = &s.stats.Comps[ci]
 	cs.Nanos += nanos
 	if en.sink != nil {
 		e := obs.Event{Kind: obs.ComponentEnd, Component: ci,
@@ -888,17 +306,13 @@ func (s *sched) runComp(ci int) {
 	s.mu.Unlock()
 }
 
-// parRoundBoundary is the scheduler's round-boundary hook: the fault
-// point fires as in the sequential engine, and periodic checkpoints
-// snapshot a consistent cut — the global database (completed
-// components) overlaid with this component's private progress. Every
-// such cut lies between the EDB and the least model, so it is a sound
-// restart point even though concurrent siblings' in-flight rounds are
-// not included.
-func (s *sched) parRoundBoundary(g *guard, pv *relation.DB, ci int, ls *Stats) error {
-	if err := faults.Check(faults.CoreRound); err != nil {
-		return g.fail(ErrInternal, err)
-	}
+// checkpointCut is the worker guard's round-boundary checkpoint (see
+// guard.cut): at the configured cadence it snapshots a consistent cut —
+// the global database (completed components) overlaid with this
+// component's private progress. Every such cut lies between the EDB and
+// the least model, so it is a sound restart point even though
+// concurrent siblings' in-flight rounds are not included.
+func (s *sched) checkpointCut(g *guard, pv *relation.DB, ci int) error {
 	if s.lim.Checkpoint == nil || s.lim.CheckpointEvery <= 0 {
 		return nil
 	}
@@ -919,8 +333,8 @@ func (s *sched) parRoundBoundary(g *guard, pv *relation.DB, ci int, ls *Stats) e
 	for _, k := range s.en.comps[ci].Preds {
 		view.SetRel(k, pv.Rel(k))
 	}
-	merged := s.stats.Clone()
-	mergeStats(&merged, ls, ci)
+	merged := s.sg.stats.Clone()
+	mergeStats(&merged, g.stats, ci)
 	if err := s.lim.Checkpoint(view, merged); err != nil {
 		return g.fail(ErrCheckpoint, err)
 	}

@@ -9,11 +9,12 @@
 // with unbound grouping variables execute as a grouped scan, which is how
 // the paper's rule "s(X,Y,C) :- C ?= min D : path(X,Z,Y,D)" runs).
 //
-// With Limits.Parallelism > 1 (the default resolves to one worker per
-// CPU) the fixpoint runs on the parallel scheduler in parallel.go —
-// independent components concurrently, rules within a round
-// speculatively — with results guaranteed byte-identical to the
-// sequential engine; see docs/ARCHITECTURE.md.
+// Plans are lowered once to streaming pipelines (exec_compile.go,
+// internal/exec), the only executor the fixpoint loops run. With
+// Limits.Parallelism > 1 (the default resolves to one worker per CPU)
+// components that do not depend on one another evaluate concurrently
+// on the component scheduler in parallel.go, with results identical to
+// the sequential walk; see docs/ARCHITECTURE.md.
 package core
 
 import (
@@ -48,14 +49,13 @@ type plan struct {
 	cdbScanSteps []int
 	hasCDBAgg    bool
 	// reads is every predicate this plan consults at evaluation time
-	// (positive scans, negated literals, aggregate conjuncts). The
-	// parallel merge phase uses it for conflict detection: a rule whose
-	// reads intersect the predicates already improved this round cannot
-	// replay its speculative buffer and re-runs sequentially instead.
+	// (positive scans, negated literals, aggregate conjuncts). The cost
+	// planner keys its statistics snapshot on it and keeps the syntactic
+	// order for rules that read their own head.
 	reads map[ast.PredKey]bool
-	// stream is the plan lowered to the streaming executor (exec_compile.go),
-	// always compiled so Limits.Executor can switch per solve; hbuf is the
-	// head-projection scratch for insert paths that don't retain args.
+	// stream is the plan lowered to its streaming pipeline
+	// (exec_compile.go); hbuf is the head-projection scratch for insert
+	// paths that don't retain args.
 	stream *exec.Rule
 	hbuf   []val.T
 	// syn is the syntactic physical plan (identical to steps/scanSteps/

@@ -28,7 +28,7 @@ import (
 
 // physical is one executable arrangement of a plan's body: a step
 // order, the scan positions the semi-naive drivers key on, and the
-// order lowered to the streaming executor. Every plan owns a syntactic
+// order lowered to its streaming pipeline. Every plan owns a syntactic
 // physical (identical to plan.steps, built at compile time) and the
 // cost planner installs alternatives via plan.cur; all evaluation-time
 // consumers go through plan.ph().
@@ -57,7 +57,6 @@ type physical struct {
 type bufferStep struct {
 	rows [][]val.T
 	vars []int
-	sbuf []int // backtracking scratch; plans run one goroutine at a time
 }
 
 func (*bufferStep) isStep() {}
@@ -188,9 +187,7 @@ func buildCostPhysical(p *plan, est *planner.Estimator, share *ruleShare) *physi
 	emitted := 0
 
 	if share != nil {
-		bs := &bufferStep{rows: share.rows, vars: share.vars}
-		bs.sbuf = make([]int, 0, len(share.vars))
-		steps = append(steps, bs)
+		steps = append(steps, &bufferStep{rows: share.rows, vars: share.vars})
 		canon = append(canon, -1)
 		ests = append(ests, float64(len(share.rows)))
 		for _, v := range share.vars {
@@ -351,8 +348,7 @@ func stepChoice(s step, bound []bool, est *planner.Estimator) (class int, rows f
 
 // scanMask is the bound-position mask a scan would probe with: constant
 // or bound-variable non-cost positions, first 64 only — exactly the
-// mask the executors' cursors open (exec.Machine open / relation
-// Match).
+// mask the pipeline's cursor opens (exec.Machine open).
 func scanMask(sp *atomSpec, bound []bool) uint64 {
 	var mask uint64
 	for j, v := range sp.argVar {
@@ -611,23 +607,22 @@ func prefixVars(p *plan, l int) []int {
 	return vars
 }
 
-// materializePrefix enumerates a prefix once with a throwaway tuple
-// evaluator and snapshots the projected rows. The enumeration is
-// deterministic — unindexed scans walk insertion order, index buckets
-// preserve it — so every worker at every parallelism level sees the
-// identical buffer. Aborts (keeping per-rule evaluation) past the
-// planner's size cap.
+// materializePrefix enumerates a prefix once on a throwaway pipeline
+// compiled from the rule's first n steps and snapshots the projected
+// rows. The enumeration is deterministic — unindexed scans walk
+// insertion order, index buckets preserve it — so every worker at every
+// parallelism level sees the identical buffer. Aborts (keeping per-rule
+// evaluation) past the planner's size cap.
 func materializePrefix(p *plan, n int, vars []int, db *relation.DB) ([][]val.T, bool) {
-	ev := &evaluator{db: db}
-	e := newEnv(p.nvars)
 	rows := [][]val.T{}
-	err := ev.step(p.steps[:n], 0, e, func(e *env) error {
+	m := compileStream(p, p.steps[:n], nil).Acquire(exec.Config{DB: db})
+	err := m.Run(func(m *exec.Machine) error {
 		if len(rows) >= planner.MaxSharedRows {
 			return errSharedTooBig
 		}
 		row := make([]val.T, len(vars))
 		for i, v := range vars {
-			row[i] = e.vals[v]
+			row[i] = m.Vals[v]
 		}
 		rows = append(rows, row)
 		return nil

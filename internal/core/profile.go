@@ -17,8 +17,7 @@ import (
 // format the cost-based planner (ROADMAP item 2) consumes.
 
 // OpStats is one operator of a rule's pipeline with its measured
-// counters. Counters are zero when profiling is off or the solve ran on
-// the tuple interpreter (only the streaming executor is instrumented).
+// counters. Counters are zero when profiling is off.
 type OpStats struct {
 	// Step is the pipeline position; Kind is the operator class (scan,
 	// negation, builtin, aggregate); Op is the operator rendered with
@@ -71,17 +70,16 @@ type RuleProfile struct {
 
 // Profile is the operator-level evaluation profile of one engine.
 //
-// Counter semantics: the operator counters measure work PERFORMED by
-// the streaming executor, cumulatively over the engine's lifetime.
-// Under the parallel scheduler this includes speculative passes whose
-// buffers were discarded and re-run, so operator totals are not
-// byte-identical across parallelism levels the way Stats is — they
-// answer "where did the time and the tuples go", not "what did the
-// model require".
+// Counter semantics: the operator counters measure the rows the rule
+// pipelines moved, cumulatively over the engine's lifetime. Every pass
+// that runs is a pass the fixpoint required — nothing is evaluated and
+// discarded — so the row counts (In, Out, Delta, Groups) are identical
+// at every Parallelism value, and a rule's last operator's Out equals
+// its Stats firings.
 type Profile struct {
-	// Executor names the executor the counters came from ("stream";
-	// "tuple" profiles carry structure but zero counters). Plan names
-	// the planner the engine resolves ("syntactic" or "cost").
+	// Executor names the executor the counters came from (always
+	// "stream"; kept so the report format is stable). Plan names the
+	// planner the engine resolves ("syntactic" or "cost").
 	Executor string        `json:"executor"`
 	Plan     string        `json:"plan"`
 	Rules    []RuleProfile `json:"rules"`
@@ -93,8 +91,7 @@ type Profile struct {
 // counters are atomic, so a snapshot taken mid-solve is simply a
 // consistent-enough point in time.
 func (en *Engine) Profile() *Profile {
-	pr := &Profile{Executor: resolveExecutor(en.opts.Limits).String(),
-		Plan: resolvePlan(en.opts.Limits).String()}
+	pr := &Profile{Executor: "stream", Plan: resolvePlan(en.opts.Limits).String()}
 	for ci, ps := range en.plans {
 		for _, p := range ps {
 			rp := RuleProfile{Index: p.idx, Component: ci, Rule: p.text, Ops: make([]OpStats, len(p.steps))}

@@ -58,23 +58,17 @@ func traceKey(k ast.PredKey, args []val.T) string {
 	return string(k) + "\x00" + val.KeyOf(args)
 }
 
-// recordTrace captures the firing environment for the head tuple.
-func (en *Engine) recordTrace(p *plan, e *env, args []val.T) {
-	d := buildDerivation(p, e)
-	if d == nil {
-		return // facts are their own explanation
+// recordTrace stores the firing environment as the head tuple's latest
+// derivation in the guard's trace store (see guard.trace).
+func (g *guard) recordTrace(p *plan, e *env, args []val.T) {
+	if d := buildDerivation(p, e); d != nil {
+		g.trace[traceKey(p.head.pred, args)] = d
 	}
-	if en.trace == nil {
-		en.trace = map[string]*Derivation{}
-	}
-	en.trace[traceKey(p.head.pred, args)] = d
 }
 
 // buildDerivation snapshots the firing environment as a Derivation (nil
 // for fact rules, which are their own explanation). The snapshot owns
-// all of its data — nothing aliases the (reused) env — so the parallel
-// engine can capture it during speculative evaluation and store it only
-// if the replay actually improves the tuple.
+// all of its data — nothing aliases the (reused) env.
 func buildDerivation(p *plan, e *env) *Derivation {
 	if p.rule.IsFact() {
 		return nil

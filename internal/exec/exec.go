@@ -1,6 +1,6 @@
-// Package exec is the streaming relational-algebra executor: it
-// evaluates compiled rule bodies as lazy iterator pipelines instead of
-// the tuple-at-a-time interpreter in internal/core/eval.go.
+// Package exec is the streaming relational-algebra executor, the one
+// executor the engine's fixpoint loops run: it evaluates compiled rule
+// bodies as lazy iterator pipelines.
 //
 // A rule body compiles to a left-deep operator tree whose operators are
 // the classical relational algebra, specialised to lattice-valued
@@ -31,16 +31,14 @@
 // Pipelines pull one row at a time through stack-allocated cursors and
 // write variable bindings into a preallocated register file, so steady
 // state evaluation performs no per-row heap allocation. Machines (the
-// mutable pipeline state) are pooled per compiled rule; acquiring one
-// per evaluation pass keeps the executor safe under the parallel
-// scheduler's speculative rule evaluation.
+// mutable pipeline state) are pooled per compiled rule and acquired one
+// per evaluation pass.
 //
-// The executor is behaviour-compatible with the tuple interpreter by
-// construction — same join order, same probe accounting, same
-// enumeration order, same error text — so the engine can run either
-// executor and produce byte-identical models, traces, stats and
-// checkpoints. The differential suite in the datalog package holds it
-// to that.
+// The reference for its behaviour is the tuple-at-a-time interpreter in
+// internal/core/eval.go — a direct reading of Definitions 3.4–3.7 that
+// now serves only as the test oracle (Engine.TP, IsModel): same join
+// order, same enumeration order, same error text. The T_P-fixpoint
+// oracle test in internal/core holds the pipelines to it.
 package exec
 
 import (
@@ -66,7 +64,7 @@ type Regs struct {
 
 // Atom is one compiled atom pattern: per non-cost position either a
 // variable index or a constant, with the cost argument split out. It
-// mirrors the tuple interpreter's atomSpec.
+// mirrors core's atomSpec.
 type Atom struct {
 	Pred    ast.PredKey
 	Info    *ast.PredInfo
@@ -136,7 +134,7 @@ type AggStep struct {
 	// (grouping variables bound). The binding pattern at any step is
 	// fixed by the plan, so both orders — and any ordering failure — are
 	// known at compile time; a recorded error surfaces on first use,
-	// exactly when the tuple interpreter would raise it.
+	// exactly when the reference interpreter would raise it.
 	OrderFull, OrderPoint       []int
 	OrderFullErr, OrderPointErr error
 	// GroupsHint presizes the grouped-mode group table from the
@@ -237,8 +235,9 @@ func (c *OpCounts) add(src OpCounts) {
 }
 
 // OpAccum is the engine-side shared accumulator for one step's
-// counters: machines from concurrent speculative passes fold into it,
-// so every field is atomic (Build via CAS-max).
+// counters: passes fold into it while Engine.Profile may be
+// snapshotting from another goroutine, so every field is atomic (Build
+// via CAS-max).
 type OpAccum struct {
 	In, Out, Probes, Delta, Groups atomic.Int64
 	Build                          atomic.Int64
@@ -563,8 +562,7 @@ func (m *Machine) runScan(i int, s *Step) error {
 
 // runNeg implements Definition 3.4's ¬p as a σ over the stream: the
 // fully instantiated atom must be absent from the interpretation. The
-// error text matches the tuple interpreter's — it is part of the
-// cross-executor contract.
+// error text matches the reference interpreter's.
 func (m *Machine) runNeg(i int, s *Step) error {
 	at := &s.Atom
 	st := &m.states[i].scanState
@@ -693,7 +691,7 @@ func (m *Machine) open(c *cursor, at *Atom, st *scanState, profStep int) {
 
 // next pulls the next candidate row, counting a probe per row offered
 // (after the wide-atom post-filter, before binding — the same
-// accounting as relation.Match under the tuple interpreter). profStep
+// accounting as relation.Match). profStep
 // attributes the probes when profiling.
 func (m *Machine) next(c *cursor, at *Atom, profStep int) (relation.Row, bool) {
 	switch c.mode {
@@ -805,8 +803,7 @@ func (m *Machine) unbind(saved []int) {
 	}
 }
 
-// runAgg evaluates a γ step, mirroring the tuple interpreter's
-// aggregate modes exactly: Δ-grouped (bind each changed group, recurse
+// runAgg evaluates a γ step in one of three modes: Δ-grouped (bind each changed group, recurse
 // in point mode — lazily, so each group's enumeration sees the facts
 // earlier groups derived), point (single group, possibly Δ-filtered),
 // and full grouped enumeration in sorted group order.

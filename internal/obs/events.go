@@ -108,8 +108,8 @@ type Event struct {
 	Parallelism int
 	// Workers is the number of component workers running at emission
 	// time, including the emitter (ComponentBegin/ComponentEnd). Always 1
-	// under sequential evaluation; under the parallel scheduler it is the
-	// live concurrency gauge.
+	// under sequential evaluation; under the component scheduler it is
+	// the live concurrency gauge.
 	Workers int
 	// Err is the failure text for SolveEnd on error, DivergenceWarning
 	// and BudgetBreach.

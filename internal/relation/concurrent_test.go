@@ -57,7 +57,7 @@ func TestConcurrentReadersOnFrozenRelation(t *testing.T) {
 
 // TestIndexOrderStableAcrossBuildTime pins that Match enumerates rows in
 // insertion order regardless of whether the index existed before or after
-// later inserts — the property the parallel engine's replay determinism
+// later inserts — the property the engine's fact-order determinism
 // rests on.
 func TestIndexOrderStableAcrossBuildTime(t *testing.T) {
 	info := &ast.PredInfo{Key: ast.MakePredKey("p", 2)}

@@ -341,9 +341,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				Probes: cs.Probes, Seconds: float64(cs.Nanos) / 1e9,
 			}
 		}
-		// operators carries the streaming executor's cumulative
-		// per-operator counters per rule (zero when the program runs on
-		// the tuple interpreter, which is uninstrumented).
+		// operators carries the rule pipelines' cumulative
+		// per-operator counters per rule.
 		prof := svc.prog.Profile()
 		out = append(out, map[string]any{
 			"name":       name,

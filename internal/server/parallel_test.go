@@ -70,8 +70,8 @@ func TestParallelEngineServeStress(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// The parallel engine must have produced exactly the model the
-	// sequential engine would: spot-check a known shortest path.
+	// The scheduled solves must have produced exactly the model a
+	// sequential walk would: spot-check a known shortest path.
 	code, resp := post(t, ts.URL+"/v1/query", `{"op":"cost","pred":"s","args":["a","d"]}`)
 	if code != 200 || resp["cost"] != 4.0 {
 		t.Fatalf("s(a, d) = %v (code %d), want cost 4", resp, code)

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/datalog"
 	"repro/internal/obs"
 )
 
@@ -95,7 +94,7 @@ func checkTraceConsistent(t testing.TB, rec obs.TraceRecord) {
 func TestAssertTraceEndToEnd(t *testing.T) {
 	src := loadExample(t, "shortestpath.mdl")
 	s, ts := startServer(t,
-		[]ProgramSpec{{Name: "sp", Source: src, Options: datalog.Options{Executor: datalog.ExecutorStream}}},
+		[]ProgramSpec{{Name: "sp", Source: src}},
 		Config{WALDir: t.TempDir()})
 
 	inbound := "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
@@ -223,7 +222,7 @@ func TestTraceparentFallback(t *testing.T) {
 func TestConcurrentTracesSelfConsistent(t *testing.T) {
 	src := loadExample(t, "shortestpath.mdl")
 	s, ts := startServer(t,
-		[]ProgramSpec{{Name: "sp", Source: src, Options: datalog.Options{Executor: datalog.ExecutorStream}}},
+		[]ProgramSpec{{Name: "sp", Source: src}},
 		Config{TraceBuffer: 256})
 
 	const writers, readers = 8, 4
@@ -280,7 +279,7 @@ func TestConcurrentTracesSelfConsistent(t *testing.T) {
 func TestStatsOperatorsSection(t *testing.T) {
 	src := loadExample(t, "shortestpath.mdl")
 	_, ts := startServer(t,
-		[]ProgramSpec{{Name: "sp", Source: src, Options: datalog.Options{Executor: datalog.ExecutorStream}}},
+		[]ProgramSpec{{Name: "sp", Source: src}},
 		Config{})
 
 	code, body := getJSON(t, ts.URL+"/v1/stats?name=sp")
@@ -339,7 +338,7 @@ func TestStatsOperatorsSection(t *testing.T) {
 func TestExplainPlanEndpoint(t *testing.T) {
 	src := loadExample(t, "shortestpath.mdl")
 	_, ts := startServer(t,
-		[]ProgramSpec{{Name: "sp", Source: src, Options: datalog.Options{Executor: datalog.ExecutorStream}}},
+		[]ProgramSpec{{Name: "sp", Source: src}},
 		Config{})
 
 	code, body := getJSON(t, ts.URL+"/v1/explain/plan?name=sp&analyze=1")

@@ -1,7 +1,5 @@
-// Parallel-engine benchmarks: the canonical solve workload across
-// worker counts (bounding the overhead of the parallel machinery on a
-// single component chain), and a multi-SCC workload where independent
-// components give the scheduler real concurrency to exploit. See
+// Component-scheduler benchmark: a multi-SCC workload where independent
+// components give the scheduler concurrency to exploit. See
 // docs/PERFORMANCE.md for recorded results and methodology.
 package repro_test
 
@@ -13,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/programs"
 )
 
 // parallelLevels are the worker counts the recorded tables use:
@@ -24,25 +21,6 @@ func parallelLevels() []int {
 		levels = append(levels, n)
 	}
 	return levels
-}
-
-// BenchmarkSolveAtParallelism is BenchmarkSolve's workload pinned to
-// explicit worker counts. The program is a single component chain, so
-// the scheduler has no component concurrency; par=1 must match the
-// sequential engine and higher counts must stay within noise of it.
-func BenchmarkSolveAtParallelism(b *testing.B) {
-	g := gen.Graph(gen.CycleGraph, 96, 4*96, 9, 96)
-	src := programs.ShortestPath + gen.GraphFacts(g)
-	for _, par := range parallelLevels() {
-		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
-			en := mustEngine(b, src, core.Options{Limits: core.Limits{Parallelism: par}})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				solveB(b, en)
-			}
-		})
-	}
 }
 
 // multiSCCSource builds k independent copies of the shortest-path
@@ -66,7 +44,7 @@ func multiSCCSource(k, nodes, edges int) string {
 
 // BenchmarkSolveParallel is the scheduler's headline workload: eight
 // independent shortest-path components. Sequential evaluation walks
-// them one at a time; the parallel scheduler overlaps them, so par>1
+// them one at a time; the component scheduler overlaps them, so par>1
 // should show a wall-clock win roughly bounded by min(k, workers).
 func BenchmarkSolveParallel(b *testing.B) {
 	src := multiSCCSource(8, 64, 4*64)

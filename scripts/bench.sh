@@ -37,28 +37,34 @@ GMP=${GOMAXPROCS:-$NCPU}
 # fsyncs (see the wal_fsync field of loadgen reports).
 WAL_FSYNC=${BENCH_WAL_FSYNC:-off}
 
-# Capture one EXPLAIN ANALYZE profile of the shortest-path example on
-# the streaming executor: the machine-readable operator counters ride
-# along under the "profiles" key, so cardinality drift (a regressing
-# join suddenly probing more rows) is visible in the same trail as the
-# timing drift. Best-effort: a failure leaves the key empty rather than
+# Capture one EXPLAIN ANALYZE profile of the shortest-path example: the
+# machine-readable operator counters ride along under the "profiles"
+# key, so cardinality drift (a regressing join suddenly probing more
+# rows) is visible in the same trail as the timing drift. Best-effort: a failure leaves the key empty rather than
 # sinking the whole run.
 PROF=$(mktemp)
 trap 'rm -f "$RAW" "$PROF"' EXIT INT TERM
 echo "bench: profiling one ShortestPath solve (mdl -profile-json)"
-( cd "$ROOT" && go run ./cmd/mdl -executor=stream -profile-json "$PROF" \
+( cd "$ROOT" && go run ./cmd/mdl -profile-json "$PROF" \
     examples/programs/shortestpath.mdl >/dev/null 2>&1 ) || : >"$PROF"
 
 # Parse `BenchmarkName-N  iters  ns/op  B/op  allocs/op` lines into JSON.
 # The engine_vs_baseline section pairs each engine benchmark with its
 # direct-algorithm baseline (Dijkstra for the shortest-path family, the
-# closed-form scan for party) and records the ns/op ratio per executor,
-# so the gap the streaming executor is chipping away at is tracked
-# across PRs in the same file as the raw numbers.
+# closed-form scan for party) and records the ns/op ratio, so the gap to
+# the direct algorithms is tracked across PRs in the same file as the
+# raw numbers.
 awk -v host="$(uname -sm)" -v go="$(go env GOVERSION)" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v gmp="$GMP" -v walfsync="$WAL_FSYNC" -v proffile="$PROF" '
 BEGIN { printf "{\n  \"date\": \"%s\",\n  \"go\": \"%s\",\n  \"host\": \"%s\",\n  \"gomaxprocs\": %s,\n  \"default_parallelism\": %s,\n  \"wal_fsync\": \"%s\",\n  \"benchmarks\": [", date, go, host, gmp, gmp, walfsync; n = 0 }
 /^Benchmark/ && /ns\/op/ {
-    name = $1; sub(/-[0-9]+$/, "", name)
+    # go test appends "-<GOMAXPROCS>" to every name unless it is 1. Strip
+    # exactly that suffix: a generic -[0-9]+ strip would eat the exponent
+    # of BenchmarkHalfsumLimit/eps=1e-06 on a one-CPU run.
+    name = $1
+    if (gmp + 0 != 1) {
+        suf = "-" gmp
+        if (substr(name, length(name) - length(suf) + 1) == suf) name = substr(name, 1, length(name) - length(suf))
+    }
     ns = ""; bytes = ""; allocs = ""
     for (i = 2; i < NF; i++) {
         if ($(i+1) == "ns/op") ns = $i
@@ -75,7 +81,7 @@ BEGIN { printf "{\n  \"date\": \"%s\",\n  \"go\": \"%s\",\n  \"host\": \"%s\",\n
 }
 END {
     # The planner section pairs each cost-planned benchmark with its
-    # syntactic-plan twin on the same executor and records the ns/op
+    # syntactic-plan twin and records the ns/op
     # ratio (< 1.0 means the cost planner won); this is the ledger
     # scripts/bench_regression.sh gates on.
     printf "\n  ],\n  \"planner\": ["
@@ -84,10 +90,10 @@ END {
         name = names[i]; base = ""; fam = ""
         if (name ~ /^BenchmarkShortestPath\/[a-z]+\/n=[0-9]+\/cost$/) {
             split(name, a, "/")
-            base = "BenchmarkShortestPath/" a[2] "/" a[3] "/stream"
+            base = "BenchmarkShortestPath/" a[2] "/" a[3]
             fam = "shortestpath/" a[2] "/" a[3]
         } else if (name ~ /\/engine-cost\//) {
-            base = name; sub(/\/engine-cost\//, "/engine-stream/", base)
+            base = name; sub(/\/engine-cost\//, "/engine/", base)
             fam = tolower(name); sub(/^benchmark/, "", fam); sub(/\/engine-cost\//, "/", fam)
         } else if (name == "BenchmarkSolvePlan/cost") {
             base = "BenchmarkSolvePlan/syntactic"
@@ -100,28 +106,18 @@ END {
     printf "\n  ],\n  \"engine_vs_baseline\": ["
     m = 0
     for (i = 1; i <= n; i++) {
-        name = names[i]; base = ""; fam = ""; exe = ""
+        name = names[i]; base = ""; fam = ""
         if (name ~ /^BenchmarkShortestPath\/[a-z]+\/n=[0-9]+$/) {
             split(name, a, "/")
             base = "BenchmarkShortestPathDijkstra/" a[3]
-            fam = "shortestpath/" a[2] "/" a[3]; exe = "tuple"
-        } else if (name ~ /^BenchmarkShortestPath\/[a-z]+\/n=[0-9]+\/stream$/) {
-            split(name, a, "/")
-            base = "BenchmarkShortestPathDijkstra/" a[3]
-            fam = "shortestpath/" a[2] "/" a[3]; exe = "stream"
+            fam = "shortestpath/" a[2] "/" a[3]
         } else if (name ~ /\/engine\//) {
             base = name; sub(/\/engine\//, "/direct/", base)
             fam = tolower(name); sub(/^benchmark/, "", fam); sub(/\/engine\//, "/", fam)
-            exe = "tuple"
-        } else if (name ~ /\/engine-stream\//) {
-            base = name; sub(/\/engine-stream\//, "/direct/", base)
-            fam = tolower(name); sub(/^benchmark/, "", fam); sub(/\/engine-stream\//, "/", fam)
-            exe = "stream"
         }
         if (base == "" || !(base in nsb) || nsb[base] + 0 == 0) continue
         if (m++) printf ","
-        printf "\n    {\"family\": \"%s\", \"executor\": \"%s\", \"engine\": \"%s\", \"baseline\": \"%s\", \"engine_over_baseline_ns\": %.2f", fam, exe, name, base, nsb[name] / nsb[base]
-        printf "}"
+        printf "\n    {\"family\": \"%s\", \"engine\": \"%s\", \"baseline\": \"%s\", \"engine_over_baseline_ns\": %.2f}", fam, name, base, nsb[name] / nsb[base]
     }
     printf "\n  ]"
     # Embed the captured operator profile (already JSON) verbatim.
@@ -130,7 +126,7 @@ END {
     close(proffile)
     if (prof != "") {
         sub(/\n$/, "", prof)
-        printf ",\n  \"profiles\": {\n    \"shortestpath_stream\": %s\n  }", prof
+        printf ",\n  \"profiles\": {\n    \"shortestpath\": %s\n  }", prof
     }
     printf "\n}\n"
 }
