@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/gen"
 )
 
 func writeProgram(t *testing.T, name, src string) string {
@@ -271,5 +276,67 @@ func TestNaiveFlag(t *testing.T) {
 	outS, _, _ := runMdl(t, f)
 	if outN != outS {
 		t.Fatalf("strategies disagree:\n%s\nvs\n%s", outN, outS)
+	}
+}
+
+// TestFactFilesEqualProgramText: `mdl rules.mdl facts.mdl` is the same
+// solve as one file holding both — same model, same -stats report (rule
+// work only: three hot-spot rows, none per fact), same final checkpoint
+// bytes — at every worker count. Together with the datalog package's
+// TestFactsInTextEqualFactsAsArguments this ties fact files, program
+// text and Solve arguments to one ingest path.
+func TestFactFilesEqualProgramText(t *testing.T) {
+	rulesSrc := strings.SplitAfter(shortestPath, "path(X, Z, Y, D).\n")[0]
+	factsSrc := gen.GraphFacts(gen.Graph(gen.CycleGraph, 12, 20, 9, 1))
+	rules := writeProgram(t, "rules.mdl", rulesSrc)
+	facts := writeProgram(t, "facts.mdl", factsSrc)
+	one := writeProgram(t, "one.mdl", rulesSrc+"\n"+factsSrc)
+
+	// The wall-clock fields, and the order they sort the hot-spot rows
+	// into, are the only legitimate differences between two runs.
+	clock := regexp.MustCompile(`time=\S+|^ +[0-9.]+(µs|ms|s) `)
+	report := func(stderr string) string {
+		lines := strings.Split(stderr, "\n")
+		for i, l := range lines {
+			lines[i] = clock.ReplaceAllString(l, "")
+		}
+		sort.Strings(lines)
+		return strings.Join(lines, "\n")
+	}
+	var seqOut, seqReport string
+	var seqSnap []byte
+	for _, par := range []string{"1", "2", "4"} {
+		run := func(files ...string) (string, string, []byte) {
+			ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+			args := append([]string{"-stats", "-parallel", par, "-checkpoint", ckpt}, files...)
+			out, errOut, code := runMdl(t, args...)
+			if code != exitOK {
+				t.Fatalf("mdl %v: exit %d\n%s", args, code, errOut)
+			}
+			snap, err := os.ReadFile(ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out, report(errOut), snap
+		}
+		out2, rep2, snap2 := run(rules, facts)
+		out1, rep1, snap1 := run(one)
+		if out2 != out1 {
+			t.Fatalf("-parallel %s: model from two files differs:\n%s\nwant:\n%s", par, out2, out1)
+		}
+		if rep2 != rep1 {
+			t.Fatalf("-parallel %s: -stats from two files differs:\n%s\nwant:\n%s", par, rep2, rep1)
+		}
+		if !bytes.Equal(snap2, snap1) {
+			t.Fatalf("-parallel %s: final checkpoint from two files differs", par)
+		}
+		if n := strings.Count(rep2, "comp=1"); n != 3 {
+			t.Fatalf("-parallel %s: %d rule rows in the hot-spot table, want 3 (none per fact):\n%s", par, n, rep2)
+		}
+		if par == "1" {
+			seqOut, seqReport, seqSnap = out2, rep2, snap2
+		} else if out2 != seqOut || rep2 != seqReport || !bytes.Equal(snap2, seqSnap) {
+			t.Fatalf("-parallel %s differs from -parallel 1:\n%s\nwant:\n%s", par, rep2, seqReport)
+		}
 	}
 }

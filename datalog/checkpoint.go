@@ -95,7 +95,7 @@ func (m *Model) Stats() Stats { return m.stats }
 // models produce identical bytes.
 func (m *Model) Snapshot() []byte {
 	return snapshot.Encode(&snapshot.Snapshot{
-		Fingerprint: snapshot.Fingerprint(m.en.Prog),
+		Fingerprint: m.fp,
 		Stats:       snapStats(m.stats),
 		DB:          m.db,
 	})
@@ -113,7 +113,7 @@ func (m *Model) WriteSnapshot(path string) error {
 // behind the checkpoint.
 func (m *Model) WriteSnapshotWatermark(path string, seq uint64) error {
 	return snapshot.WriteFile(path, &snapshot.Snapshot{
-		Fingerprint: snapshot.Fingerprint(m.en.Prog),
+		Fingerprint: m.fp,
 		Stats:       snapStats(m.stats),
 		DB:          m.db,
 		Seq:         seq,
@@ -133,7 +133,7 @@ func (p *Program) Restore(data []byte) (*Model, error) {
 	if err := s.Verify(p.fp); err != nil {
 		return nil, fmt.Errorf("datalog: restore: %w", err)
 	}
-	return &Model{db: s.DB, schemas: p.en.Schemas, en: p.en, stats: coreStats(s.Stats)}, nil
+	return p.model(s.DB, coreStats(s.Stats)), nil
 }
 
 // RestoreFile is Restore reading the checkpoint from a file.
@@ -156,8 +156,7 @@ func (p *Program) RestoreFileWatermark(path string) (*Model, uint64, error) {
 	if err := s.Verify(p.fp); err != nil {
 		return nil, 0, fmt.Errorf("datalog: restore %s: %w", path, err)
 	}
-	m := &Model{db: s.DB, schemas: p.en.Schemas, en: p.en, stats: coreStats(s.Stats)}
-	return m, s.Seq, nil
+	return p.model(s.DB, coreStats(s.Stats)), s.Seq, nil
 }
 
 // Resume continues the fixpoint from a restored (or interrupted) model
@@ -172,9 +171,5 @@ func (p *Program) Resume(ctx context.Context, m *Model, opts ...SolveOption) (*M
 		o(&cfg)
 	}
 	db, stats, err := p.en.Resume(ctx, m.db, p.limitsFor(cfg), m.stats)
-	var out *Model
-	if db != nil {
-		out = &Model{db: db, schemas: p.en.Schemas, en: p.en, stats: stats}
-	}
-	return out, stats, err
+	return p.model(db, stats), stats, err
 }

@@ -332,6 +332,16 @@ type Model struct {
 	schemas ast.Schemas
 	en      *core.Engine
 	stats   Stats
+	fp      [32]byte // the computing program's fingerprint, tagging snapshots
+}
+
+// model wraps an interpretation computed (or restored) by p; nil stays
+// nil, for solves that failed before producing one.
+func (p *Program) model(db *relation.DB, stats Stats) *Model {
+	if db == nil {
+		return nil
+	}
+	return &Model{db: db, schemas: p.en.Schemas, en: p.en, stats: stats, fp: p.fp}
 }
 
 // solveConfig collects per-call overrides; options mutate it rather
@@ -398,22 +408,29 @@ func (p *Program) Solve(facts ...Fact) (*Model, Stats, error) {
 // *EngineError with errors.As) and the returned model is non-nil,
 // holding the partial interpretation computed so far.
 func (p *Program) SolveContext(ctx context.Context, facts []Fact, opts ...SolveOption) (*Model, Stats, error) {
-	edb := relation.NewDB(p.en.Schemas)
-	for _, f := range facts {
-		if err := addFact(edb, p.en.Schemas, f); err != nil {
-			return nil, Stats{}, err
-		}
+	edb, err := p.edb(facts)
+	if err != nil {
+		return nil, Stats{}, err
 	}
 	cfg := solveConfig{lim: p.lim}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	db, stats, err := p.en.SolveLimits(ctx, edb, p.limitsFor(cfg))
-	var m *Model
-	if db != nil {
-		m = &Model{db: db, schemas: p.en.Schemas, en: p.en, stats: stats}
+	return p.model(db, stats), stats, err
+}
+
+// edb stores caller-supplied facts as an extensional database over the
+// program's schemas — what the engine joins with the program's own facts
+// into a solve's starting interpretation.
+func (p *Program) edb(facts []Fact) (*relation.DB, error) {
+	edb := relation.NewDB(p.en.Schemas)
+	for _, f := range facts {
+		if err := addFact(edb, p.en.Schemas, f); err != nil {
+			return nil, err
+		}
 	}
-	return m, stats, err
+	return edb, nil
 }
 
 func addFact(edb *relation.DB, schemas ast.Schemas, f Fact) error {
@@ -456,18 +473,12 @@ func (p *Program) SolveMore(m *Model, facts ...Fact) (*Model, Stats, error) {
 // SolveContext it returns the partially extended model alongside any
 // limit-breach error.
 func (p *Program) SolveMoreContext(ctx context.Context, m *Model, facts []Fact) (*Model, Stats, error) {
-	added := relation.NewDB(p.en.Schemas)
-	for _, f := range facts {
-		if err := addFact(added, p.en.Schemas, f); err != nil {
-			return nil, Stats{}, err
-		}
+	added, err := p.edb(facts)
+	if err != nil {
+		return nil, Stats{}, err
 	}
 	db, stats, err := p.en.SolveMoreFrom(ctx, m.db, added, m.stats)
-	var out *Model
-	if db != nil {
-		out = &Model{db: db, schemas: p.en.Schemas, en: p.en, stats: stats}
-	}
-	return out, stats, err
+	return p.model(db, stats), stats, err
 }
 
 // SolveMoreObserved is SolveMoreContext with an additional event sink
@@ -475,18 +486,12 @@ func (p *Program) SolveMoreContext(ctx context.Context, m *Model, facts []Fact) 
 // serve tier attaches a per-request trace to one commit without
 // re-configuring the program.
 func (p *Program) SolveMoreObserved(ctx context.Context, m *Model, facts []Fact, sink EventSink) (*Model, Stats, error) {
-	added := relation.NewDB(p.en.Schemas)
-	for _, f := range facts {
-		if err := addFact(added, p.en.Schemas, f); err != nil {
-			return nil, Stats{}, err
-		}
+	added, err := p.edb(facts)
+	if err != nil {
+		return nil, Stats{}, err
 	}
 	db, stats, err := p.en.SolveMoreObserved(ctx, m.db, added, m.stats, sink)
-	var out *Model
-	if db != nil {
-		out = &Model{db: db, schemas: p.en.Schemas, en: p.en, stats: stats}
-	}
-	return out, stats, err
+	return p.model(db, stats), stats, err
 }
 
 // Profile is the operator-level execution profile of the program's

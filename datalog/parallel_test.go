@@ -88,7 +88,11 @@ func profileFingerprint(pr *datalog.Profile) string {
 
 // solveParallel loads one example with tracing, profiling and the given
 // worker count and solves it, checkpointing every round; it also
-// returns the bytes of the final checkpoint.
+// returns the bytes of the final checkpoint. Along the way it pins where
+// the solve ran: a program with at most one component to evaluate (most
+// examples, now that their facts are data) is walked on the calling
+// goroutine whatever the worker count, and only a program with several
+// goes to the scheduler's workers.
 func solveParallel(t *testing.T, name string, par int) (*datalog.Program, *datalog.Model, datalog.Stats, []byte) {
 	t.Helper()
 	src, err := os.ReadFile(filepath.Join(exampleDir, name))
@@ -99,6 +103,26 @@ func solveParallel(t *testing.T, name string, par int) (*datalog.Program, *datal
 	opts.Trace = true
 	opts.Profile = true
 	opts.Parallelism = par
+	evaluated, onWorkers := 0, 0
+	opts.Sink = datalog.SinkFunc(func(e datalog.Event) {
+		if e.Kind == datalog.EventComponentBegin {
+			evaluated++
+			if e.Workers > 0 {
+				onWorkers++
+			}
+		}
+	})
+	defer func() {
+		t.Helper()
+		want := 0
+		if par > 1 && evaluated > 1 {
+			want = evaluated
+		}
+		if onWorkers != want {
+			t.Fatalf("%s at parallelism %d: %d of %d components ran on scheduler workers, want %d",
+				name, par, onWorkers, evaluated, want)
+		}
+	}()
 	p, err := datalog.Load(string(src), opts)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
@@ -245,13 +269,15 @@ func TestParallelKillResume(t *testing.T) {
 // TestParallelWorkerPanicContained arms the worker-entry fault point:
 // a panic on a scheduler worker goroutine must surface as a structured
 // ErrInternal from Solve — never crash the process and never hang the
-// scheduler — and the engine must remain usable afterwards.
+// scheduler — and the engine must remain usable afterwards. The program
+// needs two components with rules: with one, the solve walks it on the
+// calling goroutine and never starts a worker.
 func TestParallelWorkerPanicContained(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join(exampleDir, "shortestpath.mdl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := datalog.Load(string(src), datalog.Options{Parallelism: 4})
+	p, err := datalog.Load(string(src)+"\nreach(X, Y) :- s(X, Y, C).\n", datalog.Options{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

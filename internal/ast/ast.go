@@ -9,6 +9,7 @@ package ast
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/val"
@@ -42,7 +43,7 @@ type PredKey string
 
 // MakePredKey builds the key for name with the given arity.
 func MakePredKey(name string, arity int) PredKey {
-	return PredKey(fmt.Sprintf("%s/%d", name, arity))
+	return PredKey(name + "/" + strconv.Itoa(arity))
 }
 
 // Name returns the predicate name portion of the key.
@@ -52,6 +53,13 @@ func (k PredKey) Name() string {
 		return s[:i]
 	}
 	return s
+}
+
+// Arity returns the arity portion of the key (0 for a malformed key).
+func (k PredKey) Arity() int {
+	s := string(k)
+	n, _ := strconv.Atoi(s[strings.LastIndexByte(s, '/')+1:])
+	return n
 }
 
 // Atom is a (possibly non-ground) atomic formula.
@@ -88,11 +96,29 @@ func (a *Atom) String() string {
 	if len(a.Args) == 0 {
 		return a.Pred
 	}
-	parts := make([]string, len(a.Args))
-	for i, t := range a.Args {
-		parts[i] = t.String()
+	var buf [64]byte
+	return string(a.appendText(buf[:0]))
+}
+
+// appendText appends the atom's concrete syntax (String's bytes) to dst.
+func (a *Atom) appendText(dst []byte) []byte {
+	dst = append(dst, a.Pred...)
+	if len(a.Args) == 0 {
+		return dst
 	}
-	return a.Pred + "(" + strings.Join(parts, ", ") + ")"
+	dst = append(dst, '(')
+	for i, t := range a.Args {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		switch t := t.(type) {
+		case Const:
+			dst = val.AppendString(dst, t.V)
+		default:
+			dst = append(dst, t.String()...)
+		}
+	}
+	return append(dst, ')')
 }
 
 // Subgoal is one conjunct of a rule body.
@@ -239,6 +265,10 @@ type Rule struct {
 // IsFact reports whether the rule has an empty body.
 func (r *Rule) IsFact() bool { return len(r.Body) == 0 }
 
+// IsGroundFact reports whether the rule is a ground atom with an empty
+// body: a piece of data rather than something to evaluate.
+func (r *Rule) IsGroundFact() bool { return len(r.Body) == 0 && r.Head.IsGround() }
+
 // AllVars returns the distinct variables of the rule in first-occurrence
 // order.
 func (r *Rule) AllVars() []Var {
@@ -259,14 +289,22 @@ func (r *Rule) AllVars() []Var {
 }
 
 func (r *Rule) String() string {
-	if r.IsFact() {
-		return r.Head.String() + "."
-	}
-	parts := make([]string, len(r.Body))
+	var buf [96]byte
+	return string(r.appendText(buf[:0]))
+}
+
+// appendText appends the rule's concrete syntax (String's bytes) to dst.
+func (r *Rule) appendText(dst []byte) []byte {
+	dst = r.Head.appendText(dst)
 	for i, s := range r.Body {
-		parts[i] = s.String()
+		if i == 0 {
+			dst = append(dst, " :- "...)
+		} else {
+			dst = append(dst, ", "...)
+		}
+		dst = append(dst, s.String()...)
 	}
-	return r.Head.String() + " :- " + strings.Join(parts, ", ") + "."
+	return append(dst, '.')
 }
 
 // Constraint is an integrity constraint (Definition 2.9): a headless
@@ -306,11 +344,110 @@ type Program struct {
 	DefaultDecl []DefaultDecl
 }
 
+// KeyMemo resolves atoms to predicate keys, remembering the last answer:
+// a run of facts of one predicate — how extensional data is written —
+// then costs a string comparison per atom instead of building a key.
+// Consecutive atoms of one predicate get the identical key back, so a
+// caller can tell a change of predicate by comparing with the previous
+// result.
+type KeyMemo struct {
+	pred  string
+	arity int
+	key   PredKey
+}
+
+// Of returns a's predicate key.
+func (m *KeyMemo) Of(a *Atom) PredKey {
+	if m.key == "" || a.Pred != m.pred || len(a.Args) != m.arity {
+		m.pred, m.arity, m.key = a.Pred, len(a.Args), a.Key()
+	}
+	return m.key
+}
+
+// FactSplit is a program's rules partitioned into its extensional data
+// and the rules proper (see Program.SplitFacts).
+type FactSplit struct {
+	// Rules is everything the analyses and the compiler must see, in
+	// program order: rules with a body, non-ground heads, and ground
+	// facts of predicates that also head such a rule (Definition 2.10
+	// compares those facts against the rules).
+	Rules []*Rule
+	// Facts are the pure-EDB facts in program order — ground, bodiless,
+	// of predicates no other kind of rule defines. FactPreds are their
+	// distinct predicates in first-occurrence order and FactCounts[i] the
+	// number of facts of FactPreds[i].
+	Facts      []*Rule
+	FactPreds  []PredKey
+	FactCounts []int
+}
+
+// SplitFacts separates the program's data from its rules in one linear
+// pass. The paper's T_P(J, I) takes the EDB as the fixed input I (§3,
+// §6.3) and two ground facts can only clash through the cost functional
+// dependency (§2.3.1), so no analysis of Definitions 2.5, 2.10 or 4.5
+// has anything to say about a pure-EDB fact: every consumer of a program
+// splits first and spends its time on Rules only, which keeps the front
+// end's cost a function of the rules, not of the data.
+func (p *Program) SplitFacts() FactSplit {
+	derived := map[PredKey]bool{}
+	nfacts := 0
+	for _, r := range p.Rules {
+		if r.IsGroundFact() {
+			nfacts++
+		} else {
+			derived[r.Head.Key()] = true
+		}
+	}
+	if nfacts == 0 {
+		return FactSplit{Rules: p.Rules}
+	}
+	sp := FactSplit{
+		Rules: make([]*Rule, 0, len(p.Rules)-nfacts),
+		Facts: make([]*Rule, 0, nfacts),
+	}
+	var memo KeyMemo
+	last, cur := PredKey(""), -1 // the previous fact's predicate and its FactPreds index (-1: not pure)
+	index := map[PredKey]int{}
+	for _, r := range p.Rules {
+		if !r.IsGroundFact() {
+			sp.Rules = append(sp.Rules, r)
+			continue
+		}
+		if k := memo.Of(&r.Head); k != last {
+			last = k
+			if i, seen := index[k]; seen {
+				cur = i
+			} else if derived[k] {
+				cur = -1
+			} else {
+				cur = len(sp.FactPreds)
+				index[k] = cur
+				sp.FactPreds = append(sp.FactPreds, k)
+				sp.FactCounts = append(sp.FactCounts, 0)
+			}
+		}
+		if cur < 0 {
+			sp.Rules = append(sp.Rules, r)
+			continue
+		}
+		sp.Facts = append(sp.Facts, r)
+		sp.FactCounts[cur]++
+	}
+	return sp
+}
+
 // Preds returns the set of predicate keys appearing anywhere in the
 // program, sorted for determinism.
 func (p *Program) Preds() []PredKey {
 	set := map[PredKey]bool{}
-	add := func(a *Atom) { set[a.Key()] = true }
+	var memo KeyMemo
+	last := PredKey("")
+	add := func(a *Atom) {
+		if k := memo.Of(a); k != last {
+			last = k
+			set[k] = true
+		}
+	}
 	walkAtoms(p, add)
 	out := make([]PredKey, 0, len(set))
 	for k := range set {
@@ -353,21 +490,26 @@ func walkAtoms(p *Program, f func(*Atom)) {
 	}
 }
 
-func (p *Program) String() string {
-	var b strings.Builder
+func (p *Program) String() string { return string(p.AppendText(nil)) }
+
+// AppendText appends the program's canonical printing (String's bytes)
+// to dst: declarations, constraints, then rules and facts one per line.
+// The facts render through one shared buffer, which is what makes
+// hashing a fact-heavy program (snapshot.Fingerprint) cheap.
+func (p *Program) AppendText(dst []byte) []byte {
 	for _, d := range p.CostDecls {
-		fmt.Fprintf(&b, ".cost %s : %s.\n", d.Pred, d.Lattice)
+		dst = fmt.Appendf(dst, ".cost %s : %s.\n", d.Pred, d.Lattice)
 	}
 	for _, d := range p.DefaultDecl {
-		fmt.Fprintf(&b, ".default %s = %s.\n", d.Pred, d.Value)
+		dst = fmt.Appendf(dst, ".default %s = %s.\n", d.Pred, d.Value)
 	}
 	for _, c := range p.Constraints {
-		b.WriteString(c.String())
-		b.WriteByte('\n')
+		dst = append(dst, c.String()...)
+		dst = append(dst, '\n')
 	}
 	for _, r := range p.Rules {
-		b.WriteString(r.String())
-		b.WriteByte('\n')
+		dst = r.appendText(dst)
+		dst = append(dst, '\n')
 	}
-	return b.String()
+	return dst
 }

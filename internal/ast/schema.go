@@ -1,6 +1,7 @@
 package ast
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/lattice"
@@ -55,25 +56,15 @@ func (s Schemas) Info(k PredKey) *PredInfo {
 // unique, and defaults are only legal on declared cost predicates.
 func BuildSchemas(p *Program) (Schemas, error) {
 	s := Schemas{}
-	arities := map[PredKey]int{}
 	for _, k := range p.Preds() {
-		var arity int
-		if _, err := fmt.Sscanf(string(k)[len(k.Name())+1:], "%d", &arity); err != nil {
-			return nil, fmt.Errorf("ast: bad predicate key %q", k)
-		}
-		arities[k] = arity
-		s[k] = &PredInfo{Key: k, Arity: arity}
+		s[k] = &PredInfo{Key: k, Arity: k.Arity()}
 	}
 	for _, d := range p.CostDecls {
 		pi, ok := s[d.Pred]
 		if !ok {
 			// Declared but unused predicates get a schema anyway so that
 			// EDB-only programs can be loaded incrementally.
-			var arity int
-			if _, err := fmt.Sscanf(string(d.Pred)[len(d.Pred.Name())+1:], "%d", &arity); err != nil {
-				return nil, fmt.Errorf("ast: bad predicate key %q in .cost", d.Pred)
-			}
-			pi = &PredInfo{Key: d.Pred, Arity: arity}
+			pi = &PredInfo{Key: d.Pred, Arity: d.Pred.Arity()}
 			s[d.Pred] = pi
 		}
 		if pi.HasCost {
@@ -169,7 +160,7 @@ func ValidateProgram(p *Program, s Schemas) error {
 			// Ground cost facts must carry a value from the lattice.
 			if c, ok := r.Head.Args[hi.CostIndex()].(Const); ok {
 				if _, err := hi.L.Parse(c.V); err != nil {
-					return fmt.Errorf("ast: fact %s: %v", r.Head, err)
+					return fmt.Errorf("ast: fact %s: %v", &r.Head, err)
 				}
 			}
 		}
@@ -179,7 +170,7 @@ func ValidateProgram(p *Program, s Schemas) error {
 				continue
 			}
 			if err := validateAgg(r, i, g, s); err != nil {
-				return err
+				return fmt.Errorf("ast: rule %q, aggregate %q: %v", r, g, err)
 			}
 		}
 	}
@@ -187,16 +178,15 @@ func ValidateProgram(p *Program, s Schemas) error {
 }
 
 func validateAgg(r *Rule, idx int, g *Agg, s Schemas) error {
-	where := fmt.Sprintf("ast: rule %q, aggregate %q", r, g)
 	f, ok := lattice.AggregateByName(g.Func)
 	if !ok {
-		return fmt.Errorf("%s: unknown aggregate function %q", where, g.Func)
+		return fmt.Errorf("unknown aggregate function %q", g.Func)
 	}
 	if len(g.Conj) == 0 {
-		return fmt.Errorf("%s: empty aggregation", where)
+		return errors.New("empty aggregation")
 	}
 	if g.Result == g.MultisetVar {
-		return fmt.Errorf("%s: aggregate variable equals multiset variable", where)
+		return errors.New("aggregate variable equals multiset variable")
 	}
 	// The multiset variable must occur in cost arguments of the
 	// conjunction (and nowhere else in the rule); the aggregate variable
@@ -208,7 +198,7 @@ func validateAgg(r *Rule, idx int, g *Agg, s Schemas) error {
 		a := &g.Conj[ci]
 		pi := s.Info(a.Key())
 		if pi == nil {
-			return fmt.Errorf("%s: no schema for %s", where, a.Key())
+			return fmt.Errorf("no schema for %s", a.Key())
 		}
 		for ai, t := range a.Args {
 			v, isVar := t.(Var)
@@ -218,21 +208,21 @@ func validateAgg(r *Rule, idx int, g *Agg, s Schemas) error {
 			isCostPos := pi.HasCost && ai == pi.CostIndex()
 			if v == g.MultisetVar && g.MultisetVar != "" {
 				if !isCostPos {
-					return fmt.Errorf("%s: multiset variable %s in non-cost position of %s", where, v, a)
+					return fmt.Errorf("multiset variable %s in non-cost position of %s", v, a)
 				}
 				if !sameLattice(pi.L, f.Domain()) {
-					return fmt.Errorf("%s: cost domain %s of %s differs from domain %s of %s",
-						where, pi.L.Name(), a.Pred, f.Domain().Name(), g.Func)
+					return fmt.Errorf("cost domain %s of %s differs from domain %s of %s",
+						pi.L.Name(), a.Pred, f.Domain().Name(), g.Func)
 				}
 				costOccurrences++
 			}
 			if v == g.Result {
-				return fmt.Errorf("%s: aggregate variable %s occurs inside the aggregation", where, v)
+				return fmt.Errorf("aggregate variable %s occurs inside the aggregation", v)
 			}
 		}
 	}
 	if g.MultisetVar != "" && costOccurrences == 0 {
-		return fmt.Errorf("%s: multiset variable %s does not occur in any cost argument", where, g.MultisetVar)
+		return fmt.Errorf("multiset variable %s does not occur in any cost argument", g.MultisetVar)
 	}
 	// The multiset variable must not leak outside the aggregate subgoal.
 	if g.MultisetVar != "" {
@@ -242,13 +232,13 @@ func validateAgg(r *Rule, idx int, g *Agg, s Schemas) error {
 			}
 			for _, v := range sg.FreeVars(nil) {
 				if v == g.MultisetVar {
-					return fmt.Errorf("%s: multiset variable %s escapes the aggregate subgoal", where, v)
+					return fmt.Errorf("multiset variable %s escapes the aggregate subgoal", v)
 				}
 			}
 		}
 		for _, v := range r.Head.Vars(nil) {
 			if v == g.MultisetVar {
-				return fmt.Errorf("%s: multiset variable %s occurs in the head", where, v)
+				return fmt.Errorf("multiset variable %s occurs in the head", v)
 			}
 		}
 	}
@@ -258,23 +248,23 @@ func validateAgg(r *Rule, idx int, g *Agg, s Schemas) error {
 func sameLattice(a, b lattice.Lattice) bool { return a.Name() == b.Name() }
 
 // FactValue extracts the ground tuple of a fact head: the non-cost
-// arguments as values plus the parsed cost element (or ok=false cost for
-// non-cost predicates).
-func FactValue(a *Atom, pi *PredInfo) (args []val.T, cost val.T, hasCost bool, err error) {
+// arguments appended to dst, plus — for a cost predicate — the cost
+// argument parsed into its lattice.
+func FactValue(dst []val.T, a *Atom, pi *PredInfo) (args []val.T, cost val.T, err error) {
+	args = dst
 	for i, t := range a.Args {
 		c, ok := t.(Const)
 		if !ok {
-			return nil, val.T{}, false, fmt.Errorf("ast: fact %s is not ground", a)
+			return nil, val.T{}, fmt.Errorf("ast: fact %s is not ground", a)
 		}
 		if pi.HasCost && i == pi.CostIndex() {
 			cost, err = pi.L.Parse(c.V)
 			if err != nil {
-				return nil, val.T{}, false, fmt.Errorf("ast: fact %s: %v", a, err)
+				return nil, val.T{}, fmt.Errorf("ast: fact %s: %v", a, err)
 			}
-			hasCost = true
 			continue
 		}
 		args = append(args, c.V)
 	}
-	return args, cost, hasCost, nil
+	return args, cost, nil
 }

@@ -1,6 +1,7 @@
 package ast
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -155,15 +156,15 @@ func TestFactValue(t *testing.T) {
 	p := buildShortestPath()
 	s, _ := BuildSchemas(p)
 	a := Atom{Pred: "arc", Args: []Term{Sym("a"), Sym("b"), Num(2)}}
-	args, cost, hasCost, err := FactValue(&a, s.Info("arc/3"))
-	if err != nil || !hasCost {
+	args, cost, err := FactValue(nil, &a, s.Info("arc/3"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(args) != 2 || args[0].S != "a" || cost.N != 2 {
 		t.Fatalf("args = %v, cost = %v", args, cost)
 	}
 	bad := Atom{Pred: "arc", Args: []Term{Sym("a"), Var("Y"), Num(2)}}
-	if _, _, _, err := FactValue(&bad, s.Info("arc/3")); err == nil {
+	if _, _, err := FactValue(nil, &bad, s.Info("arc/3")); err == nil {
 		t.Fatal("non-ground fact must error")
 	}
 }
@@ -201,5 +202,64 @@ func TestCompareAndEval(t *testing.T) {
 	}
 	if _, err := EvalExpr(VarExpr{V: "X"}, func(Var) (val.T, bool) { return val.T{}, false }); err == nil {
 		t.Fatal("unbound variable must error")
+	}
+}
+
+// TestSplitFacts: ground, bodiless facts of predicates nothing else
+// defines are data; everything else — including ground facts of a
+// predicate that also heads a rule — stays a rule, in program order.
+func TestSplitFacts(t *testing.T) {
+	v := func(names ...string) []Term {
+		out := make([]Term, len(names))
+		for i, n := range names {
+			if n[0] >= 'A' && n[0] <= 'Z' {
+				out[i] = Var(n)
+			} else {
+				out[i] = Sym(n)
+			}
+		}
+		return out
+	}
+	fact := func(pred string, args ...string) *Rule { return &Rule{Head: Atom{Pred: pred, Args: v(args...)}} }
+	rule := func(head *Rule, body ...*Rule) *Rule {
+		for _, b := range body {
+			head.Body = append(head.Body, &Lit{Atom: b.Head})
+		}
+		return head
+	}
+	p := &Program{Rules: []*Rule{
+		fact("e", "a", "b"),                            // data
+		fact("t", "a", "a"),                            // t heads a rule below: stays
+		rule(fact("t", "X", "Y"), fact("e", "X", "Y")), // rule
+		fact("e", "b", "c"),                            // data
+		fact("n", "a"),                                 // data, second predicate
+		fact("n", "X"),                                 // not ground: stays, and makes n derived
+		fact("e", "c", "d"),                            // data
+		fact("u"),                                      // data, no arguments
+	}}
+	sp := p.SplitFacts()
+	render := func(rs []*Rule) string {
+		var parts []string
+		for _, r := range rs {
+			parts = append(parts, r.String())
+		}
+		return strings.Join(parts, " ")
+	}
+	if got, want := render(sp.Rules), "t(a, a). t(X, Y) :- e(X, Y). n(a). n(X)."; got != want {
+		t.Fatalf("Rules = %s, want %s", got, want)
+	}
+	if got, want := render(sp.Facts), "e(a, b). e(b, c). e(c, d). u."; got != want {
+		t.Fatalf("Facts = %s, want %s", got, want)
+	}
+	if got, want := fmt.Sprint(sp.FactPreds, sp.FactCounts), "[e/2 u/0] [3 1]"; got != want {
+		t.Fatalf("FactPreds, FactCounts = %s, want %s", got, want)
+	}
+	// A program without data is returned as it is.
+	q := &Program{Rules: sp.Rules}
+	if sp2 := q.SplitFacts(); len(sp2.Facts) != 0 || len(sp2.Rules) != len(q.Rules) {
+		t.Fatalf("rules-only program split into %d rules and %d facts", len(sp2.Rules), len(sp2.Facts))
+	}
+	if got := MakePredKey("path", 4); got != "path/4" || got.Name() != "path" || got.Arity() != 4 {
+		t.Fatalf("MakePredKey = %q (name %q, arity %d)", got, got.Name(), got.Arity())
 	}
 }

@@ -8,7 +8,6 @@ package consistency
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/val"
@@ -467,88 +466,127 @@ func violatesConstraint(body []ast.Subgoal, ics []*ast.Constraint) bool {
 	return false
 }
 
+// FactConflict is the error for two ground facts that give one tuple of
+// a cost predicate two different costs — the only way two facts can
+// violate the cost functional dependency of §2.3.1.
+func FactConflict(prev, r *ast.Rule) error {
+	return fmt.Errorf("consistency: facts %q and %q assign different costs", prev, r)
+}
+
 // ConflictFree checks Definition 2.10: every rule is cost-respecting, and
 // every pair of rules whose heads unify on the non-cost arguments either
 // admits a containment mapping between the unified rules or jointly
 // contains an instance of an integrity constraint. By Lemma 2.3 this
 // implies cost-consistency.
+//
+// The definition quantifies over pairs of rules, but a ground fact is
+// trivially cost-respecting and two ground facts conflict exactly when
+// they give one tuple two costs, so facts are settled in one hash pass
+// and the pair loop runs per head predicate over the pairs that involve
+// a rule proper: a predicate defined by facts alone costs O(1) per fact,
+// whatever the size of the EDB.
 func ConflictFree(p *ast.Program, s ast.Schemas) error {
 	for _, r := range p.Rules {
+		if r.IsGroundFact() {
+			continue // a constant cost is trivially determined
+		}
 		if err := CostRespecting(r, s); err != nil {
 			return err
 		}
 	}
-	// Ground fact keys: two ground facts of the same cost predicate
-	// conflict exactly when their non-cost arguments coincide with
-	// different costs — checked in one hash pass rather than via the
-	// quadratic unification loop below (EDBs routinely hold thousands of
-	// facts).
+	// byHead[k] lists, in program order, the rules of cost predicate k,
+	// proper[k] those among them that are not ground facts, and heads[i]
+	// is rule i's cost predicate ("" for a non-cost head).
+	byHead := map[ast.PredKey][]int{}
+	proper := map[ast.PredKey][]int{}
+	heads := make([]ast.PredKey, len(p.Rules))
 	factKey := map[string]*ast.Rule{}
-	isGroundFact := func(r *ast.Rule) bool { return r.IsFact() && r.Head.IsGround() }
-	for _, r := range p.Rules {
-		if !isGroundFact(r) {
-			continue
+	var kbuf []byte
+	var memo ast.KeyMemo
+	var key ast.PredKey
+	var hp *ast.PredInfo
+	for i, r := range p.Rules {
+		if k := memo.Of(&r.Head); k != key {
+			key, hp = k, s.Info(k)
 		}
-		hp := s.Info(r.Head.Key())
 		if hp == nil || !hp.HasCost {
 			continue
 		}
-		var b strings.Builder
-		b.WriteString(string(r.Head.Key()))
+		heads[i] = key
+		byHead[key] = append(byHead[key], i)
+		if !r.IsGroundFact() {
+			proper[key] = append(proper[key], i)
+			continue
+		}
+		kbuf = append(kbuf[:0], key...)
 		for k, t := range r.Head.Args {
 			if k == hp.CostIndex() {
 				continue
 			}
-			b.WriteByte(0)
-			b.WriteString(t.(ast.Const).V.Key())
+			kbuf = append(kbuf, 0)
+			kbuf = val.AppendKey(kbuf, t.(ast.Const).V)
 		}
-		key := b.String()
-		if prev, dup := factKey[key]; dup {
+		if prev, dup := factKey[string(kbuf)]; dup {
 			c1 := prev.Head.Args[hp.CostIndex()].(ast.Const)
 			c2 := r.Head.Args[hp.CostIndex()].(ast.Const)
 			if c1.V.Key() != c2.V.Key() {
-				return fmt.Errorf("consistency: facts %q and %q assign different costs", prev, r)
+				return FactConflict(prev, r)
 			}
 		} else {
-			factKey[key] = r
+			factKey[string(kbuf)] = r
 		}
 	}
-	for i := 0; i < len(p.Rules); i++ {
-		for j := i + 1; j < len(p.Rules); j++ {
-			r1 := p.Rules[i]
-			r2 := p.Rules[j]
-			if isGroundFact(r1) && isGroundFact(r2) {
-				continue // handled by the hash pass above
-			}
-			hp := s.Info(r1.Head.Key())
-			if r1.Head.Key() != r2.Head.Key() || hp == nil || !hp.HasCost {
+	if len(proper) == 0 {
+		return nil // no cost predicate has a rule proper: nothing to pair
+	}
+	// Pairs are visited in the order of the plain double loop (i < j in
+	// program order), so the first conflict reported is the same one.
+	for i, r1 := range p.Rules {
+		key := heads[i]
+		if key == "" || len(proper[key]) == 0 {
+			continue
+		}
+		partners := byHead[key]
+		if r1.IsGroundFact() {
+			partners = proper[key] // fact/fact pairs were settled above
+		}
+		for _, j := range partners {
+			if j <= i {
 				continue
 			}
-			a := renameRule(r1, "l_")
-			b := renameRule(r2, "r_")
-			// Unify the heads restricted to non-cost arguments.
-			n := hp.NonCost()
-			sb, ok := unifyTerms(a.Head.Args[:n], b.Head.Args[:n], subst{})
-			if !ok {
-				continue
+			if err := checkPair(p, s.Info(key), r1, p.Rules[j]); err != nil {
+				return err
 			}
-			ua := substRule(a, sb)
-			ub := substRule(b, sb)
-			if ContainmentMapping(ua, ub) || ContainmentMapping(ub, ua) {
-				continue
-			}
-			if violatesConstraint(append(append([]ast.Subgoal{}, ua.Body...), ub.Body...), p.Constraints) {
-				continue
-			}
-			// Definition 2.10 condition (a): the unified bodies cannot be
-			// simultaneously satisfied. A ground builtin made false by the
-			// unification (e.g. "t != t" after Y ↦ t) settles that.
-			if hasFalseGroundBuiltin(ua.Body) || hasFalseGroundBuiltin(ub.Body) {
-				continue
-			}
-			return fmt.Errorf("consistency: rules %q and %q may generate conflicting costs for %s (no containment mapping, no integrity constraint applies)",
-				r1, r2, r1.Head.Key())
 		}
 	}
 	return nil
+}
+
+// checkPair applies Definition 2.10 to two rules with the same cost
+// predicate hp in their heads.
+func checkPair(p *ast.Program, hp *ast.PredInfo, r1, r2 *ast.Rule) error {
+	a := renameRule(r1, "l_")
+	b := renameRule(r2, "r_")
+	// Unify the heads restricted to non-cost arguments.
+	n := hp.NonCost()
+	sb, ok := unifyTerms(a.Head.Args[:n], b.Head.Args[:n], subst{})
+	if !ok {
+		return nil
+	}
+	ua := substRule(a, sb)
+	ub := substRule(b, sb)
+	if ContainmentMapping(ua, ub) || ContainmentMapping(ub, ua) {
+		return nil
+	}
+	if violatesConstraint(append(append([]ast.Subgoal{}, ua.Body...), ub.Body...), p.Constraints) {
+		return nil
+	}
+	// Definition 2.10 condition (a): the unified bodies cannot be
+	// simultaneously satisfied. A ground builtin made false by the
+	// unification (e.g. "t != t" after Y ↦ t) settles that.
+	if hasFalseGroundBuiltin(ua.Body) || hasFalseGroundBuiltin(ub.Body) {
+		return nil
+	}
+	return fmt.Errorf("consistency: rules %q and %q may generate conflicting costs for %s (no containment mapping, no integrity constraint applies)",
+		r1, r2, hp.Key)
 }

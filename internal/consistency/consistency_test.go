@@ -198,3 +198,40 @@ c(X, Y) :- b(X, Y).
 		t.Fatalf("cost-free heads cannot conflict: %v", err)
 	}
 }
+
+// TestFactsAndTheRulePairLoop: facts of a predicate no rule defines are
+// settled by the hash pass alone, while facts of a predicate that also
+// heads a rule are still held against that rule (Definition 2.10), in
+// the order the plain double loop would report.
+func TestFactsAndTheRulePairLoop(t *testing.T) {
+	// Two costs for one tuple of a facts-only predicate.
+	p, s := load(t, spDecls+"arc(a, b, 1). arc(b, c, 2). arc(a, b, 3).")
+	err := ConflictFree(p, s)
+	if err == nil || !strings.Contains(err.Error(), `facts "arc(a, b, 1)." and "arc(a, b, 3)." assign different costs`) {
+		t.Fatalf("err = %v, want the fact conflict", err)
+	}
+	// The same tuple twice with one cost is no conflict.
+	p, s = load(t, spDecls+"arc(a, b, 1). arc(b, c, 2). arc(a, b, 1).")
+	if err := ConflictFree(p, s); err != nil {
+		t.Fatal(err)
+	}
+	// A fact against a rule for the same predicate: no containment
+	// mapping, no constraint — reported whichever comes first in the text.
+	for _, src := range []string{
+		spDecls + "s(a, b, 7).\ns(X, Y, C) :- C ?= min D : path(X, Z, Y, D).",
+		spDecls + "s(X, Y, C) :- C ?= min D : path(X, Z, Y, D).\ns(a, b, 7).",
+	} {
+		p, s = load(t, src)
+		err = ConflictFree(p, s)
+		if err == nil || !strings.Contains(err.Error(), "may generate conflicting costs for s/3") {
+			t.Fatalf("err = %v, want the rule/fact conflict on s/3", err)
+		}
+	}
+	// With several conflicts the first pair in program order is named.
+	p, s = load(t, ".cost p/2 : sumreal.\n.cost q/2 : sumreal.\n"+
+		"p(X, C) :- q(X, C).\np(a, 1).\np(X, C) :- q(X, D), C = D + 1.")
+	err = ConflictFree(p, s)
+	if err == nil || !strings.Contains(err.Error(), `rules "p(X, C) :- q(X, C)." and "p(a, 1)."`) {
+		t.Fatalf("err = %v, want the first pair in program order", err)
+	}
+}

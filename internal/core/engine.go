@@ -86,8 +86,15 @@ type Engine struct {
 	// Report is the static classification (set even when checks pass).
 	Report monotone.Report
 	opts   Options
-	comps  []*deps.Component
-	plans  [][]*plan // per component
+	// base is the program's own EDB: its pure-EDB ground facts, validated
+	// and stored once at New (loadBase). Every solve joins it into its
+	// starting interpretation; it is never written after New.
+	base  *relation.DB
+	comps []*deps.Component
+	// compRules and plans hold, per component, its rules (pure-EDB facts
+	// excluded) and their compiled plans.
+	compRules [][]*ast.Rule
+	plans     [][]*plan
 	// compAdm holds the per-component admissibility verdict; wfsComp
 	// marks components evaluated by the well-founded fallback (§6.3).
 	compAdm []error
@@ -96,8 +103,10 @@ type Engine struct {
 	// time, so events and stats never format in the fixpoint loops.
 	compPreds []string
 	// nrules is the number of compiled plans across all components;
-	// plans carry engine-global indices into Stats.Rules.
-	nrules int
+	// plans carry engine-global indices into Stats.Rules. nEvaluable is
+	// the number of components with something to evaluate.
+	nrules     int
+	nEvaluable int
 	// compDeps and compLDB drive the component scheduler: per component,
 	// the (sorted) indices of the lower components it depends on, and
 	// the (sorted) lower-defined predicates its rules read.
@@ -119,11 +128,81 @@ type Engine struct {
 	prof [][]exec.OpAccum
 	// trace holds the provenance of the most recent traced Solve.
 	trace map[string]*Derivation
+	// insertBlocked maps each predicate SolveMore must not add facts for
+	// to the reason (see noteInsertMonotone).
+	insertBlocked map[ast.PredKey]string
+}
+
+// loadBase validates the program's pure-EDB facts and stores them as the
+// engine's base EDB. A fact is data, so what can be wrong with it is
+// what can be wrong with data: a cost outside the predicate's lattice,
+// or two costs for one tuple (the cost functional dependency of §2.3.1;
+// joined instead of refused under SkipChecks, as conflicting rule
+// derivations are).
+func (en *Engine) loadBase(sp ast.FactSplit) error {
+	en.base = relation.NewDB(en.Schemas)
+	for i, k := range sp.FactPreds {
+		en.base.Rel(k).Reserve(sp.FactCounts[i])
+	}
+	facts := sp.Facts
+	var (
+		memo ast.KeyMemo
+		key  ast.PredKey
+		rel  *relation.Relation
+		args []val.T
+		kbuf []byte
+	)
+	for i, r := range facts {
+		if k := memo.Of(&r.Head); k != key {
+			key, rel = k, en.base.Rel(k)
+		}
+		var cost lattice.Elem
+		var err error
+		if args, cost, err = ast.FactValue(args[:0], &r.Head, rel.Info); err != nil {
+			return err
+		}
+		kbuf = val.AppendKeyOf(kbuf[:0], args)
+		if !en.opts.SkipChecks && rel.Info.HasCost {
+			if old, dup := rel.GetKey(kbuf); dup && !lattice.Eq(rel.Info.L, old.Cost, cost) {
+				return consistency.FactConflict(firstFactOf(facts[:i], r), r)
+			}
+		}
+		rel.InsertJoinKey(kbuf, args, cost)
+	}
+	return nil
+}
+
+// firstFactOf finds, among earlier, the first fact for the same tuple as
+// r (same predicate and non-cost arguments) — the other half of a
+// conflict report.
+func firstFactOf(earlier []*ast.Rule, r *ast.Rule) *ast.Rule {
+	n := len(r.Head.Args) - 1
+	for _, e := range earlier {
+		if e.Head.Pred != r.Head.Pred || len(e.Head.Args) != n+1 {
+			continue
+		}
+		same := true
+		for j := 0; j < n && same; j++ {
+			same = val.Equal(e.Head.Args[j].(ast.Const).V, r.Head.Args[j].(ast.Const).V)
+		}
+		if same {
+			return e
+		}
+	}
+	return r
 }
 
 // New compiles and (unless opts.SkipChecks) statically validates a
 // program: range restriction (Definition 2.5), conflict-freedom
 // (Definition 2.10) and componentwise admissibility (Definition 4.5).
+//
+// The program's pure-EDB ground facts are data, not rules: they are the
+// fixed input I of T_P(J, I) (§3, §6.3). New splits them off in one pass
+// (ast.Program.SplitFacts), validates them as data — ground, cost in its
+// lattice, one cost per tuple — and loads them into the engine's base
+// EDB, which every solve starts from; the analyses, the compiler and
+// Stats.Rules see the remaining rules only, so New's cost is a function
+// of the rules, not of the number of facts.
 func New(prog *ast.Program, opts Options) (*Engine, error) {
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = 1 << 20
@@ -132,47 +211,49 @@ func New(prog *ast.Program, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := ast.ValidateProgram(prog, schemas); err != nil {
+	sp := prog.SplitFacts()
+	rp := *prog // the program as the analyses see it: same declarations, rules only
+	rp.Rules = sp.Rules
+	if err := ast.ValidateProgram(&rp, schemas); err != nil {
 		return nil, err
 	}
 	// The sink is mutex-wrapped once at construction: scheduled solves
 	// emit from several goroutines, and the wrapper keeps plain sinks
 	// correct there at the cost of one uncontended lock per event.
 	en := &Engine{Prog: prog, Schemas: schemas, opts: opts, sink: obs.Locked(opts.Sink)}
+	if err := en.loadBase(sp); err != nil {
+		return nil, err
+	}
 	if !opts.SkipChecks {
-		if err := safety.CheckProgram(prog, schemas); err != nil {
+		if err := safety.CheckProgram(&rp, schemas); err != nil {
 			return nil, err
 		}
-		if err := consistency.ConflictFree(prog, schemas); err != nil {
+		if err := consistency.ConflictFree(&rp, schemas); err != nil {
 			return nil, err
 		}
 	}
-	en.Report = monotone.CheckProgram(prog, schemas)
+	en.noteInsertMonotone(sp.Rules)
+	// The dependency graph is the full program's: a pure-EDB predicate is
+	// a component of its own, with no rules to run.
 	g := deps.Build(prog)
 	en.comps = g.SCCs()
-	for _, c := range en.comps {
+	en.compRules = deps.RulesByComponent(sp.Rules, en.comps)
+	en.Report, en.compAdm = monotone.Classify(en.comps, sp.Rules, schemas)
+	for ci, c := range en.comps {
 		parts := make([]string, len(c.Preds))
 		for i, k := range c.Preds {
 			parts[i] = string(k)
 		}
 		en.compPreds = append(en.compPreds, strings.Join(parts, ","))
-		cdb, ldb := deps.Split(prog, c)
+		rules := en.compRules[ci]
+		cdb, ldb := deps.SplitRules(c, rules)
 		lk := make([]ast.PredKey, 0, len(ldb))
 		for k := range ldb {
 			lk = append(lk, k)
 		}
 		sort.Slice(lk, func(i, j int) bool { return lk[i] < lk[j] })
 		en.compLDB = append(en.compLDB, lk)
-		rules := deps.RulesOfComponent(prog, c)
-		cx := &monotone.Context{Schemas: schemas, CDB: cdb}
-		var admErr error
-		for _, r := range rules {
-			if err := cx.CheckAdmissible(r); err != nil {
-				admErr = err
-				break
-			}
-		}
-		en.compAdm = append(en.compAdm, admErr)
+		admErr := en.compAdm[ci]
 		useWFS := admErr != nil && opts.WFSFallback
 		en.wfsComp = append(en.wfsComp, useWFS)
 		if admErr != nil && !useWFS && !opts.SkipChecks {
@@ -205,6 +286,11 @@ func New(prog *ast.Program, opts Options) (*Engine, error) {
 			for _, p := range ps {
 				en.prof[p.idx] = make([]exec.OpAccum, len(p.steps))
 			}
+		}
+	}
+	for ci := range en.comps {
+		if en.evaluable(ci) {
+			en.nEvaluable++
 		}
 	}
 	// Component dependency edges (for the component scheduler): ci
@@ -246,11 +332,21 @@ func (en *Engine) SolveContext(ctx context.Context, edb *relation.DB) (*relation
 
 // SolveLimits is SolveContext with per-call limit overrides.
 func (en *Engine) SolveLimits(ctx context.Context, edb *relation.DB, lim Limits) (*relation.DB, Stats, error) {
+	return en.fixpoint(ctx, en.startFrom(edb), lim, Stats{})
+}
+
+// startFrom builds a solve's starting interpretation: the caller's rows
+// (an EDB, or a checkpointed interpretation being resumed) joined with
+// the engine's base EDB. Join re-homes the rows onto this engine's
+// schemas, so a DB decoded with foreign schema objects cannot leak them
+// into the evaluation.
+func (en *Engine) startFrom(rows *relation.DB) *relation.DB {
 	db := relation.NewDB(en.Schemas)
-	if edb != nil {
-		db.Join(edb)
+	if rows != nil {
+		db.Join(rows)
 	}
-	return en.fixpoint(ctx, db, lim, Stats{})
+	db.Join(en.base)
+	return db
 }
 
 // Resume continues a fixpoint from a previously checkpointed
@@ -266,15 +362,7 @@ func (en *Engine) SolveLimits(ctx context.Context, edb *relation.DB, lim Limits)
 // checkpoint came from; the snapshot layer's fingerprint enforces this
 // for durable checkpoints.
 func (en *Engine) Resume(ctx context.Context, prev *relation.DB, lim Limits, base Stats) (*relation.DB, Stats, error) {
-	// Re-home the checkpointed rows onto this engine's schemas: Join
-	// rebuilds each relation under the engine's own PredInfo, so a DB
-	// decoded with foreign schema objects cannot leak them into the
-	// evaluation.
-	db := relation.NewDB(en.Schemas)
-	if prev != nil {
-		db.Join(prev)
-	}
-	return en.fixpoint(ctx, db, lim, base)
+	return en.fixpoint(ctx, en.startFrom(prev), lim, base)
 }
 
 // solve is the frame every solve entry point runs in: it resolves the
@@ -329,7 +417,10 @@ func (en *Engine) fixpoint(ctx context.Context, db *relation.DB, lim Limits, bas
 		if err := g.checkpoint(db, true); err != nil {
 			return db, err
 		}
-		if par > 1 {
+		// With at most one component to evaluate there is nothing to
+		// overlap: the walk below produces the same result (the contract
+		// of parallel.go) without starting and waking workers.
+		if par > 1 && en.nEvaluable > 1 {
 			return db, en.runScheduled(g, db, lim, par)
 		}
 		for ci, c := range en.comps {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/ast"
@@ -67,10 +68,10 @@ func (en *Engine) SolveMoreFrom(ctx context.Context, prev *relation.DB, added *r
 				return nil, fmt.Errorf("core: SolveMore is unsound with well-founded fallback components (negation is not insert-monotone)")
 			}
 		}
-		addedPreds := map[ast.PredKey]bool{}
+		var addedPreds []ast.PredKey
 		for _, k := range added.Preds() {
 			if added.Rel(k).Len() > 0 {
-				addedPreds[k] = true
+				addedPreds = append(addedPreds, k)
 			}
 		}
 		if err := en.checkInsertMonotone(addedPreds); err != nil {
@@ -79,7 +80,7 @@ func (en *Engine) SolveMoreFrom(ctx context.Context, prev *relation.DB, added *r
 
 		db := prev.Clone()
 		changed := newDeltaSet()
-		for k := range addedPreds {
+		for _, k := range addedPreds {
 			rel := db.Rel(k)
 			added.Rel(k).Each(func(row relation.Row) bool {
 				if !rel.Info.HasCost {
@@ -145,41 +146,52 @@ func (en *Engine) SolveMoreFrom(ctx context.Context, prev *relation.DB, added *r
 	})
 }
 
-// checkInsertMonotone verifies that the program uses each added predicate
-// only in insert-monotone positions.
-func (en *Engine) checkInsertMonotone(added map[ast.PredKey]bool) error {
-	// Predicates defined only by ground facts are effectively EDB; only
-	// genuinely derived predicates (with non-fact rules) are rejected.
-	derived := map[ast.PredKey]bool{}
-	for _, r := range en.Prog.Rules {
+// noteInsertMonotone records, once per engine, which predicates SolveMore
+// must refuse facts for and why: predicates whose value is computed by
+// rules, and predicates some rule reads non-monotonically (under
+// negation, or inside a pseudo-monotonic aggregate — a grown multiset
+// may shrink its result). Predicates defined only by ground facts are
+// EDB and stay open. The first reason found in program order is kept.
+func (en *Engine) noteInsertMonotone(rules []*ast.Rule) {
+	en.insertBlocked = map[ast.PredKey]string{}
+	block := func(k ast.PredKey, format string, args ...any) {
+		if _, done := en.insertBlocked[k]; !done {
+			en.insertBlocked[k] = fmt.Sprintf(format, args...)
+		}
+	}
+	for _, r := range rules {
 		if !r.IsFact() {
-			derived[r.Head.Key()] = true
+			k := r.Head.Key()
+			block(k, "core: SolveMore cannot add facts for derived predicate %s (its value is computed by rules)", k)
 		}
 	}
-	for k := range added {
-		if derived[k] {
-			return fmt.Errorf("core: SolveMore cannot add facts for derived predicate %s (its value is computed by rules)", k)
-		}
-	}
-	for _, r := range en.Prog.Rules {
+	for _, r := range rules {
 		for _, sg := range r.Body {
 			switch sg := sg.(type) {
 			case *ast.Lit:
-				if sg.Neg && added[sg.Atom.Key()] {
-					return fmt.Errorf("core: SolveMore cannot add facts for %s: rule %q reads it under negation", sg.Atom.Key(), r)
+				if sg.Neg {
+					k := sg.Atom.Key()
+					block(k, "core: SolveMore cannot add facts for %s: rule %q reads it under negation", k, r)
 				}
 			case *ast.Agg:
-				f, ok := lattice.AggregateByName(sg.Func)
-				if !ok {
-					return fmt.Errorf("core: unknown aggregate %s", sg.Func)
-				}
-				for i := range sg.Conj {
-					if added[sg.Conj[i].Key()] && !f.Monotone() {
-						return fmt.Errorf("core: SolveMore cannot add facts for %s: rule %q aggregates it with the non-monotone %s (a grown multiset may shrink the result)",
-							sg.Conj[i].Key(), r, sg.Func)
+				// ValidateProgram resolved every aggregate name at New.
+				if f, _ := lattice.AggregateByName(sg.Func); !f.Monotone() {
+					for i := range sg.Conj {
+						k := sg.Conj[i].Key()
+						block(k, "core: SolveMore cannot add facts for %s: rule %q aggregates it with the non-monotone %s (a grown multiset may shrink the result)", k, r, sg.Func)
 					}
 				}
 			}
+		}
+	}
+}
+
+// checkInsertMonotone verifies that the program uses each added predicate
+// only in insert-monotone positions.
+func (en *Engine) checkInsertMonotone(added []ast.PredKey) error {
+	for _, k := range added {
+		if why, blocked := en.insertBlocked[k]; blocked {
+			return errors.New(why)
 		}
 	}
 	return nil

@@ -10,9 +10,16 @@ import (
 // TP computes a single application of the immediate consequence operator
 // T_P (Definition 3.7) for component ci, reading J ∪ I from db, and
 // returns a fresh database holding only the derived head atoms. Default
-// values (J_∅) are virtual and thus implicitly joined.
+// values (J_∅) are virtual and thus implicitly joined. The program's own
+// facts are the empty-body rules of T_P: those of the component's
+// predicates are derived by every application, whatever db holds.
 func (en *Engine) TP(db *relation.DB, ci int) (*relation.DB, error) {
 	out := relation.NewDB(en.Schemas)
+	for _, k := range en.comps[ci].Preds {
+		if en.base.Has(k) {
+			out.Rel(k).Join(en.base.Rel(k))
+		}
+	}
 	ev := &evaluator{db: db}
 	for _, p := range en.plans[ci] {
 		p := p
@@ -63,6 +70,18 @@ func (en *Engine) IsPreModel(db *relation.DB) (bool, error) {
 
 func (en *Engine) checkRules(db *relation.DB, costOK func(lattice.Lattice, lattice.Elem, lattice.Elem) bool) (bool, error) {
 	violated := fmt.Errorf("violated")
+	// The program's facts are rules with an always-satisfied body.
+	for _, k := range en.base.Preds() {
+		rel, ok := db.Rel(k), true
+		en.base.Rel(k).Each(func(fact relation.Row) bool {
+			row, found := rel.GetOrDefault(fact.Args)
+			ok = found && (!fact.HasCost || costOK(rel.Info.L, fact.Cost, row.Cost))
+			return ok
+		})
+		if !ok {
+			return false, nil
+		}
+	}
 	for ci := range en.plans {
 		ev := &evaluator{db: db}
 		for _, p := range en.plans[ci] {

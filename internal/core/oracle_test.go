@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/faults"
 	"repro/internal/parser"
 	"repro/internal/programs"
 	"repro/internal/relation"
@@ -69,7 +72,7 @@ func factsDB(t *testing.T, en *Engine, text string) *relation.DB {
 	}
 	for _, r := range prog.Rules {
 		key := r.Head.Key()
-		args, cost, _, err := ast.FactValue(&r.Head, en.Schemas.Info(key))
+		args, cost, err := ast.FactValue(nil, &r.Head, en.Schemas.Info(key))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,6 +156,95 @@ func TestSolveEqualsTPFixpoint(t *testing.T) {
 					t.Fatal(err)
 				}
 				check("Solve+SolveMore", split)
+			}
+		})
+	}
+}
+
+// TestTextFactsEqualTPFixpoint is the same oracle with the first batch of
+// facts written into the program text, where they are the engine's base
+// EDB rather than rules: they are still the empty-body rules of T_P, so
+// iterating Engine.TP from the empty interpretation must reproduce the
+// model — fresh, continued by SolveMore, and killed at a round boundary
+// and resumed from the last checkpoint — and that model must be the one
+// the engine computes when handed the same facts as an EDB argument.
+func TestTextFactsEqualTPFixpoint(t *testing.T) {
+	for _, tc := range oracleCases {
+		if tc.edb == "" {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			for _, par := range []int{1, 2} {
+				opts := Options{Epsilon: tc.eps, Limits: Limits{Parallelism: par}}
+				en := mustEngine(t, tc.src+tc.edb, opts)
+				plain := mustEngine(t, tc.src, opts)
+				if got, want := len(en.plans), len(plain.plans); got != want {
+					t.Fatalf("text facts changed the component count: %d, want %d", got, want)
+				}
+				if en.nrules != plain.nrules {
+					t.Fatalf("text facts were compiled: %d plans, want %d", en.nrules, plain.nrules)
+				}
+				want := tpLeastFixpoint(t, en, relation.NewDB(en.Schemas), tc.eps)
+				fromArgs, argStats, err := plain.Solve(factsDB(t, plain, tc.edb))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !EqualEps(fromArgs, want, tc.eps*1e3) {
+					t.Fatalf("parallelism %d: T_P from ∅ over text facts differs from Solve(facts):\n%s\nwant:\n%s", par, want, fromArgs)
+				}
+
+				sink := &captureSink{}
+				lim := Limits{Parallelism: par, Checkpoint: sink.fn(), CheckpointEvery: 1}
+				fresh, st, err := en.SolveLimits(context.Background(), nil, lim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !EqualEps(fresh, want, tc.eps*1e3) {
+					t.Fatalf("parallelism %d: fresh model differs from the T_P fixpoint:\n%s\nwant:\n%s", par, fresh, want)
+				}
+				// One ingest path, one Stats contract: rule work only.
+				if !sameTotals(st, argStats) {
+					t.Fatalf("parallelism %d: stats %+v with text facts, %+v with the same facts as arguments", par, st, argStats)
+				}
+				if first := sink.dbs[0]; !en.base.Leq(first, nil) {
+					t.Fatalf("parallelism %d: the first checkpoint lacks the program's facts", par)
+				}
+
+				// Kill at a round boundary, resume from the last checkpoint.
+				sink = &captureSink{}
+				lim.Checkpoint = sink.fn()
+				faults.Arm(faults.Fault{Point: faults.CoreRound, After: 1, Panic: true})
+				_, _, err = en.SolveLimits(context.Background(), nil, lim)
+				faults.Reset()
+				if !errors.Is(err, ErrInternal) {
+					t.Fatalf("parallelism %d: injected crash: err = %v, want ErrInternal", par, err)
+				}
+				last := len(sink.dbs) - 1
+				resumed, _, err := en.Resume(context.Background(), sink.dbs[last], Limits{Parallelism: par}, sink.stats[last])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !EqualEps(resumed, want, tc.eps*1e3) {
+					t.Fatalf("parallelism %d: resumed model differs from the T_P fixpoint:\n%s\nwant:\n%s", par, resumed, want)
+				}
+
+				if tc.more == "" {
+					continue
+				}
+				all := mustEngine(t, tc.src+tc.edb+"\n"+tc.more, opts)
+				wantAll := tpLeastFixpoint(t, all, relation.NewDB(all.Schemas), tc.eps)
+				split, _, err := en.SolveMore(fresh, factsDB(t, en, tc.more))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !EqualEps(split, wantAll, tc.eps*1e3) {
+					t.Fatalf("parallelism %d: Solve+SolveMore differs from the T_P fixpoint over all facts:\n%s\nwant:\n%s", par, split, wantAll)
+				}
+				if tc.eps == 0 {
+					if ok, err := all.IsModel(split); err != nil || !ok {
+						t.Fatalf("parallelism %d: Solve+SolveMore model is not a model of the full text: %v %v", par, ok, err)
+					}
+				}
 			}
 		})
 	}

@@ -105,14 +105,10 @@ func (en *Engine) runScheduled(sg *guard, db *relation.DB, lim Limits, par int) 
 	if lim.MaxFacts > 0 {
 		s.budget = &sharedBudget{max: lim.MaxFacts}
 	}
-	evaluable := 0
 	for ci := range en.comps {
 		for _, d := range en.compDeps[ci] {
 			s.indeg[ci]++
 			s.dependents[d] = append(s.dependents[d], ci)
-		}
-		if en.evaluable(ci) {
-			evaluable++
 		}
 	}
 	// Collect the roots before dispatching any: an EDB-only root settles
@@ -131,10 +127,7 @@ func (en *Engine) runScheduled(sg *guard, db *relation.DB, lim Limits, par int) 
 	s.maybeCloseLocked()
 	s.mu.Unlock()
 
-	nw := par
-	if evaluable < nw {
-		nw = evaluable
-	}
+	nw := min(par, en.nEvaluable)
 	var wg sync.WaitGroup
 	for w := 0; w < nw; w++ {
 		wg.Add(1)

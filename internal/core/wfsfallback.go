@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/ast"
-	"repro/internal/deps"
 	"repro/internal/relation"
 	"repro/internal/val"
 	"repro/internal/wfs"
@@ -22,11 +21,9 @@ import (
 // components above.
 func (en *Engine) solveWFSComponent(g *guard, db *relation.DB, ci int, stats *Stats) error {
 	c := en.comps[ci]
-	rules := deps.RulesOfComponent(en.Prog, c)
-	sub := &ast.Program{Rules: append([]*ast.Rule{}, rules...)}
+	sub := &ast.Program{Rules: append([]*ast.Rule{}, en.compRules[ci]...)}
 
-	_, ldb := deps.Split(en.Prog, c)
-	for k := range ldb {
+	for _, k := range en.compLDB[ci] {
 		pi := en.Schemas.Info(k)
 		if pi != nil && pi.HasDefault {
 			return fmt.Errorf("core: well-founded fallback cannot evaluate component %v: it reads the default-value predicate %s (the set-based comparator has no virtual rows)", c.Preds, k)

@@ -31,7 +31,9 @@ type Graph struct {
 	preds []ast.PredKey
 }
 
-// Build constructs the dependency graph of p.
+// Build constructs the dependency graph of p. A pure-EDB fact has no
+// body to draw edges from, so the program's data contributes one node
+// per fact predicate, whatever the number of facts.
 func Build(p *ast.Program) *Graph {
 	g := &Graph{
 		Edges: map[ast.PredKey]map[ast.PredKey]EdgeKind{},
@@ -54,7 +56,12 @@ func Build(p *ast.Program) *Graph {
 		}
 		m[to] |= kind
 	}
-	for _, r := range p.Rules {
+	sp := p.SplitFacts()
+	for _, h := range sp.FactPreds {
+		g.Heads[h] = true
+		touch(h)
+	}
+	for _, r := range sp.Rules {
 		h := r.Head.Key()
 		g.Heads[h] = true
 		touch(h)
@@ -226,28 +233,31 @@ func ComponentIndex(comps []*Component) map[ast.PredKey]int {
 	return out
 }
 
-// RulesOfComponent returns the rules whose head predicate belongs to the
-// component — the "program component" the paper evaluates at a time.
-func RulesOfComponent(p *ast.Program, c *Component) []*ast.Rule {
-	var out []*ast.Rule
-	for _, r := range p.Rules {
-		if c.Has(r.Head.Key()) {
-			out = append(out, r)
+// RulesByComponent groups rules by the component their head predicate
+// belongs to — the "program component" the paper evaluates at a time:
+// out[i] holds the rules of comps[i], in the order given, found in one
+// pass over the rules.
+func RulesByComponent(rules []*ast.Rule, comps []*Component) [][]*ast.Rule {
+	idx := ComponentIndex(comps)
+	out := make([][]*ast.Rule, len(comps))
+	for _, r := range rules {
+		if ci, ok := idx[r.Head.Key()]; ok {
+			out[ci] = append(out[ci], r)
 		}
 	}
 	return out
 }
 
-// Split classifies the predicates referenced by the component's rules into
-// CDB (defined in the component) and LDB (referenced but defined below),
-// per Definition 2.2's terminology.
-func Split(p *ast.Program, c *Component) (cdb, ldb map[ast.PredKey]bool) {
+// SplitRules classifies the predicates referenced by the component's
+// rules into CDB (defined in the component) and LDB (referenced but
+// defined below), per Definition 2.2's terminology.
+func SplitRules(c *Component, rules []*ast.Rule) (cdb, ldb map[ast.PredKey]bool) {
 	cdb = map[ast.PredKey]bool{}
 	ldb = map[ast.PredKey]bool{}
 	for _, k := range c.Preds {
 		cdb[k] = true
 	}
-	for _, r := range RulesOfComponent(p, c) {
+	for _, r := range rules {
 		for _, s := range r.Body {
 			switch s := s.(type) {
 			case *ast.Lit:

@@ -118,19 +118,19 @@ func TestSplitCDBLDB(t *testing.T) {
 	p := mustParse(t, shortestPath)
 	comps := Build(p).SCCs()
 	var rec *Component
-	for _, c := range comps {
-		if c.Recursive {
-			rec = c
+	var rules []*ast.Rule
+	for ci, crules := range RulesByComponent(p.Rules, comps) {
+		if comps[ci].Recursive {
+			rec, rules = comps[ci], crules
 		}
 	}
-	cdb, ldb := Split(p, rec)
+	cdb, ldb := SplitRules(rec, rules)
 	if !cdb["path/4"] || !cdb["s/3"] || len(cdb) != 2 {
 		t.Fatalf("cdb = %v", cdb)
 	}
 	if !ldb["arc/3"] || len(ldb) != 1 {
 		t.Fatalf("ldb = %v", ldb)
 	}
-	rules := RulesOfComponent(p, rec)
 	if len(rules) != 3 {
 		t.Fatalf("component rules = %d", len(rules))
 	}

@@ -533,31 +533,45 @@ type Report struct {
 
 // CheckProgram classifies the program on the §5 ladder, checking
 // admissibility componentwise (CDB/LDB is a per-component notion).
+// Pure-EDB facts are admissible and r-monotonic by construction (they
+// are the fixed input I of T_P), so only the rules are examined.
 func CheckProgram(p *ast.Program, s ast.Schemas) Report {
-	g := deps.Build(p)
-	comps := g.SCCs()
+	rep, _ := Classify(deps.Build(p).SCCs(), p.SplitFacts().Rules, s)
+	return rep
+}
+
+// Classify is CheckProgram for a caller that already holds the program's
+// components (bottom-up) and its rules (pure-EDB facts split off):
+// besides the Report it returns every component's own admissibility
+// verdict (nil = admissible), which is what decides whether a component
+// can run under the fixpoint engine or needs the well-founded fallback
+// of §6.3.
+func Classify(comps []*deps.Component, rules []*ast.Rule, s ast.Schemas) (Report, []error) {
 	rep := Report{
 		AggregateStratified: deps.AggregateStratified(comps),
 		NegationStratified:  deps.NegationStratified(comps),
 	}
-	for _, c := range comps {
-		cdb, _ := deps.Split(p, c)
+	adm := make([]error, len(comps))
+	for ci, crules := range deps.RulesByComponent(rules, comps) {
+		if len(crules) == 0 {
+			continue
+		}
+		cdb, _ := deps.SplitRules(comps[ci], crules)
 		cx := &Context{Schemas: s, CDB: cdb}
-		for _, r := range deps.RulesOfComponent(p, c) {
-			if err := cx.CheckAdmissible(r); err != nil {
-				rep.Admissible = err
+		for _, r := range crules {
+			if adm[ci] = cx.CheckAdmissible(r); adm[ci] != nil {
 				break
 			}
 		}
-		if rep.Admissible != nil {
-			break
+		if rep.Admissible == nil {
+			rep.Admissible = adm[ci]
 		}
 	}
-	for _, r := range p.Rules {
+	for _, r := range rules {
 		if err := CheckRMonotonic(r, s); err != nil {
 			rep.RMonotonic = err
 			break
 		}
 	}
-	return rep
+	return rep, adm
 }

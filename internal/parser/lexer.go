@@ -88,7 +88,9 @@ func (e *lexError) Error() string {
 
 // lex converts source text to tokens.
 func lex(src string) ([]token, error) {
-	var toks []token
+	// Sized for fact-heavy text (a token per two bytes or so), so the
+	// slice is allocated once instead of doubling its way up.
+	toks := make([]token, 0, len(src)/2+1)
 	line, col := 1, 1
 	i := 0
 	n := len(src)

@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -29,18 +28,12 @@ func (db *DB) Rel(k ast.PredKey) *Relation {
 	}
 	pi := db.Schemas.Info(k)
 	if pi == nil {
-		pi = &ast.PredInfo{Key: k, Arity: arityOf(k)}
+		pi = &ast.PredInfo{Key: k, Arity: k.Arity()}
 		db.Schemas[k] = pi
 	}
 	r := New(pi)
 	db.rels[k] = r
 	return r
-}
-
-func arityOf(k ast.PredKey) int {
-	var n int
-	fmt.Sscanf(string(k)[len(k.Name())+1:], "%d", &n)
-	return n
 }
 
 // SetRel replaces the relation stored for k (used by the naive fixpoint,

@@ -79,6 +79,17 @@ func New(info *ast.PredInfo) *Relation {
 	return &Relation{Info: info, rows: map[string]int{}}
 }
 
+// Reserve sizes an empty relation for n rows, so a bulk load of known
+// size (a program's facts) does not grow its way up; on a relation that
+// already holds rows it does nothing.
+func (r *Relation) Reserve(n int) {
+	if len(r.data) == 0 {
+		r.rows = make(map[string]int, n)
+		r.keys = make([]string, 0, n)
+		r.data = make([]Row, 0, n)
+	}
+}
+
 // Len returns the number of stored (core) tuples.
 func (r *Relation) Len() int { return len(r.data) }
 
@@ -443,6 +454,17 @@ func (r *Relation) Clone() *Relation {
 	return c
 }
 
+// sameShape reports whether rows stored under one schema are valid as
+// they stand under the other: same cost lattice and default declaration
+// (so the stored core is the same set of rows).
+func sameShape(a, b *ast.PredInfo) bool {
+	if a == b {
+		return true
+	}
+	return a.HasCost == b.HasCost && a.HasDefault == b.HasDefault &&
+		(!a.HasCost || a.L.Name() == b.L.Name())
+}
+
 // Leq reports whether r ⊑ other per Definition 3.2 lifted to relations:
 // every tuple of r must appear in other with a ⊒ cost. Virtual default
 // rows never matter: they are ⊑ anything present, and if absent from the
@@ -470,7 +492,20 @@ func (r *Relation) Equal(other *Relation) bool {
 }
 
 // Join merges other into r (tuple-wise cost join), reporting change.
+// Joining into an empty relation of the same shape — how every solve
+// takes in its EDB — adopts other's rows and interned keys as they are
+// (rows are immutable values, shared as Clone shares them): each row is
+// hashed and stored once, with no key re-encoding and no argument copy.
 func (r *Relation) Join(other *Relation) bool {
+	if len(r.data) == 0 && r.idx.Load() == nil && sameShape(r.Info, other.Info) {
+		r.keys = append(r.keys, other.keys...)
+		r.data = append(r.data, other.data...)
+		r.rows = make(map[string]int, len(r.keys))
+		for i, k := range r.keys {
+			r.rows[k] = i
+		}
+		return len(r.data) > 0
+	}
 	changed := false
 	other.Each(func(row Row) bool {
 		if r.InsertJoin(row.Args, row.Cost) {

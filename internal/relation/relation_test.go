@@ -227,3 +227,48 @@ func TestInfinityCosts(t *testing.T) {
 		t.Fatal("finite beats +∞ in minreal")
 	}
 }
+
+// TestJoinIntoEmptyAdoptsRows: joining into an empty relation of the
+// same shape takes the rows over as they are — same rows, same insertion
+// order, lookups and later inserts working — and leaves the source
+// untouched; a relation of another shape, or one that already holds
+// rows, joins tuple by tuple as before.
+func TestJoinIntoEmptyAdoptsRows(t *testing.T) {
+	a, b, c := val.Symbol("a"), val.Symbol("b"), val.Symbol("c")
+	src := New(costInfo("arc", 3, lattice.MinReal, false))
+	src.InsertJoin([]val.T{a, b}, val.Number(4))
+	src.InsertJoin([]val.T{b, c}, val.Number(2))
+
+	dst := New(costInfo("arc", 3, lattice.MinReal, false)) // equal shape, distinct PredInfo
+	if !dst.Join(src) {
+		t.Fatal("joining rows into an empty relation must report change")
+	}
+	if dst.Len() != 2 || !dst.Equal(src) {
+		t.Fatalf("adopted relation holds %d rows, want the source's 2", dst.Len())
+	}
+	if first := dst.At(0); !val.Equal(first.Args[0], a) || first.Cost.N != 4 {
+		t.Fatalf("insertion order lost: first row %v", first)
+	}
+	if !dst.InsertJoin([]val.T{a, b}, val.Number(1)) || !dst.InsertJoin([]val.T{c, a}, val.Number(9)) {
+		t.Fatal("an adopted relation must accept improvements and new rows")
+	}
+	if row, _ := src.Get([]val.T{a, b}); row.Cost.N != 4 || src.Len() != 2 {
+		t.Fatalf("writing to the adopting relation changed the source: %v, %d rows", row, src.Len())
+	}
+	if row, _ := dst.Get([]val.T{a, b}); row.Cost.N != 1 {
+		t.Fatalf("improvement lost: %v", row)
+	}
+	if New(costInfo("arc", 3, lattice.MinReal, false)).Join(New(costInfo("arc", 3, lattice.MinReal, false))) {
+		t.Fatal("joining nothing must report no change")
+	}
+
+	// Another shape: a default-value predicate keeps bottom rows virtual.
+	def := New(costInfo("t", 2, lattice.BoolOr, true))
+	plainCost := New(costInfo("t", 2, lattice.BoolOr, false))
+	plainCost.InsertJoin([]val.T{a}, val.Boolean(false))
+	plainCost.InsertJoin([]val.T{b}, val.Boolean(true))
+	def.Join(plainCost)
+	if def.Len() != 1 {
+		t.Fatalf("default-value relation stored %d rows, want 1 (bottom rows are virtual)", def.Len())
+	}
+}

@@ -256,9 +256,13 @@ func CheckRule(r *ast.Rule, s ast.Schemas) error {
 	return nil
 }
 
-// CheckProgram applies CheckRule to every rule.
+// CheckProgram applies CheckRule to every rule. Ground facts have no
+// variables to limit, so they cost a groundness test each.
 func CheckProgram(p *ast.Program, s ast.Schemas) error {
 	for _, r := range p.Rules {
+		if r.IsGroundFact() {
+			continue
+		}
 		if err := CheckRule(r, s); err != nil {
 			return err
 		}

@@ -81,9 +81,10 @@ func TestParallelEngineServeStress(t *testing.T) {
 // TestWorkerPanicNoPartialPublish: a worker crash during parallel
 // materialization must fail Materialize with the structured ErrInternal
 // and must not publish any model — readers can never observe a
-// half-evaluated interpretation.
+// half-evaluated interpretation. (A second component with rules makes
+// the solve use workers at all.)
 func TestWorkerPanicNoPartialPublish(t *testing.T) {
-	src := loadExample(t, "shortestpath.mdl")
+	src := loadExample(t, "shortestpath.mdl") + "\nreach(X, Y) :- s(X, Y, C).\n"
 	s, err := New([]ProgramSpec{{
 		Name: "sp", Source: src,
 		Options: datalog.Options{Parallelism: 4},

@@ -98,7 +98,7 @@ type Snapshot struct {
 // constraints and declarations — so that a checkpoint can never be
 // resumed against a different program.
 func Fingerprint(prog *ast.Program) [32]byte {
-	return sha256.Sum256([]byte(prog.String()))
+	return sha256.Sum256(prog.AppendText(nil))
 }
 
 // Encode serializes s deterministically: equal snapshots (same

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/faults"
 	"repro/internal/lattice"
+	"repro/internal/parser"
 	"repro/internal/relation"
 	"repro/internal/val"
 )
@@ -280,5 +282,26 @@ func TestFileSinkDirSyncFailure(t *testing.T) {
 	}
 	if _, err := ReadFile(path, schemas); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFingerprintIsStable pins the fingerprint of a shipped example:
+// checkpoints and write-ahead-log segments on disk carry it, so a change
+// to how a program renders (ast.Program.AppendText) must not move it.
+func TestFingerprintIsStable(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "programs", "shortestpath.mdl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := parser.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "b6422c4bb92f5127275562535359a72bd777a29b11f76cc0d6cfb1695ef01a64"
+	if got := fmt.Sprintf("%x", Fingerprint(prog)); got != want {
+		t.Fatalf("fingerprint of shortestpath.mdl = %s, want %s", got, want)
+	}
+	if got := sha256.Sum256([]byte(prog.String())); got != Fingerprint(prog) {
+		t.Fatal("fingerprint is no longer the hash of the program's canonical printing")
 	}
 }

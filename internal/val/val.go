@@ -81,30 +81,41 @@ func (v T) Key() string {
 
 // String renders v in the concrete syntax of the rule language.
 func (v T) String() string {
+	if v.Kind == Sym {
+		return v.S
+	}
+	var buf [32]byte
+	return string(AppendString(buf[:0], v))
+}
+
+// AppendString appends the concrete syntax of v (exactly the bytes String
+// returns) to dst, so that rendering many values — a program's facts,
+// say — shares one buffer.
+func AppendString(dst []byte, v T) []byte {
 	switch v.Kind {
 	case Sym:
-		return v.S
+		return append(dst, v.S...)
 	case Num:
 		// Infinities print in the concrete syntax the parser reads back
 		// ("inf" / "-inf"), not strconv's "+Inf".
 		if math.IsInf(v.N, 1) {
-			return "inf"
+			return append(dst, "inf"...)
 		}
 		if math.IsInf(v.N, -1) {
-			return "-inf"
+			return append(dst, "-inf"...)
 		}
-		return strconv.FormatFloat(v.N, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.N, 'g', -1, 64)
 	case Bool:
 		if v.B {
-			return "1"
+			return append(dst, '1')
 		}
-		return "0"
+		return append(dst, '0')
 	case Str:
-		return strconv.Quote(v.S)
+		return strconv.AppendQuote(dst, v.S)
 	case SetKind:
-		return v.Set.String()
+		return append(dst, v.Set.String()...)
 	}
-	return "?"
+	return append(dst, '?')
 }
 
 // Equal reports whether two values are identical.

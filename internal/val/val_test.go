@@ -1,6 +1,7 @@
 package val
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -113,9 +114,21 @@ func TestStringRendering(t *testing.T) {
 		{String("hi"), `"hi"`},
 		{SetOf(Symbol("b"), Symbol("a")), "{a, b}"},
 	}
+	cases = append(cases, []struct {
+		v    T
+		want string
+	}{
+		{Number(math.Inf(1)), "inf"},
+		{Number(math.Inf(-1)), "-inf"},
+		{String("a\"b\n"), `"a\"b\n"`},
+		{SetOf(), "{}"},
+	}...)
 	for _, c := range cases {
 		if got := c.v.String(); got != c.want {
 			t.Errorf("%#v.String() = %q, want %q", c.v, got, c.want)
+		}
+		if got := string(AppendString([]byte("x="), c.v)); got != "x="+c.want {
+			t.Errorf("AppendString(%#v) = %q, want %q", c.v, got, "x="+c.want)
 		}
 	}
 }
