@@ -28,7 +28,7 @@ test-procs:
 # determinism contract at explicit worker counts, the T_P-fixpoint
 # oracle, worker-crash containment), the serve tier's chaos suite (group
 # commit, admission control, injected stalls and failed swaps, asserts
-# racing shutdown) and the planner differential are all tests of ./...,
+# racing shutdown) and the Δ-driver differential are all tests of ./...,
 # so this one target is where they run under -race.
 race:
 	$(GO) test -race ./...
@@ -81,8 +81,8 @@ bench-smoke-parallel:
 	BENCHTIME=1x BENCH_PATTERN='SolveParallel' \
 		BENCH_OUT=/tmp/bench-smoke-parallel.json sh scripts/bench.sh
 
-# Allocation-regression gate: fail if BenchmarkSolve's allocs/op moves
-# off its pin, or the cost plan is slower than the syntactic one.
+# Regression gate: fail if BenchmarkSolve's allocs/op moves off its pin,
+# or Example 4.3's index probes per solve move off theirs.
 bench-regression:
 	sh scripts/bench_regression.sh
 

@@ -107,48 +107,18 @@ func BenchmarkExample21Averages(b *testing.B) {
 }
 
 // BenchmarkShortestPath (E3): the engine on the three graph topologies.
-// The unsuffixed runs are the engine with its default (syntactic) plan;
-// the /cost runs the cost-based planner on the same instances.
 func BenchmarkShortestPath(b *testing.B) {
-	type variant struct {
-		suffix string
-		lim    core.Limits
-	}
-	variants := []variant{
-		{"", core.Limits{}},
-		{"/cost", core.Limits{Plan: core.PlanCost}},
-	}
 	for _, kind := range []gen.GraphKind{gen.LayeredDAG, gen.CycleGraph, gen.RandomGraph} {
 		for _, n := range []int{32, 64, 128} {
 			g := gen.Graph(kind, n, 4*n, 9, int64(n))
-			src := programs.ShortestPath + gen.GraphFacts(g)
-			for _, v := range variants {
-				en := mustEngine(b, src, core.Options{Limits: v.lim})
-				b.Run(fmt.Sprintf("%s/n=%d%s", kindName(kind), n, v.suffix), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						solveB(b, en)
-					}
-				})
-			}
+			en := mustEngine(b, programs.ShortestPath+gen.GraphFacts(g), core.Options{})
+			b.Run(fmt.Sprintf("%s/n=%d", kindName(kind), n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					solveB(b, en)
+				}
+			})
 		}
-	}
-}
-
-// BenchmarkSolvePlan: the planner ablation on one fixed shortest-path
-// instance — identical engine, only Limits.Plan differs. The pair is what scripts/bench.sh records as the planner
-// ratio and scripts/bench_regression.sh gates on.
-func BenchmarkSolvePlan(b *testing.B) {
-	g := gen.Graph(gen.CycleGraph, 128, 512, 9, 128)
-	src := programs.ShortestPath + gen.GraphFacts(g)
-	for _, pl := range []core.Plan{core.PlanSyntactic, core.PlanCost} {
-		en := mustEngine(b, src, core.Options{Limits: core.Limits{Plan: pl}})
-		b.Run(pl.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				solveB(b, en)
-			}
-		})
 	}
 }
 
@@ -194,24 +164,25 @@ func BenchmarkCompanyControl(b *testing.B) {
 	}
 }
 
-// BenchmarkParty (E5): engine (both plans) vs the direct propagation.
+// BenchmarkParty (E5): engine vs the direct propagation. It reports the
+// engine's index probes per solve (probes/op), the deterministic counter
+// scripts/bench_regression.sh pins: kc's Δ pass runs its driver order,
+// coming first, instead of walking the Δ set once per knows row.
 func BenchmarkParty(b *testing.B) {
 	for _, n := range []int{64, 256} {
 		p := gen.Party(n, 5, 3, int64(n))
-		src := programs.Party + gen.PartyFacts(p)
-		en := mustEngine(b, src, core.Options{})
+		en := mustEngine(b, programs.Party+gen.PartyFacts(p), core.Options{})
 		b.Run(fmt.Sprintf("engine/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
+			var probes int64
 			for i := 0; i < b.N; i++ {
-				solveB(b, en)
+				_, st, err := en.Solve(nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				probes = st.Probes
 			}
-		})
-		enCost := mustEngine(b, src, core.Options{Limits: core.Limits{Plan: core.PlanCost}})
-		b.Run(fmt.Sprintf("engine-cost/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				solveB(b, enCost)
-			}
+			b.ReportMetric(float64(probes), "probes/op")
 		})
 		b.Run(fmt.Sprintf("direct/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -404,26 +375,6 @@ func BenchmarkIncrementalSolve(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkGroupDeltaAblation: the DESIGN.md §3 semi-naive design choice
-// — Δ-driven aggregate group restriction on vs off (company control is
-// aggregate-heavy, so the restriction is the dominant effect).
-func BenchmarkGroupDeltaAblation(b *testing.B) {
-	o := gen.Ownership(96, 3, true, 96)
-	src := programs.CompanyControl + gen.OwnershipFacts(o)
-	for _, disabled := range []bool{false, true} {
-		name := "group-delta"
-		if disabled {
-			name = "full-regroup"
-		}
-		en := mustEngine(b, src, core.Options{DisableGroupDelta: disabled})
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				solveB(b, en)
-			}
-		})
-	}
 }
 
 // BenchmarkWFSFallback: the §6.3 iterated construction — a win-move

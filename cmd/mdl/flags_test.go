@@ -25,7 +25,6 @@ func TestConflictingFlagCombinations(t *testing.T) {
 		{"check with stats", []string{"-check", "-stats", f}},
 		{"check with pprof", []string{"-check", "-pprof-addr", "127.0.0.1:0", f}},
 		{"check with parallel", []string{"-check", "-parallel", "2", f}},
-		{"check with plan", []string{"-check", "-plan", "cost", f}},
 		{"check with profile", []string{"-check", "-profile", f}},
 	}
 	for _, tc := range cases {
@@ -200,41 +199,21 @@ func TestExecutorFlagGone(t *testing.T) {
 	}
 }
 
-// TestPlanFlag: the planner must be one of the two spellings, and
-// either accepted value prints the same model and the same -stats
-// totals (the planner-equivalence contract, observed end to end through
-// the CLI).
+// TestPlanFlag: rule bodies compile to one canonical order plus their
+// Δ-driver orders at load time, with nothing to choose, so -plan is not
+// a flag any more: the batch CLI rejects it like any other undefined
+// flag (usage exit, the flag package's message) before doing any work.
+// TestServeFlagValidation pins the same for serve.
 func TestPlanFlag(t *testing.T) {
 	f := writeProgram(t, "sp.mdl", shortestPath)
-	_, errOut, code := runMdl(t, "-plan", "genetic", f)
-	if code != exitUsage {
-		t.Fatalf("-plan genetic: exit %d, want %d (usage)", code, exitUsage)
-	}
-	if !strings.Contains(errOut, `-plan must be "syntactic" or "cost"`) {
-		t.Fatalf("stderr must explain the bad value:\n%s", errOut)
-	}
-	synOut, synStats, code := runMdl(t, "-plan", "syntactic", "-stats", f)
-	if code != exitOK {
-		t.Fatalf("-plan syntactic: exit %d\n%s", code, synStats)
-	}
-	costOut, costStats, code := runMdl(t, "-plan", "cost", "-stats", f)
-	if code != exitOK {
-		t.Fatalf("-plan cost: exit %d\n%s", code, costStats)
-	}
-	if costOut != synOut {
-		t.Fatalf("-plan cost output differs from syntactic:\n%s\nvs\n%s", costOut, synOut)
-	}
-	statLine := func(s string) string {
-		for _, line := range strings.Split(s, "\n") {
-			if strings.HasPrefix(line, "components=") {
-				return line
-			}
+	for _, v := range []string{"cost", "syntactic"} {
+		out, errOut, code := runMdl(t, "-plan", v, f)
+		if code != exitUsage || out != "" {
+			t.Fatalf("mdl -plan %s: exit %d, stdout %q; want %d (usage) and no output", v, code, out, exitUsage)
 		}
-		t.Fatalf("no stats totals line in:\n%s", s)
-		return ""
-	}
-	if got, want := statLine(costStats), statLine(synStats); got != want {
-		t.Fatalf("-plan cost stats totals differ:\n%s\nvs\n%s", got, want)
+		if !strings.Contains(errOut, "flag provided but not defined: -plan") {
+			t.Fatalf("stderr must name the undefined flag:\n%s", errOut)
+		}
 	}
 }
 
@@ -250,12 +229,13 @@ func TestProfileFlag(t *testing.T) {
 	if out != plain {
 		t.Fatalf("-profile changed the model output:\n%s\nvs\n%s", out, plain)
 	}
-	if !strings.Contains(errOut, "EXPLAIN ANALYZE (executor=stream") {
-		t.Fatalf("-profile must print the operator profile:\n%s", errOut)
+	if !strings.Contains(errOut, "EXPLAIN ANALYZE\n") || strings.Contains(errOut, "executor=") {
+		t.Fatalf("-profile must print the operator profile under a bare header:\n%s", errOut)
 	}
 }
 
-// TestServeFlagValidation covers the serve-only observability flags.
+// TestServeFlagValidation covers the serve-only observability flags and
+// the retired -plan flag.
 func TestServeFlagValidation(t *testing.T) {
 	f := writeProgram(t, "sp.mdl", shortestPath)
 	cases := []struct {
@@ -267,7 +247,7 @@ func TestServeFlagValidation(t *testing.T) {
 		{"negative slow request", []string{"-slow-request", "-1s", f}, "-slow-request must be ≥ 0"},
 		{"zero parallel", []string{"-parallel", "0", f}, "-parallel must be ≥ 1"},
 		{"negative parallel", []string{"-parallel", "-3", f}, "-parallel must be ≥ 1"},
-		{"bad plan", []string{"-plan", "genetic", f}, `-plan must be "syntactic" or "cost"`},
+		{"bad plan", []string{"-plan", "cost", f}, "flag provided but not defined: -plan"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

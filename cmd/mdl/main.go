@@ -15,10 +15,6 @@
 //	-parallel N    component workers: independent program components
 //	               evaluate concurrently (default: one per CPU; 1 = one
 //	               after another; output is identical either way)
-//	-plan x        rule planner: "syntactic" (written left-to-right body
-//	               order) or "cost" (statistics-driven join ordering,
-//	               presizing, subplan sharing and adaptive re-planning;
-//	               see docs/PLANNER.md); output is identical either way
 //	-timeout d     wall-clock budget for evaluation, e.g. 1s (0 = none)
 //	-query pred    print only the tuples of one predicate
 //	-stats         print evaluation statistics to stderr, including
@@ -112,7 +108,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	maxRounds := fs.Int("max-rounds", 0, "fixpoint round bound per component")
 	maxFacts := fs.Int64("max-facts", 0, "derivation budget per solve (0 = unlimited)")
 	parallel := fs.Int("parallel", 0, "component workers (default one per CPU; 1 = sequential)")
-	plan := fs.String("plan", "", `rule planner: "syntactic" or "cost"`)
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for evaluation, e.g. 1s (0 = none)")
 	query := fs.String("query", "", "print only this predicate")
 	stats := fs.Bool("stats", false, "print evaluation statistics")
@@ -145,21 +140,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *ckptEvery < 0 {
 		return usage("-checkpoint-every must be ≥ 0")
 	}
-	timeoutSet, parallelSet, planSet := false, false, false
+	timeoutSet, parallelSet := false, false
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "timeout":
 			timeoutSet = true
 		case "parallel":
 			parallelSet = true
-		case "plan":
-			planSet = true
 		}
 	})
-	pln, err := datalog.ParsePlan(*plan)
-	if err != nil {
-		return usage(`-plan must be "syntactic" or "cost"`)
-	}
 	if *profileJSON != "" {
 		*profile = true
 	}
@@ -192,9 +181,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *check && parallelSet {
 		return usage("-check does not evaluate; it cannot be combined with -parallel")
 	}
-	if *check && planSet {
-		return usage("-check does not evaluate; it cannot be combined with -plan")
-	}
 	if *check && *profile {
 		return usage("-check does not evaluate; it cannot be combined with -profile")
 	}
@@ -220,7 +206,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		MaxFacts:    *maxFacts,
 		MaxDuration: *timeout,
 		Parallelism: *parallel,
-		Plan:        pln,
 		SkipChecks:  *unchecked || *check,
 		WFSFallback: *wfsFallback,
 		Trace:       *explain != "",

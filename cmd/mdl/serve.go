@@ -23,8 +23,6 @@
 //	-max-facts N   derivation budget per solve and per assert batch
 //	-parallel N    component workers per solve (default: one per CPU;
 //	               1 = one component after another; output is identical)
-//	-plan x        rule planner: "syntactic" or "cost" (statistics-driven;
-//	               see docs/PLANNER.md); output is identical either way
 //	-timeout d     wall-clock budget per solve and per assert batch
 //	-trace         record provenance for /v1/explain (default true)
 //	-checkpoint f  warm-start from f when it exists; flush a final
@@ -98,7 +96,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	maxRounds := fs.Int("max-rounds", 0, "fixpoint round bound per component")
 	maxFacts := fs.Int64("max-facts", 0, "derivation budget per solve and per assert batch (0 = unlimited)")
 	parallel := fs.Int("parallel", 0, "component workers per solve (default one per CPU; 1 = sequential)")
-	plan := fs.String("plan", "", `rule planner: "syntactic" or "cost"`)
 	timeout := fs.Duration("timeout", 0, "wall-clock budget per solve and per assert batch (0 = none)")
 	trace := fs.Bool("trace", true, "record provenance for /v1/explain")
 	ckptPath := fs.String("checkpoint", "", "warm-start from this snapshot when present; flush to it on shutdown")
@@ -141,10 +138,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	})
 	if parallelSet && *parallel < 1 {
 		return usage("-parallel must be ≥ 1")
-	}
-	pln, err := datalog.ParsePlan(*plan)
-	if err != nil {
-		return usage(`-plan must be "syntactic" or "cost"`)
 	}
 	if fs.NArg() == 0 {
 		fmt.Fprintln(stderr, "usage: mdl serve [flags] program.mdl ...")
@@ -189,7 +182,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		MaxFacts:    *maxFacts,
 		MaxDuration: *timeout,
 		Parallelism: *parallel,
-		Plan:        pln,
 		Trace:       *trace,
 	}
 	specs, code := serveSpecs(fs.Args(), *join, *name, opts, stderr)

@@ -80,37 +80,6 @@ const (
 	Naive     = core.Naive
 )
 
-// Plan selects the rule planner.
-type Plan = core.Plan
-
-// The planners: PlanSyntactic (currently the default) evaluates each
-// rule body in its written left-to-right subgoal order; PlanCost orders
-// subgoals by estimated selectivity read from the live relation indexes,
-// pre-sizes aggregate group tables, shares common subplans across rules,
-// and re-plans between rounds when observed growth diverges from the
-// estimates. Both planners produce byte-identical models, traces and
-// stats totals (see docs/PLANNER.md for the cost model and the
-// equivalence contract).
-const (
-	PlanDefault   = core.PlanDefault
-	PlanSyntactic = core.PlanSyntactic
-	PlanCost      = core.PlanCost
-)
-
-// ParsePlan maps the command-line spellings "cost" and "syntactic" (and
-// "" for the default) to a Plan.
-func ParsePlan(s string) (Plan, error) {
-	switch s {
-	case "":
-		return PlanDefault, nil
-	case "cost":
-		return PlanCost, nil
-	case "syntactic":
-		return PlanSyntactic, nil
-	}
-	return PlanDefault, fmt.Errorf("datalog: unknown plan %q (want \"cost\" or \"syntactic\")", s)
-}
-
 // Options configures evaluation; the zero value is a good default.
 type Options struct {
 	Strategy Strategy
@@ -159,11 +128,6 @@ type Options struct {
 	// 0 means one worker per CPU (runtime.GOMAXPROCS); 1 evaluates the
 	// components one after another.
 	Parallelism int
-	// Plan selects the rule planner (syntactic left-to-right order by
-	// default; PlanCost for statistics-driven join ordering, presizing,
-	// subplan sharing and adaptive re-planning). Both planners produce
-	// byte-identical results; see docs/PLANNER.md.
-	Plan Plan
 	// Sink, when non-nil, receives the engine's typed event stream —
 	// solve/component/round boundaries, rule passes, checkpoint
 	// flushes and resource warnings. Events are emitted synchronously
@@ -207,7 +171,6 @@ func Load(src string, opts Options) (*Program, error) {
 		CheckEvery:       opts.CheckEvery,
 		DivergenceStreak: opts.DivergenceStreak,
 		Parallelism:      opts.Parallelism,
-		Plan:             opts.Plan,
 	}
 	en, err := core.New(prog, core.Options{
 		Strategy:    opts.Strategy,
@@ -385,14 +348,6 @@ func WithDivergenceStreak(n int) SolveOption {
 // Options.Parallelism. The result is identical at every value.
 func WithParallelism(n int) SolveOption {
 	return func(c *solveConfig) { c.lim.Parallelism = n }
-}
-
-// WithPlan overrides the rule planner for this solve. Both planners
-// produce byte-identical models, traces and stats totals; PlanCost
-// reorders joins, pre-sizes hash tables and shares common subplans
-// using live relation statistics (docs/PLANNER.md).
-func WithPlan(pl Plan) SolveOption {
-	return func(c *solveConfig) { c.lim.Plan = pl }
 }
 
 // Solve evaluates the program over the given extensional facts and

@@ -72,9 +72,9 @@ func traceFingerprint(t *testing.T, p *datalog.Program, m *datalog.Model) string
 }
 
 // profileFingerprint renders the operator row counts of a profile. Nanos
-// and Probes are exempt from the determinism contract (docs/PLANNER.md:
-// time is time, and probes depend on which lazily built index a cursor
-// finds), so they are left out.
+// and Probes are exempt from the determinism contract (time is time, and
+// probes depend on which lazily built index a cursor finds), so they are
+// left out.
 func profileFingerprint(pr *datalog.Profile) string {
 	var b strings.Builder
 	for _, rp := range pr.Rules {

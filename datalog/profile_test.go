@@ -1,8 +1,13 @@
 package datalog
 
 import (
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/programs"
 )
 
 const profileSrc = `
@@ -41,9 +46,6 @@ func TestProfileCounters(t *testing.T) {
 	}
 	prof := p.Profile()
 	prof.Annotate(st)
-	if prof.Executor != "stream" {
-		t.Fatalf("executor = %q, want stream", prof.Executor)
-	}
 
 	byRule := map[string]*RuleProfile{}
 	for i := range prof.Rules {
@@ -64,7 +66,8 @@ func TestProfileCounters(t *testing.T) {
 		t.Fatalf("Annotate: projection firings = %d, want 5", proj.Firings)
 	}
 
-	// The last operator's Out is the rule's firing count, for every rule.
+	// The last operator's Out is the rule's firing count, for every rule
+	// (none of this program's rules has a Δ-driver order).
 	for _, rp := range prof.Rules {
 		if len(rp.Ops) == 0 {
 			continue
@@ -88,10 +91,60 @@ func TestProfileCounters(t *testing.T) {
 	var b strings.Builder
 	prof.Render(&b)
 	text := b.String()
-	for _, want := range []string{"EXPLAIN ANALYZE (executor=stream plan=syntactic)", "scan", "aggregate", "groups="} {
+	for _, want := range []string{"EXPLAIN ANALYZE\n", "scan", "aggregate", "groups="} {
 		if !strings.Contains(text, want) {
 			t.Errorf("Render output missing %q:\n%s", want, text)
 		}
 	}
 	_ = m
+}
+
+// TestProfileDriverOrders: EXPLAIN ANALYZE lists each Δ-driver order as
+// canonical step positions and folds the counters of the passes that ran
+// it into the canonical operators. Example 4.3's kc rule scans knows then
+// coming; its driver order runs coming first, so every Δ row of coming
+// is offered once, by the coming operator: its Delta is exactly the
+// number of coming tuples (each is new in exactly one round, and every
+// round that derives one is followed by a kc driver pass).
+func TestProfileDriverOrders(t *testing.T) {
+	p, err := Load(programs.Party+gen.PartyFacts(gen.Party(32, 4, 3, 1)), Options{Profile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, st, err := p.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := p.Profile()
+	prof.Annotate(st)
+	var kc *RuleProfile
+	for i := range prof.Rules {
+		if strings.HasPrefix(prof.Rules[i].Rule, "kc(") {
+			kc = &prof.Rules[i]
+		}
+	}
+	if kc == nil {
+		t.Fatal("kc rule not in profile")
+	}
+	if fmt.Sprint(kc.Drivers) != "[[1 0]]" {
+		t.Fatalf("kc drivers = %v, want [[1 0]] (coming first, then knows)", kc.Drivers)
+	}
+	if len(kc.Ops) != 2 || kc.Ops[0].Op != "knows(X, Y)" || kc.Ops[1].Op != "coming(Y)" {
+		t.Fatalf("kc ops are not in canonical order: %+v", kc.Ops)
+	}
+	if got, want := kc.Ops[1].Delta, int64(m.Len("coming")); got != want || kc.Ops[0].Delta != 0 {
+		t.Fatalf("Δ rows: coming %d (want %d, one per coming tuple), knows %d (want 0)", got, want, kc.Ops[0].Delta)
+	}
+	var b strings.Builder
+	prof.Render(&b)
+	if !strings.Contains(b.String(), "Δ-driver order=[1 0]") {
+		t.Fatalf("Render does not show kc's driver order:\n%s", b.String())
+	}
+	js, err := json.Marshal(kc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(js), `"drivers":[[1,0]]`) {
+		t.Fatalf("JSON does not carry the driver order: %s", js)
+	}
 }

@@ -56,10 +56,6 @@ type Options struct {
 	// semantics instead; its well-founded model must be two-valued, and
 	// becomes the base interpretation for the components above it.
 	WFSFallback bool
-	// DisableGroupDelta turns off the Δ-driven aggregate group
-	// restriction in the semi-naive strategy (ablation switch; see
-	// BenchmarkGroupDeltaAblation).
-	DisableGroupDelta bool
 	// Trace records, for every derived tuple, the rule and ground body
 	// of its last improvement, queryable through Explain/ExplainTree.
 	Trace bool
@@ -112,14 +108,12 @@ type Engine struct {
 	// the (sorted) lower-defined predicates its rules read.
 	compDeps [][]int
 	compLDB  [][]ast.PredKey
+	// compRecursive marks the components where some rule scans or
+	// aggregates one of the component's own predicates; the others are
+	// done after one round (semiNaiveLoop).
+	compRecursive []bool
 	// sink is Options.Sink (nil = no event emission).
 	sink obs.Sink
-	// plan is the planner resolved for the current solve (set by the
-	// solve frame before any pass runs; engines are not safe for
-	// concurrent solves, so a per-solve field is sufficient): PlanCost
-	// makes each semi-naive component install cost-based physicals
-	// (plancost.go) before its fixpoint starts.
-	plan Plan
 	// prof is the per-rule per-step operator-counter table, allocated at
 	// New when Options.Profile is set (nil otherwise). Counters are
 	// atomic because Profile may snapshot while a solve folds into them;
@@ -261,10 +255,12 @@ func New(prog *ast.Program, opts Options) (*Engine, error) {
 		}
 		if useWFS {
 			en.plans = append(en.plans, nil)
+			en.compRecursive = append(en.compRecursive, false)
 			continue
 		}
 		comp := &compiler{schemas: schemas, cdb: cdb}
 		var ps []*plan
+		recursive := false
 		for _, r := range rules {
 			p, err := comp.compileRule(r)
 			if err != nil {
@@ -277,8 +273,10 @@ func New(prog *ast.Program, opts Options) (*Engine, error) {
 			p.text = r.String()
 			en.nrules++
 			ps = append(ps, p)
+			recursive = recursive || len(p.cdbScanSteps) > 0 || p.hasCDBAgg
 		}
 		en.plans = append(en.plans, ps)
+		en.compRecursive = append(en.compRecursive, recursive)
 	}
 	if opts.Profile {
 		en.prof = make([][]exec.OpAccum, en.nrules)
@@ -365,14 +363,11 @@ func (en *Engine) Resume(ctx context.Context, prev *relation.DB, lim Limits, bas
 	return en.fixpoint(ctx, en.startFrom(prev), lim, base)
 }
 
-// solve is the frame every solve entry point runs in: it resolves the
-// planner, folds MaxDuration into the context, seeds the stats from
-// base, builds the guard (whose trace store is the engine's) and
-// brackets body with the SolveBegin/SolveEnd events. par is the worker
-// count the events report.
+// solve is the frame every solve entry point runs in: it folds
+// MaxDuration into the context, seeds the stats from base, builds the
+// guard (whose trace store is the engine's) and brackets body with the
+// SolveBegin/SolveEnd events. par is the worker count the events report.
 func (en *Engine) solve(ctx context.Context, lim Limits, base Stats, par int, body func(g *guard, stats *Stats) (*relation.DB, error)) (_ *relation.DB, _ Stats, err error) {
-	en.plan = resolvePlan(lim)
-	en.resetPlans()
 	if lim.MaxDuration > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, lim.MaxDuration)
@@ -554,30 +549,26 @@ func (en *Engine) passConfig(g *guard, db *relation.DB) exec.Config {
 	return exec.Config{DB: db, Trace: g.trace != nil, Prof: en.prof != nil, Check: g.check}
 }
 
-// runPass evaluates one pass of p's installed pipeline under cfg —
-// every satisfying assignment of the body, or the Δ-restricted subset
-// cfg selects — handing each completed environment to emit, and adds
-// the pass's firings and probes to stats. With profiling on, the pass's
+// runPass evaluates one pass of one of p's pipelines under cfg — every
+// satisfying assignment of the body, or the Δ-restricted subset cfg
+// selects — handing each completed environment to emit, and adds the
+// pass's firings and probes to stats. With profiling on, the pass's
 // per-operator counters fold into the engine's accumulators.
-func (en *Engine) runPass(p *plan, cfg exec.Config, stats *Stats, emit func(*plan, *env) error) error {
-	ph := p.ph()
-	m := ph.stream.Acquire(cfg)
+func (en *Engine) runPass(p *plan, pipe *pipeline, cfg exec.Config, stats *Stats, emit func(*plan, *env) error) error {
+	m := pipe.stream.Acquire(cfg)
 	aux := m.Aux.(*streamAux)
 	err := m.Run(func(*exec.Machine) error { return emit(p, aux.env) })
 	stats.Firings += m.Firings
 	stats.Probes += m.Probes
 	if pc := m.Profile(); pc != nil {
-		// The accumulators are keyed by canonical step position so
-		// counters stay attributed to the same operator across plan
-		// switches; buffer steps (canon < 0) have no canonical slot.
+		// The accumulators are keyed by canonical step position, so an
+		// operator keeps one set of counters whichever order ran it.
 		acc := en.prof[p.idx]
 		for i := range pc {
-			if c := ph.canon[i]; c >= 0 {
-				acc[c].Fold(pc[i])
-			}
+			acc[pipe.canon[i]].Fold(pc[i])
 		}
 	}
-	ph.stream.Release(m)
+	pipe.stream.Release(m)
 	return err
 }
 
@@ -635,7 +626,7 @@ func (en *Engine) solveNaive(g *guard, db *relation.DB, ci int, stats *Stats) er
 			g.rule = p.rule
 			f0, d0, p0 := stats.Firings, stats.Derived, stats.Probes
 			t0 := time.Now()
-			err := en.runPass(p, cfg, stats, insert)
+			err := en.runPass(p, &p.pipe, cfg, stats, insert)
 			en.noteRule(&stats.Rules[p.idx], ci, round,
 				stats.Firings-f0, stats.Derived-d0, stats.Probes-p0, time.Since(t0).Nanoseconds())
 			if err != nil {
@@ -777,8 +768,9 @@ func (d *deltaSet) preds() []ast.PredKey {
 // semiNaiveLoop runs the Δ-driven fixpoint of component ci: the
 // interpretation accumulates in db and a round refires only rules whose
 // inputs changed — rules with positive scans of a changed predicate run
-// once per changed-scan seed; rules referencing a changed predicate
-// inside an aggregate re-run (group-restricted where possible).
+// once per changed-scan seed, each on that scan's Δ-driver order when it
+// has one (plan.deltaPipe); rules referencing a changed predicate inside
+// an aggregate re-run (group-restricted where possible).
 //
 // When init is nil, round 0 fires every rule (the fresh-solve case);
 // otherwise init seeds the Δ set (the incremental SolveMore case, where
@@ -788,13 +780,13 @@ func (d *deltaSet) preds() []ast.PredKey {
 // walk, SolveMoreFrom and each scheduler worker — runs this loop; what
 // differs between them (trace store, round-boundary hook, budget) is on
 // the guard.
+//
+// A non-recursive component — no rule scans or aggregates one of its
+// own predicates — is done after its first round: nothing it derives
+// can fire its rules again, so it keeps no Δ set and its loop ends
+// there, one round per evaluation.
 func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats, init *deltaSet, record func(ast.PredKey, relation.Row)) error {
-	ps := en.plans[ci]
-	// Install cost-based physical plans for this component when the
-	// solve runs with PlanCost (nil — and inert — otherwise). CSE is
-	// disabled on incremental continuations: their Δ seeds can drive
-	// restricted passes over EDB scans a shared buffer would fold away.
-	cp := en.planComponent(db, ps, init == nil)
+	ps, recursive := en.plans[ci], en.compRecursive[ci]
 	delta := newDeltaSet()
 	// insert derives through per-closure scratch: the head projection
 	// lands in the plan's hbuf and the tuple key is built once into kbuf,
@@ -812,7 +804,9 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 		if insertEpsKey(rel, kbuf, args, cost, en.opts.Epsilon) {
 			stats.Derived++
 			row, ik, _ := rel.LookupKey(kbuf)
-			delta.addInterned(p.head.pred, row, ik)
+			if recursive {
+				delta.addInterned(p.head.pred, row, ik)
+			}
 			if record != nil {
 				record(p.head.pred, row)
 			}
@@ -826,19 +820,14 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 		return nil
 	}
 	cfg := en.passConfig(g, db)
-	// endRound closes one round: the RoundEnd event, the round-boundary
-	// hook (fault point and periodic checkpoint) and, at this
-	// deterministic point, the planner's divergence test.
+	// endRound closes one round: the RoundEnd event and the
+	// round-boundary hook (fault point and periodic checkpoint).
 	endRound := func(round int, f0, d0, p0 int64) error {
 		if en.sink != nil {
 			en.sink.Event(obs.Event{Kind: obs.RoundEnd, Component: ci, Round: round,
 				Firings: stats.Firings - f0, Derived: stats.Derived - d0, Probes: stats.Probes - p0})
 		}
-		if err := g.roundBoundary(db); err != nil {
-			return err
-		}
-		cp.maybeReplan()
-		return nil
+		return g.roundBoundary(db)
 	}
 
 	if init == nil {
@@ -852,7 +841,7 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 			g.rule = p.rule
 			f0, d0, p0 := stats.Firings, stats.Derived, stats.Probes
 			t0 := time.Now()
-			err := en.runPass(p, cfg, stats, insert)
+			err := en.runPass(p, &p.pipe, cfg, stats, insert)
 			en.noteRule(&stats.Rules[p.idx], ci, 0,
 				stats.Firings-f0, stats.Derived-d0, stats.Probes-p0, time.Since(t0).Nanoseconds())
 			if err != nil {
@@ -893,10 +882,9 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 			// untouched by the Δ set costs nothing (not even a clock
 			// read).
 			runAgg := aggPredChanged(p, prev)
-			ph := p.ph()
 			hasScan := false
 			for _, k := range changedPreds {
-				if len(ph.scanSteps[k]) > 0 {
+				if len(p.scanSteps[k]) > 0 {
 					hasScan = true
 					break
 				}
@@ -914,13 +902,10 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 				// grouping variable can be recovered from the changed
 				// rows, otherwise a full re-run (which then also covers
 				// the scan deltas below).
-				groups, restricted := changedGroups(ph.steps, prev)
-				if en.opts.DisableGroupDelta {
-					groups, restricted = nil, false
-				}
+				groups, restricted := changedGroups(p.steps, prev)
 				pass := cfg
 				pass.AggGroups = groups
-				perr = en.runPass(p, pass, stats, insert)
+				perr = en.runPass(p, &p.pipe, pass, stats, insert)
 				ranFull = !restricted
 			}
 			if perr == nil && !ranFull && hasScan {
@@ -931,9 +916,10 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 				for _, k := range changedPreds {
 					pass := cfg
 					pass.RestrictRows = prev.rows[k]
-					for _, si := range ph.scanSteps[k] {
-						pass.RestrictStep = si
-						if perr = en.runPass(p, pass, stats, insert); perr != nil {
+					for _, si := range p.scanSteps[k] {
+						pipe, at := p.deltaPipe(si)
+						pass.RestrictStep = at
+						if perr = en.runPass(p, pipe, pass, stats, insert); perr != nil {
 							break scans
 						}
 					}
@@ -956,9 +942,9 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 	return nil
 }
 
-// changedGroups computes, per aggregate step of the given (physical)
-// step arrangement, the groups whose multisets may have changed given
-// the Δ set. restricted is false when some changed conjunct cannot be
+// changedGroups computes, per aggregate step of the given step
+// arrangement, the groups whose multisets may have changed given the Δ
+// set. restricted is false when some changed conjunct cannot be
 // projected onto the full group key (the caller then treats the run as
 // unrestricted). The returned map is keyed by step position in the
 // arrangement passed in, matching exec.Config.AggGroups' keying.

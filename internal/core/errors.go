@@ -78,42 +78,6 @@ type Limits struct {
 	// 0 means runtime.GOMAXPROCS(0); 1 (or any value below 1) walks the
 	// components sequentially in place.
 	Parallelism int
-	// Plan selects the rule-planning strategy: the syntactic textual
-	// join order, or the cost-based planner in internal/planner (join
-	// ordering by estimated selectivity, γ-map presizing, common-subplan
-	// sharing, adaptive re-planning between rounds). Both plans produce
-	// identical models, traces and checkpoints — the planner only
-	// changes the order work is performed in, never its outcome (see
-	// docs/PLANNER.md for the equivalence contract).
-	Plan Plan
-}
-
-// Plan names a rule-planning strategy (Limits.Plan).
-type Plan int
-
-const (
-	// PlanDefault selects the engine's default strategy (currently the
-	// syntactic plan).
-	PlanDefault Plan = iota
-	// PlanSyntactic orders each rule body exactly as the greedy
-	// left-to-right compiler in plan.go wrote it: deterministic,
-	// statistics-free, the reference behaviour.
-	PlanSyntactic
-	// PlanCost enables the cost-based planner: before a component's
-	// fixpoint starts (and adaptively between rounds), each rule body's
-	// scans are reordered by estimated selectivity from live relation
-	// cardinalities, γ group tables are presized, and scan prefixes
-	// shared across the component's rules are evaluated once into a
-	// shared buffer (CSE). See docs/PLANNER.md.
-	PlanCost
-)
-
-// String renders the plan name as the CLIs spell it.
-func (p Plan) String() string {
-	if p == PlanCost {
-		return "cost"
-	}
-	return "syntactic"
 }
 
 const (

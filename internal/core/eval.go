@@ -87,7 +87,7 @@ func (ev *evaluator) step(steps []step, i int, e *env, emit func(*env) error) er
 
 // scan enumerates rows of the atom's relation matching the bound part of
 // the environment. Default-value predicates perform a point lookup
-// (GetOrDefault); the planner guarantees their non-cost args are bound.
+// (GetOrDefault); the compiler guarantees their non-cost args are bound.
 func (ev *evaluator) scan(sp *atomSpec, e *env, f func(relation.Row) error) error {
 	rel := ev.db.Rel(sp.pred)
 	if sp.pi.HasDefault {

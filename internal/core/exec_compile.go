@@ -12,18 +12,19 @@ import (
 // relational-algebra pipelines of internal/exec, the engine's one rule
 // executor (Engine.runPass drives them).
 //
-// The lowering is 1:1 — exec step index i is plan step index i — so the
-// semi-naive restriction keys (Config.RestrictStep, Config.AggGroups)
-// index the same steps. Binding patterns are static: each step binds a
-// fixed variable set whenever it succeeds, so the aggregate conjunction
-// orders the reference interpreter derives at runtime (agg.go) are
-// computed once here, for both the grouped and the point mode.
+// The lowering is 1:1 — exec step index i is step i of the arrangement
+// lowered — so the semi-naive restriction keys (Config.RestrictStep,
+// Config.AggGroups) index the same steps. Binding patterns are static:
+// each step binds a fixed variable set whenever it succeeds, so the
+// aggregate conjunction orders the reference interpreter derives at
+// runtime (agg.go) are computed once here, for both the grouped and the
+// point mode.
 
 // compileStream lowers one step arrangement of a plan to a streaming
-// pipeline: the syntactic order at compile time (steps == p.steps) and
-// any cost-planned physical the planner builds later. hints, when
-// non-nil, carries per-position γ group-map presizes (plancost.go).
-func compileStream(p *plan, planSteps []step, hints []int) *exec.Rule {
+// pipeline: the canonical order (planSteps == p.steps, canon the
+// identity) or a Δ-driver order; canon maps each position to its
+// canonical step.
+func compileStream(p *plan, planSteps []step, canon []int) *exec.Rule {
 	steps := make([]exec.Step, len(planSteps))
 	// bound simulates the binding pattern along the pipeline: every step
 	// binds its variables unconditionally on success and the step order
@@ -33,39 +34,16 @@ func compileStream(p *plan, planSteps []step, hints []int) *exec.Rule {
 		switch s := s.(type) {
 		case *scanStep:
 			steps[i] = exec.Step{Kind: exec.ScanKind, Atom: execAtom(&s.atomSpec)}
-			for _, v := range s.argVar {
-				if v >= 0 {
-					bound[v] = true
-				}
-			}
-			if s.costVar >= 0 {
-				bound[s.costVar] = true
-			}
 		case *negStep:
 			steps[i] = exec.Step{Kind: exec.NegKind, Atom: execAtom(&s.atomSpec)}
 		case *builtinStep:
 			steps[i] = exec.Step{Kind: exec.BuiltinKind, Builtin: &exec.BuiltinStep{Assign: s.assign}}
-			if s.assign >= 0 {
-				bound[s.assign] = true
-			}
 		case *aggStep:
-			a := compileAgg(s, bound)
-			if hints != nil && hints[i] > 0 {
-				a.GroupsHint = hints[i]
-			}
-			steps[i] = exec.Step{Kind: exec.AggKind, Agg: a}
-			for _, v := range s.groupVars {
-				bound[v] = true
-			}
-			bound[s.result] = true
-		case *bufferStep:
-			steps[i] = exec.Step{Kind: exec.BufferKind, Buffer: &exec.BufferStep{Rows: s.rows, Vars: s.vars}}
-			for _, v := range s.vars {
-				bound[v] = true
-			}
+			steps[i] = exec.Step{Kind: exec.AggKind, Agg: compileAgg(s, bound)}
 		}
+		bindStep(s, bound)
 	}
-	return exec.NewRule(p.nvars, steps, streamHooks(planSteps))
+	return exec.NewRule(p.nvars, steps, streamHooks(planSteps, canon))
 }
 
 // compileAgg lowers a γ step, fixing the conjunction orders the reference
@@ -139,9 +117,11 @@ type streamAux struct {
 
 // streamHooks adapts the host-side pieces of pipeline evaluation —
 // builtin expressions and provenance capture — to the given step
-// arrangement (hooks index by pipeline position, which is physical),
-// with the reference interpreter's semantics and error text.
-func streamHooks(planSteps []step) exec.Hooks {
+// arrangement (hooks index by pipeline position), with the reference
+// interpreter's semantics and error text. Aggregate supports are
+// published under the canonical step position (canon), so a traced
+// derivation reads the same keys whichever order fired it.
+func streamHooks(planSteps []step, canon []int) exec.Hooks {
 	return exec.Hooks{
 		Init: func(m *exec.Machine) {
 			aux := &streamAux{env: &env{vals: m.Vals, bound: m.Bound}}
@@ -171,10 +151,10 @@ func streamHooks(planSteps []step) exec.Hooks {
 				e.aggSupports = map[int][]Support{}
 			}
 			sup, _ := supports.([]Support)
-			e.aggSupports[i] = sup
+			e.aggSupports[canon[i]] = sup
 		},
 		ClearAggSupports: func(m *exec.Machine, i int) {
-			delete(m.Aux.(*streamAux).env.aggSupports, i)
+			delete(m.Aux.(*streamAux).env.aggSupports, canon[i])
 		},
 	}
 }

@@ -7,7 +7,12 @@
 // Rules are compiled to evaluation plans: an ordering of subgoals such
 // that each step sees the variables it needs already bound (aggregates
 // with unbound grouping variables execute as a grouped scan, which is how
-// the paper's rule "s(X,Y,C) :- C ?= min D : path(X,Z,Y,D)" runs).
+// the paper's rule "s(X,Y,C) :- C ?= min D : path(X,Z,Y,D)" runs). Besides
+// that canonical order, each scan of a predicate of the rule's own
+// component that the canonical order does not run first gets a Δ-driver
+// order with the scan at position 0 (driverOrder): the semi-naive pass
+// restricted to that scan's Δ rows runs it, which is §6.2's step written
+// as the rule differentiated with respect to its Δ literal.
 //
 // Plans are lowered once to streaming pipelines (exec_compile.go,
 // internal/exec), the only executor the fixpoint loops run. With
@@ -20,7 +25,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/exec"
@@ -38,6 +42,9 @@ type plan struct {
 	text  string
 	nvars int
 	names []ast.Var // index -> variable name (for errors)
+	// steps is the canonical order: the greedy compiler's, which full
+	// passes run and every profile counter, trace and stats entry is
+	// keyed by.
 	steps []step
 	head  atomSpec
 	// scanSteps maps each positively scanned predicate to the step
@@ -48,24 +55,34 @@ type plan struct {
 	scanSteps    map[ast.PredKey][]int
 	cdbScanSteps []int
 	hasCDBAgg    bool
-	// reads is every predicate this plan consults at evaluation time
-	// (positive scans, negated literals, aggregate conjuncts). The cost
-	// planner keys its statistics snapshot on it and keeps the syntactic
-	// order for rules that read their own head.
-	reads map[ast.PredKey]bool
-	// stream is the plan lowered to its streaming pipeline
-	// (exec_compile.go); hbuf is the head-projection scratch for insert
-	// paths that don't retain args.
+	// pipe is the canonical order lowered to its streaming pipeline
+	// (exec_compile.go); drivers[k], when non-nil, is the Δ-driver order
+	// for the CDB scan at canonical step k (driverOrder). hbuf is the
+	// head-projection scratch for insert paths that don't retain args.
+	pipe    pipeline
+	drivers []*pipeline
+	hbuf    []val.T
+}
+
+// pipeline is one step arrangement of a plan lowered to its streaming
+// pipeline: the canonical order, or a Δ-driver order. canon maps each
+// pipeline position to the canonical step it executes (the identity for
+// the canonical order itself), so profile counters and trace supports
+// fold back onto canonical positions whichever order ran.
+type pipeline struct {
 	stream *exec.Rule
-	hbuf   []val.T
-	// syn is the syntactic physical plan (identical to steps/scanSteps/
-	// stream above); cur is the physical currently installed — the
-	// cost-based planner (plancost.go) swaps alternatives in between
-	// semi-naive rounds. Evaluation-time consumers read cur via ph();
-	// compile-time structure (stats sizing, seeds, stratification) stays
-	// on the canonical fields.
-	syn *physical
-	cur atomic.Pointer[physical]
+	canon  []int
+}
+
+// deltaPipe returns the pipeline a Δ pass restricting canonical scan
+// step si runs, and the pipeline position of that scan: si's driver
+// order with the scan first when it has one, the canonical order
+// otherwise.
+func (p *plan) deltaPipe(si int) (*pipeline, int) {
+	if p.drivers != nil && p.drivers[si] != nil {
+		return p.drivers[si], 0
+	}
+	return &p.pipe, si
 }
 
 // step is one executable body element.
@@ -407,23 +424,13 @@ func (c *compiler) compileRule(r *ast.Rule) (*plan, error) {
 		p.steps = append(p.steps, pd.s)
 	}
 
-	// Record scan positions (semi-naive drivers) and the full read set
-	// (parallel conflict detection).
+	// Record scan positions (semi-naive drivers).
 	p.scanSteps = map[ast.PredKey][]int{}
-	p.reads = map[ast.PredKey]bool{}
 	for i, s := range p.steps {
-		switch s := s.(type) {
-		case *scanStep:
+		if s, ok := s.(*scanStep); ok {
 			p.scanSteps[s.pred] = append(p.scanSteps[s.pred], i)
 			if s.cdb {
 				p.cdbScanSteps = append(p.cdbScanSteps, i)
-			}
-			p.reads[s.pred] = true
-		case *negStep:
-			p.reads[s.pred] = true
-		case *aggStep:
-			for ci := range s.conj {
-				p.reads[s.conj[ci].pred] = true
 			}
 		}
 	}
@@ -446,10 +453,110 @@ func (c *compiler) compileRule(r *ast.Rule) (*plan, error) {
 		return nil, fmt.Errorf("core: rule %q: head cost variable %s never bound", r, p.names[hs.costVar])
 	}
 	p.hbuf = make([]val.T, len(hs.argVar))
-	p.stream = compileStream(p, p.steps, nil)
-	p.syn = newSynPhysical(p)
-	p.cur.Store(p.syn)
+	identity := make([]int, len(p.steps))
+	for i := range identity {
+		identity[i] = i
+	}
+	p.pipe = pipeline{stream: compileStream(p, p.steps, identity), canon: identity}
+	for _, k := range p.cdbScanSteps {
+		if d := p.driverOrder(k); d != nil {
+			if p.drivers == nil {
+				p.drivers = make([]*pipeline, len(p.steps))
+			}
+			p.drivers[k] = d
+		}
+	}
 	return p, nil
+}
+
+// driverOrder compiles the Δ-driver order for canonical scan step k:
+// the scan at position 0 and every other step in canonical relative
+// order. A semi-naive pass restricting step k then reads each Δ row
+// once and reaches the rest of the body through index probes, instead
+// of walking the whole Δ set once per row of the steps ahead of it.
+// Moving a scan forward only binds variables earlier, so every step
+// stays runnable; a builtin re-derives its test/assign mode for the
+// larger bound set, and γ steps get the conjunction orders of their new
+// position. Nil when k is already first, or when some γ conjunction has
+// no valid order at its new position (that pass keeps the canonical
+// order).
+func (p *plan) driverOrder(k int) *pipeline {
+	if k == 0 {
+		return nil
+	}
+	bound := make([]bool, p.nvars)
+	steps := make([]step, 0, len(p.steps))
+	canon := make([]int, 0, len(p.steps))
+	add := func(i int) {
+		s := p.steps[i]
+		if bs, ok := s.(*builtinStep); ok {
+			s = cloneBuiltin(bs, bound)
+		}
+		bindStep(s, bound)
+		steps = append(steps, s)
+		canon = append(canon, i)
+	}
+	add(k)
+	for i := range p.steps {
+		if i != k {
+			add(i)
+		}
+	}
+	stream := compileStream(p, steps, canon)
+	for pi, s := range steps {
+		if _, ok := s.(*aggStep); !ok {
+			continue
+		}
+		na, oa := stream.Steps[pi].Agg, p.pipe.stream.Steps[canon[pi]].Agg
+		if (na.OrderFullErr != nil && oa.OrderFullErr == nil) ||
+			(na.OrderPointErr != nil && oa.OrderPointErr == nil) {
+			return nil
+		}
+	}
+	return &pipeline{stream: stream, canon: canon}
+}
+
+// bindStep marks the variables a step binds on success, mirroring the
+// greedy compiler's binds sets.
+func bindStep(s step, bound []bool) {
+	switch s := s.(type) {
+	case *scanStep:
+		for _, v := range s.argVar {
+			if v >= 0 {
+				bound[v] = true
+			}
+		}
+		if s.costVar >= 0 {
+			bound[s.costVar] = true
+		}
+	case *builtinStep:
+		if s.assign >= 0 {
+			bound[s.assign] = true
+		}
+	case *aggStep:
+		for _, v := range s.groupVars {
+			bound[v] = true
+		}
+		bound[s.result] = true
+	}
+}
+
+// cloneBuiltin re-derives a builtin's execution mode for its position
+// in a driver order. The canonical step object keeps the assign/expr
+// fixed for its canonical position, so a moved builtin gets its own
+// step with the mode the new bound set implies (mirroring the greedy
+// compiler's emission).
+func cloneBuiltin(bs *builtinStep, bound []bool) *builtinStep {
+	clone := &builtinStep{b: bs.b, assign: -1, lVars: bs.lVars, rVars: bs.rVars, vmap: bs.vmap}
+	if mode, assignVar, ok := builtinMode(clone, bound); ok && mode == "assign" {
+		clone.assign = assignVar
+		if lv, isVar := clone.b.L.(ast.VarExpr); isVar && clone.vmap[lv.V] == assignVar && len(clone.lVars) == 1 {
+			clone.expr = clone.b.R
+		} else {
+			clone.expr = clone.b.L
+		}
+	}
+	return clone
 }
 
 // builtinMode decides how a builtin runs under the current bound set:

@@ -13,8 +13,7 @@ import (
 // point-in-time snapshot of the engine's cumulative accumulators;
 // Sub produces per-solve deltas, Annotate grafts the per-rule timing
 // and firing totals from Stats, and Render prints the human tree. The
-// JSON encoding of Profile is the machine-readable form — the input
-// format the cost-based planner (ROADMAP item 2) consumes.
+// JSON encoding of Profile is the machine-readable form.
 
 // OpStats is one operator of a rule's pipeline with its measured
 // counters. Counters are zero when profiling is off.
@@ -26,7 +25,8 @@ type OpStats struct {
 	Kind string `json:"kind"`
 	Op   string `json:"op"`
 	// In counts rows entering the operator, Out rows it passed
-	// downstream (the last operator's Out is the rule's firings).
+	// downstream (the last operator's Out is the rule's firings when the
+	// rule has no Δ-driver orders; see Profile).
 	In  int64 `json:"in"`
 	Out int64 `json:"out"`
 	// Probes counts index probes (rows offered by the operator's
@@ -38,12 +38,6 @@ type OpStats struct {
 	// pass; Groups counts aggregate groups a γ operator emitted.
 	Delta  int64 `json:"delta,omitempty"`
 	Groups int64 `json:"groups,omitempty"`
-	// EstRows is the cost planner's rows-per-invocation estimate for
-	// this operator at its position in the chosen plan (PlanCost only;
-	// zero for operators the planner does not estimate). Prediction
-	// sits beside the measured counters so the cost model can be
-	// calibrated from one report (docs/PLANNER.md).
-	EstRows float64 `json:"est_rows,omitempty"`
 }
 
 // RuleProfile is one rule's operator pipeline.
@@ -57,15 +51,13 @@ type RuleProfile struct {
 	Firings int64 `json:"firings,omitempty"`
 	Nanos   int64 `json:"nanos,omitempty"`
 	Rounds  int   `json:"rounds,omitempty"`
-	// PlanOrder is the cost planner's physical execution order as
-	// canonical step positions (-1 = the shared CSE buffer step);
-	// PlanShared is how many leading canonical steps that buffer
-	// replaced. Both absent when the rule runs its syntactic order.
-	// Ops always lists operators in canonical (syntactic) order, so the
-	// counter schema is stable across plans.
-	PlanOrder  []int     `json:"plan_order,omitempty"`
-	PlanShared int       `json:"plan_shared,omitempty"`
-	Ops        []OpStats `json:"ops"`
+	// Drivers lists the rule's Δ-driver orders (docs/ARCHITECTURE.md),
+	// each as canonical step positions with the driving scan first;
+	// absent when every Δ pass runs the canonical order. Ops always
+	// lists operators in canonical order and every pass's counters fold
+	// into them, whichever order it ran.
+	Drivers [][]int   `json:"drivers,omitempty"`
+	Ops     []OpStats `json:"ops"`
 }
 
 // Profile is the operator-level evaluation profile of one engine.
@@ -74,15 +66,12 @@ type RuleProfile struct {
 // pipelines moved, cumulatively over the engine's lifetime. Every pass
 // that runs is a pass the fixpoint required — nothing is evaluated and
 // discarded — so the row counts (In, Out, Delta, Groups) are identical
-// at every Parallelism value, and a rule's last operator's Out equals
-// its Stats firings.
+// at every Parallelism value. An operator's Out is the rows it passed
+// downstream at whatever position its pass ran it, so a rule's Stats
+// firings are the Out of the last operator of each order that ran: the
+// last canonical operator's Out for a rule without Δ-driver orders.
 type Profile struct {
-	// Executor names the executor the counters came from (always
-	// "stream"; kept so the report format is stable). Plan names the
-	// planner the engine resolves ("syntactic" or "cost").
-	Executor string        `json:"executor"`
-	Plan     string        `json:"plan"`
-	Rules    []RuleProfile `json:"rules"`
+	Rules []RuleProfile `json:"rules"`
 }
 
 // Profile snapshots the engine's operator counters (with the compiled
@@ -91,7 +80,7 @@ type Profile struct {
 // counters are atomic, so a snapshot taken mid-solve is simply a
 // consistent-enough point in time.
 func (en *Engine) Profile() *Profile {
-	pr := &Profile{Executor: "stream", Plan: resolvePlan(en.opts.Limits).String()}
+	pr := &Profile{}
 	for ci, ps := range en.plans {
 		for _, p := range ps {
 			rp := RuleProfile{Index: p.idx, Component: ci, Rule: p.text, Ops: make([]OpStats, len(p.steps))}
@@ -108,15 +97,9 @@ func (en *Engine) Profile() *Profile {
 					rp.Ops[si].Groups = c.Groups
 				}
 			}
-			// The planner's decisions for the currently installed
-			// physical (atomic load: consistent mid-solve snapshots).
-			if ch := p.ph().choice; ch != nil {
-				rp.PlanOrder = ch.Order
-				rp.PlanShared = ch.Shared
-				for pi, c := range ch.Order {
-					if c >= 0 && pi < len(ch.Est) {
-						rp.Ops[c].EstRows = ch.Est[pi]
-					}
+			for _, d := range p.drivers {
+				if d != nil {
+					rp.Drivers = append(rp.Drivers, append([]int(nil), d.canon...))
 				}
 			}
 			pr.Rules = append(pr.Rules, rp)
@@ -146,7 +129,7 @@ func (p *Profile) Sub(prev *Profile) *Profile {
 	for i := range prev.Rules {
 		byIdx[prev.Rules[i].Index] = &prev.Rules[i]
 	}
-	out := &Profile{Executor: p.Executor, Plan: p.Plan, Rules: make([]RuleProfile, len(p.Rules))}
+	out := &Profile{Rules: make([]RuleProfile, len(p.Rules))}
 	for i, rp := range p.Rules {
 		ops := make([]OpStats, len(rp.Ops))
 		copy(ops, rp.Ops)
@@ -187,22 +170,14 @@ func (p *Profile) Annotate(st Stats) {
 // Render prints the profile as a human-readable operator tree, one rule
 // per block, operators indented under it in pipeline order.
 func (p *Profile) Render(w io.Writer) {
-	planNote := ""
-	if p.Plan != "" {
-		planNote = fmt.Sprintf(" plan=%s", p.Plan)
-	}
-	fmt.Fprintf(w, "EXPLAIN ANALYZE (executor=%s%s)\n", p.Executor, planNote)
+	fmt.Fprintln(w, "EXPLAIN ANALYZE")
 	for _, rp := range p.Rules {
 		fmt.Fprintf(w, "rule %d [component %d]: %s\n", rp.Index, rp.Component, rp.Rule)
 		if rp.Firings > 0 || rp.Nanos > 0 {
 			fmt.Fprintf(w, "  %d firings over %d rounds in %s\n", rp.Firings, rp.Rounds, formatProfNanos(rp.Nanos))
 		}
-		if rp.PlanOrder != nil {
-			line := fmt.Sprintf("  plan: cost order=%v", rp.PlanOrder)
-			if rp.PlanShared > 0 {
-				line += fmt.Sprintf(" shared=%d", rp.PlanShared)
-			}
-			fmt.Fprintln(w, line)
+		for _, d := range rp.Drivers {
+			fmt.Fprintf(w, "  Δ-driver order=%v\n", d)
 		}
 		for i, op := range rp.Ops {
 			branch := "├─"
@@ -220,9 +195,6 @@ func (p *Profile) Render(w io.Writer) {
 			}
 			if op.Groups > 0 {
 				line += fmt.Sprintf(" groups=%d", op.Groups)
-			}
-			if op.EstRows > 0 {
-				line += fmt.Sprintf(" est=%.1f", op.EstRows)
 			}
 			fmt.Fprintln(w, line)
 		}

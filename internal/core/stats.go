@@ -16,9 +16,13 @@ import "repro/internal/obs"
 // work since the restore.
 type Stats struct {
 	Components int
-	Rounds     int
-	Firings    int64
-	Derived    int64
+	// Rounds counts fixpoint rounds, summed over the components a solve
+	// evaluated. Rounds counts one per non-recursive component (no rule
+	// scans or aggregates a predicate of its own component): it runs
+	// every rule once and is done.
+	Rounds  int
+	Firings int64
+	Derived int64
 	// Probes counts join probes: rows offered to the evaluator by
 	// relation scans and point lookups (before binding filters).
 	Probes int64

@@ -87,16 +87,11 @@ func buildDerivation(p *plan, e *env) *Derivation {
 		}
 	}
 	// Attach the contributing atoms of each aggregate group. The env's
-	// aggSupports are keyed by the position the aggregate executed at
-	// in the installed physical plan; the derivation itself renders in
-	// canonical order, so planned and syntactic traces are identical.
-	ph := p.ph()
+	// aggSupports are keyed by canonical step position whichever order
+	// fired (streamHooks), so the derivation renders in canonical order.
 	for i, st := range p.steps {
-		if _, ok := st.(*aggStep); !ok {
-			continue
-		}
-		if pi := ph.physOf[i]; pi >= 0 {
-			d.Supports = append(d.Supports, e.aggSupports[pi]...)
+		if _, ok := st.(*aggStep); ok {
+			d.Supports = append(d.Supports, e.aggSupports[i]...)
 		}
 	}
 	return d

@@ -86,7 +86,6 @@ const (
 	NegKind                     // σ: negative literal test
 	BuiltinKind                 // σ or binding: comparison / assignment
 	AggKind                     // γ: lattice aggregate
-	BufferKind                  // CSE: replay of a shared, materialized subplan
 )
 
 // Step is one operator of a compiled pipeline.
@@ -95,18 +94,6 @@ type Step struct {
 	Atom    Atom // ScanKind, NegKind
 	Builtin *BuiltinStep
 	Agg     *AggStep
-	Buffer  *BufferStep
-}
-
-// BufferStep replays a materialized common subexpression: the planner
-// evaluated a scan prefix shared by several rules of one component once,
-// buffered the bindings of its output variables, and each sharing
-// pipeline starts by replaying the buffer instead of re-running the
-// joins. Rows is shared read-only across the pipelines; Vars maps each
-// buffered column to this pipeline's variable index.
-type BufferStep struct {
-	Rows [][]val.T
-	Vars []int
 }
 
 // BuiltinStep is a builtin comparison or definitional assignment. Its
@@ -137,9 +124,6 @@ type AggStep struct {
 	// exactly when the reference interpreter would raise it.
 	OrderFull, OrderPoint       []int
 	OrderFullErr, OrderPointErr error
-	// GroupsHint presizes the grouped-mode group table from the
-	// planner's distinct-group estimate; 0 means no estimate.
-	GroupsHint int
 }
 
 // Hooks are the host-side callbacks a pipeline needs: builtin
@@ -199,8 +183,7 @@ type Config struct {
 }
 
 // OpCounts is one pipeline step's operator counters for a single run:
-// the cardinality and probe signals EXPLAIN ANALYZE renders and the
-// cost-based planner will consume.
+// the cardinality and probe signals EXPLAIN ANALYZE renders.
 type OpCounts struct {
 	// In counts rows entering the step (invocations of the operator);
 	// Out counts rows it passed downstream — for the last step, the
@@ -405,7 +388,7 @@ func (r *Rule) newMachine() *Machine {
 		case AggKind:
 			a := s.Agg
 			ag := &aggState{
-				groups:     make(map[string]*aggGroup, a.GroupsHint),
+				groups:     map[string]*aggGroup{},
 				keyScratch: make([]val.T, len(a.GroupVars)),
 				groupSaved: make([]int, 0, len(a.GroupVars)),
 				emitSaved:  make([]int, 0, len(a.GroupVars)+1),
@@ -415,8 +398,6 @@ func (r *Rule) newMachine() *Machine {
 				ag.conj[ci].init(&a.Conj[ci])
 			}
 			m.states[i].agg = ag
-		case BufferKind:
-			m.states[i].sbuf = make([]int, 0, len(s.Buffer.Vars))
 		}
 	}
 	if r.Hooks.Init != nil {
@@ -471,43 +452,8 @@ func (m *Machine) runStep(i int) error {
 		return err
 	case AggKind:
 		return m.runAgg(i, s.Agg, m.cfg.AggGroups[i])
-	case BufferKind:
-		return m.runBuffer(i, s.Buffer)
 	}
 	return fmt.Errorf("exec: unknown step kind %d", s.Kind)
-}
-
-// runBuffer replays a materialized shared subplan: each buffered row is
-// a binding of Vars, offered like an index probe.
-func (m *Machine) runBuffer(i int, b *BufferStep) error {
-	st := &m.states[i].scanState
-	for _, row := range b.Rows {
-		m.probe(i)
-		saved := st.sbuf[:0]
-		ok := true
-		for j, v := range b.Vars {
-			if m.Bound[v] {
-				if !val.Equal(m.Vals[v], row[j]) {
-					ok = false
-					break
-				}
-				continue
-			}
-			m.Vals[v] = row[j]
-			m.Bound[v] = true
-			saved = append(saved, v)
-		}
-		if !ok {
-			m.unbind(saved)
-			continue
-		}
-		err := m.runStep(i + 1)
-		m.unbind(saved)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // runScan drives the pipeline tail from one positive literal: the Δ
@@ -635,7 +581,7 @@ func (m *Machine) open(c *cursor, at *Atom, st *scanState, profStep int) {
 		}
 	}
 	if at.Info.HasDefault {
-		// Point lookup (the planner guarantees the non-cost arguments
+		// Point lookup (the compiler guarantees the non-cost arguments
 		// are bound); a miss synthesizes the default (bottom) row.
 		args := st.args
 		for j, v := range at.ArgVar {

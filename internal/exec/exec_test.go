@@ -15,7 +15,7 @@ import (
 )
 
 // Operator-level properties of the streaming executor, exercised
-// directly against hand-built pipelines (no planner in the loop): σ
+// directly against hand-built pipelines (no compiler in the loop): σ
 // placement invariance, π dedup under the lattice merge, join symmetry,
 // Δ-drive equivalence, and γ's grouped/point agreement.
 

@@ -367,32 +367,6 @@ func (r *Relation) Bucket(mask uint64, key []byte) []int {
 	return b.rows
 }
 
-// DistinctUnder returns the number of distinct projections of the
-// stored rows onto the argument positions in mask — exactly the number
-// of buckets the per-mask hash index holds. It is the cardinality
-// statistic behind the cost-based planner's selectivity estimates
-// (rows-per-probe of an indexed scan is Len/DistinctUnder), and calling
-// it builds the index as a side effect, so costing a candidate join
-// order also prewarms the build side the chosen order will probe.
-// DistinctUnder is safe for concurrent readers on a frozen relation,
-// like Match and Bucket.
-func (r *Relation) DistinctUnder(mask uint64) int {
-	if mask == 0 {
-		if len(r.data) == 0 {
-			return 0
-		}
-		return 1
-	}
-	var ix map[string]*bucket
-	if is := r.idx.Load(); is != nil {
-		ix = is.byMask[mask]
-	}
-	if ix == nil {
-		ix = r.buildIndex(mask)
-	}
-	return len(ix)
-}
-
 // AppendProjKey appends the projection key of args over mask to dst in
 // exactly the encoding the per-mask indexes are keyed by.
 func AppendProjKey(dst []byte, args []val.T, mask uint64) []byte {

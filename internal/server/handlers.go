@@ -737,8 +737,7 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 // rules — EXPLAIN — and, with ?analyze=1, annotates it with the
 // measured cumulative counters of the streaming executor plus per-rule
 // timings from the stats ledger — EXPLAIN ANALYZE. JSON by default (the
-// machine-readable planner-input form); ?format=text renders the human
-// tree.
+// machine-readable form); ?format=text renders the human tree.
 func (s *Server) handleExplainPlan(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()

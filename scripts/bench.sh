@@ -80,29 +80,6 @@ BEGIN { printf "{\n  \"date\": \"%s\",\n  \"go\": \"%s\",\n  \"host\": \"%s\",\n
     names[n] = name; nsb[name] = ns
 }
 END {
-    # The planner section pairs each cost-planned benchmark with its
-    # syntactic-plan twin and records the ns/op
-    # ratio (< 1.0 means the cost planner won); this is the ledger
-    # scripts/bench_regression.sh gates on.
-    printf "\n  ],\n  \"planner\": ["
-    m = 0
-    for (i = 1; i <= n; i++) {
-        name = names[i]; base = ""; fam = ""
-        if (name ~ /^BenchmarkShortestPath\/[a-z]+\/n=[0-9]+\/cost$/) {
-            split(name, a, "/")
-            base = "BenchmarkShortestPath/" a[2] "/" a[3]
-            fam = "shortestpath/" a[2] "/" a[3]
-        } else if (name ~ /\/engine-cost\//) {
-            base = name; sub(/\/engine-cost\//, "/engine/", base)
-            fam = tolower(name); sub(/^benchmark/, "", fam); sub(/\/engine-cost\//, "/", fam)
-        } else if (name == "BenchmarkSolvePlan/cost") {
-            base = "BenchmarkSolvePlan/syntactic"
-            fam = "solveplan/cyclic/n=128"
-        }
-        if (base == "" || !(base in nsb) || nsb[base] + 0 == 0) continue
-        if (m++) printf ","
-        printf "\n    {\"family\": \"%s\", \"cost\": \"%s\", \"syntactic\": \"%s\", \"cost_over_syntactic_ns\": %.3f}", fam, name, base, nsb[name] / nsb[base]
-    }
     printf "\n  ],\n  \"engine_vs_baseline\": ["
     m = 0
     for (i = 1; i <= n; i++) {

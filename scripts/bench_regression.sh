@@ -2,7 +2,7 @@
 # Allocation- and overhead-regression gate for the engine.
 #
 # Runs BenchmarkSolve (the shortest-path fixpoint on a cyclic graph) and
-# BenchmarkSolvePlan and enforces:
+# BenchmarkParty (Example 4.3) and enforces:
 #
 #   1. Allocation pin: with no event sink and no profiler attached (the
 #      benchmark's configuration), BenchmarkSolve's allocs/op stays at
@@ -23,21 +23,17 @@
 #      (default 3). Opt-in because stored timings are not comparable
 #      across machines or days (see docs/OBSERVABILITY.md).
 #
-#   3. Planner gate: BenchmarkSolvePlan runs the same shortest-path
-#      fixpoint under the syntactic plan and the cost-based planner
-#      (see docs/PLANNER.md) and the cost-planned run must not be
-#      slower than the syntactic one by more than
-#      BENCH_REGRESSION_PLAN_TOL_PCT percent (default 25). On this
-#      program the planner falls back to the identity order, so the
-#      gate is really measuring planning overhead — interleaved runs
-#      show parity (±1%) — but even same-process A/B pairs drift up
-#      to ~20% on the shared development VM, so the default tolerance
-#      only catches order-of-magnitude mistakes (a mis-ordered Δ
-#      driver costs 5×, not 25%). Tighten it on a quiet box.
+#   3. Party probe pin: BenchmarkParty/engine/n=64 reports the index
+#      probes of one Example 4.3 solve (probes/op), which must equal
+#      1,682 exactly. The count is deterministic, so there is no
+#      tolerance and no override: it moves only when the pipelines a
+#      pass runs change, so re-pinning means editing PARTY_PROBES below
+#      in the same commit as that code change. kc's Δ pass runs its
+#      Δ-driver order (docs/ARCHITECTURE.md); on the canonical order the
+#      same solve probed 22,120 rows.
 #
 #   scripts/bench_regression.sh                      # default gates
 #   BENCH_REGRESSION_SOLVE_NS_BASELINE=221000000 scripts/bench_regression.sh
-#   BENCH_REGRESSION_PLAN_TOL_PCT=10 scripts/bench_regression.sh
 #   BENCHTIME=5x scripts/bench_regression.sh
 #
 # Allocation counts (unlike wall-clock timings) are stable across
@@ -54,27 +50,24 @@ SOLVE_ALLOCS=${BENCH_REGRESSION_SOLVE_ALLOCS:-139627}
 ALLOC_TOL_PCT=${BENCH_REGRESSION_ALLOC_TOL_PCT:-0.5}
 NS_BASELINE=${BENCH_REGRESSION_SOLVE_NS_BASELINE:-}
 NS_TOL_PCT=${BENCH_REGRESSION_NS_TOL_PCT:-3}
-PLAN_TOL_PCT=${BENCH_REGRESSION_PLAN_TOL_PCT:-25}
+PARTY_PROBES=1682
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT INT TERM
 
-echo "bench_regression: running BenchmarkSolve and BenchmarkSolvePlan (both plans, -benchtime $BENCHTIME)"
-( cd "$ROOT" && go test . -run '^$' -bench '^BenchmarkSolve(Plan)?$' -benchmem \
+echo "bench_regression: running BenchmarkSolve and BenchmarkParty (-benchtime $BENCHTIME)"
+( cd "$ROOT" && go test . -run '^$' -bench '^(BenchmarkSolve|BenchmarkParty)$' -benchmem \
     -benchtime "$BENCHTIME" ) | tee "$RAW"
 
 awk -v pinned="$SOLVE_ALLOCS" -v alloctol="$ALLOC_TOL_PCT" \
-    -v nsbase="$NS_BASELINE" -v nstol="$NS_TOL_PCT" -v plantol="$PLAN_TOL_PCT" '
+    -v nsbase="$NS_BASELINE" -v nstol="$NS_TOL_PCT" -v partypin="$PARTY_PROBES" '
 /^BenchmarkSolve(-[0-9]+)?[ \t]/ && /allocs\/op/ {
     for (i = 2; i < NF; i++) {
         if ($(i+1) == "allocs/op") allocs = $i
         if ($(i+1) == "ns/op") solvens = $i
     }
 }
-/^BenchmarkSolvePlan\/syntactic/ && /ns\/op/ {
-    for (i = 2; i < NF; i++) if ($(i+1) == "ns/op") synns = $i
-}
-/^BenchmarkSolvePlan\/cost/ && /ns\/op/ {
-    for (i = 2; i < NF; i++) if ($(i+1) == "ns/op") costns = $i
+/^BenchmarkParty\/engine\/n=64(-[0-9]+)?[ \t]/ && /probes\/op/ {
+    for (i = 2; i < NF; i++) if ($(i+1) == "probes/op") probes = $i
 }
 END {
     if (allocs == "") {
@@ -95,14 +88,13 @@ END {
             exit 1
         }
     }
-    if (synns == "" || costns == "") {
-        print "bench_regression: FAIL: missing BenchmarkSolvePlan/syntactic or BenchmarkSolvePlan/cost results" > "/dev/stderr"
+    if (probes == "") {
+        print "bench_regression: FAIL: missing BenchmarkParty/engine/n=64 probes/op" > "/dev/stderr"
         exit 1
     }
-    plandev = 100 * (costns - synns) / synns
-    printf "bench_regression: cost plan %.0f ns/op vs syntactic %.0f ns/op = %+.1f%% (gate: <= +%s%%)\n", costns, synns, plandev, plantol
-    if (plandev > plantol + 0) {
-        print "bench_regression: FAIL: cost-based plan is slower than the syntactic plan past the gate" > "/dev/stderr"
+    printf "bench_regression: BenchmarkParty/engine/n=64 probes/op %d vs pinned %d\n", probes, partypin
+    if (probes + 0 != partypin + 0) {
+        print "bench_regression: FAIL: Example 4.3 probe count moved; a Δ pass no longer runs the pipeline it did" > "/dev/stderr"
         exit 1
     }
     print "bench_regression: PASS"
