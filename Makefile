@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test test-procs race fuzz wal-crash-test serve-smoke loadgen loadgen-smoke bench bench-smoke bench-smoke-parallel bench-regression ci clean
+.PHONY: all build vet test test-procs race fuzz wal-crash-test serve-smoke loadgen loadgen-smoke bench-regression ci clean
 
 all: build
 
@@ -14,7 +14,7 @@ vet:
 test:
 	$(GO) test ./...
 
-# Tier-1 at explicit core counts: the default worker count follows
+# Tier-1 at explicit core counts: the component walk's worker count is
 # GOMAXPROCS, so a suite that is green on one box can be red on another
 # (the profile counters were, at GOMAXPROCS >= 2). Run it at each.
 test-procs:
@@ -24,9 +24,9 @@ test-procs:
 
 # Everything under the race detector. The crash-recovery suite
 # (fault-injected crashes mid-fixpoint, torn checkpoints, the
-# checkpoint/resume differential), the component-scheduler suite (the
-# determinism contract at explicit worker counts, the T_P-fixpoint
-# oracle, worker-crash containment), the serve tier's chaos suite (group
+# checkpoint/resume differential), the component-walk suite (the
+# determinism contract at explicit GOMAXPROCS, the T_P-fixpoint oracle,
+# worker-crash containment), the serve tier's chaos suite (group
 # commit, admission control, injected stalls and failed swaps, asserts
 # racing shutdown) and the Δ-driver differential are all tests of ./...,
 # so this one target is where they run under -race.
@@ -66,27 +66,16 @@ loadgen-smoke:
 	LOADGEN_DURATION=2s LOADGEN_OVERLOAD_DURATION=1s \
 		LOADGEN_OUT=/tmp/bench-loadgen-smoke.json sh scripts/loadgen.sh
 
-# Full benchmark run; writes BENCH_<date>.json at the repo root.
-bench:
-	sh scripts/bench.sh
-
-# One iteration per benchmark: proves every benchmark still compiles
-# and runs without paying for statistically meaningful timings.
-bench-smoke:
-	BENCHTIME=1x BENCH_OUT=/tmp/bench-smoke.json sh scripts/bench.sh
-
-# Smoke the component-scheduler benchmark specifically (parallelism
-# 1/2/GOMAXPROCS sub-runs of the eight-component workload).
-bench-smoke-parallel:
-	BENCHTIME=1x BENCH_PATTERN='SolveParallel' \
-		BENCH_OUT=/tmp/bench-smoke-parallel.json sh scripts/bench.sh
-
 # Regression gate: fail if BenchmarkSolve's allocs/op moves off its pin,
 # or Example 4.3's index probes per solve move off theirs.
 bench-regression:
 	sh scripts/bench_regression.sh
 
-ci: vet build test-procs race fuzz wal-crash-test serve-smoke loadgen-smoke bench-smoke bench-smoke-parallel bench-regression
+# CI's target set, plus one iteration of every root benchmark (proves
+# each still compiles and runs; timings that carry a conclusion come from
+# benchmark/, see BENCHMARK.json).
+ci: vet build test-procs race fuzz wal-crash-test serve-smoke loadgen-smoke bench-regression
+	$(GO) test . -run '^$$' -bench . -benchtime 1x
 
 clean:
 	$(GO) clean ./...

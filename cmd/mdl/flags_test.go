@@ -24,7 +24,6 @@ func TestConflictingFlagCombinations(t *testing.T) {
 		{"check with checkpoint", []string{"-check", "-checkpoint", "x.ckpt", f}},
 		{"check with stats", []string{"-check", "-stats", f}},
 		{"check with pprof", []string{"-check", "-pprof-addr", "127.0.0.1:0", f}},
-		{"check with parallel", []string{"-check", "-parallel", "2", f}},
 		{"check with profile", []string{"-check", "-profile", f}},
 	}
 	for _, tc := range cases {
@@ -148,32 +147,19 @@ func TestPprofFlag(t *testing.T) {
 	}
 }
 
-// TestParallelFlag: the worker count must name at least one worker when
-// given explicitly (the unset default means one per CPU), and any
-// accepted value prints the same model as -parallel 1.
+// TestParallelFlag: there is no worker-count flag — the component walk
+// uses GOMAXPROCS workers — so -parallel is undefined on mdl and mdl
+// serve alike (usage exit 1).
 func TestParallelFlag(t *testing.T) {
 	f := writeProgram(t, "sp.mdl", shortestPath)
-	for _, bad := range []string{"0", "-1"} {
-		_, errOut, code := runMdl(t, "-parallel", bad, f)
-		if code != exitUsage {
-			t.Fatalf("-parallel %s: exit %d, want %d (usage)", bad, code, exitUsage)
-		}
-		if !strings.Contains(errOut, "-parallel must be ≥ 1") {
-			t.Fatalf("stderr must explain the bad value:\n%s", errOut)
-		}
+	if _, errOut, code := runMdl(t, "-parallel", "2", f); code != exitUsage ||
+		!strings.Contains(errOut, "flag provided but not defined: -parallel") {
+		t.Fatalf("mdl -parallel: exit %d, want %d (usage)\n%s", code, exitUsage, errOut)
 	}
-	seqOut, errOut, code := runMdl(t, "-parallel", "1", f)
-	if code != exitOK {
-		t.Fatalf("-parallel 1: exit %d\n%s", code, errOut)
-	}
-	for _, n := range []string{"2", "8"} {
-		parOut, errOut, code := runMdl(t, "-parallel", n, f)
-		if code != exitOK {
-			t.Fatalf("-parallel %s: exit %d\n%s", n, code, errOut)
-		}
-		if parOut != seqOut {
-			t.Fatalf("-parallel %s output differs from sequential:\n%s\nvs\n%s", n, parOut, seqOut)
-		}
+	var out, errb strings.Builder
+	if code := runServe(context.Background(), []string{"-parallel", "2", f}, &out, &errb); code != exitUsage ||
+		!strings.Contains(errb.String(), "flag provided but not defined: -parallel") {
+		t.Fatalf("mdl serve -parallel: exit %d, want %d (usage)\n%s", code, exitUsage, errb.String())
 	}
 }
 
@@ -245,8 +231,6 @@ func TestServeFlagValidation(t *testing.T) {
 	}{
 		{"bad log format", []string{"-log-format", "xml", f}, "-log-format must be text or json"},
 		{"negative slow request", []string{"-slow-request", "-1s", f}, "-slow-request must be ≥ 0"},
-		{"zero parallel", []string{"-parallel", "0", f}, "-parallel must be ≥ 1"},
-		{"negative parallel", []string{"-parallel", "-3", f}, "-parallel must be ≥ 1"},
 		{"bad plan", []string{"-plan", "cost", f}, "flag provided but not defined: -plan"},
 	}
 	for _, tc := range cases {

@@ -12,9 +12,6 @@
 //	-eps ε         numeric convergence tolerance (for ω-limit programs)
 //	-max-rounds N  fixpoint round bound per component
 //	-max-facts N   derivation budget per solve (0 = unlimited)
-//	-parallel N    component workers: independent program components
-//	               evaluate concurrently (default: one per CPU; 1 = one
-//	               after another; output is identical either way)
 //	-timeout d     wall-clock budget for evaluation, e.g. 1s (0 = none)
 //	-query pred    print only the tuples of one predicate
 //	-stats         print evaluation statistics to stderr, including
@@ -107,7 +104,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	eps := fs.Float64("eps", 0, "numeric convergence tolerance")
 	maxRounds := fs.Int("max-rounds", 0, "fixpoint round bound per component")
 	maxFacts := fs.Int64("max-facts", 0, "derivation budget per solve (0 = unlimited)")
-	parallel := fs.Int("parallel", 0, "component workers (default one per CPU; 1 = sequential)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for evaluation, e.g. 1s (0 = none)")
 	query := fs.String("query", "", "print only this predicate")
 	stats := fs.Bool("stats", false, "print evaluation statistics")
@@ -140,13 +136,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *ckptEvery < 0 {
 		return usage("-checkpoint-every must be ≥ 0")
 	}
-	timeoutSet, parallelSet := false, false
+	timeoutSet := false
 	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "timeout":
+		if f.Name == "timeout" {
 			timeoutSet = true
-		case "parallel":
-			parallelSet = true
 		}
 	})
 	if *profileJSON != "" {
@@ -154,11 +147,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if timeoutSet && *timeout <= 0 {
 		return usage("-timeout must be > 0")
-	}
-	// The unset default (0) means one worker per CPU; an explicit value
-	// must name at least one worker.
-	if parallelSet && *parallel < 1 {
-		return usage("-parallel must be ≥ 1")
 	}
 	// -check never evaluates, so evaluation-only flags genuinely conflict
 	// with it. -resume combined with positional program/fact files does
@@ -177,9 +165,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if *check && *pprofAddr != "" {
 		return usage("-check does not evaluate; it cannot be combined with -pprof-addr")
-	}
-	if *check && parallelSet {
-		return usage("-check does not evaluate; it cannot be combined with -parallel")
 	}
 	if *check && *profile {
 		return usage("-check does not evaluate; it cannot be combined with -profile")
@@ -205,7 +190,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		MaxRounds:   *maxRounds,
 		MaxFacts:    *maxFacts,
 		MaxDuration: *timeout,
-		Parallelism: *parallel,
 		SkipChecks:  *unchecked || *check,
 		WFSFallback: *wfsFallback,
 		Trace:       *explain != "",

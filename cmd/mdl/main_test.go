@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -51,6 +52,13 @@ const divergent = `
 p(b, 1).
 p(a, C) :- C ?= sum D : p(X, D).
 `
+
+// withProcs sets GOMAXPROCS — and with it the component walk's worker
+// count — to n for the rest of the test, restoring it when the test ends.
+func withProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 func runMdl(t *testing.T, args ...string) (string, string, int) {
 	t.Helper()
@@ -305,10 +313,11 @@ func TestFactFilesEqualProgramText(t *testing.T) {
 	}
 	var seqOut, seqReport string
 	var seqSnap []byte
-	for _, par := range []string{"1", "2", "4"} {
+	for _, procs := range []int{1, 2, 4} {
+		withProcs(t, procs)
 		run := func(files ...string) (string, string, []byte) {
 			ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-			args := append([]string{"-stats", "-parallel", par, "-checkpoint", ckpt}, files...)
+			args := append([]string{"-stats", "-checkpoint", ckpt}, files...)
 			out, errOut, code := runMdl(t, args...)
 			if code != exitOK {
 				t.Fatalf("mdl %v: exit %d\n%s", args, code, errOut)
@@ -322,21 +331,21 @@ func TestFactFilesEqualProgramText(t *testing.T) {
 		out2, rep2, snap2 := run(rules, facts)
 		out1, rep1, snap1 := run(one)
 		if out2 != out1 {
-			t.Fatalf("-parallel %s: model from two files differs:\n%s\nwant:\n%s", par, out2, out1)
+			t.Fatalf("GOMAXPROCS %d: model from two files differs:\n%s\nwant:\n%s", procs, out2, out1)
 		}
 		if rep2 != rep1 {
-			t.Fatalf("-parallel %s: -stats from two files differs:\n%s\nwant:\n%s", par, rep2, rep1)
+			t.Fatalf("GOMAXPROCS %d: -stats from two files differs:\n%s\nwant:\n%s", procs, rep2, rep1)
 		}
 		if !bytes.Equal(snap2, snap1) {
-			t.Fatalf("-parallel %s: final checkpoint from two files differs", par)
+			t.Fatalf("GOMAXPROCS %d: final checkpoint from two files differs", procs)
 		}
 		if n := strings.Count(rep2, "comp=1"); n != 3 {
-			t.Fatalf("-parallel %s: %d rule rows in the hot-spot table, want 3 (none per fact):\n%s", par, n, rep2)
+			t.Fatalf("GOMAXPROCS %d: %d rule rows in the hot-spot table, want 3 (none per fact):\n%s", procs, n, rep2)
 		}
-		if par == "1" {
+		if procs == 1 {
 			seqOut, seqReport, seqSnap = out2, rep2, snap2
 		} else if out2 != seqOut || rep2 != seqReport || !bytes.Equal(snap2, seqSnap) {
-			t.Fatalf("-parallel %s differs from -parallel 1:\n%s\nwant:\n%s", par, rep2, seqReport)
+			t.Fatalf("GOMAXPROCS %d differs from GOMAXPROCS 1:\n%s\nwant:\n%s", procs, rep2, seqReport)
 		}
 	}
 }

@@ -21,8 +21,6 @@
 //	-eps ε         numeric convergence tolerance
 //	-max-rounds N  fixpoint round bound per component
 //	-max-facts N   derivation budget per solve and per assert batch
-//	-parallel N    component workers per solve (default: one per CPU;
-//	               1 = one component after another; output is identical)
 //	-timeout d     wall-clock budget per solve and per assert batch
 //	-trace         record provenance for /v1/explain (default true)
 //	-checkpoint f  warm-start from f when it exists; flush a final
@@ -95,7 +93,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	eps := fs.Float64("eps", 0, "numeric convergence tolerance")
 	maxRounds := fs.Int("max-rounds", 0, "fixpoint round bound per component")
 	maxFacts := fs.Int64("max-facts", 0, "derivation budget per solve and per assert batch (0 = unlimited)")
-	parallel := fs.Int("parallel", 0, "component workers per solve (default one per CPU; 1 = sequential)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget per solve and per assert batch (0 = none)")
 	trace := fs.Bool("trace", true, "record provenance for /v1/explain")
 	ckptPath := fs.String("checkpoint", "", "warm-start from this snapshot when present; flush to it on shutdown")
@@ -129,15 +126,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	}
 	if *timeout < 0 {
 		return usage("-timeout must be ≥ 0")
-	}
-	parallelSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "parallel" {
-			parallelSet = true
-		}
-	})
-	if parallelSet && *parallel < 1 {
-		return usage("-parallel must be ≥ 1")
 	}
 	if fs.NArg() == 0 {
 		fmt.Fprintln(stderr, "usage: mdl serve [flags] program.mdl ...")
@@ -181,7 +169,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		MaxRounds:   *maxRounds,
 		MaxFacts:    *maxFacts,
 		MaxDuration: *timeout,
-		Parallelism: *parallel,
 		Trace:       *trace,
 	}
 	specs, code := serveSpecs(fs.Args(), *join, *name, opts, stderr)

@@ -318,7 +318,7 @@ func leBound(line string) float64 {
 
 // emitReport prints the report and, when out is set, merges it into the
 // BENCH json (appending to any "loadgen" list already there, preserving
-// scripts/bench.sh results in the same file).
+// the file's other keys).
 func emitReport(rep *loadReport, out string, stdout io.Writer) error {
 	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")

@@ -76,7 +76,7 @@ func TestRunLoadAgainstLiveServer(t *testing.T) {
 }
 
 // TestEmitReportMergesBenchFile checks that reports append under the
-// "loadgen" key without clobbering existing bench.sh content.
+// "loadgen" key without clobbering the file's existing content.
 func TestEmitReportMergesBenchFile(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_test.json")
 	seed := `{"date":"2026-08-07T00:00:00Z","benchmarks":[{"name":"BenchmarkSolve","ns_per_op":42}]}`

@@ -5,7 +5,7 @@
 // instead of silently slowing the generator down (coordinated-omission
 // free). It records per-class latency quantiles and error/shed rates,
 // scrapes the server's commit batch-size histogram, and merges the
-// report into a BENCH_<date>.json alongside scripts/bench.sh results.
+// report into a BENCH_<date>.json, keeping whatever else the file holds.
 //
 // Usage:
 //

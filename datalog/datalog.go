@@ -117,17 +117,6 @@ type Options struct {
 	// consecutive times with nothing else changing (0 = default 1000,
 	// negative disables).
 	DivergenceStreak int
-	// Parallelism is the number of component workers: program
-	// components (strongly connected sets of mutually recursive
-	// predicates) that do not depend on one another are evaluated
-	// concurrently, each joined back into the model when it reaches its
-	// fixpoint. A program that is one recursive component therefore runs
-	// on one worker whatever the value, and incremental SolveMore always
-	// does. Results — models, fact order, traces, stats, profiles,
-	// checkpoints — are identical at any value (docs/ARCHITECTURE.md).
-	// 0 means one worker per CPU (runtime.GOMAXPROCS); 1 evaluates the
-	// components one after another.
-	Parallelism int
 	// Sink, when non-nil, receives the engine's typed event stream —
 	// solve/component/round boundaries, rule passes, checkpoint
 	// flushes and resource warnings. Events are emitted synchronously
@@ -170,7 +159,6 @@ func Load(src string, opts Options) (*Program, error) {
 		MaxDuration:      opts.MaxDuration,
 		CheckEvery:       opts.CheckEvery,
 		DivergenceStreak: opts.DivergenceStreak,
-		Parallelism:      opts.Parallelism,
 	}
 	en, err := core.New(prog, core.Options{
 		Strategy:    opts.Strategy,
@@ -343,13 +331,6 @@ func WithDivergenceStreak(n int) SolveOption {
 	return func(c *solveConfig) { c.lim.DivergenceStreak = n }
 }
 
-// WithParallelism overrides the number of component workers for this
-// solve (0 = one worker per CPU, 1 = sequential); see
-// Options.Parallelism. The result is identical at every value.
-func WithParallelism(n int) SolveOption {
-	return func(c *solveConfig) { c.lim.Parallelism = n }
-}
-
 // Solve evaluates the program over the given extensional facts and
 // returns its minimal model (Corollary 3.5).
 func (p *Program) Solve(facts ...Fact) (*Model, Stats, error) {
@@ -417,9 +398,10 @@ func addFact(edb *relation.DB, schemas ast.Schemas, f Fact) error {
 // SolveMore extends a previously computed model with additional
 // extensional facts, reusing the old model instead of re-solving from
 // scratch — sound because monotonic programs only ever grow under fact
-// insertion. It fails if any added predicate is used non-monotonically
-// (under negation, or inside a pseudo-monotonic aggregate) or is defined
-// by rules. The original model is unchanged.
+// insertion. It fails if any added predicate is defined by rules, or is
+// used non-monotonically — under negation, or inside a pseudo-monotonic
+// aggregate — directly or through the predicates that depend on it. The
+// original model is unchanged.
 func (p *Program) SolveMore(m *Model, facts ...Fact) (*Model, Stats, error) {
 	return p.SolveMoreContext(context.Background(), m, facts)
 }

@@ -159,15 +159,16 @@ func TestFactsInTextEqualFactsAsArguments(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			args := argFacts(t, tc.facts)
 			var seq observed
-			for _, par := range []int{1, 2, 4} {
-				opts := datalog.Options{Epsilon: tc.eps, Parallelism: par}
+			for _, procs := range []int{1, 2, 4} {
+				withProcs(t, procs)
+				opts := datalog.Options{Epsilon: tc.eps}
 				text := observe(t, tc.rules+"\n"+tc.facts, nil, opts)
-				text.diff(t, fmt.Sprintf("parallelism %d, facts in text vs as arguments", par),
+				text.diff(t, fmt.Sprintf("GOMAXPROCS %d, facts in text vs as arguments", procs),
 					observe(t, tc.rules, args, opts))
-				if par == 1 {
+				if procs == 1 {
 					seq = text
 				} else {
-					text.diff(t, fmt.Sprintf("parallelism %d vs sequential", par), seq)
+					text.diff(t, fmt.Sprintf("GOMAXPROCS %d vs 1", procs), seq)
 				}
 			}
 		})

@@ -7,20 +7,23 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/datalog"
 	"repro/internal/faults"
+	"repro/internal/programs"
 )
 
-// The component scheduler's determinism contract (docs/ARCHITECTURE.md):
-// for every program and every parallelism level, the model, the
+// The component walk's determinism contract (docs/ARCHITECTURE.md): for
+// every program and every worker count (GOMAXPROCS), the model, the
 // insertion order of facts, the recorded derivations, the Stats, the
-// Profile row counts and the checkpoint bytes are identical to the
-// sequential walk's. These tests enforce the contract differentially
-// over every shipped example program; timing fields (Nanos) and the
-// profile's probe counts are the only tolerated differences.
+// Profile row counts and the checkpoint bytes are identical — for Solve,
+// Resume and SolveMore alike. These tests enforce the contract
+// differentially over every shipped example program; timing fields
+// (Nanos) and the profile's probe counts are the only tolerated
+// differences.
 
 // normStats strips wall-clock time from a Stats, the one field the
 // determinism contract exempts.
@@ -86,15 +89,19 @@ func profileFingerprint(pr *datalog.Profile) string {
 	return b.String()
 }
 
-// solveParallel loads one example with tracing, profiling and the given
-// worker count and solves it, checkpointing every round; it also
-// returns the bytes of the final checkpoint. Along the way it pins where
-// the solve ran: a program with at most one component to evaluate (most
-// examples, now that their facts are data) is walked on the calling
-// goroutine whatever the worker count, and only a program with several
-// goes to the scheduler's workers.
-func solveParallel(t *testing.T, name string, par int) (*datalog.Program, *datalog.Model, datalog.Stats, []byte) {
+// withProcs sets GOMAXPROCS — and with it the component walk's worker
+// count — to n for the rest of the test, restoring it when the test ends.
+func withProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// solveParallel loads one example with tracing and profiling and solves
+// it at GOMAXPROCS procs, checkpointing every round; it also returns the
+// bytes of the final checkpoint.
+func solveParallel(t *testing.T, name string, procs int) (*datalog.Program, *datalog.Model, datalog.Stats, []byte) {
 	t.Helper()
+	withProcs(t, procs)
 	src, err := os.ReadFile(filepath.Join(exampleDir, name))
 	if err != nil {
 		t.Fatal(err)
@@ -102,27 +109,6 @@ func solveParallel(t *testing.T, name string, par int) (*datalog.Program, *datal
 	opts := exampleOptions(name)
 	opts.Trace = true
 	opts.Profile = true
-	opts.Parallelism = par
-	evaluated, onWorkers := 0, 0
-	opts.Sink = datalog.SinkFunc(func(e datalog.Event) {
-		if e.Kind == datalog.EventComponentBegin {
-			evaluated++
-			if e.Workers > 0 {
-				onWorkers++
-			}
-		}
-	})
-	defer func() {
-		t.Helper()
-		want := 0
-		if par > 1 && evaluated > 1 {
-			want = evaluated
-		}
-		if onWorkers != want {
-			t.Fatalf("%s at parallelism %d: %d of %d components ran on scheduler workers, want %d",
-				name, par, onWorkers, evaluated, want)
-		}
-	}()
 	p, err := datalog.Load(string(src), opts)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
@@ -130,7 +116,7 @@ func solveParallel(t *testing.T, name string, par int) (*datalog.Program, *datal
 	ckpt := filepath.Join(t.TempDir(), "model.ckpt")
 	m, stats, err := p.SolveContext(context.Background(), nil, datalog.WithCheckpoint(datalog.FileCheckpoint(ckpt), 1))
 	if err != nil {
-		t.Fatalf("%s at parallelism %d: %v", name, par, err)
+		t.Fatalf("%s at GOMAXPROCS %d: %v", name, procs, err)
 	}
 	snap, err := os.ReadFile(ckpt)
 	if err != nil {
@@ -140,9 +126,9 @@ func solveParallel(t *testing.T, name string, par int) (*datalog.Program, *datal
 }
 
 // TestParallelDeterminism solves every shipped example program
-// (omega.mdl diverges by design and is excluded) sequentially and at
-// parallelism 2, 4 and 8, asserting model, fact order, traces, stats,
-// profile row counts and final checkpoint bytes agree exactly.
+// (omega.mdl diverges by design and is excluded) at GOMAXPROCS 1, 2, 4
+// and 8, asserting model, fact order, traces, stats, profile row counts
+// and final checkpoint bytes agree exactly.
 func TestParallelDeterminism(t *testing.T) {
 	entries, err := os.ReadDir(exampleDir)
 	if err != nil {
@@ -162,70 +148,150 @@ func TestParallelDeterminism(t *testing.T) {
 			for _, par := range []int{2, 4, 8} {
 				parP, parM, parStats, parSnap := solveParallel(t, name, par)
 				if got := parM.String(); got != seqModel {
-					t.Fatalf("parallelism %d model differs:\n%s\nwant:\n%s", par, got, seqModel)
+					t.Fatalf("GOMAXPROCS %d model differs:\n%s\nwant:\n%s", par, got, seqModel)
 				}
 				if got := factFingerprint(parM); got != seqFacts {
-					t.Fatalf("parallelism %d fact order differs:\n%s\nwant:\n%s", par, got, seqFacts)
+					t.Fatalf("GOMAXPROCS %d fact order differs:\n%s\nwant:\n%s", par, got, seqFacts)
 				}
 				if got := traceFingerprint(t, parP, parM); got != seqTrace {
-					t.Fatalf("parallelism %d traces differ:\n%s\nwant:\n%s", par, got, seqTrace)
+					t.Fatalf("GOMAXPROCS %d traces differ:\n%s\nwant:\n%s", par, got, seqTrace)
 				}
 				if got, want := fmt.Sprintf("%+v", normStats(parStats)), fmt.Sprintf("%+v", normStats(seqStats)); got != want {
-					t.Fatalf("parallelism %d stats differ:\n%s\nwant:\n%s", par, got, want)
+					t.Fatalf("GOMAXPROCS %d stats differ:\n%s\nwant:\n%s", par, got, want)
 				}
 				if got := profileFingerprint(parP.Profile()); got != seqProfile {
-					t.Fatalf("parallelism %d profile row counts differ:\n%s\nwant:\n%s", par, got, seqProfile)
+					t.Fatalf("GOMAXPROCS %d profile row counts differ:\n%s\nwant:\n%s", par, got, seqProfile)
 				}
 				if !bytes.Equal(parSnap, seqSnap) {
-					t.Fatalf("parallelism %d final checkpoint differs (%d vs %d bytes)", par, len(parSnap), len(seqSnap))
+					t.Fatalf("GOMAXPROCS %d final checkpoint differs (%d vs %d bytes)", par, len(parSnap), len(seqSnap))
 				}
 			}
 		})
 	}
 }
 
+// twoShortestPaths is two independent copies of Example 2.6 over their
+// own arcs: two recursive components SolveMore can extend concurrently.
+const twoShortestPaths = `
+.cost arc0/3 : minreal.
+.cost path0/4 : minreal.
+.cost s0/3 : minreal.
+.cost arc1/3 : minreal.
+.cost path1/4 : minreal.
+.cost s1/3 : minreal.
+.ic :- arc0(direct, Z, C).
+.ic :- arc1(direct, Z, C).
+path0(X, direct, Y, C) :- arc0(X, Y, C).
+path0(X, Z, Y, C)      :- s0(X, Z, C1), arc0(Z, Y, C2), C = C1 + C2.
+s0(X, Y, C)            :- C ?= min D : path0(X, Z, Y, D).
+path1(X, direct, Y, C) :- arc1(X, Y, C).
+path1(X, Z, Y, C)      :- s1(X, Z, C1), arc1(Z, Y, C2), C = C1 + C2.
+s1(X, Y, C)            :- C ?= min D : path1(X, Z, Y, D).
+arc0(a, b, 1). arc0(b, c, 2).
+arc1(x, y, 3). arc1(y, z, 1).
+`
+
 // TestParallelSolveMoreChain extends a model twice through the
-// incremental path at each parallelism level; the chained models and
-// cumulative stats must match the sequential chain exactly.
+// incremental walk at GOMAXPROCS 1, 2 and 4. The chained model must equal
+// a one-shot solve of all the facts, and its fact order, traces, Stats and
+// snapshot bytes must be identical at every worker count. The cases are
+// one recursive component (Example 2.6); Example 2.1, whose new courses
+// reach one of its six components while the rest settle unevaluated (its
+// record facts feed avg, so SolveMore refuses them); and two independent
+// shortest-path chains that both get new arcs.
 func TestParallelSolveMoreChain(t *testing.T) {
-	chain := func(par int) (string, string, datalog.Stats) {
-		t.Helper()
-		p, m, _, _ := solveParallel(t, "shortestpath.mdl", par)
-		m2, _, err := p.SolveMore(m,
-			datalog.NewFact("arc", datalog.Sym("f"), datalog.Sym("a"), datalog.Num(1)),
-			datalog.NewFact("arc", datalog.Sym("e"), datalog.Sym("f"), datalog.Num(2)))
-		if err != nil {
-			t.Fatalf("parallelism %d first SolveMore: %v", par, err)
-		}
-		m3, stats, err := p.SolveMore(m2,
-			datalog.NewFact("arc", datalog.Sym("f"), datalog.Sym("d"), datalog.Num(1)))
-		if err != nil {
-			t.Fatalf("parallelism %d second SolveMore: %v", par, err)
-		}
-		return m3.String(), factFingerprint(m3), stats
+	arc := func(pred, from, to string, c float64) datalog.Fact {
+		return datalog.NewFact(pred, datalog.Sym(from), datalog.Sym(to), datalog.Num(c))
 	}
-	seqModel, seqFacts, seqStats := chain(1)
-	for _, par := range []int{2, 4, 8} {
-		parModel, parFacts, parStats := chain(par)
-		if parModel != seqModel {
-			t.Fatalf("parallelism %d chained model differs:\n%s\nwant:\n%s", par, parModel, seqModel)
-		}
-		if parFacts != seqFacts {
-			t.Fatalf("parallelism %d chained fact order differs:\n%s\nwant:\n%s", par, parFacts, seqFacts)
-		}
-		if got, want := fmt.Sprintf("%+v", normStats(parStats)), fmt.Sprintf("%+v", normStats(seqStats)); got != want {
-			t.Fatalf("parallelism %d chained stats differ:\n%s\nwant:\n%s", par, got, want)
-		}
+	course := func(c string) datalog.Fact { return datalog.NewFact("courses", datalog.Sym(c)) }
+	shortestPath, err := os.ReadFile(filepath.Join(exampleDir, "shortestpath.mdl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name          string
+		src           string
+		first, second []datalog.Fact
+	}{
+		{"shortestpath", string(shortestPath),
+			[]datalog.Fact{arc("arc", "f", "a", 1), arc("arc", "e", "f", 2)},
+			[]datalog.Fact{arc("arc", "f", "d", 1)}},
+		{"averages", programs.Averages + `
+record(ann, db, 3). record(bob, db, 4). record(ann, ai, 2). courses(db).`,
+			[]datalog.Fact{course("ai")},
+			[]datalog.Fact{course("os")}},
+		{"two chains", twoShortestPaths,
+			[]datalog.Fact{arc("arc0", "c", "a", 1), arc("arc1", "z", "x", 2)},
+			[]datalog.Fact{arc("arc0", "c", "d", 1), arc("arc1", "x", "z", 9)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			type result struct {
+				model, facts, trace string
+				stats               datalog.Stats
+				snap                []byte
+			}
+			chain := func(procs int) result {
+				t.Helper()
+				withProcs(t, procs)
+				p, err := datalog.Load(tc.src, datalog.Options{Trace: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, _, err := p.Solve()
+				if err != nil {
+					t.Fatal(err)
+				}
+				m2, _, err := p.SolveMore(m, tc.first...)
+				if err != nil {
+					t.Fatalf("GOMAXPROCS %d first SolveMore: %v", procs, err)
+				}
+				m3, stats, err := p.SolveMore(m2, tc.second...)
+				if err != nil {
+					t.Fatalf("GOMAXPROCS %d second SolveMore: %v", procs, err)
+				}
+				return result{m3.String(), factFingerprint(m3), traceFingerprint(t, p, m3), normStats(stats), m3.Snapshot()}
+			}
+			ref := chain(1)
+			p, err := datalog.Load(tc.src, datalog.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			oneShot, _, err := p.Solve(append(append([]datalog.Fact{}, tc.first...), tc.second...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref.model != oneShot.String() {
+				t.Fatalf("chained model differs from the one-shot solve:\n%s\nwant:\n%s", ref.model, oneShot)
+			}
+			for _, procs := range []int{2, 4} {
+				got := chain(procs)
+				for _, c := range []struct{ what, got, want string }{
+					{"model", got.model, ref.model},
+					{"fact order", got.facts, ref.facts},
+					{"traces", got.trace, ref.trace},
+					{"stats", fmt.Sprintf("%+v", got.stats), fmt.Sprintf("%+v", ref.stats)},
+				} {
+					if c.got != c.want {
+						t.Fatalf("GOMAXPROCS %d chained %s differs:\n%s\nwant:\n%s", procs, c.what, c.got, c.want)
+					}
+				}
+				if !bytes.Equal(got.snap, ref.snap) {
+					t.Fatalf("GOMAXPROCS %d chained snapshot differs (%d vs %d bytes)", procs, len(got.snap), len(ref.snap))
+				}
+			}
+		})
 	}
 }
 
-// TestParallelKillResume interrupts a parallel solve (injected panic at
-// a fixpoint round boundary, simulating a crash) with checkpointing on,
-// then restores the last durable checkpoint and resumes — still in
-// parallel — asserting the final model matches an uninterrupted
-// sequential solve. Component boundaries and round boundaries are the
-// only checkpoint cut points, so every checkpoint a parallel run
-// flushes must be a consistent state of the global database.
+// TestParallelKillResume interrupts a solve at GOMAXPROCS 4 (injected
+// panic at a fixpoint round boundary, simulating a crash) with
+// checkpointing on, then restores the last durable checkpoint and resumes
+// — still on four workers — asserting the final model matches an
+// uninterrupted one-worker solve. Component boundaries and round
+// boundaries are the only checkpoint cut points, so every checkpoint a
+// concurrent walk flushes must be a consistent state of the global
+// database.
 func TestParallelKillResume(t *testing.T) {
 	for _, name := range []string{"shortestpath.mdl", "companycontrol.mdl"} {
 		t.Run(name, func(t *testing.T) {
@@ -235,9 +301,8 @@ func TestParallelKillResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := exampleOptions(name)
-			opts.Parallelism = 4
-			p, err := datalog.Load(string(src), opts)
+			withProcs(t, 4)
+			p, err := datalog.Load(string(src), exampleOptions(name))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -260,43 +325,45 @@ func TestParallelKillResume(t *testing.T) {
 				t.Fatalf("resume after crash: %v", err)
 			}
 			if m.String() != full.String() {
-				t.Fatalf("resumed parallel model differs from sequential solve:\n%s\nwant:\n%s", m, full)
+				t.Fatalf("resumed model differs from the one-worker solve:\n%s\nwant:\n%s", m, full)
 			}
 		})
 	}
 }
 
 // TestParallelWorkerPanicContained arms the worker-entry fault point:
-// a panic on a scheduler worker goroutine must surface as a structured
-// ErrInternal from Solve — never crash the process and never hang the
-// scheduler — and the engine must remain usable afterwards. The program
-// needs two components with rules: with one, the solve walks it on the
-// calling goroutine and never starts a worker.
+// a panic in a component's evaluation — on a worker goroutine at
+// GOMAXPROCS 4, on the calling goroutine at 1 — must surface as a
+// structured ErrInternal from Solve, never crash the process and never
+// hang the walk, and the engine must remain usable afterwards. The
+// program has two components with rules, so four workers start two
+// goroutines besides the caller.
 func TestParallelWorkerPanicContained(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join(exampleDir, "shortestpath.mdl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := datalog.Load(string(src)+"\nreach(X, Y) :- s(X, Y, C).\n", datalog.Options{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	faults.Arm(faults.Fault{Point: faults.CoreParallelWorker, Panic: true, Sticky: true})
-	defer faults.Reset()
-	_, _, err = p.Solve()
-	if !errors.Is(err, datalog.ErrInternal) {
-		t.Fatalf("err = %v, want ErrInternal", err)
-	}
-	var ee *datalog.EngineError
-	if !errors.As(err, &ee) {
-		t.Fatalf("err %T is not a structured *EngineError", err)
-	}
-	if len(ee.Stack) == 0 {
-		t.Fatal("contained panic must carry the worker stack")
-	}
-	// The engine must stay usable: disarm and the same Program solves.
-	faults.Reset()
-	if _, _, err := p.Solve(); err != nil {
-		t.Fatalf("solve after contained crash: %v", err)
+	for _, procs := range []int{1, 4} {
+		withProcs(t, procs)
+		p, err := datalog.Load(string(src)+"\nreach(X, Y) :- s(X, Y, C).\n", datalog.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		faults.Arm(faults.Fault{Point: faults.CoreParallelWorker, Panic: true, Sticky: true})
+		_, _, err = p.Solve()
+		if !errors.Is(err, datalog.ErrInternal) {
+			faults.Reset()
+			t.Fatalf("GOMAXPROCS %d: err = %v, want ErrInternal", procs, err)
+		}
+		var ee *datalog.EngineError
+		if !errors.As(err, &ee) || len(ee.Stack) == 0 {
+			faults.Reset()
+			t.Fatalf("GOMAXPROCS %d: err %v must be a structured *EngineError carrying the stack", procs, err)
+		}
+		// The engine must stay usable: disarm and the same Program solves.
+		faults.Reset()
+		if _, _, err := p.Solve(); err != nil {
+			t.Fatalf("GOMAXPROCS %d: solve after contained crash: %v", procs, err)
+		}
 	}
 }

@@ -203,7 +203,7 @@ func equalsTPOracle(t *testing.T, src, model string) bool {
 // TestPlannerDifferential holds every case of driverCases to the T_P
 // oracle (programs the well-founded fallback evaluates have none) and to
 // itself: model, fact order, traces, stats, profile row counts and final
-// checkpoint bytes identical at Parallelism 1, 2 and 4; the same model
+// checkpoint bytes identical at GOMAXPROCS 1, 2 and 4; the same model
 // when the facts arrive as a SolveMore split; and the same model when a
 // solve is interrupted at a derivation budget and resumed from its last
 // checkpoint.
@@ -211,17 +211,16 @@ func TestPlannerDifferential(t *testing.T) {
 	for _, tc := range driverCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			all := tc.src + "\n" + tc.edb + "\n" + tc.more
-			opts := tc.opts
-			opts.Parallelism = 1
-			ref := observe(t, all, nil, opts)
+			withProcs(t, 1)
+			ref := observe(t, all, nil, tc.opts)
 			if !tc.opts.WFSFallback {
 				if !equalsTPOracle(t, all, ref.model) {
 					t.Fatalf("model differs from the T_P fixpoint:\n%s", ref.model)
 				}
 			}
-			for _, par := range []int{2, 4} {
-				opts.Parallelism = par
-				observe(t, all, nil, opts).diff(t, fmt.Sprintf("parallelism %d", par), ref)
+			for _, procs := range []int{2, 4} {
+				withProcs(t, procs)
+				observe(t, all, nil, tc.opts).diff(t, fmt.Sprintf("GOMAXPROCS %d", procs), ref)
 			}
 
 			p, err := datalog.Load(all, tc.opts)
@@ -293,7 +292,7 @@ func TestPlannerDifferential(t *testing.T) {
 }
 
 // TestPlannerDivergenceParity runs the intentionally divergent
-// omega.mdl at parallelism 1, 2 and 4: the ω-limit detector must trip
+// omega.mdl at GOMAXPROCS 1, 2 and 4: the ω-limit detector must trip
 // every time with identical structured errors (component, round,
 // offending group, trajectory) and an identical partial model.
 func TestPlannerDivergenceParity(t *testing.T) {
@@ -303,8 +302,8 @@ func TestPlannerDivergenceParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		withProcs(t, par)
 		opts := exampleOptions("omega.mdl")
-		opts.Parallelism = par
 		opts.DivergenceStreak = 50
 		p, err := datalog.Load(string(src), opts)
 		if err != nil {
@@ -312,10 +311,10 @@ func TestPlannerDivergenceParity(t *testing.T) {
 		}
 		m, _, err := p.Solve()
 		if !errors.Is(err, datalog.ErrDiverged) {
-			t.Fatalf("parallelism=%d err = %v, want ErrDiverged", par, err)
+			t.Fatalf("GOMAXPROCS=%d err = %v, want ErrDiverged", par, err)
 		}
 		if m == nil {
-			t.Fatalf("parallelism=%d divergence must return the partial model", par)
+			t.Fatalf("GOMAXPROCS=%d divergence must return the partial model", par)
 		}
 		return err.Error(), m.String()
 	}
@@ -323,10 +322,10 @@ func TestPlannerDivergenceParity(t *testing.T) {
 	for _, par := range []int{2, 4} {
 		gotErr, gotModel := run(par)
 		if gotErr != refErr {
-			t.Fatalf("parallelism=%d divergence error differs:\n%s\nwant:\n%s", par, gotErr, refErr)
+			t.Fatalf("GOMAXPROCS=%d divergence error differs:\n%s\nwant:\n%s", par, gotErr, refErr)
 		}
 		if gotModel != refModel {
-			t.Fatalf("parallelism=%d partial model differs:\n%s\nwant:\n%s", par, gotModel, refModel)
+			t.Fatalf("GOMAXPROCS=%d partial model differs:\n%s\nwant:\n%s", par, gotModel, refModel)
 		}
 	}
 }
@@ -347,18 +346,19 @@ func TestPlannerSolveMoreChain(t *testing.T) {
 	}
 	chain := func(par int) (string, string, datalog.Stats) {
 		t.Helper()
+		withProcs(t, par)
 		p, _ := loadExample(t, "party.mdl")
-		m, _, err := p.SolveContext(context.Background(), nil, datalog.WithParallelism(par))
+		m, _, err := p.Solve()
 		if err != nil {
 			t.Fatal(err)
 		}
 		m2, _, err := p.SolveMore(m, first...)
 		if err != nil {
-			t.Fatalf("parallelism %d first SolveMore: %v", par, err)
+			t.Fatalf("GOMAXPROCS %d first SolveMore: %v", par, err)
 		}
 		m3, stats, err := p.SolveMore(m2, second...)
 		if err != nil {
-			t.Fatalf("parallelism %d second SolveMore: %v", par, err)
+			t.Fatalf("GOMAXPROCS %d second SolveMore: %v", par, err)
 		}
 		return m3.String(), factFingerprint(m3), stats
 	}
@@ -374,26 +374,27 @@ func TestPlannerSolveMoreChain(t *testing.T) {
 	for _, par := range []int{2, 4} {
 		model, facts, stats := chain(par)
 		if model != refModel || facts != refFacts {
-			t.Fatalf("parallelism %d chained model or fact order differs:\n%s\nwant:\n%s", par, facts, refFacts)
+			t.Fatalf("GOMAXPROCS %d chained model or fact order differs:\n%s\nwant:\n%s", par, facts, refFacts)
 		}
 		if got, want := fmt.Sprintf("%+v", normStats(stats)), fmt.Sprintf("%+v", normStats(refStats)); got != want {
-			t.Fatalf("parallelism %d chained stats differ:\n%s\nwant:\n%s", par, got, want)
+			t.Fatalf("GOMAXPROCS %d chained stats differ:\n%s\nwant:\n%s", par, got, want)
 		}
 	}
 }
 
 // TestPlannerCheckpointParity checkpoints party.mdl, whose kc rule runs
-// a driver order, at every round boundary at parallelism 1, 2 and 4; the
+// a driver order, at every round boundary at GOMAXPROCS 1, 2 and 4; the
 // final checkpoint bytes must be byte-identical (the durable format
 // leaks neither the orders that ran nor the worker count).
 func TestPlannerCheckpointParity(t *testing.T) {
 	snap := func(par int) []byte {
 		t.Helper()
+		withProcs(t, par)
 		p, _ := loadExample(t, "party.mdl")
 		path := filepath.Join(t.TempDir(), "model.ckpt")
 		if _, _, err := p.SolveContext(context.Background(), nil,
-			datalog.WithParallelism(par), datalog.WithCheckpoint(datalog.FileCheckpoint(path), 1)); err != nil {
-			t.Fatalf("parallelism=%d solve: %v", par, err)
+			datalog.WithCheckpoint(datalog.FileCheckpoint(path), 1)); err != nil {
+			t.Fatalf("GOMAXPROCS=%d solve: %v", par, err)
 		}
 		b, err := os.ReadFile(path)
 		if err != nil {
@@ -404,7 +405,7 @@ func TestPlannerCheckpointParity(t *testing.T) {
 	ref := snap(1)
 	for _, par := range []int{2, 4} {
 		if got := snap(par); string(got) != string(ref) {
-			t.Fatalf("parallelism=%d checkpoint bytes differ (%d vs %d bytes)", par, len(got), len(ref))
+			t.Fatalf("GOMAXPROCS=%d checkpoint bytes differ (%d vs %d bytes)", par, len(got), len(ref))
 		}
 	}
 }
@@ -419,25 +420,27 @@ func TestPlannerResumeParity(t *testing.T) {
 		p, _ := loadExample(t, "party.mdl")
 		path := filepath.Join(t.TempDir(), "model.ckpt")
 		ctx := context.Background()
-		_, _, err := p.SolveContext(ctx, nil, datalog.WithParallelism(writePar),
+		withProcs(t, writePar)
+		_, _, err := p.SolveContext(ctx, nil,
 			datalog.WithMaxFacts(6), datalog.WithCheckpoint(datalog.FileCheckpoint(path), 1))
 		if !errors.Is(err, datalog.ErrBudgetExceeded) {
-			t.Fatalf("parallelism=%d budgeted solve: err = %v, want ErrBudgetExceeded", writePar, err)
+			t.Fatalf("GOMAXPROCS=%d budgeted solve: err = %v, want ErrBudgetExceeded", writePar, err)
 		}
 		restored, err := p.RestoreFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, _, err := p.Resume(ctx, restored, datalog.WithParallelism(resumePar))
+		withProcs(t, resumePar)
+		m, _, err := p.Resume(ctx, restored)
 		if err != nil {
-			t.Fatalf("resume parallelism=%d: %v", resumePar, err)
+			t.Fatalf("resume GOMAXPROCS=%d: %v", resumePar, err)
 		}
 		return m.String()
 	}
 	ref := final(1, 1)
 	for _, pair := range [][2]int{{1, 4}, {4, 1}, {4, 4}} {
 		if got := final(pair[0], pair[1]); got != ref {
-			t.Fatalf("parallelism %d→%d resume differs:\n%s\nwant:\n%s", pair[0], pair[1], got, ref)
+			t.Fatalf("GOMAXPROCS %d→%d resume differs:\n%s\nwant:\n%s", pair[0], pair[1], got, ref)
 		}
 	}
 }
@@ -458,7 +461,7 @@ var partyParent = [8][3]int64{
 func TestPartyProbesPerDerived(t *testing.T) {
 	for i, want := range partyParent {
 		seed := int64(i + 1)
-		p, err := datalog.Load(programs.Party+gen.PartyFacts(gen.Party(64, 4, 3, seed)), datalog.Options{Parallelism: 1})
+		p, err := datalog.Load(programs.Party+gen.PartyFacts(gen.Party(64, 4, 3, seed)), datalog.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -488,7 +491,7 @@ func TestShortestPathProbesUnchanged(t *testing.T) {
 		{gen.CycleGraph, [4]int64{19, 35018, 26987, 68578}},
 		{gen.LayeredDAG, [4]int64{6, 1704, 1547, 2651}},
 	} {
-		p, err := datalog.Load(programs.ShortestPath+gen.GraphFacts(gen.Graph(c.kind, 64, 256, 9, 64)), datalog.Options{Parallelism: 1})
+		p, err := datalog.Load(programs.ShortestPath+gen.GraphFacts(gen.Graph(c.kind, 64, 256, 9, 64)), datalog.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

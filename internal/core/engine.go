@@ -103,7 +103,7 @@ type Engine struct {
 	// the number of components with something to evaluate.
 	nrules     int
 	nEvaluable int
-	// compDeps and compLDB drive the component scheduler: per component,
+	// compDeps and compLDB drive the component walk: per component,
 	// the (sorted) indices of the lower components it depends on, and
 	// the (sorted) lower-defined predicates its rules read.
 	compDeps [][]int
@@ -120,8 +120,9 @@ type Engine struct {
 	// they accumulate over the engine's lifetime — Profile snapshots,
 	// and Profile.Sub produces per-solve deltas.
 	prof [][]exec.OpAccum
-	// trace holds the provenance of the most recent traced Solve.
-	trace map[string]*Derivation
+	// trace holds, per component, the provenance of the most recent
+	// traced solve; only the worker evaluating a component writes its map.
+	trace []map[string]*Derivation
 	// insertBlocked maps each predicate SolveMore must not add facts for
 	// to the reason (see noteInsertMonotone).
 	insertBlocked map[ast.PredKey]string
@@ -226,10 +227,10 @@ func New(prog *ast.Program, opts Options) (*Engine, error) {
 			return nil, err
 		}
 	}
-	en.noteInsertMonotone(sp.Rules)
 	// The dependency graph is the full program's: a pure-EDB predicate is
 	// a component of its own, with no rules to run.
 	g := deps.Build(prog)
+	en.noteInsertMonotone(sp.Rules, g)
 	en.comps = g.SCCs()
 	en.compRules = deps.RulesByComponent(sp.Rules, en.comps)
 	en.Report, en.compAdm = monotone.Classify(en.comps, sp.Rules, schemas)
@@ -291,7 +292,7 @@ func New(prog *ast.Program, opts Options) (*Engine, error) {
 			en.nEvaluable++
 		}
 	}
-	// Component dependency edges (for the component scheduler): ci
+	// Component dependency edges (for the component walk): ci
 	// depends on every distinct lower component defining a predicate
 	// its predicates reach. SCCs returns bottom-up order, so every
 	// dependency has a smaller index and the DAG is acyclic by
@@ -365,9 +366,9 @@ func (en *Engine) Resume(ctx context.Context, prev *relation.DB, lim Limits, bas
 
 // solve is the frame every solve entry point runs in: it folds
 // MaxDuration into the context, seeds the stats from base, builds the
-// guard (whose trace store is the engine's) and brackets body with the
-// SolveBegin/SolveEnd events. par is the worker count the events report.
-func (en *Engine) solve(ctx context.Context, lim Limits, base Stats, par int, body func(g *guard, stats *Stats) (*relation.DB, error)) (_ *relation.DB, _ Stats, err error) {
+// guard, readies the trace store and brackets body with the
+// SolveBegin/SolveEnd events, which report the walk's worker count.
+func (en *Engine) solve(ctx context.Context, lim Limits, base Stats, body func(g *guard) (*relation.DB, error)) (_ *relation.DB, _ Stats, err error) {
 	if lim.MaxDuration > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, lim.MaxDuration)
@@ -378,11 +379,10 @@ func (en *Engine) solve(ctx context.Context, lim Limits, base Stats, par int, bo
 	g := newGuard(ctx, lim, &stats)
 	g.sink = en.sink
 	if en.opts.Trace && en.trace == nil {
-		en.trace = map[string]*Derivation{}
+		en.trace = make([]map[string]*Derivation, len(en.comps))
 	}
-	g.trace = en.trace
 	if en.sink != nil {
-		start := time.Now()
+		start, par := time.Now(), en.workers()
 		en.sink.Event(obs.Event{Kind: obs.SolveBegin, Component: -1, Parallelism: par})
 		defer func() {
 			e := obs.Event{Kind: obs.SolveEnd, Component: -1, Round: stats.Rounds,
@@ -394,47 +394,22 @@ func (en *Engine) solve(ctx context.Context, lim Limits, base Stats, par int, bo
 			en.sink.Event(e)
 		}()
 	}
-	db, err := body(g, &stats)
+	db, err := body(g)
 	return db, stats, err
 }
 
-// fixpoint runs the iterated fixpoint of §6.3 over db in place,
-// starting the stats from base: the sequential bottom-up walk at one
-// worker, the component scheduler (parallel.go) above that. Both
-// evaluate each component through solveComponent.
+// fixpoint runs the iterated fixpoint of §6.3 over db in place, starting
+// the stats from base, through the component walk (parallel.go).
 func (en *Engine) fixpoint(ctx context.Context, db *relation.DB, lim Limits, base Stats) (*relation.DB, Stats, error) {
 	en.trace = nil
-	par := effectiveParallelism(lim)
-	return en.solve(ctx, lim, base, par, func(g *guard, stats *Stats) (*relation.DB, error) {
+	return en.solve(ctx, lim, base, func(g *guard) (*relation.DB, error) {
 		// Checkpoint the starting interpretation before any evaluation,
 		// so the sink holds a recoverable state even if the very first
 		// round is interrupted.
 		if err := g.checkpoint(db, true); err != nil {
 			return db, err
 		}
-		// With at most one component to evaluate there is nothing to
-		// overlap: the walk below produces the same result (the contract
-		// of parallel.go) without starting and waking workers.
-		if par > 1 && en.nEvaluable > 1 {
-			return db, en.runScheduled(g, db, lim, par)
-		}
-		for ci, c := range en.comps {
-			if !en.evaluable(ci) {
-				continue // EDB-only component
-			}
-			g.comp, g.rule = c.Preds, nil
-			stats.Components++
-			err := en.runInstrumented(g, ci, func() error { return en.solveComponent(g, db, ci, stats) })
-			if err != nil {
-				return db, err
-			}
-			// A component fixpoint is the strongest consistency
-			// boundary: always durable when checkpointing is on.
-			if err := g.checkpoint(db, true); err != nil {
-				return db, err
-			}
-		}
-		return db, nil
+		return db, en.runScheduled(g, db, lim, nil)
 	})
 }
 
@@ -444,49 +419,18 @@ func (en *Engine) evaluable(ci int) bool {
 	return en.wfsComp[ci] || len(en.plans[ci]) > 0
 }
 
-// solveComponent computes component ci's fixpoint over db in place — the
-// one evaluation path of a fresh solve, whether db is the solve's
-// database (sequential walk) or a scheduler worker's private view.
-func (en *Engine) solveComponent(g *guard, db *relation.DB, ci int, stats *Stats) error {
+// solveComponent computes component ci's fixpoint over db (a walk
+// worker's private view) in place. A nil seed evaluates it from scratch;
+// otherwise the Δ-driven loop resumes from the seed (SolveMore), and
+// record, when non-nil, collects every row the component changes.
+func (en *Engine) solveComponent(g *guard, db *relation.DB, ci int, stats *Stats, seed, record *deltaSet) error {
 	switch {
 	case en.wfsComp[ci]:
 		return en.solveWFSComponent(g, db, ci, stats)
-	case en.opts.Strategy == Naive:
+	case seed == nil && en.opts.Strategy == Naive:
 		return en.solveNaive(g, db, ci, stats)
 	}
-	return en.semiNaiveLoop(g, db, ci, stats, nil, nil)
-}
-
-// runInstrumented evaluates one component (fn) inside the
-// panic-recovery boundary, attributing the work it adds to g.stats to
-// the per-component breakdown and emitting the
-// ComponentBegin/ComponentEnd events.
-func (en *Engine) runInstrumented(g *guard, ci int, fn func() error) error {
-	stats := g.stats
-	cs := &stats.Comps[ci]
-	if en.sink != nil {
-		en.sink.Event(obs.Event{Kind: obs.ComponentBegin, Component: ci,
-			Preds: cs.Preds, WFS: cs.WFS, Admissible: cs.Admissible})
-	}
-	r0, f0, d0, p0 := stats.Rounds, stats.Firings, stats.Derived, stats.Probes
-	t0 := time.Now()
-	err := en.runComponent(g, fn)
-	cs.Rounds += stats.Rounds - r0
-	cs.Firings += stats.Firings - f0
-	cs.Derived += stats.Derived - d0
-	cs.Probes += stats.Probes - p0
-	cs.Nanos += time.Since(t0).Nanoseconds()
-	if en.sink != nil {
-		e := obs.Event{Kind: obs.ComponentEnd, Component: ci,
-			Preds: cs.Preds, WFS: cs.WFS, Admissible: cs.Admissible,
-			Round: cs.Rounds, Firings: cs.Firings, Derived: cs.Derived,
-			Probes: cs.Probes, Nanos: cs.Nanos}
-		if err != nil {
-			e.Err = err.Error()
-		}
-		en.sink.Event(e)
-	}
-	return err
+	return en.semiNaiveLoop(g, db, ci, stats, seed, record)
 }
 
 // runComponent wraps one component's evaluation in a recover boundary:
@@ -627,7 +571,7 @@ func (en *Engine) solveNaive(g *guard, db *relation.DB, ci int, stats *Stats) er
 			f0, d0, p0 := stats.Firings, stats.Derived, stats.Probes
 			t0 := time.Now()
 			err := en.runPass(p, &p.pipe, cfg, stats, insert)
-			en.noteRule(&stats.Rules[p.idx], ci, round,
+			en.noteRule(&p.work, ci, round,
 				stats.Firings-f0, stats.Derived-d0, stats.Probes-p0, time.Since(t0).Nanoseconds())
 			if err != nil {
 				return err
@@ -680,27 +624,9 @@ func newDeltaSet() *deltaSet {
 	return &deltaSet{rows: map[ast.PredKey][]relation.Row{}, seen: map[ast.PredKey]map[string]bool{}}
 }
 
-func (d *deltaSet) add(k ast.PredKey, row relation.Row) {
-	d.addKey(k, row, nil)
-}
-
-// addKey is add with the tuple key prebuilt by the caller (nil rebuilds
-// it); the miss path converts once for map storage, the hit path does
-// not allocate.
-func (d *deltaSet) addKey(k ast.PredKey, row relation.Row, key []byte) {
-	s := d.seenFor(k)
-	if key == nil {
-		key = val.AppendKeyOf(nil, row.Args)
-	}
-	if s[string(key)] {
-		return
-	}
-	s[string(key)] = true
-	d.append(k, row)
-}
-
-// addInterned is addKey with the relation's interned key string (from
-// Relation.LookupKey), so even the miss path stores without allocating.
+// addInterned adds row unless its tuple is already in d, keyed by the
+// relation's interned key string (from Relation.LookupKey), so even the
+// miss path stores without allocating.
 func (d *deltaSet) addInterned(k ast.PredKey, row relation.Row, key string) {
 	s := d.seenFor(k)
 	if s[key] {
@@ -775,17 +701,14 @@ func (d *deltaSet) preds() []ast.PredKey {
 // When init is nil, round 0 fires every rule (the fresh-solve case);
 // otherwise init seeds the Δ set (the incremental SolveMore case, where
 // init holds newly added EDB rows and derivations recorded by lower
-// components). record, when non-nil, mirrors every derived change
-// outward (for cross-component seeding). Every caller — the sequential
-// walk, SolveMoreFrom and each scheduler worker — runs this loop; what
-// differs between them (trace store, round-boundary hook, budget) is on
-// the guard.
+// components). record, when non-nil, collects every derived change (the
+// walk's seeds for the components above).
 //
 // A non-recursive component — no rule scans or aggregates one of its
 // own predicates — is done after its first round: nothing it derives
 // can fire its rules again, so it keeps no Δ set and its loop ends
 // there, one round per evaluation.
-func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats, init *deltaSet, record func(ast.PredKey, relation.Row)) error {
+func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats, init, record *deltaSet) error {
 	ps, recursive := en.plans[ci], en.compRecursive[ci]
 	delta := newDeltaSet()
 	// insert derives through per-closure scratch: the head projection
@@ -808,7 +731,7 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 				delta.addInterned(p.head.pred, row, ik)
 			}
 			if record != nil {
-				record(p.head.pred, row)
+				record.addInterned(p.head.pred, row, ik)
 			}
 			if g.trace != nil {
 				g.recordTrace(p, e, row.Args)
@@ -842,7 +765,7 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 			f0, d0, p0 := stats.Firings, stats.Derived, stats.Probes
 			t0 := time.Now()
 			err := en.runPass(p, &p.pipe, cfg, stats, insert)
-			en.noteRule(&stats.Rules[p.idx], ci, 0,
+			en.noteRule(&p.work, ci, 0,
 				stats.Firings-f0, stats.Derived-d0, stats.Probes-p0, time.Since(t0).Nanoseconds())
 			if err != nil {
 				return err
@@ -925,7 +848,7 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 					}
 				}
 			}
-			en.noteRule(&stats.Rules[p.idx], ci, round,
+			en.noteRule(&p.work, ci, round,
 				stats.Firings-f0, stats.Derived-d0, stats.Probes-p0, time.Since(t0).Nanoseconds())
 			if perr != nil {
 				return perr
@@ -1023,14 +946,9 @@ func aggPredChanged(p *plan, d *deltaSet) bool {
 	return false
 }
 
-// insertEps is InsertJoin with numeric convergence tolerance: an
-// improvement smaller than eps does not count as a change.
-func insertEps(rel *relation.Relation, args []val.T, cost lattice.Elem, eps float64) bool {
-	return insertEpsKey(rel, val.AppendKeyOf(nil, args), args, cost, eps)
-}
-
-// insertEpsKey is insertEps with the tuple key prebuilt by the caller,
-// so the hot insert path encodes the key exactly once.
+// insertEpsKey is InsertJoinKey with numeric convergence tolerance: an
+// improvement smaller than eps does not count as a change. The caller
+// prebuilds the tuple key, so the hot insert path encodes it once.
 func insertEpsKey(rel *relation.Relation, key []byte, args []val.T, cost lattice.Elem, eps float64) bool {
 	if eps > 0 {
 		if old, ok := rel.GetKey(key); ok && old.HasCost && old.Cost.Kind == val.Num && cost.Kind == val.Num {

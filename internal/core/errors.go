@@ -69,15 +69,6 @@ type Limits struct {
 	// (0 disables round-boundary checkpoints; component boundaries
 	// always checkpoint while Checkpoint is set).
 	CheckpointEvery int
-	// Parallelism sets the number of component workers: components of
-	// the program's SCC DAG that do not depend on one another evaluate
-	// concurrently, each on a private view joined back at its component
-	// boundary (docs/ARCHITECTURE.md), so a single-SCC program runs on
-	// one worker whatever the value. Results — models, fact order,
-	// traces, stats, profiles, checkpoints — are identical at any value.
-	// 0 means runtime.GOMAXPROCS(0); 1 (or any value below 1) walks the
-	// components sequentially in place.
-	Parallelism int
 }
 
 const (
@@ -198,22 +189,17 @@ func (e *EngineError) Unwrap() []error {
 // derivation budget, and the ω-limit divergence detector. The fixpoint
 // loops poll it at round boundaries and (through exec.Config.Check)
 // every CheckEvery firings, and report every derivation to it. A solve
-// has one guard; under the component scheduler every worker has its own.
+// has one guard, and every component the walk evaluates has its own.
 type guard struct {
-	ctx      context.Context
-	maxFacts int64
-	// budget, when non-nil, replaces the local maxFacts accounting with a
-	// solve-global atomic derivation counter shared by every parallel
-	// component worker, so MaxFacts bounds the whole solve no matter how
-	// work is distributed.
-	budget *sharedBudget
-	// baseDerived is stats.Derived at guard creation; MaxFacts bounds
-	// the derivations of this call, not the cumulative total, so a
-	// resumed solve seeded with checkpoint stats gets a fresh budget.
-	baseDerived int64
-	checkEvery  int
-	stats       *Stats
-	det         divergeDetector
+	ctx context.Context
+	// budget, when non-nil, is the solve's MaxFacts accounting: one
+	// atomic derivation counter every component's guard spends, so
+	// MaxFacts bounds the derivations of the call however they spread
+	// over workers (a resumed solve gets a fresh budget).
+	budget     *sharedBudget
+	checkEvery int
+	stats      *Stats
+	det        divergeDetector
 	// comp and rule track the engine's current position for error
 	// reporting; the li* fields snapshot the latest improved atom,
 	// rendered lazily in fail() so the happy path never formats it
@@ -233,21 +219,18 @@ type guard struct {
 	sinceCkpt int
 	// sink receives checkpoint/divergence/budget events (nil = none).
 	sink obs.Sink
-	// trace, non-nil exactly when the engine traces, is where the
-	// fixpoint loops store derivations: the engine's own map on the
-	// sequential walk, a worker-private map under the scheduler (merged
-	// into the engine's under the scheduler lock, so concurrent component
-	// workers never share a map).
+	// trace, non-nil exactly when the engine traces, is where a
+	// component's fixpoint loops store derivations: the engine's map for
+	// that component, which no other worker touches.
 	trace map[string]*Derivation
 	// cut, when non-nil, replaces the periodic round-boundary checkpoint:
-	// the scheduler snapshots a consistent cut of the global database
-	// overlaid with the worker's private view instead of the view alone.
+	// the walk snapshots a consistent cut of the global database overlaid
+	// with the component's private view instead of the view alone.
 	cut func(db *relation.DB) error
 }
 
 func newGuard(ctx context.Context, lim Limits, stats *Stats) *guard {
-	g := &guard{ctx: ctx, maxFacts: lim.MaxFacts, baseDerived: stats.Derived,
-		checkEvery: lim.CheckEvery, stats: stats,
+	g := &guard{ctx: ctx, checkEvery: lim.CheckEvery, stats: stats,
 		ckpt: lim.Checkpoint, ckptEvery: lim.CheckpointEvery}
 	if g.checkEvery <= 0 {
 		g.checkEvery = defaultCheckEvery
@@ -357,14 +340,6 @@ func (g *guard) derived(pred ast.PredKey, args []val.T, cost lattice.Elem, hasCo
 		if err := g.budget.spend(g); err != nil {
 			return err
 		}
-	} else if g.maxFacts > 0 && g.stats.Derived-g.baseDerived > g.maxFacts {
-		e := g.fail(ErrBudgetExceeded, nil)
-		e.Limit = g.maxFacts
-		if g.sink != nil {
-			g.sink.Event(obs.Event{Kind: obs.BudgetBreach, Component: -1,
-				Round: g.stats.Rounds, Derived: g.stats.Derived, Err: e.Error()})
-		}
-		return e
 	}
 	if improved {
 		if d := g.det.observe(pred, args, cost, hasCost); d != nil {

@@ -4,11 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/ast"
+	"repro/internal/deps"
 	"repro/internal/lattice"
 	"repro/internal/obs"
 	"repro/internal/relation"
+	"repro/internal/val"
 )
 
 // SolveMore continues a previously computed model with additional EDB
@@ -20,11 +24,13 @@ import (
 // rows as the seed.
 //
 // Soundness requires that every added predicate is used *monotonically*
-// by the program; SolveMore rejects additions to predicates that appear
-// negated, inside a non-monotone (pseudo-monotonic) aggregate, or that
-// are defined by rules, and rejects programs using the well-founded
-// fallback (negation is not insert-monotone). The previous model is not
-// modified; the returned database extends a copy of it.
+// by the program; SolveMore rejects additions to predicates that are
+// defined by rules, or that some rule reads — directly or through the
+// predicates it reaches in rule bodies — under negation or inside a
+// non-monotone (pseudo-monotonic) aggregate, and rejects programs using
+// the well-founded fallback (negation is not insert-monotone). The
+// previous model is not modified; the returned database shares the
+// relations of it that the added facts cannot change.
 func (en *Engine) SolveMore(prev *relation.DB, added *relation.DB) (*relation.DB, Stats, error) {
 	return en.SolveMoreContext(context.Background(), prev, added)
 }
@@ -58,101 +64,81 @@ func (en *Engine) SolveMoreObserved(ctx context.Context, prev *relation.DB, adde
 // checkpoints, whose metadata records cumulative work) pass the stats
 // of the model being extended, so rounds/firings/derivations report
 // running totals rather than per-resume counts.
+//
+// It runs the component walk with a seed hook: each component the walk
+// dispatches resumes its Δ-driven loop from the changed rows it reads —
+// the added EDB rows plus what the components below it changed — and a
+// component that reads none settles unevaluated, its relations still
+// prev's.
 func (en *Engine) SolveMoreFrom(ctx context.Context, prev *relation.DB, added *relation.DB, base Stats) (*relation.DB, Stats, error) {
-	// Components run one after another here whatever Limits.Parallelism
-	// says: incremental seeds flow bottom-up through `changed`, a
-	// cross-component dependency the DAG scheduler does not model.
-	return en.solve(ctx, en.opts.Limits, base, 1, func(g *guard, stats *Stats) (*relation.DB, error) {
-		for _, w := range en.wfsComp {
-			if w {
-				return nil, fmt.Errorf("core: SolveMore is unsound with well-founded fallback components (negation is not insert-monotone)")
-			}
+	return en.solve(ctx, en.opts.Limits, base, func(g *guard) (*relation.DB, error) {
+		if slices.Contains(en.wfsComp, true) {
+			return nil, fmt.Errorf("core: SolveMore is unsound with well-founded fallback components (negation is not insert-monotone)")
 		}
 		var addedPreds []ast.PredKey
 		for _, k := range added.Preds() {
-			if added.Rel(k).Len() > 0 {
-				addedPreds = append(addedPreds, k)
+			if added.Rel(k).Len() == 0 {
+				continue
 			}
-		}
-		if err := en.checkInsertMonotone(addedPreds); err != nil {
-			return nil, err
+			if why, blocked := en.insertBlocked[k]; blocked {
+				return nil, errors.New(why)
+			}
+			addedPreds = append(addedPreds, k)
 		}
 
-		db := prev.Clone()
+		// The starting interpretation shares prev's relations. An added
+		// predicate is copied here before its rows go in; a component's
+		// are copied by the walk's private view when it is dispatched.
+		db := prev.Share()
 		changed := newDeltaSet()
+		var kbuf []byte
 		for _, k := range addedPreds {
-			rel := db.Rel(k)
+			rel := db.Rel(k).Clone()
+			db.SetRel(k, rel)
 			added.Rel(k).Each(func(row relation.Row) bool {
-				if !rel.Info.HasCost {
-					if rel.InsertJoin(row.Args, lattice.Elem{}) {
-						changed.add(k, row)
-					}
-					return true
-				}
-				if insertEps(rel, row.Args, row.Cost, en.opts.Epsilon) {
-					cur, _ := rel.GetOrDefault(row.Args)
-					changed.add(k, cur)
+				kbuf = val.AppendKeyOf(kbuf[:0], row.Args)
+				if insertEpsKey(rel, kbuf, row.Args, row.Cost, en.opts.Epsilon) {
+					cur, ik, _ := rel.LookupKey(kbuf)
+					changed.addInterned(k, cur, ik)
 				}
 				return true
 			})
 		}
-		record := func(k ast.PredKey, row relation.Row) { changed.add(k, row) }
-
-		// Re-run each component bottom-up, seeded with everything that
-		// has changed so far; each component's own derivations join the
-		// seed for the components above it.
-		for ci, c := range en.comps {
-			ps := en.plans[ci]
-			if len(ps) == 0 {
-				continue
-			}
-			// Restrict the seed to predicates this component's plans read.
-			seed := newDeltaSet()
-			touched := false
-			for _, p := range ps {
-				for k := range p.scanSteps {
-					for _, row := range changed.rows[k] {
-						seed.add(k, row)
-						touched = true
-					}
-				}
-				for _, st := range p.steps {
-					if ag, ok := st.(*aggStep); ok {
-						for _, sp := range ag.conj {
-							for _, row := range changed.rows[sp.pred] {
-								seed.add(sp.pred, row)
-								touched = true
-							}
-						}
-					}
-				}
-			}
-			if !touched {
-				continue
-			}
-			stats.Components++
-			g.comp, g.rule = c.Preds, nil
-			err := en.runInstrumented(g, ci, func() error {
-				return en.semiNaiveLoop(g, db, ci, stats, seed, record)
-			})
-			if err != nil {
-				return db, err
-			}
-			if err := g.checkpoint(db, true); err != nil {
-				return db, err
-			}
-		}
-		return db, nil
+		return db, en.runScheduled(g, db, en.opts.Limits, changed)
 	})
+}
+
+// seed cuts component ci's Δ seed from the rows an incremental walk has
+// changed: those of the lower predicates its rules read, which are final
+// once ci is ready, so the seed shares their slices. (A predicate read
+// under negation is never among them: noteInsertMonotone blocks every
+// fact that could change one.) It is nil when there are none, and the
+// component's model cannot move.
+func (en *Engine) seed(ci int, changed *deltaSet) *deltaSet {
+	seed := newDeltaSet()
+	for _, k := range en.compLDB[ci] {
+		if rows := changed.rows[k]; len(rows) > 0 {
+			seed.rows[k] = rows
+		}
+	}
+	if seed.empty() {
+		return nil
+	}
+	return seed
 }
 
 // noteInsertMonotone records, once per engine, which predicates SolveMore
 // must refuse facts for and why: predicates whose value is computed by
-// rules, and predicates some rule reads non-monotonically (under
-// negation, or inside a pseudo-monotonic aggregate — a grown multiset
-// may shrink its result). Predicates defined only by ground facts are
-// EDB and stay open. The first reason found in program order is kept.
-func (en *Engine) noteInsertMonotone(rules []*ast.Rule) {
+// rules, predicates some rule reads non-monotonically (under negation,
+// or inside a pseudo-monotonic aggregate — a grown multiset may shrink
+// its result), and every predicate such a read depends on through rule
+// bodies (edges of g), since a fact for it can grow the predicate read
+// and so shrink what the reading rule derives — unless the read is a
+// default-value predicate inside a pseudo-monotone aggregate (see
+// below). Predicates defined only by ground facts and read only
+// monotonically stay open. The first reason found in program order is
+// kept.
+func (en *Engine) noteInsertMonotone(rules []*ast.Rule, g *deps.Graph) {
 	en.insertBlocked = map[ast.PredKey]string{}
 	block := func(k ast.PredKey, format string, args ...any) {
 		if _, done := en.insertBlocked[k]; !done {
@@ -165,34 +151,58 @@ func (en *Engine) noteInsertMonotone(rules []*ast.Rule) {
 			block(k, "core: SolveMore cannot add facts for derived predicate %s (its value is computed by rules)", k)
 		}
 	}
+	// nonMonotone blocks k, which rule r reads as how says, and then
+	// (when deep) every predicate k depends on, breadth-first, naming the
+	// path.
+	nonMonotone := func(k ast.PredKey, r *ast.Rule, how string, deep bool) {
+		block(k, "core: SolveMore cannot add facts for %s: rule %q reads it %s", k, r, how)
+		if !deep {
+			return
+		}
+		parent := map[ast.PredKey]ast.PredKey{k: k}
+		for queue := []ast.PredKey{k}; len(queue) > 0; queue = queue[1:] {
+			var next []ast.PredKey
+			for y := range g.Edges[queue[0]] {
+				if _, seen := parent[y]; !seen {
+					parent[y] = queue[0]
+					next = append(next, y)
+				}
+			}
+			slices.Sort(next)
+			for _, y := range next {
+				path := []string{string(y)}
+				for z := y; z != k; z = parent[z] {
+					path = append(path, string(parent[z]))
+				}
+				slices.Reverse(path)
+				block(y, "core: SolveMore cannot add facts for %s: rule %q reads %s %s, and %s depends on it through rule bodies (%s)",
+					y, r, k, how, k, strings.Join(path, " → "))
+			}
+			queue = append(queue, next...)
+		}
+	}
 	for _, r := range rules {
 		for _, sg := range r.Body {
 			switch sg := sg.(type) {
 			case *ast.Lit:
 				if sg.Neg {
-					k := sg.Atom.Key()
-					block(k, "core: SolveMore cannot add facts for %s: rule %q reads it under negation", k, r)
+					nonMonotone(sg.Atom.Key(), r, "under negation", true)
 				}
 			case *ast.Agg:
 				// ValidateProgram resolved every aggregate name at New.
 				if f, _ := lattice.AggregateByName(sg.Func); !f.Monotone() {
+					how := fmt.Sprintf("inside the non-monotone %s aggregate (a grown multiset may shrink the result)", sg.Func)
 					for i := range sg.Conj {
+						// A default-value predicate holds every tuple, so
+						// growing what it depends on only raises element
+						// values, which a pseudo-monotone aggregate turns
+						// into a larger result (Definition 4.1).
 						k := sg.Conj[i].Key()
-						block(k, "core: SolveMore cannot add facts for %s: rule %q aggregates it with the non-monotone %s (a grown multiset may shrink the result)", k, r, sg.Func)
+						pi := en.Schemas.Info(k)
+						nonMonotone(k, r, how, !f.PseudoMonotone() || pi == nil || !pi.HasDefault)
 					}
 				}
 			}
 		}
 	}
-}
-
-// checkInsertMonotone verifies that the program uses each added predicate
-// only in insert-monotone positions.
-func (en *Engine) checkInsertMonotone(added []ast.PredKey) error {
-	for _, k := range added {
-		if why, blocked := en.insertBlocked[k]; blocked {
-			return errors.New(why)
-		}
-	}
-	return nil
 }

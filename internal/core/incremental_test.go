@@ -1,13 +1,18 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/ast"
+	"repro/internal/programs"
 	"repro/internal/relation"
+	"repro/internal/snapshot"
 	"repro/internal/val"
 )
 
@@ -217,5 +222,149 @@ func TestSolveMorePartyGuests(t *testing.T) {
 	}
 	if !hasTuple(inc, "coming", "x") {
 		t.Fatal("meeting y gets x over the threshold")
+	}
+}
+
+// negThroughDerived reads r under negation, and r is computed from the
+// EDB predicate e: a fact for e can shrink p through r.
+const negThroughDerived = `
+r(X) :- e(X).
+p(X) :- d(X), not r(X).
+`
+
+// TestSolveMoreNegationThroughDerived: SolveMore must refuse facts whose
+// effect reaches a negation through derived predicates — accepting e(a)
+// kept p(a), which a one-shot solve of the same facts does not derive —
+// and the refusal names the dependency path and the reading rule.
+func TestSolveMoreNegationThroughDerived(t *testing.T) {
+	en := mustEngine(t, negThroughDerived, Options{})
+	base, _, err := en.Solve(factsDB(t, en, "d(a). d(b). e(b)."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = en.SolveMore(base, factsDB(t, en, "e(a)."))
+	if err == nil {
+		t.Fatal("SolveMore accepted a fact that reaches a negation through r/1")
+	}
+	for _, want := range []string{"cannot add facts for e/1", "not r(X)", "under negation", "r/1 → e/1"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want it to mention %q", err, want)
+		}
+	}
+}
+
+// TestSolveMoreRefusesOrMatchesOneShot walks every EDB predicate of the
+// internal/programs examples (and of negThroughDerived): SolveMore with
+// new facts for it is either refused — exactly for the predicates in
+// refuse — or equals both a one-shot Solve of the union and the T_P
+// fixpoint over it.
+func TestSolveMoreRefusesOrMatchesOneShot(t *testing.T) {
+	cases := []struct {
+		name, src, edb string
+		more           map[ast.PredKey]string // new facts, per EDB predicate
+		refuse         []ast.PredKey
+	}{
+		{name: "shortestpath", src: programs.ShortestPath,
+			edb:  "arc(a, b, 1). arc(b, c, 2).",
+			more: map[ast.PredKey]string{"arc/3": "arc(c, a, 1). arc(a, c, 9)."}},
+		{name: "companycontrol", src: programs.CompanyControl,
+			edb:  "s(a, b, 0.6). s(a, c, 0.3).",
+			more: map[ast.PredKey]string{"s/3": "s(b, c, 0.3)."}},
+		{name: "companycontrolfused", src: programs.CompanyControlFused,
+			edb:  "s(a, b, 0.6). s(a, c, 0.3).",
+			more: map[ast.PredKey]string{"s/3": "s(b, c, 0.3)."}},
+		{name: "party", src: programs.Party,
+			edb:  "requires(ann, 0). requires(bob, 1). requires(cal, 2). knows(bob, ann). knows(cal, ann).",
+			more: map[ast.PredKey]string{"requires/2": "requires(dee, 0).", "knows/2": "knows(cal, bob)."}},
+		// t has a default value, so input and gate only raise the element
+		// values the pseudo-monotone and aggregates; connect changes the
+		// multisets themselves.
+		{name: "circuit", src: programs.Circuit,
+			edb: "input(w2, 0). gate(g1, and). connect(g1, w1). connect(g1, w2). gate(g2, or). connect(g2, w1). connect(g2, g1).",
+			more: map[ast.PredKey]string{"input/2": "input(w1, 1).", "gate/2": "gate(g3, or).",
+				"connect/2": "connect(g2, w2)."},
+			refuse: []ast.PredKey{"connect/2"}},
+		{name: "halfsum", src: programs.Halfsum},
+		{name: "averages", src: programs.Averages,
+			edb:    "record(john, math, 80). record(mary, math, 90). courses(math).",
+			more:   map[ast.PredKey]string{"record/3": "record(john, art, 70).", "courses/1": "courses(art)."},
+			refuse: []ast.PredKey{"record/3"}},
+		{name: "negthroughderived", src: negThroughDerived,
+			edb:    "d(a). d(b). e(b).",
+			more:   map[ast.PredKey]string{"e/1": "e(a).", "d/1": "d(c)."},
+			refuse: []ast.PredKey{"e/1"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			en := mustEngine(t, tc.src, Options{})
+			for ci, c := range en.comps {
+				if len(en.plans[ci]) > 0 {
+					continue
+				}
+				for _, k := range c.Preds {
+					if _, ok := tc.more[k]; !ok {
+						t.Fatalf("no new facts for EDB predicate %s", k)
+					}
+				}
+			}
+			base, _, err := en.Solve(factsDB(t, en, tc.edb))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, more := range tc.more {
+				inc, _, err := en.SolveMore(base, factsDB(t, en, more))
+				if slices.Contains(tc.refuse, k) {
+					if err == nil || !strings.Contains(err.Error(), "cannot add facts for "+string(k)) {
+						t.Fatalf("%s: err = %v, want a refusal", k, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", k, err)
+				}
+				union := factsDB(t, en, tc.edb+" "+more)
+				full, _, err := en.Solve(union)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !EqualEps(inc, full, 0) {
+					t.Fatalf("%s: SolveMore differs from the one-shot solve:\n%s\nwant:\n%s", k, inc, full)
+				}
+				if want := tpLeastFixpoint(t, en, union, 0); !EqualEps(inc, want, 0) {
+					t.Fatalf("%s: SolveMore differs from the T_P fixpoint:\n%s\nwant:\n%s", k, inc, want)
+				}
+			}
+		})
+	}
+}
+
+// TestSolveMoreCopiesOnlyDispatched: SolveMore leaves prev byte-identical,
+// and copies only what it writes — the added EDB predicate and the
+// components the walk dispatches. A component whose seed is empty keeps
+// prev's relation itself, as does an untouched EDB predicate.
+func TestSolveMoreCopiesOnlyDispatched(t *testing.T) {
+	en := mustEngine(t, shortestPathProg+"\nq(X) :- r(X).\n", Options{})
+	prev, _, err := en.Solve(factsDB(t, en, "arc(a, b, 1). arc(b, c, 2). r(a)."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(db *relation.DB) []byte { return snapshot.Encode(&snapshot.Snapshot{DB: db}) }
+	before := encode(prev)
+	inc, _, err := en.SolveMore(prev, factsDB(t, en, "arc(c, a, 1)."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encode(prev), before) {
+		t.Fatal("SolveMore changed the model it extends")
+	}
+	for _, k := range []ast.PredKey{"q/1", "r/1"} {
+		if inc.Rel(k) != prev.Rel(k) {
+			t.Fatalf("%s was copied, though nothing it reads changed", k)
+		}
+	}
+	for _, k := range []ast.PredKey{"arc/3", "path/4", "s/3"} {
+		if inc.Rel(k) == prev.Rel(k) {
+			t.Fatalf("%s is shared with prev, though SolveMore wrote it", k)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/ast"
@@ -17,9 +18,16 @@ import (
 // iterate the immediate-consequence operator T_P (Definition 3.7,
 // Engine.TP, computed by the tuple-at-a-time reference interpreter)
 // component by component from the EDB until nothing changes, and the
-// result is the least model Solve must return — on whatever path Solve
-// took to it: sequential walk or component scheduler, fresh or as an
-// incremental SolveMore continuation.
+// result is the least model Solve must return — at whatever worker count
+// the component walk ran, fresh or as an incremental SolveMore
+// continuation.
+
+// withProcs sets GOMAXPROCS — and with it the component walk's worker
+// count — to n for the rest of the test, restoring it when the test ends.
+func withProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 // oracleCases pairs each example of internal/programs with the inputs
 // the example tests above use. edb is the first batch of facts; more, when
@@ -110,10 +118,10 @@ func tpLeastFixpoint(t *testing.T, en *Engine, edb *relation.DB, eps float64) *r
 func TestSolveEqualsTPFixpoint(t *testing.T) {
 	for _, tc := range oracleCases {
 		t.Run(tc.name, func(t *testing.T) {
-			var seq Stats // the sequential walk's totals, which every worker count must reproduce
+			var seq Stats // the one-worker totals, which every worker count must reproduce
 			for _, par := range []int{1, 2} {
-				en := mustEngine(t, tc.src, Options{Trace: true, Epsilon: tc.eps,
-					Limits: Limits{Parallelism: par}})
+				withProcs(t, par)
+				en := mustEngine(t, tc.src, Options{Trace: true, Epsilon: tc.eps})
 				edb, more := factsDB(t, en, tc.edb), factsDB(t, en, tc.more)
 				all := edb.Clone()
 				all.Join(more)
@@ -124,13 +132,13 @@ func TestSolveEqualsTPFixpoint(t *testing.T) {
 				check := func(how string, got *relation.DB) {
 					t.Helper()
 					if !EqualEps(got, want, tc.eps*1e3) {
-						t.Fatalf("parallelism %d: %s model differs from the T_P fixpoint:\n%s\nwant:\n%s", par, how, got, want)
+						t.Fatalf("GOMAXPROCS %d: %s model differs from the T_P fixpoint:\n%s\nwant:\n%s", par, how, got, want)
 					}
 					if tc.eps > 0 {
 						return // an ε-converged interpretation is not an exact model
 					}
 					if ok, err := en.IsModel(got); err != nil || !ok {
-						t.Fatalf("parallelism %d: %s model is not a model (Definition 3.5): %v %v", par, how, ok, err)
+						t.Fatalf("GOMAXPROCS %d: %s model is not a model (Definition 3.5): %v %v", par, how, ok, err)
 					}
 				}
 				fresh, st, err := en.Solve(all)
@@ -142,7 +150,7 @@ func TestSolveEqualsTPFixpoint(t *testing.T) {
 				if par == 1 {
 					seq = st
 				} else if fmt.Sprint(st) != fmt.Sprint(seq) {
-					t.Fatalf("parallelism %d: stats totals %+v, want the sequential %+v", par, st, seq)
+					t.Fatalf("GOMAXPROCS %d: stats totals %+v, want the one-worker %+v", par, st, seq)
 				}
 				if tc.more == "" {
 					continue
@@ -175,7 +183,8 @@ func TestTextFactsEqualTPFixpoint(t *testing.T) {
 		}
 		t.Run(tc.name, func(t *testing.T) {
 			for _, par := range []int{1, 2} {
-				opts := Options{Epsilon: tc.eps, Limits: Limits{Parallelism: par}}
+				withProcs(t, par)
+				opts := Options{Epsilon: tc.eps}
 				en := mustEngine(t, tc.src+tc.edb, opts)
 				plain := mustEngine(t, tc.src, opts)
 				if got, want := len(en.plans), len(plain.plans); got != want {
@@ -190,24 +199,24 @@ func TestTextFactsEqualTPFixpoint(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !EqualEps(fromArgs, want, tc.eps*1e3) {
-					t.Fatalf("parallelism %d: T_P from ∅ over text facts differs from Solve(facts):\n%s\nwant:\n%s", par, want, fromArgs)
+					t.Fatalf("GOMAXPROCS %d: T_P from ∅ over text facts differs from Solve(facts):\n%s\nwant:\n%s", par, want, fromArgs)
 				}
 
 				sink := &captureSink{}
-				lim := Limits{Parallelism: par, Checkpoint: sink.fn(), CheckpointEvery: 1}
+				lim := Limits{Checkpoint: sink.fn(), CheckpointEvery: 1}
 				fresh, st, err := en.SolveLimits(context.Background(), nil, lim)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !EqualEps(fresh, want, tc.eps*1e3) {
-					t.Fatalf("parallelism %d: fresh model differs from the T_P fixpoint:\n%s\nwant:\n%s", par, fresh, want)
+					t.Fatalf("GOMAXPROCS %d: fresh model differs from the T_P fixpoint:\n%s\nwant:\n%s", par, fresh, want)
 				}
 				// One ingest path, one Stats contract: rule work only.
 				if !sameTotals(st, argStats) {
-					t.Fatalf("parallelism %d: stats %+v with text facts, %+v with the same facts as arguments", par, st, argStats)
+					t.Fatalf("GOMAXPROCS %d: stats %+v with text facts, %+v with the same facts as arguments", par, st, argStats)
 				}
 				if first := sink.dbs[0]; !en.base.Leq(first, nil) {
-					t.Fatalf("parallelism %d: the first checkpoint lacks the program's facts", par)
+					t.Fatalf("GOMAXPROCS %d: the first checkpoint lacks the program's facts", par)
 				}
 
 				// Kill at a round boundary, resume from the last checkpoint.
@@ -217,15 +226,15 @@ func TestTextFactsEqualTPFixpoint(t *testing.T) {
 				_, _, err = en.SolveLimits(context.Background(), nil, lim)
 				faults.Reset()
 				if !errors.Is(err, ErrInternal) {
-					t.Fatalf("parallelism %d: injected crash: err = %v, want ErrInternal", par, err)
+					t.Fatalf("GOMAXPROCS %d: injected crash: err = %v, want ErrInternal", par, err)
 				}
 				last := len(sink.dbs) - 1
-				resumed, _, err := en.Resume(context.Background(), sink.dbs[last], Limits{Parallelism: par}, sink.stats[last])
+				resumed, _, err := en.Resume(context.Background(), sink.dbs[last], Limits{}, sink.stats[last])
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !EqualEps(resumed, want, tc.eps*1e3) {
-					t.Fatalf("parallelism %d: resumed model differs from the T_P fixpoint:\n%s\nwant:\n%s", par, resumed, want)
+					t.Fatalf("GOMAXPROCS %d: resumed model differs from the T_P fixpoint:\n%s\nwant:\n%s", par, resumed, want)
 				}
 
 				if tc.more == "" {
@@ -238,11 +247,11 @@ func TestTextFactsEqualTPFixpoint(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !EqualEps(split, wantAll, tc.eps*1e3) {
-					t.Fatalf("parallelism %d: Solve+SolveMore differs from the T_P fixpoint over all facts:\n%s\nwant:\n%s", par, split, wantAll)
+					t.Fatalf("GOMAXPROCS %d: Solve+SolveMore differs from the T_P fixpoint over all facts:\n%s\nwant:\n%s", par, split, wantAll)
 				}
 				if tc.eps == 0 {
 					if ok, err := all.IsModel(split); err != nil || !ok {
-						t.Fatalf("parallelism %d: Solve+SolveMore model is not a model of the full text: %v %v", par, ok, err)
+						t.Fatalf("GOMAXPROCS %d: Solve+SolveMore model is not a model of the full text: %v %v", par, ok, err)
 					}
 				}
 			}

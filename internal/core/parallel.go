@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"maps"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,46 +13,41 @@ import (
 	"repro/internal/relation"
 )
 
-// This file implements the component scheduler: components of the
-// program's SCC DAG that do not depend on one another evaluate
-// concurrently, each through the same solveComponent the sequential
-// walk calls, on a private view of the database that is installed back
-// under the scheduler lock at the component boundary. Within a
-// component evaluation is sequential, so a single-SCC program runs on
-// one worker.
+// This file implements the component walk of §6.3, the one place every
+// solve — Solve, Resume and SolveMore — evaluates the program's SCC DAG
+// bottom-up. A component is dispatched once every component it depends
+// on has completed; it evaluates through solveComponent on a private view
+// of the database that is installed back under the walk's lock at the
+// component boundary. Components that do not depend on one another
+// evaluate concurrently on up to GOMAXPROCS workers, one of which is the
+// calling goroutine, so a walk with one worker starts no goroutine.
+// Within a component evaluation is sequential.
 //
 // Everything observable — models, fact order, traces, Stats, Profile
-// row counts, checkpoints — is identical to the sequential walk: a
+// row counts, checkpoints — is identical at every worker count: a
 // component's evaluation reads only its own predicates and those of
-// completed lower components, so its view holds exactly what the
-// sequential engine's database would, and T_P is monotone (Theorem 3.1),
-// so installing independently computed component models is the join of
-// sound intermediate interpretations whatever the completion order. See
-// docs/ARCHITECTURE.md.
+// completed lower components, so its view holds exactly what a
+// one-at-a-time walk's database would, and T_P is monotone (Theorem
+// 3.1), so installing independently computed component models is the
+// join of sound intermediate interpretations whatever the completion
+// order. See docs/ARCHITECTURE.md.
 
-// effectiveParallelism resolves the Limits.Parallelism knob: 0 means
-// one worker per available CPU, anything below 1 means sequential.
-func effectiveParallelism(lim Limits) int {
-	switch {
-	case lim.Parallelism == 0:
-		return runtime.GOMAXPROCS(0)
-	case lim.Parallelism < 1:
-		return 1
-	}
-	return lim.Parallelism
+// workers is the walk's worker count: one per CPU the runtime schedules
+// on, and no more than there are components to evaluate.
+func (en *Engine) workers() int {
+	return min(runtime.GOMAXPROCS(0), en.nEvaluable)
 }
 
-// sharedBudget is the solve-global MaxFacts accounting used when
-// components evaluate concurrently: a single atomic counter spent by
-// every worker guard, so the budget bounds the whole solve no matter
-// how derivations distribute over workers.
+// sharedBudget is the solve's MaxFacts accounting: a single atomic
+// counter spent by every component's guard, so the budget bounds the
+// whole solve no matter how derivations distribute over workers.
 type sharedBudget struct {
 	max int64
 	n   atomic.Int64
 }
 
 // spend counts one derivation and fails the calling guard when the
-// budget is exhausted, mirroring guard.derived's local accounting.
+// budget is exhausted.
 func (b *sharedBudget) spend(g *guard) error {
 	if b.n.Add(1) <= b.max {
 		return nil
@@ -68,8 +64,8 @@ func (b *sharedBudget) spend(g *guard) error {
 // sched runs the component DAG on a bounded worker pool: a component is
 // dispatched once every component it depends on has completed, and
 // completed component relations are installed into the global database
-// under the scheduler lock (the lattice join of sound intermediate
-// models — Theorem 3.1 makes the merge order irrelevant).
+// under the lock (the lattice join of sound intermediate models —
+// Theorem 3.1 makes the merge order irrelevant).
 type sched struct {
 	en     *Engine
 	ctx    context.Context
@@ -77,9 +73,12 @@ type sched struct {
 	db     *relation.DB
 	lim    Limits
 	budget *sharedBudget
+	// changed is the incremental walk's seed hook (nil on a fresh solve):
+	// the rows the added EDB and completed components changed.
+	changed *deltaSet
 
 	mu         sync.Mutex
-	sg         *guard // the solve's guard: global stats, trace store, checkpoints
+	sg         *guard // the solve's guard: global stats and checkpoints
 	indeg      []int
 	dependents [][]int
 	readyCh    chan int
@@ -90,13 +89,16 @@ type sched struct {
 	closed     bool
 }
 
-// runScheduled is the Parallelism > 1 form of the fixpoint walk: it runs
-// the component DAG on par workers, each component on a private view of
-// db, and joins results into db and sg.stats at component boundaries.
-func (en *Engine) runScheduled(sg *guard, db *relation.DB, lim Limits, par int) error {
+// runScheduled is the fixpoint walk: it runs the component DAG on
+// en.workers() workers, each component on a private view of db, and joins
+// results into db and sg.stats at component boundaries. A non-nil
+// changed makes it the incremental walk of SolveMore: a component
+// evaluates semi-naively from the changed rows it reads, and one that
+// reads none settles unevaluated.
+func (en *Engine) runScheduled(sg *guard, db *relation.DB, lim Limits, changed *deltaSet) error {
 	ctx, cancel := context.WithCancel(sg.ctx)
 	defer cancel()
-	s := &sched{en: en, ctx: ctx, cancel: cancel, db: db, lim: lim, sg: sg,
+	s := &sched{en: en, ctx: ctx, cancel: cancel, db: db, lim: lim, sg: sg, changed: changed,
 		indeg:      make([]int, len(en.comps)),
 		dependents: make([][]int, len(en.comps)),
 		readyCh:    make(chan int, len(en.comps)),
@@ -127,26 +129,28 @@ func (en *Engine) runScheduled(sg *guard, db *relation.DB, lim Limits, par int) 
 	s.maybeCloseLocked()
 	s.mu.Unlock()
 
-	nw := min(par, en.nEvaluable)
+	drain := func() {
+		for ci := range s.readyCh {
+			s.runComp(ci)
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
+	for w := 1; w < en.workers(); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for ci := range s.readyCh {
-				s.runComp(ci)
-			}
+			drain()
 		}()
 	}
+	drain()
 	wg.Wait()
 	return s.firstErr
 }
 
 // dispatchLocked hands a ready component to the worker pool. EDB-only
-// components carry no work: they complete on the spot (without events
-// or a Components count, matching the sequential skip) so dependents
-// cascade immediately. After a failure nothing new starts; the
-// component is settled so the queue can drain.
+// components carry no work: they complete on the spot (without events or
+// a Components count) so dependents cascade immediately. After a failure
+// nothing new starts; the component is settled so the queue can drain.
 func (s *sched) dispatchLocked(ci int) {
 	if s.firstErr == nil && s.en.evaluable(ci) {
 		s.readyCh <- ci
@@ -178,16 +182,16 @@ func (s *sched) maybeCloseLocked() {
 	}
 }
 
-// mergeStats folds one component worker's local stats into the global
-// stats: scalar totals, the per-rule breakdown (only the component's
-// own rules are nonzero) and the component's breakdown entry.
-func mergeStats(dst, src *Stats, ci int) {
+// mergeStats folds component ci's evaluation into the global stats: the
+// scalar totals of its local stats, the per-rule work its plans hold and
+// its breakdown entry.
+func (en *Engine) mergeStats(dst, src *Stats, ci int) {
 	dst.Rounds += src.Rounds
 	dst.Firings += src.Firings
 	dst.Derived += src.Derived
 	dst.Probes += src.Probes
-	for i := range src.Rules {
-		d, r := &dst.Rules[i], &src.Rules[i]
+	for _, p := range en.plans[ci] {
+		d, r := &dst.Rules[p.idx], &p.work
 		d.Rounds += r.Rounds
 		d.Firings += r.Firings
 		d.Derived += r.Derived
@@ -201,17 +205,25 @@ func mergeStats(dst, src *Stats, ci int) {
 	cs.Probes += src.Probes
 }
 
-// runComp evaluates one component on a worker goroutine: assemble a
-// private database view (lower-defined predicates shared as frozen
-// relations, own predicates cloned so the global database keeps the
-// pre-state for consistent checkpoint cuts), run solveComponent on it
-// with a worker-local guard (own stats, own trace store), then install
-// and merge under the scheduler lock.
+// runComp evaluates one component on a worker: cut its Δ seed when the
+// walk is incremental — a component that reads no changed row settles
+// unevaluated, like an EDB-only one — assemble a private database view
+// (lower-defined predicates shared as frozen relations, own predicates
+// cloned so the global database — and, under SolveMore, the model being
+// extended — keeps the pre-state), run solveComponent on it with a
+// component-local guard (own stats, the component's trace store, own Δ
+// record), then install and merge under the lock.
 func (s *sched) runComp(ci int) {
 	en := s.en
 	stats := s.sg.stats
 	s.mu.Lock()
-	if s.firstErr != nil {
+	var seed, record *deltaSet
+	if s.changed != nil {
+		if seed = en.seed(ci, s.changed); seed != nil {
+			record = newDeltaSet()
+		}
+	}
+	if s.firstErr != nil || (s.changed != nil && seed == nil) {
 		s.finishLocked(ci)
 		s.mu.Unlock()
 		return
@@ -226,6 +238,9 @@ func (s *sched) runComp(ci int) {
 	for _, k := range c.Preds {
 		pv.SetRel(k, s.db.Rel(k).Clone())
 	}
+	if en.trace != nil && en.trace[ci] == nil {
+		en.trace[ci] = map[string]*Derivation{}
+	}
 	cs := &stats.Comps[ci]
 	if en.sink != nil {
 		en.sink.Event(obs.Event{Kind: obs.ComponentBegin, Component: ci,
@@ -233,17 +248,16 @@ func (s *sched) runComp(ci int) {
 	}
 	s.mu.Unlock()
 
-	var ls Stats
-	en.ensureStats(&ls)
-	wlim := s.lim
-	wlim.MaxFacts = 0 // budget is solve-global, not per worker
-	wlim.Checkpoint = nil
-	g := newGuard(s.ctx, wlim, &ls)
+	var ls Stats // scalar totals; the per-rule work accumulates on the plans
+	for _, p := range en.plans[ci] {
+		p.work = RuleStats{Index: p.idx, Rule: p.text}
+	}
+	g := newGuard(s.ctx, s.lim, &ls)
 	g.budget = s.budget
 	g.sink = en.sink
 	g.comp = c.Preds
-	if s.sg.trace != nil {
-		g.trace = map[string]*Derivation{}
+	if en.trace != nil {
+		g.trace = en.trace[ci]
 	}
 	g.cut = func(pv *relation.DB) error { return s.checkpointCut(g, pv, ci) }
 	t0 := time.Now()
@@ -251,7 +265,7 @@ func (s *sched) runComp(ci int) {
 		if err := faults.Check(faults.CoreParallelWorker); err != nil {
 			return g.fail(ErrInternal, err)
 		}
-		return en.solveComponent(g, pv, ci, &ls)
+		return en.solveComponent(g, pv, ci, &ls, seed, record)
 	})
 	nanos := time.Since(t0).Nanoseconds()
 
@@ -264,10 +278,12 @@ func (s *sched) runComp(ci int) {
 		for _, k := range c.Preds {
 			s.db.SetRel(k, pv.Rel(k))
 		}
-		mergeStats(stats, &ls, ci)
+		en.mergeStats(stats, &ls, ci)
 		stats.Components++
-		for key, d := range g.trace {
-			s.sg.trace[key] = d
+		if record != nil {
+			// Only ci derives its predicates, so its record is disjoint
+			// from everything changed holds.
+			maps.Copy(s.changed.rows, record.rows)
 		}
 	}
 	cs.Nanos += nanos
@@ -290,6 +306,7 @@ func (s *sched) runComp(ci int) {
 	} else if s.firstErr == nil {
 		// Component boundary: the global database is consistent again —
 		// the strongest checkpoint boundary, always durable.
+		s.sg.comp = c.Preds
 		if ckerr := s.sg.checkpoint(s.db, true); ckerr != nil {
 			s.firstErr = ckerr
 			s.cancel()
@@ -299,7 +316,7 @@ func (s *sched) runComp(ci int) {
 	s.mu.Unlock()
 }
 
-// checkpointCut is the worker guard's round-boundary checkpoint (see
+// checkpointCut is a component guard's round-boundary checkpoint (see
 // guard.cut): at the configured cadence it snapshots a consistent cut —
 // the global database (completed components) overlaid with this
 // component's private progress. Every such cut lies between the EDB and
@@ -319,15 +336,12 @@ func (s *sched) checkpointCut(g *guard, pv *relation.DB, ci int) error {
 	if s.firstErr != nil {
 		return nil // evaluation is stopping; skip the checkpoint
 	}
-	view := relation.NewDB(s.db.Schemas)
-	for _, k := range s.db.Preds() {
-		view.SetRel(k, s.db.Rel(k))
-	}
+	view := s.db.Share()
 	for _, k := range s.en.comps[ci].Preds {
 		view.SetRel(k, pv.Rel(k))
 	}
 	merged := s.sg.stats.Clone()
-	mergeStats(&merged, g.stats, ci)
+	s.en.mergeStats(&merged, g.stats, ci)
 	if err := s.lim.Checkpoint(view, merged); err != nil {
 		return g.fail(ErrCheckpoint, err)
 	}

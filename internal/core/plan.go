@@ -15,11 +15,10 @@
 // as the rule differentiated with respect to its Δ literal.
 //
 // Plans are lowered once to streaming pipelines (exec_compile.go,
-// internal/exec), the only executor the fixpoint loops run. With
-// Limits.Parallelism > 1 (the default resolves to one worker per CPU)
-// components that do not depend on one another evaluate concurrently
-// on the component scheduler in parallel.go, with results identical to
-// the sequential walk; see docs/ARCHITECTURE.md.
+// internal/exec), the only executor the fixpoint loops run. Components
+// that do not depend on one another evaluate concurrently on the
+// component walk in parallel.go (one worker per CPU), with results
+// identical at every worker count; see docs/ARCHITECTURE.md.
 package core
 
 import (
@@ -62,6 +61,11 @@ type plan struct {
 	pipe    pipeline
 	drivers []*pipeline
 	hbuf    []val.T
+	// work is the rule's share of the component evaluation under way:
+	// the walk resets it when it dispatches the component and folds it
+	// into Stats.Rules at the boundary (mergeStats). Only the worker
+	// evaluating the rule's component touches it.
+	work RuleStats
 }
 
 // pipeline is one step arrangement of a plan lowered to its streaming

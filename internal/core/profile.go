@@ -66,7 +66,7 @@ type RuleProfile struct {
 // pipelines moved, cumulatively over the engine's lifetime. Every pass
 // that runs is a pass the fixpoint required — nothing is evaluated and
 // discarded — so the row counts (In, Out, Delta, Groups) are identical
-// at every Parallelism value. An operator's Out is the rows it passed
+// at every worker count. An operator's Out is the rows it passed
 // downstream at whatever position its pass ran it, so a rule's Stats
 // firings are the Out of the last operator of each order that ran: the
 // last canonical operator's Out for a rule without Δ-driver orders.

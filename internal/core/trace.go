@@ -167,9 +167,11 @@ func (en *Engine) Explain(pred string, args []val.T) (*Derivation, bool) {
 		return nil, false
 	}
 	for arity := len(args); arity <= len(args)+1; arity++ {
-		k := ast.MakePredKey(pred, arity)
-		if d, ok := en.trace[traceKey(k, args)]; ok {
-			return d, true
+		key := traceKey(ast.MakePredKey(pred, arity), args)
+		for _, t := range en.trace {
+			if d, ok := t[key]; ok {
+				return d, true
+			}
 		}
 	}
 	return nil, false

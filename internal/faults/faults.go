@@ -28,8 +28,8 @@ const (
 	// (after the round's insertions, before its checkpoint). Arm with
 	// Panic to simulate a crash at round N.
 	CoreRound = "core.round"
-	// CoreParallelWorker fires at the start of every component
-	// evaluated by a parallel-scheduler worker. Arm with Panic to
+	// CoreParallelWorker fires at the start of every component the
+	// component walk evaluates, on whichever worker. Arm with Panic to
 	// exercise the worker-crash containment path (the panic must become
 	// a structured ErrInternal and no partial model may be published).
 	CoreParallelWorker = "core.parallel.worker"

@@ -103,13 +103,12 @@ type Event struct {
 	// Nanos is wall time: cumulative per rule on RuleFired, per
 	// component on ComponentEnd, per solve on SolveEnd.
 	Nanos int64
-	// Parallelism is the effective worker-pool size of the solve
-	// (SolveBegin/SolveEnd); 1 means sequential evaluation.
+	// Parallelism is the solve's worker count (SolveBegin/SolveEnd):
+	// GOMAXPROCS, capped at the program's evaluable components.
 	Parallelism int
 	// Workers is the number of component workers running at emission
-	// time, including the emitter (ComponentBegin/ComponentEnd). Always 1
-	// under sequential evaluation; under the component scheduler it is
-	// the live concurrency gauge.
+	// time, including the emitter (ComponentBegin/ComponentEnd): the
+	// component walk's live concurrency gauge (always 1 on one worker).
 	Workers int
 	// Err is the failure text for SolveEnd on error, DivergenceWarning
 	// and BudgetBreach.
@@ -154,7 +153,7 @@ func (l *lockedSink) Event(e Event) {
 }
 
 // Locked wraps s so concurrent emitters serialize on a mutex, letting
-// single-goroutine sinks survive the parallel fixpoint scheduler
+// single-goroutine sinks survive the concurrent component walk
 // unchanged. A nil sink stays nil, preserving the engine's fast path.
 // Event order within one component is preserved; events of concurrently
 // evaluating components interleave.

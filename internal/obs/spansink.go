@@ -15,8 +15,8 @@ import (
 // loops, so the wall-clock interval between consecutive events of one
 // component is the time the engine spent producing the later event.
 // Rule spans therefore cover [previous event of the component, now] —
-// exact for sequential evaluation; under the component scheduler each
-// component's events come from its one worker, in order, so spans remain
+// exact on one worker; with several, each component's events come from
+// its one worker, in order, so spans remain
 // self-consistent per trace even when components interleave. RuleFired
 // events additionally carry the rule's cumulative wall time, attached
 // as the nanos_total attribute.

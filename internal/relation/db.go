@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"maps"
 	"sort"
 	"strings"
 
@@ -51,6 +52,15 @@ func (db *DB) Preds() []ast.PredKey {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// Share returns a new interpretation holding db's relations themselves,
+// not copies: a caller that SetRels a private copy of a relation before
+// writing to it leaves db untouched.
+func (db *DB) Share() *DB {
+	c := NewDB(db.Schemas)
+	maps.Copy(c.rels, db.rels)
+	return c
 }
 
 // Clone deep-copies the interpretation.

@@ -16,10 +16,10 @@
 // concurrently (Get, GetOrDefault, Each, Rows, Match, Leq, Equal). This
 // includes Match, whose lazily built hash indexes are published through an
 // atomic copy-on-write pointer so that concurrent readers racing to build
-// the same index are safe. The parallel fixpoint scheduler in internal/core
-// relies on exactly this contract: completed lower components are frozen and
-// shared by pointer across workers, while each in-progress component writes
-// only to private clones.
+// the same index are safe. The component walk in internal/core relies on
+// exactly this contract: completed lower components are frozen and shared
+// by pointer across workers and across the models SolveMore chains, while
+// each in-progress component writes only to private clones.
 package relation
 
 import (

@@ -90,7 +90,7 @@ func classifySolveError(err error) *apiError {
 		return &apiError{Code: "checkpoint", Message: err.Error(), ExitCode: 5, status: http.StatusInternalServerError}
 	default:
 		// The remaining facade failures are rejected inputs: facts for
-		// derived predicates, predicates read under negation or inside a
+		// derived predicates, predicates that reach a negation or a
 		// non-monotone aggregate (the static soundness conditions of
 		// SolveMore), or malformed fact values.
 		return &apiError{Code: "static", Message: err.Error(), ExitCode: 3, status: http.StatusConflict}

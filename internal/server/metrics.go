@@ -80,8 +80,7 @@ type metrics struct {
 	modelVersion *obs.GaugeVec
 	// Per-program engine gauges, fed from the engine's event stream:
 	// cumulative rounds/firings/derived of the published model chain,
-	// plus the live parallel-scheduler worker count (0 between solves
-	// and for sequential runs).
+	// plus the component walk's live worker count (0 between solves).
 	engineRounds  *obs.GaugeVec
 	engineFirings *obs.GaugeVec
 	engineDerived *obs.GaugeVec
@@ -226,9 +225,9 @@ func (m *metrics) programSink(program string) datalog.EventSink {
 			firings.Add(float64(e.Firings))
 			derived.Add(float64(e.Derived))
 		case datalog.EventComponentBegin, datalog.EventComponentEnd:
-			// Parallel-scheduler events carry the live worker count;
-			// sequential solves leave it at 0. The engine serializes
-			// sink calls, so Set sees a consistent gauge.
+			// Component events carry the walk's live worker count. The
+			// engine serializes sink calls, so Set sees a consistent
+			// gauge.
 			workers.Set(float64(e.Workers))
 		case datalog.EventSolveEnd:
 			// SolveEnd carries the authoritative cumulative totals

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -12,17 +13,27 @@ import (
 	"repro/internal/faults"
 )
 
-// TestParallelEngineServeStress drives the server with the parallel
-// engine explicitly enabled: concurrent HTTP readers (queries, explain,
-// metrics scrapes) race against an assert writer while every solve runs
-// on the multi-worker scheduler. Run with -race (the Makefile race
-// target does); any unsynchronized state shared between scheduler
-// workers and the lock-free read path surfaces here.
+// withProcs sets GOMAXPROCS — and with it the component walk's worker
+// count — to n for the rest of the test, restoring it when the test ends.
+func withProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestParallelEngineServeStress drives the server at GOMAXPROCS 4 over a
+// program with independent components (hop beside {path, s}): concurrent
+// HTTP readers (queries, explain, metrics scrapes) race against an
+// assert writer while every solve — the cold one and each assert's
+// SolveMore — runs the component walk on several workers, sharing the
+// relations it does not touch with the published model. Run with -race
+// (the Makefile race target does); any unsynchronized state shared
+// between walk workers and the lock-free read path surfaces here.
 func TestParallelEngineServeStress(t *testing.T) {
-	src := loadExample(t, "shortestpath.mdl")
+	withProcs(t, 4)
+	src := loadExample(t, "shortestpath.mdl") + "\nhop(X, Y) :- arc(X, Y, C).\nreach(X, Y) :- s(X, Y, C).\n"
 	_, ts := startServer(t, []ProgramSpec{{
 		Name: "sp", Source: src,
-		Options: datalog.Options{Trace: true, Parallelism: 4},
+		Options: datalog.Options{Trace: true},
 	}}, Config{})
 
 	const readers = 6
@@ -70,25 +81,23 @@ func TestParallelEngineServeStress(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// The scheduled solves must have produced exactly the model a
-	// sequential walk would: spot-check a known shortest path.
+	// The concurrent walks must have produced exactly the model a
+	// one-worker walk would: spot-check a known shortest path.
 	code, resp := post(t, ts.URL+"/v1/query", `{"op":"cost","pred":"s","args":["a","d"]}`)
 	if code != 200 || resp["cost"] != 4.0 {
 		t.Fatalf("s(a, d) = %v (code %d), want cost 4", resp, code)
 	}
 }
 
-// TestWorkerPanicNoPartialPublish: a worker crash during parallel
-// materialization must fail Materialize with the structured ErrInternal
+// TestWorkerPanicNoPartialPublish: a worker crash during materialization
+// at GOMAXPROCS 4 must fail Materialize with the structured ErrInternal
 // and must not publish any model — readers can never observe a
 // half-evaluated interpretation. (A second component with rules makes
-// the solve use workers at all.)
+// the walk start a worker goroutine.)
 func TestWorkerPanicNoPartialPublish(t *testing.T) {
+	withProcs(t, 4)
 	src := loadExample(t, "shortestpath.mdl") + "\nreach(X, Y) :- s(X, Y, C).\n"
-	s, err := New([]ProgramSpec{{
-		Name: "sp", Source: src,
-		Options: datalog.Options{Parallelism: 4},
-	}}, Config{})
+	s, err := New([]ProgramSpec{{Name: "sp", Source: src}}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

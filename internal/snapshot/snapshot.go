@@ -18,12 +18,15 @@
 //	magic   "MDLSNAP" + version byte
 //	payload fingerprint[32]
 //	        stats: components, rounds, firings, derived (uvarint each)
-//	        seq (uvarint): commit-sequence watermark (version ≥ 2)
+//	        seq (uvarint): commit-sequence watermark
 //	        npreds, then per predicate (sorted by key):
 //	          key, flags (hasCost|hasDefault<<1), lattice name if cost,
 //	          nrows, then per row (canonical row order):
 //	            nargs, args..., cost if cost predicate
 //	trailer SHA-256(magic ‖ payload)
+//
+// Decode accepts this version only: any other version byte, including
+// the retired version 1 (no watermark), fails with ErrVersion.
 //
 // Values encode as a kind byte followed by a kind-specific body; sets
 // encode their elements in canonical order, so equal interpretations
@@ -48,9 +51,7 @@ import (
 	"repro/internal/val"
 )
 
-// Version is the current snapshot format version. Version 2 added the
-// commit-sequence watermark; version-1 snapshots still decode (their
-// watermark reads as 0).
+// Version is the snapshot format version, the only one Decode accepts.
 const Version = 2
 
 const magic = "MDLSNAP"
@@ -88,8 +89,7 @@ type Snapshot struct {
 	// Seq is the serve tier's commit-sequence watermark: the snapshot
 	// subsumes every logged assert batch with sequence number ≤ Seq, so
 	// WAL replay over it starts at Seq+1 and compaction may drop
-	// segments it covers. 0 for engine checkpoints taken mid-solve and
-	// for version-1 snapshots.
+	// segments it covers. 0 for engine checkpoints taken mid-solve.
 	Seq uint64
 	DB  *relation.DB
 }
@@ -169,8 +169,8 @@ func Decode(data []byte, schemas ast.Schemas) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	version := data[len(magic)]
-	if version != 1 && version != Version {
-		return nil, fmt.Errorf("%w: got version %d, support versions 1-%d", ErrVersion, version, Version)
+	if version != Version {
+		return nil, fmt.Errorf("%w: got version %d, support version %d", ErrVersion, version, Version)
 	}
 	payload, trailer := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
 	if sum := sha256.Sum256(payload); !bytes.Equal(sum[:], trailer) {
@@ -187,10 +187,8 @@ func Decode(data []byte, schemas ast.Schemas) (*Snapshot, error) {
 	if s.Stats, err = d.stats(); err != nil {
 		return nil, err
 	}
-	if version >= 2 {
-		if s.Seq, err = d.uvarint("commit watermark"); err != nil {
-			return nil, err
-		}
+	if s.Seq, err = d.uvarint("commit watermark"); err != nil {
+		return nil, err
 	}
 
 	// Schema map for the restored DB: seeded from the caller's (shared

@@ -239,7 +239,10 @@ func TestSeqWatermarkRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeAcceptsVersion1(t *testing.T) {
+// TestDecodeRejectsVersion1: the version-1 reader is retired, so a
+// well-formed version-1 payload (no watermark, valid trailer) fails with
+// ErrVersion rather than decoding.
+func TestDecodeRejectsVersion1(t *testing.T) {
 	s, schemas := testSnapshot(t)
 	data := Encode(s)
 	// Build the equivalent version-1 bytes by hand: drop the Seq
@@ -255,15 +258,8 @@ func TestDecodeAcceptsVersion1(t *testing.T) {
 	v1[len(magic)] = 1
 	sum := sha256.Sum256(v1)
 	v1 = append(v1, sum[:]...)
-	got, err := Decode(v1, schemas)
-	if err != nil {
-		t.Fatalf("decoding version-1 snapshot: %v", err)
-	}
-	if got.Seq != 0 {
-		t.Fatalf("version-1 snapshot decoded with seq %d, want 0", got.Seq)
-	}
-	if !Equal(s, got) {
-		t.Fatal("version-1 decode lost data")
+	if _, err := Decode(v1, schemas); !errors.Is(err, ErrVersion) {
+		t.Fatalf("decoding a version-1 snapshot: err = %v, want ErrVersion", err)
 	}
 }
 

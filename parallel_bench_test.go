@@ -1,5 +1,5 @@
-// Component-scheduler benchmark: a multi-SCC workload where independent
-// components give the scheduler concurrency to exploit. See
+// Component-walk benchmark: a multi-SCC workload where independent
+// components give the walk's workers concurrency to exploit. See
 // docs/PERFORMANCE.md for recorded results and methodology.
 package repro_test
 
@@ -13,9 +13,9 @@ import (
 	"repro/internal/gen"
 )
 
-// parallelLevels are the worker counts the recorded tables use:
-// sequential, minimal parallelism, and one worker per CPU.
-func parallelLevels() []int {
+// procLevels are the GOMAXPROCS values the recorded tables use: one
+// worker, two, and one per CPU.
+func procLevels() []int {
 	levels := []int{1, 2}
 	if n := runtime.GOMAXPROCS(0); n > 2 {
 		levels = append(levels, n)
@@ -42,15 +42,17 @@ func multiSCCSource(k, nodes, edges int) string {
 	return sb.String()
 }
 
-// BenchmarkSolveParallel is the scheduler's headline workload: eight
-// independent shortest-path components. Sequential evaluation walks
-// them one at a time; the component scheduler overlaps them, so par>1
-// should show a wall-clock win roughly bounded by min(k, workers).
+// BenchmarkSolveParallel is the component walk's headline workload:
+// eight independent shortest-path components. One worker evaluates them
+// one at a time; more overlap them, so procs>1 should show a wall-clock
+// win roughly bounded by min(k, workers).
 func BenchmarkSolveParallel(b *testing.B) {
 	src := multiSCCSource(8, 64, 4*64)
-	for _, par := range parallelLevels() {
-		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
-			en := mustEngine(b, src, core.Options{Limits: core.Limits{Parallelism: par}})
+	for _, procs := range procLevels() {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			prev := runtime.GOMAXPROCS(procs)
+			b.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+			en := mustEngine(b, src, core.Options{})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -1,70 +1,47 @@
 #!/bin/sh
-# Allocation- and overhead-regression gate for the engine.
+# Allocation- and probe-regression gate for the engine.
 #
 # Runs BenchmarkSolve (the shortest-path fixpoint on a cyclic graph) and
-# BenchmarkParty (Example 4.3) and enforces:
+# BenchmarkParty (Example 4.3) at -benchtime 3x and enforces two pins.
+# Both are counts, not timings, so they hold on any machine; there are
+# no knobs. Re-pinning means editing the constant below in the same
+# commit as the code change that moves it.
 #
 #   1. Allocation pin: with no event sink and no profiler attached (the
 #      benchmark's configuration), BenchmarkSolve's allocs/op stays at
-#      BENCH_REGRESSION_SOLVE_ALLOCS (139,627: a solve allocates what its
-#      three rules derive plus one adopted base-EDB relation; the
-#      program's 384 arc facts are data and fire no pipeline) within
-#      BENCH_REGRESSION_ALLOC_TOL_PCT percent — the tolerance only
-#      absorbs runtime scheduler noise (observed spread is ±0.03%), not
-#      real per-row costs. This protects both the streaming pipelines'
-#      core property — fused operators with no per-tuple environment
-#      churn — and the zero-cost-when-off contract of tracing and
-#      profiling from later changes that quietly reintroduce per-row
-#      allocation.
+#      SOLVE_ALLOCS (139,640: a solve allocates what its three rules
+#      derive plus one adopted base-EDB relation and the component walk's
+#      per-solve bookkeeping; the program's 384 arc facts are data and
+#      fire no pipeline) within ALLOC_TOL_PCT percent — the tolerance
+#      only absorbs runtime scheduler noise (observed spread ±0.03%), not
+#      real per-row costs. One-shot setup allocations amortize over the
+#      iteration count, which is why -benchtime is fixed. This protects
+#      the streaming pipelines' core property — fused operators with no
+#      per-tuple environment churn — and the zero-cost-when-off contract
+#      of tracing and profiling.
 #
-#   2. Optional wall-clock gate: setting BENCH_REGRESSION_SOLVE_NS_BASELINE
-#      (ns/op from a baseline run on the SAME machine) also gates
-#      BenchmarkSolve's ns/op within BENCH_REGRESSION_NS_TOL_PCT percent
-#      (default 3). Opt-in because stored timings are not comparable
-#      across machines or days (see docs/OBSERVABILITY.md).
-#
-#   3. Party probe pin: BenchmarkParty/engine/n=64 reports the index
+#   2. Party probe pin: BenchmarkParty/engine/n=64 reports the index
 #      probes of one Example 4.3 solve (probes/op), which must equal
-#      1,682 exactly. The count is deterministic, so there is no
-#      tolerance and no override: it moves only when the pipelines a
-#      pass runs change, so re-pinning means editing PARTY_PROBES below
-#      in the same commit as that code change. kc's Δ pass runs its
-#      Δ-driver order (docs/ARCHITECTURE.md); on the canonical order the
-#      same solve probed 22,120 rows.
-#
-#   scripts/bench_regression.sh                      # default gates
-#   BENCH_REGRESSION_SOLVE_NS_BASELINE=221000000 scripts/bench_regression.sh
-#   BENCHTIME=5x scripts/bench_regression.sh
-#
-# Allocation counts (unlike wall-clock timings) are stable across
-# shared-runner noise, so a small fixed iteration count is enough.
-# The pinned value corresponds to the default -benchtime 3x: one-shot
-# setup allocations amortize over the iteration count, so overriding
-# BENCHTIME shifts allocs/op and needs a matching
-# BENCH_REGRESSION_SOLVE_ALLOCS.
+#      PARTY_PROBES (1,682) exactly: it moves only when the pipelines a
+#      pass runs change. kc's Δ pass runs its Δ-driver order
+#      (docs/ARCHITECTURE.md); on the canonical order the same solve
+#      probed 22,120 rows.
 set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
-BENCHTIME=${BENCHTIME:-3x}
-SOLVE_ALLOCS=${BENCH_REGRESSION_SOLVE_ALLOCS:-139627}
-ALLOC_TOL_PCT=${BENCH_REGRESSION_ALLOC_TOL_PCT:-0.5}
-NS_BASELINE=${BENCH_REGRESSION_SOLVE_NS_BASELINE:-}
-NS_TOL_PCT=${BENCH_REGRESSION_NS_TOL_PCT:-3}
+SOLVE_ALLOCS=139640
+ALLOC_TOL_PCT=0.5
 PARTY_PROBES=1682
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT INT TERM
 
-echo "bench_regression: running BenchmarkSolve and BenchmarkParty (-benchtime $BENCHTIME)"
+echo "bench_regression: running BenchmarkSolve and BenchmarkParty (-benchtime 3x)"
 ( cd "$ROOT" && go test . -run '^$' -bench '^(BenchmarkSolve|BenchmarkParty)$' -benchmem \
-    -benchtime "$BENCHTIME" ) | tee "$RAW"
+    -benchtime 3x ) | tee "$RAW"
 
-awk -v pinned="$SOLVE_ALLOCS" -v alloctol="$ALLOC_TOL_PCT" \
-    -v nsbase="$NS_BASELINE" -v nstol="$NS_TOL_PCT" -v partypin="$PARTY_PROBES" '
+awk -v pinned="$SOLVE_ALLOCS" -v alloctol="$ALLOC_TOL_PCT" -v partypin="$PARTY_PROBES" '
 /^BenchmarkSolve(-[0-9]+)?[ \t]/ && /allocs\/op/ {
-    for (i = 2; i < NF; i++) {
-        if ($(i+1) == "allocs/op") allocs = $i
-        if ($(i+1) == "ns/op") solvens = $i
-    }
+    for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") allocs = $i
 }
 /^BenchmarkParty\/engine\/n=64(-[0-9]+)?[ \t]/ && /probes\/op/ {
     for (i = 2; i < NF; i++) if ($(i+1) == "probes/op") probes = $i
@@ -79,14 +56,6 @@ END {
     if (dev > alloctol + 0) {
         print "bench_regression: FAIL: allocation count moved; per-row allocation or the zero-cost-when-off contract regressed" > "/dev/stderr"
         exit 1
-    }
-    if (nsbase != "") {
-        nsdev = 100 * (solvens - nsbase) / nsbase
-        printf "bench_regression: BenchmarkSolve %.0f ns/op vs baseline %.0f ns/op = %+.1f%% (gate: <= +%s%%)\n", solvens, nsbase, nsdev, nstol
-        if (nsdev > nstol + 0) {
-            print "bench_regression: FAIL: wall-clock regressed past the gate" > "/dev/stderr"
-            exit 1
-        }
     }
     if (probes == "") {
         print "bench_regression: FAIL: missing BenchmarkParty/engine/n=64 probes/op" > "/dev/stderr"
