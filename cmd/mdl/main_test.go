@@ -349,3 +349,25 @@ func TestFactFilesEqualProgramText(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeZeroIsZero: 0 and -0 are one number, so one tuple. Either
+// fact order prints the single r(0). fact, and a rule joining the two
+// positions of p(0, -0) sees equal values stored as equal values.
+func TestNegativeZeroIsZero(t *testing.T) {
+	for _, src := range []string{"r(0). r(-0).\n", "r(-0). r(0).\n"} {
+		out, errOut, code := runMdl(t, writeProgram(t, "z.mdl", src))
+		if code != exitOK {
+			t.Fatalf("%q: exit %d, stderr: %s", src, code, errOut)
+		}
+		if out != "r(0).\n" {
+			t.Fatalf("%q printed %q, want one r(0).", src, out)
+		}
+	}
+	out, errOut, code := runMdl(t, writeProgram(t, "p.mdl", "p(0, -0). d(X) :- p(X, X).\n"))
+	if code != exitOK {
+		t.Fatalf("exit %d, stderr: %s", code, errOut)
+	}
+	if out != "d(0).\np(0, 0).\n" {
+		t.Fatalf("printed %q, want d(0). and p(0, 0).", out)
+	}
+}

@@ -467,20 +467,33 @@ func (m *Model) Cost(pred string, args ...Value) (Value, bool) {
 }
 
 func (m *Model) lookup(pred string, args []Value) (relation.Row, bool) {
+	ks := m.predKeys(pred, len(args))
+	if len(ks) == 0 {
+		return relation.Row{}, false
+	}
 	raw := make([]val.T, len(args))
 	for i, a := range args {
 		raw[i] = a.v
 	}
-	for _, k := range m.db.Preds() {
-		if k.Name() != pred {
-			continue
-		}
-		pi := m.schemas.Info(k)
-		if pi != nil && pi.NonCost() == len(args) {
-			return m.db.Rel(k).GetOrDefault(raw)
+	return m.db.Rel(ks[0]).GetOrDefault(raw)
+}
+
+// predKeys returns, in key order, the model's predicates named pred that
+// take n non-cost arguments. Only two keys can: pred/n (no cost) and
+// pred/n+1 (a cost predicate), so they are resolved directly rather than
+// by scanning the model's predicates.
+func (m *Model) predKeys(pred string, n int) []ast.PredKey {
+	ks := [2]ast.PredKey{ast.MakePredKey(pred, n), ast.MakePredKey(pred, n+1)}
+	if ks[1] < ks[0] {
+		ks[0], ks[1] = ks[1], ks[0]
+	}
+	out := ks[:0]
+	for _, k := range ks {
+		if pi := m.schemas.Info(k); pi != nil && pi.NonCost() == n && m.db.Has(k) {
+			out = append(out, k)
 		}
 	}
-	return relation.Row{}, false
+	return out
 }
 
 // Facts returns every tuple of the predicate (cost appended last for
@@ -493,31 +506,31 @@ func (m *Model) lookup(pred string, args []Value) (relation.Row, bool) {
 // tests and JSON responses.
 func (m *Model) Facts(pred string) [][]Value {
 	var out [][]Value
-	for _, k := range m.db.Preds() {
-		if k.Name() != pred {
-			continue
-		}
+	for _, k := range m.db.Named(pred) {
 		for _, row := range m.db.Rel(k).Rows() {
-			vs := make([]Value, 0, len(row.Args)+1)
-			for _, a := range row.Args {
-				vs = append(vs, Value{v: a})
-			}
-			if row.HasCost {
-				vs = append(vs, Value{v: row.Cost})
-			}
-			out = append(out, vs)
+			out = append(out, rowValues(row))
 		}
 	}
 	return out
 }
 
+// rowValues renders a row as Facts does: its arguments, then its cost.
+func rowValues(row relation.Row) []Value {
+	vs := make([]Value, 0, len(row.Args)+1)
+	for _, a := range row.Args {
+		vs = append(vs, Value{v: a})
+	}
+	if row.HasCost {
+		vs = append(vs, Value{v: row.Cost})
+	}
+	return vs
+}
+
 // Len returns the number of stored tuples of the predicate.
 func (m *Model) Len(pred string) int {
 	n := 0
-	for _, k := range m.db.Preds() {
-		if k.Name() == pred {
-			n += m.db.Rel(k).Len()
-		}
+	for _, k := range m.db.Named(pred) {
+		n += m.db.Rel(k).Len()
 	}
 	return n
 }

@@ -79,28 +79,22 @@ func (v Value) Elems() ([]Value, bool) {
 // in the same deterministic sorted order as Facts. Like Facts, Match
 // enumerates only the stored core of the extension: virtual default
 // rows of a .default predicate are not invented for unmentioned tuples.
+//
+// Match filters the stored rows in insertion order and sorts only the
+// matches; it builds no index, so it never mutates the model.
 func (m *Model) Match(pred string, args ...Value) [][]Value {
 	var out [][]Value
-	for _, k := range m.db.Preds() {
-		if k.Name() != pred {
-			continue
-		}
-		pi := m.schemas.Info(k)
-		if pi == nil || pi.NonCost() != len(args) {
-			continue
-		}
-		for _, row := range m.db.Rel(k).Rows() {
-			if !rowMatches(row, args) {
-				continue
+	for _, k := range m.predKeys(pred, len(args)) {
+		var rows []relation.Row
+		m.db.Rel(k).Each(func(row relation.Row) bool {
+			if rowMatches(row, args) {
+				rows = append(rows, row)
 			}
-			vs := make([]Value, 0, len(row.Args)+1)
-			for _, a := range row.Args {
-				vs = append(vs, Value{v: a})
-			}
-			if row.HasCost {
-				vs = append(vs, Value{v: row.Cost})
-			}
-			out = append(out, vs)
+			return true
+		})
+		relation.SortRows(rows)
+		for _, row := range rows {
+			out = append(out, rowValues(row))
 		}
 	}
 	return out

@@ -3,6 +3,10 @@ package datalog
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/ast"
+	"repro/internal/gen"
+	"repro/internal/programs"
 )
 
 const querySP = `
@@ -157,5 +161,76 @@ func TestPredicatesAndSize(t *testing.T) {
 	preds := m.Preds()
 	if len(preds) == 0 || preds[0] != "arc" {
 		t.Fatalf("Preds: %v", preds)
+	}
+}
+
+// fullSortMatch is Match as it was before it filtered first: sort the
+// whole relation, then keep the rows that match. The differential below
+// holds the filter-then-sort Match to it.
+func fullSortMatch(m *Model, pred string, args ...Value) [][]Value {
+	var out [][]Value
+	for _, k := range m.db.Preds() {
+		if k.Name() != pred {
+			continue
+		}
+		pi := m.schemas.Info(k)
+		if pi == nil || pi.NonCost() != len(args) {
+			continue
+		}
+		for _, row := range m.db.Rel(k).Rows() {
+			if rowMatches(row, args) {
+				out = append(out, rowValues(row))
+			}
+		}
+	}
+	return out
+}
+
+// TestMatchAgreesWithFullSort runs every pattern over a solved Example
+// 2.6 model — each stored tuple under every choice of wildcard
+// positions, plus a constant no tuple holds in each position — through
+// Match and through the full-sort reference, and requires identical
+// answers in identical order.
+func TestMatchAgreesWithFullSort(t *testing.T) {
+	g := gen.Graph(gen.CycleGraph, 8, 20, 9, 3)
+	p, err := Load(programs.ShortestPath+gen.GraphFacts(g), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := p.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	patterns := 0
+	for _, pred := range m.Preds() {
+		for _, row := range m.Facts(pred) {
+			args := row
+			if pi := m.schemas.Info(ast.MakePredKey(pred, len(row))); pi != nil && pi.HasCost {
+				args = row[:len(row)-1]
+			}
+			for wild := 0; wild < 1<<len(args); wild++ {
+				for miss := -1; miss < len(args); miss++ {
+					pat := make([]Value, len(args))
+					for i := range args {
+						switch {
+						case i == miss:
+							pat[i] = Sym("absent")
+						case wild&(1<<i) != 0:
+							pat[i] = Any()
+						default:
+							pat[i] = args[i]
+						}
+					}
+					got, want := m.Match(pred, pat...), fullSortMatch(m, pred, pat...)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s%v: Match %v, full sort %v", pred, pat, got, want)
+					}
+					patterns++
+				}
+			}
+		}
+	}
+	if patterns < 1000 {
+		t.Fatalf("only %d patterns exercised", patterns)
 	}
 }

@@ -145,7 +145,6 @@ func (en *Engine) loadBase(sp ast.FactSplit) error {
 		key  ast.PredKey
 		rel  *relation.Relation
 		args []val.T
-		kbuf []byte
 	)
 	for i, r := range facts {
 		if k := memo.Of(&r.Head); k != key {
@@ -156,13 +155,12 @@ func (en *Engine) loadBase(sp ast.FactSplit) error {
 		if args, cost, err = ast.FactValue(args[:0], &r.Head, rel.Info); err != nil {
 			return err
 		}
-		kbuf = val.AppendKeyOf(kbuf[:0], args)
 		if !en.opts.SkipChecks && rel.Info.HasCost {
-			if old, dup := rel.GetKey(kbuf); dup && !lattice.Eq(rel.Info.L, old.Cost, cost) {
+			if old, dup := rel.Get(args); dup && !lattice.Eq(rel.Info.L, old.Cost, cost) {
 				return consistency.FactConflict(firstFactOf(facts[:i], r), r)
 			}
 		}
-		rel.InsertJoinKey(kbuf, args, cost)
+		rel.InsertJoin(args, cost)
 	}
 	return nil
 }
@@ -606,85 +604,93 @@ func (en *Engine) solveNaive(g *guard, db *relation.DB, ci int, stats *Stats) er
 	}
 }
 
-// deltaSet records changed rows per predicate with deduplication.
+// deltaSet records the rows a round (or a component) changed: per
+// predicate, the ids of the changed rows of its relation in the order
+// they first changed, deduplicated by a bitset over row ids. Row ids stay
+// valid as the relation grows and always read the row's current cost, so
+// a Δ set holds no row copies and no keys.
 type deltaSet struct {
-	rows map[ast.PredKey][]relation.Row
-	seen map[ast.PredKey]map[string]bool
-	// freeRows/freeSeen hold capacity recycled by reset, handed back out
-	// as the same predicate reappears in later rounds (keyed by
-	// predicate so the largest predicate keeps its large slice). Without
-	// this every round regrows its row slices and dedup maps from
-	// scratch, which is the second-largest bytes/op contributor after
-	// relation storage itself.
-	freeRows map[ast.PredKey][]relation.Row
-	freeSeen map[ast.PredKey]map[string]bool
+	preds map[ast.PredKey]*predDelta
+	// free holds the per-predicate storage reset recycled, handed back
+	// out as the same predicate reappears in later rounds (keyed by
+	// predicate so the largest predicate keeps its large slices).
+	free map[ast.PredKey]*predDelta
+	// lastK/last cache the most recent add's predicate: a rule's
+	// derivations all land in its head predicate.
+	lastK ast.PredKey
+	last  *predDelta
+}
+
+// predDelta is one predicate's changed row ids and their membership
+// bitset.
+type predDelta struct {
+	ids  []int32
+	seen []uint64
 }
 
 func newDeltaSet() *deltaSet {
-	return &deltaSet{rows: map[ast.PredKey][]relation.Row{}, seen: map[ast.PredKey]map[string]bool{}}
+	return &deltaSet{preds: map[ast.PredKey]*predDelta{}}
 }
 
-// addInterned adds row unless its tuple is already in d, keyed by the
-// relation's interned key string (from Relation.LookupKey), so even the
-// miss path stores without allocating.
-func (d *deltaSet) addInterned(k ast.PredKey, row relation.Row, key string) {
-	s := d.seenFor(k)
-	if s[key] {
+// ids returns the changed row ids of predicate k (nil when none).
+func (d *deltaSet) ids(k ast.PredKey) []int32 {
+	if pd := d.preds[k]; pd != nil {
+		return pd.ids
+	}
+	return nil
+}
+
+// add records row id of predicate k's relation unless d already holds it.
+func (d *deltaSet) add(k ast.PredKey, id int) {
+	pd := d.last
+	if pd == nil || k != d.lastK {
+		if pd = d.preds[k]; pd == nil {
+			if pd = d.free[k]; pd != nil {
+				delete(d.free, k)
+			} else {
+				pd = &predDelta{}
+			}
+			d.preds[k] = pd
+		}
+		d.lastK, d.last = k, pd
+	}
+	w, bit := id>>6, uint64(1)<<(id&63)
+	if w >= len(pd.seen) {
+		pd.seen = append(pd.seen, make([]uint64, max(w+1, 2*len(pd.seen))-len(pd.seen))...)
+	}
+	if pd.seen[w]&bit != 0 {
 		return
 	}
-	s[key] = true
-	d.append(k, row)
-}
-
-func (d *deltaSet) seenFor(k ast.PredKey) map[string]bool {
-	s := d.seen[k]
-	if s == nil {
-		if s = d.freeSeen[k]; s != nil {
-			delete(d.freeSeen, k)
-		} else {
-			s = map[string]bool{}
-		}
-		d.seen[k] = s
-	}
-	return s
-}
-
-func (d *deltaSet) append(k ast.PredKey, row relation.Row) {
-	rs, ok := d.rows[k]
-	if !ok {
-		if free, has := d.freeRows[k]; has {
-			rs = free
-			delete(d.freeRows, k)
-		}
-	}
-	d.rows[k] = append(rs, row)
+	pd.seen[w] |= bit
+	pd.ids = append(pd.ids, int32(id))
 }
 
 // reset clears d for reuse by a later round while retaining allocated
-// capacity on the free lists. Only a set no evaluator still references
-// may be reset — i.e. the previous round's Δ after its round completed.
+// capacity on the free list; clearing a bitset touches only the words
+// its ids set, so a reset costs O(Δ). Only a set no evaluator still
+// references may be reset — i.e. the previous round's Δ after its round
+// completed.
 func (d *deltaSet) reset() {
-	if d.freeRows == nil {
-		d.freeRows = map[ast.PredKey][]relation.Row{}
-		d.freeSeen = map[ast.PredKey]map[string]bool{}
+	if d.free == nil {
+		d.free = map[ast.PredKey]*predDelta{}
 	}
-	for k, rs := range d.rows {
-		d.freeRows[k] = rs[:0]
-		delete(d.rows, k)
+	for k, pd := range d.preds {
+		for _, id := range pd.ids {
+			pd.seen[id>>6] = 0
+		}
+		pd.ids = pd.ids[:0]
+		d.free[k] = pd
+		delete(d.preds, k)
 	}
-	for k, s := range d.seen {
-		clear(s)
-		d.freeSeen[k] = s
-		delete(d.seen, k)
-	}
+	d.last = nil
 }
 
-func (d *deltaSet) empty() bool { return len(d.rows) == 0 }
+func (d *deltaSet) empty() bool { return len(d.preds) == 0 }
 
-// preds returns the changed predicates in deterministic order.
-func (d *deltaSet) preds() []ast.PredKey {
-	out := make([]ast.PredKey, 0, len(d.rows))
-	for k := range d.rows {
+// predKeys returns the changed predicates in deterministic order.
+func (d *deltaSet) predKeys() []ast.PredKey {
+	out := make([]ast.PredKey, 0, len(d.preds))
+	for k := range d.preds {
 		out = append(out, k)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -711,27 +717,24 @@ func (d *deltaSet) preds() []ast.PredKey {
 func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats, init, record *deltaSet) error {
 	ps, recursive := en.plans[ci], en.compRecursive[ci]
 	delta := newDeltaSet()
-	// insert derives through per-closure scratch: the head projection
-	// lands in the plan's hbuf and the tuple key is built once into kbuf,
-	// shared by the eps check, the relation insert and the Δ-set dedup.
-	// Everything retained beyond this call (Δ rows, trace, records) comes
-	// from the stored row, whose args the relation copied on first insert.
-	var kbuf []byte
+	// insert derives through the plan's head buffer (hbuf). Everything
+	// retained beyond this call — Δ and record entries, the trace — is the
+	// stored row's id or arguments, which the relation copied into its
+	// arena on first insert.
 	insert := func(p *plan, e *env) error {
 		args, cost, err := headTupleInto(p, e)
 		if err != nil {
 			return err
 		}
 		rel := db.Rel(p.head.pred)
-		kbuf = val.AppendKeyOf(kbuf[:0], args)
-		if insertEpsKey(rel, kbuf, args, cost, en.opts.Epsilon) {
+		if id, changed := insertEps(rel, args, cost, en.opts.Epsilon); changed {
 			stats.Derived++
-			row, ik, _ := rel.LookupKey(kbuf)
+			row := rel.At(id)
 			if recursive {
-				delta.addInterned(p.head.pred, row, ik)
+				delta.add(p.head.pred, id)
 			}
 			if record != nil {
-				record.addInterned(p.head.pred, row, ik)
+				record.add(p.head.pred, id)
 			}
 			if g.trace != nil {
 				g.recordTrace(p, e, row.Args)
@@ -798,7 +801,7 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 		} else {
 			delta = newDeltaSet()
 		}
-		changedPreds := prev.preds()
+		changedPreds := prev.predKeys()
 		for _, p := range ps {
 			g.rule = p.rule
 			// Decide up front which passes this rule needs so a rule
@@ -825,7 +828,7 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 				// grouping variable can be recovered from the changed
 				// rows, otherwise a full re-run (which then also covers
 				// the scan deltas below).
-				groups, restricted := changedGroups(p.steps, prev)
+				groups, restricted := changedGroups(p.steps, prev, db)
 				pass := cfg
 				pass.AggGroups = groups
 				perr = en.runPass(p, &p.pipe, pass, stats, insert)
@@ -838,7 +841,7 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 			scans:
 				for _, k := range changedPreds {
 					pass := cfg
-					pass.RestrictRows = prev.rows[k]
+					pass.RestrictIDs = prev.ids(k)
 					for _, si := range p.scanSteps[k] {
 						pipe, at := p.deltaPipe(si)
 						pass.RestrictStep = at
@@ -867,17 +870,19 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 
 // changedGroups computes, per aggregate step of the given step
 // arrangement, the groups whose multisets may have changed given the Δ
-// set. restricted is false when some changed conjunct cannot be
-// projected onto the full group key (the caller then treats the run as
-// unrestricted). The returned map is keyed by step position in the
-// arrangement passed in, matching exec.Config.AggGroups' keying.
-func changedGroups(steps []step, d *deltaSet) (map[int]map[string]exec.GroupRef, bool) {
+// set (row ids into db's relations). restricted is false when some
+// changed conjunct cannot be projected onto the full group key (the
+// caller then treats the run as unrestricted). The returned map is keyed
+// by step position in the arrangement passed in, matching
+// exec.Config.AggGroups' keying.
+func changedGroups(steps []step, d *deltaSet, db *relation.DB) (map[int]map[string]exec.GroupRef, bool) {
 	out := map[int]map[string]exec.GroupRef{}
-	// Group keys are built into a per-call scratch buffer and the group
-	// values are references into the Δ rows' relation-owned argument
-	// tuples (exec.GroupRef), so the only per-group allocation is the
-	// interned map key for new entries. Anything else here runs once per
-	// Δ row per round and shows up directly in allocs/op.
+	// Group keys are strings — their sorted order fixes the γ step's
+	// emission order — built into a per-call scratch buffer; the group
+	// values are references into the Δ rows' arena-owned argument tuples
+	// (exec.GroupRef), so the only per-group allocation is the interned
+	// map key for new entries. Anything else here runs once per Δ row per
+	// round and shows up directly in allocs/op.
 	var kbuf []byte
 	for si, s := range steps {
 		ag, ok := s.(*aggStep)
@@ -893,8 +898,8 @@ func changedGroups(steps []step, d *deltaSet) (map[int]map[string]exec.GroupRef,
 			clear(keys)
 		}
 		for ci, sp := range ag.conj {
-			rows := d.rows[sp.pred]
-			if len(rows) == 0 {
+			ids := d.ids(sp.pred)
+			if len(ids) == 0 {
 				continue
 			}
 			pos := ag.groupKeyPos[ci]
@@ -902,7 +907,9 @@ func changedGroups(steps []step, d *deltaSet) (map[int]map[string]exec.GroupRef,
 				return nil, false
 			}
 			touched = true
-			for _, row := range rows {
+			rel := db.Rel(sp.pred)
+			for _, id := range ids {
+				row := rel.At(int(id))
 				kbuf = kbuf[:0]
 				for j, pidx := range pos {
 					if j > 0 {
@@ -938,7 +945,7 @@ func aggPredChanged(p *plan, d *deltaSet) bool {
 			continue
 		}
 		for _, sp := range ag.conj {
-			if len(d.rows[sp.pred]) > 0 {
+			if len(d.ids(sp.pred)) > 0 {
 				return true
 			}
 		}
@@ -946,19 +953,18 @@ func aggPredChanged(p *plan, d *deltaSet) bool {
 	return false
 }
 
-// insertEpsKey is InsertJoinKey with numeric convergence tolerance: an
-// improvement smaller than eps does not count as a change. The caller
-// prebuilds the tuple key, so the hot insert path encodes it once.
-func insertEpsKey(rel *relation.Relation, key []byte, args []val.T, cost lattice.Elem, eps float64) bool {
+// insertEps is Relation.Upsert with numeric convergence tolerance: an
+// improvement smaller than eps does not count as a change.
+func insertEps(rel *relation.Relation, args []val.T, cost lattice.Elem, eps float64) (int, bool) {
 	if eps > 0 {
-		if old, ok := rel.GetKey(key); ok && old.HasCost && old.Cost.Kind == val.Num && cost.Kind == val.Num {
+		if old, ok := rel.Get(args); ok && old.HasCost && old.Cost.Kind == val.Num && cost.Kind == val.Num {
 			j := rel.Info.L.Join(old.Cost, cost)
 			if math.Abs(j.N-old.Cost.N) <= eps {
-				return false
+				return -1, false
 			}
 		}
 	}
-	return rel.InsertJoinKey(key, args, cost)
+	return rel.Upsert(args, cost)
 }
 
 // EqualEps compares two interpretations with numeric tolerance eps on

@@ -99,8 +99,7 @@ func (ev *evaluator) scan(sp *atomSpec, e *env, f func(relation.Row) error) erro
 				args[j] = sp.argVal[j]
 			}
 		}
-		sp.kbuf = val.AppendKeyOf(sp.kbuf[:0], args)
-		row, ok := rel.GetKey(sp.kbuf)
+		row, ok := rel.Get(args)
 		if !ok {
 			// Default-value predicates always have a value: the bottom row
 			// (§2.3.2).
@@ -200,8 +199,7 @@ func (ev *evaluator) negSatisfied(sp *atomSpec, e *env) (bool, error) {
 			args[j] = sp.argVal[j]
 		}
 	}
-	sp.kbuf = val.AppendKeyOf(sp.kbuf[:0], args)
-	row, present := rel.GetKey(sp.kbuf)
+	row, present := rel.Get(args)
 	if !present && sp.pi.HasDefault {
 		row = relation.Row{Args: args, Cost: sp.pi.L.Bottom(), HasCost: true}
 		present = true

@@ -12,7 +12,6 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/obs"
 	"repro/internal/relation"
-	"repro/internal/val"
 )
 
 // SolveMore continues a previously computed model with additional EDB
@@ -91,15 +90,12 @@ func (en *Engine) SolveMoreFrom(ctx context.Context, prev *relation.DB, added *r
 		// are copied by the walk's private view when it is dispatched.
 		db := prev.Share()
 		changed := newDeltaSet()
-		var kbuf []byte
 		for _, k := range addedPreds {
 			rel := db.Rel(k).Clone()
 			db.SetRel(k, rel)
 			added.Rel(k).Each(func(row relation.Row) bool {
-				kbuf = val.AppendKeyOf(kbuf[:0], row.Args)
-				if insertEpsKey(rel, kbuf, row.Args, row.Cost, en.opts.Epsilon) {
-					cur, ik, _ := rel.LookupKey(kbuf)
-					changed.addInterned(k, cur, ik)
+				if id, ok := insertEps(rel, row.Args, row.Cost, en.opts.Epsilon); ok {
+					changed.add(k, id)
 				}
 				return true
 			})
@@ -110,15 +106,16 @@ func (en *Engine) SolveMoreFrom(ctx context.Context, prev *relation.DB, added *r
 
 // seed cuts component ci's Δ seed from the rows an incremental walk has
 // changed: those of the lower predicates its rules read, which are final
-// once ci is ready, so the seed shares their slices. (A predicate read
+// once ci is ready, so the seed shares their storage — and their row ids
+// index the very relations ci's view shares. (A predicate read
 // under negation is never among them: noteInsertMonotone blocks every
 // fact that could change one.) It is nil when there are none, and the
 // component's model cannot move.
 func (en *Engine) seed(ci int, changed *deltaSet) *deltaSet {
 	seed := newDeltaSet()
 	for _, k := range en.compLDB[ci] {
-		if rows := changed.rows[k]; len(rows) > 0 {
-			seed.rows[k] = rows
+		if pd := changed.preds[k]; pd != nil && len(pd.ids) > 0 {
+			seed.preds[k] = pd
 		}
 	}
 	if seed.empty() {

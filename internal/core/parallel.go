@@ -283,7 +283,7 @@ func (s *sched) runComp(ci int) {
 		if record != nil {
 			// Only ci derives its predicates, so its record is disjoint
 			// from everything changed holds.
-			maps.Copy(s.changed.rows, record.rows)
+			maps.Copy(s.changed.preds, record.preds)
 		}
 	}
 	cs.Nanos += nanos

@@ -102,17 +102,16 @@ type atomSpec struct {
 	costVar int     // variable index of the cost argument, -1 if none/const
 	costVal val.T   // constant cost when costVar < 0 and pi.HasCost
 	cdb     bool
-	// pat, sbuf, abuf and kbuf are per-step scratch buffers for Match
-	// patterns, bindAtom backtracking lists, fully instantiated argument
-	// tuples and their lookup keys (negation and default-value point
-	// lookups). A step is never re-entered while its own match is in
+	// pat, sbuf and abuf are per-step scratch buffers for Match
+	// patterns, bindAtom backtracking lists and fully instantiated
+	// argument tuples (negation and default-value point lookups). A step
+	// is never re-entered while its own match is in
 	// progress (nested steps are distinct specs), so the buffers are safe
 	// within one evaluation; they do make an Engine unsafe for concurrent
 	// Solve calls.
 	pat  []*val.T
 	sbuf []int
 	abuf []val.T
-	kbuf []byte
 }
 
 // scanStep matches an atom against the database (positive literal).

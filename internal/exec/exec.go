@@ -13,9 +13,9 @@
 //     left-deep pipeline of hash joins (⋈). With no bound positions it
 //     streams the full extension; for default-value predicates it is a
 //     single point lookup (§2.3.2). The delta-aware variant drives the
-//     join from the semi-naive Δ set (Config.RestrictRows) instead of
-//     the full relation, so each round's work is proportional to the
-//     change, not the model.
+//     join from the semi-naive Δ set (Config.RestrictIDs, row ids into
+//     the scanned relation) instead of the full relation, so each
+//     round's work is proportional to the change, not the model.
 //   - select/σ: negative literals (Definition 3.4) and builtin
 //     comparison tests filter the stream in place.
 //   - project/π: variable binding against the registers projects each
@@ -164,11 +164,12 @@ func (g GroupRef) At(j int) val.T { return g.Args[g.Pos[j]] }
 // Config is the per-pass evaluation context.
 type Config struct {
 	DB *relation.DB
-	// RestrictStep/RestrictRows, when RestrictRows is non-nil, drive the
-	// scan at that pipeline position from the Δ rows instead of the
-	// relation: the delta-aware side of the join.
+	// RestrictStep/RestrictIDs, when RestrictIDs is non-nil, drive the
+	// scan at that pipeline position from the Δ rows — ids of rows of the
+	// scanned relation — instead of the whole relation: the delta-aware
+	// side of the join.
 	RestrictStep int
-	RestrictRows []relation.Row
+	RestrictIDs  []int32
 	// AggGroups, per γ step index, restricts that aggregate to the
 	// listed changed groups (key -> grouping-value reference).
 	AggGroups map[int]map[string]GroupRef
@@ -190,8 +191,8 @@ type OpCounts struct {
 	// pipeline's firings.
 	In  int64
 	Out int64
-	// Probes counts index probes the step performed (rows offered by
-	// its cursor, plus Δ-row cost re-fetches on the restricted scan).
+	// Probes counts index probes the step performed: rows offered by its
+	// cursor, or Δ rows offered by the restricted scan.
 	Probes int64
 	// Build is the size of the largest indexed relation the step
 	// consulted — the build side of the hash join it probes.
@@ -271,7 +272,7 @@ type Machine struct {
 	cfg     Config
 	emit    func(*Machine) error
 	states  []stepState
-	kbuf    []byte // shared key-building scratch; every use is consumed before the next
+	kbuf    []byte // γ group-key scratch; every use is consumed before the next
 	Firings int64
 	Probes  int64
 	// prof is the per-step counter table while Config.Prof is set, nil
@@ -285,7 +286,8 @@ type Machine struct {
 }
 
 // scanState is the per-atom mutable scratch: the backtracking list of
-// newly bound variables and an argument buffer for point lookups.
+// newly bound variables and an argument buffer for point lookups and
+// index probes.
 type scanState struct {
 	sbuf []int
 	args []val.T
@@ -461,21 +463,19 @@ func (m *Machine) runStep(i int) error {
 func (m *Machine) runScan(i int, s *Step) error {
 	at := &s.Atom
 	st := &m.states[i].scanState
-	if m.cfg.RestrictRows != nil && i == m.cfg.RestrictStep {
+	if m.cfg.RestrictIDs != nil && i == m.cfg.RestrictStep {
 		rel := m.cfg.DB.Rel(at.Pred)
-		for _, row := range m.cfg.RestrictRows {
-			// Re-fetch the current cost: the Δ row may have been
-			// improved again later in the same round.
-			m.kbuf = val.AppendKeyOf(m.kbuf[:0], row.Args)
-			if cur, ok := rel.GetKey(m.kbuf); ok {
-				row = cur
-			}
+		var row relation.Row
+		for _, id := range m.cfg.RestrictIDs {
+			// Load reads the row's current cost: a Δ row improved again
+			// later in the same round is offered at its latest value.
+			rel.Load(int(id), &row)
 			m.Probes++
 			if m.prof != nil {
 				m.prof[i].Probes++
 				m.prof[i].Delta++
 			}
-			saved, ok := m.bindRow(at, st, row)
+			saved, ok := m.bindRow(at, st, &row)
 			if !ok {
 				continue
 			}
@@ -524,8 +524,7 @@ func (m *Machine) runNeg(i int, s *Step) error {
 			args[j] = at.ArgVal[j]
 		}
 	}
-	m.kbuf = val.AppendKeyOf(m.kbuf[:0], args)
-	row, present := rel.GetKey(m.kbuf)
+	row, present := rel.Get(args)
 	if !present && at.Info.HasDefault {
 		row = relation.Row{Args: args, Cost: at.Info.L.Bottom(), HasCost: true}
 		present = true
@@ -550,22 +549,23 @@ func (m *Machine) runNeg(i int, s *Step) error {
 }
 
 // cursor is a lazy row iterator over one atom scan: a full-extension
-// stream, an index-bucket probe (the probe side of a hash join), or a
+// stream, an index-chain probe (the probe side of a hash join), or a
 // default-value point lookup. Cursors live on the stack; open snapshots
-// the iteration space (relation length or index bucket) so rows derived
-// downstream mid-iteration are not re-offered, matching Match/Each.
+// the iteration space (the relation's length, for both streams and
+// chains) so rows derived downstream mid-iteration are not re-offered,
+// matching Match/Each.
 type cursor struct {
 	rel    *relation.Relation
 	mode   uint8
 	pos, n int
-	bucket []int
+	chain  relation.Cursor
 	row    relation.Row
 	done   bool
 }
 
 const (
 	curFull uint8 = iota
-	curBucket
+	curChain
 	curPoint
 )
 
@@ -580,10 +580,10 @@ func (m *Machine) open(c *cursor, at *Atom, st *scanState, profStep int) {
 			m.prof[profStep].Build = n
 		}
 	}
+	args := st.args
 	if at.Info.HasDefault {
 		// Point lookup (the compiler guarantees the non-cost arguments
 		// are bound); a miss synthesizes the default (bottom) row.
-		args := st.args
 		for j, v := range at.ArgVar {
 			if v >= 0 {
 				args[j] = m.Vals[v]
@@ -591,8 +591,7 @@ func (m *Machine) open(c *cursor, at *Atom, st *scanState, profStep int) {
 				args[j] = at.ArgVal[j]
 			}
 		}
-		m.kbuf = val.AppendKeyOf(m.kbuf[:0], args)
-		row, ok := rel.GetKey(m.kbuf)
+		row, ok := rel.Get(args)
 		if !ok {
 			row = relation.Row{Args: args, Cost: at.Info.L.Bottom(), HasCost: true}
 		}
@@ -601,72 +600,66 @@ func (m *Machine) open(c *cursor, at *Atom, st *scanState, profStep int) {
 		c.done = false
 		return
 	}
+	// The bound positions (below 64) form the index mask; their values
+	// go into the argument buffer the index hashes and compares.
 	var mask uint64
-	for j, v := range at.ArgVar {
-		if j >= 64 {
-			break
-		}
-		if v < 0 || m.Bound[v] {
-			mask |= 1 << uint(j)
-		}
-	}
-	if mask == 0 {
-		c.mode = curFull
-		c.pos, c.n = 0, rel.Len()
-		return
-	}
-	m.kbuf = m.kbuf[:0]
 	for j, v := range at.ArgVar {
 		if j >= 64 {
 			break
 		}
 		switch {
 		case v < 0:
-			m.kbuf = val.AppendKey(m.kbuf, at.ArgVal[j])
+			args[j] = at.ArgVal[j]
 		case m.Bound[v]:
-			m.kbuf = val.AppendKey(m.kbuf, m.Vals[v])
+			args[j] = m.Vals[v]
 		default:
 			continue
 		}
-		m.kbuf = append(m.kbuf, 0)
+		mask |= 1 << uint(j)
 	}
-	c.mode = curBucket
-	c.bucket = rel.Bucket(mask, m.kbuf)
-	c.pos = 0
+	if mask == 0 {
+		c.mode = curFull
+		c.pos, c.n = 0, rel.Len()
+		return
+	}
+	c.mode = curChain
+	c.chain = rel.Seek(mask, args)
 }
 
-// next pulls the next candidate row, counting a probe per row offered
-// (after the wide-atom post-filter, before binding — the same
-// accounting as relation.Match). profStep
-// attributes the probes when profiling.
-func (m *Machine) next(c *cursor, at *Atom, profStep int) (relation.Row, bool) {
+// next pulls the next candidate row into c.row, counting a probe per
+// row offered (after the wide-atom post-filter, before binding — the
+// same accounting as relation.Match). profStep attributes the probes
+// when profiling. The row is valid until the next call.
+func (m *Machine) next(c *cursor, at *Atom, profStep int) (*relation.Row, bool) {
 	switch c.mode {
 	case curPoint:
 		if c.done {
-			return relation.Row{}, false
+			return nil, false
 		}
 		c.done = true
 		m.probe(profStep)
-		return c.row, true
+		return &c.row, true
 	case curFull:
 		if c.pos >= c.n {
-			return relation.Row{}, false
+			return nil, false
 		}
-		row := c.rel.At(c.pos)
+		c.rel.Load(c.pos, &c.row)
 		c.pos++
 		m.probe(profStep)
-		return row, true
+		return &c.row, true
 	default:
-		for c.pos < len(c.bucket) {
-			row := c.rel.At(c.bucket[c.pos])
-			c.pos++
-			if at.Wide && !m.postMatch(at, row) {
+		for {
+			id, ok := c.chain.Next()
+			if !ok {
+				return nil, false
+			}
+			c.rel.Load(id, &c.row)
+			if at.Wide && !m.postMatch(at, &c.row) {
 				continue
 			}
 			m.probe(profStep)
-			return row, true
+			return &c.row, true
 		}
-		return relation.Row{}, false
 	}
 }
 
@@ -680,7 +673,7 @@ func (m *Machine) probe(profStep int) {
 
 // postMatch checks bound positions beyond the index mask's 64-position
 // horizon.
-func (m *Machine) postMatch(at *Atom, row relation.Row) bool {
+func (m *Machine) postMatch(at *Atom, row *relation.Row) bool {
 	for j := 64; j < len(at.ArgVar); j++ {
 		v := at.ArgVar[j]
 		switch {
@@ -700,7 +693,7 @@ func (m *Machine) postMatch(at *Atom, row relation.Row) bool {
 // bindRow projects a row onto the registers (π), unifying constants and
 // already-bound variables; saved lists the newly bound indices for
 // backtracking.
-func (m *Machine) bindRow(at *Atom, st *scanState, row relation.Row) (saved []int, ok bool) {
+func (m *Machine) bindRow(at *Atom, st *scanState, row *relation.Row) (saved []int, ok bool) {
 	saved = st.sbuf[:0]
 	for j, v := range at.ArgVar {
 		got := row.Args[j]

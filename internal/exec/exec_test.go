@@ -205,7 +205,7 @@ func TestSymmetricJoinOrder(t *testing.T) {
 }
 
 // TestDeltaDriveEquivalence: driving the join from a Δ row set
-// (Config.RestrictRows) must emit exactly the full join's results whose
+// (Config.RestrictIDs) must emit exactly the full join's results whose
 // driving row is in Δ, in Δ order — the semi-naive restriction is a
 // filter, never a semantic change. With Δ = the full extension the
 // restricted run reproduces the full scan byte for byte.
@@ -221,9 +221,11 @@ func TestDeltaDriveEquivalence(t *testing.T) {
 	}, exec.Hooks{})
 
 	full, fullFir, fullPr := runPipeline(t, join, exec.Config{DB: db})
-	var all []relation.Row
-	edgeRel.Each(func(row relation.Row) bool { all = append(all, row); return true })
-	delta, deltaFir, deltaPr := runPipeline(t, join, exec.Config{DB: db, RestrictStep: 0, RestrictRows: all})
+	all := make([]int32, edgeRel.Len())
+	for i := range all {
+		all[i] = int32(i)
+	}
+	delta, deltaFir, deltaPr := runPipeline(t, join, exec.Config{DB: db, RestrictStep: 0, RestrictIDs: all})
 	if strings.Join(full, "\n") != strings.Join(delta, "\n") {
 		t.Fatalf("Δ=extension differs from full scan:\n%s\nvs\n%s",
 			strings.Join(full, "\n"), strings.Join(delta, "\n"))
@@ -236,14 +238,16 @@ func TestDeltaDriveEquivalence(t *testing.T) {
 	// of Δ against the full relation.
 	sub := all[:len(all)/2]
 	var want []string
-	for _, r1 := range sub {
-		for _, r2 := range all {
+	for _, i1 := range sub {
+		r1 := edgeRel.At(int(i1))
+		for _, i2 := range all {
+			r2 := edgeRel.At(int(i2))
 			if val.Equal(r1.Args[1], r2.Args[0]) {
 				want = append(want, fmt.Sprintf("0=%s;1=%s;2=%s;", r1.Args[0], r1.Args[1], r2.Args[1]))
 			}
 		}
 	}
-	got, _, _ := runPipeline(t, join, exec.Config{DB: db, RestrictStep: 0, RestrictRows: sub})
+	got, _, _ := runPipeline(t, join, exec.Config{DB: db, RestrictStep: 0, RestrictIDs: sub})
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("subset Δ join mismatch:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}

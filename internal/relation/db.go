@@ -2,6 +2,7 @@ package relation
 
 import (
 	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -51,6 +52,19 @@ func (db *DB) Preds() []ast.PredKey {
 		out = append(out, k)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// Named returns the predicate keys named name (of any arity) with a
+// materialized relation, sorted — without sorting every predicate.
+func (db *DB) Named(name string) []ast.PredKey {
+	var out []ast.PredKey
+	for k := range db.rels {
+		if k.Name() == name {
+			out = append(out, k)
+		}
+	}
+	slices.Sort(out)
 	return out
 }
 

@@ -8,22 +8,58 @@
 // tuples carrying the default (bottom) value are virtual and looked up via
 // GetOrDefault.
 //
+// # Storage
+//
+// Rows are numbered 0, 1, 2, … in insertion order; a row id is the
+// row's position, and rows are never removed. The non-cost arguments
+// live in append-only chunks of val.T (an arena): a relation's first
+// chunk is small (or sized by Reserve), each further chunk doubles the
+// capacity up to a fixed cap, and Row.Args is a full-capacity subslice
+// of a chunk, so a row never moves and anything holding its arguments —
+// a Δ set's row ids, a γ group reference — stays valid as the relation
+// grows. Costs, the one mutable part of a row, live in a parallel column
+// chunked the same way, so neither column is ever copied to grow.
+//
+// The primary key — the cost functional dependency — is an
+// open-addressing table of row ids keyed by a hash computed from the
+// val.T fields themselves (val.Hash) and confirmed by comparing values
+// (val.Same); no key string is built on any insert or lookup. Tuple
+// identity is Key identity: two tuples are one row exactly when their
+// val.KeyOf encodings are equal. Hashes are seeded per process, which is
+// safe because nothing ever iterates a table: every enumeration runs in
+// row-id order.
+//
+// A hash index on a set of bound positions (a bitmask) maps the hash of
+// the projection onto those positions to a chain of row ids in insertion
+// order. Indexes are built lazily on first use and maintained by every
+// later insert. A Cursor opened on a chain stops at the relation's length
+// at the time it was opened, so rows derived while it is being drained
+// are never offered.
+//
+// Clone shares the full argument chunks (their rows are immutable) and
+// copies the partial last one, the cost column and the key table;
+// indexes are rebuilt lazily on the copy.
+//
 // # Concurrency: the frozen-snapshot contract
 //
 // Relations are single-writer structures: no Insert* call may overlap any
 // other call on the same relation. Once a relation is frozen — no writer
 // mutates it for the duration — any number of goroutines may read it
-// concurrently (Get, GetOrDefault, Each, Rows, Match, Leq, Equal). This
-// includes Match, whose lazily built hash indexes are published through an
-// atomic copy-on-write pointer so that concurrent readers racing to build
-// the same index are safe. The component walk in internal/core relies on
-// exactly this contract: completed lower components are frozen and shared
-// by pointer across workers and across the models SolveMore chains, while
-// each in-progress component writes only to private clones.
+// concurrently (Get, GetOrDefault, At, Each, Rows, Match, Seek, Clone,
+// Leq, Equal). This includes Match and Seek, whose lazily built hash
+// indexes are published through an atomic copy-on-write pointer so that
+// concurrent readers racing to build the same index are safe. The
+// component walk in internal/core relies on exactly this contract:
+// completed lower components are frozen and shared by pointer across
+// workers and across the models SolveMore chains, while each in-progress
+// component writes only to private clones (which share the frozen
+// relation's full chunks, never written again by either side).
 package relation
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -35,99 +71,146 @@ import (
 )
 
 // Row is one stored tuple: the non-cost arguments plus the cost value (the
-// zero val.T and HasCost=false for ordinary predicates).
+// zero val.T and HasCost=false for ordinary predicates). Args aliases the
+// relation's arena and must not be modified.
 type Row struct {
 	Args    []val.T
 	Cost    lattice.Elem
 	HasCost bool
 }
 
+// Chunk geometry: a fresh relation's first chunk holds 1<<firstShift
+// rows, and chunks stop doubling at 1<<capShift rows.
+const (
+	firstShift = 2
+	capShift   = 9
+)
+
 // Relation stores the core extension of one predicate.
 type Relation struct {
 	Info *ast.PredInfo
-	keys []string       // insertion order, for deterministic iteration
-	rows map[string]int // key -> index into keys/data
-	data []Row
-	// idx holds the lazily built hash indexes: a bound-position bitmask
-	// maps to (projection key -> bucket of row indices in insertion
-	// order). The outer map is immutable once published; adding an index
-	// for a new mask copies it and swaps the pointer, so frozen relations
-	// can be read — and have indexes built — by many goroutines at once.
-	// The inner maps and their buckets are mutated in place only by
-	// insertNew, which the single-writer contract keeps exclusive of all
-	// readers.
+	// n is the number of stored rows; width is the number of non-cost
+	// arguments per row, fixed by the first insert.
+	n, width int
+	// shift is log2 of the first chunk's capacity in rows (see locate).
+	shift uint
+	// chunks is the argument arena: row i's arguments are
+	// width values of chunks[c] at offset off*width, (c, off) = locate(i).
+	chunks [][]val.T
+	// costs is the cost column (cost predicates only), chunked like the
+	// arena: row i's cost is costs[c][off].
+	costs [][]lattice.Elem
+	// keys is the primary key: each slot holds hash32<<32 | (row id+1), 0
+	// when empty (see table).
+	keys table
+	// idx holds the lazily built hash indexes. The indexSet is immutable
+	// once published; adding an index for a new mask copies it and swaps
+	// the pointer, so frozen relations can be read — and have indexes
+	// built — by many goroutines at once. The indexes themselves are
+	// extended in place only by insertNew, which the single-writer
+	// contract keeps exclusive of all readers.
 	idx     atomic.Pointer[indexSet]
 	buildMu sync.Mutex // serializes concurrent lazy index builds
-	// pkbuf is writer-side scratch for projection keys during index
-	// maintenance, covered by the same single-writer contract as data.
-	pkbuf []byte
 }
-
-// indexSet is the immutable collection of per-mask indexes; see Relation.idx.
-type indexSet struct {
-	byMask map[uint64]map[string]*bucket
-}
-
-// bucket holds one projection key's row indices. It is a pointer target
-// so insertNew can extend a bucket in place without re-allocating the
-// map key string on every new row (map assignment, unlike lookup,
-// always copies a converted []byte key).
-type bucket struct{ rows []int }
 
 // New creates an empty relation with the given schema.
 func New(info *ast.PredInfo) *Relation {
-	return &Relation{Info: info, rows: map[string]int{}}
+	return &Relation{Info: info, shift: firstShift}
 }
 
-// Reserve sizes an empty relation for n rows, so a bulk load of known
-// size (a program's facts) does not grow its way up; on a relation that
-// already holds rows it does nothing.
+// Reserve sizes an empty relation for n rows — the first chunk (up to the
+// chunk cap) and the key table — so a bulk load of known size (a
+// program's facts) does not grow its way up; on a relation that already
+// holds rows it does nothing.
 func (r *Relation) Reserve(n int) {
-	if len(r.data) == 0 {
-		r.rows = make(map[string]int, n)
-		r.keys = make([]string, 0, n)
-		r.data = make([]Row, 0, n)
+	if r.n != 0 {
+		return
 	}
+	s := uint(firstShift)
+	for s < capShift && 1<<s < n {
+		s++
+	}
+	r.shift = s
+	r.keys.reserve(n)
 }
 
 // Len returns the number of stored (core) tuples.
-func (r *Relation) Len() int { return len(r.data) }
+func (r *Relation) Len() int { return r.n }
+
+// locate maps row i to its chunk and its row offset within the chunk.
+// Chunk 0 holds the first 1<<shift rows and chunk c ≥ 1 starts at row
+// 1<<(shift+c-1), doubling the capacity, until chunks reach 1<<capShift
+// rows; from row 1<<capShift on every chunk holds exactly that many.
+func (r *Relation) locate(i int) (c, off int) {
+	if i >= 1<<capShift {
+		return int(capShift-r.shift) + i>>capShift, i & (1<<capShift - 1)
+	}
+	c = bits.Len(uint(i) >> r.shift)
+	if c == 0 {
+		return 0, i
+	}
+	return c, i - 1<<(r.shift+uint(c)-1)
+}
+
+// chunkRows is the capacity in rows of chunk c.
+func (r *Relation) chunkRows(c int) int {
+	if c == 0 {
+		return 1 << r.shift
+	}
+	return 1 << min(r.shift+uint(c)-1, capShift)
+}
+
+// args returns row i's arguments as a full-capacity subslice of the arena.
+func (r *Relation) args(i int) []val.T {
+	if r.width == 0 {
+		return nil
+	}
+	c, off := r.locate(i)
+	lo := off * r.width
+	return r.chunks[c][lo : lo+r.width : lo+r.width]
+}
+
+// At returns the row with id i (the i-th stored row in insertion order),
+// with its current cost. It is the random access primitive behind
+// iterator-based scans and Δ sets: they hold row ids, not rows.
+func (r *Relation) At(i int) Row {
+	var row Row
+	r.Load(i, &row)
+	return row
+}
+
+// Load stores row i into *row: At for hot loops, which keep one Row and
+// refill it instead of copying a returned one.
+func (r *Relation) Load(i int, row *Row) {
+	if uint(i) >= uint(r.n) {
+		panic(fmt.Sprintf("relation: row %d out of range [0, %d)", i, r.n))
+	}
+	c, off := r.locate(i)
+	row.Args = nil
+	if w := r.width; w > 0 {
+		lo := off * w
+		row.Args = r.chunks[c][lo : lo+w : lo+w]
+	}
+	row.HasCost = r.Info.HasCost
+	if row.HasCost {
+		row.Cost = r.costs[c][off]
+	} else {
+		row.Cost = lattice.Elem{}
+	}
+}
+
+// cost returns row i's slot in the cost column.
+func (r *Relation) cost(i int) *lattice.Elem {
+	c, off := r.locate(i)
+	return &r.costs[c][off]
+}
 
 // Get returns the stored row for the given non-cost arguments.
 func (r *Relation) Get(args []val.T) (Row, bool) {
-	i, ok := r.rows[val.KeyOf(args)]
-	if !ok {
-		return Row{}, false
+	if id, _ := r.find(hashArgs(args), args); id >= 0 {
+		return r.At(id), true
 	}
-	return r.data[i], true
-}
-
-// At returns the i-th stored row in insertion order. It is the random
-// access primitive behind iterator-based scans: an iterator holds the
-// index range, not a materialized row slice.
-func (r *Relation) At(i int) Row { return r.data[i] }
-
-// GetKey is Get with a caller-built tuple key (val.AppendKeyOf into a
-// reusable buffer), so point lookups on a hot path allocate nothing.
-// The key must be exactly val.KeyOf of the non-cost arguments.
-func (r *Relation) GetKey(key []byte) (Row, bool) {
-	i, ok := r.rows[string(key)]
-	if !ok {
-		return Row{}, false
-	}
-	return r.data[i], true
-}
-
-// LookupKey is GetKey returning additionally the interned key string the
-// relation stores for the row. Callers that need to retain the key (the
-// engine's Δ-set dedup) can hold the interned string instead of
-// converting the byte key again, which would allocate per derivation.
-func (r *Relation) LookupKey(key []byte) (Row, string, bool) {
-	i, ok := r.rows[string(key)]
-	if !ok {
-		return Row{}, "", false
-	}
-	return r.data[i], r.keys[i], true
+	return Row{}, false
 }
 
 // GetOrDefault behaves like Get but, for a default-value cost predicate,
@@ -141,6 +224,29 @@ func (r *Relation) GetOrDefault(args []val.T) (Row, bool) {
 		return Row{Args: args, Cost: r.Info.L.Bottom(), HasCost: true}, true
 	}
 	return Row{}, false
+}
+
+// find looks args (hashing to h) up in the primary key. It returns the
+// row id, or -1 and the empty slot an insert of args would take.
+func (r *Relation) find(h uint64, args []val.T) (id, slot int) {
+	t := &r.keys
+	if r.n == 0 || len(args) != r.width {
+		return -1, -1
+	}
+	tag := h >> 32
+	mask := len(t.slots) - 1
+	for i := int(tag) & mask; ; i = (i + 1) & mask {
+		e := t.slots[i]
+		if e == 0 {
+			return -1, i
+		}
+		if e>>32 == tag {
+			id := int(uint32(e)) - 1
+			if sameArgs(r.args(id), args) {
+				return id, i
+			}
+		}
+	}
 }
 
 // ConflictError reports a violation of the cost functional dependency
@@ -166,17 +272,18 @@ func (e *ConflictError) Error() string {
 // for a single T_P application, where conflict-free programs can never
 // produce two distinct costs (Lemma 2.3).
 func (r *Relation) InsertStrict(args []val.T, cost lattice.Elem) error {
-	k := val.KeyOf(args)
-	if i, ok := r.rows[k]; ok {
-		if !r.Info.HasCost {
-			return nil
-		}
-		if !lattice.Eq(r.Info.L, r.data[i].Cost, cost) {
-			return &ConflictError{Pred: r.Info.Key, Args: args, Old: r.data[i].Cost, New: cost}
-		}
+	h := hashArgs(args)
+	id, slot := r.find(h, args)
+	if id < 0 {
+		r.insertNew(h, slot, args, cost)
 		return nil
 	}
-	r.insertNew(k, args, cost)
+	if !r.Info.HasCost {
+		return nil
+	}
+	if old := *r.cost(id); !lattice.Eq(r.Info.L, old, cost) {
+		return &ConflictError{Pred: r.Info.Key, Args: args, Old: old, New: cost}
+	}
 	return nil
 }
 
@@ -185,75 +292,75 @@ func (r *Relation) InsertStrict(args []val.T, cost lattice.Elem) error {
 // It is the accumulation step of the semi-naive fixpoint, sound because
 // admissible programs are monotone (Lemma 4.1).
 func (r *Relation) InsertJoin(args []val.T, cost lattice.Elem) bool {
-	k := val.KeyOf(args)
-	if i, ok := r.rows[k]; ok {
+	_, changed := r.Upsert(args, cost)
+	return changed
+}
+
+// Upsert is InsertJoin that also returns the id of the tuple's row, or -1
+// when a default-value predicate drops a bottom-valued new tuple. The
+// join-on-collision path allocates nothing; a new row copies its
+// arguments into the arena.
+func (r *Relation) Upsert(args []val.T, cost lattice.Elem) (int, bool) {
+	h := hashArgs(args)
+	id, slot := r.find(h, args)
+	if id >= 0 {
 		if !r.Info.HasCost {
-			return false
+			return id, false
 		}
-		j := r.Info.L.Join(r.data[i].Cost, cost)
-		if lattice.Eq(r.Info.L, j, r.data[i].Cost) {
-			return false
+		old := r.cost(id)
+		j := r.Info.L.Join(*old, cost)
+		if lattice.Eq(r.Info.L, j, *old) {
+			return id, false
 		}
-		r.data[i].Cost = j
-		return true
+		*old = j
+		return id, true
 	}
 	if r.Info.HasDefault && lattice.Eq(r.Info.L, cost, r.Info.L.Bottom()) {
 		// Default rows are virtual; storing them would bloat the core
 		// without changing the interpretation.
-		return false
+		return -1, false
 	}
-	r.insertNew(k, args, cost)
-	return true
+	return r.insertNew(h, slot, args, cost), true
 }
 
-// InsertJoinKey is InsertJoin with a caller-built tuple key (which must
-// be exactly val.KeyOf(args)). The join-on-collision path — by far the
-// common case once a fixpoint is warm — then allocates nothing; only a
-// genuinely new row pays for copying the key and arguments.
-func (r *Relation) InsertJoinKey(key []byte, args []val.T, cost lattice.Elem) bool {
-	if i, ok := r.rows[string(key)]; ok {
-		if !r.Info.HasCost {
-			return false
-		}
-		j := r.Info.L.Join(r.data[i].Cost, cost)
-		if lattice.Eq(r.Info.L, j, r.data[i].Cost) {
-			return false
-		}
-		r.data[i].Cost = j
-		return true
+// insertNew appends a row for args (hashing to h; slot is find's empty
+// slot, or -1 when the table was empty) and maintains every built index.
+func (r *Relation) insertNew(h uint64, slot int, args []val.T, cost lattice.Elem) int {
+	id := r.n
+	if id == 0 {
+		r.width = len(args)
+	} else if len(args) != r.width {
+		panic(fmt.Sprintf("relation: %s: %d arguments in a relation of width %d", r.Info.Key, len(args), r.width))
 	}
-	if r.Info.HasDefault && lattice.Eq(r.Info.L, cost, r.Info.L.Bottom()) {
-		return false
+	c, off := r.locate(id)
+	if r.width > 0 {
+		if off == 0 {
+			r.chunks = append(r.chunks, make([]val.T, 0, r.chunkRows(c)*r.width))
+		}
+		r.chunks[c] = append(r.chunks[c], args...)
 	}
-	r.insertNew(string(key), args, cost)
-	return true
-}
-
-func (r *Relation) insertNew(k string, args []val.T, cost lattice.Elem) {
-	row := Row{Args: append([]val.T{}, args...), HasCost: r.Info.HasCost}
 	if r.Info.HasCost {
-		row.Cost = cost
+		if off == 0 {
+			r.costs = append(r.costs, make([]lattice.Elem, 0, r.chunkRows(c)))
+		}
+		r.costs[c] = append(r.costs[c], cost)
 	}
-	idx := len(r.data)
-	r.rows[k] = idx
-	r.keys = append(r.keys, k)
-	r.data = append(r.data, row)
+	r.n++
+	r.keys.put(h, slot, id)
 	if is := r.idx.Load(); is != nil {
-		for mask, ix := range is.byMask {
-			r.pkbuf = AppendProjKey(r.pkbuf[:0], row.Args, mask)
-			if b := ix[string(r.pkbuf)]; b != nil {
-				b.rows = append(b.rows, idx)
-			} else {
-				ix[string(r.pkbuf)] = &bucket{rows: []int{idx}}
-			}
+		a := r.args(id)
+		for _, ix := range is.ixs {
+			ix.add(r, id, a)
 		}
 	}
+	return id
 }
 
-// Each calls f on every stored row in insertion order.
+// Each calls f on every stored row in insertion order (rows added by f
+// are not visited).
 func (r *Relation) Each(f func(Row) bool) {
-	for i := range r.data {
-		if !f(r.data[i]) {
+	for i, n := 0, r.n; i < n; i++ {
+		if !f(r.At(i)) {
 			return
 		}
 	}
@@ -267,11 +374,19 @@ func (r *Relation) Each(f func(Row) bool) {
 // across runs, processes and resumed checkpoints. Rows never mutates
 // the relation and is safe for concurrent readers.
 func (r *Relation) Rows() []Row {
-	out := append([]Row{}, r.data...)
-	sort.Slice(out, func(i, j int) bool {
-		return CompareArgs(out[i].Args, out[j].Args) < 0
-	})
+	out := make([]Row, r.n)
+	for i := range out {
+		out[i] = r.At(i)
+	}
+	SortRows(out)
 	return out
+}
+
+// SortRows sorts rows into Rows' order.
+func SortRows(rows []Row) {
+	sort.Slice(rows, func(i, j int) bool {
+		return CompareArgs(rows[i].Args, rows[j].Args) < 0
+	})
 }
 
 // CompareArgs orders two argument tuples lexicographically by
@@ -301,7 +416,13 @@ func CompareArgs(a, b []val.T) int {
 func (r *Relation) Match(pattern []*val.T, f func(Row) bool) {
 	var mask uint64
 	for i, p := range pattern {
-		if p != nil && i < 64 {
+		if p == nil {
+			continue
+		}
+		if i >= r.width {
+			return // no stored tuple has this position
+		}
+		if i < 64 {
 			mask |= 1 << uint(i)
 		}
 	}
@@ -309,30 +430,18 @@ func (r *Relation) Match(pattern []*val.T, f func(Row) bool) {
 		r.Each(f)
 		return
 	}
-	var ix map[string]*bucket
-	if is := r.idx.Load(); is != nil {
-		ix = is.byMask[mask]
-	}
-	if ix == nil {
-		ix = r.buildIndex(mask)
-	}
-	var b strings.Builder
+	key := make([]val.T, r.width)
 	for i, p := range pattern {
-		if p == nil || i >= 64 {
-			continue
+		if p != nil {
+			key[i] = *p
 		}
-		b.WriteString(p.Key())
-		b.WriteByte(0)
 	}
-	bk := ix[b.String()]
-	if bk == nil {
-		return
-	}
-	for _, i := range bk.rows {
-		row := r.data[i]
+	c := r.Seek(mask, key)
+	for id, ok := c.Next(); ok; id, ok = c.Next() {
+		row := r.At(id)
 		matched := true
-		for j, p := range pattern {
-			if p != nil && j >= 64 && !val.Equal(row.Args[j], *p) {
+		for j := 64; j < len(pattern); j++ {
+			if p := pattern[j]; p != nil && !val.Same(row.Args[j], *p) {
 				matched = false
 				break
 			}
@@ -343,89 +452,279 @@ func (r *Relation) Match(pattern []*val.T, f func(Row) bool) {
 	}
 }
 
-// Bucket returns the index bucket for the projection key under mask:
-// the insertion-order indices of all rows whose masked argument
-// positions encode to key. The key must be built in projKey format
-// (each bound position's val Key followed by a 0 byte, positions in
-// ascending order, only positions < 64). The index is built lazily
-// exactly as for Match; the returned slice must not be mutated, and on
-// a frozen relation it is stable. Bucket is the probe side of the
-// executor's hash joins — the lazily built per-mask index is the
-// presized build side, shared by every probe against the relation.
-func (r *Relation) Bucket(mask uint64, key []byte) []int {
-	var ix map[string]*bucket
-	if is := r.idx.Load(); is != nil {
-		ix = is.byMask[mask]
+// Seek opens a cursor over the rows whose argument positions in mask
+// agree with key (a full-width tuple; only the masked positions, all
+// below 64, are read), in insertion order. The hash index for mask is
+// built lazily exactly as for Match. The cursor ends at the relation's
+// current length: rows inserted while it is drained are not offered.
+// Seek is the probe side of the executor's hash joins — the lazily built
+// per-mask index is the presized build side, shared by every probe
+// against the relation.
+func (r *Relation) Seek(mask uint64, key []val.T) Cursor {
+	ix := r.index(mask)
+	g, _ := ix.find(r, hashProj(key, mask), key)
+	if g < 0 {
+		return Cursor{}
 	}
-	if ix == nil {
-		ix = r.buildIndex(mask)
-	}
-	b := ix[string(key)]
-	if b == nil {
-		return nil
-	}
-	return b.rows
+	return Cursor{ix: ix, id: ix.head[g], end: int32(r.n)}
 }
 
-// AppendProjKey appends the projection key of args over mask to dst in
-// exactly the encoding the per-mask indexes are keyed by.
-func AppendProjKey(dst []byte, args []val.T, mask uint64) []byte {
-	for i := range args {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		dst = val.AppendKey(dst, args[i])
-		dst = append(dst, 0)
+// Cursor walks one index chain; see Seek. The zero Cursor is empty.
+type Cursor struct {
+	ix      *index
+	id, end int32
+}
+
+// Next returns the next row id of the chain.
+func (c *Cursor) Next() (int, bool) {
+	id := c.id
+	if id < 0 || id >= c.end {
+		return 0, false
 	}
-	return dst
+	c.id = c.ix.next[id]
+	return int(id), true
+}
+
+// index returns the hash index for mask, building it on first use.
+func (r *Relation) index(mask uint64) *index {
+	if is := r.idx.Load(); is != nil {
+		if ix := is.get(mask); ix != nil {
+			return ix
+		}
+	}
+	return r.buildIndex(mask)
 }
 
 // buildIndex constructs the hash index for mask and publishes it
 // copy-on-write. Concurrent builders serialize on buildMu; each re-checks
 // under the lock so the index is built at most once. Readers that loaded
-// the previous indexSet keep using it unharmed — the old inner maps are
-// never mutated by a build.
-func (r *Relation) buildIndex(mask uint64) map[string]*bucket {
+// the previous indexSet keep using it unharmed — a build never mutates
+// an index already published.
+func (r *Relation) buildIndex(mask uint64) *index {
 	r.buildMu.Lock()
 	defer r.buildMu.Unlock()
-	if is := r.idx.Load(); is != nil {
-		if ix, ok := is.byMask[mask]; ok {
+	old := r.idx.Load()
+	if old != nil {
+		if ix := old.get(mask); ix != nil {
 			return ix
 		}
 	}
-	// Presize for the common one-row-per-bucket shape so the build does
-	// not rehash while the fixpoint is paused on it. The projection key
-	// goes through a scratch buffer: a key string is allocated only per
-	// distinct bucket, not per row.
-	ix := make(map[string]*bucket, len(r.data))
-	var pk []byte
-	for i := range r.data {
-		pk = AppendProjKey(pk[:0], r.data[i].Args, mask)
-		if b := ix[string(pk)]; b != nil {
-			b.rows = append(b.rows, i)
-		} else {
-			ix[string(pk)] = &bucket{rows: []int{i}}
-		}
+	ix := &index{mask: mask, next: make([]int32, 0, r.n)}
+	ix.groups.reserve(r.n)
+	for id := 0; id < r.n; id++ {
+		ix.add(r, id, r.args(id))
 	}
-	next := &indexSet{byMask: map[uint64]map[string]*bucket{mask: ix}}
-	if is := r.idx.Load(); is != nil {
-		for m, v := range is.byMask {
-			next.byMask[m] = v
-		}
+	next := &indexSet{}
+	if old != nil {
+		next.ixs = append(next.ixs, old.ixs...)
 	}
+	next.ixs = append(next.ixs, ix)
 	r.idx.Store(next)
 	return ix
 }
 
-// Clone returns a deep-enough copy (rows are copied; values are immutable).
-func (r *Relation) Clone() *Relation {
-	c := New(r.Info)
-	c.keys = append([]string{}, r.keys...)
-	c.data = append([]Row{}, r.data...)
-	for k, v := range r.rows {
-		c.rows[k] = v
+// indexSet is the immutable collection of per-mask indexes; see
+// Relation.idx. A relation carries a handful of masks at most, so a
+// linear scan beats a map.
+type indexSet struct {
+	ixs []*index
+}
+
+func (s *indexSet) get(mask uint64) *index {
+	for _, ix := range s.ixs {
+		if ix.mask == mask {
+			return ix
+		}
 	}
+	return nil
+}
+
+// index is a hash index on the argument positions in mask: groups maps
+// the hash of a projection to a group id, whose rows form a chain in
+// insertion order from head[g] through next to tail[g].
+type index struct {
+	mask       uint64
+	groups     table // hash32<<32 | (group id+1)
+	head, tail []int32
+	next       []int32 // per row id: the next row of its group, -1 at the end
+}
+
+// find returns the group whose projection agrees with key under the
+// index's mask, or -1 and the empty slot a new group would take.
+func (ix *index) find(r *Relation, h uint64, key []val.T) (g, slot int) {
+	t := &ix.groups
+	if len(t.slots) == 0 {
+		return -1, -1
+	}
+	tag := h >> 32
+	mask := len(t.slots) - 1
+	for i := int(tag) & mask; ; i = (i + 1) & mask {
+		e := t.slots[i]
+		if e == 0 {
+			return -1, i
+		}
+		if e>>32 == tag {
+			g := int(uint32(e)) - 1
+			if sameProj(r.args(int(ix.head[g])), key, ix.mask) {
+				return g, i
+			}
+		}
+	}
+}
+
+// add appends row id (arguments a) to the chain of its projection.
+func (ix *index) add(r *Relation, id int, a []val.T) {
+	ix.next = append(ix.next, -1)
+	h := hashProj(a, ix.mask)
+	g, slot := ix.find(r, h, a)
+	if g >= 0 {
+		ix.next[ix.tail[g]] = int32(id)
+		ix.tail[g] = int32(id)
+		return
+	}
+	ix.groups.put(h, slot, len(ix.head))
+	ix.head = append(ix.head, int32(id))
+	ix.tail = append(ix.tail, int32(id))
+}
+
+// table is an open-addressing hash table with linear probing over a
+// power-of-two slot array. Each slot packs the upper 32 bits of an entry's
+// hash (which also pick its home slot) with the entry's id+1; 0 is empty.
+// The caller resolves collisions by comparing values, so the table never
+// holds a key.
+type table struct {
+	slots []uint64
+	used  int
+}
+
+// reserve sizes an empty table for n entries.
+func (t *table) reserve(n int) {
+	if t.used == 0 && n > len(t.slots)*3/4 {
+		t.slots = make([]uint64, tableSize(n))
+	}
+}
+
+// tableSize is the smallest power of two that holds n entries at most
+// three-quarters full.
+func tableSize(n int) int {
+	size := 8
+	for size*3/4 < n {
+		size *= 2
+	}
+	return size
+}
+
+// put stores id under hash h in slot (an empty slot found by the
+// preceding lookup, or -1), growing the table first when it would pass
+// three-quarters full.
+func (t *table) put(h uint64, slot, id int) {
+	t.used++
+	if slot < 0 || t.used > len(t.slots)*3/4 {
+		t.grow()
+		slot = t.home(h >> 32)
+	}
+	t.slots[slot] = h>>32<<32 | uint64(id+1)
+}
+
+// home returns the first empty slot on tag's probe sequence.
+func (t *table) home(tag uint64) int {
+	mask := len(t.slots) - 1
+	i := int(tag) & mask
+	for t.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// grow rehashes into a table sized for the current entry count; the
+// stored hash bits place every entry without touching its values.
+func (t *table) grow() {
+	old := t.slots
+	if size := tableSize(t.used); size > len(old) {
+		t.slots = make([]uint64, size)
+		for _, e := range old {
+			if e != 0 {
+				t.slots[t.home(e>>32)] = e
+			}
+		}
+	}
+}
+
+// hashArgs hashes a whole argument tuple.
+func hashArgs(args []val.T) uint64 {
+	h := uint64(len(args))
+	for i := range args {
+		h = combine(h, val.Hash(args[i]))
+	}
+	return finish(h)
+}
+
+// hashProj hashes the projection of args onto the positions in mask.
+func hashProj(args []val.T, mask uint64) uint64 {
+	h := mask
+	for m := mask; m != 0; m &= m - 1 {
+		h = combine(h, val.Hash(args[bits.TrailingZeros64(m)]))
+	}
+	return finish(h)
+}
+
+func combine(h, v uint64) uint64 {
+	return bits.RotateLeft64(h*0x9e3779b97f4a7c15, 27) ^ v
+}
+
+func finish(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
+}
+
+// sameArgs compares two argument tuples of equal length under val.Same.
+func sameArgs(a, b []val.T) bool {
+	for i := range a {
+		if !val.Same(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameProj compares a and b on the positions in mask.
+func sameProj(a, b []val.T, mask uint64) bool {
+	for m := mask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if !val.Same(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Clone returns a copy that can be written independently: full argument
+// chunks are shared (their rows are immutable), the partial last chunk,
+// the cost column and the key table are copied, and indexes are rebuilt
+// lazily on first use.
+func (r *Relation) Clone() *Relation {
+	c := &Relation{Info: r.Info}
+	c.copyRows(r)
 	return c
+}
+
+// copyRows makes r's rows a writable copy of other's (see Clone).
+func (r *Relation) copyRows(other *Relation) {
+	r.n, r.width, r.shift = other.n, other.width, other.shift
+	r.chunks = slices.Clone(other.chunks)
+	if last := len(r.chunks) - 1; last >= 0 && len(r.chunks[last]) < cap(r.chunks[last]) {
+		tail := make([]val.T, len(r.chunks[last]), cap(r.chunks[last]))
+		copy(tail, r.chunks[last])
+		r.chunks[last] = tail
+	}
+	r.costs = make([][]lattice.Elem, len(other.costs))
+	for c, src := range other.costs {
+		r.costs[c] = append(make([]lattice.Elem, 0, cap(src)), src...)
+	}
+	r.keys = table{slots: slices.Clone(other.keys.slots), used: other.keys.used}
 }
 
 // sameShape reports whether rows stored under one schema are valid as
@@ -467,18 +766,15 @@ func (r *Relation) Equal(other *Relation) bool {
 
 // Join merges other into r (tuple-wise cost join), reporting change.
 // Joining into an empty relation of the same shape — how every solve
-// takes in its EDB — adopts other's rows and interned keys as they are
-// (rows are immutable values, shared as Clone shares them): each row is
-// hashed and stored once, with no key re-encoding and no argument copy.
+// takes in its EDB — adopts other's rows as Clone copies them: no row is
+// hashed or inserted again.
 func (r *Relation) Join(other *Relation) bool {
-	if len(r.data) == 0 && r.idx.Load() == nil && sameShape(r.Info, other.Info) {
-		r.keys = append(r.keys, other.keys...)
-		r.data = append(r.data, other.data...)
-		r.rows = make(map[string]int, len(r.keys))
-		for i, k := range r.keys {
-			r.rows[k] = i
-		}
-		return len(r.data) > 0
+	if other.n == 0 {
+		return false
+	}
+	if r.n == 0 && r.idx.Load() == nil && sameShape(r.Info, other.Info) {
+		r.copyRows(other)
+		return true
 	}
 	changed := false
 	other.Each(func(row Row) bool {

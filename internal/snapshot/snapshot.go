@@ -366,6 +366,11 @@ func (d *decoder) relation(db *relation.DB, schemas ast.Schemas) error {
 	if hasCost {
 		wantArgs = arity - 1
 	}
+	// nrows is bounded by the input's length (count), so reserving for it
+	// cannot be inflated past the snapshot's own size. Each row decodes
+	// into one scratch tuple, which the insert copies into the arena.
+	rel.Reserve(nrows)
+	var args []val.T
 	for i := 0; i < nrows; i++ {
 		nargs, err := d.count("arguments")
 		if err != nil {
@@ -374,7 +379,9 @@ func (d *decoder) relation(db *relation.DB, schemas ast.Schemas) error {
 		if nargs != wantArgs {
 			return fmt.Errorf("%w: %s row has %d arguments, want %d", ErrCorrupt, key, nargs, wantArgs)
 		}
-		args := make([]val.T, nargs)
+		if args == nil {
+			args = make([]val.T, nargs)
+		}
 		for j := range args {
 			if args[j], err = d.val(0); err != nil {
 				return err

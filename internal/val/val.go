@@ -11,6 +11,7 @@ package val
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"sort"
 	"strconv"
@@ -45,8 +46,16 @@ type T struct {
 // Symbol returns the symbol constant named s.
 func Symbol(s string) T { return T{Kind: Sym, S: s} }
 
-// Number returns the numeric constant n.
-func Number(n float64) T { return T{Kind: Num, N: n} }
+// Number returns the numeric constant n. Negative zero is stored as +0:
+// the two compare equal, so keeping both would give one number two keys
+// (and one tuple two rows). Every Num value is built here — literals,
+// arithmetic, and the snapshot and JSON codecs.
+func Number(n float64) T {
+	if n == 0 {
+		n = 0
+	}
+	return T{Kind: Num, N: n}
+}
 
 // Boolean returns the boolean constant b.
 func Boolean(b bool) T { return T{Kind: Bool, B: b} }
@@ -134,6 +143,78 @@ func Equal(a, b T) bool {
 		return a.Set.Equal(b.Set)
 	}
 	return false
+}
+
+// Same reports whether a and b have the same Key — the identity tuple
+// storage deduplicates on — without encoding either. It differs from
+// Equal only on NaN, which has one key but is not equal to itself.
+func Same(a, b T) bool {
+	if a.Kind != b.Kind {
+		return false
+	}
+	switch a.Kind {
+	case Sym, Str:
+		return a.S == b.S
+	case Num:
+		return a.N == b.N || (a.N != a.N && b.N != b.N)
+	case Bool:
+		return a.B == b.B
+	case SetKind:
+		ak, bk := a.Set.keyList(), b.Set.keyList()
+		if len(ak) != len(bk) {
+			return false
+		}
+		for i := range ak {
+			if ak[i] != bk[i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// hashSeed keys Hash. It is drawn per process: nothing may depend on a
+// hash value beyond one run.
+var hashSeed = maphash.MakeSeed()
+
+// Hash returns a hash of v consistent with Same: values with the same
+// Key hash alike. It reads v's fields directly; no key is encoded.
+func Hash(v T) uint64 {
+	switch v.Kind {
+	case Sym, Str:
+		return maphash.String(hashSeed, v.S) ^ uint64(v.Kind)
+	case Num:
+		n := v.N
+		if n == 0 {
+			n = 0
+		}
+		b := math.Float64bits(n)
+		if n != n {
+			b = 0x7ff8000000000001
+		}
+		return mix64(b ^ 0x51ed270b2d5a1c3f)
+	case Bool:
+		if v.B {
+			return 0x2545f4914f6cdd1d
+		}
+		return 0x9e3779b97f4a7c15
+	case SetKind:
+		h := uint64(0xc2b2ae3d27d4eb4f)
+		for _, k := range v.Set.keyList() {
+			h = mix64(h ^ maphash.String(hashSeed, k))
+		}
+		return h
+	}
+	return 0
+}
+
+// mix64 is the splitmix64 finalizer: a cheap full-avalanche mix.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // Compare imposes a total order on values (by kind, then by natural order
@@ -321,6 +402,15 @@ func (s *Set) Equal(t *Set) bool {
 		}
 	}
 	return true
+}
+
+// keyList returns the sorted element keys; a nil set has none, like the
+// empty set it keys as.
+func (s *Set) keyList() []string {
+	if s == nil {
+		return nil
+	}
+	return s.keys
 }
 
 func (s *Set) key() string {

@@ -173,3 +173,60 @@ func TestAppendKeyMatchesKey(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeZeroCanonical: Number stores -0 as +0, so the two share a
+// key, a hash and a rendering, and Same and Equal agree on them; NaN is
+// Same as itself (one key) though not Equal.
+func TestNegativeZeroCanonical(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	zero, neg := 0.0, -1.5
+	for _, v := range []T{Number(negZero), Number(zero * neg), Number(-zero)} {
+		if math.Signbit(v.N) {
+			t.Errorf("Number kept the sign of zero: %v", v.N)
+		}
+	}
+	z, nz := Number(0), Number(negZero)
+	if z.Key() != nz.Key() || z.String() != "0" || nz.String() != "0" {
+		t.Fatalf("keys %q / %q, strings %q / %q", z.Key(), nz.Key(), z, nz)
+	}
+	if !Same(z, nz) || !Equal(z, nz) || Hash(z) != Hash(nz) {
+		t.Fatal("0 and -0 must be one value")
+	}
+	if v, err := ParseNumber("-0"); err != nil || math.Signbit(v.N) {
+		t.Fatalf("ParseNumber(-0) = %v, %v", v, err)
+	}
+	// Hand-built values bypassing Number still hash consistently with Same.
+	raw := T{Kind: Num, N: negZero}
+	if !Same(raw, z) || Hash(raw) != Hash(z) {
+		t.Fatal("a raw -0 must be Same as 0 and hash alike")
+	}
+	nan := Number(math.NaN())
+	if !Same(nan, Number(math.NaN())) || Equal(nan, nan) || Hash(nan) != Hash(Number(math.NaN())) {
+		t.Fatal("NaN: one key, Same and hash-equal, but not Equal")
+	}
+}
+
+// TestSameAndHashAgreeWithKey: Same is exactly key equality, and values
+// with equal keys hash alike — the identity the relation tables
+// deduplicate on without encoding keys.
+func TestSameAndHashAgreeWithKey(t *testing.T) {
+	vals := []T{
+		Symbol("a"), Symbol("b"), String("a"), Symbol(""), String(""),
+		Number(0), Number(1), Number(-2.5), Number(math.Inf(1)), Number(math.Inf(-1)),
+		Boolean(true), Boolean(false),
+		SetOf(), {Kind: SetKind, Set: nil}, SetOf(Number(1)), SetOf(Symbol("1")),
+		SetOf(Symbol("b"), Number(3)), SetOf(Number(3), Symbol("b")),
+		SetOf(SetOf(Symbol("x"))),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			same := a.Key() == b.Key()
+			if Same(a, b) != same {
+				t.Errorf("Same(%v, %v) = %v, keys equal %v", a, b, !same, same)
+			}
+			if same && Hash(a) != Hash(b) {
+				t.Errorf("Hash(%v) != Hash(%v) for equal keys", a, b)
+			}
+		}
+	}
+}

@@ -9,16 +9,20 @@
 #
 #   1. Allocation pin: with no event sink and no profiler attached (the
 #      benchmark's configuration), BenchmarkSolve's allocs/op stays at
-#      SOLVE_ALLOCS (139,640: a solve allocates what its three rules
-#      derive plus one adopted base-EDB relation and the component walk's
-#      per-solve bookkeeping; the program's 384 arc facts are data and
-#      fire no pipeline) within ALLOC_TOL_PCT percent — the tolerance
-#      only absorbs runtime scheduler noise (observed spread ±0.03%), not
-#      real per-row costs. One-shot setup allocations amortize over the
-#      iteration count, which is why -benchtime is fixed. This protects
-#      the streaming pipelines' core property — fused operators with no
-#      per-tuple environment churn — and the zero-cost-when-off contract
-#      of tracing and profiling.
+#      SOLVE_ALLOCS (2,133) within ALLOC_TOL_PCT percent. Relations store
+#      rows in chunked arenas with value-hashed key tables and Δ sets hold
+#      row ids, so a solve that stores ~27k rows allocates per chunk and
+#      per table growth, not per row: what is left is the growth of the
+#      arenas, tables and γ scratch, one adopted base-EDB relation and the
+#      component walk's per-solve bookkeeping; the program's 384 arc facts
+#      are data and fire no pipeline. The tolerance absorbs runtime noise
+#      — pooled pipeline machines dropped by a GC cycle are rebuilt (observed
+#      spread 2,110–2,206 over ten runs) — while a single allocation per
+#      stored row would add over 20,000. One-shot setup allocations
+#      amortize over the iteration count, which is why -benchtime is
+#      fixed. This protects the storage kernel's and the streaming
+#      pipelines' core property — no per-tuple allocation — and the
+#      zero-cost-when-off contract of tracing and profiling.
 #
 #   2. Party probe pin: BenchmarkParty/engine/n=64 reports the index
 #      probes of one Example 4.3 solve (probes/op), which must equal
@@ -29,8 +33,8 @@
 set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
-SOLVE_ALLOCS=139640
-ALLOC_TOL_PCT=0.5
+SOLVE_ALLOCS=2133
+ALLOC_TOL_PCT=5
 PARTY_PROBES=1682
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT INT TERM
