@@ -26,7 +26,7 @@
 //	-unchecked     skip the static checks (minimal model no longer guaranteed)
 //	-wfs-fallback  evaluate negation-recursive components by WFS (§6.3)
 //	-explain atom  print the derivation tree of one ground atom, e.g.
-//	               -explain 's(a, c)' (implies tracing)
+//	               -explain 's(a, c)', re-derived from the model
 //	-checkpoint f        durably checkpoint the evolving model to file f
 //	                     (atomic write-rename; f always holds a complete,
 //	                     verifiable snapshot)
@@ -192,7 +192,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		MaxDuration: *timeout,
 		SkipChecks:  *unchecked || *check,
 		WFSFallback: *wfsFallback,
-		Trace:       *explain != "",
 		Profile:     *profile,
 	}
 	if *naive {

@@ -22,7 +22,6 @@
 //	-max-rounds N  fixpoint round bound per component
 //	-max-facts N   derivation budget per solve and per assert batch
 //	-timeout d     wall-clock budget per solve and per assert batch
-//	-trace         record provenance for /v1/explain (default true)
 //	-checkpoint f  warm-start from f when it exists; flush a final
 //	               snapshot to f on graceful shutdown (single program only)
 //	-resume f      warm-start from f, which must exist (single program only)
@@ -94,7 +93,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	maxRounds := fs.Int("max-rounds", 0, "fixpoint round bound per component")
 	maxFacts := fs.Int64("max-facts", 0, "derivation budget per solve and per assert batch (0 = unlimited)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget per solve and per assert batch (0 = none)")
-	trace := fs.Bool("trace", true, "record provenance for /v1/explain")
 	ckptPath := fs.String("checkpoint", "", "warm-start from this snapshot when present; flush to it on shutdown")
 	resumePath := fs.String("resume", "", "warm-start from this snapshot (must exist)")
 	walDir := fs.String("wal", "", "write-ahead log directory (empty = no durability beyond checkpoints)")
@@ -169,7 +167,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		MaxRounds:   *maxRounds,
 		MaxFacts:    *maxFacts,
 		MaxDuration: *timeout,
-		Trace:       *trace,
 	}
 	specs, code := serveSpecs(fs.Args(), *join, *name, opts, stderr)
 	if code != exitOK {

@@ -222,7 +222,7 @@ func TestChaosWALSigkillRecovery(t *testing.T) {
 		}
 	}
 
-	oneShot, err := datalog.Load(shortestPath, datalog.Options{Trace: true})
+	oneShot, err := datalog.Load(shortestPath, datalog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

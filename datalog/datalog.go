@@ -30,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/ast"
@@ -99,9 +100,10 @@ type Options struct {
 	// their well-founded model must be two-valued, and feeds the
 	// monotonic components above.
 	WFSFallback bool
-	// Trace records provenance for every derived tuple (the rule and
-	// ground body of its last improvement), queryable with
-	// Model.Explain/ExplainTree. Costs extra memory per tuple.
+	// Trace is ignored: Model.Explain and ExplainTree re-derive
+	// provenance from the model on demand, so there is nothing to
+	// record. The field remains only because the benchmark harness
+	// still sets it; the next change to the benchmark deletes it.
 	Trace bool
 	// MaxFacts caps tuple derivations per solve (0 = unlimited); on
 	// breach Solve returns ErrBudgetExceeded with the partial model.
@@ -166,7 +168,6 @@ func Load(src string, opts Options) (*Program, error) {
 		Epsilon:     opts.Epsilon,
 		SkipChecks:  opts.SkipChecks,
 		WFSFallback: opts.WFSFallback,
-		Trace:       opts.Trace,
 		Sink:        opts.Sink,
 		Profile:     opts.Profile,
 		Limits:      lim,
@@ -284,6 +285,15 @@ type Model struct {
 	en      *core.Engine
 	stats   Stats
 	fp      [32]byte // the computing program's fingerprint, tagging snapshots
+	// prov explains the model's tuples, built on the first Explain.
+	provOnce sync.Once
+	prov     *core.Provenance
+}
+
+// provenance returns the model's explainer, which caches what it derives.
+func (m *Model) provenance() *core.Provenance {
+	m.provOnce.Do(func() { m.prov = m.en.Provenance(m.db) })
+	return m.prov
 }
 
 // model wraps an interpretation computed (or restored) by p; nil stays
@@ -538,14 +548,19 @@ func (m *Model) Len(pred string) int {
 // String renders the whole model as sorted ground facts.
 func (m *Model) String() string { return m.db.String() }
 
-// Explain returns the rule and ground body that last derived the tuple
-// identified by the non-cost arguments (requires Options.Trace).
+// Explain returns a rule and a ground instance of it, satisfied in the
+// model, that derive the tuple identified by the non-cost arguments at
+// its stored cost (see core.Provenance.Explain). It is a function of the
+// model alone: the same tuples give the same answer however they were
+// computed — at any worker count, split across SolveMore calls, resumed
+// or restored. ok is false for a tuple the model lacks or no rule
+// derives (an EDB fact).
 func (m *Model) Explain(pred string, args ...Value) (rule string, supports []string, ok bool) {
 	raw := make([]val.T, len(args))
 	for i, a := range args {
 		raw[i] = a.v
 	}
-	d, ok := m.en.Explain(pred, raw)
+	d, ok := m.provenance().Explain(pred, raw)
 	if !ok {
 		return "", nil, false
 	}
@@ -557,11 +572,14 @@ func (m *Model) Explain(pred string, args ...Value) (rule string, supports []str
 }
 
 // ExplainTree renders a derivation tree for the tuple down to the given
-// depth (requires Options.Trace).
+// depth, expanding each support Explain can explain in turn. Every path
+// ends in facts without repeating a tuple (see core.Provenance.Tree).
+// The model caches each explanation it derives, for Explain and
+// ExplainTree alike.
 func (m *Model) ExplainTree(pred string, depth int, args ...Value) string {
 	raw := make([]val.T, len(args))
 	for i, a := range args {
 		raw[i] = a.v
 	}
-	return m.en.ExplainTree(m.db, pred, raw, depth)
+	return m.provenance().Tree(pred, raw, depth)
 }

@@ -141,14 +141,12 @@ func TestSolveMoreFacade(t *testing.T) {
 }
 
 func TestExplainFacade(t *testing.T) {
-	p, err := Load(programs.ShortestPath, Options{Trace: true})
+	p, err := Load(programs.ShortestPath, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := p.Solve(
-		NewFact("arc", Sym("a"), Sym("b"), Num(1)),
-		NewFact("arc", Sym("b"), Sym("c"), Num(2)),
-	)
+	arc := func(from, to string, c float64) Fact { return NewFact("arc", Sym(from), Sym(to), Num(c)) }
+	m, _, err := p.Solve(arc("a", "b", 1), arc("b", "c", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +163,36 @@ func TestExplainFacade(t *testing.T) {
 			t.Errorf("tree missing %q:\n%s", want, tree)
 		}
 	}
-	// Without tracing, no explanations.
-	p2, _ := Load(programs.ShortestPath, Options{})
-	m2, _, _ := p2.Solve(NewFact("arc", Sym("a"), Sym("b"), Num(1)))
-	if _, _, ok := m2.Explain("s", Sym("a"), Sym("b")); ok {
-		t.Fatal("tracing must be opt-in")
+
+	// Provenance belongs to its model. Extending m must not change how m
+	// explains s(a, c): m2 improves it to 2 through d, m keeps its 3.
+	m2, _, err := p.SolveMore(m, arc("a", "d", 1), arc("d", "c", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m2.ExplainTree("s", 4, Sym("a"), Sym("c")); !strings.Contains(got, "s(a, c, 2)") || !strings.Contains(got, "path(a, d, c, 2)") {
+		t.Fatalf("extended model explains s(a, c) as:\n%s", got)
+	}
+	if got := m.ExplainTree("s", 4, Sym("a"), Sym("c")); got != tree {
+		t.Fatalf("after SolveMore the original model explains s(a, c) as:\n%s\nwant:\n%s", got, tree)
+	}
+	// An unrelated solve leaves m's explanations alone.
+	if _, _, err := p.Solve(arc("x", "y", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.ExplainTree("s", 4, Sym("a"), Sym("c")); got != tree {
+		t.Fatalf("after an unrelated Solve the original model explains s(a, c) as:\n%s\nwant:\n%s", got, tree)
+	}
+	// A restored model explains a derived tuple by its rule, not as a fact.
+	restored, err := p.Restore(m.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, _, ok := restored.Explain("s", Sym("a"), Sym("c")); !ok || r != rule {
+		t.Fatalf("restored model explains s(a, c) by %q (ok=%v), want %q", r, ok, rule)
+	}
+	if got := restored.ExplainTree("s", 4, Sym("a"), Sym("c")); got != tree {
+		t.Fatalf("restored model explains s(a, c) as:\n%s\nwant:\n%s", got, tree)
 	}
 }
 

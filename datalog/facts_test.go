@@ -104,7 +104,7 @@ type observed struct {
 
 func observe(t *testing.T, src string, args []datalog.Fact, opts datalog.Options) observed {
 	t.Helper()
-	opts.Trace, opts.Profile = true, true
+	opts.Profile = true
 	p, err := datalog.Load(src, opts)
 	if err != nil {
 		t.Fatal(err)

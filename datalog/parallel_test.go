@@ -18,7 +18,7 @@ import (
 
 // The component walk's determinism contract (docs/ARCHITECTURE.md): for
 // every program and every worker count (GOMAXPROCS), the model, the
-// insertion order of facts, the recorded derivations, the Stats, the
+// insertion order of facts, the explanations, the Stats, the
 // Profile row counts and the checkpoint bytes are identical — for Solve,
 // Resume and SolveMore alike. These tests enforce the contract
 // differentially over every shipped example program; timing fields
@@ -52,8 +52,8 @@ func factFingerprint(m *datalog.Model) string {
 	return b.String()
 }
 
-// traceFingerprint renders the recorded derivation (rule plus supports)
-// of every fact in the model. Requires Trace to be on.
+// traceFingerprint renders the explanation (rule plus supports) and the
+// depth-2 explanation tree of every fact in the model.
 func traceFingerprint(t *testing.T, p *datalog.Program, m *datalog.Model) string {
 	t.Helper()
 	hasCost := map[string]bool{}
@@ -68,7 +68,7 @@ func traceFingerprint(t *testing.T, p *datalog.Program, m *datalog.Model) string
 				args = row[:len(row)-1]
 			}
 			rule, supports, ok := m.Explain(pred, args...)
-			fmt.Fprintf(&b, "%s%v ok=%v rule=%q supports=%v\n", pred, args, ok, rule, supports)
+			fmt.Fprintf(&b, "%s%v ok=%v rule=%q supports=%v\n%s", pred, args, ok, rule, supports, m.ExplainTree(pred, 2, args...))
 		}
 	}
 	return b.String()
@@ -96,7 +96,7 @@ func withProcs(t testing.TB, n int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-// solveParallel loads one example with tracing and profiling and solves
+// solveParallel loads one example with profiling and solves
 // it at GOMAXPROCS procs, checkpointing every round; it also returns the
 // bytes of the final checkpoint.
 func solveParallel(t *testing.T, name string, procs int) (*datalog.Program, *datalog.Model, datalog.Stats, []byte) {
@@ -107,7 +107,6 @@ func solveParallel(t *testing.T, name string, procs int) (*datalog.Program, *dat
 		t.Fatal(err)
 	}
 	opts := exampleOptions(name)
-	opts.Trace = true
 	opts.Profile = true
 	p, err := datalog.Load(string(src), opts)
 	if err != nil {
@@ -127,8 +126,9 @@ func solveParallel(t *testing.T, name string, procs int) (*datalog.Program, *dat
 
 // TestParallelDeterminism solves every shipped example program
 // (omega.mdl diverges by design and is excluded) at GOMAXPROCS 1, 2, 4
-// and 8, asserting model, fact order, traces, stats, profile row counts
-// and final checkpoint bytes agree exactly.
+// and 8, asserting model, fact order, explanations, stats, profile row
+// counts and final checkpoint bytes agree exactly, and that the model
+// restored from that checkpoint explains every fact the same way.
 func TestParallelDeterminism(t *testing.T) {
 	entries, err := os.ReadDir(exampleDir)
 	if err != nil {
@@ -145,6 +145,13 @@ func TestParallelDeterminism(t *testing.T) {
 			seqFacts := factFingerprint(seqM)
 			seqTrace := traceFingerprint(t, seqP, seqM)
 			seqProfile := profileFingerprint(seqP.Profile())
+			restored, err := seqP.Restore(seqSnap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := traceFingerprint(t, seqP, restored); got != seqTrace {
+				t.Fatalf("restored model's explanations differ:\n%s\nwant:\n%s", got, seqTrace)
+			}
 			for _, par := range []int{2, 4, 8} {
 				parP, parM, parStats, parSnap := solveParallel(t, name, par)
 				if got := parM.String(); got != seqModel {
@@ -193,8 +200,9 @@ arc1(x, y, 3). arc1(y, z, 1).
 
 // TestParallelSolveMoreChain extends a model twice through the
 // incremental walk at GOMAXPROCS 1, 2 and 4. The chained model must equal
-// a one-shot solve of all the facts, and its fact order, traces, Stats and
-// snapshot bytes must be identical at every worker count. The cases are
+// a one-shot solve of all the facts and explain every fact as it does, and
+// its fact order, explanations, Stats and snapshot bytes must be identical
+// at every worker count. The cases are
 // one recursive component (Example 2.6); Example 2.1, whose new courses
 // reach one of its six components while the rest settle unevaluated (its
 // record facts feed avg, so SolveMore refuses them); and two independent
@@ -234,7 +242,7 @@ record(ann, db, 3). record(bob, db, 4). record(ann, ai, 2). courses(db).`,
 			chain := func(procs int) result {
 				t.Helper()
 				withProcs(t, procs)
-				p, err := datalog.Load(tc.src, datalog.Options{Trace: true})
+				p, err := datalog.Load(tc.src, datalog.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -264,6 +272,9 @@ record(ann, db, 3). record(bob, db, 4). record(ann, ai, 2). courses(db).`,
 			if ref.model != oneShot.String() {
 				t.Fatalf("chained model differs from the one-shot solve:\n%s\nwant:\n%s", ref.model, oneShot)
 			}
+			if want := traceFingerprint(t, p, oneShot); ref.trace != want {
+				t.Fatalf("chained explanations differ from the one-shot solve's:\n%s\nwant:\n%s", ref.trace, want)
+			}
 			for _, procs := range []int{2, 4} {
 				got := chain(procs)
 				for _, c := range []struct{ what, got, want string }{
@@ -287,15 +298,15 @@ record(ann, db, 3). record(bob, db, 4). record(ann, ai, 2). courses(db).`,
 // TestParallelKillResume interrupts a solve at GOMAXPROCS 4 (injected
 // panic at a fixpoint round boundary, simulating a crash) with
 // checkpointing on, then restores the last durable checkpoint and resumes
-// — still on four workers — asserting the final model matches an
-// uninterrupted one-worker solve. Component boundaries and round
+// — still on four workers — asserting the final model and its
+// explanations match an uninterrupted one-worker solve. Component boundaries and round
 // boundaries are the only checkpoint cut points, so every checkpoint a
 // concurrent walk flushes must be a consistent state of the global
 // database.
 func TestParallelKillResume(t *testing.T) {
 	for _, name := range []string{"shortestpath.mdl", "companycontrol.mdl"} {
 		t.Run(name, func(t *testing.T) {
-			_, full, _, _ := solveParallel(t, name, 1)
+			fullP, full, _, _ := solveParallel(t, name, 1)
 
 			src, err := os.ReadFile(filepath.Join(exampleDir, name))
 			if err != nil {
@@ -326,6 +337,9 @@ func TestParallelKillResume(t *testing.T) {
 			}
 			if m.String() != full.String() {
 				t.Fatalf("resumed model differs from the one-worker solve:\n%s\nwant:\n%s", m, full)
+			}
+			if got, want := traceFingerprint(t, p, m), traceFingerprint(t, fullP, full); got != want {
+				t.Fatalf("resumed model's explanations differ from the one-worker solve's:\n%s\nwant:\n%s", got, want)
 			}
 		})
 	}

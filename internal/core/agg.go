@@ -80,7 +80,7 @@ func (ev *evaluator) aggregate(s *aggStep, stepIdx int, e *env, cont func() erro
 		if i == len(order) {
 			if allBound {
 				pointElems = append(pointElems, element())
-				if ev.trace {
+				if ev.supports {
 					pointSupports = collectSupports(pointSupports)
 				}
 				return nil
@@ -95,14 +95,15 @@ func (ev *evaluator) aggregate(s *aggStep, stepIdx int, e *env, cont func() erro
 				groups[gk] = g
 			}
 			g.elems = append(g.elems, element())
-			if ev.trace {
+			if ev.supports {
 				g.supports = collectSupports(g.supports)
 			}
 			return nil
 		}
 		sp := &s.conj[order[i]]
+		buf := ev.buf(sp).saved
 		return ev.scan(sp, e, func(row relationRow) error {
-			saved, ok := bindAtom(sp, row, e)
+			saved, ok := bindAtom(sp, buf, row, e)
 			if !ok {
 				return nil
 			}
@@ -144,14 +145,14 @@ func (ev *evaluator) aggregate(s *aggStep, stepIdx int, e *env, cont func() erro
 			e.bound[s.result] = true
 			saved = append(saved, s.result)
 		}
-		if ev.trace {
+		if ev.supports {
 			if e.aggSupports == nil {
 				e.aggSupports = map[int][]Support{}
 			}
 			e.aggSupports[stepIdx] = g.supports
 		}
 		err := cont()
-		if ev.trace {
+		if ev.supports {
 			delete(e.aggSupports, stepIdx)
 		}
 		unbind(e, saved)

@@ -11,11 +11,11 @@ import (
 
 // The inner-loop steps of the reference interpreter that run once per
 // join probe must not allocate: negSatisfied and the default-value point
-// lookup both instantiate the atom's arguments into a per-step buffer
-// (atomSpec.abuf), not a fresh slice. The interpreter no longer runs
+// lookup both instantiate the atom's arguments into the evaluator's
+// per-atom buffer (atomBuf), not a fresh slice. The interpreter runs no
 // solves, but it is the oracle every model check (TP, IsModel,
-// GroupStratified) enumerates with, and these assertions keep that
-// enumeration from regressing to a slice per probe.
+// GroupStratified) and every explanation enumerates with, and these
+// assertions keep that enumeration from regressing to a slice per probe.
 
 // allocHarness compiles a program with a negated subgoal and a
 // default-value scan and returns the evaluator, the interesting steps

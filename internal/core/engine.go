@@ -56,9 +56,6 @@ type Options struct {
 	// semantics instead; its well-founded model must be two-valued, and
 	// becomes the base interpretation for the components above it.
 	WFSFallback bool
-	// Trace records, for every derived tuple, the rule and ground body
-	// of its last improvement, queryable through Explain/ExplainTree.
-	Trace bool
 	// Profile enables per-operator counters in the rule pipelines
 	// (rows in/out, probes, hash-build sizes, Δ sizes, changed groups
 	// per γ), read back through Engine.Profile — the EXPLAIN ANALYZE
@@ -120,9 +117,6 @@ type Engine struct {
 	// they accumulate over the engine's lifetime — Profile snapshots,
 	// and Profile.Sub produces per-solve deltas.
 	prof [][]exec.OpAccum
-	// trace holds, per component, the provenance of the most recent
-	// traced solve; only the worker evaluating a component writes its map.
-	trace []map[string]*Derivation
 	// insertBlocked maps each predicate SolveMore must not add facts for
 	// to the reason (see noteInsertMonotone).
 	insertBlocked map[ast.PredKey]string
@@ -364,8 +358,8 @@ func (en *Engine) Resume(ctx context.Context, prev *relation.DB, lim Limits, bas
 
 // solve is the frame every solve entry point runs in: it folds
 // MaxDuration into the context, seeds the stats from base, builds the
-// guard, readies the trace store and brackets body with the
-// SolveBegin/SolveEnd events, which report the walk's worker count.
+// guard and brackets body with the SolveBegin/SolveEnd events, which
+// report the walk's worker count.
 func (en *Engine) solve(ctx context.Context, lim Limits, base Stats, body func(g *guard) (*relation.DB, error)) (_ *relation.DB, _ Stats, err error) {
 	if lim.MaxDuration > 0 {
 		var cancel context.CancelFunc
@@ -376,9 +370,6 @@ func (en *Engine) solve(ctx context.Context, lim Limits, base Stats, body func(g
 	en.ensureStats(&stats)
 	g := newGuard(ctx, lim, &stats)
 	g.sink = en.sink
-	if en.opts.Trace && en.trace == nil {
-		en.trace = make([]map[string]*Derivation, len(en.comps))
-	}
 	if en.sink != nil {
 		start, par := time.Now(), en.workers()
 		en.sink.Event(obs.Event{Kind: obs.SolveBegin, Component: -1, Parallelism: par})
@@ -399,7 +390,6 @@ func (en *Engine) solve(ctx context.Context, lim Limits, base Stats, body func(g
 // fixpoint runs the iterated fixpoint of §6.3 over db in place, starting
 // the stats from base, through the component walk (parallel.go).
 func (en *Engine) fixpoint(ctx context.Context, db *relation.DB, lim Limits, base Stats) (*relation.DB, Stats, error) {
-	en.trace = nil
 	return en.solve(ctx, lim, base, func(g *guard) (*relation.DB, error) {
 		// Checkpoint the starting interpretation before any evaluation,
 		// so the sink holds a recoverable state even if the very first
@@ -447,11 +437,9 @@ func (en *Engine) runComponent(g *guard, fn func() error) (err error) {
 }
 
 // headTupleInto projects the head instantiation of a completed
-// environment into the plan's reusable head buffer; the result is valid
-// until the plan's next projection.
-func headTupleInto(p *plan, e *env) (args []val.T, cost lattice.Elem, err error) {
+// environment into args (len(p.head.argVar) long).
+func headTupleInto(p *plan, e *env, args []val.T) (_ []val.T, cost lattice.Elem, err error) {
 	hs := &p.head
-	args = p.hbuf
 	for j, v := range hs.argVar {
 		if v >= 0 {
 			args[j] = e.vals[v]
@@ -474,21 +462,15 @@ func headTupleInto(p *plan, e *env) (args []val.T, cost lattice.Elem, err error)
 }
 
 // headTuple is headTupleInto with freshly allocated args, for callers
-// that retain them beyond the next projection.
+// that retain them.
 func headTuple(p *plan, e *env) ([]val.T, lattice.Elem, error) {
-	buf, cost, err := headTupleInto(p, e)
-	if err != nil {
-		return nil, lattice.Elem{}, err
-	}
-	args := make([]val.T, len(buf))
-	copy(args, buf)
-	return args, cost, nil
+	return headTupleInto(p, e, make([]val.T, len(p.head.argVar)))
 }
 
 // passConfig is the part of a pass's configuration every pass of one
 // component loop shares; the loops copy it and set the Δ restriction.
 func (en *Engine) passConfig(g *guard, db *relation.DB) exec.Config {
-	return exec.Config{DB: db, Trace: g.trace != nil, Prof: en.prof != nil, Check: g.check}
+	return exec.Config{DB: db, Prof: en.prof != nil, Check: g.check}
 }
 
 // runPass evaluates one pass of one of p's pipelines under cfg — every
@@ -538,9 +520,6 @@ func (en *Engine) solveNaive(g *guard, db *relation.DB, ci int, stats *Stats) er
 		}
 		if rel.InsertJoin(args, cost) {
 			stats.Derived++
-			if g.trace != nil {
-				g.recordTrace(p, e, args)
-			}
 			// Improvement relative to the previous round's
 			// interpretation (a plain re-derivation of a known tuple is
 			// budget work but not progress).
@@ -718,11 +697,11 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 	ps, recursive := en.plans[ci], en.compRecursive[ci]
 	delta := newDeltaSet()
 	// insert derives through the plan's head buffer (hbuf). Everything
-	// retained beyond this call — Δ and record entries, the trace — is the
-	// stored row's id or arguments, which the relation copied into its
-	// arena on first insert.
+	// retained beyond this call — Δ and record entries — is the stored
+	// row's id, and the relation copied the arguments into its arena on
+	// first insert.
 	insert := func(p *plan, e *env) error {
-		args, cost, err := headTupleInto(p, e)
+		args, cost, err := headTupleInto(p, e, p.hbuf)
 		if err != nil {
 			return err
 		}
@@ -735,9 +714,6 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 			}
 			if record != nil {
 				record.add(p.head.pred, id)
-			}
-			if g.trace != nil {
-				g.recordTrace(p, e, row.Args)
 			}
 			if err := g.derived(p.head.pred, row.Args, row.Cost, rel.Info.HasCost, true); err != nil {
 				return err

@@ -219,10 +219,6 @@ type guard struct {
 	sinceCkpt int
 	// sink receives checkpoint/divergence/budget events (nil = none).
 	sink obs.Sink
-	// trace, non-nil exactly when the engine traces, is where a
-	// component's fixpoint loops store derivations: the engine's map for
-	// that component, which no other worker touches.
-	trace map[string]*Derivation
 	// cut, when non-nil, replaces the periodic round-boundary checkpoint:
 	// the walk snapshots a consistent cut of the global database overlaid
 	// with the component's private view instead of the view alone.

@@ -17,7 +17,7 @@ type env struct {
 	vals  []val.T
 	bound []bool
 	// aggSupports records, per aggregate step index, the contributing
-	// ground atoms of the group currently being emitted (tracing only).
+	// ground atoms of the group being emitted (evaluator.supports only).
 	aggSupports map[int][]Support
 }
 
@@ -30,12 +30,63 @@ func newEnv(n int) *env {
 // the compiled steps in their syntactic order. Solves never run on it —
 // they run the streaming pipelines of internal/exec — it is the oracle
 // behind Engine.TP, IsModel, IsPreModel and GroupStratified that the
-// property tests hold the pipelines to.
+// property tests hold the pipelines to, and the re-deriver behind
+// Provenance.Explain. It only reads db and the plans — its scratch lives on
+// the evaluator — so evaluators may run concurrently over one Engine.
 type evaluator struct {
 	db *relation.DB
-	// trace makes aggregate steps record their contributing atoms into
-	// the environment (GroupStratified's dependency edges).
-	trace bool
+	// supports makes aggregate steps record their contributing atoms into
+	// the environment (GroupStratified, Explain).
+	supports bool
+	bufs     map[*atomSpec]*atomBuf
+	// stage, when set, restricts the evaluation to a prefix of one
+	// recursive component's stages (see Provenance): a row of a predicate
+	// it holds is visible only when 0 < its stage < below.
+	stage map[ast.PredKey][]int32
+	below int32
+}
+
+// atomBuf is one atom's scratch: the Match pattern, bindAtom's
+// backtracking list and an instantiated argument tuple (negation and
+// default-value lookups). An atom is never re-entered while its own match
+// is in progress, so one buffer per atom is enough.
+type atomBuf struct {
+	pat   []*val.T
+	saved []int
+	args  []val.T
+}
+
+// buf returns sp's scratch, allocating it on first use.
+func (ev *evaluator) buf(sp *atomSpec) *atomBuf {
+	b := ev.bufs[sp]
+	if b == nil {
+		n := len(sp.argVar)
+		b = &atomBuf{pat: make([]*val.T, n), saved: make([]int, 0, n+1), args: make([]val.T, n)}
+		if ev.bufs == nil {
+			ev.bufs = map[*atomSpec]*atomBuf{}
+		}
+		ev.bufs[sp] = b
+	}
+	return b
+}
+
+// rel returns sp's relation in db without materializing a missing one:
+// the evaluator never writes the interpretation it reads.
+func (ev *evaluator) rel(sp *atomSpec) *relation.Relation {
+	if ev.db.Has(sp.pred) {
+		return ev.db.Rel(sp.pred)
+	}
+	return relation.New(sp.pi)
+}
+
+// hidden reports whether ev.stage hides the stored row of rel with the
+// given arguments (never without ev.stage).
+func (ev *evaluator) hidden(rel *relation.Relation, args []val.T) bool {
+	if st, ok := ev.stage[rel.Info.Key]; ok {
+		s := st[rel.ID(args)]
+		return s <= 0 || s >= ev.below
+	}
+	return false
 }
 
 // run enumerates every satisfying assignment of the plan body and calls
@@ -50,8 +101,9 @@ func (ev *evaluator) step(steps []step, i int, e *env, emit func(*env) error) er
 	}
 	switch s := steps[i].(type) {
 	case *scanStep:
+		buf := ev.buf(&s.atomSpec).saved
 		return ev.scan(&s.atomSpec, e, func(row relation.Row) error {
-			saved, ok := bindAtom(&s.atomSpec, row, e)
+			saved, ok := bindAtom(&s.atomSpec, buf, row, e)
 			if !ok {
 				return nil
 			}
@@ -89,9 +141,9 @@ func (ev *evaluator) step(steps []step, i int, e *env, emit func(*env) error) er
 // the environment. Default-value predicates perform a point lookup
 // (GetOrDefault); the compiler guarantees their non-cost args are bound.
 func (ev *evaluator) scan(sp *atomSpec, e *env, f func(relation.Row) error) error {
-	rel := ev.db.Rel(sp.pred)
+	rel, buf := ev.rel(sp), ev.buf(sp)
 	if sp.pi.HasDefault {
-		args := sp.abuf
+		args := buf.args
 		for j, v := range sp.argVar {
 			if v >= 0 {
 				args[j] = e.vals[v]
@@ -100,14 +152,14 @@ func (ev *evaluator) scan(sp *atomSpec, e *env, f func(relation.Row) error) erro
 			}
 		}
 		row, ok := rel.Get(args)
-		if !ok {
+		if !ok || ev.hidden(rel, args) {
 			// Default-value predicates always have a value: the bottom row
 			// (§2.3.2).
 			row = relation.Row{Args: args, Cost: sp.pi.L.Bottom(), HasCost: true}
 		}
 		return f(row)
 	}
-	pattern := sp.pat
+	pattern := buf.pat
 	for j, v := range sp.argVar {
 		switch {
 		case v < 0:
@@ -120,6 +172,9 @@ func (ev *evaluator) scan(sp *atomSpec, e *env, f func(relation.Row) error) erro
 	}
 	var ferr error
 	rel.Match(pattern, func(row relation.Row) bool {
+		if ev.hidden(rel, row.Args) {
+			return true
+		}
 		if err := f(row); err != nil {
 			ferr = err
 			return false
@@ -130,10 +185,10 @@ func (ev *evaluator) scan(sp *atomSpec, e *env, f func(relation.Row) error) erro
 }
 
 // bindAtom unifies a row with the atom spec under e, returning the list
-// of variable indices newly bound (for backtracking) and whether the row
-// matches.
-func bindAtom(sp *atomSpec, row relation.Row, e *env) (saved []int, ok bool) {
-	saved = sp.sbuf[:0]
+// of variable indices newly bound (for backtracking, built in buf, the
+// atom's atomBuf.saved) and whether the row matches.
+func bindAtom(sp *atomSpec, buf []int, row relation.Row, e *env) (saved []int, ok bool) {
+	saved = buf[:0]
 	for j, v := range sp.argVar {
 		got := row.Args[j]
 		if v < 0 {
@@ -187,8 +242,7 @@ func unbind(e *env, saved []int) {
 // means presence is a single lookup (default-value predicates always have
 // a value — the default — so only an exact cost match refutes ¬p).
 func (ev *evaluator) negSatisfied(sp *atomSpec, e *env) (bool, error) {
-	rel := ev.db.Rel(sp.pred)
-	args := sp.abuf
+	rel, args := ev.rel(sp), ev.buf(sp).args
 	for j, v := range sp.argVar {
 		if v >= 0 {
 			if !e.bound[v] {
@@ -200,6 +254,7 @@ func (ev *evaluator) negSatisfied(sp *atomSpec, e *env) (bool, error) {
 		}
 	}
 	row, present := rel.Get(args)
+	present = present && !ev.hidden(rel, args)
 	if !present && sp.pi.HasDefault {
 		row = relation.Row{Args: args, Cost: sp.pi.L.Bottom(), HasCost: true}
 		present = true

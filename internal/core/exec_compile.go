@@ -43,7 +43,7 @@ func compileStream(p *plan, planSteps []step, canon []int) *exec.Rule {
 		}
 		bindStep(s, bound)
 	}
-	return exec.NewRule(p.nvars, steps, streamHooks(planSteps, canon))
+	return exec.NewRule(p.nvars, steps, streamHooks(planSteps))
 }
 
 // compileAgg lowers a γ step, fixing the conjunction orders the reference
@@ -107,21 +107,19 @@ func execAtom(sp *atomSpec) exec.Atom {
 }
 
 // streamAux is the host state cached on each exec.Machine: an env
-// aliasing the machine's register file (so head projection and
-// provenance capture read bindings in place) and per-step builtin
-// evaluators prebuilt against that env.
+// aliasing the machine's register file (so head projection reads
+// bindings in place) and per-step builtin evaluators prebuilt against
+// that env.
 type streamAux struct {
 	env      *env
 	builtins []func() (ok, didBind bool, err error)
 }
 
-// streamHooks adapts the host-side pieces of pipeline evaluation —
-// builtin expressions and provenance capture — to the given step
-// arrangement (hooks index by pipeline position), with the reference
-// interpreter's semantics and error text. Aggregate supports are
-// published under the canonical step position (canon), so a traced
-// derivation reads the same keys whichever order fired it.
-func streamHooks(planSteps []step, canon []int) exec.Hooks {
+// streamHooks adapts the host-side piece of pipeline evaluation —
+// builtin expressions — to the given step arrangement (hooks index by
+// pipeline position), with the reference interpreter's semantics and
+// error text.
+func streamHooks(planSteps []step) exec.Hooks {
 	return exec.Hooks{
 		Init: func(m *exec.Machine) {
 			aux := &streamAux{env: &env{vals: m.Vals, bound: m.Bound}}
@@ -135,26 +133,6 @@ func streamHooks(planSteps []step, canon []int) exec.Hooks {
 		},
 		Builtin: func(m *exec.Machine, i int) (bool, bool, error) {
 			return m.Aux.(*streamAux).builtins[i]()
-		},
-		CollectSupports: func(m *exec.Machine, i int, dst any) any {
-			aux := m.Aux.(*streamAux)
-			s := planSteps[i].(*aggStep)
-			sup, _ := dst.([]Support)
-			for ci := range s.conj {
-				sup = append(sup, supportOfAtom(&s.conj[ci], aux.env, false))
-			}
-			return sup
-		},
-		SetAggSupports: func(m *exec.Machine, i int, supports any) {
-			e := m.Aux.(*streamAux).env
-			if e.aggSupports == nil {
-				e.aggSupports = map[int][]Support{}
-			}
-			sup, _ := supports.([]Support)
-			e.aggSupports[canon[i]] = sup
-		},
-		ClearAggSupports: func(m *exec.Machine, i int) {
-			delete(m.Aux.(*streamAux).env.aggSupports, canon[i])
 		},
 	}
 }

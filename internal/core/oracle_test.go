@@ -5,13 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/ast"
 	"repro/internal/faults"
+	"repro/internal/lattice"
 	"repro/internal/parser"
 	"repro/internal/programs"
 	"repro/internal/relation"
+	"repro/internal/val"
 )
 
 // The engine's correctness oracle is the paper's definition itself:
@@ -115,13 +118,113 @@ func tpLeastFixpoint(t *testing.T, en *Engine, edb *relation.DB, eps float64) *r
 	return db
 }
 
+// explainAll explains every tuple of db and renders the explanations.
+// It checks each against db: every positive atom support is in db at
+// the shown cost, every negated one is absent, a recursive tuple's
+// supports from its own component come from earlier stages, and every
+// tuple is explained unless it is in edb, a program fact, or a limit no
+// finite chain of stages reaches (stage 0).
+func explainAll(t *testing.T, en *Engine, db, edb *relation.DB) string {
+	t.Helper()
+	var b strings.Builder
+	pv := en.Provenance(db)
+	for _, k := range db.Preds() {
+		for _, row := range db.Rel(k).Rows() {
+			d, ok := pv.Explain(k.Name(), row.Args)
+			fmt.Fprintf(&b, "%s%v ok=%v", k, row.Args, ok)
+			hci, hstage := stageOf(pv, k, row.Args)
+			if !ok {
+				b.WriteString("\n")
+				if _, given := edb.Rel(k).Get(row.Args); !given && !isProgramFact(en, k, row.Args) && (hci < 0 || hstage != 0) {
+					t.Fatalf("derived tuple %s%v is unexplained", k, row.Args)
+				}
+				continue
+			}
+			fmt.Fprintf(&b, " [%s]", d.Rule)
+			for _, s := range d.Supports {
+				fmt.Fprintf(&b, " %s;", s)
+				if s.Pred != "" && !supportHolds(db, s) {
+					t.Fatalf("explanation of %s%v: support %s does not hold in the model", k, row.Args, s)
+				}
+				if s.Pred == "" || s.Neg {
+					continue
+				}
+				sk := ast.MakePredKey(s.Pred, len(s.Args)+map[bool]int{false: 0, true: 1}[s.HasCost])
+				if sci, sstage := stageOf(pv, sk, s.Args); hci >= 0 && sci == hci && (sstage <= 0 || sstage >= hstage) {
+					t.Fatalf("explanation of %s%v (stage %d): support %s is from stage %d", k, row.Args, hstage, s, sstage)
+				}
+			}
+			b.WriteString("\n")
+		}
+	}
+	return b.String()
+}
+
+// stageOf returns the recursive component defining k and the stage of
+// k's tuple args there, or -1 when k's component is not recursive.
+// Only a stored tuple has a stage; an absent default-value tuple counts
+// as stage 1, for the interpreter reads it whatever the stage.
+func stageOf(pv *Provenance, k ast.PredKey, args []val.T) (int, int32) {
+	for ci, ps := range pv.en.plans {
+		for _, p := range ps {
+			if p.head.pred != k || !pv.en.compRecursive[ci] {
+				continue
+			}
+			if pv.db.Has(k) {
+				if id := pv.db.Rel(k).ID(args); id >= 0 {
+					return ci, pv.stagesOf(ci)[k][id]
+				}
+			}
+			return ci, 1 // an absent default-value tuple: always visible
+		}
+	}
+	return -1, 0
+}
+
+// supportHolds reports whether an atom support agrees with db: a
+// positive atom is present at the shown cost (a default-value atom may
+// be absent at its default), a negated one is not.
+func supportHolds(db *relation.DB, s Support) bool {
+	present := false
+	for arity := len(s.Args); arity <= len(s.Args)+1; arity++ {
+		pi := db.Schemas.Info(ast.MakePredKey(s.Pred, arity))
+		if pi == nil || pi.NonCost() != len(s.Args) || pi.HasCost != s.HasCost {
+			continue
+		}
+		row, ok := relation.New(pi).GetOrDefault(s.Args)
+		if db.Has(pi.Key) {
+			row, ok = db.Rel(pi.Key).GetOrDefault(s.Args)
+		}
+		present = ok && (!s.HasCost || lattice.Eq(pi.L, row.Cost, s.Cost))
+	}
+	return present != s.Neg
+}
+
+// isProgramFact reports whether the program text states the tuple as a
+// fact: in the base EDB, or a fact rule of a rule-defined predicate.
+func isProgramFact(en *Engine, k ast.PredKey, args []val.T) bool {
+	if en.base.Has(k) {
+		if _, ok := en.base.Rel(k).Get(args); ok {
+			return true
+		}
+	}
+	for _, ps := range en.plans {
+		for _, p := range ps {
+			if p.head.pred == k && p.rule.IsFact() && bindHead(&p.head, args, newEnv(p.nvars)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 func TestSolveEqualsTPFixpoint(t *testing.T) {
 	for _, tc := range oracleCases {
 		t.Run(tc.name, func(t *testing.T) {
 			var seq Stats // the one-worker totals, which every worker count must reproduce
 			for _, par := range []int{1, 2} {
 				withProcs(t, par)
-				en := mustEngine(t, tc.src, Options{Trace: true, Epsilon: tc.eps})
+				en := mustEngine(t, tc.src, Options{Epsilon: tc.eps})
 				edb, more := factsDB(t, en, tc.edb), factsDB(t, en, tc.more)
 				all := edb.Clone()
 				all.Join(more)
@@ -146,6 +249,7 @@ func TestSolveEqualsTPFixpoint(t *testing.T) {
 					t.Fatal(err)
 				}
 				check("fresh", fresh)
+				explained := explainAll(t, en, fresh, all)
 				st.Rules, st.Comps = nil, nil
 				if par == 1 {
 					seq = st
@@ -164,6 +268,11 @@ func TestSolveEqualsTPFixpoint(t *testing.T) {
 					t.Fatal(err)
 				}
 				check("Solve+SolveMore", split)
+				// Provenance is a function of the model: the split model
+				// explains byte for byte as the fresh one does.
+				if got := explainAll(t, en, split, all); got != explained {
+					t.Fatalf("GOMAXPROCS %d: Solve+SolveMore explanations differ:\n%s\nwant:\n%s", par, got, explained)
+				}
 			}
 		})
 	}
@@ -235,6 +344,10 @@ func TestTextFactsEqualTPFixpoint(t *testing.T) {
 				}
 				if !EqualEps(resumed, want, tc.eps*1e3) {
 					t.Fatalf("GOMAXPROCS %d: resumed model differs from the T_P fixpoint:\n%s\nwant:\n%s", par, resumed, want)
+				}
+				none := relation.NewDB(en.Schemas)
+				if got, ref := explainAll(t, en, resumed, none), explainAll(t, en, fresh, none); got != ref {
+					t.Fatalf("GOMAXPROCS %d: resumed explanations differ:\n%s\nwant:\n%s", par, got, ref)
 				}
 
 				if tc.more == "" {

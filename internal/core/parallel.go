@@ -211,8 +211,8 @@ func (en *Engine) mergeStats(dst, src *Stats, ci int) {
 // (lower-defined predicates shared as frozen relations, own predicates
 // cloned so the global database — and, under SolveMore, the model being
 // extended — keeps the pre-state), run solveComponent on it with a
-// component-local guard (own stats, the component's trace store, own Δ
-// record), then install and merge under the lock.
+// component-local guard (own stats, own Δ record), then install and
+// merge under the lock.
 func (s *sched) runComp(ci int) {
 	en := s.en
 	stats := s.sg.stats
@@ -238,9 +238,6 @@ func (s *sched) runComp(ci int) {
 	for _, k := range c.Preds {
 		pv.SetRel(k, s.db.Rel(k).Clone())
 	}
-	if en.trace != nil && en.trace[ci] == nil {
-		en.trace[ci] = map[string]*Derivation{}
-	}
 	cs := &stats.Comps[ci]
 	if en.sink != nil {
 		en.sink.Event(obs.Event{Kind: obs.ComponentBegin, Component: ci,
@@ -256,9 +253,6 @@ func (s *sched) runComp(ci int) {
 	g.budget = s.budget
 	g.sink = en.sink
 	g.comp = c.Preds
-	if en.trace != nil {
-		g.trace = en.trace[ci]
-	}
 	g.cut = func(pv *relation.DB) error { return s.checkpointCut(g, pv, ci) }
 	t0 := time.Now()
 	cerr := en.runComponent(g, func() error {

@@ -42,8 +42,8 @@ type plan struct {
 	nvars int
 	names []ast.Var // index -> variable name (for errors)
 	// steps is the canonical order: the greedy compiler's, which full
-	// passes run and every profile counter, trace and stats entry is
-	// keyed by.
+	// passes and the reference interpreter run and every profile counter,
+	// explanation and stats entry is keyed by.
 	steps []step
 	head  atomSpec
 	// scanSteps maps each positively scanned predicate to the step
@@ -57,7 +57,7 @@ type plan struct {
 	// pipe is the canonical order lowered to its streaming pipeline
 	// (exec_compile.go); drivers[k], when non-nil, is the Δ-driver order
 	// for the CDB scan at canonical step k (driverOrder). hbuf is the
-	// head-projection scratch for insert paths that don't retain args.
+	// semi-naive insert path's head-projection scratch (solves only).
 	pipe    pipeline
 	drivers []*pipeline
 	hbuf    []val.T
@@ -71,8 +71,8 @@ type plan struct {
 // pipeline is one step arrangement of a plan lowered to its streaming
 // pipeline: the canonical order, or a Δ-driver order. canon maps each
 // pipeline position to the canonical step it executes (the identity for
-// the canonical order itself), so profile counters and trace supports
-// fold back onto canonical positions whichever order ran.
+// the canonical order itself), so profile counters fold back onto
+// canonical positions whichever order ran.
 type pipeline struct {
 	stream *exec.Rule
 	canon  []int
@@ -102,16 +102,6 @@ type atomSpec struct {
 	costVar int     // variable index of the cost argument, -1 if none/const
 	costVal val.T   // constant cost when costVar < 0 and pi.HasCost
 	cdb     bool
-	// pat, sbuf and abuf are per-step scratch buffers for Match
-	// patterns, bindAtom backtracking lists and fully instantiated
-	// argument tuples (negation and default-value point lookups). A step
-	// is never re-entered while its own match is in
-	// progress (nested steps are distinct specs), so the buffers are safe
-	// within one evaluation; they do make an Engine unsafe for concurrent
-	// Solve calls.
-	pat  []*val.T
-	sbuf []int
-	abuf []val.T
 }
 
 // scanStep matches an atom against the database (positive literal).
@@ -165,9 +155,8 @@ type aggStep struct {
 	// impossible and the rule re-runs whole).
 	groupKeyPos [][]int
 	// groupScratch is changedGroups' per-round changed-group map,
-	// cleared (retaining its buckets) and refilled each round. Like
-	// atomSpec's scratch buffers it relies on the engine evaluating a
-	// plan from one goroutine at a time.
+	// cleared (retaining its buckets) and refilled each round. It relies
+	// on the engine solving from one goroutine at a time.
 	groupScratch map[string]exec.GroupRef
 	// groupKeys interns group-key strings across rounds (and solves), so
 	// a group that changes in many rounds allocates its key exactly
@@ -226,9 +215,6 @@ func (c *compiler) compileRule(r *ast.Rule) (*plan, error) {
 				}
 			}
 		}
-		sp.pat = make([]*val.T, len(sp.argVar))
-		sp.sbuf = make([]int, 0, len(sp.argVar)+1)
-		sp.abuf = make([]val.T, len(sp.argVar))
 		return sp, nil
 	}
 

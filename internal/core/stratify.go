@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/relation"
-	"repro/internal/val"
-)
+import "repro/internal/relation"
 
 // GroupStratified performs the *instance-level* stratification check of
 // §5.1: a program is modularly stratified with respect to aggregation
@@ -47,45 +44,26 @@ func (en *Engine) GroupStratified(edb *relation.DB) (bool, error) {
 		return i
 	}
 
-	for ci := range en.plans {
-		ev := &evaluator{db: db, trace: true}
-		for _, p := range en.plans[ci] {
-			p := p
+	ev := &evaluator{db: db, supports: true}
+	for _, ps := range en.plans {
+		for _, p := range ps {
 			err := ev.run(p, func(e *env) error {
 				args, _, err := headTuple(p, e)
 				if err != nil {
 					return err
 				}
-				head := idOf(traceKey(p.head.pred, args))
-				for _, st := range p.steps {
+				head := idOf(atomKey(Support{Pred: p.head.pred.Name(), Args: args}))
+				for si, st := range p.steps {
 					switch st := st.(type) {
 					case *scanStep:
-						sup := supportOfAtom(&st.atomSpec, e, false)
-						adj[head] = append(adj[head], edge{
-							to: idOf(traceKey(st.pred, sup.Args)),
-						})
+						adj[head] = append(adj[head], edge{to: idOf(atomKey(supportOfAtom(&st.atomSpec, e, false)))})
 					case *negStep:
-						sup := supportOfAtom(&st.atomSpec, e, true)
-						adj[head] = append(adj[head], edge{
-							to: idOf(traceKey(st.pred, sup.Args)),
-						})
+						adj[head] = append(adj[head], edge{to: idOf(atomKey(supportOfAtom(&st.atomSpec, e, true)))})
+					case *aggStep:
+						for _, sup := range e.aggSupports[si] {
+							adj[head] = append(adj[head], edge{to: idOf(atomKey(sup)), agg: true})
+						}
 					}
-				}
-				for si, st := range p.steps {
-					if _, ok := st.(*aggStep); !ok {
-						continue
-					}
-					ag := p.steps[si].(*aggStep)
-					for _, sup := range e.aggSupports[si] {
-						// Strip the cost value the support carries: trace
-						// keys identify tuples by non-cost arguments.
-						args := sup.Args
-						adj[head] = append(adj[head], edge{
-							to:  idOf(traceKeyByName(sup.Pred, args, db)),
-							agg: true,
-						})
-					}
-					_ = ag
 				}
 				return nil
 			})
@@ -164,20 +142,4 @@ func (en *Engine) GroupStratified(edb *relation.DB) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// traceKeyByName resolves a predicate name (as carried by a Support) to
-// its key. Cost predicates store a trailing cost in the support's Cost
-// field, so Args are already the non-cost arguments.
-func traceKeyByName(pred string, args []val.T, db *relation.DB) string {
-	for _, k := range db.Preds() {
-		if k.Name() == pred {
-			pi := db.Schemas.Info(k)
-			if pi != nil && pi.NonCost() == len(args) {
-				return traceKey(k, args)
-			}
-		}
-	}
-	// Unmaterialized predicate: synthesize a key from name and arity.
-	return pred + "\x00" + val.KeyOf(args)
 }

@@ -36,8 +36,9 @@
 //
 // The reference for its behaviour is the tuple-at-a-time interpreter in
 // internal/core/eval.go — a direct reading of Definitions 3.4–3.7 that
-// now serves only as the test oracle (Engine.TP, IsModel): same join
-// order, same enumeration order, same error text. The T_P-fixpoint
+// runs no solve: it is the test oracle (Engine.TP, IsModel) and the
+// re-deriver behind Provenance.Explain. Same join order, same enumeration
+// order, same error text. The T_P-fixpoint
 // oracle test in internal/core holds the pipelines to it.
 package exec
 
@@ -56,7 +57,7 @@ import (
 // Regs is the register file of one pipeline: the value and bound flag
 // of every rule variable, indexed by the plan's variable numbering. The
 // host aliases these slices to capture bindings at the pipeline
-// terminal (head projection, provenance).
+// terminal (head projection).
 type Regs struct {
 	Vals  []val.T
 	Bound []bool
@@ -127,8 +128,8 @@ type AggStep struct {
 }
 
 // Hooks are the host-side callbacks a pipeline needs: builtin
-// evaluation and provenance capture run against host state that the
-// host caches in Machine.Aux from Init.
+// evaluation runs against host state that the host caches in
+// Machine.Aux from Init.
 type Hooks struct {
 	// Init is called once per new Machine, before its first run.
 	Init func(m *Machine)
@@ -136,15 +137,6 @@ type Hooks struct {
 	// binding the assignment variable when applicable; didBind reports
 	// that it did (the machine unbinds on backtrack).
 	Builtin func(m *Machine, i int) (ok, didBind bool, err error)
-	// CollectSupports appends the provenance records of the current
-	// match of step i's aggregate conjunction to dst (an opaque
-	// host-side slice) and returns the extended value. Called only in
-	// trace mode.
-	CollectSupports func(m *Machine, i int, dst any) any
-	// SetAggSupports / ClearAggSupports publish the emitting group's
-	// supports around the downstream continuation (trace mode only).
-	SetAggSupports   func(m *Machine, i int, supports any)
-	ClearAggSupports func(m *Machine, i int)
 }
 
 // GroupRef identifies one changed aggregate group without copying its
@@ -173,8 +165,6 @@ type Config struct {
 	// AggGroups, per γ step index, restricts that aggregate to the
 	// listed changed groups (key -> grouping-value reference).
 	AggGroups map[int]map[string]GroupRef
-	// Trace enables provenance capture through the hooks.
-	Trace bool
 	// Prof enables per-step operator counters (Machine.Profile). Off,
 	// the run pays one nil check per counted event and allocates
 	// nothing.
@@ -280,7 +270,7 @@ type Machine struct {
 	// lazily allocated backing array, reused across runs.
 	prof    []OpCounts
 	profBuf []OpCounts
-	// Aux holds host state cached by Hooks.Init (e.g. the provenance
+	// Aux holds host state cached by Hooks.Init (e.g. the host
 	// environment aliasing Regs).
 	Aux any
 }
@@ -309,7 +299,6 @@ type aggState struct {
 	keys       []string
 	keyScratch []val.T
 	elems      []lattice.Elem
-	supports   any
 	groups     map[string]*aggGroup
 	groupSaved []int
 	emitSaved  []int
@@ -317,9 +306,8 @@ type aggState struct {
 }
 
 type aggGroup struct {
-	keyVals  []val.T
-	elems    []lattice.Elem
-	supports any
+	keyVals []val.T
+	elems   []lattice.Elem
 }
 
 // NewRule wraps a compiled pipeline. Steps and hooks must not be
@@ -812,11 +800,10 @@ func (m *Machine) runAgg(idx int, s *AggStep, onlyGroups map[string]GroupRef) er
 
 	if allBound {
 		st.elems = st.elems[:0]
-		st.supports = nil
 		if err := m.enumConj(idx, s, st, order, 0, true); err != nil {
 			return err
 		}
-		return m.emitGroup(idx, s, st, nil, st.elems, st.supports)
+		return m.emitGroup(idx, s, st, nil, st.elems)
 	}
 
 	clear(st.groups)
@@ -830,7 +817,7 @@ func (m *Machine) runAgg(idx int, s *AggStep, onlyGroups map[string]GroupRef) er
 	sort.Strings(st.keys)
 	for _, gk := range st.keys {
 		g := st.groups[gk]
-		if err := m.emitGroup(idx, s, st, g.keyVals, g.elems, g.supports); err != nil {
+		if err := m.emitGroup(idx, s, st, g.keyVals, g.elems); err != nil {
 			return err
 		}
 	}
@@ -851,9 +838,6 @@ func (m *Machine) enumConj(idx int, s *AggStep, st *aggState, order []int, d int
 		}
 		if point {
 			st.elems = append(st.elems, el)
-			if m.cfg.Trace {
-				st.supports = m.rule.Hooks.CollectSupports(m, idx, st.supports)
-			}
 			return nil
 		}
 		for j, v := range s.GroupVars {
@@ -866,9 +850,6 @@ func (m *Machine) enumConj(idx int, s *AggStep, st *aggState, order []int, d int
 			st.groups[string(m.kbuf)] = g
 		}
 		g.elems = append(g.elems, el)
-		if m.cfg.Trace {
-			g.supports = m.rule.Hooks.CollectSupports(m, idx, g.supports)
-		}
 		return nil
 	}
 	at := &s.Conj[order[d]]
@@ -894,7 +875,7 @@ func (m *Machine) enumConj(idx int, s *AggStep, st *aggState, order []int, d int
 
 // emitGroup folds one group's multiset through the aggregate and, when
 // defined and consistent with the registers, continues the pipeline.
-func (m *Machine) emitGroup(idx int, s *AggStep, st *aggState, keyVals []val.T, elems []lattice.Elem, supports any) error {
+func (m *Machine) emitGroup(idx int, s *AggStep, st *aggState, keyVals []val.T, elems []lattice.Elem) error {
 	if s.Restricted && len(elems) == 0 {
 		return nil
 	}
@@ -925,13 +906,7 @@ func (m *Machine) emitGroup(idx int, s *AggStep, st *aggState, keyVals []val.T, 
 		m.Bound[s.Result] = true
 		saved = append(saved, s.Result)
 	}
-	if m.cfg.Trace {
-		m.rule.Hooks.SetAggSupports(m, idx, supports)
-	}
 	err := m.runStep(idx + 1)
-	if m.cfg.Trace {
-		m.rule.Hooks.ClearAggSupports(m, idx)
-	}
 	m.unbind(saved)
 	return err
 }

@@ -109,6 +109,11 @@ type Fault struct {
 	// nil after sleeping — it models slowness, not failure — while
 	// Delay combined with Err or Panic delays the failure.
 	Delay time.Duration
+	// Hook, when non-nil, runs when the fault fires, in the goroutine
+	// that hit the point, before any Delay. A test can use it to learn
+	// that code reached the point and to hold it there. Like a pure
+	// stall, a fault with only Hook set returns nil.
+	Hook func()
 	// Mangle transforms bytes passed through Apply when the fault
 	// fires; nil truncates to half length.
 	Mangle func([]byte) []byte
@@ -198,6 +203,9 @@ func CheckCtx(ctx context.Context, point string) error {
 	if !fired {
 		return nil
 	}
+	if f.Hook != nil {
+		f.Hook()
+	}
 	if f.Delay > 0 {
 		t := time.NewTimer(f.Delay)
 		select {
@@ -213,7 +221,7 @@ func CheckCtx(ctx context.Context, point string) error {
 	if f.Err != nil {
 		return f.Err
 	}
-	if f.Delay > 0 {
+	if f.Delay > 0 || f.Hook != nil {
 		return nil
 	}
 	return fmt.Errorf("%w at %s", ErrInjected, point)

@@ -207,10 +207,17 @@ func (r *Relation) cost(i int) *lattice.Elem {
 
 // Get returns the stored row for the given non-cost arguments.
 func (r *Relation) Get(args []val.T) (Row, bool) {
-	if id, _ := r.find(hashArgs(args), args); id >= 0 {
+	if id := r.ID(args); id >= 0 {
 		return r.At(id), true
 	}
 	return Row{}, false
+}
+
+// ID returns the row id of the tuple with the given non-cost arguments,
+// or -1 when the relation lacks it.
+func (r *Relation) ID(args []val.T) int {
+	id, _ := r.find(hashArgs(args), args)
+	return id
 }
 
 // GetOrDefault behaves like Get but, for a default-value cost predicate,

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/datalog"
 	"repro/internal/faults"
 )
 
@@ -137,7 +136,7 @@ func TestReadInflightCapSheds(t *testing.T) {
 // structured cancellation, on every read endpoint.
 func TestReadDeadlineHonored(t *testing.T) {
 	src := loadExample(t, "shortestpath.mdl")
-	_, ts := startServer(t, []ProgramSpec{{Name: "sp", Source: src, Options: datalog.Options{Trace: true}}},
+	_, ts := startServer(t, []ProgramSpec{{Name: "sp", Source: src}},
 		Config{RequestTimeout: 50 * time.Millisecond})
 
 	reads := []struct {

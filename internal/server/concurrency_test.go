@@ -17,7 +17,7 @@ import (
 // published model or unsynchronized access to shared engine state.
 func TestConcurrentReadersWithWriter(t *testing.T) {
 	src := loadExample(t, "shortestpath.mdl")
-	s, err := New([]ProgramSpec{{Name: "sp", Source: src, Options: datalog.Options{Trace: true}}}, Config{})
+	s, err := New([]ProgramSpec{{Name: "sp", Source: src}}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

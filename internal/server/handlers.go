@@ -30,7 +30,7 @@ const maxBodyBytes = 8 << 20
 //	GET  /v1/explain/plan  compiled operator trees; ?analyze=1 adds measured counters
 //	POST /v1/query         point lookups (has/cost) and wildcard scans (facts)
 //	POST /v1/assert        batch EDB insertion through the group-commit queue
-//	POST /v1/explain       derivation trees (requires tracing)
+//	POST /v1/explain       derivation trees, re-derived from the model
 //
 // Every request — including unknown paths — passes through the
 // instrumentation middleware: latency/error accounting (unknowns are
@@ -396,7 +396,6 @@ func (s *Server) handleProgram(w http.ResponseWriter, r *http.Request) {
 				"negation_stratified":  cl.NegationStratified,
 			},
 			"predicates": preds,
-			"tracing":    svc.spec.Options.Trace,
 		}
 		if svc.spec.Checkpoint != "" {
 			info["checkpoint"] = svc.spec.Checkpoint
@@ -682,10 +681,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.releaseRead(svc)
-	if !svc.spec.Options.Trace {
-		writeErr(w, &apiError{Code: "tracing_disabled", Message: "program served without tracing; restart with tracing enabled for derivation trees", ExitCode: 1, status: http.StatusConflict})
-		return
-	}
 	args, err := decodeArgs(req.Args, false)
 	if err != nil {
 		writeErr(w, errUsage(err.Error()))
@@ -699,7 +694,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if depth <= 0 {
 		depth = 10
 	}
-	rule, supports, tree, found := svc.explain(req.Pred, depth, args)
+	// The loaded generation answers alone: immutable, it needs no lock,
+	// matches the version reported and caches the root for the tree.
+	rule, supports, found := st.model.Explain(req.Pred, args...)
 	resp := map[string]any{
 		"program": svc.name,
 		"pred":    req.Pred,
@@ -709,7 +706,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if found {
 		resp["rule"] = rule
 		resp["supports"] = supports
-		resp["tree"] = tree
+		resp["tree"] = st.model.ExplainTree(req.Pred, depth, args...)
 	} else if st.model.Has(req.Pred, args...) {
 		// Present but underived: an EDB fact is its own explanation.
 		resp["found"] = true

@@ -22,8 +22,8 @@ func withProcs(t testing.TB, n int) {
 
 // TestParallelEngineServeStress drives the server at GOMAXPROCS 4 over a
 // program with independent components (hop beside {path, s}): concurrent
-// HTTP readers (queries, explain, metrics scrapes) race against an
-// assert writer while every solve — the cold one and each assert's
+// HTTP readers (queries, lock-free explains re-deriving over the
+// published model, metrics scrapes) race against an assert writer while every solve — the cold one and each assert's
 // SolveMore — runs the component walk on several workers, sharing the
 // relations it does not touch with the published model. Run with -race
 // (the Makefile race target does); any unsynchronized state shared
@@ -31,10 +31,7 @@ func withProcs(t testing.TB, n int) {
 func TestParallelEngineServeStress(t *testing.T) {
 	withProcs(t, 4)
 	src := loadExample(t, "shortestpath.mdl") + "\nhop(X, Y) :- arc(X, Y, C).\nreach(X, Y) :- s(X, Y, C).\n"
-	_, ts := startServer(t, []ProgramSpec{{
-		Name: "sp", Source: src,
-		Options: datalog.Options{Trace: true},
-	}}, Config{})
+	_, ts := startServer(t, []ProgramSpec{{Name: "sp", Source: src}}, Config{})
 
 	const readers = 6
 	var wg sync.WaitGroup

@@ -5,11 +5,13 @@
 //
 // The design splits reads from writes around the monotonicity of T_P:
 //
-//   - Reads (/v1/query, /v1/program, /healthz, /metrics) never take a
-//     lock. Each service holds its current *datalog.Model behind an
-//     atomic pointer; models are immutable once published, and every
-//     facade call used by the read path (Has, Cost, Facts, Match, Size,
-//     Stats) is documented lock-free-safe for concurrent readers.
+//   - Reads (/v1/query, /v1/explain, /v1/program, /healthz, /metrics)
+//     never take a lock. Each service holds its current *datalog.Model
+//     behind an atomic pointer; models are immutable once published,
+//     and every facade call used by the read path (Has, Cost, Facts,
+//     Match, Size, Stats, Explain, ExplainTree) is documented safe for
+//     concurrent readers. An explanation is re-derived from the model it
+//     is asked about, so it never waits for, or changes with, a commit.
 //
 //   - Writes (/v1/assert) go through a group-committed single-writer
 //     path per program: validated batches enter a bounded commit queue,
@@ -33,11 +35,6 @@
 //     draining server sheds them with 503, and Config.MaxInflight caps
 //     concurrently executing reads per program. Reads keep serving the
 //     published model at full speed while the write path sheds.
-//
-//   - /v1/explain also serializes with the writer: derivation traces
-//     live in the engine and are updated during solves, so explains
-//     briefly take the same writer mutex. They are diagnostic, not a
-//     serving hot path.
 //
 // A failed assert (budget breach, divergence, cancellation, or a
 // non-monotone addition) leaves the published model untouched: the
@@ -111,7 +108,7 @@ type ProgramSpec struct {
 	Name string
 	// Source is the program text (rules, declarations and facts).
 	Source string
-	// Options configures evaluation; Trace enables /v1/explain.
+	// Options configures evaluation.
 	Options datalog.Options
 	// Checkpoint, when non-empty, is a snapshot path: if the file exists
 	// the service warm-starts from it (RestoreFile + Resume) instead of
@@ -142,8 +139,8 @@ type service struct {
 	// cur is the currently published model; readers Load it and never
 	// lock. The committer replaces it wholesale under writeMu.
 	cur atomic.Pointer[modelState]
-	// writeMu serializes the single-writer path: commits, explains
-	// (traces live in the engine) and checkpoint flushes.
+	// writeMu serializes the single-writer path: commits and checkpoint
+	// flushes.
 	writeMu sync.Mutex
 	// queue is the bounded commit queue; handlers enqueue validated
 	// batches, commitLoop drains them in groups (see commit.go). qmu
@@ -441,19 +438,6 @@ func (s *Server) Close() {
 			}
 		}
 	}
-}
-
-// explain renders a derivation under the writer mutex (traces live in
-// the engine and are rewritten during asserts).
-func (svc *service) explain(pred string, depth int, args []datalog.Value) (rule string, supports []string, tree string, ok bool) {
-	svc.writeMu.Lock()
-	defer svc.writeMu.Unlock()
-	m := svc.cur.Load().model
-	rule, supports, ok = m.Explain(pred, args...)
-	if !ok {
-		return "", nil, "", false
-	}
-	return rule, supports, m.ExplainTree(pred, depth, args...), true
 }
 
 // FlushCheckpoints writes a final snapshot for every service configured

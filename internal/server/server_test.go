@@ -9,9 +9,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/datalog"
+	"repro/internal/faults"
 )
 
 // startServer materializes specs and returns a test HTTP server.
@@ -96,7 +99,7 @@ func loadExample(t testing.TB, name string) string {
 // /v1/assert, and observe the updated shortest-path cost.
 func TestServeShortestPathEndToEnd(t *testing.T) {
 	src := loadExample(t, "shortestpath.mdl")
-	_, ts := startServer(t, []ProgramSpec{{Name: "shortestpath", Source: src, Options: datalog.Options{Trace: true}}}, Config{})
+	_, ts := startServer(t, []ProgramSpec{{Name: "shortestpath", Source: src}}, Config{})
 
 	// s(a, d) = min(direct 9, a-b-c-d = 4) = 4 in the seed graph.
 	code, resp := post(t, ts.URL+"/v1/query", `{"program":"shortestpath","op":"cost","pred":"s","args":["a","d"]}`)
@@ -250,7 +253,7 @@ reach(X, Z) :- reach(X, Y), edge(Y, Z).
 
 func TestServeExplain(t *testing.T) {
 	src := loadExample(t, "shortestpath.mdl")
-	_, ts := startServer(t, []ProgramSpec{{Name: "sp", Source: src, Options: datalog.Options{Trace: true}}}, Config{})
+	_, ts := startServer(t, []ProgramSpec{{Name: "sp", Source: src}}, Config{})
 	code, resp := post(t, ts.URL+"/v1/explain", `{"pred":"s","args":["a","d"],"depth":4}`)
 	if code != http.StatusOK || resp["found"] != true {
 		t.Fatalf("explain: %d %v", code, resp)
@@ -265,17 +268,79 @@ func TestServeExplain(t *testing.T) {
 		t.Fatalf("explain fact: %d %v", code, resp)
 	}
 
-	// Tracing disabled -> 409.
-	_, tsNoTrace := startServer(t, []ProgramSpec{{Name: "sp", Source: src, Options: datalog.Options{}}}, Config{})
-	code, resp = post(t, tsNoTrace.URL+"/v1/explain", `{"pred":"s","args":["a","d"]}`)
-	if code != http.StatusConflict {
-		t.Fatalf("explain without tracing: %d %v", code, resp)
+	// Explanations need no option: they are re-derived from the model.
+	_, tsPlain := startServer(t, []ProgramSpec{{Name: "sp", Source: src, Options: datalog.Options{}}}, Config{})
+	code, resp = post(t, tsPlain.URL+"/v1/explain", `{"pred":"s","args":["a","d"]}`)
+	if code != http.StatusOK || resp["found"] != true || !strings.Contains(resp["rule"].(string), "min") {
+		t.Fatalf("explain with default options: %d %v", code, resp)
+	}
+}
+
+// TestServeExplainIsLockFree: /v1/explain answers from the published
+// model while a commit holds the writer lock. The publish fault point
+// fires under the lock, after the solve; its hook reports that the commit
+// reached it and holds the commit there until the explain has answered.
+func TestServeExplainIsLockFree(t *testing.T) {
+	faults.Reset()
+	t.Cleanup(faults.Reset)
+	src := loadExample(t, "shortestpath.mdl")
+	_, ts := startServer(t, []ProgramSpec{{Name: "sp", Source: src}}, Config{})
+	reached, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	t.Cleanup(func() { once.Do(func() { close(release) }) })
+	faults.Arm(faults.Fault{Point: faults.ServerCommitPublish, Hook: func() {
+		close(reached)
+		<-release
+	}})
+	asserted := make(chan int, 1) // the assert's status; 0 when the request failed
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/assert", "application/json",
+			strings.NewReader(`{"facts":[{"pred":"arc","args":["d","e",1]}]}`))
+		if err != nil {
+			t.Error(err)
+			asserted <- 0
+			return
+		}
+		resp.Body.Close()
+		asserted <- resp.StatusCode
+	}()
+	select {
+	case <-reached:
+	case code := <-asserted:
+		t.Fatalf("the commit finished (status %d) without reaching the publish point", code)
+	}
+	type result struct {
+		code int
+		resp map[string]any
+		err  error
+	}
+	explained := make(chan result, 1)
+	go func() {
+		var r result
+		resp, err := http.Post(ts.URL+"/v1/explain", "application/json", strings.NewReader(`{"pred":"s","args":["a","d"]}`))
+		if r.err = err; err == nil {
+			r.code, r.err = resp.StatusCode, json.NewDecoder(resp.Body).Decode(&r.resp)
+			resp.Body.Close()
+		}
+		explained <- r
+	}()
+	select {
+	case r := <-explained:
+		if r.err != nil || r.code != http.StatusOK || r.resp["found"] != true || r.resp["version"] != 1.0 {
+			t.Fatalf("explain during a commit: %d %v %v", r.code, r.resp, r.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("explain waits for the commit holding the writer lock")
+	}
+	once.Do(func() { close(release) })
+	if code := <-asserted; code != http.StatusOK {
+		t.Fatalf("assert: status %d", code)
 	}
 }
 
 func TestServeHealthzMetricsProgram(t *testing.T) {
 	src := loadExample(t, "shortestpath.mdl")
-	_, ts := startServer(t, []ProgramSpec{{Name: "sp", Source: src, Options: datalog.Options{Trace: true}}}, Config{})
+	_, ts := startServer(t, []ProgramSpec{{Name: "sp", Source: src}}, Config{})
 
 	code, resp := get(t, ts.URL+"/healthz")
 	if code != http.StatusOK || resp["status"] != "ok" {
@@ -316,9 +381,6 @@ func TestServeHealthzMetricsProgram(t *testing.T) {
 	decls := info["predicates"].([]any)
 	if len(decls) == 0 {
 		t.Fatalf("predicates: %v", info)
-	}
-	if info["tracing"] != true {
-		t.Fatalf("tracing flag: %v", info)
 	}
 	if _, code := get2(t, ts.URL+"/v1/program?name=zzz"); code != 404 {
 		t.Fatal("unknown program name must 404")

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/datalog"
@@ -43,6 +44,11 @@ func TestWarmStartRoundTrip(t *testing.T) {
 	code, resp = post(t, ts2.URL+"/v1/query", `{"op":"cost","pred":"s","args":["a","e"]}`)
 	if code != http.StatusOK || resp["cost"] != 5.0 {
 		t.Fatalf("warm-started model must keep s(a, e) = 5: %d %v", code, resp)
+	}
+	// A restored model explains derived tuples by their rules.
+	code, resp = post(t, ts2.URL+"/v1/explain", `{"pred":"s","args":["a","e"]}`)
+	if rule, _ := resp["rule"].(string); code != http.StatusOK || !strings.Contains(rule, "min") {
+		t.Fatalf("warm-started explain of s(a, e): %d %v", code, resp)
 	}
 
 	// Explicit Resume refuses a missing snapshot instead of falling back

@@ -22,7 +22,7 @@
 #      amortize over the iteration count, which is why -benchtime is
 #      fixed. This protects the storage kernel's and the streaming
 #      pipelines' core property — no per-tuple allocation — and the
-#      zero-cost-when-off contract of tracing and profiling.
+#      zero-cost-when-off contract of profiling.
 #
 #   2. Party probe pin: BenchmarkParty/engine/n=64 reports the index
 #      probes of one Example 4.3 solve (probes/op), which must equal
