@@ -15,8 +15,8 @@ test:
 	$(GO) test ./...
 
 # Tier-1 at explicit core counts: the component walk's worker count is
-# GOMAXPROCS, so a suite that is green on one box can be red on another
-# (the profile counters were, at GOMAXPROCS >= 2). Run it at each.
+# GOMAXPROCS, so a suite that is green on one box can be red on another;
+# every Stats counter, per-operator probes included, must agree at each.
 test-procs:
 	GOMAXPROCS=1 $(GO) test -count=1 ./...
 	GOMAXPROCS=2 $(GO) test -count=1 ./...

@@ -192,7 +192,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		MaxDuration: *timeout,
 		SkipChecks:  *unchecked || *check,
 		WFSFallback: *wfsFallback,
-		Profile:     *profile,
 	}
 	if *naive {
 		opts.Strategy = datalog.Naive
@@ -265,9 +264,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if *profile {
 			// The counters cover the work performed up to the breach —
 			// on a divergence they show which operator pipeline blew up.
-			prof := p.Profile()
-			prof.Annotate(st)
-			prof.Render(stderr)
+			p.Profile(st).Render(stderr)
 		}
 		if errors.Is(err, datalog.ErrCheckpoint) {
 			return exitCheckpoint
@@ -278,8 +275,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		printStats(stderr, st)
 	}
 	if *profile {
-		prof := p.Profile()
-		prof.Annotate(st)
+		prof := p.Profile(st)
 		prof.Render(stderr)
 		if *profileJSON != "" {
 			b, jerr := json.MarshalIndent(prof, "", "  ")

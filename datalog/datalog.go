@@ -124,11 +124,10 @@ type Options struct {
 	// flushes and resource warnings. Events are emitted synchronously
 	// from the evaluation loop; nil keeps the engine at full speed.
 	Sink EventSink
-	// Profile enables per-operator execution counters on the rule
-	// pipelines (rows in/out, probes, build sizes, Δ rows, aggregate
-	// groups), retrievable with Program.Profile — the data behind
-	// EXPLAIN ANALYZE. It costs one predictable branch per counted
-	// event.
+	// Profile is ignored: every solve counts the per-operator work into
+	// its model's Stats, and Program.Profile renders any Stats as
+	// EXPLAIN ANALYZE. The field remains only because the benchmark
+	// harness still sets it; the next change to the benchmark deletes it.
 	Profile bool
 }
 
@@ -169,7 +168,6 @@ func Load(src string, opts Options) (*Program, error) {
 		SkipChecks:  opts.SkipChecks,
 		WFSFallback: opts.WFSFallback,
 		Sink:        opts.Sink,
-		Profile:     opts.Profile,
 		Limits:      lim,
 	})
 	if err != nil {
@@ -442,10 +440,8 @@ func (p *Program) SolveMoreObserved(ctx context.Context, m *Model, facts []Fact,
 }
 
 // Profile is the operator-level execution profile of the program's
-// compiled rules (requires Options.Profile for live counters; without
-// it the structure is returned with zero counters). Counters accumulate
-// across solves; use Profile.Sub on two snapshots for a per-solve
-// delta, and Profile.Annotate to graft per-rule timings from Stats.
+// compiled rules: the operator trees annotated with the counters of one
+// model's Stats. Profile.Sub of two views is the work between them.
 type Profile = core.Profile
 
 // RuleProfile is one rule's operator pipeline within a Profile.
@@ -454,11 +450,11 @@ type RuleProfile = core.RuleProfile
 // OpStats is one operator's measured counters within a RuleProfile.
 type OpStats = core.OpStats
 
-// Profile snapshots the program's cumulative operator counters.
-func (p *Program) Profile() *Profile { return p.en.Profile() }
-
-// Profiling reports whether the program was loaded with Options.Profile.
-func (p *Program) Profiling() bool { return p.en.Profiling() }
+// Profile returns the program's operator trees annotated with the
+// per-operator counters st carries — EXPLAIN ANALYZE of the model st
+// belongs to, cumulative over its SolveMore chain. A zero Stats gives
+// plain EXPLAIN.
+func (p *Program) Profile(st Stats) *Profile { return p.en.Profile(st) }
 
 // Has reports whether the ground atom (without cost) is in the model.
 func (m *Model) Has(pred string, args ...Value) bool {

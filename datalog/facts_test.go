@@ -95,7 +95,7 @@ func argFacts(t *testing.T, text string) []datalog.Fact {
 
 // observed is everything the determinism contract covers about a solve.
 type observed struct {
-	model, facts, trace, stats, profile string
+	model, facts, trace, stats string
 	// snap is the final checkpoint without what names the program rather
 	// than the model: the fingerprint is zeroed and the SHA-256 trailer
 	// (which covers it) cut off.
@@ -104,7 +104,6 @@ type observed struct {
 
 func observe(t *testing.T, src string, args []datalog.Fact, opts datalog.Options) observed {
 	t.Helper()
-	opts.Profile = true
 	p, err := datalog.Load(src, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -121,12 +120,11 @@ func observe(t *testing.T, src string, args []datalog.Fact, opts datalog.Options
 	fp := p.Fingerprint()
 	snap = bytes.Replace(snap[:len(snap)-sha256.Size], fp[:], make([]byte, len(fp)), 1)
 	return observed{
-		model:   m.String(),
-		facts:   factFingerprint(m),
-		trace:   traceFingerprint(t, p, m),
-		stats:   fmt.Sprintf("%+v", normStats(stats)),
-		profile: profileFingerprint(p.Profile()),
-		snap:    snap,
+		model: m.String(),
+		facts: factFingerprint(m),
+		trace: traceFingerprint(t, p, m),
+		stats: fmt.Sprintf("%+v", normStats(stats)),
+		snap:  snap,
 	}
 }
 
@@ -137,7 +135,6 @@ func (o observed) diff(t *testing.T, how string, want observed) {
 		{"fact order", o.facts, want.facts},
 		{"traces", o.trace, want.trace},
 		{"stats", o.stats, want.stats},
-		{"profile row counts", o.profile, want.profile},
 	} {
 		if c.got != c.want {
 			t.Fatalf("%s: %s differ:\n%s\nwant:\n%s", how, c.what, c.got, c.want)
@@ -150,8 +147,8 @@ func (o observed) diff(t *testing.T, how string, want observed) {
 
 // TestFactsInTextEqualFactsAsArguments: Load(rules+facts).Solve() and
 // Load(rules).Solve(facts...) agree on model, fact order, derivations,
-// Stats (rule work only — no rule slot, firing or derivation per fact),
-// Profile row counts and final checkpoint bytes, at every worker count.
+// Stats (rule work only — no rule slot, firing or derivation per fact —
+// and so the operator counters) and final checkpoint bytes, at every worker count.
 // (cmd/mdl's TestFactFilesEqualProgramText covers `mdl prog.mdl
 // facts.mdl`.)
 func TestFactsInTextEqualFactsAsArguments(t *testing.T) {
@@ -194,11 +191,11 @@ func TestFrontEndFlatInFacts(t *testing.T) {
 		t.Fatalf("generated %d and %d arcs, want them far apart", nSmall, nLarge)
 	}
 	for _, prog := range []*ast.Program{small, large} {
-		en, err := core.New(prog, core.Options{Profile: true})
+		en, err := core.New(prog, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := len(en.Profile().Rules); n != 3 {
+		if n := len(en.Profile(core.Stats{}).Rules); n != 3 {
 			t.Fatalf("compiled %d plans, want the 3 rules of Example 2.6", n)
 		}
 		_, st, err := en.Solve(nil)

@@ -37,7 +37,8 @@ const (
 	// facts derived and join probes performed in that round.
 	EventRoundEnd = obs.RoundEnd
 	// EventRuleFired reports one rule pass within a round: firings,
-	// derivations and the rule's cumulative evaluation nanoseconds.
+	// derivations and the rule's evaluation nanoseconds so far in the
+	// current component evaluation (not across a SolveMore chain).
 	EventRuleFired = obs.RuleFired
 	// EventCheckpointFlushed reports a successful checkpoint write.
 	EventCheckpointFlushed = obs.CheckpointFlushed

@@ -177,14 +177,16 @@ func sumRuleStats(st datalog.Stats) (firings, derived, probes int64) {
 }
 
 // checkBreakdownInvariant asserts the documented invariant: the
-// per-rule and per-component breakdowns each sum to the scalar totals.
-func checkBreakdownInvariant(t *testing.T, st datalog.Stats, label string) {
+// per-rule and per-component breakdowns each sum to the scalar totals,
+// and the operator counters account for each rule's work.
+func checkBreakdownInvariant(t *testing.T, prog *datalog.Program, st datalog.Stats, label string) {
 	t.Helper()
 	f, d, p := sumRuleStats(st)
 	if f != st.Firings || d != st.Derived || p != st.Probes {
 		t.Fatalf("%s: per-rule sums firings=%d derived=%d probes=%d != totals firings=%d derived=%d probes=%d",
 			label, f, d, p, st.Firings, st.Derived, st.Probes)
 	}
+	checkOperatorLedger(t, prog, st, label)
 	var cf, cd, cp int64
 	rounds := 0
 	for _, cs := range st.Comps {
@@ -196,6 +198,26 @@ func checkBreakdownInvariant(t *testing.T, st datalog.Stats, label string) {
 	if cf != st.Firings || cd != st.Derived || cp != st.Probes || rounds != st.Rounds {
 		t.Fatalf("%s: per-component sums firings=%d derived=%d probes=%d rounds=%d != totals %+v",
 			label, cf, cd, cp, rounds, st)
+	}
+}
+
+// checkOperatorLedger asserts the per-operator identities of every rule
+// in st: its operators' probes sum to its probes, and for a rule without
+// Δ-driver orders the last operator's rows-out is its firings.
+func checkOperatorLedger(t *testing.T, prog *datalog.Program, st datalog.Stats, label string) {
+	t.Helper()
+	for _, rp := range prog.Profile(st).Rules {
+		rs := st.Rules[rp.Index]
+		var probes int64
+		for _, op := range rp.Ops {
+			probes += op.Probes
+		}
+		if probes != rs.Probes {
+			t.Fatalf("%s: rule %d %s: operators probed %d rows, ledger probes %d", label, rp.Index, rp.Rule, probes, rs.Probes)
+		}
+		if len(rp.Drivers) == 0 && len(rp.Ops) > 0 && rp.Ops[len(rp.Ops)-1].Out != rs.Firings {
+			t.Fatalf("%s: rule %d %s: last operator out=%d != firings %d", label, rp.Index, rp.Rule, rp.Ops[len(rp.Ops)-1].Out, rs.Firings)
+		}
 	}
 }
 
@@ -232,7 +254,7 @@ func TestStatsBreakdownInvariantExamples(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkBreakdownInvariant(t, stats, label)
+				checkBreakdownInvariant(t, p, stats, label)
 			})
 		}
 	}
@@ -278,6 +300,7 @@ func TestStatsBreakdownResume(t *testing.T) {
 		t.Fatalf("post-resume breakdown sums firings=%d derived=%d probes=%d, want the deltas over the restored seed (totals %+v, seed %+v)",
 			f, d, pr, st, rseed)
 	}
+	checkOperatorLedger(t, p, st, "after resume")
 }
 
 // TestStatsBreakdownInvariantIncremental: the invariant survives an
@@ -292,18 +315,18 @@ func TestStatsBreakdownInvariantIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkBreakdownInvariant(t, stats, "initial solve")
+	checkBreakdownInvariant(t, p, stats, "initial solve")
 	m2, stats2, err := p.SolveMore(m, datalog.NewFact("arc",
 		datalog.Sym("e"), datalog.Sym("f"), datalog.Num(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkBreakdownInvariant(t, stats2, "after SolveMore")
+	checkBreakdownInvariant(t, p, stats2, "after SolveMore")
 	if _, stats3, err := p.SolveMore(m2, datalog.NewFact("arc",
 		datalog.Sym("f"), datalog.Sym("g"), datalog.Num(2))); err != nil {
 		t.Fatal(err)
 	} else {
-		checkBreakdownInvariant(t, stats3, "after second SolveMore")
+		checkBreakdownInvariant(t, p, stats3, "after second SolveMore")
 		if stats3.Firings <= stats2.Firings {
 			t.Fatalf("chained stats must grow: %d then %d", stats2.Firings, stats3.Firings)
 		}

@@ -18,12 +18,12 @@ import (
 
 // The component walk's determinism contract (docs/ARCHITECTURE.md): for
 // every program and every worker count (GOMAXPROCS), the model, the
-// insertion order of facts, the explanations, the Stats, the
-// Profile row counts and the checkpoint bytes are identical — for Solve,
+// insertion order of facts, the explanations, the Stats — their
+// per-operator counters (probes and build sizes included) and so every
+// Profile view — and the checkpoint bytes are identical, for Solve,
 // Resume and SolveMore alike. These tests enforce the contract
 // differentially over every shipped example program; timing fields
-// (Nanos) and the profile's probe counts are the only tolerated
-// differences.
+// (Nanos) are the only tolerated difference.
 
 // normStats strips wall-clock time from a Stats, the one field the
 // determinism contract exempts.
@@ -74,21 +74,6 @@ func traceFingerprint(t *testing.T, p *datalog.Program, m *datalog.Model) string
 	return b.String()
 }
 
-// profileFingerprint renders the operator row counts of a profile. Nanos
-// and Probes are exempt from the determinism contract (time is time, and
-// probes depend on which lazily built index a cursor finds), so they are
-// left out.
-func profileFingerprint(pr *datalog.Profile) string {
-	var b strings.Builder
-	for _, rp := range pr.Rules {
-		fmt.Fprintf(&b, "rule %d %s\n", rp.Index, rp.Rule)
-		for _, op := range rp.Ops {
-			fmt.Fprintf(&b, "  %d %s in=%d out=%d delta=%d groups=%d\n", op.Step, op.Kind, op.In, op.Out, op.Delta, op.Groups)
-		}
-	}
-	return b.String()
-}
-
 // withProcs sets GOMAXPROCS — and with it the component walk's worker
 // count — to n for the rest of the test, restoring it when the test ends.
 func withProcs(t testing.TB, n int) {
@@ -96,8 +81,7 @@ func withProcs(t testing.TB, n int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-// solveParallel loads one example with profiling and solves
-// it at GOMAXPROCS procs, checkpointing every round; it also returns the
+// solveParallel loads one example and solves it at GOMAXPROCS procs, checkpointing every round; it also returns the
 // bytes of the final checkpoint.
 func solveParallel(t *testing.T, name string, procs int) (*datalog.Program, *datalog.Model, datalog.Stats, []byte) {
 	t.Helper()
@@ -106,9 +90,7 @@ func solveParallel(t *testing.T, name string, procs int) (*datalog.Program, *dat
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := exampleOptions(name)
-	opts.Profile = true
-	p, err := datalog.Load(string(src), opts)
+	p, err := datalog.Load(string(src), exampleOptions(name))
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -126,8 +108,8 @@ func solveParallel(t *testing.T, name string, procs int) (*datalog.Program, *dat
 
 // TestParallelDeterminism solves every shipped example program
 // (omega.mdl diverges by design and is excluded) at GOMAXPROCS 1, 2, 4
-// and 8, asserting model, fact order, explanations, stats, profile row
-// counts and final checkpoint bytes agree exactly, and that the model
+// and 8, asserting model, fact order, explanations, stats (operator
+// counters included) and final checkpoint bytes agree exactly, and that the model
 // restored from that checkpoint explains every fact the same way.
 func TestParallelDeterminism(t *testing.T) {
 	entries, err := os.ReadDir(exampleDir)
@@ -144,7 +126,6 @@ func TestParallelDeterminism(t *testing.T) {
 			seqModel := seqM.String()
 			seqFacts := factFingerprint(seqM)
 			seqTrace := traceFingerprint(t, seqP, seqM)
-			seqProfile := profileFingerprint(seqP.Profile())
 			restored, err := seqP.Restore(seqSnap)
 			if err != nil {
 				t.Fatal(err)
@@ -165,9 +146,6 @@ func TestParallelDeterminism(t *testing.T) {
 				}
 				if got, want := fmt.Sprintf("%+v", normStats(parStats)), fmt.Sprintf("%+v", normStats(seqStats)); got != want {
 					t.Fatalf("GOMAXPROCS %d stats differ:\n%s\nwant:\n%s", par, got, want)
-				}
-				if got := profileFingerprint(parP.Profile()); got != seqProfile {
-					t.Fatalf("GOMAXPROCS %d profile row counts differ:\n%s\nwant:\n%s", par, got, seqProfile)
 				}
 				if !bytes.Equal(parSnap, seqSnap) {
 					t.Fatalf("GOMAXPROCS %d final checkpoint differs (%d vs %d bytes)", par, len(parSnap), len(seqSnap))

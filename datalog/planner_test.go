@@ -228,7 +228,7 @@ func TestPlannerDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			drivers := 0
-			for _, rp := range p.Profile().Rules {
+			for _, rp := range p.Profile(datalog.Stats{}).Rules {
 				drivers += len(rp.Drivers)
 			}
 			if drivers != tc.drivers {
@@ -495,7 +495,7 @@ func TestShortestPathProbesUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, rp := range p.Profile().Rules {
+		for _, rp := range p.Profile(datalog.Stats{}).Rules {
 			if len(rp.Drivers) > 0 {
 				t.Fatalf("rule %q compiled driver orders %v", rp.Rule, rp.Drivers)
 			}

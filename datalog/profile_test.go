@@ -33,19 +33,15 @@ arc(c, d, 1).
 // relation exactly once, so its single scan operator must report 5 rows
 // out, 5 probes, and a build side of 5 — the relation's size.
 func TestProfileCounters(t *testing.T) {
-	p, err := Load(profileSrc, Options{Profile: true})
+	p, err := Load(profileSrc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, st, err := p.Solve()
+	_, st, err := p.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Profiling() {
-		t.Fatal("Profiling() = false with Options.Profile set")
-	}
-	prof := p.Profile()
-	prof.Annotate(st)
+	prof := p.Profile(st)
 
 	byRule := map[string]*RuleProfile{}
 	for i := range prof.Rules {
@@ -63,7 +59,7 @@ func TestProfileCounters(t *testing.T) {
 		t.Fatalf("scan counters out=%d probes=%d build=%d, want 5/5/5 (arc has 5 rows)", op.Out, op.Probes, op.Build)
 	}
 	if proj.Firings != 5 {
-		t.Fatalf("Annotate: projection firings = %d, want 5", proj.Firings)
+		t.Fatalf("projection firings = %d, want 5", proj.Firings)
 	}
 
 	// The last operator's Out is the rule's firing count, for every rule
@@ -77,13 +73,15 @@ func TestProfileCounters(t *testing.T) {
 		}
 	}
 
-	// A second snapshot minus the first is all zeros: no solve ran in
-	// between.
-	delta := p.Profile().Sub(prof)
-	for _, rp := range delta.Rules {
+	// A zero Stats is plain EXPLAIN: the same operators, no counters.
+	plain := p.Profile(Stats{})
+	for i, rp := range plain.Rules {
+		if len(rp.Ops) != len(prof.Rules[i].Ops) || rp.Firings != 0 {
+			t.Fatalf("plain EXPLAIN rule %d = %+v, want the structure of %+v", i, rp, prof.Rules[i])
+		}
 		for _, op := range rp.Ops {
-			if op.In != 0 || op.Out != 0 || op.Probes != 0 || op.Delta != 0 || op.Groups != 0 {
-				t.Fatalf("idle delta nonzero: rule %d op %d: %+v", rp.Index, op.Step, op)
+			if op.In != 0 || op.Out != 0 || op.Probes != 0 || op.Build != 0 || op.Delta != 0 || op.Groups != 0 {
+				t.Fatalf("plain EXPLAIN counters nonzero: rule %d op %d: %+v", rp.Index, op.Step, op)
 			}
 		}
 	}
@@ -96,7 +94,46 @@ func TestProfileCounters(t *testing.T) {
 			t.Errorf("Render output missing %q:\n%s", want, text)
 		}
 	}
-	_ = m
+}
+
+// TestProfilePerSolve: the operator counters belong to the model's
+// Stats, so two Solve calls on one Program each report exactly their
+// own solve's work — the second does not see the first's rows.
+func TestProfilePerSolve(t *testing.T) {
+	p, err := Load(profileSrc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st1, err := p.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st2, err := p.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Nanos is wall time; everything else must match exactly.
+	strip := func(st Stats) Stats {
+		st = st.Clone()
+		for i := range st.Rules {
+			st.Rules[i].Nanos = 0
+		}
+		return st
+	}
+	j1, _ := json.Marshal(p.Profile(strip(st1)).Rules)
+	j2, _ := json.Marshal(p.Profile(strip(st2)).Rules)
+	if string(j1) != string(j2) {
+		t.Fatalf("second solve's profile differs from the first's:\n%s\nwant:\n%s", j2, j1)
+	}
+	var scan OpStats
+	for _, rp := range p.Profile(st2).Rules {
+		if rp.Rule == "path(X, direct, Y, C) :- arc(X, Y, C)." {
+			scan = rp.Ops[0]
+		}
+	}
+	if scan.Out != 5 || scan.Probes != 5 {
+		t.Fatalf("second solve's projection scan out=%d probes=%d, want 5/5 (its own solve only)", scan.Out, scan.Probes)
+	}
 }
 
 // TestProfileDriverOrders: EXPLAIN ANALYZE lists each Δ-driver order as
@@ -107,7 +144,7 @@ func TestProfileCounters(t *testing.T) {
 // number of coming tuples (each is new in exactly one round, and every
 // round that derives one is followed by a kc driver pass).
 func TestProfileDriverOrders(t *testing.T) {
-	p, err := Load(programs.Party+gen.PartyFacts(gen.Party(32, 4, 3, 1)), Options{Profile: true})
+	p, err := Load(programs.Party+gen.PartyFacts(gen.Party(32, 4, 3, 1)), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +152,7 @@ func TestProfileDriverOrders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := p.Profile()
-	prof.Annotate(st)
+	prof := p.Profile(st)
 	var kc *RuleProfile
 	for i := range prof.Rules {
 		if strings.HasPrefix(prof.Rules[i].Rule, "kc(") {

@@ -56,12 +56,6 @@ type Options struct {
 	// semantics instead; its well-founded model must be two-valued, and
 	// becomes the base interpretation for the components above it.
 	WFSFallback bool
-	// Profile enables per-operator counters in the rule pipelines
-	// (rows in/out, probes, hash-build sizes, Δ sizes, changed groups
-	// per γ), read back through Engine.Profile — the EXPLAIN ANALYZE
-	// data. Off (the default) a pipeline pays one nil check per counted
-	// event.
-	Profile bool
 	// Sink, when non-nil, receives the typed event stream of every
 	// solve (see package obs). The engine emits behind a nil check, so
 	// leaving it nil keeps the evaluation path at full speed.
@@ -96,9 +90,11 @@ type Engine struct {
 	// time, so events and stats never format in the fixpoint loops.
 	compPreds []string
 	// nrules is the number of compiled plans across all components;
-	// plans carry engine-global indices into Stats.Rules. nEvaluable is
-	// the number of components with something to evaluate.
+	// plans carry engine-global indices into Stats.Rules. nops counts
+	// their steps (the per-operator counters of Stats.Rules). nEvaluable
+	// is the number of components with something to evaluate.
 	nrules     int
+	nops       int
 	nEvaluable int
 	// compDeps and compLDB drive the component walk: per component,
 	// the (sorted) indices of the lower components it depends on, and
@@ -111,12 +107,6 @@ type Engine struct {
 	compRecursive []bool
 	// sink is Options.Sink (nil = no event emission).
 	sink obs.Sink
-	// prof is the per-rule per-step operator-counter table, allocated at
-	// New when Options.Profile is set (nil otherwise). Counters are
-	// atomic because Profile may snapshot while a solve folds into them;
-	// they accumulate over the engine's lifetime — Profile snapshots,
-	// and Profile.Sub produces per-solve deltas.
-	prof [][]exec.OpAccum
 	// insertBlocked maps each predicate SolveMore must not add facts for
 	// to the reason (see noteInsertMonotone).
 	insertBlocked map[ast.PredKey]string
@@ -259,25 +249,20 @@ func New(prog *ast.Program, opts Options) (*Engine, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Engine-global rule index and cached text: the hot loops
-			// attribute per-rule stats and emit events without ever
-			// formatting the rule.
+			// Engine-global rule index and cached text and operator
+			// labels: the hot loops attribute per-rule stats and emit
+			// events, and profiles render, without formatting the rule.
 			p.idx = en.nrules
 			p.text = r.String()
+			p.ops = describeOps(p)
+			p.work.Ops = make([]exec.OpCounts, len(p.steps))
 			en.nrules++
+			en.nops += len(p.steps)
 			ps = append(ps, p)
 			recursive = recursive || len(p.cdbScanSteps) > 0 || p.hasCDBAgg
 		}
 		en.plans = append(en.plans, ps)
 		en.compRecursive = append(en.compRecursive, recursive)
-	}
-	if opts.Profile {
-		en.prof = make([][]exec.OpAccum, en.nrules)
-		for _, ps := range en.plans {
-			for _, p := range ps {
-				en.prof[p.idx] = make([]exec.OpAccum, len(p.steps))
-			}
-		}
 	}
 	for ci := range en.comps {
 		if en.evaluable(ci) {
@@ -470,27 +455,25 @@ func headTuple(p *plan, e *env) ([]val.T, lattice.Elem, error) {
 // passConfig is the part of a pass's configuration every pass of one
 // component loop shares; the loops copy it and set the Δ restriction.
 func (en *Engine) passConfig(g *guard, db *relation.DB) exec.Config {
-	return exec.Config{DB: db, Prof: en.prof != nil, Check: g.check}
+	return exec.Config{DB: db, Check: g.check}
 }
 
 // runPass evaluates one pass of one of p's pipelines under cfg — every
 // satisfying assignment of the body, or the Δ-restricted subset cfg
-// selects — handing each completed environment to emit, and adds the
-// pass's firings and probes to stats. With profiling on, the pass's
-// per-operator counters fold into the engine's accumulators.
+// selects — handing each completed environment to emit. It adds the
+// pass's firings and probes to stats and its per-operator counters to
+// p.work.Ops, keyed by canonical step position so an operator keeps one
+// set of counters whichever order ran it; the pass's probes are its
+// operators' probes.
 func (en *Engine) runPass(p *plan, pipe *pipeline, cfg exec.Config, stats *Stats, emit func(*plan, *env) error) error {
 	m := pipe.stream.Acquire(cfg)
 	aux := m.Aux.(*streamAux)
 	err := m.Run(func(*exec.Machine) error { return emit(p, aux.env) })
 	stats.Firings += m.Firings
-	stats.Probes += m.Probes
-	if pc := m.Profile(); pc != nil {
-		// The accumulators are keyed by canonical step position, so an
-		// operator keeps one set of counters whichever order ran it.
-		acc := en.prof[p.idx]
-		for i := range pc {
-			acc[pipe.canon[i]].Fold(pc[i])
-		}
+	for i, c := range pipe.canon {
+		n := m.Counts(i)
+		stats.Probes += n.Probes
+		p.work.Ops[c].Add(n)
 	}
 	pipe.stream.Release(m)
 	return err

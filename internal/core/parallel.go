@@ -23,8 +23,8 @@ import (
 // calling goroutine, so a walk with one worker starts no goroutine.
 // Within a component evaluation is sequential.
 //
-// Everything observable — models, fact order, traces, Stats, Profile
-// row counts, checkpoints — is identical at every worker count: a
+// Everything observable — models, fact order, explanations, Stats (their
+// operator counters included), checkpoints — is identical at every worker count: a
 // component's evaluation reads only its own predicates and those of
 // completed lower components, so its view holds exactly what a
 // one-at-a-time walk's database would, and T_P is monotone (Theorem
@@ -197,6 +197,9 @@ func (en *Engine) mergeStats(dst, src *Stats, ci int) {
 		d.Derived += r.Derived
 		d.Probes += r.Probes
 		d.Nanos += r.Nanos
+		for i := range r.Ops {
+			d.Ops[i].Add(r.Ops[i])
+		}
 	}
 	cs := &dst.Comps[ci]
 	cs.Rounds += src.Rounds
@@ -247,7 +250,8 @@ func (s *sched) runComp(ci int) {
 
 	var ls Stats // scalar totals; the per-rule work accumulates on the plans
 	for _, p := range en.plans[ci] {
-		p.work = RuleStats{Index: p.idx, Rule: p.text}
+		clear(p.work.Ops)
+		p.work = RuleStats{Index: p.idx, Rule: p.text, Ops: p.work.Ops}
 	}
 	g := newGuard(s.ctx, s.lim, &ls)
 	g.budget = s.budget

@@ -35,10 +35,12 @@ import (
 type plan struct {
 	rule *ast.Rule
 	// idx is the engine-global rule index (into Stats.Rules); text is
-	// the rule rendered once at compile time, so stats attribution and
-	// event emission never format in the fixpoint loops.
+	// the rule rendered once at compile time, and ops its canonical
+	// steps rendered as EXPLAIN operators (counters zero), so stats
+	// attribution, event emission and profile views never format.
 	idx   int
 	text  string
+	ops   []OpStats
 	nvars int
 	names []ast.Var // index -> variable name (for errors)
 	// steps is the canonical order: the greedy compiler's, which full
@@ -61,9 +63,10 @@ type plan struct {
 	pipe    pipeline
 	drivers []*pipeline
 	hbuf    []val.T
-	// work is the rule's share of the component evaluation under way:
-	// the walk resets it when it dispatches the component and folds it
-	// into Stats.Rules at the boundary (mergeStats). Only the worker
+	// work is the rule's share of the component evaluation under way,
+	// its operator counters included (work.Ops, allocated at New): the
+	// walk resets it when it dispatches the component and folds it into
+	// Stats.Rules at the boundary (mergeStats). Only the worker
 	// evaluating the rule's component touches it.
 	work RuleStats
 }
@@ -71,7 +74,7 @@ type plan struct {
 // pipeline is one step arrangement of a plan lowered to its streaming
 // pipeline: the canonical order, or a Δ-driver order. canon maps each
 // pipeline position to the canonical step it executes (the identity for
-// the canonical order itself), so profile counters fold back onto
+// the canonical order itself), so operator counters fold back onto
 // canonical positions whichever order ran.
 type pipeline struct {
 	stream *exec.Rule

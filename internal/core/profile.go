@@ -5,18 +5,19 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/exec"
 	"repro/internal/val"
 )
 
 // EXPLAIN ANALYZE: the compiled operator trees annotated with the
-// measured per-operator counters of Options.Profile. A Profile is a
-// point-in-time snapshot of the engine's cumulative accumulators;
-// Sub produces per-solve deltas, Annotate grafts the per-rule timing
-// and firing totals from Stats, and Render prints the human tree. The
-// JSON encoding of Profile is the machine-readable form.
+// per-operator counters a model's Stats carry (RuleStats.Ops). Profile
+// is a view of one Stats; Sub produces the delta between two, and
+// Render prints the human tree. The JSON encoding of Profile is the
+// machine-readable form.
 
-// OpStats is one operator of a rule's pipeline with its measured
-// counters. Counters are zero when profiling is off.
+// OpStats is one operator of a rule's pipeline with its counters (see
+// exec.OpCounts; the last operator's Out is the rule's firings when the
+// rule has no Δ-driver orders).
 type OpStats struct {
 	// Step is the pipeline position; Kind is the operator class (scan,
 	// negation, builtin, aggregate); Op is the operator rendered with
@@ -24,20 +25,7 @@ type OpStats struct {
 	Step int    `json:"step"`
 	Kind string `json:"kind"`
 	Op   string `json:"op"`
-	// In counts rows entering the operator, Out rows it passed
-	// downstream (the last operator's Out is the rule's firings when the
-	// rule has no Δ-driver orders; see Profile).
-	In  int64 `json:"in"`
-	Out int64 `json:"out"`
-	// Probes counts index probes (rows offered by the operator's
-	// cursor); Build is the largest indexed relation it consulted — the
-	// build side of the hash join it probes.
-	Probes int64 `json:"probes"`
-	Build  int64 `json:"build"`
-	// Delta counts Δ rows offered when the operator drove a semi-naive
-	// pass; Groups counts aggregate groups a γ operator emitted.
-	Delta  int64 `json:"delta,omitempty"`
-	Groups int64 `json:"groups,omitempty"`
+	exec.OpCounts
 }
 
 // RuleProfile is one rule's operator pipeline.
@@ -45,9 +33,7 @@ type RuleProfile struct {
 	Index     int    `json:"index"`
 	Component int    `json:"component"`
 	Rule      string `json:"rule"`
-	// Firings/Nanos/Rounds are filled by Annotate from Stats (zero
-	// until then — the operator counters and the stats ledger are
-	// separate books; see the "work performed" note on Profile).
+	// Firings/Nanos/Rounds are the rule's totals from the same Stats.
 	Firings int64 `json:"firings,omitempty"`
 	Nanos   int64 `json:"nanos,omitempty"`
 	Rounds  int   `json:"rounds,omitempty"`
@@ -60,67 +46,53 @@ type RuleProfile struct {
 	Ops     []OpStats `json:"ops"`
 }
 
-// Profile is the operator-level evaluation profile of one engine.
+// Profile is the operator-level evaluation profile behind one Stats.
 //
 // Counter semantics: the operator counters measure the rows the rule
-// pipelines moved, cumulatively over the engine's lifetime. Every pass
-// that runs is a pass the fixpoint required — nothing is evaluated and
-// discarded — so the row counts (In, Out, Delta, Groups) are identical
-// at every worker count. An operator's Out is the rows it passed
-// downstream at whatever position its pass ran it, so a rule's Stats
-// firings are the Out of the last operator of each order that ran: the
-// last canonical operator's Out for a rule without Δ-driver orders.
+// pipelines moved for the model the Stats belong to, cumulatively over
+// its SolveMore/Resume chain. Every pass that runs is a pass the
+// fixpoint required — nothing is evaluated and discarded — so the
+// counters are identical at every worker count. An operator's Out is
+// the rows it passed downstream at whatever position its pass ran it,
+// so a rule's firings are the Out of the last operator of each order
+// that ran: the last canonical operator's Out for a rule without
+// Δ-driver orders.
 type Profile struct {
 	Rules []RuleProfile `json:"rules"`
 }
 
-// Profile snapshots the engine's operator counters (with the compiled
-// operator trees), or structure-only with zero counters when
-// Options.Profile is off. Safe to call concurrently with a solve: the
-// counters are atomic, so a snapshot taken mid-solve is simply a
-// consistent-enough point in time.
-func (en *Engine) Profile() *Profile {
-	pr := &Profile{}
+// Profile returns the compiled operator trees in engine-global rule
+// order (Rules[i].Index == i), annotated with the counters and per-rule
+// totals st carries. A zero Stats — or one whose breakdown is not this
+// engine's, such as a restored snapshot's — gives plain EXPLAIN: the
+// structure with zero counters.
+func (en *Engine) Profile(st Stats) *Profile {
+	pr := &Profile{Rules: make([]RuleProfile, en.nrules)}
 	for ci, ps := range en.plans {
 		for _, p := range ps {
-			rp := RuleProfile{Index: p.idx, Component: ci, Rule: p.text, Ops: make([]OpStats, len(p.steps))}
-			for si, s := range p.steps {
-				kind, op := describeStep(p, s)
-				rp.Ops[si] = OpStats{Step: si, Kind: kind, Op: op}
-				if en.prof != nil {
-					c := en.prof[p.idx][si].Snapshot()
-					rp.Ops[si].In = c.In
-					rp.Ops[si].Out = c.Out
-					rp.Ops[si].Probes = c.Probes
-					rp.Ops[si].Build = c.Build
-					rp.Ops[si].Delta = c.Delta
-					rp.Ops[si].Groups = c.Groups
-				}
-			}
+			rp := &pr.Rules[p.idx]
+			*rp = RuleProfile{Index: p.idx, Component: ci, Rule: p.text, Ops: append([]OpStats(nil), p.ops...)}
 			for _, d := range p.drivers {
 				if d != nil {
 					rp.Drivers = append(rp.Drivers, append([]int(nil), d.canon...))
 				}
 			}
-			pr.Rules = append(pr.Rules, rp)
-		}
-	}
-	// Engine-global rule order, so Rules[i].Index == i.
-	for i := 1; i < len(pr.Rules); i++ {
-		for j := i; j > 0 && pr.Rules[j].Index < pr.Rules[j-1].Index; j-- {
-			pr.Rules[j], pr.Rules[j-1] = pr.Rules[j-1], pr.Rules[j]
+			if len(st.Rules) != en.nrules || len(st.Rules[p.idx].Ops) != len(p.ops) {
+				continue
+			}
+			rs := &st.Rules[p.idx]
+			rp.Firings, rp.Nanos, rp.Rounds = rs.Firings, rs.Nanos, rs.Rounds
+			for i, c := range rs.Ops {
+				rp.Ops[i].OpCounts = c
+			}
 		}
 	}
 	return pr
 }
 
-// Profiling reports whether Options.Profile was set.
-func (en *Engine) Profiling() bool { return en.prof != nil }
-
-// Sub returns this profile minus prev (per-rule, per-operator), the
-// per-solve delta of two cumulative snapshots. Build, a high-water
-// mark, keeps the current value. Rules present only in p are kept
-// as-is.
+// Sub returns this profile minus prev (per-rule, per-operator): the
+// work between the two Stats they view. Build, a high-water mark, keeps
+// the current value. Rules present only in p are kept as-is.
 func (p *Profile) Sub(prev *Profile) *Profile {
 	if prev == nil {
 		return p
@@ -149,22 +121,6 @@ func (p *Profile) Sub(prev *Profile) *Profile {
 		out.Rules[i] = rp
 	}
 	return out
-}
-
-// Annotate fills the per-rule firing/timing totals from a stats ledger
-// (matched by engine-global rule index).
-func (p *Profile) Annotate(st Stats) {
-	byIdx := make(map[int]*RuleStats, len(st.Rules))
-	for i := range st.Rules {
-		byIdx[st.Rules[i].Index] = &st.Rules[i]
-	}
-	for i := range p.Rules {
-		if rs := byIdx[p.Rules[i].Index]; rs != nil {
-			p.Rules[i].Firings = rs.Firings
-			p.Rules[i].Nanos = rs.Nanos
-			p.Rules[i].Rounds = rs.Rounds
-		}
-	}
 }
 
 // Render prints the profile as a human-readable operator tree, one rule
@@ -211,6 +167,17 @@ func formatProfNanos(n int64) string {
 		return fmt.Sprintf("%.1fµs", float64(n)/1e3)
 	}
 	return fmt.Sprintf("%dns", n)
+}
+
+// describeOps renders p's canonical steps as operator labels, counters
+// zero.
+func describeOps(p *plan) []OpStats {
+	ops := make([]OpStats, len(p.steps))
+	for si, s := range p.steps {
+		kind, op := describeStep(p, s)
+		ops[si] = OpStats{Step: si, Kind: kind, Op: op}
+	}
+	return ops
 }
 
 // describeStep renders one plan step as an operator label using the

@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/obs"
+import (
+	"repro/internal/exec"
+	"repro/internal/obs"
+)
 
 // Stats reports work done by Solve. Besides the cumulative totals it
 // carries per-rule and per-component breakdowns (indexed by the
@@ -10,7 +13,8 @@ import "repro/internal/obs"
 // The breakdown invariant: for any model produced by Solve or by a
 // chain of in-memory SolveMore/Resume calls, the per-rule Firings,
 // Derived and Probes sum to the scalar totals (WFS-fallback components
-// contribute rounds but no rule firings). A solve resumed from a
+// contribute rounds but no rule firings), and each rule's operator
+// counters account for its work (RuleStats.Ops). A solve resumed from a
 // durable snapshot re-seeds only the scalar totals — the snapshot
 // format records no breakdowns — so there the per-rule sums cover the
 // work since the restore.
@@ -50,6 +54,11 @@ type RuleStats struct {
 	Probes  int64
 	// Nanos is the wall time spent evaluating the rule.
 	Nanos int64
+	// Ops holds the rule's per-operator counters, indexed by canonical
+	// step position: every pass folds into them whichever order it ran
+	// (Build by maximum). Their Probes sum to Probes, and for a rule
+	// without Δ-driver orders the last operator's Out is Firings.
+	Ops []exec.OpCounts
 }
 
 // ComponentStats is the work attributed to one program component.
@@ -72,10 +81,22 @@ type ComponentStats struct {
 // Clone deep-copies the stats. Seeding a solve from a prior model's
 // stats must not share backing arrays: the engine accumulates into its
 // working copy in place, and the prior model keeps reporting its own
-// totals.
+// totals. Every rule's Ops is carved from one backing slice, so a clone
+// costs a constant number of allocations.
 func (s Stats) Clone() Stats {
 	if s.Rules != nil {
-		s.Rules = append([]RuleStats(nil), s.Rules...)
+		rules := append([]RuleStats(nil), s.Rules...)
+		n := 0
+		for _, r := range rules {
+			n += len(r.Ops)
+		}
+		flat := make([]exec.OpCounts, 0, n)
+		for i := range rules {
+			k := len(flat)
+			flat = append(flat, rules[i].Ops...)
+			rules[i].Ops = flat[k:len(flat):len(flat)]
+		}
+		s.Rules = rules
 	}
 	if s.Comps != nil {
 		s.Comps = append([]ComponentStats(nil), s.Comps...)
@@ -90,11 +111,20 @@ func (s Stats) Clone() Stats {
 // snapshot — gets fresh zeroed breakdowns while its scalar totals are
 // kept.
 func (en *Engine) ensureStats(stats *Stats) {
-	if len(stats.Rules) != en.nrules {
+	fresh := len(stats.Rules) != en.nrules
+	for _, ps := range en.plans {
+		for _, p := range ps {
+			fresh = fresh || len(stats.Rules[p.idx].Ops) != len(p.steps)
+		}
+	}
+	if fresh {
 		stats.Rules = make([]RuleStats, en.nrules)
+		flat := make([]exec.OpCounts, en.nops)
 		for ci, ps := range en.plans {
 			for _, p := range ps {
-				stats.Rules[p.idx] = RuleStats{Index: p.idx, Rule: p.text, Component: ci}
+				n := len(p.steps)
+				stats.Rules[p.idx] = RuleStats{Index: p.idx, Rule: p.text, Component: ci, Ops: flat[:n:n]}
+				flat = flat[n:]
 			}
 		}
 	}

@@ -46,7 +46,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/lattice"
@@ -165,39 +164,36 @@ type Config struct {
 	// AggGroups, per γ step index, restricts that aggregate to the
 	// listed changed groups (key -> grouping-value reference).
 	AggGroups map[int]map[string]GroupRef
-	// Prof enables per-step operator counters (Machine.Profile). Off,
-	// the run pays one nil check per counted event and allocates
-	// nothing.
-	Prof bool
 	// Check, when non-nil, is polled at every pipeline terminal.
 	Check func() error
 }
 
-// OpCounts is one pipeline step's operator counters for a single run:
-// the cardinality and probe signals EXPLAIN ANALYZE renders.
+// OpCounts is one pipeline step's operator counters: the cardinality
+// and probe signals EXPLAIN ANALYZE renders. A Machine counts them for
+// every run; the engine folds them into its per-rule work ledger.
 type OpCounts struct {
 	// In counts rows entering the step (invocations of the operator);
 	// Out counts rows it passed downstream — for the last step, the
 	// pipeline's firings.
-	In  int64
-	Out int64
+	In  int64 `json:"in"`
+	Out int64 `json:"out"`
 	// Probes counts index probes the step performed: rows offered by its
 	// cursor, or Δ rows offered by the restricted scan.
-	Probes int64
+	Probes int64 `json:"probes"`
 	// Build is the size of the largest indexed relation the step
 	// consulted — the build side of the hash join it probes.
-	Build int64
+	Build int64 `json:"build"`
 	// Delta counts Δ rows offered when this step drove a semi-naive
 	// pass (the delta-aware side of the join).
-	Delta int64
+	Delta int64 `json:"delta,omitempty"`
 	// Groups counts aggregate groups a γ step emitted (the changed
 	// groups under Δ restriction).
-	Groups int64
+	Groups int64 `json:"groups,omitempty"`
 }
 
-// add folds src into c (Build by maximum — it is a high-water mark,
+// Add folds src into c (Build by maximum — it is a high-water mark,
 // not a flow count).
-func (c *OpCounts) add(src OpCounts) {
+func (c *OpCounts) Add(src OpCounts) {
 	c.In += src.In
 	c.Out += src.Out
 	c.Probes += src.Probes
@@ -205,42 +201,6 @@ func (c *OpCounts) add(src OpCounts) {
 	c.Groups += src.Groups
 	if src.Build > c.Build {
 		c.Build = src.Build
-	}
-}
-
-// OpAccum is the engine-side shared accumulator for one step's
-// counters: passes fold into it while Engine.Profile may be
-// snapshotting from another goroutine, so every field is atomic (Build
-// via CAS-max).
-type OpAccum struct {
-	In, Out, Probes, Delta, Groups atomic.Int64
-	Build                          atomic.Int64
-}
-
-// Fold adds one run's counters into the accumulator.
-func (a *OpAccum) Fold(c OpCounts) {
-	a.In.Add(c.In)
-	a.Out.Add(c.Out)
-	a.Probes.Add(c.Probes)
-	a.Delta.Add(c.Delta)
-	a.Groups.Add(c.Groups)
-	for {
-		old := a.Build.Load()
-		if c.Build <= old || a.Build.CompareAndSwap(old, c.Build) {
-			break
-		}
-	}
-}
-
-// Snapshot reads the accumulator's current counters.
-func (a *OpAccum) Snapshot() OpCounts {
-	return OpCounts{
-		In:     a.In.Load(),
-		Out:    a.Out.Load(),
-		Probes: a.Probes.Load(),
-		Delta:  a.Delta.Load(),
-		Groups: a.Groups.Load(),
-		Build:  a.Build.Load(),
 	}
 }
 
@@ -254,8 +214,8 @@ type Rule struct {
 }
 
 // Machine is the mutable state of one pipeline evaluation: the register
-// file, per-step cursor scratch, and the stats counters the engine
-// aggregates after each pass.
+// file, per-step cursor scratch and operator counters, and the firing
+// count the engine aggregates after each pass.
 type Machine struct {
 	Regs
 	rule    *Rule
@@ -264,12 +224,6 @@ type Machine struct {
 	states  []stepState
 	kbuf    []byte // γ group-key scratch; every use is consumed before the next
 	Firings int64
-	Probes  int64
-	// prof is the per-step counter table while Config.Prof is set, nil
-	// otherwise (the disabled fast path is a nil check). profBuf is the
-	// lazily allocated backing array, reused across runs.
-	prof    []OpCounts
-	profBuf []OpCounts
 	// Aux holds host state cached by Hooks.Init (e.g. the host
 	// environment aliasing Regs).
 	Aux any
@@ -288,9 +242,12 @@ func (st *scanState) init(at *Atom) {
 	st.args = make([]val.T, len(at.ArgVar))
 }
 
+// stepState is one pipeline position's scratch and its operator
+// counters for the current run.
 type stepState struct {
 	scanState
 	agg *aggState
+	n   OpCounts
 }
 
 // aggState is the reusable γ scratch: the point-mode multiset buffer,
@@ -324,36 +281,24 @@ func (r *Rule) Acquire(cfg Config) *Machine {
 		m = r.newMachine()
 	}
 	m.cfg = cfg
-	m.Firings, m.Probes = 0, 0
-	if cfg.Prof {
-		if m.profBuf == nil {
-			m.profBuf = make([]OpCounts, len(r.Steps))
-		} else {
-			clear(m.profBuf)
-		}
-		m.prof = m.profBuf
-	} else {
-		m.prof = nil
+	m.Firings = 0
+	for i := range m.states {
+		m.states[i].n = OpCounts{}
 	}
 	return m
 }
 
-// Profile returns the run's per-step counters with the flow fields
-// resolved (a step's Out is the next step's In; the last step's Out is
-// the run's firings), or nil when profiling was off. The slice is owned
-// by the machine and valid until the next Acquire.
-func (m *Machine) Profile() []OpCounts {
-	if m.prof == nil {
-		return nil
+// Counts returns the run's counters for pipeline step i with the flow
+// field resolved: a step's Out is the next step's In, the last step's
+// Out the run's firings.
+func (m *Machine) Counts(i int) OpCounts {
+	c := m.states[i].n
+	if i+1 < len(m.states) {
+		c.Out = m.states[i+1].n.In
+	} else {
+		c.Out = m.Firings
 	}
-	for i := range m.prof {
-		if i+1 < len(m.prof) {
-			m.prof[i].Out = m.prof[i+1].In
-		} else {
-			m.prof[i].Out = m.Firings
-		}
-	}
-	return m.prof
+	return c
 }
 
 // Release returns a Machine to the pool, dropping references into the
@@ -418,9 +363,7 @@ func (m *Machine) runStep(i int) error {
 		}
 		return m.emit(m)
 	}
-	if m.prof != nil {
-		m.prof[i].In++
-	}
+	m.states[i].n.In++
 	s := &m.rule.Steps[i]
 	switch s.Kind {
 	case ScanKind:
@@ -458,11 +401,8 @@ func (m *Machine) runScan(i int, s *Step) error {
 			// Load reads the row's current cost: a Δ row improved again
 			// later in the same round is offered at its latest value.
 			rel.Load(int(id), &row)
-			m.Probes++
-			if m.prof != nil {
-				m.prof[i].Probes++
-				m.prof[i].Delta++
-			}
+			m.states[i].n.Probes++
+			m.states[i].n.Delta++
 			saved, ok := m.bindRow(at, st, &row)
 			if !ok {
 				continue
@@ -558,15 +498,14 @@ const (
 )
 
 // open positions c over the rows of at matching the currently bound
-// registers. profStep attributes the step's build-side size when
-// profiling (the γ step's index for aggregate-conjunction cursors).
-func (m *Machine) open(c *cursor, at *Atom, st *scanState, profStep int) {
+// registers. step is the pipeline position the cursor's counters go to
+// (the γ step's for aggregate-conjunction cursors); open records the
+// relation's size as that step's build side.
+func (m *Machine) open(c *cursor, at *Atom, st *scanState, step int) {
 	rel := m.cfg.DB.Rel(at.Pred)
 	c.rel = rel
-	if m.prof != nil {
-		if n := int64(rel.Len()); n > m.prof[profStep].Build {
-			m.prof[profStep].Build = n
-		}
+	if n := int64(rel.Len()); n > m.states[step].n.Build {
+		m.states[step].n.Build = n
 	}
 	args := st.args
 	if at.Info.HasDefault {
@@ -616,16 +555,16 @@ func (m *Machine) open(c *cursor, at *Atom, st *scanState, profStep int) {
 
 // next pulls the next candidate row into c.row, counting a probe per
 // row offered (after the wide-atom post-filter, before binding — the
-// same accounting as relation.Match). profStep attributes the probes
-// when profiling. The row is valid until the next call.
-func (m *Machine) next(c *cursor, at *Atom, profStep int) (*relation.Row, bool) {
+// same accounting as relation.Match), attributed to pipeline position
+// step. The row is valid until the next call.
+func (m *Machine) next(c *cursor, at *Atom, step int) (*relation.Row, bool) {
 	switch c.mode {
 	case curPoint:
 		if c.done {
 			return nil, false
 		}
 		c.done = true
-		m.probe(profStep)
+		m.states[step].n.Probes++
 		return &c.row, true
 	case curFull:
 		if c.pos >= c.n {
@@ -633,7 +572,7 @@ func (m *Machine) next(c *cursor, at *Atom, profStep int) (*relation.Row, bool) 
 		}
 		c.rel.Load(c.pos, &c.row)
 		c.pos++
-		m.probe(profStep)
+		m.states[step].n.Probes++
 		return &c.row, true
 	default:
 		for {
@@ -645,17 +584,9 @@ func (m *Machine) next(c *cursor, at *Atom, profStep int) (*relation.Row, bool) 
 			if at.Wide && !m.postMatch(at, &c.row) {
 				continue
 			}
-			m.probe(profStep)
+			m.states[step].n.Probes++
 			return &c.row, true
 		}
-	}
-}
-
-// probe counts one index probe, attributed to a step when profiling.
-func (m *Machine) probe(profStep int) {
-	m.Probes++
-	if m.prof != nil {
-		m.prof[profStep].Probes++
 	}
 }
 
@@ -879,9 +810,7 @@ func (m *Machine) emitGroup(idx int, s *AggStep, st *aggState, keyVals []val.T, 
 	if s.Restricted && len(elems) == 0 {
 		return nil
 	}
-	if m.prof != nil {
-		m.prof[idx].Groups++
-	}
+	m.states[idx].n.Groups++
 	res, ok := s.Apply(elems)
 	if !ok {
 		// Undefined aggregate (e.g. avg of the empty multiset in the

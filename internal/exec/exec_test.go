@@ -71,7 +71,10 @@ func runPipeline(t *testing.T, r *exec.Rule, cfg exec.Config) (out []string, fir
 	if err != nil {
 		t.Fatal(err)
 	}
-	firings, probes = m.Firings, m.Probes
+	firings = m.Firings
+	for i := range r.Steps {
+		probes += m.Counts(i).Probes
+	}
 	r.Release(m)
 	return out, firings, probes
 }

@@ -36,8 +36,8 @@ const (
 	// rule firings and join probes performed during that round.
 	RoundEnd
 	// RuleFired reports one rule's evaluation passes within a round:
-	// the per-round firing/derivation/probe deltas and the rule's
-	// cumulative wall time in Nanos.
+	// the per-round firing/derivation/probe deltas and the rule's wall
+	// time so far in the current component evaluation in Nanos.
 	RuleFired
 	// CheckpointFlushed reports a successful durable checkpoint.
 	CheckpointFlushed
@@ -100,8 +100,9 @@ type Event struct {
 	Firings int64
 	Derived int64
 	Probes  int64
-	// Nanos is wall time: cumulative per rule on RuleFired, per
-	// component on ComponentEnd, per solve on SolveEnd.
+	// Nanos is wall time: per rule within the current component
+	// evaluation on RuleFired, per component on ComponentEnd, per solve
+	// on SolveEnd.
 	Nanos int64
 	// Parallelism is the solve's worker count (SolveBegin/SolveEnd):
 	// GOMAXPROCS, capped at the program's evaluable components.

@@ -283,14 +283,10 @@ func (svc *service) solveAndPublish(ctx context.Context, batch []*commitReq) (co
 	var extra datalog.EventSink
 	var ssink *obs.SpanSink
 	var solveSpan obs.SpanID
-	var profBefore *datalog.Profile
 	if leader != nil {
 		solveSpan = leader.tr.StartSpanAt("solve", leader.root, start)
 		ssink = obs.NewSpanSink(leader.tr, solveSpan)
 		extra = ssink
-		if svc.prog.Profiling() {
-			profBefore = svc.prog.Profile()
-		}
 	}
 	m, stats, err := svc.prog.SolveMoreObserved(ctx, cur.model, facts, extra)
 	solveEnd := time.Now()
@@ -305,8 +301,8 @@ func (svc *service) solveAndPublish(ctx context.Context, batch []*commitReq) (co
 					obs.IntAttr("coalesced", int64(coalesced)))
 			}
 		}
-		if profBefore != nil && err == nil {
-			recordOperatorSpans(leader.tr, ssink, svc.prog.Profile().Sub(profBefore))
+		if err == nil {
+			recordOperatorSpans(leader.tr, ssink, svc.prog.Profile(stats).Sub(svc.prog.Profile(cur.model.Stats())))
 		}
 	}
 	if err != nil {
@@ -374,7 +370,7 @@ func (svc *service) solveAndPublish(ctx context.Context, batch []*commitReq) (co
 	}
 	svc.srv.metrics.commitSeq.With(svc.name).Set(float64(seqs[coalesced-1]))
 	svc.observeSolve(time.Since(start))
-	svc.srv.metrics.publishModel(svc.name, next.version, m.Size())
+	svc.srv.metrics.publishModel(svc.name, next.version, m)
 	publishEnd := time.Now()
 	for _, req := range batch {
 		if req.tr != nil {
@@ -386,8 +382,8 @@ func (svc *service) solveAndPublish(ctx context.Context, batch []*commitReq) (co
 
 // recordOperatorSpans attaches per-operator profile spans under the rule
 // spans the solve's SpanSink recorded: for every rule that fired, each
-// pipeline operator gets a span carrying its measured counters for THIS
-// solve (the delta of the cumulative accumulators). Operator spans share
+// pipeline operator gets a span carrying its counters for THIS solve
+// (the new model's ledger minus the previous model's). Operator spans share
 // their rule span's window — the executor measures rows, not per-
 // operator wall time, and the trace stays honest about that.
 func recordOperatorSpans(tr *obs.Trace, ssink *obs.SpanSink, delta *datalog.Profile) {

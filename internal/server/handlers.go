@@ -341,9 +341,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				Probes: cs.Probes, Seconds: float64(cs.Nanos) / 1e9,
 			}
 		}
-		// operators carries the rule pipelines' cumulative
-		// per-operator counters per rule.
-		prof := svc.prog.Profile()
+		// operators carries the rule pipelines' per-operator counters
+		// from the same ledger.
+		prof := svc.prog.Profile(stats)
 		out = append(out, map[string]any{
 			"name":       name,
 			"version":    st.version,
@@ -732,8 +732,8 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 
 // handleExplainPlan serves the compiled operator tree of a program's
 // rules — EXPLAIN — and, with ?analyze=1, annotates it with the
-// measured cumulative counters of the streaming executor plus per-rule
-// timings from the stats ledger — EXPLAIN ANALYZE. JSON by default (the
+// published model's per-operator counters and per-rule timings —
+// EXPLAIN ANALYZE. JSON by default (the
 // machine-readable form); ?format=text renders the human tree.
 func (s *Server) handleExplainPlan(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
@@ -748,19 +748,13 @@ func (s *Server) handleExplainPlan(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, errMaterializing())
 		return
 	}
-	prof := svc.prog.Profile()
+	// Plain EXPLAIN is the structure of a zero ledger.
+	var ledger datalog.Stats
 	analyze := r.URL.Query().Get("analyze") == "1"
 	if analyze {
-		prof.Annotate(st.model.Stats())
-	} else {
-		// Plain EXPLAIN: structure only, no measurements.
-		for i := range prof.Rules {
-			for j := range prof.Rules[i].Ops {
-				op := &prof.Rules[i].Ops[j]
-				op.In, op.Out, op.Probes, op.Build, op.Delta, op.Groups = 0, 0, 0, 0, 0, 0
-			}
-		}
+		ledger = st.model.Stats()
 	}
+	prof := svc.prog.Profile(ledger)
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.WriteHeader(http.StatusOK)

@@ -202,40 +202,33 @@ func (m *metrics) assertOutcome(program, outcome string) {
 	m.assertOutcomes.With(program, outcome).Inc()
 }
 
-// publishModel updates the per-program model gauges for a newly
-// published generation.
-func (m *metrics) publishModel(program string, version uint64, size int) {
-	m.modelSize.With(program).Set(float64(size))
+// publishModel sets the per-program model gauges from a newly
+// published generation: its size, version and the cumulative work its
+// Stats carry (seeded across warm starts and assert chains), so the
+// engine gauges report what /v1/stats does and never a rejected solve.
+func (m *metrics) publishModel(program string, version uint64, model *datalog.Model) {
+	st := model.Stats()
+	m.modelSize.With(program).Set(float64(model.Size()))
 	m.modelVersion.With(program).Set(float64(version))
+	m.engineRounds.With(program).Set(float64(st.Rounds))
+	m.engineFirings.With(program).Set(float64(st.Firings))
+	m.engineDerived.With(program).Set(float64(st.Derived))
 }
 
-// programSink returns the event sink that feeds one program's engine
-// gauges. It is chained in front of any user-configured sink at load
-// time, and runs on the solving goroutine (the single-writer path), so
-// gauge stores are the only synchronization needed.
+// programSink returns the event sink that feeds one program's live
+// worker gauge. It is chained in front of any user-configured sink at
+// load time, and runs on the solving goroutine (the single-writer
+// path), so gauge stores are the only synchronization needed.
 func (m *metrics) programSink(program string) datalog.EventSink {
-	rounds := m.engineRounds.With(program)
-	firings := m.engineFirings.With(program)
-	derived := m.engineDerived.With(program)
 	workers := m.engineWorkers.With(program)
 	return datalog.SinkFunc(func(e datalog.Event) {
 		switch e.Kind {
-		case datalog.EventRoundEnd:
-			rounds.Add(1)
-			firings.Add(float64(e.Firings))
-			derived.Add(float64(e.Derived))
 		case datalog.EventComponentBegin, datalog.EventComponentEnd:
 			// Component events carry the walk's live worker count. The
 			// engine serializes sink calls, so Set sees a consistent
 			// gauge.
 			workers.Set(float64(e.Workers))
 		case datalog.EventSolveEnd:
-			// SolveEnd carries the authoritative cumulative totals
-			// (seeded across warm starts and assert chains); snap the
-			// gauges to them so restarts don't under-report.
-			rounds.Set(float64(e.Round))
-			firings.Set(float64(e.Firings))
-			derived.Set(float64(e.Derived))
 			workers.Set(0)
 		}
 	})

@@ -74,6 +74,27 @@ func TestMetricsPrometheusText(t *testing.T) {
 	}
 }
 
+// TestEngineGaugesFollowPublishedModel: the mdl_engine_rounds, _firings
+// and _derived gauges are a view of the published model's Stats, so a
+// batch the budget rejects after evaluating passes leaves them equal to
+// /v1/stats — never at the failed solve's totals.
+func TestEngineGaugesFollowPublishedModel(t *testing.T) {
+	_, ts := startServer(t, []ProgramSpec{{Name: "chain", Source: budgetChain, Options: datalog.Options{MaxFacts: 3}}}, Config{})
+	assertBudgetChain(t, ts.URL)
+	_, resp := getJSON(t, ts.URL+"/v1/stats?name=chain")
+	stats := resp["programs"].([]any)[0].(map[string]any)["stats"].(map[string]any)
+	_, body, _ := getText(t, ts.URL+"/metrics")
+	for _, g := range []string{"rounds", "firings", "derived"} {
+		want := fmt.Sprintf(`mdl_engine_%s{program="chain"} %v`, g, stats[g])
+		if !strings.Contains(body, want+"\n") {
+			t.Errorf("missing %q (the published model's stats)", want)
+		}
+	}
+	if t.Failed() {
+		t.Logf("exposition:\n%s", body)
+	}
+}
+
 // TestMetricsUnknownEndpointNotDropped is the regression test for the
 // silent metric drop: traffic on unknown paths must land in the "other"
 // series in both views, not vanish.

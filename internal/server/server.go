@@ -222,14 +222,10 @@ func New(specs []ProgramSpec, cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: duplicate program name %q", spec.Name)
 		}
 		// Chain the metrics sink in front of any user-configured sink:
-		// the engine's event stream feeds the per-program gauges. Events
+		// the engine's event stream feeds the live worker gauge. Events
 		// are only ever emitted from the single-writer path (materialize
 		// and serialized asserts), and gauge updates are atomic.
 		spec.Options.Sink = datalog.MultiSink(s.metrics.programSink(spec.Name), spec.Options.Sink)
-		// Operator profiling is always on in the serve tier: it feeds
-		// /v1/explain/plan?analyze=1 and the per-commit operator spans,
-		// and costs one predictable branch per counted executor event.
-		spec.Options.Profile = true
 		p, err := datalog.Load(spec.Source, spec.Options)
 		if err != nil {
 			return nil, fmt.Errorf("server: program %s: %w", spec.Name, err)
@@ -314,7 +310,7 @@ func (s *Server) Materialize(ctx context.Context) error {
 		}
 		s.metrics.commitSeq.With(name).Set(float64(svc.seq.Load()))
 		svc.cur.Store(&modelState{model: m, version: 1, warm: warm})
-		s.metrics.publishModel(name, 1, m.Size())
+		s.metrics.publishModel(name, 1, m)
 		svc.committerUp.Store(true)
 		go svc.commitLoop()
 		how := "solved"

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/datalog"
 	"repro/internal/obs"
 )
 
@@ -274,15 +276,79 @@ func TestConcurrentTracesSelfConsistent(t *testing.T) {
 }
 
 // TestStatsOperatorsSection: /v1/stats exposes the per-rule operator
-// counters, and the profile agrees with the stats ledger — the last
-// operator's rows-out per rule sums to the program's total firings.
+// counters, and they agree with the rest of the response — the published
+// model's ledger — after a cold start, after a batch the budget rejects
+// mid-solve, and after a warm start from a checkpoint.
 func TestStatsOperatorsSection(t *testing.T) {
-	src := loadExample(t, "shortestpath.mdl")
-	_, ts := startServer(t,
-		[]ProgramSpec{{Name: "sp", Source: src}},
-		Config{})
+	t.Run("cold", func(t *testing.T) {
+		_, ts := startServer(t, []ProgramSpec{{Name: "sp", Source: loadExample(t, "shortestpath.mdl")}}, Config{})
+		if checkStatsLedger(t, ts.URL, "sp", false)["firings"].(float64) == 0 {
+			t.Fatal("cold solve reports no firings")
+		}
+	})
+	t.Run("rejected batch", func(t *testing.T) {
+		_, ts := startServer(t, []ProgramSpec{{Name: "chain", Source: budgetChain, Options: datalog.Options{MaxFacts: 3}}}, Config{})
+		assertBudgetChain(t, ts.URL)
+		if checkStatsLedger(t, ts.URL, "chain", false)["firings"].(float64) == 0 {
+			t.Fatal("the accepted batch's work is missing")
+		}
+	})
+	t.Run("warm start", func(t *testing.T) {
+		spec := ProgramSpec{Name: "sp", Source: loadExample(t, "shortestpath.mdl"), Checkpoint: filepath.Join(t.TempDir(), "sp.ckpt")}
+		s1, ts1 := startServer(t, []ProgramSpec{spec}, Config{})
+		if code, resp := post(t, ts1.URL+"/v1/assert", `{"facts":[{"pred":"arc","args":["d","e",1]}]}`); code != http.StatusOK {
+			t.Fatalf("assert: %d %v", code, resp)
+		}
+		if err := s1.FlushCheckpoints(); err != nil {
+			t.Fatal(err)
+		}
+		s2, ts2 := startServer(t, []ProgramSpec{spec}, Config{})
+		if !s2.svcs["sp"].current().warm {
+			t.Fatal("second start must warm-start from the checkpoint")
+		}
+		checkStatsLedger(t, ts2.URL, "sp", true)
+		if code, resp := post(t, ts2.URL+"/v1/assert", `{"facts":[{"pred":"arc","args":["e","a",1]}]}`); code != http.StatusOK {
+			t.Fatalf("assert after warm start: %d %v", code, resp)
+		}
+		checkStatsLedger(t, ts2.URL, "sp", true)
+	})
+}
 
-	code, body := getJSON(t, ts.URL+"/v1/stats?name=sp")
+// budgetChain derives the transitive closure of edge: each assert of
+// one more link derives a few reach tuples, a long path many.
+const budgetChain = `
+reach(X, Y) :- edge(X, Y).
+reach(X, Z) :- reach(X, Y), edge(Y, Z).
+`
+
+// assertBudgetChain drives budgetChain served with MaxFacts 3 through an
+// accepted batch (two derivations) and a rejected one: its solve
+// evaluates passes, then breaches the budget, so the published model
+// stays at generation 2.
+func assertBudgetChain(t *testing.T, url string) {
+	t.Helper()
+	if code, resp := post(t, url+"/v1/assert", `{"facts":[{"pred":"edge","args":["a","b"]}]}`); code != http.StatusOK {
+		t.Fatalf("accepted batch: %d %v", code, resp)
+	}
+	code, resp := post(t, url+"/v1/assert",
+		`{"facts":[{"pred":"edge","args":["b","c"]},{"pred":"edge","args":["c","d"]},{"pred":"edge","args":["d","e"]}]}`)
+	if code != 422 {
+		t.Fatalf("budget breach: %d %v", code, resp)
+	}
+	if _, resp := getJSON(t, url+"/v1/stats"); resp["programs"].([]any)[0].(map[string]any)["version"] != 2.0 {
+		t.Fatalf("rejected batch was published: %v", resp)
+	}
+}
+
+// checkStatsLedger fetches /v1/stats for one program and checks the
+// ledger identities — every rule's operators' probes sum to its probes;
+// for a rule without Δ-driver orders the last operator's rows-out is its
+// firings; unless the model was restored from a snapshot (whose scalar
+// totals cover work its breakdowns do not), per-rule firings sum to the
+// total — and returns the response's scalar stats.
+func checkStatsLedger(t *testing.T, url, name string, restored bool) map[string]any {
+	t.Helper()
+	code, body := getJSON(t, url+"/v1/stats?name="+name)
 	if code != http.StatusOK {
 		t.Fatalf("stats got %d: %v", code, body)
 	}
@@ -292,44 +358,38 @@ func TestStatsOperatorsSection(t *testing.T) {
 	if !ok || len(operators) == 0 {
 		t.Fatalf("operators section missing or empty: %v", prog["operators"])
 	}
-
-	// The existing invariant must survive the new section: per-rule
-	// firings in the stats ledger sum to the program total.
 	var firingsSum float64
-	firingsByIndex := map[float64]float64{}
+	byIndex := map[float64]map[string]any{}
 	for _, r := range prog["rules"].([]any) {
 		rule := r.(map[string]any)
 		firingsSum += rule["firings"].(float64)
-		firingsByIndex[rule["index"].(float64)] = rule["firings"].(float64)
+		byIndex[rule["index"].(float64)] = rule
 	}
-	if total := stats["firings"].(float64); firingsSum != total || total == 0 {
+	if total := stats["firings"].(float64); firingsSum != total && !restored {
 		t.Fatalf("sum of per-rule firings %v != total firings %v", firingsSum, total)
 	}
-
-	// The operator counters agree with the ledger: for every rule with a
-	// pipeline (facts compile to none), the last operator's rows-out is
-	// that rule's firing count.
-	withOps := 0
 	for _, o := range operators {
 		rule := o.(map[string]any)
-		ops, _ := rule["ops"].([]any)
-		if len(ops) == 0 {
-			continue
-		}
-		withOps++
-		last := ops[len(ops)-1].(map[string]any)
-		if out, want := last["out"].(float64), firingsByIndex[rule["index"].(float64)]; out != want {
-			t.Fatalf("rule %v: last operator rows-out %v != ledger firings %v", rule["index"], out, want)
-		}
+		ledger := byIndex[rule["index"].(float64)]
+		ops := rule["ops"].([]any)
+		var probes float64
 		for _, op := range ops {
 			if op.(map[string]any)["kind"].(string) == "" {
 				t.Fatalf("operator missing kind: %v", op)
 			}
+			probes += op.(map[string]any)["probes"].(float64)
+		}
+		if want := ledger["probes"].(float64); probes != want {
+			t.Fatalf("rule %v: operators probed %v rows, ledger probes %v", rule["index"], probes, want)
+		}
+		if _, driven := rule["drivers"]; driven || len(ops) == 0 {
+			continue
+		}
+		if out, want := ops[len(ops)-1].(map[string]any)["out"].(float64), ledger["firings"].(float64); out != want {
+			t.Fatalf("rule %v: last operator rows-out %v != ledger firings %v", rule["index"], out, want)
 		}
 	}
-	if withOps == 0 {
-		t.Fatal("no rule in the operators section has a pipeline")
-	}
+	return stats
 }
 
 // TestExplainPlanEndpoint: /v1/explain/plan serves the operator tree,

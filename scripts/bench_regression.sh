@@ -7,8 +7,9 @@
 # no knobs. Re-pinning means editing the constant below in the same
 # commit as the code change that moves it.
 #
-#   1. Allocation pin: with no event sink and no profiler attached (the
-#      benchmark's configuration), BenchmarkSolve's allocs/op stays at
+#   1. Allocation pin: with no event sink attached (the benchmark's
+#      configuration; the per-operator counters are always counted into
+#      the solve's Stats), BenchmarkSolve's allocs/op stays at
 #      SOLVE_ALLOCS (2,133) within ALLOC_TOL_PCT percent. Relations store
 #      rows in chunked arenas with value-hashed key tables and Δ sets hold
 #      row ids, so a solve that stores ~27k rows allocates per chunk and
@@ -21,8 +22,8 @@
 #      stored row would add over 20,000. One-shot setup allocations
 #      amortize over the iteration count, which is why -benchtime is
 #      fixed. This protects the storage kernel's and the streaming
-#      pipelines' core property — no per-tuple allocation — and the
-#      zero-cost-when-off contract of profiling.
+#      pipelines' core property — no per-tuple allocation, counting
+#      included.
 #
 #   2. Party probe pin: BenchmarkParty/engine/n=64 reports the index
 #      probes of one Example 4.3 solve (probes/op), which must equal
