@@ -30,6 +30,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -208,13 +211,22 @@ func (p *Program) Classify() Classification {
 
 // Value is a constant of the rule language (or the Any wildcard, which
 // is meaningful only as a Model.Match argument).
+//
+// Symbols, strings and sets are interned process-wide by the engine. A
+// Value built by Sym, Str or SetOf keeps its text (or elements) and is
+// resolved when used: facts intern it, while the read paths — Has, Cost,
+// Match, Explain — only look it up, so a query naming constants no model
+// holds matches nothing and leaves the intern table as it was. Values
+// read out of a model carry the engine value itself.
 type Value struct {
-	v    val.T
-	wild bool
+	v     val.T
+	text  string  // Sym, Str built by Sym/Str: the text, unresolved
+	elems []Value // SetKind built by SetOf: the elements, unresolved
+	wild  bool
 }
 
 // Sym returns a symbol constant.
-func Sym(s string) Value { return Value{v: val.Symbol(s)} }
+func Sym(s string) Value { return Value{v: val.T{Kind: val.Sym}, text: s} }
 
 // Num returns a numeric constant.
 func Num(n float64) Value { return Value{v: val.Number(n)} }
@@ -223,21 +235,96 @@ func Num(n float64) Value { return Value{v: val.Number(n)} }
 func Bool(b bool) Value { return Value{v: val.Boolean(b)} }
 
 // Str returns a string constant.
-func Str(s string) Value { return Value{v: val.String(s)} }
+func Str(s string) Value { return Value{v: val.T{Kind: val.Str}, text: s} }
 
 // SetOf returns a set constant.
 func SetOf(elems ...Value) Value {
-	raw := make([]val.T, len(elems))
-	for i, e := range elems {
-		raw[i] = e.v
+	if len(elems) == 0 {
+		return Value{v: val.EmptySet.Value()}
 	}
-	return Value{v: val.T{Kind: val.SetKind, Set: val.NewSet(raw)}}
+	return Value{v: val.T{Kind: val.SetKind}, elems: append([]Value(nil), elems...)}
+}
+
+// resolve returns v's engine value. With intern set, constants new to the
+// process are interned (facts); otherwise ok is false for them (reads).
+func (v Value) resolve(intern bool) (_ val.T, ok bool) {
+	switch {
+	case v.text != "" && intern && v.v.Kind == val.Str:
+		return val.String(v.text), true
+	case v.text != "" && intern:
+		return val.Symbol(v.text), true
+	case v.text != "":
+		return val.Lookup(v.v.Kind, v.text)
+	case v.elems != nil:
+		raw := make([]val.T, len(v.elems))
+		for i, e := range v.elems {
+			if raw[i], ok = e.resolve(intern); !ok {
+				return val.T{}, false
+			}
+		}
+		if intern {
+			return val.SetOf(raw...), true
+		}
+		return val.LookupSet(raw)
+	}
+	return v.v, true
+}
+
+// resolveAll resolves vs for a read (see resolve); ok is false when some
+// value names a constant the process has never interned.
+func resolveAll(vs []Value) ([]val.T, bool) {
+	raw := make([]val.T, len(vs))
+	for i, v := range vs {
+		var ok bool
+		if raw[i], ok = v.resolve(false); !ok {
+			return nil, false
+		}
+	}
+	return raw, true
+}
+
+// key returns v's canonical key (val.T.Key) without resolving v.
+func (v Value) key() string {
+	switch {
+	case v.text != "" && v.v.Kind == val.Str:
+		return "q:" + v.text
+	case v.text != "":
+		return "s:" + v.text
+	case v.elems != nil:
+		elems := v.canonicalElems()
+		keys := make([]string, len(elems))
+		for i, e := range elems {
+			keys[i] = e.key()
+		}
+		return "S:{" + strings.Join(keys, ";") + "}"
+	}
+	return v.v.Key()
+}
+
+// canonicalElems returns a built set's elements in canonical order (by
+// key, duplicates dropped), the order val.Set keeps.
+func (v Value) canonicalElems() []Value {
+	out := append([]Value(nil), v.elems...)
+	slices.SortStableFunc(out, func(a, b Value) int { return strings.Compare(a.key(), b.key()) })
+	return slices.CompactFunc(out, func(a, b Value) bool { return a.key() == b.key() })
 }
 
 // String renders the value in rule-language syntax ("_" for Any).
 func (v Value) String() string {
-	if v.wild {
+	switch {
+	case v.wild:
 		return "_"
+	case v.text != "" && v.v.Kind == val.Str:
+		return strconv.Quote(v.text)
+	case v.text != "":
+		return v.text
+	case v.elems != nil:
+		elems := v.canonicalElems()
+		parts := make([]string, len(elems))
+		for i, e := range elems {
+			parts[i] = e.String()
+		}
+		return "{" + strings.Join(parts, ", ") + "}"
 	}
 	return v.v.String()
 }
@@ -245,7 +332,7 @@ func (v Value) String() string {
 // Float returns the numeric value of a Num (or NaN-free zero otherwise).
 func (v Value) Float() (float64, bool) {
 	if v.v.Kind == val.Num {
-		return v.v.N, true
+		return v.v.Num(), true
 	}
 	return 0, false
 }
@@ -253,13 +340,21 @@ func (v Value) Float() (float64, bool) {
 // Truth returns the boolean value of a Bool.
 func (v Value) Truth() (bool, bool) {
 	if v.v.Kind == val.Bool {
-		return v.v.B, true
+		return v.v.Bool(), true
 	}
 	return false, false
 }
 
 // Equal reports value equality (Any equals nothing, not even Any).
-func (v Value) Equal(o Value) bool { return !v.wild && !o.wild && val.Equal(v.v, o.v) }
+func (v Value) Equal(o Value) bool {
+	if v.wild || o.wild {
+		return false
+	}
+	if v.text == "" && v.elems == nil && o.text == "" && o.elems == nil {
+		return val.Equal(v.v, o.v)
+	}
+	return v.key() == o.key()
+}
 
 // Fact is a ground input fact. For a cost predicate the final value is
 // the cost.
@@ -384,20 +479,21 @@ func addFact(edb *relation.DB, schemas ast.Schemas, f Fact) error {
 		if len(f.Args) == 0 {
 			return fmt.Errorf("datalog: fact %s lacks its cost argument", f.Pred)
 		}
-		cost, err := pi.L.Parse(f.Args[len(f.Args)-1].v)
+		c, _ := f.Args[len(f.Args)-1].resolve(true)
+		cost, err := pi.L.Parse(c)
 		if err != nil {
 			return fmt.Errorf("datalog: fact %s: %v", f.Pred, err)
 		}
 		args := make([]val.T, len(f.Args)-1)
 		for i := range args {
-			args[i] = f.Args[i].v
+			args[i], _ = f.Args[i].resolve(true)
 		}
 		edb.Rel(key).InsertJoin(args, cost)
 		return nil
 	}
 	args := make([]val.T, len(f.Args))
 	for i, a := range f.Args {
-		args[i] = a.v
+		args[i], _ = a.resolve(true)
 	}
 	edb.Rel(key).InsertJoin(args, lattice.Elem{})
 	return nil
@@ -477,9 +573,9 @@ func (m *Model) lookup(pred string, args []Value) (relation.Row, bool) {
 	if len(ks) == 0 {
 		return relation.Row{}, false
 	}
-	raw := make([]val.T, len(args))
-	for i, a := range args {
-		raw[i] = a.v
+	raw, ok := resolveAll(args)
+	if !ok {
+		return relation.Row{}, false
 	}
 	return m.db.Rel(ks[0]).GetOrDefault(raw)
 }
@@ -552,9 +648,9 @@ func (m *Model) String() string { return m.db.String() }
 // or restored. ok is false for a tuple the model lacks or no rule
 // derives (an EDB fact).
 func (m *Model) Explain(pred string, args ...Value) (rule string, supports []string, ok bool) {
-	raw := make([]val.T, len(args))
-	for i, a := range args {
-		raw[i] = a.v
+	raw, ok := resolveAll(args)
+	if !ok {
+		return "", nil, false
 	}
 	d, ok := m.provenance().Explain(pred, raw)
 	if !ok {
@@ -573,9 +669,19 @@ func (m *Model) Explain(pred string, args ...Value) (rule string, supports []str
 // The model caches each explanation it derives, for Explain and
 // ExplainTree alike.
 func (m *Model) ExplainTree(pred string, depth int, args ...Value) string {
-	raw := make([]val.T, len(args))
-	for i, a := range args {
-		raw[i] = a.v
+	raw, ok := resolveAll(args)
+	if !ok {
+		// A constant never interned is in no model: the tuple is a leaf,
+		// rendered as Tree renders one.
+		atom := pred
+		if len(args) > 0 {
+			parts := make([]string, len(args))
+			for i, a := range args {
+				parts[i] = a.String()
+			}
+			atom += "(" + strings.Join(parts, ", ") + ")"
+		}
+		return atom + "  [fact]\n"
 	}
 	return m.provenance().Tree(pred, raw, depth)
 }

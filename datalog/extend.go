@@ -32,7 +32,7 @@ func RegisterIntersection(name string, universe ...Value) {
 
 // Edge builds the canonical edge value "u->v" used by graph-property
 // aggregates. In rule text, write edges as strings: {"u->v"}.
-func Edge(u, v string) Value { return Value{v: lattice.Edge(u, v)} }
+func Edge(u, v string) Value { return Sym(u + "->" + v) }
 
 // RegisterGraphProperty registers a Figure 1 row 11 aggregate: the
 // multiset elements are edge sets, and the aggregate returns whether prop
@@ -66,11 +66,8 @@ func RegisterPathLengthProperty(name string, k int) {
 // EdgeEnds splits an edge value built by Edge (or written as a "u->v"
 // string) back into its endpoints.
 func EdgeEnds(e Value) (u, v string, ok bool) {
-	s := ""
-	switch e.v.Kind {
-	case val.Sym, val.Str:
-		s = e.v.S
-	default:
+	s, ok := e.Text()
+	if !ok {
 		return "", "", false
 	}
 	for i := 0; i+1 < len(s); i++ {
@@ -84,7 +81,7 @@ func EdgeEnds(e Value) (u, v string, ok bool) {
 func toSet(vs []Value) *val.Set {
 	raw := make([]val.T, len(vs))
 	for i, v := range vs {
-		raw[i] = v.v
+		raw[i], _ = v.resolve(true)
 	}
 	return val.NewSet(raw)
 }

@@ -77,13 +77,13 @@ func argFacts(t *testing.T, text string) []datalog.Fact {
 		for _, a := range r.Head.Args {
 			switch v := a.(ast.Const).V; v.Kind {
 			case val.Sym:
-				f.Args = append(f.Args, datalog.Sym(v.S))
+				f.Args = append(f.Args, datalog.Sym(v.Text()))
 			case val.Num:
-				f.Args = append(f.Args, datalog.Num(v.N))
+				f.Args = append(f.Args, datalog.Num(v.Num()))
 			case val.Bool:
-				f.Args = append(f.Args, datalog.Bool(v.B))
+				f.Args = append(f.Args, datalog.Bool(v.Bool()))
 			case val.Str:
-				f.Args = append(f.Args, datalog.Str(v.S))
+				f.Args = append(f.Args, datalog.Str(v.Text()))
 			default:
 				t.Fatalf("fact %s: unsupported constant %s", r, v)
 			}

@@ -54,7 +54,10 @@ func (v Value) Kind() ValueKind {
 // Text returns the text of a Sym or Str value.
 func (v Value) Text() (string, bool) {
 	if !v.wild && (v.v.Kind == val.Sym || v.v.Kind == val.Str) {
-		return v.v.S, true
+		if v.text != "" {
+			return v.text, true
+		}
+		return v.v.Text(), true
 	}
 	return "", false
 }
@@ -64,7 +67,10 @@ func (v Value) Elems() ([]Value, bool) {
 	if v.wild || v.v.Kind != val.SetKind {
 		return nil, false
 	}
-	raw := v.v.Set.Elems()
+	if v.elems != nil {
+		return v.canonicalElems(), true
+	}
+	raw := v.v.Set().Elems()
 	out := make([]Value, len(raw))
 	for i, e := range raw {
 		out[i] = Value{v: e}
@@ -83,11 +89,22 @@ func (v Value) Elems() ([]Value, bool) {
 // Match filters the stored rows in insertion order and sorts only the
 // matches; it builds no index, so it never mutates the model.
 func (m *Model) Match(pred string, args ...Value) [][]Value {
+	pattern := make([]*val.T, len(args))
+	for i, a := range args {
+		if a.wild {
+			continue
+		}
+		v, ok := a.resolve(false)
+		if !ok {
+			return nil // a constant never interned is in no model
+		}
+		pattern[i] = &v
+	}
 	var out [][]Value
 	for _, k := range m.predKeys(pred, len(args)) {
 		var rows []relation.Row
 		m.db.Rel(k).Each(func(row relation.Row) bool {
-			if rowMatches(row, args) {
+			if rowMatches(row, pattern) {
 				rows = append(rows, row)
 			}
 			return true
@@ -100,15 +117,14 @@ func (m *Model) Match(pred string, args ...Value) [][]Value {
 	return out
 }
 
-func rowMatches(row relation.Row, pattern []Value) bool {
+// rowMatches reports whether row agrees with pattern, whose nil entries
+// are wildcards.
+func rowMatches(row relation.Row, pattern []*val.T) bool {
 	if len(pattern) != len(row.Args) {
 		return false
 	}
 	for i, p := range pattern {
-		if p.wild {
-			continue
-		}
-		if !val.Equal(row.Args[i], p.v) {
+		if p != nil && !val.Equal(row.Args[i], *p) {
 			return false
 		}
 	}

@@ -165,8 +165,9 @@ func TestPredicatesAndSize(t *testing.T) {
 }
 
 // fullSortMatch is Match as it was before it filtered first: sort the
-// whole relation, then keep the rows that match. The differential below
-// holds the filter-then-sort Match to it.
+// whole relation, then keep the rows whose values are Equal to the
+// pattern's (compared by key, never through the intern table). The
+// differential below holds the filter-then-sort Match to it.
 func fullSortMatch(m *Model, pred string, args ...Value) [][]Value {
 	var out [][]Value
 	for _, k := range m.db.Preds() {
@@ -177,10 +178,14 @@ func fullSortMatch(m *Model, pred string, args ...Value) [][]Value {
 		if pi == nil || pi.NonCost() != len(args) {
 			continue
 		}
+	rows:
 		for _, row := range m.db.Rel(k).Rows() {
-			if rowMatches(row, args) {
-				out = append(out, rowValues(row))
+			for i, a := range args {
+				if !a.wild && !(Value{v: row.Args[i]}).Equal(a) {
+					continue rows
+				}
 			}
+			out = append(out, rowValues(row))
 		}
 	}
 	return out

@@ -103,24 +103,32 @@ func EvalExpr(e Expr, lookup func(Var) (val.T, bool)) (val.T, error) {
 		if err != nil {
 			return val.T{}, err
 		}
-		if l.Kind != val.Num || r.Kind != val.Num {
-			return val.T{}, fmt.Errorf("arithmetic on non-numeric values %s, %s", l, r)
-		}
-		switch e.Op {
-		case OpAdd:
-			return val.Number(l.N + r.N), nil
-		case OpSub:
-			return val.Number(l.N - r.N), nil
-		case OpMul:
-			return val.Number(l.N * r.N), nil
-		case OpDiv:
-			if r.N == 0 {
-				return val.T{}, fmt.Errorf("division by zero")
-			}
-			return val.Number(l.N / r.N), nil
-		}
+		return Arith(e.Op, l, r)
 	}
 	return val.T{}, fmt.Errorf("bad expression %v", e)
+}
+
+// Arith applies an arithmetic operator to two values, which must be
+// numbers.
+func Arith(op ArithOp, l, r val.T) (val.T, error) {
+	if l.Kind != val.Num || r.Kind != val.Num {
+		return val.T{}, fmt.Errorf("arithmetic on non-numeric values %s, %s", l, r)
+	}
+	x, y := l.Num(), r.Num()
+	switch op {
+	case OpAdd:
+		return val.Number(x + y), nil
+	case OpSub:
+		return val.Number(x - y), nil
+	case OpMul:
+		return val.Number(x * y), nil
+	case OpDiv:
+		if y == 0 {
+			return val.T{}, fmt.Errorf("division by zero")
+		}
+		return val.Number(x / y), nil
+	}
+	return val.T{}, fmt.Errorf("bad arithmetic operator %v", op)
 }
 
 // Compare applies a comparison operator to two values. Ordering operators
@@ -135,18 +143,19 @@ func Compare(op CmpOp, l, r val.T) (bool, error) {
 	if l.Kind != val.Num || r.Kind != val.Num {
 		return false, fmt.Errorf("ordered comparison of non-numeric values %s, %s", l, r)
 	}
-	if math.IsNaN(l.N) || math.IsNaN(r.N) {
+	x, y := l.Num(), r.Num()
+	if math.IsNaN(x) || math.IsNaN(y) {
 		return false, fmt.Errorf("comparison with NaN")
 	}
 	switch op {
 	case OpLt:
-		return l.N < r.N, nil
+		return x < y, nil
 	case OpLe:
-		return l.N <= r.N, nil
+		return x <= y, nil
 	case OpGt:
-		return l.N > r.N, nil
+		return x > y, nil
 	case OpGe:
-		return l.N >= r.N, nil
+		return x >= y, nil
 	}
 	return false, fmt.Errorf("bad comparison operator %v", op)
 }

@@ -96,7 +96,7 @@ func TestProgramStringIncludesDeclarations(t *testing.T) {
 
 func TestEvalExprConstAndCompare(t *testing.T) {
 	v, err := EvalExpr(ConstExpr{V: val.Symbol("a")}, nil)
-	if err != nil || v.S != "a" {
+	if err != nil || v.Text() != "a" {
 		t.Fatalf("ConstExpr eval = %v, %v", v, err)
 	}
 	// Arithmetic over non-numbers errors.

@@ -160,7 +160,7 @@ func TestFactValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(args) != 2 || args[0].S != "a" || cost.N != 2 {
+	if len(args) != 2 || args[0].Text() != "a" || cost.Num() != 2 {
 		t.Fatalf("args = %v, cost = %v", args, cost)
 	}
 	bad := Atom{Pred: "arc", Args: []Term{Sym("a"), Var("Y"), Num(2)}}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/lattice"
+	"repro/internal/relation"
 	"repro/internal/val"
 )
 
@@ -54,7 +55,10 @@ func (ev *evaluator) aggregate(s *aggStep, stepIdx int, e *env, cont func() erro
 		elems    []lattice.Elem
 		supports []Support
 	}
-	groups := map[string]*group{}
+	// Groups in first-occurrence order, as the pipelines emit them.
+	var keys relation.GroupSet
+	keys.Reset(len(s.groupVars))
+	var groups []*group
 
 	element := func() lattice.Elem {
 		if s.msVar >= 0 {
@@ -88,12 +92,11 @@ func (ev *evaluator) aggregate(s *aggStep, stepIdx int, e *env, cont func() erro
 			for j, v := range s.groupVars {
 				keyScratch[j] = e.vals[v]
 			}
-			gk := val.KeyOf(keyScratch)
-			g := groups[gk]
-			if g == nil {
-				g = &group{keyVals: append([]val.T{}, keyScratch...)}
-				groups[gk] = g
+			gi, added := keys.Add(keyScratch)
+			if added {
+				groups = append(groups, &group{keyVals: keys.At(gi)})
 			}
+			g := groups[gi]
 			g.elems = append(g.elems, element())
 			if ev.supports {
 				g.supports = collectSupports(g.supports)
@@ -162,9 +165,8 @@ func (ev *evaluator) aggregate(s *aggStep, stepIdx int, e *env, cont func() erro
 	if allBound {
 		return emitGroup(&group{elems: pointElems, supports: pointSupports})
 	}
-	// Grouped mode: deterministic group order.
-	for _, gk := range sortedKeys(groups) {
-		if err := emitGroup(groups[gk]); err != nil {
+	for _, g := range groups {
+		if err := emitGroup(g); err != nil {
 			return err
 		}
 	}

@@ -253,6 +253,7 @@ func New(prog *ast.Program, opts Options) (*Engine, error) {
 			// labels: the hot loops attribute per-rule stats and emit
 			// events, and profiles render, without formatting the rule.
 			p.idx = en.nrules
+			p.pos = len(ps)
 			p.text = r.String()
 			p.ops = describeOps(p)
 			p.work.Ops = make([]exec.OpCounts, len(p.steps))
@@ -467,8 +468,8 @@ func (en *Engine) passConfig(g *guard, db *relation.DB) exec.Config {
 // operators' probes.
 func (en *Engine) runPass(p *plan, pipe *pipeline, cfg exec.Config, stats *Stats, emit func(*plan, *env) error) error {
 	m := pipe.stream.Acquire(cfg)
-	aux := m.Aux.(*streamAux)
-	err := m.Run(func(*exec.Machine) error { return emit(p, aux.env) })
+	e := m.Aux.(*env)
+	err := m.Run(func(*exec.Machine) error { return emit(p, e) })
 	stats.Firings += m.Firings
 	for i, c := range pipe.canon {
 		n := m.Counts(i)
@@ -577,10 +578,6 @@ type deltaSet struct {
 	// out as the same predicate reappears in later rounds (keyed by
 	// predicate so the largest predicate keeps its large slices).
 	free map[ast.PredKey]*predDelta
-	// lastK/last cache the most recent add's predicate: a rule's
-	// derivations all land in its head predicate.
-	lastK ast.PredKey
-	last  *predDelta
 }
 
 // predDelta is one predicate's changed row ids and their membership
@@ -602,20 +599,23 @@ func (d *deltaSet) ids(k ast.PredKey) []int32 {
 	return nil
 }
 
-// add records row id of predicate k's relation unless d already holds it.
-func (d *deltaSet) add(k ast.PredKey, id int) {
-	pd := d.last
-	if pd == nil || k != d.lastK {
-		if pd = d.preds[k]; pd == nil {
-			if pd = d.free[k]; pd != nil {
-				delete(d.free, k)
-			} else {
-				pd = &predDelta{}
-			}
-			d.preds[k] = pd
+// slot returns predicate k's entry, creating it: callers take a slot only
+// to add to it, so d never holds an empty entry.
+func (d *deltaSet) slot(k ast.PredKey) *predDelta {
+	pd := d.preds[k]
+	if pd == nil {
+		if pd = d.free[k]; pd != nil {
+			delete(d.free, k)
+		} else {
+			pd = &predDelta{}
 		}
-		d.lastK, d.last = k, pd
+		d.preds[k] = pd
 	}
+	return pd
+}
+
+// add records row id of the predicate's relation unless pd holds it.
+func (pd *predDelta) add(id int) {
 	w, bit := id>>6, uint64(1)<<(id&63)
 	if w >= len(pd.seen) {
 		pd.seen = append(pd.seen, make([]uint64, max(w+1, 2*len(pd.seen))-len(pd.seen))...)
@@ -644,7 +644,6 @@ func (d *deltaSet) reset() {
 		d.free[k] = pd
 		delete(d.preds, k)
 	}
-	d.last = nil
 }
 
 func (d *deltaSet) empty() bool { return len(d.preds) == 0 }
@@ -679,6 +678,19 @@ func (d *deltaSet) predKeys() []ast.PredKey {
 func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats, init, record *deltaSet) error {
 	ps, recursive := en.plans[ci], en.compRecursive[ci]
 	delta := newDeltaSet()
+	// sinks[i] is the insert target of ps[i] (plan.pos): its head relation,
+	// resolved once here, and the Δ and record entries of its head
+	// predicate, resolved on the first derivation of each round (Δ, which
+	// changes every round) or of the evaluation (record) — so a derived
+	// tuple costs no relation or Δ lookup by predicate.
+	type headSink struct {
+		rel           *relation.Relation
+		delta, record *predDelta
+	}
+	sinks := make([]headSink, len(ps))
+	for i, p := range ps {
+		sinks[i].rel = db.Rel(p.head.pred)
+	}
 	// insert derives through the plan's head buffer (hbuf). Everything
 	// retained beyond this call — Δ and record entries — is the stored
 	// row's id, and the relation copied the arguments into its arena on
@@ -688,21 +700,26 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 		if err != nil {
 			return err
 		}
-		rel := db.Rel(p.head.pred)
-		if id, changed := insertEps(rel, args, cost, en.opts.Epsilon); changed {
-			stats.Derived++
-			row := rel.At(id)
-			if recursive {
-				delta.add(p.head.pred, id)
-			}
-			if record != nil {
-				record.add(p.head.pred, id)
-			}
-			if err := g.derived(p.head.pred, row.Args, row.Cost, rel.Info.HasCost, true); err != nil {
-				return err
-			}
+		h := &sinks[p.pos]
+		id, changed := insertEps(h.rel, args, cost, en.opts.Epsilon)
+		if !changed {
+			return nil
 		}
-		return nil
+		stats.Derived++
+		if recursive {
+			if h.delta == nil {
+				h.delta = delta.slot(p.head.pred)
+			}
+			h.delta.add(id)
+		}
+		if record != nil {
+			if h.record == nil {
+				h.record = record.slot(p.head.pred)
+			}
+			h.record.add(id)
+		}
+		row := h.rel.At(id)
+		return g.derived(p.head.pred, row.Args, row.Cost, h.rel.Info.HasCost, true)
 	}
 	cfg := en.passConfig(g, db)
 	// endRound closes one round: the RoundEnd event and the
@@ -760,6 +777,9 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 		} else {
 			delta = newDeltaSet()
 		}
+		for i := range sinks {
+			sinks[i].delta = nil
+		}
 		changedPreds := prev.predKeys()
 		for _, p := range ps {
 			g.rule = p.rule
@@ -787,7 +807,7 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 				// grouping variable can be recovered from the changed
 				// rows, otherwise a full re-run (which then also covers
 				// the scan deltas below).
-				groups, restricted := changedGroups(p.steps, prev, db)
+				groups, restricted := changedGroups(p, prev, db)
 				pass := cfg
 				pass.AggGroups = groups
 				perr = en.runPass(p, &p.pipe, pass, stats, insert)
@@ -827,35 +847,25 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 	return nil
 }
 
-// changedGroups computes, per aggregate step of the given step
-// arrangement, the groups whose multisets may have changed given the Δ
-// set (row ids into db's relations). restricted is false when some
-// changed conjunct cannot be projected onto the full group key (the
-// caller then treats the run as unrestricted). The returned map is keyed
-// by step position in the arrangement passed in, matching
-// exec.Config.AggGroups' keying.
-func changedGroups(steps []step, d *deltaSet, db *relation.DB) (map[int]map[string]exec.GroupRef, bool) {
-	out := map[int]map[string]exec.GroupRef{}
-	// Group keys are strings — their sorted order fixes the γ step's
-	// emission order — built into a per-call scratch buffer; the group
-	// values are references into the Δ rows' arena-owned argument tuples
-	// (exec.GroupRef), so the only per-group allocation is the interned
-	// map key for new entries. Anything else here runs once per Δ row per
-	// round and shows up directly in allocs/op.
-	var kbuf []byte
-	for si, s := range steps {
+// changedGroups computes, per aggregate step of p's canonical order, the
+// groups whose multisets may have changed given the Δ set (row ids into
+// db's relations): the changed rows projected onto the grouping
+// variables, deduplicated in the step's GroupSet by the hash of the
+// projected values, so the γ step emits them in Δ order. restricted is
+// false when some changed conjunct cannot be projected onto the full
+// group key (the caller then treats the run as unrestricted). The result
+// is indexed by canonical step position, matching exec.Config.AggGroups;
+// it and the sets are p's scratch, valid until the next call.
+func changedGroups(p *plan, d *deltaSet, db *relation.DB) ([]*relation.GroupSet, bool) {
+	out := p.changed
+	clear(out)
+	for si, s := range p.steps {
 		ag, ok := s.(*aggStep)
 		if !ok {
 			continue
 		}
+		ag.changed.Reset(len(ag.groupVars))
 		touched := false
-		keys := ag.groupScratch
-		if keys == nil {
-			keys = map[string]exec.GroupRef{}
-			ag.groupScratch = keys
-		} else {
-			clear(keys)
-		}
 		for ci, sp := range ag.conj {
 			ids := d.ids(sp.pred)
 			if len(ids) == 0 {
@@ -868,30 +878,15 @@ func changedGroups(steps []step, d *deltaSet, db *relation.DB) (map[int]map[stri
 			touched = true
 			rel := db.Rel(sp.pred)
 			for _, id := range ids {
-				row := rel.At(int(id))
-				kbuf = kbuf[:0]
-				for j, pidx := range pos {
-					if j > 0 {
-						kbuf = append(kbuf, 0)
-					}
-					kbuf = val.AppendKey(kbuf, row.Args[pidx])
+				args := rel.At(int(id)).Args
+				for j, a := range pos {
+					ag.key[j] = args[a]
 				}
-				if _, dup := keys[string(kbuf)]; dup {
-					continue
-				}
-				ik, ok := ag.groupKeys[string(kbuf)]
-				if !ok {
-					ik = string(kbuf)
-					if ag.groupKeys == nil {
-						ag.groupKeys = map[string]string{}
-					}
-					ag.groupKeys[ik] = ik
-				}
-				keys[ik] = exec.GroupRef{Args: row.Args, Pos: pos}
+				ag.changed.Add(ag.key)
 			}
 		}
 		if touched {
-			out[si] = keys
+			out[si] = &ag.changed
 		}
 	}
 	return out, true
@@ -918,7 +913,7 @@ func insertEps(rel *relation.Relation, args []val.T, cost lattice.Elem, eps floa
 	if eps > 0 {
 		if old, ok := rel.Get(args); ok && old.HasCost && old.Cost.Kind == val.Num && cost.Kind == val.Num {
 			j := rel.Info.L.Join(old.Cost, cost)
-			if math.Abs(j.N-old.Cost.N) <= eps {
+			if math.Abs(j.Num()-old.Cost.Num()) <= eps {
 				return -1, false
 			}
 		}
@@ -963,7 +958,7 @@ func relLeqEps(a, b *relation.Relation, eps float64) bool {
 			return true
 		}
 		if eps > 0 && row.Cost.Kind == val.Num && o.Cost.Kind == val.Num &&
-			math.Abs(row.Cost.N-o.Cost.N) <= eps {
+			math.Abs(row.Cost.Num()-o.Cost.Num()) <= eps {
 			return true
 		}
 		ok = false

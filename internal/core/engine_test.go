@@ -44,7 +44,7 @@ func costOf(t *testing.T, db *relation.DB, pred string, args ...string) (float64
 			if !ok {
 				return 0, false
 			}
-			return row.Cost.N, true
+			return row.Cost.Num(), true
 		}
 	}
 	return 0, false
@@ -336,7 +336,7 @@ connect(g2, g1).
 		t.Helper()
 		vs := []val.T{val.Symbol(w)}
 		row, ok := db.Rel("t/2").GetOrDefault(vs)
-		if !ok || row.Cost.B != want {
+		if !ok || row.Cost.Bool() != want {
 			t.Errorf("t(%s) = %v (present %v), want %v", w, row.Cost, ok, want)
 		}
 	}
@@ -355,7 +355,7 @@ connect(g, g).
 `
 	db := solve(t, src, Options{})
 	row, ok := db.Rel("t/2").GetOrDefault([]val.T{val.Symbol("g")})
-	if !ok || row.Cost.B {
+	if !ok || row.Cost.Bool() {
 		t.Fatalf("t(g) = %v, want false (minimal circuit behaviour)", row.Cost)
 	}
 	// An OR-gate latch with a true input stays latched... via the cycle.
@@ -367,7 +367,7 @@ connect(g, g).
 `
 	db2 := solve(t, src2, Options{})
 	row, _ = db2.Rel("t/2").GetOrDefault([]val.T{val.Symbol("g")})
-	if !row.Cost.B {
+	if !row.Cost.Bool() {
 		t.Fatal("OR latch with a true input must be true")
 	}
 }

@@ -419,7 +419,7 @@ func (d *divergeDetector) observe(pred ast.PredKey, args []val.T, cost lattice.E
 			copy(d.recent, d.recent[1:])
 			d.recent = d.recent[:divergenceTrajectoryLen-1]
 		}
-		d.recent = append(d.recent, cost.N)
+		d.recent = append(d.recent, cost.Num())
 	}
 	if d.streak < d.threshold {
 		return nil

@@ -277,33 +277,9 @@ func (ev *evaluator) negSatisfied(sp *atomSpec, e *env) (bool, error) {
 
 // builtin evaluates a comparison or assignment step.
 func (ev *evaluator) builtin(s *builtinStep, e *env) (ok bool, saved []int, err error) {
-	get := func(name ast.Var) (val.T, bool) {
-		idx, ok := s.varIndex(name)
-		if !ok || !e.bound[idx] {
-			return val.T{}, false
-		}
-		return e.vals[idx], true
+	ok, didBind, err := s.eval(e.vals, e.bound)
+	if didBind {
+		saved = []int{s.assign}
 	}
-	if s.assign >= 0 && !e.bound[s.assign] {
-		v, err := ast.EvalExpr(s.expr, get)
-		if err != nil {
-			return false, nil, fmt.Errorf("core: builtin %s: %v", s.b, err)
-		}
-		e.vals[s.assign] = v
-		e.bound[s.assign] = true
-		return true, []int{s.assign}, nil
-	}
-	l, err := ast.EvalExpr(s.b.L, get)
-	if err != nil {
-		return false, nil, fmt.Errorf("core: builtin %s: %v", s.b, err)
-	}
-	r, err := ast.EvalExpr(s.b.R, get)
-	if err != nil {
-		return false, nil, fmt.Errorf("core: builtin %s: %v", s.b, err)
-	}
-	res, err := ast.Compare(s.b.Op, l, r)
-	if err != nil {
-		return false, nil, fmt.Errorf("core: builtin %s: %v", s.b, err)
-	}
-	return res, nil, nil
+	return ok, saved, err
 }

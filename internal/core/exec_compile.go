@@ -1,11 +1,7 @@
 package core
 
 import (
-	"fmt"
-
-	"repro/internal/ast"
 	"repro/internal/exec"
-	"repro/internal/val"
 )
 
 // This file lowers compiled rule plans (plan.go) to the streaming
@@ -106,70 +102,22 @@ func execAtom(sp *atomSpec) exec.Atom {
 	}
 }
 
-// streamAux is the host state cached on each exec.Machine: an env
-// aliasing the machine's register file (so head projection reads
-// bindings in place) and per-step builtin evaluators prebuilt against
-// that env.
-type streamAux struct {
-	env      *env
-	builtins []func() (ok, didBind bool, err error)
-}
-
-// streamHooks adapts the host-side piece of pipeline evaluation —
-// builtin expressions — to the given step arrangement (hooks index by
-// pipeline position), with the reference interpreter's semantics and
-// error text.
+// streamHooks adapts the host-side pieces of pipeline evaluation to the
+// given step arrangement (hooks index by pipeline position): an env
+// aliasing each machine's register file, cached in Machine.Aux so head
+// projection reads bindings in place, and the builtins, which evaluate
+// exactly as in the reference interpreter (builtinStep.eval).
 func streamHooks(planSteps []step) exec.Hooks {
+	builtins := make([]*builtinStep, len(planSteps))
+	for i, s := range planSteps {
+		builtins[i], _ = s.(*builtinStep)
+	}
 	return exec.Hooks{
 		Init: func(m *exec.Machine) {
-			aux := &streamAux{env: &env{vals: m.Vals, bound: m.Bound}}
-			aux.builtins = make([]func() (bool, bool, error), len(planSteps))
-			for i, s := range planSteps {
-				if bs, ok := s.(*builtinStep); ok {
-					aux.builtins[i] = makeBuiltinEval(bs, aux.env)
-				}
-			}
-			m.Aux = aux
+			m.Aux = &env{vals: m.Vals, bound: m.Bound}
 		},
 		Builtin: func(m *exec.Machine, i int) (bool, bool, error) {
-			return m.Aux.(*streamAux).builtins[i]()
+			return builtins[i].eval(m.Vals, m.Bound)
 		},
-	}
-}
-
-// makeBuiltinEval prebuilds one builtin step's evaluator against e,
-// mirroring evaluator.builtin (mode selection, error text) without the
-// per-invocation closure allocations.
-func makeBuiltinEval(s *builtinStep, e *env) func() (bool, bool, error) {
-	get := func(name ast.Var) (val.T, bool) {
-		idx, ok := s.varIndex(name)
-		if !ok || !e.bound[idx] {
-			return val.T{}, false
-		}
-		return e.vals[idx], true
-	}
-	return func() (bool, bool, error) {
-		if s.assign >= 0 && !e.bound[s.assign] {
-			v, err := ast.EvalExpr(s.expr, get)
-			if err != nil {
-				return false, false, fmt.Errorf("core: builtin %s: %v", s.b, err)
-			}
-			e.vals[s.assign] = v
-			e.bound[s.assign] = true
-			return true, true, nil
-		}
-		l, err := ast.EvalExpr(s.b.L, get)
-		if err != nil {
-			return false, false, fmt.Errorf("core: builtin %s: %v", s.b, err)
-		}
-		r, err := ast.EvalExpr(s.b.R, get)
-		if err != nil {
-			return false, false, fmt.Errorf("core: builtin %s: %v", s.b, err)
-		}
-		res, err := ast.Compare(s.b.Op, l, r)
-		if err != nil {
-			return false, false, fmt.Errorf("core: builtin %s: %v", s.b, err)
-		}
-		return res, false, nil
 	}
 }

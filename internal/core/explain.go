@@ -241,7 +241,7 @@ func (en *Engine) derivesCost(p *plan, c lattice.Elem, stored relation.Row) bool
 		return true
 	}
 	eps := en.opts.Epsilon
-	return eps > 0 && c.Kind == val.Num && stored.Cost.Kind == val.Num && math.Abs(c.N-stored.Cost.N) <= eps
+	return eps > 0 && c.Kind == val.Num && stored.Cost.Kind == val.Num && math.Abs(c.Num()-stored.Cost.Num()) <= eps
 }
 
 // buildDerivation snapshots a satisfied instance as a Derivation (nil

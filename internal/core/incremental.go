@@ -95,7 +95,7 @@ func (en *Engine) SolveMoreFrom(ctx context.Context, prev *relation.DB, added *r
 			db.SetRel(k, rel)
 			added.Rel(k).Each(func(row relation.Row) bool {
 				if id, ok := insertEps(rel, row.Args, row.Cost, en.opts.Epsilon); ok {
-					changed.add(k, id)
+					changed.slot(k).add(id)
 				}
 				return true
 			})

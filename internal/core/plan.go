@@ -23,17 +23,19 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/ast"
 	"repro/internal/exec"
 	"repro/internal/lattice"
+	"repro/internal/relation"
 	"repro/internal/val"
 )
 
 // plan is the compiled form of one rule.
 type plan struct {
 	rule *ast.Rule
+	// pos is the plan's position among its component's plans.
+	pos int
 	// idx is the engine-global rule index (into Stats.Rules); text is
 	// the rule rendered once at compile time, and ops its canonical
 	// steps rendered as EXPLAIN operators (counters zero), so stats
@@ -63,6 +65,9 @@ type plan struct {
 	pipe    pipeline
 	drivers []*pipeline
 	hbuf    []val.T
+	// changed is changedGroups' result scratch: per canonical step, the
+	// changed groups of the γ step there (nil elsewhere).
+	changed []*relation.GroupSet
 	// work is the rule's share of the component evaluation under way,
 	// its operator counters included (work.Ops, allocated at New): the
 	// walk resets it when it dispatches the component and folds it into
@@ -124,14 +129,16 @@ func (*negStep) isStep() {}
 // builtinStep tests a comparison or performs a definitional assignment.
 type builtinStep struct {
 	b *ast.Builtin
-	// assign is the variable defined by a "V = expr" builtin, -1 for a
-	// pure test; expr is the defining side.
+	// l and r are the two sides compiled against the registers; assign is
+	// the variable defined by a "V = expr" builtin, -1 for a pure test,
+	// and def the defining side.
+	l, r   *operand
 	assign int
-	expr   ast.Expr
+	def    *operand
 	lVars  []int
 	rVars  []int
 	// vmap resolves expression variable names to plan indices (shared
-	// with the plan's compiler).
+	// with the plan's compiler); only rendering reads it.
 	vmap map[ast.Var]int
 }
 
@@ -140,6 +147,81 @@ func (*builtinStep) isStep() {}
 func (b *builtinStep) varIndex(v ast.Var) (int, bool) {
 	i, ok := b.vmap[v]
 	return i, ok
+}
+
+// eval evaluates the builtin against a register file: the assignment
+// form binds its variable (didBind), a test reports whether it holds.
+// Both the pipelines and the reference interpreter run it.
+func (s *builtinStep) eval(vals []val.T, bound []bool) (ok, didBind bool, err error) {
+	if s.assign >= 0 && !bound[s.assign] {
+		v, err := s.def.eval(vals, bound)
+		if err != nil {
+			return false, false, fmt.Errorf("core: builtin %s: %v", s.b, err)
+		}
+		vals[s.assign] = v
+		bound[s.assign] = true
+		return true, true, nil
+	}
+	l, err := s.l.eval(vals, bound)
+	if err != nil {
+		return false, false, fmt.Errorf("core: builtin %s: %v", s.b, err)
+	}
+	r, err := s.r.eval(vals, bound)
+	if err != nil {
+		return false, false, fmt.Errorf("core: builtin %s: %v", s.b, err)
+	}
+	res, err := ast.Compare(s.b.Op, l, r)
+	if err != nil {
+		return false, false, fmt.Errorf("core: builtin %s: %v", s.b, err)
+	}
+	return res, false, nil
+}
+
+// operand is a builtin expression compiled against the plan's registers:
+// a constant, a variable's register (resolved once, at compile time), or
+// an arithmetic node over two operands. eval mirrors ast.EvalExpr,
+// error text included.
+type operand struct {
+	reg  int     // register of a variable, -1 otherwise
+	name ast.Var // the variable, for the unbound-variable error
+	c    val.T   // the constant, when reg < 0 and l == nil
+	op   ast.ArithOp
+	l, r *operand // an arithmetic node's sides
+}
+
+func compileOperand(e ast.Expr, idxOf func(ast.Var) int) *operand {
+	switch e := e.(type) {
+	case ast.NumExpr:
+		return &operand{reg: -1, c: val.Number(e.N)}
+	case ast.ConstExpr:
+		return &operand{reg: -1, c: e.V}
+	case ast.VarExpr:
+		return &operand{reg: idxOf(e.V), name: e.V}
+	case *ast.BinExpr:
+		return &operand{reg: -1, op: e.Op, l: compileOperand(e.L, idxOf), r: compileOperand(e.R, idxOf)}
+	}
+	panic(fmt.Sprintf("core: unknown expression %T", e))
+}
+
+func (o *operand) eval(vals []val.T, bound []bool) (val.T, error) {
+	switch {
+	case o.l != nil:
+		l, err := o.l.eval(vals, bound)
+		if err != nil {
+			return val.T{}, err
+		}
+		r, err := o.r.eval(vals, bound)
+		if err != nil {
+			return val.T{}, err
+		}
+		return ast.Arith(o.op, l, r)
+	case o.reg >= 0:
+		if !bound[o.reg] {
+			return val.T{}, fmt.Errorf("unbound variable %s in expression", o.name)
+		}
+		return vals[o.reg], nil
+	}
+	return o.c, nil
 }
 
 // aggStep evaluates an aggregate subgoal.
@@ -157,14 +239,12 @@ type aggStep struct {
 	// carry every grouping variable (then Δ-driven group restriction is
 	// impossible and the rule re-runs whole).
 	groupKeyPos [][]int
-	// groupScratch is changedGroups' per-round changed-group map,
-	// cleared (retaining its buckets) and refilled each round. It relies
-	// on the engine solving from one goroutine at a time.
-	groupScratch map[string]exec.GroupRef
-	// groupKeys interns group-key strings across rounds (and solves), so
-	// a group that changes in many rounds allocates its key exactly
-	// once. Bounded by the number of distinct groups the step ever sees.
-	groupKeys map[string]string
+	// changed is changedGroups' per-round set of changed groups and key
+	// its projection scratch, reset (retaining storage) and refilled each
+	// round. They rely on one worker evaluating the step's component at a
+	// time.
+	changed relation.GroupSet
+	key     []val.T
 }
 
 func (*aggStep) isStep() {}
@@ -280,6 +360,7 @@ func (c *compiler) compileRule(r *ast.Rule) (*plan, error) {
 			for _, v := range roles.Grouping {
 				st.groupVars = append(st.groupVars, idxOf(v))
 			}
+			st.key = make([]val.T, len(st.groupVars))
 			if sg.MultisetVar != "" {
 				st.msVar = idxOf(sg.MultisetVar)
 			}
@@ -330,7 +411,8 @@ func (c *compiler) compileRule(r *ast.Rule) (*plan, error) {
 			lv := exprIdx(sg.L.Vars(nil), idxOf)
 			rv := exprIdx(sg.R.Vars(nil), idxOf)
 			pendings = append(pendings, pending{
-				s: &builtinStep{b: sg, assign: -1, lVars: lv, rVars: rv, vmap: vidx},
+				s: &builtinStep{b: sg, assign: -1, lVars: lv, rVars: rv, vmap: vidx,
+					l: compileOperand(sg.L, idxOf), r: compileOperand(sg.R, idxOf)},
 				// needs computed dynamically below (assignment form).
 				priority: 0,
 			})
@@ -400,10 +482,10 @@ func (c *compiler) compileRule(r *ast.Rule) (*plan, error) {
 			mode, assignVar, _ := builtinMode(b, bound)
 			if mode == "assign" {
 				b.assign = assignVar
-				if lv, ok := b.b.L.(ast.VarExpr); ok && vidx[lv.V] == assignVar {
-					b.expr = b.b.R
+				if b.l.reg == assignVar {
+					b.def = b.r
 				} else {
-					b.expr = b.b.L
+					b.def = b.l
 				}
 				bound[assignVar] = true
 			}
@@ -445,6 +527,7 @@ func (c *compiler) compileRule(r *ast.Rule) (*plan, error) {
 		return nil, fmt.Errorf("core: rule %q: head cost variable %s never bound", r, p.names[hs.costVar])
 	}
 	p.hbuf = make([]val.T, len(hs.argVar))
+	p.changed = make([]*relation.GroupSet, len(p.steps))
 	identity := make([]int, len(p.steps))
 	for i := range identity {
 		identity[i] = i
@@ -539,13 +622,13 @@ func bindStep(s step, bound []bool) {
 // step with the mode the new bound set implies (mirroring the greedy
 // compiler's emission).
 func cloneBuiltin(bs *builtinStep, bound []bool) *builtinStep {
-	clone := &builtinStep{b: bs.b, assign: -1, lVars: bs.lVars, rVars: bs.rVars, vmap: bs.vmap}
+	clone := &builtinStep{b: bs.b, l: bs.l, r: bs.r, assign: -1, lVars: bs.lVars, rVars: bs.rVars, vmap: bs.vmap}
 	if mode, assignVar, ok := builtinMode(clone, bound); ok && mode == "assign" {
 		clone.assign = assignVar
-		if lv, isVar := clone.b.L.(ast.VarExpr); isVar && clone.vmap[lv.V] == assignVar && len(clone.lVars) == 1 {
-			clone.expr = clone.b.R
+		if clone.l.reg == assignVar && len(clone.lVars) == 1 {
+			clone.def = clone.r
 		} else {
-			clone.expr = clone.b.L
+			clone.def = clone.l
 		}
 	}
 	return clone
@@ -641,14 +724,4 @@ func orderConj(conj []atomSpec, bound map[int]bool) ([]int, error) {
 		}
 	}
 	return order, nil
-}
-
-// sortedKeys is a small helper for deterministic map iteration.
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

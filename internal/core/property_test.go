@@ -133,8 +133,7 @@ func TestPropertyTPMonotone(t *testing.T) {
 			full.Rel(k).Each(func(row relation.Row) bool {
 				j2.Rel(k).InsertJoin(row.Args, row.Cost)
 				if r.Intn(3) > 0 {
-					worse := row.Cost
-					worse.N += float64(r.Intn(5))
+					worse := val.Number(row.Cost.Num() + float64(r.Intn(5)))
 					j1.Rel(k).InsertJoin(row.Args, worse)
 				}
 				return true

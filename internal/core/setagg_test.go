@@ -40,11 +40,11 @@ perms(U, S) :- S ?= union P : grants(U, R, P).
 		t.Fatal("perms(alice) missing")
 	}
 	want := val.NewSet([]val.T{val.Symbol("read"), val.Symbol("write")})
-	if !row.Cost.Set.Equal(want) {
+	if !row.Cost.Set().Equal(want) {
 		t.Fatalf("perms(alice) = %v, want {read, write}", row.Cost)
 	}
 	row, _ = db.Rel("perms/2").Get([]val.T{val.Symbol("bob")})
-	if row.Cost.Set.Len() != 1 {
+	if row.Cost.Set().Len() != 1 {
 		t.Fatalf("perms(bob) = %v", row.Cost)
 	}
 }
@@ -65,7 +65,7 @@ common(U, S) :- S ?= allperms P : grants(U, R, P).
 	if !ok {
 		t.Fatal("common(alice) missing")
 	}
-	if row.Cost.Set.Len() != 1 || !row.Cost.Set.Contains(val.Symbol("read")) {
+	if row.Cost.Set().Len() != 1 || !row.Cost.Set().Contains(val.Symbol("read")) {
 		t.Fatalf("common(alice) = %v, want {read}", row.Cost)
 	}
 }
@@ -83,7 +83,7 @@ reachable(B) :- B = linked E : segment(S, E).
 	// Without connecting segments the property is false.
 	db := solve(t, src, Options{})
 	row, ok := db.Rel("reachable/1").Get(nil)
-	if !ok || row.Cost.B {
+	if !ok || row.Cost.Bool() {
 		t.Fatalf("reachable = %v (%v), want false", row.Cost, ok)
 	}
 	// Adding segments whose union connects src to dst flips it: edges are
@@ -97,7 +97,7 @@ reachable(B) :- B = linked E : segment(S, E).
 `
 	db = solve(t, src2, Options{})
 	row, ok = db.Rel("reachable/1").Get(nil)
-	if !ok || !row.Cost.B {
+	if !ok || !row.Cost.Bool() {
 		t.Fatalf("reachable = %v (%v), want true (union of segments links src to dst)", row.Cost, ok)
 	}
 }

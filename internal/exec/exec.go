@@ -44,7 +44,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/ast"
@@ -138,20 +137,6 @@ type Hooks struct {
 	Builtin func(m *Machine, i int) (ok, didBind bool, err error)
 }
 
-// GroupRef identifies one changed aggregate group without copying its
-// grouping values: Args is a Δ row's argument tuple (owned by the
-// relation, immutable) and Pos is the compile-time projection onto the
-// grouping variables, so Args[Pos[j]] is the value of grouping variable
-// j. Referencing rather than copying keeps the per-round group-change
-// computation free of per-group slice allocations.
-type GroupRef struct {
-	Args []val.T
-	Pos  []int
-}
-
-// At returns the value of grouping variable j.
-func (g GroupRef) At(j int) val.T { return g.Args[g.Pos[j]] }
-
 // Config is the per-pass evaluation context.
 type Config struct {
 	DB *relation.DB
@@ -161,9 +146,11 @@ type Config struct {
 	// side of the join.
 	RestrictStep int
 	RestrictIDs  []int32
-	// AggGroups, per γ step index, restricts that aggregate to the
-	// listed changed groups (key -> grouping-value reference).
-	AggGroups map[int]map[string]GroupRef
+	// AggGroups, indexed by pipeline position, restricts the γ step there
+	// to the changed groups listed (tuples of grouping-variable values,
+	// emitted in the set's order); a nil entry, or a position past the
+	// slice, leaves the step unrestricted.
+	AggGroups []*relation.GroupSet
 	// Check, when non-nil, is polled at every pipeline terminal.
 	Check func() error
 }
@@ -206,11 +193,16 @@ func (c *OpCounts) Add(src OpCounts) {
 
 // Rule is one compiled pipeline, shared read-only by every Machine
 // evaluating it. Machines are pooled: Acquire one per evaluation pass.
+// The pool is a plain free list, not a sync.Pool: it holds as many
+// machines as passes of the rule ever ran at once (one, on the component
+// walk), and a garbage collection does not empty it, so a solve's
+// allocations do not depend on when collections happen.
 type Rule struct {
 	NVars int
 	Steps []Step
 	Hooks Hooks
-	pool  sync.Pool
+	mu    sync.Mutex
+	free  []*Machine
 }
 
 // Machine is the mutable state of one pipeline evaluation: the register
@@ -222,7 +214,6 @@ type Machine struct {
 	cfg     Config
 	emit    func(*Machine) error
 	states  []stepState
-	kbuf    []byte // γ group-key scratch; every use is consumed before the next
 	Firings int64
 	// Aux holds host state cached by Hooks.Init (e.g. the host
 	// environment aliasing Regs).
@@ -230,11 +221,35 @@ type Machine struct {
 }
 
 // scanState is the per-atom mutable scratch: the backtracking list of
-// newly bound variables and an argument buffer for point lookups and
-// index probes.
+// newly bound variables, an argument buffer for point lookups and index
+// probes, and the atom's relation, resolved on its first use in a pass
+// (relOf) so that opening a cursor looks no predicate up.
 type scanState struct {
 	sbuf []int
 	args []val.T
+	rel  *relation.Relation
+}
+
+// relOf returns at's relation in the pass's DB, caching it in st.
+func (m *Machine) relOf(at *Atom, st *scanState) *relation.Relation {
+	if st.rel == nil {
+		st.rel = m.cfg.DB.Rel(at.Pred)
+	}
+	return st.rel
+}
+
+// dropRels forgets every cached relation: the next pass may run over
+// another DB, and a pooled machine must not pin one.
+func (m *Machine) dropRels() {
+	for i := range m.states {
+		st := &m.states[i]
+		st.rel = nil
+		if st.agg != nil {
+			for ci := range st.agg.conj {
+				st.agg.conj[ci].rel = nil
+			}
+		}
+	}
 }
 
 func (st *scanState) init(at *Atom) {
@@ -251,20 +266,16 @@ type stepState struct {
 }
 
 // aggState is the reusable γ scratch: the point-mode multiset buffer,
-// the grouped-mode group table, and sorted-key / binding scratch.
+// the grouped-mode groups (in first-occurrence order) with one multiset
+// buffer per group, and key / binding scratch.
 type aggState struct {
-	keys       []string
 	keyScratch []val.T
 	elems      []lattice.Elem
-	groups     map[string]*aggGroup
+	groups     relation.GroupSet
+	groupElems [][]lattice.Elem
 	groupSaved []int
 	emitSaved  []int
 	conj       []scanState
-}
-
-type aggGroup struct {
-	keyVals []val.T
-	elems   []lattice.Elem
 }
 
 // NewRule wraps a compiled pipeline. Steps and hooks must not be
@@ -276,7 +287,12 @@ func NewRule(nvars int, steps []Step, hooks Hooks) *Rule {
 // Acquire returns a Machine for one evaluation pass, creating one if
 // the pool is empty. Counters are reset; cfg is installed.
 func (r *Rule) Acquire(cfg Config) *Machine {
-	m, _ := r.pool.Get().(*Machine)
+	var m *Machine
+	r.mu.Lock()
+	if n := len(r.free); n > 0 {
+		m, r.free = r.free[n-1], r.free[:n-1]
+	}
+	r.mu.Unlock()
 	if m == nil {
 		m = r.newMachine()
 	}
@@ -285,6 +301,7 @@ func (r *Rule) Acquire(cfg Config) *Machine {
 	for i := range m.states {
 		m.states[i].n = OpCounts{}
 	}
+	m.dropRels()
 	return m
 }
 
@@ -306,14 +323,16 @@ func (m *Machine) Counts(i int) OpCounts {
 func (r *Rule) Release(m *Machine) {
 	m.cfg = Config{}
 	m.emit = nil
-	r.pool.Put(m)
+	m.dropRels()
+	r.mu.Lock()
+	r.free = append(r.free, m)
+	r.mu.Unlock()
 }
 
 func (r *Rule) newMachine() *Machine {
 	m := &Machine{rule: r}
 	m.Vals = make([]val.T, r.NVars)
 	m.Bound = make([]bool, r.NVars)
-	m.kbuf = make([]byte, 0, 64)
 	m.states = make([]stepState, len(r.Steps))
 	for i := range r.Steps {
 		s := &r.Steps[i]
@@ -323,7 +342,6 @@ func (r *Rule) newMachine() *Machine {
 		case AggKind:
 			a := s.Agg
 			ag := &aggState{
-				groups:     map[string]*aggGroup{},
 				keyScratch: make([]val.T, len(a.GroupVars)),
 				groupSaved: make([]int, 0, len(a.GroupVars)),
 				emitSaved:  make([]int, 0, len(a.GroupVars)+1),
@@ -384,7 +402,11 @@ func (m *Machine) runStep(i int) error {
 		}
 		return err
 	case AggKind:
-		return m.runAgg(i, s.Agg, m.cfg.AggGroups[i])
+		var only *relation.GroupSet
+		if i < len(m.cfg.AggGroups) {
+			only = m.cfg.AggGroups[i]
+		}
+		return m.runAgg(i, s.Agg, only)
 	}
 	return fmt.Errorf("exec: unknown step kind %d", s.Kind)
 }
@@ -395,7 +417,7 @@ func (m *Machine) runScan(i int, s *Step) error {
 	at := &s.Atom
 	st := &m.states[i].scanState
 	if m.cfg.RestrictIDs != nil && i == m.cfg.RestrictStep {
-		rel := m.cfg.DB.Rel(at.Pred)
+		rel := m.relOf(at, st)
 		var row relation.Row
 		for _, id := range m.cfg.RestrictIDs {
 			// Load reads the row's current cost: a Δ row improved again
@@ -440,7 +462,7 @@ func (m *Machine) runScan(i int, s *Step) error {
 func (m *Machine) runNeg(i int, s *Step) error {
 	at := &s.Atom
 	st := &m.states[i].scanState
-	rel := m.cfg.DB.Rel(at.Pred)
+	rel := m.relOf(at, st)
 	args := st.args
 	for j, v := range at.ArgVar {
 		if v >= 0 {
@@ -502,7 +524,7 @@ const (
 // (the γ step's for aggregate-conjunction cursors); open records the
 // relation's size as that step's build side.
 func (m *Machine) open(c *cursor, at *Atom, st *scanState, step int) {
-	rel := m.cfg.DB.Rel(at.Pred)
+	rel := m.relOf(at, st)
 	c.rel = rel
 	if n := int64(rel.Len()); n > m.states[step].n.Build {
 		m.states[step].n.Build = n
@@ -661,11 +683,15 @@ func (m *Machine) unbind(saved []int) {
 	}
 }
 
-// runAgg evaluates a γ step in one of three modes: Δ-grouped (bind each changed group, recurse
-// in point mode — lazily, so each group's enumeration sees the facts
-// earlier groups derived), point (single group, possibly Δ-filtered),
-// and full grouped enumeration in sorted group order.
-func (m *Machine) runAgg(idx int, s *AggStep, onlyGroups map[string]GroupRef) error {
+// runAgg evaluates a γ step in one of three modes: Δ-grouped (bind each
+// changed group, recurse in point mode — lazily, so each group's
+// enumeration sees the facts earlier groups derived), point (single
+// group, possibly Δ-filtered), and full grouped enumeration. Both grouped
+// modes emit groups in first-occurrence order: the changed groups in the
+// order the Δ rows list them, the full run's in enumeration order — a
+// function of the relations' row order, which is the same at every
+// worker count.
+func (m *Machine) runAgg(idx int, s *AggStep, onlyGroups *relation.GroupSet) error {
 	st := m.states[idx].agg
 	allBound := true
 	for _, v := range s.GroupVars {
@@ -679,24 +705,19 @@ func (m *Machine) runAgg(idx int, s *AggStep, onlyGroups map[string]GroupRef) er
 	}
 
 	if onlyGroups != nil && !allBound {
-		st.keys = st.keys[:0]
-		for k := range onlyGroups {
-			st.keys = append(st.keys, k)
-		}
-		sort.Strings(st.keys)
-		for _, gk := range st.keys {
-			ref := onlyGroups[gk]
+		for g := 0; g < onlyGroups.Len(); g++ {
+			key := onlyGroups.At(g)
 			saved := st.groupSaved[:0]
 			ok := true
 			for j, v := range s.GroupVars {
 				if m.Bound[v] {
-					if !val.Equal(m.Vals[v], ref.At(j)) {
+					if !val.Equal(m.Vals[v], key[j]) {
 						ok = false
 						break
 					}
 					continue
 				}
-				m.Vals[v] = ref.At(j)
+				m.Vals[v] = key[j]
 				m.Bound[v] = true
 				saved = append(saved, v)
 			}
@@ -715,8 +736,7 @@ func (m *Machine) runAgg(idx int, s *AggStep, onlyGroups map[string]GroupRef) er
 		for j, v := range s.GroupVars {
 			st.keyScratch[j] = m.Vals[v]
 		}
-		m.kbuf = val.AppendKeyOf(m.kbuf[:0], st.keyScratch)
-		if _, ok := onlyGroups[string(m.kbuf)]; !ok {
+		if onlyGroups.Find(st.keyScratch) < 0 {
 			return nil
 		}
 	}
@@ -737,18 +757,12 @@ func (m *Machine) runAgg(idx int, s *AggStep, onlyGroups map[string]GroupRef) er
 		return m.emitGroup(idx, s, st, nil, st.elems)
 	}
 
-	clear(st.groups)
+	st.groups.Reset(len(s.GroupVars))
 	if err := m.enumConj(idx, s, st, order, 0, false); err != nil {
 		return err
 	}
-	st.keys = st.keys[:0]
-	for k := range st.groups {
-		st.keys = append(st.keys, k)
-	}
-	sort.Strings(st.keys)
-	for _, gk := range st.keys {
-		g := st.groups[gk]
-		if err := m.emitGroup(idx, s, st, g.keyVals, g.elems); err != nil {
+	for g := 0; g < st.groups.Len(); g++ {
+		if err := m.emitGroup(idx, s, st, st.groups.At(g), st.groupElems[g]); err != nil {
 			return err
 		}
 	}
@@ -774,13 +788,14 @@ func (m *Machine) enumConj(idx int, s *AggStep, st *aggState, order []int, d int
 		for j, v := range s.GroupVars {
 			st.keyScratch[j] = m.Vals[v]
 		}
-		m.kbuf = val.AppendKeyOf(m.kbuf[:0], st.keyScratch)
-		g := st.groups[string(m.kbuf)]
-		if g == nil {
-			g = &aggGroup{keyVals: append([]val.T{}, st.keyScratch...)}
-			st.groups[string(m.kbuf)] = g
+		g, added := st.groups.Add(st.keyScratch)
+		switch {
+		case g == len(st.groupElems):
+			st.groupElems = append(st.groupElems, nil)
+		case added:
+			st.groupElems[g] = st.groupElems[g][:0]
 		}
-		g.elems = append(g.elems, el)
+		st.groupElems[g] = append(st.groupElems[g], el)
 		return nil
 	}
 	at := &s.Conj[order[d]]

@@ -3,6 +3,7 @@ package exec_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -257,7 +258,7 @@ func TestDeltaDriveEquivalence(t *testing.T) {
 }
 
 // TestAggGroupedMatchesPoint: γ's full grouped enumeration (grouping
-// variables unbound; groups emitted in sorted key order) must agree
+// variables unbound; groups emitted in first-occurrence order) must agree
 // group-for-group with point-mode queries that arrive with the group
 // already bound — the same fold over the same multiset either way.
 func TestAggGroupedMatchesPoint(t *testing.T) {
@@ -292,55 +293,41 @@ func TestAggGroupedMatchesPoint(t *testing.T) {
 	grouped := exec.NewRule(3, []exec.Step{{Kind: exec.AggKind, Agg: agg}}, exec.Hooks{})
 	gOut, _, _ := runPipeline(t, grouped, exec.Config{DB: db})
 
-	// Point mode: seed G from each stored group via a driving scan whose
-	// cost is projected away, then aggregate. The Δ-grouped mode with
-	// every group listed must agree too.
+	// Expected: per-group minimum, groups in first-occurrence order — the
+	// relation's row order, since each row's argument is its group.
+	var all relation.GroupSet
+	all.Reset(1)
+	mins := map[int]float64{}
+	src.Each(func(row relation.Row) bool {
+		if g, added := all.Add(row.Args[:1]); added || row.Cost.Num() < mins[g] {
+			mins[g] = row.Cost.Num()
+		}
+		return true
+	})
 	var want []string
-	onlyGroups := map[string]exec.GroupRef{}
-	seen := map[string]bool{}
-	for _, row := range src.Rows() {
-		k := row.Args[0].String()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		onlyGroups[string(val.AppendKeyOf(nil, row.Args[:1]))] = exec.GroupRef{Args: row.Args, Pos: []int{0}}
-	}
-	// Expected: per-group minimum, groups in sorted key order.
-	type gv struct {
-		key  string
-		g    val.T
-		min  float64
-		seen bool
-	}
-	byKey := map[string]*gv{}
-	for _, row := range src.Rows() {
-		k := string(val.AppendKeyOf(nil, row.Args[:1]))
-		e := byKey[k]
-		if e == nil {
-			e = &gv{key: k, g: row.Args[0]}
-			byKey[k] = e
-		}
-		if !e.seen || row.Cost.N < e.min {
-			e.min, e.seen = row.Cost.N, true
-		}
-	}
-	var keys []string
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		e := byKey[k]
-		want = append(want, fmt.Sprintf("0=%s;2=%s;", e.g, val.Number(e.min)))
+	for g := 0; g < all.Len(); g++ {
+		want = append(want, fmt.Sprintf("0=%s;2=%s;", all.At(g)[0], val.Number(mins[g])))
 	}
 	if strings.Join(gOut, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("grouped γ disagrees with per-group fold:\n%s\nwant:\n%s",
 			strings.Join(gOut, "\n"), strings.Join(want, "\n"))
 	}
-	dOut, _, _ := runPipeline(t, grouped, exec.Config{DB: db, AggGroups: map[int]map[string]exec.GroupRef{0: onlyGroups}})
+	// The Δ-grouped mode with every group listed must agree too, emitting
+	// the groups in the order the set lists them.
+	dOut, _, _ := runPipeline(t, grouped, exec.Config{DB: db, AggGroups: []*relation.GroupSet{&all}})
 	if strings.Join(dOut, "\n") != strings.Join(gOut, "\n") {
 		t.Fatalf("Δ-grouped γ over all groups disagrees with full enumeration:\n%s\nwant:\n%s",
 			strings.Join(dOut, "\n"), strings.Join(gOut, "\n"))
+	}
+	var rev relation.GroupSet
+	rev.Reset(1)
+	for g := all.Len() - 1; g >= 0; g-- {
+		rev.Add(all.At(g))
+	}
+	rOut, _, _ := runPipeline(t, grouped, exec.Config{DB: db, AggGroups: []*relation.GroupSet{&rev}})
+	slices.Reverse(rOut)
+	if strings.Join(rOut, "\n") != strings.Join(gOut, "\n") {
+		t.Fatalf("Δ-grouped γ must emit the listed groups in the listed order:\n%s\nwant reversed:\n%s",
+			strings.Join(rOut, "\n"), strings.Join(gOut, "\n"))
 	}
 }

@@ -280,7 +280,7 @@ func (st *state) e3() {
 					}
 					if ok {
 						count++
-						if r.Cost.N != dist[u][v] {
+						if r.Cost.Num() != dist[u][v] {
 							agree = false
 							break
 						}
@@ -294,7 +294,7 @@ func (st *state) e3() {
 	// Example 3.1 exact check.
 	db, _ := mustSolve(programs.ShortestPath+"arc(a, b, 1).\narc(b, b, 0).\n", core.Options{})
 	r, _ := db.Rel("s/3").Get([]val.T{val.Symbol("a"), val.Symbol("b")})
-	fmt.Fprintf(st.w, "\nExample 3.1 (cyclic): least model picks s(a,b,%g) — M1, not M2's 0.\n", r.Cost.N)
+	fmt.Fprintf(st.w, "\nExample 3.1 (cyclic): least model picks s(a,b,%g) — M1, not M2's 0.\n", r.Cost.Num())
 	// Negative weights on a DAG vs Bellman-Ford.
 	gd := gen.Graph(gen.LayeredDAG, 48, 200, 9, 5)
 	for i := range gd.Edges {
@@ -311,7 +311,7 @@ func (st *state) e3() {
 		}
 		for v := 0; v < gd.N; v++ {
 			r, found := db.Rel("s/3").Get([]val.T{sym("v%d", u), sym("v%d", v)})
-			if found != !math.IsInf(want[v], 1) || (found && r.Cost.N != want[v]) {
+			if found != !math.IsInf(want[v], 1) || (found && r.Cost.Num() != want[v]) {
 				ok = false
 			}
 		}
@@ -428,10 +428,10 @@ func (st *state) e6() {
 			count := 0
 			for i := 0; i < n; i++ {
 				r, _ := db.Rel("t/2").GetOrDefault([]val.T{sym("n%d", i)})
-				if r.Cost.B {
+				if r.Cost.Bool() {
 					count++
 				}
-				if r.Cost.B != want[i] {
+				if r.Cost.Bool() != want[i] {
 					agree = false
 				}
 			}
@@ -588,7 +588,7 @@ func (st *state) e10() {
 	_, err := wfs.Solve(norm, wfs.Options{MaxAtoms: 400, MaxIters: 200})
 	db, _ := mustSolve(src, core.Options{})
 	r, _ := db.Rel("s/3").Get([]val.T{val.Symbol("a"), val.Symbol("a")})
-	fmt.Fprintf(st.w, "\nPositive cycle: native terminates (s(a,a)=%g); rewrite diverges: %v\n", r.Cost.N, err != nil)
+	fmt.Fprintf(st.w, "\nPositive cycle: native terminates (s(a,a)=%g); rewrite diverges: %v\n", r.Cost.Num(), err != nil)
 	fmt.Fprintln(st.w, "(the cost FD bounds the native path relation; the set-based rewrite")
 	fmt.Fprintln(st.w, "enumerates unboundedly many costs — §7's motivation for greedy methods)")
 }
@@ -601,7 +601,7 @@ func (st *state) e11() {
 		db, stats := mustSolve(programs.Halfsum, core.Options{Epsilon: eps})
 		r, _ := db.Rel("p/2").Get([]val.T{val.Symbol("a")})
 		st.row(fmt.Sprintf("%g", eps), fmt.Sprint(stats.Rounds),
-			fmt.Sprintf("%.15f", r.Cost.N), fmt.Sprintf("%.2e", math.Abs(1-r.Cost.N)))
+			fmt.Sprintf("%.15f", r.Cost.Num()), fmt.Sprintf("%.2e", math.Abs(1-r.Cost.Num())))
 	}
 	fmt.Fprintln(st.w, "\nThe least model has p(a,1) exactly, reached only at ω (Example 5.1);")
 	fmt.Fprintln(st.w, "each halving round closes half the remaining gap.")

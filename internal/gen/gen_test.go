@@ -85,7 +85,7 @@ func TestEngineMatchesDijkstra(t *testing.T) {
 						}
 						continue
 					}
-					if !ok || row.Cost.N != want {
+					if !ok || row.Cost.Num() != want {
 						t.Fatalf("kind %v seed %d: s(v%d,v%d) = %v (ok=%v), want %v",
 							kind, seed, u, v, row.Cost, ok, want)
 					}
@@ -133,9 +133,9 @@ func TestEngineMatchesCircuit(t *testing.T) {
 				if !ok {
 					t.Fatalf("cyclic=%v seed %d: t(n%d) unanswered", cyclic, seed, i)
 				}
-				if row.Cost.B != want[i] {
+				if row.Cost.Bool() != want[i] {
 					t.Fatalf("cyclic=%v seed %d: t(n%d) = %v, want %v",
-						cyclic, seed, i, row.Cost.B, want[i])
+						cyclic, seed, i, row.Cost.Bool(), want[i])
 				}
 			}
 		}

@@ -59,7 +59,7 @@ func numFold(init float64, f func(acc, x float64) float64) func([]Elem) (Elem, b
 	return func(ms []Elem) (Elem, bool) {
 		acc := init
 		for _, e := range ms {
-			acc = f(acc, e.N)
+			acc = f(acc, e.Num())
 		}
 		return val.Number(acc), true
 	}
@@ -74,7 +74,7 @@ func sortedNumFold(init float64, f func(acc, x float64) float64) func([]Elem) (E
 	return func(ms []Elem) (Elem, bool) {
 		sorted := make([]Elem, len(ms))
 		copy(sorted, ms)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].N < sorted[j].N })
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Num() < sorted[j].Num() })
 		return fold(sorted)
 	}
 }
@@ -124,7 +124,7 @@ var (
 	And = New("and", BoolOr, BoolOr, false, true,
 		func(ms []Elem) (Elem, bool) {
 			for _, e := range ms {
-				if !e.B {
+				if !e.Bool() {
 					return val.Boolean(false), true
 				}
 			}
@@ -135,7 +135,7 @@ var (
 	Or = New("or", BoolOr, BoolOr, true, true,
 		func(ms []Elem) (Elem, bool) {
 			for _, e := range ms {
-				if e.B {
+				if e.Bool() {
 					return val.Boolean(true), true
 				}
 			}
@@ -147,9 +147,9 @@ var (
 		func(ms []Elem) (Elem, bool) {
 			acc := val.EmptySet
 			for _, e := range ms {
-				acc = acc.Union(e.Set)
+				acc = acc.Union(e.Set())
 			}
-			return val.T{Kind: val.SetKind, Set: acc}, true
+			return acc.Value(), true
 		})
 
 	// Average is the arithmetic mean on (R* ∪ {∞}, ≤), pseudo-monotonic
@@ -161,7 +161,7 @@ var (
 				return Elem{}, false
 			}
 			total, _ := Sum.Apply(ms) // sorted, order-independent
-			return val.Number(total.N / float64(len(ms))), true
+			return val.Number(total.Num() / float64(len(ms))), true
 		})
 
 	// Halfsum returns half the sum of a multiset of nonnegative reals; it
@@ -179,9 +179,9 @@ func NewIntersection(name string, universe *val.Set) Aggregate {
 		func(ms []Elem) (Elem, bool) {
 			acc := universe
 			for _, e := range ms {
-				acc = acc.Intersect(e.Set)
+				acc = acc.Intersect(e.Set())
 			}
-			return val.T{Kind: val.SetKind, Set: acc}, true
+			return acc.Value(), true
 		})
 }
 
@@ -193,7 +193,7 @@ func NewProperty(name string, prop func(edges *val.Set) bool) Aggregate {
 		func(ms []Elem) (Elem, bool) {
 			acc := val.EmptySet
 			for _, e := range ms {
-				acc = acc.Union(e.Set)
+				acc = acc.Union(e.Set())
 			}
 			return val.Boolean(prop(acc)), true
 		})
@@ -294,11 +294,12 @@ func splitEdge(e val.T) (string, string, bool) {
 	if e.Kind != val.Sym && e.Kind != val.Str {
 		return "", "", false
 	}
-	i := strings.Index(e.S, "->")
+	t := e.Text()
+	i := strings.Index(t, "->")
 	if i < 0 {
 		return "", "", false
 	}
-	return e.S[:i], e.S[i+2:], true
+	return t[:i], t[i+2:], true
 }
 
 // aggByName is the registry of aggregates addressable from rule text.

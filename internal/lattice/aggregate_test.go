@@ -128,7 +128,7 @@ func TestAndNotMonotone(t *testing.T) {
 func TestAverageNotMonotone(t *testing.T) {
 	f1, _ := Average.Apply([]Elem{val.Number(2)})
 	f2, _ := Average.Apply([]Elem{val.Number(1), val.Number(2)})
-	if f1.N <= f2.N {
+	if f1.Num() <= f2.Num() {
 		t.Fatal("expected avg to shrink when a smaller element joins the multiset")
 	}
 	if Average.Monotone() {
@@ -162,28 +162,28 @@ func TestAggregateValues(t *testing.T) {
 		}
 		return out
 	}
-	if got, _ := Min.Apply(n(3, 1, 2)); got.N != 1 {
+	if got, _ := Min.Apply(n(3, 1, 2)); got.Num() != 1 {
 		t.Errorf("min = %v", got)
 	}
-	if got, _ := Max.Apply(n(3, 1, 2)); got.N != 3 {
+	if got, _ := Max.Apply(n(3, 1, 2)); got.Num() != 3 {
 		t.Errorf("max = %v", got)
 	}
-	if got, _ := Sum.Apply(n(3, 1, 2)); got.N != 6 {
+	if got, _ := Sum.Apply(n(3, 1, 2)); got.Num() != 6 {
 		t.Errorf("sum = %v", got)
 	}
-	if got, _ := Product.Apply(n(3, 2)); got.N != 6 {
+	if got, _ := Product.Apply(n(3, 2)); got.Num() != 6 {
 		t.Errorf("product = %v", got)
 	}
-	if got, _ := Count.Apply(n(5, 5, 5)); got.N != 3 {
+	if got, _ := Count.Apply(n(5, 5, 5)); got.Num() != 3 {
 		t.Errorf("count must respect multiplicity: %v", got)
 	}
-	if got, _ := Average.Apply(n(1, 2, 3)); got.N != 2 {
+	if got, _ := Average.Apply(n(1, 2, 3)); got.Num() != 2 {
 		t.Errorf("avg = %v", got)
 	}
-	if got, _ := Halfsum.Apply(n(1, 1)); got.N != 1 {
+	if got, _ := Halfsum.Apply(n(1, 1)); got.Num() != 1 {
 		t.Errorf("halfsum = %v", got)
 	}
-	if got, _ := Min.Apply(nil); !math.IsInf(got.N, 1) {
+	if got, _ := Min.Apply(nil); !math.IsInf(got.Num(), 1) {
 		t.Errorf("min(∅) = %v, want +∞", got)
 	}
 	if _, ok := Average.Apply(nil); ok {
@@ -195,16 +195,16 @@ func TestUnionIntersectionAggregates(t *testing.T) {
 	ab := val.SetOf(val.Symbol("a"), val.Symbol("b"))
 	bc := val.SetOf(val.Symbol("b"), val.Symbol("c"))
 	u, _ := Union.Apply([]Elem{ab, bc})
-	if u.Set.Len() != 3 {
+	if u.Set().Len() != 3 {
 		t.Errorf("union aggregate = %v", u)
 	}
 	inter := NewIntersection("itest_agg2", testUniverse)
 	got, _ := inter.Apply([]Elem{ab, bc})
-	if got.Set.Len() != 1 || !got.Set.Contains(val.Symbol("b")) {
+	if got.Set().Len() != 1 || !got.Set().Contains(val.Symbol("b")) {
 		t.Errorf("intersection aggregate = %v, want {b}", got)
 	}
 	empty, _ := inter.Apply(nil)
-	if !empty.Set.Equal(testUniverse) {
+	if !empty.Set().Equal(testUniverse) {
 		t.Errorf("intersection(∅) must be the universe, got %v", empty)
 	}
 }
@@ -213,22 +213,22 @@ func TestGraphProperties(t *testing.T) {
 	p4 := NewProperty("p4_test", HasPathProperty(4))
 	chain := val.SetOf(Edge("a", "b"), Edge("b", "c"), Edge("c", "d"), Edge("d", "e"))
 	short := val.SetOf(Edge("a", "b"), Edge("b", "c"))
-	if got, _ := p4.Apply([]Elem{chain}); !got.B {
+	if got, _ := p4.Apply([]Elem{chain}); !got.Bool() {
 		t.Error("a 4-edge chain has a path of length 4")
 	}
-	if got, _ := p4.Apply([]Elem{short}); got.B {
+	if got, _ := p4.Apply([]Elem{short}); got.Bool() {
 		t.Error("a 2-edge chain has no path of length 4")
 	}
 	// A cycle realises arbitrarily long (non-simple) paths.
 	cyc := val.SetOf(Edge("a", "b"), Edge("b", "a"))
-	if got, _ := p4.Apply([]Elem{cyc}); !got.B {
+	if got, _ := p4.Apply([]Elem{cyc}); !got.Bool() {
 		t.Error("a 2-cycle realises paths of any length")
 	}
 	conn := NewProperty("conn_test", ConnectsProperty("a", "d"))
-	if got, _ := conn.Apply([]Elem{short, val.SetOf(Edge("c", "d"))}); !got.B {
+	if got, _ := conn.Apply([]Elem{short, val.SetOf(Edge("c", "d"))}); !got.Bool() {
 		t.Error("union of the multiset's graphs connects a to d")
 	}
-	if got, _ := conn.Apply([]Elem{short}); got.B {
+	if got, _ := conn.Apply([]Elem{short}); got.Bool() {
 		t.Error("a does not reach d with only two edges")
 	}
 }

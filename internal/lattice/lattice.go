@@ -77,9 +77,9 @@ func (n *numeric) Top() Elem {
 
 func (n *numeric) Leq(a, b Elem) bool {
 	if n.ascending {
-		return a.N <= b.N
+		return a.Num() <= b.Num()
 	}
-	return a.N >= b.N
+	return a.Num() >= b.Num()
 }
 
 func (n *numeric) Join(a, b Elem) Elem {
@@ -100,10 +100,11 @@ func (n *numeric) Contains(e Elem) bool {
 	if e.Kind != val.Num {
 		return false
 	}
-	if math.IsNaN(e.N) || e.N < n.lo || e.N > n.hi {
+	x := e.Num()
+	if math.IsNaN(x) || x < n.lo || x > n.hi {
 		return false
 	}
-	if n.integral && !math.IsInf(e.N, 0) && e.N != math.Trunc(e.N) {
+	if n.integral && !math.IsInf(x, 0) && x != math.Trunc(x) {
 		return false
 	}
 	return true
@@ -134,21 +135,21 @@ func (b *boolean) Bottom() Elem { return val.Boolean(!b.trueIsTop) }
 func (b *boolean) Top() Elem { return val.Boolean(b.trueIsTop) }
 
 func (b *boolean) Leq(x, y Elem) bool {
-	if x.B == y.B {
+	if x.Bool() == y.Bool() {
 		return true
 	}
-	return y.B == b.trueIsTop
+	return y.Bool() == b.trueIsTop
 }
 
 func (b *boolean) Join(x, y Elem) Elem {
-	if x.B == b.trueIsTop {
+	if x.Bool() == b.trueIsTop {
 		return x
 	}
 	return y
 }
 
 func (b *boolean) Meet(x, y Elem) Elem {
-	if x.B == b.trueIsTop {
+	if x.Bool() == b.trueIsTop {
 		return y
 	}
 	return x
@@ -160,9 +161,9 @@ func (b *boolean) Parse(c val.T) (Elem, error) {
 	switch {
 	case c.Kind == val.Bool:
 		return c, nil
-	case c.Kind == val.Num && c.N == 0:
+	case c.Kind == val.Num && c.Num() == 0:
 		return val.Boolean(false), nil
-	case c.Kind == val.Num && c.N == 1:
+	case c.Kind == val.Num && c.Num() == 1:
 		return val.Boolean(true), nil
 	}
 	return Elem{}, fmt.Errorf("lattice %s: %s is not boolean", b.name, c)

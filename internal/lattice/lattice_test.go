@@ -165,10 +165,10 @@ func TestMinJoinIsNumericMin(t *testing.T) {
 	// In the (R, ≥) lattice the least upper bound of {3, 5} is 3: joining
 	// path costs yields the shortest, per Example 3.1's warning.
 	got := MinReal.Join(val.Number(3), val.Number(5))
-	if got.N != 3 {
+	if got.Num() != 3 {
 		t.Fatalf("minreal join(3,5) = %v, want 3", got)
 	}
-	if MinReal.Meet(val.Number(3), val.Number(5)).N != 5 {
+	if MinReal.Meet(val.Number(3), val.Number(5)).Num() != 5 {
 		t.Fatalf("minreal meet(3,5) should be 5")
 	}
 	if !MinReal.Leq(val.Number(5), val.Number(3)) {
@@ -198,10 +198,10 @@ func TestContains(t *testing.T) {
 }
 
 func TestParse(t *testing.T) {
-	if e, err := BoolOr.Parse(val.Number(1)); err != nil || !e.B {
+	if e, err := BoolOr.Parse(val.Number(1)); err != nil || !e.Bool() {
 		t.Errorf("boolor parse 1 = %v, %v; want true", e, err)
 	}
-	if e, err := BoolAnd.Parse(val.Number(0)); err != nil || e.B {
+	if e, err := BoolAnd.Parse(val.Number(0)); err != nil || e.Bool() {
 		t.Errorf("booland parse 0 = %v, %v; want false", e, err)
 	}
 	if _, err := BoolOr.Parse(val.Number(2)); err == nil {
@@ -230,19 +230,19 @@ func TestSetLatticeOps(t *testing.T) {
 	ab := val.SetOf(val.Symbol("a"), val.Symbol("b"))
 	bc := val.SetOf(val.Symbol("b"), val.Symbol("c"))
 	u := SetUnion.Join(ab, bc)
-	if u.Set.Len() != 3 {
-		t.Fatalf("union len = %d, want 3", u.Set.Len())
+	if u.Set().Len() != 3 {
+		t.Fatalf("union len = %d, want 3", u.Set().Len())
 	}
 	m := SetUnion.Meet(ab, bc)
-	if m.Set.Len() != 1 || !m.Set.Contains(val.Symbol("b")) {
+	if m.Set().Len() != 1 || !m.Set().Contains(val.Symbol("b")) {
 		t.Fatalf("intersection = %v, want {b}", m)
 	}
 	li := NewSetIntersect("itest", testUniverse)
 	// In (2^S, ⊇), join is ∩ and bottom is S.
-	if !Eq(li, li.Bottom(), val.T{Kind: val.SetKind, Set: testUniverse}) {
+	if !Eq(li, li.Bottom(), testUniverse.Value()) {
 		t.Error("intersect-lattice bottom must be the universe")
 	}
-	if j := li.Join(ab, bc); j.Set.Len() != 1 {
+	if j := li.Join(ab, bc); j.Set().Len() != 1 {
 		t.Errorf("intersect-lattice join = %v, want {b}", j)
 	}
 	if !li.Leq(ab, m) {
@@ -252,13 +252,13 @@ func TestSetLatticeOps(t *testing.T) {
 
 func TestJoinMeetAll(t *testing.T) {
 	xs := []Elem{val.Number(4), val.Number(2), val.Number(9)}
-	if JoinAll(MinReal, xs).N != 2 {
+	if JoinAll(MinReal, xs).Num() != 2 {
 		t.Error("JoinAll on minreal should take the numeric min")
 	}
-	if MeetAll(MinReal, xs).N != 9 {
+	if MeetAll(MinReal, xs).Num() != 9 {
 		t.Error("MeetAll on minreal should take the numeric max")
 	}
-	if JoinAll(MinReal, nil).N != math.Inf(1) {
+	if JoinAll(MinReal, nil).Num() != math.Inf(1) {
 		t.Error("JoinAll of nothing is bottom (+∞ for minreal)")
 	}
 }

@@ -27,30 +27,30 @@ func NewSetUnionOver(name string, universe *val.Set) Lattice {
 
 func (s *setUnion) Name() string { return s.name }
 
-func (s *setUnion) Bottom() Elem { return val.T{Kind: val.SetKind, Set: val.EmptySet} }
+func (s *setUnion) Bottom() Elem { return val.EmptySet.Value() }
 
 func (s *setUnion) Top() Elem {
 	if s.universe == nil {
 		panic("lattice: setunion over an open universe has no representable top")
 	}
-	return val.T{Kind: val.SetKind, Set: s.universe}
+	return s.universe.Value()
 }
 
-func (s *setUnion) Leq(a, b Elem) bool { return a.Set.SubsetOf(b.Set) }
+func (s *setUnion) Leq(a, b Elem) bool { return a.Set().SubsetOf(b.Set()) }
 
 func (s *setUnion) Join(a, b Elem) Elem {
-	return val.T{Kind: val.SetKind, Set: a.Set.Union(b.Set)}
+	return a.Set().Union(b.Set()).Value()
 }
 
 func (s *setUnion) Meet(a, b Elem) Elem {
-	return val.T{Kind: val.SetKind, Set: a.Set.Intersect(b.Set)}
+	return a.Set().Intersect(b.Set()).Value()
 }
 
 func (s *setUnion) Contains(e Elem) bool {
-	if e.Kind != val.SetKind || e.Set == nil {
+	if e.Kind != val.SetKind {
 		return false
 	}
-	return s.universe == nil || e.Set.SubsetOf(s.universe)
+	return s.universe == nil || e.Set().SubsetOf(s.universe)
 }
 
 func (s *setUnion) Parse(c val.T) (Elem, error) {
@@ -74,22 +74,22 @@ func NewSetIntersect(name string, universe *val.Set) Lattice {
 
 func (s *setIntersect) Name() string { return s.name }
 
-func (s *setIntersect) Bottom() Elem { return val.T{Kind: val.SetKind, Set: s.universe} }
+func (s *setIntersect) Bottom() Elem { return s.universe.Value() }
 
-func (s *setIntersect) Top() Elem { return val.T{Kind: val.SetKind, Set: val.EmptySet} }
+func (s *setIntersect) Top() Elem { return val.EmptySet.Value() }
 
-func (s *setIntersect) Leq(a, b Elem) bool { return b.Set.SubsetOf(a.Set) }
+func (s *setIntersect) Leq(a, b Elem) bool { return b.Set().SubsetOf(a.Set()) }
 
 func (s *setIntersect) Join(a, b Elem) Elem {
-	return val.T{Kind: val.SetKind, Set: a.Set.Intersect(b.Set)}
+	return a.Set().Intersect(b.Set()).Value()
 }
 
 func (s *setIntersect) Meet(a, b Elem) Elem {
-	return val.T{Kind: val.SetKind, Set: a.Set.Union(b.Set)}
+	return a.Set().Union(b.Set()).Value()
 }
 
 func (s *setIntersect) Contains(e Elem) bool {
-	return e.Kind == val.SetKind && e.Set != nil && e.Set.SubsetOf(s.universe)
+	return e.Kind == val.SetKind && e.Set().SubsetOf(s.universe)
 }
 
 func (s *setIntersect) Parse(c val.T) (Elem, error) {

@@ -366,7 +366,7 @@ func (p *parser) constant() (val.T, error) {
 		if err != nil {
 			return val.T{}, err
 		}
-		return val.Number(-v.N), nil
+		return val.Number(-v.Num()), nil
 	case p.at(tokString):
 		return val.String(p.next().text), nil
 	case p.at(tokLBrace):
@@ -497,7 +497,7 @@ func (p *parser) unaryExpr() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return ast.NumExpr{N: v.N}, nil
+		return ast.NumExpr{N: v.Num()}, nil
 	case p.at(tokIdent):
 		t := p.next()
 		if t.text == "inf" {

@@ -131,22 +131,22 @@ p.
 		t.Fatalf("facts = %d", len(prog.Rules))
 	}
 	get := func(i, j int) val.T { return prog.Rules[i].Head.Args[j].(ast.Const).V }
-	if get(2, 1).N != -2.5 {
+	if get(2, 1).Num() != -2.5 {
 		t.Errorf("negative float: %v", get(2, 1))
 	}
-	if !math.IsInf(get(3, 1).N, 1) {
+	if !math.IsInf(get(3, 1).Num(), 1) {
 		t.Errorf("inf: %v", get(3, 1))
 	}
-	if !math.IsInf(get(4, 1).N, -1) {
+	if !math.IsInf(get(4, 1).Num(), -1) {
 		t.Errorf("-inf: %v", get(4, 1))
 	}
-	if get(5, 1).S != "hello world" {
+	if get(5, 1).Text() != "hello world" {
 		t.Errorf("string: %v", get(5, 1))
 	}
-	if get(6, 1).Set.Len() != 3 {
+	if get(6, 1).Set().Len() != 3 {
 		t.Errorf("set: %v", get(6, 1))
 	}
-	if get(7, 1).Set.Len() != 0 {
+	if get(7, 1).Set().Len() != 0 {
 		t.Errorf("empty set: %v", get(7, 1))
 	}
 	if prog.Rules[8].Head.Pred != "p" || len(prog.Rules[8].Head.Args) != 0 {
@@ -183,7 +183,7 @@ func TestParseExpressions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.N != (4+6)*2-4.0/2 {
+	if got.Num() != (4+6)*2-4.0/2 {
 		t.Fatalf("expression = %v", got)
 	}
 }
@@ -226,7 +226,7 @@ func TestBareIdentBuiltin(t *testing.T) {
 	if !ok || b.Op != ast.OpEq {
 		t.Fatalf("W = a parsed as %T", r.Body[1])
 	}
-	if c, ok := b.R.(ast.ConstExpr); !ok || c.V.S != "a" {
+	if c, ok := b.R.(ast.ConstExpr); !ok || c.V.Text() != "a" {
 		t.Fatalf("rhs = %v", b.R)
 	}
 }

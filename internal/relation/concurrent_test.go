@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -47,7 +48,7 @@ func TestConcurrentReadersOnFrozenRelation(t *testing.T) {
 				n := 0
 				r.Match(pats[rep%len(pats)], func(Row) bool { n++; return true })
 				i := (g*131 + rep*37) % rows
-				if row, ok := r.Get([]val.T{val.Number(float64(i % 17)), val.Number(float64(i))}); !ok || row.Cost.N != float64(i) {
+				if row, ok := r.Get([]val.T{val.Number(float64(i % 17)), val.Number(float64(i))}); !ok || row.Cost.Num() != float64(i) {
 					t.Errorf("row %d reads %v, %v; want its frozen cost", i, row, ok)
 					return
 				}
@@ -103,7 +104,7 @@ func TestIndexOrderStableAcrossBuildTime(t *testing.T) {
 		}
 		var order []float64
 		r.Match([]*val.T{&key, nil}, func(row Row) bool {
-			order = append(order, row.Args[1].N)
+			order = append(order, row.Args[1].Num())
 			return true
 		})
 		return order
@@ -117,4 +118,64 @@ func TestIndexOrderStableAcrossBuildTime(t *testing.T) {
 			t.Fatalf("enumeration order diverges at %d: %v vs %v", i, early, late)
 		}
 	}
+}
+
+// TestConcurrentInterning exercises the process-wide intern tables under
+// the race detector: goroutines intern symbols, strings and sets — each
+// goroutine its own names and the shared ones racing to intern the same
+// text — and render values read from a frozen relation, while a writer
+// inserts rows of newly interned symbols and sets into another. Every
+// value must render back to the text it was built from, and a name
+// resolves to one id however many goroutines interned it.
+func TestConcurrentInterning(t *testing.T) {
+	info := &ast.PredInfo{Key: ast.MakePredKey("f", 2), Arity: 2}
+	frozen := New(info)
+	for i := 0; i < 300; i++ {
+		frozen.InsertJoin([]val.T{val.Symbol(fmt.Sprintf("frozen%d", i)), val.SetOf(val.Number(float64(i)))}, val.T{})
+	}
+	const readers, n = 6, 400
+	var wg sync.WaitGroup
+	wg.Add(readers + 1)
+	go func() {
+		defer wg.Done()
+		w := New(info)
+		for i := 0; i < n; i++ {
+			s := val.Symbol(fmt.Sprintf("written%d", i))
+			w.InsertJoin([]val.T{s, val.SetOf(s, val.String("w"))}, val.T{})
+		}
+		for i := 0; i < n; i++ {
+			row := w.At(i)
+			if want := fmt.Sprintf("written%d", i); row.Args[0].Text() != want || row.Args[1].String() != `{"w", `+want+`}` {
+				t.Errorf("written row %d = %v", i, row.Args)
+				return
+			}
+		}
+	}()
+	for g := 0; g < readers; g++ {
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				own := fmt.Sprintf("r%d-%d", g, i)
+				shared := fmt.Sprintf("shared%d", i)
+				a, b, c := val.Symbol(own), val.Symbol(shared), val.String(shared)
+				set := val.SetOf(a, b, c)
+				if a.String() != own || b.Text() != shared || c.String() != `"`+shared+`"` ||
+					set.Set().Len() != 3 || !set.Set().Contains(b) {
+					t.Errorf("goroutine %d: %v %v %v %v", g, a, b, c, set)
+					return
+				}
+				if got, ok := val.Lookup(val.Sym, shared); !ok || got != b {
+					t.Errorf("goroutine %d: Lookup(%q) = %v, %v; interned as %v", g, shared, got, ok, b)
+					return
+				}
+				row := frozen.At(i % frozen.Len())
+				if want := fmt.Sprintf("frozen%d", i%frozen.Len()); row.Args[0].String() != want ||
+					row.Args[1].String() != fmt.Sprintf("{%d}", i%frozen.Len()) {
+					t.Errorf("goroutine %d: frozen row %v", g, row.Args)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

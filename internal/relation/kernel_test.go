@@ -84,29 +84,43 @@ func (m *refRel) match(pattern []*val.T) []Row {
 }
 
 // kernelValue draws a value of any kind from a domain small enough that
-// tuples collide often: symbols, strings, numbers (zero of either sign,
-// infinities), booleans and sets, nested sets included.
+// tuples collide often: symbols; strings, some with a symbol's text (one
+// text, two values); numbers, with zero of either sign, infinities and
+// NaNs of several bit patterns (one value); booleans; and sets, nested
+// two deep and holding any of these.
 func kernelValue(r *rand.Rand, domain int) val.T {
 	switch r.Intn(8) {
 	case 0:
+		if r.Intn(3) == 0 {
+			return val.String(fmt.Sprintf("n%d", r.Intn(domain)))
+		}
 		return val.String(fmt.Sprintf("s%d", r.Intn(domain)))
 	case 1:
-		switch r.Intn(4) {
+		switch r.Intn(5) {
 		case 0:
 			return val.Number(math.Copysign(0, -1))
 		case 1:
 			return val.Number(math.Inf(1 - 2*r.Intn(2)))
+		case 2:
+			return val.Number(math.Float64frombits(0x7ff8000000000000 | uint64(r.Intn(4))))
 		}
 		return val.Number(float64(r.Intn(domain)) - 2.5)
 	case 2:
 		return val.Boolean(r.Intn(2) == 0)
 	case 3:
 		elems := []val.T{val.Symbol(fmt.Sprintf("e%d", r.Intn(3)))}
-		if r.Intn(2) == 0 {
+		switch r.Intn(4) {
+		case 0:
 			elems = append(elems, val.Number(float64(r.Intn(3))))
+		case 1:
+			elems = append(elems, val.String(fmt.Sprintf("e%d", r.Intn(3))), val.Number(math.NaN()))
 		}
 		if r.Intn(4) == 0 {
-			elems = append(elems, val.SetOf(val.Symbol("nested")))
+			inner := val.SetOf(val.Symbol("nested"))
+			if r.Intn(2) == 0 {
+				inner = val.SetOf(inner, val.Number(math.Copysign(0, -1)))
+			}
+			elems = append(elems, inner)
 		}
 		return val.SetOf(elems...)
 	}
@@ -306,6 +320,55 @@ func runKernelOps(t *testing.T, r *rand.Rand, info *ast.PredInfo) {
 	}
 }
 
+// TestGroupSetAgainstModel drives random Add/Find/Reset sequences on a
+// GroupSet against a map keyed by val.KeyOf, with the values the kernel
+// test draws: groups are the distinct tuples in first-occurrence order.
+func TestGroupSetAgainstModel(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var s GroupSet
+		var order []string
+		index := map[string]int{}
+		width := 0
+		for op := 0; op < 3000; op++ {
+			if op%700 == 0 {
+				width = r.Intn(4)
+				s.Reset(width)
+				order, index = nil, map[string]int{}
+			}
+			tuple := make([]val.T, width)
+			for i := range tuple {
+				tuple[i] = kernelValue(r, 8)
+			}
+			k := val.KeyOf(tuple)
+			want, had := index[k]
+			if r.Intn(3) == 0 {
+				if got := s.Find(tuple); had && got != want || !had && got != -1 {
+					t.Fatalf("seed %d op %d: Find(%v) = %d, model %d (present %v)", seed, op, tuple, got, want, had)
+				}
+				continue
+			}
+			g, added := s.Add(tuple)
+			if !had {
+				want = len(order)
+				index[k] = want
+				order = append(order, k)
+			}
+			if g != want || added == had {
+				t.Fatalf("seed %d op %d: Add(%v) = %d, %v; model %d, new %v", seed, op, tuple, g, added, want, !had)
+			}
+			if s.Len() != len(order) {
+				t.Fatalf("seed %d op %d: Len %d, model %d", seed, op, s.Len(), len(order))
+			}
+			for g, k := range order {
+				if val.KeyOf(s.At(g)) != k {
+					t.Fatalf("seed %d op %d: group %d = %v, model %q", seed, op, g, s.At(g), k)
+				}
+			}
+		}
+	}
+}
+
 // TestChunkBoundaries inserts across every chunk boundary of the arena
 // — a fresh relation's and a reserved one's — and checks every row, its
 // arguments' capacity (a row's slice never reaches into its neighbour)
@@ -326,11 +389,11 @@ func TestChunkBoundaries(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			row := rel.At(i)
-			if row.Args[0].N != float64(i) || row.Cost.N != float64(i) || len(row.Args) != 2 || cap(row.Args) != 2 {
+			if row.Args[0].Num() != float64(i) || row.Cost.Num() != float64(i) || len(row.Args) != 2 || cap(row.Args) != 2 {
 				t.Fatalf("reserve %d: row %d = %v (cap %d)", reserve, i, row, cap(row.Args))
 			}
 		}
-		if early[0].Args[0].N != 7 || early[1].Args[0].N != 600 {
+		if early[0].Args[0].Num() != 7 || early[1].Args[0].Num() != 600 {
 			t.Fatalf("reserve %d: rows moved under their holders: %v", reserve, early)
 		}
 	}

@@ -20,14 +20,19 @@
 // grows. Costs, the one mutable part of a row, live in a parallel column
 // chunked the same way, so neither column is ever copied to grow.
 //
+// A val.T is a 16-byte pointer-free word pair (symbols and sets are
+// interned ids), so the arenas hold no pointers: chunks take no write
+// barriers to fill and the garbage collector does not scan them.
+//
 // The primary key — the cost functional dependency — is an
-// open-addressing table of row ids keyed by a hash computed from the
-// val.T fields themselves (val.Hash) and confirmed by comparing values
-// (val.Same); no key string is built on any insert or lookup. Tuple
-// identity is Key identity: two tuples are one row exactly when their
-// val.KeyOf encodings are equal. Hashes are seeded per process, which is
-// safe because nothing ever iterates a table: every enumeration runs in
-// row-id order.
+// open-addressing table of row ids keyed by a hash of the values' words
+// (val.Hash) and confirmed by comparing them (val.Same); no key string is
+// built on any insert or lookup. Tuple identity is Key identity: two
+// tuples are one row exactly when their val.KeyOf encodings are equal.
+// Intern ids, and so hashes, differ between processes, which is safe
+// because nothing ever iterates a table: every enumeration runs in row-id
+// order. GroupSet exposes the same table to γ (internal/exec,
+// internal/core) as an insertion-ordered set of value tuples.
 //
 // A hash index on a set of bound positions (a bitmask) maps the hash of
 // the projection onto those positions to a chain of row ids in insertion
@@ -687,25 +692,93 @@ func finish(h uint64) uint64 {
 	return h ^ h>>33
 }
 
-// sameArgs compares two argument tuples of equal length under val.Same.
-func sameArgs(a, b []val.T) bool {
-	for i := range a {
-		if !val.Same(a[i], b[i]) {
+// sameArgs compares two argument tuples of equal length under val.Same,
+// which is word equality.
+func sameArgs(a, b []val.T) bool { return slices.Equal(a, b) }
+
+// sameProj compares a and b on the positions in mask.
+func sameProj(a, b []val.T, mask uint64) bool {
+	for m := mask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if a[i] != b[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// sameProj compares a and b on the positions in mask.
-func sameProj(a, b []val.T, mask uint64) bool {
-	for m := mask; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		if !val.Same(a[i], b[i]) {
-			return false
+// GroupSet is an insertion-ordered set of value tuples of one width — a
+// γ step's groups — held in the relations' open-addressing table: keyed
+// by the hash of the tuple's values and confirmed by comparing them, so
+// no key string is built. Group g is the g-th distinct tuple added, which
+// makes 0, 1, …, Len()-1 first-occurrence order. The zero GroupSet is
+// empty, for tuples of width 0.
+type GroupSet struct {
+	width, n int
+	vals     []val.T // group g is vals[g*width : (g+1)*width]
+	keys     table
+}
+
+// Reset empties s for tuples of the given width, keeping its storage.
+func (s *GroupSet) Reset(width int) {
+	s.width, s.n = width, 0
+	s.vals = s.vals[:0]
+	if s.keys.used > 0 {
+		clear(s.keys.slots)
+		s.keys.used = 0
+	}
+}
+
+// Len returns the number of groups.
+func (s *GroupSet) Len() int { return s.n }
+
+// At returns group g's tuple, which the caller must not modify.
+func (s *GroupSet) At(g int) []val.T {
+	lo, hi := g*s.width, (g+1)*s.width
+	return s.vals[lo:hi:hi]
+}
+
+// Add adds a copy of tuple unless s holds it, returning its group and
+// whether it is new.
+func (s *GroupSet) Add(tuple []val.T) (int, bool) {
+	h := hashArgs(tuple)
+	g, slot := s.find(h, tuple)
+	if g >= 0 {
+		return g, false
+	}
+	g = s.n
+	s.vals = append(s.vals, tuple...)
+	s.n++
+	s.keys.put(h, slot, g)
+	return g, true
+}
+
+// Find returns tuple's group, or -1 when s lacks it.
+func (s *GroupSet) Find(tuple []val.T) int {
+	g, _ := s.find(hashArgs(tuple), tuple)
+	return g
+}
+
+// find looks tuple (hashing to h) up, returning its group, or -1 and the
+// empty slot an Add would take (-1 when the table is unallocated).
+func (s *GroupSet) find(h uint64, tuple []val.T) (g, slot int) {
+	t := &s.keys
+	if len(t.slots) == 0 {
+		return -1, -1
+	}
+	tag := h >> 32
+	mask := len(t.slots) - 1
+	for i := int(tag) & mask; ; i = (i + 1) & mask {
+		e := t.slots[i]
+		if e == 0 {
+			return -1, i
+		}
+		if e>>32 == tag {
+			if g := int(uint32(e)) - 1; sameArgs(s.At(g), tuple) {
+				return g, i
+			}
 		}
 	}
-	return true
 }
 
 // Clone returns a copy that can be written independently: full argument

@@ -35,7 +35,7 @@ func TestInsertJoinMonotone(t *testing.T) {
 		t.Fatal("worse cost must not change")
 	}
 	row, ok := r.Get(a)
-	if !ok || row.Cost.N != 3 {
+	if !ok || row.Cost.Num() != 3 {
 		t.Fatalf("cost = %v, want 3", row.Cost)
 	}
 	if r.Len() != 1 {
@@ -70,7 +70,7 @@ func TestDefaultRowsAreVirtual(t *testing.T) {
 		t.Fatal("core must stay empty")
 	}
 	row, ok := r.GetOrDefault(w)
-	if !ok || row.Cost.B != false {
+	if !ok || row.Cost.Bool() != false {
 		t.Fatalf("default lookup = %v, %v", row, ok)
 	}
 	// A real value materializes.
@@ -78,7 +78,7 @@ func TestDefaultRowsAreVirtual(t *testing.T) {
 		t.Fatal("true insert must change")
 	}
 	row, _ = r.GetOrDefault(w)
-	if !row.Cost.B {
+	if !row.Cost.Bool() {
 		t.Fatal("core value must win over default")
 	}
 	// Non-default predicates miss.
@@ -97,7 +97,7 @@ func TestMatchWithIndexes(t *testing.T) {
 	av := val.Symbol("a")
 	var got []string
 	r.Match([]*val.T{&av, nil}, func(row Row) bool {
-		got = append(got, row.Args[1].S)
+		got = append(got, row.Args[1].Text())
 		return true
 	})
 	if len(got) != 2 {
@@ -107,7 +107,7 @@ func TestMatchWithIndexes(t *testing.T) {
 	r.InsertJoin([]val.T{val.Symbol("a"), val.Symbol("d")}, val.T{})
 	got = nil
 	r.Match([]*val.T{&av, nil}, func(row Row) bool {
-		got = append(got, row.Args[1].S)
+		got = append(got, row.Args[1].Text())
 		return true
 	})
 	if len(got) != 3 {
@@ -208,7 +208,7 @@ func TestRowsDeterministic(t *testing.T) {
 		r.InsertJoin([]val.T{val.Symbol(s)}, val.T{})
 	}
 	rows := r.Rows()
-	if rows[0].Args[0].S != "a" || rows[2].Args[0].S != "c" {
+	if rows[0].Args[0].Text() != "a" || rows[2].Args[0].Text() != "c" {
 		t.Fatalf("rows not sorted: %v", rows)
 	}
 }
@@ -218,12 +218,12 @@ func TestInfinityCosts(t *testing.T) {
 	a := []val.T{val.Symbol("x")}
 	r.InsertJoin(a, val.Number(math.Inf(1)))
 	row, _ := r.Get(a)
-	if !math.IsInf(row.Cost.N, 1) {
+	if !math.IsInf(row.Cost.Num(), 1) {
 		t.Fatal("infinite cost must store")
 	}
 	r.InsertJoin(a, val.Number(7))
 	row, _ = r.Get(a)
-	if row.Cost.N != 7 {
+	if row.Cost.Num() != 7 {
 		t.Fatal("finite beats +∞ in minreal")
 	}
 }
@@ -246,16 +246,16 @@ func TestJoinIntoEmptyAdoptsRows(t *testing.T) {
 	if dst.Len() != 2 || !dst.Equal(src) {
 		t.Fatalf("adopted relation holds %d rows, want the source's 2", dst.Len())
 	}
-	if first := dst.At(0); !val.Equal(first.Args[0], a) || first.Cost.N != 4 {
+	if first := dst.At(0); !val.Equal(first.Args[0], a) || first.Cost.Num() != 4 {
 		t.Fatalf("insertion order lost: first row %v", first)
 	}
 	if !dst.InsertJoin([]val.T{a, b}, val.Number(1)) || !dst.InsertJoin([]val.T{c, a}, val.Number(9)) {
 		t.Fatal("an adopted relation must accept improvements and new rows")
 	}
-	if row, _ := src.Get([]val.T{a, b}); row.Cost.N != 4 || src.Len() != 2 {
+	if row, _ := src.Get([]val.T{a, b}); row.Cost.Num() != 4 || src.Len() != 2 {
 		t.Fatalf("writing to the adopting relation changed the source: %v, %d rows", row, src.Len())
 	}
-	if row, _ := dst.Get([]val.T{a, b}); row.Cost.N != 1 {
+	if row, _ := dst.Get([]val.T{a, b}); row.Cost.Num() != 1 {
 		t.Fatalf("improvement lost: %v", row)
 	}
 	if New(costInfo("arc", 3, lattice.MinReal, false)).Join(New(costInfo("arc", 3, lattice.MinReal, false))) {

@@ -161,7 +161,7 @@ func TestRewriteDivergesOnPositiveCycle(t *testing.T) {
 		t.Fatalf("the native engine must terminate: %v", err)
 	}
 	row, ok := m.Rel("s/3").Get(nums("a", "a"))
-	if !ok || row.Cost.N != 2 {
+	if !ok || row.Cost.Num() != 2 {
 		t.Fatalf("s(a,a) = %v, want 2", row)
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -120,6 +121,12 @@ func (s *Server) instrument(h http.Handler) http.Handler {
 		endpoint := s.metrics.endpointLabel(r.URL.Path)
 		s.metrics.observe(endpoint, sw.status, elapsed, traceID)
 		if lg := s.cfg.Logger; lg != nil {
+			// The response is complete (writeJSON sets its length): send
+			// it before formatting and writing the log line, which is then
+			// not part of the latency the client sees.
+			if f, ok := w.(http.Flusher); ok && w.Header().Get("Content-Length") != "" {
+				f.Flush()
+			}
 			lg.Info("request",
 				"request_id", reqID,
 				"trace_id", traceID,
@@ -146,12 +153,17 @@ func (s *Server) instrument(h http.Handler) http.Handler {
 	})
 }
 
+// writeJSON sends v as the whole response, with its Content-Length set
+// so the response is complete once written.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(b.Len()))
+	w.WriteHeader(status)
+	_, _ = w.Write(b.Bytes())
 }
 
 func writeErr(w http.ResponseWriter, e *apiError) {
@@ -486,7 +498,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	want := nonCostArity(decl)
-	resp := map[string]any{"program": svc.name, "op": req.Op, "pred": req.Pred, "version": st.version}
 	switch req.Op {
 	case "has", "cost":
 		if len(args) != want {
@@ -497,15 +508,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, errUsage(fmt.Sprintf("%s is not a cost predicate", req.Pred)))
 			return
 		}
+		reply := pointReply{Op: req.Op, Pred: req.Pred, Program: svc.name, Version: st.version}
 		if req.Op == "has" {
-			resp["found"] = st.model.Has(req.Pred, args...)
+			reply.Found = st.model.Has(req.Pred, args...)
 		} else {
-			cost, found := st.model.Cost(req.Pred, args...)
-			resp["found"] = found
-			if found {
-				resp["cost"] = jsonValue{cost}
+			var cost datalog.Value
+			if cost, reply.Found = st.model.Cost(req.Pred, args...); reply.Found {
+				reply.Cost = &jsonValue{cost}
 			}
 		}
+		writeJSONCtx(ctx, w, http.StatusOK, reply)
+		return
+	}
+	resp := map[string]any{"program": svc.name, "op": req.Op, "pred": req.Pred, "version": st.version}
+	switch req.Op {
 	case "facts", "":
 		resp["op"] = "facts"
 		var rows [][]datalog.Value
@@ -524,6 +540,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSONCtx(ctx, w, http.StatusOK, resp)
+}
+
+// pointReply is the /v1/query answer to a has or cost lookup: the fields
+// of the map the other ops answer with, in the same (sorted) order, as a
+// struct so the hot read path encodes without a map.
+type pointReply struct {
+	Cost    *jsonValue `json:"cost,omitempty"`
+	Found   bool       `json:"found"`
+	Op      string     `json:"op"`
+	Pred    string     `json:"pred"`
+	Program string     `json:"program"`
+	Version uint64     `json:"version"`
 }
 
 // assertRequest is the /v1/assert body: one batch of EDB facts.

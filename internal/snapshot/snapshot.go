@@ -420,7 +420,10 @@ func (d *decoder) val(depth int) (val.T, error) {
 		if err != nil {
 			return val.T{}, err
 		}
-		return val.T{Kind: val.Kind(kind), S: s}, nil
+		if val.Kind(kind) == val.Str {
+			return val.String(s), nil
+		}
+		return val.Symbol(s), nil
 	case val.Num:
 		if len(d.buf) < 8 {
 			return val.T{}, d.corrupt("number")
@@ -452,7 +455,7 @@ func (d *decoder) val(depth int) (val.T, error) {
 				return val.T{}, err
 			}
 		}
-		return val.T{Kind: val.SetKind, Set: val.NewSet(elems)}, nil
+		return val.NewSet(elems).Value(), nil
 	}
 	return val.T{}, fmt.Errorf("%w: unknown value kind %d", ErrCorrupt, kind)
 }
@@ -461,22 +464,19 @@ func encodeVal(b *bytes.Buffer, v val.T) {
 	b.WriteByte(byte(v.Kind))
 	switch v.Kind {
 	case val.Sym, val.Str:
-		putString(b, v.S)
+		putString(b, v.Text())
 	case val.Num:
 		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], math.Float64bits(v.N))
+		binary.BigEndian.PutUint64(buf[:], math.Float64bits(v.Num()))
 		b.Write(buf[:])
 	case val.Bool:
-		if v.B {
+		if v.Bool() {
 			b.WriteByte(1)
 		} else {
 			b.WriteByte(0)
 		}
 	case val.SetKind:
-		var elems []val.T
-		if v.Set != nil {
-			elems = v.Set.Elems() // already in canonical order
-		}
+		elems := v.Set().Elems() // already in canonical order
 		putUvarint(b, uint64(len(elems)))
 		for _, e := range elems {
 			encodeVal(b, e)

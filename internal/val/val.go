@@ -3,7 +3,7 @@
 // from lattices, and the results of aggregate functions.
 //
 // A single concrete type T is used rather than an interface so that values
-// can be compared, interned and stored in maps cheaply, and so that a
+// can be compared, hashed and stored as plain words, and so that a
 // heterogeneous interpretation (one program mixing numeric, boolean and
 // set-valued cost domains, as in Ross & Sagiv Figure 1) needs no type
 // parameters.
@@ -11,8 +11,8 @@ package val
 
 import (
 	"fmt"
-	"hash/maphash"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,64 +34,93 @@ const (
 	SetKind
 )
 
-// T is a runtime value.
+// T is a runtime value: a kind and a 64-bit payload, 16 bytes with no
+// pointers, so tuples of values can be stored, copied and hashed as plain
+// words and the garbage collector never scans them. The payload holds the
+// float bits of a Num (every NaN as one bit pattern, −0 as +0), 0 or 1
+// for a Bool, the intern id of a Sym's or Str's text, and the intern id
+// of a SetKind's set (intern.go). It is unexported: every value is built
+// by a constructor, so equal values have equal payloads and identity is
+// word equality (Same, Hash). The zero T is the empty symbol.
 type T struct {
 	Kind Kind
-	S    string  // Sym, Str
-	N    float64 // Num
-	B    bool    // Bool
-	Set  *Set    // SetKind
+	p    uint64
 }
 
-// Symbol returns the symbol constant named s.
-func Symbol(s string) T { return T{Kind: Sym, S: s} }
+// nanBits is the one payload every NaN is stored as.
+const nanBits = 0x7ff8000000000001
 
-// Number returns the numeric constant n. Negative zero is stored as +0:
-// the two compare equal, so keeping both would give one number two keys
-// (and one tuple two rows). Every Num value is built here — literals,
-// arithmetic, and the snapshot and JSON codecs.
+// Symbol returns the symbol constant named s, interning s.
+func Symbol(s string) T { return T{Kind: Sym, p: internText(s)} }
+
+// Number returns the numeric constant n. Negative zero is stored as +0
+// and every NaN as one bit pattern: the values compare (or fail to
+// compare) alike, so keeping several payloads would give one number
+// several identities (and one tuple several rows). Every Num value is
+// built here — literals, arithmetic, and the snapshot and JSON codecs.
 func Number(n float64) T {
-	if n == 0 {
-		n = 0
+	switch {
+	case n == 0:
+		return T{Kind: Num}
+	case n != n:
+		return T{Kind: Num, p: nanBits}
 	}
-	return T{Kind: Num, N: n}
+	return T{Kind: Num, p: math.Float64bits(n)}
 }
 
 // Boolean returns the boolean constant b.
-func Boolean(b bool) T { return T{Kind: Bool, B: b} }
+func Boolean(b bool) T {
+	if b {
+		return T{Kind: Bool, p: 1}
+	}
+	return T{Kind: Bool}
+}
 
-// String returns the string constant s.
-func String(s string) T { return T{Kind: Str, S: s} }
+// String returns the string constant s, interning s.
+func String(s string) T { return T{Kind: Str, p: internText(s)} }
 
 // SetOf returns a set value containing the given elements (duplicates are
 // removed; order is irrelevant).
-func SetOf(elems ...T) T { return T{Kind: SetKind, Set: NewSet(elems)} }
+func SetOf(elems ...T) T { return NewSet(elems).Value() }
+
+// Num returns the number a Num holds (0 for other kinds).
+func (v T) Num() float64 {
+	if v.Kind != Num {
+		return 0
+	}
+	return math.Float64frombits(v.p)
+}
+
+// Bool returns the truth value a Bool holds (false for other kinds).
+func (v T) Bool() bool { return v.Kind == Bool && v.p != 0 }
+
+// Text returns the text of a Sym or Str ("" for other kinds).
+func (v T) Text() string {
+	if v.Kind != Sym && v.Kind != Str {
+		return ""
+	}
+	return texts.vals.at(v.p)
+}
+
+// Set returns the set a SetKind holds (the empty set for other kinds).
+func (v T) Set() *Set {
+	if v.Kind != SetKind {
+		return sets.vals.at(0) // EmptySet
+	}
+	return sets.vals.at(v.p)
+}
 
 // Key returns a canonical string encoding of v, suitable for use as a map
-// key. Distinct values have distinct keys.
+// key. Distinct values have distinct keys, and a key never depends on an
+// intern id.
 func (v T) Key() string {
-	switch v.Kind {
-	case Sym:
-		return "s:" + v.S
-	case Num:
-		return "n:" + strconv.FormatFloat(v.N, 'g', -1, 64)
-	case Bool:
-		if v.B {
-			return "b:1"
-		}
-		return "b:0"
-	case Str:
-		return "q:" + v.S
-	case SetKind:
-		return "S:" + v.Set.key()
-	}
-	return "?"
+	return string(AppendKey(nil, v))
 }
 
 // String renders v in the concrete syntax of the rule language.
 func (v T) String() string {
 	if v.Kind == Sym {
-		return v.S
+		return v.Text()
 	}
 	var buf [32]byte
 	return string(AppendString(buf[:0], v))
@@ -103,109 +132,48 @@ func (v T) String() string {
 func AppendString(dst []byte, v T) []byte {
 	switch v.Kind {
 	case Sym:
-		return append(dst, v.S...)
+		return append(dst, v.Text()...)
 	case Num:
 		// Infinities print in the concrete syntax the parser reads back
 		// ("inf" / "-inf"), not strconv's "+Inf".
-		if math.IsInf(v.N, 1) {
+		n := v.Num()
+		if math.IsInf(n, 1) {
 			return append(dst, "inf"...)
 		}
-		if math.IsInf(v.N, -1) {
+		if math.IsInf(n, -1) {
 			return append(dst, "-inf"...)
 		}
-		return strconv.AppendFloat(dst, v.N, 'g', -1, 64)
+		return strconv.AppendFloat(dst, n, 'g', -1, 64)
 	case Bool:
-		if v.B {
+		if v.Bool() {
 			return append(dst, '1')
 		}
 		return append(dst, '0')
 	case Str:
-		return strconv.AppendQuote(dst, v.S)
+		return strconv.AppendQuote(dst, v.Text())
 	case SetKind:
-		return append(dst, v.Set.String()...)
+		return append(dst, v.Set().String()...)
 	}
 	return append(dst, '?')
 }
 
-// Equal reports whether two values are identical.
+// Equal reports whether two values are identical: Same, except that NaN
+// is not equal to itself.
 func Equal(a, b T) bool {
-	if a.Kind != b.Kind {
-		return false
-	}
-	switch a.Kind {
-	case Sym, Str:
-		return a.S == b.S
-	case Num:
-		return a.N == b.N
-	case Bool:
-		return a.B == b.B
-	case SetKind:
-		return a.Set.Equal(b.Set)
-	}
-	return false
+	return a == b && (a.Kind != Num || a.p != nanBits)
 }
 
 // Same reports whether a and b have the same Key — the identity tuple
-// storage deduplicates on — without encoding either. It differs from
-// Equal only on NaN, which has one key but is not equal to itself.
-func Same(a, b T) bool {
-	if a.Kind != b.Kind {
-		return false
-	}
-	switch a.Kind {
-	case Sym, Str:
-		return a.S == b.S
-	case Num:
-		return a.N == b.N || (a.N != a.N && b.N != b.N)
-	case Bool:
-		return a.B == b.B
-	case SetKind:
-		ak, bk := a.Set.keyList(), b.Set.keyList()
-		if len(ak) != len(bk) {
-			return false
-		}
-		for i := range ak {
-			if ak[i] != bk[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
+// storage deduplicates on. Constructors canonicalise every payload, so
+// this is word equality. It differs from Equal only on NaN, which has one
+// key but is not equal to itself.
+func Same(a, b T) bool { return a == b }
 
-// hashSeed keys Hash. It is drawn per process: nothing may depend on a
-// hash value beyond one run.
-var hashSeed = maphash.MakeSeed()
-
-// Hash returns a hash of v consistent with Same: values with the same
-// Key hash alike. It reads v's fields directly; no key is encoded.
+// Hash returns a hash of v consistent with Same: one mix of the kind and
+// payload. Intern ids differ between processes, so nothing may depend on
+// a hash value beyond one run.
 func Hash(v T) uint64 {
-	switch v.Kind {
-	case Sym, Str:
-		return maphash.String(hashSeed, v.S) ^ uint64(v.Kind)
-	case Num:
-		n := v.N
-		if n == 0 {
-			n = 0
-		}
-		b := math.Float64bits(n)
-		if n != n {
-			b = 0x7ff8000000000001
-		}
-		return mix64(b ^ 0x51ed270b2d5a1c3f)
-	case Bool:
-		if v.B {
-			return 0x2545f4914f6cdd1d
-		}
-		return 0x9e3779b97f4a7c15
-	case SetKind:
-		h := uint64(0xc2b2ae3d27d4eb4f)
-		for _, k := range v.Set.keyList() {
-			h = mix64(h ^ maphash.String(hashSeed, k))
-		}
-		return h
-	}
-	return 0
+	return mix64(v.p ^ (uint64(v.Kind)+1)*0x9e3779b97f4a7c15)
 }
 
 // mix64 is the splitmix64 finalizer: a cheap full-avalanche mix.
@@ -218,33 +186,37 @@ func mix64(x uint64) uint64 {
 }
 
 // Compare imposes a total order on values (by kind, then by natural order
-// within the kind). It is used only for deterministic output ordering, not
-// for lattice orders.
+// within the kind: numbers numerically with NaN first, symbols and
+// strings by their text, sets by their canonical key — never by intern
+// id). It is used only for deterministic
+// output ordering, not for lattice orders.
 func Compare(a, b T) int {
 	if a.Kind != b.Kind {
 		return int(a.Kind) - int(b.Kind)
 	}
+	if a == b {
+		return 0
+	}
 	switch a.Kind {
 	case Sym, Str:
-		return strings.Compare(a.S, b.S)
+		return strings.Compare(a.Text(), b.Text())
 	case Num:
+		// NaN (one payload, so a != b rules out two) sorts first.
+		an, bn := a.Num(), b.Num()
 		switch {
-		case a.N < b.N:
+		case an < bn || an != an:
 			return -1
-		case a.N > b.N:
+		case an > bn || bn != bn:
 			return 1
 		}
 		return 0
 	case Bool:
-		switch {
-		case !a.B && b.B:
+		if b.Bool() {
 			return -1
-		case a.B && !b.B:
-			return 1
 		}
-		return 0
+		return 1
 	case SetKind:
-		return strings.Compare(a.Set.key(), b.Set.key())
+		return strings.Compare(a.Set().key, b.Set().key)
 	}
 	return 0
 }
@@ -252,94 +224,103 @@ func Compare(a, b T) int {
 // KeyOf returns the canonical key of a tuple of values, separating the
 // component keys with an unprintable delimiter.
 func KeyOf(tuple []T) string {
-	var b strings.Builder
+	var b []byte
 	for i, v := range tuple {
 		if i > 0 {
-			b.WriteByte(0)
+			b = append(b, 0)
 		}
-		b.WriteString(v.Key())
+		b = AppendKey(b, v)
 	}
-	return b.String()
+	return string(b)
 }
 
 // AppendKey appends the canonical key encoding of v (exactly the bytes
-// Key would return) to dst and returns the extended slice. It exists so
-// hot paths can build map keys into a reusable buffer and look them up
-// via m[string(buf)] without allocating.
+// Key returns) to dst and returns the extended slice.
 func AppendKey(dst []byte, v T) []byte {
 	switch v.Kind {
 	case Sym:
 		dst = append(dst, 's', ':')
-		return append(dst, v.S...)
+		return append(dst, v.Text()...)
 	case Num:
 		dst = append(dst, 'n', ':')
-		return strconv.AppendFloat(dst, v.N, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.Num(), 'g', -1, 64)
 	case Bool:
-		if v.B {
+		if v.Bool() {
 			return append(dst, 'b', ':', '1')
 		}
 		return append(dst, 'b', ':', '0')
 	case Str:
 		dst = append(dst, 'q', ':')
-		return append(dst, v.S...)
+		return append(dst, v.Text()...)
 	case SetKind:
-		dst = append(dst, 'S', ':', '{')
-		if v.Set != nil {
-			for i, k := range v.Set.keys {
-				if i > 0 {
-					dst = append(dst, ';')
-				}
-				dst = append(dst, k...)
-			}
-		}
-		return append(dst, '}')
+		dst = append(dst, 'S', ':')
+		return append(dst, v.Set().key...)
 	}
 	return append(dst, '?')
 }
 
-// AppendKeyOf appends the canonical tuple key (exactly the bytes KeyOf
-// would return) to dst and returns the extended slice.
-func AppendKeyOf(dst []byte, tuple []T) []byte {
-	for i, v := range tuple {
-		if i > 0 {
-			dst = append(dst, 0)
-		}
-		dst = AppendKey(dst, v)
-	}
-	return dst
-}
-
-// Set is an immutable finite set of values, kept sorted by Key.
+// Set is an immutable finite set of values, kept sorted by element Key.
+// Sets are hash-consed: NewSet returns the one Set per distinct element
+// set, so set equality is pointer equality and a SetKind value carries
+// the set's intern id.
 type Set struct {
+	id    uint64
 	elems []T
 	keys  []string
+	key   string // "{" + keys joined by ";" + "}"
 }
 
-// NewSet builds a set from elems, discarding duplicates.
+// NewSet returns the set of elems, discarding duplicates; it interns the
+// set on first use.
 func NewSet(elems []T) *Set {
-	type pair struct {
-		k string
-		v T
-	}
-	seen := make(map[string]T, len(elems))
-	for _, e := range elems {
-		seen[e.Key()] = e
-	}
-	ps := make([]pair, 0, len(seen))
-	for k, v := range seen {
-		ps = append(ps, pair{k, v})
+	key, sorted := canonical(elems)
+	id := sets.intern(key, func(key string, id uint64) *Set {
+		s := &Set{id: id, key: key, elems: make([]T, len(sorted)), keys: make([]string, len(sorted))}
+		for i, p := range sorted {
+			s.elems[i], s.keys[i] = p.v, p.k
+		}
+		return s
+	})
+	return sets.vals.at(id)
+}
+
+// keyed is an element paired with its Key.
+type keyed struct {
+	k string
+	v T
+}
+
+// canonical returns the canonical key of the set of elems and its
+// elements sorted by Key without duplicates.
+func canonical(elems []T) (string, []keyed) {
+	ps := make([]keyed, len(elems))
+	for i, e := range elems {
+		ps[i] = keyed{e.Key(), e}
 	}
 	sort.Slice(ps, func(i, j int) bool { return ps[i].k < ps[j].k })
-	s := &Set{elems: make([]T, len(ps)), keys: make([]string, len(ps))}
+	ps = slices.CompactFunc(ps, func(a, b keyed) bool { return a.k == b.k })
+	var b strings.Builder
+	b.WriteByte('{')
 	for i, p := range ps {
-		s.elems[i] = p.v
-		s.keys[i] = p.k
+		if i > 0 {
+			b.WriteByte(';')
+		}
+		b.WriteString(p.k)
 	}
-	return s
+	b.WriteByte('}')
+	return b.String(), ps
 }
 
-// EmptySet is the set with no elements.
+// EmptySet is the set with no elements; it is interned first, as id 0.
 var EmptySet = NewSet(nil)
+
+// Value returns the SetKind value holding s (∅ for a nil s).
+func (s *Set) Value() T {
+	if s == nil {
+		return T{Kind: SetKind}
+	}
+	return T{Kind: SetKind, p: s.id}
+}
 
 // Len returns the cardinality of s.
 func (s *Set) Len() int { return len(s.elems) }
@@ -388,37 +369,9 @@ func (s *Set) Intersect(t *Set) *Set {
 	return NewSet(out)
 }
 
-// Equal reports whether s and t have the same elements.
-func (s *Set) Equal(t *Set) bool {
-	if s == t {
-		return true
-	}
-	if s == nil || t == nil || len(s.keys) != len(t.keys) {
-		return false
-	}
-	for i := range s.keys {
-		if s.keys[i] != t.keys[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// keyList returns the sorted element keys; a nil set has none, like the
-// empty set it keys as.
-func (s *Set) keyList() []string {
-	if s == nil {
-		return nil
-	}
-	return s.keys
-}
-
-func (s *Set) key() string {
-	if s == nil {
-		return "{}"
-	}
-	return "{" + strings.Join(s.keys, ";") + "}"
-}
+// Equal reports whether s and t have the same elements (a nil set is
+// empty).
+func (s *Set) Equal(t *Set) bool { return s.Value() == t.Value() }
 
 // String renders the set in concrete syntax.
 func (s *Set) String() string {

@@ -1,10 +1,13 @@
 package val
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKeysDistinguishKinds(t *testing.T) {
@@ -135,7 +138,7 @@ func TestStringRendering(t *testing.T) {
 
 func TestParseNumber(t *testing.T) {
 	v, err := ParseNumber("2.25")
-	if err != nil || v.N != 2.25 {
+	if err != nil || v.Num() != 2.25 {
 		t.Fatalf("ParseNumber: %v, %v", v, err)
 	}
 	if _, err := ParseNumber("zzz"); err == nil {
@@ -143,16 +146,14 @@ func TestParseNumber(t *testing.T) {
 	}
 }
 
-// TestAppendKeyMatchesKey pins the append-style key builders to the
-// string builders byte for byte: the relation and executor hot paths
-// rely on AppendKey/AppendKeyOf producing exactly the map keys that
-// Key/KeyOf produced when the rows were stored.
+// TestAppendKeyMatchesKey pins the append-style key builder to the
+// string builders byte for byte, single values and tuples alike.
 func TestAppendKeyMatchesKey(t *testing.T) {
 	vals := []T{
 		Symbol("a"), Symbol(""), Number(0), Number(-2.5), Number(1e300),
 		Boolean(true), Boolean(false), String("x\x00y"), String(""),
 		SetOf(), SetOf(Number(1)), SetOf(Symbol("b"), Number(3), Boolean(true)),
-		{Kind: SetKind, Set: nil},
+		{Kind: SetKind},
 	}
 	for _, v := range vals {
 		if got, want := string(AppendKey(nil, v)), v.Key(); got != want {
@@ -165,11 +166,16 @@ func TestAppendKeyMatchesKey(t *testing.T) {
 		{Symbol("a"), Number(1), Boolean(false)},
 		{String("s"), SetOf(Symbol("x"), Symbol("y"))},
 	}
-	buf := make([]byte, 0, 64)
 	for _, tu := range tuples {
-		buf = AppendKeyOf(buf[:0], tu)
+		var buf []byte
+		for i, v := range tu {
+			if i > 0 {
+				buf = append(buf, 0)
+			}
+			buf = AppendKey(buf, v)
+		}
 		if got, want := string(buf), KeyOf(tu); got != want {
-			t.Errorf("AppendKeyOf(%v) = %q, want %q", tu, got, want)
+			t.Errorf("KeyOf(%v) = %q, want the AppendKey bytes %q", tu, want, got)
 		}
 	}
 }
@@ -181,8 +187,8 @@ func TestNegativeZeroCanonical(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	zero, neg := 0.0, -1.5
 	for _, v := range []T{Number(negZero), Number(zero * neg), Number(-zero)} {
-		if math.Signbit(v.N) {
-			t.Errorf("Number kept the sign of zero: %v", v.N)
+		if math.Signbit(v.Num()) {
+			t.Errorf("Number kept the sign of zero: %v", v.Num())
 		}
 	}
 	z, nz := Number(0), Number(negZero)
@@ -192,13 +198,12 @@ func TestNegativeZeroCanonical(t *testing.T) {
 	if !Same(z, nz) || !Equal(z, nz) || Hash(z) != Hash(nz) {
 		t.Fatal("0 and -0 must be one value")
 	}
-	if v, err := ParseNumber("-0"); err != nil || math.Signbit(v.N) {
+	if v, err := ParseNumber("-0"); err != nil || math.Signbit(v.Num()) {
 		t.Fatalf("ParseNumber(-0) = %v, %v", v, err)
 	}
-	// Hand-built values bypassing Number still hash consistently with Same.
-	raw := T{Kind: Num, N: negZero}
-	if !Same(raw, z) || Hash(raw) != Hash(z) {
-		t.Fatal("a raw -0 must be Same as 0 and hash alike")
+	// The zero Num is +0: the one value no constructor built.
+	if raw := (T{Kind: Num}); !Same(raw, z) || Hash(raw) != Hash(z) {
+		t.Fatal("the zero Num must be Same as 0 and hash alike")
 	}
 	nan := Number(math.NaN())
 	if !Same(nan, Number(math.NaN())) || Equal(nan, nan) || Hash(nan) != Hash(Number(math.NaN())) {
@@ -214,7 +219,7 @@ func TestSameAndHashAgreeWithKey(t *testing.T) {
 		Symbol("a"), Symbol("b"), String("a"), Symbol(""), String(""),
 		Number(0), Number(1), Number(-2.5), Number(math.Inf(1)), Number(math.Inf(-1)),
 		Boolean(true), Boolean(false),
-		SetOf(), {Kind: SetKind, Set: nil}, SetOf(Number(1)), SetOf(Symbol("1")),
+		SetOf(), {Kind: SetKind}, SetOf(Number(1)), SetOf(Symbol("1")),
 		SetOf(Symbol("b"), Number(3)), SetOf(Number(3), Symbol("b")),
 		SetOf(SetOf(Symbol("x"))),
 	}
@@ -228,5 +233,66 @@ func TestSameAndHashAgreeWithKey(t *testing.T) {
 				t.Errorf("Hash(%v) != Hash(%v) for equal keys", a, b)
 			}
 		}
+	}
+}
+
+// TestValueRepresentation pins the representation contract: a value is
+// 16 bytes and holds no pointer, so tuple arenas are plain words the
+// garbage collector never scans.
+func TestValueRepresentation(t *testing.T) {
+	if size := unsafe.Sizeof(T{}); size != 16 {
+		t.Errorf("val.T is %d bytes, want 16", size)
+	}
+	if path, ok := pointerIn(reflect.TypeOf(T{}), "T"); ok {
+		t.Errorf("val.T holds a pointer at %s", path)
+	}
+}
+
+// pointerIn reports the path of a field of t the garbage collector would
+// scan, if any.
+func pointerIn(t reflect.Type, path string) (string, bool) {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return "", false
+	case reflect.Array:
+		return pointerIn(t.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if p, ok := pointerIn(t.Field(i).Type, path+"."+t.Field(i).Name); ok {
+				return p, true
+			}
+		}
+		return "", false
+	}
+	return path + " (" + t.Kind().String() + ")", true
+}
+
+// TestLookupDoesNotIntern: Lookup and LookupSet find what constructors
+// interned and add nothing for what they did not.
+func TestLookupDoesNotIntern(t *testing.T) {
+	a := Symbol("lookup-a")
+	set := SetOf(a, Number(1))
+	texts, sets := Interned()
+	if got, ok := Lookup(Sym, "lookup-a"); !ok || got != a {
+		t.Fatalf("Lookup(lookup-a) = %v, %v", got, ok)
+	}
+	if got, ok := Lookup(Str, "lookup-a"); !ok || got.Kind != Str || got.Text() != "lookup-a" {
+		t.Fatalf("Lookup(Str, lookup-a) = %v, %v", got, ok)
+	}
+	if got, ok := LookupSet([]T{Number(1), a, a}); !ok || got != set {
+		t.Fatalf("LookupSet = %v, %v; want %v", got, ok, set)
+	}
+	for i := 0; i < 100; i++ {
+		if _, ok := Lookup(Sym, fmt.Sprintf("never-interned-%d", i)); ok {
+			t.Fatal("Lookup found a name never interned")
+		}
+		if _, ok := LookupSet([]T{a, Number(float64(i + 2))}); ok {
+			t.Fatal("LookupSet found a set never built")
+		}
+	}
+	if t2, s2 := Interned(); t2 != texts || s2 != sets {
+		t.Fatalf("lookups grew the tables: texts %d → %d, sets %d → %d", texts, t2, sets, s2)
 	}
 }

@@ -427,26 +427,26 @@ func aggCandidates(f lattice.Aggregate, g *ast.Agg, mode aggMode, defined bool, 
 			// min(low) plus every possible element not above it.
 			lowMin := math.Inf(1)
 			for _, e := range low {
-				lowMin = math.Min(lowMin, e.N)
+				lowMin = math.Min(lowMin, e.Num())
 			}
 			if len(low) > 0 || !g.Restricted {
 				add(val.Number(lowMin))
 			}
 			for _, e := range high {
-				if e.N <= lowMin {
+				if e.Num() <= lowMin {
 					add(e)
 				}
 			}
 		case "max":
 			lowMax := math.Inf(-1)
 			for _, e := range low {
-				lowMax = math.Max(lowMax, e.N)
+				lowMax = math.Max(lowMax, e.Num())
 			}
 			if len(low) > 0 || !g.Restricted {
 				add(val.Number(lowMax))
 			}
 			for _, e := range high {
-				if e.N >= lowMax {
+				if e.Num() >= lowMax {
 					add(e)
 				}
 			}

@@ -4,6 +4,7 @@ package repro_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -48,7 +49,10 @@ func BenchmarkCompile(b *testing.B) {
 }
 
 // BenchmarkRelationInsert: lattice-joining inserts into a cost relation
-// (1,024 inserts, 64 distinct tuples per 16 rounds of improvement).
+// (1,024 inserts, 64 distinct tuples per 16 rounds of improvement). B/row
+// is the bytes allocated per insert — arena, cost column and key table —
+// which scripts/bench_regression.sh gates, so the size of a stored value
+// cannot grow back unnoticed.
 func BenchmarkRelationInsert(b *testing.B) {
 	info := &ast.PredInfo{Key: "s/3", Arity: 3, HasCost: true, L: lattice.MinReal}
 	keys := make([][]val.T, 1024)
@@ -56,6 +60,9 @@ func BenchmarkRelationInsert(b *testing.B) {
 		keys[i] = []val.T{val.Symbol(fmt.Sprintf("u%d", i%64)), val.Symbol(fmt.Sprintf("v%d", i/64))}
 	}
 	b.ReportAllocs()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := relation.New(info)
@@ -63,6 +70,9 @@ func BenchmarkRelationInsert(b *testing.B) {
 			r.InsertJoin(k, val.Number(float64(j%17)))
 		}
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(ms.TotalAlloc-before)/float64(b.N*len(keys)), "B/row")
 }
 
 // BenchmarkRelationMatch: indexed bound-prefix matching.
@@ -121,8 +131,8 @@ func BenchmarkExplain(b *testing.B) {
 	var args []val.T
 	for _, row := range db.Rel(ast.MakePredKey("s", 3)).Rows() {
 		var from, to int
-		fmt.Sscanf(row.Args[0].S, "v%d", &from)
-		fmt.Sscanf(row.Args[1].S, "v%d", &to)
+		fmt.Sscanf(row.Args[0].Text(), "v%d", &from)
+		fmt.Sscanf(row.Args[1].Text(), "v%d", &to)
 		if from < 24 && to >= 72 { // layer 0 to layer 3
 			args = row.Args
 			break
