@@ -522,19 +522,6 @@ func (p *Program) SolveMoreContext(ctx context.Context, m *Model, facts []Fact) 
 	return p.model(db, stats), stats, err
 }
 
-// SolveMoreObserved is SolveMoreContext with an additional event sink
-// observing just this solve, layered on top of Options.Sink — how the
-// serve tier attaches a per-request trace to one commit without
-// re-configuring the program.
-func (p *Program) SolveMoreObserved(ctx context.Context, m *Model, facts []Fact, sink EventSink) (*Model, Stats, error) {
-	added, err := p.edb(facts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	db, stats, err := p.en.SolveMoreObserved(ctx, m.db, added, m.stats, sink)
-	return p.model(db, stats), stats, err
-}
-
 // Profile is the operator-level execution profile of the program's
 // compiled rules: the operator trees annotated with the counters of one
 // model's Stats. Profile.Sub of two views is the work between them.

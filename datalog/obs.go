@@ -6,7 +6,7 @@ import (
 )
 
 // Event is one engine observation: a solve, component or round boundary,
-// a rule pass, a checkpoint flush, or a resource warning. Events are
+// a checkpoint flush, or a resource warning. Events are
 // emitted synchronously from the evaluation loop, so a Sink must be
 // fast and must not block; a nil Options.Sink keeps the engine at full
 // speed (the emission sites compile to a single nil check).
@@ -33,13 +33,9 @@ const (
 	// with its predicates, admissibility verdict and WFS-fallback flag.
 	EventComponentBegin = obs.ComponentBegin
 	EventComponentEnd   = obs.ComponentEnd
-	// EventRoundEnd reports one completed fixpoint round with the
-	// facts derived and join probes performed in that round.
+	// EventRoundEnd reports one fixpoint round: its Stats.RoundLog
+	// record.
 	EventRoundEnd = obs.RoundEnd
-	// EventRuleFired reports one rule pass within a round: firings,
-	// derivations and the rule's evaluation nanoseconds so far in the
-	// current component evaluation (not across a SolveMore chain).
-	EventRuleFired = obs.RuleFired
 	// EventCheckpointFlushed reports a successful checkpoint write.
 	EventCheckpointFlushed = obs.CheckpointFlushed
 	// EventDivergenceWarning precedes an ErrDiverged failure.
@@ -59,3 +55,8 @@ type RuleStats = core.RuleStats
 // ComponentStats is the per-component slice of Stats, including the
 // component's predicates, admissibility verdict and WFS-fallback flag.
 type ComponentStats = core.ComponentStats
+
+// RoundStats is one fixpoint round of one solve (Stats.RoundLog): the Δ
+// rows that drove it, its firings, derivations, improved costs, probes
+// and wall-clock window.
+type RoundStats = core.RoundStats

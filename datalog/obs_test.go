@@ -3,13 +3,17 @@ package datalog_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/datalog"
+	"repro/internal/programs"
 )
 
 // captureEvents is a mutex-guarded event sink for tests.
@@ -44,8 +48,8 @@ func (c *captureEvents) count(k datalog.EventKind) int {
 
 // TestEventStreamTaxonomy: one solve emits a well-bracketed stream —
 // SolveBegin first, SolveEnd last, ComponentBegin/End pairs around the
-// rounds of each component, one RoundEnd per counted round, and
-// RuleFired events carrying the work the totals report.
+// rounds of each component, and one RoundEnd per counted round, which is
+// the round's RoundLog record.
 func TestEventStreamTaxonomy(t *testing.T) {
 	cap := &captureEvents{}
 	p, err := datalog.Load(spChain, datalog.Options{Sink: cap.sink()})
@@ -103,23 +107,39 @@ func TestEventStreamTaxonomy(t *testing.T) {
 				t.Fatalf("admissible program flagged non-admissible: %+v", e)
 			}
 			open = -1
-		case datalog.EventRuleFired:
-			if e.Rule == "" {
-				t.Fatal("RuleFired without rule text")
-			}
 		}
 	}
-	// RuleFired deltas sum to the totals.
-	var firings, derived int64
+	checkRoundEvents(t, evs, datalog.Stats{}, stats)
+}
+
+// checkRoundEvents asserts that the RoundEnd events of the solve that
+// extended base (a zero Stats for a fresh solve) into stats are its
+// RoundLog, record for record (components stream in completion order,
+// the log in component order), and that their sums equal the solve's
+// work.
+func checkRoundEvents(t *testing.T, evs []datalog.Event, base, stats datalog.Stats) {
+	t.Helper()
+	var got []datalog.RoundStats
 	for _, e := range evs {
-		if e.Kind == datalog.EventRuleFired {
-			firings += e.Firings
-			derived += e.Derived
+		if e.Kind == datalog.EventRoundEnd {
+			got = append(got, datalog.RoundStats{Component: e.Component, Round: e.Round, Delta: e.Delta,
+				Firings: e.Firings, Derived: e.Derived, Improved: e.Improved, Probes: e.Probes, Nanos: e.Nanos})
 		}
 	}
-	if firings != stats.Firings || derived != stats.Derived {
-		t.Fatalf("RuleFired deltas sum to firings=%d derived=%d, want %d/%d",
-			firings, derived, stats.Firings, stats.Derived)
+	slices.SortStableFunc(got, func(a, b datalog.RoundStats) int { return a.Component - b.Component })
+	var want []datalog.RoundStats
+	var firings, derived, probes int64
+	for _, r := range stats.RoundLog {
+		firings, derived, probes = firings+r.Firings, derived+r.Derived, probes+r.Probes
+		r.Start = 0 // events carry no start offset
+		want = append(want, r)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("RoundEnd events %+v\nwant the RoundLog %+v", got, want)
+	}
+	if firings != stats.Firings-base.Firings || derived != stats.Derived-base.Derived || probes != stats.Probes-base.Probes {
+		t.Fatalf("RoundLog sums firings=%d derived=%d probes=%d, want the solve's work %d/%d/%d",
+			firings, derived, probes, stats.Firings-base.Firings, stats.Derived-base.Derived, stats.Probes-base.Probes)
 	}
 }
 
@@ -178,9 +198,11 @@ func sumRuleStats(st datalog.Stats) (firings, derived, probes int64) {
 
 // checkBreakdownInvariant asserts the documented invariant: the
 // per-rule and per-component breakdowns each sum to the scalar totals,
-// and the operator counters account for each rule's work.
-func checkBreakdownInvariant(t *testing.T, prog *datalog.Program, st datalog.Stats, label string) {
+// the operator counters account for each rule's work, and the RoundLog
+// holds the rounds of the solve that extended base into st.
+func checkBreakdownInvariant(t *testing.T, prog *datalog.Program, base, st datalog.Stats, label string) {
 	t.Helper()
+	checkRoundLog(t, base, st, label)
 	f, d, p := sumRuleStats(st)
 	if f != st.Firings || d != st.Derived || p != st.Probes {
 		t.Fatalf("%s: per-rule sums firings=%d derived=%d probes=%d != totals firings=%d derived=%d probes=%d",
@@ -198,6 +220,54 @@ func checkBreakdownInvariant(t *testing.T, prog *datalog.Program, st datalog.Sta
 	if cf != st.Firings || cd != st.Derived || cp != st.Probes || rounds != st.Rounds {
 		t.Fatalf("%s: per-component sums firings=%d derived=%d probes=%d rounds=%d != totals %+v",
 			label, cf, cd, cp, rounds, st)
+	}
+}
+
+// checkRoundLog asserts the RoundLog contract of the solve that extended
+// base (a zero Stats for a fresh solve) into st: per component, one
+// record per round it ran, in round order, summing to the component's
+// work in the solve (its Comps entry minus base's), with Improved a
+// share of Derived; and no more records than derivations plus evaluated
+// components.
+func checkRoundLog(t *testing.T, base, st datalog.Stats, label string) {
+	t.Helper()
+	logged := make([]datalog.ComponentStats, len(st.Comps))
+	for i, r := range st.RoundLog {
+		if i > 0 {
+			if prev := st.RoundLog[i-1]; r.Component < prev.Component || (r.Component == prev.Component && r.Round <= prev.Round) {
+				t.Fatalf("%s: RoundLog out of order at %d: %+v after %+v", label, i, r, prev)
+			}
+		}
+		if r.Improved < 0 || r.Improved > r.Derived || r.Delta < 0 || r.Nanos < 0 {
+			t.Fatalf("%s: implausible round record %+v", label, r)
+		}
+		c := &logged[r.Component]
+		c.Rounds++
+		c.Firings += r.Firings
+		c.Derived += r.Derived
+		c.Probes += r.Probes
+	}
+	var derived int64
+	evaluated := 0
+	for ci, cs := range st.Comps {
+		if ci < len(base.Comps) {
+			b := base.Comps[ci]
+			cs.Rounds, cs.Firings, cs.Derived, cs.Probes = cs.Rounds-b.Rounds, cs.Firings-b.Firings, cs.Derived-b.Derived, cs.Probes-b.Probes
+		}
+		derived += cs.Derived
+		if cs.Rounds > 0 {
+			evaluated++
+		}
+		if cs.WFS {
+			continue // the well-founded construction logs no rounds
+		}
+		if got := logged[ci]; got.Rounds != cs.Rounds || got.Firings != cs.Firings || got.Derived != cs.Derived || got.Probes != cs.Probes {
+			t.Fatalf("%s: component %d (%s): RoundLog sums rounds=%d firings=%d derived=%d probes=%d, want its work in the solve rounds=%d firings=%d derived=%d probes=%d",
+				label, ci, cs.Preds, got.Rounds, got.Firings, got.Derived, got.Probes, cs.Rounds, cs.Firings, cs.Derived, cs.Probes)
+		}
+	}
+	if int64(len(st.RoundLog)) > derived+int64(evaluated) {
+		t.Fatalf("%s: %d round records exceed derivations (%d) plus evaluated components (%d)", label, len(st.RoundLog), derived, evaluated)
 	}
 }
 
@@ -254,7 +324,7 @@ func TestStatsBreakdownInvariantExamples(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkBreakdownInvariant(t, p, stats, label)
+				checkBreakdownInvariant(t, p, datalog.Stats{}, stats, label)
 			})
 		}
 	}
@@ -315,20 +385,113 @@ func TestStatsBreakdownInvariantIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkBreakdownInvariant(t, p, stats, "initial solve")
+	checkBreakdownInvariant(t, p, datalog.Stats{}, stats, "initial solve")
 	m2, stats2, err := p.SolveMore(m, datalog.NewFact("arc",
 		datalog.Sym("e"), datalog.Sym("f"), datalog.Num(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkBreakdownInvariant(t, p, stats2, "after SolveMore")
+	checkBreakdownInvariant(t, p, stats, stats2, "after SolveMore")
 	if _, stats3, err := p.SolveMore(m2, datalog.NewFact("arc",
 		datalog.Sym("f"), datalog.Sym("g"), datalog.Num(2))); err != nil {
 		t.Fatal(err)
 	} else {
-		checkBreakdownInvariant(t, p, stats3, "after second SolveMore")
+		checkBreakdownInvariant(t, p, stats2, stats3, "after second SolveMore")
 		if stats3.Firings <= stats2.Firings {
 			t.Fatalf("chained stats must grow: %d then %d", stats2.Firings, stats3.Firings)
 		}
 	}
 }
+
+// TestRoundLogProgramsFreshAndSplit: for every internal/programs example
+// (factCases), the ledger identities hold for a fresh solve of all its
+// facts and for a SolveMore split — every other fact of a predicate
+// SolveMore accepts arrives in the second call — and each solve's
+// RoundEnd events are its RoundLog.
+func TestRoundLogProgramsFreshAndSplit(t *testing.T) {
+	for _, tc := range factCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			cap := &captureEvents{}
+			p, err := datalog.Load(tc.rules, datalog.Options{Epsilon: tc.eps, Sink: cap.sink()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			facts := argFacts(t, tc.facts)
+			_, fresh, err := p.Solve(facts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkBreakdownInvariant(t, p, datalog.Stats{}, fresh, "fresh")
+			checkRoundEvents(t, cap.all(), datalog.Stats{}, fresh)
+
+			empty, _, err := p.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			refused := map[string]bool{}
+			var first, second []datalog.Fact
+			for i, f := range facts {
+				if _, known := refused[f.Pred]; !known {
+					_, _, err := p.SolveMore(empty, f)
+					refused[f.Pred] = err != nil
+				}
+				if i%2 == 1 && !refused[f.Pred] {
+					second = append(second, f)
+				} else {
+					first = append(first, f)
+				}
+			}
+			m, base, err := p.Solve(first...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cap.mu.Lock()
+			cap.events = nil
+			cap.mu.Unlock()
+			split, st, err := p.SolveMore(m, second...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkBreakdownInvariant(t, p, base, st, fmt.Sprintf("SolveMore of %d facts after %d", len(second), len(first)))
+			checkRoundEvents(t, cap.all(), base, st)
+			if len(second) > 0 && len(st.RoundLog) == 0 {
+				t.Fatal("SolveMore of new facts logged no rounds")
+			}
+			if want, _, _ := p.Solve(facts...); split.String() != want.String() {
+				t.Fatalf("split model differs from the fresh solve:\n%s\nwant:\n%s", split, want)
+			}
+		})
+	}
+}
+
+// TestRoundLogExample51 pins the round log of Example 5.1 under ε: round
+// 0 fires both rules and derives p(b) and p(a) = 1/2; every later round
+// is driven by the previous round's improvement of p(a), which it raises
+// once more, until the last improvement falls within ε.
+func TestRoundLogExample51(t *testing.T) {
+	p, err := datalog.Load(programs.Halfsum, datalog.Options{Epsilon: 1e-9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := p.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range st.RoundLog {
+		got = append(got, fmt.Sprintf("c%d r%d Δ=%d f=%d d=%d i=%d p=%d",
+			r.Component, r.Round, r.Delta, r.Firings, r.Derived, r.Improved, r.Probes))
+	}
+	want := []string{"c0 r0 Δ=0 f=2 d=2 i=0 p=1", "c0 r1 Δ=2 f=1 d=1 i=1 p=2"}
+	for r := 2; r < halfsumRounds-1; r++ {
+		want = append(want, fmt.Sprintf("c0 r%d Δ=1 f=1 d=1 i=1 p=2", r))
+	}
+	want = append(want, fmt.Sprintf("c0 r%d Δ=1 f=1 d=0 i=0 p=2", halfsumRounds-1))
+	if !slices.Equal(got, want) {
+		t.Fatalf("Example 5.1 round log:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// halfsumRounds is the number of rounds Example 5.1 takes to converge
+// within ε = 1e-9.
+const halfsumRounds = 30

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -46,10 +47,6 @@ type Options struct {
 	// admissibility). Experiments on deliberately non-monotonic programs
 	// (e.g. the two-minimal-model example of §3) use this.
 	SkipChecks bool
-	// StrictConflicts uses InsertStrict during each T_P application,
-	// surfacing runtime cost-consistency violations (only meaningful with
-	// Strategy == Naive, where each application is computed fresh).
-	StrictConflicts bool
 	// WFSFallback enables the full iterated construction of §6.3: a
 	// component that is not admissible (e.g. it recurses through
 	// negation) is evaluated under the Kemp–Stuckey well-founded
@@ -343,26 +340,28 @@ func (en *Engine) Resume(ctx context.Context, prev *relation.DB, lim Limits, bas
 }
 
 // solve is the frame every solve entry point runs in: it folds
-// MaxDuration into the context, seeds the stats from base, builds the
-// guard and brackets body with the SolveBegin/SolveEnd events, which
-// report the walk's worker count.
+// MaxDuration into the context, seeds the stats from base (all but its
+// RoundLog, which is per call), builds the guard and brackets body with
+// the SolveBegin/SolveEnd events, which report the walk's worker count.
 func (en *Engine) solve(ctx context.Context, lim Limits, base Stats, body func(g *guard) (*relation.DB, error)) (_ *relation.DB, _ Stats, err error) {
 	if lim.MaxDuration > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, lim.MaxDuration)
 		defer cancel()
 	}
+	base.RoundLog = nil
 	stats := base.Clone()
 	en.ensureStats(&stats)
 	g := newGuard(ctx, lim, &stats)
 	g.sink = en.sink
+	g.start = time.Now()
 	if en.sink != nil {
-		start, par := time.Now(), en.workers()
+		par := en.workers()
 		en.sink.Event(obs.Event{Kind: obs.SolveBegin, Component: -1, Parallelism: par})
 		defer func() {
 			e := obs.Event{Kind: obs.SolveEnd, Component: -1, Round: stats.Rounds,
 				Firings: stats.Firings, Derived: stats.Derived, Probes: stats.Probes,
-				Nanos: time.Since(start).Nanoseconds(), Parallelism: par}
+				Nanos: time.Since(g.start).Nanoseconds(), Parallelism: par}
 			if err != nil {
 				e.Err = err.Error()
 			}
@@ -370,6 +369,9 @@ func (en *Engine) solve(ctx context.Context, lim Limits, base Stats, body func(g
 		}()
 	}
 	db, err := body(g)
+	// Components merge their rounds as they complete, in an order that
+	// varies with the worker count; a stable sort by component fixes it.
+	slices.SortStableFunc(stats.RoundLog, func(a, b RoundStats) int { return a.Component - b.Component })
 	return db, stats, err
 }
 
@@ -480,6 +482,22 @@ func (en *Engine) runPass(p *plan, pipe *pipeline, cfg exec.Config, stats *Stats
 	return err
 }
 
+// fireAll runs one full pass of every rule of ps — a round that fires
+// every rule — attributing each pass to its rule's breakdown.
+func (en *Engine) fireAll(g *guard, ps []*plan, cfg exec.Config, stats *Stats, insert func(*plan, *env) error) error {
+	for _, p := range ps {
+		g.rule = p.rule
+		f0, d0, p0 := stats.Firings, stats.Derived, stats.Probes
+		t0 := time.Now()
+		err := en.runPass(p, &p.pipe, cfg, stats, insert)
+		noteRule(&p.work, stats.Firings-f0, stats.Derived-d0, stats.Probes-p0, time.Since(t0).Nanoseconds())
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // solveNaive iterates J ← T_P(J, I) until lattice equality (within
 // Epsilon) over the component's predicates.
 func (en *Engine) solveNaive(g *guard, db *relation.DB, ci int, stats *Stats) error {
@@ -493,17 +511,19 @@ func (en *Engine) solveNaive(g *guard, db *relation.DB, ci int, stats *Stats) er
 		}
 	}
 	var out *relation.DB
+	var r RoundStats // the current round's record
 	insert := func(p *plan, e *env) error {
 		args, cost, err := headTuple(p, e)
 		if err != nil {
 			return err
 		}
 		rel := out.Rel(p.head.pred)
-		if en.opts.StrictConflicts {
-			return rel.InsertStrict(args, cost)
-		}
+		n := rel.Len()
 		if rel.InsertJoin(args, cost) {
 			stats.Derived++
+			if rel.Len() == n {
+				r.Improved++
+			}
 			// Improvement relative to the previous round's
 			// interpretation (a plain re-derivation of a known tuple is
 			// budget work but not progress).
@@ -524,26 +544,15 @@ func (en *Engine) solveNaive(g *guard, db *relation.DB, ci int, stats *Stats) er
 		if err := g.poll(); err != nil {
 			return err
 		}
-		stats.Rounds++
-		roundF, roundD, roundP := stats.Firings, stats.Derived, stats.Probes
+		r = g.beginRound(stats, ci, round, 0)
 		out = relation.NewDB(db.Schemas)
-		for _, p := range ps {
-			g.rule = p.rule
-			f0, d0, p0 := stats.Firings, stats.Derived, stats.Probes
-			t0 := time.Now()
-			err := en.runPass(p, &p.pipe, cfg, stats, insert)
-			en.noteRule(&p.work, ci, round,
-				stats.Firings-f0, stats.Derived-d0, stats.Probes-p0, time.Since(t0).Nanoseconds())
-			if err != nil {
-				return err
-			}
+		err := en.fireAll(g, ps, cfg, stats, insert)
+		en.endRound(g, stats, r)
+		if err != nil {
+			return err
 		}
-		if en.sink != nil {
-			en.sink.Event(obs.Event{Kind: obs.RoundEnd, Component: ci, Round: round,
-				Firings: stats.Firings - roundF, Derived: stats.Derived - roundD, Probes: stats.Probes - roundP})
-		}
-		for k, r := range seed {
-			out.Rel(k).Join(r)
+		for k, rel := range seed {
+			out.Rel(k).Join(rel)
 		}
 		// Compare the new component relations against the current ones.
 		same := true
@@ -695,17 +704,22 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 	// retained beyond this call — Δ and record entries — is the stored
 	// row's id, and the relation copied the arguments into its arena on
 	// first insert.
+	var r RoundStats // the current round's record
 	insert := func(p *plan, e *env) error {
 		args, cost, err := headTupleInto(p, e, p.hbuf)
 		if err != nil {
 			return err
 		}
 		h := &sinks[p.pos]
+		n := h.rel.Len()
 		id, changed := insertEps(h.rel, args, cost, en.opts.Epsilon)
 		if !changed {
 			return nil
 		}
 		stats.Derived++
+		if id < n {
+			r.Improved++
+		}
 		if recursive {
 			if h.delta == nil {
 				h.delta = delta.slot(p.head.pred)
@@ -722,12 +736,13 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 		return g.derived(p.head.pred, row.Args, row.Cost, h.rel.Info.HasCost, true)
 	}
 	cfg := en.passConfig(g, db)
-	// endRound closes one round: the RoundEnd event and the
-	// round-boundary hook (fault point and periodic checkpoint).
-	endRound := func(round int, f0, d0, p0 int64) error {
-		if en.sink != nil {
-			en.sink.Event(obs.Event{Kind: obs.RoundEnd, Component: ci, Round: round,
-				Firings: stats.Firings - f0, Derived: stats.Derived - d0, Probes: stats.Probes - p0})
+	// endRound closes the current round, failed or not: its record, then
+	// — after a complete round — the round-boundary hook (fault point and
+	// periodic checkpoint).
+	endRound := func(err error) error {
+		en.endRound(g, stats, r)
+		if err != nil {
+			return err
 		}
 		return g.roundBoundary(db)
 	}
@@ -737,20 +752,8 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 		if err := g.poll(); err != nil {
 			return err
 		}
-		stats.Rounds++
-		roundF, roundD, roundP := stats.Firings, stats.Derived, stats.Probes
-		for _, p := range ps {
-			g.rule = p.rule
-			f0, d0, p0 := stats.Firings, stats.Derived, stats.Probes
-			t0 := time.Now()
-			err := en.runPass(p, &p.pipe, cfg, stats, insert)
-			en.noteRule(&p.work, ci, 0,
-				stats.Firings-f0, stats.Derived-d0, stats.Probes-p0, time.Since(t0).Nanoseconds())
-			if err != nil {
-				return err
-			}
-		}
-		if err := endRound(0, roundF, roundD, roundP); err != nil {
+		r = g.beginRound(stats, ci, 0, 0)
+		if err := endRound(en.fireAll(g, ps, cfg, stats, insert)); err != nil {
 			return err
 		}
 	} else {
@@ -769,8 +772,6 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 		if err := g.poll(); err != nil {
 			return err
 		}
-		stats.Rounds++
-		roundF, roundD, roundP := stats.Firings, stats.Derived, stats.Probes
 		prev := delta
 		if spare != nil {
 			delta, spare = spare, nil
@@ -781,6 +782,12 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 			sinks[i].delta = nil
 		}
 		changedPreds := prev.predKeys()
+		var rows int64
+		for _, k := range changedPreds {
+			rows += int64(len(prev.ids(k)))
+		}
+		r = g.beginRound(stats, ci, round, rows)
+		var perr error
 		for _, p := range ps {
 			g.rule = p.rule
 			// Decide up front which passes this rule needs so a rule
@@ -799,7 +806,6 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 			}
 			f0, d0, p0 := stats.Firings, stats.Derived, stats.Probes
 			t0 := time.Now()
-			var perr error
 			ranFull := false
 			if runAgg {
 				// Aggregate-driven re-run when an aggregated predicate
@@ -830,13 +836,12 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 					}
 				}
 			}
-			en.noteRule(&p.work, ci, round,
-				stats.Firings-f0, stats.Derived-d0, stats.Probes-p0, time.Since(t0).Nanoseconds())
+			noteRule(&p.work, stats.Firings-f0, stats.Derived-d0, stats.Probes-p0, time.Since(t0).Nanoseconds())
 			if perr != nil {
-				return perr
+				break
 			}
 		}
-		if err := endRound(round, roundF, roundD, roundP); err != nil {
+		if err := endRound(perr); err != nil {
 			return err
 		}
 		if prev != init {

@@ -199,7 +199,9 @@ type guard struct {
 	budget     *sharedBudget
 	checkEvery int
 	stats      *Stats
-	det        divergeDetector
+	// start is when the solve began: the origin of its RoundLog windows.
+	start time.Time
+	det   divergeDetector
 	// comp and rule track the engine's current position for error
 	// reporting; the li* fields snapshot the latest improved atom,
 	// rendered lazily in fail() so the happy path never formats it

@@ -10,7 +10,6 @@ import (
 	"repro/internal/ast"
 	"repro/internal/deps"
 	"repro/internal/lattice"
-	"repro/internal/obs"
 	"repro/internal/relation"
 )
 
@@ -39,23 +38,6 @@ func (en *Engine) SolveMore(prev *relation.DB, added *relation.DB) (*relation.DB
 // extended model alongside the *EngineError.
 func (en *Engine) SolveMoreContext(ctx context.Context, prev *relation.DB, added *relation.DB) (*relation.DB, Stats, error) {
 	return en.SolveMoreFrom(ctx, prev, added, Stats{})
-}
-
-// SolveMoreObserved is SolveMoreFrom with an additional per-call event
-// sink observing just this solve (tracing a single commit, say) on top
-// of the engine's configured Options.Sink. The extra sink is
-// mutex-wrapped like the construction-time one. Engines do not support
-// concurrent solves (the fixpoint mutates shared per-plan scratch), so swapping
-// the sink for the duration of the call introduces no new constraint;
-// callers already serialize solves externally.
-func (en *Engine) SolveMoreObserved(ctx context.Context, prev *relation.DB, added *relation.DB, base Stats, extra obs.Sink) (*relation.DB, Stats, error) {
-	if extra == nil {
-		return en.SolveMoreFrom(ctx, prev, added, base)
-	}
-	saved := en.sink
-	en.sink = obs.Multi(saved, obs.Locked(extra))
-	defer func() { en.sink = saved }()
-	return en.SolveMoreFrom(ctx, prev, added, base)
 }
 
 // SolveMoreFrom is SolveMoreContext with the returned Stats seeded from

@@ -250,7 +250,7 @@ func TestSolveEqualsTPFixpoint(t *testing.T) {
 				}
 				check("fresh", fresh)
 				explained := explainAll(t, en, fresh, all)
-				st.Rules, st.Comps = nil, nil
+				st.Rules, st.Comps, st.RoundLog = nil, nil, nil
 				if par == 1 {
 					seq = st
 				} else if fmt.Sprint(st) != fmt.Sprint(seq) {

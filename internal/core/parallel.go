@@ -183,9 +183,10 @@ func (s *sched) maybeCloseLocked() {
 }
 
 // mergeStats folds component ci's evaluation into the global stats: the
-// scalar totals of its local stats, the per-rule work its plans hold and
-// its breakdown entry.
+// scalar totals and round log of its local stats, the per-rule work its
+// plans hold and its breakdown entry.
 func (en *Engine) mergeStats(dst, src *Stats, ci int) {
+	dst.RoundLog = append(dst.RoundLog, src.RoundLog...)
 	dst.Rounds += src.Rounds
 	dst.Firings += src.Firings
 	dst.Derived += src.Derived
@@ -248,7 +249,7 @@ func (s *sched) runComp(ci int) {
 	}
 	s.mu.Unlock()
 
-	var ls Stats // scalar totals; the per-rule work accumulates on the plans
+	var ls Stats // scalar totals and round log; the per-rule work accumulates on the plans
 	for _, p := range en.plans[ci] {
 		clear(p.work.Ops)
 		p.work = RuleStats{Index: p.idx, Rule: p.text, Ops: p.work.Ops}
@@ -256,6 +257,7 @@ func (s *sched) runComp(ci int) {
 	g := newGuard(s.ctx, s.lim, &ls)
 	g.budget = s.budget
 	g.sink = en.sink
+	g.start = s.sg.start
 	g.comp = c.Preds
 	g.cut = func(pv *relation.DB) error { return s.checkpointCut(g, pv, ci) }
 	t0 := time.Now()

@@ -3,9 +3,11 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/parser"
 	"repro/internal/relation"
 	"repro/internal/val"
@@ -56,10 +58,11 @@ arc(b, a, -2).
 	// Bellman-Ford flags the same input.
 }
 
-// TestStrictConflictsAtRuntime: a cost-inconsistent program slips past
-// SkipChecks but the strict naive evaluation reports the conflicting
-// derivation (Definition 2.6's failure mode, observed dynamically).
-func TestStrictConflictsAtRuntime(t *testing.T) {
+// TestConflictsAtRuntime: a cost-inconsistent program slips past
+// SkipChecks; one application of the reference T_P, which inserts
+// strictly, reports the conflicting derivation (Definition 2.6's failure
+// mode, observed dynamically), while Solve joins the conflicting costs.
+func TestConflictsAtRuntime(t *testing.T) {
 	src := `
 .cost p/2 : sumreal.
 .cost q/2 : sumreal.
@@ -77,24 +80,32 @@ p(X, C) :- r(X, C).
 	if _, err := New(prog, Options{}); err == nil || !strings.Contains(err.Error(), "conflicting costs") {
 		t.Fatalf("static check: %v", err)
 	}
-	// With checks skipped, strict naive evaluation catches it at runtime.
-	en, err := New(prog, Options{SkipChecks: true, Strategy: Naive, StrictConflicts: true})
+	// With checks skipped the engine silently joins (documented hazard of
+	// SkipChecks): p(x) holds the join of the two derived costs.
+	en, err := New(prog, Options{SkipChecks: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = en.Solve(nil)
+	db, _, err := en.Solve(nil)
+	if err != nil {
+		t.Fatalf("join mode must not error: %v", err)
+	}
+	p := ast.MakePredKey("p", 2)
+	row, ok := db.Rel(p).Get([]val.T{val.Symbol("x")})
+	if want := en.Schemas.Info(p).L.Join(val.Number(1), val.Number(2)); !ok || !val.Equal(row.Cost, want) {
+		t.Fatalf("p(x) = %v (present %v), want the joined cost %v", row.Cost, ok, want)
+	}
+	// The reference T_P catches the conflict at runtime.
+	ci := -1
+	for i := 0; i < en.ComponentCount(); i++ {
+		if slices.Contains(en.ComponentPreds(i), string(p)) {
+			ci = i
+		}
+	}
+	_, err = en.TP(db, ci)
 	var ce *relation.ConflictError
 	if !errors.As(err, &ce) {
-		t.Fatalf("err = %v, want a ConflictError", err)
-	}
-	// Without strictness the engine silently joins (documented hazard of
-	// SkipChecks).
-	en2, err := New(prog, Options{SkipChecks: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := en2.Solve(nil); err != nil {
-		t.Fatalf("join mode must not error: %v", err)
+		t.Fatalf("TP err = %v, want a ConflictError", err)
 	}
 }
 

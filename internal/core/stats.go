@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"repro/internal/exec"
 	"repro/internal/obs"
 )
@@ -18,6 +20,16 @@ import (
 // durable snapshot re-seeds only the scalar totals — the snapshot
 // format records no breakdowns — so there the per-rule sums cover the
 // work since the restore.
+//
+// RoundLog is the one field that is per solve rather than cumulative:
+// every Solve, Resume and SolveMore starts it empty and it holds only
+// the rounds of the call that returned these Stats, ordered by
+// component and then round, so it is identical at every worker count.
+// Snapshots do not store it. Per component, its records sum to the
+// component's work in that call (its Comps entry minus the seed's), one
+// record per round; WFS-fallback components log no rounds. Every round
+// after a component's first runs on a non-empty Δ, so the log holds at
+// most Derived + evaluated components records.
 type Stats struct {
 	Components int
 	// Rounds counts fixpoint rounds, summed over the components a solve
@@ -36,6 +48,33 @@ type Stats struct {
 	// Comps holds the per-component breakdown, indexed by bottom-up
 	// component order (including EDB-only components, which stay zero).
 	Comps []ComponentStats
+	// RoundLog holds the rounds of this call (see above).
+	RoundLog []RoundStats
+}
+
+// RoundStats is one fixpoint round of one component (§6.2): the Δ that
+// drove it and the work it did.
+type RoundStats struct {
+	// Component is the bottom-up component index; Round is the round
+	// within the component's evaluation (0 for a round that fires every
+	// rule).
+	Component int `json:"component"`
+	Round     int `json:"round"`
+	// Delta is the number of Δ rows that drove the round (0 for a round
+	// that fires every rule).
+	Delta int64 `json:"delta"`
+	// Firings, Derived and Probes mirror the scalar totals, restricted
+	// to this round. Improved counts the derivations that raised the
+	// cost of a tuple already present; the rest of Derived are new
+	// tuples.
+	Firings  int64 `json:"firings"`
+	Derived  int64 `json:"derived"`
+	Improved int64 `json:"improved"`
+	Probes   int64 `json:"probes"`
+	// Start and Nanos are the round's wall-clock window: nanoseconds
+	// from the start of the solve to the round's start, and its length.
+	Start int64 `json:"start_nanos"`
+	Nanos int64 `json:"nanos"`
 }
 
 // RuleStats is the work attributed to one rule.
@@ -101,6 +140,9 @@ func (s Stats) Clone() Stats {
 	if s.Comps != nil {
 		s.Comps = append([]ComponentStats(nil), s.Comps...)
 	}
+	if s.RoundLog != nil {
+		s.RoundLog = append([]RoundStats(nil), s.RoundLog...)
+	}
 	return s
 }
 
@@ -140,18 +182,37 @@ func (en *Engine) ensureStats(stats *Stats) {
 }
 
 // noteRule attributes one round's evaluation passes of one rule to its
-// breakdown entry and, with a sink attached, emits the RuleFired event.
-func (en *Engine) noteRule(rs *RuleStats, ci, round int, firings, derived, probes, nanos int64) {
+// breakdown entry.
+func noteRule(rs *RuleStats, firings, derived, probes, nanos int64) {
 	rs.Rounds++
 	rs.Firings += firings
 	rs.Derived += derived
 	rs.Probes += probes
 	rs.Nanos += nanos
+}
+
+// beginRound counts round `round` of component ci, driven by delta Δ
+// rows, and returns its record holding the counters at its start;
+// endRound turns them into the round's work.
+func (g *guard) beginRound(stats *Stats, ci, round int, delta int64) RoundStats {
+	stats.Rounds++
+	return RoundStats{Component: ci, Round: round, Delta: delta,
+		Firings: stats.Firings, Derived: stats.Derived, Probes: stats.Probes,
+		Start: time.Since(g.start).Nanoseconds()}
+}
+
+// endRound closes the round r records (Improved already counted into
+// it): it logs the round's work in stats.RoundLog and, with a sink
+// attached, emits the record as the RoundEnd event.
+func (en *Engine) endRound(g *guard, stats *Stats, r RoundStats) {
+	r.Firings = stats.Firings - r.Firings
+	r.Derived = stats.Derived - r.Derived
+	r.Probes = stats.Probes - r.Probes
+	r.Nanos = time.Since(g.start).Nanoseconds() - r.Start
+	stats.RoundLog = append(stats.RoundLog, r)
 	if en.sink != nil {
-		en.sink.Event(obs.Event{
-			Kind: obs.RuleFired, Component: ci, Round: round,
-			Rule: rs.Rule, RuleIndex: rs.Index,
-			Firings: firings, Derived: derived, Probes: probes, Nanos: rs.Nanos,
-		})
+		en.sink.Event(obs.Event{Kind: obs.RoundEnd, Component: r.Component, Round: r.Round,
+			Delta: r.Delta, Firings: r.Firings, Derived: r.Derived, Improved: r.Improved,
+			Probes: r.Probes, Nanos: r.Nanos})
 	}
 }

@@ -5,8 +5,8 @@
 //
 // The event stream is allocation-conscious by construction: Event is a
 // flat value struct (no pointers into engine state), every string it
-// carries is precomputed once at engine-compile time (rule text,
-// component predicate lists), and the engine emits events only behind a
+// carries is precomputed once at engine-compile time (component
+// predicate lists), and the engine emits events only behind a
 // nil-sink check, so the un-instrumented path pays nothing beyond that
 // branch.
 package obs
@@ -17,8 +17,8 @@ import "sync"
 type Kind uint8
 
 // The event taxonomy of one solve, in rough emission order. A solve
-// emits SolveBegin, then per component ComponentBegin / (RuleFired* /
-// RoundEnd)* / ComponentEnd, and finally SolveEnd. CheckpointFlushed,
+// emits SolveBegin, then per component ComponentBegin / RoundEnd* /
+// ComponentEnd, and finally SolveEnd. CheckpointFlushed,
 // DivergenceWarning and BudgetBreach are interleaved where they occur.
 const (
 	// SolveBegin opens one Solve/Resume/SolveMore call.
@@ -32,13 +32,10 @@ const (
 	ComponentBegin
 	// ComponentEnd closes it with the component's cumulative counters.
 	ComponentEnd
-	// RoundEnd reports one completed fixpoint round: facts derived,
-	// rule firings and join probes performed during that round.
+	// RoundEnd reports one fixpoint round: the round's record in the
+	// solve's Stats.RoundLog (Δ rows, firings, derivations, improved
+	// costs, join probes and wall time).
 	RoundEnd
-	// RuleFired reports one rule's evaluation passes within a round:
-	// the per-round firing/derivation/probe deltas and the rule's wall
-	// time so far in the current component evaluation in Nanos.
-	RuleFired
 	// CheckpointFlushed reports a successful durable checkpoint.
 	CheckpointFlushed
 	// DivergenceWarning reports the ω-limit detector (or the MaxRounds
@@ -61,8 +58,6 @@ func (k Kind) String() string {
 		return "component_end"
 	case RoundEnd:
 		return "round_end"
-	case RuleFired:
-		return "rule_fired"
 	case CheckpointFlushed:
 		return "checkpoint_flushed"
 	case DivergenceWarning:
@@ -87,22 +82,21 @@ type Event struct {
 	// (ComponentBegin/ComponentEnd).
 	WFS        bool
 	Admissible bool
-	// Round is the fixpoint round within the component (RoundEnd,
-	// RuleFired), or the cumulative round counter for checkpoint and
-	// limit events.
+	// Round is the fixpoint round within the component (RoundEnd), or
+	// the cumulative round counter for checkpoint and limit events.
 	Round int
-	// Rule and RuleIndex identify the rule of a RuleFired event; Rule
-	// is the compile-time-cached rule text.
-	Rule      string
-	RuleIndex int
-	// Firings, Derived and Probes are deltas for RoundEnd/RuleFired
-	// and cumulative totals for ComponentEnd/SolveEnd.
+	// Delta is the number of Δ rows that drove the round and Improved
+	// the round's derivations that raised an existing tuple's cost
+	// (RoundEnd).
+	Delta    int64
+	Improved int64
+	// Firings, Derived and Probes are per-round for RoundEnd and
+	// cumulative totals for ComponentEnd/SolveEnd.
 	Firings int64
 	Derived int64
 	Probes  int64
-	// Nanos is wall time: per rule within the current component
-	// evaluation on RuleFired, per component on ComponentEnd, per solve
-	// on SolveEnd.
+	// Nanos is wall time: per round on RoundEnd, per component on
+	// ComponentEnd, per solve on SolveEnd.
 	Nanos int64
 	// Parallelism is the solve's worker count (SolveBegin/SolveEnd):
 	// GOMAXPROCS, capped at the program's evaluable components.

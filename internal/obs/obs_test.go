@@ -8,7 +8,7 @@ import (
 
 func TestKindStrings(t *testing.T) {
 	kinds := []Kind{SolveBegin, SolveEnd, ComponentBegin, ComponentEnd,
-		RoundEnd, RuleFired, CheckpointFlushed, DivergenceWarning, BudgetBreach}
+		RoundEnd, CheckpointFlushed, DivergenceWarning, BudgetBreach}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()

@@ -146,15 +146,16 @@ func (r TraceRecord) FindSpans(name string) []Span {
 	return out
 }
 
-// Trace builds one trace. All methods are safe for concurrent use; the
-// zero value is not usable — construct with NewTrace or ContinueTrace.
+// Trace builds one trace from finished spans: the root is open until
+// Finish, every other span is recorded complete with RecordSpan. All
+// methods are safe for concurrent use; the zero value is not usable —
+// construct with NewTrace or ContinueTrace.
 type Trace struct {
 	mu     sync.Mutex
 	id     TraceID
 	remote SpanID
 	spans  []Span
-	byID   map[SpanID]int // span id -> index in spans
-	open   map[SpanID]bool
+	ids    map[SpanID]bool
 	done   bool
 }
 
@@ -174,10 +175,9 @@ func ContinueTrace(name string, tid TraceID, remoteParent SpanID) *Trace {
 		id:     tid,
 		remote: remoteParent,
 		spans:  make([]Span, 0, 16),
-		byID:   make(map[SpanID]int, 16),
-		open:   make(map[SpanID]bool, 4),
+		ids:    make(map[SpanID]bool, 16),
 	}
-	t.startLocked(name, remoteParent, time.Now())
+	t.addLocked(Span{Parent: remoteParent, Name: name, Start: time.Now()})
 	return t
 }
 
@@ -198,109 +198,39 @@ func (t *Trace) RootStart() time.Time {
 	return t.spans[0].Start
 }
 
-func (t *Trace) startLocked(name string, parent SpanID, at time.Time) SpanID {
-	id := NewSpanID()
-	for {
-		if _, dup := t.byID[id]; !dup {
-			break
-		}
-		id = NewSpanID()
+// addLocked appends sp under a fresh identifier, unique in the trace.
+func (t *Trace) addLocked(sp Span) SpanID {
+	sp.ID = NewSpanID()
+	for t.ids[sp.ID] {
+		sp.ID = NewSpanID()
 	}
-	t.byID[id] = len(t.spans)
-	t.open[id] = true
-	t.spans = append(t.spans, Span{ID: id, Parent: parent, Name: name, Start: at})
-	return id
+	t.ids[sp.ID] = true
+	t.spans = append(t.spans, sp)
+	return sp.ID
 }
 
-// StartSpan opens a child span now and returns its identifier.
-func (t *Trace) StartSpan(name string, parent SpanID) SpanID {
-	return t.StartSpanAt(name, parent, time.Now())
-}
-
-// StartSpanAt opens a child span with an explicit start time. After
-// Finish it is a no-op returning the zero SpanID (a commit may outlive
-// the request that submitted it).
-func (t *Trace) StartSpanAt(name string, parent SpanID, at time.Time) SpanID {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.done {
-		return SpanID{}
-	}
-	return t.startLocked(name, parent, at)
-}
-
-// EndSpan closes an open span now.
-func (t *Trace) EndSpan(id SpanID, attrs ...Attr) {
-	t.EndSpanAt(id, time.Now(), attrs...)
-}
-
-// EndSpanAt closes an open span with an explicit end time. Ending an
-// unknown or already-closed span is a no-op.
-func (t *Trace) EndSpanAt(id SpanID, at time.Time, attrs ...Attr) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	i, ok := t.byID[id]
-	if !ok || !t.open[id] || t.done {
-		return
-	}
-	delete(t.open, id)
-	t.spans[i].End = at
-	t.spans[i].Attrs = append(t.spans[i].Attrs, attrs...)
-}
-
-// RecordSpan adds an already-completed span with an explicit window —
-// the shape used by the commit path, which measures phases first and
-// attributes them to traces afterwards.
+// RecordSpan adds a completed span with an explicit window — the commit
+// path measures phases first and attributes them to traces afterwards.
+// The span keeps attrs. After Finish it is a no-op returning the zero
+// SpanID (a commit may outlive the request that submitted it).
 func (t *Trace) RecordSpan(name string, parent SpanID, start, end time.Time, attrs ...Attr) SpanID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.done {
 		return SpanID{}
 	}
-	id := t.startLocked(name, parent, start)
-	delete(t.open, id)
-	i := t.byID[id]
-	t.spans[i].End = end
-	t.spans[i].Attrs = append(t.spans[i].Attrs, attrs...)
-	return id
+	return t.addLocked(Span{Parent: parent, Name: name, Start: start, End: end, Attrs: attrs})
 }
 
-// Annotate appends attributes to a recorded span (open or closed).
-func (t *Trace) Annotate(id SpanID, attrs ...Attr) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.done {
-		return
-	}
-	if i, ok := t.byID[id]; ok {
-		t.spans[i].Attrs = append(t.spans[i].Attrs, attrs...)
-	}
-}
-
-// Window returns a recorded span's time window.
-func (t *Trace) Window(id SpanID) (start, end time.Time, ok bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	i, found := t.byID[id]
-	if !found {
-		return time.Time{}, time.Time{}, false
-	}
-	return t.spans[i].Start, t.spans[i].End, true
-}
-
-// Finish closes the root span (and any spans still open) now and
-// freezes the trace into an immutable record. Further mutations are
-// ignored; Finish is idempotent and returns the same record.
+// Finish closes the root span now and freezes the trace into an
+// immutable record. Further spans are ignored; Finish is idempotent and
+// returns the same record.
 func (t *Trace) Finish(attrs ...Attr) TraceRecord {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if !t.done {
-		now := time.Now()
+		t.spans[0].End = time.Now()
 		t.spans[0].Attrs = append(t.spans[0].Attrs, attrs...)
-		for id := range t.open {
-			t.spans[t.byID[id]].End = now
-		}
-		t.open = map[SpanID]bool{}
 		t.done = true
 	}
 	return TraceRecord{TraceID: t.id, Remote: t.remote, Spans: t.spans}

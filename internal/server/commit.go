@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -254,8 +255,8 @@ func (svc *service) solveAndPublish(ctx context.Context, batch []*commitReq) (co
 	defer svc.writeMu.Unlock()
 	// Queue-wait spans: [enqueue, writer acquired] per traced batch. The
 	// leader — the first traced batch — additionally owns the solve
-	// span; its trace gets the nested component/round/rule spans from
-	// the engine's event stream, so one solve is never narrated twice.
+	// narration: its trace gets the nested component/round/rule spans
+	// read from the solve's Stats, so one solve is never narrated twice.
 	var leader *commitReq
 	now := time.Now()
 	for _, req := range batch {
@@ -280,29 +281,18 @@ func (svc *service) solveAndPublish(ctx context.Context, batch []*commitReq) (co
 			facts = append(facts, req.facts...)
 		}
 	}
-	var extra datalog.EventSink
-	var ssink *obs.SpanSink
-	var solveSpan obs.SpanID
-	if leader != nil {
-		solveSpan = leader.tr.StartSpanAt("solve", leader.root, start)
-		ssink = obs.NewSpanSink(leader.tr, solveSpan)
-		extra = ssink
-	}
-	m, stats, err := svc.prog.SolveMoreObserved(ctx, cur.model, facts, extra)
+	m, stats, err := svc.prog.SolveMoreContext(ctx, cur.model, facts)
 	solveEnd := time.Now()
-	if leader != nil {
-		leader.tr.EndSpanAt(solveSpan, solveEnd, obs.IntAttr("coalesced", int64(coalesced)))
-		for _, req := range batch {
-			if req.tr != nil && req != leader {
-				// Followers record the shared solve window flat, pointing
-				// at the leader's trace for the detailed narration.
-				req.tr.RecordSpan("solve", req.root, start, solveEnd,
-					obs.StringAttr("shared_with_trace", leader.tr.ID().String()),
-					obs.IntAttr("coalesced", int64(coalesced)))
-			}
-		}
-		if err == nil {
-			recordOperatorSpans(leader.tr, ssink, svc.prog.Profile(stats).Sub(svc.prog.Profile(cur.model.Stats())))
+	for _, req := range batch {
+		switch {
+		case req == leader:
+			recordSolve(req.tr, req.root, start, solveEnd, coalesced, svc.prog, cur.model.Stats(), stats)
+		case req.tr != nil:
+			// Followers record the shared solve window flat, pointing
+			// at the leader's trace for the detailed narration.
+			req.tr.RecordSpan("solve", req.root, start, solveEnd,
+				obs.StringAttr("shared_with_trace", leader.tr.ID().String()),
+				obs.IntAttr("coalesced", int64(coalesced)))
 		}
 	}
 	if err != nil {
@@ -380,31 +370,74 @@ func (svc *service) solveAndPublish(ctx context.Context, batch []*commitReq) (co
 	return commitResult{state: next, stats: stats, coalesced: coalesced}, seqs
 }
 
-// recordOperatorSpans attaches per-operator profile spans under the rule
-// spans the solve's SpanSink recorded: for every rule that fired, each
-// pipeline operator gets a span carrying its counters for THIS solve
-// (the new model's ledger minus the previous model's). Operator spans share
-// their rule span's window — the executor measures rows, not per-
-// operator wall time, and the trace stays honest about that.
-func recordOperatorSpans(tr *obs.Trace, ssink *obs.SpanSink, delta *datalog.Profile) {
-	for _, rp := range delta.Rules {
-		ruleSpan, ok := ssink.RuleSpan(rp.Index)
-		if !ok {
-			continue
+// recordSolve narrates one commit's solve on the leader's trace, read
+// from the Stats it returned (st) and those of the model it extended
+// (base), failed solves included: the solve span, under it a span per
+// component that ran, and under each component a span per round of its
+// RoundLog and a span per rule that ran, carrying the rule's work over
+// this solve, with its operators' Profile delta as op spans beneath. The
+// RoundLog times rounds from the solve's start, and the spans place them
+// from the solve span's. The ledger keeps rule totals, not rule work per
+// round, so rule and op spans share their component's window — the
+// executor measures rows, not per-operator wall time, and the trace
+// stays honest about that.
+func recordSolve(tr *obs.Trace, parent obs.SpanID, start, end time.Time, coalesced int, prog *datalog.Program, base, st datalog.Stats) {
+	at := func(ns int64) time.Time { return start.Add(time.Duration(ns)) }
+	work := func(rounds []datalog.RoundStats) []obs.Attr {
+		var r datalog.RoundStats
+		for _, x := range rounds {
+			r.Firings += x.Firings
+			r.Derived += x.Derived
+			r.Improved += x.Improved
+			r.Probes += x.Probes
 		}
-		start, end, ok := tr.Window(ruleSpan)
-		if !ok {
-			continue
+		return []obs.Attr{obs.IntAttr("rounds", int64(len(rounds))), obs.IntAttr("firings", r.Firings),
+			obs.IntAttr("derived", r.Derived), obs.IntAttr("improved", r.Improved), obs.IntAttr("probes", r.Probes)}
+	}
+	solve := tr.RecordSpan("solve", parent, start, end,
+		append(work(st.RoundLog), obs.IntAttr("coalesced", int64(coalesced)))...)
+	ops := prog.Profile(st).Sub(prog.Profile(base)).Rules
+	for log := st.RoundLog; len(log) > 0; {
+		ci, n := log[0].Component, 0
+		from, to := log[0].Start, log[0].Start
+		for ; n < len(log) && log[n].Component == ci; n++ {
+			from, to = min(from, log[n].Start), max(to, log[n].Start+log[n].Nanos)
 		}
-		for _, op := range rp.Ops {
-			tr.RecordSpan(fmt.Sprintf("op%d %s", op.Step, op.Kind), ruleSpan, start, end,
-				obs.StringAttr("op", op.Op),
-				obs.IntAttr("rows_in", op.In),
-				obs.IntAttr("rows_out", op.Out),
-				obs.IntAttr("probes", op.Probes),
-				obs.IntAttr("build", op.Build),
-				obs.IntAttr("delta_rows", op.Delta),
-				obs.IntAttr("groups", op.Groups))
+		rounds := log[:n]
+		log = log[n:]
+		comp := tr.RecordSpan("component "+strconv.Itoa(ci), solve, at(from), at(to),
+			append(work(rounds), obs.StringAttr("preds", st.Comps[ci].Preds))...)
+		for _, r := range rounds {
+			tr.RecordSpan("round "+strconv.Itoa(r.Round), comp, at(r.Start), at(r.Start+r.Nanos),
+				obs.IntAttr("delta", r.Delta), obs.IntAttr("firings", r.Firings), obs.IntAttr("derived", r.Derived),
+				obs.IntAttr("improved", r.Improved), obs.IntAttr("probes", r.Probes))
+		}
+		for _, rs := range st.Rules {
+			if rs.Component != ci {
+				continue
+			}
+			if len(base.Rules) == len(st.Rules) {
+				b := base.Rules[rs.Index]
+				rs.Rounds, rs.Firings, rs.Derived, rs.Probes, rs.Nanos =
+					rs.Rounds-b.Rounds, rs.Firings-b.Firings, rs.Derived-b.Derived, rs.Probes-b.Probes, rs.Nanos-b.Nanos
+			}
+			if rs.Rounds == 0 {
+				continue
+			}
+			rule := tr.RecordSpan("rule "+strconv.Itoa(rs.Index), comp, at(from), at(to),
+				obs.StringAttr("rule", rs.Rule), obs.IntAttr("rounds", int64(rs.Rounds)),
+				obs.IntAttr("firings", rs.Firings), obs.IntAttr("derived", rs.Derived),
+				obs.IntAttr("probes", rs.Probes), obs.IntAttr("nanos", rs.Nanos))
+			for _, op := range ops[rs.Index].Ops {
+				tr.RecordSpan(fmt.Sprintf("op%d %s", op.Step, op.Kind), rule, at(from), at(to),
+					obs.StringAttr("op", op.Op),
+					obs.IntAttr("rows_in", op.In),
+					obs.IntAttr("rows_out", op.Out),
+					obs.IntAttr("probes", op.Probes),
+					obs.IntAttr("build", op.Build),
+					obs.IntAttr("delta_rows", op.Delta),
+					obs.IntAttr("groups", op.Groups))
+			}
 		}
 	}
 }

@@ -354,7 +354,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		// operators carries the rule pipelines' per-operator counters
-		// from the same ledger.
+		// from the same ledger, and rounds the RoundLog of the solve
+		// that published the model.
 		prof := svc.prog.Profile(stats)
 		out = append(out, map[string]any{
 			"name":       name,
@@ -364,6 +365,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"rules":      rules,
 			"components": comps,
 			"operators":  prof.Rules,
+			"rounds":     append([]datalog.RoundStats{}, stats.RoundLog...),
 		})
 	}
 	writeJSONCtx(ctx, w, http.StatusOK, map[string]any{"programs": out})

@@ -146,7 +146,7 @@ func newMetrics() *metrics {
 		engineDerived: reg.NewGaugeVec("mdl_engine_derived",
 			"Cumulative derivations behind the published model, by program.", "program"),
 		engineWorkers: reg.NewGaugeVec("mdl_engine_active_workers",
-			"Components being evaluated concurrently right now, by program (0 when idle or sequential).", "program"),
+			"Components being evaluated concurrently right now, by program (0 when idle; a one-worker solve reads 1).", "program"),
 		endpoints: map[string]*endpointStats{},
 	}
 	reg.NewGaugeVec("mdl_build_info",

@@ -281,7 +281,7 @@ func TestEventSinkDuringAsserts(t *testing.T) {
 	if kinds[datalog.EventSolveBegin] != 9 || kinds[datalog.EventSolveEnd] != 9 {
 		t.Fatalf("solve events: %v, want 9 begin/end", kinds)
 	}
-	if kinds[datalog.EventRuleFired] == 0 || kinds[datalog.EventRoundEnd] == 0 {
+	if kinds[datalog.EventComponentEnd] == 0 || kinds[datalog.EventRoundEnd] == 0 {
 		t.Fatalf("user sink starved by metrics chaining: %v", kinds)
 	}
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro/datalog"
+	"repro/internal/faults"
 	"repro/internal/obs"
 )
 
@@ -91,13 +93,18 @@ func checkTraceConsistent(t testing.TB, rec obs.TraceRecord) {
 // TestAssertTraceEndToEnd is the acceptance check: one traced
 // /v1/assert against a WAL-backed program produces a single trace whose
 // spans cover admission, queue, WAL append + fsync, the solve (with
-// nested component/round/rule/operator spans), and publish, with
-// correct parentage and durations consistent with the request latency.
+// nested component/round/rule/operator spans read from the solve's
+// Stats), and publish, with correct parentage and durations consistent
+// with the request latency. A coalesced commit narrates its solve once,
+// on the leader's trace; a follower records one flat solve span.
 func TestAssertTraceEndToEnd(t *testing.T) {
+	faults.Reset()
+	t.Cleanup(faults.Reset)
 	src := loadExample(t, "shortestpath.mdl")
 	s, ts := startServer(t,
 		[]ProgramSpec{{Name: "sp", Source: src}},
 		Config{WALDir: t.TempDir()})
+	before := s.svcs["sp"].current().model.Stats()
 
 	inbound := "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 	code, body, traceID := postTraced(t, ts.URL+"/v1/assert",
@@ -141,38 +148,179 @@ func TestAssertTraceEndToEnd(t *testing.T) {
 		t.Fatalf("phase durations sum to %v > request latency %v", phases, rootDur)
 	}
 
-	// The solve span nests the engine narration: component -> round ->
-	// rule spans, and operator spans under the rules.
-	solve := rec.FindSpans("solve")[0]
-	var comps, rules, ops int
-	for _, sp := range rec.Spans {
-		switch {
-		case strings.HasPrefix(sp.Name, "component "):
-			comps++
-			if sp.Parent != solve.ID {
-				t.Fatalf("component span parented outside solve: %+v", sp)
+	after := s.svcs["sp"].current().model.Stats()
+	checkSolveNarration(t, rec, before, after)
+	// /v1/stats serves the same records.
+	_, stats := getJSON(t, ts.URL+"/v1/stats?name=sp")
+	rounds, _ := stats["programs"].([]any)[0].(map[string]any)["rounds"].([]any)
+	if len(rounds) != len(after.RoundLog) || len(rounds) == 0 {
+		t.Fatalf("/v1/stats rounds %v, want the %d records of the published model's RoundLog", rounds, len(after.RoundLog))
+	}
+	for i, r := range rounds {
+		if r.(map[string]any)["improved"] != float64(after.RoundLog[i].Improved) {
+			t.Fatalf("/v1/stats round %d = %v, want %+v", i, r, after.RoundLog[i])
+		}
+	}
+
+	// A coalesced commit: the publish hook holds one commit while two
+	// traced batches queue behind it; they then share one solve.
+	reached, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	t.Cleanup(func() { once.Do(func() { close(release) }) })
+	faults.Arm(faults.Fault{Point: faults.ServerCommitPublish, Hook: func() {
+		close(reached)
+		<-release
+	}})
+	type traced struct {
+		code int
+		id   string
+	}
+	assert := func(body string, out chan<- traced) {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/assert", strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			out <- traced{}
+			return
+		}
+		resp.Body.Close()
+		out <- traced{resp.StatusCode, resp.Header.Get("X-Trace-Id")}
+	}
+	held, leader, follower := make(chan traced, 1), make(chan traced, 1), make(chan traced, 1)
+	go assert(`{"program":"sp","facts":[{"pred":"arc","args":["e","f",1]}]}`, held)
+	<-reached
+	go assert(`{"program":"sp","facts":[{"pred":"arc","args":["f","g",1]}]}`, leader)
+	for len(s.svcs["sp"].queue) < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	go assert(`{"program":"sp","facts":[{"pred":"arc","args":["g","h",1]}]}`, follower)
+	for len(s.svcs["sp"].queue) < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	once.Do(func() { close(release) })
+	var got []traced
+	for _, ch := range []chan traced{held, leader, follower} {
+		r := <-ch
+		if r.code != http.StatusOK {
+			t.Fatalf("assert around the held commit: status %d", r.code)
+		}
+		got = append(got, r)
+	}
+	lrec, frec := waitForTrace(t, s, got[1].id), waitForTrace(t, s, got[2].id)
+	checkTraceConsistent(t, lrec)
+	checkTraceConsistent(t, frec)
+	narrated := func(rec obs.TraceRecord) bool {
+		for _, sp := range rec.Spans {
+			if strings.HasPrefix(sp.Name, "component ") || strings.HasPrefix(sp.Name, "round ") || strings.HasPrefix(sp.Name, "rule ") {
+				return true
 			}
-		case strings.HasPrefix(sp.Name, "rule "):
-			rules++
-		case strings.HasPrefix(sp.Name, "op"):
-			ops++
+		}
+		return false
+	}
+	if sp := lrec.FindSpans("solve"); len(sp) != 1 || !hasAttr(sp[0], "coalesced", int64(2)) || !narrated(lrec) {
+		t.Fatalf("leader trace does not narrate the shared solve: %v", names(lrec))
+	}
+	if narrated(frec) {
+		t.Fatalf("follower trace narrates the solve: %v", names(frec))
+	}
+	if sp := frec.FindSpans("solve"); len(sp) != 1 || !hasAttr(sp[0], "shared_with_trace", got[1].id) {
+		t.Fatalf("follower trace %v: want one flat solve span shared with the leader's trace %s", names(frec), got[1].id)
+	}
+}
+
+// hasAttr reports whether sp carries the attribute key = v.
+func hasAttr(sp obs.Span, key string, v any) bool {
+	for _, a := range sp.Attrs {
+		if a.Key == key && a.Value == v {
+			return true
 		}
 	}
-	if comps == 0 || rules == 0 || ops == 0 {
-		t.Fatalf("solve narration incomplete: %d component, %d rule, %d operator spans (trace: %v)",
-			comps, rules, ops, names(rec))
-	}
-	// Operator spans carry the executor's measured cardinalities.
+	return false
+}
+
+// checkSolveNarration checks the solve span of a leader's commit trace
+// against the Stats of the solve that extended base into st: one
+// component span per component of st.RoundLog; under each, one round
+// span per record inside the component's window, carrying the record's
+// counts, and one rule span per rule that ran, carrying its work over
+// the solve, with operator spans that carry the executor's counters and
+// add up to the rule's probes.
+func checkSolveNarration(t *testing.T, rec obs.TraceRecord, base, st datalog.Stats) {
+	t.Helper()
+	children := map[obs.SpanID][]obs.Span{}
 	for _, sp := range rec.Spans {
-		if !strings.HasPrefix(sp.Name, "op") {
-			continue
-		}
-		keys := map[string]bool{}
+		children[sp.Parent] = append(children[sp.Parent], sp)
+	}
+	attr := func(sp obs.Span, key string) int64 {
 		for _, a := range sp.Attrs {
-			keys[a.Key] = true
+			if a.Key == key {
+				return a.Value.(int64)
+			}
 		}
-		if !keys["op"] || !keys["rows_out"] {
-			t.Fatalf("operator span missing counters: %+v", sp)
+		t.Fatalf("span %q lacks attribute %q: %v", sp.Name, key, sp.Attrs)
+		return 0
+	}
+	logged := map[int][]datalog.RoundStats{}
+	for _, r := range st.RoundLog {
+		r.Start, r.Nanos = 0, 0
+		logged[r.Component] = append(logged[r.Component], r)
+	}
+	solve := rec.FindSpans("solve")[0]
+	comps := children[solve.ID]
+	if len(comps) == 0 || len(comps) != len(logged) {
+		t.Fatalf("%d component spans for the %d components of the RoundLog (trace: %v)", len(comps), len(logged), names(rec))
+	}
+	for _, comp := range comps {
+		var ci int
+		if _, err := fmt.Sscanf(comp.Name, "component %d", &ci); err != nil {
+			t.Fatalf("span %q under solve: %v", comp.Name, err)
+		}
+		var rounds []datalog.RoundStats
+		ran := map[int]bool{}
+		for _, sp := range children[comp.ID] {
+			if sp.Start.Before(comp.Start) || sp.End.After(comp.End) {
+				t.Fatalf("span %q [%v, %v] escapes its component's window [%v, %v]", sp.Name, sp.Start, sp.End, comp.Start, comp.End)
+			}
+			var k int
+			switch {
+			case strings.HasPrefix(sp.Name, "round "):
+				fmt.Sscanf(sp.Name, "round %d", &k)
+				rounds = append(rounds, datalog.RoundStats{Component: ci, Round: k, Delta: attr(sp, "delta"),
+					Firings: attr(sp, "firings"), Derived: attr(sp, "derived"), Improved: attr(sp, "improved"), Probes: attr(sp, "probes")})
+			case strings.HasPrefix(sp.Name, "rule "):
+				fmt.Sscanf(sp.Name, "rule %d", &k)
+				if ran[k] {
+					t.Fatalf("rule %d has two spans", k)
+				}
+				ran[k] = true
+				rs, b := st.Rules[k], base.Rules[k]
+				if attr(sp, "rounds") != int64(rs.Rounds-b.Rounds) || attr(sp, "firings") != rs.Firings-b.Firings ||
+					attr(sp, "derived") != rs.Derived-b.Derived || attr(sp, "probes") != rs.Probes-b.Probes {
+					t.Fatalf("rule span %v, want the rule's work over the solve (%+v minus %+v)", sp.Attrs, rs, b)
+				}
+				ops := children[sp.ID]
+				var probes int64
+				for _, op := range ops {
+					if !strings.HasPrefix(op.Name, "op") || op.Start != sp.Start || op.End != sp.End {
+						t.Fatalf("span %q under rule %d is no operator span sharing its window", op.Name, k)
+					}
+					attr(op, "rows_out")
+					probes += attr(op, "probes")
+				}
+				if len(ops) == 0 || probes != rs.Probes-b.Probes {
+					t.Fatalf("rule %d: %d operator spans probing %d rows, want %d", k, len(ops), probes, rs.Probes-b.Probes)
+				}
+			default:
+				t.Fatalf("unexpected span %q under %q", sp.Name, comp.Name)
+			}
+		}
+		if !reflect.DeepEqual(rounds, logged[ci]) {
+			t.Fatalf("component %d round spans %+v, want its RoundLog %+v", ci, rounds, logged[ci])
+		}
+		for _, rs := range st.Rules {
+			if rs.Component == ci && rs.Rounds > base.Rules[rs.Index].Rounds && !ran[rs.Index] {
+				t.Fatalf("rule %d ran in the solve but has no span", rs.Index)
+			}
 		}
 	}
 }
