@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test test-procs race fuzz wal-crash-test serve-smoke loadgen loadgen-smoke bench-regression ci clean
+.PHONY: all build vet bench-vet test test-procs race fuzz wal-crash-test serve-smoke loadgen loadgen-smoke bench-regression ci clean
 
 all: build
 
@@ -10,6 +10,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# benchmark/ is its own Go module, so the root build never compiles it;
+# vet type-checks the harness and its tests against the engine's API
+# without writing a binary.
+bench-vet:
+	cd benchmark && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -74,7 +80,7 @@ bench-regression:
 # CI's target set, plus one iteration of every root benchmark (proves
 # each still compiles and runs; timings that carry a conclusion come from
 # benchmark/, see BENCHMARK.json).
-ci: vet build test-procs race fuzz wal-crash-test serve-smoke loadgen-smoke bench-regression
+ci: vet bench-vet build test-procs race fuzz wal-crash-test serve-smoke loadgen-smoke bench-regression
 	$(GO) test . -run '^$$' -bench . -benchtime 1x
 
 clean:

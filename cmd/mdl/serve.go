@@ -180,9 +180,9 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		specs[0].Resume = *resumePath
 	}
 
-	// Logging: json replaces the plain Logf lines with structured slog
-	// records (one per request plus notable events); text keeps the
-	// human lines and adds slog request records alongside them.
+	// Logging: the server's request records and notable events go to
+	// one slog handler, json or text; the command's own lines (serving,
+	// drain, shutdown) keep the plain "mdl serve:" form in text mode.
 	cfg := server.Config{
 		RequestTimeout:  *timeout,
 		SlowRequest:     *slowReq,
@@ -202,7 +202,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	} else {
 		cfg.Logger = slog.New(slog.NewTextHandler(stderr, nil))
 		logf = func(format string, a ...any) { fmt.Fprintf(stderr, "mdl serve: "+format+"\n", a...) }
-		cfg.Logf = logf
 	}
 	if *pprofAddr != "" {
 		closer, perr := startPprof(*pprofAddr, stderr)

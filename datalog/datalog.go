@@ -114,9 +114,6 @@ type Options struct {
 	// MaxDuration is a per-solve wall-clock deadline (0 = none); on
 	// expiry Solve returns ErrCanceled with the partial model.
 	MaxDuration time.Duration
-	// CheckEvery is the cancellation-poll granularity in rule firings
-	// (default 4096).
-	CheckEvery int
 	// DivergenceStreak configures the ω-limit detector: fail with
 	// ErrDiverged once one aggregate group improves this many
 	// consecutive times with nothing else changing (0 = default 1000,
@@ -161,7 +158,6 @@ func Load(src string, opts Options) (*Program, error) {
 	lim := core.Limits{
 		MaxFacts:         opts.MaxFacts,
 		MaxDuration:      opts.MaxDuration,
-		CheckEvery:       opts.CheckEvery,
 		DivergenceStreak: opts.DivergenceStreak,
 	}
 	en, err := core.New(prog, core.Options{
@@ -421,11 +417,6 @@ func WithTimeout(d time.Duration) SolveOption {
 // on breach).
 func WithMaxFacts(n int64) SolveOption {
 	return func(c *solveConfig) { c.lim.MaxFacts = n }
-}
-
-// WithCheckEvery sets the cancellation-poll granularity in rule firings.
-func WithCheckEvery(n int) SolveOption {
-	return func(c *solveConfig) { c.lim.CheckEvery = n }
 }
 
 // WithDivergenceStreak sets the ω-limit detector threshold (negative

@@ -63,8 +63,7 @@ func TestSolveContextCanceledOmegaLimit(t *testing.T) {
 	// the ω-limit program.
 	m, stats, err := p.SolveContext(context.Background(), nil,
 		datalog.WithTimeout(50*time.Millisecond),
-		datalog.WithDivergenceStreak(-1),
-		datalog.WithCheckEvery(16))
+		datalog.WithDivergenceStreak(-1))
 	if !errors.Is(err, datalog.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}

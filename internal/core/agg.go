@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/exec"
 	"repro/internal/lattice"
 	"repro/internal/relation"
 	"repro/internal/val"
@@ -20,32 +21,22 @@ import (
 //     enumerated by grouping the conjunction's matches, yielding one
 //     extension per nonempty group — this is how
 //     "s(X,Y,C) :- C ?= min D : path(X,Z,Y,D)" executes.
-func (ev *evaluator) aggregate(s *aggStep, stepIdx int, e *env, cont func() error) error {
+func (ev *evaluator) aggregate(s *exec.AggStep, stepIdx int, e *env, cont func() error) error {
 	allBound := true
-	for _, v := range s.groupVars {
+	for _, v := range s.GroupVars {
 		if !e.bound[v] {
 			allBound = false
 			break
 		}
 	}
-	if !allBound && !s.restricted {
-		return fmt.Errorf("core: total aggregate %s with unbound grouping variables", s.g)
+	if !allBound && !s.G.Restricted {
+		return fmt.Errorf("core: total aggregate %s with unbound grouping variables", s.G)
 	}
-
-	// Order the conjunction for the current binding pattern.
-	boundSet := map[int]bool{}
-	noteBound := func(v int) {
-		if v >= 0 && e.bound[v] {
-			boundSet[v] = true
-		}
+	// The conjunction order the compiler fixed for this binding pattern.
+	order, err := s.OrderFull, s.OrderFullErr
+	if allBound {
+		order, err = s.OrderPoint, s.OrderPointErr
 	}
-	for _, sp := range s.conj {
-		for _, v := range sp.argVar {
-			noteBound(v)
-		}
-		noteBound(sp.costVar)
-	}
-	order, err := orderConj(s.conj, boundSet)
 	if err != nil {
 		return err
 	}
@@ -57,12 +48,12 @@ func (ev *evaluator) aggregate(s *aggStep, stepIdx int, e *env, cont func() erro
 	}
 	// Groups in first-occurrence order, as the pipelines emit them.
 	var keys relation.GroupSet
-	keys.Reset(len(s.groupVars))
+	keys.Reset(len(s.GroupVars))
 	var groups []*group
 
 	element := func() lattice.Elem {
-		if s.msVar >= 0 {
-			return e.vals[s.msVar]
+		if s.MsVar >= 0 {
+			return e.vals[s.MsVar]
 		}
 		// Implicit boolean cost: each match contributes one "true".
 		return val.Boolean(true)
@@ -73,12 +64,12 @@ func (ev *evaluator) aggregate(s *aggStep, stepIdx int, e *env, cont func() erro
 	var pointElems []lattice.Elem
 	var pointSupports []Support
 	collectSupports := func(dst []Support) []Support {
-		for ci := range s.conj {
-			dst = append(dst, supportOfAtom(&s.conj[ci], e, false))
+		for ci := range s.Conj {
+			dst = append(dst, supportOfAtom(&s.Conj[ci], e, false))
 		}
 		return dst
 	}
-	keyScratch := make([]val.T, len(s.groupVars))
+	keyScratch := make([]val.T, len(s.GroupVars))
 	var enumerate func(i int) error
 	enumerate = func(i int) error {
 		if i == len(order) {
@@ -89,7 +80,7 @@ func (ev *evaluator) aggregate(s *aggStep, stepIdx int, e *env, cont func() erro
 				}
 				return nil
 			}
-			for j, v := range s.groupVars {
+			for j, v := range s.GroupVars {
 				keyScratch[j] = e.vals[v]
 			}
 			gi, added := keys.Add(keyScratch)
@@ -103,7 +94,7 @@ func (ev *evaluator) aggregate(s *aggStep, stepIdx int, e *env, cont func() erro
 			}
 			return nil
 		}
-		sp := &s.conj[order[i]]
+		sp := &s.Conj[order[i]]
 		buf := ev.buf(sp).saved
 		return ev.scan(sp, e, func(row relationRow) error {
 			saved, ok := bindAtom(sp, buf, row, e)
@@ -120,10 +111,10 @@ func (ev *evaluator) aggregate(s *aggStep, stepIdx int, e *env, cont func() erro
 	}
 
 	emitGroup := func(g *group) error {
-		if s.restricted && len(g.elems) == 0 {
+		if s.G.Restricted && len(g.elems) == 0 {
 			return nil
 		}
-		res, ok := s.f.Apply(g.elems)
+		res, ok := s.F.Apply(g.elems)
 		if !ok {
 			// Undefined aggregate (e.g. avg of the empty multiset in the
 			// total form): the ground instance is simply unsatisfied.
@@ -131,22 +122,22 @@ func (ev *evaluator) aggregate(s *aggStep, stepIdx int, e *env, cont func() erro
 		}
 		var saved []int
 		// Bind any unbound grouping variables (grouped mode).
-		for j, v := range s.groupVars {
+		for j, v := range s.GroupVars {
 			if !e.bound[v] {
 				e.vals[v] = g.keyVals[j]
 				e.bound[v] = true
 				saved = append(saved, v)
 			}
 		}
-		if e.bound[s.result] {
-			if !lattice.Eq(s.f.Range(), e.vals[s.result], res) {
+		if e.bound[s.Result] {
+			if !lattice.Eq(s.F.Range(), e.vals[s.Result], res) {
 				unbind(e, saved)
 				return nil
 			}
 		} else {
-			e.vals[s.result] = res
-			e.bound[s.result] = true
-			saved = append(saved, s.result)
+			e.vals[s.Result] = res
+			e.bound[s.Result] = true
+			saved = append(saved, s.Result)
 		}
 		if ev.supports {
 			if e.aggSupports == nil {

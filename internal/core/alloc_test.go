@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/lattice"
 	"repro/internal/parser"
 	"repro/internal/relation"
@@ -20,7 +21,7 @@ import (
 // allocHarness compiles a program with a negated subgoal and a
 // default-value scan and returns the evaluator, the interesting steps
 // and an environment with the shared variable bound.
-func allocHarness(t *testing.T) (ev *evaluator, neg *negStep, def *scanStep, e *env) {
+func allocHarness(t *testing.T) (ev *evaluator, neg, def *exec.Step, e *env) {
 	t.Helper()
 	prog, err := parser.Parse(`
 .cost t/2 : minreal.
@@ -38,14 +39,12 @@ s(X) :- q(X), t(X, C), C < 5.
 	var nvars int
 	for _, ps := range en.plans {
 		for _, p := range ps {
-			for _, st := range p.steps {
-				switch s := st.(type) {
-				case *negStep:
+			for i := range p.steps {
+				switch s := &p.steps[i]; {
+				case s.Kind == exec.NegKind:
 					neg, nvars = s, p.nvars
-				case *scanStep:
-					if s.pi.HasDefault {
-						def, nvars = s, p.nvars
-					}
+				case s.Kind == exec.ScanKind && s.Atom.Info.HasDefault:
+					def, nvars = s, p.nvars
 				}
 			}
 		}
@@ -54,8 +53,8 @@ s(X) :- q(X), t(X, C), C < 5.
 		t.Fatal("harness program compiled without the expected steps")
 	}
 	db := relation.NewDB(en.Schemas)
-	db.Rel(def.pred) // materialize so the first probe is steady state
-	db.Rel(neg.pred).InsertJoin([]val.T{val.Symbol("a")}, lattice.Elem{})
+	db.Rel(def.Atom.Pred) // materialize so the first probe is steady state
+	db.Rel(neg.Atom.Pred).InsertJoin([]val.T{val.Symbol("a")}, lattice.Elem{})
 	ev = &evaluator{db: db}
 	e = newEnv(nvars)
 	// Both plans order q first and use variable 0 for X; bind it as the
@@ -68,7 +67,7 @@ s(X) :- q(X), t(X, C), C < 5.
 func TestNegSatisfiedDoesNotAllocate(t *testing.T) {
 	ev, neg, _, e := allocHarness(t)
 	if avg := testing.AllocsPerRun(200, func() {
-		if _, err := ev.negSatisfied(&neg.atomSpec, e); err != nil {
+		if _, err := ev.negSatisfied(&neg.Atom, e); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
@@ -83,10 +82,10 @@ func TestDefaultValueScanDoesNotAllocate(t *testing.T) {
 	// against a stored row: neither path may allocate.
 	for _, stored := range []bool{false, true} {
 		if stored {
-			ev.db.Rel(def.pred).InsertJoin([]val.T{val.Symbol("a")}, val.Number(2))
+			ev.db.Rel(def.Atom.Pred).InsertJoin([]val.T{val.Symbol("a")}, val.Number(2))
 		}
 		if avg := testing.AllocsPerRun(200, func() {
-			if err := ev.scan(&def.atomSpec, e, sink); err != nil {
+			if err := ev.scan(&def.Atom, e, sink); err != nil {
 				t.Fatal(err)
 			}
 		}); avg != 0 {

@@ -56,7 +56,7 @@ func TestSolveContextCanceled(t *testing.T) {
 // fixpoint is genuinely mid-flight; the partial interpretation keeps
 // the work done so far.
 func TestSolveDeadlineMidFixpoint(t *testing.T) {
-	en := mustEngine(t, chainProgram(400), Options{Limits: Limits{MaxDuration: 5 * time.Millisecond, CheckEvery: 64}})
+	en := mustEngine(t, chainProgram(400), Options{Limits: Limits{MaxDuration: 5 * time.Millisecond}})
 	db, stats, err := en.Solve(nil)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)

@@ -257,7 +257,7 @@ func New(prog *ast.Program, opts Options) (*Engine, error) {
 			en.nrules++
 			en.nops += len(p.steps)
 			ps = append(ps, p)
-			recursive = recursive || len(p.cdbScanSteps) > 0 || p.hasCDBAgg
+			recursive = recursive || len(p.cdbScans) > 0 || p.hasCDBAgg
 		}
 		en.plans = append(en.plans, ps)
 		en.compRecursive = append(en.compRecursive, recursive)
@@ -424,26 +424,26 @@ func (en *Engine) runComponent(g *guard, fn func() error) (err error) {
 	return fn()
 }
 
-// headTupleInto projects the head instantiation of a completed
-// environment into args (len(p.head.argVar) long).
-func headTupleInto(p *plan, e *env, args []val.T) (_ []val.T, cost lattice.Elem, err error) {
+// headTupleInto projects the head instantiation of a completed binding
+// (the registers vals) into args (len(p.head.ArgVar) long).
+func headTupleInto(p *plan, vals, args []val.T) (_ []val.T, cost lattice.Elem, err error) {
 	hs := &p.head
-	for j, v := range hs.argVar {
+	for j, v := range hs.ArgVar {
 		if v >= 0 {
-			args[j] = e.vals[v]
+			args[j] = vals[v]
 		} else {
-			args[j] = hs.argVal[j]
+			args[j] = hs.ArgVal[j]
 		}
 	}
-	if hs.pi.HasCost {
-		if hs.costVar >= 0 {
-			cost = e.vals[hs.costVar]
+	if hs.Info.HasCost {
+		if hs.CostVar >= 0 {
+			cost = vals[hs.CostVar]
 		} else {
-			cost = hs.costVal
+			cost = hs.CostVal
 		}
-		if !hs.pi.L.Contains(cost) {
+		if !hs.Info.L.Contains(cost) {
 			return nil, lattice.Elem{}, fmt.Errorf("core: rule %q derived cost %s outside lattice %s",
-				p.rule, cost, hs.pi.L.Name())
+				p.rule, cost, hs.Info.L.Name())
 		}
 	}
 	return args, cost, nil
@@ -451,8 +451,8 @@ func headTupleInto(p *plan, e *env, args []val.T) (_ []val.T, cost lattice.Elem,
 
 // headTuple is headTupleInto with freshly allocated args, for callers
 // that retain them.
-func headTuple(p *plan, e *env) ([]val.T, lattice.Elem, error) {
-	return headTupleInto(p, e, make([]val.T, len(p.head.argVar)))
+func headTuple(p *plan, vals []val.T) ([]val.T, lattice.Elem, error) {
+	return headTupleInto(p, vals, make([]val.T, len(p.head.ArgVar)))
 }
 
 // passConfig is the part of a pass's configuration every pass of one
@@ -463,15 +463,14 @@ func (en *Engine) passConfig(g *guard, db *relation.DB) exec.Config {
 
 // runPass evaluates one pass of one of p's pipelines under cfg — every
 // satisfying assignment of the body, or the Δ-restricted subset cfg
-// selects — handing each completed environment to emit. It adds the
-// pass's firings and probes to stats and its per-operator counters to
-// p.work.Ops, keyed by canonical step position so an operator keeps one
-// set of counters whichever order ran it; the pass's probes are its
-// operators' probes.
-func (en *Engine) runPass(p *plan, pipe *pipeline, cfg exec.Config, stats *Stats, emit func(*plan, *env) error) error {
+// selects — handing each completed binding (the machine's registers) to
+// emit. It adds the pass's firings and probes to stats and its
+// per-operator counters to p.work.Ops, keyed by canonical step position
+// so an operator keeps one set of counters whichever order ran it; the
+// pass's probes are its operators' probes.
+func (en *Engine) runPass(p *plan, pipe *pipeline, cfg exec.Config, stats *Stats, emit func(*plan, []val.T) error) error {
 	m := pipe.stream.Acquire(cfg)
-	e := m.Aux.(*env)
-	err := m.Run(func(*exec.Machine) error { return emit(p, e) })
+	err := m.Run(func(m *exec.Machine) error { return emit(p, m.Vals) })
 	stats.Firings += m.Firings
 	for i, c := range pipe.canon {
 		n := m.Counts(i)
@@ -484,7 +483,7 @@ func (en *Engine) runPass(p *plan, pipe *pipeline, cfg exec.Config, stats *Stats
 
 // fireAll runs one full pass of every rule of ps — a round that fires
 // every rule — attributing each pass to its rule's breakdown.
-func (en *Engine) fireAll(g *guard, ps []*plan, cfg exec.Config, stats *Stats, insert func(*plan, *env) error) error {
+func (en *Engine) fireAll(g *guard, ps []*plan, cfg exec.Config, stats *Stats, insert func(*plan, []val.T) error) error {
 	for _, p := range ps {
 		g.rule = p.rule
 		f0, d0, p0 := stats.Firings, stats.Derived, stats.Probes
@@ -512,12 +511,12 @@ func (en *Engine) solveNaive(g *guard, db *relation.DB, ci int, stats *Stats) er
 	}
 	var out *relation.DB
 	var r RoundStats // the current round's record
-	insert := func(p *plan, e *env) error {
-		args, cost, err := headTuple(p, e)
+	insert := func(p *plan, vals []val.T) error {
+		args, cost, err := headTuple(p, vals)
 		if err != nil {
 			return err
 		}
-		rel := out.Rel(p.head.pred)
+		rel := out.Rel(p.head.Pred)
 		n := rel.Len()
 		if rel.InsertJoin(args, cost) {
 			stats.Derived++
@@ -528,9 +527,9 @@ func (en *Engine) solveNaive(g *guard, db *relation.DB, ci int, stats *Stats) er
 			// interpretation (a plain re-derivation of a known tuple is
 			// budget work but not progress).
 			cur, _ := rel.Get(args)
-			old, had := db.Rel(p.head.pred).Get(args)
+			old, had := db.Rel(p.head.Pred).Get(args)
 			improved := !had || (rel.Info.HasCost && !lattice.Eq(rel.Info.L, old.Cost, cur.Cost))
-			if err := g.derived(p.head.pred, args, cur.Cost, rel.Info.HasCost, improved); err != nil {
+			if err := g.derived(p.head.Pred, args, cur.Cost, rel.Info.HasCost, improved); err != nil {
 				return err
 			}
 		}
@@ -698,15 +697,15 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 	}
 	sinks := make([]headSink, len(ps))
 	for i, p := range ps {
-		sinks[i].rel = db.Rel(p.head.pred)
+		sinks[i].rel = db.Rel(p.head.Pred)
 	}
 	// insert derives through the plan's head buffer (hbuf). Everything
 	// retained beyond this call — Δ and record entries — is the stored
 	// row's id, and the relation copied the arguments into its arena on
 	// first insert.
 	var r RoundStats // the current round's record
-	insert := func(p *plan, e *env) error {
-		args, cost, err := headTupleInto(p, e, p.hbuf)
+	insert := func(p *plan, vals []val.T) error {
+		args, cost, err := headTupleInto(p, vals, p.hbuf)
 		if err != nil {
 			return err
 		}
@@ -722,18 +721,18 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 		}
 		if recursive {
 			if h.delta == nil {
-				h.delta = delta.slot(p.head.pred)
+				h.delta = delta.slot(p.head.Pred)
 			}
 			h.delta.add(id)
 		}
 		if record != nil {
 			if h.record == nil {
-				h.record = record.slot(p.head.pred)
+				h.record = record.slot(p.head.Pred)
 			}
 			h.record.add(id)
 		}
 		row := h.rel.At(id)
-		return g.derived(p.head.pred, row.Args, row.Cost, h.rel.Info.HasCost, true)
+		return g.derived(p.head.Pred, row.Args, row.Cost, h.rel.Info.HasCost, true)
 	}
 	cfg := en.passConfig(g, db)
 	// endRound closes the current round, failed or not: its record, then
@@ -796,7 +795,7 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 			runAgg := aggPredChanged(p, prev)
 			hasScan := false
 			for _, k := range changedPreds {
-				if len(p.scanSteps[k]) > 0 {
+				if len(p.scansOf[k]) > 0 {
 					hasScan = true
 					break
 				}
@@ -827,7 +826,7 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 				for _, k := range changedPreds {
 					pass := cfg
 					pass.RestrictIDs = prev.ids(k)
-					for _, si := range p.scanSteps[k] {
+					for _, si := range p.scansOf[k] {
 						pipe, at := p.deltaPipe(si)
 						pass.RestrictStep = at
 						if perr = en.runPass(p, pipe, pass, stats, insert); perr != nil {
@@ -864,47 +863,47 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 func changedGroups(p *plan, d *deltaSet, db *relation.DB) ([]*relation.GroupSet, bool) {
 	out := p.changed
 	clear(out)
-	for si, s := range p.steps {
-		ag, ok := s.(*aggStep)
-		if !ok {
+	for si, gd := range p.gamma {
+		if gd == nil {
 			continue
 		}
-		ag.changed.Reset(len(ag.groupVars))
+		ag := p.steps[si].Agg
+		gd.changed.Reset(len(ag.GroupVars))
 		touched := false
-		for ci, sp := range ag.conj {
-			ids := d.ids(sp.pred)
+		for ci := range ag.Conj {
+			k := ag.Conj[ci].Pred
+			ids := d.ids(k)
 			if len(ids) == 0 {
 				continue
 			}
-			pos := ag.groupKeyPos[ci]
+			pos := gd.keyPos[ci]
 			if pos == nil {
 				return nil, false
 			}
 			touched = true
-			rel := db.Rel(sp.pred)
+			rel := db.Rel(k)
 			for _, id := range ids {
 				args := rel.At(int(id)).Args
 				for j, a := range pos {
-					ag.key[j] = args[a]
+					gd.key[j] = args[a]
 				}
-				ag.changed.Add(ag.key)
+				gd.changed.Add(gd.key)
 			}
 		}
 		if touched {
-			out[si] = &ag.changed
+			out[si] = &gd.changed
 		}
 	}
 	return out, true
 }
 
 func aggPredChanged(p *plan, d *deltaSet) bool {
-	for _, s := range p.steps {
-		ag, ok := s.(*aggStep)
-		if !ok {
+	for si, gd := range p.gamma {
+		if gd == nil {
 			continue
 		}
-		for _, sp := range ag.conj {
-			if len(d.ids(sp.pred)) > 0 {
+		for _, sp := range p.steps[si].Agg.Conj {
+			if len(d.ids(sp.Pred)) > 0 {
 				return true
 			}
 		}

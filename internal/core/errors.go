@@ -50,10 +50,6 @@ type Limits struct {
 	MaxFacts int64
 	// MaxDuration is a per-solve wall-clock deadline; 0 means none.
 	MaxDuration time.Duration
-	// CheckEvery is the cancellation-poll granularity in rule firings
-	// (default 4096). Smaller values notice cancellation sooner at a
-	// slight throughput cost.
-	CheckEvery int
 	// DivergenceStreak is the ω-limit detector threshold: evaluation
 	// fails with ErrDiverged once the same atom improves this many
 	// consecutive times with no other atom improving in between — the
@@ -72,7 +68,9 @@ type Limits struct {
 }
 
 const (
-	defaultCheckEvery       = 4096
+	// checkEvery is the cancellation-poll granularity in rule firings;
+	// every round boundary polls too.
+	checkEvery              = 4096
 	defaultDivergenceStreak = 1000
 	divergenceTrajectoryLen = 8
 )
@@ -188,7 +186,7 @@ func (e *EngineError) Unwrap() []error {
 // guard enforces one solve's limits: cooperative cancellation, the
 // derivation budget, and the ω-limit divergence detector. The fixpoint
 // loops poll it at round boundaries and (through exec.Config.Check)
-// every CheckEvery firings, and report every derivation to it. A solve
+// every checkEvery firings, and report every derivation to it. A solve
 // has one guard, and every component the walk evaluates has its own.
 type guard struct {
 	ctx context.Context
@@ -196,9 +194,8 @@ type guard struct {
 	// atomic derivation counter every component's guard spends, so
 	// MaxFacts bounds the derivations of the call however they spread
 	// over workers (a resumed solve gets a fresh budget).
-	budget     *sharedBudget
-	checkEvery int
-	stats      *Stats
+	budget *sharedBudget
+	stats  *Stats
 	// start is when the solve began: the origin of its RoundLog windows.
 	start time.Time
 	det   divergeDetector
@@ -228,11 +225,7 @@ type guard struct {
 }
 
 func newGuard(ctx context.Context, lim Limits, stats *Stats) *guard {
-	g := &guard{ctx: ctx, checkEvery: lim.CheckEvery, stats: stats,
-		ckpt: lim.Checkpoint, ckptEvery: lim.CheckpointEvery}
-	if g.checkEvery <= 0 {
-		g.checkEvery = defaultCheckEvery
-	}
+	g := &guard{ctx: ctx, stats: stats, ckpt: lim.Checkpoint, ckptEvery: lim.CheckpointEvery}
 	g.det.threshold = lim.DivergenceStreak
 	if g.det.threshold == 0 {
 		g.det.threshold = defaultDivergenceStreak
@@ -319,7 +312,7 @@ func (g *guard) poll() error {
 // firings, so cancellation is noticed even inside one long round.
 func (g *guard) check() error {
 	g.polls++
-	if g.polls%g.checkEvery != 0 {
+	if g.polls%checkEvery != 0 {
 		return nil
 	}
 	return g.poll()

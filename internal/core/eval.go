@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ast"
+	"repro/internal/exec"
 	"repro/internal/lattice"
 	"repro/internal/relation"
 	"repro/internal/val"
@@ -27,8 +28,8 @@ func newEnv(n int) *env {
 
 // evaluator is the tuple-at-a-time reference interpreter: a direct
 // backtracking reading of rule satisfaction (Definitions 3.4–3.5) over
-// the compiled steps in their syntactic order. Solves never run on it —
-// they run the streaming pipelines of internal/exec — it is the oracle
+// the plan's canonical steps. Solves never run on it — they run the same
+// steps as streaming pipelines of internal/exec — it is the oracle
 // behind Engine.TP, IsModel, IsPreModel and GroupStratified that the
 // property tests hold the pipelines to, and the re-deriver behind
 // Provenance.Explain. It only reads db and the plans — its scratch lives on
@@ -38,7 +39,7 @@ type evaluator struct {
 	// supports makes aggregate steps record their contributing atoms into
 	// the environment (GroupStratified, Explain).
 	supports bool
-	bufs     map[*atomSpec]*atomBuf
+	bufs     map[*exec.Atom]*atomBuf
 	// stage, when set, restricts the evaluation to a prefix of one
 	// recursive component's stages (see Provenance): a row of a predicate
 	// it holds is visible only when 0 < its stage < below.
@@ -57,13 +58,13 @@ type atomBuf struct {
 }
 
 // buf returns sp's scratch, allocating it on first use.
-func (ev *evaluator) buf(sp *atomSpec) *atomBuf {
+func (ev *evaluator) buf(sp *exec.Atom) *atomBuf {
 	b := ev.bufs[sp]
 	if b == nil {
-		n := len(sp.argVar)
+		n := len(sp.ArgVar)
 		b = &atomBuf{pat: make([]*val.T, n), saved: make([]int, 0, n+1), args: make([]val.T, n)}
 		if ev.bufs == nil {
-			ev.bufs = map[*atomSpec]*atomBuf{}
+			ev.bufs = map[*exec.Atom]*atomBuf{}
 		}
 		ev.bufs[sp] = b
 	}
@@ -72,11 +73,11 @@ func (ev *evaluator) buf(sp *atomSpec) *atomBuf {
 
 // rel returns sp's relation in db without materializing a missing one:
 // the evaluator never writes the interpretation it reads.
-func (ev *evaluator) rel(sp *atomSpec) *relation.Relation {
-	if ev.db.Has(sp.pred) {
-		return ev.db.Rel(sp.pred)
+func (ev *evaluator) rel(sp *exec.Atom) *relation.Relation {
+	if ev.db.Has(sp.Pred) {
+		return ev.db.Rel(sp.Pred)
 	}
-	return relation.New(sp.pi)
+	return relation.New(sp.Info)
 }
 
 // hidden reports whether ev.stage hides the stored row of rel with the
@@ -95,15 +96,16 @@ func (ev *evaluator) run(p *plan, emit func(*env) error) error {
 	return ev.step(p.steps, 0, newEnv(p.nvars), emit)
 }
 
-func (ev *evaluator) step(steps []step, i int, e *env, emit func(*env) error) error {
+func (ev *evaluator) step(steps []exec.Step, i int, e *env, emit func(*env) error) error {
 	if i == len(steps) {
 		return emit(e)
 	}
-	switch s := steps[i].(type) {
-	case *scanStep:
-		buf := ev.buf(&s.atomSpec).saved
-		return ev.scan(&s.atomSpec, e, func(row relation.Row) error {
-			saved, ok := bindAtom(&s.atomSpec, buf, row, e)
+	s := &steps[i]
+	switch s.Kind {
+	case exec.ScanKind:
+		buf := ev.buf(&s.Atom).saved
+		return ev.scan(&s.Atom, e, func(row relation.Row) error {
+			saved, ok := bindAtom(&s.Atom, buf, row, e)
 			if !ok {
 				return nil
 			}
@@ -111,59 +113,55 @@ func (ev *evaluator) step(steps []step, i int, e *env, emit func(*env) error) er
 			unbind(e, saved)
 			return err
 		})
-	case *negStep:
-		ok, err := ev.negSatisfied(&s.atomSpec, e)
-		if err != nil {
+	case exec.NegKind:
+		ok, err := ev.negSatisfied(&s.Atom, e)
+		if err != nil || !ok {
 			return err
-		}
-		if !ok {
-			return nil
 		}
 		return ev.step(steps, i+1, e, emit)
-	case *builtinStep:
-		ok, saved, err := ev.builtin(s, e)
-		if err != nil {
+	case exec.BuiltinKind:
+		ok, didBind, err := s.Builtin.Eval(e.vals, e.bound)
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			return nil
-		}
 		err = ev.step(steps, i+1, e, emit)
-		unbind(e, saved)
+		if didBind {
+			e.bound[s.Builtin.Assign] = false
+		}
 		return err
-	case *aggStep:
-		return ev.aggregate(s, i, e, func() error { return ev.step(steps, i+1, e, emit) })
+	case exec.AggKind:
+		return ev.aggregate(s.Agg, i, e, func() error { return ev.step(steps, i+1, e, emit) })
 	}
-	return fmt.Errorf("core: unknown step type %T", steps[i])
+	return fmt.Errorf("core: unknown step kind %d", s.Kind)
 }
 
 // scan enumerates rows of the atom's relation matching the bound part of
 // the environment. Default-value predicates perform a point lookup
 // (GetOrDefault); the compiler guarantees their non-cost args are bound.
-func (ev *evaluator) scan(sp *atomSpec, e *env, f func(relation.Row) error) error {
+func (ev *evaluator) scan(sp *exec.Atom, e *env, f func(relation.Row) error) error {
 	rel, buf := ev.rel(sp), ev.buf(sp)
-	if sp.pi.HasDefault {
+	if sp.Info.HasDefault {
 		args := buf.args
-		for j, v := range sp.argVar {
+		for j, v := range sp.ArgVar {
 			if v >= 0 {
 				args[j] = e.vals[v]
 			} else {
-				args[j] = sp.argVal[j]
+				args[j] = sp.ArgVal[j]
 			}
 		}
 		row, ok := rel.Get(args)
 		if !ok || ev.hidden(rel, args) {
 			// Default-value predicates always have a value: the bottom row
 			// (§2.3.2).
-			row = relation.Row{Args: args, Cost: sp.pi.L.Bottom(), HasCost: true}
+			row = relation.Row{Args: args, Cost: sp.Info.L.Bottom(), HasCost: true}
 		}
 		return f(row)
 	}
 	pattern := buf.pat
-	for j, v := range sp.argVar {
+	for j, v := range sp.ArgVar {
 		switch {
 		case v < 0:
-			pattern[j] = &sp.argVal[j]
+			pattern[j] = &sp.ArgVal[j]
 		case e.bound[v]:
 			pattern[j] = &e.vals[v]
 		default:
@@ -187,12 +185,12 @@ func (ev *evaluator) scan(sp *atomSpec, e *env, f func(relation.Row) error) erro
 // bindAtom unifies a row with the atom spec under e, returning the list
 // of variable indices newly bound (for backtracking, built in buf, the
 // atom's atomBuf.saved) and whether the row matches.
-func bindAtom(sp *atomSpec, buf []int, row relation.Row, e *env) (saved []int, ok bool) {
+func bindAtom(sp *exec.Atom, buf []int, row relation.Row, e *env) (saved []int, ok bool) {
 	saved = buf[:0]
-	for j, v := range sp.argVar {
+	for j, v := range sp.ArgVar {
 		got := row.Args[j]
 		if v < 0 {
-			if !val.Equal(sp.argVal[j], got) {
+			if !val.Equal(sp.ArgVal[j], got) {
 				unbind(e, saved)
 				return nil, false
 			}
@@ -209,22 +207,22 @@ func bindAtom(sp *atomSpec, buf []int, row relation.Row, e *env) (saved []int, o
 		e.bound[v] = true
 		saved = append(saved, v)
 	}
-	if sp.pi.HasCost {
+	if sp.Info.HasCost {
 		got := row.Cost
-		if sp.costVar < 0 {
-			if !lattice.Eq(sp.pi.L, sp.costVal, got) {
+		if sp.CostVar < 0 {
+			if !lattice.Eq(sp.Info.L, sp.CostVal, got) {
 				unbind(e, saved)
 				return nil, false
 			}
-		} else if e.bound[sp.costVar] {
-			if !lattice.Eq(sp.pi.L, e.vals[sp.costVar], got) {
+		} else if e.bound[sp.CostVar] {
+			if !lattice.Eq(sp.Info.L, e.vals[sp.CostVar], got) {
 				unbind(e, saved)
 				return nil, false
 			}
 		} else {
-			e.vals[sp.costVar] = got
-			e.bound[sp.costVar] = true
-			saved = append(saved, sp.costVar)
+			e.vals[sp.CostVar] = got
+			e.bound[sp.CostVar] = true
+			saved = append(saved, sp.CostVar)
 		}
 	}
 	return saved, true
@@ -241,45 +239,36 @@ func unbind(e *env, saved []int) {
 // predicates the atom includes its cost value; the functional dependency
 // means presence is a single lookup (default-value predicates always have
 // a value — the default — so only an exact cost match refutes ¬p).
-func (ev *evaluator) negSatisfied(sp *atomSpec, e *env) (bool, error) {
+func (ev *evaluator) negSatisfied(sp *exec.Atom, e *env) (bool, error) {
 	rel, args := ev.rel(sp), ev.buf(sp).args
-	for j, v := range sp.argVar {
+	for j, v := range sp.ArgVar {
 		if v >= 0 {
 			if !e.bound[v] {
-				return false, fmt.Errorf("core: unbound variable in negation on %s", sp.pred)
+				return false, fmt.Errorf("core: unbound variable in negation on %s", sp.Pred)
 			}
 			args[j] = e.vals[v]
 		} else {
-			args[j] = sp.argVal[j]
+			args[j] = sp.ArgVal[j]
 		}
 	}
 	row, present := rel.Get(args)
 	present = present && !ev.hidden(rel, args)
-	if !present && sp.pi.HasDefault {
-		row = relation.Row{Args: args, Cost: sp.pi.L.Bottom(), HasCost: true}
+	if !present && sp.Info.HasDefault {
+		row = relation.Row{Args: args, Cost: sp.Info.L.Bottom(), HasCost: true}
 		present = true
 	}
 	if !present {
 		return true, nil
 	}
-	if !sp.pi.HasCost {
+	if !sp.Info.HasCost {
 		return false, nil
 	}
-	want := sp.costVal
-	if sp.costVar >= 0 {
-		if !e.bound[sp.costVar] {
-			return false, fmt.Errorf("core: unbound cost variable in negation on %s", sp.pred)
+	want := sp.CostVal
+	if sp.CostVar >= 0 {
+		if !e.bound[sp.CostVar] {
+			return false, fmt.Errorf("core: unbound cost variable in negation on %s", sp.Pred)
 		}
-		want = e.vals[sp.costVar]
+		want = e.vals[sp.CostVar]
 	}
-	return !lattice.Eq(sp.pi.L, row.Cost, want), nil
-}
-
-// builtin evaluates a comparison or assignment step.
-func (ev *evaluator) builtin(s *builtinStep, e *env) (ok bool, saved []int, err error) {
-	ok, didBind, err := s.eval(e.vals, e.bound)
-	if didBind {
-		saved = []int{s.assign}
-	}
-	return ok, saved, err
+	return !lattice.Eq(sp.Info.L, row.Cost, want), nil
 }

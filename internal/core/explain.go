@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
 	"repro/internal/ast"
+	"repro/internal/exec"
 	"repro/internal/lattice"
 	"repro/internal/relation"
 	"repro/internal/val"
@@ -113,7 +115,7 @@ func (pv *Provenance) derive(k ast.PredKey, args []val.T, stored relation.Row) *
 	ev := &evaluator{db: pv.db, supports: true}
 	for ci, ps := range pv.en.plans {
 		for _, p := range ps {
-			if p.head.pred != k {
+			if p.head.Pred != k {
 				continue
 			}
 			if pv.en.compRecursive[ci] && ev.stage == nil {
@@ -129,7 +131,7 @@ func (pv *Provenance) derive(k ast.PredKey, args []val.T, stored relation.Row) *
 			var best *Derivation
 			found := false
 			err := ev.step(p.steps, 0, e, func(e *env) error {
-				if _, c, err := headTuple(p, e); err == nil && pv.en.derivesCost(p, c, stored) {
+				if _, c, err := headTuple(p, e.vals); err == nil && pv.en.derivesCost(p, c, stored) {
 					// A fact rule (nil derivation) is its own explanation.
 					if d := buildDerivation(p, e); !found || (d != nil && compareSupports(d.Supports, best.Supports) < 0) {
 						best = d
@@ -169,10 +171,10 @@ func (pv *Provenance) stagesOf(ci int) map[ast.PredKey][]int32 {
 		// derives at its stored cost, reporting whether any did.
 		admit := func(ev *evaluator, r int32) (admitted bool) {
 			for _, p := range pv.en.plans[ci] {
-				if s, ok := of[p.head.pred]; ok { // else the model holds no tuple of the head
-					rel, buf := pv.db.Rel(p.head.pred), make([]val.T, len(p.head.argVar))
+				if s, ok := of[p.head.Pred]; ok { // else the model holds no tuple of the head
+					rel, buf := pv.db.Rel(p.head.Pred), make([]val.T, len(p.head.ArgVar))
 					_ = ev.run(p, func(e *env) error {
-						if args, c, err := headTupleInto(p, e, buf); err == nil {
+						if args, c, err := headTupleInto(p, e.vals, buf); err == nil {
 							if id := rel.ID(args); id >= 0 && s[id] == 0 && pv.en.derivesCost(p, c, rel.At(id)) {
 								s[id], admitted = r, true
 							}
@@ -215,11 +217,11 @@ func lookupTuple(db *relation.DB, pred string, args []val.T) (ast.PredKey, relat
 
 // bindHead binds the head's non-cost variables to args in e, reporting
 // false when a head constant or a repeated head variable disagrees.
-func bindHead(hs *atomSpec, args []val.T, e *env) bool {
-	for j, v := range hs.argVar {
+func bindHead(hs *exec.Atom, args []val.T, e *env) bool {
+	for j, v := range hs.ArgVar {
 		switch {
 		case v < 0:
-			if !val.Equal(hs.argVal[j], args[j]) {
+			if !val.Equal(hs.ArgVal[j], args[j]) {
 				return false
 			}
 		case e.bound[v]:
@@ -237,7 +239,7 @@ func bindHead(hs *atomSpec, args []val.T, e *env) bool {
 // derives the stored cost: exactly, or within Options.Epsilon for
 // numeric costs.
 func (en *Engine) derivesCost(p *plan, c lattice.Elem, stored relation.Row) bool {
-	if !stored.HasCost || lattice.Eq(p.head.pi.L, c, stored.Cost) {
+	if !stored.HasCost || lattice.Eq(p.head.Info.L, c, stored.Cost) {
 		return true
 	}
 	eps := en.opts.Epsilon
@@ -254,21 +256,19 @@ func buildDerivation(p *plan, e *env) *Derivation {
 		return nil
 	}
 	d := &Derivation{Rule: p.text}
-	for _, st := range p.steps {
-		switch st := st.(type) {
-		case *scanStep:
-			d.Supports = append(d.Supports, supportOfAtom(&st.atomSpec, e, false))
-		case *negStep:
-			d.Supports = append(d.Supports, supportOfAtom(&st.atomSpec, e, true))
-		case *builtinStep:
-			d.Supports = append(d.Supports, Support{Note: renderBuiltin(st, e)})
-		case *aggStep:
-			d.Supports = append(d.Supports, Support{Note: renderAgg(st, e, p)})
+	for i := range p.steps {
+		switch st := &p.steps[i]; st.Kind {
+		case exec.ScanKind, exec.NegKind:
+			d.Supports = append(d.Supports, supportOfAtom(&st.Atom, e, st.Kind == exec.NegKind))
+		case exec.BuiltinKind:
+			d.Supports = append(d.Supports, Support{Note: renderBuiltin(p, st.Builtin, e)})
+		case exec.AggKind:
+			d.Supports = append(d.Supports, Support{Note: renderAgg(p, st.Agg, e)})
 		}
 	}
 	for i, st := range p.steps {
-		if ag, ok := st.(*aggStep); ok {
-			d.Supports = append(d.Supports, sortedContributions(e.aggSupports[i], len(ag.conj))...)
+		if st.Kind == exec.AggKind {
+			d.Supports = append(d.Supports, sortedContributions(e.aggSupports[i], len(st.Agg.Conj))...)
 		}
 	}
 	return d
@@ -308,20 +308,20 @@ func compareSupports(a, b []Support) int {
 	return len(a) - len(b)
 }
 
-func supportOfAtom(sp *atomSpec, e *env, neg bool) Support {
-	s := Support{Pred: sp.pred.Name(), Neg: neg, HasCost: sp.pi.HasCost}
-	for j, v := range sp.argVar {
+func supportOfAtom(sp *exec.Atom, e *env, neg bool) Support {
+	s := Support{Pred: sp.Pred.Name(), Neg: neg, HasCost: sp.Info.HasCost}
+	for j, v := range sp.ArgVar {
 		if v >= 0 {
 			s.Args = append(s.Args, e.vals[v])
 		} else {
-			s.Args = append(s.Args, sp.argVal[j])
+			s.Args = append(s.Args, sp.ArgVal[j])
 		}
 	}
-	if sp.pi.HasCost {
-		if sp.costVar >= 0 {
-			s.Cost = e.vals[sp.costVar]
+	if sp.Info.HasCost {
+		if sp.CostVar >= 0 {
+			s.Cost = e.vals[sp.CostVar]
 		} else {
-			s.Cost = sp.costVal
+			s.Cost = sp.CostVal
 		}
 	}
 	return s
@@ -341,28 +341,28 @@ func replaceVars(text string, pairs map[string]string) string {
 	return text
 }
 
-func renderBuiltin(st *builtinStep, e *env) string {
+func renderBuiltin(p *plan, st *exec.BuiltinStep, e *env) string {
 	pairs := map[string]string{}
-	for _, v := range append(st.b.L.Vars(nil), st.b.R.Vars(nil)...) {
-		if idx, ok := st.varIndex(v); ok && e.bound[idx] {
-			pairs[string(v)] = e.vals[idx].String()
+	for _, idx := range slices.Concat(st.LVars, st.RVars) {
+		if e.bound[idx] {
+			pairs[string(p.names[idx])] = e.vals[idx].String()
 		}
 	}
-	return replaceVars(fmt.Sprintf("%s %s %s", st.b.L, st.b.Op, st.b.R), pairs)
+	return replaceVars(fmt.Sprintf("%s %s %s", st.B.L, st.B.Op, st.B.R), pairs)
 }
 
-func renderAgg(st *aggStep, e *env, p *plan) string {
+func renderAgg(p *plan, st *exec.AggStep, e *env) string {
 	pairs := map[string]string{}
 	note := func(idx int) {
 		if idx >= 0 && idx < len(p.names) && idx < len(e.bound) && e.bound[idx] {
 			pairs[string(p.names[idx])] = e.vals[idx].String()
 		}
 	}
-	note(st.result)
-	for _, v := range st.groupVars {
+	note(st.Result)
+	for _, v := range st.GroupVars {
 		note(v)
 	}
-	return replaceVars(st.g.String(), pairs)
+	return replaceVars(st.G.String(), pairs)
 }
 
 // Tree renders the explanation of a tuple as a tree to the given depth,

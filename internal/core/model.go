@@ -24,11 +24,11 @@ func (en *Engine) TP(db *relation.DB, ci int) (*relation.DB, error) {
 	for _, p := range en.plans[ci] {
 		p := p
 		err := ev.run(p, func(e *env) error {
-			args, cost, err := headTuple(p, e)
+			args, cost, err := headTuple(p, e.vals)
 			if err != nil {
 				return err
 			}
-			return out.Rel(p.head.pred).InsertStrict(args, cost)
+			return out.Rel(p.head.Pred).InsertStrict(args, cost)
 		})
 		if err != nil {
 			return nil, err
@@ -87,15 +87,15 @@ func (en *Engine) checkRules(db *relation.DB, costOK func(lattice.Lattice, latti
 		for _, p := range en.plans[ci] {
 			p := p
 			err := ev.run(p, func(e *env) error {
-				args, cost, err := headTuple(p, e)
+				args, cost, err := headTuple(p, e.vals)
 				if err != nil {
 					return err
 				}
-				row, ok := db.Rel(p.head.pred).GetOrDefault(args)
+				row, ok := db.Rel(p.head.Pred).GetOrDefault(args)
 				if !ok {
 					return violated
 				}
-				if p.head.pi.HasCost && !costOK(p.head.pi.L, cost, row.Cost) {
+				if p.head.Info.HasCost && !costOK(p.head.Info.L, cost, row.Cost) {
 					return violated
 				}
 				return nil

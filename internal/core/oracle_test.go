@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/exec"
 	"repro/internal/faults"
 	"repro/internal/lattice"
 	"repro/internal/parser"
@@ -167,7 +168,7 @@ func explainAll(t *testing.T, en *Engine, db, edb *relation.DB) string {
 func stageOf(pv *Provenance, k ast.PredKey, args []val.T) (int, int32) {
 	for ci, ps := range pv.en.plans {
 		for _, p := range ps {
-			if p.head.pred != k || !pv.en.compRecursive[ci] {
+			if p.head.Pred != k || !pv.en.compRecursive[ci] {
 				continue
 			}
 			if pv.db.Has(k) {
@@ -210,7 +211,7 @@ func isProgramFact(en *Engine, k ast.PredKey, args []val.T) bool {
 	}
 	for _, ps := range en.plans {
 		for _, p := range ps {
-			if p.head.pred == k && p.rule.IsFact() && bindHead(&p.head, args, newEnv(p.nvars)) {
+			if p.head.Pred == k && p.rule.IsFact() && bindHead(&p.head, args, newEnv(p.nvars)) {
 				return true
 			}
 		}
@@ -367,6 +368,52 @@ func TestTextFactsEqualTPFixpoint(t *testing.T) {
 						t.Fatalf("GOMAXPROCS %d: Solve+SolveMore model is not a model of the full text: %v %v", par, ok, err)
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestPipelineMatchesInterpreter: the pipelines and the reference
+// interpreter read the same compiled steps, so over one model a full
+// pass of each plan's canonical pipeline and evaluator.run emit the same
+// head tuples in the same order — join order, γ conjunction orders and
+// group order included.
+func TestPipelineMatchesInterpreter(t *testing.T) {
+	for _, tc := range oracleCases {
+		t.Run(tc.name, func(t *testing.T) {
+			en := mustEngine(t, tc.src, Options{Epsilon: tc.eps})
+			edb := factsDB(t, en, tc.edb)
+			edb.Join(factsDB(t, en, tc.more))
+			db, _, err := en.Solve(edb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := 0
+			for _, ps := range en.plans {
+				for _, p := range ps {
+					var pipe, ref []string
+					head := func(out *[]string, vals []val.T) error {
+						args, cost, err := headTuple(p, vals)
+						*out = append(*out, fmt.Sprint(args, cost))
+						return err
+					}
+					if err := (&evaluator{db: db}).run(p, func(e *env) error { return head(&ref, e.vals) }); err != nil {
+						t.Fatal(err)
+					}
+					m := p.pipe.stream.Acquire(exec.Config{DB: db})
+					err := m.Run(func(m *exec.Machine) error { return head(&pipe, m.Vals) })
+					p.pipe.stream.Release(m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, want := strings.Join(pipe, "\n"), strings.Join(ref, "\n"); got != want {
+						t.Fatalf("rule %s: the pipeline emits\n%s\nthe interpreter\n%s", p.text, got, want)
+					}
+					total += len(ref)
+				}
+			}
+			if total == 0 {
+				t.Fatal("no rule fired over the model")
 			}
 		})
 	}

@@ -170,57 +170,49 @@ func formatProfNanos(n int64) string {
 }
 
 // describeOps renders p's canonical steps as operator labels, counters
-// zero.
+// zero, using the rule's variable names.
 func describeOps(p *plan) []OpStats {
 	ops := make([]OpStats, len(p.steps))
-	for si, s := range p.steps {
-		kind, op := describeStep(p, s)
-		ops[si] = OpStats{Step: si, Kind: kind, Op: op}
+	for si := range p.steps {
+		op := OpStats{Step: si}
+		switch s := &p.steps[si]; s.Kind {
+		case exec.ScanKind:
+			op.Kind, op.Op = "scan", atomText(p, &s.Atom)
+		case exec.NegKind:
+			op.Kind, op.Op = "negation", "not "+atomText(p, &s.Atom)
+		case exec.BuiltinKind:
+			op.Kind, op.Op = "builtin", s.Builtin.B.String()
+		case exec.AggKind:
+			op.Kind, op.Op = "aggregate", s.Agg.G.String()
+			if s.Agg.G.Restricted {
+				op.Op += " [restricted]"
+			}
+		}
+		ops[si] = op
 	}
 	return ops
 }
 
-// describeStep renders one plan step as an operator label using the
-// rule's variable names.
-func describeStep(p *plan, s step) (kind, op string) {
-	switch s := s.(type) {
-	case *scanStep:
-		return "scan", atomText(p, &s.atomSpec)
-	case *negStep:
-		return "negation", "not " + atomText(p, &s.atomSpec)
-	case *builtinStep:
-		return "builtin", s.b.String()
-	case *aggStep:
-		var b strings.Builder
-		b.WriteString(s.g.String())
-		if s.restricted {
-			b.WriteString(" [restricted]")
-		}
-		return "aggregate", b.String()
-	}
-	return "op", "?"
-}
-
 // atomText renders a compiled atom with variable names and constants,
 // cost argument last.
-func atomText(p *plan, sp *atomSpec) string {
+func atomText(p *plan, sp *exec.Atom) string {
 	var b strings.Builder
-	b.WriteString(sp.pred.Name())
+	b.WriteString(sp.Pred.Name())
 	b.WriteByte('(')
-	for j := range sp.argVar {
+	for j := range sp.ArgVar {
 		if j > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(argText(p, sp.argVar[j], sp.argVal, j))
+		b.WriteString(argText(p, sp.ArgVar[j], sp.ArgVal, j))
 	}
-	if sp.pi != nil && sp.pi.HasCost {
-		if len(sp.argVar) > 0 {
+	if sp.Info != nil && sp.Info.HasCost {
+		if len(sp.ArgVar) > 0 {
 			b.WriteString("; ")
 		}
-		if sp.costVar >= 0 {
-			b.WriteString(string(p.names[sp.costVar]))
+		if sp.CostVar >= 0 {
+			b.WriteString(string(p.names[sp.CostVar]))
 		} else {
-			b.WriteString(sp.costVal.String())
+			b.WriteString(sp.CostVal.String())
 		}
 	}
 	b.WriteByte(')')

@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/relation"
+import (
+	"repro/internal/exec"
+	"repro/internal/relation"
+)
 
 // GroupStratified performs the *instance-level* stratification check of
 // §5.1: a program is modularly stratified with respect to aggregation
@@ -48,18 +51,16 @@ func (en *Engine) GroupStratified(edb *relation.DB) (bool, error) {
 	for _, ps := range en.plans {
 		for _, p := range ps {
 			err := ev.run(p, func(e *env) error {
-				args, _, err := headTuple(p, e)
+				args, _, err := headTuple(p, e.vals)
 				if err != nil {
 					return err
 				}
-				head := idOf(atomKey(Support{Pred: p.head.pred.Name(), Args: args}))
-				for si, st := range p.steps {
-					switch st := st.(type) {
-					case *scanStep:
-						adj[head] = append(adj[head], edge{to: idOf(atomKey(supportOfAtom(&st.atomSpec, e, false)))})
-					case *negStep:
-						adj[head] = append(adj[head], edge{to: idOf(atomKey(supportOfAtom(&st.atomSpec, e, true)))})
-					case *aggStep:
+				head := idOf(atomKey(Support{Pred: p.head.Pred.Name(), Args: args}))
+				for si := range p.steps {
+					switch st := &p.steps[si]; st.Kind {
+					case exec.ScanKind, exec.NegKind:
+						adj[head] = append(adj[head], edge{to: idOf(atomKey(supportOfAtom(&st.Atom, e, st.Kind == exec.NegKind)))})
+					case exec.AggKind:
 						for _, sup := range e.aggSupports[si] {
 							adj[head] = append(adj[head], edge{to: idOf(atomKey(sup)), agg: true})
 						}

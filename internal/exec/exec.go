@@ -1,6 +1,7 @@
-// Package exec is the streaming relational-algebra executor, the one
-// executor the engine's fixpoint loops run: it evaluates compiled rule
-// bodies as lazy iterator pipelines.
+// Package exec is the streaming relational-algebra executor and owns
+// the compiled rule: internal/core's compiler emits each rule body as
+// these operators (Step), and the fixpoint loops run them as lazy
+// iterator pipelines.
 //
 // A rule body compiles to a left-deep operator tree whose operators are
 // the classical relational algebra, specialised to lattice-valued
@@ -35,11 +36,11 @@
 // per evaluation pass.
 //
 // The reference for its behaviour is the tuple-at-a-time interpreter in
-// internal/core/eval.go — a direct reading of Definitions 3.4–3.7 that
-// runs no solve: it is the test oracle (Engine.TP, IsModel) and the
-// re-deriver behind Provenance.Explain. Same join order, same enumeration
-// order, same error text. The T_P-fixpoint
-// oracle test in internal/core holds the pipelines to it.
+// internal/core/eval.go — a direct reading of Definitions 3.4–3.7, the
+// test oracle (Engine.TP, IsModel) and the re-deriver behind
+// Provenance.Explain. It walks the same steps, so join and γ conjunction
+// orders agree by construction, and raises the same error text. The
+// T_P-fixpoint oracle test in internal/core holds the pipelines to it.
 package exec
 
 import (
@@ -54,16 +55,15 @@ import (
 
 // Regs is the register file of one pipeline: the value and bound flag
 // of every rule variable, indexed by the plan's variable numbering. The
-// host aliases these slices to capture bindings at the pipeline
-// terminal (head projection).
+// pipeline terminal's callback reads the bindings in place (head
+// projection).
 type Regs struct {
 	Vals  []val.T
 	Bound []bool
 }
 
 // Atom is one compiled atom pattern: per non-cost position either a
-// variable index or a constant, with the cost argument split out. It
-// mirrors core's atomSpec.
+// variable index or a constant, with the cost argument split out.
 type Atom struct {
 	Pred    ast.PredKey
 	Info    *ast.PredInfo
@@ -71,6 +71,9 @@ type Atom struct {
 	ArgVal  []val.T // constant per non-cost position when ArgVar < 0
 	CostVar int     // variable index of the cost argument, -1 if none/const
 	CostVal val.T   // constant cost when CostVar < 0 and Info.HasCost
+	// CDB marks predicates of the rule's own component (the semi-naive
+	// drivers of its fixpoint).
+	CDB bool
 	// Wide marks atoms with more than 64 non-cost positions: the hash
 	// index masks only the first 64, the rest are post-filtered.
 	Wide bool
@@ -87,7 +90,7 @@ const (
 	AggKind                     // γ: lattice aggregate
 )
 
-// Step is one operator of a compiled pipeline.
+// Step is one operator of a compiled rule body.
 type Step struct {
 	Kind    StepKind
 	Atom    Atom // ScanKind, NegKind
@@ -95,46 +98,175 @@ type Step struct {
 	Agg     *AggStep
 }
 
-// BuiltinStep is a builtin comparison or definitional assignment. Its
-// evaluation (expression language, error text) belongs to the host, so
-// it runs through Hooks.Builtin; the executor only needs to know which
-// variable an assignment form binds, to undo it on backtrack.
+// BuiltinStep is a builtin comparison or definitional assignment with
+// both sides compiled against the registers (NewBuiltin), in the mode
+// its position fixes (At).
 type BuiltinStep struct {
-	Assign int // variable bound by the assignment form, -1 for a pure test
+	B *ast.Builtin
+	// Assign is the variable the assignment form "V = expr" binds, -1
+	// for a pure test; def is then the defining side.
+	Assign int
+	// LVars and RVars are the registers each side reads.
+	LVars, RVars []int
+	l, r, def    *operand
 }
 
-// AggStep is a γ operator: the aggregate subgoal of Definition 2.4,
+// NewBuiltin compiles b against the registers idxOf numbers, as a test.
+func NewBuiltin(b *ast.Builtin, idxOf func(ast.Var) int) *BuiltinStep {
+	lv, rv := exprIdx(b.L.Vars(nil), idxOf), exprIdx(b.R.Vars(nil), idxOf)
+	return &BuiltinStep{B: b, Assign: -1, LVars: lv, RVars: rv,
+		l: compileOperand(b.L, idxOf), r: compileOperand(b.R, idxOf)}
+}
+
+func exprIdx(vs []ast.Var, idxOf func(ast.Var) int) []int {
+	seen := map[ast.Var]bool{}
+	var out []int
+	for _, v := range vs {
+		if !seen[v] {
+			seen[v] = true
+			out = append(out, idxOf(v))
+		}
+	}
+	return out
+}
+
+// Mode decides how the builtin runs under the bound set: as a test
+// (assign -1) when every variable is bound, or as the assignment of the
+// one unbound variable standing alone on one side of an equality whose
+// other side is bound. ok is false when it cannot run yet.
+func (s *BuiltinStep) Mode(bound []bool) (assign int, ok bool) {
+	allBound := func(vs []int) bool {
+		for _, v := range vs {
+			if !bound[v] {
+				return false
+			}
+		}
+		return true
+	}
+	lb, rb := allBound(s.LVars), allBound(s.RVars)
+	switch {
+	case lb && rb:
+		return -1, true
+	case s.B.Op != ast.OpEq:
+		return -1, false
+	case s.l.reg >= 0 && !lb && rb:
+		return s.l.reg, true
+	case s.r.reg >= 0 && !rb && lb:
+		return s.r.reg, true
+	}
+	return -1, false
+}
+
+// At returns the builtin in the mode Mode decides for the bound set
+// before its position (a test when it cannot run).
+func (s *BuiltinStep) At(bound []bool) *BuiltinStep {
+	b := *s
+	b.Assign, _ = s.Mode(bound)
+	b.def = nil
+	switch {
+	case b.Assign < 0:
+	case b.l.reg == b.Assign:
+		b.def = b.r
+	default:
+		b.def = b.l
+	}
+	return &b
+}
+
+// Eval evaluates the builtin against a register file: the assignment
+// form binds its variable (didBind), a test reports whether it holds.
+// The pipelines and the reference interpreter both run it.
+func (s *BuiltinStep) Eval(vals []val.T, bound []bool) (ok, didBind bool, err error) {
+	if s.Assign >= 0 && !bound[s.Assign] {
+		v, err := s.def.eval(vals, bound)
+		if err != nil {
+			return false, false, fmt.Errorf("core: builtin %s: %v", s.B, err)
+		}
+		vals[s.Assign] = v
+		bound[s.Assign] = true
+		return true, true, nil
+	}
+	l, err := s.l.eval(vals, bound)
+	if err != nil {
+		return false, false, fmt.Errorf("core: builtin %s: %v", s.B, err)
+	}
+	r, err := s.r.eval(vals, bound)
+	if err != nil {
+		return false, false, fmt.Errorf("core: builtin %s: %v", s.B, err)
+	}
+	res, err := ast.Compare(s.B.Op, l, r)
+	if err != nil {
+		return false, false, fmt.Errorf("core: builtin %s: %v", s.B, err)
+	}
+	return res, false, nil
+}
+
+// operand is a builtin expression compiled against the registers: a
+// constant, a variable's register (resolved once, at compile time), or
+// an arithmetic node over two operands. eval mirrors ast.EvalExpr,
+// error text included.
+type operand struct {
+	reg  int     // register of a variable, -1 otherwise
+	name ast.Var // the variable, for the unbound-variable error
+	c    val.T   // the constant, when reg < 0 and l == nil
+	op   ast.ArithOp
+	l, r *operand // an arithmetic node's sides
+}
+
+func compileOperand(e ast.Expr, idxOf func(ast.Var) int) *operand {
+	switch e := e.(type) {
+	case ast.NumExpr:
+		return &operand{reg: -1, c: val.Number(e.N)}
+	case ast.ConstExpr:
+		return &operand{reg: -1, c: e.V}
+	case ast.VarExpr:
+		return &operand{reg: idxOf(e.V), name: e.V}
+	case *ast.BinExpr:
+		return &operand{reg: -1, op: e.Op, l: compileOperand(e.L, idxOf), r: compileOperand(e.R, idxOf)}
+	}
+	panic(fmt.Sprintf("core: unknown expression %T", e))
+}
+
+func (o *operand) eval(vals []val.T, bound []bool) (val.T, error) {
+	switch {
+	case o.l != nil:
+		l, err := o.l.eval(vals, bound)
+		if err != nil {
+			return val.T{}, err
+		}
+		r, err := o.r.eval(vals, bound)
+		if err != nil {
+			return val.T{}, err
+		}
+		return ast.Arith(o.op, l, r)
+	case o.reg >= 0:
+		if !bound[o.reg] {
+			return val.T{}, fmt.Errorf("unbound variable %s in expression", o.name)
+		}
+		return vals[o.reg], nil
+	}
+	return o.c, nil
+}
+
+// AggStep is a γ operator: the aggregate subgoal G of Definition 2.4,
 // evaluated by grouping the matches of Conj and folding each group's
-// multiset through Apply.
+// multiset through F.
 type AggStep struct {
-	G          *ast.Agg
-	Restricted bool
-	Result     int   // variable index of the aggregate result
-	GroupVars  []int // variable indices of the grouping variables
-	MsVar      int   // variable index of the multiset variable, -1 if none
-	Conj       []Atom
-	Apply      func([]lattice.Elem) (lattice.Elem, bool)
-	Range      lattice.Lattice // lattice of the result (for the bound-result check)
-	// OrderFull / OrderPoint are the compile-time conjunction orders for
-	// the grouped mode (grouping variables unbound) and the point mode
-	// (grouping variables bound). The binding pattern at any step is
-	// fixed by the plan, so both orders — and any ordering failure — are
-	// known at compile time; a recorded error surfaces on first use,
-	// exactly when the reference interpreter would raise it.
+	G         *ast.Agg
+	F         lattice.Aggregate
+	Result    int   // variable index of the aggregate result
+	GroupVars []int // variable indices of the grouping variables
+	MsVar     int   // variable index of the multiset variable, -1 if none
+	Conj      []Atom
+	// OrderFull / OrderPoint are the conjunction orders for the grouped
+	// mode (grouping variables unbound) and the point mode (grouping
+	// variables bound), computed by the compiler for the step's
+	// position. The binding pattern at any step is fixed by the plan, so
+	// both orders — and any ordering failure — are known at compile
+	// time; a recorded error surfaces on first use, exactly when the
+	// reference interpreter raises it.
 	OrderFull, OrderPoint       []int
 	OrderFullErr, OrderPointErr error
-}
-
-// Hooks are the host-side callbacks a pipeline needs: builtin
-// evaluation runs against host state that the host caches in
-// Machine.Aux from Init.
-type Hooks struct {
-	// Init is called once per new Machine, before its first run.
-	Init func(m *Machine)
-	// Builtin evaluates the builtin at step i against the registers,
-	// binding the assignment variable when applicable; didBind reports
-	// that it did (the machine unbinds on backtrack).
-	Builtin func(m *Machine, i int) (ok, didBind bool, err error)
 }
 
 // Config is the per-pass evaluation context.
@@ -200,7 +332,6 @@ func (c *OpCounts) Add(src OpCounts) {
 type Rule struct {
 	NVars int
 	Steps []Step
-	Hooks Hooks
 	mu    sync.Mutex
 	free  []*Machine
 }
@@ -215,9 +346,6 @@ type Machine struct {
 	emit    func(*Machine) error
 	states  []stepState
 	Firings int64
-	// Aux holds host state cached by Hooks.Init (e.g. the host
-	// environment aliasing Regs).
-	Aux any
 }
 
 // scanState is the per-atom mutable scratch: the backtracking list of
@@ -278,10 +406,10 @@ type aggState struct {
 	conj       []scanState
 }
 
-// NewRule wraps a compiled pipeline. Steps and hooks must not be
-// mutated afterwards.
-func NewRule(nvars int, steps []Step, hooks Hooks) *Rule {
-	return &Rule{NVars: nvars, Steps: steps, Hooks: hooks}
+// NewRule wraps a compiled rule body over nvars registers as a
+// pipeline. Steps must not be mutated afterwards.
+func NewRule(nvars int, steps []Step) *Rule {
+	return &Rule{NVars: nvars, Steps: steps}
 }
 
 // Acquire returns a Machine for one evaluation pass, creating one if
@@ -353,9 +481,6 @@ func (r *Rule) newMachine() *Machine {
 			m.states[i].agg = ag
 		}
 	}
-	if r.Hooks.Init != nil {
-		r.Hooks.Init(m)
-	}
 	return m
 }
 
@@ -389,7 +514,7 @@ func (m *Machine) runStep(i int) error {
 	case NegKind:
 		return m.runNeg(i, s)
 	case BuiltinKind:
-		ok, didBind, err := m.rule.Hooks.Builtin(m, i)
+		ok, didBind, err := s.Builtin.Eval(m.Vals, m.Bound)
 		if err != nil {
 			return err
 		}
@@ -700,7 +825,7 @@ func (m *Machine) runAgg(idx int, s *AggStep, onlyGroups *relation.GroupSet) err
 			break
 		}
 	}
-	if !allBound && !s.Restricted {
+	if !allBound && !s.G.Restricted {
 		return fmt.Errorf("core: total aggregate %s with unbound grouping variables", s.G)
 	}
 
@@ -822,11 +947,11 @@ func (m *Machine) enumConj(idx int, s *AggStep, st *aggState, order []int, d int
 // emitGroup folds one group's multiset through the aggregate and, when
 // defined and consistent with the registers, continues the pipeline.
 func (m *Machine) emitGroup(idx int, s *AggStep, st *aggState, keyVals []val.T, elems []lattice.Elem) error {
-	if s.Restricted && len(elems) == 0 {
+	if s.G.Restricted && len(elems) == 0 {
 		return nil
 	}
 	m.states[idx].n.Groups++
-	res, ok := s.Apply(elems)
+	res, ok := s.F.Apply(elems)
 	if !ok {
 		// Undefined aggregate (e.g. avg of the empty multiset in the
 		// total form): the ground instance is simply unsatisfied.
@@ -841,7 +966,7 @@ func (m *Machine) emitGroup(idx int, s *AggStep, st *aggState, keyVals []val.T, 
 		}
 	}
 	if m.Bound[s.Result] {
-		if !lattice.Eq(s.Range, m.Vals[s.Result], res) {
+		if !lattice.Eq(s.F.Range(), m.Vals[s.Result], res) {
 			m.unbind(saved)
 			return nil
 		}

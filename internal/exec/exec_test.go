@@ -11,6 +11,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/exec"
 	"repro/internal/lattice"
+	"repro/internal/parser"
 	"repro/internal/relation"
 	"repro/internal/val"
 )
@@ -111,8 +112,8 @@ func TestSelectionPushdown(t *testing.T) {
 		scanXY := exec.Step{Kind: exec.ScanKind, Atom: scanAtom(s, "edge", X, Y)}
 		scanYZ := exec.Step{Kind: exec.ScanKind, Atom: scanAtom(s, "edge", Y, Z)}
 		sigma := exec.Step{Kind: exec.NegKind, Atom: scanAtom(s, "blocked", Y)}
-		early := exec.NewRule(3, []exec.Step{scanXY, sigma, scanYZ}, exec.Hooks{})
-		late := exec.NewRule(3, []exec.Step{scanXY, scanYZ, sigma}, exec.Hooks{})
+		early := exec.NewRule(3, []exec.Step{scanXY, sigma, scanYZ})
+		late := exec.NewRule(3, []exec.Step{scanXY, scanYZ, sigma})
 		eOut, eFir, _ := runPipeline(t, early, exec.Config{DB: db})
 		lOut, lFir, _ := runPipeline(t, late, exec.Config{DB: db})
 		if strings.Join(eOut, "\n") != strings.Join(lOut, "\n") {
@@ -147,7 +148,7 @@ func TestProjectionDedupLatticeMerge(t *testing.T) {
 		const G, D = 0, 1
 		at := scanAtom(s, "m", G)
 		at.Pred, at.Info, at.CostVar = mk, s.Info(mk), D
-		r := exec.NewRule(2, []exec.Step{{Kind: exec.ScanKind, Atom: at}}, exec.Hooks{})
+		r := exec.NewRule(2, []exec.Step{{Kind: exec.ScanKind, Atom: at}})
 		dst := relation.NewDB(s).Rel(mk)
 		m := r.Acquire(exec.Config{DB: db})
 		if err := m.Run(func(m *exec.Machine) error {
@@ -189,11 +190,11 @@ func TestSymmetricJoinOrder(t *testing.T) {
 		ab := exec.NewRule(3, []exec.Step{
 			{Kind: exec.ScanKind, Atom: scanAtom(s, "a", X, Y)},
 			{Kind: exec.ScanKind, Atom: scanAtom(s, "b", Y, Z)},
-		}, exec.Hooks{})
+		})
 		ba := exec.NewRule(3, []exec.Step{
 			{Kind: exec.ScanKind, Atom: scanAtom(s, "b", Y, Z)},
 			{Kind: exec.ScanKind, Atom: scanAtom(s, "a", X, Y)},
-		}, exec.Hooks{})
+		})
 		abOut, abFir, _ := runPipeline(t, ab, exec.Config{DB: db})
 		baOut, baFir, _ := runPipeline(t, ba, exec.Config{DB: db})
 		sort.Strings(abOut)
@@ -222,7 +223,7 @@ func TestDeltaDriveEquivalence(t *testing.T) {
 	join := exec.NewRule(3, []exec.Step{
 		{Kind: exec.ScanKind, Atom: scanAtom(s, "edge", X, Y)},
 		{Kind: exec.ScanKind, Atom: scanAtom(s, "edge", Y, Z)},
-	}, exec.Hooks{})
+	})
 
 	full, fullFir, fullPr := runPipeline(t, join, exec.Config{DB: db})
 	all := make([]int32, edgeRel.Len())
@@ -279,18 +280,16 @@ func TestAggGroupedMatchesPoint(t *testing.T) {
 	conj := scanAtom(s, "m", G)
 	conj.Pred, conj.Info, conj.CostVar = mk, s.Info(mk), D
 	agg := &exec.AggStep{
-		G:          &ast.Agg{Func: "min"},
-		Restricted: true,
+		G:          &ast.Agg{Func: "min", Restricted: true},
+		F:          f,
 		Result:     R,
 		GroupVars:  []int{G},
 		MsVar:      D,
 		Conj:       []exec.Atom{conj},
-		Apply:      f.Apply,
-		Range:      f.Range(),
 		OrderFull:  []int{0},
 		OrderPoint: []int{0},
 	}
-	grouped := exec.NewRule(3, []exec.Step{{Kind: exec.AggKind, Agg: agg}}, exec.Hooks{})
+	grouped := exec.NewRule(3, []exec.Step{{Kind: exec.AggKind, Agg: agg}})
 	gOut, _, _ := runPipeline(t, grouped, exec.Config{DB: db})
 
 	// Expected: per-group minimum, groups in first-occurrence order — the
@@ -329,5 +328,90 @@ func TestAggGroupedMatchesPoint(t *testing.T) {
 	if strings.Join(rOut, "\n") != strings.Join(gOut, "\n") {
 		t.Fatalf("Δ-grouped γ must emit the listed groups in the listed order:\n%s\nwant reversed:\n%s",
 			strings.Join(rOut, "\n"), strings.Join(gOut, "\n"))
+	}
+}
+
+// TestBuiltinEvalMatchesAST: BuiltinStep.Eval runs register-compiled
+// operands, and must return what ast.EvalExpr and ast.Compare return on
+// the same bindings — the same truth value, the same assigned value, or
+// the same error text under the "core: builtin" prefix.
+func TestBuiltinEvalMatchesAST(t *testing.T) {
+	env := map[ast.Var]val.T{"X": val.Number(3), "Y": val.Number(4), "S": sym("a")}
+	for _, tc := range []struct {
+		src    string
+		assign ast.Var // the variable the assignment form binds, "" for a test
+	}{
+		{src: "3 < 5"},
+		{src: "2 * (X + Y) - Y / 4 = 13"},
+		{src: "X - (Y * 2) >= 0"},
+		{src: "X / (Y - 4) > 1"}, // division by zero
+		{src: "S + 1 = 2"},       // a symbol in arithmetic
+		{src: "S < 1"},           // ordered comparison of a symbol
+		{src: "S = a"},
+		{src: "X < Z"}, // Z unbound
+		{src: "Z = X * Y + 1", assign: "Z"},
+		{src: "(X + 1) / 2 = W", assign: "W"},
+	} {
+		t.Run(tc.src, func(t *testing.T) {
+			prog, err := parser.Parse("h :- " + tc.src + ".")
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := prog.Rules[0].Body[0].(*ast.Builtin)
+			var names []ast.Var
+			idxOf := func(v ast.Var) int {
+				if i := slices.Index(names, v); i >= 0 {
+					return i
+				}
+				names = append(names, v)
+				return len(names) - 1
+			}
+			step := exec.NewBuiltin(b, idxOf)
+			vals, bound := make([]val.T, len(names)), make([]bool, len(names))
+			for i, v := range names {
+				vals[i], bound[i] = env[v]
+			}
+			if assign, ok := step.Mode(bound); tc.assign != "" && (!ok || assign != idxOf(tc.assign)) {
+				t.Fatalf("Mode = %d, %v; want the assignment of %s", assign, ok, tc.assign)
+			}
+			gotOK, didBind, gotErr := step.At(bound).Eval(vals, bound)
+
+			lookup := func(v ast.Var) (val.T, bool) { x, ok := env[v]; return x, ok }
+			var wantOK bool
+			var wantVal val.T
+			var wantErr error
+			if tc.assign != "" {
+				def := b.R
+				if r, ok := b.R.(ast.VarExpr); ok && r.V == tc.assign {
+					def = b.L
+				}
+				wantVal, wantErr = ast.EvalExpr(def, lookup)
+				wantOK = wantErr == nil
+			} else {
+				l, lerr := ast.EvalExpr(b.L, lookup)
+				r, rerr := ast.EvalExpr(b.R, lookup)
+				switch {
+				case lerr != nil:
+					wantErr = lerr
+				case rerr != nil:
+					wantErr = rerr
+				default:
+					wantOK, wantErr = ast.Compare(b.Op, l, r)
+				}
+			}
+			if wantErr != nil {
+				want := fmt.Sprintf("core: builtin %s: %v", b, wantErr)
+				if gotErr == nil || gotErr.Error() != want {
+					t.Fatalf("Eval error %v, want %q", gotErr, want)
+				}
+				return
+			}
+			if gotErr != nil || gotOK != wantOK || didBind != (tc.assign != "") {
+				t.Fatalf("Eval = %v, bound %v, %v; want %v, bound %v", gotOK, didBind, gotErr, wantOK, tc.assign != "")
+			}
+			if tc.assign != "" && !val.Equal(vals[idxOf(tc.assign)], wantVal) {
+				t.Fatalf("%s = %s, want %s", tc.assign, vals[idxOf(tc.assign)], wantVal)
+			}
+		})
 	}
 }

@@ -72,11 +72,9 @@ type Config struct {
 	// program (/v1/query, /v1/explain); excess requests are shed with
 	// 503 + Retry-After. 0 means unlimited.
 	MaxInflight int
-	// Logf receives one line per notable event (nil = silent).
-	Logf func(format string, args ...any)
 	// Logger, when non-nil, receives one structured record per request
-	// (method, path, status, duration, request id) plus the notable
-	// events that also go to Logf.
+	// (method, path, status, duration, request id) plus one per notable
+	// event (nil = silent).
 	Logger *slog.Logger
 	// SlowRequest, when positive, logs requests slower than this
 	// threshold at Warn level (requires Logger).
@@ -257,14 +255,8 @@ func New(specs []ProgramSpec, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// logf reports one notable event. Logf wins when both sinks are set
-// (the structured Logger then carries request records only), so lines
-// are never duplicated.
+// logf reports one notable event to the Logger.
 func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-		return
-	}
 	if s.cfg.Logger != nil {
 		s.cfg.Logger.Info(fmt.Sprintf(format, args...))
 	}
