@@ -8,8 +8,13 @@ all: build
 build:
 	$(GO) build ./...
 
+# vet also fails when any Go file of the root module or of benchmark/
+# is not gofmt-clean (the benchmark's build cache is skipped); gofmt is
+# the one shipped with the selected Go toolchain.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$($$($(GO) env GOROOT)/bin/gofmt -l $$(find . -path ./.bench_build -prune -o -name '*.go' -print)); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # benchmark/ is its own Go module, so the root build never compiles it;
 # vet type-checks the harness and its tests against the engine's API

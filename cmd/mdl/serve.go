@@ -29,9 +29,10 @@
 //	               appended (and fsynced per -wal-fsync) under DIR/<name>/
 //	               before the ack, and replayed past the checkpoint
 //	               watermark on restart — acked batches survive crashes
-//	-wal-fsync p   fsync policy: always (per record), batch (one fsync
-//	               per group-commit drain; default) or none (OS-paced;
-//	               a power cut may lose recently acked batches)
+//	-wal-fsync p   fsync policy: batch (one fsync per group-commit
+//	               drain, before any batch in it is acked; default) or
+//	               none (OS-paced; a power cut may lose recently acked
+//	               batches)
 //	-wal-segment N rotate log segments at N bytes (default 64 MiB)
 //	-assert-queue N   commit-queue depth per program; full queue sheds
 //	                  asserts with 429 (default 64)
@@ -42,10 +43,6 @@
 //	-log-format f  structured request-log format: text (default) or json
 //	-slow-request d  log requests slower than d at warn level (0 = off)
 //	-pprof-addr a  serve net/http/pprof on its own listener at address a
-//	-trace-dir DIR   also write every finished request trace as a Chrome
-//	                 trace-event JSON file under DIR (one per trace)
-//	-trace-buffer N  flight-recorder capacity: the N most recent request
-//	                 traces are retained for /debug/traces (default 64)
 //
 // SIGINT/SIGTERM shut the server down gracefully: admission closes
 // (/readyz flips to 503, new asserts shed), queued assert batches
@@ -96,7 +93,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	ckptPath := fs.String("checkpoint", "", "warm-start from this snapshot when present; flush to it on shutdown")
 	resumePath := fs.String("resume", "", "warm-start from this snapshot (must exist)")
 	walDir := fs.String("wal", "", "write-ahead log directory (empty = no durability beyond checkpoints)")
-	walFsync := fs.String("wal-fsync", "", "wal fsync policy: always, batch (default) or none")
+	walFsync := fs.String("wal-fsync", "", "wal fsync policy: batch (default) or none")
 	walSegment := fs.Int64("wal-segment", 0, "wal segment rotation size in bytes (default 64 MiB)")
 	assertQueue := fs.Int("assert-queue", 0, "commit-queue depth per program; a full queue sheds asserts with 429 (default 64)")
 	maxInflight := fs.Int("max-inflight", 0, "concurrent reads per program before shedding with 503 (0 = unlimited)")
@@ -104,8 +101,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	logFormat := fs.String("log-format", "text", "structured request-log format: text or json")
 	slowReq := fs.Duration("slow-request", 0, "log requests slower than this threshold at warn level (0 = off)")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this address (separate listener)")
-	traceDir := fs.String("trace-dir", "", "also write each finished request trace as a Chrome trace-event JSON file under this directory")
-	traceBuffer := fs.Int("trace-buffer", 0, "flight-recorder capacity: recent request traces retained for /debug/traces (default 64)")
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
 	}
@@ -158,9 +153,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	if err != nil {
 		return usage("-wal-fsync: " + err.Error())
 	}
-	if *traceBuffer < 0 {
-		return usage("-trace-buffer must be ≥ 0")
-	}
 
 	opts := datalog.Options{
 		Epsilon:     *eps,
@@ -191,8 +183,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		WALDir:          *walDir,
 		WALFsync:        fsyncPolicy,
 		WALSegmentBytes: *walSegment,
-		TraceDir:        *traceDir,
-		TraceBuffer:     *traceBuffer,
 	}
 	var logf func(format string, a ...any)
 	if *logFormat == "json" {

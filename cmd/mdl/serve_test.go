@@ -108,6 +108,9 @@ func TestServeUsageErrors(t *testing.T) {
 		{"wal-fsync without wal", []string{"-wal-fsync", "batch", f}},
 		{"wal-segment without wal", []string{"-wal-segment", "1024", f}},
 		{"bad wal-fsync policy", []string{"-wal", t.TempDir(), "-wal-fsync", "sometimes", f}},
+		{"wal-fsync always", []string{"-wal", t.TempDir(), "-wal-fsync", "always", f}},
+		{"undefined trace-dir", []string{"-trace-dir", t.TempDir(), f}},
+		{"undefined trace-buffer", []string{"-trace-buffer", "8", f}},
 		{"negative wal-segment", []string{"-wal", t.TempDir(), "-wal-segment", "-1", f}},
 	}
 	for _, tc := range cases {

@@ -66,7 +66,7 @@ func WithCheckpoint(sink CheckpointSink, everyRounds int) SolveOption {
 // limitsFor finalizes a solveConfig into core.Limits, binding any
 // checkpoint sink to this program's fingerprint.
 func (p *Program) limitsFor(cfg solveConfig) core.Limits {
-	lim := cfg.lim
+	lim := p.lim
 	if cfg.sink != nil {
 		sink, fp := cfg.sink, p.fp
 		lim.Checkpoint = func(db *relation.DB, stats core.Stats) error {
@@ -166,7 +166,7 @@ func (p *Program) RestoreFileWatermark(path string) (*Model, uint64, error) {
 // monotonic program. Stats continue from the model's cumulative totals.
 // Options (including WithCheckpoint) apply as in SolveContext.
 func (p *Program) Resume(ctx context.Context, m *Model, opts ...SolveOption) (*Model, Stats, error) {
-	cfg := solveConfig{lim: p.lim}
+	var cfg solveConfig
 	for _, o := range opts {
 		o(&cfg)
 	}

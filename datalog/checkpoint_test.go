@@ -151,10 +151,19 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 				budget = 4
 			}
 			ckpt := filepath.Join(t.TempDir(), "model.ckpt")
-			p2, _ := loadExample(t, name)
+			// p2 finishes the solve; budgeted, loaded with a MaxFacts
+			// budget, interrupts it. The fingerprint ignores options, so
+			// either restores the other's checkpoints.
+			p2, src := loadExample(t, name)
+			opts := exampleOptions(name)
+			opts.MaxFacts = budget
+			budgeted, err := datalog.Load(src, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
 			ctx := context.Background()
-			m, _, err := p2.SolveContext(ctx, nil,
-				datalog.WithMaxFacts(budget), datalog.WithCheckpoint(datalog.FileCheckpoint(ckpt), 1))
+			ck := datalog.WithCheckpoint(datalog.FileCheckpoint(ckpt), 1)
+			m, _, err := budgeted.SolveContext(ctx, nil, ck)
 			resumes := 0
 			for errors.Is(err, datalog.ErrBudgetExceeded) {
 				restored, rerr := p2.RestoreFile(ckpt)
@@ -167,11 +176,11 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 				}
 				// Keep the budget tight for a few resumes to exercise
 				// repeated interruption, then let it finish.
-				opts := []datalog.SolveOption{datalog.WithCheckpoint(datalog.FileCheckpoint(ckpt), 1)}
 				if resumes < 3 {
-					opts = append(opts, datalog.WithMaxFacts(budget))
+					m, _, err = budgeted.Resume(ctx, restored, ck)
+				} else {
+					m, _, err = p2.Resume(ctx, restored, ck)
 				}
-				m, _, err = p2.Resume(ctx, restored, opts...)
 			}
 			if err != nil {
 				t.Fatalf("after %d resumes: %v", resumes, err)

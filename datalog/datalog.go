@@ -394,36 +394,16 @@ func (p *Program) model(db *relation.DB, stats Stats) *Model {
 	return &Model{db: db, schemas: p.en.Schemas, en: p.en, stats: stats, fp: p.fp}
 }
 
-// solveConfig collects per-call overrides; options mutate it rather
-// than core.Limits directly so that checkpointing options can be bound
-// to the program fingerprint at solve time.
+// solveConfig collects per-call options: the checkpoint sink, bound to
+// the program fingerprint at solve time, and its round cadence. Limits
+// come from the Options the program was loaded with.
 type solveConfig struct {
-	lim   core.Limits
 	sink  CheckpointSink
 	every int
 }
 
-// SolveOption tunes a single SolveContext call, overriding the
-// program-wide limits set at Load.
+// SolveOption tunes a single SolveContext or Resume call.
 type SolveOption func(*solveConfig)
-
-// WithTimeout bounds the solve's wall clock; on expiry the solve stops
-// with ErrCanceled and the partial model.
-func WithTimeout(d time.Duration) SolveOption {
-	return func(c *solveConfig) { c.lim.MaxDuration = d }
-}
-
-// WithMaxFacts caps tuple derivations for the solve (ErrBudgetExceeded
-// on breach).
-func WithMaxFacts(n int64) SolveOption {
-	return func(c *solveConfig) { c.lim.MaxFacts = n }
-}
-
-// WithDivergenceStreak sets the ω-limit detector threshold (negative
-// disables it).
-func WithDivergenceStreak(n int) SolveOption {
-	return func(c *solveConfig) { c.lim.DivergenceStreak = n }
-}
 
 // Solve evaluates the program over the given extensional facts and
 // returns its minimal model (Corollary 3.5).
@@ -431,18 +411,19 @@ func (p *Program) Solve(facts ...Fact) (*Model, Stats, error) {
 	return p.SolveContext(context.Background(), facts)
 }
 
-// SolveContext is Solve with cooperative cancellation and per-call
-// limit overrides. On cancellation, budget breach or detected
-// divergence the error wraps the matching sentinel (ErrCanceled,
-// ErrBudgetExceeded, ErrDiverged — test with errors.Is; extract the
-// *EngineError with errors.As) and the returned model is non-nil,
-// holding the partial interpretation computed so far.
+// SolveContext is Solve with cooperative cancellation (the caller's
+// ctx, on top of Options.MaxDuration) and per-call options. On
+// cancellation, budget breach or detected divergence the error wraps
+// the matching sentinel (ErrCanceled, ErrBudgetExceeded, ErrDiverged —
+// test with errors.Is; extract the *EngineError with errors.As) and the
+// returned model is non-nil, holding the partial interpretation
+// computed so far.
 func (p *Program) SolveContext(ctx context.Context, facts []Fact, opts ...SolveOption) (*Model, Stats, error) {
 	edb, err := p.edb(facts)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	cfg := solveConfig{lim: p.lim}
+	var cfg solveConfig
 	for _, o := range opts {
 		o(&cfg)
 	}

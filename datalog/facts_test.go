@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -96,6 +97,8 @@ func argFacts(t *testing.T, text string) []datalog.Fact {
 // observed is everything the determinism contract covers about a solve.
 type observed struct {
 	model, facts, trace, stats string
+	// events is the engine's event stream (see eventFingerprint).
+	events string
 	// snap is the final checkpoint without what names the program rather
 	// than the model: the fingerprint is zeroed and the SHA-256 trailer
 	// (which covers it) cut off.
@@ -104,11 +107,13 @@ type observed struct {
 
 func observe(t *testing.T, src string, args []datalog.Fact, opts datalog.Options) observed {
 	t.Helper()
+	ckpt := filepath.Join(t.TempDir(), "model.ckpt")
+	var events []datalog.Event
+	opts.Sink = datalog.SinkFunc(func(e datalog.Event) { events = append(events, e) })
 	p, err := datalog.Load(src, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt := filepath.Join(t.TempDir(), "model.ckpt")
 	m, stats, err := p.SolveContext(context.Background(), args, datalog.WithCheckpoint(datalog.FileCheckpoint(ckpt), 1))
 	if err != nil {
 		t.Fatal(err)
@@ -120,12 +125,42 @@ func observe(t *testing.T, src string, args []datalog.Fact, opts datalog.Options
 	fp := p.Fingerprint()
 	snap = bytes.Replace(snap[:len(snap)-sha256.Size], fp[:], make([]byte, len(fp)), 1)
 	return observed{
-		model: m.String(),
-		facts: factFingerprint(m),
-		trace: traceFingerprint(t, p, m),
-		stats: fmt.Sprintf("%+v", normStats(stats)),
-		snap:  snap,
+		model:  m.String(),
+		facts:  factFingerprint(m),
+		trace:  traceFingerprint(t, p, m),
+		stats:  fmt.Sprintf("%+v", normStats(stats)),
+		events: eventFingerprint(events),
+		snap:   snap,
 	}
+}
+
+// eventFingerprint renders an event stream in the form the determinism
+// contract covers: grouped by component (solve-scoped events first) in
+// emission order within each group, wall times zeroed, and checkpoint
+// flushes by count only — their cumulative Round depends on the order in
+// which components complete.
+func eventFingerprint(events []datalog.Event) string {
+	groups := map[int][]string{}
+	flushes := 0
+	for _, e := range events {
+		if e.Kind == datalog.EventCheckpointFlushed {
+			flushes++
+			continue
+		}
+		e.Nanos = 0
+		groups[e.Component] = append(groups[e.Component], fmt.Sprintf("%+v", e))
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "checkpoint flushes: %d\n", flushes)
+	comps := make([]int, 0, len(groups))
+	for c := range groups {
+		comps = append(comps, c)
+	}
+	sort.Ints(comps)
+	for _, c := range comps {
+		fmt.Fprintf(&b, "component %d:\n\t%s\n", c, strings.Join(groups[c], "\n\t"))
+	}
+	return b.String()
 }
 
 func (o observed) diff(t *testing.T, how string, want observed) {
@@ -135,6 +170,7 @@ func (o observed) diff(t *testing.T, how string, want observed) {
 		{"fact order", o.facts, want.facts},
 		{"traces", o.trace, want.trace},
 		{"stats", o.stats, want.stats},
+		{"events", o.events, want.events},
 	} {
 		if c.got != c.want {
 			t.Fatalf("%s: %s differ:\n%s\nwant:\n%s", how, c.what, c.got, c.want)

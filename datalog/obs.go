@@ -44,9 +44,6 @@ const (
 	EventBudgetBreach = obs.BudgetBreach
 )
 
-// MultiSink fans events out to several sinks (nils are skipped).
-func MultiSink(sinks ...EventSink) EventSink { return obs.Multi(sinks...) }
-
 // RuleStats is the per-rule slice of Stats: how many rounds evaluated
 // the rule, its firings, derivations, join probes, and cumulative wall
 // time.

@@ -148,13 +148,12 @@ func checkRoundEvents(t *testing.T, evs []datalog.Event, base, stats datalog.Sta
 // error.
 func TestEventStreamCheckpointAndBudget(t *testing.T) {
 	cap := &captureEvents{}
-	p, err := datalog.Load(spChain, datalog.Options{Sink: cap.sink()})
+	p, err := datalog.Load(spChain, datalog.Options{Sink: cap.sink(), MaxFacts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ckpt := filepath.Join(t.TempDir(), "ev.ckpt")
-	_, _, err = p.SolveContext(context.Background(), nil,
-		datalog.WithMaxFacts(4), datalog.WithCheckpoint(datalog.FileCheckpoint(ckpt), 1))
+	_, _, err = p.SolveContext(context.Background(), nil, datalog.WithCheckpoint(datalog.FileCheckpoint(ckpt), 1))
 	if !errors.Is(err, datalog.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}

@@ -37,11 +37,11 @@ func TestLoadErrorClasses(t *testing.T) {
 }
 
 func TestSolveContextBudget(t *testing.T) {
-	p, err := datalog.Load(spChain, datalog.Options{})
+	p, err := datalog.Load(spChain, datalog.Options{MaxFacts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, stats, err := p.SolveContext(context.Background(), nil, datalog.WithMaxFacts(3))
+	m, stats, err := p.SolveContext(context.Background(), nil)
 	if !errors.Is(err, datalog.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -55,15 +55,13 @@ func TestSolveContextBudget(t *testing.T) {
 }
 
 func TestSolveContextCanceledOmegaLimit(t *testing.T) {
-	p, err := datalog.Load(omegaLimit, datalog.Options{})
+	// With the divergence detector disabled, only the deadline stops
+	// the ω-limit program.
+	p, err := datalog.Load(omegaLimit, datalog.Options{MaxDuration: 50 * time.Millisecond, DivergenceStreak: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With the divergence detector disabled, only the deadline stops
-	// the ω-limit program.
-	m, stats, err := p.SolveContext(context.Background(), nil,
-		datalog.WithTimeout(50*time.Millisecond),
-		datalog.WithDivergenceStreak(-1))
+	m, stats, err := p.SolveContext(context.Background(), nil)
 	if !errors.Is(err, datalog.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}

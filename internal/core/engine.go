@@ -342,7 +342,7 @@ func (en *Engine) Resume(ctx context.Context, prev *relation.DB, lim Limits, bas
 // solve is the frame every solve entry point runs in: it folds
 // MaxDuration into the context, seeds the stats from base (all but its
 // RoundLog, which is per call), builds the guard and brackets body with
-// the SolveBegin/SolveEnd events, which report the walk's worker count.
+// the SolveBegin/SolveEnd events.
 func (en *Engine) solve(ctx context.Context, lim Limits, base Stats, body func(g *guard) (*relation.DB, error)) (_ *relation.DB, _ Stats, err error) {
 	if lim.MaxDuration > 0 {
 		var cancel context.CancelFunc
@@ -356,12 +356,11 @@ func (en *Engine) solve(ctx context.Context, lim Limits, base Stats, body func(g
 	g.sink = en.sink
 	g.start = time.Now()
 	if en.sink != nil {
-		par := en.workers()
-		en.sink.Event(obs.Event{Kind: obs.SolveBegin, Component: -1, Parallelism: par})
+		en.sink.Event(obs.Event{Kind: obs.SolveBegin, Component: -1})
 		defer func() {
 			e := obs.Event{Kind: obs.SolveEnd, Component: -1, Round: stats.Rounds,
 				Firings: stats.Firings, Derived: stats.Derived, Probes: stats.Probes,
-				Nanos: time.Since(g.start).Nanoseconds(), Parallelism: par}
+				Nanos: time.Since(g.start).Nanoseconds()}
 			if err != nil {
 				e.Err = err.Error()
 			}
@@ -382,7 +381,7 @@ func (en *Engine) fixpoint(ctx context.Context, db *relation.DB, lim Limits, bas
 		// Checkpoint the starting interpretation before any evaluation,
 		// so the sink holds a recoverable state even if the very first
 		// round is interrupted.
-		if err := g.checkpoint(db, true); err != nil {
+		if err := g.checkpoint(db); err != nil {
 			return db, err
 		}
 		return db, en.runScheduled(g, db, lim, nil)

@@ -211,21 +211,22 @@ type guard struct {
 	liHasCost bool
 	liSet     bool
 	polls     int
-	// ckpt and ckptEvery drive durable checkpointing; sinceCkpt counts
-	// rounds since the last emitted checkpoint.
+	// ckpt is the durable checkpoint callback; sinceCkpt counts rounds
+	// since the component's last round-boundary checkpoint (the cadence
+	// lives in sched.checkpointCut).
 	ckpt      CheckpointFunc
-	ckptEvery int
 	sinceCkpt int
 	// sink receives checkpoint/divergence/budget events (nil = none).
 	sink obs.Sink
-	// cut, when non-nil, replaces the periodic round-boundary checkpoint:
-	// the walk snapshots a consistent cut of the global database overlaid
-	// with the component's private view instead of the view alone.
+	// cut is a component guard's round-boundary checkpoint: the walk
+	// snapshots a consistent cut of the global database overlaid with
+	// the component's private view (nil on the solve's own guard, which
+	// never reaches a round boundary).
 	cut func(db *relation.DB) error
 }
 
 func newGuard(ctx context.Context, lim Limits, stats *Stats) *guard {
-	g := &guard{ctx: ctx, stats: stats, ckpt: lim.Checkpoint, ckptEvery: lim.CheckpointEvery}
+	g := &guard{ctx: ctx, stats: stats, ckpt: lim.Checkpoint}
 	g.det.threshold = lim.DivergenceStreak
 	if g.det.threshold == 0 {
 		g.det.threshold = defaultDivergenceStreak
@@ -233,38 +234,25 @@ func newGuard(ctx context.Context, lim Limits, stats *Stats) *guard {
 	return g
 }
 
-// roundBoundary runs at the end of every fixpoint round, when db is a
-// consistent intermediate interpretation: it gives the fault-injection
-// point a chance to kill the evaluation (crash-recovery tests) and
-// emits a periodic checkpoint.
+// roundBoundary runs at the end of every fixpoint round of a component,
+// when db is a consistent intermediate interpretation: it gives the
+// fault-injection point a chance to kill the evaluation (crash-recovery
+// tests) and hands db to the component's periodic checkpoint cut.
 func (g *guard) roundBoundary(db *relation.DB) error {
 	if err := faults.Check(faults.CoreRound); err != nil {
 		return g.fail(ErrInternal, err)
 	}
-	if g.cut != nil {
-		return g.cut(db)
-	}
-	return g.checkpoint(db, false)
+	return g.cut(db)
 }
 
-// checkpoint invokes the configured checkpoint callback; force bypasses
-// the every-N-rounds cadence (component boundaries always emit one). A
-// failed checkpoint is a first-class evaluation failure: continuing
-// would outrun the last durable state.
-func (g *guard) checkpoint(db *relation.DB, force bool) error {
+// checkpoint invokes the configured checkpoint callback at a solve's
+// start and at every component boundary. A failed checkpoint is a
+// first-class evaluation failure: continuing would outrun the last
+// durable state.
+func (g *guard) checkpoint(db *relation.DB) error {
 	if g.ckpt == nil {
 		return nil
 	}
-	if !force {
-		if g.ckptEvery <= 0 {
-			return nil
-		}
-		g.sinceCkpt++
-		if g.sinceCkpt < g.ckptEvery {
-			return nil
-		}
-	}
-	g.sinceCkpt = 0
 	// Clone: the callback may retain the stats value, and the engine
 	// keeps accumulating into the breakdown slices after it returns.
 	if err := g.ckpt(db, g.stats.Clone()); err != nil {

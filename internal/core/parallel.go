@@ -84,7 +84,6 @@ type sched struct {
 	readyCh    chan int
 	pending    int
 	inflight   int
-	active     int
 	firstErr   error
 	closed     bool
 }
@@ -233,7 +232,6 @@ func (s *sched) runComp(ci int) {
 		return
 	}
 	s.inflight++
-	s.active++
 	c := en.comps[ci]
 	pv := relation.NewDB(en.Schemas)
 	for _, k := range en.compLDB[ci] {
@@ -245,7 +243,7 @@ func (s *sched) runComp(ci int) {
 	cs := &stats.Comps[ci]
 	if en.sink != nil {
 		en.sink.Event(obs.Event{Kind: obs.ComponentBegin, Component: ci,
-			Preds: cs.Preds, WFS: cs.WFS, Admissible: cs.Admissible, Workers: s.active})
+			Preds: cs.Preds, WFS: cs.WFS, Admissible: cs.Admissible})
 	}
 	s.mu.Unlock()
 
@@ -291,13 +289,12 @@ func (s *sched) runComp(ci int) {
 		e := obs.Event{Kind: obs.ComponentEnd, Component: ci,
 			Preds: cs.Preds, WFS: cs.WFS, Admissible: cs.Admissible,
 			Round: cs.Rounds, Firings: cs.Firings, Derived: cs.Derived,
-			Probes: cs.Probes, Nanos: cs.Nanos, Workers: s.active}
+			Probes: cs.Probes, Nanos: cs.Nanos}
 		if cerr != nil {
 			e.Err = cerr.Error()
 		}
 		en.sink.Event(e)
 	}
-	s.active--
 	if cerr != nil {
 		if s.firstErr == nil {
 			s.firstErr = cerr
@@ -307,7 +304,7 @@ func (s *sched) runComp(ci int) {
 		// Component boundary: the global database is consistent again —
 		// the strongest checkpoint boundary, always durable.
 		s.sg.comp = c.Preds
-		if ckerr := s.sg.checkpoint(s.db, true); ckerr != nil {
+		if ckerr := s.sg.checkpoint(s.db); ckerr != nil {
 			s.firstErr = ckerr
 			s.cancel()
 		}

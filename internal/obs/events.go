@@ -98,13 +98,6 @@ type Event struct {
 	// Nanos is wall time: per round on RoundEnd, per component on
 	// ComponentEnd, per solve on SolveEnd.
 	Nanos int64
-	// Parallelism is the solve's worker count (SolveBegin/SolveEnd):
-	// GOMAXPROCS, capped at the program's evaluable components.
-	Parallelism int
-	// Workers is the number of component workers running at emission
-	// time, including the emitter (ComponentBegin/ComponentEnd): the
-	// component walk's live concurrency gauge (always 1 on one worker).
-	Workers int
 	// Err is the failure text for SolveEnd on error, DivergenceWarning
 	// and BudgetBreach.
 	Err string
@@ -125,15 +118,6 @@ type SinkFunc func(Event)
 
 // Event implements Sink.
 func (f SinkFunc) Event(e Event) { f(e) }
-
-// multiSink fans one event out to several sinks in order.
-type multiSink []Sink
-
-func (m multiSink) Event(e Event) {
-	for _, s := range m {
-		s.Event(e)
-	}
-}
 
 // lockedSink serializes events from concurrently emitting goroutines.
 type lockedSink struct {
@@ -157,22 +141,4 @@ func Locked(s Sink) Sink {
 		return nil
 	}
 	return &lockedSink{s: s}
-}
-
-// Multi composes sinks: nil sinks are dropped, and the result is nil
-// when none remain (so the engine's nil-check keeps the fast path).
-func Multi(sinks ...Sink) Sink {
-	out := make(multiSink, 0, len(sinks))
-	for _, s := range sinks {
-		if s != nil {
-			out = append(out, s)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return nil
-	case 1:
-		return out[0]
-	}
-	return out
 }

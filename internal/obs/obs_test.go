@@ -25,25 +25,6 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
-func TestMulti(t *testing.T) {
-	if Multi() != nil || Multi(nil, nil) != nil {
-		t.Fatal("Multi of no sinks must be nil (engine fast-path check)")
-	}
-	var a, b int
-	sa := SinkFunc(func(Event) { a++ })
-	sb := SinkFunc(func(Event) { b++ })
-	one := Multi(nil, sa)
-	one.Event(Event{})
-	if a != 1 {
-		t.Fatalf("single-sink Multi delivered %d events", a)
-	}
-	both := Multi(sa, nil, sb)
-	both.Event(Event{Kind: RoundEnd})
-	if a != 2 || b != 1 {
-		t.Fatalf("fan-out delivered a=%d b=%d", a, b)
-	}
-}
-
 // TestPrometheusGolden pins the exposition format: family ordering,
 // label rendering, histogram buckets, escaping, and float formatting.
 func TestPrometheusGolden(t *testing.T) {

@@ -236,14 +236,9 @@ func (t *Trace) Finish(attrs ...Attr) TraceRecord {
 	return TraceRecord{TraceID: t.id, Remote: t.remote, Spans: t.spans}
 }
 
-// defaultFlightRecorderSize bounds the ring when the configured size is
-// zero: 64 traces cover a recent burst without holding more than a few
-// MB of span data.
-const defaultFlightRecorderSize = 64
-
 // FlightRecorder keeps the most recent N finished traces in a ring
 // buffer, so the interesting window around an incident can be dumped
-// (via /debug/traces or -trace-dir) after the fact without any external
+// (via /debug/traces) after the fact without any external
 // collector. Add and Snapshot are safe for concurrent use.
 type FlightRecorder struct {
 	mu    sync.Mutex
@@ -253,11 +248,9 @@ type FlightRecorder struct {
 	total uint64
 }
 
-// NewFlightRecorder sizes the ring; size <= 0 selects the default (64).
+// NewFlightRecorder sizes the ring to hold size traces; size must be
+// positive.
 func NewFlightRecorder(size int) *FlightRecorder {
-	if size <= 0 {
-		size = defaultFlightRecorderSize
-	}
 	return &FlightRecorder{buf: make([]TraceRecord, size)}
 }
 

@@ -303,7 +303,6 @@ func (svc *service) solveAndPublish(ctx context.Context, batch []*commitReq) (co
 		seqs[i] = svc.seq.Load() + uint64(i) + 1
 	}
 	if svc.wal != nil {
-		policy := svc.srv.walFsyncPolicy()
 		for i, req := range batch {
 			appendStart := time.Now()
 			if err := svc.walAppend(seqs[i], req.facts); err != nil {
@@ -312,17 +311,8 @@ func (svc *service) solveAndPublish(ctx context.Context, batch []*commitReq) (co
 			if req.tr != nil {
 				req.tr.RecordSpan("wal.append", req.root, appendStart, time.Now(), obs.IntAttr("seq", int64(seqs[i])))
 			}
-			if policy == FsyncAlways {
-				fsyncStart := time.Now()
-				if err := svc.walSync(); err != nil {
-					return commitResult{stats: stats, coalesced: coalesced, err: svc.walFail("fsync", err)}, nil
-				}
-				if req.tr != nil {
-					req.tr.RecordSpan("wal.fsync", req.root, fsyncStart, time.Now())
-				}
-			}
 		}
-		if policy == FsyncBatch {
+		if svc.srv.walFsyncPolicy() == FsyncBatch {
 			// Group commit: one fsync covers the whole drain, before any
 			// batch in it is acked. Every traced batch records the shared
 			// window — each request really did wait for this fsync.

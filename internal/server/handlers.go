@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/datalog"
@@ -24,7 +23,7 @@ const maxBodyBytes = 8 << 20
 //
 //	GET  /healthz          liveness and uptime (200 as long as the process serves)
 //	GET  /readyz           readiness: 503 while materializing or draining
-//	GET  /metrics          Prometheus text exposition (JSON via Accept)
+//	GET  /metrics          Prometheus text exposition
 //	GET  /debug/traces     flight-recorder dump (Chrome trace-event JSON)
 //	GET  /v1/program       classification, declarations and model info
 //	GET  /v1/stats         per-rule and per-component evaluation breakdowns
@@ -84,8 +83,7 @@ func newRequestID() string {
 // inbound W3C traceparent header is continued, a malformed or absent
 // one falls back to fresh identifiers; the trace id is echoed as
 // X-Trace-Id), and logged when a structured logger is configured. The
-// finished trace lands in the flight recorder and, with Config.TraceDir
-// set, on disk as a Chrome trace-event file.
+// finished trace lands in the flight recorder.
 func (s *Server) instrument(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -113,13 +111,8 @@ func (s *Server) instrument(h http.Handler) http.Handler {
 			obs.StringAttr("path", r.URL.Path),
 			obs.IntAttr("status", int64(sw.status)))
 		s.recorder.Add(rec)
-		if s.cfg.TraceDir != "" {
-			if err := saveTrace(s.cfg.TraceDir, rec); err != nil {
-				s.logf("trace %s: write to %s failed: %v", traceID, s.cfg.TraceDir, err)
-			}
-		}
-		endpoint := s.metrics.endpointLabel(r.URL.Path)
-		s.metrics.observe(endpoint, sw.status, elapsed, traceID)
+		endpoint := endpointLabel(r.URL.Path)
+		s.metrics.observe(endpoint, sw.status, elapsed)
 		if lg := s.cfg.Logger; lg != nil {
 			// The response is complete (writeJSON sets its length): send
 			// it before formatting and writing the log line, which is then
@@ -258,31 +251,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, body)
 }
 
-// handleMetrics renders the Prometheus text exposition format by
-// default; clients sending Accept: application/json get the legacy
-// JSON snapshot (endpoint counters plus per-program model info).
+// handleMetrics renders the Prometheus text exposition format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if strings.Contains(r.Header.Get("Accept"), "application/json") {
-		programs := map[string]any{}
-		for _, name := range s.names {
-			st := s.svcs[name].current()
-			if st == nil {
-				programs[name] = map[string]any{"materialized": false}
-				continue
-			}
-			programs[name] = map[string]any{
-				"version": st.version,
-				"size":    st.model.Size(),
-				"stats":   toStatsJSON(st.model.Stats()),
-			}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"uptime_seconds": time.Since(s.start).Seconds(),
-			"endpoints":      s.metrics.snapshot(),
-			"programs":       programs,
-		})
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	_ = s.metrics.reg.WritePrometheus(w)

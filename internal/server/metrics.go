@@ -1,10 +1,8 @@
 package server
 
 import (
-	"net/http"
 	"runtime"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/datalog"
@@ -17,12 +15,13 @@ import (
 var latencyBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10}
 
 // metricEndpoints is the known endpoint set, pre-registered so every
-// series appears (at zero) from the first scrape. Requests outside this
-// set — unknown paths, bad methods — are recorded under "other" rather
-// than silently dropped.
-var metricEndpoints = []string{
-	"/debug/traces", "/healthz", "/metrics", "/readyz",
-	"/v1/assert", "/v1/explain", "/v1/explain/plan", "/v1/program", "/v1/query", "/v1/stats",
+// latency series appears (at zero) from the first scrape. Requests
+// outside this set — unknown paths, bad methods — are recorded under
+// "other" rather than silently dropped.
+var metricEndpoints = map[string]bool{
+	"/debug/traces": true, "/healthz": true, "/metrics": true, "/readyz": true,
+	"/v1/assert": true, "/v1/explain": true, "/v1/explain/plan": true,
+	"/v1/program": true, "/v1/query": true, "/v1/stats": true,
 }
 
 // commitBatchBuckets are the histogram upper bounds for batches per
@@ -40,10 +39,8 @@ var fsyncBuckets = []float64{0.0001, 0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 2.5}
 const otherEndpoint = "other"
 
 // metrics is the server's instrumentation: an obs.Registry rendered in
-// the Prometheus text format at /metrics, plus a parallel per-endpoint
-// JSON view (the pre-registry wire shape, kept for Accept:
-// application/json clients). All updates are atomic; the hot path never
-// takes a lock after construction.
+// the Prometheus text format at /metrics. All updates are atomic; the
+// hot path never takes a lock after construction.
 type metrics struct {
 	reg *obs.Registry
 
@@ -78,33 +75,11 @@ type metrics struct {
 	// published (materialize or a successful assert).
 	modelSize    *obs.GaugeVec
 	modelVersion *obs.GaugeVec
-	// Per-program engine gauges, fed from the engine's event stream:
-	// cumulative rounds/firings/derived of the published model chain,
-	// plus the component walk's live worker count (0 between solves).
+	// Per-program engine gauges, read from the published model's
+	// Stats: cumulative rounds/firings/derived of the model chain.
 	engineRounds  *obs.GaugeVec
 	engineFirings *obs.GaugeVec
 	engineDerived *obs.GaugeVec
-	engineWorkers *obs.GaugeVec
-
-	// endpoints is the JSON view; fixed at construction (known set plus
-	// "other"), so observe reads it without locking.
-	endpoints map[string]*endpointStats
-}
-
-// endpointStats aggregates one endpoint's traffic for the JSON view
-// (plain atomics kept out of the registry: avg/max have no Prometheus
-// type — the histograms cover them there).
-type endpointStats struct {
-	count    atomic.Int64
-	errors   atomic.Int64
-	sumNanos atomic.Int64
-	maxNanos atomic.Int64
-	// lastTrace is the most recent request's trace id — the exemplar
-	// linking the latency numbers to a flight-recorder trace. (The text
-	// exposition format stays exemplar-free: obs.Registry renders plain
-	// 0.0.4 text, so the exemplar lives in the JSON view and on
-	// slow-request log lines instead.)
-	lastTrace atomic.Value // string
 }
 
 func newMetrics() *metrics {
@@ -145,52 +120,30 @@ func newMetrics() *metrics {
 			"Cumulative rule firings behind the published model, by program.", "program"),
 		engineDerived: reg.NewGaugeVec("mdl_engine_derived",
 			"Cumulative derivations behind the published model, by program.", "program"),
-		engineWorkers: reg.NewGaugeVec("mdl_engine_active_workers",
-			"Components being evaluated concurrently right now, by program (0 when idle; a one-worker solve reads 1).", "program"),
-		endpoints: map[string]*endpointStats{},
 	}
 	reg.NewGaugeVec("mdl_build_info",
 		"Build information; the value is always 1.", "go_version").
 		With(runtime.Version()).Set(1)
-	for _, e := range append(append([]string(nil), metricEndpoints...), otherEndpoint) {
-		m.endpoints[e] = &endpointStats{}
+	for e := range metricEndpoints {
 		m.httpDuration.With(e)
 	}
+	m.httpDuration.With(otherEndpoint)
 	return m
 }
 
 // endpointLabel normalizes a request path to a known endpoint label,
 // mapping everything else to "other".
-func (m *metrics) endpointLabel(path string) string {
-	if _, ok := m.endpoints[path]; ok && path != otherEndpoint {
+func endpointLabel(path string) string {
+	if metricEndpoints[path] {
 		return path
 	}
 	return otherEndpoint
 }
 
-// observe records one request. endpoint must come from endpointLabel;
-// traceID (empty when untraced) becomes the endpoint's latency
-// exemplar.
-func (m *metrics) observe(endpoint string, status int, elapsed time.Duration, traceID string) {
+// observe records one request under its endpointLabel.
+func (m *metrics) observe(endpoint string, status int, elapsed time.Duration) {
 	m.httpRequests.With(endpoint, strconv.Itoa(status)).Inc()
 	m.httpDuration.With(endpoint).Observe(elapsed.Seconds())
-
-	es := m.endpoints[endpoint]
-	if traceID != "" {
-		es.lastTrace.Store(traceID)
-	}
-	es.count.Add(1)
-	if status >= http.StatusBadRequest {
-		es.errors.Add(1)
-	}
-	n := elapsed.Nanoseconds()
-	es.sumNanos.Add(n)
-	for {
-		old := es.maxNanos.Load()
-		if n <= old || es.maxNanos.CompareAndSwap(old, n) {
-			return
-		}
-	}
 }
 
 // assertOutcome records one /v1/assert result ("ok" or the structured
@@ -213,54 +166,4 @@ func (m *metrics) publishModel(program string, version uint64, model *datalog.Mo
 	m.engineRounds.With(program).Set(float64(st.Rounds))
 	m.engineFirings.With(program).Set(float64(st.Firings))
 	m.engineDerived.With(program).Set(float64(st.Derived))
-}
-
-// programSink returns the event sink that feeds one program's live
-// worker gauge. It is chained in front of any user-configured sink at
-// load time, and runs on the solving goroutine (the single-writer
-// path), so gauge stores are the only synchronization needed.
-func (m *metrics) programSink(program string) datalog.EventSink {
-	workers := m.engineWorkers.With(program)
-	return datalog.SinkFunc(func(e datalog.Event) {
-		switch e.Kind {
-		case datalog.EventComponentBegin, datalog.EventComponentEnd:
-			// Component events carry the walk's live worker count. The
-			// engine serializes sink calls, so Set sees a consistent
-			// gauge.
-			workers.Set(float64(e.Workers))
-		case datalog.EventSolveEnd:
-			workers.Set(0)
-		}
-	})
-}
-
-// endpointMetrics is the rendered JSON form of one endpoint's stats.
-type endpointMetrics struct {
-	Count     int64   `json:"count"`
-	Errors    int64   `json:"errors"`
-	AvgMillis float64 `json:"avg_ms"`
-	MaxMillis float64 `json:"max_ms"`
-	// LastTraceID is the latency exemplar: the trace id of the most
-	// recent request, resolvable against /debug/traces.
-	LastTraceID string `json:"last_trace_id,omitempty"`
-}
-
-func (m *metrics) snapshot() map[string]endpointMetrics {
-	out := make(map[string]endpointMetrics, len(m.endpoints))
-	for name, es := range m.endpoints {
-		count := es.count.Load()
-		em := endpointMetrics{
-			Count:     count,
-			Errors:    es.errors.Load(),
-			MaxMillis: float64(es.maxNanos.Load()) / 1e6,
-		}
-		if tid, ok := es.lastTrace.Load().(string); ok {
-			em.LastTraceID = tid
-		}
-		if count > 0 {
-			em.AvgMillis = float64(es.sumNanos.Load()) / float64(count) / 1e6
-		}
-		out[name] = em
-	}
-	return out
 }

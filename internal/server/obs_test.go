@@ -51,9 +51,6 @@ func TestMetricsPrometheusText(t *testing.T) {
 		`mdl_http_request_duration_seconds_count{endpoint="/v1/query"} 1`,
 		`mdl_program_model_version{program="sp"} 1`,
 		`mdl_engine_firings{program="sp"}`,
-		// The worker gauge must read 0 between solves whatever the
-		// engine's parallelism during materialization.
-		`mdl_engine_active_workers{program="sp"} 0`,
 		"# TYPE mdl_build_info gauge",
 	} {
 		if !strings.Contains(body, want) {
@@ -81,7 +78,7 @@ func TestMetricsPrometheusText(t *testing.T) {
 func TestEngineGaugesFollowPublishedModel(t *testing.T) {
 	_, ts := startServer(t, []ProgramSpec{{Name: "chain", Source: budgetChain, Options: datalog.Options{MaxFacts: 3}}}, Config{})
 	assertBudgetChain(t, ts.URL)
-	_, resp := getJSON(t, ts.URL+"/v1/stats?name=chain")
+	_, resp := get(t, ts.URL+"/v1/stats?name=chain")
 	stats := resp["programs"].([]any)[0].(map[string]any)["stats"].(map[string]any)
 	_, body, _ := getText(t, ts.URL+"/metrics")
 	for _, g := range []string{"rounds", "firings", "derived"} {
@@ -97,7 +94,7 @@ func TestEngineGaugesFollowPublishedModel(t *testing.T) {
 
 // TestMetricsUnknownEndpointNotDropped is the regression test for the
 // silent metric drop: traffic on unknown paths must land in the "other"
-// series in both views, not vanish.
+// series, not vanish.
 func TestMetricsUnknownEndpointNotDropped(t *testing.T) {
 	src := loadExample(t, "shortestpath.mdl")
 	_, ts := startServer(t, []ProgramSpec{{Name: "sp", Source: src}}, Config{})
@@ -111,13 +108,8 @@ func TestMetricsUnknownEndpointNotDropped(t *testing.T) {
 	if !strings.Contains(body, `mdl_http_requests_total{endpoint="other",code="404"} 2`) {
 		t.Fatalf("404s not aggregated under other:\n%s", body)
 	}
-	code, resp := getJSON(t, ts.URL+"/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("json metrics: %d", code)
-	}
-	other := resp["endpoints"].(map[string]any)["other"].(map[string]any)
-	if other["count"].(float64) < 2 || other["errors"].(float64) < 2 {
-		t.Fatalf("JSON other stats: %v", other)
+	if !strings.Contains(body, `mdl_http_request_duration_seconds_count{endpoint="other"} 2`) {
+		t.Fatalf("404 latencies not aggregated under other:\n%s", body)
 	}
 }
 
@@ -223,10 +215,11 @@ func TestAssertOutcomeCounters(t *testing.T) {
 	}
 }
 
-// TestEventSinkDuringAsserts: a user-configured event sink keeps
-// receiving engine events (chained behind the metrics sink) while
-// asserts run; run with -race this also proves the sink chaining and
-// gauge updates are data-race free against concurrent readers.
+// TestEventSinkDuringAsserts: a user-configured event sink receives
+// every engine event of the materialize and of each assert's solve
+// (the server passes Options.Sink through unchanged); run with -race
+// this also proves the sink is data-race free against concurrent
+// readers.
 func TestEventSinkDuringAsserts(t *testing.T) {
 	src := loadExample(t, "shortestpath.mdl")
 	var mu sync.Mutex
@@ -282,11 +275,9 @@ func TestEventSinkDuringAsserts(t *testing.T) {
 		t.Fatalf("solve events: %v, want 9 begin/end", kinds)
 	}
 	if kinds[datalog.EventComponentEnd] == 0 || kinds[datalog.EventRoundEnd] == 0 {
-		t.Fatalf("user sink starved by metrics chaining: %v", kinds)
+		t.Fatalf("user sink missed component or round events: %v", kinds)
 	}
 
-	// The engine gauges tracked the chain: firings gauge equals the
-	// published model's cumulative stats.
 	_, body, _ := getText(t, ts.URL+"/metrics")
 	if !strings.Contains(body, `mdl_program_model_version{program="sp"} 9`) {
 		t.Fatalf("model version after 8 asserts:\n%s", body)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"runtime"
 	"strings"
 	"sync"
@@ -61,8 +60,8 @@ func TestParallelEngineServeStress(t *testing.T) {
 					}
 				case 2:
 					if code, body, _ := getText(t, ts.URL+"/metrics"); code != 200 ||
-						!strings.Contains(body, "mdl_engine_active_workers") {
-						t.Errorf("metrics scrape missing worker gauge")
+						!strings.Contains(body, `mdl_engine_firings{program="sp"}`) {
+						t.Errorf("metrics scrape missing the engine firings gauge")
 						return
 					}
 				}
@@ -84,51 +83,6 @@ func TestParallelEngineServeStress(t *testing.T) {
 	code, resp := post(t, ts.URL+"/v1/query", `{"op":"cost","pred":"s","args":["a","d"]}`)
 	if code != 200 || resp["cost"] != 4.0 {
 		t.Fatalf("s(a, d) = %v (code %d), want cost 4", resp, code)
-	}
-}
-
-// TestActiveWorkersGaugeOneWorker: on one worker a solve's component
-// worker counts itself, so mdl_engine_active_workers reads 1 while a
-// commit's component is held at the worker entry point, and 0 once the
-// solve has ended.
-func TestActiveWorkersGaugeOneWorker(t *testing.T) {
-	withProcs(t, 1)
-	faults.Reset()
-	t.Cleanup(faults.Reset)
-	_, ts := startServer(t, []ProgramSpec{{Name: "sp", Source: loadExample(t, "shortestpath.mdl")}}, Config{})
-	reached, release := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	t.Cleanup(func() { once.Do(func() { close(release) }) })
-	faults.Arm(faults.Fault{Point: faults.CoreParallelWorker, Hook: func() {
-		close(reached)
-		<-release
-	}})
-	asserted := make(chan int, 1) // the assert's status; 0 when the request failed
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/assert", "application/json",
-			strings.NewReader(`{"facts":[{"pred":"arc","args":["d","e",1]}]}`))
-		if err != nil {
-			asserted <- 0
-			return
-		}
-		resp.Body.Close()
-		asserted <- resp.StatusCode
-	}()
-	select {
-	case <-reached:
-	case code := <-asserted:
-		t.Fatalf("the commit finished (status %d) without reaching the worker point", code)
-	}
-	gauge := `mdl_engine_active_workers{program="sp"} `
-	if _, body, _ := getText(t, ts.URL+"/metrics"); !strings.Contains(body, gauge+"1\n") {
-		t.Fatalf("held one-worker commit: want %q in\n%s", gauge+"1", body)
-	}
-	once.Do(func() { close(release) })
-	if code := <-asserted; code != http.StatusOK {
-		t.Fatalf("assert: status %d", code)
-	}
-	if _, body, _ := getText(t, ts.URL+"/metrics"); !strings.Contains(body, gauge+"0\n") {
-		t.Fatalf("after the commit: want %q in\n%s", gauge+"0", body)
 	}
 }
 

@@ -90,14 +90,6 @@ type Config struct {
 	// WALSegmentBytes caps each log segment before rotation; 0 selects
 	// the wal package default (64 MiB).
 	WALSegmentBytes int64
-	// TraceBuffer sizes the in-process flight recorder: the number of
-	// most recent request traces retained for /debug/traces. 0 selects
-	// the default (64).
-	TraceBuffer int
-	// TraceDir, when non-empty, additionally writes every finished
-	// request trace as a Chrome trace-event JSON file (one per trace)
-	// under this directory, loadable in about:tracing / Perfetto.
-	TraceDir string
 }
 
 // ProgramSpec names one program to serve.
@@ -177,6 +169,10 @@ type service struct {
 	decls map[string]datalog.PredDecl
 }
 
+// flightRecorderSize bounds the trace ring: 64 traces cover a recent
+// burst without holding more than a few MB of span data.
+const flightRecorderSize = 64
+
 // Server hosts a set of services and their HTTP API.
 type Server struct {
 	cfg     Config
@@ -184,8 +180,8 @@ type Server struct {
 	names   []string // sorted service names
 	start   time.Time
 	metrics *metrics
-	// recorder retains the most recent finished request traces for
-	// /debug/traces and post-incident dumps.
+	// recorder retains the flightRecorderSize most recent finished
+	// request traces for /debug/traces and post-incident dumps.
 	recorder *obs.FlightRecorder
 	// draining flips once at shutdown: readiness goes 503 and new
 	// assert batches are shed while queued ones drain.
@@ -209,7 +205,7 @@ func New(specs []ProgramSpec, cfg Config) (*Server, error) {
 		svcs:     map[string]*service{},
 		start:    time.Now(),
 		metrics:  newMetrics(),
-		recorder: obs.NewFlightRecorder(cfg.TraceBuffer),
+		recorder: obs.NewFlightRecorder(flightRecorderSize),
 	}
 	s.drainCtx, s.drainCancel = context.WithCancel(context.Background())
 	for _, spec := range specs {
@@ -219,11 +215,6 @@ func New(specs []ProgramSpec, cfg Config) (*Server, error) {
 		if _, dup := s.svcs[spec.Name]; dup {
 			return nil, fmt.Errorf("server: duplicate program name %q", spec.Name)
 		}
-		// Chain the metrics sink in front of any user-configured sink:
-		// the engine's event stream feeds the live worker gauge. Events
-		// are only ever emitted from the single-writer path (materialize
-		// and serialized asserts), and gauge updates are atomic.
-		spec.Options.Sink = datalog.MultiSink(s.metrics.programSink(spec.Name), spec.Options.Sink)
 		p, err := datalog.Load(spec.Source, spec.Options)
 		if err != nil {
 			return nil, fmt.Errorf("server: program %s: %w", spec.Name, err)

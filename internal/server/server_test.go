@@ -64,27 +64,6 @@ func get(t testing.TB, url string) (int, map[string]any) {
 	return resp.StatusCode, out
 }
 
-// getJSON is get with an explicit Accept: application/json header (the
-// /metrics endpoint defaults to the Prometheus text format).
-func getJSON(t testing.TB, url string) (int, map[string]any) {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("decoding response: %v", err)
-	}
-	return resp.StatusCode, out
-}
-
 func loadExample(t testing.TB, name string) string {
 	t.Helper()
 	b, err := os.ReadFile("../../examples/programs/" + name)
@@ -347,22 +326,19 @@ func TestServeHealthzMetricsProgram(t *testing.T) {
 		t.Fatalf("healthz: %d %v", code, resp)
 	}
 
-	// Drive some traffic, then check the counters moved.
+	// Drive some traffic, then check the counters moved: the request
+	// count and its errors by status code, and the latency histogram.
 	post(t, ts.URL+"/v1/query", `{"op":"has","pred":"s","args":["a","b"]}`)
 	post(t, ts.URL+"/v1/query", `{"op":"bad","pred":"s","args":[]}`)
-	code, resp = getJSON(t, ts.URL+"/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("metrics: %d", code)
+	text := promText(t, ts.URL)
+	if v := promValue(t, text, "mdl_http_requests_total", `endpoint="/v1/query",code="200"`); v < 1 {
+		t.Fatalf("query ok count %v, want ≥ 1", v)
 	}
-	eps := resp["endpoints"].(map[string]any)
-	q := eps["/v1/query"].(map[string]any)
-	if q["count"].(float64) < 2 || q["errors"].(float64) < 1 {
-		t.Fatalf("query metrics: %v", q)
+	if v := promValue(t, text, "mdl_http_requests_total", `endpoint="/v1/query",code="400"`); v < 1 {
+		t.Fatalf("query error count %v, want ≥ 1", v)
 	}
-	progs := resp["programs"].(map[string]any)
-	sp := progs["sp"].(map[string]any)
-	if sp["version"] != 1.0 || sp["size"].(float64) <= 0 {
-		t.Fatalf("program metrics: %v", sp)
+	if v := promValue(t, text, "mdl_http_request_duration_seconds_count", `endpoint="/v1/query"`); v < 2 {
+		t.Fatalf("query latency count %v, want ≥ 2", v)
 	}
 
 	code, resp = get(t, ts.URL+"/v1/program")
@@ -374,6 +350,9 @@ func TestServeHealthzMetricsProgram(t *testing.T) {
 		t.Fatalf("programs: %v", infos)
 	}
 	info := infos[0].(map[string]any)
+	if info["version"] != 1.0 || info["size"].(float64) <= 0 {
+		t.Fatalf("program version and size: %v", info)
+	}
 	cl := info["classification"].(map[string]any)
 	if cl["admissible"] != true {
 		t.Fatalf("classification: %v", cl)

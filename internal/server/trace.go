@@ -2,9 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
-	"os"
-	"path/filepath"
 
 	"repro/internal/obs"
 )
@@ -14,8 +11,7 @@ import (
 // request context so the assert path can attribute commit phases —
 // admission, queue wait, solve, WAL append/fsync, publish — to the
 // requests that paid for them. Finished traces land in the server's
-// flight recorder (dumped at /debug/traces) and, when Config.TraceDir
-// is set, as one Chrome trace-event JSON file per trace.
+// flight recorder (dumped at /debug/traces).
 
 // traceCtxKey carries the per-request trace state.
 type traceCtxKey struct{}
@@ -36,28 +32,4 @@ func withTrace(ctx context.Context, rt *requestTrace) context.Context {
 func traceFrom(ctx context.Context) *requestTrace {
 	rt, _ := ctx.Value(traceCtxKey{}).(*requestTrace)
 	return rt
-}
-
-// saveTrace writes one finished trace as a Chrome trace-event file
-// under dir, named by its trace ID so concurrent writers never collide.
-func saveTrace(dir string, rec obs.TraceRecord) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, fmt.Sprintf("trace-%s.json", rec.TraceID))
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteChromeTrace(f, []obs.TraceRecord{rec}); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }

@@ -151,7 +151,7 @@ func TestAssertTraceEndToEnd(t *testing.T) {
 	after := s.svcs["sp"].current().model.Stats()
 	checkSolveNarration(t, rec, before, after)
 	// /v1/stats serves the same records.
-	_, stats := getJSON(t, ts.URL+"/v1/stats?name=sp")
+	_, stats := get(t, ts.URL+"/v1/stats?name=sp")
 	rounds, _ := stats["programs"].([]any)[0].(map[string]any)["rounds"].([]any)
 	if len(rounds) != len(after.RoundLog) || len(rounds) == 0 {
 		t.Fatalf("/v1/stats rounds %v, want the %d records of the published model's RoundLog", rounds, len(after.RoundLog))
@@ -371,17 +371,17 @@ func TestTraceparentFallback(t *testing.T) {
 // within its own trace and stays inside the root window.
 func TestConcurrentTracesSelfConsistent(t *testing.T) {
 	src := loadExample(t, "shortestpath.mdl")
-	s, ts := startServer(t,
-		[]ProgramSpec{{Name: "sp", Source: src}},
-		Config{TraceBuffer: 256})
+	s, ts := startServer(t, []ProgramSpec{{Name: "sp", Source: src}}, Config{})
 
-	const writers, readers = 8, 4
+	// 8×5 asserts + 4×6 queries = 64 traces: the whole burst fits the
+	// flight recorder, so every trace is checked.
+	const writers, asserts, readers, queries = 8, 5, 4, 6
 	var wg sync.WaitGroup
 	for i := 0; i < writers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			for j := 0; j < 5; j++ {
+			for j := 0; j < asserts; j++ {
 				body := fmt.Sprintf(`{"program":"sp","facts":[{"pred":"arc","args":["w%d","n%d",1]}]}`, i, j)
 				code, out, _ := postTraced(t, ts.URL+"/v1/assert", body, "")
 				if code != http.StatusOK {
@@ -395,7 +395,7 @@ func TestConcurrentTracesSelfConsistent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := 0; j < 10; j++ {
+			for j := 0; j < queries; j++ {
 				resp, err := http.Post(ts.URL+"/v1/query", "application/json",
 					strings.NewReader(`{"program":"sp","pred":"s","args":["a","d"]}`))
 				if err != nil {
@@ -409,9 +409,13 @@ func TestConcurrentTracesSelfConsistent(t *testing.T) {
 	}
 	wg.Wait()
 
+	const want = writers*asserts + readers*queries
+	if want > flightRecorderSize {
+		t.Fatalf("%d requests overflow the %d-trace recorder", want, flightRecorderSize)
+	}
 	recs := s.recorder.Snapshot()
-	if len(recs) < writers {
-		t.Fatalf("only %d traces recorded", len(recs))
+	if len(recs) != want || s.recorder.Total() != want {
+		t.Fatalf("%d traces retained, %d recorded; want %d of each", len(recs), s.recorder.Total(), want)
 	}
 	seen := map[string]bool{}
 	for _, rec := range recs {
@@ -483,7 +487,7 @@ func assertBudgetChain(t *testing.T, url string) {
 	if code != 422 {
 		t.Fatalf("budget breach: %d %v", code, resp)
 	}
-	if _, resp := getJSON(t, url+"/v1/stats"); resp["programs"].([]any)[0].(map[string]any)["version"] != 2.0 {
+	if _, resp := get(t, url+"/v1/stats"); resp["programs"].([]any)[0].(map[string]any)["version"] != 2.0 {
 		t.Fatalf("rejected batch was published: %v", resp)
 	}
 }
@@ -496,7 +500,7 @@ func assertBudgetChain(t *testing.T, url string) {
 // total — and returns the response's scalar stats.
 func checkStatsLedger(t *testing.T, url, name string, restored bool) map[string]any {
 	t.Helper()
-	code, body := getJSON(t, url+"/v1/stats?name="+name)
+	code, body := get(t, url+"/v1/stats?name="+name)
 	if code != http.StatusOK {
 		t.Fatalf("stats got %d: %v", code, body)
 	}
@@ -549,7 +553,7 @@ func TestExplainPlanEndpoint(t *testing.T) {
 		[]ProgramSpec{{Name: "sp", Source: src}},
 		Config{})
 
-	code, body := getJSON(t, ts.URL+"/v1/explain/plan?name=sp&analyze=1")
+	code, body := get(t, ts.URL+"/v1/explain/plan?name=sp&analyze=1")
 	if code != http.StatusOK {
 		t.Fatalf("explain/plan got %d: %v", code, body)
 	}
@@ -577,7 +581,7 @@ func TestExplainPlanEndpoint(t *testing.T) {
 	}
 
 	// Bare EXPLAIN: structure with zero counters.
-	_, bare := getJSON(t, ts.URL+"/v1/explain/plan?name=sp")
+	_, bare := get(t, ts.URL+"/v1/explain/plan?name=sp")
 	for _, r := range bare["profile"].(map[string]any)["rules"].([]any) {
 		for _, op := range r.(map[string]any)["ops"].([]any) {
 			o := op.(map[string]any)
@@ -599,7 +603,7 @@ func TestExplainPlanEndpoint(t *testing.T) {
 	}
 
 	// Unknown program: 404.
-	code, _ = getJSON(t, ts.URL+"/v1/explain/plan?name=nope")
+	code, _ = get(t, ts.URL+"/v1/explain/plan?name=nope")
 	if code != http.StatusNotFound {
 		t.Fatalf("unknown program got %d, want 404", code)
 	}

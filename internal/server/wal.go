@@ -39,11 +39,9 @@ import (
 type FsyncPolicy string
 
 const (
-	// FsyncAlways syncs after every record append.
-	FsyncAlways FsyncPolicy = "always"
 	// FsyncBatch syncs once per group-commit drain, before any batch in
-	// the group is acked — the same acked⇒durable guarantee as always,
-	// amortized over the group. The default.
+	// the group is acked: acked⇒durable, with one fsync amortized over
+	// the group. The default.
 	FsyncBatch FsyncPolicy = "batch"
 	// FsyncNone never syncs explicitly; acked batches since the OS last
 	// flushed may be lost on power cut (not on process crash).
@@ -55,10 +53,10 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	switch FsyncPolicy(s) {
 	case "":
 		return FsyncBatch, nil
-	case FsyncAlways, FsyncBatch, FsyncNone:
+	case FsyncBatch, FsyncNone:
 		return FsyncPolicy(s), nil
 	}
-	return "", fmt.Errorf("unknown fsync policy %q (want always, batch or none)", s)
+	return "", fmt.Errorf("unknown fsync policy %q (want batch or none)", s)
 }
 
 // errWALFailed classifies write-ahead log failures on the commit path;

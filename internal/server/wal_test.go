@@ -199,12 +199,13 @@ func TestChaosWALAppendFailure(t *testing.T) {
 }
 
 // TestChaosWALFsyncFailure: the group-commit fsync failing is as fatal
-// as the append failing — no ack may outrun durability.
+// as the append failing — no ack may outrun durability. The fault point
+// fires on every WAL fsync.
 func TestChaosWALFsyncFailure(t *testing.T) {
 	faults.Reset()
 	t.Cleanup(faults.Reset)
 	src := loadExample(t, "shortestpath.mdl")
-	s := newWALServer(t, src, Config{WALDir: t.TempDir(), WALFsync: FsyncAlways})
+	s := newWALServer(t, src, Config{WALDir: t.TempDir(), WALFsync: FsyncBatch})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -397,15 +398,17 @@ func TestAssertSeqMonotonic(t *testing.T) {
 // TestParseFsyncPolicy pins the policy strings the CLI accepts.
 func TestParseFsyncPolicy(t *testing.T) {
 	for s, want := range map[string]FsyncPolicy{
-		"": FsyncBatch, "batch": FsyncBatch, "always": FsyncAlways, "none": FsyncNone,
+		"": FsyncBatch, "batch": FsyncBatch, "none": FsyncNone,
 	} {
 		got, err := ParseFsyncPolicy(s)
 		if err != nil || got != want {
 			t.Errorf("ParseFsyncPolicy(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	if _, err := ParseFsyncPolicy("everysooften"); err == nil {
-		t.Error("bad policy accepted")
+	for _, bad := range []string{"everysooften", "always"} {
+		if _, err := ParseFsyncPolicy(bad); err == nil {
+			t.Errorf("bad policy %q accepted", bad)
+		}
 	}
 }
 

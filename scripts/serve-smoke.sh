@@ -91,14 +91,20 @@ echo "serve-smoke: explain"
 expect "$(curl -sf -d '{"pred":"s","args":["a","d"]}' "$BASE/v1/explain")" \
     '"found":true' 's(a, d, 2)'
 
-echo "serve-smoke: metrics (Prometheus text by default)"
+echo "serve-smoke: metrics (Prometheus text)"
 expect "$(curl -sf "$BASE/metrics")" \
-    'mdl_http_requests_total' 'mdl_http_request_duration_seconds_bucket' \
-    'mdl_program_model_size' 'mdl_build_info'
+    'mdl_http_requests_total{endpoint="/v1/query",code="200"}' \
+    'mdl_http_requests_total{endpoint="/v1/assert",code="409"} 1' \
+    'mdl_http_request_duration_seconds_bucket' \
+    'mdl_program_model_size' 'mdl_program_model_version{program="shortestpath"} 2' \
+    'mdl_build_info'
 
-echo "serve-smoke: metrics (JSON via Accept)"
+echo "serve-smoke: metrics ignore Accept: application/json"
 expect "$(curl -sf -H 'Accept: application/json' "$BASE/metrics")" \
-    '"/v1/query"' '"errors"' '"version":2'
+    '# TYPE mdl_http_requests_total counter'
+
+echo "serve-smoke: program version and size"
+expect "$(curl -sf "$BASE/v1/program")" '"version":2' '"size":'
 
 echo "serve-smoke: per-rule stats endpoint"
 expect "$(curl -sf "$BASE/v1/stats")" '"rules"' '"components"' '"firings"'
