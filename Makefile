@@ -44,12 +44,14 @@ test-procs:
 race:
 	$(GO) test -race ./...
 
-# Short coverage-guided fuzz runs over the parser and the snapshot
-# decoder; the seed corpora alone run under plain `make test`.
+# Short coverage-guided fuzz runs over the parser, the snapshot and WAL
+# decoders and the serve tier's value codec; the seed corpora alone run
+# under plain `make test`.
 fuzz:
 	$(GO) test ./internal/parser -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeValue$$' -fuzztime $(FUZZTIME)
 
 # Durability suite for the write-ahead log under the race detector: the
 # log format and recovering reader (torn tails, mid-log corruption,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -335,5 +336,33 @@ func TestWatermarkRoundTrip(t *testing.T) {
 	}
 	if _, seq, err = prog.RestoreFileWatermark(path); err != nil || seq != 0 {
 		t.Fatalf("seq %d err %v, want 0 nil", seq, err)
+	}
+}
+
+// TestNaNArgumentRefused: a fact with a NaN argument is refused at
+// ingestion — by Solve, SolveMore and inside a set — so every model has
+// a snapshot that restores.
+func TestNaNArgumentRefused(t *testing.T) {
+	p, err := datalog.Load(spChain, datalog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := datalog.Num(math.NaN())
+	if _, _, err := p.Solve(datalog.NewFact("arc", datalog.Sym("a"), nan, datalog.Num(1))); err == nil || !strings.Contains(err.Error(), "NaN") {
+		t.Fatalf("Solve of a NaN argument: err = %v, want a NaN refusal", err)
+	}
+	m, _, err := p.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := p.SolveMore(m, datalog.NewFact("arc", datalog.SetOf(datalog.Sym("x"), nan), datalog.Sym("b"), datalog.Num(1))); err == nil {
+		t.Fatal("SolveMore of a set holding NaN must be refused")
+	}
+	m, _, err = p.SolveMore(m, datalog.NewFact("arc", datalog.Sym("e"), datalog.Sym("f"), datalog.Num(math.Inf(1))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Restore(m.Snapshot()); err != nil {
+		t.Fatalf("restoring the model after the refused facts: %v", err)
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -119,10 +120,10 @@ type Options struct {
 	// consecutive times with nothing else changing (0 = default 1000,
 	// negative disables).
 	DivergenceStreak int
-	// Sink, when non-nil, receives the engine's typed event stream —
-	// solve/component/round boundaries, rule passes, checkpoint
-	// flushes and resource warnings. Events are emitted synchronously
-	// from the evaluation loop; nil keeps the engine at full speed.
+	// Sink, when non-nil, receives the engine's typed event stream: the
+	// component and round boundaries of every solve. Events are emitted
+	// synchronously from the evaluation loop; nil keeps the engine at
+	// full speed.
 	Sink EventSink
 	// Profile is ignored: every solve counts the per-operator work into
 	// its model's Stats, and Program.Profile renders any Stats as
@@ -134,7 +135,11 @@ type Options struct {
 // Stats reports evaluation work.
 type Stats = core.Stats
 
-// Program is a loaded, checked, compiled program.
+// Program is a loaded, checked, compiled program. One Program runs one
+// Solve, SolveContext, SolveMore, SolveMoreContext or Resume at a time
+// (a solve's components evaluate concurrently inside it); the Models it
+// returns may be read from many goroutines at once, also while the
+// Program solves a successor.
 type Program struct {
 	prog *ast.Program
 	en   *core.Engine
@@ -264,6 +269,16 @@ func (v Value) resolve(intern bool) (_ val.T, ok bool) {
 		return val.LookupSet(raw)
 	}
 	return v.v, true
+}
+
+// hasNaN reports whether v is a NaN number or a set holding one.
+func (v Value) hasNaN() bool {
+	for _, e := range v.elems {
+		if e.hasNaN() {
+			return true
+		}
+	}
+	return v.v.Kind == val.Num && math.IsNaN(v.v.Num())
 }
 
 // resolveAll resolves vs for a read (see resolve); ok is false when some
@@ -444,30 +459,30 @@ func (p *Program) edb(facts []Fact) (*relation.DB, error) {
 	return edb, nil
 }
 
+// addFact stores f in edb. It refuses a NaN argument, which no snapshot
+// of the model could restore; the lattice refuses a NaN cost.
 func addFact(edb *relation.DB, schemas ast.Schemas, f Fact) error {
 	key := ast.MakePredKey(f.Pred, len(f.Args))
-	pi := schemas.Info(key)
-	if pi != nil && pi.HasCost {
+	args, cost := f.Args, lattice.Elem{}
+	if pi := schemas.Info(key); pi != nil && pi.HasCost {
 		if len(f.Args) == 0 {
 			return fmt.Errorf("datalog: fact %s lacks its cost argument", f.Pred)
 		}
-		c, _ := f.Args[len(f.Args)-1].resolve(true)
-		cost, err := pi.L.Parse(c)
-		if err != nil {
+		args = f.Args[:len(f.Args)-1]
+		c, _ := f.Args[len(args)].resolve(true)
+		var err error
+		if cost, err = pi.L.Parse(c); err != nil {
 			return fmt.Errorf("datalog: fact %s: %v", f.Pred, err)
 		}
-		args := make([]val.T, len(f.Args)-1)
-		for i := range args {
-			args[i], _ = f.Args[i].resolve(true)
+	}
+	raw := make([]val.T, len(args))
+	for i, a := range args {
+		if a.hasNaN() {
+			return fmt.Errorf("datalog: fact %s: argument %d is NaN", f.Pred, i+1)
 		}
-		edb.Rel(key).InsertJoin(args, cost)
-		return nil
+		raw[i], _ = a.resolve(true)
 	}
-	args := make([]val.T, len(f.Args))
-	for i, a := range f.Args {
-		args[i], _ = a.resolve(true)
-	}
-	edb.Rel(key).InsertJoin(args, lattice.Elem{})
+	edb.Rel(key).InsertJoin(raw, cost)
 	return nil
 }
 
@@ -496,7 +511,7 @@ func (p *Program) SolveMoreContext(ctx context.Context, m *Model, facts []Fact) 
 
 // Profile is the operator-level execution profile of the program's
 // compiled rules: the operator trees annotated with the counters of one
-// model's Stats. Profile.Sub of two views is the work between them.
+// model's Stats.
 type Profile = core.Profile
 
 // RuleProfile is one rule's operator pipeline within a Profile.

@@ -18,6 +18,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/parser"
 	"repro/internal/programs"
+	"repro/internal/snapshot"
 	"repro/internal/val"
 )
 
@@ -99,10 +100,24 @@ type observed struct {
 	model, facts, trace, stats string
 	// events is the engine's event stream (see eventFingerprint).
 	events string
-	// snap is the final checkpoint without what names the program rather
-	// than the model: the fingerprint is zeroed and the SHA-256 trailer
-	// (which covers it) cut off.
-	snap []byte
+	// checkpoints counts the checkpoint writes; snap is the final one
+	// without what names the program rather than the model: the
+	// fingerprint is zeroed and the SHA-256 trailer (which covers it)
+	// cut off.
+	checkpoints string
+	snap        []byte
+}
+
+// countingSink counts the checkpoints a solve writes through it. The
+// walk takes checkpoints under its lock, so writes never overlap.
+type countingSink struct {
+	datalog.CheckpointSink
+	n int
+}
+
+func (c *countingSink) Write(s *snapshot.Snapshot) error {
+	c.n++
+	return c.CheckpointSink.Write(s)
 }
 
 func observe(t *testing.T, src string, args []datalog.Fact, opts datalog.Options) observed {
@@ -114,7 +129,8 @@ func observe(t *testing.T, src string, args []datalog.Fact, opts datalog.Options
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, stats, err := p.SolveContext(context.Background(), args, datalog.WithCheckpoint(datalog.FileCheckpoint(ckpt), 1))
+	sink := &countingSink{CheckpointSink: datalog.FileCheckpoint(ckpt)}
+	m, stats, err := p.SolveContext(context.Background(), args, datalog.WithCheckpoint(sink, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,33 +141,27 @@ func observe(t *testing.T, src string, args []datalog.Fact, opts datalog.Options
 	fp := p.Fingerprint()
 	snap = bytes.Replace(snap[:len(snap)-sha256.Size], fp[:], make([]byte, len(fp)), 1)
 	return observed{
-		model:  m.String(),
-		facts:  factFingerprint(m),
-		trace:  traceFingerprint(t, p, m),
-		stats:  fmt.Sprintf("%+v", normStats(stats)),
-		events: eventFingerprint(events),
-		snap:   snap,
+		model:       m.String(),
+		facts:       factFingerprint(m),
+		trace:       traceFingerprint(t, p, m),
+		stats:       fmt.Sprintf("%+v", normStats(stats)),
+		events:      eventFingerprint(events),
+		checkpoints: fmt.Sprint(sink.n),
+		snap:        snap,
 	}
 }
 
 // eventFingerprint renders an event stream in the form the determinism
-// contract covers: grouped by component (solve-scoped events first) in
-// emission order within each group, wall times zeroed, and checkpoint
-// flushes by count only — their cumulative Round depends on the order in
-// which components complete.
+// contract covers: grouped by component in emission order within each
+// group (concurrently evaluating components interleave), wall times
+// zeroed.
 func eventFingerprint(events []datalog.Event) string {
 	groups := map[int][]string{}
-	flushes := 0
 	for _, e := range events {
-		if e.Kind == datalog.EventCheckpointFlushed {
-			flushes++
-			continue
-		}
 		e.Nanos = 0
 		groups[e.Component] = append(groups[e.Component], fmt.Sprintf("%+v", e))
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "checkpoint flushes: %d\n", flushes)
 	comps := make([]int, 0, len(groups))
 	for c := range groups {
 		comps = append(comps, c)
@@ -171,6 +181,7 @@ func (o observed) diff(t *testing.T, how string, want observed) {
 		{"traces", o.trace, want.trace},
 		{"stats", o.stats, want.stats},
 		{"events", o.events, want.events},
+		{"checkpoint writes", o.checkpoints, want.checkpoints},
 	} {
 		if c.got != c.want {
 			t.Fatalf("%s: %s differ:\n%s\nwant:\n%s", how, c.what, c.got, c.want)

@@ -5,11 +5,13 @@ import (
 	"repro/internal/obs"
 )
 
-// Event is one engine observation: a solve, component or round boundary,
-// a checkpoint flush, or a resource warning. Events are
-// emitted synchronously from the evaluation loop, so a Sink must be
-// fast and must not block; a nil Options.Sink keeps the engine at full
-// speed (the emission sites compile to a single nil check).
+// Event is one engine observation: a component or round boundary of the
+// component walk, live while the solve runs. What a solve reports as a
+// whole — totals, breakdowns, a limit breach — is its returned Stats and
+// error. Events are emitted synchronously from the evaluation loop, so a
+// Sink must be fast and must not block; a nil Options.Sink keeps the
+// engine at full speed (the emission sites compile to a single nil
+// check).
 type Event = obs.Event
 
 // EventKind discriminates Event payloads.
@@ -23,25 +25,16 @@ type EventSink = obs.Sink
 // SinkFunc adapts a function to the EventSink interface.
 type SinkFunc = obs.SinkFunc
 
-// The event kinds, in roughly the order a solve emits them.
+// The event kinds, in the order a component emits them.
 const (
-	// EventSolveBegin/End bracket one Solve/SolveMore/Resume call;
-	// the end event carries the cumulative totals and any error.
-	EventSolveBegin = obs.SolveBegin
-	EventSolveEnd   = obs.SolveEnd
-	// EventComponentBegin/End bracket one dependency-graph component,
-	// with its predicates, admissibility verdict and WFS-fallback flag.
+	// EventComponentBegin/End bracket one dependency-graph component's
+	// evaluation; the end event carries the component's counters (its
+	// predicates and verdicts are its Stats.Comps entry).
 	EventComponentBegin = obs.ComponentBegin
 	EventComponentEnd   = obs.ComponentEnd
 	// EventRoundEnd reports one fixpoint round: its Stats.RoundLog
 	// record.
 	EventRoundEnd = obs.RoundEnd
-	// EventCheckpointFlushed reports a successful checkpoint write.
-	EventCheckpointFlushed = obs.CheckpointFlushed
-	// EventDivergenceWarning precedes an ErrDiverged failure.
-	EventDivergenceWarning = obs.DivergenceWarning
-	// EventBudgetBreach precedes an ErrBudgetExceeded failure.
-	EventBudgetBreach = obs.BudgetBreach
 )
 
 // RuleStats is the per-rule slice of Stats: how many rounds evaluated

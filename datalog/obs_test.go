@@ -46,10 +46,11 @@ func (c *captureEvents) count(k datalog.EventKind) int {
 	return n
 }
 
-// TestEventStreamTaxonomy: one solve emits a well-bracketed stream —
-// SolveBegin first, SolveEnd last, ComponentBegin/End pairs around the
-// rounds of each component, and one RoundEnd per counted round, which is
-// the round's RoundLog record.
+// TestEventStreamTaxonomy: one solve emits a well-bracketed stream of
+// component and round boundaries — a ComponentBegin/End pair around the
+// rounds of each evaluated component, whose End carries the component's
+// Stats.Comps counters, and one RoundEnd per counted round, which is the
+// round's RoundLog record.
 func TestEventStreamTaxonomy(t *testing.T) {
 	cap := &captureEvents{}
 	p, err := datalog.Load(spChain, datalog.Options{Sink: cap.sink()})
@@ -61,55 +62,61 @@ func TestEventStreamTaxonomy(t *testing.T) {
 		t.Fatal(err)
 	}
 	evs := cap.all()
-	if len(evs) < 4 {
-		t.Fatalf("expected a full event stream, got %d events", len(evs))
-	}
-	if evs[0].Kind != datalog.EventSolveBegin {
-		t.Fatalf("first event %v, want SolveBegin", evs[0].Kind)
-	}
-	last := evs[len(evs)-1]
-	if last.Kind != datalog.EventSolveEnd {
-		t.Fatalf("last event %v, want SolveEnd", last.Kind)
-	}
-	// SolveEnd carries the cumulative totals.
-	if last.Firings != stats.Firings || last.Derived != stats.Derived ||
-		last.Probes != stats.Probes || last.Round != stats.Rounds {
-		t.Fatalf("SolveEnd totals %+v != stats %+v", last, stats)
-	}
-	if last.Err != "" {
-		t.Fatalf("clean solve must not carry an error: %q", last.Err)
-	}
-	if got := cap.count(datalog.EventRoundEnd); got != stats.Rounds {
+	if got := cap.count(datalog.EventRoundEnd); got != stats.Rounds || got == 0 {
 		t.Fatalf("RoundEnd events %d, want one per round (%d)", got, stats.Rounds)
 	}
-	begins, ends := cap.count(datalog.EventComponentBegin), cap.count(datalog.EventComponentEnd)
-	if begins != ends || begins != stats.Components {
-		t.Fatalf("component events begin=%d end=%d, want %d each", begins, ends, stats.Components)
+	checkComponentEvents(t, evs, stats)
+	checkRoundEvents(t, evs, datalog.Stats{}, stats)
+	// The component's predicates and verdicts are its Stats entry.
+	for _, cs := range stats.Comps {
+		if cs.Rounds > 0 && (cs.Preds == "" || !cs.Admissible || cs.WFS) {
+			t.Fatalf("component stats %+v: want predicates, admissible, no WFS fallback", cs)
+		}
 	}
-	// Components are bracketed: every Begin precedes its End, and the
-	// End carries predicates and the admissibility verdict.
-	open := -1
+}
+
+// checkComponentEvents asserts that evs, the stream of one solve that
+// returned stats, holds only component and round boundaries; that each
+// component that ran is bracketed by one ComponentBegin before one
+// ComponentEnd, with its rounds between; and that the End carries the
+// component's counters in stats.
+func checkComponentEvents(t *testing.T, evs []datalog.Event, stats datalog.Stats) {
+	t.Helper()
+	open := map[int]bool{}
+	ended := map[int]bool{}
 	for _, e := range evs {
 		switch e.Kind {
 		case datalog.EventComponentBegin:
-			if open >= 0 {
-				t.Fatalf("nested ComponentBegin for %d inside %d", e.Component, open)
+			if open[e.Component] || ended[e.Component] {
+				t.Fatalf("second ComponentBegin for component %d", e.Component)
 			}
-			open = e.Component
+			open[e.Component] = true
+		case datalog.EventRoundEnd:
+			if !open[e.Component] {
+				t.Fatalf("RoundEnd outside its component: %+v", e)
+			}
 		case datalog.EventComponentEnd:
-			if e.Component != open {
-				t.Fatalf("ComponentEnd %d, want %d", e.Component, open)
+			if !open[e.Component] {
+				t.Fatalf("ComponentEnd %d without its Begin", e.Component)
 			}
-			if e.Preds == "" {
-				t.Fatal("ComponentEnd without predicates")
+			open[e.Component], ended[e.Component] = false, true
+			cs := stats.Comps[e.Component]
+			if e.Round != cs.Rounds || e.Firings != cs.Firings || e.Derived != cs.Derived ||
+				e.Probes != cs.Probes || e.Nanos != cs.Nanos {
+				t.Fatalf("ComponentEnd %+v, want the component's Stats %+v", e, cs)
 			}
-			if !e.Admissible {
-				t.Fatalf("admissible program flagged non-admissible: %+v", e)
-			}
-			open = -1
+		default:
+			t.Fatalf("unexpected event kind %v: %+v", e.Kind, e)
 		}
 	}
-	checkRoundEvents(t, evs, datalog.Stats{}, stats)
+	if len(ended) != stats.Components {
+		t.Fatalf("%d components bracketed, want the solve's %d", len(ended), stats.Components)
+	}
+	for ci, o := range open {
+		if o {
+			t.Fatalf("component %d never ended", ci)
+		}
+	}
 }
 
 // checkRoundEvents asserts that the RoundEnd events of the solve that
@@ -143,9 +150,11 @@ func checkRoundEvents(t *testing.T, evs []datalog.Event, base, stats datalog.Sta
 	}
 }
 
-// TestEventStreamCheckpointAndBudget: checkpoint flushes and budget
-// breaches surface as events, and a failed solve's SolveEnd carries the
-// error.
+// TestEventStreamCheckpointAndBudget: a solve that checkpoints every
+// round and then breaches its budget still streams only the walk's
+// boundaries — the failing component ends like any other, its rounds are
+// the returned RoundLog — and the error's counters are the returned
+// Stats.
 func TestEventStreamCheckpointAndBudget(t *testing.T) {
 	cap := &captureEvents{}
 	p, err := datalog.Load(spChain, datalog.Options{Sink: cap.sink(), MaxFacts: 4})
@@ -153,35 +162,44 @@ func TestEventStreamCheckpointAndBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	ckpt := filepath.Join(t.TempDir(), "ev.ckpt")
-	_, _, err = p.SolveContext(context.Background(), nil, datalog.WithCheckpoint(datalog.FileCheckpoint(ckpt), 1))
+	_, stats, err := p.SolveContext(context.Background(), nil, datalog.WithCheckpoint(datalog.FileCheckpoint(ckpt), 1))
 	if !errors.Is(err, datalog.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
-	if cap.count(datalog.EventCheckpointFlushed) == 0 {
-		t.Fatal("no CheckpointFlushed events despite CheckpointEvery=1")
-	}
-	if cap.count(datalog.EventBudgetBreach) == 0 {
-		t.Fatal("no BudgetBreach event before the budget error")
-	}
-	evs := cap.all()
-	last := evs[len(evs)-1]
-	if last.Kind != datalog.EventSolveEnd || !strings.Contains(last.Err, "budget") {
-		t.Fatalf("SolveEnd of a failed solve must carry the error, got %+v", last)
-	}
+	checkFailedSolve(t, cap.all(), stats, err)
 }
 
-// TestEventStreamDivergence: the ω-limit detector warns before failing.
+// TestEventStreamDivergence: a solve the ω-limit detector stops streams
+// the same well-bracketed boundaries, and its error carries the returned
+// Stats' counters.
 func TestEventStreamDivergence(t *testing.T) {
 	cap := &captureEvents{}
 	p, err := datalog.Load(omegaLimit, datalog.Options{Sink: cap.sink(), DivergenceStreak: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.Solve(); !errors.Is(err, datalog.ErrDiverged) {
+	_, stats, err := p.Solve()
+	if !errors.Is(err, datalog.ErrDiverged) {
 		t.Fatalf("err = %v, want ErrDiverged", err)
 	}
-	if cap.count(datalog.EventDivergenceWarning) == 0 {
-		t.Fatal("no DivergenceWarning event before ErrDiverged")
+	checkFailedSolve(t, cap.all(), stats, err)
+}
+
+// checkFailedSolve asserts what a failed solve of a program with one
+// evaluated component reports: the event stream of checkComponentEvents
+// and checkRoundEvents, and an *EngineError whose counters are the
+// returned Stats'.
+func checkFailedSolve(t *testing.T, evs []datalog.Event, stats datalog.Stats, err error) {
+	t.Helper()
+	checkComponentEvents(t, evs, stats)
+	checkRoundEvents(t, evs, datalog.Stats{}, stats)
+	var ee *datalog.EngineError
+	if !errors.As(err, &ee) {
+		t.Fatalf("err = %T, want *EngineError", err)
+	}
+	if ee.Round != stats.Rounds || ee.Firings != stats.Firings || ee.Derived != stats.Derived {
+		t.Fatalf("error counters rounds=%d firings=%d derived=%d, want the returned Stats' %d/%d/%d",
+			ee.Round, ee.Firings, ee.Derived, stats.Rounds, stats.Firings, stats.Derived)
 	}
 }
 

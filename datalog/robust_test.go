@@ -3,6 +3,8 @@ package datalog_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -51,6 +53,41 @@ func TestSolveContextBudget(t *testing.T) {
 	}
 	if m == nil || stats.Derived == 0 {
 		t.Fatal("budget breach must return the partial model and stats")
+	}
+
+	// Two recursive components: a is the transitive closure of e, b that
+	// of a. The budget runs out in b, after a has completed, and the
+	// error reports the solve's counters — the Stats returned beside it
+	// — not b's alone.
+	var chain strings.Builder
+	chain.WriteString("a(X, Y) :- e(X, Y).\na(X, Z) :- a(X, Y), e(Y, Z).\n")
+	chain.WriteString("b(X, Y) :- a(X, Y).\nb(X, Z) :- b(X, Y), a(Y, Z).\n")
+	for i := 0; i < 7; i++ {
+		fmt.Fprintf(&chain, "e(n%d, n%d).\n", i, i+1)
+	}
+	p, err = datalog.Load(chain.String(), datalog.Options{MaxFacts: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err = p.Solve()
+	if !errors.As(err, &ee) || !errors.Is(err, datalog.ErrBudgetExceeded) {
+		t.Fatalf("err = %v, want an *EngineError wrapping ErrBudgetExceeded", err)
+	}
+	derivedIn := 0
+	for _, cs := range stats.Comps {
+		if cs.Derived > 0 {
+			derivedIn++
+		}
+	}
+	if stats.Derived <= 40 || derivedIn != 2 {
+		t.Fatalf("stats %+v: the breach must come in b, after a's component derived", stats)
+	}
+	if ee.Round != stats.Rounds || ee.Firings != stats.Firings || ee.Derived != stats.Derived || ee.Limit != 40 {
+		t.Fatalf("error counters rounds=%d firings=%d derived=%d limit=%d, want the returned Stats' %d/%d/%d and limit 40",
+			ee.Round, ee.Firings, ee.Derived, ee.Limit, stats.Rounds, stats.Firings, stats.Derived)
+	}
+	if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("%d derived", stats.Derived)) {
+		t.Fatalf("budget message %q does not report the solve's %d derivations", msg, stats.Derived)
 	}
 }
 

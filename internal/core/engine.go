@@ -341,9 +341,10 @@ func (en *Engine) Resume(ctx context.Context, prev *relation.DB, lim Limits, bas
 
 // solve is the frame every solve entry point runs in: it folds
 // MaxDuration into the context, seeds the stats from base (all but its
-// RoundLog, which is per call), builds the guard and brackets body with
-// the SolveBegin/SolveEnd events.
-func (en *Engine) solve(ctx context.Context, lim Limits, base Stats, body func(g *guard) (*relation.DB, error)) (_ *relation.DB, _ Stats, err error) {
+// RoundLog, which is per call), builds the guard, and writes the totals
+// of the Stats it returns into the *EngineError it returns, so the two
+// agree however the failure spread over components.
+func (en *Engine) solve(ctx context.Context, lim Limits, base Stats, body func(g *guard) (*relation.DB, error)) (*relation.DB, Stats, error) {
 	if lim.MaxDuration > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, lim.MaxDuration)
@@ -353,24 +354,14 @@ func (en *Engine) solve(ctx context.Context, lim Limits, base Stats, body func(g
 	stats := base.Clone()
 	en.ensureStats(&stats)
 	g := newGuard(ctx, lim, &stats)
-	g.sink = en.sink
 	g.start = time.Now()
-	if en.sink != nil {
-		en.sink.Event(obs.Event{Kind: obs.SolveBegin, Component: -1})
-		defer func() {
-			e := obs.Event{Kind: obs.SolveEnd, Component: -1, Round: stats.Rounds,
-				Firings: stats.Firings, Derived: stats.Derived, Probes: stats.Probes,
-				Nanos: time.Since(g.start).Nanoseconds()}
-			if err != nil {
-				e.Err = err.Error()
-			}
-			en.sink.Event(e)
-		}()
-	}
 	db, err := body(g)
 	// Components merge their rounds as they complete, in an order that
 	// varies with the worker count; a stable sort by component fixes it.
 	slices.SortStableFunc(stats.RoundLog, func(a, b RoundStats) int { return a.Component - b.Component })
+	if e, ok := err.(*EngineError); ok {
+		e.Round, e.Firings, e.Derived = stats.Rounds, stats.Firings, stats.Derived
+	}
 	return db, stats, err
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/enginerr"
 	"repro/internal/faults"
 	"repro/internal/lattice"
-	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/val"
 )
@@ -114,7 +113,9 @@ type EngineError struct {
 	// Rule is the rule being fired when the failure surfaced, when
 	// known (always set for contained panics).
 	Rule string
-	// Round, Firings and Derived snapshot Stats at failure time.
+	// Round, Firings and Derived are the Rounds, Firings and Derived of
+	// the Stats the failed solve returns beside the error: cumulative
+	// over a SolveMore/Resume chain, like those Stats.
 	Round   int
 	Firings int64
 	Derived int64
@@ -139,8 +140,8 @@ func (e *EngineError) Error() string {
 		fmt.Fprintf(&b, "core: evaluation canceled on component %v after %d rounds (%d firings, %d derived)",
 			e.Component, e.Round, e.Firings, e.Derived)
 	case errors.Is(e.Err, ErrBudgetExceeded):
-		fmt.Fprintf(&b, "core: derivation budget exceeded on component %v: %d tuples derived (limit %d) after %d rounds",
-			e.Component, e.Derived, e.Limit, e.Round)
+		fmt.Fprintf(&b, "core: derivation budget exceeded on component %v: more than %d derivations in this call (solve totals: %d rounds, %d firings, %d derived)",
+			e.Component, e.Limit, e.Round, e.Firings, e.Derived)
 	case errors.Is(e.Err, ErrDiverged):
 		if d := e.Divergence; d != nil {
 			fmt.Fprintf(&b, "core: component %v appears to diverge: %s improved %d consecutive times with nothing else changing",
@@ -198,26 +199,20 @@ type guard struct {
 	stats  *Stats
 	// start is when the solve began: the origin of its RoundLog windows.
 	start time.Time
-	det   divergeDetector
+	// det is the ω-limit detector; the atom it holds is the latest
+	// improved one, rendered lazily in fail() so the happy path never
+	// formats it.
+	det divergeDetector
 	// comp and rule track the engine's current position for error
-	// reporting; the li* fields snapshot the latest improved atom,
-	// rendered lazily in fail() so the happy path never formats it
-	// (liArgs is a reused copy — callers may pass scratch slices).
-	comp      []ast.PredKey
-	rule      *ast.Rule
-	liPred    ast.PredKey
-	liArgs    []val.T
-	liCost    lattice.Elem
-	liHasCost bool
-	liSet     bool
-	polls     int
+	// reporting.
+	comp  []ast.PredKey
+	rule  *ast.Rule
+	polls int
 	// ckpt is the durable checkpoint callback; sinceCkpt counts rounds
 	// since the component's last round-boundary checkpoint (the cadence
 	// lives in sched.checkpointCut).
 	ckpt      CheckpointFunc
 	sinceCkpt int
-	// sink receives checkpoint/divergence/budget events (nil = none).
-	sink obs.Sink
 	// cut is a component guard's round-boundary checkpoint: the walk
 	// snapshots a consistent cut of the global database overlaid with
 	// the component's private view (nil on the solve's own guard, which
@@ -258,25 +253,15 @@ func (g *guard) checkpoint(db *relation.DB) error {
 	if err := g.ckpt(db, g.stats.Clone()); err != nil {
 		return g.fail(ErrCheckpoint, err)
 	}
-	if g.sink != nil {
-		g.sink.Event(obs.Event{Kind: obs.CheckpointFlushed, Component: -1,
-			Round: g.stats.Rounds, Derived: g.stats.Derived})
-	}
 	return nil
 }
 
-// fail builds an EngineError snapshotting the guard's position.
+// fail builds an EngineError at the guard's position. Its counters are
+// left to the solve frame, which fills them from the Stats it returns.
 func (g *guard) fail(class, cause error) *EngineError {
-	e := &EngineError{
-		Err:       class,
-		Component: g.comp,
-		Round:     g.stats.Rounds,
-		Firings:   g.stats.Firings,
-		Derived:   g.stats.Derived,
-		Cause:     cause,
-	}
-	if g.liSet {
-		e.LastImproved = renderAtom(g.liPred, g.liArgs, g.liCost, g.liHasCost)
+	e := &EngineError{Err: class, Component: g.comp, Cause: cause}
+	if d := &g.det; d.seen {
+		e.LastImproved = renderAtom(d.pred, d.args, d.cost, d.hasCost)
 	}
 	if g.rule != nil {
 		e.Rule = g.rule.String()
@@ -311,25 +296,19 @@ func (g *guard) check() error {
 // current interpretation (always true in the semi-naive strategy, where
 // only changes are counted).
 func (g *guard) derived(pred ast.PredKey, args []val.T, cost lattice.Elem, hasCost, improved bool) error {
+	var d *Divergence
 	if improved {
-		g.liPred, g.liCost, g.liHasCost, g.liSet = pred, cost, hasCost, true
-		g.liArgs = append(g.liArgs[:0], args...)
+		d = g.det.observe(pred, args, cost, hasCost)
 	}
 	if g.budget != nil {
 		if err := g.budget.spend(g); err != nil {
 			return err
 		}
 	}
-	if improved {
-		if d := g.det.observe(pred, args, cost, hasCost); d != nil {
-			e := g.fail(ErrDiverged, nil)
-			e.Divergence = d
-			if g.sink != nil {
-				g.sink.Event(obs.Event{Kind: obs.DivergenceWarning, Component: -1,
-					Round: g.stats.Rounds, Derived: g.stats.Derived, Err: e.Error()})
-			}
-			return e
-		}
+	if d != nil {
+		e := g.fail(ErrDiverged, nil)
+		e.Divergence = d
+		return e
 	}
 	return nil
 }
@@ -338,10 +317,6 @@ func (g *guard) derived(pred ast.PredKey, args []val.T, cost lattice.Elem, hasCo
 func (g *guard) maxRounds(limit int) *EngineError {
 	e := g.fail(ErrDiverged, nil)
 	e.Limit = int64(limit)
-	if g.sink != nil {
-		g.sink.Event(obs.Event{Kind: obs.DivergenceWarning, Component: -1,
-			Round: g.stats.Rounds, Derived: g.stats.Derived, Err: e.Error()})
-	}
 	return e
 }
 
@@ -361,13 +336,18 @@ func renderAtom(pred ast.PredKey, args []val.T, cost lattice.Elem, hasCost bool)
 // same atom (aggregate group) improving over and over while nothing
 // else changes. Legitimate convergent programs interleave improvements
 // across atoms, resetting the streak; the halfsum program of Example
-// 5.1 improves a single group forever and trips the threshold.
+// 5.1 improves a single group forever and trips the threshold. It
+// holds the latest improved atom and its cost whether or not the
+// streak check is enabled (args is a reused copy — callers may pass
+// scratch slices).
 type divergeDetector struct {
 	threshold int
 	seen      bool
 	streak    int
 	pred      ast.PredKey
 	args      []val.T
+	cost      lattice.Elem
+	hasCost   bool
 	recent    []float64
 }
 
@@ -386,9 +366,7 @@ func (d *divergeDetector) sameAtom(pred ast.PredKey, args []val.T) bool {
 }
 
 func (d *divergeDetector) observe(pred ast.PredKey, args []val.T, cost lattice.Elem, hasCost bool) *Divergence {
-	if d.threshold <= 0 {
-		return nil
-	}
+	d.cost, d.hasCost = cost, hasCost
 	if !d.sameAtom(pred, args) {
 		d.seen = true
 		d.streak = 0
@@ -404,7 +382,7 @@ func (d *divergeDetector) observe(pred ast.PredKey, args []val.T, cost lattice.E
 		}
 		d.recent = append(d.recent, cost.Num())
 	}
-	if d.streak < d.threshold {
+	if d.threshold <= 0 || d.streak < d.threshold {
 		return nil
 	}
 	return &Divergence{

@@ -54,10 +54,6 @@ func (b *sharedBudget) spend(g *guard) error {
 	}
 	e := g.fail(ErrBudgetExceeded, nil)
 	e.Limit = b.max
-	if g.sink != nil {
-		g.sink.Event(obs.Event{Kind: obs.BudgetBreach, Component: -1,
-			Round: g.stats.Rounds, Derived: g.stats.Derived, Err: e.Error()})
-	}
 	return e
 }
 
@@ -242,8 +238,7 @@ func (s *sched) runComp(ci int) {
 	}
 	cs := &stats.Comps[ci]
 	if en.sink != nil {
-		en.sink.Event(obs.Event{Kind: obs.ComponentBegin, Component: ci,
-			Preds: cs.Preds, WFS: cs.WFS, Admissible: cs.Admissible})
+		en.sink.Event(obs.Event{Kind: obs.ComponentBegin, Component: ci})
 	}
 	s.mu.Unlock()
 
@@ -254,7 +249,6 @@ func (s *sched) runComp(ci int) {
 	}
 	g := newGuard(s.ctx, s.lim, &ls)
 	g.budget = s.budget
-	g.sink = en.sink
 	g.start = s.sg.start
 	g.comp = c.Preds
 	g.cut = func(pv *relation.DB) error { return s.checkpointCut(g, pv, ci) }
@@ -286,14 +280,9 @@ func (s *sched) runComp(ci int) {
 	}
 	cs.Nanos += nanos
 	if en.sink != nil {
-		e := obs.Event{Kind: obs.ComponentEnd, Component: ci,
-			Preds: cs.Preds, WFS: cs.WFS, Admissible: cs.Admissible,
+		en.sink.Event(obs.Event{Kind: obs.ComponentEnd, Component: ci,
 			Round: cs.Rounds, Firings: cs.Firings, Derived: cs.Derived,
-			Probes: cs.Probes, Nanos: cs.Nanos}
-		if cerr != nil {
-			e.Err = cerr.Error()
-		}
-		en.sink.Event(e)
+			Probes: cs.Probes, Nanos: cs.Nanos})
 	}
 	if cerr != nil {
 		if s.firstErr == nil {
@@ -341,10 +330,6 @@ func (s *sched) checkpointCut(g *guard, pv *relation.DB, ci int) error {
 	s.en.mergeStats(&merged, g.stats, ci)
 	if err := s.lim.Checkpoint(view, merged); err != nil {
 		return g.fail(ErrCheckpoint, err)
-	}
-	if s.en.sink != nil {
-		s.en.sink.Event(obs.Event{Kind: obs.CheckpointFlushed, Component: -1,
-			Round: merged.Rounds, Derived: merged.Derived})
 	}
 	return nil
 }

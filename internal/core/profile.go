@@ -11,9 +11,8 @@ import (
 
 // EXPLAIN ANALYZE: the compiled operator trees annotated with the
 // per-operator counters a model's Stats carry (RuleStats.Ops). Profile
-// is a view of one Stats; Sub produces the delta between two, and
-// Render prints the human tree. The JSON encoding of Profile is the
-// machine-readable form.
+// is a view of one Stats and Render prints the human tree. The JSON
+// encoding of Profile is the machine-readable form.
 
 // OpStats is one operator of a rule's pipeline with its counters (see
 // exec.OpCounts; the last operator's Out is the rule's firings when the
@@ -88,39 +87,6 @@ func (en *Engine) Profile(st Stats) *Profile {
 		}
 	}
 	return pr
-}
-
-// Sub returns this profile minus prev (per-rule, per-operator): the
-// work between the two Stats they view. Build, a high-water mark, keeps
-// the current value. Rules present only in p are kept as-is.
-func (p *Profile) Sub(prev *Profile) *Profile {
-	if prev == nil {
-		return p
-	}
-	byIdx := make(map[int]*RuleProfile, len(prev.Rules))
-	for i := range prev.Rules {
-		byIdx[prev.Rules[i].Index] = &prev.Rules[i]
-	}
-	out := &Profile{Rules: make([]RuleProfile, len(p.Rules))}
-	for i, rp := range p.Rules {
-		ops := make([]OpStats, len(rp.Ops))
-		copy(ops, rp.Ops)
-		if old := byIdx[rp.Index]; old != nil && len(old.Ops) == len(ops) {
-			for j := range ops {
-				ops[j].In -= old.Ops[j].In
-				ops[j].Out -= old.Ops[j].Out
-				ops[j].Probes -= old.Ops[j].Probes
-				ops[j].Delta -= old.Ops[j].Delta
-				ops[j].Groups -= old.Ops[j].Groups
-			}
-			rp.Firings -= old.Firings
-			rp.Nanos -= old.Nanos
-			rp.Rounds -= old.Rounds
-		}
-		rp.Ops = ops
-		out.Rules[i] = rp
-	}
-	return out
 }
 
 // Render prints the profile as a human-readable operator tree, one rule

@@ -3,12 +3,10 @@
 // stdlib-only metrics registry (counters, gauges, fixed-bucket
 // histograms) rendered in the Prometheus text exposition format.
 //
-// The event stream is allocation-conscious by construction: Event is a
-// flat value struct (no pointers into engine state), every string it
-// carries is precomputed once at engine-compile time (component
-// predicate lists), and the engine emits events only behind a
-// nil-sink check, so the un-instrumented path pays nothing beyond that
-// branch.
+// The event stream is allocation-free by construction: Event is a flat
+// value struct of integers (no pointers into engine state, no strings),
+// and the engine emits events only behind a nil-sink check, so the
+// un-instrumented path pays nothing beyond that branch.
 package obs
 
 import "sync"
@@ -16,91 +14,59 @@ import "sync"
 // Kind identifies an event type.
 type Kind uint8
 
-// The event taxonomy of one solve, in rough emission order. A solve
-// emits SolveBegin, then per component ComponentBegin / RoundEnd* /
-// ComponentEnd, and finally SolveEnd. CheckpointFlushed,
-// DivergenceWarning and BudgetBreach are interleaved where they occur.
+// The event taxonomy of one solve: live notice of the component walk's
+// boundaries. Per evaluated component the engine emits ComponentBegin,
+// a RoundEnd per fixpoint round, and ComponentEnd. Everything else a
+// solve reports — its totals, breakdowns and any limit breach — is in
+// the Stats and error it returns.
 const (
-	// SolveBegin opens one Solve/Resume/SolveMore call.
-	SolveBegin Kind = iota
-	// SolveEnd closes it, carrying cumulative totals and, on failure,
-	// the error text in Err.
-	SolveEnd
-	// ComponentBegin opens one component's fixpoint; Preds lists its
-	// predicates, WFS marks the well-founded fallback and Admissible
-	// carries the static admissibility verdict (Definition 4.5).
-	ComponentBegin
-	// ComponentEnd closes it with the component's cumulative counters.
+	// ComponentBegin opens one component's fixpoint.
+	ComponentBegin Kind = iota
+	// ComponentEnd closes it with the component's cumulative counters,
+	// also when its evaluation failed.
 	ComponentEnd
 	// RoundEnd reports one fixpoint round: the round's record in the
 	// solve's Stats.RoundLog (Δ rows, firings, derivations, improved
 	// costs, join probes and wall time).
 	RoundEnd
-	// CheckpointFlushed reports a successful durable checkpoint.
-	CheckpointFlushed
-	// DivergenceWarning reports the ω-limit detector (or the MaxRounds
-	// bound) firing; evaluation stops with ErrDiverged.
-	DivergenceWarning
-	// BudgetBreach reports a breached MaxFacts derivation budget.
-	BudgetBreach
 )
 
 // String names the kind for logs and metric labels.
 func (k Kind) String() string {
 	switch k {
-	case SolveBegin:
-		return "solve_begin"
-	case SolveEnd:
-		return "solve_end"
 	case ComponentBegin:
 		return "component_begin"
 	case ComponentEnd:
 		return "component_end"
 	case RoundEnd:
 		return "round_end"
-	case CheckpointFlushed:
-		return "checkpoint_flushed"
-	case DivergenceWarning:
-		return "divergence_warning"
-	case BudgetBreach:
-		return "budget_breach"
 	}
 	return "unknown"
 }
 
 // Event is one engine event. It is passed by value and shares no
 // mutable state with the engine; fields irrelevant to a Kind are zero.
+// The component's predicates and verdicts are its Stats.Comps entry.
 type Event struct {
 	Kind Kind
-	// Component is the bottom-up component index, -1 for solve-scoped
-	// events.
+	// Component is the bottom-up component index.
 	Component int
-	// Preds is the component's predicate list ("a/2,b/3"), precomputed
-	// at compile time (ComponentBegin/ComponentEnd).
-	Preds string
-	// WFS and Admissible are the component verdicts
-	// (ComponentBegin/ComponentEnd).
-	WFS        bool
-	Admissible bool
 	// Round is the fixpoint round within the component (RoundEnd), or
-	// the cumulative round counter for checkpoint and limit events.
+	// the component's cumulative round count (ComponentEnd).
 	Round int
 	// Delta is the number of Δ rows that drove the round and Improved
 	// the round's derivations that raised an existing tuple's cost
 	// (RoundEnd).
 	Delta    int64
 	Improved int64
-	// Firings, Derived and Probes are per-round for RoundEnd and
-	// cumulative totals for ComponentEnd/SolveEnd.
+	// Firings, Derived and Probes are per-round for RoundEnd and the
+	// component's cumulative counters for ComponentEnd.
 	Firings int64
 	Derived int64
 	Probes  int64
 	// Nanos is wall time: per round on RoundEnd, per component on
-	// ComponentEnd, per solve on SolveEnd.
+	// ComponentEnd.
 	Nanos int64
-	// Err is the failure text for SolveEnd on error, DivergenceWarning
-	// and BudgetBreach.
-	Err string
 }
 
 // Sink receives engine events. Implementations must be fast and

@@ -7,8 +7,7 @@ import (
 )
 
 func TestKindStrings(t *testing.T) {
-	kinds := []Kind{SolveBegin, SolveEnd, ComponentBegin, ComponentEnd,
-		RoundEnd, CheckpointFlushed, DivergenceWarning, BudgetBreach}
+	kinds := []Kind{ComponentBegin, ComponentEnd, RoundEnd}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()

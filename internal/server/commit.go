@@ -365,8 +365,9 @@ func (svc *service) solveAndPublish(ctx context.Context, batch []*commitReq) (co
 // (base), failed solves included: the solve span, under it a span per
 // component that ran, and under each component a span per round of its
 // RoundLog and a span per rule that ran, carrying the rule's work over
-// this solve, with its operators' Profile delta as op spans beneath. The
-// RoundLog times rounds from the solve's start, and the spans place them
+// this solve, with its operators' work over this solve as op spans
+// beneath (Build, a high-water mark, keeps st's value). The RoundLog
+// times rounds from the solve's start, and the spans place them
 // from the solve span's. The ledger keeps rule totals, not rule work per
 // round, so rule and op spans share their component's window — the
 // executor measures rows, not per-operator wall time, and the trace
@@ -386,7 +387,7 @@ func recordSolve(tr *obs.Trace, parent obs.SpanID, start, end time.Time, coalesc
 	}
 	solve := tr.RecordSpan("solve", parent, start, end,
 		append(work(st.RoundLog), obs.IntAttr("coalesced", int64(coalesced)))...)
-	ops := prog.Profile(st).Sub(prog.Profile(base)).Rules
+	prof := prog.Profile(st).Rules
 	for log := st.RoundLog; len(log) > 0; {
 		ci, n := log[0].Component, 0
 		from, to := log[0].Start, log[0].Start
@@ -406,10 +407,15 @@ func recordSolve(tr *obs.Trace, parent obs.SpanID, start, end time.Time, coalesc
 			if rs.Component != ci {
 				continue
 			}
+			ops := prof[rs.Index].Ops
 			if len(base.Rules) == len(st.Rules) {
 				b := base.Rules[rs.Index]
 				rs.Rounds, rs.Firings, rs.Derived, rs.Probes, rs.Nanos =
 					rs.Rounds-b.Rounds, rs.Firings-b.Firings, rs.Derived-b.Derived, rs.Probes-b.Probes, rs.Nanos-b.Nanos
+				for j, o := range b.Ops {
+					c := &ops[j]
+					c.In, c.Out, c.Probes, c.Delta, c.Groups = c.In-o.In, c.Out-o.Out, c.Probes-o.Probes, c.Delta-o.Delta, c.Groups-o.Groups
+				}
 			}
 			if rs.Rounds == 0 {
 				continue
@@ -418,7 +424,7 @@ func recordSolve(tr *obs.Trace, parent obs.SpanID, start, end time.Time, coalesc
 				obs.StringAttr("rule", rs.Rule), obs.IntAttr("rounds", int64(rs.Rounds)),
 				obs.IntAttr("firings", rs.Firings), obs.IntAttr("derived", rs.Derived),
 				obs.IntAttr("probes", rs.Probes), obs.IntAttr("nanos", rs.Nanos))
-			for _, op := range ops[rs.Index].Ops {
+			for _, op := range ops {
 				tr.RecordSpan(fmt.Sprintf("op%d %s", op.Step, op.Kind), rule, at(from), at(to),
 					obs.StringAttr("op", op.Op),
 					obs.IntAttr("rows_in", op.In),

@@ -14,7 +14,7 @@ import (
 // common cases bare and disambiguates the rest with one-key objects:
 //
 //	symbol a      <->  "a"
-//	number 3.5    <->  3.5        (±infinity as {"num":"inf"} / {"num":"-inf"})
+//	number 3.5    <->  3.5        (±infinity as {"num":"inf"} / {"num":"-inf"}; no NaN)
 //	boolean       <->  true / false
 //	string "x"    <->  {"str":"x"}
 //	set {a, b}    <->  {"set":["a","b"]}   (canonical element order)
@@ -39,8 +39,6 @@ func encodeValue(b *bytes.Buffer, v datalog.Value) {
 			b.WriteString(`{"num":"inf"}`)
 		case math.IsInf(n, -1):
 			b.WriteString(`{"num":"-inf"}`)
-		case math.IsNaN(n):
-			b.WriteString(`{"num":"nan"}`)
 		default:
 			b.WriteString(strconv.FormatFloat(n, 'g', -1, 64))
 		}
@@ -177,7 +175,7 @@ func decodeObjectValue(raw []byte, allowWild bool) (datalog.Value, error) {
 					return datalog.Num(math.Inf(-1)), nil
 				}
 				n, perr := strconv.ParseFloat(s, 64)
-				if perr != nil {
+				if perr != nil || math.IsNaN(n) {
 					return datalog.Value{}, fmt.Errorf("bad number %q", s)
 				}
 				return datalog.Num(n), nil

@@ -73,18 +73,27 @@ func TestValueRoundTrip(t *testing.T) {
 	}
 }
 
+// decodeOKCases are accepted alternative spellings of wire values.
+var decodeOKCases = []struct {
+	in   string
+	want datalog.Value
+}{
+	{`{"num":7}`, datalog.Num(7)},       // numeric object form
+	{`{"num":"7.5"}`, datalog.Num(7.5)}, // stringified number
+	{`{"bool":true}`, datalog.Bool(true)},
+	{`  "a" `, datalog.Sym("a")}, // surrounding whitespace
+}
+
+// decodeBadCases are wire forms decodeValue rejects, wildcards allowed.
+var decodeBadCases = []string{
+	``, `[1,2]`, `{"str":1}`, `{"num":"abc"}`, `{"set":{}}`,
+	`{"frob":1}`, `{"str":"a","num":"1"}`, `{}`, `nul`, `tru`, `12x`,
+	`{"set":[null]}`,                           // wildcard inside a set literal
+	`{"num":"NaN"}`, `{"set":[{"num":"nan"}]}`, // NaN is no value
+}
+
 func TestDecodeValueForms(t *testing.T) {
-	// Accepted alternative spellings.
-	okCases := []struct {
-		in   string
-		want datalog.Value
-	}{
-		{`{"num":7}`, datalog.Num(7)},       // numeric object form
-		{`{"num":"7.5"}`, datalog.Num(7.5)}, // stringified number
-		{`{"bool":true}`, datalog.Bool(true)},
-		{`  "a" `, datalog.Sym("a")}, // surrounding whitespace
-	}
-	for _, c := range okCases {
+	for _, c := range decodeOKCases {
 		got, err := decodeValue(json.RawMessage(c.in), false)
 		if err != nil || !got.Equal(c.want) {
 			t.Errorf("decode(%s) = %v, %v; want %s", c.in, got, err, c.want)
@@ -99,17 +108,37 @@ func TestDecodeValueForms(t *testing.T) {
 		t.Error("null without allowWild must fail")
 	}
 
-	// Rejected forms.
-	badCases := []string{
-		``, `[1,2]`, `{"str":1}`, `{"num":"abc"}`, `{"set":{}}`,
-		`{"frob":1}`, `{"str":"a","num":"1"}`, `{}`, `nul`, `tru`, `12x`,
-		`{"set":[null]}`, // wildcard inside a set literal
-	}
-	for _, in := range badCases {
+	for _, in := range decodeBadCases {
 		if v, err := decodeValue(json.RawMessage(in), true); err == nil {
 			t.Errorf("decode(%s) = %v, want error", in, v)
 		}
 	}
+}
+
+// FuzzDecodeValue: decodeValue parses untrusted bytes (HTTP bodies and
+// WAL records), so it must never panic, and every constant it accepts
+// must survive encodeValue and a second decode unchanged.
+func FuzzDecodeValue(f *testing.F) {
+	for _, c := range decodeOKCases {
+		f.Add([]byte(c.in))
+	}
+	for _, in := range decodeBadCases {
+		f.Add([]byte(in))
+	}
+	for _, in := range []string{`null`, `{"num":"-inf"}`, `-0`, `{"str":"é\u0000"}`, `{"set":["b",1,{"set":[true]}]}`} {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, err := decodeValue(data, true)
+		if err != nil || v.Kind() == datalog.AnyValue {
+			return
+		}
+		enc := encodeToString(v)
+		back, err := decodeValue(json.RawMessage(enc), false)
+		if err != nil || !back.Equal(v) {
+			t.Fatalf("decode(%q) = %s encodes as %s, which decodes to %s, %v", data, v, enc, back, err)
+		}
+	})
 }
 
 func TestJSONRowsShape(t *testing.T) {

@@ -216,10 +216,10 @@ func TestAssertOutcomeCounters(t *testing.T) {
 }
 
 // TestEventSinkDuringAsserts: a user-configured event sink receives
-// every engine event of the materialize and of each assert's solve
-// (the server passes Options.Sink through unchanged); run with -race
-// this also proves the sink is data-race free against concurrent
-// readers.
+// the component and round events of the materialize and of each
+// assert's solve (the server passes Options.Sink through unchanged);
+// run with -race this also proves the sink is data-race free against
+// concurrent readers.
 func TestEventSinkDuringAsserts(t *testing.T) {
 	src := loadExample(t, "shortestpath.mdl")
 	var mu sync.Mutex
@@ -270,12 +270,13 @@ func TestEventSinkDuringAsserts(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	// One materialize + eight asserts, each bracketed by Solve events.
-	if kinds[datalog.EventSolveBegin] != 9 || kinds[datalog.EventSolveEnd] != 9 {
-		t.Fatalf("solve events: %v, want 9 begin/end", kinds)
+	// One materialize + eight asserts, each evaluating at least the
+	// component that reads arc, bracketed by its Begin/End events.
+	if b, e := kinds[datalog.EventComponentBegin], kinds[datalog.EventComponentEnd]; b != e || b < 9 {
+		t.Fatalf("component events: %v, want matching begin/end, at least 9", kinds)
 	}
-	if kinds[datalog.EventComponentEnd] == 0 || kinds[datalog.EventRoundEnd] == 0 {
-		t.Fatalf("user sink missed component or round events: %v", kinds)
+	if kinds[datalog.EventRoundEnd] == 0 {
+		t.Fatalf("user sink missed round events: %v", kinds)
 	}
 
 	_, body, _ := getText(t, ts.URL+"/metrics")

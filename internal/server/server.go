@@ -282,13 +282,9 @@ func (s *Server) Materialize(ctx context.Context) error {
 				// Fold the replay into a fresh checkpoint immediately so
 				// the next restart replays only what arrives from here on,
 				// and let the log drop segments the new watermark subsumes.
-				if err := m.WriteSnapshotWatermark(svc.spec.Checkpoint, svc.seq.Load()); err != nil {
-					return fmt.Errorf("server: materialize %s: post-replay checkpoint: %w", name, err)
+				if err := svc.checkpoint(m, svc.seq.Load()); err != nil {
+					return fmt.Errorf("server: materialize %s: post-replay %w", name, err)
 				}
-				if _, err := svc.wal.Compact(svc.seq.Load()); err != nil {
-					return fmt.Errorf("server: materialize %s: wal compact: %w", name, err)
-				}
-				s.metrics.walSegments.With(name).Set(float64(svc.wal.Segments()))
 			}
 		}
 		s.metrics.commitSeq.With(name).Set(float64(svc.seq.Load()))
@@ -419,11 +415,10 @@ func (s *Server) Close() {
 	}
 }
 
-// FlushCheckpoints writes a final snapshot for every service configured
-// with a checkpoint path, stamped with the program's commit-sequence
-// watermark, then compacts the WAL behind it (segments the checkpoint
-// subsumes are dropped). It is called on graceful shutdown; the first
-// error is returned after all services have been attempted.
+// FlushCheckpoints checkpoints every service configured with a
+// checkpoint path (see service.checkpoint). It is called on graceful
+// shutdown; failures are logged, and the first is returned after all
+// services have been attempted.
 func (s *Server) FlushCheckpoints() error {
 	var first error
 	for _, name := range s.names {
@@ -436,29 +431,42 @@ func (s *Server) FlushCheckpoints() error {
 		seq := svc.seq.Load()
 		var err error
 		if st != nil {
-			err = st.model.WriteSnapshotWatermark(svc.spec.Checkpoint, seq)
+			err = svc.checkpoint(st.model, seq)
 		}
 		svc.writeMu.Unlock()
 		if err != nil {
-			s.logf("program %s: final checkpoint: %v", name, err)
+			s.logf("program %s: final %v", name, err)
 			if first == nil {
-				first = fmt.Errorf("server: checkpoint %s: %w", name, err)
+				first = fmt.Errorf("server: %s: %w", name, err)
 			}
-			continue
-		}
-		if st != nil {
+		} else if st != nil {
 			s.logf("program %s: checkpoint flushed to %s (version %d, seq %d)", name, svc.spec.Checkpoint, st.version, seq)
-			if svc.wal != nil && !svc.walBroken.Load() {
-				if n, cerr := svc.wal.Compact(seq); cerr != nil {
-					s.logf("program %s: wal compact: %v", name, cerr)
-				} else if n > 0 {
-					s.logf("program %s: wal compacted %d segment(s) behind seq %d", name, n, seq)
-				}
-				s.metrics.walSegments.With(name).Set(float64(svc.wal.Segments()))
-			}
 		}
 	}
 	return first
+}
+
+// checkpoint writes m, the model of commit sequence seq, to the
+// service's checkpoint path stamped with seq as its watermark, then
+// compacts the WAL behind seq (segments the checkpoint subsumes are
+// dropped) and updates mdl_wal_segments. The caller keeps commits from
+// moving the model past seq meanwhile.
+func (svc *service) checkpoint(m *datalog.Model, seq uint64) error {
+	if err := m.WriteSnapshotWatermark(svc.spec.Checkpoint, seq); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	if svc.wal == nil || svc.walBroken.Load() {
+		return nil
+	}
+	n, err := svc.wal.Compact(seq)
+	svc.srv.metrics.walSegments.With(svc.name).Set(float64(svc.wal.Segments()))
+	if err != nil {
+		return fmt.Errorf("checkpoint: wal compact: %w", err)
+	}
+	if n > 0 {
+		svc.srv.logf("program %s: wal compacted %d segment(s) behind seq %d", svc.name, n, seq)
+	}
+	return nil
 }
 
 // lookup resolves a program name; an empty name resolves to the sole

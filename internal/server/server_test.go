@@ -479,4 +479,13 @@ func TestServeValidation(t *testing.T) {
 	} else if !errors.Is(err, datalog.ErrParse) {
 		t.Fatalf("parse error class: %v", err)
 	}
+	// A NaN argument is no value: the assert is refused before it
+	// reaches the log or the model (TestWarmStartAfterRefusedNaN).
+	_, ts := startServer(t, []ProgramSpec{{Name: "sp", Source: loadExample(t, "shortestpath.mdl")}}, Config{})
+	for _, nan := range []string{`{"num":"NaN"}`, `{"num":"nan"}`, `{"set":[{"num":"NaN"}]}`} {
+		body := `{"facts":[{"pred":"arc","args":["d",` + nan + `,1]}]}`
+		if code, resp := post(t, ts.URL+"/v1/assert", body); code != http.StatusBadRequest {
+			t.Fatalf("assert %s: %d %v, want 400", body, code, resp)
+		}
+	}
 }

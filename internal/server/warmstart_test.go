@@ -73,3 +73,34 @@ func TestWarmStartRoundTrip(t *testing.T) {
 		t.Fatalf("foreign checkpoint must fail the fingerprint check, got %v", err)
 	}
 }
+
+// TestWarmStartAfterRefusedNaN: an assert carrying a NaN argument is
+// refused, so neither the WAL nor the checkpoint holds it, and a restart
+// over both warm-starts with the batches that were accepted.
+func TestWarmStartAfterRefusedNaN(t *testing.T) {
+	src := loadExample(t, "shortestpath.mdl")
+	dir := t.TempDir()
+	spec := ProgramSpec{Name: "sp", Source: src, Checkpoint: filepath.Join(dir, "sp.ckpt")}
+	cfg := Config{WALDir: dir}
+
+	s1, ts1 := startServer(t, []ProgramSpec{spec}, cfg)
+	if code, resp := post(t, ts1.URL+"/v1/assert", `{"facts":[{"pred":"arc","args":["d",{"num":"NaN"},1]}]}`); code == http.StatusOK {
+		t.Errorf("NaN argument accepted: %d %v", code, resp)
+	}
+	if code, resp := post(t, ts1.URL+"/v1/assert", `{"facts":[{"pred":"arc","args":["d","e",1]}]}`); code != http.StatusOK {
+		t.Fatalf("assert: %d %v", code, resp)
+	}
+	if err := s1.FlushCheckpoints(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	ts1.Close()
+	s1.Close()
+
+	s2, ts2 := startServer(t, []ProgramSpec{spec}, cfg)
+	if !s2.svcs["sp"].current().warm {
+		t.Fatal("restart must warm-start from the checkpoint")
+	}
+	if code, resp := post(t, ts2.URL+"/v1/query", `{"op":"cost","pred":"s","args":["a","e"]}`); code != http.StatusOK || resp["cost"] != 5.0 {
+		t.Fatalf("warm-started model must keep s(a, e) = 5: %d %v", code, resp)
+	}
+}
