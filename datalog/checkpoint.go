@@ -68,7 +68,7 @@ func WithCheckpoint(sink CheckpointSink, everyRounds int) SolveOption {
 func (p *Program) limitsFor(cfg solveConfig) core.Limits {
 	lim := p.lim
 	if cfg.sink != nil {
-		sink, fp := cfg.sink, p.fp
+		sink, fp := cfg.sink, p.Fingerprint()
 		lim.Checkpoint = func(db *relation.DB, stats core.Stats) error {
 			return sink.Write(&snapshot.Snapshot{Fingerprint: fp, Stats: snapStats(stats), DB: db})
 		}
@@ -95,7 +95,7 @@ func (m *Model) Stats() Stats { return m.stats }
 // models produce identical bytes.
 func (m *Model) Snapshot() []byte {
 	return snapshot.Encode(&snapshot.Snapshot{
-		Fingerprint: m.fp,
+		Fingerprint: m.prog.Fingerprint(),
 		Stats:       snapStats(m.stats),
 		DB:          m.db,
 	})
@@ -113,7 +113,7 @@ func (m *Model) WriteSnapshot(path string) error {
 // behind the checkpoint.
 func (m *Model) WriteSnapshotWatermark(path string, seq uint64) error {
 	return snapshot.WriteFile(path, &snapshot.Snapshot{
-		Fingerprint: m.fp,
+		Fingerprint: m.prog.Fingerprint(),
 		Stats:       snapStats(m.stats),
 		DB:          m.db,
 		Seq:         seq,
@@ -130,7 +130,7 @@ func (p *Program) Restore(data []byte) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("datalog: restore: %w", err)
 	}
-	if err := s.Verify(p.fp); err != nil {
+	if err := s.Verify(p.Fingerprint()); err != nil {
 		return nil, fmt.Errorf("datalog: restore: %w", err)
 	}
 	return p.model(s.DB, coreStats(s.Stats)), nil
@@ -153,7 +153,7 @@ func (p *Program) RestoreFileWatermark(path string) (*Model, uint64, error) {
 		}
 		return nil, 0, err
 	}
-	if err := s.Verify(p.fp); err != nil {
+	if err := s.Verify(p.Fingerprint()); err != nil {
 		return nil, 0, fmt.Errorf("datalog: restore %s: %w", path, err)
 	}
 	return p.model(s.DB, coreStats(s.Stats)), s.Seq, nil

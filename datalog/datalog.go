@@ -144,13 +144,21 @@ type Program struct {
 	prog *ast.Program
 	en   *core.Engine
 	lim  core.Limits
-	fp   [32]byte // snapshot fingerprint of prog (source + declarations)
+	// fp is the snapshot fingerprint of prog (source + declarations),
+	// hashed on first use: a solve that writes no checkpoint never
+	// renders the program text.
+	fpOnce sync.Once
+	fp     [32]byte
 }
 
 // Fingerprint returns the program's canonical fingerprint — the hash
 // that tags its checkpoints and write-ahead log segments, so neither
-// can ever be resumed against a different program.
-func (p *Program) Fingerprint() [32]byte { return p.fp }
+// can ever be resumed against a different program. It is computed on
+// the first call.
+func (p *Program) Fingerprint() [32]byte {
+	p.fpOnce.Do(func() { p.fp = snapshot.Fingerprint(p.prog) })
+	return p.fp
+}
 
 // Load parses, checks and compiles a program. Failures are classified:
 // errors.Is(err, ErrParse) for syntax errors, errors.Is(err, ErrStatic)
@@ -177,7 +185,7 @@ func Load(src string, opts Options) (*Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrStatic, err)
 	}
-	return &Program{prog: prog, en: en, lim: lim, fp: snapshot.Fingerprint(prog)}, nil
+	return &Program{prog: prog, en: en, lim: lim}, nil
 }
 
 // Classification reports where the program sits on the paper's §5 ladder.
@@ -388,7 +396,7 @@ type Model struct {
 	schemas ast.Schemas
 	en      *core.Engine
 	stats   Stats
-	fp      [32]byte // the computing program's fingerprint, tagging snapshots
+	prog    *Program // the computing program, whose fingerprint tags snapshots
 	// prov explains the model's tuples, built on the first Explain.
 	provOnce sync.Once
 	prov     *core.Provenance
@@ -406,7 +414,7 @@ func (p *Program) model(db *relation.DB, stats Stats) *Model {
 	if db == nil {
 		return nil
 	}
-	return &Model{db: db, schemas: p.en.Schemas, en: p.en, stats: stats, fp: p.fp}
+	return &Model{db: db, schemas: p.en.Schemas, en: p.en, stats: stats, prog: p}
 }
 
 // solveConfig collects per-call options: the checkpoint sink, bound to

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/programs"
+	"repro/internal/snapshot"
 )
 
 func TestQuickstartShortestPath(t *testing.T) {
@@ -277,5 +278,33 @@ func TestCircuitDefaults(t *testing.T) {
 	}
 	if b, _ := h.Truth(); b {
 		t.Fatal("t(h) must be false (AND over a default-false wire)")
+	}
+}
+
+// TestFingerprintIsLazy: Load does not hash the program, and neither
+// does a cold solve with no checkpoint sink; the first Fingerprint call
+// does, once, and a model's snapshot carries the same hash.
+func TestFingerprintIsLazy(t *testing.T) {
+	p, err := Load(programs.ShortestPath+"arc(a, b, 1). arc(b, c, 2).", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := p.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.fp != ([32]byte{}) {
+		t.Fatal("Load + Solve hashed the program")
+	}
+	fp := p.Fingerprint()
+	if fp != snapshot.Fingerprint(p.prog) || p.fp != fp {
+		t.Fatalf("Fingerprint = %x, want the hash of the program, %x", fp, snapshot.Fingerprint(p.prog))
+	}
+	s, err := snapshot.Decode(m.Snapshot(), p.en.Schemas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Fingerprint != fp {
+		t.Fatalf("snapshot fingerprint %x, want %x", s.Fingerprint, fp)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/datalog"
-	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/parser"
@@ -171,13 +170,14 @@ func equalsTPOracle(t *testing.T, src, model string) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rendered.Rules {
-		k := r.Head.Key()
-		args, cost, err := ast.FactValue(nil, &r.Head, en.Schemas.Info(k))
-		if err != nil {
-			t.Fatal(err)
+	for _, f := range rendered.Facts {
+		for i := 0; i < f.Len(); i++ {
+			args, cost, err := f.Value(i, en.Schemas.Info(f.Key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.Rel(f.Key).InsertJoin(args, cost)
 		}
-		got.Rel(k).InsertJoin(args, cost)
 	}
 	db := relation.NewDB(en.Schemas)
 	for ci := 0; ci < en.ComponentCount(); ci++ {

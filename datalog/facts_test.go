@@ -19,7 +19,6 @@ import (
 	"repro/internal/parser"
 	"repro/internal/programs"
 	"repro/internal/snapshot"
-	"repro/internal/val"
 )
 
 // Ground facts are data, not rules (docs/LANGUAGE.md): whether they
@@ -73,26 +72,7 @@ func argFacts(t *testing.T, text string) []datalog.Fact {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []datalog.Fact
-	for _, r := range prog.Rules {
-		f := datalog.Fact{Pred: r.Head.Pred}
-		for _, a := range r.Head.Args {
-			switch v := a.(ast.Const).V; v.Kind {
-			case val.Sym:
-				f.Args = append(f.Args, datalog.Sym(v.Text()))
-			case val.Num:
-				f.Args = append(f.Args, datalog.Num(v.Num()))
-			case val.Bool:
-				f.Args = append(f.Args, datalog.Bool(v.Bool()))
-			case val.Str:
-				f.Args = append(f.Args, datalog.Str(v.Text()))
-			default:
-				t.Fatalf("fact %s: unsupported constant %s", r, v)
-			}
-		}
-		out = append(out, f)
-	}
-	return out
+	return factArgs(prog.Facts)
 }
 
 // observed is everything the determinism contract covers about a solve.

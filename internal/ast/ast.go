@@ -335,13 +335,22 @@ type DefaultDecl struct {
 	Value val.T
 }
 
-// Program is a parsed program: rules (including facts), declarations and
-// integrity constraints.
+// Program is a parsed program: rules, ground facts as data,
+// declarations and integrity constraints.
 type Program struct {
-	Rules       []*Rule
+	// Rules are the program's statements that are not ground facts.
+	Rules []*Rule
+	// Facts are its ground, bodiless statements as data: one buffer per
+	// predicate, in first-occurrence order (see AddFact). AsRules hands
+	// them back as rules.
+	Facts       []*FactRows
 	Constraints []*Constraint
 	CostDecls   []CostDecl
 	DefaultDecl []DefaultDecl
+
+	nfacts   int32 // rows across Facts: the next row's Seq
+	factBufs map[factPred]*FactRows
+	lastFact *FactRows
 }
 
 // KeyMemo resolves atoms to predicate keys, remembering the last answer:
@@ -364,78 +373,6 @@ func (m *KeyMemo) Of(a *Atom) PredKey {
 	return m.key
 }
 
-// FactSplit is a program's rules partitioned into its extensional data
-// and the rules proper (see Program.SplitFacts).
-type FactSplit struct {
-	// Rules is everything the analyses and the compiler must see, in
-	// program order: rules with a body, non-ground heads, and ground
-	// facts of predicates that also head such a rule (Definition 2.10
-	// compares those facts against the rules).
-	Rules []*Rule
-	// Facts are the pure-EDB facts in program order — ground, bodiless,
-	// of predicates no other kind of rule defines. FactPreds are their
-	// distinct predicates in first-occurrence order and FactCounts[i] the
-	// number of facts of FactPreds[i].
-	Facts      []*Rule
-	FactPreds  []PredKey
-	FactCounts []int
-}
-
-// SplitFacts separates the program's data from its rules in one linear
-// pass. The paper's T_P(J, I) takes the EDB as the fixed input I (§3,
-// §6.3) and two ground facts can only clash through the cost functional
-// dependency (§2.3.1), so no analysis of Definitions 2.5, 2.10 or 4.5
-// has anything to say about a pure-EDB fact: every consumer of a program
-// splits first and spends its time on Rules only, which keeps the front
-// end's cost a function of the rules, not of the data.
-func (p *Program) SplitFacts() FactSplit {
-	derived := map[PredKey]bool{}
-	nfacts := 0
-	for _, r := range p.Rules {
-		if r.IsGroundFact() {
-			nfacts++
-		} else {
-			derived[r.Head.Key()] = true
-		}
-	}
-	if nfacts == 0 {
-		return FactSplit{Rules: p.Rules}
-	}
-	sp := FactSplit{
-		Rules: make([]*Rule, 0, len(p.Rules)-nfacts),
-		Facts: make([]*Rule, 0, nfacts),
-	}
-	var memo KeyMemo
-	last, cur := PredKey(""), -1 // the previous fact's predicate and its FactPreds index (-1: not pure)
-	index := map[PredKey]int{}
-	for _, r := range p.Rules {
-		if !r.IsGroundFact() {
-			sp.Rules = append(sp.Rules, r)
-			continue
-		}
-		if k := memo.Of(&r.Head); k != last {
-			last = k
-			if i, seen := index[k]; seen {
-				cur = i
-			} else if derived[k] {
-				cur = -1
-			} else {
-				cur = len(sp.FactPreds)
-				index[k] = cur
-				sp.FactPreds = append(sp.FactPreds, k)
-				sp.FactCounts = append(sp.FactCounts, 0)
-			}
-		}
-		if cur < 0 {
-			sp.Rules = append(sp.Rules, r)
-			continue
-		}
-		sp.Facts = append(sp.Facts, r)
-		sp.FactCounts[cur]++
-	}
-	return sp
-}
-
 // Preds returns the set of predicate keys appearing anywhere in the
 // program, sorted for determinism.
 func (p *Program) Preds() []PredKey {
@@ -449,6 +386,9 @@ func (p *Program) Preds() []PredKey {
 		}
 	}
 	walkAtoms(p, add)
+	for _, f := range p.Facts {
+		set[f.Key] = true
+	}
 	out := make([]PredKey, 0, len(set))
 	for k := range set {
 		out = append(out, k)
@@ -457,12 +397,14 @@ func (p *Program) Preds() []PredKey {
 	return out
 }
 
-// HeadPreds returns the predicates defined by some rule head (the CDB of
-// the whole program).
+// HeadPreds returns the predicates defined by some rule head or fact.
 func (p *Program) HeadPreds() map[PredKey]bool {
 	out := map[PredKey]bool{}
 	for _, r := range p.Rules {
 		out[r.Head.Key()] = true
+	}
+	for _, f := range p.Facts {
+		out[f.Key] = true
 	}
 	return out
 }
@@ -493,9 +435,10 @@ func walkAtoms(p *Program, f func(*Atom)) {
 func (p *Program) String() string { return string(p.AppendText(nil)) }
 
 // AppendText appends the program's canonical printing (String's bytes)
-// to dst: declarations, constraints, then rules and facts one per line.
-// The facts render through one shared buffer, which is what makes
-// hashing a fact-heavy program (snapshot.Fingerprint) cheap.
+// to dst: declarations, constraints, then rules and facts one per line
+// in source order. Fact rows render straight from their values into the
+// one buffer, so the printing is byte-identical to that of the same
+// facts held as rules.
 func (p *Program) AppendText(dst []byte) []byte {
 	for _, d := range p.CostDecls {
 		dst = fmt.Appendf(dst, ".cost %s : %s.\n", d.Pred, d.Lattice)
@@ -507,9 +450,12 @@ func (p *Program) AppendText(dst []byte) []byte {
 		dst = append(dst, c.String()...)
 		dst = append(dst, '\n')
 	}
-	for _, r := range p.Rules {
+	p.eachStatement(p.Facts, func(r *Rule) {
 		dst = r.appendText(dst)
 		dst = append(dst, '\n')
-	}
+	}, func(f *FactRows, i int) {
+		dst = f.appendText(dst, i)
+		dst = append(dst, '\n')
+	})
 	return dst
 }

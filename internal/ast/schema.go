@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/lattice"
-	"repro/internal/val"
 )
 
 // PredInfo is the resolved schema of one predicate.
@@ -149,7 +148,8 @@ func RolesOf(r *Rule, idx int) AggRoles {
 // every aggregate subgoal, resolves aggregate names, and checks
 // well-typedness of multiset variables (§4.2: the aggregate's domain type
 // must equal the type of each cost argument in which the multiset variable
-// occurs).
+// occurs). It checks the costs of bodiless rules; fact rows are data,
+// whose costs are checked where they are loaded (FactRows.Value).
 func ValidateProgram(p *Program, s Schemas) error {
 	for _, r := range p.Rules {
 		hi := s.Info(r.Head.Key())
@@ -246,25 +246,3 @@ func validateAgg(r *Rule, idx int, g *Agg, s Schemas) error {
 }
 
 func sameLattice(a, b lattice.Lattice) bool { return a.Name() == b.Name() }
-
-// FactValue extracts the ground tuple of a fact head: the non-cost
-// arguments appended to dst, plus — for a cost predicate — the cost
-// argument parsed into its lattice.
-func FactValue(dst []val.T, a *Atom, pi *PredInfo) (args []val.T, cost val.T, err error) {
-	args = dst
-	for i, t := range a.Args {
-		c, ok := t.(Const)
-		if !ok {
-			return nil, val.T{}, fmt.Errorf("ast: fact %s is not ground", a)
-		}
-		if pi.HasCost && i == pi.CostIndex() {
-			cost, err = pi.L.Parse(c.V)
-			if err != nil {
-				return nil, val.T{}, fmt.Errorf("ast: fact %s: %v", a, err)
-			}
-			continue
-		}
-		args = append(args, c.V)
-	}
-	return args, cost, nil
-}

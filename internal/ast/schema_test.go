@@ -154,18 +154,22 @@ func TestMultisetVarEscapes(t *testing.T) {
 
 func TestFactValue(t *testing.T) {
 	p := buildShortestPath()
+	p.AddFact("arc", []val.T{val.Symbol("a"), val.Symbol("b"), val.Number(2)}, Pos{Line: 1, Col: 1})
+	p.AddFact("arc", []val.T{val.Symbol("b"), val.Symbol("c"), val.Symbol("far")}, Pos{Line: 2, Col: 1})
 	s, _ := BuildSchemas(p)
-	a := Atom{Pred: "arc", Args: []Term{Sym("a"), Sym("b"), Num(2)}}
-	args, cost, err := FactValue(nil, &a, s.Info("arc/3"))
+	args, cost, err := p.Facts[0].Value(0, s.Info("arc/3"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(args) != 2 || args[0].Text() != "a" || cost.Num() != 2 {
 		t.Fatalf("args = %v, cost = %v", args, cost)
 	}
-	bad := Atom{Pred: "arc", Args: []Term{Sym("a"), Var("Y"), Num(2)}}
-	if _, _, err := FactValue(nil, &bad, s.Info("arc/3")); err == nil {
-		t.Fatal("non-ground fact must error")
+	if _, _, err := p.Facts[0].Value(1, s.Info("arc/3")); err == nil || !strings.Contains(err.Error(), "ast: fact arc(b, c, far): ") {
+		t.Fatalf("err = %v, want the cost outside minreal reported with its fact", err)
+	}
+	// A predicate without a cost keeps every argument.
+	if args, _, err := p.Facts[0].Value(0, &PredInfo{Key: "arc/3", Arity: 3}); err != nil || len(args) != 3 {
+		t.Fatalf("args = %v, err = %v", args, err)
 	}
 }
 
@@ -205,9 +209,10 @@ func TestCompareAndEval(t *testing.T) {
 	}
 }
 
-// TestSplitFacts: ground, bodiless facts of predicates nothing else
-// defines are data; everything else — including ground facts of a
-// predicate that also heads a rule — stays a rule, in program order.
+// TestSplitFacts: the fact buffers of predicates nothing else defines
+// are data; the rows of a predicate that also heads a rule are handed
+// back as rules, in program order. AsRules and the canonical printing
+// interleave every row back at its statement ordinal.
 func TestSplitFacts(t *testing.T) {
 	v := func(names ...string) []Term {
 		out := make([]Term, len(names))
@@ -220,24 +225,30 @@ func TestSplitFacts(t *testing.T) {
 		}
 		return out
 	}
-	fact := func(pred string, args ...string) *Rule { return &Rule{Head: Atom{Pred: pred, Args: v(args...)}} }
-	rule := func(head *Rule, body ...*Rule) *Rule {
-		for _, b := range body {
-			head.Body = append(head.Body, &Lit{Atom: b.Head})
+	p := &Program{}
+	fact := func(pred string, args ...string) {
+		vals := make([]val.T, len(args))
+		for i, a := range args {
+			vals[i] = val.Symbol(a)
 		}
-		return head
+		p.AddFact(pred, vals, Pos{Line: int32(p.nfacts) + 1, Col: 1})
 	}
-	p := &Program{Rules: []*Rule{
-		fact("e", "a", "b"),                            // data
-		fact("t", "a", "a"),                            // t heads a rule below: stays
-		rule(fact("t", "X", "Y"), fact("e", "X", "Y")), // rule
-		fact("e", "b", "c"),                            // data
-		fact("n", "a"),                                 // data, second predicate
-		fact("n", "X"),                                 // not ground: stays, and makes n derived
-		fact("e", "c", "d"),                            // data
-		fact("u"),                                      // data, no arguments
-	}}
-	sp := p.SplitFacts()
+	rule := func(pred string, args []string, body ...*Lit) {
+		r := &Rule{Head: Atom{Pred: pred, Args: v(args...)}}
+		for _, b := range body {
+			r.Body = append(r.Body, b)
+		}
+		p.Rules = append(p.Rules, r)
+	}
+	fact("e", "a", "b") // data
+	fact("t", "a", "a") // t heads a rule below: handed back
+	rule("t", []string{"X", "Y"}, &Lit{Atom: Atom{Pred: "e", Args: v("X", "Y")}})
+	fact("e", "b", "c")      // data
+	fact("n", "a")           // handed back: the rule below makes n derived
+	rule("n", []string{"X"}) // not ground: a rule
+	fact("e", "c", "d")      // data
+	fact("u")                // data, no arguments
+	rules, edb := p.SplitFacts()
 	render := func(rs []*Rule) string {
 		var parts []string
 		for _, r := range rs {
@@ -245,19 +256,38 @@ func TestSplitFacts(t *testing.T) {
 		}
 		return strings.Join(parts, " ")
 	}
-	if got, want := render(sp.Rules), "t(a, a). t(X, Y) :- e(X, Y). n(a). n(X)."; got != want {
+	if got, want := render(rules), "t(a, a). t(X, Y) :- e(X, Y). n(a). n(X)."; got != want {
 		t.Fatalf("Rules = %s, want %s", got, want)
 	}
-	if got, want := render(sp.Facts), "e(a, b). e(b, c). e(c, d). u."; got != want {
+	var data []*Rule
+	var keys []PredKey
+	var counts []int
+	for _, f := range edb {
+		keys, counts = append(keys, f.Key), append(counts, f.Len())
+		for i := 0; i < f.Len(); i++ {
+			data = append(data, f.Rule(i))
+		}
+	}
+	if got, want := render(data), "e(a, b). e(b, c). e(c, d). u."; got != want {
 		t.Fatalf("Facts = %s, want %s", got, want)
 	}
-	if got, want := fmt.Sprint(sp.FactPreds, sp.FactCounts), "[e/2 u/0] [3 1]"; got != want {
-		t.Fatalf("FactPreds, FactCounts = %s, want %s", got, want)
+	if got, want := fmt.Sprint(keys, counts), "[e/2 u/0] [3 1]"; got != want {
+		t.Fatalf("fact keys, counts = %s, want %s", got, want)
+	}
+	all := "e(a, b). t(a, a). t(X, Y) :- e(X, Y). e(b, c). n(a). n(X). e(c, d). u."
+	if got := render(p.AsRules().Rules); got != all {
+		t.Fatalf("AsRules = %s, want %s", got, all)
+	}
+	if got, want := p.String(), strings.ReplaceAll(all, ". ", ".\n")+"\n"; got != want {
+		t.Fatalf("String = %q, want %q", got, want)
+	}
+	if tag := p.Facts[0].Tags[2]; tag.Seq != 4 || tag.Rule != 2 || tag.Line != 5 {
+		t.Fatalf("e(c, d) tagged %+v, want Seq 4, Rule 2, line 5", tag)
 	}
 	// A program without data is returned as it is.
-	q := &Program{Rules: sp.Rules}
-	if sp2 := q.SplitFacts(); len(sp2.Facts) != 0 || len(sp2.Rules) != len(q.Rules) {
-		t.Fatalf("rules-only program split into %d rules and %d facts", len(sp2.Rules), len(sp2.Facts))
+	q := &Program{Rules: rules}
+	if rules2, edb2 := q.SplitFacts(); len(edb2) != 0 || len(rules2) != len(q.Rules) || q.AsRules() != q {
+		t.Fatalf("rules-only program split into %d rules and %d fact buffers", len(rules2), len(edb2))
 	}
 	if got := MakePredKey("path", 4); got != "path/4" || got.Name() != "path" || got.Arity() != 4 {
 		t.Fatalf("MakePredKey = %q (name %q, arity %d)", got, got.Name(), got.Arity())

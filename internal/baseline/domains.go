@@ -18,31 +18,77 @@ func NewOwnership(n int) *Ownership {
 
 // CompanyControl solves Example 2.7 directly: controls[x][y] is true when
 // x's direct shares in y plus the shares held by companies x controls
-// exceed one half. The iteration mirrors the monotone fixpoint: control
-// claims only ever get added, and each addition only raises the sums.
+// exceed one half, and holdings[x][y] is that sum. It is a worklist over
+// the monotone fixpoint: control claims only ever get added, so when x
+// comes to control z, z's shares are added to x's holdings once, and
+// only the holdings that grow are tested against one half — O(N² + the
+// number of control claims × the shares a company holds), not a
+// recomputation of all N² holdings per round.
+//
+// The sums are the same floating-point sums, in the same order, as the
+// naive iteration's (holding x's own shares first, then those of the
+// companies it controls in index order), so the result is identical to
+// it bit for bit: a running total near one half is settled by that sum.
 func CompanyControl(o *Ownership) (controls [][]bool, holdings [][]float64) {
-	controls = make([][]bool, o.N)
-	for i := range controls {
-		controls[i] = make([]bool, o.N)
+	n := o.N
+	controls = make([][]bool, n)
+	holdings = make([][]float64, n)
+	owned := make([][]int, n) // owned[z]: the companies z holds shares in
+	for x := range controls {
+		controls[x] = make([]bool, n)
+		holdings[x] = append([]float64(nil), o.Share[x]...)
+		for y, s := range o.Share[x] {
+			if s != 0 {
+				owned[x] = append(owned[x], y)
+			}
+		}
 	}
-	holdings = make([][]float64, o.N)
-	for i := range holdings {
-		holdings[i] = make([]float64, o.N)
+	// exact is holdings[x][y] summed in the naive iteration's order over
+	// the claims made so far.
+	exact := func(x, y int) float64 {
+		sum := o.Share[x][y]
+		for z := 0; z < n; z++ {
+			if z != x && controls[x][z] {
+				sum += o.Share[z][y]
+			}
+		}
+		return sum
 	}
-	for changed := true; changed; {
-		changed = false
-		for x := 0; x < o.N; x++ {
-			for y := 0; y < o.N; y++ {
-				sum := o.Share[x][y]
-				for z := 0; z < o.N; z++ {
-					if z != x && controls[x][z] {
-						sum += o.Share[z][y]
-					}
-				}
-				holdings[x][y] = sum
-				if sum > 0.5 && !controls[x][y] {
-					controls[x][y] = true
-					changed = true
+	// The running totals add the same terms in claim order, so they are
+	// within a few ulps of exact; nearTie is far wider than that.
+	const nearTie = 1e-9
+	var work [][2]int
+	claim := func(x, y int) {
+		if h := holdings[x][y]; controls[x][y] || h <= 0.5-nearTie || h <= 0.5+nearTie && exact(x, y) <= 0.5 {
+			return
+		}
+		controls[x][y] = true
+		work = append(work, [2]int{x, y})
+	}
+	for x := 0; x < n; x++ {
+		for y := 0; y < n; y++ {
+			claim(x, y)
+		}
+	}
+	for len(work) > 0 {
+		x, z := work[len(work)-1][0], work[len(work)-1][1]
+		work = work[:len(work)-1]
+		if z == x {
+			continue
+		}
+		for _, y := range owned[z] {
+			holdings[x][y] += o.Share[z][y]
+			claim(x, y)
+		}
+	}
+	// Final holdings in the naive iteration's order: own shares, then
+	// each controlled company's in index order.
+	for x := 0; x < n; x++ {
+		copy(holdings[x], o.Share[x])
+		for z := 0; z < n; z++ {
+			if z != x && controls[x][z] {
+				for _, y := range owned[z] {
+					holdings[x][y] += o.Share[z][y]
 				}
 			}
 		}

@@ -484,8 +484,10 @@ func FactConflict(prev, r *ast.Rule) error {
 // they give one tuple two costs, so facts are settled in one hash pass
 // and the pair loop runs per head predicate over the pairs that involve
 // a rule proper: a predicate defined by facts alone costs O(1) per fact,
-// whatever the size of the EDB.
+// whatever the size of the EDB. Fact rows take part as the rules they
+// were written as (ast.Program.AsRules).
 func ConflictFree(p *ast.Program, s ast.Schemas) error {
+	p = p.AsRules()
 	for _, r := range p.Rules {
 		if r.IsGroundFact() {
 			continue // a constant cost is trivially determined

@@ -109,74 +109,74 @@ type Engine struct {
 	insertBlocked map[ast.PredKey]string
 }
 
-// loadBase validates the program's pure-EDB facts and stores them as the
-// engine's base EDB. A fact is data, so what can be wrong with it is
+// loadBase validates the program's pure-EDB fact rows and adopts them as
+// the engine's base EDB. A fact is data, so what can be wrong with it is
 // what can be wrong with data: a cost outside the predicate's lattice,
 // or two costs for one tuple (the cost functional dependency of §2.3.1;
 // joined instead of refused under SkipChecks, as conflicting rule
-// derivations are).
-func (en *Engine) loadBase(sp ast.FactSplit) error {
+// derivations are). The error reported is the one of the earliest fact
+// in source order, whichever buffer holds it.
+func (en *Engine) loadBase(edb []*ast.FactRows) error {
 	en.base = relation.NewDB(en.Schemas)
-	for i, k := range sp.FactPreds {
-		en.base.Rel(k).Reserve(sp.FactCounts[i])
-	}
-	facts := sp.Facts
-	var (
-		memo ast.KeyMemo
-		key  ast.PredKey
-		rel  *relation.Relation
-		args []val.T
-	)
-	for i, r := range facts {
-		if k := memo.Of(&r.Head); k != key {
-			key, rel = k, en.base.Rel(k)
-		}
-		var cost lattice.Elem
-		var err error
-		if args, cost, err = ast.FactValue(args[:0], &r.Head, rel.Info); err != nil {
-			return err
-		}
-		if !en.opts.SkipChecks && rel.Info.HasCost {
-			if old, dup := rel.Get(args); dup && !lattice.Eq(rel.Info.L, old.Cost, cost) {
-				return consistency.FactConflict(firstFactOf(facts[:i], r), r)
+	var first error
+	firstSeq := int32(math.MaxInt32)
+	for _, f := range edb {
+		rel := en.base.Rel(f.Key)
+		rel.Reserve(f.Len())
+		for i := 0; i < f.Len() && f.Tags[i].Seq < firstSeq; i++ {
+			if err := en.loadRow(rel, f, i); err != nil {
+				first, firstSeq = err, f.Tags[i].Seq
 			}
 		}
-		rel.InsertJoin(args, cost)
 	}
+	return first
+}
+
+// loadRow validates row i of f and joins it into rel.
+func (en *Engine) loadRow(rel *relation.Relation, f *ast.FactRows, i int) error {
+	args, cost, err := f.Value(i, rel.Info)
+	if err != nil {
+		return err
+	}
+	if !en.opts.SkipChecks && rel.Info.HasCost {
+		if old, dup := rel.Get(args); dup && !lattice.Eq(rel.Info.L, old.Cost, cost) {
+			return consistency.FactConflict(f.Rule(firstRowOf(f, i)), f.Rule(i))
+		}
+	}
+	rel.InsertJoin(args, cost)
 	return nil
 }
 
-// firstFactOf finds, among earlier, the first fact for the same tuple as
-// r (same predicate and non-cost arguments) — the other half of a
-// conflict report.
-func firstFactOf(earlier []*ast.Rule, r *ast.Rule) *ast.Rule {
-	n := len(r.Head.Args) - 1
-	for _, e := range earlier {
-		if e.Head.Pred != r.Head.Pred || len(e.Head.Args) != n+1 {
-			continue
-		}
-		same := true
-		for j := 0; j < n && same; j++ {
-			same = val.Equal(e.Head.Args[j].(ast.Const).V, r.Head.Args[j].(ast.Const).V)
+// firstRowOf finds the first row of f before row i for the same tuple
+// (same non-cost arguments) — the other half of a conflict report.
+func firstRowOf(f *ast.FactRows, i int) int {
+	n := f.Arity - 1
+	row := f.Row(i)
+	for j := 0; j < i; j++ {
+		e, same := f.Row(j), true
+		for k := 0; k < n && same; k++ {
+			same = val.Equal(e[k], row[k])
 		}
 		if same {
-			return e
+			return j
 		}
 	}
-	return r
+	return i
 }
 
 // New compiles and (unless opts.SkipChecks) statically validates a
 // program: range restriction (Definition 2.5), conflict-freedom
 // (Definition 2.10) and componentwise admissibility (Definition 4.5).
 //
-// The program's pure-EDB ground facts are data, not rules: they are the
-// fixed input I of T_P(J, I) (§3, §6.3). New splits them off in one pass
-// (ast.Program.SplitFacts), validates them as data — ground, cost in its
+// The program's ground facts are data, not rules: they are the fixed
+// input I of T_P(J, I) (§3, §6.3), and the parser hands them over as row
+// buffers. New adopts the buffers of predicates no rule heads
+// (ast.Program.SplitFacts), validates them as data — cost in its
 // lattice, one cost per tuple — and loads them into the engine's base
 // EDB, which every solve starts from; the analyses, the compiler and
-// Stats.Rules see the remaining rules only, so New's cost is a function
-// of the rules, not of the number of facts.
+// Stats.Rules see the rules only, with the facts of rule-headed
+// predicates among them in source order, so New's cost is a function of
+// the rules, not of the number of facts.
 func New(prog *ast.Program, opts Options) (*Engine, error) {
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = 1 << 20
@@ -185,34 +185,34 @@ func New(prog *ast.Program, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp := prog.SplitFacts()
-	rp := *prog // the program as the analyses see it: same declarations, rules only
-	rp.Rules = sp.Rules
-	if err := ast.ValidateProgram(&rp, schemas); err != nil {
+	rules, edb := prog.SplitFacts()
+	// The program as the analyses see it: same declarations, rules only.
+	rp := &ast.Program{Rules: rules, Constraints: prog.Constraints, CostDecls: prog.CostDecls, DefaultDecl: prog.DefaultDecl}
+	if err := ast.ValidateProgram(rp, schemas); err != nil {
 		return nil, err
 	}
 	// The sink is mutex-wrapped once at construction: scheduled solves
 	// emit from several goroutines, and the wrapper keeps plain sinks
 	// correct there at the cost of one uncontended lock per event.
 	en := &Engine{Prog: prog, Schemas: schemas, opts: opts, sink: obs.Locked(opts.Sink)}
-	if err := en.loadBase(sp); err != nil {
+	if err := en.loadBase(edb); err != nil {
 		return nil, err
 	}
 	if !opts.SkipChecks {
-		if err := safety.CheckProgram(&rp, schemas); err != nil {
+		if err := safety.CheckProgram(rp, schemas); err != nil {
 			return nil, err
 		}
-		if err := consistency.ConflictFree(&rp, schemas); err != nil {
+		if err := consistency.ConflictFree(rp, schemas); err != nil {
 			return nil, err
 		}
 	}
 	// The dependency graph is the full program's: a pure-EDB predicate is
 	// a component of its own, with no rules to run.
 	g := deps.Build(prog)
-	en.noteInsertMonotone(sp.Rules, g)
+	en.noteInsertMonotone(rules, g)
 	en.comps = g.SCCs()
-	en.compRules = deps.RulesByComponent(sp.Rules, en.comps)
-	en.Report, en.compAdm = monotone.Classify(en.comps, sp.Rules, schemas)
+	en.compRules = deps.RulesByComponent(rules, en.comps)
+	en.Report, en.compAdm = monotone.Classify(en.comps, rules, schemas)
 	for ci, c := range en.comps {
 		parts := make([]string, len(c.Preds))
 		for i, k := range c.Preds {

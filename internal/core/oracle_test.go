@@ -82,13 +82,14 @@ func factsDB(t *testing.T, en *Engine, text string) *relation.DB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range prog.Rules {
-		key := r.Head.Key()
-		args, cost, err := ast.FactValue(nil, &r.Head, en.Schemas.Info(key))
-		if err != nil {
-			t.Fatal(err)
+	for _, f := range prog.Facts {
+		for i := 0; i < f.Len(); i++ {
+			args, cost, err := f.Value(i, en.Schemas.Info(f.Key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.Rel(f.Key).InsertJoin(args, cost)
 		}
-		db.Rel(key).InsertJoin(args, cost)
 	}
 	return db
 }

@@ -31,9 +31,9 @@ type Graph struct {
 	preds []ast.PredKey
 }
 
-// Build constructs the dependency graph of p. A pure-EDB fact has no
-// body to draw edges from, so the program's data contributes one node
-// per fact predicate, whatever the number of facts.
+// Build constructs the dependency graph of p. A fact has no body to draw
+// edges from, so the program's fact rows contribute one node per
+// predicate buffer, whatever the number of facts.
 func Build(p *ast.Program) *Graph {
 	g := &Graph{
 		Edges: map[ast.PredKey]map[ast.PredKey]EdgeKind{},
@@ -56,12 +56,11 @@ func Build(p *ast.Program) *Graph {
 		}
 		m[to] |= kind
 	}
-	sp := p.SplitFacts()
-	for _, h := range sp.FactPreds {
-		g.Heads[h] = true
-		touch(h)
+	for _, f := range p.Facts {
+		g.Heads[f.Key] = true
+		touch(f.Key)
 	}
-	for _, r := range sp.Rules {
+	for _, r := range p.Rules {
 		h := r.Head.Key()
 		g.Heads[h] = true
 		touch(h)

@@ -124,6 +124,42 @@ func timeIt(f func()) time.Duration {
 	return time.Since(start)
 }
 
+// timingRuns is how many runs a median timing takes.
+const timingRuns = 5
+
+// medianTime returns the median of timingRuns runs of f.
+func medianTime(f func()) time.Duration {
+	ds := make([]time.Duration, timingRuns)
+	for i := range ds {
+		ds[i] = timeIt(f)
+	}
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	return ds[timingRuns/2]
+}
+
+// loadSolve times the front end (parse, checks, compile: what
+// datalog.Load does) and a cold solve of src separately, each the median
+// of timingRuns runs, and returns the model.
+func loadSolve(src string, opts core.Options) (load, solve time.Duration, db *relation.DB) {
+	var en *core.Engine
+	load = medianTime(func() {
+		prog, err := parser.Parse(src)
+		if err != nil {
+			fatal(err)
+		}
+		if en, err = core.New(prog, opts); err != nil {
+			fatal(err)
+		}
+	})
+	solve = medianTime(func() {
+		var err error
+		if db, _, err = en.Solve(nil); err != nil {
+			fatal(err)
+		}
+	})
+	return load, solve, db
+}
+
 func (st *state) row(cols ...string) {
 	fmt.Fprintf(st.w, "| %s |\n", strings.Join(cols, " | "))
 }
@@ -384,15 +420,14 @@ func (st *state) e5() {
 	if st.quick {
 		sizes = []int{32, 128}
 	}
-	st.row("n", "engine", "direct solver", "coming", "agree")
-	st.row("---", "---", "---", "---", "---")
+	st.row("n", "load", "solve", "direct solver", "coming", "agree")
+	st.row("---", "---", "---", "---", "---", "---")
 	for _, n := range sizes {
 		p := gen.Party(n, 5, 3, int64(n))
 		src := programs.Party + gen.PartyFacts(p)
-		var db *relation.DB
-		dEng := timeIt(func() { db, _ = mustSolve(src, core.Options{}) })
+		dLoad, dSolve, db := loadSolve(src, core.Options{})
 		var want []bool
-		dBase := timeIt(func() { want = p.Attendance() })
+		dBase := medianTime(func() { want = p.Attendance() })
 		agree := true
 		count := 0
 		for x := 0; x < n; x++ {
@@ -404,7 +439,7 @@ func (st *state) e5() {
 				agree = false
 			}
 		}
-		st.row(fmt.Sprint(n), dEng.String(), dBase.String(), fmt.Sprint(count), fmt.Sprint(agree))
+		st.row(fmt.Sprint(n), dLoad.String(), dSolve.String(), dBase.String(), fmt.Sprint(count), fmt.Sprint(agree))
 	}
 }
 
@@ -414,16 +449,15 @@ func (st *state) e6() {
 	if st.quick {
 		sizes = []int{32, 128}
 	}
-	st.row("gates", "cyclic", "engine", "simulator", "true wires", "agree")
-	st.row("---", "---", "---", "---", "---", "---")
+	st.row("gates", "cyclic", "load", "solve", "simulator", "true wires", "agree")
+	st.row("---", "---", "---", "---", "---", "---", "---")
 	for _, n := range sizes {
 		for _, cyclic := range []bool{false, true} {
 			c := gen.Circuit(n, n/5, 3, cyclic, int64(n))
 			src := programs.Circuit + gen.CircuitFacts(c)
-			var db *relation.DB
-			dEng := timeIt(func() { db, _ = mustSolve(src, core.Options{}) })
+			dLoad, dSolve, db := loadSolve(src, core.Options{})
 			var want []bool
-			dBase := timeIt(func() { want = c.Eval() })
+			dBase := medianTime(func() { want = c.Eval() })
 			agree := true
 			count := 0
 			for i := 0; i < n; i++ {
@@ -435,7 +469,7 @@ func (st *state) e6() {
 					agree = false
 				}
 			}
-			st.row(fmt.Sprint(n), fmt.Sprint(cyclic), dEng.String(), dBase.String(),
+			st.row(fmt.Sprint(n), fmt.Sprint(cyclic), dLoad.String(), dSolve.String(), dBase.String(),
 				fmt.Sprint(count), fmt.Sprint(agree))
 		}
 	}

@@ -536,7 +536,8 @@ type Report struct {
 // Pure-EDB facts are admissible and r-monotonic by construction (they
 // are the fixed input I of T_P), so only the rules are examined.
 func CheckProgram(p *ast.Program, s ast.Schemas) Report {
-	rep, _ := Classify(deps.Build(p).SCCs(), p.SplitFacts().Rules, s)
+	rules, _ := p.SplitFacts()
+	rep, _ := Classify(deps.Build(p).SCCs(), rules, s)
 	return rep
 }
 

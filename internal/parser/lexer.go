@@ -14,6 +14,11 @@
 // multiset); "=" is the total form. A '%' starts a comment to end of line.
 // A statement-terminating '.' must be followed by whitespace or EOF;
 // '.name' introduces a directive.
+//
+// Ground facts are data (docs/ARCHITECTURE.md, "Facts are data"): the
+// lexer yields tokens on demand into a per-statement buffer, and a
+// bodiless statement whose arguments are all constants becomes a row of
+// its predicate's buffer on ast.Program, never an ast.Rule.
 package parser
 
 import (
@@ -21,10 +26,11 @@ import (
 	"strconv"
 )
 
-type tokKind int
+type tokKind uint8
 
 const (
 	tokEOF tokKind = iota
+	tokErr         // what every token reads as after a lexical error
 	tokIdent
 	tokVar
 	tokNumber
@@ -54,7 +60,7 @@ const (
 )
 
 var tokNames = map[tokKind]string{
-	tokEOF: "end of input", tokIdent: "identifier", tokVar: "variable",
+	tokEOF: "end of input", tokErr: "lexical error", tokIdent: "identifier", tokVar: "variable",
 	tokNumber: "number", tokString: "string", tokDirective: "directive",
 	tokLParen: "'('", tokRParen: "')'", tokLBracket: "'['", tokRBracket: "']'",
 	tokLBrace: "'{'", tokRBrace: "'}'", tokComma: "','", tokDot: "'.'",
@@ -63,11 +69,12 @@ var tokNames = map[tokKind]string{
 	tokPlus: "'+'", tokMinus: "'-'", tokStar: "'*'", tokSlash: "'/'",
 }
 
+// token is one lexed token: 32 bytes, since a statement's tokens are
+// copied into the parser's buffer.
 type token struct {
-	kind tokKind
-	text string
-	line int
-	col  int
+	text      string
+	line, col int32
+	kind      tokKind
 }
 
 func (t token) String() string {
@@ -78,7 +85,7 @@ func (t token) String() string {
 }
 
 type lexError struct {
-	line, col int
+	line, col int32
 	msg       string
 }
 
@@ -86,215 +93,178 @@ func (e *lexError) Error() string {
 	return fmt.Sprintf("%d:%d: %s", e.line, e.col, e.msg)
 }
 
-// lex converts source text to tokens.
-func lex(src string) ([]token, error) {
-	// Sized for fact-heavy text (a token per two bytes or so), so the
-	// slice is allocated once instead of doubling its way up.
-	toks := make([]token, 0, len(src)/2+1)
-	line, col := 1, 1
-	i := 0
-	n := len(src)
-	emit := func(k tokKind, text string, c int) {
-		toks = append(toks, token{kind: k, text: text, line: line, col: c})
-	}
+// lexer scans source text into tokens one at a time, on demand: the
+// parser holds the tokens of the statement it is parsing and no more.
+type lexer struct {
+	src       string
+	i         int
+	line, col int32
+}
+
+func newLexer(src string) lexer { return lexer{src: src, line: 1, col: 1} }
+
+// next scans the next token; at the end of the text it returns tokEOF
+// (again on every further call).
+func (lx *lexer) next() (token, error) {
+	src, n := lx.src, len(lx.src)
+	i := lx.i
+	// Skip whitespace and comments.
 	for i < n {
-		c := src[i]
-		startCol := col
-		switch {
-		case c == '\n':
-			line++
-			col = 1
+		if c := src[i]; c == '\n' {
+			lx.line++
+			lx.col = 1
 			i++
-		case c == ' ' || c == '\t' || c == '\r':
+		} else if c == ' ' || c == '\t' || c == '\r' {
 			i++
-			col++
-		case c == '%':
+			lx.col++
+		} else if c == '%' {
 			for i < n && src[i] != '\n' {
 				i++
 			}
-		case c == '.':
-			// '.ident' is a directive; '.' followed by space/EOF ends a
-			// statement.
-			if i+1 < n && isLower(src[i+1]) {
-				j := i + 1
-				for j < n && isIdentChar(src[j]) {
-					j++
-				}
-				emit(tokDirective, src[i+1:j], startCol)
-				col += j - i
-				i = j
-			} else {
-				emit(tokDot, "", startCol)
-				i++
-				col++
-			}
-		case c == '(':
-			emit(tokLParen, "", startCol)
-			i++
-			col++
-		case c == ')':
-			emit(tokRParen, "", startCol)
-			i++
-			col++
-		case c == '[':
-			emit(tokLBracket, "", startCol)
-			i++
-			col++
-		case c == ']':
-			emit(tokRBracket, "", startCol)
-			i++
-			col++
-		case c == '{':
-			emit(tokLBrace, "", startCol)
-			i++
-			col++
-		case c == '}':
-			emit(tokRBrace, "", startCol)
-			i++
-			col++
-		case c == ',':
-			emit(tokComma, "", startCol)
-			i++
-			col++
-		case c == ':':
-			if i+1 < n && src[i+1] == '-' {
-				emit(tokImplies, "", startCol)
-				i += 2
-				col += 2
-			} else {
-				emit(tokColon, "", startCol)
-				i++
-				col++
-			}
-		case c == '=':
-			emit(tokEq, "", startCol)
-			i++
-			col++
-		case c == '?':
-			if i+1 < n && src[i+1] == '=' {
-				emit(tokQEq, "", startCol)
-				i += 2
-				col += 2
-			} else {
-				return nil, &lexError{line, startCol, "stray '?'"}
-			}
-		case c == '!':
-			if i+1 < n && src[i+1] == '=' {
-				emit(tokNe, "", startCol)
-				i += 2
-				col += 2
-			} else {
-				return nil, &lexError{line, startCol, "stray '!'"}
-			}
-		case c == '<':
-			if i+1 < n && src[i+1] == '=' {
-				emit(tokLe, "", startCol)
-				i += 2
-				col += 2
-			} else {
-				emit(tokLt, "", startCol)
-				i++
-				col++
-			}
-		case c == '>':
-			if i+1 < n && src[i+1] == '=' {
-				emit(tokGe, "", startCol)
-				i += 2
-				col += 2
-			} else {
-				emit(tokGt, "", startCol)
-				i++
-				col++
-			}
-		case c == '+':
-			emit(tokPlus, "", startCol)
-			i++
-			col++
-		case c == '-':
-			emit(tokMinus, "", startCol)
-			i++
-			col++
-		case c == '*':
-			emit(tokStar, "", startCol)
-			i++
-			col++
-		case c == '/':
-			emit(tokSlash, "", startCol)
-			i++
-			col++
-		case c == '"':
-			// Scan to the closing quote (backslash escapes any byte),
-			// then decode Go-style escapes so that printing with
-			// strconv.Quote round-trips exactly.
-			j := i + 1
-			for j < n && src[j] != '"' {
-				if src[j] == '\n' {
-					return nil, &lexError{line, startCol, "unterminated string"}
-				}
-				if src[j] == '\\' && j+1 < n {
-					j++
-				}
-				j++
-			}
-			if j >= n {
-				return nil, &lexError{line, startCol, "unterminated string"}
-			}
-			decoded, err := strconv.Unquote(src[i : j+1])
-			if err != nil {
-				return nil, &lexError{line, startCol, fmt.Sprintf("bad string literal: %v", err)}
-			}
-			emit(tokString, decoded, startCol)
-			col += j + 1 - i
-			i = j + 1
-		case c >= '0' && c <= '9':
-			j := i
-			for j < n && (src[j] >= '0' && src[j] <= '9') {
-				j++
-			}
-			if j < n && src[j] == '.' && j+1 < n && src[j+1] >= '0' && src[j+1] <= '9' {
-				j++
-				for j < n && src[j] >= '0' && src[j] <= '9' {
-					j++
-				}
-			}
-			if j < n && (src[j] == 'e' || src[j] == 'E') {
-				k := j + 1
-				if k < n && (src[k] == '+' || src[k] == '-') {
-					k++
-				}
-				if k < n && src[k] >= '0' && src[k] <= '9' {
-					for k < n && src[k] >= '0' && src[k] <= '9' {
-						k++
-					}
-					j = k
-				}
-			}
-			emit(tokNumber, src[i:j], startCol)
-			col += j - i
-			i = j
-		case isLower(c):
-			j := i
-			for j < n && isIdentChar(src[j]) {
-				j++
-			}
-			emit(tokIdent, src[i:j], startCol)
-			col += j - i
-			i = j
-		case c == '_' || c >= 'A' && c <= 'Z':
-			j := i + 1 // always consume the leading byte
-			for j < n && isIdentChar(src[j]) {
-				j++
-			}
-			emit(tokVar, src[i:j], startCol)
-			col += j - i
-			i = j
-		default:
-			return nil, &lexError{line, startCol, fmt.Sprintf("unexpected character %q", c)}
+		} else {
+			break
 		}
 	}
-	toks = append(toks, token{kind: tokEOF, line: line, col: col})
-	return toks, nil
+	lx.i = i
+	if i == n {
+		return lx.emit(tokEOF, "", 0), nil
+	}
+	c := src[i]
+	two := func(second byte) bool { return i+1 < n && src[i+1] == second }
+	switch {
+	case c == '.':
+		// '.ident' is a directive; '.' followed by space/EOF ends a
+		// statement.
+		if i+1 < n && isLower(src[i+1]) {
+			j := i + 1
+			for j < n && isIdentChar(src[j]) {
+				j++
+			}
+			return lx.emit(tokDirective, src[i+1:j], j-i), nil
+		}
+		return lx.emit(tokDot, "", 1), nil
+	case c == '(':
+		return lx.emit(tokLParen, "", 1), nil
+	case c == ')':
+		return lx.emit(tokRParen, "", 1), nil
+	case c == '[':
+		return lx.emit(tokLBracket, "", 1), nil
+	case c == ']':
+		return lx.emit(tokRBracket, "", 1), nil
+	case c == '{':
+		return lx.emit(tokLBrace, "", 1), nil
+	case c == '}':
+		return lx.emit(tokRBrace, "", 1), nil
+	case c == ',':
+		return lx.emit(tokComma, "", 1), nil
+	case c == ':':
+		if two('-') {
+			return lx.emit(tokImplies, "", 2), nil
+		}
+		return lx.emit(tokColon, "", 1), nil
+	case c == '=':
+		return lx.emit(tokEq, "", 1), nil
+	case c == '?':
+		if two('=') {
+			return lx.emit(tokQEq, "", 2), nil
+		}
+		return token{}, lx.fail("stray '?'")
+	case c == '!':
+		if two('=') {
+			return lx.emit(tokNe, "", 2), nil
+		}
+		return token{}, lx.fail("stray '!'")
+	case c == '<':
+		if two('=') {
+			return lx.emit(tokLe, "", 2), nil
+		}
+		return lx.emit(tokLt, "", 1), nil
+	case c == '>':
+		if two('=') {
+			return lx.emit(tokGe, "", 2), nil
+		}
+		return lx.emit(tokGt, "", 1), nil
+	case c == '+':
+		return lx.emit(tokPlus, "", 1), nil
+	case c == '-':
+		return lx.emit(tokMinus, "", 1), nil
+	case c == '*':
+		return lx.emit(tokStar, "", 1), nil
+	case c == '/':
+		return lx.emit(tokSlash, "", 1), nil
+	case c == '"':
+		// Scan to the closing quote (backslash escapes any byte),
+		// then decode Go-style escapes so that printing with
+		// strconv.Quote round-trips exactly.
+		j := i + 1
+		for j < n && src[j] != '"' {
+			if src[j] == '\n' {
+				return token{}, lx.fail("unterminated string")
+			}
+			if src[j] == '\\' && j+1 < n {
+				j++
+			}
+			j++
+		}
+		if j >= n {
+			return token{}, lx.fail("unterminated string")
+		}
+		decoded, err := strconv.Unquote(src[i : j+1])
+		if err != nil {
+			return token{}, lx.fail(fmt.Sprintf("bad string literal: %v", err))
+		}
+		return lx.emit(tokString, decoded, j+1-i), nil
+	case c >= '0' && c <= '9':
+		j := i
+		for j < n && (src[j] >= '0' && src[j] <= '9') {
+			j++
+		}
+		if j < n && src[j] == '.' && j+1 < n && src[j+1] >= '0' && src[j+1] <= '9' {
+			j++
+			for j < n && src[j] >= '0' && src[j] <= '9' {
+				j++
+			}
+		}
+		if j < n && (src[j] == 'e' || src[j] == 'E') {
+			k := j + 1
+			if k < n && (src[k] == '+' || src[k] == '-') {
+				k++
+			}
+			if k < n && src[k] >= '0' && src[k] <= '9' {
+				for k < n && src[k] >= '0' && src[k] <= '9' {
+					k++
+				}
+				j = k
+			}
+		}
+		return lx.emit(tokNumber, src[i:j], j-i), nil
+	case isLower(c):
+		j := i
+		for j < n && isIdentChar(src[j]) {
+			j++
+		}
+		return lx.emit(tokIdent, src[i:j], j-i), nil
+	case c == '_' || c >= 'A' && c <= 'Z':
+		j := i + 1 // always consume the leading byte
+		for j < n && isIdentChar(src[j]) {
+			j++
+		}
+		return lx.emit(tokVar, src[i:j], j-i), nil
+	}
+	return token{}, lx.fail(fmt.Sprintf("unexpected character %q", c))
 }
+
+// emit returns the token of the given kind and text starting at the
+// current position, and moves past its width bytes.
+func (lx *lexer) emit(k tokKind, text string, width int) token {
+	t := token{kind: k, text: text, line: lx.line, col: lx.col}
+	lx.i += width
+	lx.col += int32(width)
+	return t
+}
+
+// fail reports a lexical error at the current position.
+func (lx *lexer) fail(msg string) error { return &lexError{lx.line, lx.col, msg} }
 
 func isLower(c byte) bool { return c >= 'a' && c <= 'z' }
 

@@ -10,20 +10,37 @@ import (
 	"repro/internal/val"
 )
 
-// Parse parses a complete program.
+// Parse parses a complete program. Ground facts go straight to their
+// predicate's row buffer (ast.Program.AddFact): no Atom or Rule is built
+// for them.
 func Parse(src string) (*ast.Program, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, fmt.Errorf("parser: %v", err)
-	}
-	p := &parser{toks: toks}
+	p := newParser(newLexer(src))
 	prog := &ast.Program{}
 	for !p.at(tokEOF) {
 		if err := p.statement(prog); err != nil {
-			return nil, fmt.Errorf("parser: %v", err)
+			return nil, p.fail(err)
 		}
+		// The statement's tokens are spent; keep any lookahead.
+		p.toks = p.toks[:copy(p.toks, p.toks[p.pos:])]
+		p.pos = 0
 	}
 	return prog, nil
+}
+
+// fail reports a failed parse. A lexical error anywhere in the text
+// wins over a syntax error, as if the whole text had been lexed first.
+func (p *parser) fail(err error) error {
+	for p.lexErr == nil {
+		if t, lerr := p.lx.next(); lerr != nil {
+			p.lexErr = lerr
+		} else if t.kind == tokEOF {
+			break
+		}
+	}
+	if p.lexErr != nil {
+		err = p.lexErr
+	}
+	return fmt.Errorf("parser: %v", err)
 }
 
 // ParseRule parses a single rule or fact (without the trailing newline
@@ -33,26 +50,74 @@ func ParseRule(src string) (*ast.Rule, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(prog.Rules) != 1 || len(prog.Constraints) != 0 ||
+	rules := prog.AsRules().Rules
+	if len(rules) != 1 || len(prog.Constraints) != 0 ||
 		len(prog.CostDecls) != 0 || len(prog.DefaultDecl) != 0 {
 		return nil, fmt.Errorf("parser: expected exactly one rule")
 	}
-	return prog.Rules[0], nil
+	return rules[0], nil
 }
 
+// parser is a recursive-descent parser over tokens lexed on demand. toks
+// holds the current statement's tokens lexed so far (plus lookahead), so
+// tryAggregate can backtrack within a statement by resetting pos. The
+// current token is always lexed: pos < len(toks).
 type parser struct {
-	toks []token
-	pos  int
+	lx     lexer
+	lexErr error // the lexer's error; every later token reads as tokErr
+	toks   []token
+	pos    int
+	// vals and vars are the scratch of a statement head's arguments:
+	// the constants, and the variable names ("" for a constant).
+	vals []val.T
+	vars []string
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+func newParser(lx lexer) *parser {
+	p := &parser{lx: lx}
+	p.lexTo(0)
+	return p
+}
 
-func (p *parser) at(k tokKind) bool { return p.cur().kind == k }
+// peek returns the token k places past the current one. The pointer is
+// good until the next token is lexed.
+func (p *parser) peek(k int) *token {
+	if p.pos+k >= len(p.toks) {
+		p.lexTo(p.pos + k)
+	}
+	return &p.toks[p.pos+k]
+}
+
+// lexTo lexes up to toks[i].
+func (p *parser) lexTo(i int) {
+	for i >= len(p.toks) {
+		t := token{kind: tokErr}
+		if p.lexErr == nil {
+			var err error
+			if t, err = p.lx.next(); err != nil {
+				p.lexErr = err
+				t = token{kind: tokErr}
+			}
+		}
+		p.toks = append(p.toks, t)
+	}
+}
+
+func (p *parser) cur() *token { return &p.toks[p.pos] }
+func (p *parser) next() token { t := p.toks[p.pos]; p.advance(); return t }
+
+// advance moves to the next token, lexing it if need be.
+func (p *parser) advance() {
+	if p.pos++; p.pos == len(p.toks) {
+		p.lexTo(p.pos)
+	}
+}
+
+func (p *parser) at(k tokKind) bool { return p.toks[p.pos].kind == k }
 
 func (p *parser) accept(k tokKind) bool {
 	if p.at(k) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -86,24 +151,65 @@ func (p *parser) statement(prog *ast.Program) error {
 		prog.Constraints = append(prog.Constraints, &ast.Constraint{Body: body})
 		return nil
 	default:
-		head, err := p.atom()
+		return p.ruleOrFact(prog)
+	}
+}
+
+// ruleOrFact parses a statement with a head. A bodiless statement whose
+// head arguments are all constants is a fact: its constants, interned
+// once by constant, become one row of the predicate's buffer.
+func (p *parser) ruleOrFact(prog *ast.Program) error {
+	name, err := p.expect(tokIdent)
+	if err != nil {
+		return err
+	}
+	p.vals, p.vars = p.vals[:0], p.vars[:0]
+	ground := true
+	if p.accept(tokLParen) && !p.accept(tokRParen) {
+		for {
+			var v val.T
+			var x string
+			if p.at(tokVar) {
+				x, ground = p.next().text, false
+			} else if v, err = p.constant(); err != nil {
+				return err
+			}
+			p.vals, p.vars = append(p.vals, v), append(p.vars, x)
+			if !p.accept(tokComma) {
+				break
+			}
+		}
+		if _, err := p.expect(tokRParen); err != nil {
+			return err
+		}
+	}
+	if ground && p.accept(tokDot) {
+		prog.AddFact(name.text, p.vals, ast.Pos{Line: name.line, Col: name.col})
+		return nil
+	}
+	r := &ast.Rule{Head: ast.Atom{Pred: name.text}}
+	if len(p.vals) > 0 {
+		r.Head.Args = make([]ast.Term, len(p.vals))
+		for i, v := range p.vals {
+			if p.vars[i] != "" {
+				r.Head.Args[i] = ast.Var(p.vars[i])
+			} else {
+				r.Head.Args[i] = ast.Const{V: v}
+			}
+		}
+	}
+	if p.accept(tokImplies) {
+		body, err := p.body()
 		if err != nil {
 			return err
 		}
-		r := &ast.Rule{Head: head}
-		if p.accept(tokImplies) {
-			body, err := p.body()
-			if err != nil {
-				return err
-			}
-			r.Body = body
-		}
-		if _, err := p.expect(tokDot); err != nil {
-			return err
-		}
-		prog.Rules = append(prog.Rules, r)
-		return nil
+		r.Body = body
 	}
+	if _, err := p.expect(tokDot); err != nil {
+		return err
+	}
+	prog.Rules = append(prog.Rules, r)
+	return nil
 }
 
 func (p *parser) directive(prog *ast.Program) error {
@@ -196,7 +302,7 @@ func (p *parser) body() ([]ast.Subgoal, error) {
 
 func (p *parser) subgoal() (ast.Subgoal, error) {
 	// Negative literal.
-	if p.at(tokIdent) && p.cur().text == "not" && p.toks[p.pos+1].kind == tokIdent {
+	if p.at(tokIdent) && p.cur().text == "not" && p.peek(1).kind == tokIdent {
 		p.next()
 		a, err := p.atom()
 		if err != nil {
@@ -214,7 +320,7 @@ func (p *parser) subgoal() (ast.Subgoal, error) {
 	}
 	// Positive atom: IDENT '(' or bare IDENT not followed by an operator.
 	if p.at(tokIdent) {
-		nk := p.toks[p.pos+1].kind
+		nk := p.peek(1).kind
 		if nk == tokLParen {
 			a, err := p.atom()
 			if err != nil {

@@ -127,10 +127,14 @@ p.
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(prog.Rules) != 9 {
-		t.Fatalf("facts = %d", len(prog.Rules))
+	if len(prog.Rules) != 0 {
+		t.Fatalf("rules = %d, want every statement a fact row", len(prog.Rules))
 	}
-	get := func(i, j int) val.T { return prog.Rules[i].Head.Args[j].(ast.Const).V }
+	rules := prog.AsRules().Rules
+	if len(rules) != 9 {
+		t.Fatalf("facts = %d", len(rules))
+	}
+	get := func(i, j int) val.T { return rules[i].Head.Args[j].(ast.Const).V }
 	if get(2, 1).Num() != -2.5 {
 		t.Errorf("negative float: %v", get(2, 1))
 	}
@@ -149,8 +153,8 @@ p.
 	if get(7, 1).Set().Len() != 0 {
 		t.Errorf("empty set: %v", get(7, 1))
 	}
-	if prog.Rules[8].Head.Pred != "p" || len(prog.Rules[8].Head.Args) != 0 {
-		t.Errorf("propositional fact: %v", prog.Rules[8].Head)
+	if rules[8].Head.Pred != "p" || len(rules[8].Head.Args) != 0 {
+		t.Errorf("propositional fact: %v", rules[8].Head)
 	}
 }
 

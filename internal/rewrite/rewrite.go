@@ -28,7 +28,7 @@ import (
 func MinMax(prog *ast.Program) (*ast.Program, error) {
 	out := &ast.Program{}
 	fresh := 0
-	for _, r := range prog.Rules {
+	for _, r := range prog.AsRules().Rules {
 		aggIdx := -1
 		for i, sg := range r.Body {
 			if _, ok := sg.(*ast.Agg); ok {

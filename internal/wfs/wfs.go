@@ -99,6 +99,7 @@ func Solve(prog *ast.Program, opts Options) (*Result, error) {
 // enginerr.ErrCanceled (core.ErrCanceled) when it fires.
 func SolveContext(ctx context.Context, prog *ast.Program, opts Options) (*Result, error) {
 	opts.defaults()
+	prog = prog.AsRules()
 
 	u, err := lfp(ctx, relaxedProgram(prog), &semantics{negFalseIn: NewStore(), mode: aggDefinite, low: NewStore(), high: NewStore()}, opts)
 	if err != nil {
@@ -197,7 +198,7 @@ func relaxedProgram(prog *ast.Program) *ast.Program {
 // total model m is stable iff ReductLfp(prog, m) equals m.
 func ReductLfp(prog *ast.Program, m *Store, opts Options) (*Store, error) {
 	opts.defaults()
-	return lfp(context.Background(), prog, &semantics{negFalseIn: m, mode: aggDefinite, low: m, high: m}, opts)
+	return lfp(context.Background(), prog.AsRules(), &semantics{negFalseIn: m, mode: aggDefinite, low: m, high: m}, opts)
 }
 
 // lfp computes the least fixpoint of the immediate-consequence operator

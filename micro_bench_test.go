@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/datalog"
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -29,6 +30,43 @@ func BenchmarkParse(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkLoad: datalog.Load of Example 4.3 over 1,024 generated guests
+// (116 KB of text, about 4,100 facts), MB/s of program text, beside a
+// cold Solve of the loaded program. Facts are data from the bytes up, so
+// load allocates per buffer chunk and per new symbol, not per fact:
+// scripts/bench_regression.sh pins load's allocs/op.
+func BenchmarkLoad(b *testing.B) {
+	src := programs.Party + gen.PartyFacts(gen.Party(1024, 4, 3, 1))
+	b.Run("load", func(b *testing.B) {
+		// One untimed load first interns the text's symbols, so the
+		// pinned count is the steady state: no symbol is new.
+		if _, err := datalog.Load(src, datalog.Options{}); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(src)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := datalog.Load(src, datalog.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("solve", func(b *testing.B) {
+		p, err := datalog.Load(src, datalog.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := p.Solve(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkCompile: the full Load pipeline (parse + schemas + safety +
