@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet bench-vet test test-procs race fuzz wal-crash-test serve-smoke loadgen loadgen-smoke bench-regression ci clean
+.PHONY: all build vet bench-vet test test-procs race fuzz wal-crash-test serve-smoke bench-regression ci clean
 
 all: build
 
@@ -68,17 +68,6 @@ wal-crash-test:
 serve-smoke:
 	sh scripts/serve-smoke.sh
 
-# Load-generator harness: steady + overload phases against a live
-# server; merges p50/p99/error-rate reports into BENCH_<date>.json.
-loadgen:
-	sh scripts/loadgen.sh
-
-# Short loadgen phases against a throwaway BENCH file: proves the
-# harness and the serve tier survive overload without hard errors.
-loadgen-smoke:
-	LOADGEN_DURATION=2s LOADGEN_OVERLOAD_DURATION=1s \
-		LOADGEN_OUT=/tmp/bench-loadgen-smoke.json sh scripts/loadgen.sh
-
 # Regression gate: fail if BenchmarkSolve's allocs/op moves off its pin,
 # or Example 4.3's index probes per solve move off theirs.
 bench-regression:
@@ -87,7 +76,7 @@ bench-regression:
 # CI's target set, plus one iteration of every root benchmark (proves
 # each still compiles and runs; timings that carry a conclusion come from
 # benchmark/, see BENCHMARK.json).
-ci: vet bench-vet build test-procs race fuzz wal-crash-test serve-smoke loadgen-smoke bench-regression
+ci: vet bench-vet build test-procs race fuzz wal-crash-test serve-smoke bench-regression
 	$(GO) test . -run '^$$' -bench . -benchtime 1x
 
 clean:

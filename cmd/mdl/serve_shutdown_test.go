@@ -69,8 +69,18 @@ func TestServeShutdownRacingAsserts(t *testing.T) {
 		}(i)
 	}
 
-	// Let some batches commit, then pull the plug mid-traffic.
+	// Let some batches commit, then pull the plug mid-traffic. Until
+	// then the server stays ready: the assert burst is backpressure,
+	// never a failure state.
 	time.Sleep(150 * time.Millisecond)
+	if resp, err := client.Get(url + "/readyz"); err != nil {
+		t.Errorf("readyz after the assert burst: %v", err)
+	} else {
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("readyz after the assert burst: %d, want 200", resp.StatusCode)
+		}
+	}
 	exit, stderr := shutdown()
 	wg.Wait()
 	if exit != exitOK {

@@ -3,13 +3,11 @@ package server
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/datalog"
 	"repro/internal/faults"
-	"repro/internal/obs"
 )
 
 // Group commit: the write path of the serve tier.
@@ -52,15 +50,6 @@ type commitReq struct {
 	// commit path so committer log lines — poison-batch retries above
 	// all — stay attributable to the request that queued the batch.
 	reqID string
-	// tr/root carry the submitting request's trace (tr nil when the
-	// batch was enqueued outside the instrumented handler chain);
-	// enqueued is when the batch entered the queue. The commit path
-	// records queue/solve/wal/publish spans against them; tr is safe to
-	// use after the waiting handler has given up — a finished trace
-	// ignores further spans.
-	tr       *obs.Trace
-	root     obs.SpanID
-	enqueued time.Time
 }
 
 // commitResult is the outcome of one batch.
@@ -253,21 +242,6 @@ func (svc *service) solveAndPublish(ctx context.Context, batch []*commitReq) (co
 	}
 	svc.writeMu.Lock()
 	defer svc.writeMu.Unlock()
-	// Queue-wait spans: [enqueue, writer acquired] per traced batch. The
-	// leader — the first traced batch — additionally owns the solve
-	// narration: its trace gets the nested component/round/rule spans
-	// read from the solve's Stats, so one solve is never narrated twice.
-	var leader *commitReq
-	now := time.Now()
-	for _, req := range batch {
-		if req.tr == nil {
-			continue
-		}
-		req.tr.RecordSpan("queue", req.root, req.enqueued, now)
-		if leader == nil {
-			leader = req
-		}
-	}
 	if svc.wal != nil && svc.walBroken.Load() {
 		return commitResult{coalesced: coalesced,
 			err: fmt.Errorf("%w: log broken by an earlier failure; restart to recover", errWALFailed)}, nil
@@ -282,19 +256,6 @@ func (svc *service) solveAndPublish(ctx context.Context, batch []*commitReq) (co
 		}
 	}
 	m, stats, err := svc.prog.SolveMoreContext(ctx, cur.model, facts)
-	solveEnd := time.Now()
-	for _, req := range batch {
-		switch {
-		case req == leader:
-			recordSolve(req.tr, req.root, start, solveEnd, coalesced, svc.prog, cur.model.Stats(), stats)
-		case req.tr != nil:
-			// Followers record the shared solve window flat, pointing
-			// at the leader's trace for the detailed narration.
-			req.tr.RecordSpan("solve", req.root, start, solveEnd,
-				obs.StringAttr("shared_with_trace", leader.tr.ID().String()),
-				obs.IntAttr("coalesced", int64(coalesced)))
-		}
-	}
 	if err != nil {
 		return commitResult{stats: stats, coalesced: coalesced, err: err}, nil
 	}
@@ -304,27 +265,15 @@ func (svc *service) solveAndPublish(ctx context.Context, batch []*commitReq) (co
 	}
 	if svc.wal != nil {
 		for i, req := range batch {
-			appendStart := time.Now()
 			if err := svc.walAppend(seqs[i], req.facts); err != nil {
 				return commitResult{stats: stats, coalesced: coalesced, err: svc.walFail("append", err)}, nil
-			}
-			if req.tr != nil {
-				req.tr.RecordSpan("wal.append", req.root, appendStart, time.Now(), obs.IntAttr("seq", int64(seqs[i])))
 			}
 		}
 		if svc.srv.walFsyncPolicy() == FsyncBatch {
 			// Group commit: one fsync covers the whole drain, before any
-			// batch in it is acked. Every traced batch records the shared
-			// window — each request really did wait for this fsync.
-			fsyncStart := time.Now()
+			// batch in it is acked.
 			if err := svc.walSync(); err != nil {
 				return commitResult{stats: stats, coalesced: coalesced, err: svc.walFail("fsync", err)}, nil
-			}
-			fsyncEnd := time.Now()
-			for _, req := range batch {
-				if req.tr != nil {
-					req.tr.RecordSpan("wal.fsync", req.root, fsyncStart, fsyncEnd, obs.IntAttr("coalesced", int64(coalesced)))
-				}
 			}
 		}
 		// The log now owns these sequence numbers; advance past them
@@ -342,7 +291,6 @@ func (svc *service) solveAndPublish(ctx context.Context, batch []*commitReq) (co
 		return commitResult{stats: stats, coalesced: coalesced,
 			err: fmt.Errorf("%w: publishing generation %d: %v", datalog.ErrInternal, cur.version+1, err)}, nil
 	}
-	publishStart := time.Now()
 	next := &modelState{model: m, version: cur.version + 1, warm: cur.warm}
 	svc.cur.Store(next)
 	if svc.wal == nil {
@@ -351,91 +299,7 @@ func (svc *service) solveAndPublish(ctx context.Context, batch []*commitReq) (co
 	svc.srv.metrics.commitSeq.With(svc.name).Set(float64(seqs[coalesced-1]))
 	svc.observeSolve(time.Since(start))
 	svc.srv.metrics.publishModel(svc.name, next.version, m)
-	publishEnd := time.Now()
-	for _, req := range batch {
-		if req.tr != nil {
-			req.tr.RecordSpan("publish", req.root, publishStart, publishEnd, obs.IntAttr("version", int64(next.version)))
-		}
-	}
 	return commitResult{state: next, stats: stats, coalesced: coalesced}, seqs
-}
-
-// recordSolve narrates one commit's solve on the leader's trace, read
-// from the Stats it returned (st) and those of the model it extended
-// (base), failed solves included: the solve span, under it a span per
-// component that ran, and under each component a span per round of its
-// RoundLog and a span per rule that ran, carrying the rule's work over
-// this solve, with its operators' work over this solve as op spans
-// beneath (Build, a high-water mark, keeps st's value). The RoundLog
-// times rounds from the solve's start, and the spans place them
-// from the solve span's. The ledger keeps rule totals, not rule work per
-// round, so rule and op spans share their component's window — the
-// executor measures rows, not per-operator wall time, and the trace
-// stays honest about that.
-func recordSolve(tr *obs.Trace, parent obs.SpanID, start, end time.Time, coalesced int, prog *datalog.Program, base, st datalog.Stats) {
-	at := func(ns int64) time.Time { return start.Add(time.Duration(ns)) }
-	work := func(rounds []datalog.RoundStats) []obs.Attr {
-		var r datalog.RoundStats
-		for _, x := range rounds {
-			r.Firings += x.Firings
-			r.Derived += x.Derived
-			r.Improved += x.Improved
-			r.Probes += x.Probes
-		}
-		return []obs.Attr{obs.IntAttr("rounds", int64(len(rounds))), obs.IntAttr("firings", r.Firings),
-			obs.IntAttr("derived", r.Derived), obs.IntAttr("improved", r.Improved), obs.IntAttr("probes", r.Probes)}
-	}
-	solve := tr.RecordSpan("solve", parent, start, end,
-		append(work(st.RoundLog), obs.IntAttr("coalesced", int64(coalesced)))...)
-	prof := prog.Profile(st).Rules
-	for log := st.RoundLog; len(log) > 0; {
-		ci, n := log[0].Component, 0
-		from, to := log[0].Start, log[0].Start
-		for ; n < len(log) && log[n].Component == ci; n++ {
-			from, to = min(from, log[n].Start), max(to, log[n].Start+log[n].Nanos)
-		}
-		rounds := log[:n]
-		log = log[n:]
-		comp := tr.RecordSpan("component "+strconv.Itoa(ci), solve, at(from), at(to),
-			append(work(rounds), obs.StringAttr("preds", st.Comps[ci].Preds))...)
-		for _, r := range rounds {
-			tr.RecordSpan("round "+strconv.Itoa(r.Round), comp, at(r.Start), at(r.Start+r.Nanos),
-				obs.IntAttr("delta", r.Delta), obs.IntAttr("firings", r.Firings), obs.IntAttr("derived", r.Derived),
-				obs.IntAttr("improved", r.Improved), obs.IntAttr("probes", r.Probes))
-		}
-		for _, rs := range st.Rules {
-			if rs.Component != ci {
-				continue
-			}
-			ops := prof[rs.Index].Ops
-			if len(base.Rules) == len(st.Rules) {
-				b := base.Rules[rs.Index]
-				rs.Rounds, rs.Firings, rs.Derived, rs.Probes, rs.Nanos =
-					rs.Rounds-b.Rounds, rs.Firings-b.Firings, rs.Derived-b.Derived, rs.Probes-b.Probes, rs.Nanos-b.Nanos
-				for j, o := range b.Ops {
-					c := &ops[j]
-					c.In, c.Out, c.Probes, c.Delta, c.Groups = c.In-o.In, c.Out-o.Out, c.Probes-o.Probes, c.Delta-o.Delta, c.Groups-o.Groups
-				}
-			}
-			if rs.Rounds == 0 {
-				continue
-			}
-			rule := tr.RecordSpan("rule "+strconv.Itoa(rs.Index), comp, at(from), at(to),
-				obs.StringAttr("rule", rs.Rule), obs.IntAttr("rounds", int64(rs.Rounds)),
-				obs.IntAttr("firings", rs.Firings), obs.IntAttr("derived", rs.Derived),
-				obs.IntAttr("probes", rs.Probes), obs.IntAttr("nanos", rs.Nanos))
-			for _, op := range ops {
-				tr.RecordSpan(fmt.Sprintf("op%d %s", op.Step, op.Kind), rule, at(from), at(to),
-					obs.StringAttr("op", op.Op),
-					obs.IntAttr("rows_in", op.In),
-					obs.IntAttr("rows_out", op.Out),
-					obs.IntAttr("probes", op.Probes),
-					obs.IntAttr("build", op.Build),
-					obs.IntAttr("delta_rows", op.Delta),
-					obs.IntAttr("groups", op.Groups))
-			}
-		}
-	}
 }
 
 // observeSolve folds one successful commit's solve duration into the

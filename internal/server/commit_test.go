@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
@@ -142,12 +143,15 @@ func TestGroupCommitCoalescesConcurrentBatches(t *testing.T) {
 // TestGroupCommitPoisonBatchIsolated queues a non-monotone batch (an
 // insert into the derived predicate s) among good batches: the merged
 // solve fails, the committer retries each batch alone, the poison batch
-// answers 409/static, and every good batch still commits.
+// answers 409/static, and every good batch still commits. The
+// committer's rejection log line names the poison batch's X-Request-Id.
 func TestGroupCommitPoisonBatchIsolated(t *testing.T) {
 	faults.Reset()
 	t.Cleanup(faults.Reset)
 	src := loadExample(t, "shortestpath.mdl")
-	s, ts := startServer(t, []ProgramSpec{{Name: "sp", Source: src}}, Config{})
+	var log lockedBuffer
+	s, ts := startServer(t, []ProgramSpec{{Name: "sp", Source: src}},
+		Config{Logger: slog.New(slog.NewTextHandler(&log, nil))})
 
 	faults.Arm(faults.Fault{Point: faults.ServerCommitStall, Delay: 300 * time.Millisecond})
 
@@ -160,7 +164,9 @@ func TestGroupCommitPoisonBatchIsolated(t *testing.T) {
 	var wg sync.WaitGroup
 	post := func(i int, body string) {
 		defer wg.Done()
-		resp, err := http.Post(ts.URL+"/v1/assert", "application/json", strings.NewReader(body))
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/assert", strings.NewReader(body))
+		req.Header.Set("X-Request-Id", fmt.Sprintf("batch-%d", i))
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Error(err)
 			return
@@ -195,6 +201,10 @@ func TestGroupCommitPoisonBatchIsolated(t *testing.T) {
 	if errBody["code"] != "static" {
 		t.Fatalf("poison batch code %v, want static", errBody["code"])
 	}
+	// The committer logs the rejection before it answers the batch.
+	if want := fmt.Sprintf("batch from request batch-%d rejected", good); !strings.Contains(log.String(), want) {
+		t.Fatalf("no %q in the server log:\n%s", want, log.String())
+	}
 
 	// All good facts present, the poison fact absent.
 	st := s.svcs["sp"].current()
@@ -203,6 +213,24 @@ func TestGroupCommitPoisonBatchIsolated(t *testing.T) {
 			t.Fatalf("good fact arc(p%d, …) missing after isolation retry", i)
 		}
 	}
+}
+
+// lockedBuffer is an io.Writer safe to read while handlers log.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
 }
 
 // TestCommitSoloEqualsGrouped asserts the semantic core of group

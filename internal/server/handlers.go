@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/datalog"
-	"repro/internal/obs"
 )
 
 // maxBodyBytes bounds request bodies; assert batches beyond this are
@@ -24,7 +23,6 @@ const maxBodyBytes = 8 << 20
 //	GET  /healthz          liveness and uptime (200 as long as the process serves)
 //	GET  /readyz           readiness: 503 while materializing or draining
 //	GET  /metrics          Prometheus text exposition
-//	GET  /debug/traces     flight-recorder dump (Chrome trace-event JSON)
 //	GET  /v1/program       classification, declarations and model info
 //	GET  /v1/stats         per-rule and per-component evaluation breakdowns
 //	GET  /v1/explain/plan  compiled operator trees; ?analyze=1 adds measured counters
@@ -34,9 +32,7 @@ const maxBodyBytes = 8 << 20
 //
 // Every request — including unknown paths — passes through the
 // instrumentation middleware: latency/error accounting (unknowns are
-// recorded under the "other" endpoint), an X-Request-Id echo, a
-// per-request trace (continuing an inbound W3C traceparent header,
-// echoed as X-Trace-Id and retained in the flight recorder), and
+// recorded under the "other" endpoint), an X-Request-Id echo, and
 // structured request logs when Config.Logger is set.
 //
 // Call Materialize first; the handler answers 503 for query endpoints
@@ -46,7 +42,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /debug/traces", s.handleDebugTraces)
 	mux.HandleFunc("GET /v1/program", s.handleProgram)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /v1/explain/plan", s.handleExplainPlan)
@@ -67,6 +62,25 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// requestID returns the request's identifier: the inbound X-Request-Id
+// when it is 1–64 bytes of [A-Za-z0-9._:-], so a client value cannot
+// put control characters or a megabyte of text into response headers
+// and log lines, and a fresh one otherwise.
+func requestID(inbound string) string {
+	if len(inbound) == 0 || len(inbound) > 64 {
+		return newRequestID()
+	}
+	for i := 0; i < len(inbound); i++ {
+		switch c := inbound[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9',
+			c == '.', c == '_', c == ':', c == '-':
+		default:
+			return newRequestID()
+		}
+	}
+	return inbound
+}
+
 // newRequestID returns a 16-hex-char random request identifier.
 func newRequestID() string {
 	var b [8]byte
@@ -78,39 +92,18 @@ func newRequestID() string {
 
 // instrument wraps the whole mux: every request (known endpoint or not)
 // is timed, counted under its normalized endpoint label, tagged with a
-// request id (an inbound X-Request-Id is honored, otherwise one is
-// generated; either way it is echoed on the response), traced (an
-// inbound W3C traceparent header is continued, a malformed or absent
-// one falls back to fresh identifiers; the trace id is echoed as
-// X-Trace-Id), and logged when a structured logger is configured. The
-// finished trace lands in the flight recorder.
+// request id (a well-formed inbound X-Request-Id is honored, otherwise
+// one is generated; either way it is echoed on the response), and
+// logged when a structured logger is configured.
 func (s *Server) instrument(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		reqID := r.Header.Get("X-Request-Id")
-		if reqID == "" {
-			reqID = newRequestID()
-		}
+		reqID := requestID(r.Header.Get("X-Request-Id"))
 		w.Header().Set("X-Request-Id", reqID)
-		var tr *obs.Trace
-		if tid, parent, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
-			tr = obs.ContinueTrace("http "+r.URL.Path, tid, parent)
-		} else {
-			tr = obs.NewTrace("http " + r.URL.Path)
-		}
-		traceID := tr.ID().String()
-		w.Header().Set("X-Trace-Id", traceID)
-		r = r.WithContext(withTrace(r.Context(), &requestTrace{tr: tr, reqID: reqID}))
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		r.Body = http.MaxBytesReader(sw, r.Body, maxBodyBytes)
 		h.ServeHTTP(sw, r)
 		elapsed := time.Since(start)
-		rec := tr.Finish(
-			obs.StringAttr("request_id", reqID),
-			obs.StringAttr("method", r.Method),
-			obs.StringAttr("path", r.URL.Path),
-			obs.IntAttr("status", int64(sw.status)))
-		s.recorder.Add(rec)
 		endpoint := endpointLabel(r.URL.Path)
 		s.metrics.observe(endpoint, sw.status, elapsed)
 		if lg := s.cfg.Logger; lg != nil {
@@ -122,7 +115,6 @@ func (s *Server) instrument(h http.Handler) http.Handler {
 			}
 			lg.Info("request",
 				"request_id", reqID,
-				"trace_id", traceID,
 				"method", r.Method,
 				"path", r.URL.Path,
 				"endpoint", endpoint,
@@ -130,12 +122,8 @@ func (s *Server) instrument(h http.Handler) http.Handler {
 				"duration_ms", float64(elapsed.Nanoseconds())/1e6,
 				"remote", r.RemoteAddr)
 			if s.cfg.SlowRequest > 0 && elapsed >= s.cfg.SlowRequest {
-				// The trace id doubles as the exemplar: it points at the
-				// flight-recorder trace that explains where this outlier's
-				// time went.
 				lg.Warn("slow request",
 					"request_id", reqID,
-					"trace_id", traceID,
 					"method", r.Method,
 					"path", r.URL.Path,
 					"status", sw.status,
@@ -600,19 +588,10 @@ func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
 		fail(errDrainingShed())
 		return
 	}
-	cr := &commitReq{facts: facts, done: make(chan commitResult, 1)}
-	if rt := traceFrom(r.Context()); rt != nil {
-		// Hand the request's trace to the committer before enqueueing
-		// (the committer may pick the batch up immediately). The
-		// admission span covers everything up to the enqueue attempt:
-		// decode, validation, and the admission decision itself.
-		cr.reqID = rt.reqID
-		cr.tr = rt.tr
-		cr.root = rt.tr.Root()
-		cr.enqueued = time.Now()
-		rt.tr.RecordSpan("admission", cr.root, rt.tr.RootStart(), cr.enqueued,
-			obs.IntAttr("facts", int64(len(facts))))
-	}
+	// The request id instrument set on the response travels with the
+	// batch into committer log lines (empty outside the instrumented
+	// handler chain).
+	cr := &commitReq{facts: facts, done: make(chan commitResult, 1), reqID: w.Header().Get("X-Request-Id")}
 	if err := svc.enqueue(cr); err != nil {
 		if err == errDraining {
 			s.metrics.shed.With("/v1/assert", "draining").Inc()
@@ -715,19 +694,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		resp["tree"] = ""
 	}
 	writeJSONCtx(ctx, w, http.StatusOK, resp)
-}
-
-// handleDebugTraces dumps the flight recorder — the most recent request
-// traces — as Chrome trace-event JSON, loadable directly in
-// about:tracing or ui.perfetto.dev. X-Traces-Retained/X-Traces-Total
-// report how much history the ring has dropped.
-func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	recs := s.recorder.Snapshot()
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Traces-Retained", strconv.Itoa(len(recs)))
-	w.Header().Set("X-Traces-Total", strconv.FormatUint(s.recorder.Total(), 10))
-	w.WriteHeader(http.StatusOK)
-	_ = obs.WriteChromeTrace(w, recs)
 }
 
 // handleExplainPlan serves the compiled operator tree of a program's

@@ -19,7 +19,7 @@ var latencyBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10}
 // outside this set — unknown paths, bad methods — are recorded under
 // "other" rather than silently dropped.
 var metricEndpoints = map[string]bool{
-	"/debug/traces": true, "/healthz": true, "/metrics": true, "/readyz": true,
+	"/healthz": true, "/metrics": true, "/readyz": true,
 	"/v1/assert": true, "/v1/explain": true, "/v1/explain/plan": true,
 	"/v1/program": true, "/v1/query": true, "/v1/stats": true,
 }

@@ -53,7 +53,6 @@ import (
 	"time"
 
 	"repro/datalog"
-	"repro/internal/obs"
 	"repro/internal/wal"
 )
 
@@ -169,10 +168,6 @@ type service struct {
 	decls map[string]datalog.PredDecl
 }
 
-// flightRecorderSize bounds the trace ring: 64 traces cover a recent
-// burst without holding more than a few MB of span data.
-const flightRecorderSize = 64
-
 // Server hosts a set of services and their HTTP API.
 type Server struct {
 	cfg     Config
@@ -180,9 +175,6 @@ type Server struct {
 	names   []string // sorted service names
 	start   time.Time
 	metrics *metrics
-	// recorder retains the flightRecorderSize most recent finished
-	// request traces for /debug/traces and post-incident dumps.
-	recorder *obs.FlightRecorder
 	// draining flips once at shutdown: readiness goes 503 and new
 	// assert batches are shed while queued ones drain.
 	draining atomic.Bool
@@ -201,11 +193,10 @@ func New(specs []ProgramSpec, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: no programs to serve")
 	}
 	s := &Server{
-		cfg:      cfg,
-		svcs:     map[string]*service{},
-		start:    time.Now(),
-		metrics:  newMetrics(),
-		recorder: obs.NewFlightRecorder(flightRecorderSize),
+		cfg:     cfg,
+		svcs:    map[string]*service{},
+		start:   time.Now(),
+		metrics: newMetrics(),
 	}
 	s.drainCtx, s.drainCancel = context.WithCancel(context.Background())
 	for _, spec := range specs {
