@@ -45,13 +45,17 @@ race:
 	$(GO) test -race ./...
 
 # Short coverage-guided fuzz runs over the parser, the snapshot and WAL
-# decoders and the serve tier's value codec; the seed corpora alone run
-# under plain `make test`.
+# decoders, the serve tier's value codec and the relation generations
+# (clone, fork and copy-on-write against a map model); the seed corpora
+# alone run under plain `make test`. A FuzzGenerations input runs a whole
+# tree of generations, so minimizing a new one is capped at a second to
+# leave the run time for fuzzing.
 fuzz:
 	$(GO) test ./internal/parser -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeValue$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/relation -run '^$$' -fuzz '^FuzzGenerations$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # Durability suite for the write-ahead log under the race detector: the
 # log format and recovering reader (torn tails, mid-log corruption,
@@ -68,8 +72,10 @@ wal-crash-test:
 serve-smoke:
 	sh scripts/serve-smoke.sh
 
-# Regression gate: fail if BenchmarkSolve's allocs/op moves off its pin,
-# or Example 4.3's index probes per solve move off theirs.
+# Regression gate over five counts (scripts/bench_regression.sh):
+# BenchmarkSolve's allocs/op, BenchmarkRelationInsert's bytes per row,
+# Example 4.3's index probes per solve, BenchmarkLoad's allocs/op and
+# the bytes a chained SolveMore allocates (solve-more-chain's B/op).
 bench-regression:
 	sh scripts/bench_regression.sh
 

@@ -352,6 +352,10 @@ func BenchmarkNaiveVsSemiNaive(b *testing.B) {
 
 // BenchmarkIncrementalSolve: adding one arc via SolveMore vs re-solving
 // the whole graph (the insert-monotone maintenance monotonicity buys).
+// solve-more extends the same base model every time, so from the second
+// call on each dispatched component's relations are forks (copies);
+// solve-more-chain extends the previous call's model, as a server's
+// writer does, so each call extends its predecessor's storage in place.
 func BenchmarkIncrementalSolve(b *testing.B) {
 	g := gen.Graph(gen.LayeredDAG, 128, 512, 9, 128)
 	en := mustEngine(b, programs.ShortestPath+gen.GraphFacts(g), core.Options{})
@@ -371,6 +375,32 @@ func BenchmarkIncrementalSolve(b *testing.B) {
 	b.Run("full-resolve", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := en.Solve(added); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("solve-more-chain", func(b *testing.B) {
+		// The served writer's batches: an arc between two fresh nodes
+		// and one between existing nodes of a 48-node cycle graph, each
+		// batch solved into the model the previous one returned.
+		const n = 48
+		en := mustEngine(b, programs.ShortestPath+gen.GraphFacts(gen.Graph(gen.CycleGraph, n, 4*n, 9, n)), core.Options{})
+		m, _, err := en.Solve(nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(1))
+		batches := make([]*relation.DB, b.N)
+		for i := range batches {
+			batches[i] = relation.NewDB(en.Schemas)
+			arc := batches[i].Rel("arc/3")
+			arc.InsertJoin([]val.T{val.Symbol(fmt.Sprintf("f%d", i)), val.Symbol(fmt.Sprintf("g%d", i))}, val.Number(float64(1+r.Intn(9))))
+			arc.InsertJoin([]val.T{val.Symbol(fmt.Sprintf("v%d", r.Intn(n))), val.Symbol(fmt.Sprintf("v%d", r.Intn(n)))}, val.Number(float64(1+r.Intn(9))))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for _, added := range batches {
+			if m, _, err = en.SolveMore(m, added); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -33,7 +33,8 @@ var (
 // sound restart point: it lies between the EDB and the least model, so
 // the fixpoint resumed from it converges to the same least model. The
 // callback must finish with db before returning (typically by
-// serializing it) and must not retain it.
+// serializing it) and must not retain it; db.Clone makes a copy to keep
+// (Relation.Clone would take over storage the solve still writes).
 type CheckpointFunc func(db *relation.DB, stats Stats) error
 
 // Limits bounds one Solve call. The zero value means "no limits" (the

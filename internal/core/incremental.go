@@ -28,7 +28,9 @@ import (
 // non-monotone (pseudo-monotonic) aggregate, and rejects programs using
 // the well-founded fallback (negation is not insert-monotone). The
 // previous model is not modified; the returned database shares the
-// relations of it that the added facts cannot change.
+// relations of it that the added facts cannot change, and extends the
+// storage of the others in place (relation.Relation.Clone), so a second
+// SolveMore from the same previous model copies what it writes.
 func (en *Engine) SolveMore(prev *relation.DB, added *relation.DB) (*relation.DB, Stats, error) {
 	return en.SolveMoreContext(context.Background(), prev, added)
 }
@@ -68,8 +70,8 @@ func (en *Engine) SolveMoreFrom(ctx context.Context, prev *relation.DB, added *r
 		}
 
 		// The starting interpretation shares prev's relations. An added
-		// predicate is copied here before its rows go in; a component's
-		// are copied by the walk's private view when it is dispatched.
+		// predicate is cloned here before its rows go in; a component's
+		// are cloned by the walk's private view when it is dispatched.
 		db := prev.Share()
 		changed := newDeltaSet()
 		for _, k := range addedPreds {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -367,4 +368,68 @@ func TestSolveMoreCopiesOnlyDispatched(t *testing.T) {
 			t.Fatalf("%s is shared with prev, though SolveMore wrote it", k)
 		}
 	}
+
+	// inc took prev's storage over. On a ring large enough to span
+	// several chunks: a chained successor extends that storage in place,
+	// SolveMore from prev again forks it, and a successor that breaches
+	// its derivation budget takes a tip over and fails. After each, prev
+	// reads the same bytes, and SolveMore from it equals a one-shot solve.
+	ring := "r(a)."
+	for i := 0; i < 40; i++ {
+		ring += fmt.Sprintf(" arc(v%d, v%d, %d).", i, (i+1)%40, 1+i%3)
+	}
+	oneShot := func(facts string) []byte {
+		t.Helper()
+		m, _, err := en.Solve(factsDB(t, en, facts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return encode(m)
+	}
+	more := func(what string, m *relation.DB, facts string) *relation.DB {
+		t.Helper()
+		next, _, err := en.SolveMore(m, factsDB(t, en, facts))
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		return next
+	}
+	prev, _, err = en.Solve(factsDB(t, en, ring))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = encode(prev)
+	chord, shortcut, detour := " arc(v3, v30, 1).", " arc(v10, v5, 1).", " arc(v20, w, 2). arc(w, v2, 1)."
+	check := func(what string) {
+		t.Helper()
+		if !bytes.Equal(encode(prev), before) {
+			t.Fatalf("%s: prev's bytes changed", what)
+		}
+		if !bytes.Equal(encode(more(what, prev, shortcut)), oneShot(ring+shortcut)) {
+			t.Fatalf("%s: SolveMore from prev differs from the one-shot solve", what)
+		}
+	}
+	inc = more("successor", prev, chord)
+	incBytes := encode(inc)
+	chained := more("chained successor", inc, detour)
+	if !bytes.Equal(encode(inc), incBytes) || !bytes.Equal(encode(chained), oneShot(ring+chord+detour)) {
+		t.Fatal("a chained successor changed its predecessor or differs from the one-shot solve")
+	}
+	check("after a chained successor")
+	fork := more("fork", prev, detour)
+	if !bytes.Equal(encode(fork), oneShot(ring+detour)) {
+		t.Fatal("a fork differs from the one-shot solve")
+	}
+	check("after a fork")
+	forkBytes := encode(fork)
+	en.opts.Limits.MaxFacts = 5
+	_, _, err = en.SolveMore(fork, factsDB(t, en, chord))
+	en.opts.Limits.MaxFacts = 0
+	if !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("the budgeted successor returned %v, want a budget breach", err)
+	}
+	if !bytes.Equal(encode(fork), forkBytes) || !bytes.Equal(encode(more("retry", fork, chord)), oneShot(ring+detour+chord)) {
+		t.Fatal("a failed successor changed its predecessor, or a retry from it differs from the one-shot solve")
+	}
+	check("after a failed successor")
 }

@@ -6,78 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/ast"
-	"repro/internal/lattice"
 	"repro/internal/val"
 )
-
-// TestConcurrentReadersOnFrozenRelation exercises the frozen-snapshot
-// contract under the race detector: once all writes have finished, many
-// goroutines may Match (racing to build indexes for several masks), Get,
-// Each and Rows the same relation concurrently — while other goroutines
-// Clone it and write their clones, which share its full argument chunks
-// (the component walk's private views). Every reader must keep seeing
-// the frozen rows and costs.
-func TestConcurrentReadersOnFrozenRelation(t *testing.T) {
-	info := &ast.PredInfo{Key: ast.MakePredKey("edge", 3), Arity: 3, HasCost: true, L: lattice.MinReal}
-	r := New(info)
-	const rows = 1500 // several full chunks and a partial last one
-	for i := 0; i < rows; i++ {
-		args := []val.T{val.Number(float64(i % 17)), val.Number(float64(i))}
-		if err := r.InsertStrict(args, val.Number(float64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	const readers, writers = 12, 4
-	var wg sync.WaitGroup
-	wg.Add(readers + writers)
-	for g := 0; g < readers; g++ {
-		go func(g int) {
-			defer wg.Done()
-			for rep := 0; rep < 50; rep++ {
-				// Alternate bound-position masks so several lazy index
-				// builds race with index consumers.
-				a := val.Number(float64((g + rep) % 17))
-				b := val.Number(float64(rep * 29 % rows))
-				pats := [][]*val.T{
-					{&a, nil},
-					{nil, &b},
-					{&a, &b},
-					{nil, nil},
-				}
-				n := 0
-				r.Match(pats[rep%len(pats)], func(Row) bool { n++; return true })
-				i := (g*131 + rep*37) % rows
-				if row, ok := r.Get([]val.T{val.Number(float64(i % 17)), val.Number(float64(i))}); !ok || row.Cost.Num() != float64(i) {
-					t.Errorf("row %d reads %v, %v; want its frozen cost", i, row, ok)
-					return
-				}
-				if got := len(r.Rows()); got != rows || r.Len() != rows {
-					t.Errorf("Rows() returned %d rows, want %d", got, rows)
-					return
-				}
-			}
-		}(g)
-	}
-	for w := 0; w < writers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			c := r.Clone()
-			for i := 0; i < rows; i += 7 {
-				c.InsertJoin([]val.T{val.Number(float64(i % 17)), val.Number(float64(i))}, val.Number(-1))
-			}
-			for i := 0; i < 600; i++ {
-				c.InsertJoin([]val.T{val.Number(float64(w)), val.Symbol("new")}, val.Number(float64(i)))
-				c.InsertJoin([]val.T{val.Number(float64(i)), val.Number(float64(rows + w))}, val.Number(0))
-			}
-			c.Match([]*val.T{nil, new(val.T)}, func(Row) bool { return true })
-			if c.Len() != rows+601 {
-				t.Errorf("clone %d holds %d rows, want %d", w, c.Len(), rows+601)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
 
 // TestIndexOrderStableAcrossBuildTime pins that Match enumerates rows in
 // insertion order regardless of whether the index existed before or after

@@ -77,11 +77,13 @@ func (db *DB) Share() *DB {
 	return c
 }
 
-// Clone deep-copies the interpretation.
+// Clone deep-copies the interpretation: the copy's relations share no
+// writable storage with db's, and both stay writable — unlike
+// Relation.Clone, which hands the storage on to the clone.
 func (db *DB) Clone() *DB {
 	c := NewDB(db.Schemas)
 	for k, r := range db.rels {
-		c.rels[k] = r.Clone()
+		c.rels[k] = r.copy()
 	}
 	return c
 }

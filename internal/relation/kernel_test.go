@@ -174,20 +174,25 @@ func sameRows(a, b []Row) bool {
 	return true
 }
 
+// kernelShapes are the schemas the model tests run on: plain, cost,
+// default-value and unary.
+var kernelShapes = []*ast.PredInfo{
+	{Key: "p/2", Arity: 2},
+	{Key: "s/3", Arity: 3, HasCost: true, L: lattice.MinReal},
+	{Key: "t/4", Arity: 4, HasCost: true, L: lattice.BoolOr, HasDefault: true},
+	{Key: "q/1", Arity: 1},
+}
+
 // TestKernelAgainstModel drives random operation sequences — InsertJoin,
 // InsertStrict, Get, Match (building indexes before and after inserts),
-// Clone followed by writes to either side, adopt-Join, cursors opened
-// mid-insert — against the map model, across chunk boundaries and every
-// value kind, for plain, cost and default-value relations.
+// a private copy (DB.Clone's) followed by writes to either side,
+// adopt-Join, cursors opened mid-insert — against the map model, across
+// chunk boundaries and every value kind, for plain, cost and
+// default-value relations. Clone's generations, of which only the newest
+// may be written, have their own test: TestGenerationsAgainstModel.
 func TestKernelAgainstModel(t *testing.T) {
-	shapes := []*ast.PredInfo{
-		{Key: "p/2", Arity: 2},
-		{Key: "s/3", Arity: 3, HasCost: true, L: lattice.MinReal},
-		{Key: "t/4", Arity: 4, HasCost: true, L: lattice.BoolOr, HasDefault: true},
-		{Key: "q/1", Arity: 1},
-	}
 	for seed := int64(1); seed <= 6; seed++ {
-		for _, info := range shapes {
+		for _, info := range kernelShapes {
 			t.Run(fmt.Sprintf("%s/seed=%d", info.Key, seed), func(t *testing.T) {
 				runKernelOps(t, rand.New(rand.NewSource(seed)), info)
 			})
@@ -301,7 +306,7 @@ func runKernelOps(t *testing.T, r *rand.Rand, info *ast.PredInfo) {
 				}
 			}
 		case x < 96 && len(rels) < 4:
-			rels = append(rels, rel.Clone())
+			rels = append(rels, rel.copy())
 			models = append(models, m.clone())
 		case x < 98 && len(rels) < 4:
 			same := *info // equal shape, distinct schema object
@@ -369,12 +374,16 @@ func TestGroupSetAgainstModel(t *testing.T) {
 	}
 }
 
+// chunkReserves are the Reserve sizes the chunk-boundary tests start
+// from: none, below the first chunk, inside the chunk cap and past it.
+var chunkReserves = []int{0, 3, 100, 5000}
+
 // TestChunkBoundaries inserts across every chunk boundary of the arena
 // — a fresh relation's and a reserved one's — and checks every row, its
 // arguments' capacity (a row's slice never reaches into its neighbour)
 // and that rows handed out before growth are unchanged after it.
 func TestChunkBoundaries(t *testing.T) {
-	for _, reserve := range []int{0, 3, 100, 5000} {
+	for _, reserve := range chunkReserves {
 		rel := New(&ast.PredInfo{Key: "e/3", Arity: 3, HasCost: true, L: lattice.MinReal})
 		rel.Reserve(reserve)
 		var early []Row

@@ -41,9 +41,29 @@
 // at the time it was opened, so rows derived while it is being drained
 // are never offered.
 //
-// Clone shares the full argument chunks (their rows are immutable) and
-// copies the partial last one, the cost column and the key table;
-// indexes are rebuilt lazily on the copy.
+// # Generations: Clone
+//
+// By monotonicity a successor model only appends rows and raises costs,
+// so a relation and its clone share storage instead of copying it. The
+// relations that share one storage form a lineage, and the newest, its
+// tip, is the only one that may write. Cloning the tip hands that role
+// on (one compare-and-swap decides which clone gets it): the clone
+// shares the argument chunks, the cost column, the key table and every
+// built index, and appends past its predecessor's length, which every
+// reader of the predecessor stops at — cursors at their end, lookups by
+// skipping slot entries whose row or group id lies beyond their own
+// length. Slots and chain links the predecessor can read are written
+// with atomic stores and always read with atomic loads. The first raise
+// of a cost below the clone point copies that row's cost chunk (512
+// rows at most); a table rehash copies the table. Writing a relation
+// after a clone has taken its storage over panics.
+//
+// Cloning a relation that is not the tip — a newer clone already extends
+// it — forks: the clone starts a lineage of its own with a copy of the
+// key table and of the partial last chunks, shares the full cost chunks
+// copy-on-write and rebuilds indexes lazily. Joining into an empty
+// relation (how a solve adopts the base EDB) and DB.Clone make private
+// copies that leave the source writable.
 //
 // # Concurrency: the frozen-snapshot contract
 //
@@ -51,14 +71,16 @@
 // other call on the same relation. Once a relation is frozen — no writer
 // mutates it for the duration — any number of goroutines may read it
 // concurrently (Get, GetOrDefault, At, Each, Rows, Match, Seek, Clone,
-// Leq, Equal). This includes Match and Seek, whose lazily built hash
-// indexes are published through an atomic copy-on-write pointer so that
+// Leq, Equal), while the one clone that took its storage over is
+// written. This includes Match and Seek, whose lazily built hash indexes
+// are published through an atomic copy-on-write pointer so that
 // concurrent readers racing to build the same index are safe. The
 // component walk in internal/core relies on exactly this contract:
 // completed lower components are frozen and shared by pointer across
 // workers and across the models SolveMore chains, while each in-progress
-// component writes only to private clones (which share the frozen
-// relation's full chunks, never written again by either side).
+// component writes only to its clones — which extend the relations of
+// the model SolveMore continues without changing what that model's
+// readers see.
 package relation
 
 import (
@@ -105,6 +127,12 @@ type Relation struct {
 	// costs is the cost column (cost predicates only), chunked like the
 	// arena: row i's cost is costs[c][off].
 	costs [][]lattice.Elem
+	// base is the row count of the generation this one extends in place
+	// (0 when it shares no storage), and sharedCosts[c] holds while cost
+	// chunk c is still that generation's: the first improvement of a row
+	// below base copies the chunk (see setCost).
+	base        int
+	sharedCosts []bool
 	// keys is the primary key: each slot holds hash32<<32 | (row id+1), 0
 	// when empty (see table).
 	keys table
@@ -112,10 +140,20 @@ type Relation struct {
 	// once published; adding an index for a new mask copies it and swaps
 	// the pointer, so frozen relations can be read — and have indexes
 	// built — by many goroutines at once. The indexes themselves are
-	// extended in place only by insertNew, which the single-writer
-	// contract keeps exclusive of all readers.
+	// extended in place only by insertNew: a relation's own readers never
+	// overlap it, and an older generation's read only below their length.
 	idx     atomic.Pointer[indexSet]
 	buildMu sync.Mutex // serializes concurrent lazy index builds
+	// lin is the lineage whose storage this relation shares, nil until
+	// it is first cloned with rows (see Clone).
+	lin atomic.Pointer[lineage]
+}
+
+// lineage is the set of generations that share one storage: each was
+// cloned from the one before it. Only tip, the newest, may write; a clone
+// takes over the storage by swapping itself in as the tip.
+type lineage struct {
+	tip atomic.Pointer[Relation]
 }
 
 // New creates an empty relation with the given schema.
@@ -204,10 +242,30 @@ func (r *Relation) Load(i int, row *Row) {
 	}
 }
 
-// cost returns row i's slot in the cost column.
-func (r *Relation) cost(i int) *lattice.Elem {
+// cost returns row i's cost.
+func (r *Relation) cost(i int) lattice.Elem {
 	c, off := r.locate(i)
-	return &r.costs[c][off]
+	return r.costs[c][off]
+}
+
+// setCost raises row i's cost to e. A row below base lives in a chunk
+// the generation this one extends may still read, so the first such
+// write copies that one chunk.
+func (r *Relation) setCost(i int, e lattice.Elem) {
+	c, off := r.locate(i)
+	if i < r.base && c < len(r.sharedCosts) && r.sharedCosts[c] {
+		r.costs[c] = append(make([]lattice.Elem, 0, cap(r.costs[c])), r.costs[c]...)
+		r.sharedCosts[c] = false
+	}
+	r.costs[c][off] = e
+}
+
+// mustWrite panics when r is not its lineage's tip: a newer clone
+// extends r's storage in place, so a write to r would show in it.
+func (r *Relation) mustWrite() {
+	if l := r.lin.Load(); l != nil && l.tip.Load() != r {
+		panic(fmt.Sprintf("relation: write to %s after a clone took over its storage; write the clone", r.Info.Key))
+	}
 }
 
 // Get returns the stored row for the given non-cost arguments.
@@ -248,15 +306,13 @@ func (r *Relation) find(h uint64, args []val.T) (id, slot int) {
 	tag := h >> 32
 	mask := len(t.slots) - 1
 	for i := int(tag) & mask; ; i = (i + 1) & mask {
-		e := t.slots[i]
+		e := t.at(i)
 		if e == 0 {
 			return -1, i
 		}
-		if e>>32 == tag {
-			id := int(uint32(e)) - 1
-			if sameArgs(r.args(id), args) {
-				return id, i
-			}
+		// An id past r.n is a row a newer generation added.
+		if id := int(uint32(e)) - 1; e>>32 == tag && id < r.n && sameArgs(r.args(id), args) {
+			return id, i
 		}
 	}
 }
@@ -293,7 +349,7 @@ func (r *Relation) InsertStrict(args []val.T, cost lattice.Elem) error {
 	if !r.Info.HasCost {
 		return nil
 	}
-	if old := *r.cost(id); !lattice.Eq(r.Info.L, old, cost) {
+	if old := r.cost(id); !lattice.Eq(r.Info.L, old, cost) {
 		return &ConflictError{Pred: r.Info.Key, Args: args, Old: old, New: cost}
 	}
 	return nil
@@ -320,11 +376,12 @@ func (r *Relation) Upsert(args []val.T, cost lattice.Elem) (int, bool) {
 			return id, false
 		}
 		old := r.cost(id)
-		j := r.Info.L.Join(*old, cost)
-		if lattice.Eq(r.Info.L, j, *old) {
+		j := r.Info.L.Join(old, cost)
+		if lattice.Eq(r.Info.L, j, old) {
 			return id, false
 		}
-		*old = j
+		r.mustWrite()
+		r.setCost(id, j)
 		return id, true
 	}
 	if r.Info.HasDefault && lattice.Eq(r.Info.L, cost, r.Info.L.Bottom()) {
@@ -338,6 +395,7 @@ func (r *Relation) Upsert(args []val.T, cost lattice.Elem) (int, bool) {
 // insertNew appends a row for args (hashing to h; slot is find's empty
 // slot, or -1 when the table was empty) and maintains every built index.
 func (r *Relation) insertNew(h uint64, slot int, args []val.T, cost lattice.Elem) int {
+	r.mustWrite()
 	id := r.n
 	if id == 0 {
 		r.width = len(args)
@@ -493,7 +551,7 @@ func (c *Cursor) Next() (int, bool) {
 	if id < 0 || id >= c.end {
 		return 0, false
 	}
-	c.id = c.ix.next[id]
+	c.id = atomic.LoadInt32(&c.ix.next[id])
 	return int(id), true
 }
 
@@ -559,6 +617,19 @@ type index struct {
 	groups     table // hash32<<32 | (group id+1)
 	head, tail []int32
 	next       []int32 // per row id: the next row of its group, -1 at the end
+	// inherited is the length of next when this index was shared from
+	// an older generation's: its cursors read those entries, so they
+	// are linked with atomic stores.
+	inherited int
+}
+
+// share returns a copy of ix that a clone extends in place: it appends
+// to the same arrays past their current lengths.
+func (ix *index) share() *index {
+	c := *ix
+	c.groups.shared = true
+	c.inherited = len(ix.next)
+	return &c
 }
 
 // find returns the group whose projection agrees with key under the
@@ -571,15 +642,13 @@ func (ix *index) find(r *Relation, h uint64, key []val.T) (g, slot int) {
 	tag := h >> 32
 	mask := len(t.slots) - 1
 	for i := int(tag) & mask; ; i = (i + 1) & mask {
-		e := t.slots[i]
+		e := t.at(i)
 		if e == 0 {
 			return -1, i
 		}
-		if e>>32 == tag {
-			g := int(uint32(e)) - 1
-			if sameProj(r.args(int(ix.head[g])), key, ix.mask) {
-				return g, i
-			}
+		// A group past len(ix.head) is one a newer generation added.
+		if g := int(uint32(e)) - 1; e>>32 == tag && g < len(ix.head) && sameProj(r.args(int(ix.head[g])), key, ix.mask) {
+			return g, i
 		}
 	}
 }
@@ -590,7 +659,11 @@ func (ix *index) add(r *Relation, id int, a []val.T) {
 	h := hashProj(a, ix.mask)
 	g, slot := ix.find(r, h, a)
 	if g >= 0 {
-		ix.next[ix.tail[g]] = int32(id)
+		if t := ix.tail[g]; int(t) < ix.inherited {
+			atomic.StoreInt32(&ix.next[t], int32(id))
+		} else {
+			ix.next[t] = int32(id)
+		}
 		ix.tail[g] = int32(id)
 		return
 	}
@@ -604,9 +677,33 @@ func (ix *index) add(r *Relation, id int, a []val.T) {
 // hash (which also pick its home slot) with the entry's id+1; 0 is empty.
 // The caller resolves collisions by comparing values, so the table never
 // holds a key.
+//
+// A table shared with older generations (shared) fills its empty slots
+// with atomic stores, since their readers probe the same array; readers
+// load slots atomically and skip ids past their own length. Entries are
+// never removed, and an older generation's entries were all placed before
+// any newer one's, so its probe sequences only grow longer.
 type table struct {
-	slots []uint64
-	used  int
+	slots  []uint64
+	used   int
+	shared bool
+}
+
+// at loads slot i.
+func (t *table) at(i int) uint64 { return atomic.LoadUint64(&t.slots[i]) }
+
+// below returns a private copy of t without the entries whose id is n or
+// more: those a newer generation added to a shared array. Dropping them
+// breaks no probe sequence of the rest, which were all placed before them.
+func (t *table) below(n int) table {
+	c := table{slots: make([]uint64, len(t.slots))}
+	for i := range t.slots {
+		if e := t.at(i); e != 0 && int(uint32(e)) <= n {
+			c.slots[i] = e
+			c.used++
+		}
+	}
+	return c
 }
 
 // reserve sizes an empty table for n entries.
@@ -635,7 +732,11 @@ func (t *table) put(h uint64, slot, id int) {
 		t.grow()
 		slot = t.home(h >> 32)
 	}
-	t.slots[slot] = h>>32<<32 | uint64(id+1)
+	if e := h>>32<<32 | uint64(id+1); t.shared {
+		atomic.StoreUint64(&t.slots[slot], e)
+	} else {
+		t.slots[slot] = e
+	}
 }
 
 // home returns the first empty slot on tag's probe sequence.
@@ -653,7 +754,7 @@ func (t *table) home(tag uint64) int {
 func (t *table) grow() {
 	old := t.slots
 	if size := tableSize(t.used); size > len(old) {
-		t.slots = make([]uint64, size)
+		t.slots, t.shared = make([]uint64, size), false
 		for _, e := range old {
 			if e != 0 {
 				t.slots[t.home(e>>32)] = e
@@ -781,18 +882,76 @@ func (s *GroupSet) find(h uint64, tuple []val.T) (g, slot int) {
 	}
 }
 
-// Clone returns a copy that can be written independently: full argument
-// chunks are shared (their rows are immutable), the partial last chunk,
-// the cost column and the key table are copied, and indexes are rebuilt
-// lazily on first use.
+// Clone returns a relation holding r's rows that can be written while r
+// is read (see the package doc). When r is its lineage's tip, the clone
+// takes that role over and extends r's storage in place: it shares the
+// argument chunks, the cost column, the key table and every built index,
+// appends past r's length, and copies a cost chunk only when it first
+// raises a cost r can read. r must not be written again. When r is not
+// the tip — a newer clone already extends it — the clone is a fork that
+// starts a lineage of its own: it copies r's key table and partial last
+// chunks, shares r's full cost chunks copy-on-write (r can no longer
+// write them) and rebuilds indexes lazily.
 func (r *Relation) Clone() *Relation {
-	c := &Relation{Info: r.Info}
-	c.copyRows(r)
+	c := &Relation{Info: r.Info, shift: r.shift}
+	if r.n == 0 {
+		return c // nothing to share
+	}
+	l := r.lineage()
+	if !l.tip.CompareAndSwap(r, c) {
+		c.copyRows(r, true)
+		return c
+	}
+	c.lin.Store(l)
+	c.n, c.width, c.base = r.n, r.width, r.n
+	c.chunks = slices.Clone(r.chunks)
+	c.costs = slices.Clone(r.costs)
+	if len(c.costs) > 0 {
+		c.sharedCosts = make([]bool, len(c.costs))
+		for i := range c.sharedCosts {
+			c.sharedCosts[i] = true
+		}
+	}
+	c.keys = table{slots: r.keys.slots, used: r.keys.used, shared: true}
+	if is := r.idx.Load(); is != nil {
+		ixs := make([]*index, len(is.ixs))
+		for i, ix := range is.ixs {
+			ixs[i] = ix.share()
+		}
+		c.idx.Store(&indexSet{ixs: ixs})
+	}
 	return c
 }
 
-// copyRows makes r's rows a writable copy of other's (see Clone).
-func (r *Relation) copyRows(other *Relation) {
+// lineage returns r's lineage, starting one with r as its tip when r has
+// none.
+func (r *Relation) lineage() *lineage {
+	if l := r.lin.Load(); l != nil {
+		return l
+	}
+	l := &lineage{}
+	l.tip.Store(r)
+	if !r.lin.CompareAndSwap(nil, l) {
+		return r.lin.Load()
+	}
+	return l
+}
+
+// copy returns a private copy of r, whether or not r is its lineage's
+// tip, so both can be written independently (see copyRows).
+func (r *Relation) copy() *Relation {
+	c := &Relation{Info: r.Info}
+	c.copyRows(r, false)
+	return c
+}
+
+// copyRows makes r's rows a private copy of other's: full argument chunks
+// are shared (their rows are immutable), the partial last chunk, the cost
+// column and the key table are copied — the table without the entries a
+// newer generation added to it — and no index is carried over. When
+// other is frozen for good (no longer its lineage's tip), its full cost
+// chunks are shared copy-on-write instead (see setCost).
+func (r *Relation) copyRows(other *Relation, frozen bool) {
 	r.n, r.width, r.shift = other.n, other.width, other.shift
 	r.chunks = slices.Clone(other.chunks)
 	if last := len(r.chunks) - 1; last >= 0 && len(r.chunks[last]) < cap(r.chunks[last]) {
@@ -802,9 +961,16 @@ func (r *Relation) copyRows(other *Relation) {
 	}
 	r.costs = make([][]lattice.Elem, len(other.costs))
 	for c, src := range other.costs {
+		if frozen && len(src) == cap(src) {
+			if r.sharedCosts == nil {
+				r.base, r.sharedCosts = other.n, make([]bool, len(other.costs))
+			}
+			r.costs[c], r.sharedCosts[c] = src, true
+			continue
+		}
 		r.costs[c] = append(make([]lattice.Elem, 0, cap(src)), src...)
 	}
-	r.keys = table{slots: slices.Clone(other.keys.slots), used: other.keys.used}
+	r.keys = other.keys.below(other.n)
 }
 
 // sameShape reports whether rows stored under one schema are valid as
@@ -846,14 +1012,15 @@ func (r *Relation) Equal(other *Relation) bool {
 
 // Join merges other into r (tuple-wise cost join), reporting change.
 // Joining into an empty relation of the same shape — how every solve
-// takes in its EDB — adopts other's rows as Clone copies them: no row is
-// hashed or inserted again.
+// takes in its EDB — adopts a private copy of other's rows (see
+// copyRows): no row is hashed or inserted again, and other stays its
+// lineage's tip.
 func (r *Relation) Join(other *Relation) bool {
 	if other.n == 0 {
 		return false
 	}
 	if r.n == 0 && r.idx.Load() == nil && sameShape(r.Info, other.Info) {
-		r.copyRows(other)
+		r.copyRows(other, false)
 		return true
 	}
 	changed := false

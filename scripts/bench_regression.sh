@@ -3,7 +3,8 @@
 #
 # Runs BenchmarkSolve (the shortest-path fixpoint on a cyclic graph),
 # BenchmarkRelationInsert, BenchmarkParty (Example 4.3) and BenchmarkLoad
-# at -benchtime 3x and enforces four pins. All are counts, not timings, so they hold
+# at -benchtime 3x, and BenchmarkIncrementalSolve/solve-more-chain at
+# -benchtime 100x, and enforces five pins. All are counts, not timings, so they hold
 # on any machine; there are no knobs. Re-pinning means editing the
 # constant below in the same commit as the code change that moves it.
 #
@@ -59,6 +60,19 @@
 #      symbol is new (a new symbol costs one more). Before facts were
 #      data the same load made 34,230 allocations, about eight per fact;
 #      a single allocation per fact would add 4,100.
+#
+#   5. Chained-SolveMore byte pin: BenchmarkIncrementalSolve/solve-more-chain
+#      — 100 batches of two arcs, each solved into the model the previous
+#      one returned, on Example 2.6 over a 48-node cycle graph, as the
+#      served writer does — stays at CHAIN_BYTES (113,987) B/op within
+#      ALLOC_TOL_PCT percent; it repeats to within a few bytes. Each
+#      SolveMore clones the dispatched component's relations, and a clone
+#      of the newest generation extends its storage in place, so what is
+#      left is the derivations' own growth, the cost chunks whose costs a
+#      batch raises and the walk's bookkeeping. When every clone copied
+#      the component and rebuilt its indexes, the same benchmark
+#      allocated 784,376 B/op: an O(model) copy per assert cannot creep
+#      back unnoticed.
 set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
@@ -67,14 +81,18 @@ INSERT_BYTES_PER_ROW=81.5
 ALLOC_TOL_PCT=5
 PARTY_PROBES=1682
 LOAD_ALLOCS=496
+CHAIN_BYTES=113987
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT INT TERM
 
 echo "bench_regression: running BenchmarkSolve, BenchmarkRelationInsert, BenchmarkParty and BenchmarkLoad (-benchtime 3x)"
 ( cd "$ROOT" && go test . -run '^$' -bench '^(BenchmarkSolve|BenchmarkRelationInsert|BenchmarkParty|BenchmarkLoad)$' -benchmem \
     -benchtime 3x ) | tee "$RAW"
+echo "bench_regression: running BenchmarkIncrementalSolve/solve-more-chain (-benchtime 100x)"
+( cd "$ROOT" && go test . -run '^$' -bench '^BenchmarkIncrementalSolve$/^solve-more-chain$' -benchmem \
+    -benchtime 100x ) | tee -a "$RAW"
 
-awk -v pinned="$SOLVE_ALLOCS" -v alloctol="$ALLOC_TOL_PCT" -v partypin="$PARTY_PROBES" -v rowpin="$INSERT_BYTES_PER_ROW" -v loadpin="$LOAD_ALLOCS" '
+awk -v pinned="$SOLVE_ALLOCS" -v alloctol="$ALLOC_TOL_PCT" -v partypin="$PARTY_PROBES" -v rowpin="$INSERT_BYTES_PER_ROW" -v loadpin="$LOAD_ALLOCS" -v chainpin="$CHAIN_BYTES" '
 /^BenchmarkSolve(-[0-9]+)?[ \t]/ && /allocs\/op/ {
     for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") allocs = $i
 }
@@ -86,6 +104,9 @@ awk -v pinned="$SOLVE_ALLOCS" -v alloctol="$ALLOC_TOL_PCT" -v partypin="$PARTY_P
 }
 /^BenchmarkLoad\/load(-[0-9]+)?[ \t]/ && /allocs\/op/ {
     for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") loadallocs = $i
+}
+/^BenchmarkIncrementalSolve\/solve-more-chain(-[0-9]+)?[ \t]/ && /B\/op/ {
+    for (i = 2; i < NF; i++) if ($(i+1) == "B/op") chainbytes = $i
 }
 END {
     if (allocs == "") {
@@ -125,6 +146,16 @@ END {
     printf "bench_regression: BenchmarkLoad/load allocs/op %d vs pinned %d = %.3f%% deviation (gate: <= %s%%)\n", loadallocs, loadpin, ldev, alloctol
     if (ldev > alloctol + 0) {
         print "bench_regression: FAIL: Load allocation count moved; a fact costs an allocation again, or the rules front end grew" > "/dev/stderr"
+        exit 1
+    }
+    if (chainbytes == "") {
+        print "bench_regression: FAIL: missing BenchmarkIncrementalSolve/solve-more-chain B/op" > "/dev/stderr"
+        exit 1
+    }
+    cdev = 100 * (chainbytes - chainpin) / chainpin; if (cdev < 0) cdev = -cdev
+    printf "bench_regression: BenchmarkIncrementalSolve/solve-more-chain B/op %d vs pinned %d = %.3f%% deviation (gate: <= %s%%)\n", chainbytes, chainpin, cdev, alloctol
+    if (cdev > alloctol + 0) {
+        print "bench_regression: FAIL: chained SolveMore bytes moved; a successor copies what it could share, or a batch derives more" > "/dev/stderr"
         exit 1
     }
     print "bench_regression: PASS"
