@@ -45,8 +45,9 @@ race:
 	$(GO) test -race ./...
 
 # Short coverage-guided fuzz runs over the parser, the snapshot and WAL
-# decoders, the serve tier's value codec and the relation generations
-# (clone, fork and copy-on-write against a map model); the seed corpora
+# decoders, the serve tier's value codec, the relation generations
+# (clone, fork and copy-on-write against a map model) and the join
+# property of min/max/or that γ's Δ-fold rests on; the seed corpora
 # alone run under plain `make test`. A FuzzGenerations input runs a whole
 # tree of generations, so minimizing a new one is capped at a second to
 # leave the run time for fuzzing.
@@ -56,6 +57,7 @@ fuzz:
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeValue$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/relation -run '^$$' -fuzz '^FuzzGenerations$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/lattice -run '^$$' -fuzz '^FuzzJoinAggregate$$' -fuzztime $(FUZZTIME)
 
 # Durability suite for the write-ahead log under the race detector: the
 # log format and recovering reader (torn tails, mid-log corruption,

@@ -661,7 +661,9 @@ func (d *deltaSet) predKeys() []ast.PredKey {
 // inputs changed — rules with positive scans of a changed predicate run
 // once per changed-scan seed, each on that scan's Δ-driver order when it
 // has one (plan.deltaPipe); rules referencing a changed predicate inside
-// an aggregate re-run (group-restricted where possible).
+// an aggregate re-run (group-restricted where possible), or fold the
+// changed rows into the changed groups when the rule qualifies
+// (plan.deltaFold).
 //
 // When init is nil, round 0 fires every rule (the fresh-solve case);
 // otherwise init seeds the Δ set (the incremental SolveMore case, where
@@ -798,15 +800,20 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 			ranFull := false
 			if runAgg {
 				// Aggregate-driven re-run when an aggregated predicate
-				// changed: restricted to the changed groups when every
-				// grouping variable can be recovered from the changed
-				// rows, otherwise a full re-run (which then also covers
-				// the scan deltas below).
-				groups, restricted := changedGroups(p, prev, db)
+				// changed: a Δ-fold of the changed rows when the plan
+				// qualifies (deltaFold); else restricted to the changed
+				// groups when every grouping variable can be recovered
+				// from the changed rows, otherwise a full re-run (which
+				// then also covers the scan deltas below).
 				pass := cfg
-				pass.AggGroups = groups
+				if p.fold != "" {
+					pass.AggDelta, pass.AggSince = prev.ids(p.fold), delta.ids(p.fold)
+				} else {
+					groups, restricted := changedGroups(p, prev, db)
+					pass.AggGroups = groups
+					ranFull = !restricted
+				}
 				perr = en.runPass(p, &p.pipe, pass, stats, insert)
-				ranFull = !restricted
 			}
 			if perr == nil && !ranFull && hasScan {
 				// Scan-driven delta runs: one pass per changed scanned

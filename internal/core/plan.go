@@ -73,6 +73,9 @@ type plan struct {
 	// changed its result.
 	gamma   []*gammaDelta
 	changed []*relation.GroupSet
+	// fold is the aggregated predicate when the plan's γ step runs its Δ
+	// passes as a Δ-fold (deltaFold), empty otherwise.
+	fold ast.PredKey
 	// work is the rule's share of the component evaluation under way,
 	// its operator counters included (work.Ops, allocated at New): the
 	// walk resets it when it dispatches the component and folds it into
@@ -355,6 +358,7 @@ func (c *compiler) compileRule(r *ast.Rule) (*plan, error) {
 	}
 	p.hbuf = make([]val.T, len(hs.ArgVar))
 	p.changed = make([]*relation.GroupSet, len(p.steps))
+	p.deltaFold()
 	identity := make([]int, len(p.steps))
 	for i := range identity {
 		identity[i] = i
@@ -369,6 +373,43 @@ func (c *compiler) compileRule(r *ast.Rule) (*plan, error) {
 		}
 	}
 	return p, nil
+}
+
+// deltaFold compiles p's γ step for the Δ-fold (exec.AggStep.FoldKey)
+// when the rule qualifies: its body is one restricted γ over one atom of
+// another predicate than the head, neither default-valued nor wide, whose
+// non-cost arguments are distinct variables and whose cost is the
+// multiset variable; F is the join of its range (lattice.Aggregate.IsJoin),
+// the atom's lattice is F's domain and the head's cost lattice F's range;
+// and the γ result is the head's cost. Example 2.6's
+// "s(X,Y,C) :- C ?= min D : path(X,Z,Y,D)" is the case in point.
+func (p *plan) deltaFold() {
+	if len(p.steps) != 1 || p.steps[0].Kind != exec.AggKind {
+		return
+	}
+	a, h := p.steps[0].Agg, &p.head
+	if !a.G.Restricted || !a.F.IsJoin() || len(a.Conj) != 1 {
+		return
+	}
+	at := &a.Conj[0]
+	if at.Pred == h.Pred || at.Info.HasDefault || at.Wide || at.CostVar < 0 || at.CostVar != a.MsVar ||
+		at.Info.L != a.F.Domain() || h.Info.L != a.F.Range() || h.CostVar != a.Result || a.Result == a.MsVar {
+		return
+	}
+	seen := map[int]bool{a.MsVar: true, a.Result: true}
+	for _, v := range at.ArgVar {
+		if v < 0 || seen[v] {
+			return
+		}
+		seen[v] = true
+	}
+	key := make([]int, len(a.GroupVars))
+	for j, v := range a.GroupVars {
+		if key[j] = slices.Index(at.ArgVar, v); key[j] < 0 {
+			return
+		}
+	}
+	a.FoldKey, p.fold = key, at.Pred
 }
 
 // place fixes the position-dependent parts of step s for the bound set

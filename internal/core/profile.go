@@ -150,7 +150,10 @@ func describeOps(p *plan) []OpStats {
 			op.Kind, op.Op = "builtin", s.Builtin.B.String()
 		case exec.AggKind:
 			op.Kind, op.Op = "aggregate", s.Agg.G.String()
-			if s.Agg.G.Restricted {
+			switch {
+			case p.fold != "":
+				op.Op += " [restricted, Δ-fold]"
+			case s.Agg.G.Restricted:
 				op.Op += " [restricted]"
 			}
 		}

@@ -27,7 +27,11 @@
 //     of the aggregate conjunction are grouped on the grouping
 //     variables and each group's multiset is folded through the
 //     aggregate function, whose monotonicity w.r.t. the lattice order
-//     is what makes the fixpoint iteration sound (Lemma 4.1).
+//     is what makes the fixpoint iteration sound (Lemma 4.1). A step
+//     compiled for the Δ-fold (AggStep.FoldKey) over an aggregate that
+//     is the join of its range reads, in a Δ pass, only the rows that
+//     changed (Config.AggDelta, Config.AggSince) and joins their costs
+//     per group instead of re-enumerating each changed group.
 //
 // Pipelines pull one row at a time through stack-allocated cursors and
 // write variable bindings into a preallocated register file, so steady
@@ -267,6 +271,12 @@ type AggStep struct {
 	// reference interpreter raises it.
 	OrderFull, OrderPoint       []int
 	OrderFullErr, OrderPointErr error
+	// FoldKey, when non-nil, marks a step the compiler proved can run as
+	// a Δ-fold (runFold): F is the join of its range and the conjunction
+	// is one atom whose non-cost arguments are distinct variables and
+	// whose cost is the multiset variable. FoldKey[j] is the position of
+	// grouping variable j among that atom's non-cost arguments.
+	FoldKey []int
 }
 
 // Config is the per-pass evaluation context.
@@ -283,6 +293,11 @@ type Config struct {
 	// emitted in the set's order); a nil entry, or a position past the
 	// slice, leaves the step unrestricted.
 	AggGroups []*relation.GroupSet
+	// AggDelta, when non-nil, runs a γ step with a FoldKey as a Δ-fold:
+	// AggDelta lists the previous round's Δ ids of the aggregated
+	// relation, whose groups the step emits, and AggSince the ids of that
+	// relation changed earlier in the current round.
+	AggDelta, AggSince []int32
 	// Check, when non-nil, is polled at every pipeline terminal.
 	Check func() error
 }
@@ -395,15 +410,24 @@ type stepState struct {
 
 // aggState is the reusable γ scratch: the point-mode multiset buffer,
 // the grouped-mode groups (in first-occurrence order) with one multiset
-// buffer per group, and key / binding scratch.
+// buffer per group, the Δ-fold's per-group accumulators, and key /
+// binding scratch.
 type aggState struct {
 	keyScratch []val.T
 	elems      []lattice.Elem
 	groups     relation.GroupSet
 	groupElems [][]lattice.Elem
+	acc        []foldAcc
 	groupSaved []int
 	emitSaved  []int
 	conj       []scanState
+}
+
+// foldAcc is one Δ-fold group's accumulator: the join of its rows'
+// costs so far and the row id that element came from.
+type foldAcc struct {
+	e  lattice.Elem
+	id int32
 }
 
 // NewRule wraps a compiled rule body over nvars registers as a
@@ -527,6 +551,9 @@ func (m *Machine) runStep(i int) error {
 		}
 		return err
 	case AggKind:
+		if m.cfg.AggDelta != nil && s.Agg.FoldKey != nil {
+			return m.runFold(i, s.Agg)
+		}
 		var only *relation.GroupSet
 		if i < len(m.cfg.AggGroups) {
 			only = m.cfg.AggGroups[i]
@@ -888,6 +915,78 @@ func (m *Machine) runAgg(idx int, s *AggStep, onlyGroups *relation.GroupSet) err
 	}
 	for g := 0; g < st.groups.Len(); g++ {
 		if err := m.emitGroup(idx, s, st, st.groups.At(g), st.groupElems[g]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runFold evaluates a γ step with a FoldKey in a Δ pass. F is the join
+// of its range and costs only rise, so a changed group's value is its
+// last value joined with the costs of the rows that changed since: the
+// step reads those rows by id instead of re-enumerating the group. The
+// groups are those of the previous round's Δ rows (Config.AggDelta), in
+// first-occurrence order as in the Δ-grouped mode; each joins the
+// current costs of its Δ rows and of the rows changed earlier in the
+// current round (Config.AggSince) whose group is among them. Of two
+// equal elements it keeps the lower row id's, the one F.Apply keeps when
+// it enumerates a group in row-id order. One binding per group continues
+// the pipeline, so firings and the Check poll stay the machine's; every
+// Δ row read is a probe, and AggDelta's rows are also counted as Δ.
+func (m *Machine) runFold(idx int, s *AggStep) error {
+	st := m.states[idx].agg
+	n := &m.states[idx].n
+	rel := m.relOf(&s.Conj[0], &st.conj[0])
+	if l := int64(rel.Len()); l > n.Build {
+		n.Build = l
+	}
+	l := s.F.Range()
+	st.groups.Reset(len(s.GroupVars))
+	st.acc = st.acc[:0]
+	var row relation.Row
+	key := func() []val.T {
+		for j, a := range s.FoldKey {
+			st.keyScratch[j] = row.Args[a]
+		}
+		return st.keyScratch
+	}
+	join := func(g int, id int32) {
+		switch acc := &st.acc[g]; {
+		case !l.Leq(row.Cost, acc.e):
+			*acc = foldAcc{l.Join(acc.e, row.Cost), id}
+		case l.Leq(acc.e, row.Cost) && id < acc.id:
+			*acc = foldAcc{row.Cost, id}
+		}
+	}
+	for _, id := range m.cfg.AggDelta {
+		rel.Load(int(id), &row)
+		n.Probes++
+		n.Delta++
+		if g, added := st.groups.Add(key()); !added {
+			join(g, id)
+		} else {
+			st.acc = append(st.acc, foldAcc{row.Cost, id})
+		}
+	}
+	for _, id := range m.cfg.AggSince {
+		rel.Load(int(id), &row)
+		n.Probes++
+		if g := st.groups.Find(key()); g >= 0 {
+			join(g, id)
+		}
+	}
+	for g := 0; g < st.groups.Len(); g++ {
+		n.Groups++
+		for j, v := range s.GroupVars {
+			m.Vals[v], m.Bound[v] = st.groups.At(g)[j], true
+		}
+		m.Vals[s.Result], m.Bound[s.Result] = st.acc[g].e, true
+		err := m.runStep(idx + 1)
+		for _, v := range s.GroupVars {
+			m.Bound[v] = false
+		}
+		m.Bound[s.Result] = false
+		if err != nil {
 			return err
 		}
 	}

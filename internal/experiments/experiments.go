@@ -295,16 +295,15 @@ func (st *state) e3() {
 		}
 		return []int{32, 64, 128} // dense reachability grows quadratically
 	}
-	st.row("topology", "n", "edges", "engine (semi-naive)", "Dijkstra all-pairs", "s tuples", "agree")
-	st.row("---", "---", "---", "---", "---", "---", "---")
+	st.row("topology", "n", "edges", "load", "solve", "Dijkstra all-pairs", "solve/Dijkstra", "s tuples", "agree")
+	st.row("---", "---", "---", "---", "---", "---", "---", "---", "---")
 	for _, kind := range []gen.GraphKind{gen.LayeredDAG, gen.CycleGraph, gen.RandomGraph} {
 		for _, n := range sizesOf(kind) {
 			g := gen.Graph(kind, n, 4*n, 9, int64(n))
 			src := programs.ShortestPath + gen.GraphFacts(g)
-			var db *relation.DB
-			dEng := timeIt(func() { db, _ = mustSolve(src, core.Options{}) })
+			dLoad, dSolve, db := loadSolve(src, core.Options{})
 			var dist [][]float64
-			dBase := timeIt(func() { dist = baseline.AllPairs(g) })
+			dBase := medianTime(func() { dist = baseline.AllPairs(g) })
 			agree := true
 			count := 0
 			for u := 0; u < g.N && agree; u++ {
@@ -323,8 +322,8 @@ func (st *state) e3() {
 					}
 				}
 			}
-			st.row(kindName(kind), fmt.Sprint(n), fmt.Sprint(len(g.Edges)),
-				dEng.String(), dBase.String(), fmt.Sprint(count), fmt.Sprint(agree))
+			st.row(kindName(kind), fmt.Sprint(n), fmt.Sprint(len(g.Edges)), dLoad.String(), dSolve.String(),
+				dBase.String(), fmt.Sprintf("%.1f×", float64(dSolve)/float64(dBase)), fmt.Sprint(count), fmt.Sprint(agree))
 		}
 	}
 	// Example 3.1 exact check.

@@ -31,6 +31,11 @@ type Aggregate interface {
 	// undefined on the multiset (e.g. average of the empty multiset);
 	// monotone aggregates are total, with F(∅) = ⊥_R.
 	Apply(ms []Elem) (result Elem, ok bool)
+	// IsJoin reports whether F is the join of its range: Domain() ==
+	// Range() and F(ms) = ⊔ ms, so F(∅) = ⊥. A group's value then grows
+	// by joining in the elements that change, whatever the rest of the
+	// multiset holds. It holds for min, max and or.
+	IsJoin() bool
 }
 
 // aggFunc is a closure-backed Aggregate.
@@ -39,6 +44,7 @@ type aggFunc struct {
 	dom, rng Lattice
 	mono     bool
 	pseudo   bool
+	join     bool
 	apply    func(ms []Elem) (Elem, bool)
 }
 
@@ -48,11 +54,18 @@ func (a *aggFunc) Range() Lattice               { return a.rng }
 func (a *aggFunc) Monotone() bool               { return a.mono }
 func (a *aggFunc) PseudoMonotone() bool         { return a.pseudo }
 func (a *aggFunc) Apply(ms []Elem) (Elem, bool) { return a.apply(ms) }
+func (a *aggFunc) IsJoin() bool                 { return a.join }
 
 // New builds an aggregate from its parts. Monotone aggregates must be
 // total and satisfy apply(∅) = ⊥ of the range.
 func New(name string, dom, rng Lattice, mono, pseudo bool, apply func([]Elem) (Elem, bool)) Aggregate {
 	return &aggFunc{name: name, dom: dom, rng: rng, mono: mono, pseudo: pseudo || mono, apply: apply}
+}
+
+// joinAgg marks a as the join of its range (Aggregate.IsJoin).
+func joinAgg(a Aggregate) Aggregate {
+	a.(*aggFunc).join = true
+	return a
 }
 
 func numFold(init float64, f func(acc, x float64) float64) func([]Elem) (Elem, bool) {
@@ -83,24 +96,24 @@ func sortedNumFold(init float64, f func(acc, x float64) float64) func([]Elem) (E
 // halfsum from Example 5.1). All are registered for use in rule text.
 var (
 	// Max is maximum on (R ∪ {±∞}, ≤); Max(∅) = −∞ (row 1).
-	Max = New("max", MaxReal, MaxReal, true, true,
+	Max = joinAgg(New("max", MaxReal, MaxReal, true, true,
 		numFold(-Inf, func(a, x float64) float64 {
 			if x > a {
 				return x
 			}
 			return a
-		}))
+		})))
 
 	// Min is minimum on (R ∪ {±∞}, ≥); Min(∅) = +∞ (row 3). Note the
 	// reversed order: a larger multiset can only *shrink* the minimum,
 	// which is exactly an increase with respect to ⊑ = ≥.
-	Min = New("min", MinReal, MinReal, true, true,
+	Min = joinAgg(New("min", MinReal, MinReal, true, true,
 		numFold(Inf, func(a, x float64) float64 {
 			if x < a {
 				return x
 			}
 			return a
-		}))
+		})))
 
 	// Sum is summation on (R* ∪ {∞}, ≤); Sum(∅) = 0 (row 4).
 	Sum = New("sum", SumReal, SumReal, true, true,
@@ -132,7 +145,7 @@ var (
 		})
 
 	// Or is disjunction on (B, ≤), bottom false; Or(∅) = false (row 6).
-	Or = New("or", BoolOr, BoolOr, true, true,
+	Or = joinAgg(New("or", BoolOr, BoolOr, true, true,
 		func(ms []Elem) (Elem, bool) {
 			for _, e := range ms {
 				if e.Bool() {
@@ -140,7 +153,7 @@ var (
 				}
 			}
 			return val.Boolean(false), true
-		})
+		}))
 
 	// Union is set union on (2^S, ⊆); Union(∅) = ∅ (row 9).
 	Union = New("union", SetUnion, SetUnion, true, true,

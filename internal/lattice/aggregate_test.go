@@ -270,3 +270,88 @@ func TestAggregateRegistry(t *testing.T) {
 		t.Error("median must not be registered")
 	}
 }
+
+// joinAggs is the table of aggregates that are the join of their range
+// (Aggregate.IsJoin): exactly min, max and or.
+var joinAggs = []Aggregate{Min, Max, Or}
+
+// TestIsJoinMarksExactlyMinMaxOr checks the IsJoin marks against the
+// table and the join property on random multisets of each marked
+// aggregate.
+func TestIsJoinMarksExactlyMinMaxOr(t *testing.T) {
+	for _, a := range figure1() {
+		want := a == Min || a == Max || a == Or
+		if a.IsJoin() != want {
+			t.Errorf("%s.IsJoin() = %v, want %v", a.Name(), a.IsJoin(), want)
+		}
+	}
+	for _, a := range joinAggs {
+		r := rand.New(rand.NewSource(1))
+		for i := 0; i < 400; i++ {
+			ms := make([]Elem, r.Intn(8))
+			for j := range ms {
+				ms[j] = genJoinElem(a.Domain(), r)
+			}
+			checkJoin(t, a, ms)
+		}
+	}
+}
+
+// genJoinElem draws elements of a numeric or boolean lattice, with ±0,
+// ±Inf and (from a small palette) many duplicates.
+func genJoinElem(l Lattice, r *rand.Rand) Elem {
+	return joinElem(l, byte(r.Intn(256)))
+}
+
+// joinElem decodes one byte into an element of l.
+func joinElem(l Lattice, b byte) Elem {
+	if l == BoolOr {
+		return val.Boolean(b&1 == 1)
+	}
+	palette := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1, -1, 2.5, -2.5, 7, math.MaxFloat64, -math.MaxFloat64}
+	return val.Number(palette[int(b)%len(palette)])
+}
+
+// checkJoin checks the join property of a on ms: Domain() == Range(),
+// Apply(ms) is the fold of Range().Join over ms from ⊥ (the identical
+// value, not just an equal one), and Apply(∅) is ⊥.
+func checkJoin(t *testing.T, a Aggregate, ms []Elem) {
+	t.Helper()
+	l := a.Range()
+	if a.Domain() != l {
+		t.Fatalf("%s: domain %s differs from range %s", a.Name(), a.Domain().Name(), l.Name())
+	}
+	if got, ok := a.Apply(nil); !ok || !val.Same(got, l.Bottom()) {
+		t.Fatalf("%s(∅) = %v, want ⊥ %v", a.Name(), got, l.Bottom())
+	}
+	want := l.Bottom()
+	for _, e := range ms {
+		want = l.Join(want, e)
+	}
+	if got, ok := a.Apply(ms); !ok || !val.Same(got, want) {
+		t.Fatalf("%s(%v) = %v, want the join %v", a.Name(), ms, got, want)
+	}
+}
+
+// FuzzJoinAggregate checks the join property on fuzzed multisets: the
+// first byte picks the aggregate from joinAggs, every further byte one
+// element.
+func FuzzJoinAggregate(f *testing.F) {
+	for i := range joinAggs {
+		f.Add([]byte{byte(i)})
+		f.Add([]byte{byte(i), 0, 1, 0, 1})
+		f.Add([]byte{byte(i), 2, 3, 2, 4, 5, 5, 9, 10})
+		f.Add([]byte{byte(i), 6, 1, 6, 0, 3, 3, 2})
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		a := joinAggs[int(data[0])%len(joinAggs)]
+		ms := make([]Elem, 0, len(data)-1)
+		for _, b := range data[1:] {
+			ms = append(ms, joinElem(a.Domain(), b))
+		}
+		checkJoin(t, a, ms)
+	})
+}

@@ -11,7 +11,7 @@
 #   1. Allocation pin: with no event sink attached (the benchmark's
 #      configuration; the per-operator counters are always counted into
 #      the solve's Stats), BenchmarkSolve's allocs/op stays at
-#      SOLVE_ALLOCS (536) within ALLOC_TOL_PCT percent. Relations store
+#      SOLVE_ALLOCS (484) within ALLOC_TOL_PCT percent. Relations store
 #      rows in chunked arenas of 16-byte pointer-free values with
 #      value-hashed key tables, Δ sets hold row ids and γ keeps its
 #      groups in hash-keyed GroupSets (no key strings), so a solve that
@@ -22,12 +22,14 @@
 #      it; the program's 384 arc facts are data and fire no pipeline.
 #      Pipeline machines live on a per-rule free list that a garbage
 #      collection does not empty, so the count does not move with GC
-#      timing (536–537 over runs; under sync.Pool it spread over
-#      700–840). The pin moved from 2,133 when values became interned
-#      words: γ no longer interns a key string per new group, and
-#      machines are no longer rebuilt after each collection; it moved
-#      from 529 when every solve began logging one record per round,
-#      whose slice grows by doubling and is merged once. A single
+#      timing (under sync.Pool it spread over 700–840). The pin moved
+#      from 2,133 when values became interned words: γ no longer interns
+#      a key string per new group, and machines are no longer rebuilt
+#      after each collection; it moved from 529 when every solve began
+#      logging one record per round, whose slice grows by doubling and is
+#      merged once; it moved from 536 when s's γ became a Δ-fold, which
+#      reads the changed path rows by id, so path's (X, Y) index, which
+#      only the re-enumerating γ probed, is never built. A single
 #      allocation per stored row would add over 20,000. One-shot setup
 #      allocations amortize over the iteration count, which is why
 #      -benchtime is fixed. This protects the storage kernel's and the
@@ -76,7 +78,7 @@
 set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
-SOLVE_ALLOCS=536
+SOLVE_ALLOCS=484
 INSERT_BYTES_PER_ROW=81.5
 ALLOC_TOL_PCT=5
 PARTY_PROBES=1682
