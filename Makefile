@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet bench-vet test test-procs race fuzz wal-crash-test serve-smoke bench-regression ci clean
+.PHONY: all build vet bench-vet fma-check test test-procs race fuzz wal-crash-test serve-smoke bench-regression ci clean
 
 all: build
 
@@ -21,6 +21,12 @@ vet:
 # without writing a binary.
 bench-vet:
 	cd benchmark && $(GO) vet ./...
+
+# No fused multiply-adds in repo code (scripts/fma_check.sh): cross-
+# compiles cmd/mdl and the root test binary for arm64, ppc64le and
+# riscv64, where Go may fuse x*y + z and change a cost's last bit.
+fma-check:
+	GO=$(GO) sh scripts/fma_check.sh
 
 test:
 	$(GO) test ./...
@@ -84,7 +90,7 @@ bench-regression:
 # CI's target set, plus one iteration of every root benchmark (proves
 # each still compiles and runs; timings that carry a conclusion come from
 # benchmark/, see BENCHMARK.json).
-ci: vet bench-vet build test-procs race fuzz wal-crash-test serve-smoke bench-regression
+ci: vet bench-vet fma-check build test-procs race fuzz wal-crash-test serve-smoke bench-regression
 	$(GO) test . -run '^$$' -bench . -benchtime 1x
 
 clean:

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/programs"
 )
 
 // Flag-combination contract of the batch CLI: only genuinely
@@ -46,15 +48,7 @@ func TestAcceptedFlagCombinations(t *testing.T) {
 	dir := t.TempDir()
 	rules := filepath.Join(dir, "rules.mdl")
 	facts := filepath.Join(dir, "facts.mdl")
-	writeFileOrFatal(t, rules, `
-.cost arc/3 : minreal.
-.cost path/4 : minreal.
-.cost s/3 : minreal.
-.ic :- arc(direct, Z, C).
-path(X, direct, Y, C) :- arc(X, Y, C).
-path(X, Z, Y, C)      :- s(X, Z, C1), arc(Z, Y, C2), C = C1 + C2.
-s(X, Y, C)            :- C ?= min D : path(X, Z, Y, D).
-`)
+	writeFileOrFatal(t, rules, programs.ShortestPath)
 	writeFileOrFatal(t, facts, "arc(a, b, 1).\narc(b, c, 2).\n")
 	ckpt := filepath.Join(dir, "sp.ckpt")
 

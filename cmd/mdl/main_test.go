@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/programs"
 )
 
 func writeProgram(t *testing.T, name, src string) string {
@@ -23,14 +24,7 @@ func writeProgram(t *testing.T, name, src string) string {
 	return path
 }
 
-const shortestPath = `
-.cost arc/3 : minreal.
-.cost path/4 : minreal.
-.cost s/3 : minreal.
-.ic :- arc(direct, Z, C).
-path(X, direct, Y, C) :- arc(X, Y, C).
-path(X, Z, Y, C)      :- s(X, Z, C1), arc(Z, Y, C2), C = C1 + C2.
-s(X, Y, C)            :- C ?= min D : path(X, Z, Y, D).
+const shortestPath = programs.ShortestPath + `
 arc(a, b, 1).
 arc(b, c, 2).
 `
@@ -243,15 +237,7 @@ move(a, b).
 }
 
 func TestMultipleFilesAndErrors(t *testing.T) {
-	rules := writeProgram(t, "rules.mdl", `
-.cost arc/3 : minreal.
-.cost path/4 : minreal.
-.cost s/3 : minreal.
-.ic :- arc(direct, Z, C).
-path(X, direct, Y, C) :- arc(X, Y, C).
-path(X, Z, Y, C)      :- s(X, Z, C1), arc(Z, Y, C2), C = C1 + C2.
-s(X, Y, C)            :- C ?= min D : path(X, Z, Y, D).
-`)
+	rules := writeProgram(t, "rules.mdl", programs.ShortestPath)
 	facts := writeProgram(t, "facts.mdl", "arc(x, y, 4).\n")
 	out, _, code := runMdl(t, "-query", "s", rules, facts)
 	if code != exitOK || !strings.Contains(out, "s(x, y, 4).") {
@@ -294,7 +280,7 @@ func TestNaiveFlag(t *testing.T) {
 // TestFactsInTextEqualFactsAsArguments this ties fact files, program
 // text and Solve arguments to one ingest path.
 func TestFactFilesEqualProgramText(t *testing.T) {
-	rulesSrc := strings.SplitAfter(shortestPath, "path(X, Z, Y, D).\n")[0]
+	rulesSrc := programs.ShortestPath
 	factsSrc := gen.GraphFacts(gen.Graph(gen.CycleGraph, 12, 20, 9, 1))
 	rules := writeProgram(t, "rules.mdl", rulesSrc)
 	facts := writeProgram(t, "facts.mdl", factsSrc)

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/programs"
 )
 
 // syncBuffer is a strings.Builder safe for the concurrent writes the
@@ -217,15 +219,7 @@ func TestServeLifecycle(t *testing.T) {
 // TestServeJoin serves two files as one joined program under an
 // explicit name.
 func TestServeJoin(t *testing.T) {
-	rules := writeProgram(t, "rules.mdl", `
-.cost arc/3 : minreal.
-.cost path/4 : minreal.
-.cost s/3 : minreal.
-.ic :- arc(direct, Z, C).
-path(X, direct, Y, C) :- arc(X, Y, C).
-path(X, Z, Y, C)      :- s(X, Z, C1), arc(Z, Y, C2), C = C1 + C2.
-s(X, Y, C)            :- C ?= min D : path(X, Z, Y, D).
-`)
+	rules := writeProgram(t, "rules.mdl", programs.ShortestPath)
 	facts := writeProgram(t, "facts.mdl", "arc(a, b, 1).\narc(b, c, 2).\n")
 
 	url, shutdown := runServeAsync(t, "-join", "-name", "graph", rules, facts)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -161,24 +162,15 @@ func TestParallelDeterminism(t *testing.T) {
 
 // twoShortestPaths is two independent copies of Example 2.6 over their
 // own arcs: two recursive components SolveMore can extend concurrently.
-const twoShortestPaths = `
-.cost arc0/3 : minreal.
-.cost path0/4 : minreal.
-.cost s0/3 : minreal.
-.cost arc1/3 : minreal.
-.cost path1/4 : minreal.
-.cost s1/3 : minreal.
-.ic :- arc0(direct, Z, C).
-.ic :- arc1(direct, Z, C).
-path0(X, direct, Y, C) :- arc0(X, Y, C).
-path0(X, Z, Y, C)      :- s0(X, Z, C1), arc0(Z, Y, C2), C = C1 + C2.
-s0(X, Y, C)            :- C ?= min D : path0(X, Z, Y, D).
-path1(X, direct, Y, C) :- arc1(X, Y, C).
-path1(X, Z, Y, C)      :- s1(X, Z, C1), arc1(Z, Y, C2), C = C1 + C2.
-s1(X, Y, C)            :- C ?= min D : path1(X, Z, Y, D).
+var twoShortestPaths = shortestPathCopy("0") + shortestPathCopy("1") + `
 arc0(a, b, 1). arc0(b, c, 2).
 arc1(x, y, 3). arc1(y, z, 1).
 `
+
+// shortestPathCopy is Example 2.6 with each predicate's name suffixed by n.
+func shortestPathCopy(n string) string {
+	return regexp.MustCompile(`\b(arc|path|s)\b`).ReplaceAllString(programs.ShortestPath, "${1}"+n)
+}
 
 // TestParallelSolveMoreChain extends a model twice through the
 // incremental walk at GOMAXPROCS 1, 2 and 4. The chained model must equal

@@ -9,14 +9,7 @@ import (
 	"repro/internal/programs"
 )
 
-const querySP = `
-.cost arc/3 : minreal.
-.cost path/4 : minreal.
-.cost s/3 : minreal.
-.ic :- arc(direct, Z, C).
-path(X, direct, Y, C) :- arc(X, Y, C).
-path(X, Z, Y, C)      :- s(X, Z, C1), arc(Z, Y, C2), C = C1 + C2.
-s(X, Y, C)            :- C ?= min D : path(X, Z, Y, D).
+const querySP = programs.ShortestPath + `
 arc(a, b, 1).
 arc(b, c, 2).
 arc(a, d, 9).

@@ -9,16 +9,10 @@ import (
 	"time"
 
 	"repro/datalog"
+	"repro/internal/programs"
 )
 
-const spChain = `
-.cost arc/3 : minreal.
-.cost path/4 : minreal.
-.cost s/3 : minreal.
-.ic :- arc(direct, Z, C).
-path(X, direct, Y, C) :- arc(X, Y, C).
-path(X, Z, Y, C)      :- s(X, Z, C1), arc(Z, Y, C2), C = C1 + C2.
-s(X, Y, C)            :- C ?= min D : path(X, Z, Y, D).
+const spChain = programs.ShortestPath + `
 arc(a, b, 1). arc(b, c, 1). arc(c, d, 1). arc(d, e, 1).
 `
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/programs"
 	"repro/internal/relation"
 	"repro/internal/val"
 )
@@ -169,7 +170,7 @@ func TestResumeFromCompleteModel(t *testing.T) {
 // TestSolveMoreFromAccumulatesStats: chained incremental solves seeded
 // with the prior cumulative stats report running totals.
 func TestSolveMoreFromAccumulatesStats(t *testing.T) {
-	src := shortestPathProg + "arc(a, b, 1).\n"
+	src := programs.ShortestPath + "arc(a, b, 1).\n"
 	en := mustEngine(t, src, Options{})
 	db, stats, err := en.Solve(nil)
 	if err != nil {

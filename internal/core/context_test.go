@@ -7,13 +7,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/programs"
 	"repro/internal/val"
 )
 
 // chainProgram builds a shortest-path instance over an n-node chain:
 // the path relation is quadratic in n, giving the fixpoint real work.
 func chainProgram(n int) string {
-	src := shortestPathProg
+	src := programs.ShortestPath
 	for i := 0; i < n; i++ {
 		src += "arc(n" + itoa(i) + ", n" + itoa(i+1) + ", 1).\n"
 	}
@@ -148,7 +149,7 @@ func TestDivergenceStreakDisabled(t *testing.T) {
 // TestPanicContainment: an internal panic during component evaluation
 // becomes a structured ErrInternal instead of crashing the process.
 func TestPanicContainment(t *testing.T) {
-	en := mustEngine(t, shortestPathProg+"arc(a, b, 1).\n", Options{})
+	en := mustEngine(t, programs.ShortestPath+"arc(a, b, 1).\n", Options{})
 	var stats Stats
 	g := newGuard(context.Background(), Limits{}, &stats)
 	g.comp = en.comps[len(en.comps)-1].Preds

@@ -208,7 +208,7 @@ func TestDeltaFoldMatchesRegroup(t *testing.T) {
 	})
 
 	t.Run("signed-zero", func(t *testing.T) {
-		solveBoth(t, "±0", shortestPathProg+`
+		solveBoth(t, "±0", programs.ShortestPath+`
 arc(a, b, -0). arc(a, c, 0). arc(c, b, 0). arc(b, d, 0). arc(c, d, -0).
 arc(d, a, 1). arc(a, e, 2). arc(e, b, -2).
 `, Options{})

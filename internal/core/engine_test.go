@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/parser"
+	"repro/internal/programs"
 	"repro/internal/relation"
 	"repro/internal/val"
 )
@@ -64,22 +65,12 @@ func hasTuple(db *relation.DB, pred string, args ...string) bool {
 	return false
 }
 
-const shortestPathProg = `
-.cost arc/3 : minreal.
-.cost path/4 : minreal.
-.cost s/3 : minreal.
-.ic :- arc(direct, Z, C).
-path(X, direct, Y, C) :- arc(X, Y, C).
-path(X, Z, Y, C)      :- s(X, Z, C1), arc(Z, Y, C2), C = C1 + C2.
-s(X, Y, C)            :- C ?= min D : path(X, Z, Y, D).
-`
-
 // TestExample31LeastModel reproduces Example 3.1: on the cyclic graph
 // {arc(a,b,1), arc(b,b,0)} the unique minimal model M1 has s(a,b,1) and
 // s(b,b,0) — not the non-minimal M2 with cost 0 for s(a,b).
 func TestExample31LeastModel(t *testing.T) {
 	for _, strat := range []Strategy{SemiNaive, Naive} {
-		src := shortestPathProg + "arc(a, b, 1).\narc(b, b, 0).\n"
+		src := programs.ShortestPath + "arc(a, b, 1).\narc(b, b, 0).\n"
 		db := solve(t, src, Options{Strategy: strat})
 		if c, ok := costOf(t, db, "s", "a", "b"); !ok || c != 1 {
 			t.Errorf("strategy %v: s(a,b) = %v, %v; want 1 (M1)", strat, c, ok)
@@ -96,7 +87,7 @@ func TestExample31LeastModel(t *testing.T) {
 // TestExample31ModelChecking: both M1 and M2 of Example 3.1 are models;
 // M1 ⊑ M2; the engine's answer equals M1 and is ⊑ every model.
 func TestExample31ModelChecking(t *testing.T) {
-	src := shortestPathProg + "arc(a, b, 1).\narc(b, b, 0).\n"
+	src := programs.ShortestPath + "arc(a, b, 1).\narc(b, b, 0).\n"
 	en := mustEngine(t, src, Options{})
 	m1, _, err := en.Solve(nil)
 	if err != nil {
@@ -152,7 +143,7 @@ p(X, C) :- q(X, C).
 // TestShortestPathDiamond checks a multi-path graph: the cheaper route
 // wins and path records first intermediate hops.
 func TestShortestPathDiamond(t *testing.T) {
-	src := shortestPathProg + `
+	src := programs.ShortestPath + `
 arc(a, b, 1).
 arc(a, c, 4).
 arc(b, d, 2).
@@ -172,7 +163,7 @@ arc(a, d, 9).
 // to the cost FD (only finitely many (X,Z,Y) triples, each improving
 // monotonically).
 func TestShortestPathPositiveCycle(t *testing.T) {
-	src := shortestPathProg + `
+	src := programs.ShortestPath + `
 arc(a, b, 1).
 arc(b, c, 1).
 arc(c, a, 1).
@@ -191,7 +182,7 @@ arc(c, d, 1).
 // negative weights (on acyclic graphs), where cost-monotonic rewriting
 // does not apply.
 func TestShortestPathNegativeWeightsDAG(t *testing.T) {
-	src := shortestPathProg + `
+	src := programs.ShortestPath + `
 arc(a, b, 5).
 arc(b, c, -3).
 arc(a, c, 4).
@@ -202,19 +193,9 @@ arc(a, c, 4).
 	}
 }
 
-const companyControlProg = `
-.cost s/3 : sumreal.
-.cost cv/4 : sumreal.
-.cost m/3 : sumreal.
-cv(X, X, Y, N) :- s(X, Y, N).
-cv(X, Z, Y, N) :- c(X, Z), s(Z, Y, N).
-m(X, Y, N)     :- N ?= sum M : cv(X, Z, Y, M).
-c(X, Y)        :- m(X, Y, N), N > 0.5.
-`
-
 // TestCompanyControlChain: a controls b directly; a+b's shares control c.
 func TestCompanyControlChain(t *testing.T) {
-	src := companyControlProg + `
+	src := programs.CompanyControl + `
 s(a, b, 0.6).
 s(a, c, 0.3).
 s(b, c, 0.3).
@@ -240,7 +221,7 @@ s(b, c, 0.3).
 // for us c(a,b) and c(a,c) are (definitely) false, while Van Gelder's
 // translation leaves them undefined.
 func TestCompanyControlVanGelderEDB(t *testing.T) {
-	src := companyControlProg + `
+	src := programs.CompanyControl + `
 s(a, b, 0.3).
 s(a, c, 0.3).
 s(b, c, 0.6).
@@ -260,17 +241,11 @@ s(c, b, 0.6).
 	}
 }
 
-const partyProg = `
-.cost requires/2 : countnat.
-coming(X) :- requires(X, K), N = count : kc(X, Y), N >= K.
-kc(X, Y)  :- knows(X, Y), coming(Y).
-`
-
 // TestExample43Party: guests with requirement 0 bootstrap attendance;
 // cyclic knows relations are fine (the program is monotonic though not
 // modularly stratified).
 func TestExample43Party(t *testing.T) {
-	src := partyProg + `
+	src := programs.Party + `
 requires(ann, 0).
 requires(bob, 1).
 requires(cal, 2).
@@ -293,7 +268,7 @@ func TestPartyCycleNobodyComes(t *testing.T) {
 	// A pure cycle of mutual requirements: the least model has nobody
 	// coming (no group can bootstrap without proof of commitment — the
 	// paper's "we do not allow groups of friends to decide collectively").
-	src := partyProg + `
+	src := programs.Party + `
 requires(x, 1).
 requires(y, 1).
 knows(x, y).
@@ -305,23 +280,10 @@ knows(y, x).
 	}
 }
 
-const circuitProg = `
-.cost t/2 : boolor.
-.cost input/2 : boolor.
-.default t/2 = 0.
-% Example 4.4's "appropriate integrity constraints": OR gates, AND gates
-% and input wires are disjoint classes.
-.ic :- gate(G, or), gate(G, and).
-.ic :- input(W, C), gate(W, T).
-t(W, C) :- input(W, C).
-t(G, C) :- gate(G, or),  C = or D : [connect(G, W), t(W, D)].
-t(G, C) :- gate(G, and), C = and D : [connect(G, W), t(W, D)].
-`
-
 // TestExample44Circuit: a cyclic circuit evaluated with default values
 // and the pseudo-monotonic AND.
 func TestExample44Circuit(t *testing.T) {
-	src := circuitProg + `
+	src := programs.Circuit + `
 input(w1, 1).
 input(w2, 0).
 gate(g1, and).
@@ -349,7 +311,7 @@ connect(g2, g1).
 func TestCircuitCyclicMinimality(t *testing.T) {
 	// A single AND gate feeding itself: the minimal behaviour leaves the
 	// output false (the paper's explicit discussion in Example 4.4).
-	src := circuitProg + `
+	src := programs.Circuit + `
 gate(g, and).
 connect(g, g).
 `
@@ -359,7 +321,7 @@ connect(g, g).
 		t.Fatalf("t(g) = %v, want false (minimal circuit behaviour)", row.Cost)
 	}
 	// An OR-gate latch with a true input stays latched... via the cycle.
-	src2 := circuitProg + `
+	src2 := programs.Circuit + `
 input(w, 1).
 gate(g, or).
 connect(g, w).
@@ -458,10 +420,10 @@ courses(art).
 // programs (E12 soundness).
 func TestNaiveEqualsSemiNaive(t *testing.T) {
 	srcs := []string{
-		shortestPathProg + "arc(a,b,1).\narc(b,b,0).\narc(b,c,2).\narc(c,a,1).\n",
-		companyControlProg + "s(a,b,0.6).\ns(b,c,0.4).\ns(a,c,0.2).\n",
-		partyProg + "requires(p,0).\nrequires(q,1).\nknows(q,p).\nknows(p,q).\n",
-		circuitProg + "input(w,1).\ngate(g,or).\nconnect(g,w).\nconnect(g,g).\n",
+		programs.ShortestPath + "arc(a,b,1).\narc(b,b,0).\narc(b,c,2).\narc(c,a,1).\n",
+		programs.CompanyControl + "s(a,b,0.6).\ns(b,c,0.4).\ns(a,c,0.2).\n",
+		programs.Party + "requires(p,0).\nrequires(q,1).\nknows(q,p).\nknows(p,q).\n",
+		programs.Circuit + "input(w,1).\ngate(g,or).\nconnect(g,w).\nconnect(g,g).\n",
 	}
 	for _, src := range srcs {
 		a := solve(t, src, Options{Strategy: SemiNaive})
@@ -516,7 +478,7 @@ node(a). node(b). node(c).
 // TestEDBViaSolveArgument: facts supplied through the Solve argument
 // instead of program text.
 func TestEDBViaSolveArgument(t *testing.T) {
-	en := mustEngine(t, shortestPathProg, Options{})
+	en := mustEngine(t, programs.ShortestPath, Options{})
 	edb := relation.NewDB(en.Schemas)
 	edb.AddFact("arc", []val.T{val.Symbol("a"), val.Symbol("b")}, val.Number(2))
 	edb.AddFact("arc", []val.T{val.Symbol("b"), val.Symbol("c")}, val.Number(3))
@@ -532,7 +494,7 @@ func TestEDBViaSolveArgument(t *testing.T) {
 // TestStats sanity: semi-naive does strictly less firing than naive on a
 // chain where naive recomputes everything per round.
 func TestSemiNaiveDoesLessWork(t *testing.T) {
-	src := shortestPathProg
+	src := programs.ShortestPath
 	for i := 0; i < 30; i++ {
 		src += "arc(n" + itoa(i) + ", n" + itoa(i+1) + ", 1).\n"
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestExplainShortestPath(t *testing.T) {
-	src := shortestPathProg + `
+	src := programs.ShortestPath + `
 arc(a, b, 1).
 arc(b, c, 2).
 arc(a, c, 9).
@@ -110,7 +110,7 @@ linked(Y) :- e(X, Y).
 }
 
 func TestExplainNaiveStrategy(t *testing.T) {
-	en := mustEngine(t, shortestPathProg+"arc(a, b, 4).\n", Options{Strategy: Naive})
+	en := mustEngine(t, programs.ShortestPath+"arc(a, b, 4).\n", Options{Strategy: Naive})
 	db, _, err := en.Solve(nil)
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ func arcDB(en *Engine, arcs [][3]any) *relation.DB {
 // TestSolveMoreShortestPath: adding an arc that shortens routes updates
 // the model exactly as a fresh solve would.
 func TestSolveMoreShortestPath(t *testing.T) {
-	en := mustEngine(t, shortestPathProg, Options{})
+	en := mustEngine(t, programs.ShortestPath, Options{})
 	base, _, err := en.Solve(arcDB(en, [][3]any{
 		{"a", "b", 5}, {"b", "c", 5}, {"a", "c", 20},
 	}))
@@ -72,7 +72,7 @@ func TestSolveMoreShortestPath(t *testing.T) {
 // TestSolveMorePropertyEquivalence: on random graphs, solve(E1) then
 // SolveMore(E2) equals solve(E1 ∪ E2).
 func TestSolveMorePropertyEquivalence(t *testing.T) {
-	en := mustEngine(t, shortestPathProg, Options{})
+	en := mustEngine(t, programs.ShortestPath, Options{})
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 3 + r.Intn(5)
@@ -130,7 +130,7 @@ func TestSolveMorePropertyEquivalence(t *testing.T) {
 // TestSolveMoreCompanyControl: sum is monotone, so ownership networks
 // support incremental share acquisitions.
 func TestSolveMoreCompanyControl(t *testing.T) {
-	en := mustEngine(t, companyControlProg, Options{})
+	en := mustEngine(t, programs.CompanyControl, Options{})
 	mk := func(shares [][3]any) *relation.DB {
 		db := relation.NewDB(en.Schemas)
 		for _, s := range shares {
@@ -176,7 +176,7 @@ func TestSolveMoreRejections(t *testing.T) {
 		t.Fatalf("err = %v, want negation rejection", err)
 	}
 	// Pseudo-monotone aggregate input.
-	en2 := mustEngine(t, circuitProg, Options{})
+	en2 := mustEngine(t, programs.Circuit, Options{})
 	base2, _, err := en2.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestSolveMoreRejections(t *testing.T) {
 		t.Fatalf("err = %v, want pseudo-monotone rejection", err)
 	}
 	// Derived predicate.
-	en3 := mustEngine(t, shortestPathProg, Options{})
+	en3 := mustEngine(t, programs.ShortestPath, Options{})
 	base3, _, err := en3.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func TestSolveMoreRejections(t *testing.T) {
 // TestSolveMorePartyGuests: count is monotone, so new acquaintances can
 // arrive incrementally.
 func TestSolveMorePartyGuests(t *testing.T) {
-	en := mustEngine(t, partyProg, Options{})
+	en := mustEngine(t, programs.Party, Options{})
 	base, _, err := en.Solve(func() *relation.DB {
 		db := relation.NewDB(en.Schemas)
 		db.Rel("requires/2").InsertJoin([]val.T{val.Symbol("x")}, val.Number(1))
@@ -344,7 +344,7 @@ func TestSolveMoreRefusesOrMatchesOneShot(t *testing.T) {
 // components the walk dispatches. A component whose seed is empty keeps
 // prev's relation itself, as does an untouched EDB predicate.
 func TestSolveMoreCopiesOnlyDispatched(t *testing.T) {
-	en := mustEngine(t, shortestPathProg+"\nq(X) :- r(X).\n", Options{})
+	en := mustEngine(t, programs.ShortestPath+"\nq(X) :- r(X).\n", Options{})
 	prev, _, err := en.Solve(factsDB(t, en, "arc(a, b, 1). arc(b, c, 2). r(a)."))
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/programs"
 	"repro/internal/relation"
 	"repro/internal/val"
 )
@@ -53,9 +54,9 @@ func TestPropertyFixpointIsModel(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		var src string
 		if r.Intn(2) == 0 {
-			src = shortestPathProg + randomGraphSrc(r, 2+r.Intn(6), r.Intn(12))
+			src = programs.ShortestPath + randomGraphSrc(r, 2+r.Intn(6), r.Intn(12))
 		} else {
-			src = companyControlProg + randomOwnershipSrc(r, 2+r.Intn(5), r.Intn(10))
+			src = programs.CompanyControl + randomOwnershipSrc(r, 2+r.Intn(5), r.Intn(10))
 		}
 		en := mustEngine(t, src, Options{})
 		m, _, err := en.Solve(nil)
@@ -94,7 +95,7 @@ func TestPropertyTPMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(4)
-		src := shortestPathProg + randomGraphSrc(r, n, 1+r.Intn(8))
+		src := programs.ShortestPath + randomGraphSrc(r, n, 1+r.Intn(8))
 		en := mustEngine(t, src, Options{})
 		// Find the recursive component containing s/3.
 		ci := -1
@@ -171,7 +172,7 @@ func TestPropertyLeastAmongModels(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(4)
-		src := shortestPathProg + randomGraphSrc(r, n, 1+r.Intn(8))
+		src := programs.ShortestPath + randomGraphSrc(r, n, 1+r.Intn(8))
 		en := mustEngine(t, src, Options{})
 		m, _, err := en.Solve(nil)
 		if err != nil {

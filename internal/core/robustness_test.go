@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/parser"
+	"repro/internal/programs"
 	"repro/internal/relation"
 	"repro/internal/val"
 )
@@ -46,7 +47,7 @@ shortest(C) :- C ?= min D : w(X, D).
 // descend forever; the round bound reports it instead of looping (§2.3.3
 // concedes safety cannot guarantee termination).
 func TestNegativeCycleDiverges(t *testing.T) {
-	src := shortestPathProg + `
+	src := programs.ShortestPath + `
 arc(a, b, 1).
 arc(b, a, -2).
 `
@@ -137,7 +138,7 @@ s(X, Y, C) :- arc(X, Y, C).
 
 // TestMaxRoundsHonored: tiny bounds trip predictably.
 func TestMaxRoundsHonored(t *testing.T) {
-	src := shortestPathProg
+	src := programs.ShortestPath
 	for i := 0; i < 20; i++ {
 		src += "arc(n" + itoa(i) + ", n" + itoa(i+1) + ", 1).\n"
 	}

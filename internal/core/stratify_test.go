@@ -1,11 +1,15 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/programs"
+)
 
 // TestGroupStratifiedShortestPath: the §5.1 boundary — shortest path is
 // group (modularly) stratified exactly on acyclic graphs.
 func TestGroupStratifiedShortestPath(t *testing.T) {
-	acyclic := shortestPathProg + `
+	acyclic := programs.ShortestPath + `
 arc(a, b, 1).
 arc(b, c, 2).
 arc(a, c, 5).
@@ -19,7 +23,7 @@ arc(a, c, 5).
 		t.Fatal("acyclic graphs are group stratified")
 	}
 
-	cyclic := shortestPathProg + `
+	cyclic := programs.ShortestPath + `
 arc(a, b, 1).
 arc(b, b, 0).
 `
@@ -36,7 +40,7 @@ arc(b, b, 0).
 // TestGroupStratifiedParty: Example 4.3 "would be modularly stratified
 // only if the knows relation was acyclic (a very unlikely occurrence)".
 func TestGroupStratifiedParty(t *testing.T) {
-	acyclic := partyProg + `
+	acyclic := programs.Party + `
 requires(a, 0).
 requires(b, 1).
 knows(b, a).
@@ -50,7 +54,7 @@ knows(b, a).
 		t.Fatal("acyclic knows is group stratified")
 	}
 
-	cyclic := partyProg + `
+	cyclic := programs.Party + `
 requires(a, 0).
 requires(b, 1).
 requires(c, 1).

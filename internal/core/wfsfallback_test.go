@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/parser"
+	"repro/internal/programs"
 )
 
 // winMoveAgg layers aggregation over recursion-through-negation: the
@@ -79,7 +80,7 @@ func TestWFSFallbackUsesLowerCosts(t *testing.T) {
 	// The fallback component reads a cost predicate computed below it
 	// (shortest paths feed a negation-recursive game: you may move along
 	// arcs of cost ≤ 2).
-	src := shortestPathProg + `
+	src := programs.ShortestPath + `
 .cost wins/1 : countnat.
 cheap(X, Y) :- s(X, Y, C), C <= 2.
 win(X)      :- cheap(X, Y), not win(Y).

@@ -38,6 +38,9 @@ func TestSmokeCheapExperiments(t *testing.T) {
 		{"E8", []string{"| M1 (least) | 1 | true | true |", "| M2 | 0 | true | false |"}},
 		{"E9", []string{"| shortest path, cyclic (Ex 3.1) | 4 | 4 | false |"}},
 		{"E11", []string{"| 1e-09 | 30 |"}},
+		// Naive / semi-naive firings: shortest path at n = 32, company
+		// control at n = 16 (EXPERIMENTS.md records the full-size runs).
+		{"E12", []string{"| 55794 |", "| 6616 | true |", "| 1498 |", "| 202 | true |"}},
 		{"E13", []string{"| company control, fused (§5.2) | false | true | true |"}},
 	}
 	for _, c := range cases {

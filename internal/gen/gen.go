@@ -133,7 +133,9 @@ func Ownership(n, fanIn int, cyclic bool, seed int64) *baseline.Ownership {
 			if x == y {
 				continue
 			}
-			frac := remaining * (0.3 + 0.5*r.Float64())
+			// float64(...) keeps the multiply-add unfused on every
+			// architecture (scripts/fma_check.sh).
+			frac := remaining * (0.3 + float64(0.5*r.Float64()))
 			frac = float64(int(frac*100)) / 100 // two decimals keep facts tidy
 			if frac <= 0 {
 				continue

@@ -179,9 +179,11 @@ var (
 
 	// Halfsum returns half the sum of a multiset of nonnegative reals; it
 	// is monotonic with respect to ≤ (Example 5.1) and is the paper's
-	// example of a program whose fixpoint is reached only at ω.
+	// example of a program whose fixpoint is reached only at ω. The
+	// float64 conversion rounds x/2 before the add, so no architecture
+	// fuses the two (scripts/fma_check.sh).
 	Halfsum = New("halfsum", SumReal, SumReal, true, true,
-		sortedNumFold(0, func(a, x float64) float64 { return a + x/2 }))
+		sortedNumFold(0, func(a, x float64) float64 { return a + float64(x/2) }))
 )
 
 // NewIntersection builds the set-intersection aggregate over a finite

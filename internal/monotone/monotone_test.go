@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/parser"
+	"repro/internal/programs"
 )
 
 func load(t *testing.T, src string) (*ast.Program, ast.Schemas) {
@@ -24,32 +25,6 @@ func load(t *testing.T, src string) (*ast.Program, ast.Schemas) {
 	return p, s
 }
 
-const shortestPath = `
-.cost arc/3 : minreal.
-.cost path/4 : minreal.
-.cost s/3 : minreal.
-.ic :- arc(direct, Z, C).
-path(X, direct, Y, C) :- arc(X, Y, C).
-path(X, Z, Y, C)      :- s(X, Z, C1), arc(Z, Y, C2), C = C1 + C2.
-s(X, Y, C)            :- C ?= min D : path(X, Z, Y, D).
-`
-
-const companyControl = `
-.cost s/3 : sumreal.
-.cost cv/4 : sumreal.
-.cost m/3 : sumreal.
-cv(X, X, Y, N) :- s(X, Y, N).
-cv(X, Z, Y, N) :- c(X, Z), s(Z, Y, N).
-m(X, Y, N)     :- N ?= sum M : cv(X, Z, Y, M).
-c(X, Y)        :- m(X, Y, N), N > 0.5.
-`
-
-const party = `
-.cost requires/2 : countnat.
-coming(X) :- requires(X, K), N = count : kc(X, Y), N >= K.
-kc(X, Y)  :- knows(X, Y), coming(Y).
-`
-
 const circuit = `
 .cost t/2 : boolor.
 .cost input/2 : boolor.
@@ -63,9 +38,9 @@ t(G, C) :- gate(G, and), C = and D : [connect(G, W), t(W, D)].
 // company control are admissible) plus Examples 4.3 and 4.4.
 func TestPaperProgramsAdmissible(t *testing.T) {
 	for name, src := range map[string]string{
-		"shortest-path":   shortestPath,
-		"company-control": companyControl,
-		"party":           party,
+		"shortest-path":   programs.ShortestPath,
+		"company-control": programs.CompanyControl,
+		"party":           programs.Party,
 		"circuit":         circuit,
 	} {
 		p, s := load(t, src)
@@ -86,20 +61,14 @@ func TestStratificationLadder(t *testing.T) {
 		rMonotonic bool
 	}{
 		// §5.2: shortest path is not r-monotonic (aggregate result in head).
-		{"shortest-path", shortestPath, false},
+		{"shortest-path", programs.ShortestPath, false},
 		// §5.2: company control as written is not r-monotonic (rule 3).
-		{"company-control", companyControl, false},
+		{"company-control", programs.CompanyControl, false},
 		// §5.2: Example 4.3 is monotonic but not r-monotonic (the K
 		// comparison).
-		{"party", party, false},
+		{"party", programs.Party, false},
 		// §5.2: the fused company-control formulation is r-monotonic.
-		{"fused-company-control", `
-.cost s/3 : sumreal.
-.cost cv/4 : sumreal.
-cv(X, X, Y, N) :- s(X, Y, N).
-cv(X, Z, Y, N) :- c(X, Z), s(Z, Y, N).
-c(X, Y)        :- N ?= sum M : cv(X, Z, Y, M), N > 0.5.
-`, true},
+		{"fused-company-control", programs.CompanyControlFused, true},
 	}
 	for _, c := range cases {
 		p, s := load(t, c.src)
@@ -280,7 +249,7 @@ func TestNegativeWeightShortestPathStillAdmissible(t *testing.T) {
 	// sense (though not cost-monotonic per Ganguly et al.) — the checker
 	// must accept it; negative weights are an EDB property, invisible
 	// syntactically.
-	p, s := load(t, shortestPath+"arc(a, b, -5).\n")
+	p, s := load(t, programs.ShortestPath+"arc(a, b, -5).\n")
 	rep := CheckProgram(p, s)
 	if rep.Admissible != nil {
 		t.Fatalf("negative weights do not affect admissibility: %v", rep.Admissible)

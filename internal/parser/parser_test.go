@@ -6,23 +6,12 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/programs"
 	"repro/internal/val"
 )
 
-const shortestPathSrc = `
-% Example 2.6 (shortest path)
-.cost arc/3  : minreal.
-.cost path/4 : minreal.
-.cost s/3    : minreal.
-.ic :- arc(direct, Z, C).
-
-path(X, direct, Y, C) :- arc(X, Y, C).
-path(X, Z, Y, C)      :- s(X, Z, C1), arc(Z, Y, C2), C = C1 + C2.
-s(X, Y, C)            :- C ?= min D : path(X, Z, Y, D).
-`
-
 func TestParseShortestPath(t *testing.T) {
-	prog, err := Parse(shortestPathSrc)
+	prog, err := Parse(programs.ShortestPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,17 +43,7 @@ func TestParseShortestPath(t *testing.T) {
 }
 
 func TestParseCompanyControl(t *testing.T) {
-	src := `
-.cost s/3  : sumreal.
-.cost cv/4 : sumreal.
-.cost m/3  : sumreal.
-
-cv(X, X, Y, N) :- s(X, Y, N).
-cv(X, Z, Y, N) :- c(X, Z), s(Z, Y, N).
-m(X, Y, N)     :- N ?= sum M : cv(X, Z, Y, M).
-c(X, Y)        :- m(X, Y, N), N > 0.5.
-`
-	prog, err := Parse(src)
+	prog, err := Parse(programs.CompanyControl)
 	if err != nil {
 		t.Fatal(err)
 	}

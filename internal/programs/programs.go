@@ -1,6 +1,10 @@
-// Package programs collects the paper's example programs (Ross & Sagiv,
-// PODS 1992) in the concrete rule-language syntax, shared by tests,
-// benchmarks, the experiment harness and the command-line tools.
+// Package programs is the one copy of the paper's example programs (Ross
+// & Sagiv, PODS 1992) in the concrete rule-language syntax. Its readers
+// are the benchmark module (benchmark/), the experiment harness
+// (internal/experiments, cmd/experiments), the root benchmarks, the tests
+// and the checked Examples in examples/. The runnable shortestpath,
+// party, circuit and companycontrol files in examples/programs add facts
+// to these rules, and TestMDLFilesMatchPrograms fails if they drift.
 package programs
 
 // ShortestPath is Example 2.6 with its conflict-freedom integrity

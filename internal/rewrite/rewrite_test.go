@@ -7,20 +7,11 @@ import (
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/parser"
+	"repro/internal/programs"
 	"repro/internal/relation"
 	"repro/internal/val"
 	"repro/internal/wfs"
 )
-
-const shortestPath = `
-.cost arc/3 : minreal.
-.cost path/4 : minreal.
-.cost s/3 : minreal.
-.ic :- arc(direct, Z, C).
-path(X, direct, Y, C) :- arc(X, Y, C).
-path(X, Z, Y, C)      :- s(X, Z, C1), arc(Z, Y, C2), C = C1 + C2.
-s(X, Y, C)            :- C ?= min D : path(X, Z, Y, D).
-`
 
 func mustParse(t *testing.T, src string) *ast.Program {
 	t.Helper()
@@ -45,7 +36,7 @@ func nums(args ...any) []val.T {
 }
 
 func TestRewriteShape(t *testing.T) {
-	prog := mustParse(t, shortestPath+"arc(a, b, 1).\n")
+	prog := mustParse(t, programs.ShortestPath+"arc(a, b, 1).\n")
 	norm, err := MinMax(prog)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +67,7 @@ func TestRewriteShape(t *testing.T) {
 // acyclic graphs, the rewritten program's (two-valued) well-founded model
 // assigns exactly the monotonic least model's s atoms.
 func TestRewriteAgreesOnAcyclic(t *testing.T) {
-	src := shortestPath + `
+	src := programs.ShortestPath + `
 arc(a, b, 1).
 arc(b, c, 2).
 arc(a, c, 5).
@@ -123,7 +114,7 @@ arc(c, d, 1).
 // TestRewriteZeroCycleAgrees: Example 3.1's graph (a zero-weight cycle)
 // also agrees — the rewritten model picks M1's values.
 func TestRewriteZeroCycleAgrees(t *testing.T) {
-	src := shortestPath + "arc(a, b, 1).\narc(b, b, 0).\n"
+	src := programs.ShortestPath + "arc(a, b, 1).\narc(b, b, 0).\n"
 	norm, err := MinMax(mustParse(t, src))
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +136,7 @@ func TestRewriteZeroCycleAgrees(t *testing.T) {
 // the §7 motivation for greedy evaluation. The native engine terminates
 // on the same input.
 func TestRewriteDivergesOnPositiveCycle(t *testing.T) {
-	src := shortestPath + "arc(a, b, 1).\narc(b, a, 1).\n"
+	src := programs.ShortestPath + "arc(a, b, 1).\narc(b, a, 1).\n"
 	norm, err := MinMax(mustParse(t, src))
 	if err != nil {
 		t.Fatal(err)

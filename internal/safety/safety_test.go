@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/parser"
+	"repro/internal/programs"
 )
 
 func load(t *testing.T, src string) (*ast.Program, ast.Schemas) {
@@ -158,11 +159,7 @@ func TestDefaultPredicateArgsMustBeLimited(t *testing.T) {
 }
 
 func TestPartyProgramIsSafe(t *testing.T) {
-	src := `
-coming(X) :- requires(X, K), N = count : kc(X, Y), N >= K.
-kc(X, Y)  :- knows(X, Y), coming(Y).
-`
-	p, s := load(t, ".cost requires/2 : countnat.\n"+src)
+	p, s := load(t, programs.Party)
 	if err := CheckProgram(p, s); err != nil {
 		t.Fatalf("party program must be range-restricted (Example 4.3): %v", err)
 	}

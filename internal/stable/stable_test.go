@@ -6,20 +6,11 @@ import (
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/parser"
+	"repro/internal/programs"
 	"repro/internal/relation"
 	"repro/internal/val"
 	"repro/internal/wfs"
 )
-
-const shortestPath = `
-.cost arc/3 : minreal.
-.cost path/4 : minreal.
-.cost s/3 : minreal.
-.ic :- arc(direct, Z, C).
-path(X, direct, Y, C) :- arc(X, Y, C).
-path(X, Z, Y, C)      :- s(X, Z, C1), arc(Z, Y, C2), C = C1 + C2.
-s(X, Y, C)            :- C ?= min D : path(X, Z, Y, D).
-`
 
 func mustParse(t *testing.T, src string) *ast.Program {
 	t.Helper()
@@ -34,7 +25,7 @@ func mustParse(t *testing.T, src string) *ast.Program {
 // (Example 3.1's second model, with the spurious cost-0 cycle claim).
 func example31(t *testing.T) (*ast.Program, *relation.DB, *relation.DB, *core.Engine) {
 	t.Helper()
-	prog := mustParse(t, shortestPath+"arc(a, b, 1).\narc(b, b, 0).\n")
+	prog := mustParse(t, programs.ShortestPath+"arc(a, b, 1).\narc(b, b, 0).\n")
 	en, err := core.New(prog, core.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +134,7 @@ func TestEnumerateBound(t *testing.T) {
 // TestAcyclicUniqueStable: on an acyclic graph the stable model is unique
 // and equals the least model (§5.3's positive case).
 func TestAcyclicUniqueStable(t *testing.T) {
-	prog := mustParse(t, shortestPath+"arc(a, b, 1).\narc(b, c, 2).\n")
+	prog := mustParse(t, programs.ShortestPath+"arc(a, b, 1).\narc(b, c, 2).\n")
 	en, err := core.New(prog, core.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -6,11 +6,12 @@ import (
 	"testing"
 
 	"repro/internal/enginerr"
+	"repro/internal/programs"
 	"repro/internal/wfs"
 )
 
 func TestSolveContextCanceled(t *testing.T) {
-	src := shortestPath + `
+	src := programs.ShortestPath + `
 arc(a, b, 1).
 arc(b, b, 0).
 `
@@ -26,7 +27,7 @@ arc(b, b, 0).
 }
 
 func TestSolveMaxAtomsBudget(t *testing.T) {
-	src := shortestPath + `
+	src := programs.ShortestPath + `
 arc(a, b, 1).
 arc(b, c, 2).
 arc(c, d, 3).

@@ -6,6 +6,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/parser"
+	"repro/internal/programs"
 	"repro/internal/val"
 	"repro/internal/wfs"
 )
@@ -18,16 +19,6 @@ func mustParse(t *testing.T, src string) *ast.Program {
 	}
 	return p
 }
-
-const shortestPath = `
-.cost arc/3 : minreal.
-.cost path/4 : minreal.
-.cost s/3 : minreal.
-.ic :- arc(direct, Z, C).
-path(X, direct, Y, C) :- arc(X, Y, C).
-path(X, Z, Y, C)      :- s(X, Z, C1), arc(Z, Y, C2), C = C1 + C2.
-s(X, Y, C)            :- C ?= min D : path(X, Z, Y, D).
-`
 
 func nums(args ...any) []val.T {
 	out := make([]val.T, len(args))
@@ -48,7 +39,7 @@ func nums(args ...any) []val.T {
 // modularly stratified and the Kemp–Stuckey well-founded model is
 // two-valued and agrees with the monotonic least model (Proposition 6.1).
 func TestAcyclicShortestPathTwoValued(t *testing.T) {
-	src := shortestPath + `
+	src := programs.ShortestPath + `
 arc(a, b, 1).
 arc(b, c, 2).
 arc(a, c, 5).
@@ -85,7 +76,7 @@ arc(a, c, 5).
 // cyclic graph the well-founded model leaves the s atoms (and the cyclic
 // path atom) undefined, while the monotonic semantics picks M1.
 func TestCyclicShortestPathUndefined(t *testing.T) {
-	src := shortestPath + `
+	src := programs.ShortestPath + `
 arc(a, b, 1).
 arc(b, b, 0).
 `
@@ -111,18 +102,12 @@ arc(b, b, 0).
 	}
 }
 
-const party = `
-.cost requires/2 : countnat.
-coming(X) :- requires(X, K), N = count : kc(X, Y), N >= K.
-kc(X, Y)  :- knows(X, Y), coming(Y).
-`
-
 // TestPartyWFS: with an acyclic knows relation WFS matches the monotonic
 // model; with a cycle the well-founded model goes undefined where the
 // monotonic model is total (Example 4.3's point: the program is
 // monotonic but modularly stratified only for acyclic knows).
 func TestPartyWFS(t *testing.T) {
-	acyclic := party + `
+	acyclic := programs.Party + `
 requires(a, 0).
 requires(b, 1).
 knows(b, a).
@@ -138,7 +123,7 @@ knows(b, a).
 		t.Fatal("b comes (knows a, who needs nobody)")
 	}
 
-	cyclic := party + `
+	cyclic := programs.Party + `
 requires(x, 1).
 requires(y, 1).
 knows(x, y).
@@ -156,23 +141,13 @@ knows(y, x).
 	}
 }
 
-const companyControl = `
-.cost s/3 : sumreal.
-.cost cv/4 : sumreal.
-.cost m/3 : sumreal.
-cv(X, X, Y, N) :- s(X, Y, N).
-cv(X, Z, Y, N) :- c(X, Z), s(Z, Y, N).
-m(X, Y, N)     :- N ?= sum M : cv(X, Z, Y, M).
-c(X, Y)        :- m(X, Y, N), N > 0.5.
-`
-
 // TestCompanyControlWFS: on §5.6's EDB c(a,b) and c(a,c) are not true —
 // Kemp–Stuckey's well-founded construction makes the unsupported control
 // cycle false (the paper's contrast there is against Van Gelder's
 // semantics, which would leave them undefined; we document rather than
 // implement his translation, DESIGN.md §4).
 func TestCompanyControlWFS(t *testing.T) {
-	src := companyControl + `
+	src := programs.CompanyControl + `
 s(a, b, 0.3).
 s(a, c, 0.3).
 s(b, c, 0.6).
@@ -248,7 +223,7 @@ win(X) :- move(X, Y), not win(Y).
 // costs at the definite direct-path cost) and leaves the cyclic atoms
 // undefined.
 func TestPositiveSelfLoopPartial(t *testing.T) {
-	src := shortestPath + `
+	src := programs.ShortestPath + `
 arc(a, a, 1).
 `
 	res, err := wfs.Solve(mustParse(t, src), wfs.Options{MaxAtoms: 5000, MaxIters: 500})
