@@ -80,10 +80,11 @@ wal-crash-test:
 serve-smoke:
 	sh scripts/serve-smoke.sh
 
-# Regression gate over five counts (scripts/bench_regression.sh):
+# Regression gate over six counts (scripts/bench_regression.sh):
 # BenchmarkSolve's allocs/op, BenchmarkRelationInsert's bytes per row,
-# Example 4.3's index probes per solve, BenchmarkLoad's allocs/op and
-# the bytes a chained SolveMore allocates (solve-more-chain's B/op).
+# Example 4.3's index probes per solve, BenchmarkLoad's allocs/op, and
+# the bytes and index probes of a chained SolveMore (solve-more-chain's
+# B/op and probes/op).
 bench-regression:
 	sh scripts/bench_regression.sh
 

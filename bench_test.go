@@ -382,7 +382,9 @@ func BenchmarkIncrementalSolve(b *testing.B) {
 	b.Run("solve-more-chain", func(b *testing.B) {
 		// The served writer's batches: an arc between two fresh nodes
 		// and one between existing nodes of a 48-node cycle graph, each
-		// batch solved into the model the previous one returned.
+		// batch solved into the model the previous one returned. probes/op
+		// is the index probes per batch, a count that moves only when
+		// the passes a batch runs change.
 		const n = 48
 		en := mustEngine(b, programs.ShortestPath+gen.GraphFacts(gen.Graph(gen.CycleGraph, n, 4*n, 9, n)), core.Options{})
 		m, _, err := en.Solve(nil)
@@ -399,11 +401,15 @@ func BenchmarkIncrementalSolve(b *testing.B) {
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
+		var probes int64
 		for _, added := range batches {
-			if m, _, err = en.SolveMore(m, added); err != nil {
+			var st core.Stats
+			if m, st, err = en.SolveMore(m, added); err != nil {
 				b.Fatal(err)
 			}
+			probes += st.Probes
 		}
+		b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
 	})
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,10 +19,11 @@ import (
 )
 
 // Every rule compiles at Load to one canonical order plus a Δ-driver
-// order per scan of a same-component predicate that the canonical order
-// does not already run first (docs/ARCHITECTURE.md, "Δ-driver orders").
-// A semi-naive pass restricted to that scan's Δ rows runs its driver
-// order. Which order runs changes how a pass reaches its matches, never
+// order per positive scan that the canonical order does not already run
+// first (docs/ARCHITECTURE.md, "Δ-driver orders"). A semi-naive pass
+// restricted to that scan's Δ rows runs its driver order: in a cold
+// solve only scans of the rule's own component are restricted, in a
+// SolveMore also the EDB and lower-component scans its seed rows feed. Which order runs changes how a pass reaches its matches, never
 // the fixpoint: these tests hold every program to the T_P oracle and to
 // itself across worker counts, SolveMore splits and kill + Resume.
 
@@ -45,7 +47,7 @@ func driverCases(t *testing.T) []driverCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exampleDrivers := map[string]int{"party.mdl": 1}
+	exampleDrivers := map[string]int{"party.mdl": 1, "companycontrol.mdl": 1, "shortestpath.mdl": 1}
 	for _, e := range entries {
 		name := e.Name()
 		if !strings.HasSuffix(name, ".mdl") || name == "omega.mdl" {
@@ -58,13 +60,13 @@ func driverCases(t *testing.T) []driverCase {
 		cases = append(cases, tc{name: name, src: string(src), drivers: exampleDrivers[name], opts: exampleOptions(name)})
 	}
 	return append(cases,
-		tc{name: "programs/shortestpath", src: programs.ShortestPath,
+		tc{name: "programs/shortestpath", src: programs.ShortestPath, drivers: 1,
 			edb:  gen.GraphFacts(gen.Graph(gen.CycleGraph, 10, 16, 9, 3)),
 			more: "arc(v3, w, 1). arc(w, v0, 2)."},
-		tc{name: "programs/companycontrol", src: programs.CompanyControl,
+		tc{name: "programs/companycontrol", src: programs.CompanyControl, drivers: 1,
 			edb:  gen.OwnershipFacts(gen.Ownership(8, 3, true, 5)),
 			more: "s(c0, c7, 0.3)."},
-		tc{name: "programs/companycontrolfused", src: programs.CompanyControlFused,
+		tc{name: "programs/companycontrolfused", src: programs.CompanyControlFused, drivers: 1,
 			edb:  "s(a, b, 0.6). s(a, c, 0.3).",
 			more: "s(b, c, 0.3)."},
 		tc{name: "programs/party", src: programs.Party, drivers: 1,
@@ -88,8 +90,9 @@ tc(X, Y) :- tc(X, Z), tc(Z, Y).
 			more: "e(f, g). e(g, a)."},
 		// The canonical order runs person, then par(X, XP), then the
 		// recursive scan third; its driver order runs sg first and the
-		// other three in that relative order.
-		tc{name: "drivers/samegen-third", drivers: 1, src: `
+		// other three in that relative order. par(X, XP) and par(Y, YP)
+		// get driver orders too, which the SolveMore split runs.
+		tc{name: "drivers/samegen-third", drivers: 3, src: `
 sg(X, X) :- person(X).
 sg(X, Y) :- person(X), par(X, XP), sg(XP, YP), par(Y, YP).
 `,
@@ -492,8 +495,10 @@ func TestPartyProbesPerDerived(t *testing.T) {
 }
 
 // TestShortestPathProbesUnchanged pins Example 2.6 to its exact counters
-// on two fixed graphs. Its recursive s scan is already first, so it
-// compiles no driver order. Its s rule's γ runs its Δ passes as a Δ-fold,
+// on two fixed graphs. Its recursive s scan is already first, so the
+// only driver order it compiles is [1 0 2], for path's arc scan, which
+// only a SolveMore seeded with arc rows runs: a cold solve's passes are
+// the canonical ones. Its s rule's γ runs its Δ passes as a Δ-fold,
 // which reads each changed path row by id instead of re-enumerating every
 // changed group: the rounds, firings and derivations are those of the
 // re-enumerating γ, and the probes are the fold's (68,578 and 2,651 when
@@ -511,10 +516,14 @@ func TestShortestPathProbesUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var drivers []string
 		for _, rp := range p.Profile(datalog.Stats{}).Rules {
-			if len(rp.Drivers) > 0 {
-				t.Fatalf("rule %q compiled driver orders %v", rp.Rule, rp.Drivers)
+			for _, d := range rp.Drivers {
+				drivers = append(drivers, fmt.Sprintf("%s %v", rp.Rule, d))
 			}
+		}
+		if want := []string{"path(X, Z, Y, C) :- s(X, Z, C1), arc(Z, Y, C2), C = (C1 + C2). [1 0 2]"}; !slices.Equal(drivers, want) {
+			t.Fatalf("driver orders %q, want %q", drivers, want)
 		}
 		_, st, err := p.Solve()
 		if err != nil {

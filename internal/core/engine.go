@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/ast"
@@ -107,6 +108,8 @@ type Engine struct {
 	// insertBlocked maps each predicate SolveMore must not add facts for
 	// to the reason (see noteInsertMonotone).
 	insertBlocked map[ast.PredKey]string
+	// bits recycles Δ membership bitsets across solves (deltaSet).
+	bits bitsPool
 }
 
 // loadBase validates the program's pure-EDB fact rows and adopts them as
@@ -257,7 +260,10 @@ func New(prog *ast.Program, opts Options) (*Engine, error) {
 			en.nrules++
 			en.nops += len(p.steps)
 			ps = append(ps, p)
-			recursive = recursive || len(p.cdbScans) > 0 || p.hasCDBAgg
+			recursive = recursive || p.hasCDBAgg
+			for k := range p.scansOf {
+				recursive = recursive || cdb[k]
+			}
 		}
 		en.plans = append(en.plans, ps)
 		en.compRecursive = append(en.compRecursive, recursive)
@@ -569,13 +575,17 @@ func (en *Engine) solveNaive(g *guard, db *relation.DB, ci int, stats *Stats) er
 // predicate, the ids of the changed rows of its relation in the order
 // they first changed, deduplicated by a bitset over row ids. Row ids stay
 // valid as the relation grows and always read the row's current cost, so
-// a Δ set holds no row copies and no keys.
+// a Δ set holds no row copies and no keys. A bitset spans its relation's
+// row ids, so it comes from the engine's pool (bitsPool) and goes back
+// to it: a SolveMore that changes a few rows of a large model allocates
+// for its Δ, not for a bitset per predicate per round.
 type deltaSet struct {
 	preds map[ast.PredKey]*predDelta
 	// free holds the per-predicate storage reset recycled, handed back
 	// out as the same predicate reappears in later rounds (keyed by
 	// predicate so the largest predicate keeps its large slices).
 	free map[ast.PredKey]*predDelta
+	pool *bitsPool
 }
 
 // predDelta is one predicate's changed row ids and their membership
@@ -585,8 +595,41 @@ type predDelta struct {
 	seen []uint64
 }
 
-func newDeltaSet() *deltaSet {
-	return &deltaSet{preds: map[ast.PredKey]*predDelta{}}
+func newDeltaSet(pool *bitsPool) *deltaSet {
+	return &deltaSet{preds: map[ast.PredKey]*predDelta{}, pool: pool}
+}
+
+// bitsPool holds the membership bitsets of finished Δ sets, cleared, for
+// the next Δ set of any solve on the engine; the component walk's
+// workers share it.
+type bitsPool struct {
+	mu   sync.Mutex
+	free [][]uint64
+}
+
+// get returns a cleared bitset, nil when the pool is empty.
+func (p *bitsPool) get() []uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return nil
+	}
+	b := p.free[n-1]
+	p.free = p.free[:n-1]
+	return b
+}
+
+// release clears d's bitsets and hands them to its pool. d is done: only
+// a set no evaluator references any longer may be released.
+func (d *deltaSet) release() {
+	d.reset()
+	d.pool.mu.Lock()
+	for _, pd := range d.free {
+		d.pool.free = append(d.pool.free, pd.seen)
+	}
+	d.pool.mu.Unlock()
+	clear(d.free)
 }
 
 // ids returns the changed row ids of predicate k (nil when none).
@@ -605,7 +648,7 @@ func (d *deltaSet) slot(k ast.PredKey) *predDelta {
 		if pd = d.free[k]; pd != nil {
 			delete(d.free, k)
 		} else {
-			pd = &predDelta{}
+			pd = &predDelta{seen: d.pool.get()}
 		}
 		d.preds[k] = pd
 	}
@@ -677,7 +720,7 @@ func (d *deltaSet) predKeys() []ast.PredKey {
 // there, one round per evaluation.
 func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats, init, record *deltaSet) error {
 	ps, recursive := en.plans[ci], en.compRecursive[ci]
-	delta := newDeltaSet()
+	delta := newDeltaSet(&en.bits)
 	// sinks[i] is the insert target of ps[i] (plan.pos): its head relation,
 	// resolved once here, and the Δ and record entries of its head
 	// predicate, resolved on the first derivation of each round (Δ, which
@@ -767,7 +810,7 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 		if spare != nil {
 			delta, spare = spare, nil
 		} else {
-			delta = newDeltaSet()
+			delta = newDeltaSet(&en.bits)
 		}
 		for i := range sinks {
 			sinks[i].delta = nil
@@ -844,6 +887,13 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 			prev.reset()
 			spare = prev
 		}
+	}
+	// The fixpoint is done: the loop's own Δ sets hand their bitsets back.
+	if delta != init {
+		delta.release()
+	}
+	if spare != nil {
+		spare.release()
 	}
 	return nil
 }

@@ -73,7 +73,7 @@ func (en *Engine) SolveMoreFrom(ctx context.Context, prev *relation.DB, added *r
 		// predicate is cloned here before its rows go in; a component's
 		// are cloned by the walk's private view when it is dispatched.
 		db := prev.Share()
-		changed := newDeltaSet()
+		changed := newDeltaSet(&en.bits)
 		for _, k := range addedPreds {
 			rel := db.Rel(k).Clone()
 			db.SetRel(k, rel)
@@ -84,7 +84,13 @@ func (en *Engine) SolveMoreFrom(ctx context.Context, prev *relation.DB, added *r
 				return true
 			})
 		}
-		return db, en.runScheduled(g, db, en.opts.Limits, changed)
+		err := en.runScheduled(g, db, en.opts.Limits, changed)
+		if err == nil {
+			// The walk is over; the records it merged into changed
+			// hand their bitsets back.
+			changed.release()
+		}
+		return db, err
 	})
 }
 
@@ -96,7 +102,7 @@ func (en *Engine) SolveMoreFrom(ctx context.Context, prev *relation.DB, added *r
 // fact that could change one.) It is nil when there are none, and the
 // component's model cannot move.
 func (en *Engine) seed(ci int, changed *deltaSet) *deltaSet {
-	seed := newDeltaSet()
+	seed := newDeltaSet(&en.bits)
 	for _, k := range en.compLDB[ci] {
 		if pd := changed.preds[k]; pd != nil && len(pd.ids) > 0 {
 			seed.preds[k] = pd

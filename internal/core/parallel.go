@@ -219,7 +219,7 @@ func (s *sched) runComp(ci int) {
 	var seed, record *deltaSet
 	if s.changed != nil {
 		if seed = en.seed(ci, s.changed); seed != nil {
-			record = newDeltaSet()
+			record = newDeltaSet(&en.bits)
 		}
 	}
 	if s.firstErr != nil || (s.changed != nil && seed == nil) {

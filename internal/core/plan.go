@@ -8,11 +8,13 @@
 // that each step sees the variables it needs already bound (aggregates
 // with unbound grouping variables execute as a grouped scan, which is how
 // the paper's rule "s(X,Y,C) :- C ?= min D : path(X,Z,Y,D)" runs). Besides
-// that canonical order, each scan of a predicate of the rule's own
-// component that the canonical order does not run first gets a Δ-driver
-// order with the scan at position 0 (driverOrder): the semi-naive pass
-// restricted to that scan's Δ rows runs it, which is §6.2's step written
-// as the rule differentiated with respect to its Δ literal.
+// that canonical order, each positive scan that the canonical order does
+// not run first gets a Δ-driver order with the scan at position 0
+// (driverOrder): the semi-naive pass restricted to that scan's Δ rows
+// runs it, which is §6.2's step written as the rule differentiated with
+// respect to its Δ literal. Scans of the rule's own component drive the
+// fixpoint's rounds; scans of EDB and lower-component predicates drive
+// the passes an incremental SolveMore seeds with new rows.
 //
 // A plan's steps are internal/exec's operators: the compiler emits them
 // directly, the fixpoint loops run them as streaming pipelines, and the
@@ -55,15 +57,14 @@ type plan struct {
 	head  exec.Atom
 	// scansOf maps each positively scanned predicate to the step
 	// indices scanning it (semi-naive drivers: CDB predicates during the
-	// fixpoint, plus EDB predicates for incremental SolveMore seeds);
-	// cdbScans keeps just the CDB ones. hasCDBAgg marks plans
-	// referencing CDB predicates inside aggregates.
+	// fixpoint, plus EDB and lower-component predicates for incremental
+	// SolveMore seeds). hasCDBAgg marks plans referencing CDB predicates
+	// inside aggregates.
 	scansOf   map[ast.PredKey][]int
-	cdbScans  []int
 	hasCDBAgg bool
 	// pipe is the pipeline over the canonical steps; drivers[k], when
-	// non-nil, is the Δ-driver order for the CDB scan at canonical step
-	// k (driverOrder). hbuf is the semi-naive insert path's
+	// non-nil, is the Δ-driver order for the scan at canonical step k
+	// (driverOrder). hbuf is the semi-naive insert path's
 	// head-projection scratch (solves only).
 	pipe    pipeline
 	drivers []*pipeline
@@ -124,6 +125,13 @@ type compiler struct {
 	cdb     map[ast.PredKey]bool
 }
 
+// compileRule compiles r to its plan: the canonical order (a greedy pass
+// over the subgoals), then a Δ-driver order for every positive scan the
+// canonical order does not run first, whatever component the scanned
+// predicate belongs to (driverOrder). A cold solve restricts only scans
+// of the component's own predicates; an incremental SolveMore also
+// restricts scans of the EDB and lower-component predicates its seed
+// rows belong to.
 func (c *compiler) compileRule(r *ast.Rule) (*plan, error) {
 	p := &plan{rule: r}
 	vidx := map[ast.Var]int{}
@@ -334,9 +342,6 @@ func (c *compiler) compileRule(r *ast.Rule) (*plan, error) {
 	for i := range p.steps {
 		if s := &p.steps[i]; s.Kind == exec.ScanKind {
 			p.scansOf[s.Atom.Pred] = append(p.scansOf[s.Atom.Pred], i)
-			if s.Atom.CDB {
-				p.cdbScans = append(p.cdbScans, i)
-			}
 		}
 	}
 
@@ -364,7 +369,10 @@ func (c *compiler) compileRule(r *ast.Rule) (*plan, error) {
 		identity[i] = i
 	}
 	p.pipe = pipeline{stream: exec.NewRule(p.nvars, p.steps), canon: identity}
-	for _, k := range p.cdbScans {
+	for k := range p.steps {
+		if p.steps[k].Kind != exec.ScanKind {
+			continue
+		}
 		if d := p.driverOrder(k); d != nil {
 			if p.drivers == nil {
 				p.drivers = make([]*pipeline, len(p.steps))

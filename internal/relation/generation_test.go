@@ -48,8 +48,8 @@ const maxSteps = 400
 
 // freshBatches are the sizes of the runs of new rows a step appends:
 // enough to carry a generation across the chunk boundaries
-// TestChunkBoundaries walks.
-var freshBatches = []int{1, 2, 3, 4, 5, 8, 9, 100, 511, 512, 513}
+// TestChunkBoundaries walks and the cost pages' 64-row boundaries.
+var freshBatches = []int{1, 2, 3, 4, 5, 8, 9, 63, 64, 65, 100, 511, 512, 513}
 
 // runGenerations drives a tree of generations of one relation: clones
 // of the tip (which take its storage over), forks of older generations,
@@ -409,5 +409,58 @@ func TestWriteToSupersededGenerationPanics(t *testing.T) {
 	fork := old.Clone()
 	if !fork.InsertJoin([]val.T{val.Number(99), val.Symbol("x")}, val.Number(1)) || fork.Len() != 11 || next.Len() != 10 {
 		t.Fatal("a fork of the old relation must be writable on its own")
+	}
+}
+
+// TestCostCopyOnWriteByPage: the first raise of a cost below the clone
+// point copies that row's 64-row cost page and nothing more — every other
+// page stays shared with the older generation, which keeps reading its
+// own costs, and a later raise in the copied page writes in place — for
+// a clone that extends the tip in place and for a fork, whose partial
+// last page is its own from the start.
+func TestCostCopyOnWriteByPage(t *testing.T) {
+	info := &ast.PredInfo{Key: ast.MakePredKey("s", 3), Arity: 3, HasCost: true, L: lattice.MinReal}
+	key := func(i int) []val.T { return []val.T{val.Number(float64(i)), val.Symbol("x")} }
+	for _, reserve := range chunkReserves {
+		old := New(info)
+		old.Reserve(reserve)
+		const n = 1000
+		for i := 0; i < n; i++ {
+			old.InsertJoin(key(i), val.Number(100))
+		}
+		shared := func(a, b *Relation, p int) bool { return &a.costs[p][0] == &b.costs[p][0] }
+		check := func(what string, gen *Relation, raised int) {
+			t.Helper()
+			if !gen.InsertJoin(key(raised), val.Number(1)) {
+				t.Fatalf("reserve %d, %s: raising row %d changed nothing", reserve, what, raised)
+			}
+			p, _ := gen.page(raised)
+			if cap(gen.costs[p]) != pageRows {
+				t.Errorf("reserve %d, %s: copied page %d holds %d rows, want %d", reserve, what, p, cap(gen.costs[p]), pageRows)
+			}
+			full, _ := gen.page(n &^ (pageRows - 1)) // the pages before it are full
+			for q := 0; q < full; q++ {
+				if shared(old, gen, q) == (q == p) {
+					t.Errorf("reserve %d, %s: page %d shared = %v after raising row %d (page %d)", reserve, what, q, shared(old, gen, q), raised, p)
+				}
+			}
+			if row, _ := old.Get(key(raised)); row.Cost.Num() != 100 {
+				t.Fatalf("reserve %d, %s: the raise shows in the older generation: %v", reserve, what, row.Cost)
+			}
+			// The page is the generation's own now: a second raise in it
+			// writes in place.
+			own := &gen.costs[p][0]
+			gen.InsertJoin(key(raised+1), val.Number(1))
+			if &gen.costs[p][0] != own {
+				t.Errorf("reserve %d, %s: a second raise in page %d copied it again", reserve, what, p)
+			}
+		}
+		next := old.Clone()
+		check("clone", next, 700)
+		fork := old.Clone()
+		check("fork", fork, 300)
+		if last, _ := fork.page(n - 1); shared(old, fork, last) {
+			t.Errorf("reserve %d: the fork shares the partial last page", reserve)
+		}
 	}
 }

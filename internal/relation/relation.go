@@ -18,7 +18,8 @@
 // of a chunk, so a row never moves and anything holding its arguments —
 // a Δ set's row ids, a γ group reference — stays valid as the relation
 // grows. Costs, the one mutable part of a row, live in a parallel column
-// chunked the same way, so neither column is ever copied to grow.
+// of pages of 1<<pageShift rows, allocated a chunk's worth at a time
+// (see page), so neither column is ever copied to grow.
 //
 // A val.T is a 16-byte pointer-free word pair (symbols and sets are
 // interned ids), so the arenas hold no pointers: chunks take no write
@@ -54,16 +55,16 @@
 // skipping slot entries whose row or group id lies beyond their own
 // length. Slots and chain links the predecessor can read are written
 // with atomic stores and always read with atomic loads. The first raise
-// of a cost below the clone point copies that row's cost chunk (512
-// rows at most); a table rehash copies the table. Writing a relation
+// of a cost below the clone point copies that row's cost page (64 rows,
+// 1 KB, at most); a table rehash copies the table. Writing a relation
 // after a clone has taken its storage over panics.
 //
 // Cloning a relation that is not the tip — a newer clone already extends
 // it — forks: the clone starts a lineage of its own with a copy of the
-// key table and of the partial last chunks, shares the full cost chunks
-// copy-on-write and rebuilds indexes lazily. Joining into an empty
-// relation (how a solve adopts the base EDB) and DB.Clone make private
-// copies that leave the source writable.
+// key table, of the partial last chunk and of the partial last cost
+// page, shares the full cost pages copy-on-write and rebuilds indexes
+// lazily. Joining into an empty relation (how a solve adopts the base
+// EDB) and DB.Clone make private copies that leave the source writable.
 //
 // # Concurrency: the frozen-snapshot contract
 //
@@ -107,10 +108,13 @@ type Row struct {
 }
 
 // Chunk geometry: a fresh relation's first chunk holds 1<<firstShift
-// rows, and chunks stop doubling at 1<<capShift rows.
+// rows, and chunks stop doubling at 1<<capShift rows. Cost pages hold
+// 1<<pageShift rows, the unit a generation copies on write.
 const (
 	firstShift = 2
 	capShift   = 9
+	pageShift  = 6
+	pageRows   = 1 << pageShift
 )
 
 // Relation stores the core extension of one predicate.
@@ -124,15 +128,16 @@ type Relation struct {
 	// chunks is the argument arena: row i's arguments are
 	// width values of chunks[c] at offset off*width, (c, off) = locate(i).
 	chunks [][]val.T
-	// costs is the cost column (cost predicates only), chunked like the
-	// arena: row i's cost is costs[c][off].
+	// costs is the cost column (cost predicates only) in pages: row i's
+	// cost is costs[p][off], (p, off) = page(i).
 	costs [][]lattice.Elem
-	// base is the row count of the generation this one extends in place
-	// (0 when it shares no storage), and sharedCosts[c] holds while cost
-	// chunk c is still that generation's: the first improvement of a row
-	// below base copies the chunk (see setCost).
-	base        int
-	sharedCosts []bool
+	// base is the row count this generation shares with the one it
+	// extends or forks (0 when it shares no cost page), and owned the
+	// bitset of the pages below base it has copied since: the first
+	// improvement of a row below base in a page not owned copies the page
+	// (see setCost).
+	base  int
+	owned []uint64
 	// keys is the primary key: each slot holds hash32<<32 | (row id+1), 0
 	// when empty (see table).
 	keys table
@@ -203,6 +208,22 @@ func (r *Relation) chunkRows(c int) int {
 	return 1 << min(r.shift+uint(c)-1, capShift)
 }
 
+// page maps row i to its cost page and its row offset within the page.
+// Rows from 1<<pageShift on fill pages of exactly that many rows; below
+// it the pages are the arena's chunks (one page when the first chunk
+// holds 1<<pageShift rows or more), so a small relation's costs take no
+// more room than its rows.
+func (r *Relation) page(i int) (p, off int) {
+	s := min(r.shift, pageShift)
+	if i >= pageRows {
+		return int(pageShift-s) + i>>pageShift, i & (pageRows - 1)
+	}
+	if p = bits.Len(uint(i) >> s); p == 0 {
+		return 0, i
+	}
+	return p, i - 1<<(s+uint(p)-1)
+}
+
 // args returns row i's arguments as a full-capacity subslice of the arena.
 func (r *Relation) args(i int) []val.T {
 	if r.width == 0 {
@@ -236,7 +257,7 @@ func (r *Relation) Load(i int, row *Row) {
 	}
 	row.HasCost = r.Info.HasCost
 	if row.HasCost {
-		row.Cost = r.costs[c][off]
+		row.Cost = r.cost(i)
 	} else {
 		row.Cost = lattice.Elem{}
 	}
@@ -244,20 +265,37 @@ func (r *Relation) Load(i int, row *Row) {
 
 // cost returns row i's cost.
 func (r *Relation) cost(i int) lattice.Elem {
-	c, off := r.locate(i)
-	return r.costs[c][off]
+	p, off := r.page(i)
+	return r.costs[p][off]
 }
 
-// setCost raises row i's cost to e. A row below base lives in a chunk
-// the generation this one extends may still read, so the first such
-// write copies that one chunk.
+// setCost raises row i's cost to e. A row below base lives in a page
+// the generation this one shares it with may still read, so the first
+// such write copies that one page.
 func (r *Relation) setCost(i int, e lattice.Elem) {
-	c, off := r.locate(i)
-	if i < r.base && c < len(r.sharedCosts) && r.sharedCosts[c] {
-		r.costs[c] = append(make([]lattice.Elem, 0, cap(r.costs[c])), r.costs[c]...)
-		r.sharedCosts[c] = false
+	p, off := r.page(i)
+	if i < r.base {
+		w, bit := p>>6, uint64(1)<<(p&63)
+		if r.owned == nil {
+			last, _ := r.page(r.base - 1)
+			r.owned = make([]uint64, last>>6+1)
+		}
+		if r.owned[w]&bit == 0 {
+			r.costs[p] = append(make([]lattice.Elem, 0, cap(r.costs[p])), r.costs[p]...)
+			r.owned[w] |= bit
+		}
 	}
-	r.costs[c][off] = e
+	r.costs[p][off] = e
+}
+
+// addPages appends the cost pages from offset off of arena chunk c to
+// the chunk's end: one allocation, cut into pages.
+func (r *Relation) addPages(c, off int) {
+	rows := r.chunkRows(c) - off
+	slab := make([]lattice.Elem, rows)
+	for lo := 0; lo < rows; lo += pageRows {
+		r.costs = append(r.costs, slab[lo:lo:min(lo+pageRows, rows)])
+	}
 }
 
 // mustWrite panics when r is not its lineage's tip: a newer clone
@@ -410,10 +448,11 @@ func (r *Relation) insertNew(h uint64, slot int, args []val.T, cost lattice.Elem
 		r.chunks[c] = append(r.chunks[c], args...)
 	}
 	if r.Info.HasCost {
-		if off == 0 {
-			r.costs = append(r.costs, make([]lattice.Elem, 0, r.chunkRows(c)))
+		p, _ := r.page(id)
+		if p == len(r.costs) {
+			r.addPages(c, off)
 		}
-		r.costs[c] = append(r.costs[c], cost)
+		r.costs[p] = append(r.costs[p], cost)
 	}
 	r.n++
 	r.keys.put(h, slot, id)
@@ -885,13 +924,14 @@ func (s *GroupSet) find(h uint64, tuple []val.T) (g, slot int) {
 // Clone returns a relation holding r's rows that can be written while r
 // is read (see the package doc). When r is its lineage's tip, the clone
 // takes that role over and extends r's storage in place: it shares the
-// argument chunks, the cost column, the key table and every built index,
-// appends past r's length, and copies a cost chunk only when it first
+// argument chunks, the cost pages, the key table and every built index,
+// appends past r's length, and copies a cost page only when it first
 // raises a cost r can read. r must not be written again. When r is not
 // the tip — a newer clone already extends it — the clone is a fork that
-// starts a lineage of its own: it copies r's key table and partial last
-// chunks, shares r's full cost chunks copy-on-write (r can no longer
-// write them) and rebuilds indexes lazily.
+// starts a lineage of its own: it copies r's key table, partial last
+// chunk and partial last cost page, shares r's full cost pages
+// copy-on-write (r can no longer write them) and rebuilds indexes
+// lazily.
 func (r *Relation) Clone() *Relation {
 	c := &Relation{Info: r.Info, shift: r.shift}
 	if r.n == 0 {
@@ -906,12 +946,6 @@ func (r *Relation) Clone() *Relation {
 	c.n, c.width, c.base = r.n, r.width, r.n
 	c.chunks = slices.Clone(r.chunks)
 	c.costs = slices.Clone(r.costs)
-	if len(c.costs) > 0 {
-		c.sharedCosts = make([]bool, len(c.costs))
-		for i := range c.sharedCosts {
-			c.sharedCosts[i] = true
-		}
-	}
 	c.keys = table{slots: r.keys.slots, used: r.keys.used, shared: true}
 	if is := r.idx.Load(); is != nil {
 		ixs := make([]*index, len(is.ixs))
@@ -947,10 +981,12 @@ func (r *Relation) copy() *Relation {
 
 // copyRows makes r's rows a private copy of other's: full argument chunks
 // are shared (their rows are immutable), the partial last chunk, the cost
-// column and the key table are copied — the table without the entries a
-// newer generation added to it — and no index is carried over. When
-// other is frozen for good (no longer its lineage's tip), its full cost
-// chunks are shared copy-on-write instead (see setCost).
+// column and the key table are copied — the cost pages into one
+// allocation, the table without the entries a newer generation added to
+// it — and no index is carried over. When other is frozen for good (no
+// longer its lineage's tip), its full cost pages are shared
+// copy-on-write instead (see setCost) and only the partial last one is
+// copied.
 func (r *Relation) copyRows(other *Relation, frozen bool) {
 	r.n, r.width, r.shift = other.n, other.width, other.shift
 	r.chunks = slices.Clone(other.chunks)
@@ -959,16 +995,28 @@ func (r *Relation) copyRows(other *Relation, frozen bool) {
 		copy(tail, r.chunks[last])
 		r.chunks[last] = tail
 	}
-	r.costs = make([][]lattice.Elem, len(other.costs))
-	for c, src := range other.costs {
-		if frozen && len(src) == cap(src) {
-			if r.sharedCosts == nil {
-				r.base, r.sharedCosts = other.n, make([]bool, len(other.costs))
-			}
-			r.costs[c], r.sharedCosts[c] = src, true
-			continue
+	// Pages past other's length are empty or belong to a newer
+	// generation; r allocates its own when it reaches them.
+	var src [][]lattice.Elem
+	if other.Info.HasCost && other.n > 0 {
+		last, _ := other.page(other.n - 1)
+		src = other.costs[:last+1]
+	}
+	r.costs = make([][]lattice.Elem, 0, len(src))
+	if frozen {
+		for len(src) > 0 && len(src[0]) == cap(src[0]) {
+			r.base += len(src[0])
+			r.costs, src = append(r.costs, src[0]), src[1:]
 		}
-		r.costs[c] = append(make([]lattice.Elem, 0, cap(src)), src...)
+	}
+	size := 0
+	for _, pg := range src {
+		size += cap(pg)
+	}
+	slab := make([]lattice.Elem, size)
+	for _, pg := range src {
+		n := copy(slab, pg)
+		r.costs, slab = append(r.costs, slab[:n:cap(pg)]), slab[cap(pg):]
 	}
 	r.keys = other.keys.below(other.n)
 }

@@ -4,14 +4,14 @@
 # Runs BenchmarkSolve (the shortest-path fixpoint on a cyclic graph),
 # BenchmarkRelationInsert, BenchmarkParty (Example 4.3) and BenchmarkLoad
 # at -benchtime 3x, and BenchmarkIncrementalSolve/solve-more-chain at
-# -benchtime 100x, and enforces five pins. All are counts, not timings, so they hold
+# -benchtime 100x, and enforces six pins. All are counts, not timings, so they hold
 # on any machine; there are no knobs. Re-pinning means editing the
 # constant below in the same commit as the code change that moves it.
 #
 #   1. Allocation pin: with no event sink attached (the benchmark's
 #      configuration; the per-operator counters are always counted into
 #      the solve's Stats), BenchmarkSolve's allocs/op stays at
-#      SOLVE_ALLOCS (484) within ALLOC_TOL_PCT percent. Relations store
+#      SOLVE_ALLOCS (465) within ALLOC_TOL_PCT percent. Relations store
 #      rows in chunked arenas of 16-byte pointer-free values with
 #      value-hashed key tables, Δ sets hold row ids and γ keeps its
 #      groups in hash-keyed GroupSets (no key strings), so a solve that
@@ -29,7 +29,14 @@
 #      logging one record per round, whose slice grows by doubling and is
 #      merged once; it moved from 536 when s's γ became a Δ-fold, which
 #      reads the changed path rows by id, so path's (X, Y) index, which
-#      only the re-enumerating γ probed, is never built. A single
+#      only the re-enumerating γ probed, is never built. It moved from
+#      484 to 488 when costs moved into 64-row pages: a relation's page
+#      table holds eight headers per 512-row chunk where its chunk table
+#      held one, so the tables reallocate more often as they grow (the
+#      pages themselves are cut from one slab per chunk, allocated as
+#      the chunks were); then to 465 when Δ sets
+#      began taking their membership bitsets from the engine's pool, so
+#      a solve after the first allocates no bitset. A single
 #      allocation per stored row would add over 20,000. One-shot setup
 #      allocations amortize over the iteration count, which is why
 #      -benchtime is fixed. This protects the storage kernel's and the
@@ -38,9 +45,10 @@
 #
 #   2. Row-size pin: BenchmarkRelationInsert's B/row — bytes allocated
 #      per stored row, arena, cost column and key table together — stays
-#      at INSERT_BYTES_PER_ROW (81.5) within ALLOC_TOL_PCT percent, so a
+#      at INSERT_BYTES_PER_ROW (82.4) within ALLOC_TOL_PCT percent, so a
 #      value cannot silently grow back from 16 bytes (48-byte values with
-#      a string header and a set pointer read 187).
+#      a string header and a set pointer read 187). It moved from 81.5
+#      when costs moved into 64-row pages: the page table's headers.
 #
 #   3. Party probe pin: BenchmarkParty/engine/n=64 reports the index
 #      probes of one Example 4.3 solve (probes/op), which must equal
@@ -66,24 +74,40 @@
 #   5. Chained-SolveMore byte pin: BenchmarkIncrementalSolve/solve-more-chain
 #      — 100 batches of two arcs, each solved into the model the previous
 #      one returned, on Example 2.6 over a 48-node cycle graph, as the
-#      served writer does — stays at CHAIN_BYTES (113,987) B/op within
+#      served writer does — stays at CHAIN_BYTES (51,441) B/op within
 #      ALLOC_TOL_PCT percent; it repeats to within a few bytes. Each
 #      SolveMore clones the dispatched component's relations, and a clone
 #      of the newest generation extends its storage in place, so what is
-#      left is the derivations' own growth, the cost chunks whose costs a
-#      batch raises and the walk's bookkeeping. When every clone copied
-#      the component and rebuilt its indexes, the same benchmark
+#      left is the derivations' own growth, the 64-row cost pages whose
+#      costs a batch raises and the walk's bookkeeping. When every clone
+#      copied the component and rebuilt its indexes, the same benchmark
 #      allocated 784,376 B/op: an O(model) copy per assert cannot creep
-#      back unnoticed.
+#      back unnoticed. The pin was 113,987; it read 113,250 before and
+#      114,006 after seeded passes began running Δ-driver orders, then
+#      58,669 once a raised cost copied its 64-row page instead of its
+#      512-row chunk (1 KB instead of up to 8 KB: 55,337 B less per
+#      batch), then 51,441 once Δ sets took their membership bitsets
+#      from the engine's pool instead of allocating each one to span its
+#      relation's row ids (7,228 B less).
+#
+#   6. Chained-SolveMore probe pin: the same benchmark reports the index
+#      probes per batch (probes/op), which must equal CHAIN_PROBES
+#      (277.6) exactly: each batch's seeded passes run the Δ-driver order
+#      of the scan their seed rows feed, so path's arc Δ reads its rows
+#      and probes s by Z. When a pass seeded from EDB rows ran the
+#      canonical order, scanning every s row and walking the Δ per row,
+#      the same batches probed 7,103 rows each: an O(model) walk per
+#      assert cannot come back unnoticed.
 set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
-SOLVE_ALLOCS=484
-INSERT_BYTES_PER_ROW=81.5
+SOLVE_ALLOCS=465
+INSERT_BYTES_PER_ROW=82.4
 ALLOC_TOL_PCT=5
 PARTY_PROBES=1682
 LOAD_ALLOCS=496
-CHAIN_BYTES=113987
+CHAIN_BYTES=51441
+CHAIN_PROBES=277.6
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT INT TERM
 
@@ -94,7 +118,7 @@ echo "bench_regression: running BenchmarkIncrementalSolve/solve-more-chain (-ben
 ( cd "$ROOT" && go test . -run '^$' -bench '^BenchmarkIncrementalSolve$/^solve-more-chain$' -benchmem \
     -benchtime 100x ) | tee -a "$RAW"
 
-awk -v pinned="$SOLVE_ALLOCS" -v alloctol="$ALLOC_TOL_PCT" -v partypin="$PARTY_PROBES" -v rowpin="$INSERT_BYTES_PER_ROW" -v loadpin="$LOAD_ALLOCS" -v chainpin="$CHAIN_BYTES" '
+awk -v pinned="$SOLVE_ALLOCS" -v alloctol="$ALLOC_TOL_PCT" -v partypin="$PARTY_PROBES" -v rowpin="$INSERT_BYTES_PER_ROW" -v loadpin="$LOAD_ALLOCS" -v chainpin="$CHAIN_BYTES" -v chainprobepin="$CHAIN_PROBES" '
 /^BenchmarkSolve(-[0-9]+)?[ \t]/ && /allocs\/op/ {
     for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") allocs = $i
 }
@@ -109,6 +133,7 @@ awk -v pinned="$SOLVE_ALLOCS" -v alloctol="$ALLOC_TOL_PCT" -v partypin="$PARTY_P
 }
 /^BenchmarkIncrementalSolve\/solve-more-chain(-[0-9]+)?[ \t]/ && /B\/op/ {
     for (i = 2; i < NF; i++) if ($(i+1) == "B/op") chainbytes = $i
+    for (i = 2; i < NF; i++) if ($(i+1) == "probes/op") chainprobes = $i
 }
 END {
     if (allocs == "") {
@@ -158,6 +183,15 @@ END {
     printf "bench_regression: BenchmarkIncrementalSolve/solve-more-chain B/op %d vs pinned %d = %.3f%% deviation (gate: <= %s%%)\n", chainbytes, chainpin, cdev, alloctol
     if (cdev > alloctol + 0) {
         print "bench_regression: FAIL: chained SolveMore bytes moved; a successor copies what it could share, or a batch derives more" > "/dev/stderr"
+        exit 1
+    }
+    if (chainprobes == "") {
+        print "bench_regression: FAIL: missing BenchmarkIncrementalSolve/solve-more-chain probes/op" > "/dev/stderr"
+        exit 1
+    }
+    printf "bench_regression: BenchmarkIncrementalSolve/solve-more-chain probes/op %s vs pinned %s\n", chainprobes, chainprobepin
+    if (chainprobes + 0 != chainprobepin + 0) {
+        print "bench_regression: FAIL: chained SolveMore probe count moved; a seeded pass no longer runs the pipeline it did" > "/dev/stderr"
         exit 1
     }
     print "bench_regression: PASS"
