@@ -64,6 +64,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"sort"
@@ -124,8 +125,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return exitUsage
 	}
 	// Validate flag values before doing any work.
-	if *eps < 0 {
-		return usage("-eps must be ≥ 0")
+	if !(*eps >= 0) || math.IsInf(*eps, 1) {
+		return usage("-eps must be a finite number ≥ 0")
 	}
 	if *maxRounds < 0 {
 		return usage("-max-rounds must be ≥ 0")

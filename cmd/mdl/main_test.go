@@ -198,6 +198,8 @@ func TestExitCodes(t *testing.T) {
 		{"unknown flag", []string{"-no-such-flag", good}, exitUsage},
 		{"missing file", []string{filepath.Join(t.TempDir(), "nope.mdl")}, exitUsage},
 		{"negative eps", []string{"-eps", "-1", good}, exitUsage},
+		{"infinite eps", []string{"-eps", "Inf", good}, exitUsage},
+		{"NaN eps", []string{"-eps", "NaN", good}, exitUsage},
 		{"negative max-rounds", []string{"-max-rounds", "-1", good}, exitUsage},
 		{"negative max-facts", []string{"-max-facts", "-1", good}, exitUsage},
 		{"zero timeout", []string{"-timeout", "0s", good}, exitUsage},

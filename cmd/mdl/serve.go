@@ -64,6 +64,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -108,8 +109,8 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		fmt.Fprintln(stderr, "mdl serve:", msg)
 		return exitUsage
 	}
-	if *eps < 0 {
-		return usage("-eps must be ≥ 0")
+	if !(*eps >= 0) || math.IsInf(*eps, 1) {
+		return usage("-eps must be a finite number ≥ 0")
 	}
 	if *maxRounds < 0 {
 		return usage("-max-rounds must be ≥ 0")

@@ -97,6 +97,8 @@ func TestServeUsageErrors(t *testing.T) {
 		{"no files", nil},
 		{"name without join", []string{"-name", "x", f}},
 		{"negative eps", []string{"-eps", "-1", f}},
+		{"infinite eps", []string{"-eps", "+Inf", f}},
+		{"NaN eps", []string{"-eps", "NaN", f}},
 		{"negative max-rounds", []string{"-max-rounds", "-1", f}},
 		{"negative max-facts", []string{"-max-facts", "-1", f}},
 		{"negative timeout", []string{"-timeout", "-1s", f}},

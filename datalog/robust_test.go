@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -29,6 +30,20 @@ func TestLoadErrorClasses(t *testing.T) {
 	// Unsafe rule: head variable never bound.
 	if _, err := datalog.Load("p(X) :- q(Y).", datalog.Options{}); !errors.Is(err, datalog.ErrStatic) {
 		t.Fatalf("static failure: err = %v, want ErrStatic", err)
+	}
+}
+
+// TestLoadRefusesNonFiniteEpsilon: an infinite tolerance would stop
+// Example 2.6 after its first improvements (s(a, d, 9) where the least
+// model has s(a, d, 4)), so Load refuses it, NaN and negative values.
+func TestLoadRefusesNonFiniteEpsilon(t *testing.T) {
+	for _, eps := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), -1} {
+		if _, err := datalog.Load(spChain, datalog.Options{Epsilon: eps}); err == nil || !strings.Contains(err.Error(), "Epsilon") {
+			t.Fatalf("Epsilon %v: err = %v, want a refusal naming Epsilon", eps, err)
+		}
+	}
+	if _, err := datalog.Load(spChain, datalog.Options{Epsilon: 0.5}); err != nil {
+		t.Fatalf("Epsilon 0.5: %v", err)
 	}
 }
 

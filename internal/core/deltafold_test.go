@@ -15,12 +15,20 @@ import (
 	"repro/internal/relation"
 )
 
+// folded reports whether p's γ step runs as a Δ-fold (a folded plan's
+// body is that one step).
+func folded(p *plan) bool {
+	return len(p.steps) == 1 && p.steps[0].Kind == exec.AggKind && p.steps[0].Agg.Fold
+}
+
 // noDeltaFold clears every plan's Δ-fold flag: en's γ steps then
 // re-enumerate each changed group in their Δ passes, as before the fold.
 func noDeltaFold(en *Engine) {
 	for _, ps := range en.plans {
 		for _, p := range ps {
-			p.fold = ""
+			if folded(p) {
+				p.steps[0].Agg.Fold = false
+			}
 		}
 	}
 }
@@ -30,7 +38,7 @@ func foldPlans(en *Engine) int {
 	n := 0
 	for _, ps := range en.plans {
 		for _, p := range ps {
-			if p.fold != "" {
+			if folded(p) {
 				n++
 			}
 		}
@@ -95,7 +103,7 @@ func foldDelta(en *Engine, st Stats) int64 {
 	var n int64
 	for _, ps := range en.plans {
 		for _, p := range ps {
-			if p.fold != "" && len(st.Rules) > p.idx {
+			if folded(p) && len(st.Rules) > p.idx {
 				n += st.Rules[p.idx].Ops[0].Delta
 			}
 		}
@@ -179,7 +187,7 @@ func multiSCCProg(k, nodes, edges int) string {
 }
 
 // TestDeltaFoldMatchesRegroup: a γ step running its Δ passes as a Δ-fold
-// (exec's runFold) computes exactly what re-enumerating every changed
+// (exec's deltaGroups) computes exactly what re-enumerating every changed
 // group computes. Each case runs with the fold and with every plan's fold
 // flag cleared, and requires the same model rows in the same order and
 // the same Stats and RoundLog, with probes and the γ operators' Δ

@@ -43,6 +43,9 @@ type Options struct {
 	MaxRounds int
 	// Epsilon treats numeric cost improvements smaller than it as
 	// convergence — the practical device for ω-limit programs (§6.2).
+	// It must be a finite number ≥ 0: New refuses NaN, infinite and
+	// negative values, since an infinite tolerance stops every fixpoint
+	// after its first change and returns a model that is not the least.
 	Epsilon float64
 	// SkipChecks disables the static analyses (safety, conflict-freedom,
 	// admissibility). Experiments on deliberately non-monotonic programs
@@ -59,8 +62,8 @@ type Options struct {
 	// leaving it nil keeps the evaluation path at full speed.
 	Sink obs.Sink
 	// Limits bounds every Solve: derivation budget, wall-clock
-	// deadline, cancellation-poll granularity and the ω-limit
-	// divergence threshold. SolveLimits can override them per call.
+	// deadline, the ω-limit divergence threshold, and the checkpoint
+	// sink with its period. SolveLimits can override them per call.
 	Limits
 }
 
@@ -181,6 +184,9 @@ func firstRowOf(f *ast.FactRows, i int) int {
 // predicates among them in source order, so New's cost is a function of
 // the rules, not of the number of facts.
 func New(prog *ast.Program, opts Options) (*Engine, error) {
+	if !(opts.Epsilon >= 0) || math.IsInf(opts.Epsilon, 1) {
+		return nil, fmt.Errorf("core: Options.Epsilon must be a finite number ≥ 0, got %v", opts.Epsilon)
+	}
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = 1 << 20
 	}
@@ -632,8 +638,9 @@ func (d *deltaSet) release() {
 	clear(d.free)
 }
 
-// ids returns the changed row ids of predicate k (nil when none).
-func (d *deltaSet) ids(k ast.PredKey) []int32 {
+// IDs returns the changed row ids of predicate k (nil when none): d is
+// the exec.Delta view a γ Δ pass reads.
+func (d *deltaSet) IDs(k ast.PredKey) []int32 {
 	if pd := d.preds[k]; pd != nil {
 		return pd.ids
 	}
@@ -702,11 +709,10 @@ func (d *deltaSet) predKeys() []ast.PredKey {
 // semiNaiveLoop runs the Δ-driven fixpoint of component ci: the
 // interpretation accumulates in db and a round refires only rules whose
 // inputs changed — rules with positive scans of a changed predicate run
-// once per changed-scan seed, each on that scan's Δ-driver order when it
-// has one (plan.deltaPipe); rules referencing a changed predicate inside
-// an aggregate re-run (group-restricted where possible), or fold the
-// changed rows into the changed groups when the rule qualifies
-// (plan.deltaFold).
+// once per changed-scan seed, each with that scan first (plan.deltaPipe);
+// rules referencing a changed predicate inside an aggregate run a γ Δ
+// pass, handed the round's Δ, in which each γ step derives its changed
+// groups itself (plan.gammaPass), or re-run whole.
 //
 // When init is nil, round 0 fires every rule (the fresh-solve case);
 // otherwise init seeds the Δ set (the incremental SolveMore case, where
@@ -818,7 +824,7 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 		changedPreds := prev.predKeys()
 		var rows int64
 		for _, k := range changedPreds {
-			rows += int64(len(prev.ids(k)))
+			rows += int64(len(prev.IDs(k)))
 		}
 		r = g.beginRound(stats, ci, round, rows)
 		var perr error
@@ -827,7 +833,7 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 			// Decide up front which passes this rule needs so a rule
 			// untouched by the Δ set costs nothing (not even a clock
 			// read).
-			runAgg := aggPredChanged(p, prev)
+			runAgg, keyed := p.gammaPass(prev)
 			hasScan := false
 			for _, k := range changedPreds {
 				if len(p.scansOf[k]) > 0 {
@@ -840,21 +846,15 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 			}
 			f0, d0, p0 := stats.Firings, stats.Derived, stats.Probes
 			t0 := time.Now()
-			ranFull := false
+			// Aggregate-driven re-run when an aggregated predicate
+			// changed: a γ Δ pass over the round's Δ when every changed
+			// conjunct is keyed, otherwise a full re-run (which then also
+			// covers the scan deltas below).
+			ranFull := runAgg && !keyed
 			if runAgg {
-				// Aggregate-driven re-run when an aggregated predicate
-				// changed: a Δ-fold of the changed rows when the plan
-				// qualifies (deltaFold); else restricted to the changed
-				// groups when every grouping variable can be recovered
-				// from the changed rows, otherwise a full re-run (which
-				// then also covers the scan deltas below).
 				pass := cfg
-				if p.fold != "" {
-					pass.AggDelta, pass.AggSince = prev.ids(p.fold), delta.ids(p.fold)
-				} else {
-					groups, restricted := changedGroups(p, prev, db)
-					pass.AggGroups = groups
-					ranFull = !restricted
+				if keyed {
+					pass.AggDelta, pass.AggSince = prev, delta
 				}
 				perr = en.runPass(p, &p.pipe, pass, stats, insert)
 			}
@@ -865,11 +865,9 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 			scans:
 				for _, k := range changedPreds {
 					pass := cfg
-					pass.RestrictIDs = prev.ids(k)
+					pass.RestrictIDs = prev.IDs(k)
 					for _, si := range p.scansOf[k] {
-						pipe, at := p.deltaPipe(si)
-						pass.RestrictStep = at
-						if perr = en.runPass(p, pipe, pass, stats, insert); perr != nil {
+						if perr = en.runPass(p, p.deltaPipe(si), pass, stats, insert); perr != nil {
 							break scans
 						}
 					}
@@ -896,66 +894,6 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 		spare.release()
 	}
 	return nil
-}
-
-// changedGroups computes, per aggregate step of p's canonical order, the
-// groups whose multisets may have changed given the Δ set (row ids into
-// db's relations): the changed rows projected onto the grouping
-// variables, deduplicated in the step's GroupSet by the hash of the
-// projected values, so the γ step emits them in Δ order. restricted is
-// false when some changed conjunct cannot be projected onto the full
-// group key (the caller then treats the run as unrestricted). The result
-// is indexed by canonical step position, matching exec.Config.AggGroups;
-// it and the sets are p's scratch, valid until the next call.
-func changedGroups(p *plan, d *deltaSet, db *relation.DB) ([]*relation.GroupSet, bool) {
-	out := p.changed
-	clear(out)
-	for si, gd := range p.gamma {
-		if gd == nil {
-			continue
-		}
-		ag := p.steps[si].Agg
-		gd.changed.Reset(len(ag.GroupVars))
-		touched := false
-		for ci := range ag.Conj {
-			k := ag.Conj[ci].Pred
-			ids := d.ids(k)
-			if len(ids) == 0 {
-				continue
-			}
-			pos := gd.keyPos[ci]
-			if pos == nil {
-				return nil, false
-			}
-			touched = true
-			rel := db.Rel(k)
-			for _, id := range ids {
-				args := rel.At(int(id)).Args
-				for j, a := range pos {
-					gd.key[j] = args[a]
-				}
-				gd.changed.Add(gd.key)
-			}
-		}
-		if touched {
-			out[si] = &gd.changed
-		}
-	}
-	return out, true
-}
-
-func aggPredChanged(p *plan, d *deltaSet) bool {
-	for si, gd := range p.gamma {
-		if gd == nil {
-			continue
-		}
-		for _, sp := range p.steps[si].Agg.Conj {
-			if len(d.ids(sp.Pred)) > 0 {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // insertEps is Relation.Upsert with numeric convergence tolerance: an

@@ -32,7 +32,6 @@ import (
 	"repro/internal/ast"
 	"repro/internal/exec"
 	"repro/internal/lattice"
-	"repro/internal/relation"
 	"repro/internal/val"
 )
 
@@ -69,14 +68,6 @@ type plan struct {
 	pipe    pipeline
 	drivers []*pipeline
 	hbuf    []val.T
-	// gamma[k] is changedGroups' scratch for the γ step at canonical
-	// step k (nil elsewhere, and nil for a plan without γ steps), and
-	// changed its result.
-	gamma   []*gammaDelta
-	changed []*relation.GroupSet
-	// fold is the aggregated predicate when the plan's γ step runs its Δ
-	// passes as a Δ-fold (deltaFold), empty otherwise.
-	fold ast.PredKey
 	// work is the rule's share of the component evaluation under way,
 	// its operator counters included (work.Ops, allocated at New): the
 	// walk resets it when it dispatches the component and folds it into
@@ -96,27 +87,36 @@ type pipeline struct {
 }
 
 // deltaPipe returns the pipeline a Δ pass restricting canonical scan
-// step si runs, and the pipeline position of that scan: si's driver
-// order with the scan first when it has one, the canonical order
-// otherwise.
-func (p *plan) deltaPipe(si int) (*pipeline, int) {
-	if p.drivers != nil && p.drivers[si] != nil {
-		return p.drivers[si], 0
+// step si runs: the canonical order when the scan is already first, its
+// Δ-driver order otherwise. Either way the restricted scan is step 0.
+func (p *plan) deltaPipe(si int) *pipeline {
+	if si == 0 {
+		return &p.pipe
 	}
-	return &p.pipe, si
+	return p.drivers[si]
 }
 
-// gammaDelta is changedGroups' scratch for one γ step. keyPos[i] maps
-// each grouping variable to its position in the non-cost arguments of
-// conjunct i, or is nil when conjunct i does not carry every grouping
-// variable (then Δ-driven group restriction is impossible and the rule
-// re-runs whole). changed is the round's set of changed groups and key
-// its projection scratch, reset (retaining storage) and refilled each
-// round: one worker evaluates the step's component at a time.
-type gammaDelta struct {
-	keyPos  [][]int
-	changed relation.GroupSet
-	key     []val.T
+// gammaPass reports whether Δ set d changed a conjunct of one of p's γ
+// steps, and whether every changed conjunct is keyed (exec.AggStep.KeyPos).
+// Only then can a γ Δ pass restrict every γ step to the groups d changed;
+// otherwise the rule re-runs whole. A pass where one γ restricted while
+// another ran whole would drop bindings: the whole run is what stands in
+// for the scan-driven passes.
+func (p *plan) gammaPass(d *deltaSet) (changed, keyed bool) {
+	keyed = true
+	for si := range p.steps {
+		a := p.steps[si].Agg
+		if a == nil {
+			continue
+		}
+		for ci := range a.Conj {
+			if len(d.IDs(a.Conj[ci].Pred)) > 0 {
+				changed = true
+				keyed = keyed && a.KeyPos[ci] != nil
+			}
+		}
+	}
+	return changed, keyed
 }
 
 // compiler builds plans for the rules of one component.
@@ -182,10 +182,9 @@ func (c *compiler) compileRule(r *ast.Rule) (*plan, error) {
 	// Compile subgoals to unordered steps first.
 	type pending struct {
 		s        exec.Step
-		gamma    *gammaDelta // a γ step's changedGroups scratch
-		needs    []int       // variables that must be bound before execution
-		binds    []int       // variables bound by execution
-		priority int         // tie-break: lower runs earlier among runnable
+		needs    []int // variables that must be bound before execution
+		binds    []int // variables bound by execution
+		priority int   // tie-break: lower runs earlier among runnable
 	}
 	var pendings []pending
 
@@ -239,7 +238,6 @@ func (c *compiler) compileRule(r *ast.Rule) (*plan, error) {
 			for _, v := range roles.Grouping {
 				st.GroupVars = append(st.GroupVars, idxOf(v))
 			}
-			gd := &gammaDelta{key: make([]val.T, len(st.GroupVars))}
 			if sg.MultisetVar != "" {
 				st.MsVar = idxOf(sg.MultisetVar)
 			}
@@ -259,7 +257,7 @@ func (c *compiler) compileRule(r *ast.Rule) (*plan, error) {
 						break
 					}
 				}
-				gd.keyPos = append(gd.keyPos, pos)
+				st.KeyPos = append(st.KeyPos, pos)
 			}
 			var needs, binds []int
 			if !sg.Restricted {
@@ -272,7 +270,7 @@ func (c *compiler) compileRule(r *ast.Rule) (*plan, error) {
 				binds = append(binds, st.GroupVars...)
 			}
 			binds = append(binds, st.Result)
-			pendings = append(pendings, pending{s: exec.Step{Kind: exec.AggKind, Agg: st}, gamma: gd, needs: needs, binds: binds, priority: 2})
+			pendings = append(pendings, pending{s: exec.Step{Kind: exec.AggKind, Agg: st}, needs: needs, binds: binds, priority: 2})
 		case *ast.Builtin:
 			pendings = append(pendings, pending{s: exec.Step{Kind: exec.BuiltinKind, Builtin: exec.NewBuiltin(sg, idxOf)}})
 		}
@@ -328,12 +326,6 @@ func (c *compiler) compileRule(r *ast.Rule) (*plan, error) {
 			return nil, fmt.Errorf("core: rule %q has no valid evaluation order (is it range-restricted?)", r)
 		}
 		done[best] = true
-		if gd := pendings[best].gamma; gd != nil {
-			if p.gamma == nil {
-				p.gamma = make([]*gammaDelta, len(pendings))
-			}
-			p.gamma[len(p.steps)] = gd
-		}
 		p.steps = append(p.steps, place(pendings[best].s, bound))
 	}
 
@@ -362,28 +354,25 @@ func (c *compiler) compileRule(r *ast.Rule) (*plan, error) {
 		return nil, fmt.Errorf("core: rule %q: head cost variable %s never bound", r, p.names[hs.CostVar])
 	}
 	p.hbuf = make([]val.T, len(hs.ArgVar))
-	p.changed = make([]*relation.GroupSet, len(p.steps))
 	p.deltaFold()
 	identity := make([]int, len(p.steps))
 	for i := range identity {
 		identity[i] = i
 	}
 	p.pipe = pipeline{stream: exec.NewRule(p.nvars, p.steps), canon: identity}
-	for k := range p.steps {
+	for k := 1; k < len(p.steps); k++ {
 		if p.steps[k].Kind != exec.ScanKind {
 			continue
 		}
-		if d := p.driverOrder(k); d != nil {
-			if p.drivers == nil {
-				p.drivers = make([]*pipeline, len(p.steps))
-			}
-			p.drivers[k] = d
+		if p.drivers == nil {
+			p.drivers = make([]*pipeline, len(p.steps))
 		}
+		p.drivers[k] = p.driverOrder(k)
 	}
 	return p, nil
 }
 
-// deltaFold compiles p's γ step for the Δ-fold (exec.AggStep.FoldKey)
+// deltaFold compiles p's γ step for the Δ-fold (exec.AggStep.Fold)
 // when the rule qualifies: its body is one restricted γ over one atom of
 // another predicate than the head, neither default-valued nor wide, whose
 // non-cost arguments are distinct variables and whose cost is the
@@ -411,13 +400,7 @@ func (p *plan) deltaFold() {
 		}
 		seen[v] = true
 	}
-	key := make([]int, len(a.GroupVars))
-	for j, v := range a.GroupVars {
-		if key[j] = slices.Index(at.ArgVar, v); key[j] < 0 {
-			return
-		}
-	}
-	a.FoldKey, p.fold = key, at.Pred
+	a.Fold = a.KeyPos[0] != nil
 }
 
 // place fixes the position-dependent parts of step s for the bound set
@@ -485,10 +468,10 @@ func orderAgg(a *exec.AggStep, bound []bool) {
 // once and reaches the rest of the body through index probes, instead
 // of walking the whole Δ set once per row of the steps ahead of it.
 // Moving a scan forward only binds variables earlier, so every step
-// stays runnable; place re-derives a builtin's test/assign mode and a γ
-// step's conjunction orders for the new position. Nil when k is already
-// first, or when some γ conjunction has no valid order at its new
-// position (that pass keeps the canonical order).
+// stays runnable and every γ conjunction that has a valid order keeps
+// one (a bound variable never makes an atom unrunnable); place
+// re-derives a builtin's test/assign mode and a γ step's conjunction
+// orders for the new position. Nil only when k is already first.
 func (p *plan) driverOrder(k int) *pipeline {
 	if k == 0 {
 		return nil
@@ -503,10 +486,6 @@ func (p *plan) driverOrder(k int) *pipeline {
 	steps := make([]exec.Step, len(canon))
 	for pi, i := range canon {
 		steps[pi] = place(p.steps[i], bound)
-		if a, o := steps[pi].Agg, p.steps[i].Agg; a != nil &&
-			((a.OrderFullErr != nil && o.OrderFullErr == nil) || (a.OrderPointErr != nil && o.OrderPointErr == nil)) {
-			return nil
-		}
 	}
 	return &pipeline{stream: exec.NewRule(p.nvars, steps), canon: canon}
 }

@@ -151,7 +151,7 @@ func describeOps(p *plan) []OpStats {
 		case exec.AggKind:
 			op.Kind, op.Op = "aggregate", s.Agg.G.String()
 			switch {
-			case p.fold != "":
+			case s.Agg.Fold:
 				op.Op += " [restricted, Δ-fold]"
 			case s.Agg.G.Restricted:
 				op.Op += " [restricted]"

@@ -16,7 +16,8 @@
 //     single point lookup (§2.3.2). The delta-aware variant drives the
 //     join from the semi-naive Δ set (Config.RestrictIDs, row ids into
 //     the scanned relation) instead of the full relation, so each
-//     round's work is proportional to the change, not the model.
+//     round's work is proportional to the change, not the model; the
+//     restricted scan is always the pipeline's first step.
 //   - select/σ: negative literals (Definition 3.4) and builtin
 //     comparison tests filter the stream in place.
 //   - project/π: variable binding against the registers projects each
@@ -27,11 +28,14 @@
 //     of the aggregate conjunction are grouped on the grouping
 //     variables and each group's multiset is folded through the
 //     aggregate function, whose monotonicity w.r.t. the lattice order
-//     is what makes the fixpoint iteration sound (Lemma 4.1). A step
-//     compiled for the Δ-fold (AggStep.FoldKey) over an aggregate that
-//     is the join of its range reads, in a Δ pass, only the rows that
-//     changed (Config.AggDelta, Config.AggSince) and joins their costs
-//     per group instead of re-enumerating each changed group.
+//     is what makes the fixpoint iteration sound (Lemma 4.1). In a γ Δ
+//     pass the caller hands over the round's Δ (Config.AggDelta) and γ
+//     derives the rest: the Δ rows of its conjuncts, projected onto the
+//     group key (AggStep.KeyPos), are the changed groups, which it
+//     re-enumerates, or, for a step compiled for the Δ-fold
+//     (AggStep.Fold) over an aggregate that is the join of its range,
+//     joins the changed rows' costs into instead (Config.AggSince). A
+//     step whose conjuncts the Δ left alone runs whole.
 //
 // Pipelines pull one row at a time through stack-allocated cursors and
 // write variable bindings into a preallocated register file, so steady
@@ -271,33 +275,40 @@ type AggStep struct {
 	// reference interpreter raises it.
 	OrderFull, OrderPoint       []int
 	OrderFullErr, OrderPointErr error
-	// FoldKey, when non-nil, marks a step the compiler proved can run as
-	// a Δ-fold (runFold): F is the join of its range and the conjunction
-	// is one atom whose non-cost arguments are distinct variables and
-	// whose cost is the multiset variable. FoldKey[j] is the position of
-	// grouping variable j among that atom's non-cost arguments.
-	FoldKey []int
+	// KeyPos[ci][j] is the position of grouping variable j among the
+	// non-cost arguments of conjunct ci; KeyPos[ci] is nil when the
+	// conjunct lacks a grouping variable, and a Δ row of it then cannot
+	// name the group it changed.
+	KeyPos [][]int
+	// Fold marks a step the compiler proved can run as a Δ-fold
+	// (deltaGroups): F is the join of its range and the conjunction is
+	// one atom whose non-cost arguments are distinct variables and whose
+	// cost is the multiset variable.
+	Fold bool
+}
+
+// Delta is a view of a semi-naive Δ set: per predicate, the ids of the
+// changed rows of its relation in the order they first changed (nil
+// when none).
+type Delta interface {
+	IDs(ast.PredKey) []int32
 }
 
 // Config is the per-pass evaluation context.
 type Config struct {
 	DB *relation.DB
-	// RestrictStep/RestrictIDs, when RestrictIDs is non-nil, drive the
-	// scan at that pipeline position from the Δ rows — ids of rows of the
-	// scanned relation — instead of the whole relation: the delta-aware
-	// side of the join.
-	RestrictStep int
-	RestrictIDs  []int32
-	// AggGroups, indexed by pipeline position, restricts the γ step there
-	// to the changed groups listed (tuples of grouping-variable values,
-	// emitted in the set's order); a nil entry, or a position past the
-	// slice, leaves the step unrestricted.
-	AggGroups []*relation.GroupSet
-	// AggDelta, when non-nil, runs a γ step with a FoldKey as a Δ-fold:
-	// AggDelta lists the previous round's Δ ids of the aggregated
-	// relation, whose groups the step emits, and AggSince the ids of that
-	// relation changed earlier in the current round.
-	AggDelta, AggSince []int32
+	// RestrictIDs, when non-nil, drives the scan at pipeline position 0
+	// from the Δ rows — ids of rows of the scanned relation — instead of
+	// the whole relation: the delta-aware side of the join.
+	RestrictIDs []int32
+	// AggDelta, when non-nil, makes the pass a γ Δ pass: each γ step
+	// emits only the groups the previous round's Δ rows of its conjuncts
+	// project onto (deltaGroups), a Fold step joining those rows' costs,
+	// and the costs of the rows AggSince (the current round's Δ so far,
+	// which a Fold step requires) lists in the same groups, into each
+	// group's last value. A γ step none of whose conjuncts changed, or
+	// with a changed conjunct lacking a KeyPos, runs whole.
+	AggDelta, AggSince Delta
 	// Check, when non-nil, is polled at every pipeline terminal.
 	Check func() error
 }
@@ -381,13 +392,15 @@ func (m *Machine) relOf(at *Atom, st *scanState) *relation.Relation {
 	return st.rel
 }
 
-// dropRels forgets every cached relation: the next pass may run over
-// another DB, and a pooled machine must not pin one.
-func (m *Machine) dropRels() {
+// forgetPass drops what a pass cached: every relation (the next pass may
+// run over another DB, and a pooled machine must not pin one) and every
+// γ step's changed groups.
+func (m *Machine) forgetPass() {
 	for i := range m.states {
 		st := &m.states[i]
 		st.rel = nil
 		if st.agg != nil {
+			st.agg.derived = false
 			for ci := range st.agg.conj {
 				st.agg.conj[ci].rel = nil
 			}
@@ -409,15 +422,20 @@ type stepState struct {
 }
 
 // aggState is the reusable γ scratch: the point-mode multiset buffer,
-// the grouped-mode groups (in first-occurrence order) with one multiset
-// buffer per group, the Δ-fold's per-group accumulators, and key /
-// binding scratch.
+// the groups (in first-occurrence order) with one multiset buffer per
+// group, the Δ-fold's per-group accumulators, and key / binding scratch.
+// groups holds the grouped mode's groups, or, in a pass that restricts
+// the step (restrict), the changed groups: the restricted pass runs the
+// point mode only, so it never needs both. derived marks groups, acc and
+// restrict as computed for the current pass.
 type aggState struct {
 	keyScratch []val.T
 	elems      []lattice.Elem
 	groups     relation.GroupSet
 	groupElems [][]lattice.Elem
 	acc        []foldAcc
+	derived    bool
+	restrict   bool
 	groupSaved []int
 	emitSaved  []int
 	conj       []scanState
@@ -453,7 +471,7 @@ func (r *Rule) Acquire(cfg Config) *Machine {
 	for i := range m.states {
 		m.states[i].n = OpCounts{}
 	}
-	m.dropRels()
+	m.forgetPass()
 	return m
 }
 
@@ -475,7 +493,7 @@ func (m *Machine) Counts(i int) OpCounts {
 func (r *Rule) Release(m *Machine) {
 	m.cfg = Config{}
 	m.emit = nil
-	m.dropRels()
+	m.forgetPass()
 	r.mu.Lock()
 	r.free = append(r.free, m)
 	r.mu.Unlock()
@@ -551,14 +569,13 @@ func (m *Machine) runStep(i int) error {
 		}
 		return err
 	case AggKind:
-		if m.cfg.AggDelta != nil && s.Agg.FoldKey != nil {
-			return m.runFold(i, s.Agg)
+		if m.cfg.AggDelta == nil || !m.deltaGroups(i, s.Agg) {
+			return m.runAgg(i, s.Agg, nil)
 		}
-		var only *relation.GroupSet
-		if i < len(m.cfg.AggGroups) {
-			only = m.cfg.AggGroups[i]
+		if s.Agg.Fold {
+			return m.emitFold(i, s.Agg)
 		}
-		return m.runAgg(i, s.Agg, only)
+		return m.runAgg(i, s.Agg, &m.states[i].agg.groups)
 	}
 	return fmt.Errorf("exec: unknown step kind %d", s.Kind)
 }
@@ -568,7 +585,7 @@ func (m *Machine) runStep(i int) error {
 func (m *Machine) runScan(i int, s *Step) error {
 	at := &s.Atom
 	st := &m.states[i].scanState
-	if m.cfg.RestrictIDs != nil && i == m.cfg.RestrictStep {
+	if m.cfg.RestrictIDs != nil && i == 0 {
 		rel := m.relOf(at, st)
 		var row relation.Row
 		for _, id := range m.cfg.RestrictIDs {
@@ -921,62 +938,102 @@ func (m *Machine) runAgg(idx int, s *AggStep, onlyGroups *relation.GroupSet) err
 	return nil
 }
 
-// runFold evaluates a γ step with a FoldKey in a Δ pass. F is the join
-// of its range and costs only rise, so a changed group's value is its
-// last value joined with the costs of the rows that changed since: the
-// step reads those rows by id instead of re-enumerating the group. The
-// groups are those of the previous round's Δ rows (Config.AggDelta), in
-// first-occurrence order as in the Δ-grouped mode; each joins the
-// current costs of its Δ rows and of the rows changed earlier in the
-// current round (Config.AggSince) whose group is among them. Of two
-// equal elements it keeps the lower row id's, the one F.Apply keeps when
-// it enumerates a group in row-id order. One binding per group continues
-// the pipeline, so firings and the Check poll stay the machine's; every
-// Δ row read is a probe, and AggDelta's rows are also counted as Δ.
-func (m *Machine) runFold(idx int, s *AggStep) error {
+// deltaGroups derives, once per pass, the groups of γ step s that the
+// pass's Δ changed: the Config.AggDelta rows of each conjunct projected
+// onto the group key (KeyPos), in first-occurrence order, conjunct by
+// conjunct. It reports whether the step restricts to them: false when no
+// conjunct changed, or when a changed one lacks a KeyPos (the step then
+// runs whole).
+//
+// A Fold step also joins, per group, the current costs of its Δ rows and
+// of the rows changed earlier in the current round (Config.AggSince)
+// whose group is among them. F is the join of its range and costs only
+// rise, so that is each changed group's value: its last value joined
+// with what changed since. Of two equal elements it keeps the lower row
+// id's, the one F.Apply keeps when it enumerates a group in row-id
+// order. Every row a fold reads is a probe, and the AggDelta rows are
+// also counted as Δ.
+func (m *Machine) deltaGroups(idx int, s *AggStep) bool {
 	st := m.states[idx].agg
+	if st.derived {
+		return st.restrict
+	}
+	st.derived, st.restrict = true, false
+	st.groups.Reset(len(s.GroupVars))
+	st.acc = st.acc[:0]
 	n := &m.states[idx].n
-	rel := m.relOf(&s.Conj[0], &st.conj[0])
+	var row relation.Row
+	for ci := range s.Conj {
+		at := &s.Conj[ci]
+		ids := m.cfg.AggDelta.IDs(at.Pred)
+		if len(ids) == 0 {
+			continue
+		}
+		pos := s.KeyPos[ci]
+		if pos == nil {
+			st.restrict = false
+			return false
+		}
+		st.restrict = true
+		rel := m.relOf(at, &st.conj[ci])
+		for _, id := range ids {
+			g, added := st.groups.Add(st.project(rel, id, pos, &row))
+			if s.Fold {
+				n.Probes++
+				n.Delta++
+				st.fold(s.F.Range(), g, added, id, row.Cost)
+			}
+		}
+	}
+	if !s.Fold || !st.restrict {
+		return st.restrict
+	}
+	at := &s.Conj[0]
+	rel := m.relOf(at, &st.conj[0])
 	if l := int64(rel.Len()); l > n.Build {
 		n.Build = l
 	}
-	l := s.F.Range()
-	st.groups.Reset(len(s.GroupVars))
-	st.acc = st.acc[:0]
-	var row relation.Row
-	key := func() []val.T {
-		for j, a := range s.FoldKey {
-			st.keyScratch[j] = row.Args[a]
-		}
-		return st.keyScratch
-	}
-	join := func(g int, id int32) {
-		switch acc := &st.acc[g]; {
-		case !l.Leq(row.Cost, acc.e):
-			*acc = foldAcc{l.Join(acc.e, row.Cost), id}
-		case l.Leq(acc.e, row.Cost) && id < acc.id:
-			*acc = foldAcc{row.Cost, id}
-		}
-	}
-	for _, id := range m.cfg.AggDelta {
-		rel.Load(int(id), &row)
+	for _, id := range m.cfg.AggSince.IDs(at.Pred) {
 		n.Probes++
-		n.Delta++
-		if g, added := st.groups.Add(key()); !added {
-			join(g, id)
-		} else {
-			st.acc = append(st.acc, foldAcc{row.Cost, id})
+		if g := st.groups.Find(st.project(rel, id, s.KeyPos[0], &row)); g >= 0 {
+			st.fold(s.F.Range(), g, false, id, row.Cost)
 		}
 	}
-	for _, id := range m.cfg.AggSince {
-		rel.Load(int(id), &row)
-		n.Probes++
-		if g := st.groups.Find(key()); g >= 0 {
-			join(g, id)
-		}
+	return true
+}
+
+// project loads row id of rel into row and returns its group key: the
+// non-cost arguments at pos, in keyScratch.
+func (st *aggState) project(rel *relation.Relation, id int32, pos []int, row *relation.Row) []val.T {
+	rel.Load(int(id), row)
+	for j, a := range pos {
+		st.keyScratch[j] = row.Args[a]
 	}
+	return st.keyScratch
+}
+
+// fold joins element e of row id into group g's accumulator, which a new
+// group starts.
+func (st *aggState) fold(l lattice.Lattice, g int, added bool, id int32, e lattice.Elem) {
+	if added {
+		st.acc = append(st.acc, foldAcc{e, id})
+		return
+	}
+	switch acc := &st.acc[g]; {
+	case !l.Leq(e, acc.e):
+		*acc = foldAcc{l.Join(acc.e, e), id}
+	case l.Leq(acc.e, e) && id < acc.id:
+		*acc = foldAcc{e, id}
+	}
+}
+
+// emitFold continues the pipeline once per group a Fold step's
+// deltaGroups folded, bound to the group's accumulated value, so firings
+// and the Check poll stay the machine's.
+func (m *Machine) emitFold(idx int, s *AggStep) error {
+	st := m.states[idx].agg
 	for g := 0; g < st.groups.Len(); g++ {
-		n.Groups++
+		m.states[idx].n.Groups++
 		for j, v := range s.GroupVars {
 			m.Vals[v], m.Bound[v] = st.groups.At(g)[j], true
 		}

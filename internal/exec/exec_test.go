@@ -230,7 +230,7 @@ func TestDeltaDriveEquivalence(t *testing.T) {
 	for i := range all {
 		all[i] = int32(i)
 	}
-	delta, deltaFir, deltaPr := runPipeline(t, join, exec.Config{DB: db, RestrictStep: 0, RestrictIDs: all})
+	delta, deltaFir, deltaPr := runPipeline(t, join, exec.Config{DB: db, RestrictIDs: all})
 	if strings.Join(full, "\n") != strings.Join(delta, "\n") {
 		t.Fatalf("Δ=extension differs from full scan:\n%s\nvs\n%s",
 			strings.Join(full, "\n"), strings.Join(delta, "\n"))
@@ -252,7 +252,7 @@ func TestDeltaDriveEquivalence(t *testing.T) {
 			}
 		}
 	}
-	got, _, _ := runPipeline(t, join, exec.Config{DB: db, RestrictStep: 0, RestrictIDs: sub})
+	got, _, _ := runPipeline(t, join, exec.Config{DB: db, RestrictIDs: sub})
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("subset Δ join mismatch:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
@@ -288,6 +288,7 @@ func TestAggGroupedMatchesPoint(t *testing.T) {
 		Conj:       []exec.Atom{conj},
 		OrderFull:  []int{0},
 		OrderPoint: []int{0},
+		KeyPos:     [][]int{{0}},
 	}
 	grouped := exec.NewRule(3, []exec.Step{{Kind: exec.AggKind, Agg: agg}})
 	gOut, _, _ := runPipeline(t, grouped, exec.Config{DB: db})
@@ -311,19 +312,25 @@ func TestAggGroupedMatchesPoint(t *testing.T) {
 		t.Fatalf("grouped γ disagrees with per-group fold:\n%s\nwant:\n%s",
 			strings.Join(gOut, "\n"), strings.Join(want, "\n"))
 	}
-	// The Δ-grouped mode with every group listed must agree too, emitting
-	// the groups in the order the set lists them.
-	dOut, _, _ := runPipeline(t, grouped, exec.Config{DB: db, AggGroups: []*relation.GroupSet{&all}})
+	// The Δ-grouped mode with every row in Δ must agree too, emitting the
+	// groups in the order the Δ rows first name them.
+	allIDs := make([]int32, src.Len())
+	for i := range allIDs {
+		allIDs[i] = int32(i)
+	}
+	dOut, _, _ := runPipeline(t, grouped, exec.Config{DB: db, AggDelta: deltaOf{mk: allIDs}})
 	if strings.Join(dOut, "\n") != strings.Join(gOut, "\n") {
 		t.Fatalf("Δ-grouped γ over all groups disagrees with full enumeration:\n%s\nwant:\n%s",
 			strings.Join(dOut, "\n"), strings.Join(gOut, "\n"))
 	}
-	var rev relation.GroupSet
-	rev.Reset(1)
+	// A Δ naming each group's first row, last group first.
+	var revIDs []int32
 	for g := all.Len() - 1; g >= 0; g-- {
-		rev.Add(all.At(g))
+		revIDs = append(revIDs, int32(slices.IndexFunc(allIDs, func(id int32) bool {
+			return val.Equal(src.At(int(id)).Args[0], all.At(g)[0])
+		})))
 	}
-	rOut, _, _ := runPipeline(t, grouped, exec.Config{DB: db, AggGroups: []*relation.GroupSet{&rev}})
+	rOut, _, _ := runPipeline(t, grouped, exec.Config{DB: db, AggDelta: deltaOf{mk: revIDs}})
 	slices.Reverse(rOut)
 	if strings.Join(rOut, "\n") != strings.Join(gOut, "\n") {
 		t.Fatalf("Δ-grouped γ must emit the listed groups in the listed order:\n%s\nwant reversed:\n%s",
@@ -413,5 +420,99 @@ func TestBuiltinEvalMatchesAST(t *testing.T) {
 				t.Fatalf("%s = %s, want %s", tc.assign, vals[idxOf(tc.assign)], wantVal)
 			}
 		})
+	}
+}
+
+// deltaOf is a fixed Δ view: per predicate, the changed row ids.
+type deltaOf map[ast.PredKey][]int32
+
+func (d deltaOf) IDs(k ast.PredKey) []int32 { return d[k] }
+
+// countingDelta is a Δ view that counts its reads per predicate.
+type countingDelta struct {
+	ids   deltaOf
+	reads map[ast.PredKey]int
+}
+
+func (d *countingDelta) IDs(k ast.PredKey) []int32 {
+	d.reads[k]++
+	return d.ids[k]
+}
+
+// TestAggDeltaDerivesChangedGroups: handed the round's Δ, a γ step
+// derives its changed groups itself — the Δ rows of each conjunct
+// projected onto the group key, in first-occurrence order across the
+// conjuncts — and emits exactly those groups with the values a full run
+// gives them. The step sits behind a scan, so it runs once per upstream
+// binding, but it reads each conjunct's Δ once per pass; a second pass on
+// the same pooled machine derives its groups afresh.
+func TestAggDeltaDerivesChangedGroups(t *testing.T) {
+	s, db := testSchema(t)
+	ak, bk := ast.MakePredKey("a", 2), ast.MakePredKey("b", 2)
+	aRel, bRel := db.Rel(ak), db.Rel(bk)
+	for _, r := range [][2]string{{"g1", "x1"}, {"g2", "x1"}, {"g1", "x2"}, {"g3", "x1"}, {"g4", "x3"}} {
+		aRel.InsertJoin([]val.T{sym(r[0]), sym(r[1])}, lattice.Elem{})
+	}
+	for _, r := range [][2]string{{"g2", "y1"}, {"g3", "y1"}, {"g1", "y2"}, {"g2", "y2"}, {"g4", "y1"}, {"g5", "y1"}} {
+		bRel.InsertJoin([]val.T{sym(r[0]), sym(r[1])}, lattice.Elem{})
+	}
+	blocked := db.Rel(ast.MakePredKey("blocked", 1))
+	blocked.InsertJoin([]val.T{sym("u")}, lattice.Elem{})
+	blocked.InsertJoin([]val.T{sym("v")}, lattice.Elem{})
+	f, ok := lattice.AggregateByName("count")
+	if !ok {
+		t.Fatal("no count aggregate")
+	}
+	// blocked(U), N ?= count : [a(G, X), b(G, Y)]
+	const U, G, X, Y, N = 0, 1, 2, 3, 4
+	agg := &exec.AggStep{
+		G:          &ast.Agg{Func: "count", Restricted: true},
+		F:          f,
+		Result:     N,
+		GroupVars:  []int{G},
+		MsVar:      -1,
+		Conj:       []exec.Atom{scanAtom(s, "a", G, X), scanAtom(s, "b", G, Y)},
+		OrderFull:  []int{0, 1},
+		OrderPoint: []int{0, 1},
+		KeyPos:     [][]int{{0}, {0}},
+	}
+	rule := exec.NewRule(5, []exec.Step{
+		{Kind: exec.ScanKind, Atom: scanAtom(s, "blocked", U)},
+		{Kind: exec.AggKind, Agg: agg},
+	})
+	full, _, _ := runPipeline(t, rule, exec.Config{DB: db})
+	value := map[string]string{} // "U;G" -> the full run's emission
+	for _, line := range full {
+		// Emissions render as "0=U;1=G;4=N;" (X and Y are unbound).
+		parts := strings.Split(line, ";")
+		value[parts[0]+";"+parts[1]] = line
+	}
+
+	for _, tc := range []struct {
+		name   string
+		da, db []int32
+		groups []string
+	}{
+		// Δa names g3, g1 (twice), Δb g2 and then g1 and g3 again.
+		{"repeated", []int32{3, 0, 2}, []int32{0, 2, 1}, []string{"g3", "g1", "g2"}},
+		// Only b changed; g5 has no a row, so its group is empty.
+		{"b only", nil, []int32{5, 4}, []string{"g5", "g4"}},
+	} {
+		d := &countingDelta{ids: deltaOf{ak: tc.da, bk: tc.db}, reads: map[ast.PredKey]int{}}
+		got, _, _ := runPipeline(t, rule, exec.Config{DB: db, AggDelta: d, AggSince: deltaOf{}})
+		var want []string
+		for _, u := range []string{"u", "v"} {
+			for _, g := range tc.groups {
+				if line, ok := value["0="+u+";1="+g]; ok {
+					want = append(want, line)
+				}
+			}
+		}
+		if len(want) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("%s: Δ pass emitted\n%s\nwant\n%s", tc.name, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+		if d.reads[ak] != 1 || d.reads[bk] != 1 || len(d.reads) != 2 {
+			t.Fatalf("%s: Δ reads %v, want each conjunct's once per pass", tc.name, d.reads)
+		}
 	}
 }

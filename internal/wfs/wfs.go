@@ -155,7 +155,6 @@ func relaxedProgram(prog *ast.Program) *ast.Program {
 			}
 		}
 		var body []ast.Subgoal
-		keepAll := true
 		for _, sg := range r.Body {
 			switch sg := sg.(type) {
 			case *ast.Lit:
@@ -176,7 +175,6 @@ func relaxedProgram(prog *ast.Program) *ast.Program {
 			case *ast.Agg:
 				// dropped
 			}
-			_ = keepAll
 		}
 		headOK := true
 		for _, v := range r.Head.Vars(nil) {
