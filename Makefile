@@ -51,7 +51,8 @@ race:
 	$(GO) test -race ./...
 
 # Short coverage-guided fuzz runs over the parser, the snapshot and WAL
-# decoders, the serve tier's value codec, the relation generations
+# decoders, the serve tier's value codec and fact-array decoder (each
+# against its encoding/json reference), the relation generations
 # (clone, fork and copy-on-write against a map model) and the join
 # property of min/max/or that γ's Δ-fold rests on; the seed corpora
 # alone run under plain `make test`. A FuzzGenerations input runs a whole
@@ -62,6 +63,7 @@ fuzz:
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeValue$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeFacts$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/relation -run '^$$' -fuzz '^FuzzGenerations$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/lattice -run '^$$' -fuzz '^FuzzJoinAggregate$$' -fuzztime $(FUZZTIME)
 
@@ -80,11 +82,12 @@ wal-crash-test:
 serve-smoke:
 	sh scripts/serve-smoke.sh
 
-# Regression gate over six counts (scripts/bench_regression.sh):
+# Regression gate over seven counts (scripts/bench_regression.sh):
 # BenchmarkSolve's allocs/op, BenchmarkRelationInsert's bytes per row,
-# Example 4.3's index probes per solve, BenchmarkLoad's allocs/op, and
-# the bytes and index probes of a chained SolveMore (solve-more-chain's
-# B/op and probes/op).
+# Example 4.3's index probes per solve, BenchmarkLoad's allocs/op, the
+# bytes and index probes of a chained SolveMore (solve-more-chain's B/op
+# and probes/op), and BenchmarkServeRecover's allocs/op (crash recovery
+# over a 900-batch write-ahead log).
 bench-regression:
 	sh scripts/bench_regression.sh
 

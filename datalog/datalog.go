@@ -89,10 +89,11 @@ const (
 type Options struct {
 	Strategy Strategy
 	// MaxRounds bounds fixpoint iteration per program component
-	// (default 1<<20).
+	// (0 selects the default, 1<<20; Load refuses a negative bound).
 	MaxRounds int
 	// Epsilon treats numeric cost improvements below it as convergence;
-	// required for programs whose fixpoint lies at ω (Example 5.1).
+	// required for programs whose fixpoint lies at ω (Example 5.1). Load
+	// refuses a value that is not a finite number ≥ 0.
 	Epsilon float64
 	// SkipChecks disables static verification. The minimal model is then
 	// no longer guaranteed to exist or be unique; intended for studying
@@ -162,18 +163,17 @@ func (p *Program) Fingerprint() [32]byte {
 
 // Load parses, checks and compiles a program. Failures are classified:
 // errors.Is(err, ErrParse) for syntax errors, errors.Is(err, ErrStatic)
-// for failed static analyses.
+// for failed static analyses. Options are checked first, before the
+// text is read: an Epsilon that is not a finite number ≥ 0 or a negative
+// MaxRounds fails Load with an error that is neither ErrParse nor
+// ErrStatic.
 func Load(src string, opts Options) (*Program, error) {
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrParse, err)
-	}
 	lim := core.Limits{
 		MaxFacts:         opts.MaxFacts,
 		MaxDuration:      opts.MaxDuration,
 		DivergenceStreak: opts.DivergenceStreak,
 	}
-	en, err := core.New(prog, core.Options{
+	copts := core.Options{
 		Strategy:    opts.Strategy,
 		MaxRounds:   opts.MaxRounds,
 		Epsilon:     opts.Epsilon,
@@ -181,7 +181,15 @@ func Load(src string, opts Options) (*Program, error) {
 		WFSFallback: opts.WFSFallback,
 		Sink:        opts.Sink,
 		Limits:      lim,
-	})
+	}
+	if err := copts.Validate(); err != nil {
+		return nil, fmt.Errorf("datalog: %w", err)
+	}
+	prog, err := parser.Parse(src)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrParse, err)
+	}
+	en, err := core.New(prog, copts)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrStatic, err)
 	}

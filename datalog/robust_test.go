@@ -33,17 +33,40 @@ func TestLoadErrorClasses(t *testing.T) {
 	}
 }
 
-// TestLoadRefusesNonFiniteEpsilon: an infinite tolerance would stop
-// Example 2.6 after its first improvements (s(a, d, 9) where the least
-// model has s(a, d, 4)), so Load refuses it, NaN and negative values.
-func TestLoadRefusesNonFiniteEpsilon(t *testing.T) {
-	for _, eps := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), -1} {
-		if _, err := datalog.Load(spChain, datalog.Options{Epsilon: eps}); err == nil || !strings.Contains(err.Error(), "Epsilon") {
-			t.Fatalf("Epsilon %v: err = %v, want a refusal naming Epsilon", eps, err)
+// TestLoadRefusesBadOptions: Load checks its options before it reads the
+// program, and an option no solve can run with is neither a parse error
+// nor a failed static analysis, even when the text has one of those. An
+// infinite tolerance would stop Example 2.6 after its first improvements
+// (s(a, d, 9) where the least model has s(a, d, 4)), so Epsilon must be a
+// finite number ≥ 0; a negative round bound would fail every recursive
+// component after round 0.
+func TestLoadRefusesBadOptions(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opts datalog.Options
+		want string
+	}{
+		{"negative Epsilon", datalog.Options{Epsilon: -1}, "Epsilon"},
+		{"NaN Epsilon", datalog.Options{Epsilon: math.NaN()}, "Epsilon"},
+		{"infinite Epsilon", datalog.Options{Epsilon: math.Inf(1)}, "Epsilon"},
+		{"-infinite Epsilon", datalog.Options{Epsilon: math.Inf(-1)}, "Epsilon"},
+		{"MaxRounds -1", datalog.Options{MaxRounds: -1}, "MaxRounds"},
+		{"MaxRounds MinInt", datalog.Options{MaxRounds: math.MinInt}, "MaxRounds"},
+	} {
+		for _, src := range []string{spChain, "p(X :- q(X).", "p(X) :- q(Y)."} {
+			_, err := datalog.Load(src, c.opts)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: err = %v, want a refusal naming %s", c.name, err, c.want)
+			}
+			if errors.Is(err, datalog.ErrParse) || errors.Is(err, datalog.ErrStatic) {
+				t.Errorf("%s on %q: %v is classified as a parse or static-check failure", c.name, src, err)
+			}
 		}
 	}
-	if _, err := datalog.Load(spChain, datalog.Options{Epsilon: 0.5}); err != nil {
-		t.Fatalf("Epsilon 0.5: %v", err)
+	for _, opts := range []datalog.Options{{MaxRounds: 0}, {MaxRounds: 1}, {Epsilon: 0}, {Epsilon: 0.5}, {Epsilon: math.MaxFloat64}} {
+		if _, err := datalog.Load(spChain, opts); err != nil {
+			t.Errorf("%+v: %v", opts, err)
+		}
 	}
 }
 

@@ -38,8 +38,10 @@ const (
 type Options struct {
 	Strategy Strategy
 	// MaxRounds bounds the fixpoint iteration per component; 0 means the
-	// default (1 << 20). Programs whose least fixpoint lies at ω
-	// (Example 5.1) exhaust any bound unless Epsilon is set.
+	// default (1 << 20), and New refuses a negative bound, under which
+	// no recursive component could finish a round. Programs whose least
+	// fixpoint lies at ω (Example 5.1) exhaust any bound unless Epsilon
+	// is set.
 	MaxRounds int
 	// Epsilon treats numeric cost improvements smaller than it as
 	// convergence — the practical device for ω-limit programs (§6.2).
@@ -65,6 +67,18 @@ type Options struct {
 	// deadline, the ω-limit divergence threshold, and the checkpoint
 	// sink with its period. SolveLimits can override them per call.
 	Limits
+}
+
+// Validate reports an option no engine can run with: an Epsilon that is
+// not a finite number ≥ 0, or a negative MaxRounds. New calls it first.
+func (o Options) Validate() error {
+	if !(o.Epsilon >= 0) || math.IsInf(o.Epsilon, 1) {
+		return fmt.Errorf("Options.Epsilon must be a finite number ≥ 0, got %v", o.Epsilon)
+	}
+	if o.MaxRounds < 0 {
+		return fmt.Errorf("Options.MaxRounds must be ≥ 0 (0 selects the default), got %d", o.MaxRounds)
+	}
+	return nil
 }
 
 // Engine evaluates a program bottom-up, one component at a time (§6.3).
@@ -184,8 +198,8 @@ func firstRowOf(f *ast.FactRows, i int) int {
 // predicates among them in source order, so New's cost is a function of
 // the rules, not of the number of facts.
 func New(prog *ast.Program, opts Options) (*Engine, error) {
-	if !(opts.Epsilon >= 0) || math.IsInf(opts.Epsilon, 1) {
-		return nil, fmt.Errorf("core: Options.Epsilon must be a finite number ≥ 0, got %v", opts.Epsilon)
+	if err := opts.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = 1 << 20

@@ -148,6 +148,37 @@ func TestMaxRoundsHonored(t *testing.T) {
 	}
 }
 
+// TestNewRefusesBadOptions: New refuses a negative round bound, under
+// which every recursive component would fail after round 0, and an
+// Epsilon that is not a finite number ≥ 0; 0 rounds selects the default.
+func TestNewRefusesBadOptions(t *testing.T) {
+	prog, err := parser.Parse(programs.ShortestPath + "arc(a, b, 1).\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{MaxRounds: -1}, "MaxRounds"},
+		{Options{MaxRounds: math.MinInt}, "MaxRounds"},
+		{Options{Epsilon: -1}, "Epsilon"},
+		{Options{Epsilon: math.NaN()}, "Epsilon"},
+		{Options{Epsilon: math.Inf(1)}, "Epsilon"},
+	} {
+		if _, err := New(prog, c.opts); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("New(%+v) = %v, want a refusal naming %s", c.opts, err, c.want)
+		}
+	}
+	en, err := New(prog, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := en.Solve(nil); err != nil {
+		t.Fatalf("default options: %v", err)
+	}
+}
+
 // TestDomainEscapeReported: deriving a cost outside the declared lattice
 // (a negative sumreal) is an evaluation error, not a silent wrap.
 func TestDomainEscapeReported(t *testing.T) {

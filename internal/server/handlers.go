@@ -516,11 +516,40 @@ type pointReply struct {
 
 // assertRequest is the /v1/assert body: one batch of EDB facts.
 type assertRequest struct {
-	Program string `json:"program"`
-	Facts   []struct {
-		Pred string            `json:"pred"`
-		Args []json.RawMessage `json:"args"`
-	} `json:"facts"`
+	Program string    `json:"program"`
+	Facts   factBatch `json:"facts"`
+}
+
+// factError is a decoded fact the program's declarations refuse.
+type factError struct {
+	// unknownPred marks a predicate the program does not declare (404
+	// on the API); any other refusal is a parse error.
+	unknownPred bool
+	msg         string
+}
+
+func (e *factError) Error() string { return e.msg }
+
+// checkFacts holds a decoded batch to the load-time declarations, fact
+// by fact: predicate declared, arity (cost argument included), arguments
+// constants. /v1/assert and WAL replay both admit facts through it, so a
+// replayed record meets the contract its request met. The engine's
+// schema table is shared with concurrent readers and must not grow at
+// runtime, which is why unknown predicates stop here.
+func (svc *service) checkFacts(b factBatch) ([]datalog.Fact, *factError) {
+	for i, f := range b.facts {
+		decl, ok := svc.decls[f.Pred]
+		if !ok {
+			return nil, &factError{unknownPred: true, msg: fmt.Sprintf("program %s has no predicate %q", svc.name, f.Pred)}
+		}
+		if len(f.Args) != decl.Arity {
+			return nil, &factError{msg: fmt.Sprintf("facts[%d]: %s takes %d arguments (cost last for cost predicates), got %d", i, f.Pred, decl.Arity, len(f.Args))}
+		}
+		if b.argErr != nil && b.argAt == i {
+			return nil, &factError{msg: fmt.Sprintf("facts[%d]: %v", i, b.argErr)}
+		}
+	}
+	return b.facts, nil
 }
 
 func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
@@ -550,34 +579,18 @@ func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
 		fail(errMaterializing())
 		return
 	}
-	if len(req.Facts) == 0 {
+	if len(req.Facts.facts) == 0 {
 		fail(errUsage("empty fact batch"))
 		return
 	}
-	facts := make([]datalog.Fact, len(req.Facts))
-	for i, f := range req.Facts {
-		// Validate against the load-time declarations so unknown
-		// predicates are rejected up front (the engine's schema table is
-		// shared with concurrent readers and must not grow at runtime).
-		decl, ok := svc.decls[f.Pred]
-		if !ok {
-			fail(errNotFound(fmt.Sprintf("program %s has no predicate %q", svc.name, f.Pred)))
-			return
+	facts, ferr := svc.checkFacts(req.Facts)
+	if ferr != nil {
+		if ferr.unknownPred {
+			fail(errNotFound(ferr.msg))
+		} else {
+			fail(&apiError{Code: "parse", Message: ferr.msg, ExitCode: 2, status: http.StatusBadRequest})
 		}
-		if len(f.Args) != decl.Arity {
-			fail(&apiError{
-				Code:     "parse",
-				Message:  fmt.Sprintf("facts[%d]: %s takes %d arguments (cost last for cost predicates), got %d", i, f.Pred, decl.Arity, len(f.Args)),
-				ExitCode: 2, status: http.StatusBadRequest,
-			})
-			return
-		}
-		args, err := decodeArgs(f.Args, false)
-		if err != nil {
-			fail(&apiError{Code: "parse", Message: fmt.Sprintf("facts[%d]: %v", i, err), ExitCode: 2, status: http.StatusBadRequest})
-			return
-		}
-		facts[i] = datalog.NewFact(f.Pred, args...)
+		return
 	}
 	// Validation done (parse errors stayed per-batch, above); from here
 	// the batch enters the group-commit path. Admission first: a

@@ -116,8 +116,10 @@ func TestDecodeValueForms(t *testing.T) {
 }
 
 // FuzzDecodeValue: decodeValue parses untrusted bytes (HTTP bodies and
-// WAL records), so it must never panic, and every constant it accepts
-// must survive encodeValue and a second decode unchanged.
+// WAL records), so it must never panic, it must accept exactly what the
+// encoding/json reference (refDecodeValue) accepts and give the same
+// value, and every constant it accepts must survive encodeValue and a
+// second decode unchanged.
 func FuzzDecodeValue(f *testing.F) {
 	for _, c := range decodeOKCases {
 		f.Add([]byte(c.in))
@@ -125,11 +127,16 @@ func FuzzDecodeValue(f *testing.F) {
 	for _, in := range decodeBadCases {
 		f.Add([]byte(in))
 	}
-	for _, in := range []string{`null`, `{"num":"-inf"}`, `-0`, `{"str":"é\u0000"}`, `{"set":["b",1,{"set":[true]}]}`} {
+	for _, in := range []string{`null`, `{"num":"-inf"}`, `-0`, `{"str":"é\u0000"}`, `{"set":["b",1,{"set":[true]}]}`,
+		"\u00a0\"a\"\v", `"a" "b"`, `{"str":"a"} x`, `[1,`, `{"str":"a","str":null}`, `"\ud83d\ude00\ud800"`} {
 		f.Add([]byte(in))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := decodeValue(data, true)
+		ref, refErr := refDecodeValue(data, true)
+		if (err == nil) != (refErr == nil) || err == nil && !sameValue(v, ref) {
+			t.Fatalf("decode(%q) = %v, %v; reference %v, %v", data, v, err, ref, refErr)
+		}
 		if err != nil || v.Kind() == datalog.AnyValue {
 			return
 		}

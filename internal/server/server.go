@@ -245,37 +245,25 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // Materialize computes (or warm-starts) the least model of every
-// service and starts its committer. With a WAL configured it also
-// opens each program's log and replays the records past the restored
-// checkpoint's watermark before publishing, so the first published
-// generation already contains every durably acked batch. It must
-// complete before the handler serves queries; pair it with Drain (or
-// Close) to stop the committers.
+// service and starts its committer. With a WAL configured the first
+// model already holds every durably acked batch: the records past the
+// restored checkpoint's watermark are folded into the service's one
+// recovery solve (see recover). It must complete before the handler
+// serves queries; pair it with Drain (or Close) to stop the committers.
 func (s *Server) Materialize(ctx context.Context) error {
 	for _, name := range s.names {
 		svc := s.svcs[name]
 		start := time.Now()
-		m, warm, watermark, err := svc.materialize(ctx)
+		m, warm, replayed, err := svc.recover(ctx)
 		if err != nil {
 			return fmt.Errorf("server: materialize %s: %w", name, err)
 		}
-		svc.seq.Store(watermark)
-		replayed := 0
-		if s.cfg.WALDir != "" {
-			if err := svc.openWAL(watermark); err != nil {
-				return fmt.Errorf("server: materialize %s: %w", name, err)
-			}
-			if m, replayed, err = svc.replayWAL(ctx, m, watermark); err != nil {
-				return fmt.Errorf("server: materialize %s: wal replay: %w", name, err)
-			}
-			svc.seq.Store(svc.wal.LastSeq())
-			if replayed > 0 && svc.spec.Checkpoint != "" {
-				// Fold the replay into a fresh checkpoint immediately so
-				// the next restart replays only what arrives from here on,
-				// and let the log drop segments the new watermark subsumes.
-				if err := svc.checkpoint(m, svc.seq.Load()); err != nil {
-					return fmt.Errorf("server: materialize %s: post-replay %w", name, err)
-				}
+		if replayed > 0 && svc.spec.Checkpoint != "" {
+			// Fold the replay into a fresh checkpoint immediately so the
+			// next restart replays only what arrives from here on, and let
+			// the log drop segments the new watermark subsumes.
+			if err := svc.checkpoint(m, svc.seq.Load()); err != nil {
+				return fmt.Errorf("server: materialize %s: post-replay %w", name, err)
 			}
 		}
 		s.metrics.commitSeq.With(name).Set(float64(svc.seq.Load()))
@@ -297,38 +285,64 @@ func (s *Server) Materialize(ctx context.Context) error {
 	return nil
 }
 
-// materialize computes the initial least model of one service,
-// warm-starting from a snapshot when configured. The returned
-// watermark is the restored checkpoint's commit sequence (0 for cold
-// starts): WAL replay resumes after it.
-func (svc *service) materialize(ctx context.Context) (*datalog.Model, bool, uint64, error) {
-	warmFrom := svc.spec.Resume
-	optional := false
-	if warmFrom == "" && svc.spec.Checkpoint != "" {
-		// A checkpoint path doubles as an opportunistic warm-start
-		// source so a restarted server resumes where it left off.
-		warmFrom, optional = svc.spec.Checkpoint, true
-	}
-	if warmFrom != "" {
-		restored, watermark, err := svc.prog.RestoreFileWatermark(warmFrom)
-		switch {
-		case err == nil:
-			m, _, rerr := svc.prog.Resume(ctx, restored)
-			if rerr != nil {
-				return nil, true, 0, rerr
-			}
-			return m, true, watermark, nil
-		case optional && errors.Is(err, fs.ErrNotExist):
-			// No snapshot yet: fall through to a cold solve.
-		default:
-			return nil, false, 0, err
-		}
-	}
-	m, _, err := svc.prog.SolveContext(ctx, nil)
+// recover computes one service's first model, the least model of the
+// base EDB ∪ every fact the WAL logged past the restored checkpoint, in
+// one solve: the log is read and decoded before anything is solved. A
+// cold start solves the program with the logged facts; a warm start
+// resumes the checkpoint and extends it with one SolveMore of them. It
+// also sets the service's commit sequence, and returns whether the model
+// was warm-started and how many logged batches it holds.
+func (svc *service) recover(ctx context.Context) (*datalog.Model, bool, int, error) {
+	restored, watermark, err := svc.restore()
 	if err != nil {
 		return nil, false, 0, err
 	}
-	return m, false, 0, nil
+	svc.seq.Store(watermark)
+	var facts []datalog.Fact
+	batches := 0
+	if svc.srv.cfg.WALDir != "" {
+		if err := svc.openWAL(watermark); err != nil {
+			return nil, false, 0, err
+		}
+		defer svc.replaying.Store(false)
+		if facts, batches, err = svc.replayWAL(ctx, watermark); err != nil {
+			return nil, false, 0, fmt.Errorf("wal replay: %w", err)
+		}
+		svc.seq.Store(svc.wal.LastSeq())
+	}
+	var m *datalog.Model
+	if restored == nil {
+		m, _, err = svc.prog.SolveContext(ctx, facts)
+	} else if m, _, err = svc.prog.Resume(ctx, restored); err == nil && len(facts) > 0 {
+		m, _, err = svc.prog.SolveMoreContext(ctx, m, facts)
+	}
+	if err != nil {
+		if batches > 0 {
+			err = fmt.Errorf("wal replay: solving with %d batches (%d facts): %w", batches, len(facts), err)
+		}
+		return nil, false, 0, err
+	}
+	return m, restored != nil, batches, nil
+}
+
+// restore reads the service's warm-start snapshot: the model and its
+// commit-sequence watermark, or a nil model for a cold start. A
+// checkpoint path doubles as an opportunistic warm-start source, so a
+// restarted server resumes where it left off; an explicit Resume source
+// must exist.
+func (svc *service) restore() (*datalog.Model, uint64, error) {
+	from, optional := svc.spec.Resume, false
+	if from == "" && svc.spec.Checkpoint != "" {
+		from, optional = svc.spec.Checkpoint, true
+	}
+	if from == "" {
+		return nil, 0, nil
+	}
+	m, watermark, err := svc.prog.RestoreFileWatermark(from)
+	if optional && errors.Is(err, fs.ErrNotExist) {
+		return nil, 0, nil
+	}
+	return m, watermark, err
 }
 
 // current returns the published model state (nil before Materialize).

@@ -21,12 +21,15 @@ import (
 // every committed batch is appended to a per-program log (one record
 // per batch, carrying the batch's commit sequence number) and fsynced
 // per the configured policy BEFORE the new model generation is
-// published or any waiter is acked. A warm start then restores the
-// newest checkpoint and replays the records past its watermark, so the
-// recovered model is exactly the least model of the EDB the acked
-// batches built — monotonicity of T_P makes replay grouping and
-// ordering irrelevant, which is why a single merged solve over all
-// replayed facts is sound (Ross & Sagiv).
+// published or any waiter is acked. Startup restores the newest
+// checkpoint, reads every record past its watermark, and derives the
+// least model of the base EDB ∪ the logged facts in one solve: a cold
+// start solves the program once with the logged facts as extra EDB, a
+// warm start resumes the checkpoint and extends it with one SolveMore.
+// Monotonicity of T_P makes this sound — the least model of a union of
+// EDB deltas does not depend on how the deltas are grouped or ordered
+// (Ross & Sagiv) — and it is why the recovered model equals a one-shot
+// solve of the base EDB plus every acked batch.
 //
 // Failure posture: a WAL append or fsync error fails the batch with
 // 500 (the published model is untouched), marks the service's log
@@ -107,19 +110,20 @@ func (svc *service) openWAL(watermark uint64) error {
 	return nil
 }
 
-// replayWAL applies every log record past the checkpoint watermark to
-// m and returns the extended model and the number of batches replayed.
-// All replayed facts flow through ONE merged solve: sound because EDB
-// insertion is monotone and order-insensitive. Progress is published
-// via the service's replay counters so /readyz can report it.
-func (svc *service) replayWAL(ctx context.Context, m *datalog.Model, watermark uint64) (*datalog.Model, int, error) {
+// replayWAL reads every log record past the checkpoint watermark and
+// returns their facts, decoded and checked, and the number of batches
+// read. It solves nothing: the caller folds the facts into the recovery
+// solve. It publishes its progress through the service's replay
+// counters and sets replaying, which the caller clears once the
+// recovery solve returns, so /readyz reports the replay until the model
+// holds it.
+func (svc *service) replayWAL(ctx context.Context, watermark uint64) ([]datalog.Fact, int, error) {
 	last := svc.wal.LastSeq()
 	if last <= watermark {
-		return m, 0, nil
+		return nil, 0, nil
 	}
 	svc.replayTotal.Store(last - watermark)
 	svc.replaying.Store(true)
-	defer svc.replaying.Store(false)
 	var facts []datalog.Fact
 	batches := 0
 	err := svc.wal.Replay(watermark, func(seq uint64, payload []byte) error {
@@ -139,12 +143,7 @@ func (svc *service) replayWAL(ctx context.Context, m *datalog.Model, watermark u
 	if err != nil {
 		return nil, 0, err
 	}
-	if len(facts) > 0 {
-		if m, _, err = svc.prog.SolveMoreContext(ctx, m, facts); err != nil {
-			return nil, 0, fmt.Errorf("replaying %d batches (%d facts): %w", batches, len(facts), err)
-		}
-	}
-	return m, batches, nil
+	return facts, batches, nil
 }
 
 // walAppend logs one committed batch under seq and accounts the bytes;
@@ -183,9 +182,9 @@ func (svc *service) walFail(op string, err error) error {
 //
 //	[{"pred":"edge","args":[...]} , ...]
 //
-// Decoding reuses the /v1/assert validation path — declarations and
-// arity checked against the load-time schema — so a replayed record is
-// held to exactly the contract its original request passed.
+// Decoding runs the /v1/assert decoder and checks (decodeFacts,
+// checkFacts), so a replayed record is held to exactly the contract its
+// original request passed.
 
 // encodeWALPayload serializes one batch.
 func encodeWALPayload(facts []datalog.Fact) []byte {
@@ -211,29 +210,15 @@ func encodeWALPayload(facts []datalog.Fact) []byte {
 	return b.Bytes()
 }
 
-// decodeWALPayload parses one record back into validated facts.
+// decodeWALPayload parses one record back into checked facts.
 func (svc *service) decodeWALPayload(payload []byte) ([]datalog.Fact, error) {
-	var recs []struct {
-		Pred string            `json:"pred"`
-		Args []json.RawMessage `json:"args"`
-	}
-	if err := json.Unmarshal(payload, &recs); err != nil {
+	b, err := decodeFacts(payload)
+	if err != nil {
 		return nil, fmt.Errorf("decoding payload: %v", err)
 	}
-	facts := make([]datalog.Fact, len(recs))
-	for i, f := range recs {
-		decl, ok := svc.decls[f.Pred]
-		if !ok {
-			return nil, fmt.Errorf("facts[%d]: program has no predicate %q", i, f.Pred)
-		}
-		if len(f.Args) != decl.Arity {
-			return nil, fmt.Errorf("facts[%d]: %s takes %d arguments, got %d", i, f.Pred, decl.Arity, len(f.Args))
-		}
-		args, err := decodeArgs(f.Args, false)
-		if err != nil {
-			return nil, fmt.Errorf("facts[%d]: %v", i, err)
-		}
-		facts[i] = datalog.NewFact(f.Pred, args...)
+	facts, ferr := svc.checkFacts(b)
+	if ferr != nil {
+		return nil, ferr
 	}
 	return facts, nil
 }

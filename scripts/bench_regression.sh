@@ -2,9 +2,10 @@
 # Allocation-, size- and probe-regression gate for the engine.
 #
 # Runs BenchmarkSolve (the shortest-path fixpoint on a cyclic graph),
-# BenchmarkRelationInsert, BenchmarkParty (Example 4.3) and BenchmarkLoad
-# at -benchtime 3x, and BenchmarkIncrementalSolve/solve-more-chain at
-# -benchtime 100x, and enforces six pins. All are counts, not timings, so they hold
+# BenchmarkRelationInsert, BenchmarkParty (Example 4.3), BenchmarkLoad and
+# BenchmarkServeRecover at -benchtime 3x, and
+# BenchmarkIncrementalSolve/solve-more-chain at -benchtime 100x, and
+# enforces seven pins. All are counts, not timings, so they hold
 # on any machine; there are no knobs. Re-pinning means editing the
 # constant below in the same commit as the code change that moves it.
 #
@@ -98,6 +99,19 @@
 #      canonical order, scanning every s row and walking the Δ per row,
 #      the same batches probed 7,103 rows each: an O(model) walk per
 #      assert cannot come back unnoticed.
+#
+#   7. Recovery allocation pin: BenchmarkServeRecover — Materialize of a
+#      served Example 2.6 over a write-ahead log of 900 two-arc batches
+#      on a 16-node, 48-arc cycle graph, with no checkpoint — stays at
+#      RECOVER_ALLOCS (16,999) allocs/op within ALLOC_TOL_PCT percent.
+#      Recovery reads and decodes the whole log, then derives the least
+#      model of the base EDB ∪ the logged facts in one solve. Each fact
+#      decodes in one pass over its record, with one allocation for its
+#      predicate name, one per symbol and one for its argument slice;
+#      the solve adds one row buffer per fact. When a cold start solved
+#      the base EDB and then ran a second SolveMore over the log, and
+#      each record and each argument went through json.Unmarshal, the
+#      same recovery made 42,277 allocations.
 set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
@@ -108,17 +122,18 @@ PARTY_PROBES=1682
 LOAD_ALLOCS=496
 CHAIN_BYTES=51441
 CHAIN_PROBES=277.6
+RECOVER_ALLOCS=16999
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT INT TERM
 
-echo "bench_regression: running BenchmarkSolve, BenchmarkRelationInsert, BenchmarkParty and BenchmarkLoad (-benchtime 3x)"
-( cd "$ROOT" && go test . -run '^$' -bench '^(BenchmarkSolve|BenchmarkRelationInsert|BenchmarkParty|BenchmarkLoad)$' -benchmem \
+echo "bench_regression: running BenchmarkSolve, BenchmarkRelationInsert, BenchmarkParty, BenchmarkLoad and BenchmarkServeRecover (-benchtime 3x)"
+( cd "$ROOT" && go test . -run '^$' -bench '^(BenchmarkSolve|BenchmarkRelationInsert|BenchmarkParty|BenchmarkLoad|BenchmarkServeRecover)$' -benchmem \
     -benchtime 3x ) | tee "$RAW"
 echo "bench_regression: running BenchmarkIncrementalSolve/solve-more-chain (-benchtime 100x)"
 ( cd "$ROOT" && go test . -run '^$' -bench '^BenchmarkIncrementalSolve$/^solve-more-chain$' -benchmem \
     -benchtime 100x ) | tee -a "$RAW"
 
-awk -v pinned="$SOLVE_ALLOCS" -v alloctol="$ALLOC_TOL_PCT" -v partypin="$PARTY_PROBES" -v rowpin="$INSERT_BYTES_PER_ROW" -v loadpin="$LOAD_ALLOCS" -v chainpin="$CHAIN_BYTES" -v chainprobepin="$CHAIN_PROBES" '
+awk -v pinned="$SOLVE_ALLOCS" -v alloctol="$ALLOC_TOL_PCT" -v partypin="$PARTY_PROBES" -v rowpin="$INSERT_BYTES_PER_ROW" -v loadpin="$LOAD_ALLOCS" -v chainpin="$CHAIN_BYTES" -v chainprobepin="$CHAIN_PROBES" -v recoverpin="$RECOVER_ALLOCS" '
 /^BenchmarkSolve(-[0-9]+)?[ \t]/ && /allocs\/op/ {
     for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") allocs = $i
 }
@@ -130,6 +145,9 @@ awk -v pinned="$SOLVE_ALLOCS" -v alloctol="$ALLOC_TOL_PCT" -v partypin="$PARTY_P
 }
 /^BenchmarkLoad\/load(-[0-9]+)?[ \t]/ && /allocs\/op/ {
     for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") loadallocs = $i
+}
+/^BenchmarkServeRecover(-[0-9]+)?[ \t]/ && /allocs\/op/ {
+    for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") recoverallocs = $i
 }
 /^BenchmarkIncrementalSolve\/solve-more-chain(-[0-9]+)?[ \t]/ && /B\/op/ {
     for (i = 2; i < NF; i++) if ($(i+1) == "B/op") chainbytes = $i
@@ -192,6 +210,16 @@ END {
     printf "bench_regression: BenchmarkIncrementalSolve/solve-more-chain probes/op %s vs pinned %s\n", chainprobes, chainprobepin
     if (chainprobes + 0 != chainprobepin + 0) {
         print "bench_regression: FAIL: chained SolveMore probe count moved; a seeded pass no longer runs the pipeline it did" > "/dev/stderr"
+        exit 1
+    }
+    if (recoverallocs == "") {
+        print "bench_regression: FAIL: missing BenchmarkServeRecover allocs/op" > "/dev/stderr"
+        exit 1
+    }
+    vdev = 100 * (recoverallocs - recoverpin) / recoverpin; if (vdev < 0) vdev = -vdev
+    printf "bench_regression: BenchmarkServeRecover allocs/op %d vs pinned %d = %.3f%% deviation (gate: <= %s%%)\n", recoverallocs, recoverpin, vdev, alloctol
+    if (vdev > alloctol + 0) {
+        print "bench_regression: FAIL: recovery allocation count moved; a fact costs more allocations to decode, or recovery solves more than once" > "/dev/stderr"
         exit 1
     }
     print "bench_regression: PASS"

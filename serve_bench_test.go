@@ -6,6 +6,7 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -102,5 +103,59 @@ func BenchmarkServeAssert(b *testing.B) {
 			b.Fatalf("status %d", resp.StatusCode)
 		}
 		resp.Body.Close()
+	}
+}
+
+// BenchmarkServeRecover measures crash recovery: Materialize of a
+// served Example 2.6 over a write-ahead log of 900 two-arc batches, with
+// no checkpoint, so every iteration reads and decodes the whole log and
+// derives the least model of the base EDB ∪ the logged arcs. The graph
+// is a 16-node cycle graph with 48 arcs; each batch adds an arc between
+// two fresh nodes and one between existing nodes. allocs/op is pinned by
+// scripts/bench_regression.sh (RECOVER_ALLOCS).
+func BenchmarkServeRecover(b *testing.B) {
+	const n, batches = 16, 900
+	src := programs.ShortestPath + gen.GraphFacts(gen.Graph(gen.CycleGraph, n, 48, 9, 1))
+	specs := []server.ProgramSpec{{Name: "sp", Source: src}}
+	cfg := server.Config{WALDir: b.TempDir(), WALFsync: server.FsyncNone}
+	s, err := server.New(specs, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Materialize(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	r := rand.New(rand.NewSource(1))
+	for k := 0; k < batches; k++ {
+		body := fmt.Sprintf(`{"facts":[{"pred":"arc","args":["f%d","g%d",%d]},{"pred":"arc","args":["v%d","v%d",%d]}]}`,
+			k, k, 1+r.Intn(9), r.Intn(n), r.Intn(n), 1+r.Intn(9))
+		resp, err := ts.Client().Post(ts.URL+"/v1/assert", "application/json", strings.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("batch %d: status %d", k, resp.StatusCode)
+		}
+		resp.Body.Close()
+	}
+	ts.Close()
+	s.Close()
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := server.New(specs, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := s.Materialize(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		s.Close()
+		b.StartTimer()
 	}
 }
