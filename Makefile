@@ -82,12 +82,13 @@ wal-crash-test:
 serve-smoke:
 	sh scripts/serve-smoke.sh
 
-# Regression gate over seven counts (scripts/bench_regression.sh):
+# Regression gate over eight counts (scripts/bench_regression.sh):
 # BenchmarkSolve's allocs/op, BenchmarkRelationInsert's bytes per row,
-# Example 4.3's index probes per solve, BenchmarkLoad's allocs/op, the
+# Example 4.3's index probes per solve, BenchmarkLoad/load's allocs/op, the
 # bytes and index probes of a chained SolveMore (solve-more-chain's B/op
-# and probes/op), and BenchmarkServeRecover's allocs/op (crash recovery
-# over a 900-batch write-ahead log).
+# and probes/op), BenchmarkServeRecover's allocs/op (crash recovery
+# over a 900-batch write-ahead log) and BenchmarkLoad/rules's allocs/op
+# (the rules front end: Load of the six example programs' rule texts).
 bench-regression:
 	sh scripts/bench_regression.sh
 

@@ -213,7 +213,7 @@ type Classification struct {
 
 // Classify returns the static classification.
 func (p *Program) Classify() Classification {
-	rep := p.en.Report
+	rep := p.en.Report()
 	c := Classification{
 		Admissible:          rep.Admissible == nil,
 		RMonotonic:          rep.RMonotonic == nil,
@@ -466,39 +466,56 @@ func (p *Program) SolveContext(ctx context.Context, facts []Fact, opts ...SolveO
 // program's schemas — what the engine joins with the program's own facts
 // into a solve's starting interpretation.
 func (p *Program) edb(facts []Fact) (*relation.DB, error) {
-	edb := relation.NewDB(p.en.Schemas)
+	l := factLoader{db: relation.NewDB(p.en.Schemas), schemas: p.en.Schemas}
 	for _, f := range facts {
-		if err := addFact(edb, p.en.Schemas, f); err != nil {
+		if err := l.add(f); err != nil {
 			return nil, err
 		}
 	}
-	return edb, nil
+	return l.db, nil
 }
 
-// addFact stores f in edb. It refuses a NaN argument, which no snapshot
-// of the model could restore; the lattice refuses a NaN cost.
-func addFact(edb *relation.DB, schemas ast.Schemas, f Fact) error {
-	key := ast.MakePredKey(f.Pred, len(f.Args))
+// factLoader stores facts in db. One argument buffer serves every fact,
+// since a relation copies a new row's arguments into its arena, and a run
+// of facts of one predicate — how facts usually come — builds its key
+// and finds its relation once.
+type factLoader struct {
+	db      *relation.DB
+	schemas ast.Schemas
+	keys    ast.KeyMemo
+	key     ast.PredKey
+	rel     *relation.Relation
+	pi      *ast.PredInfo
+	buf     []val.T
+}
+
+// add stores f. It refuses a NaN argument, which no snapshot of the
+// model could restore; the lattice refuses a NaN cost.
+func (l *factLoader) add(f Fact) error {
+	if key := l.keys.Key(f.Pred, len(f.Args)); key != l.key || l.rel == nil {
+		l.key, l.rel, l.pi = key, l.db.Rel(key), l.schemas.Info(key)
+	}
 	args, cost := f.Args, lattice.Elem{}
-	if pi := schemas.Info(key); pi != nil && pi.HasCost {
+	if l.pi != nil && l.pi.HasCost {
 		if len(f.Args) == 0 {
 			return fmt.Errorf("datalog: fact %s lacks its cost argument", f.Pred)
 		}
 		args = f.Args[:len(f.Args)-1]
 		c, _ := f.Args[len(args)].resolve(true)
 		var err error
-		if cost, err = pi.L.Parse(c); err != nil {
+		if cost, err = l.pi.L.Parse(c); err != nil {
 			return fmt.Errorf("datalog: fact %s: %v", f.Pred, err)
 		}
 	}
-	raw := make([]val.T, len(args))
+	l.buf = l.buf[:0]
 	for i, a := range args {
 		if a.hasNaN() {
 			return fmt.Errorf("datalog: fact %s: argument %d is NaN", f.Pred, i+1)
 		}
-		raw[i], _ = a.resolve(true)
+		v, _ := a.resolve(true)
+		l.buf = append(l.buf, v)
 	}
-	edb.Rel(key).InsertJoin(raw, cost)
+	l.rel.InsertJoin(l.buf, cost)
 	return nil
 }
 

@@ -174,3 +174,68 @@ func TestProfileDriverOrders(t *testing.T) {
 		t.Fatalf("JSON does not carry the driver order: %s", js)
 	}
 }
+
+// TestProfileConcurrentFirstUse: a program's EXPLAIN labels are rendered
+// on its first Profile, which server handlers may reach from several
+// goroutines at once. Every rendering of a freshly loaded program, made
+// concurrently, equals a single-goroutine rendering of another fresh
+// load (make race runs this under the race detector).
+func TestProfileConcurrentFirstUse(t *testing.T) {
+	render := func(p *Program, st Stats) string {
+		var b strings.Builder
+		p.Profile(st).Render(&b)
+		return b.String()
+	}
+	src := programs.Party + gen.PartyFacts(gen.Party(32, 4, 3, 1))
+	ref, err := Load(src, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, refStats, err := ref.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := render(ref, Stats{})
+	p, err := Load(src, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := p.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The two solves count the same work, so the analyzed renderings of
+	// both programs agree too, once the wall times are set aside.
+	for _, s := range []*Stats{&st, &refStats} {
+		*s = s.Clone()
+		for i := range s.Rules {
+			s.Rules[i].Nanos = 0
+		}
+	}
+	wantAnalyzed := render(ref, refStats)
+	const workers = 8
+	got := make([]string, 2*workers)
+	done := make(chan struct{})
+	for i := range got {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			if i%2 == 0 {
+				got[i] = render(p, Stats{})
+			} else {
+				got[i] = render(p, st)
+			}
+		}()
+	}
+	for range got {
+		<-done
+	}
+	for i, g := range got {
+		w := want
+		if i%2 == 1 {
+			w = wantAnalyzed
+		}
+		if g != w {
+			t.Fatalf("rendering %d differs from a single-goroutine rendering:\n%s\nwant:\n%s", i, g, w)
+		}
+	}
+}

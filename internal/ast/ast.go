@@ -66,10 +66,19 @@ func (k PredKey) Arity() int {
 type Atom struct {
 	Pred string
 	Args []Term
+	// key is the atom's predicate key when the parser resolved it
+	// (Program.KeyAtom): every atom of one predicate then shares one
+	// string, and Key builds none.
+	key PredKey
 }
 
 // Key returns the predicate key of the atom.
-func (a *Atom) Key() PredKey { return MakePredKey(a.Pred, len(a.Args)) }
+func (a *Atom) Key() PredKey {
+	if a.key != "" {
+		return a.key
+	}
+	return MakePredKey(a.Pred, len(a.Args))
+}
 
 // IsGround reports whether the atom contains no variables.
 func (a *Atom) IsGround() bool {
@@ -141,10 +150,11 @@ func (*Lit) isSubgoal() {}
 func (l *Lit) FreeVars(dst []Var) []Var { return l.Atom.Vars(dst) }
 
 func (l *Lit) String() string {
-	if l.Neg {
-		return "not " + l.Atom.String()
+	if !l.Neg {
+		return l.Atom.String()
 	}
-	return l.Atom.String()
+	var buf [64]byte
+	return string(appendSubgoal(buf[:0], l))
 }
 
 // Agg is an aggregate subgoal (Definition 2.4):
@@ -187,23 +197,36 @@ func (g *Agg) InnerVars(dst []Var) []Var {
 }
 
 func (g *Agg) String() string {
-	eq := "="
+	var buf [64]byte
+	return string(g.appendText(buf[:0]))
+}
+
+// appendText appends the aggregate's concrete syntax (String's bytes) to
+// dst.
+func (g *Agg) appendText(dst []byte) []byte {
+	dst = append(dst, g.Result...)
 	if g.Restricted {
-		eq = "?="
+		dst = append(dst, " ?= "...)
+	} else {
+		dst = append(dst, " = "...)
 	}
-	ms := ""
+	dst = append(dst, g.Func...)
 	if g.MultisetVar != "" {
-		ms = " " + string(g.MultisetVar)
+		dst = append(dst, ' ')
+		dst = append(dst, g.MultisetVar...)
 	}
-	parts := make([]string, len(g.Conj))
+	dst = append(dst, " : "...)
+	if len(g.Conj) == 1 {
+		return g.Conj[0].appendText(dst)
+	}
+	dst = append(dst, '[')
 	for i := range g.Conj {
-		parts[i] = g.Conj[i].String()
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = g.Conj[i].appendText(dst)
 	}
-	body := parts[0]
-	if len(parts) > 1 {
-		body = "[" + strings.Join(parts, ", ") + "]"
-	}
-	return fmt.Sprintf("%s %s %s%s : %s", g.Result, eq, g.Func, ms, body)
+	return append(dst, ']')
 }
 
 // CmpOp is a comparison operator of a built-in subgoal.
@@ -253,7 +276,34 @@ func (b *Builtin) FreeVars(dst []Var) []Var {
 }
 
 func (b *Builtin) String() string {
-	return fmt.Sprintf("%s %s %s", b.L, b.Op, b.R)
+	var buf [64]byte
+	return string(b.appendText(buf[:0]))
+}
+
+// appendText appends the built-in's concrete syntax (String's bytes) to
+// dst.
+func (b *Builtin) appendText(dst []byte) []byte {
+	dst = appendExpr(dst, b.L)
+	dst = append(dst, ' ')
+	dst = append(dst, b.Op.String()...)
+	dst = append(dst, ' ')
+	return appendExpr(dst, b.R)
+}
+
+// appendSubgoal appends s's concrete syntax (its String's bytes) to dst.
+func appendSubgoal(dst []byte, s Subgoal) []byte {
+	switch s := s.(type) {
+	case *Lit:
+		if s.Neg {
+			dst = append(dst, "not "...)
+		}
+		return s.Atom.appendText(dst)
+	case *Agg:
+		return s.appendText(dst)
+	case *Builtin:
+		return s.appendText(dst)
+	}
+	return append(dst, s.String()...)
 }
 
 // Rule is "Head :- Body." A fact is a rule with an empty body.
@@ -302,7 +352,7 @@ func (r *Rule) appendText(dst []byte) []byte {
 		} else {
 			dst = append(dst, ", "...)
 		}
-		dst = append(dst, s.String()...)
+		dst = appendSubgoal(dst, s)
 	}
 	return append(dst, '.')
 }
@@ -351,6 +401,7 @@ type Program struct {
 	nfacts   int32 // rows across Facts: the next row's Seq
 	factBufs map[factPred]*FactRows
 	lastFact *FactRows
+	keys     map[factPred]PredKey // KeyAtom's keys
 }
 
 // KeyMemo resolves atoms to predicate keys, remembering the last answer:
@@ -369,6 +420,14 @@ type KeyMemo struct {
 func (m *KeyMemo) Of(a *Atom) PredKey {
 	if m.key == "" || a.Pred != m.pred || len(a.Args) != m.arity {
 		m.pred, m.arity, m.key = a.Pred, len(a.Args), a.Key()
+	}
+	return m.key
+}
+
+// Key returns the key of predicate pred with the given arity.
+func (m *KeyMemo) Key(pred string, arity int) PredKey {
+	if m.key == "" || pred != m.pred || arity != m.arity {
+		m.pred, m.arity, m.key = pred, arity, MakePredKey(pred, arity)
 	}
 	return m.key
 }

@@ -71,7 +71,29 @@ type BinExpr struct {
 func (*BinExpr) isExpr() {}
 
 func (e *BinExpr) String() string {
-	return fmt.Sprintf("(%s %s %s)", e.L, e.Op, e.R)
+	var buf [32]byte
+	return string(appendExpr(buf[:0], e))
+}
+
+// appendExpr appends e's concrete syntax (its String's bytes) to dst.
+func appendExpr(dst []byte, e Expr) []byte {
+	switch e := e.(type) {
+	case NumExpr:
+		return val.AppendString(dst, val.Number(e.N))
+	case ConstExpr:
+		return val.AppendString(dst, e.V)
+	case VarExpr:
+		return append(dst, e.V...)
+	case *BinExpr:
+		dst = append(dst, '(')
+		dst = appendExpr(dst, e.L)
+		dst = append(dst, ' ')
+		dst = append(dst, e.Op.String()...)
+		dst = append(dst, ' ')
+		dst = appendExpr(dst, e.R)
+		return append(dst, ')')
+	}
+	return append(dst, e.String()...)
 }
 
 func (e *BinExpr) Vars(dst []Var) []Var {

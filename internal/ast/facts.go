@@ -51,7 +51,7 @@ func (f *FactRows) Row(i int) []val.T {
 
 // Rule returns row i as the bodiless rule it was written as.
 func (f *FactRows) Rule(i int) *Rule {
-	r := &Rule{Head: Atom{Pred: f.Pred}}
+	r := &Rule{Head: Atom{Pred: f.Pred, key: f.Key}}
 	if f.Arity > 0 {
 		r.Head.Args = make([]Term, f.Arity)
 		for j, v := range f.Row(i) {
@@ -118,6 +118,23 @@ func (p *Program) AddFact(pred string, args []val.T, pos Pos) {
 	f.Vals = append(f.Vals, args...)
 	f.Tags = append(f.Tags, FactTag{Seq: p.nfacts, Rule: int32(len(p.Rules)), Pos: pos})
 	p.nfacts++
+}
+
+// KeyAtom resolves a's predicate key once per predicate of the program:
+// every atom of one predicate shares one key string, so Key builds none
+// however often the analyses and the compiler ask. The parser keys every
+// atom it reads.
+func (p *Program) KeyAtom(a *Atom) {
+	fp := factPred{a.Pred, len(a.Args)}
+	k, ok := p.keys[fp]
+	if !ok {
+		if p.keys == nil {
+			p.keys = map[factPred]PredKey{}
+		}
+		k = MakePredKey(a.Pred, len(a.Args))
+		p.keys[fp] = k
+	}
+	a.key = k
 }
 
 // AsRules returns the program with its fact rows handed back as bodiless

@@ -3,6 +3,7 @@ package ast
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/lattice"
 )
@@ -115,33 +116,77 @@ type AggRoles struct {
 // order without duplicates.
 func RolesOf(r *Rule, idx int) AggRoles {
 	g := r.Body[idx].(*Agg)
-	outside := map[Var]bool{}
-	for _, v := range r.Head.Vars(nil) {
-		outside[v] = true
-	}
-	for i, s := range r.Body {
-		if i == idx {
-			continue
-		}
-		for _, v := range s.FreeVars(nil) {
-			outside[v] = true
-		}
-	}
-	// The result variable does not make an inner variable "grouping".
 	var roles AggRoles
-	seen := map[Var]bool{}
-	for _, v := range g.InnerVars(nil) {
-		if seen[v] {
-			continue
-		}
-		seen[v] = true
-		if outside[v] || v == g.Result {
-			roles.Grouping = append(roles.Grouping, v)
-		} else {
-			roles.Local = append(roles.Local, v)
+	for i := range g.Conj {
+		for _, t := range g.Conj[i].Args {
+			v, ok := t.(Var)
+			if !ok || v == g.MultisetVar || slices.Contains(roles.Grouping, v) || slices.Contains(roles.Local, v) {
+				continue
+			}
+			// The result variable does not make an inner variable
+			// "grouping".
+			if v == g.Result || occursOutside(r, idx, v) {
+				roles.Grouping = append(roles.Grouping, v)
+			} else {
+				roles.Local = append(roles.Local, v)
+			}
 		}
 	}
 	return roles
+}
+
+// occursOutside reports whether v occurs in r's head or in a body
+// subgoal other than the one at idx.
+func occursOutside(r *Rule, idx int, v Var) bool {
+	if atomHas(&r.Head, v) {
+		return true
+	}
+	for i, s := range r.Body {
+		if i != idx && subgoalHas(s, v) {
+			return true
+		}
+	}
+	return false
+}
+
+// subgoalHas reports whether v is among s.FreeVars.
+func subgoalHas(s Subgoal, v Var) bool {
+	switch s := s.(type) {
+	case *Lit:
+		return atomHas(&s.Atom, v)
+	case *Agg:
+		if s.Result == v {
+			return true
+		}
+		for i := range s.Conj {
+			if atomHas(&s.Conj[i], v) {
+				return true
+			}
+		}
+		return false
+	case *Builtin:
+		return exprHas(s.L, v) || exprHas(s.R, v)
+	}
+	return slices.Contains(s.FreeVars(nil), v)
+}
+
+func atomHas(a *Atom, v Var) bool {
+	for _, t := range a.Args {
+		if w, ok := t.(Var); ok && w == v {
+			return true
+		}
+	}
+	return false
+}
+
+func exprHas(e Expr, v Var) bool {
+	switch e := e.(type) {
+	case VarExpr:
+		return e.V == v
+	case *BinExpr:
+		return exprHas(e.L, v) || exprHas(e.R, v)
+	}
+	return false
 }
 
 // ValidateProgram performs the structural checks of Definition 2.4 on
@@ -227,19 +272,12 @@ func validateAgg(r *Rule, idx int, g *Agg, s Schemas) error {
 	// The multiset variable must not leak outside the aggregate subgoal.
 	if g.MultisetVar != "" {
 		for i, sg := range r.Body {
-			if i == idx {
-				continue
-			}
-			for _, v := range sg.FreeVars(nil) {
-				if v == g.MultisetVar {
-					return fmt.Errorf("multiset variable %s escapes the aggregate subgoal", v)
-				}
+			if i != idx && subgoalHas(sg, g.MultisetVar) {
+				return fmt.Errorf("multiset variable %s escapes the aggregate subgoal", g.MultisetVar)
 			}
 		}
-		for _, v := range r.Head.Vars(nil) {
-			if v == g.MultisetVar {
-				return fmt.Errorf("multiset variable %s occurs in the head", v)
-			}
+		if atomHas(&r.Head, g.MultisetVar) {
+			return fmt.Errorf("multiset variable %s occurs in the head", g.MultisetVar)
 		}
 	}
 	return nil

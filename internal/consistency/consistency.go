@@ -8,6 +8,7 @@ package consistency
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ast"
 	"repro/internal/val"
@@ -81,352 +82,328 @@ func CostRespecting(r *ast.Rule, s ast.Schemas) error {
 	}
 
 	// Closure of the head's non-cost variables.
-	closure := map[ast.Var]bool{}
+	closure := make([]ast.Var, 0, len(r.Head.Args)+len(fds))
 	for j, t := range r.Head.Args {
 		if j == hp.CostIndex() {
 			continue
 		}
 		if w, ok := t.(ast.Var); ok {
-			closure[w] = true
+			closure = append(closure, w)
 		}
 	}
 	for changed := true; changed; {
 		changed = false
 		for _, d := range fds {
-			if closure[d.to] {
+			if slices.Contains(closure, d.to) {
 				continue
 			}
 			all := true
 			for _, w := range d.from {
-				if !closure[w] {
+				if !slices.Contains(closure, w) {
 					all = false
 					break
 				}
 			}
 			if all {
-				closure[d.to] = true
+				closure = append(closure, d.to)
 				changed = true
 			}
 		}
 	}
-	if !closure[costVar] {
+	if !slices.Contains(closure, costVar) {
 		return fmt.Errorf("consistency: rule %q is not cost-respecting: head cost %s is not determined by the non-cost head arguments", r, costVar)
 	}
 	return nil
 }
 
-// subst maps variables to terms.
-type subst map[ast.Var]ast.Term
+// side tells apart the variables of the two rules of a pair, and those
+// of an integrity constraint: one name on two sides is two variables,
+// so Definition 2.10's check copies and renames no rule.
+type side uint8
 
-func applyTerm(t ast.Term, sb subst) ast.Term {
-	if v, ok := t.(ast.Var); ok {
-		if r, bound := sb[v]; bound {
-			return applyTerm(r, sb)
+const (
+	left side = iota
+	right
+	icSide
+)
+
+// svar is a variable of one side.
+type svar struct {
+	s side
+	v ast.Var
+}
+
+// term is a term as the check reads it: a side's variable, or a
+// constant.
+type term struct {
+	isConst bool
+	v       svar
+	c       val.T
+}
+
+func (a term) equal(b term) bool {
+	if a.isConst || b.isConst {
+		return a.isConst && b.isConst && val.Same(a.c, b.c)
+	}
+	return a.v == b.v
+}
+
+// binding maps a side variable to a term.
+type binding struct {
+	v svar
+	t term
+}
+
+// bindings is a map of side variables, which are few: a short list,
+// searched in order.
+type bindings []binding
+
+func (b bindings) get(v svar) (term, bool) {
+	for _, e := range b {
+		if e.v == v {
+			return e.t, true
 		}
 	}
-	return t
+	return term{}, false
 }
 
-func applyAtom(a *ast.Atom, sb subst) ast.Atom {
-	out := ast.Atom{Pred: a.Pred, Args: make([]ast.Term, len(a.Args))}
-	for i, t := range a.Args {
-		out.Args[i] = applyTerm(t, sb)
+// unifier maps side variables to terms. The check reads each rule of a
+// pair through it, which is the unified rule of Definition 2.10 without
+// building it.
+type unifier struct{ b bindings }
+
+// walk returns what v stands for under u.
+func (u *unifier) walk(v svar) term {
+	for {
+		t, ok := u.b.get(v)
+		if !ok {
+			return term{v: v}
+		}
+		if t.isConst {
+			return t
+		}
+		v = t.v
 	}
-	return out
 }
 
-// unifyTerms extends sb so that the two term lists become equal, or
-// reports failure. Terms are variables and constants only (no function
-// symbols), so unification is straightforward.
-func unifyTerms(xs, ys []ast.Term, sb subst) (subst, bool) {
+// resolve returns what t, a term of side s, stands for under u.
+func (u *unifier) resolve(s side, t ast.Term) term {
+	if v, ok := t.(ast.Var); ok {
+		return u.walk(svar{s, v})
+	}
+	return term{isConst: true, c: t.(ast.Const).V}
+}
+
+// resolveVar is resolve for a variable that must stay one, an aggregate's
+// result or multiset variable: bound to a constant, it keeps its own
+// name for the structure.
+func (u *unifier) resolveVar(s side, v ast.Var) svar {
+	if t := u.walk(svar{s, v}); !t.isConst {
+		return t.v
+	}
+	return svar{s, v}
+}
+
+// unify extends u so that the left terms xs and the right terms ys
+// become equal, or reports failure. Terms are variables and constants
+// only (no function symbols), so unification is straightforward.
+func (u *unifier) unify(xs, ys []ast.Term) bool {
 	if len(xs) != len(ys) {
-		return nil, false
+		return false
 	}
 	for i := range xs {
-		x, y := applyTerm(xs[i], sb), applyTerm(ys[i], sb)
-		switch xv := x.(type) {
-		case ast.Var:
-			if yv, ok := y.(ast.Var); ok && yv == xv {
+		x, y := u.resolve(left, xs[i]), u.resolve(right, ys[i])
+		switch {
+		case !x.isConst:
+			if !y.isConst && y.v == x.v {
 				continue
 			}
-			sb[xv] = y
-		case ast.Const:
-			switch yv := y.(type) {
-			case ast.Var:
-				sb[yv] = x
-			case ast.Const:
-				if xv.V.Key() != yv.V.Key() {
-					return nil, false
-				}
-			}
+			u.b = append(u.b, binding{x.v, y})
+		case !y.isConst:
+			u.b = append(u.b, binding{y.v, x})
+		case !val.Same(x.c, y.c):
+			return false
 		}
 	}
-	return sb, true
+	return true
 }
 
-// renameRule returns a copy of r with every variable prefixed, keeping the
-// two rules' variable spaces disjoint before unification.
-func renameRule(r *ast.Rule, prefix string) *ast.Rule {
-	ren := func(t ast.Term) ast.Term {
-		if v, ok := t.(ast.Var); ok {
-			return ast.Var(prefix + string(v))
-		}
-		return t
-	}
-	renAtom := func(a ast.Atom) ast.Atom {
-		out := ast.Atom{Pred: a.Pred, Args: make([]ast.Term, len(a.Args))}
-		for i, t := range a.Args {
-			out.Args[i] = ren(t)
-		}
-		return out
-	}
-	var renExpr func(e ast.Expr) ast.Expr
-	renExpr = func(e ast.Expr) ast.Expr {
-		switch e := e.(type) {
-		case ast.VarExpr:
-			return ast.VarExpr{V: ast.Var(prefix + string(e.V))}
-		case *ast.BinExpr:
-			return &ast.BinExpr{Op: e.Op, L: renExpr(e.L), R: renExpr(e.R)}
-		default:
-			return e
-		}
-	}
-	out := &ast.Rule{Head: renAtom(r.Head)}
-	for _, sg := range r.Body {
-		switch sg := sg.(type) {
-		case *ast.Lit:
-			out.Body = append(out.Body, &ast.Lit{Atom: renAtom(sg.Atom), Neg: sg.Neg})
-		case *ast.Agg:
-			g := &ast.Agg{Result: ast.Var(prefix + string(sg.Result)), Restricted: sg.Restricted, Func: sg.Func}
-			if sg.MultisetVar != "" {
-				g.MultisetVar = ast.Var(prefix + string(sg.MultisetVar))
-			}
-			for _, a := range sg.Conj {
-				g.Conj = append(g.Conj, renAtom(a))
-			}
-			out.Body = append(out.Body, g)
-		case *ast.Builtin:
-			out.Body = append(out.Body, &ast.Builtin{Op: sg.Op, L: renExpr(sg.L), R: renExpr(sg.R)})
-		}
-	}
-	return out
+// matcher searches for a mapping h from the variables of one side's
+// subgoals to the terms of another's, reading both through the unifier
+// u. h lists its bindings in the order they were made, so a failed
+// branch unbinds what it bound by truncating it.
+type matcher struct {
+	u unifier
+	h bindings
 }
 
-// substRule applies sb to a whole rule.
-func substRule(r *ast.Rule, sb subst) *ast.Rule {
-	var sExpr func(e ast.Expr) ast.Expr
-	sExpr = func(e ast.Expr) ast.Expr {
-		switch e := e.(type) {
-		case ast.VarExpr:
-			t := applyTerm(e.V, sb)
-			switch t := t.(type) {
-			case ast.Var:
-				return ast.VarExpr{V: t}
-			case ast.Const:
-				return ast.ConstExpr{V: t.V}
-			}
-		case *ast.BinExpr:
-			return &ast.BinExpr{Op: e.Op, L: sExpr(e.L), R: sExpr(e.R)}
-		}
-		return e
-	}
-	out := &ast.Rule{Head: applyAtom(&r.Head, sb)}
-	for _, sg := range r.Body {
-		switch sg := sg.(type) {
-		case *ast.Lit:
-			out.Body = append(out.Body, &ast.Lit{Atom: applyAtom(&sg.Atom, sb), Neg: sg.Neg})
-		case *ast.Agg:
-			g := &ast.Agg{Restricted: sg.Restricted, Func: sg.Func}
-			if t := applyTerm(sg.Result, sb); true {
-				if v, ok := t.(ast.Var); ok {
-					g.Result = v
-				} else {
-					g.Result = sg.Result // result bound to a constant: keep the variable name for structure
-				}
-			}
-			g.MultisetVar = sg.MultisetVar
-			if sg.MultisetVar != "" {
-				if v, ok := applyTerm(sg.MultisetVar, sb).(ast.Var); ok {
-					g.MultisetVar = v
-				}
-			}
-			for _, a := range sg.Conj {
-				g.Conj = append(g.Conj, applyAtom(&a, sb))
-			}
-			out.Body = append(out.Body, g)
-		case *ast.Builtin:
-			out.Body = append(out.Body, &ast.Builtin{Op: sg.Op, L: sExpr(sg.L), R: sExpr(sg.R)})
-		}
-	}
-	return out
+// goals is a body as one side reads it.
+type goals struct {
+	body []ast.Subgoal
+	s    side
 }
 
 // ContainmentMapping searches for a containment mapping (Definition 2.8)
 // from r1 to r2: a variable mapping making the head of r1 identical to the
 // head of r2 and each subgoal of r1 identical to some subgoal of r2.
 func ContainmentMapping(r1, r2 *ast.Rule) bool {
-	h := map[ast.Var]ast.Term{}
-	if !matchAtomInto(&r1.Head, &r2.Head, h) {
-		return false
-	}
-	return matchSubgoals(r1.Body, r2.Body, h)
+	var m matcher
+	return m.contains(left, r1, right, r2)
 }
 
-// matchAtomInto extends h so that applying it to a yields exactly b.
-func matchAtomInto(a, b *ast.Atom, h map[ast.Var]ast.Term) bool {
+// contains reports whether a containment mapping leads from rule a of
+// side sa to rule b of side sb.
+func (m *matcher) contains(sa side, a *ast.Rule, sb side, b *ast.Rule) bool {
+	m.reset()
+	return m.atom(sa, &a.Head, sb, &b.Head) && m.subgoals(goals{a.Body, sa}, []goals{{b.Body, sb}})
+}
+
+func (m *matcher) reset() { m.h = m.h[:0] }
+
+// bind maps v to t, or reports whether it is mapped to t already.
+func (m *matcher) bind(v svar, t term) bool {
+	if prev, ok := m.h.get(v); ok {
+		return prev.equal(t)
+	}
+	m.h = append(m.h, binding{v, t})
+	return true
+}
+
+// undo unbinds everything bound since h was n long.
+func (m *matcher) undo(n int) { m.h = m.h[:n] }
+
+// atom extends h so that applying it to a (of side sa) yields exactly b
+// (of side sb).
+func (m *matcher) atom(sa side, a *ast.Atom, sb side, b *ast.Atom) bool {
 	if a.Pred != b.Pred || len(a.Args) != len(b.Args) {
 		return false
 	}
 	for i := range a.Args {
-		switch at := a.Args[i].(type) {
-		case ast.Var:
-			if prev, ok := h[at]; ok {
-				if !termEqual(prev, b.Args[i]) {
-					return false
-				}
-			} else {
-				h[at] = b.Args[i]
-			}
-		case ast.Const:
-			bt, ok := b.Args[i].(ast.Const)
-			if !ok || at.V.Key() != bt.V.Key() {
+		ta, tb := m.u.resolve(sa, a.Args[i]), m.u.resolve(sb, b.Args[i])
+		if !ta.isConst {
+			if !m.bind(ta.v, tb) {
 				return false
 			}
+		} else if !tb.isConst || !val.Same(ta.c, tb.c) {
+			return false
 		}
 	}
 	return true
 }
 
-func termEqual(a, b ast.Term) bool {
-	switch a := a.(type) {
-	case ast.Var:
-		bv, ok := b.(ast.Var)
-		return ok && a == bv
-	case ast.Const:
-		bc, ok := b.(ast.Const)
-		return ok && a.V.Key() == bc.V.Key()
-	}
-	return false
-}
-
-// matchSubgoals backtracks over assignments of r1 subgoals to r2 subgoals.
-func matchSubgoals(body1, body2 []ast.Subgoal, h map[ast.Var]ast.Term) bool {
-	if len(body1) == 0 {
+// subgoals backtracks over assignments of src's subgoals to those of the
+// bodies dst.
+func (m *matcher) subgoals(src goals, dst []goals) bool {
+	if len(src.body) == 0 {
 		return true
 	}
-	s1 := body1[0]
-	for _, s2 := range body2 {
-		snap := snapshot(h)
-		if matchSubgoal(s1, s2, h) && matchSubgoals(body1[1:], body2, h) {
-			return true
+	s1 := src.body[0]
+	rest := goals{src.body[1:], src.s}
+	for _, d := range dst {
+		for _, s2 := range d.body {
+			n := len(m.h)
+			if m.subgoal(src.s, s1, d.s, s2) && m.subgoals(rest, dst) {
+				return true
+			}
+			m.undo(n)
 		}
-		restore(h, snap)
 	}
 	return false
 }
 
-func snapshot(h map[ast.Var]ast.Term) map[ast.Var]ast.Term {
-	c := make(map[ast.Var]ast.Term, len(h))
-	for k, v := range h {
-		c[k] = v
-	}
-	return c
-}
-
-func restore(h, snap map[ast.Var]ast.Term) {
-	for k := range h {
-		if _, ok := snap[k]; !ok {
-			delete(h, k)
-		}
-	}
-	for k, v := range snap {
-		h[k] = v
-	}
-}
-
-func matchSubgoal(a, b ast.Subgoal, h map[ast.Var]ast.Term) bool {
+func (m *matcher) subgoal(sa side, a ast.Subgoal, sb side, b ast.Subgoal) bool {
 	switch a := a.(type) {
 	case *ast.Lit:
 		bl, ok := b.(*ast.Lit)
-		return ok && a.Neg == bl.Neg && matchAtomInto(&a.Atom, &bl.Atom, h)
+		return ok && a.Neg == bl.Neg && m.atom(sa, &a.Atom, sb, &bl.Atom)
 	case *ast.Agg:
 		bg, ok := b.(*ast.Agg)
 		if !ok || a.Func != bg.Func || a.Restricted != bg.Restricted || len(a.Conj) != len(bg.Conj) {
 			return false
 		}
-		if !matchVarInto(a.Result, ast.Term(bg.Result), h) {
+		if !m.bind(m.u.resolveVar(sa, a.Result), term{v: m.u.resolveVar(sb, bg.Result)}) {
 			return false
 		}
 		if (a.MultisetVar == "") != (bg.MultisetVar == "") {
 			return false
 		}
-		if a.MultisetVar != "" && !matchVarInto(a.MultisetVar, ast.Term(bg.MultisetVar), h) {
+		if a.MultisetVar != "" && !m.bind(m.u.resolveVar(sa, a.MultisetVar), term{v: m.u.resolveVar(sb, bg.MultisetVar)}) {
 			return false
 		}
 		for i := range a.Conj {
-			if !matchAtomInto(&a.Conj[i], &bg.Conj[i], h) {
+			if !m.atom(sa, &a.Conj[i], sb, &bg.Conj[i]) {
 				return false
 			}
 		}
 		return true
 	case *ast.Builtin:
 		bb, ok := b.(*ast.Builtin)
-		return ok && a.Op == bb.Op && matchExprInto(a.L, bb.L, h) && matchExprInto(a.R, bb.R, h)
+		return ok && a.Op == bb.Op && m.expr(sa, a.L, sb, bb.L) && m.expr(sa, a.R, sb, bb.R)
 	}
 	return false
 }
 
-func matchVarInto(v ast.Var, t ast.Term, h map[ast.Var]ast.Term) bool {
-	if prev, ok := h[v]; ok {
-		return termEqual(prev, t)
-	}
-	h[v] = t
-	return true
-}
-
-func matchExprInto(a, b ast.Expr, h map[ast.Var]ast.Term) bool {
+// expr matches expression a (of side sa) into b (of side sb). A variable
+// the unifier binds to a constant reads as that constant.
+func (m *matcher) expr(sa side, a ast.Expr, sb side, b ast.Expr) bool {
 	switch a := a.(type) {
 	case ast.VarExpr:
+		ta := m.u.walk(svar{sa, a.V})
+		if ta.isConst {
+			return m.constExpr(ta.c, sb, b)
+		}
 		switch b := b.(type) {
 		case ast.VarExpr:
-			return matchVarInto(a.V, ast.Term(b.V), h)
+			return m.bind(ta.v, m.u.walk(svar{sb, b.V}))
 		case ast.NumExpr:
-			return matchVarInto(a.V, ast.Num(b.N), h)
+			return m.bind(ta.v, term{isConst: true, c: val.Number(b.N)})
 		case ast.ConstExpr:
-			return matchVarInto(a.V, ast.Const{V: b.V}, h)
+			return m.bind(ta.v, term{isConst: true, c: b.V})
 		}
 		return false
 	case ast.NumExpr:
 		bn, ok := b.(ast.NumExpr)
 		return ok && a.N == bn.N
 	case ast.ConstExpr:
-		bc, ok := b.(ast.ConstExpr)
-		return ok && a.V.Key() == bc.V.Key()
+		return m.constExpr(a.V, sb, b)
 	case *ast.BinExpr:
 		bb, ok := b.(*ast.BinExpr)
-		return ok && a.Op == bb.Op && matchExprInto(a.L, bb.L, h) && matchExprInto(a.R, bb.R, h)
+		return ok && a.Op == bb.Op && m.expr(sa, a.L, sb, bb.L) && m.expr(sa, a.R, sb, bb.R)
 	}
 	return false
 }
 
-// hasFalseGroundBuiltin reports whether the body contains a fully ground
-// builtin subgoal that evaluates to false (the unified rules then cannot
-// fire together).
-func hasFalseGroundBuiltin(body []ast.Subgoal) bool {
-	noVars := func(v ast.Var) (val.T, bool) { return val.T{}, false }
+// constExpr matches the constant c into b (of side sb): b must be, or
+// read as, the same constant.
+func (m *matcher) constExpr(c val.T, sb side, b ast.Expr) bool {
+	switch b := b.(type) {
+	case ast.ConstExpr:
+		return val.Same(c, b.V)
+	case ast.VarExpr:
+		tb := m.u.walk(svar{sb, b.V})
+		return tb.isConst && val.Same(c, tb.c)
+	}
+	return false
+}
+
+// falseGroundBuiltin reports whether the body (of side s) contains a
+// builtin subgoal that the unifier makes ground and that evaluates to
+// false (the unified rules then cannot fire together).
+func (m *matcher) falseGroundBuiltin(s side, body []ast.Subgoal) bool {
+	lookup := func(v ast.Var) (val.T, bool) {
+		t := m.u.walk(svar{s, v})
+		return t.c, t.isConst
+	}
 	for _, sg := range body {
 		b, ok := sg.(*ast.Builtin)
-		if !ok {
+		if !ok || !m.ground(s, b.L) || !m.ground(s, b.R) {
 			continue
 		}
-		if len(b.L.Vars(nil)) > 0 || len(b.R.Vars(nil)) > 0 {
-			continue
-		}
-		l, err := ast.EvalExpr(b.L, noVars)
+		l, err := ast.EvalExpr(b.L, lookup)
 		if err != nil {
 			continue
 		}
-		r, err := ast.EvalExpr(b.R, noVars)
+		r, err := ast.EvalExpr(b.R, lookup)
 		if err != nil {
 			continue
 		}
@@ -438,28 +415,38 @@ func hasFalseGroundBuiltin(body []ast.Subgoal) bool {
 	return false
 }
 
-// violatesConstraint reports whether the combined body contains an
-// instance of some integrity constraint: a substitution mapping every
-// (positive-literal) subgoal of the constraint to a subgoal of the body.
-func violatesConstraint(body []ast.Subgoal, ics []*ast.Constraint) bool {
+// ground reports whether the unifier binds every variable of e (of side
+// s) to a constant.
+func (m *matcher) ground(s side, e ast.Expr) bool {
+	switch e := e.(type) {
+	case ast.VarExpr:
+		return m.u.walk(svar{s, e.V}).isConst
+	case *ast.BinExpr:
+		return m.ground(s, e.L) && m.ground(s, e.R)
+	}
+	return true
+}
+
+// violatesConstraint reports whether the unified bodies of a pair (left
+// r1, right r2) together contain an instance of some integrity
+// constraint: a substitution mapping every (positive-literal) subgoal of
+// the constraint to a subgoal of the bodies.
+func (m *matcher) violatesConstraint(r1, r2 *ast.Rule, ics []*ast.Constraint) bool {
 	for _, ic := range ics {
 		// Only positive-literal constraints participate (Definition 2.9's
 		// examples are conjunctions of atoms).
-		var icLits []ast.Subgoal
-		ok := true
+		ok := len(ic.Body) > 0
 		for _, sg := range ic.Body {
-			l, isLit := sg.(*ast.Lit)
-			if !isLit || l.Neg {
+			if l, isLit := sg.(*ast.Lit); !isLit || l.Neg {
 				ok = false
 				break
 			}
-			icLits = append(icLits, l)
 		}
-		if !ok || len(icLits) == 0 {
+		if !ok {
 			continue
 		}
-		h := map[ast.Var]ast.Term{}
-		if matchSubgoals(icLits, body, h) {
+		m.reset()
+		if m.subgoals(goals{ic.Body, icSide}, []goals{{r1.Body, left}, {r2.Body, right}}) {
 			return true
 		}
 	}
@@ -567,26 +554,22 @@ func ConflictFree(p *ast.Program, s ast.Schemas) error {
 // checkPair applies Definition 2.10 to two rules with the same cost
 // predicate hp in their heads.
 func checkPair(p *ast.Program, hp *ast.PredInfo, r1, r2 *ast.Rule) error {
-	a := renameRule(r1, "l_")
-	b := renameRule(r2, "r_")
 	// Unify the heads restricted to non-cost arguments.
 	n := hp.NonCost()
-	sb, ok := unifyTerms(a.Head.Args[:n], b.Head.Args[:n], subst{})
-	if !ok {
+	var m matcher
+	if !m.u.unify(r1.Head.Args[:n], r2.Head.Args[:n]) {
 		return nil
 	}
-	ua := substRule(a, sb)
-	ub := substRule(b, sb)
-	if ContainmentMapping(ua, ub) || ContainmentMapping(ub, ua) {
+	if m.contains(left, r1, right, r2) || m.contains(right, r2, left, r1) {
 		return nil
 	}
-	if violatesConstraint(append(append([]ast.Subgoal{}, ua.Body...), ub.Body...), p.Constraints) {
+	if m.violatesConstraint(r1, r2, p.Constraints) {
 		return nil
 	}
 	// Definition 2.10 condition (a): the unified bodies cannot be
 	// simultaneously satisfied. A ground builtin made false by the
 	// unification (e.g. "t != t" after Y ↦ t) settles that.
-	if hasFalseGroundBuiltin(ua.Body) || hasFalseGroundBuiltin(ub.Body) {
+	if m.falseGroundBuiltin(left, r1.Body) || m.falseGroundBuiltin(right, r2.Body) {
 		return nil
 	}
 	return fmt.Errorf("consistency: rules %q and %q may generate conflicting costs for %s (no containment mapping, no integrity constraint applies)",

@@ -85,9 +85,13 @@ func (o Options) Validate() error {
 type Engine struct {
 	Prog    *ast.Program
 	Schemas ast.Schemas
-	// Report is the static classification (set even when checks pass).
-	Report monotone.Report
-	opts   Options
+	opts    Options
+	// rules are the program's rules (pure-EDB facts split off) in
+	// program order; report is their place on the §5 ladder, placed on
+	// the first Report.
+	rules      []*ast.Rule
+	reportOnce sync.Once
+	report     monotone.Report
 	// base is the program's own EDB: its pure-EDB ground facts, validated
 	// and stored once at New (loadBase). Every solve joins it into its
 	// starting interpretation; it is never written after New.
@@ -116,6 +120,14 @@ type Engine struct {
 	// the (sorted) lower-defined predicates its rules read.
 	compDeps [][]int
 	compLDB  [][]ast.PredKey
+	// predNum numbers the program's predicates, component by
+	// component, for the incremental walk's changed set, and compDelta
+	// holds, per component, the numbering its own Δ sets use.
+	predNum   map[ast.PredKey]int32
+	compDelta []deltaIndex
+	// opsOnce renders every plan's EXPLAIN labels (plan.ops) on the
+	// first Profile.
+	opsOnce sync.Once
 	// compRecursive marks the components where some rule scans or
 	// aggregates one of the component's own predicates; the others are
 	// done after one round (semiNaiveLoop).
@@ -124,7 +136,7 @@ type Engine struct {
 	sink obs.Sink
 	// insertBlocked maps each predicate SolveMore must not add facts for
 	// to the reason (see noteInsertMonotone).
-	insertBlocked map[ast.PredKey]string
+	insertBlocked map[ast.PredKey]insertBlock
 	// bits recycles Δ membership bitsets across solves (deltaSet).
 	bits bitsPool
 }
@@ -158,12 +170,11 @@ func (en *Engine) loadRow(rel *relation.Relation, f *ast.FactRows, i int) error 
 	if err != nil {
 		return err
 	}
-	if !en.opts.SkipChecks && rel.Info.HasCost {
-		if old, dup := rel.Get(args); dup && !lattice.Eq(rel.Info.L, old.Cost, cost) {
-			return consistency.FactConflict(f.Rule(firstRowOf(f, i)), f.Rule(i))
-		}
+	if en.opts.SkipChecks || !rel.Info.HasCost {
+		rel.InsertJoin(args, cost)
+	} else if !rel.InsertConsistent(args, cost) {
+		return consistency.FactConflict(f.Rule(firstRowOf(f, i)), f.Rule(i))
 	}
-	rel.InsertJoin(args, cost)
 	return nil
 }
 
@@ -234,23 +245,48 @@ func New(prog *ast.Program, opts Options) (*Engine, error) {
 	g := deps.Build(prog)
 	en.noteInsertMonotone(rules, g)
 	en.comps = g.SCCs()
-	en.compRules = deps.RulesByComponent(rules, en.comps)
-	en.Report, en.compAdm = monotone.Classify(en.comps, rules, schemas)
+	en.rules = rules
+	// Every predicate of the program gets a number, component by
+	// component, which indexes the incremental walk's changed set;
+	// compOf[n] is predicate n's component.
+	en.predNum = map[ast.PredKey]int32{}
+	var compOf []int
 	for ci, c := range en.comps {
-		parts := make([]string, len(c.Preds))
-		for i, k := range c.Preds {
-			parts[i] = string(k)
+		for _, k := range c.Preds {
+			en.predNum[k] = int32(len(compOf))
+			compOf = append(compOf, ci)
 		}
-		en.compPreds = append(en.compPreds, strings.Join(parts, ","))
+	}
+	en.compRules = make([][]*ast.Rule, len(en.comps))
+	for _, r := range rules {
+		ci := compOf[en.predNum[r.Head.Key()]]
+		en.compRules[ci] = append(en.compRules[ci], r)
+	}
+	nc := len(en.comps)
+	en.compAdm = make([]error, nc)
+	en.compPreds, en.compLDB, en.wfsComp = make([]string, 0, nc), make([][]ast.PredKey, 0, nc), make([]bool, 0, nc)
+	en.plans, en.compRecursive, en.compDelta = make([][]*plan, 0, nc), make([]bool, 0, nc), make([]deltaIndex, 0, nc)
+	for ci, c := range en.comps {
+		en.compPreds = append(en.compPreds, joinPreds(c.Preds))
 		rules := en.compRules[ci]
+		if len(rules) == 0 {
+			// A pure-EDB predicate: nothing to check or compile.
+			en.compLDB = append(en.compLDB, nil)
+			en.wfsComp = append(en.wfsComp, false)
+			en.plans = append(en.plans, nil)
+			en.compRecursive = append(en.compRecursive, false)
+			en.compDelta = append(en.compDelta, deltaIndex{})
+			continue
+		}
 		cdb, ldb := deps.SplitRules(c, rules)
 		lk := make([]ast.PredKey, 0, len(ldb))
 		for k := range ldb {
 			lk = append(lk, k)
 		}
-		sort.Slice(lk, func(i, j int) bool { return lk[i] < lk[j] })
+		slices.Sort(lk)
 		en.compLDB = append(en.compLDB, lk)
-		admErr := en.compAdm[ci]
+		admErr := monotone.Admissible(rules, schemas, cdb)
+		en.compAdm[ci] = admErr
 		useWFS := admErr != nil && opts.WFSFallback
 		en.wfsComp = append(en.wfsComp, useWFS)
 		if admErr != nil && !useWFS && !opts.SkipChecks {
@@ -259,9 +295,15 @@ func New(prog *ast.Program, opts Options) (*Engine, error) {
 		if useWFS {
 			en.plans = append(en.plans, nil)
 			en.compRecursive = append(en.compRecursive, false)
+			en.compDelta = append(en.compDelta, deltaIndex{})
 			continue
 		}
-		comp := &compiler{schemas: schemas, cdb: cdb}
+		di := newDeltaIndex(c.Preds, lk)
+		for n, k := range di.keys {
+			di.global[n] = en.predNum[k]
+		}
+		en.compDelta = append(en.compDelta, di)
+		comp := &compiler{schemas: schemas, cdb: cdb, preds: di.keys}
 		var ps []*plan
 		recursive := false
 		for _, r := range rules {
@@ -269,20 +311,20 @@ func New(prog *ast.Program, opts Options) (*Engine, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Engine-global rule index and cached text and operator
-			// labels: the hot loops attribute per-rule stats and emit
-			// events, and profiles render, without formatting the rule.
+			// Engine-global rule index and cached text: the hot loops
+			// attribute per-rule stats and emit events without
+			// formatting the rule. Its EXPLAIN labels wait for the
+			// first Profile.
 			p.idx = en.nrules
 			p.pos = len(ps)
 			p.text = r.String()
-			p.ops = describeOps(p)
 			p.work.Ops = make([]exec.OpCounts, len(p.steps))
 			en.nrules++
 			en.nops += len(p.steps)
 			ps = append(ps, p)
 			recursive = recursive || p.hasCDBAgg
-			for k := range p.scansOf {
-				recursive = recursive || cdb[k]
+			for n, scans := range p.scansOf {
+				recursive = recursive || len(scans) > 0 && !di.ldb[n]
 			}
 		}
 		en.plans = append(en.plans, ps)
@@ -298,13 +340,12 @@ func New(prog *ast.Program, opts Options) (*Engine, error) {
 	// its predicates reach. SCCs returns bottom-up order, so every
 	// dependency has a smaller index and the DAG is acyclic by
 	// construction.
-	cidx := deps.ComponentIndex(en.comps)
 	en.compDeps = make([][]int, len(en.comps))
 	for ci, c := range en.comps {
 		seen := map[int]bool{}
 		for _, p := range c.Preds {
 			for q := range g.Edges[p] {
-				if qi, ok := cidx[q]; ok && qi != ci && !seen[qi] {
+				if qi := compOf[en.predNum[q]]; qi != ci && !seen[qi] {
 					seen[qi] = true
 					en.compDeps[ci] = append(en.compDeps[ci], qi)
 				}
@@ -313,6 +354,32 @@ func New(prog *ast.Program, opts Options) (*Engine, error) {
 		sort.Ints(en.compDeps[ci])
 	}
 	return en, nil
+}
+
+// joinPreds renders a component's predicate list for events and stats.
+func joinPreds(preds []ast.PredKey) string {
+	if len(preds) == 1 {
+		return string(preds[0])
+	}
+	var b strings.Builder
+	for i, k := range preds {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(string(k))
+	}
+	return b.String()
+}
+
+// Report returns the program's static classification on the §5 ladder
+// (set even when the checks pass). Admissibility is decided at New,
+// component by component; the rest of the ladder is placed on the first
+// call.
+func (en *Engine) Report() monotone.Report {
+	en.reportOnce.Do(func() {
+		en.report = monotone.Ladder(en.comps, en.rules, en.Schemas, en.compAdm)
+	})
+	return en.report
 }
 
 // Solve computes the iterated minimal model: the least fixpoint of T_P
@@ -591,20 +658,50 @@ func (en *Engine) solveNaive(g *guard, db *relation.DB, ci int, stats *Stats) er
 	}
 }
 
+// deltaIndex numbers the predicates a component's Δ sets track — its
+// own and the lower-defined ones its rules read, which an incremental
+// SolveMore seeds — once, at compile time: a predicate's number is its
+// place in keys, which is sorted, so a round that walks its Δ set by
+// number visits the changed predicates in key order. The compiler writes
+// each atom's number into its exec.Atom. global maps each number to the
+// predicate's number in the engine-wide changed set of SolveMore, and
+// ldb marks the lower-defined predicates.
+type deltaIndex struct {
+	keys   []ast.PredKey
+	global []int32
+	ldb    []bool
+}
+
+// newDeltaIndex numbers a component's own predicates cdb and the
+// lower-defined predicates ldb its rules read (both sorted).
+func newDeltaIndex(cdb, ldb []ast.PredKey) deltaIndex {
+	keys := slices.Concat(cdb, ldb)
+	slices.Sort(keys)
+	di := deltaIndex{keys: keys, global: make([]int32, len(keys)), ldb: make([]bool, len(keys))}
+	for n, k := range keys {
+		_, di.ldb[n] = slices.BinarySearch(ldb, k)
+	}
+	return di
+}
+
 // deltaSet records the rows a round (or a component) changed: per
-// predicate, the ids of the changed rows of its relation in the order
-// they first changed, deduplicated by a bitset over row ids. Row ids stay
-// valid as the relation grows and always read the row's current cost, so
-// a Δ set holds no row copies and no keys. A bitset spans its relation's
-// row ids, so it comes from the engine's pool (bitsPool) and goes back
-// to it: a SolveMore that changes a few rows of a large model allocates
-// for its Δ, not for a bitset per predicate per round.
+// predicate number (deltaIndex), the ids of the changed rows of its
+// relation in the order they first changed, deduplicated by a bitset over
+// row ids. Row ids stay valid as the relation grows and always read the
+// row's current cost, so a Δ set holds no row copies and no keys. A
+// bitset spans its relation's row ids, so it comes from the engine's pool
+// (bitsPool) and goes back to it: a SolveMore that changes a few rows of
+// a large model allocates for its Δ, not for a bitset per predicate per
+// round.
 type deltaSet struct {
-	preds map[ast.PredKey]*predDelta
-	// free holds the per-predicate storage reset recycled, handed back
-	// out as the same predicate reappears in later rounds (keyed by
-	// predicate so the largest predicate keeps its large slices).
-	free map[ast.PredKey]*predDelta
+	// preds[n] is predicate n's entry, nil while it has no changed row;
+	// n counts the entries.
+	preds []*predDelta
+	n     int
+	// free holds the entries reset recycled, by number, handed back out
+	// as the same predicate reappears in later rounds (so the largest
+	// predicate keeps its large slices).
+	free []*predDelta
 	pool *bitsPool
 }
 
@@ -615,8 +712,9 @@ type predDelta struct {
 	seen []uint64
 }
 
-func newDeltaSet(pool *bitsPool) *deltaSet {
-	return &deltaSet{preds: map[ast.PredKey]*predDelta{}, pool: pool}
+// newDeltaSet returns an empty Δ set over npreds numbered predicates.
+func newDeltaSet(pool *bitsPool, npreds int) *deltaSet {
+	return &deltaSet{preds: make([]*predDelta, npreds), pool: pool}
 }
 
 // bitsPool holds the membership bitsets of finished Δ sets, cleared, for
@@ -646,34 +744,45 @@ func (d *deltaSet) release() {
 	d.reset()
 	d.pool.mu.Lock()
 	for _, pd := range d.free {
-		d.pool.free = append(d.pool.free, pd.seen)
+		if pd != nil {
+			d.pool.free = append(d.pool.free, pd.seen)
+		}
 	}
 	d.pool.mu.Unlock()
 	clear(d.free)
 }
 
-// IDs returns the changed row ids of predicate k (nil when none): d is
+// IDs returns the changed row ids of predicate n (nil when none): d is
 // the exec.Delta view a γ Δ pass reads.
-func (d *deltaSet) IDs(k ast.PredKey) []int32 {
-	if pd := d.preds[k]; pd != nil {
+func (d *deltaSet) IDs(n int) []int32 {
+	if pd := d.preds[n]; pd != nil {
 		return pd.ids
 	}
 	return nil
 }
 
-// slot returns predicate k's entry, creating it: callers take a slot only
+// slot returns predicate n's entry, creating it: callers take a slot only
 // to add to it, so d never holds an empty entry.
-func (d *deltaSet) slot(k ast.PredKey) *predDelta {
-	pd := d.preds[k]
+func (d *deltaSet) slot(n int) *predDelta {
+	pd := d.preds[n]
 	if pd == nil {
-		if pd = d.free[k]; pd != nil {
-			delete(d.free, k)
+		if d.free != nil && d.free[n] != nil {
+			pd, d.free[n] = d.free[n], nil
 		} else {
 			pd = &predDelta{seen: d.pool.get()}
 		}
-		d.preds[k] = pd
+		d.preds[n] = pd
+		d.n++
 	}
 	return pd
+}
+
+// set installs pd, which holds rows, as predicate n's entry.
+func (d *deltaSet) set(n int, pd *predDelta) {
+	if d.preds[n] == nil {
+		d.n++
+	}
+	d.preds[n] = pd
 }
 
 // add records row id of the predicate's relation unless pd holds it.
@@ -691,34 +800,30 @@ func (pd *predDelta) add(id int) {
 
 // reset clears d for reuse by a later round while retaining allocated
 // capacity on the free list; clearing a bitset touches only the words
-// its ids set, so a reset costs O(Δ). Only a set no evaluator still
-// references may be reset — i.e. the previous round's Δ after its round
-// completed.
+// its ids set, so a reset costs O(Δ) plus one step per numbered
+// predicate. Only a set no evaluator still references may be reset —
+// i.e. the previous round's Δ after its round completed.
 func (d *deltaSet) reset() {
-	if d.free == nil {
-		d.free = map[ast.PredKey]*predDelta{}
+	if d.n == 0 {
+		return
 	}
-	for k, pd := range d.preds {
+	if d.free == nil {
+		d.free = make([]*predDelta, len(d.preds))
+	}
+	for n, pd := range d.preds {
+		if pd == nil {
+			continue
+		}
 		for _, id := range pd.ids {
 			pd.seen[id>>6] = 0
 		}
 		pd.ids = pd.ids[:0]
-		d.free[k] = pd
-		delete(d.preds, k)
+		d.free[n], d.preds[n] = pd, nil
 	}
+	d.n = 0
 }
 
-func (d *deltaSet) empty() bool { return len(d.preds) == 0 }
-
-// predKeys returns the changed predicates in deterministic order.
-func (d *deltaSet) predKeys() []ast.PredKey {
-	out := make([]ast.PredKey, 0, len(d.preds))
-	for k := range d.preds {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (d *deltaSet) empty() bool { return d.n == 0 }
 
 // semiNaiveLoop runs the Δ-driven fixpoint of component ci: the
 // interpretation accumulates in db and a round refires only rules whose
@@ -740,7 +845,8 @@ func (d *deltaSet) predKeys() []ast.PredKey {
 // there, one round per evaluation.
 func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats, init, record *deltaSet) error {
 	ps, recursive := en.plans[ci], en.compRecursive[ci]
-	delta := newDeltaSet(&en.bits)
+	npreds := len(en.compDelta[ci].keys)
+	delta := newDeltaSet(&en.bits, npreds)
 	// sinks[i] is the insert target of ps[i] (plan.pos): its head relation,
 	// resolved once here, and the Δ and record entries of its head
 	// predicate, resolved on the first derivation of each round (Δ, which
@@ -776,13 +882,13 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 		}
 		if recursive {
 			if h.delta == nil {
-				h.delta = delta.slot(p.head.Pred)
+				h.delta = delta.slot(p.head.Num)
 			}
 			h.delta.add(id)
 		}
 		if record != nil {
 			if h.record == nil {
-				h.record = record.slot(p.head.Pred)
+				h.record = record.slot(p.head.Num)
 			}
 			h.record.add(id)
 		}
@@ -830,15 +936,16 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 		if spare != nil {
 			delta, spare = spare, nil
 		} else {
-			delta = newDeltaSet(&en.bits)
+			delta = newDeltaSet(&en.bits, npreds)
 		}
 		for i := range sinks {
 			sinks[i].delta = nil
 		}
-		changedPreds := prev.predKeys()
 		var rows int64
-		for _, k := range changedPreds {
-			rows += int64(len(prev.IDs(k)))
+		for _, pd := range prev.preds {
+			if pd != nil {
+				rows += int64(len(pd.ids))
+			}
 		}
 		r = g.beginRound(stats, ci, round, rows)
 		var perr error
@@ -849,8 +956,8 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 			// read).
 			runAgg, keyed := p.gammaPass(prev)
 			hasScan := false
-			for _, k := range changedPreds {
-				if len(p.scansOf[k]) > 0 {
+			for n, scans := range p.scansOf {
+				if len(scans) > 0 && prev.preds[n] != nil {
 					hasScan = true
 					break
 				}
@@ -875,12 +982,15 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 			if perr == nil && !ranFull && hasScan {
 				// Scan-driven delta runs: one pass per changed scanned
 				// predicate (CDB during a fresh solve; possibly EDB when
-				// seeded incrementally).
+				// seeded incrementally), in key order.
 			scans:
-				for _, k := range changedPreds {
+				for n, pd := range prev.preds {
+					if pd == nil {
+						continue
+					}
 					pass := cfg
-					pass.RestrictIDs = prev.IDs(k)
-					for _, si := range p.scansOf[k] {
+					pass.RestrictIDs = pd.ids
+					for _, si := range p.scansOf[n] {
 						if perr = en.runPass(p, p.deltaPipe(si), pass, stats, insert); perr != nil {
 							break scans
 						}

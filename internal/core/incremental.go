@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -64,7 +63,7 @@ func (en *Engine) SolveMoreFrom(ctx context.Context, prev *relation.DB, added *r
 				continue
 			}
 			if why, blocked := en.insertBlocked[k]; blocked {
-				return nil, errors.New(why)
+				return nil, why.error(k)
 			}
 			addedPreds = append(addedPreds, k)
 		}
@@ -73,13 +72,16 @@ func (en *Engine) SolveMoreFrom(ctx context.Context, prev *relation.DB, added *r
 		// predicate is cloned here before its rows go in; a component's
 		// are cloned by the walk's private view when it is dispatched.
 		db := prev.Share()
-		changed := newDeltaSet(&en.bits)
+		changed := newDeltaSet(&en.bits, len(en.predNum))
 		for _, k := range addedPreds {
 			rel := db.Rel(k).Clone()
 			db.SetRel(k, rel)
+			// A predicate the program does not mention feeds no rule:
+			// its rows go in, but nothing is seeded from them.
+			n, mentioned := en.predNum[k]
 			added.Rel(k).Each(func(row relation.Row) bool {
-				if id, ok := insertEps(rel, row.Args, row.Cost, en.opts.Epsilon); ok {
-					changed.slot(k).add(id)
+				if id, ok := insertEps(rel, row.Args, row.Cost, en.opts.Epsilon); ok && mentioned {
+					changed.slot(int(n)).add(id)
 				}
 				return true
 			})
@@ -102,16 +104,50 @@ func (en *Engine) SolveMoreFrom(ctx context.Context, prev *relation.DB, added *r
 // fact that could change one.) It is nil when there are none, and the
 // component's model cannot move.
 func (en *Engine) seed(ci int, changed *deltaSet) *deltaSet {
-	seed := newDeltaSet(&en.bits)
-	for _, k := range en.compLDB[ci] {
-		if pd := changed.preds[k]; pd != nil && len(pd.ids) > 0 {
-			seed.preds[k] = pd
+	di := &en.compDelta[ci]
+	seed := newDeltaSet(&en.bits, len(di.keys))
+	for n, gn := range di.global {
+		if pd := changed.preds[gn]; di.ldb[n] && pd != nil && len(pd.ids) > 0 {
+			seed.set(n, pd)
 		}
 	}
 	if seed.empty() {
 		return nil
 	}
 	return seed
+}
+
+// insertBlock is why SolveMore refuses facts for a predicate, kept as
+// the facts that say it and rendered only when a refusal happens: the
+// predicate is derived (rule nil), or rule reads pred non-monotonically
+// — under negation, or inside the non-monotone aggregate agg — and path
+// leads from pred through rule bodies to the refused predicate when it
+// is not pred itself.
+type insertBlock struct {
+	rule *ast.Rule
+	pred ast.PredKey
+	agg  string
+	path []ast.PredKey
+}
+
+// error renders the refusal of facts for k.
+func (b insertBlock) error(k ast.PredKey) error {
+	if b.rule == nil {
+		return fmt.Errorf("core: SolveMore cannot add facts for derived predicate %s (its value is computed by rules)", k)
+	}
+	how := "under negation"
+	if b.agg != "" {
+		how = fmt.Sprintf("inside the non-monotone %s aggregate (a grown multiset may shrink the result)", b.agg)
+	}
+	if b.path == nil {
+		return fmt.Errorf("core: SolveMore cannot add facts for %s: rule %q reads it %s", k, b.rule, how)
+	}
+	path := make([]string, len(b.path))
+	for i, p := range b.path {
+		path[i] = string(p)
+	}
+	return fmt.Errorf("core: SolveMore cannot add facts for %s: rule %q reads %s %s, and %s depends on it through rule bodies (%s)",
+		k, b.rule, b.pred, how, b.pred, strings.Join(path, " → "))
 }
 
 // noteInsertMonotone records, once per engine, which predicates SolveMore
@@ -126,23 +162,22 @@ func (en *Engine) seed(ci int, changed *deltaSet) *deltaSet {
 // monotonically stay open. The first reason found in program order is
 // kept.
 func (en *Engine) noteInsertMonotone(rules []*ast.Rule, g *deps.Graph) {
-	en.insertBlocked = map[ast.PredKey]string{}
-	block := func(k ast.PredKey, format string, args ...any) {
+	en.insertBlocked = map[ast.PredKey]insertBlock{}
+	block := func(k ast.PredKey, why insertBlock) {
 		if _, done := en.insertBlocked[k]; !done {
-			en.insertBlocked[k] = fmt.Sprintf(format, args...)
+			en.insertBlocked[k] = why
 		}
 	}
 	for _, r := range rules {
 		if !r.IsFact() {
-			k := r.Head.Key()
-			block(k, "core: SolveMore cannot add facts for derived predicate %s (its value is computed by rules)", k)
+			block(r.Head.Key(), insertBlock{})
 		}
 	}
-	// nonMonotone blocks k, which rule r reads as how says, and then
-	// (when deep) every predicate k depends on, breadth-first, naming the
-	// path.
-	nonMonotone := func(k ast.PredKey, r *ast.Rule, how string, deep bool) {
-		block(k, "core: SolveMore cannot add facts for %s: rule %q reads it %s", k, r, how)
+	// nonMonotone blocks k, which rule r reads under negation (agg "")
+	// or inside aggregate agg, and then (when deep) every predicate k
+	// depends on, breadth-first, naming the path.
+	nonMonotone := func(k ast.PredKey, r *ast.Rule, agg string, deep bool) {
+		block(k, insertBlock{rule: r, pred: k, agg: agg})
 		if !deep {
 			return
 		}
@@ -157,13 +192,15 @@ func (en *Engine) noteInsertMonotone(rules []*ast.Rule, g *deps.Graph) {
 			}
 			slices.Sort(next)
 			for _, y := range next {
-				path := []string{string(y)}
+				if _, done := en.insertBlocked[y]; done {
+					continue
+				}
+				path := []ast.PredKey{y}
 				for z := y; z != k; z = parent[z] {
-					path = append(path, string(parent[z]))
+					path = append(path, parent[z])
 				}
 				slices.Reverse(path)
-				block(y, "core: SolveMore cannot add facts for %s: rule %q reads %s %s, and %s depends on it through rule bodies (%s)",
-					y, r, k, how, k, strings.Join(path, " → "))
+				block(y, insertBlock{rule: r, pred: k, agg: agg, path: path})
 			}
 			queue = append(queue, next...)
 		}
@@ -173,12 +210,11 @@ func (en *Engine) noteInsertMonotone(rules []*ast.Rule, g *deps.Graph) {
 			switch sg := sg.(type) {
 			case *ast.Lit:
 				if sg.Neg {
-					nonMonotone(sg.Atom.Key(), r, "under negation", true)
+					nonMonotone(sg.Atom.Key(), r, "", true)
 				}
 			case *ast.Agg:
 				// ValidateProgram resolved every aggregate name at New.
 				if f, _ := lattice.AggregateByName(sg.Func); !f.Monotone() {
-					how := fmt.Sprintf("inside the non-monotone %s aggregate (a grown multiset may shrink the result)", sg.Func)
 					for i := range sg.Conj {
 						// A default-value predicate holds every tuple, so
 						// growing what it depends on only raises element
@@ -186,7 +222,7 @@ func (en *Engine) noteInsertMonotone(rules []*ast.Rule, g *deps.Graph) {
 						// into a larger result (Definition 4.1).
 						k := sg.Conj[i].Key()
 						pi := en.Schemas.Info(k)
-						nonMonotone(k, r, how, !f.PseudoMonotone() || pi == nil || !pi.HasDefault)
+						nonMonotone(k, r, sg.Func, !f.PseudoMonotone() || pi == nil || !pi.HasDefault)
 					}
 				}
 			}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"maps"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -219,7 +218,7 @@ func (s *sched) runComp(ci int) {
 	var seed, record *deltaSet
 	if s.changed != nil {
 		if seed = en.seed(ci, s.changed); seed != nil {
-			record = newDeltaSet(&en.bits)
+			record = newDeltaSet(&en.bits, len(en.compDelta[ci].keys))
 		}
 	}
 	if s.firstErr != nil || (s.changed != nil && seed == nil) {
@@ -275,7 +274,11 @@ func (s *sched) runComp(ci int) {
 		if record != nil {
 			// Only ci derives its predicates, so its record is disjoint
 			// from everything changed holds.
-			maps.Copy(s.changed.preds, record.preds)
+			for n, pd := range record.preds {
+				if pd != nil {
+					s.changed.set(int(en.compDelta[ci].global[n]), pd)
+				}
+			}
 		}
 	}
 	cs.Nanos += nanos

@@ -26,7 +26,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/internal/ast"
@@ -41,9 +40,10 @@ type plan struct {
 	// pos is the plan's position among its component's plans.
 	pos int
 	// idx is the engine-global rule index (into Stats.Rules); text is
-	// the rule rendered once at compile time, and ops its canonical
-	// steps rendered as EXPLAIN operators (counters zero), so stats
-	// attribution, event emission and profile views never format.
+	// the rule rendered once at compile time, so stats attribution and
+	// event emission never format; ops are its canonical steps rendered
+	// as EXPLAIN operators (counters zero), on the engine's first
+	// Profile (Engine.opsOnce).
 	idx   int
 	text  string
 	ops   []OpStats
@@ -54,12 +54,12 @@ type plan struct {
 	// explanation and stats entry is keyed by.
 	steps []exec.Step
 	head  exec.Atom
-	// scansOf maps each positively scanned predicate to the step
-	// indices scanning it (semi-naive drivers: CDB predicates during the
-	// fixpoint, plus EDB and lower-component predicates for incremental
-	// SolveMore seeds). hasCDBAgg marks plans referencing CDB predicates
-	// inside aggregates.
-	scansOf   map[ast.PredKey][]int
+	// scansOf lists, by predicate number (deltaIndex), the step indices
+	// positively scanning each predicate (semi-naive drivers: CDB
+	// predicates during the fixpoint, plus EDB and lower-component
+	// predicates for incremental SolveMore seeds). hasCDBAgg marks plans
+	// referencing CDB predicates inside aggregates.
+	scansOf   [][]int
 	hasCDBAgg bool
 	// pipe is the pipeline over the canonical steps; drivers[k], when
 	// non-nil, is the Δ-driver order for the scan at canonical step k
@@ -110,7 +110,7 @@ func (p *plan) gammaPass(d *deltaSet) (changed, keyed bool) {
 			continue
 		}
 		for ci := range a.Conj {
-			if len(d.IDs(a.Conj[ci].Pred)) > 0 {
+			if d.preds[a.Conj[ci].Num] != nil {
 				changed = true
 				keyed = keyed && a.KeyPos[ci] != nil
 			}
@@ -119,10 +119,19 @@ func (p *plan) gammaPass(d *deltaSet) (changed, keyed bool) {
 	return changed, keyed
 }
 
-// compiler builds plans for the rules of one component.
+// compiler builds plans for the rules of one component, whose Δ sets
+// number the predicates its rules mention by their place in preds
+// (deltaIndex.keys).
 type compiler struct {
 	schemas ast.Schemas
 	cdb     map[ast.PredKey]bool
+	preds   []ast.PredKey
+}
+
+// num returns k's number in the component's Δ sets.
+func (c *compiler) num(k ast.PredKey) int {
+	n, _ := slices.BinarySearch(c.preds, k)
+	return n
 }
 
 // compileRule compiles r to its plan: the canonical order (a greedy pass
@@ -134,24 +143,24 @@ type compiler struct {
 // rows belong to.
 func (c *compiler) compileRule(r *ast.Rule) (*plan, error) {
 	p := &plan{rule: r}
-	vidx := map[ast.Var]int{}
 	idxOf := func(v ast.Var) int {
-		if i, ok := vidx[v]; ok {
+		if i := slices.Index(p.names, v); i >= 0 {
 			return i
 		}
-		i := p.nvars
-		vidx[v] = i
 		p.names = append(p.names, v)
 		p.nvars++
-		return i
+		return p.nvars - 1
 	}
 
 	compileAtom := func(a *ast.Atom) (exec.Atom, error) {
-		pi := c.schemas.Info(a.Key())
+		k := a.Key()
+		pi := c.schemas.Info(k)
 		if pi == nil {
-			return exec.Atom{}, fmt.Errorf("core: no schema for %s", a.Key())
+			return exec.Atom{}, fmt.Errorf("core: no schema for %s", k)
 		}
-		sp := exec.Atom{Pred: a.Key(), Info: pi, CostVar: -1, CDB: c.cdb[a.Key()]}
+		sp := exec.Atom{Pred: k, Num: c.num(k), Info: pi, CostVar: -1, CDB: c.cdb[k]}
+		sp.ArgVar = make([]int, 0, len(a.Args))
+		sp.ArgVal = make([]val.T, 0, len(a.Args))
 		for j, t := range a.Args {
 			isCost := pi.HasCost && j == pi.CostIndex()
 			switch t := t.(type) {
@@ -186,7 +195,7 @@ func (c *compiler) compileRule(r *ast.Rule) (*plan, error) {
 		binds    []int // variables bound by execution
 		priority int   // tie-break: lower runs earlier among runnable
 	}
-	var pendings []pending
+	pendings := make([]pending, 0, len(r.Body))
 
 	for bi, sg := range r.Body {
 		switch sg := sg.(type) {
@@ -282,6 +291,7 @@ func (c *compiler) compileRule(r *ast.Rule) (*plan, error) {
 	// exec.BuiltinStep.Mode).
 	bound := make([]bool, p.nvars)
 	done := make([]bool, len(pendings))
+	p.steps = make([]exec.Step, 0, len(pendings))
 	for remaining := len(pendings); remaining > 0; remaining-- {
 		best := -1
 		bestScore := -1
@@ -330,10 +340,10 @@ func (c *compiler) compileRule(r *ast.Rule) (*plan, error) {
 	}
 
 	// Record scan positions (semi-naive drivers).
-	p.scansOf = map[ast.PredKey][]int{}
+	p.scansOf = make([][]int, len(c.preds))
 	for i := range p.steps {
 		if s := &p.steps[i]; s.Kind == exec.ScanKind {
-			p.scansOf[s.Atom.Pred] = append(p.scansOf[s.Atom.Pred], i)
+			p.scansOf[s.Atom.Num] = append(p.scansOf[s.Atom.Num], i)
 		}
 	}
 
@@ -442,23 +452,11 @@ func place(s exec.Step, bound []bool) exec.Step {
 // plus the grouping variables, which the Δ-grouped recursion binds
 // before re-entering).
 func orderAgg(a *exec.AggStep, bound []bool) {
-	full, point := map[int]bool{}, map[int]bool{}
-	note := func(v int) {
-		switch {
-		case v < 0:
-		case bound[v]:
-			full[v], point[v] = true, true
-		case slices.Contains(a.GroupVars, v):
-			point[v] = true
-		}
+	point := slices.Clone(bound)
+	for _, v := range a.GroupVars {
+		point[v] = true
 	}
-	for ci := range a.Conj {
-		for _, v := range a.Conj[ci].ArgVar {
-			note(v)
-		}
-		note(a.Conj[ci].CostVar)
-	}
-	a.OrderFull, a.OrderFullErr = orderConj(a.Conj, full)
+	a.OrderFull, a.OrderFullErr = orderConj(a.Conj, bound)
 	a.OrderPoint, a.OrderPointErr = orderConj(a.Conj, point)
 }
 
@@ -494,11 +492,11 @@ func (p *plan) driverOrder(k int) *pipeline {
 // of pre-bound variables: default-value atoms wait until their non-cost
 // arguments are bound; otherwise prefer more-bound atoms. Returns the
 // permutation.
-func orderConj(conj []exec.Atom, bound map[int]bool) ([]int, error) {
+func orderConj(conj []exec.Atom, bound []bool) ([]int, error) {
 	n := len(conj)
 	used := make([]bool, n)
-	local := maps.Clone(bound)
-	var order []int
+	local := slices.Clone(bound)
+	order := make([]int, 0, n)
 	for len(order) < n {
 		best := -1
 		bestScore := -1

@@ -66,6 +66,13 @@ type Profile struct {
 // engine's, such as a restored snapshot's — gives plain EXPLAIN: the
 // structure with zero counters.
 func (en *Engine) Profile(st Stats) *Profile {
+	en.opsOnce.Do(func() {
+		for _, ps := range en.plans {
+			for _, p := range ps {
+				p.ops = describeOps(p)
+			}
+		}
+	})
 	pr := &Profile{Rules: make([]RuleProfile, en.nrules)}
 	for ci, ps := range en.plans {
 		for _, p := range ps {

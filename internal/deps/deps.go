@@ -7,6 +7,7 @@
 package deps
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/ast"
@@ -114,48 +115,62 @@ func (c *Component) Has(k ast.PredKey) bool {
 // an earlier component in the returned slice, so evaluating components in
 // order sees all lower predicates already computed (§6.3).
 func (g *Graph) SCCs() []*Component {
-	// Tarjan's algorithm, iterative to survive deep programs.
-	index := map[ast.PredKey]int{}
-	low := map[ast.PredKey]int{}
-	onStack := map[ast.PredKey]bool{}
-	var stack []ast.PredKey
-	var comps [][]ast.PredKey
+	// Tarjan's algorithm over predicate numbers (places in g.preds),
+	// iterative to survive deep programs.
+	n := len(g.preds)
+	num := make(map[ast.PredKey]int, n)
+	for i, k := range g.preds {
+		num[k] = i
+	}
+	// outs[v] lists v's successors in key order: g.preds is sorted, so
+	// sorting numbers sorts keys.
+	outs := make([][]int, n)
+	for v, k := range g.preds {
+		m := g.Edges[k]
+		if len(m) == 0 {
+			continue
+		}
+		o := make([]int, 0, len(m))
+		for q := range m {
+			o = append(o, num[q])
+		}
+		slices.Sort(o)
+		outs[v] = o
+	}
+	const unvisited = -1
+	index := make([]int, n)
+	low := make([]int, n)
+	onStack := make([]bool, n)
+	for i := range index {
+		index[i] = unvisited
+	}
+	var stack []int
+	var comps [][]int
 	counter := 0
 
 	type frame struct {
-		v    ast.PredKey
-		outs []ast.PredKey
-		i    int
+		v, i int
 	}
-	outsOf := func(v ast.PredKey) []ast.PredKey {
-		m := g.Edges[v]
-		out := make([]ast.PredKey, 0, len(m))
-		for k := range m {
-			out = append(out, k)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out
-	}
-	var visit func(root ast.PredKey)
-	visit = func(root ast.PredKey) {
-		frames := []frame{{v: root, outs: outsOf(root)}}
-		index[root] = counter
-		low[root] = counter
+	var frames []frame
+	push := func(v int) {
+		index[v], low[v] = counter, counter
 		counter++
-		stack = append(stack, root)
-		onStack[root] = true
+		stack = append(stack, v)
+		onStack[v] = true
+		frames = append(frames, frame{v: v})
+	}
+	for root := range n {
+		if index[root] != unvisited {
+			continue
+		}
+		push(root)
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			if f.i < len(f.outs) {
-				w := f.outs[f.i]
+			if f.i < len(outs[f.v]) {
+				w := outs[f.v][f.i]
 				f.i++
-				if _, seen := index[w]; !seen {
-					index[w] = counter
-					low[w] = counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{v: w, outs: outsOf(w)})
+				if index[w] == unvisited {
+					push(w)
 				} else if onStack[w] && index[w] < low[f.v] {
 					low[f.v] = index[w]
 				}
@@ -171,7 +186,7 @@ func (g *Graph) SCCs() []*Component {
 				}
 			}
 			if low[v] == index[v] {
-				var comp []ast.PredKey
+				var comp []int
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
@@ -181,31 +196,32 @@ func (g *Graph) SCCs() []*Component {
 						break
 					}
 				}
-				sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
+				slices.Sort(comp)
 				comps = append(comps, comp)
 			}
-		}
-	}
-	for _, v := range g.preds {
-		if _, seen := index[v]; !seen {
-			visit(v)
 		}
 	}
 	// Tarjan emits components in reverse topological order of the
 	// condensation; since edges run head -> body (higher -> lower), the
 	// emission order is exactly bottom-up.
 	out := make([]*Component, 0, len(comps))
-	for _, preds := range comps {
-		c := &Component{Preds: preds}
-		in := map[ast.PredKey]bool{}
-		for _, p := range preds {
-			in[p] = true
+	in := make([]int, n) // in[v] is 1 + the index of v's component
+	for ci, comp := range comps {
+		for _, v := range comp {
+			in[v] = ci + 1
 		}
-		for _, p := range preds {
-			for q, kind := range g.Edges[p] {
-				if !in[q] {
+	}
+	for ci, comp := range comps {
+		c := &Component{Preds: make([]ast.PredKey, len(comp))}
+		for i, v := range comp {
+			c.Preds[i] = g.preds[v]
+		}
+		for _, p := range comp {
+			for _, q := range outs[p] {
+				if in[q] != ci+1 {
 					continue
 				}
+				kind := g.Edges[g.preds[p]][g.preds[q]]
 				c.Recursive = true
 				if kind&Negative != 0 {
 					c.RecursesThroughNegation = true

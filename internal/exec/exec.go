@@ -73,7 +73,10 @@ type Regs struct {
 // Atom is one compiled atom pattern: per non-cost position either a
 // variable index or a constant, with the cost argument split out.
 type Atom struct {
-	Pred    ast.PredKey
+	Pred ast.PredKey
+	// Num is the predicate's number in the Δ sets of the rule's
+	// component (Delta.IDs).
+	Num     int
 	Info    *ast.PredInfo
 	ArgVar  []int   // variable index per non-cost position, -1 for const
 	ArgVal  []val.T // constant per non-cost position when ArgVar < 0
@@ -287,11 +290,11 @@ type AggStep struct {
 	Fold bool
 }
 
-// Delta is a view of a semi-naive Δ set: per predicate, the ids of the
-// changed rows of its relation in the order they first changed (nil
-// when none).
+// Delta is a view of a semi-naive Δ set: per predicate, by its number
+// (Atom.Num), the ids of the changed rows of its relation in the order
+// they first changed (nil when none).
 type Delta interface {
-	IDs(ast.PredKey) []int32
+	IDs(num int) []int32
 }
 
 // Config is the per-pass evaluation context.
@@ -965,7 +968,7 @@ func (m *Machine) deltaGroups(idx int, s *AggStep) bool {
 	var row relation.Row
 	for ci := range s.Conj {
 		at := &s.Conj[ci]
-		ids := m.cfg.AggDelta.IDs(at.Pred)
+		ids := m.cfg.AggDelta.IDs(at.Num)
 		if len(ids) == 0 {
 			continue
 		}
@@ -993,7 +996,7 @@ func (m *Machine) deltaGroups(idx int, s *AggStep) bool {
 	if l := int64(rel.Len()); l > n.Build {
 		n.Build = l
 	}
-	for _, id := range m.cfg.AggSince.IDs(at.Pred) {
+	for _, id := range m.cfg.AggSince.IDs(at.Num) {
 		n.Probes++
 		if g := st.groups.Find(st.project(rel, id, s.KeyPos[0], &row)); g >= 0 {
 			st.fold(s.F.Range(), g, false, id, row.Cost)

@@ -318,7 +318,7 @@ func TestAggGroupedMatchesPoint(t *testing.T) {
 	for i := range allIDs {
 		allIDs[i] = int32(i)
 	}
-	dOut, _, _ := runPipeline(t, grouped, exec.Config{DB: db, AggDelta: deltaOf{mk: allIDs}})
+	dOut, _, _ := runPipeline(t, grouped, exec.Config{DB: db, AggDelta: deltaOf{conj.Num: allIDs}})
 	if strings.Join(dOut, "\n") != strings.Join(gOut, "\n") {
 		t.Fatalf("Δ-grouped γ over all groups disagrees with full enumeration:\n%s\nwant:\n%s",
 			strings.Join(dOut, "\n"), strings.Join(gOut, "\n"))
@@ -330,7 +330,7 @@ func TestAggGroupedMatchesPoint(t *testing.T) {
 			return val.Equal(src.At(int(id)).Args[0], all.At(g)[0])
 		})))
 	}
-	rOut, _, _ := runPipeline(t, grouped, exec.Config{DB: db, AggDelta: deltaOf{mk: revIDs}})
+	rOut, _, _ := runPipeline(t, grouped, exec.Config{DB: db, AggDelta: deltaOf{conj.Num: revIDs}})
 	slices.Reverse(rOut)
 	if strings.Join(rOut, "\n") != strings.Join(gOut, "\n") {
 		t.Fatalf("Δ-grouped γ must emit the listed groups in the listed order:\n%s\nwant reversed:\n%s",
@@ -423,20 +423,21 @@ func TestBuiltinEvalMatchesAST(t *testing.T) {
 	}
 }
 
-// deltaOf is a fixed Δ view: per predicate, the changed row ids.
-type deltaOf map[ast.PredKey][]int32
+// deltaOf is a fixed Δ view: per predicate number (Atom.Num), the
+// changed row ids.
+type deltaOf map[int][]int32
 
-func (d deltaOf) IDs(k ast.PredKey) []int32 { return d[k] }
+func (d deltaOf) IDs(n int) []int32 { return d[n] }
 
-// countingDelta is a Δ view that counts its reads per predicate.
+// countingDelta is a Δ view that counts its reads per predicate number.
 type countingDelta struct {
 	ids   deltaOf
-	reads map[ast.PredKey]int
+	reads map[int]int
 }
 
-func (d *countingDelta) IDs(k ast.PredKey) []int32 {
-	d.reads[k]++
-	return d.ids[k]
+func (d *countingDelta) IDs(n int) []int32 {
+	d.reads[n]++
+	return d.ids[n]
 }
 
 // TestAggDeltaDerivesChangedGroups: handed the round's Δ, a γ step
@@ -476,6 +477,9 @@ func TestAggDeltaDerivesChangedGroups(t *testing.T) {
 		OrderPoint: []int{0, 1},
 		KeyPos:     [][]int{{0}, {0}},
 	}
+	// The predicates' numbers in the Δ sets: a is 0, b is 1.
+	const aNum, bNum = 0, 1
+	agg.Conj[1].Num = bNum
 	rule := exec.NewRule(5, []exec.Step{
 		{Kind: exec.ScanKind, Atom: scanAtom(s, "blocked", U)},
 		{Kind: exec.AggKind, Agg: agg},
@@ -498,7 +502,7 @@ func TestAggDeltaDerivesChangedGroups(t *testing.T) {
 		// Only b changed; g5 has no a row, so its group is empty.
 		{"b only", nil, []int32{5, 4}, []string{"g5", "g4"}},
 	} {
-		d := &countingDelta{ids: deltaOf{ak: tc.da, bk: tc.db}, reads: map[ast.PredKey]int{}}
+		d := &countingDelta{ids: deltaOf{aNum: tc.da, bNum: tc.db}, reads: map[int]int{}}
 		got, _, _ := runPipeline(t, rule, exec.Config{DB: db, AggDelta: d, AggSince: deltaOf{}})
 		var want []string
 		for _, u := range []string{"u", "v"} {
@@ -511,7 +515,7 @@ func TestAggDeltaDerivesChangedGroups(t *testing.T) {
 		if len(want) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
 			t.Fatalf("%s: Δ pass emitted\n%s\nwant\n%s", tc.name, strings.Join(got, "\n"), strings.Join(want, "\n"))
 		}
-		if d.reads[ak] != 1 || d.reads[bk] != 1 || len(d.reads) != 2 {
+		if d.reads[aNum] != 1 || d.reads[bNum] != 1 || len(d.reads) != 2 {
 			t.Fatalf("%s: Δ reads %v, want each conjunct's once per pass", tc.name, d.reads)
 		}
 	}

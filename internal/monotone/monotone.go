@@ -73,63 +73,111 @@ type Context struct {
 	CDB map[ast.PredKey]bool
 }
 
+// varMap maps a rule's variables, which are few, to values: a short list
+// in first-insertion order, searched in order.
+type varMap[T any] []varEntry[T]
+
+type varEntry[T any] struct {
+	v ast.Var
+	x T
+}
+
+func (m varMap[T]) get(v ast.Var) (T, bool) {
+	for _, e := range m {
+		if e.v == v {
+			return e.x, true
+		}
+	}
+	var zero T
+	return zero, false
+}
+
+func (m varMap[T]) has(v ast.Var) bool {
+	_, ok := m.get(v)
+	return ok
+}
+
+func (m *varMap[T]) set(v ast.Var, x T) {
+	for i := range *m {
+		if (*m)[i].v == v {
+			(*m)[i].x = x
+			return
+		}
+	}
+	*m = append(*m, varEntry[T]{v, x})
+}
+
+// cdbVar is one CDB cost variable of a rule: the lattice its occurrences
+// type it in, and their number among non-built-in subgoals.
+type cdbVar struct {
+	l lattice.Lattice
+	n int
+}
+
+// costVars is the outcome of cdbCostVars for one rule, which every check
+// of CheckAdmissible reads.
+type costVars struct {
+	vars varMap[cdbVar]
+	err  error
+}
+
 // cdbCostVars returns, for rule r, the CDB cost variables (§4.2): a
 // variable in a cost argument of a CDB predicate occurrence, or the
 // aggregate variable of a CDB aggregate; together with the lattice typing
 // each such occurrence implies, and the number of occurrences among
-// non-built-in subgoals.
-func (cx *Context) cdbCostVars(r *ast.Rule) (vars map[ast.Var]lattice.Lattice, occurrences map[ast.Var]int, err error) {
-	vars = map[ast.Var]lattice.Lattice{}
-	occurrences = map[ast.Var]int{}
-	note := func(v ast.Var, l lattice.Lattice, where string) error {
-		if prev, ok := vars[v]; ok && prev.Name() != l.Name() {
-			return fmt.Errorf("monotone: rule %q: CDB cost variable %s typed both %s and %s (%s)",
-				r, v, prev.Name(), l.Name(), where)
+// non-built-in subgoals. A variable typed in two lattices is an error,
+// which names the subgoal where the second typing occurs; the subgoal is
+// rendered only then.
+func (cx *Context) cdbCostVars(r *ast.Rule) costVars {
+	var cv costVars
+	note := func(v ast.Var, l lattice.Lattice, where ast.Subgoal) bool {
+		prev, ok := cv.vars.get(v)
+		if ok && prev.l.Name() != l.Name() {
+			cv.err = fmt.Errorf("monotone: rule %q: CDB cost variable %s typed both %s and %s (%s)",
+				r, v, prev.l.Name(), l.Name(), where)
+			return false
 		}
-		vars[v] = l
-		occurrences[v]++
-		return nil
+		cv.vars.set(v, cdbVar{l: l, n: prev.n + 1})
+		return true
 	}
-	for i, sg := range r.Body {
+	for _, sg := range r.Body {
 		switch sg := sg.(type) {
 		case *ast.Lit:
-			pi := cx.Schemas.Info(sg.Atom.Key())
-			if pi == nil || !pi.HasCost || !cx.CDB[sg.Atom.Key()] {
+			k := sg.Atom.Key()
+			pi := cx.Schemas.Info(k)
+			if pi == nil || !pi.HasCost || !cx.CDB[k] {
 				continue
 			}
-			if v, ok := sg.Atom.Args[pi.CostIndex()].(ast.Var); ok {
-				if err := note(v, pi.L, sg.String()); err != nil {
-					return nil, nil, err
-				}
+			if v, ok := sg.Atom.Args[pi.CostIndex()].(ast.Var); ok && !note(v, pi.L, sg) {
+				return cv
 			}
 		case *ast.Agg:
 			if cx.isCDBAggregate(sg) {
 				f, ok := lattice.AggregateByName(sg.Func)
 				if !ok {
-					return nil, nil, fmt.Errorf("monotone: rule %q: unknown aggregate %s", r, sg.Func)
+					cv.err = fmt.Errorf("monotone: rule %q: unknown aggregate %s", r, sg.Func)
+					return cv
 				}
-				if err := note(sg.Result, f.Range(), sg.String()); err != nil {
-					return nil, nil, err
+				if !note(sg.Result, f.Range(), sg) {
+					return cv
 				}
 			}
 			// A CDB cost variable may also occur inside the aggregation's
 			// cost arguments (other than the multiset variable).
 			for ci := range sg.Conj {
 				a := &sg.Conj[ci]
-				pi := cx.Schemas.Info(a.Key())
-				if pi == nil || !pi.HasCost || !cx.CDB[a.Key()] {
+				k := a.Key()
+				pi := cx.Schemas.Info(k)
+				if pi == nil || !pi.HasCost || !cx.CDB[k] {
 					continue
 				}
-				if v, ok := a.Args[pi.CostIndex()].(ast.Var); ok && v != sg.MultisetVar {
-					if err := note(v, pi.L, sg.String()); err != nil {
-						return nil, nil, err
-					}
+				if v, ok := a.Args[pi.CostIndex()].(ast.Var); ok && v != sg.MultisetVar && !note(v, pi.L, sg) {
+					return cv
 				}
 			}
 		}
-		_ = i
 	}
-	return vars, occurrences, nil
+	return cv
 }
 
 // isCDBAggregate reports whether the aggregate subgoal mentions a CDB
@@ -143,11 +191,11 @@ func (cx *Context) isCDBAggregate(g *ast.Agg) bool {
 	return false
 }
 
-// CheckWellFormed enforces Definition 4.2 plus the implicit condition that
-// CDB cost variables do not leak into non-cost positions of the head or
-// body (which would let a cost value act as data and break Lemma 4.1's
-// proof).
-func (cx *Context) CheckWellFormed(r *ast.Rule) error {
+// checkWellFormed enforces Definition 4.2 on r, whose CDB cost variables
+// are cv, plus the implicit condition that CDB cost variables do not leak
+// into non-cost positions of the head or body (which would let a cost
+// value act as data and break Lemma 4.1's proof).
+func (cx *Context) checkWellFormed(r *ast.Rule, cv costVars) error {
 	// (1) Built-ins cannot appear inside aggregate subgoals: guaranteed
 	// structurally (ast.Agg aggregates a conjunction of atoms).
 
@@ -187,13 +235,13 @@ func (cx *Context) CheckWellFormed(r *ast.Rule) error {
 
 	// (3) Each CDB cost variable occurs at most once among the
 	// non-built-in subgoals.
-	vars, occ, err := cx.cdbCostVars(r)
-	if err != nil {
-		return err
+	if cv.err != nil {
+		return cv.err
 	}
-	for v, n := range occ {
-		if n > 1 {
-			return fmt.Errorf("monotone: rule %q: CDB cost variable %s occurs %d times among non-built-in subgoals", r, v, n)
+	vars := cv.vars
+	for _, e := range vars {
+		if e.x.n > 1 {
+			return fmt.Errorf("monotone: rule %q: CDB cost variable %s occurs %d times among non-built-in subgoals", r, e.v, e.x.n)
 		}
 	}
 	// The multiset variable is exempt from (3) for its occurrence after
@@ -234,7 +282,7 @@ func (cx *Context) CheckWellFormed(r *ast.Rule) error {
 			if hp.HasCost && j == hp.CostIndex() {
 				continue
 			}
-			if _, isCost := vars[v]; isCost {
+			if vars.has(v) {
 				return fmt.Errorf("monotone: rule %q: CDB cost variable %s appears in a non-cost head argument", r, v)
 			}
 		}
@@ -255,7 +303,7 @@ func (cx *Context) CheckWellFormed(r *ast.Rule) error {
 				if pi != nil && pi.HasCost && j == pi.CostIndex() {
 					continue
 				}
-				if _, isCost := vars[v]; isCost {
+				if vars.has(v) {
 					return fmt.Errorf("monotone: rule %q: CDB cost variable %s appears in a non-cost argument of %s", r, v, sg.Atom.String())
 				}
 			}
@@ -271,7 +319,7 @@ func (cx *Context) CheckWellFormed(r *ast.Rule) error {
 					if pi != nil && pi.HasCost && j == pi.CostIndex() {
 						continue
 					}
-					if _, isCost := vars[v]; isCost {
+					if vars.has(v) {
 						return fmt.Errorf("monotone: rule %q: CDB cost variable %s appears in a non-cost argument inside %s", r, v, sg)
 					}
 				}
@@ -281,43 +329,44 @@ func (cx *Context) CheckWellFormed(r *ast.Rule) error {
 	return nil
 }
 
-// CheckBuiltins verifies the sufficient condition for E_r (the conjunction
-// of built-in subgoals) to be monotonic in the sense of Definition 4.4:
-// increasing the CDB cost variables (with respect to their lattices) must
-// keep the conjunction satisfiable by re-choosing the built-in-only
-// variables, and can only increase the head cost variable.
-func (cx *Context) CheckBuiltins(r *ast.Rule) error {
-	cdbVars, _, err := cx.cdbCostVars(r)
-	if err != nil {
-		return err
-	}
+// checkBuiltins verifies, for r with CDB cost variables cdbVars, the
+// sufficient condition for E_r (the conjunction of built-in subgoals) to
+// be monotonic in the sense of Definition 4.4: increasing the CDB cost
+// variables (with respect to their lattices) must keep the conjunction
+// satisfiable by re-choosing the built-in-only variables, and can only
+// increase the head cost variable.
+func (cx *Context) checkBuiltins(r *ast.Rule, cdbVars varMap[cdbVar]) error {
 	// Direction environment: CDB cost vars move with their lattices;
 	// variables bound by non-built-in subgoals otherwise are fixed;
 	// built-in-only variables get directions derived from defining
 	// equalities.
-	dirs := map[ast.Var]dir{}
-	boundOutside := map[ast.Var]bool{}
+	dirs := make(varMap[dir], 0, 8)
+	boundOutside := make(varMap[bool], 0, 8)
+	vbuf := make([]ast.Var, 0, 8)
 	for _, sg := range r.Body {
 		if _, isB := sg.(*ast.Builtin); isB {
 			continue
 		}
-		for _, v := range sg.FreeVars(nil) {
-			boundOutside[v] = true
+		vbuf = sg.FreeVars(vbuf[:0])
+		for _, v := range vbuf {
+			boundOutside.set(v, true)
 		}
 	}
-	for v := range boundOutside {
-		if l, isCost := cdbVars[v]; isCost {
+	for _, e := range boundOutside {
+		v := e.v
+		if c, isCost := cdbVars.get(v); isCost {
+			l := c.l
 			d := latticeDir(l)
 			if d == dirMixed {
 				// Boolean/set-valued CDB cost variables may flow only
 				// through non-built-in subgoals; participating in E_r is
 				// rejected below if they appear there.
-				dirs[v] = dirMixed
+				dirs.set(v, dirMixed)
 			} else {
-				dirs[v] = d
+				dirs.set(v, d)
 			}
 		} else {
-			dirs[v] = dirFixed
+			dirs.set(v, dirFixed)
 		}
 	}
 
@@ -327,7 +376,7 @@ func (cx *Context) CheckBuiltins(r *ast.Rule) error {
 		case ast.NumExpr, ast.ConstExpr:
 			return dirFixed
 		case ast.VarExpr:
-			if d, ok := dirs[e.V]; ok {
+			if d, ok := dirs.get(e.V); ok {
 				return d
 			}
 			return dirMixed // not yet derived
@@ -365,15 +414,15 @@ func (cx *Context) CheckBuiltins(r *ast.Rule) error {
 			}
 			tryDefine := func(lhs, rhs ast.Expr) {
 				v, ok := lhs.(ast.VarExpr)
-				if !ok || boundOutside[v.V] {
+				if !ok || boundOutside.has(v.V) {
 					return
 				}
-				if _, done := dirs[v.V]; done {
+				if dirs.has(v.V) {
 					return
 				}
 				d := exprDir(rhs)
 				if d != dirMixed {
-					dirs[v.V] = d
+					dirs.set(v.V, d)
 				}
 			}
 			tryDefine(b.L, b.R)
@@ -390,13 +439,13 @@ func (cx *Context) CheckBuiltins(r *ast.Rule) error {
 			// is always re-satisfiable by re-choosing that variable; its
 			// direction was derived above. Otherwise both sides must be
 			// fixed.
-			if lv, ok := b.L.(ast.VarExpr); ok && !boundOutside[lv.V] {
-				if _, derived := dirs[lv.V]; derived {
+			if lv, ok := b.L.(ast.VarExpr); ok && !boundOutside.has(lv.V) {
+				if dirs.has(lv.V) {
 					continue
 				}
 			}
-			if rv, ok := b.R.(ast.VarExpr); ok && !boundOutside[rv.V] {
-				if _, derived := dirs[rv.V]; derived {
+			if rv, ok := b.R.(ast.VarExpr); ok && !boundOutside.has(rv.V) {
+				if dirs.has(rv.V) {
 					continue
 				}
 			}
@@ -430,7 +479,7 @@ func (cx *Context) CheckBuiltins(r *ast.Rule) error {
 	if hp != nil && hp.HasCost && cx.CDB[r.Head.Key()] && !r.IsFact() {
 		hv, ok := r.Head.Args[hp.CostIndex()].(ast.Var)
 		if ok {
-			hd, derived := dirs[hv]
+			hd, derived := dirs.get(hv)
 			if !derived {
 				return fmt.Errorf("monotone: rule %q: head cost variable %s has no derivable direction (unbound or non-monotone definition)", r, hv)
 			}
@@ -438,11 +487,12 @@ func (cx *Context) CheckBuiltins(r *ast.Rule) error {
 			if want == dirMixed {
 				// Boolean/set head lattices: the head cost must be bound
 				// directly by a non-built-in subgoal of the same lattice.
-				if boundOutside[hv] {
-					if l, isCost := cdbVars[hv]; !isCost || l.Name() == hp.L.Name() {
+				if boundOutside.has(hv) {
+					c, isCost := cdbVars.get(hv)
+					if !isCost || c.l.Name() == hp.L.Name() {
 						return nil
 					}
-					return fmt.Errorf("monotone: rule %q: head cost variable %s typed %s but head is %s", r, hv, cdbVars[hv].Name(), hp.L.Name())
+					return fmt.Errorf("monotone: rule %q: head cost variable %s typed %s but head is %s", r, hv, c.l.Name(), hp.L.Name())
 				}
 				return fmt.Errorf("monotone: rule %q: %s-valued head cost must be bound by an atom or aggregate, not arithmetic", r, hp.L.Name())
 			}
@@ -452,8 +502,8 @@ func (cx *Context) CheckBuiltins(r *ast.Rule) error {
 			}
 			// Typing: when the head cost is bound directly by a body
 			// occurrence, the lattices must agree.
-			if l, isCost := cdbVars[hv]; isCost && l.Name() != hp.L.Name() {
-				return fmt.Errorf("monotone: rule %q: head cost variable %s typed %s but head is %s", r, hv, l.Name(), hp.L.Name())
+			if c, isCost := cdbVars.get(hv); isCost && c.l.Name() != hp.L.Name() {
+				return fmt.Errorf("monotone: rule %q: head cost variable %s typed %s but head is %s", r, hv, c.l.Name(), hp.L.Name())
 			}
 		}
 	}
@@ -474,7 +524,8 @@ func dirName(d dir) string {
 
 // CheckAdmissible verifies Definition 4.5 for one rule.
 func (cx *Context) CheckAdmissible(r *ast.Rule) error {
-	if err := cx.CheckWellFormed(r); err != nil {
+	cv := cx.cdbCostVars(r)
+	if err := cx.checkWellFormed(r, cv); err != nil {
 		return err
 	}
 	// Negative CDB subgoals always break monotonicity (§6.3).
@@ -512,7 +563,7 @@ func (cx *Context) CheckAdmissible(r *ast.Rule) error {
 			}
 		}
 	}
-	return cx.CheckBuiltins(r)
+	return cx.checkBuiltins(r, cv.vars)
 }
 
 // Report summarizes the classification of a whole program.
@@ -548,24 +599,42 @@ func CheckProgram(p *ast.Program, s ast.Schemas) Report {
 // can run under the fixpoint engine or needs the well-founded fallback
 // of §6.3.
 func Classify(comps []*deps.Component, rules []*ast.Rule, s ast.Schemas) (Report, []error) {
+	adm := make([]error, len(comps))
+	for ci, crules := range deps.RulesByComponent(rules, comps) {
+		if len(crules) > 0 {
+			cdb, _ := deps.SplitRules(comps[ci], crules)
+			adm[ci] = Admissible(crules, s, cdb)
+		}
+	}
+	return Ladder(comps, rules, s, adm), adm
+}
+
+// Admissible checks Definition 4.5 on the rules of one component, whose
+// own predicates cdb marks: nil when every rule is admissible, else the
+// first rule's violation.
+func Admissible(rules []*ast.Rule, s ast.Schemas, cdb map[ast.PredKey]bool) error {
+	cx := &Context{Schemas: s, CDB: cdb}
+	for _, r := range rules {
+		if err := cx.CheckAdmissible(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Ladder places the program on the §5 ladder given its components
+// (bottom-up), its rules and every component's admissibility verdict
+// (Admissible): the report's Admissible is the lowest component's
+// violation, RMonotonic the first rule's in program order.
+func Ladder(comps []*deps.Component, rules []*ast.Rule, s ast.Schemas, adm []error) Report {
 	rep := Report{
 		AggregateStratified: deps.AggregateStratified(comps),
 		NegationStratified:  deps.NegationStratified(comps),
 	}
-	adm := make([]error, len(comps))
-	for ci, crules := range deps.RulesByComponent(rules, comps) {
-		if len(crules) == 0 {
-			continue
-		}
-		cdb, _ := deps.SplitRules(comps[ci], crules)
-		cx := &Context{Schemas: s, CDB: cdb}
-		for _, r := range crules {
-			if adm[ci] = cx.CheckAdmissible(r); adm[ci] != nil {
-				break
-			}
-		}
-		if rep.Admissible == nil {
-			rep.Admissible = adm[ci]
+	for _, err := range adm {
+		if err != nil {
+			rep.Admissible = err
+			break
 		}
 	}
 	for _, r := range rules {
@@ -574,5 +643,5 @@ func Classify(comps []*deps.Component, rules []*ast.Rule, s ast.Schemas) (Report
 			break
 		}
 	}
-	return rep, adm
+	return rep
 }

@@ -15,7 +15,7 @@ import (
 // for them.
 func Parse(src string) (*ast.Program, error) {
 	p := newParser(newLexer(src))
-	prog := &ast.Program{}
+	prog := p.prog
 	for !p.at(tokEOF) {
 		if err := p.statement(prog); err != nil {
 			return nil, p.fail(err)
@@ -71,10 +71,13 @@ type parser struct {
 	// the constants, and the variable names ("" for a constant).
 	vals []val.T
 	vars []string
+	// prog is the program being read, which keys its atoms
+	// (ast.Program.KeyAtom).
+	prog *ast.Program
 }
 
 func newParser(lx lexer) *parser {
-	p := &parser{lx: lx}
+	p := &parser{lx: lx, prog: &ast.Program{}}
 	p.lexTo(0)
 	return p
 }
@@ -198,6 +201,7 @@ func (p *parser) ruleOrFact(prog *ast.Program) error {
 			}
 		}
 	}
+	p.prog.KeyAtom(&r.Head)
 	if p.accept(tokImplies) {
 		body, err := p.body()
 		if err != nil {
@@ -411,10 +415,8 @@ func (p *parser) atom() (ast.Atom, error) {
 		return ast.Atom{}, err
 	}
 	a := ast.Atom{Pred: name.text}
-	if !p.accept(tokLParen) {
-		return a, nil // propositional atom
-	}
-	if p.accept(tokRParen) {
+	if !p.accept(tokLParen) || p.accept(tokRParen) {
+		p.prog.KeyAtom(&a) // propositional atom
 		return a, nil
 	}
 	for {
@@ -430,6 +432,7 @@ func (p *parser) atom() (ast.Atom, error) {
 	if _, err := p.expect(tokRParen); err != nil {
 		return ast.Atom{}, err
 	}
+	p.prog.KeyAtom(&a)
 	return a, nil
 }
 

@@ -393,6 +393,24 @@ func (r *Relation) InsertStrict(args []val.T, cost lattice.Elem) error {
 	return nil
 }
 
+// InsertConsistent adds a tuple unless the relation holds its non-cost
+// arguments with another cost, which it reports by returning false — the
+// load of data that must respect the cost functional dependency
+// (§2.3.1). A tuple held with the same cost leaves the relation as it
+// is, and a default-value predicate drops a bottom-valued new tuple, as
+// InsertJoin does; either way it probes the key table once.
+func (r *Relation) InsertConsistent(args []val.T, cost lattice.Elem) bool {
+	h := hashArgs(args)
+	id, slot := r.find(h, args)
+	if id >= 0 {
+		return !r.Info.HasCost || lattice.Eq(r.Info.L, r.cost(id), cost)
+	}
+	if !r.Info.HasDefault || !lattice.Eq(r.Info.L, cost, r.Info.L.Bottom()) {
+		r.insertNew(h, slot, args, cost)
+	}
+	return true
+}
+
 // InsertJoin adds a tuple, joining costs on collision, and reports whether
 // the relation changed (a new tuple, or a cost strictly increased in ⊑).
 // It is the accumulation step of the semi-naive fixpoint, sound because

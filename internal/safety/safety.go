@@ -7,6 +7,7 @@ package safety
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ast"
 )
@@ -21,16 +22,44 @@ type Vars struct {
 // (Definition 2.5). A limited argument is a non-cost argument of a
 // predicate with no default declaration.
 func Analyze(r *ast.Rule, s ast.Schemas) Vars {
+	f := analyze(r, s, aggRoles(r))
 	v := Vars{Limited: map[ast.Var]bool{}, QuasiLimited: map[ast.Var]bool{}}
+	for _, w := range f.limited {
+		v.Limited[w] = true
+	}
+	for _, w := range f.quasi {
+		v.QuasiLimited[w] = true
+	}
+	return v
+}
 
-	// roles[i] caches grouping/local classification for aggregate body
-	// positions.
-	roles := map[int]ast.AggRoles{}
+// varSets is Vars as the checks use it: a rule has a handful of
+// variables, so each set is a short list.
+type varSets struct {
+	limited, quasi []ast.Var
+}
+
+func (f *varSets) isLimited(w ast.Var) bool { return slices.Contains(f.limited, w) }
+func (f *varSets) isQuasi(w ast.Var) bool   { return slices.Contains(f.quasi, w) }
+
+// aggRoles returns the grouping/local classification of r's aggregate
+// subgoals by body position (nil when r has none).
+func aggRoles(r *ast.Rule) []ast.AggRoles {
+	var roles []ast.AggRoles
 	for i, sg := range r.Body {
 		if _, ok := sg.(*ast.Agg); ok {
+			if roles == nil {
+				roles = make([]ast.AggRoles, len(r.Body))
+			}
 			roles[i] = ast.RolesOf(r, i)
 		}
 	}
+	return roles
+}
+
+// analyze is Analyze given r's aggregate roles (aggRoles).
+func analyze(r *ast.Rule, s ast.Schemas, roles []ast.AggRoles) varSets {
+	v := varSets{limited: make([]ast.Var, 0, 8), quasi: make([]ast.Var, 0, 8)}
 
 	// limitedInConj reports whether v appears in a limited argument of
 	// some atom of the conjunction.
@@ -55,9 +84,9 @@ func Analyze(r *ast.Rule, s ast.Schemas) Vars {
 
 	for changed := true; changed; {
 		changed = false
-		mark := func(m map[ast.Var]bool, w ast.Var) {
-			if !m[w] {
-				m[w] = true
+		mark := func(set *[]ast.Var, w ast.Var) {
+			if !slices.Contains(*set, w) {
+				*set = append(*set, w)
 				changed = true
 			}
 		}
@@ -79,28 +108,28 @@ func Analyze(r *ast.Rule, s ast.Schemas) Vars {
 					if pi.HasCost && j == pi.CostIndex() {
 						// Cost arguments of positive subgoals make their
 						// variable quasi-limited.
-						mark(v.QuasiLimited, w)
+						mark(&v.quasi, w)
 						continue
 					}
 					if !pi.HasDefault {
-						mark(v.Limited, w)
+						mark(&v.limited, w)
 					}
 				}
 			case *ast.Agg:
 				rs := roles[i]
 				// The aggregate variable is quasi-limited.
-				mark(v.QuasiLimited, sg.Result)
+				mark(&v.quasi, sg.Result)
 				// Local variables in limited arguments inside the subgoal
 				// are limited; grouping variables of ?= subgoals likewise.
 				for _, w := range rs.Local {
 					if limitedIn(sg.Conj, w) {
-						mark(v.Limited, w)
+						mark(&v.limited, w)
 					}
 				}
 				if sg.Restricted {
 					for _, w := range rs.Grouping {
 						if limitedIn(sg.Conj, w) {
-							mark(v.Limited, w)
+							mark(&v.limited, w)
 						}
 					}
 				}
@@ -113,7 +142,7 @@ func Analyze(r *ast.Rule, s ast.Schemas) Vars {
 						continue
 					}
 					if w, ok := a.Args[pi.CostIndex()].(ast.Var); ok {
-						mark(v.QuasiLimited, w)
+						mark(&v.quasi, w)
 					}
 				}
 			case *ast.Builtin:
@@ -128,27 +157,27 @@ func Analyze(r *ast.Rule, s ast.Schemas) Vars {
 					}
 					switch e := from.(type) {
 					case ast.VarExpr:
-						if v.Limited[e.V] {
-							mark(v.Limited, w.V)
+						if v.isLimited(e.V) {
+							mark(&v.limited, w.V)
 						}
-						if v.QuasiLimited[e.V] {
-							mark(v.QuasiLimited, w.V)
+						if v.isQuasi(e.V) {
+							mark(&v.quasi, w.V)
 						}
 					case ast.NumExpr, ast.ConstExpr:
-						mark(v.Limited, w.V)
+						mark(&v.limited, w.V)
 					default:
 						// V = E with E an arithmetic expression over
 						// limited/quasi-limited variables: V is
 						// quasi-limited.
 						all := true
 						for _, x := range from.Vars(nil) {
-							if !v.Limited[x] && !v.QuasiLimited[x] {
+							if !v.isLimited(x) && !v.isQuasi(x) {
 								all = false
 								break
 							}
 						}
 						if all {
-							mark(v.QuasiLimited, w.V)
+							mark(&v.quasi, w.V)
 						}
 					}
 				}
@@ -162,11 +191,15 @@ func Analyze(r *ast.Rule, s ast.Schemas) Vars {
 
 // CheckRule verifies the range-restriction conditions of Definition 2.5.
 func CheckRule(r *ast.Rule, s ast.Schemas) error {
-	v := Analyze(r, s)
-	ok := func(w ast.Var) bool { return v.Limited[w] || v.QuasiLimited[w] }
+	roles := aggRoles(r)
+	v := analyze(r, s, roles)
+	ok := func(w ast.Var) bool { return v.isLimited(w) || v.isQuasi(w) }
 	where := func(what string) string { return fmt.Sprintf("safety: rule %q: %s", r, what) }
 
-	checkAtomArgs := func(a *ast.Atom, needQuasiCost bool, ctx string) error {
+	// checkAtomArgs checks the arguments of literal l, which the error
+	// names as "what l".
+	checkAtomArgs := func(l *ast.Lit, needQuasiCost bool, what string) error {
+		a := &l.Atom
 		pi := s.Info(a.Key())
 		for j, t := range a.Args {
 			w, isVar := t.(ast.Var)
@@ -175,12 +208,12 @@ func CheckRule(r *ast.Rule, s ast.Schemas) error {
 			}
 			if pi != nil && pi.HasCost && j == pi.CostIndex() {
 				if needQuasiCost && !ok(w) {
-					return fmt.Errorf("%s", where(fmt.Sprintf("cost variable %s of %s is not quasi-limited", w, ctx)))
+					return fmt.Errorf("%s", where(fmt.Sprintf("cost variable %s of %s %s is not quasi-limited", w, what, l)))
 				}
 				continue
 			}
-			if !v.Limited[w] {
-				return fmt.Errorf("%s", where(fmt.Sprintf("variable %s of %s is not limited", w, ctx)))
+			if !v.isLimited(w) {
+				return fmt.Errorf("%s", where(fmt.Sprintf("variable %s of %s %s is not limited", w, what, l)))
 			}
 		}
 		return nil
@@ -191,20 +224,20 @@ func CheckRule(r *ast.Rule, s ast.Schemas) error {
 		case *ast.Lit:
 			pi := s.Info(sg.Atom.Key())
 			if sg.Neg {
-				if err := checkAtomArgs(&sg.Atom, true, "negated subgoal "+sg.String()); err != nil {
+				if err := checkAtomArgs(sg, true, "negated subgoal"); err != nil {
 					return err
 				}
 			} else if pi != nil && pi.HasDefault {
 				// Positive subgoals of default-value cost predicates must
 				// have limited non-cost arguments (§2.3.3).
-				if err := checkAtomArgs(&sg.Atom, false, "default-value subgoal "+sg.String()); err != nil {
+				if err := checkAtomArgs(sg, false, "default-value subgoal"); err != nil {
 					return err
 				}
 			}
 		case *ast.Agg:
-			rs := ast.RolesOf(r, i)
+			rs := roles[i]
 			for _, w := range rs.Grouping {
-				if !v.Limited[w] {
+				if !v.isLimited(w) {
 					return fmt.Errorf("%s", where(fmt.Sprintf("grouping variable %s of %s is not limited", w, sg)))
 				}
 			}
@@ -223,7 +256,7 @@ func CheckRule(r *ast.Rule, s ast.Schemas) error {
 					if isCost {
 						continue
 					}
-					if !v.Limited[w] {
+					if !v.isLimited(w) {
 						return fmt.Errorf("%s", where(fmt.Sprintf("variable %s inside %s is not limited", w, sg)))
 					}
 				}
@@ -249,7 +282,7 @@ func CheckRule(r *ast.Rule, s ast.Schemas) error {
 			}
 			continue
 		}
-		if !v.Limited[w] {
+		if !v.isLimited(w) {
 			return fmt.Errorf("%s", where(fmt.Sprintf("head variable %s is not limited", w)))
 		}
 	}

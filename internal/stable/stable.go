@@ -50,8 +50,8 @@ func IsMonotonicStable(prog *ast.Program, edb *relation.DB, m *relation.DB, opts
 	if err != nil {
 		return false, err
 	}
-	if en.Report.Admissible != nil {
-		return false, fmt.Errorf("stable: reduced program is not monotonic: %w", en.Report.Admissible)
+	if adm := en.Report().Admissible; adm != nil {
+		return false, fmt.Errorf("stable: reduced program is not monotonic: %w", adm)
 	}
 	least, _, err := en.Solve(edb)
 	if err != nil {

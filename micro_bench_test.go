@@ -36,7 +36,8 @@ func BenchmarkParse(b *testing.B) {
 // (116 KB of text, about 4,100 facts), MB/s of program text, beside a
 // cold Solve of the loaded program. Facts are data from the bytes up, so
 // load allocates per buffer chunk and per new symbol, not per fact:
-// scripts/bench_regression.sh pins load's allocs/op.
+// scripts/bench_regression.sh pins load's allocs/op, and those of rules,
+// the Load of the six example programs' rule texts alone.
 func BenchmarkLoad(b *testing.B) {
 	src := programs.Party + gen.PartyFacts(gen.Party(1024, 4, 3, 1))
 	b.Run("load", func(b *testing.B) {
@@ -52,6 +53,27 @@ func BenchmarkLoad(b *testing.B) {
 			if _, err := datalog.Load(src, datalog.Options{}); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+	// rules: the front end alone — Load of the rule texts of the paper's
+	// six example programs, with no facts to speak of, after one untimed
+	// load so that no symbol is new. scripts/bench_regression.sh pins its
+	// allocs/op (RULES_ALLOCS).
+	b.Run("rules", func(b *testing.B) {
+		texts := []string{programs.ShortestPath, programs.CompanyControl, programs.Party,
+			programs.Circuit, programs.Halfsum, programs.Averages}
+		loadAll := func() {
+			for _, text := range texts {
+				if _, err := datalog.Load(text, datalog.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		loadAll()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			loadAll()
 		}
 	})
 	b.Run("solve", func(b *testing.B) {
