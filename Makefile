@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet bench-vet fma-check test test-procs race fuzz wal-crash-test serve-smoke bench-regression ci clean
+.PHONY: all build vet bench-vet fma-check test test-procs test-386 race fuzz wal-crash-test serve-smoke bench-regression ci clean
 
 all: build
 
@@ -39,6 +39,12 @@ test-procs:
 	GOMAXPROCS=2 $(GO) test -count=1 ./...
 	GOMAXPROCS=4 $(GO) test -count=1 ./...
 
+# Tier-1 on a 32-bit platform: 386 binaries run natively on amd64.
+# There int is 32 bits and a uint64 aligns to 4 bytes, so a value is 12
+# bytes, not 16.
+test-386:
+	GOARCH=386 $(GO) test -count=1 ./...
+
 # Everything under the race detector. The crash-recovery suite
 # (fault-injected crashes mid-fixpoint, torn checkpoints, the
 # checkpoint/resume differential), the component-walk suite (the
@@ -50,9 +56,10 @@ test-procs:
 race:
 	$(GO) test -race ./...
 
-# Short coverage-guided fuzz runs over the parser, the snapshot and WAL
-# decoders, the serve tier's value codec and fact-array decoder (each
-# against its encoding/json reference), the relation generations
+# Short coverage-guided fuzz runs over the parser (and its fact fast
+# path against the general parser), the snapshot and WAL decoders, the
+# serve tier's value codec and fact-array decoder (each against its
+# encoding/json reference), the relation generations
 # (clone, fork and copy-on-write against a map model) and the join
 # property of min/max/or that γ's Δ-fold rests on; the seed corpora
 # alone run under plain `make test`. A FuzzGenerations input runs a whole
@@ -60,6 +67,7 @@ race:
 # leave the run time for fuzzing.
 fuzz:
 	$(GO) test ./internal/parser -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/parser -run '^$$' -fuzz '^FuzzFactFastPath$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeValue$$' -fuzztime $(FUZZTIME)
@@ -82,20 +90,22 @@ wal-crash-test:
 serve-smoke:
 	sh scripts/serve-smoke.sh
 
-# Regression gate over eight counts (scripts/bench_regression.sh):
+# Regression gate over nine counts (scripts/bench_regression.sh):
 # BenchmarkSolve's allocs/op, BenchmarkRelationInsert's bytes per row,
 # Example 4.3's index probes per solve, BenchmarkLoad/load's allocs/op, the
 # bytes and index probes of a chained SolveMore (solve-more-chain's B/op
 # and probes/op), BenchmarkServeRecover's allocs/op (crash recovery
-# over a 900-batch write-ahead log) and BenchmarkLoad/rules's allocs/op
-# (the rules front end: Load of the six example programs' rule texts).
+# over a 900-batch write-ahead log), BenchmarkLoad/rules's allocs/op
+# (the rules front end: Load of the six example programs' rule texts)
+# and BenchmarkParse's allocs/op (the parser, facts through its fast
+# path).
 bench-regression:
 	sh scripts/bench_regression.sh
 
 # CI's target set, plus one iteration of every root benchmark (proves
 # each still compiles and runs; timings that carry a conclusion come from
 # benchmark/, see BENCHMARK.json).
-ci: vet bench-vet fma-check build test-procs race fuzz wal-crash-test serve-smoke bench-regression
+ci: vet bench-vet fma-check build test-procs test-386 race fuzz wal-crash-test serve-smoke bench-regression
 	$(GO) test . -run '^$$' -bench . -benchtime 1x
 
 clean:

@@ -3,6 +3,7 @@ package ast
 import (
 	"container/heap"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/val"
 )
@@ -33,20 +34,63 @@ type FactRows struct {
 	Key   PredKey
 	Pred  string
 	Arity int
-	// Vals holds the rows' arguments as written, Arity per row in source
-	// order; a cost predicate's cost is the last value of its row.
-	Vals []val.T
-	// Tags places each row in the program, one per row.
-	Tags []FactTag
+	// chunks hold the rows in source order: chunk 0 holds the first
+	// 1<<firstRowBits rows and chunk c ≥ 1 the next 1<<(firstRowBits+c-1),
+	// so the buffer grows without ever copying a row it holds.
+	chunks []factChunk
+	n      int
+}
+
+// factChunk is one chunk of a FactRows: its rows' arguments as written,
+// Arity per row, a cost predicate's cost last; and each row's tag.
+type factChunk struct {
+	vals []val.T
+	tags []FactTag
+}
+
+const firstRowBits = 3
+
+// locateRow maps row i to its chunk and its offset in the chunk.
+func locateRow(i int) (c, off int) {
+	c = bits.Len(uint(i) >> firstRowBits)
+	if c == 0 {
+		return 0, i
+	}
+	return c, i - 1<<(firstRowBits+c-1)
 }
 
 // Len returns the number of rows.
-func (f *FactRows) Len() int { return len(f.Tags) }
+func (f *FactRows) Len() int { return f.n }
 
 // Row returns row i's arguments, cost last. The slice aliases the
 // buffer.
 func (f *FactRows) Row(i int) []val.T {
-	return f.Vals[i*f.Arity : (i+1)*f.Arity : (i+1)*f.Arity]
+	c, off := locateRow(i)
+	lo, hi := off*f.Arity, (off+1)*f.Arity
+	return f.chunks[c].vals[lo:hi:hi]
+}
+
+// Tag returns where row i stands in its program.
+func (f *FactRows) Tag(i int) FactTag {
+	c, off := locateRow(i)
+	return f.chunks[c].tags[off]
+}
+
+// appendRow adds a row tagged tag and returns its arguments to fill in.
+func (f *FactRows) appendRow(tag FactTag) []val.T {
+	c, off := locateRow(f.n)
+	if c == len(f.chunks) {
+		size := 1 << firstRowBits
+		if c > 0 {
+			size = 1 << (firstRowBits + c - 1)
+		}
+		f.chunks = append(f.chunks, factChunk{vals: make([]val.T, size*f.Arity), tags: make([]FactTag, size)})
+	}
+	ch := &f.chunks[c]
+	ch.tags[off] = tag
+	f.n++
+	lo, hi := off*f.Arity, (off+1)*f.Arity
+	return ch.vals[lo:hi:hi]
 }
 
 // Rule returns row i as the bodiless rule it was written as.
@@ -102,22 +146,37 @@ type factPred struct {
 // statement following every rule and fact it holds so far: one row of
 // pred's buffer, tagged with its ordinal and pos. args are copied.
 func (p *Program) AddFact(pred string, args []val.T, pos Pos) {
+	copy(p.AppendFact(pred, len(args), pos), args)
+}
+
+// AppendFact is AddFact for a caller that fills the row in itself: it
+// appends a row of arity arguments to pred's buffer and returns them,
+// all zero, to be written before the program is read.
+func (p *Program) AppendFact(pred string, arity int, pos Pos) []val.T {
 	f := p.lastFact
-	if f == nil || f.Pred != pred || f.Arity != len(args) {
-		fp := factPred{pred, len(args)}
-		if f = p.factBufs[fp]; f == nil {
-			if p.factBufs == nil {
-				p.factBufs = map[factPred]*FactRows{}
-			}
-			f = &FactRows{Key: MakePredKey(pred, len(args)), Pred: pred, Arity: len(args)}
-			p.factBufs[fp] = f
-			p.Facts = append(p.Facts, f)
-		}
+	if f == nil || f.Pred != pred || f.Arity != arity {
+		f = p.factBuf(pred, arity)
 		p.lastFact = f
 	}
-	f.Vals = append(f.Vals, args...)
-	f.Tags = append(f.Tags, FactTag{Seq: p.nfacts, Rule: int32(len(p.Rules)), Pos: pos})
+	row := f.appendRow(FactTag{Seq: p.nfacts, Rule: int32(len(p.Rules)), Pos: pos})
 	p.nfacts++
+	return row
+}
+
+// factBuf returns the fact buffer of pred/arity, adding it after the
+// others if it is new.
+func (p *Program) factBuf(pred string, arity int) *FactRows {
+	fp := factPred{pred, arity}
+	f := p.factBufs[fp]
+	if f == nil {
+		if p.factBufs == nil {
+			p.factBufs = map[factPred]*FactRows{}
+		}
+		f = &FactRows{Key: MakePredKey(pred, arity), Pred: pred, Arity: arity}
+		p.factBufs[fp] = f
+		p.Facts = append(p.Facts, f)
+	}
+	return f
 }
 
 // KeyAtom resolves a's predicate key once per predicate of the program:
@@ -228,7 +287,7 @@ type cursor struct {
 	i int
 }
 
-func (c cursor) tag() FactTag { return c.f.Tags[c.i] }
+func (c cursor) tag() FactTag { return c.f.Tag(c.i) }
 
 type cursors []cursor
 

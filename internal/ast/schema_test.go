@@ -281,7 +281,7 @@ func TestSplitFacts(t *testing.T) {
 	if got, want := p.String(), strings.ReplaceAll(all, ". ", ".\n")+"\n"; got != want {
 		t.Fatalf("String = %q, want %q", got, want)
 	}
-	if tag := p.Facts[0].Tags[2]; tag.Seq != 4 || tag.Rule != 2 || tag.Line != 5 {
+	if tag := p.Facts[0].Tag(2); tag.Seq != 4 || tag.Rule != 2 || tag.Line != 5 {
 		t.Fatalf("e(c, d) tagged %+v, want Seq 4, Rule 2, line 5", tag)
 	}
 	// A program without data is returned as it is.

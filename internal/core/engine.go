@@ -155,9 +155,9 @@ func (en *Engine) loadBase(edb []*ast.FactRows) error {
 	for _, f := range edb {
 		rel := en.base.Rel(f.Key)
 		rel.Reserve(f.Len())
-		for i := 0; i < f.Len() && f.Tags[i].Seq < firstSeq; i++ {
+		for i := 0; i < f.Len() && (first == nil || f.Tag(i).Seq < firstSeq); i++ {
 			if err := en.loadRow(rel, f, i); err != nil {
-				first, firstSeq = err, f.Tags[i].Seq
+				first, firstSeq = err, f.Tag(i).Seq
 			}
 		}
 	}

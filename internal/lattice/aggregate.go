@@ -2,7 +2,7 @@ package lattice
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/val"
@@ -81,14 +81,25 @@ func numFold(init float64, f func(acc, x float64) float64) func([]Elem) (Elem, b
 // sortedNumFold folds over the multiset in ascending numeric order, so
 // that rounding of non-associative float operations (sum, product) does
 // not depend on enumeration order: the two fixpoint strategies then
-// compute bit-identical results for identical multisets.
+// compute bit-identical results for identical multisets. Only the
+// ascending numbers are folded, so it sorts them, not the elements, in a
+// buffer on the stack for a multiset of up to 32.
 func sortedNumFold(init float64, f func(acc, x float64) float64) func([]Elem) (Elem, bool) {
-	fold := numFold(init, f)
 	return func(ms []Elem) (Elem, bool) {
-		sorted := make([]Elem, len(ms))
-		copy(sorted, ms)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Num() < sorted[j].Num() })
-		return fold(sorted)
+		var buf [32]float64
+		xs := buf[:0]
+		if len(ms) > len(buf) {
+			xs = make([]float64, 0, len(ms))
+		}
+		for _, e := range ms {
+			xs = append(xs, e.Num())
+		}
+		slices.Sort(xs)
+		acc := init
+		for _, x := range xs {
+			acc = f(acc, x)
+		}
+		return val.Number(acc), true
 	}
 }
 

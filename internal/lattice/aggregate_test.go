@@ -3,6 +3,7 @@ package lattice
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -354,4 +355,60 @@ func FuzzJoinAggregate(f *testing.F) {
 		}
 		checkJoin(t, a, ms)
 	})
+}
+
+// sliceSortedFold is the sum family's fold as it was before it sorted
+// floats on the stack: a copy of the multiset sorted by sort.Slice, then
+// folded. TestSortedNumFoldMatchesSortSlice holds the new fold to it.
+func sliceSortedFold(init float64, f func(acc, x float64) float64, ms []Elem) Elem {
+	sorted := make([]Elem, len(ms))
+	copy(sorted, ms)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Num() < sorted[j].Num() })
+	acc := init
+	for _, e := range sorted {
+		acc = f(acc, e.Num())
+	}
+	return val.Number(acc)
+}
+
+// TestSortedNumFoldMatchesSortSlice checks that sum, product, halfsum and
+// avg give bit-identical results to the sort.Slice fold on random
+// multisets of 1 to 200 elements, across the stack buffer's bound, with
+// duplicates, ±Inf, −0, subnormals and magnitudes whose sums round.
+func TestSortedNumFoldMatchesSortSlice(t *testing.T) {
+	pool := []float64{0, math.Copysign(0, -1), 1, 1, 2, 0.1, 0.2, 0.3, 1.0 / 3, 2.5, 7, 1e16, 1e-16, 1e300, 1e308,
+		math.SmallestNonzeroFloat64, 3 * math.SmallestNonzeroFloat64, 0x1p-1030, math.MaxFloat64, math.Inf(1), -1, -0.1, -1e308, math.Inf(-1)}
+	folds := []struct {
+		a    Aggregate
+		init float64
+		f    func(acc, x float64) float64
+	}{
+		{Sum, 0, func(a, x float64) float64 { return a + x }},
+		{Product, 1, func(a, x float64) float64 { return a * x }},
+		{Halfsum, 0, func(a, x float64) float64 { return a + float64(x/2) }},
+	}
+	r := rand.New(rand.NewSource(41))
+	for n := 1; n <= 200; n++ {
+		for rep := 0; rep < 5; rep++ {
+			ms := make([]Elem, n)
+			for i := range ms {
+				x := pool[r.Intn(len(pool))]
+				if rep%2 == 1 {
+					x *= r.Float64() // distinct values, so rounding depends on order
+				}
+				ms[i] = val.Number(x)
+			}
+			for _, fd := range folds {
+				got, _ := fd.a.Apply(ms)
+				if want := sliceSortedFold(fd.init, fd.f, ms); got != want {
+					t.Fatalf("%s of %v = %v, want %v", fd.a.Name(), ms, got, want)
+				}
+			}
+			got, _ := Average.Apply(ms)
+			sum := sliceSortedFold(0, folds[0].f, ms)
+			if want := val.Number(sum.Num() / float64(n)); got != want {
+				t.Fatalf("avg of %v = %v, want %v", ms, got, want)
+			}
+		}
+	}
 }

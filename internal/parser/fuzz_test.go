@@ -1,8 +1,10 @@
 package parser
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -39,21 +41,7 @@ func FuzzParse(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
-	dir := filepath.Join("..", "..", "examples", "programs")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		f.Fatalf("reading example programs: %v", err)
-	}
-	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".mdl" {
-			continue
-		}
-		src, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			f.Fatalf("reading %s: %v", e.Name(), err)
-		}
-		f.Add(string(src))
-	}
+	addExamplePrograms(f)
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := Parse(src)
 		if err != nil {
@@ -76,6 +64,104 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
+// FuzzFactFastPath holds the fact fast path (facts.go) to the general
+// parser: every input parses to the same program with the fast path on
+// and off — rules, fact rows with their tags and positions, declarations
+// and printed text — or fails with the same error text, a lexical error
+// later in the text winning over a syntax error before it on both.
+func FuzzFactFastPath(f *testing.F) {
+	seeds := []string{
+		"p(inf). p(-inf). q(a, inf, -inf). r(info, infinity).",
+		"p(-0). p(0). p(-0.0). p(-00).",
+		"n(1e5). n(1E-3). n(2.5e+2). n(-7.25e-1). n(007).",
+		"n(1e). n(1.). n(1.e5). n(1ex).",
+		"big(1e400).",
+		"big(-1e400). big(1e-400).",
+		"big(123456789012345678901234567890). big(999999999999999). big(9999999999999999).",
+		`s(a, "x\"y\\z", "\u00e9"). s(b, "").`,
+		"set(a, {b, 1}). set(b, {}). set(c, {{a}}).",
+		"p(a).\r\nq(b).\r\n\r\n",
+		"p(a).% a comment right after the dot\nq(b).%",
+		"p(a).",
+		"p(a, 1.5)",
+		"p.",
+		"p().",
+		"p(). q. r( ). s .",
+		"p(X).",
+		"p(a, X). q(a). q(b, _).",
+		"p(a).cost s/3 : minreal.",
+		"p(a). .cost p/1 : maxreal. q(b).",
+		"p(a,). p(,a). p(a b). p(a,,b).",
+		"p(a) :- q(a). r(b). s(c) :- r(c).",
+		"p(a). q(b).\n?",
+		"p(a). q(X) :- . r(c). \"unterminated",
+		"p( a , b ).\np(\n a,\n b\n).\tp(\ta\t,\tb\t)\t.",
+		"p(a % a comment inside\n).",
+		"p(- 1). p(-x). p(-info).",
+		"p(a).X",
+		"p(a).q(b).r(c).",
+		"averyveryverylongsymbol(averyveryverylongsymbol, averyveryverylongsymbom, averyveryv).",
+		"p(1, 2, 3, 4, 5, 6, 7, 8). p(1, 2, 3, 4, 5, 6, 7, 8, 9).",
+		"Arc(a). _p(a).",
+		"p(a). :- p(a). .ic :- p(b). .default t/2 = 0.",
+		"p(a). p(a, b). p(a). p.",
+		"win(X) :- move(X, Y), not win(Y). move(a, b). not(a).",
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	addExamplePrograms(f)
+	f.Fuzz(func(t *testing.T, src string) {
+		slow, serr := parse(src, false)
+		fast, ferr := parse(src, true)
+		if serr != nil || ferr != nil {
+			if serr == nil || ferr == nil || serr.Error() != ferr.Error() {
+				t.Fatalf("input %q: general parser %v, fast path %v", src, serr, ferr)
+			}
+			return
+		}
+		if !reflect.DeepEqual(slow, fast) {
+			t.Fatalf("input %q: the programs differ\ngeneral parser:\n%sfast path:\n%s", src, dumpProgram(slow), dumpProgram(fast))
+		}
+		if a, b := slow.String(), fast.String(); a != b {
+			t.Fatalf("input %q: printed texts differ\ngeneral parser:\n%sfast path:\n%s", src, a, b)
+		}
+	})
+}
+
+// addExamplePrograms adds every shipped example program to f's seeds.
+func addExamplePrograms(f *testing.F) {
+	dir := filepath.Join("..", "..", "examples", "programs")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		f.Fatalf("reading example programs: %v", err)
+	}
+	for _, e := range entries {
+		if e.IsDir() || filepath.Ext(e.Name()) != ".mdl" {
+			continue
+		}
+		src, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			f.Fatalf("reading %s: %v", e.Name(), err)
+		}
+		f.Add(string(src))
+	}
+}
+
+// dumpProgram renders prog's rules and every fact row with its tag.
+func dumpProgram(prog *ast.Program) string {
+	var b strings.Builder
+	for _, r := range prog.Rules {
+		fmt.Fprintf(&b, "rule %s\n", r)
+	}
+	for _, f := range prog.Facts {
+		for i := 0; i < f.Len(); i++ {
+			fmt.Fprintf(&b, "fact %s %+v\n", f.Rule(i), f.Tag(i))
+		}
+	}
+	return b.String()
+}
+
 // checkFactRows holds every fact row of prog, parsed from src, to the
 // atom the general atom parser builds at the row's position — what the
 // parser built for every fact before facts became rows — and the row
@@ -95,7 +181,7 @@ func checkFactRows(t *testing.T, src string, prog *ast.Program) {
 	offs := make([]int, total) // by Seq, +1: 0 marks a Seq not seen
 	for _, f := range prog.Facts {
 		for i := 0; i < f.Len(); i++ {
-			tag := f.Tags[i]
+			tag := f.Tag(i)
 			if tag.Seq < 0 || int(tag.Seq) >= total || offs[tag.Seq] != 0 || int(tag.Rule) > len(prog.Rules) {
 				t.Fatalf("fact %s tagged %+v: Seq not a fresh index below %d, or Rule past %d rules", f.Rule(i), tag, total, len(prog.Rules))
 			}
@@ -121,6 +207,13 @@ func checkFactRows(t *testing.T, src string, prog *ast.Program) {
 			t.Fatalf("fact %d starts at byte %d, not after fact %d at byte %d", seq, offs[seq]-1, seq-1, offs[seq-1]-1)
 		}
 	}
+}
+
+// newParser returns a parser of its own over lx, its first token lexed.
+func newParser(lx lexer) *parser {
+	p := &parser{lx: lx, prog: &ast.Program{}}
+	p.lexTo(0)
+	return p
 }
 
 // factText renders every fact row of prog, buffer by buffer.

@@ -15,10 +15,20 @@
 // A statement-terminating '.' must be followed by whitespace or EOF;
 // '.name' introduces a directive.
 //
-// Ground facts are data (docs/ARCHITECTURE.md, "Facts are data"): the
-// lexer yields tokens on demand into a per-statement buffer, and a
+// Ground facts are data (docs/ARCHITECTURE.md, "Facts are data"): a
 // bodiless statement whose arguments are all constants becomes a row of
-// its predicate's buffer on ast.Program, never an ast.Rule.
+// its predicate's buffer on ast.Program, never an ast.Rule, and most
+// never become tokens either. At each statement start the fact fast path
+// (facts.go) reads pred(c1, …, cn). from the bytes straight into the
+// row: symbols, numbers, inf and -inf, separated by blanks and newlines.
+// At anything else — a variable, a string, a set, a comment inside the
+// atom, a '-' apart from its number, a number strconv.ParseFloat
+// refuses, a body, a directive after the '.' — it gives up having
+// consumed nothing of the statement, and the general parser, which lexes
+// tokens on demand into a per-statement buffer, reads the statement from
+// its first byte. So a fact is the same row with the same tag and
+// position either way, and every error is the general parser's, a
+// lexical error later in the text still winning (FuzzFactFastPath).
 package parser
 
 import (
@@ -106,26 +116,9 @@ func newLexer(src string) lexer { return lexer{src: src, line: 1, col: 1} }
 // next scans the next token; at the end of the text it returns tokEOF
 // (again on every further call).
 func (lx *lexer) next() (token, error) {
+	lx.skip()
 	src, n := lx.src, len(lx.src)
 	i := lx.i
-	// Skip whitespace and comments.
-	for i < n {
-		if c := src[i]; c == '\n' {
-			lx.line++
-			lx.col = 1
-			i++
-		} else if c == ' ' || c == '\t' || c == '\r' {
-			i++
-			lx.col++
-		} else if c == '%' {
-			for i < n && src[i] != '\n' {
-				i++
-			}
-		} else {
-			break
-		}
-	}
-	lx.i = i
 	if i == n {
 		return lx.emit(tokEOF, "", 0), nil
 	}
@@ -214,29 +207,8 @@ func (lx *lexer) next() (token, error) {
 			return token{}, lx.fail(fmt.Sprintf("bad string literal: %v", err))
 		}
 		return lx.emit(tokString, decoded, j+1-i), nil
-	case c >= '0' && c <= '9':
-		j := i
-		for j < n && (src[j] >= '0' && src[j] <= '9') {
-			j++
-		}
-		if j < n && src[j] == '.' && j+1 < n && src[j+1] >= '0' && src[j+1] <= '9' {
-			j++
-			for j < n && src[j] >= '0' && src[j] <= '9' {
-				j++
-			}
-		}
-		if j < n && (src[j] == 'e' || src[j] == 'E') {
-			k := j + 1
-			if k < n && (src[k] == '+' || src[k] == '-') {
-				k++
-			}
-			if k < n && src[k] >= '0' && src[k] <= '9' {
-				for k < n && src[k] >= '0' && src[k] <= '9' {
-					k++
-				}
-				j = k
-			}
-		}
+	case isDigit(c):
+		j := numberEnd(src, i)
 		return lx.emit(tokNumber, src[i:j], j-i), nil
 	case isLower(c):
 		j := i
@@ -254,6 +226,30 @@ func (lx *lexer) next() (token, error) {
 	return token{}, lx.fail(fmt.Sprintf("unexpected character %q", c))
 }
 
+// skip moves past whitespace and comments. A comment's bytes do not
+// advance the column: the newline that ends it resets it.
+func (lx *lexer) skip() {
+	src, n := lx.src, len(lx.src)
+	i := lx.i
+	for i < n {
+		if c := src[i]; c == '\n' {
+			lx.line++
+			lx.col = 1
+			i++
+		} else if c == ' ' || c == '\t' || c == '\r' {
+			i++
+			lx.col++
+		} else if c == '%' {
+			for i < n && src[i] != '\n' {
+				i++
+			}
+		} else {
+			break
+		}
+	}
+	lx.i = i
+}
+
 // emit returns the token of the given kind and text starting at the
 // current position, and moves past its width bytes.
 func (lx *lexer) emit(k tokKind, text string, width int) token {
@@ -265,6 +261,38 @@ func (lx *lexer) emit(k tokKind, text string, width int) token {
 
 // fail reports a lexical error at the current position.
 func (lx *lexer) fail(msg string) error { return &lexError{lx.line, lx.col, msg} }
+
+// numberEnd returns the end of the number that starts with the digit at
+// src[i]: digits, then a fraction only if a digit follows the '.', then
+// an exponent only if a digit follows the 'e' and its sign.
+func numberEnd(src string, i int) int {
+	n := len(src)
+	j := i
+	for j < n && isDigit(src[j]) {
+		j++
+	}
+	if j+1 < n && src[j] == '.' && isDigit(src[j+1]) {
+		j++
+		for j < n && isDigit(src[j]) {
+			j++
+		}
+	}
+	if j < n && (src[j] == 'e' || src[j] == 'E') {
+		k := j + 1
+		if k < n && (src[k] == '+' || src[k] == '-') {
+			k++
+		}
+		if k < n && isDigit(src[k]) {
+			for k < n && isDigit(src[k]) {
+				k++
+			}
+			j = k
+		}
+	}
+	return j
+}
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 func isLower(c byte) bool { return c >= 'a' && c <= 'z' }
 

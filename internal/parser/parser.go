@@ -3,7 +3,9 @@ package parser
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
+	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/lattice"
@@ -11,12 +13,31 @@ import (
 )
 
 // Parse parses a complete program. Ground facts go straight to their
-// predicate's row buffer (ast.Program.AddFact): no Atom or Rule is built
-// for them.
-func Parse(src string) (*ast.Program, error) {
-	p := newParser(newLexer(src))
-	prog := p.prog
-	for !p.at(tokEOF) {
+// predicate's row buffer (ast.Program.AppendFact): no Atom or Rule is built
+// for them, and the fact fast path (facts.go) reads most of them from
+// the bytes without lexing a token.
+func Parse(src string) (*ast.Program, error) { return parse(src, true) }
+
+// parse is Parse with the fact fast path on or off; the two read every
+// text alike (FuzzFactFastPath).
+func parse(src string, fast bool) (*ast.Program, error) {
+	p := spare.Swap(nil)
+	if p == nil {
+		p = new(parser)
+	}
+	defer p.release()
+	prog := &ast.Program{}
+	p.lx, p.prog = newLexer(src), prog
+	for {
+		if fast && p.fastFact() {
+			continue
+		}
+		if len(p.toks) == 0 {
+			p.lexTo(0)
+		}
+		if p.at(tokEOF) {
+			return prog, nil
+		}
 		if err := p.statement(prog); err != nil {
 			return nil, p.fail(err)
 		}
@@ -24,7 +45,34 @@ func Parse(src string) (*ast.Program, error) {
 		p.toks = p.toks[:copy(p.toks, p.toks[p.pos:])]
 		p.pos = 0
 	}
-	return prog, nil
+}
+
+// spare is the parser the last parse released, with its buffers, for
+// the next parse to take: a parse allocates for its program and little
+// else. A parse that finds none — the first, or one running beside
+// another — makes a parser of its own. Unlike a sync.Pool, the spare
+// survives garbage collection, so a parse's allocations do not depend
+// on when the collector last ran.
+var spare atomic.Pointer[parser]
+
+// release forgets the parse p read — nothing of its text or its program
+// stays reachable from p's buffers — and makes p the spare.
+func (p *parser) release() {
+	p.toks, p.vals, p.vars = reuse(p.toks), reuse(p.vals), reuse(p.vars)
+	p.terms, p.goals = reuse(p.terms), reuse(p.goals)
+	p.lx, p.lexErr, p.pos, p.prog = lexer{}, nil, 0, nil
+	spare.Store(p)
+}
+
+// reuse empties a buffer for the next parse: cleared, so that nothing it
+// held stays reachable, or dropped if one long statement grew it past
+// 1,024 elements, which the spare would otherwise keep for good.
+func reuse[E any](s []E) []E {
+	if cap(s) > 1024 {
+		return nil
+	}
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 // fail reports a failed parse. A lexical error anywhere in the text
@@ -60,8 +108,9 @@ func ParseRule(src string) (*ast.Rule, error) {
 
 // parser is a recursive-descent parser over tokens lexed on demand. toks
 // holds the current statement's tokens lexed so far (plus lookahead), so
-// tryAggregate can backtrack within a statement by resetting pos. The
-// current token is always lexed: pos < len(toks).
+// tryAggregate can backtrack within a statement by resetting pos. Inside
+// a statement the current token is always lexed: pos < len(toks);
+// between statements toks is empty after a fact the fast path read.
 type parser struct {
 	lx     lexer
 	lexErr error // the lexer's error; every later token reads as tokErr
@@ -71,15 +120,13 @@ type parser struct {
 	// the constants, and the variable names ("" for a constant).
 	vals []val.T
 	vars []string
+	// terms and goals are the scratch of an atom's arguments and of a
+	// body's subgoals, each copied out once at its exact length.
+	terms []ast.Term
+	goals []ast.Subgoal
 	// prog is the program being read, which keys its atoms
 	// (ast.Program.KeyAtom).
 	prog *ast.Program
-}
-
-func newParser(lx lexer) *parser {
-	p := &parser{lx: lx, prog: &ast.Program{}}
-	p.lexTo(0)
-	return p
 }
 
 // peek returns the token k places past the current one. The pointer is
@@ -291,15 +338,16 @@ func (p *parser) predSpec() (ast.PredKey, error) {
 }
 
 func (p *parser) body() ([]ast.Subgoal, error) {
-	var out []ast.Subgoal
+	start := len(p.goals)
+	defer func() { p.goals = p.goals[:start] }()
 	for {
 		s, err := p.subgoal()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, s)
+		p.goals = append(p.goals, s)
 		if !p.accept(tokComma) {
-			return out, nil
+			return slices.Clone(p.goals[start:]), nil
 		}
 	}
 }
@@ -419,12 +467,14 @@ func (p *parser) atom() (ast.Atom, error) {
 		p.prog.KeyAtom(&a) // propositional atom
 		return a, nil
 	}
+	start := len(p.terms)
+	defer func() { p.terms = p.terms[:start] }()
 	for {
 		t, err := p.term()
 		if err != nil {
 			return ast.Atom{}, err
 		}
-		a.Args = append(a.Args, t)
+		p.terms = append(p.terms, t)
 		if !p.accept(tokComma) {
 			break
 		}
@@ -432,6 +482,7 @@ func (p *parser) atom() (ast.Atom, error) {
 	if _, err := p.expect(tokRParen); err != nil {
 		return ast.Atom{}, err
 	}
+	a.Args = slices.Clone(p.terms[start:])
 	p.prog.KeyAtom(&a)
 	return a, nil
 }

@@ -1,8 +1,10 @@
 package parser
 
 import (
+	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/ast"
@@ -233,4 +235,82 @@ func TestAggregateRoundTrip(t *testing.T) {
 			t.Fatalf("round-trip mismatch: %q vs %q", r.String(), r2.String())
 		}
 	}
+}
+
+// TestFactFastPathEntryStates checks that the fact fast path reads a
+// fact from both states the parser leaves between statements: nothing
+// lexed (the start of the text, after a fact it read) and the
+// statement's first token lexed (after a statement the general parser
+// read), and that it declines a rule without moving past its name.
+func TestFactFastPathEntryStates(t *testing.T) {
+	src := "% data first\n  p(a, 1).\nq(X) :- p(X, N).\nr(b).\ns(c).\n"
+	p := &parser{lx: newLexer(src), prog: &ast.Program{}}
+	if !p.fastFact() {
+		t.Fatal("no fact read from raw bytes at the start of the text")
+	}
+	if p.fastFact() {
+		t.Fatal("the fast path read the rule q(X) :- p(X, N)")
+	}
+	p.lexTo(0)
+	if t0 := p.cur(); t0.kind != tokIdent || t0.text != "q" || t0.line != 3 || t0.col != 1 {
+		t.Fatalf("after declining the rule the parser reads %s at %d:%d", t0, t0.line, t0.col)
+	}
+	if err := p.statement(p.prog); err != nil {
+		t.Fatal(err)
+	}
+	p.toks = p.toks[:copy(p.toks, p.toks[p.pos:])]
+	p.pos = 0
+	if len(p.toks) != 1 || !p.fastFact() {
+		t.Fatalf("no fact read after the rule, with %d tokens lexed", len(p.toks))
+	}
+	if !p.fastFact() {
+		t.Fatal("no fact read from raw bytes after a fact")
+	}
+	var got []string
+	for _, f := range p.prog.Facts {
+		for i := 0; i < f.Len(); i++ {
+			tag := f.Tag(i)
+			got = append(got, fmt.Sprintf("%s@%d:%d#%d/%d", f.Rule(i), tag.Line, tag.Col, tag.Seq, tag.Rule))
+		}
+	}
+	want := "[p(a, 1).@2:3#0/0 r(b).@4:1#1/1 s(c).@5:1#2/1]"
+	if fmt.Sprint(got) != want || len(p.prog.Rules) != 1 {
+		t.Fatalf("facts %v and %d rules, want %s and 1 rule", got, len(p.prog.Rules), want)
+	}
+}
+
+// TestParseConcurrently parses from several goroutines at once, which
+// hand the spare parser back and forth: every parse
+// must read its own text (run under -race).
+func TestParseConcurrently(t *testing.T) {
+	srcs := []string{programs.ShortestPath + "arc(a, b, 1).\narc(b, c, 2).\n", programs.Party + "requires(g1, 2).\nknows(g1, g2).\n",
+		programs.Circuit + "input(n1, 1).\ngate(n2, and).\nconnect(n2, n1).\n", programs.Halfsum}
+	want := make([]string, len(srcs))
+	for i, src := range srcs {
+		prog, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = prog.String()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 50; k++ {
+				i := (g + k) % len(srcs)
+				prog, err := Parse(srcs[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := prog.String(); got != want[i] {
+					t.Errorf("goroutine %d read %q, want %q", g, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -237,11 +237,13 @@ func TestSameAndHashAgreeWithKey(t *testing.T) {
 }
 
 // TestValueRepresentation pins the representation contract: a value is
-// 16 bytes and holds no pointer, so tuple arenas are plain words the
-// garbage collector never scans.
+// a kind byte and a 64-bit payload, padded to the payload's alignment —
+// 16 bytes where a uint64 aligns to 8, 12 on a 32-bit platform (386)
+// where it aligns to 4 — and holds no pointer, so tuple arenas are plain
+// words the garbage collector never scans.
 func TestValueRepresentation(t *testing.T) {
-	if size := unsafe.Sizeof(T{}); size != 16 {
-		t.Errorf("val.T is %d bytes, want 16", size)
+	if size, want := unsafe.Sizeof(T{}), 8+unsafe.Alignof(uint64(0)); size != want {
+		t.Errorf("val.T is %d bytes, want %d", size, want)
 	}
 	if path, ok := pointerIn(reflect.TypeOf(T{}), "T"); ok {
 		t.Errorf("val.T holds a pointer at %s", path)
@@ -294,5 +296,54 @@ func TestLookupDoesNotIntern(t *testing.T) {
 	}
 	if t2, s2 := Interned(); t2 != texts || s2 != sets {
 		t.Fatalf("lookups grew the tables: texts %d → %d, sets %d → %d", texts, t2, sets, s2)
+	}
+}
+
+// TestInternCacheConcurrent interns five times as many texts as the
+// cache has slots, from four goroutines in different orders, so slots
+// are overwritten while others read them: every goroutine must get the
+// same one id per text, that id must name its text, and the table must
+// grow by exactly the number of texts (run under -race).
+func TestInternCacheConcurrent(t *testing.T) {
+	before, _ := Interned() // also makes the texts new on every run
+	names := make([]string, 5*len(textCache))
+	for i := range names {
+		names[i] = fmt.Sprintf("cache-%d-%d", before, i)
+	}
+	const workers = 4
+	ids := make([][]T, workers)
+	done := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer func() { done <- struct{}{} }()
+			got := make([]T, len(names))
+			for k := range names {
+				// 1, 3, 7 and 9 are prime to len(names) = 2^12·5.
+				i := (k*[]int{1, 3, 7, 9}[w] + w*977) % len(names)
+				for r := 0; r < 2; r++ {
+					v := Symbol(names[i])
+					if v.Text() != names[i] || got[i] != (T{}) && got[i] != v {
+						t.Errorf("Symbol(%q) = %v", names[i], v)
+						return
+					}
+					got[i] = v
+				}
+			}
+			ids[w] = got
+		}(w)
+	}
+	for w := 0; w < workers; w++ {
+		<-done
+	}
+	if t.Failed() {
+		return
+	}
+	for w := 1; w < workers; w++ {
+		if !reflect.DeepEqual(ids[w], ids[0]) {
+			t.Fatalf("goroutines 0 and %d disagree on ids", w)
+		}
+	}
+	if after, _ := Interned(); after-before != len(names) {
+		t.Fatalf("table grew by %d, want %d", after-before, len(names))
 	}
 }

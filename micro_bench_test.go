@@ -19,7 +19,9 @@ import (
 	"repro/internal/val"
 )
 
-// BenchmarkParse: program-text parsing throughput (rules + 512 facts).
+// BenchmarkParse: program-text parsing throughput (rules + 512 facts,
+// which the parser's fact fast path reads). scripts/bench_regression.sh
+// pins its allocs/op (PARSE_ALLOCS).
 func BenchmarkParse(b *testing.B) {
 	g := gen.Graph(gen.RandomGraph, 128, 512, 9, 1)
 	src := programs.ShortestPath + gen.GraphFacts(g)

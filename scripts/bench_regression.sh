@@ -2,10 +2,10 @@
 # Allocation-, size- and probe-regression gate for the engine.
 #
 # Runs BenchmarkSolve (the shortest-path fixpoint on a cyclic graph),
-# BenchmarkRelationInsert, BenchmarkParty (Example 4.3), BenchmarkLoad and
-# BenchmarkServeRecover at -benchtime 3x, and
+# BenchmarkRelationInsert, BenchmarkParty (Example 4.3), BenchmarkLoad,
+# BenchmarkServeRecover and BenchmarkParse at -benchtime 3x, and
 # BenchmarkIncrementalSolve/solve-more-chain at -benchtime 100x, and
-# enforces eight pins. All are counts, not timings, so they hold
+# enforces nine pins. All are counts, not timings, so they hold
 # on any machine; there are no knobs. Re-pinning means editing the
 # constant below in the same commit as the code change that moves it.
 #
@@ -64,18 +64,21 @@
 #
 #   4. Load allocation pin: BenchmarkLoad/load — datalog.Load of Example
 #      4.3 over 1,024 generated guests, about 4,100 facts in 116 KB —
-#      stays at LOAD_ALLOCS (334) allocs/op within ALLOC_TOL_PCT percent.
-#      Facts are data from the bytes up: the lexer fills a per-statement
-#      token buffer, and a ground fact's constants go straight into its
-#      predicate's row buffer and then the base EDB's chunked arena, with
-#      no Atom, Rule or key per fact. What is left is about 65 buffer
-#      doublings, about 20 arena chunks and the front end of the two
-#      rules; the benchmark interns its symbols before timing, so no
-#      symbol is new (a new symbol costs one more). Before facts were
-#      data the same load made 34,230 allocations, about eight per fact;
-#      a single allocation per fact would add 4,100. It moved from 496
-#      when the rules front end stopped formatting text nobody reads and
-#      deriving the same facts twice (pin 8).
+#      stays at LOAD_ALLOCS (305) allocs/op within ALLOC_TOL_PCT percent.
+#      Facts are data from the bytes up: the parser's fact fast path
+#      reads a ground fact's constants from the bytes straight into its
+#      predicate's chunked row buffer and then the base EDB's chunked
+#      arena, with no token, Atom, Rule or key per fact. What is left is
+#      about 16 row-buffer chunks (two allocations each), about 20 arena
+#      chunks and the front end of the two rules; the benchmark interns
+#      its symbols before timing, so no symbol is new (a new symbol costs
+#      one more). Before facts were data the same load made 34,230
+#      allocations, about eight per fact; a single allocation per fact
+#      would add 4,100. It moved from 496 when the rules front end
+#      stopped formatting text nobody reads and deriving the same facts
+#      twice (pin 8), then to 305 when the row buffers became chunks that
+#      never copy a row instead of slices that doubled (1.20 MB → 0.51 MB
+#      a load) and the parser began reusing its buffers.
 #
 #   5. Chained-SolveMore byte pin: BenchmarkIncrementalSolve/solve-more-chain
 #      — 100 batches of two arcs, each solved into the model the previous
@@ -125,7 +128,7 @@
 #      rule texts of the six example programs of internal/programs
 #      (ShortestPath, CompanyControl, Party, Circuit, Halfsum and
 #      Averages), after one untimed load so that no symbol is new —
-#      stays at RULES_ALLOCS (1,951) allocs/op within ALLOC_TOL_PCT
+#      stays at RULES_ALLOCS (1,834) allocs/op within ALLOC_TOL_PCT
 #      percent. The analyses and the compiler read each rule's facts
 #      once — predicate keys resolved at parse time, aggregate roles and
 #      CDB cost variables derived once per rule — and format text only
@@ -133,7 +136,20 @@
 #      first Classify. When every Load rendered the rules' aggregates,
 #      r-monotonicity verdicts and EXPLAIN labels, copied rules for each
 #      pair of Definition 2.10 and rebuilt keys per lookup, the same
-#      texts took 3,654 allocations.
+#      texts took 3,654 allocations. It moved from 1,951 when the parser
+#      began reusing its token and scratch buffers from one parse to the
+#      next and copying an atom's arguments and a body's subgoals out
+#      once, at their length.
+#
+#   9. Parse allocation pin: BenchmarkParse — parser.Parse of Example
+#      2.6's rules and 512 arc facts, 9.4 KB — stays at PARSE_ALLOCS (93)
+#      allocs/op within ALLOC_TOL_PCT percent. The fact fast path builds
+#      no token and allocates nothing per fact: a fact costs its share of
+#      its buffer's chunks, and the rules' atoms and bodies are the rest.
+#      A parse takes the parser the last one released, with its
+#      buffers, so nothing is allocated per parse for scratch.
+#      Before the fast path the same parse made 121 allocations; a
+#      single allocation per fact would add 512.
 set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
@@ -141,22 +157,23 @@ SOLVE_ALLOCS=416
 INSERT_BYTES_PER_ROW=82.4
 ALLOC_TOL_PCT=5
 PARTY_PROBES=1682
-LOAD_ALLOCS=334
+LOAD_ALLOCS=305
 CHAIN_BYTES=51441
 CHAIN_PROBES=277.6
 RECOVER_ALLOCS=13375
-RULES_ALLOCS=1951
+RULES_ALLOCS=1834
+PARSE_ALLOCS=93
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT INT TERM
 
-echo "bench_regression: running BenchmarkSolve, BenchmarkRelationInsert, BenchmarkParty, BenchmarkLoad and BenchmarkServeRecover (-benchtime 3x)"
-( cd "$ROOT" && go test . -run '^$' -bench '^(BenchmarkSolve|BenchmarkRelationInsert|BenchmarkParty|BenchmarkLoad|BenchmarkServeRecover)$' -benchmem \
+echo "bench_regression: running BenchmarkSolve, BenchmarkRelationInsert, BenchmarkParty, BenchmarkLoad, BenchmarkServeRecover and BenchmarkParse (-benchtime 3x)"
+( cd "$ROOT" && go test . -run '^$' -bench '^(BenchmarkSolve|BenchmarkRelationInsert|BenchmarkParty|BenchmarkLoad|BenchmarkServeRecover|BenchmarkParse)$' -benchmem \
     -benchtime 3x ) | tee "$RAW"
 echo "bench_regression: running BenchmarkIncrementalSolve/solve-more-chain (-benchtime 100x)"
 ( cd "$ROOT" && go test . -run '^$' -bench '^BenchmarkIncrementalSolve$/^solve-more-chain$' -benchmem \
     -benchtime 100x ) | tee -a "$RAW"
 
-awk -v pinned="$SOLVE_ALLOCS" -v alloctol="$ALLOC_TOL_PCT" -v partypin="$PARTY_PROBES" -v rowpin="$INSERT_BYTES_PER_ROW" -v loadpin="$LOAD_ALLOCS" -v chainpin="$CHAIN_BYTES" -v chainprobepin="$CHAIN_PROBES" -v recoverpin="$RECOVER_ALLOCS" -v rulespin="$RULES_ALLOCS" '
+awk -v pinned="$SOLVE_ALLOCS" -v alloctol="$ALLOC_TOL_PCT" -v partypin="$PARTY_PROBES" -v rowpin="$INSERT_BYTES_PER_ROW" -v loadpin="$LOAD_ALLOCS" -v chainpin="$CHAIN_BYTES" -v chainprobepin="$CHAIN_PROBES" -v recoverpin="$RECOVER_ALLOCS" -v rulespin="$RULES_ALLOCS" -v parsepin="$PARSE_ALLOCS" '
 /^BenchmarkSolve(-[0-9]+)?[ \t]/ && /allocs\/op/ {
     for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") allocs = $i
 }
@@ -171,6 +188,9 @@ awk -v pinned="$SOLVE_ALLOCS" -v alloctol="$ALLOC_TOL_PCT" -v partypin="$PARTY_P
 }
 /^BenchmarkLoad\/rules(-[0-9]+)?[ \t]/ && /allocs\/op/ {
     for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") rulesallocs = $i
+}
+/^BenchmarkParse(-[0-9]+)?[ \t]/ && /allocs\/op/ {
+    for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") parseallocs = $i
 }
 /^BenchmarkServeRecover(-[0-9]+)?[ \t]/ && /allocs\/op/ {
     for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") recoverallocs = $i
@@ -256,6 +276,16 @@ END {
     printf "bench_regression: BenchmarkLoad/rules allocs/op %d vs pinned %d = %.3f%% deviation (gate: <= %s%%)\n", rulesallocs, rulespin, udev, alloctol
     if (udev > alloctol + 0) {
         print "bench_regression: FAIL: rules front-end allocation count moved; the analyses format text nobody reads, or derive the facts of a rule again" > "/dev/stderr"
+        exit 1
+    }
+    if (parseallocs == "") {
+        print "bench_regression: FAIL: missing BenchmarkParse allocs/op" > "/dev/stderr"
+        exit 1
+    }
+    pdev = 100 * (parseallocs - parsepin) / parsepin; if (pdev < 0) pdev = -pdev
+    printf "bench_regression: BenchmarkParse allocs/op %d vs pinned %d = %.3f%% deviation (gate: <= %s%%)\n", parseallocs, parsepin, pdev, alloctol
+    if (pdev > alloctol + 0) {
+        print "bench_regression: FAIL: parse allocation count moved; a fact costs an allocation again, or the fast path stopped reading facts" > "/dev/stderr"
         exit 1
     }
     print "bench_regression: PASS"
