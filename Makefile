@@ -90,15 +90,16 @@ wal-crash-test:
 serve-smoke:
 	sh scripts/serve-smoke.sh
 
-# Regression gate over nine counts (scripts/bench_regression.sh):
+# Regression gate over ten counts (scripts/bench_regression.sh):
 # BenchmarkSolve's allocs/op, BenchmarkRelationInsert's bytes per row,
 # Example 4.3's index probes per solve, BenchmarkLoad/load's allocs/op, the
 # bytes and index probes of a chained SolveMore (solve-more-chain's B/op
 # and probes/op), BenchmarkServeRecover's allocs/op (crash recovery
 # over a 900-batch write-ahead log), BenchmarkLoad/rules's allocs/op
 # (the rules front end: Load of the six example programs' rule texts)
-# and BenchmarkParse's allocs/op (the parser, facts through its fast
-# path).
+# BenchmarkParse's allocs/op (the parser, facts through its fast
+# path) and BenchmarkExplain's allocs/op (a model's first explanation
+# tree, staging included).
 bench-regression:
 	sh scripts/bench_regression.sh
 

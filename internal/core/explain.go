@@ -66,37 +66,54 @@ func atomKey(s Support) string {
 }
 
 // Provenance explains the tuples of one model, db, re-deriving each
-// explanation from db's tuples with the reference interpreter by the
-// contract in docs/ARCHITECTURE.md, "Provenance". It caches the stages
-// of each recursive component and every explanation it derives, so it
-// belongs with its model. It only reads db and the plans, and is safe
-// for concurrent use.
+// explanation from db's tuples on the rules' pipelines by the contract
+// in docs/ARCHITECTURE.md, "Provenance". It caches the stages of each
+// recursive component and every explanation it derives, so it belongs
+// with its model. It only reads db, and is safe for concurrent use.
 type Provenance struct {
-	en     *Engine
+	en *Engine
+	// db is the model with every predicate materialized (readView), the
+	// interpretation the pipelines read outside recursive components.
 	db     *relation.DB
 	stages []stages // per component; computed for recursive ones only
 	memo   sync.Map // atomKey → *Derivation; nil: unexplained
 }
 
-// stages holds, per predicate of a recursive component and by row id in
-// the model, the stage each tuple enters at (see stagesOf).
+// stages holds a recursive component's stages (see stagesOf): of[k][id]
+// is the stage at which the model's tuple id of predicate k enters, and
+// gen[s], for s ≥ 2, is the interpretation an instance deriving a tuple
+// of stage s reads: the model's relations outside the component and the
+// component's tuples of the stages below s.
 type stages struct {
 	once sync.Once
 	of   map[ast.PredKey][]int32
+	gen  []*relation.DB
 }
 
 // Provenance returns the explainer of db, a model of the engine's program.
 func (en *Engine) Provenance(db *relation.DB) *Provenance {
-	return &Provenance{en: en, db: db, stages: make([]stages, len(en.comps))}
+	return &Provenance{en: en, db: en.readView(db), stages: make([]stages, len(en.comps))}
+}
+
+// readView returns an interpretation holding db's relations with every
+// predicate of the program materialized, empty where db has none. The
+// pipelines resolve their relations through DB.Rel, which creates a
+// missing one; over the view it never has to, so any number of
+// goroutines may run pipelines over one view, and db is never written.
+func (en *Engine) readView(db *relation.DB) *relation.DB {
+	v := db.Share()
+	for _, c := range en.comps {
+		for _, k := range c.Preds {
+			v.Rel(k)
+		}
+	}
+	return v
 }
 
 // Explain returns how the model derives the tuple of predicate pred with
-// the given non-cost arguments: the first rule for pred with an instance
-// that derives the stored cost (within Options.Epsilon) from lower
-// components and, in a recursive component, from the stages below the
-// tuple's own; and, of that rule's such instances, the one whose
-// supports sort least. ok is false when the model lacks the tuple, no
-// rule derives it, or no finite derivation reaches its stored cost.
+// the given non-cost arguments, by the contract in docs/ARCHITECTURE.md,
+// "Provenance". ok is false when the model lacks the tuple, no rule
+// derives it, or no finite derivation reaches its stored cost.
 func (pv *Provenance) Explain(pred string, args []val.T) (*Derivation, bool) {
 	k, stored, ok := lookupTuple(pv.db, pred, args)
 	if !ok {
@@ -110,30 +127,32 @@ func (pv *Provenance) Explain(pred string, args []val.T) (*Derivation, bool) {
 	return d.(*Derivation), d.(*Derivation) != nil
 }
 
-// derive picks the explanation of the stored tuple of k (see Explain).
+// derive picks the explanation of the stored tuple of k (see Explain):
+// each rule for k runs its canonical pipeline with the head's arguments
+// bound, over the model or, in a recursive component, over the
+// generation of the stages below the tuple's.
 func (pv *Provenance) derive(k ast.PredKey, args []val.T, stored relation.Row) *Derivation {
-	ev := &evaluator{db: pv.db, supports: true}
+	db, staged := pv.db, false
 	for ci, ps := range pv.en.plans {
 		for _, p := range ps {
 			if p.head.Pred != k {
 				continue
 			}
-			if pv.en.compRecursive[ci] && ev.stage == nil {
-				ev.stage = pv.stagesOf(ci)
-				if ev.below = ev.stage[k][pv.db.Rel(k).ID(args)]; ev.below < 2 {
+			if pv.en.compRecursive[ci] && !staged {
+				st := pv.stagesOf(ci)
+				s := st.of[k][pv.db.Rel(k).ID(args)]
+				if s < 2 {
 					return nil // a fact of the model, or no finite derivation
 				}
-			}
-			e := newEnv(p.nvars)
-			if !bindHead(&p.head, args, e) {
-				continue
+				db, staged = st.gen[s], true
 			}
 			var best *Derivation
 			found := false
-			err := ev.step(p.steps, 0, e, func(e *env) error {
-				if _, c, err := headTuple(p, e.vals); err == nil && pv.en.derivesCost(p, c, stored) {
+			bind := func(r *exec.Regs) bool { return bindHead(&p.head, args, r) }
+			err := run(p.pipe.stream, db, bind, func(m *exec.Machine) error {
+				if _, c, err := headTuple(p, m.Vals); err == nil && pv.en.derivesCost(p, c, stored) {
 					// A fact rule (nil derivation) is its own explanation.
-					if d := buildDerivation(p, e); !found || (d != nil && compareSupports(d.Supports, best.Supports) < 0) {
+					if d := buildDerivation(p, db, &m.Regs); !found || (d != nil && compareSupports(d.Supports, best.Supports) < 0) {
 						best = d
 					}
 					found = true
@@ -148,55 +167,72 @@ func (pv *Provenance) derive(k ast.PredKey, args []val.T, stored relation.Row) *
 	return nil
 }
 
-// stagesOf returns the stages of recursive component ci's tuples,
-// computed on first use by a naive re-evaluation of the component over
-// the model in which every tuple enters at its stored cost. Stage 1 holds
-// the tuples no instance satisfied in the model derives: the model's
-// facts. A tuple enters at stage r > 1 when an instance over the lower
-// components and the stages below r derives its stored cost, so an
-// explanation never leads back to its own tuple. A tuple no finite chain
-// of stages reaches keeps stage 0: one derived only through itself, or
-// whose cost is the limit of an infinite ascending chain.
-func (pv *Provenance) stagesOf(ci int) map[ast.PredKey][]int32 {
+// stagesOf returns the stages of recursive component ci's tuples (see
+// docs/ARCHITECTURE.md, "Provenance"), computed on first use. Stage 1
+// holds the tuples no instance over the whole model derives; round r
+// runs the component's rules over the generation frozen before it and
+// admits, at stage r, each tuple still unstaged that an instance derives
+// at its stored cost, appending it to the next generation. A tuple no
+// round admits keeps stage 0.
+func (pv *Provenance) stagesOf(ci int) *stages {
 	st := &pv.stages[ci]
 	st.once.Do(func() {
-		of := map[ast.PredKey][]int32{}
-		for _, k := range pv.en.comps[ci].Preds {
-			if pv.db.Has(k) {
-				of[k] = make([]int32, pv.db.Rel(k).Len())
-			}
+		preds := pv.en.comps[ci].Preds
+		st.of = make(map[ast.PredKey][]int32, len(preds))
+		for _, k := range preds {
+			st.of[k] = make([]int32, pv.db.Rel(k).Len())
 		}
-		// admit runs one naive pass of the component's rules under ev and
+		tips := make([]*relation.Relation, len(preds))
+		// admit runs one naive pass of the component's rules over db and
 		// gives stage r to every tuple still at stage 0 that an instance
-		// derives at its stored cost, reporting whether any did.
-		admit := func(ev *evaluator, r int32) (admitted bool) {
+		// derives at its stored cost, appending it to the tips when they
+		// are set; it reports whether it admitted any.
+		admit := func(db *relation.DB, r int32) (admitted bool) {
 			for _, p := range pv.en.plans[ci] {
-				if s, ok := of[p.head.Pred]; ok { // else the model holds no tuple of the head
-					rel, buf := pv.db.Rel(p.head.Pred), make([]val.T, len(p.head.ArgVar))
-					_ = ev.run(p, func(e *env) error {
-						if args, c, err := headTupleInto(p, e.vals, buf); err == nil {
-							if id := rel.ID(args); id >= 0 && s[id] == 0 && pv.en.derivesCost(p, c, rel.At(id)) {
+				s, rel := st.of[p.head.Pred], pv.db.Rel(p.head.Pred)
+				tip, buf := tips[slices.Index(preds, p.head.Pred)], make([]val.T, len(p.head.ArgVar))
+				_ = run(p.pipe.stream, db, nil, func(m *exec.Machine) error {
+					if args, c, err := headTupleInto(p, m.Vals, buf); err == nil {
+						if id := rel.ID(args); id >= 0 && s[id] == 0 {
+							if row := rel.At(id); pv.en.derivesCost(p, c, row) {
 								s[id], admitted = r, true
+								if tip != nil {
+									tip.InsertJoin(row.Args, row.Cost)
+								}
 							}
 						}
-						return nil
-					})
-				}
+					}
+					return nil
+				})
 			}
 			return admitted
 		}
 		// -1 marks the tuples an instance over the whole model derives.
-		admit(&evaluator{db: pv.db}, -1)
-		for _, s := range of {
-			for id := range s {
-				s[id]++ // underived (0) to stage 1, derived (-1) to unstaged
+		admit(pv.db, -1)
+		for i, k := range preds {
+			rel := pv.db.Rel(k)
+			tips[i] = relation.New(rel.Info)
+			for id, s := range st.of[k] {
+				if st.of[k][id] = s + 1; s == 0 { // underived (0) to stage 1, derived (-1) to unstaged
+					row := rel.At(id)
+					tips[i].InsertJoin(row.Args, row.Cost)
+				}
 			}
 		}
-		for r := int32(2); admit(&evaluator{db: pv.db, stage: of, below: r}, r); r++ {
+		st.gen = make([]*relation.DB, 2, 8) // stages 0 and 1 read no generation
+		for r := int32(2); ; r++ {
+			g := pv.db.Share()
+			for i, k := range preds {
+				g.SetRel(k, tips[i])
+				tips[i] = tips[i].Clone()
+			}
+			st.gen = append(st.gen, g)
+			if !admit(g, r) {
+				break
+			}
 		}
-		st.of = of
 	})
-	return st.of
+	return st
 }
 
 // lookupTuple finds db's tuple of predicate pred with the given non-cost
@@ -215,21 +251,21 @@ func lookupTuple(db *relation.DB, pred string, args []val.T) (ast.PredKey, relat
 	return "", relation.Row{}, false
 }
 
-// bindHead binds the head's non-cost variables to args in e, reporting
+// bindHead binds the head's non-cost variables to args in r, reporting
 // false when a head constant or a repeated head variable disagrees.
-func bindHead(hs *exec.Atom, args []val.T, e *env) bool {
+func bindHead(hs *exec.Atom, args []val.T, r *exec.Regs) bool {
 	for j, v := range hs.ArgVar {
 		switch {
 		case v < 0:
 			if !val.Equal(hs.ArgVal[j], args[j]) {
 				return false
 			}
-		case e.bound[v]:
-			if !val.Equal(e.vals[v], args[j]) {
+		case r.Bound[v]:
+			if !val.Equal(r.Vals[v], args[j]) {
 				return false
 			}
 		default:
-			e.vals[v], e.bound[v] = args[j], true
+			r.Vals[v], r.Bound[v] = args[j], true
 		}
 	}
 	return true
@@ -246,12 +282,12 @@ func (en *Engine) derivesCost(p *plan, c lattice.Elem, stored relation.Row) bool
 	return eps > 0 && c.Kind == val.Num && stored.Cost.Kind == val.Num && math.Abs(c.Num()-stored.Cost.Num()) <= eps
 }
 
-// buildDerivation snapshots a satisfied instance as a Derivation (nil
-// for fact rules, which are their own explanation): the body's supports
-// in canonical step order, then each aggregate's contributing atoms in
-// compareSupports order. The snapshot owns all of its data — nothing
-// aliases the env.
-func buildDerivation(p *plan, e *env) *Derivation {
+// buildDerivation snapshots a satisfied instance, the registers r of a
+// run over db, as a Derivation (nil for fact rules, which are their own
+// explanation): the body's supports in canonical step order, then each
+// aggregate's contributing atoms in compareSupports order. The snapshot
+// owns all of its data — nothing aliases the registers.
+func buildDerivation(p *plan, db *relation.DB, r *exec.Regs) *Derivation {
 	if p.rule.IsFact() {
 		return nil
 	}
@@ -259,19 +295,60 @@ func buildDerivation(p *plan, e *env) *Derivation {
 	for i := range p.steps {
 		switch st := &p.steps[i]; st.Kind {
 		case exec.ScanKind, exec.NegKind:
-			d.Supports = append(d.Supports, supportOfAtom(&st.Atom, e, st.Kind == exec.NegKind))
+			d.Supports = append(d.Supports, supportOfAtom(&st.Atom, r.Vals, st.Kind == exec.NegKind))
 		case exec.BuiltinKind:
-			d.Supports = append(d.Supports, Support{Note: renderBuiltin(p, st.Builtin, e)})
+			d.Supports = append(d.Supports, Support{Note: renderBuiltin(p, st.Builtin, r)})
 		case exec.AggKind:
-			d.Supports = append(d.Supports, Support{Note: renderAgg(p, st.Agg, e)})
+			d.Supports = append(d.Supports, Support{Note: renderAgg(p, st.Agg, r)})
 		}
 	}
-	for i, st := range p.steps {
-		if st.Kind == exec.AggKind {
-			d.Supports = append(d.Supports, sortedContributions(e.aggSupports[i], len(st.Agg.Conj))...)
+	for i := range p.steps {
+		if a := p.steps[i].Agg; a != nil {
+			var sup []Support
+			_ = p.contributions(i, db, r.Vals, func(vals []val.T) {
+				for ci := range a.Conj {
+					sup = append(sup, supportOfAtom(&a.Conj[ci], vals, false))
+				}
+			})
+			d.Supports = append(d.Supports, sortedContributions(sup, len(a.Conj))...)
 		}
 	}
 	return d
+}
+
+// contributions enumerates the matches of γ step si's conjunction over
+// db in the group the registers vals bind: the group's supports. A
+// conjunction's variables are its grouping variables and its local ones,
+// so the conjunct scans (plan.conjs), run with the grouping variables
+// bound, enumerate exactly the group's matches; f reads each match's
+// registers.
+func (p *plan) contributions(si int, db *relation.DB, vals []val.T, f func([]val.T)) error {
+	a := p.steps[si].Agg
+	if a.OrderPointErr != nil {
+		return a.OrderPointErr
+	}
+	p.conjsOnce.Do(func() {
+		p.conjs = make([]*exec.Rule, len(p.steps))
+		for i := range p.steps {
+			if a := p.steps[i].Agg; a != nil && a.OrderPointErr == nil {
+				scans := make([]exec.Step, len(a.OrderPoint))
+				for j, ci := range a.OrderPoint {
+					scans[j] = exec.Step{Kind: exec.ScanKind, Atom: a.Conj[ci]}
+				}
+				p.conjs[i] = exec.NewRule(p.nvars, scans)
+			}
+		}
+	})
+	bind := func(r *exec.Regs) bool {
+		for _, v := range a.GroupVars {
+			r.Vals[v], r.Bound[v] = vals[v], true
+		}
+		return true
+	}
+	return run(p.conjs[si], db, bind, func(m *exec.Machine) error {
+		f(m.Vals)
+		return nil
+	})
 }
 
 // sortedContributions orders an aggregate group's contributions — one
@@ -308,18 +385,18 @@ func compareSupports(a, b []Support) int {
 	return len(a) - len(b)
 }
 
-func supportOfAtom(sp *exec.Atom, e *env, neg bool) Support {
+func supportOfAtom(sp *exec.Atom, vals []val.T, neg bool) Support {
 	s := Support{Pred: sp.Pred.Name(), Neg: neg, HasCost: sp.Info.HasCost}
 	for j, v := range sp.ArgVar {
 		if v >= 0 {
-			s.Args = append(s.Args, e.vals[v])
+			s.Args = append(s.Args, vals[v])
 		} else {
 			s.Args = append(s.Args, sp.ArgVal[j])
 		}
 	}
 	if sp.Info.HasCost {
 		if sp.CostVar >= 0 {
-			s.Cost = e.vals[sp.CostVar]
+			s.Cost = vals[sp.CostVar]
 		} else {
 			s.Cost = sp.CostVal
 		}
@@ -341,21 +418,21 @@ func replaceVars(text string, pairs map[string]string) string {
 	return text
 }
 
-func renderBuiltin(p *plan, st *exec.BuiltinStep, e *env) string {
+func renderBuiltin(p *plan, st *exec.BuiltinStep, r *exec.Regs) string {
 	pairs := map[string]string{}
 	for _, idx := range slices.Concat(st.LVars, st.RVars) {
-		if e.bound[idx] {
-			pairs[string(p.names[idx])] = e.vals[idx].String()
+		if r.Bound[idx] {
+			pairs[string(p.names[idx])] = r.Vals[idx].String()
 		}
 	}
 	return replaceVars(fmt.Sprintf("%s %s %s", st.B.L, st.B.Op, st.B.R), pairs)
 }
 
-func renderAgg(p *plan, st *exec.AggStep, e *env) string {
+func renderAgg(p *plan, st *exec.AggStep, r *exec.Regs) string {
 	pairs := map[string]string{}
 	note := func(idx int) {
-		if idx >= 0 && idx < len(p.names) && idx < len(e.bound) && e.bound[idx] {
-			pairs[string(p.names[idx])] = e.vals[idx].String()
+		if idx >= 0 && idx < len(p.names) && idx < len(r.Bound) && r.Bound[idx] {
+			pairs[string(p.names[idx])] = r.Vals[idx].String()
 		}
 	}
 	note(st.Result)

@@ -2,9 +2,11 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/programs"
+	"repro/internal/relation"
 	"repro/internal/val"
 )
 
@@ -183,5 +185,64 @@ func TestExplainLimitIsUnexplained(t *testing.T) {
 	}
 	if tree := pv.Tree("p", []val.T{val.Symbol("b")}, 3); tree != "p(b, 1)  [fact]\n" {
 		t.Fatalf("p(b) tree = %q", tree)
+	}
+}
+
+// TestExplainConcurrentFirstUse: sixteen goroutines ask a fresh
+// Provenance for their first explanations at once — staging the
+// recursive components, building indexes on the model's relations and
+// on the stage generations — and each reads what one goroutine reads
+// alone. Under -race it also checks that explaining never writes the
+// model.
+func TestExplainConcurrentFirstUse(t *testing.T) {
+	for _, src := range []string{
+		// near/2 has neither rules nor facts: the model as a snapshot
+		// restores it holds no relation for it, and explaining far must
+		// not create one.
+		programs.ShortestPath + "far(X, Y) :- s(X, Y, C), not near(X, Y).\n" +
+			"arc(a, b, 1). arc(b, c, 2). arc(c, a, 1). arc(a, c, 9). arc(c, d, 1).\n",
+		programs.CompanyControl + "s(a, b, 0.3). s(a, c, 0.3). s(b, c, 0.6). s(c, b, 0.6).\n",
+	} {
+		en := mustEngine(t, src, Options{})
+		solved, _, err := en.Solve(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The non-empty relations only, as a snapshot restores a model.
+		restored := func() *relation.DB {
+			db := relation.NewDB(en.Schemas)
+			for _, k := range solved.Preds() {
+				if solved.Rel(k).Len() > 0 {
+					db.SetRel(k, solved.Rel(k))
+				}
+			}
+			return db
+		}
+		render := func(pv *Provenance) string {
+			var b strings.Builder
+			for _, k := range solved.Preds() {
+				for _, row := range solved.Rel(k).Rows() {
+					b.WriteString(pv.Tree(k.Name(), row.Args, 4))
+				}
+			}
+			return b.String()
+		}
+		want := render(en.Provenance(restored()))
+		pv := en.Provenance(restored())
+		got := make([]string, 16)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = render(pv)
+			}()
+		}
+		wg.Wait()
+		for i, g := range got {
+			if g != want {
+				t.Fatalf("goroutine %d read\n%s\nwant\n%s", i, g, want)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/exec"
 	"repro/internal/lattice"
 	"repro/internal/relation"
 )
@@ -12,7 +13,9 @@ import (
 // returns a fresh database holding only the derived head atoms. Default
 // values (J_∅) are virtual and thus implicitly joined. The program's own
 // facts are the empty-body rules of T_P: those of the component's
-// predicates are derived by every application, whatever db holds.
+// predicates are derived by every application, whatever db holds. It
+// runs one naive round of the component's canonical pipelines, as the
+// Naive strategy does, and never writes db.
 func (en *Engine) TP(db *relation.DB, ci int) (*relation.DB, error) {
 	out := relation.NewDB(en.Schemas)
 	for _, k := range en.comps[ci].Preds {
@@ -20,11 +23,10 @@ func (en *Engine) TP(db *relation.DB, ci int) (*relation.DB, error) {
 			out.Rel(k).Join(en.base.Rel(k))
 		}
 	}
-	ev := &evaluator{db: db}
+	view := db.Share()
 	for _, p := range en.plans[ci] {
-		p := p
-		err := ev.run(p, func(e *env) error {
-			args, cost, err := headTuple(p, e.vals)
+		err := run(p.pipe.stream, view, nil, func(m *exec.Machine) error {
+			args, cost, err := headTuple(p, m.Vals)
 			if err != nil {
 				return err
 			}
@@ -70,9 +72,10 @@ func (en *Engine) IsPreModel(db *relation.DB) (bool, error) {
 
 func (en *Engine) checkRules(db *relation.DB, costOK func(lattice.Lattice, lattice.Elem, lattice.Elem) bool) (bool, error) {
 	violated := fmt.Errorf("violated")
+	view := db.Share()
 	// The program's facts are rules with an always-satisfied body.
 	for _, k := range en.base.Preds() {
-		rel, ok := db.Rel(k), true
+		rel, ok := view.Rel(k), true
 		en.base.Rel(k).Each(func(fact relation.Row) bool {
 			row, found := rel.GetOrDefault(fact.Args)
 			ok = found && (!fact.HasCost || costOK(rel.Info.L, fact.Cost, row.Cost))
@@ -82,20 +85,15 @@ func (en *Engine) checkRules(db *relation.DB, costOK func(lattice.Lattice, latti
 			return false, nil
 		}
 	}
-	for ci := range en.plans {
-		ev := &evaluator{db: db}
-		for _, p := range en.plans[ci] {
-			p := p
-			err := ev.run(p, func(e *env) error {
-				args, cost, err := headTuple(p, e.vals)
+	for _, ps := range en.plans {
+		for _, p := range ps {
+			err := run(p.pipe.stream, view, nil, func(m *exec.Machine) error {
+				args, cost, err := headTuple(p, m.Vals)
 				if err != nil {
 					return err
 				}
-				row, ok := db.Rel(p.head.Pred).GetOrDefault(args)
-				if !ok {
-					return violated
-				}
-				if p.head.Info.HasCost && !costOK(p.head.Info.L, cost, row.Cost) {
+				row, ok := view.Rel(p.head.Pred).GetOrDefault(args)
+				if !ok || p.head.Info.HasCost && !costOK(p.head.Info.L, cost, row.Cost) {
 					return violated
 				}
 				return nil

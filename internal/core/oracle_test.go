@@ -20,11 +20,416 @@ import (
 
 // The engine's correctness oracle is the paper's definition itself:
 // iterate the immediate-consequence operator T_P (Definition 3.7,
-// Engine.TP, computed by the tuple-at-a-time reference interpreter)
+// computed by refTP on the tuple-at-a-time reference interpreter below)
 // component by component from the EDB until nothing changes, and the
 // result is the least model Solve must return — at whatever worker count
 // the component walk ran, fresh or as an incremental SolveMore
 // continuation.
+
+// env is a runtime binding of plan variables.
+type env struct {
+	vals  []val.T
+	bound []bool
+}
+
+func newEnv(n int) *env {
+	return &env{vals: make([]val.T, n), bound: make([]bool, n)}
+}
+
+// evaluator is the tuple-at-a-time reference interpreter: a direct
+// backtracking reading of rule satisfaction (Definitions 3.4–3.5) over
+// the plan's canonical steps. Production runs the same steps as
+// streaming pipelines of internal/exec; the interpreter shares nothing
+// with them but the compiled steps and BuiltinStep.Eval, which is what
+// lets it judge them. It only reads db and the plans — its scratch lives
+// on the evaluator.
+type evaluator struct {
+	db   *relation.DB
+	bufs map[*exec.Atom]*atomBuf
+}
+
+// atomBuf is one atom's scratch: the Match pattern, bindAtom's
+// backtracking list and an instantiated argument tuple (negation and
+// default-value lookups). An atom is never re-entered while its own match
+// is in progress, so one buffer per atom is enough.
+type atomBuf struct {
+	pat   []*val.T
+	saved []int
+	args  []val.T
+}
+
+// buf returns sp's scratch, allocating it on first use.
+func (ev *evaluator) buf(sp *exec.Atom) *atomBuf {
+	b := ev.bufs[sp]
+	if b == nil {
+		n := len(sp.ArgVar)
+		b = &atomBuf{pat: make([]*val.T, n), saved: make([]int, 0, n+1), args: make([]val.T, n)}
+		if ev.bufs == nil {
+			ev.bufs = map[*exec.Atom]*atomBuf{}
+		}
+		ev.bufs[sp] = b
+	}
+	return b
+}
+
+// rel returns sp's relation in db without materializing a missing one:
+// the evaluator never writes the interpretation it reads.
+func (ev *evaluator) rel(sp *exec.Atom) *relation.Relation {
+	if ev.db.Has(sp.Pred) {
+		return ev.db.Rel(sp.Pred)
+	}
+	return relation.New(sp.Info)
+}
+
+// run enumerates every satisfying assignment of the plan body and calls
+// emit with the completed environment.
+func (ev *evaluator) run(p *plan, emit func(*env) error) error {
+	return ev.step(p.steps, 0, newEnv(p.nvars), emit)
+}
+
+func (ev *evaluator) step(steps []exec.Step, i int, e *env, emit func(*env) error) error {
+	if i == len(steps) {
+		return emit(e)
+	}
+	s := &steps[i]
+	switch s.Kind {
+	case exec.ScanKind:
+		buf := ev.buf(&s.Atom).saved
+		return ev.scan(&s.Atom, e, func(row relation.Row) error {
+			saved, ok := bindAtom(&s.Atom, buf, row, e)
+			if !ok {
+				return nil
+			}
+			err := ev.step(steps, i+1, e, emit)
+			unbind(e, saved)
+			return err
+		})
+	case exec.NegKind:
+		ok, err := ev.negSatisfied(&s.Atom, e)
+		if err != nil || !ok {
+			return err
+		}
+		return ev.step(steps, i+1, e, emit)
+	case exec.BuiltinKind:
+		ok, didBind, err := s.Builtin.Eval(e.vals, e.bound)
+		if err != nil || !ok {
+			return err
+		}
+		err = ev.step(steps, i+1, e, emit)
+		if didBind {
+			e.bound[s.Builtin.Assign] = false
+		}
+		return err
+	case exec.AggKind:
+		return ev.aggregate(s.Agg, e, func() error { return ev.step(steps, i+1, e, emit) })
+	}
+	return fmt.Errorf("core: unknown step kind %d", s.Kind)
+}
+
+// scan enumerates rows of the atom's relation matching the bound part of
+// the environment. Default-value predicates perform a point lookup
+// (GetOrDefault); the compiler guarantees their non-cost args are bound.
+func (ev *evaluator) scan(sp *exec.Atom, e *env, f func(relation.Row) error) error {
+	rel, buf := ev.rel(sp), ev.buf(sp)
+	if sp.Info.HasDefault {
+		args := buf.args
+		for j, v := range sp.ArgVar {
+			if v >= 0 {
+				args[j] = e.vals[v]
+			} else {
+				args[j] = sp.ArgVal[j]
+			}
+		}
+		row, ok := rel.Get(args)
+		if !ok {
+			// Default-value predicates always have a value: the bottom row
+			// (§2.3.2).
+			row = relation.Row{Args: args, Cost: sp.Info.L.Bottom(), HasCost: true}
+		}
+		return f(row)
+	}
+	pattern := buf.pat
+	for j, v := range sp.ArgVar {
+		switch {
+		case v < 0:
+			pattern[j] = &sp.ArgVal[j]
+		case e.bound[v]:
+			pattern[j] = &e.vals[v]
+		default:
+			pattern[j] = nil
+		}
+	}
+	var ferr error
+	rel.Match(pattern, func(row relation.Row) bool {
+		if err := f(row); err != nil {
+			ferr = err
+			return false
+		}
+		return true
+	})
+	return ferr
+}
+
+// bindAtom unifies a row with the atom spec under e, returning the list
+// of variable indices newly bound (for backtracking, built in buf, the
+// atom's atomBuf.saved) and whether the row matches.
+func bindAtom(sp *exec.Atom, buf []int, row relation.Row, e *env) (saved []int, ok bool) {
+	saved = buf[:0]
+	for j, v := range sp.ArgVar {
+		got := row.Args[j]
+		if v < 0 {
+			if !val.Equal(sp.ArgVal[j], got) {
+				unbind(e, saved)
+				return nil, false
+			}
+			continue
+		}
+		if e.bound[v] {
+			if !val.Equal(e.vals[v], got) {
+				unbind(e, saved)
+				return nil, false
+			}
+			continue
+		}
+		e.vals[v] = got
+		e.bound[v] = true
+		saved = append(saved, v)
+	}
+	if sp.Info.HasCost {
+		got := row.Cost
+		if sp.CostVar < 0 {
+			if !lattice.Eq(sp.Info.L, sp.CostVal, got) {
+				unbind(e, saved)
+				return nil, false
+			}
+		} else if e.bound[sp.CostVar] {
+			if !lattice.Eq(sp.Info.L, e.vals[sp.CostVar], got) {
+				unbind(e, saved)
+				return nil, false
+			}
+		} else {
+			e.vals[sp.CostVar] = got
+			e.bound[sp.CostVar] = true
+			saved = append(saved, sp.CostVar)
+		}
+	}
+	return saved, true
+}
+
+func unbind(e *env, saved []int) {
+	for _, v := range saved {
+		e.bound[v] = false
+	}
+}
+
+// negSatisfied implements Definition 3.4's ¬p: satisfied when the fully
+// instantiated atom is absent from the interpretation. For cost
+// predicates the atom includes its cost value; the functional dependency
+// means presence is a single lookup (default-value predicates always have
+// a value — the default — so only an exact cost match refutes ¬p).
+func (ev *evaluator) negSatisfied(sp *exec.Atom, e *env) (bool, error) {
+	rel, args := ev.rel(sp), ev.buf(sp).args
+	for j, v := range sp.ArgVar {
+		if v >= 0 {
+			if !e.bound[v] {
+				return false, fmt.Errorf("core: unbound variable in negation on %s", sp.Pred)
+			}
+			args[j] = e.vals[v]
+		} else {
+			args[j] = sp.ArgVal[j]
+		}
+	}
+	row, present := rel.Get(args)
+	if !present && sp.Info.HasDefault {
+		row = relation.Row{Args: args, Cost: sp.Info.L.Bottom(), HasCost: true}
+		present = true
+	}
+	if !present {
+		return true, nil
+	}
+	if !sp.Info.HasCost {
+		return false, nil
+	}
+	want := sp.CostVal
+	if sp.CostVar >= 0 {
+		if !e.bound[sp.CostVar] {
+			return false, fmt.Errorf("core: unbound cost variable in negation on %s", sp.Pred)
+		}
+		want = e.vals[sp.CostVar]
+	}
+	return !lattice.Eq(sp.Info.L, row.Cost, want), nil
+}
+
+// aggregate evaluates an aggregate subgoal (Definition 2.4) under the
+// current environment and invokes cont for each satisfying extension.
+//
+// Two execution modes:
+//
+//   - point mode: every grouping variable is already bound; the multiset
+//     of the single group is computed (possibly empty — the total "="
+//     form is defined on empty groups, the restricted "?=" form fails).
+//   - grouped mode (restricted form only): unbound grouping variables are
+//     enumerated by grouping the conjunction's matches, yielding one
+//     extension per nonempty group — this is how
+//     "s(X,Y,C) :- C ?= min D : path(X,Z,Y,D)" executes.
+func (ev *evaluator) aggregate(s *exec.AggStep, e *env, cont func() error) error {
+	allBound := true
+	for _, v := range s.GroupVars {
+		if !e.bound[v] {
+			allBound = false
+			break
+		}
+	}
+	if !allBound && !s.G.Restricted {
+		return fmt.Errorf("core: total aggregate %s with unbound grouping variables", s.G)
+	}
+	// The conjunction order the compiler fixed for this binding pattern.
+	order, err := s.OrderFull, s.OrderFullErr
+	if allBound {
+		order, err = s.OrderPoint, s.OrderPointErr
+	}
+	if err != nil {
+		return err
+	}
+
+	type group struct {
+		keyVals []val.T
+		elems   []lattice.Elem
+	}
+	// Groups in first-occurrence order, as the pipelines emit them.
+	var keys relation.GroupSet
+	keys.Reset(len(s.GroupVars))
+	var groups []*group
+
+	element := func() lattice.Elem {
+		if s.MsVar >= 0 {
+			return e.vals[s.MsVar]
+		}
+		// Implicit boolean cost: each match contributes one "true".
+		return val.Boolean(true)
+	}
+
+	// In point mode every match lands in the same group, so the per-match
+	// key computation is skipped entirely.
+	var pointElems []lattice.Elem
+	keyScratch := make([]val.T, len(s.GroupVars))
+	var enumerate func(i int) error
+	enumerate = func(i int) error {
+		if i == len(order) {
+			if allBound {
+				pointElems = append(pointElems, element())
+				return nil
+			}
+			for j, v := range s.GroupVars {
+				keyScratch[j] = e.vals[v]
+			}
+			gi, added := keys.Add(keyScratch)
+			if added {
+				groups = append(groups, &group{keyVals: keys.At(gi)})
+			}
+			groups[gi].elems = append(groups[gi].elems, element())
+			return nil
+		}
+		sp := &s.Conj[order[i]]
+		buf := ev.buf(sp).saved
+		return ev.scan(sp, e, func(row relation.Row) error {
+			saved, ok := bindAtom(sp, buf, row, e)
+			if !ok {
+				return nil
+			}
+			err := enumerate(i + 1)
+			unbind(e, saved)
+			return err
+		})
+	}
+	if err := enumerate(0); err != nil {
+		return err
+	}
+
+	emitGroup := func(g *group) error {
+		if s.G.Restricted && len(g.elems) == 0 {
+			return nil
+		}
+		res, ok := s.F.Apply(g.elems)
+		if !ok {
+			// Undefined aggregate (e.g. avg of the empty multiset in the
+			// total form): the ground instance is simply unsatisfied.
+			return nil
+		}
+		var saved []int
+		// Bind any unbound grouping variables (grouped mode).
+		for j, v := range s.GroupVars {
+			if !e.bound[v] {
+				e.vals[v] = g.keyVals[j]
+				e.bound[v] = true
+				saved = append(saved, v)
+			}
+		}
+		if e.bound[s.Result] {
+			if !lattice.Eq(s.F.Range(), e.vals[s.Result], res) {
+				unbind(e, saved)
+				return nil
+			}
+		} else {
+			e.vals[s.Result] = res
+			e.bound[s.Result] = true
+			saved = append(saved, s.Result)
+		}
+		err := cont()
+		unbind(e, saved)
+		return err
+	}
+
+	if allBound {
+		return emitGroup(&group{elems: pointElems})
+	}
+	for _, g := range groups {
+		if err := emitGroup(g); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// refTP is Engine.TP computed by the interpreter: one application of T_P
+// for component ci over db, the component's program facts included.
+func refTP(en *Engine, db *relation.DB, ci int) (*relation.DB, error) {
+	out := relation.NewDB(en.Schemas)
+	for _, k := range en.comps[ci].Preds {
+		if en.base.Has(k) {
+			out.Rel(k).Join(en.base.Rel(k))
+		}
+	}
+	ev := &evaluator{db: db}
+	for _, p := range en.plans[ci] {
+		err := ev.run(p, func(e *env) error {
+			args, cost, err := headTuple(p, e.vals)
+			if err != nil {
+				return err
+			}
+			return out.Rel(p.head.Pred).InsertStrict(args, cost)
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// checkedTP returns refTP(db, ci) after asserting that Engine.TP, which
+// runs the pipelines, computes the same interpretation.
+func checkedTP(t testing.TB, en *Engine, db *relation.DB, ci int) (*relation.DB, error) {
+	t.Helper()
+	want, err := refTP(en, db, ci)
+	got, gerr := en.TP(db, ci)
+	if fmt.Sprint(gerr) != fmt.Sprint(err) {
+		t.Fatalf("component %v: Engine.TP fails with %v, the reference with %v", en.ComponentPreds(ci), gerr, err)
+	}
+	if err == nil && got.String() != want.String() {
+		t.Fatalf("component %v: Engine.TP computes\n%s\nthe reference T_P\n%s", en.ComponentPreds(ci), got, want)
+	}
+	return want, err
+}
 
 // withProcs sets GOMAXPROCS — and with it the component walk's worker
 // count — to n for the rest of the test, restoring it when the test ends.
@@ -105,7 +510,7 @@ func tpLeastFixpoint(t *testing.T, en *Engine, edb *relation.DB, eps float64) *r
 			if round > 10000 {
 				t.Fatalf("T_P iteration on component %v does not converge", en.ComponentPreds(ci))
 			}
-			out, err := en.TP(db, ci)
+			out, err := refTP(en, db, ci)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +570,7 @@ func explainAll(t *testing.T, en *Engine, db, edb *relation.DB) string {
 // stageOf returns the recursive component defining k and the stage of
 // k's tuple args there, or -1 when k's component is not recursive.
 // Only a stored tuple has a stage; an absent default-value tuple counts
-// as stage 1, for the interpreter reads it whatever the stage.
+// as stage 1, for every generation reads it at its default.
 func stageOf(pv *Provenance, k ast.PredKey, args []val.T) (int, int32) {
 	for ci, ps := range pv.en.plans {
 		for _, p := range ps {
@@ -174,7 +579,7 @@ func stageOf(pv *Provenance, k ast.PredKey, args []val.T) (int, int32) {
 			}
 			if pv.db.Has(k) {
 				if id := pv.db.Rel(k).ID(args); id >= 0 {
-					return ci, pv.stagesOf(ci)[k][id]
+					return ci, pv.stagesOf(ci).of[k][id]
 				}
 			}
 			return ci, 1 // an absent default-value tuple: always visible
@@ -212,7 +617,7 @@ func isProgramFact(en *Engine, k ast.PredKey, args []val.T) bool {
 	}
 	for _, ps := range en.plans {
 		for _, p := range ps {
-			if p.head.Pred == k && p.rule.IsFact() && bindHead(&p.head, args, newEnv(p.nvars)) {
+			if p.head.Pred == k && p.rule.IsFact() && bindHead(&p.head, args, &exec.Regs{Vals: make([]val.T, p.nvars), Bound: make([]bool, p.nvars)}) {
 				return true
 			}
 		}
@@ -367,6 +772,30 @@ func TestTextFactsEqualTPFixpoint(t *testing.T) {
 				if tc.eps == 0 {
 					if ok, err := all.IsModel(split); err != nil || !ok {
 						t.Fatalf("GOMAXPROCS %d: Solve+SolveMore model is not a model of the full text: %v %v", par, ok, err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestTPMatchesReference: Engine.TP, one naive round of the pipelines,
+// computes the reference interpreter's T_P on every component of every
+// oracle case, over the empty interpretation, the EDB and the model.
+func TestTPMatchesReference(t *testing.T) {
+	for _, tc := range oracleCases {
+		t.Run(tc.name, func(t *testing.T) {
+			en := mustEngine(t, tc.src, Options{Epsilon: tc.eps})
+			edb := factsDB(t, en, tc.edb)
+			edb.Join(factsDB(t, en, tc.more))
+			model, _, err := en.Solve(edb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, db := range []*relation.DB{relation.NewDB(en.Schemas), edb, model} {
+				for ci := 0; ci < en.ComponentCount(); ci++ {
+					if _, err := checkedTP(t, en, db, ci); err != nil {
+						t.Fatal(err)
 					}
 				}
 			}

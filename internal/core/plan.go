@@ -17,8 +17,10 @@
 // the passes an incremental SolveMore seeds with new rows.
 //
 // A plan's steps are internal/exec's operators: the compiler emits them
-// directly, the fixpoint loops run them as streaming pipelines, and the
-// reference interpreter (eval.go) walks the same steps. Components that
+// directly, and the fixpoint loops, the T_P and model checks,
+// GroupStratified and Provenance all run them as streaming pipelines —
+// the one evaluator; the tuple-at-a-time reference interpreter that
+// judges it lives in the tests (oracle_test.go). Components that
 // do not depend on one another evaluate concurrently on the component
 // walk in parallel.go (one worker per CPU), with results identical at
 // every worker count; see docs/ARCHITECTURE.md.
@@ -27,10 +29,12 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/ast"
 	"repro/internal/exec"
 	"repro/internal/lattice"
+	"repro/internal/relation"
 	"repro/internal/val"
 )
 
@@ -50,7 +54,7 @@ type plan struct {
 	nvars int
 	names []ast.Var // index -> variable name (for errors)
 	// steps is the canonical order: the greedy compiler's, which full
-	// passes and the reference interpreter run and every profile counter,
+	// passes, the checks and explanations run and every profile counter,
 	// explanation and stats entry is keyed by.
 	steps []exec.Step
 	head  exec.Atom
@@ -68,6 +72,12 @@ type plan struct {
 	pipe    pipeline
 	drivers []*pipeline
 	hbuf    []val.T
+	// conjs holds, per γ step position, the step's conjunction as a
+	// pipeline of scans in its point order (OrderPoint), which runs with
+	// the grouping variables bound to enumerate one group's
+	// contributions; compiled on the first call of contributions.
+	conjs     []*exec.Rule
+	conjsOnce sync.Once
 	// work is the rule's share of the component evaluation under way,
 	// its operator counters included (work.Ops, allocated at New): the
 	// walk resets it when it dispatches the component and folds it into
@@ -84,6 +94,24 @@ type plan struct {
 type pipeline struct {
 	stream *exec.Rule
 	canon  []int
+}
+
+// run runs one pass of pipeline r over db, handing every satisfying
+// assignment of its steps to emit. bind, when non-nil, binds registers
+// first (the pass is empty when it reports false); they stay bound for
+// the pass, which then enumerates only the assignments agreeing with
+// them, and are cleared after it. The pipeline resolves its relations
+// through db.Rel, which creates a missing one: a db several goroutines
+// read must hold every predicate already (readView).
+func run(r *exec.Rule, db *relation.DB, bind func(*exec.Regs) bool, emit func(*exec.Machine) error) error {
+	m := r.Acquire(exec.Config{DB: db})
+	var err error
+	if bind == nil || bind(&m.Regs) {
+		err = m.Run(emit)
+	}
+	clear(m.Bound)
+	r.Release(m)
+	return err
 }
 
 // deltaPipe returns the pipeline a Δ pass restricting canonical scan

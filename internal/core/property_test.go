@@ -90,7 +90,8 @@ func TestPropertyFixpointIsModel(t *testing.T) {
 }
 
 // TestPropertyTPMonotone property-checks Lemma 4.1: J ⊑ J' implies
-// T_P(J, I) ⊑ T_P(J', I) on the shortest-path component.
+// T_P(J, I) ⊑ T_P(J', I) on the shortest-path component, with T_P the
+// reference interpreter's (Engine.TP must agree with it on J and J').
 func TestPropertyTPMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -143,12 +144,12 @@ func TestPropertyTPMonotone(t *testing.T) {
 		if !j1.Leq(j2, nil) {
 			t.Fatalf("seed %d: generator broke J1 ⊑ J2", seed)
 		}
-		t1, err := en.TP(j1, ci)
+		t1, err := checkedTP(t, en, j1, ci)
 		if err != nil {
 			t.Errorf("seed %d: TP(J1): %v", seed, err)
 			return false
 		}
-		t2, err := en.TP(j2, ci)
+		t2, err := checkedTP(t, en, j2, ci)
 		if err != nil {
 			t.Errorf("seed %d: TP(J2): %v", seed, err)
 			return false
@@ -194,7 +195,7 @@ func TestPropertyLeastAmongModels(t *testing.T) {
 			}
 		}
 		for iter := 0; iter < 1000; iter++ {
-			out, err := en.TP(inflated, ci)
+			out, err := checkedTP(t, en, inflated, ci)
 			if err != nil {
 				t.Errorf("seed %d: %v", seed, err)
 				return false

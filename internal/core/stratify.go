@@ -1,8 +1,10 @@
 package core
 
 import (
+	"repro/internal/deps"
 	"repro/internal/exec"
 	"repro/internal/relation"
+	"repro/internal/val"
 )
 
 // GroupStratified performs the *instance-level* stratification check of
@@ -31,38 +33,51 @@ func (en *Engine) GroupStratified(edb *relation.DB) (bool, error) {
 		return false, err
 	}
 
-	type edge struct {
-		to  int
-		agg bool
-	}
+	// The atom graph: outs[v] lists the atoms atom v's instances read,
+	// and agg the edges that pass through an aggregate subgoal. An atom
+	// is keyed by its predicate and the keys of its non-cost arguments,
+	// built from the registers in one reused buffer.
 	ids := map[string]int{}
-	adj := [][]edge{}
-	idOf := func(k string) int {
-		if i, ok := ids[k]; ok {
+	var outs [][]int
+	var agg [][2]int
+	var key []byte
+	node := func(sp *exec.Atom, vals []val.T) int {
+		key = append(key[:0], sp.Pred...)
+		for j, v := range sp.ArgVar {
+			key = append(key, 0)
+			if v >= 0 {
+				key = val.AppendKey(key, vals[v])
+			} else {
+				key = val.AppendKey(key, sp.ArgVal[j])
+			}
+		}
+		if i, ok := ids[string(key)]; ok {
 			return i
 		}
-		i := len(adj)
-		ids[k] = i
-		adj = append(adj, nil)
-		return i
+		ids[string(key)] = len(outs)
+		outs = append(outs, nil)
+		return len(outs) - 1
 	}
-
-	ev := &evaluator{db: db, supports: true}
+	view := db.Share()
 	for _, ps := range en.plans {
 		for _, p := range ps {
-			err := ev.run(p, func(e *env) error {
-				args, _, err := headTuple(p, e.vals)
-				if err != nil {
-					return err
-				}
-				head := idOf(atomKey(Support{Pred: p.head.Pred.Name(), Args: args}))
+			err := run(p.pipe.stream, view, nil, func(m *exec.Machine) error {
+				head := node(&p.head, m.Vals)
 				for si := range p.steps {
 					switch st := &p.steps[si]; st.Kind {
 					case exec.ScanKind, exec.NegKind:
-						adj[head] = append(adj[head], edge{to: idOf(atomKey(supportOfAtom(&st.Atom, e, st.Kind == exec.NegKind)))})
+						to := node(&st.Atom, m.Vals)
+						outs[head] = append(outs[head], to)
 					case exec.AggKind:
-						for _, sup := range e.aggSupports[si] {
-							adj[head] = append(adj[head], edge{to: idOf(atomKey(sup)), agg: true})
+						err := p.contributions(si, view, m.Vals, func(vals []val.T) {
+							for ci := range st.Agg.Conj {
+								to := node(&st.Agg.Conj[ci], vals)
+								outs[head] = append(outs[head], to)
+								agg = append(agg, [2]int{head, to})
+							}
+						})
+						if err != nil {
+							return err
 						}
 					}
 				}
@@ -73,73 +88,12 @@ func (en *Engine) GroupStratified(edb *relation.DB) (bool, error) {
 			}
 		}
 	}
-
-	// Tarjan SCC over the atom graph; a marked edge inside one component
-	// is recursion through aggregation at the instance level.
-	n := len(adj)
-	index := make([]int, n)
-	low := make([]int, n)
-	comp := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-		comp[i] = -1
-	}
-	var stack []int
-	counter, compCount := 0, 0
-	type frame struct{ v, ei int }
-	for root := 0; root < n; root++ {
-		if index[root] != -1 {
-			continue
-		}
-		frames := []frame{{root, 0}}
-		index[root], low[root] = counter, counter
-		counter++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.ei < len(adj[f.v]) {
-				w := adj[f.v][f.ei].to
-				f.ei++
-				if index[w] == -1 {
-					index[w], low[w] = counter, counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{w, 0})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-				continue
-			}
-			v := f.v
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := &frames[len(frames)-1]
-				if low[v] < low[p.v] {
-					low[p.v] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = compCount
-					if w == v {
-						break
-					}
-				}
-				compCount++
-			}
-		}
-	}
-	for v := range adj {
-		for _, e := range adj[v] {
-			if e.agg && comp[v] == comp[e.to] {
-				return false, nil
-			}
+	// A marked edge inside one strongly connected component of the atom
+	// graph is recursion through aggregation at the instance level.
+	comp, _ := deps.Tarjan(outs)
+	for _, e := range agg {
+		if comp[e[0]] == comp[e[1]] {
+			return false, nil
 		}
 	}
 	return true, nil

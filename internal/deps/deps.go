@@ -115,8 +115,7 @@ func (c *Component) Has(k ast.PredKey) bool {
 // an earlier component in the returned slice, so evaluating components in
 // order sees all lower predicates already computed (§6.3).
 func (g *Graph) SCCs() []*Component {
-	// Tarjan's algorithm over predicate numbers (places in g.preds),
-	// iterative to survive deep programs.
+	// Components over predicate numbers (places in g.preds).
 	n := len(g.preds)
 	num := make(map[ast.PredKey]int, n)
 	for i, k := range g.preds {
@@ -137,88 +136,23 @@ func (g *Graph) SCCs() []*Component {
 		slices.Sort(o)
 		outs[v] = o
 	}
-	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = unvisited
+	comp, nc := Tarjan(outs)
+	// Tarjan numbers components in reverse topological order of the
+	// condensation; since edges run head -> body (higher -> lower), that
+	// order is exactly bottom-up. Members are listed in predicate order.
+	members := make([][]int, nc)
+	for v, ci := range comp {
+		members[ci] = append(members[ci], v)
 	}
-	var stack []int
-	var comps [][]int
-	counter := 0
-
-	type frame struct {
-		v, i int
-	}
-	var frames []frame
-	push := func(v int) {
-		index[v], low[v] = counter, counter
-		counter++
-		stack = append(stack, v)
-		onStack[v] = true
-		frames = append(frames, frame{v: v})
-	}
-	for root := range n {
-		if index[root] != unvisited {
-			continue
-		}
-		push(root)
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.i < len(outs[f.v]) {
-				w := outs[f.v][f.i]
-				f.i++
-				if index[w] == unvisited {
-					push(w)
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-				continue
-			}
-			// Pop the frame.
-			v := f.v
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				parent := &frames[len(frames)-1]
-				if low[v] < low[parent.v] {
-					low[parent.v] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				var comp []int
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
-				}
-				slices.Sort(comp)
-				comps = append(comps, comp)
-			}
-		}
-	}
-	// Tarjan emits components in reverse topological order of the
-	// condensation; since edges run head -> body (higher -> lower), the
-	// emission order is exactly bottom-up.
-	out := make([]*Component, 0, len(comps))
-	in := make([]int, n) // in[v] is 1 + the index of v's component
-	for ci, comp := range comps {
-		for _, v := range comp {
-			in[v] = ci + 1
-		}
-	}
-	for ci, comp := range comps {
-		c := &Component{Preds: make([]ast.PredKey, len(comp))}
-		for i, v := range comp {
+	out := make([]*Component, 0, nc)
+	for ci, vs := range members {
+		c := &Component{Preds: make([]ast.PredKey, len(vs))}
+		for i, v := range vs {
 			c.Preds[i] = g.preds[v]
 		}
-		for _, p := range comp {
+		for _, p := range vs {
 			for _, q := range outs[p] {
-				if in[q] != ci+1 {
+				if comp[q] != ci {
 					continue
 				}
 				kind := g.Edges[g.preds[p]][g.preds[q]]
@@ -234,6 +168,69 @@ func (g *Graph) SCCs() []*Component {
 		out = append(out, c)
 	}
 	return out
+}
+
+// Tarjan returns the strongly connected components of the graph on
+// nodes 0..len(outs)-1 with an edge from v to each node of outs[v]:
+// comp[v] is v's component, numbered 0..n-1 in the order Tarjan's
+// algorithm completes them, which is reverse topological order of the
+// condensation — every edge leaving a component points to a lower
+// number. The search is iterative, so deep graphs do not grow the stack.
+func Tarjan(outs [][]int) (comp []int, n int) {
+	const unvisited = -1
+	index, low := make([]int, len(outs)), make([]int, len(outs))
+	comp = make([]int, len(outs))
+	for i := range index {
+		index[i], comp[i] = unvisited, unvisited
+	}
+	// A visited node without a component is on the stack.
+	var stack []int
+	type frame struct{ v, i int }
+	var frames []frame
+	counter := 0
+	push := func(v int) {
+		index[v], low[v] = counter, counter
+		counter++
+		stack = append(stack, v)
+		frames = append(frames, frame{v: v})
+	}
+	for root := range outs {
+		if index[root] != unvisited {
+			continue
+		}
+		push(root)
+		for len(frames) > 0 {
+			f := &frames[len(frames)-1]
+			if f.i < len(outs[f.v]) {
+				w := outs[f.v][f.i]
+				f.i++
+				if index[w] == unvisited {
+					push(w)
+				} else if comp[w] == unvisited && index[w] < low[f.v] {
+					low[f.v] = index[w]
+				}
+				continue
+			}
+			v := f.v
+			frames = frames[:len(frames)-1]
+			if len(frames) > 0 {
+				parent := &frames[len(frames)-1]
+				low[parent.v] = min(low[parent.v], low[v])
+			}
+			if low[v] == index[v] {
+				for {
+					w := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					comp[w] = n
+					if w == v {
+						break
+					}
+				}
+				n++
+			}
+		}
+	}
+	return comp, n
 }
 
 // ComponentOf returns a map from predicate to the index of its component

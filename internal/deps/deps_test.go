@@ -1,6 +1,7 @@
 package deps
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/ast"
@@ -189,5 +190,52 @@ q(a) :- N ?= count : p(X), N = 1.
 	}
 	if rec == nil || len(rec.Preds) != 2 || !rec.RecursesThroughAggregation {
 		t.Fatalf("component = %+v", rec)
+	}
+}
+
+// TestTarjan: nodes share a component exactly when each reaches the
+// other, and every edge between components points to a lower number
+// (reverse topological order), on random graphs checked against
+// reachability.
+func TestTarjan(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(12)
+		outs := make([][]int, n)
+		for e := r.Intn(3 * n); e > 0; e-- {
+			v := r.Intn(n)
+			outs[v] = append(outs[v], r.Intn(n))
+		}
+		comp, nc := Tarjan(outs)
+		// reach[v][w]: w is reachable from v (v reaches itself).
+		reach := make([][]bool, n)
+		for v := range reach {
+			reach[v] = make([]bool, n)
+			stack := []int{v}
+			for len(stack) > 0 {
+				u := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if reach[v][u] {
+					continue
+				}
+				reach[v][u] = true
+				stack = append(stack, outs[u]...)
+			}
+		}
+		for v := 0; v < n; v++ {
+			if comp[v] < 0 || comp[v] >= nc {
+				t.Fatalf("%v: node %d in component %d of %d", outs, v, comp[v], nc)
+			}
+			for w := 0; w < n; w++ {
+				if same := reach[v][w] && reach[w][v]; same != (comp[v] == comp[w]) {
+					t.Fatalf("%v: nodes %d, %d mutually reachable %v, components %d, %d", outs, v, w, same, comp[v], comp[w])
+				}
+			}
+			for _, w := range outs[v] {
+				if comp[w] > comp[v] {
+					t.Fatalf("%v: edge %d→%d climbs from component %d to %d", outs, v, w, comp[v], comp[w])
+				}
+			}
+		}
 	}
 }

@@ -43,12 +43,13 @@
 // mutable pipeline state) are pooled per compiled rule and acquired one
 // per evaluation pass.
 //
-// The reference for its behaviour is the tuple-at-a-time interpreter in
-// internal/core/eval.go — a direct reading of Definitions 3.4–3.7, the
-// test oracle (Engine.TP, IsModel) and the re-deriver behind
-// Provenance.Explain. It walks the same steps, so join and γ conjunction
-// orders agree by construction, and raises the same error text. The
-// T_P-fixpoint oracle test in internal/core holds the pipelines to it.
+// These pipelines are the only evaluator: solves, the T_P and model
+// checks, the instance-level stratification check and Provenance.Explain
+// all run them. The reference for their behaviour is a tuple-at-a-time
+// interpreter kept in internal/core's tests (oracle_test.go) — a direct
+// reading of Definitions 3.4–3.7 over the same steps, so join and γ
+// conjunction orders agree by construction, with the same error text.
+// The T_P-fixpoint oracle tests there hold the pipelines to it.
 package exec
 
 import (
@@ -531,10 +532,12 @@ func (r *Rule) newMachine() *Machine {
 
 // Run pulls every satisfying assignment of the pipeline through emit.
 // The registers are valid for the duration of each emit call only.
+// Registers the caller bound before Run stay bound throughout: every
+// step probes on, tests against or groups by whatever is bound when it
+// runs, so a run with the head's arguments bound enumerates only the
+// instances deriving that head. Each step unbinds what it bound, so a
+// run leaves the register file as it found it.
 func (m *Machine) Run(emit func(*Machine) error) error {
-	for i := range m.Bound {
-		m.Bound[i] = false
-	}
 	m.emit = emit
 	err := m.runStep(0)
 	m.emit = nil

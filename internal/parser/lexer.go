@@ -226,8 +226,9 @@ func (lx *lexer) next() (token, error) {
 	return token{}, lx.fail(fmt.Sprintf("unexpected character %q", c))
 }
 
-// skip moves past whitespace and comments. A comment's bytes do not
-// advance the column: the newline that ends it resets it.
+// skip moves past whitespace and comments, advancing the column over
+// every byte it passes (a comment's included) and resetting it at each
+// newline.
 func (lx *lexer) skip() {
 	src, n := lx.src, len(lx.src)
 	i := lx.i
@@ -242,6 +243,7 @@ func (lx *lexer) skip() {
 		} else if c == '%' {
 			for i < n && src[i] != '\n' {
 				i++
+				lx.col++
 			}
 		} else {
 			break

@@ -3,9 +3,9 @@
 #
 # Runs BenchmarkSolve (the shortest-path fixpoint on a cyclic graph),
 # BenchmarkRelationInsert, BenchmarkParty (Example 4.3), BenchmarkLoad,
-# BenchmarkServeRecover and BenchmarkParse at -benchtime 3x, and
-# BenchmarkIncrementalSolve/solve-more-chain at -benchtime 100x, and
-# enforces nine pins. All are counts, not timings, so they hold
+# BenchmarkServeRecover, BenchmarkParse and BenchmarkExplain at
+# -benchtime 3x, and BenchmarkIncrementalSolve/solve-more-chain at
+# -benchtime 100x, and enforces ten pins. All are counts, not timings, so they hold
 # on any machine; there are no knobs. Re-pinning means editing the
 # constant below in the same commit as the code change that moves it.
 #
@@ -150,6 +150,19 @@
 #      buffers, so nothing is allocated per parse for scratch.
 #      Before the fast path the same parse made 121 allocations; a
 #      single allocation per fact would add 512.
+#
+#  10. Explain allocation pin: BenchmarkExplain — a depth-10 explanation
+#      tree of a shortest path across the n = 96 layered DAG on a fresh
+#      Provenance, so staging the recursive component included — stays
+#      at EXPLAIN_ALLOCS (1,994) allocs/op within ALLOC_TOL_PCT percent.
+#      Explanations run the rules' own pipelines with the head's
+#      arguments bound, a component's stages are relation generations
+#      that share one storage, and an aggregate's contributions are one
+#      small pipeline run with the group bound, so staging allocates per
+#      stage and per generation, not per tuple or per match. When the
+#      tuple-at-a-time interpreter re-derived explanations, filtering
+#      every row by its stage and collecting every group's supports as it
+#      enumerated, the same tree took 38,404 allocations.
 set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
@@ -163,17 +176,18 @@ CHAIN_PROBES=277.6
 RECOVER_ALLOCS=13375
 RULES_ALLOCS=1834
 PARSE_ALLOCS=93
+EXPLAIN_ALLOCS=1994
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT INT TERM
 
-echo "bench_regression: running BenchmarkSolve, BenchmarkRelationInsert, BenchmarkParty, BenchmarkLoad, BenchmarkServeRecover and BenchmarkParse (-benchtime 3x)"
-( cd "$ROOT" && go test . -run '^$' -bench '^(BenchmarkSolve|BenchmarkRelationInsert|BenchmarkParty|BenchmarkLoad|BenchmarkServeRecover|BenchmarkParse)$' -benchmem \
+echo "bench_regression: running BenchmarkSolve, BenchmarkRelationInsert, BenchmarkParty, BenchmarkLoad, BenchmarkServeRecover, BenchmarkParse and BenchmarkExplain (-benchtime 3x)"
+( cd "$ROOT" && go test . -run '^$' -bench '^(BenchmarkSolve|BenchmarkRelationInsert|BenchmarkParty|BenchmarkLoad|BenchmarkServeRecover|BenchmarkParse|BenchmarkExplain)$' -benchmem \
     -benchtime 3x ) | tee "$RAW"
 echo "bench_regression: running BenchmarkIncrementalSolve/solve-more-chain (-benchtime 100x)"
 ( cd "$ROOT" && go test . -run '^$' -bench '^BenchmarkIncrementalSolve$/^solve-more-chain$' -benchmem \
     -benchtime 100x ) | tee -a "$RAW"
 
-awk -v pinned="$SOLVE_ALLOCS" -v alloctol="$ALLOC_TOL_PCT" -v partypin="$PARTY_PROBES" -v rowpin="$INSERT_BYTES_PER_ROW" -v loadpin="$LOAD_ALLOCS" -v chainpin="$CHAIN_BYTES" -v chainprobepin="$CHAIN_PROBES" -v recoverpin="$RECOVER_ALLOCS" -v rulespin="$RULES_ALLOCS" -v parsepin="$PARSE_ALLOCS" '
+awk -v pinned="$SOLVE_ALLOCS" -v alloctol="$ALLOC_TOL_PCT" -v partypin="$PARTY_PROBES" -v rowpin="$INSERT_BYTES_PER_ROW" -v loadpin="$LOAD_ALLOCS" -v chainpin="$CHAIN_BYTES" -v chainprobepin="$CHAIN_PROBES" -v recoverpin="$RECOVER_ALLOCS" -v rulespin="$RULES_ALLOCS" -v parsepin="$PARSE_ALLOCS" -v explainpin="$EXPLAIN_ALLOCS" '
 /^BenchmarkSolve(-[0-9]+)?[ \t]/ && /allocs\/op/ {
     for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") allocs = $i
 }
@@ -191,6 +205,9 @@ awk -v pinned="$SOLVE_ALLOCS" -v alloctol="$ALLOC_TOL_PCT" -v partypin="$PARTY_P
 }
 /^BenchmarkParse(-[0-9]+)?[ \t]/ && /allocs\/op/ {
     for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") parseallocs = $i
+}
+/^BenchmarkExplain(-[0-9]+)?[ \t]/ && /allocs\/op/ {
+    for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") explainallocs = $i
 }
 /^BenchmarkServeRecover(-[0-9]+)?[ \t]/ && /allocs\/op/ {
     for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") recoverallocs = $i
@@ -286,6 +303,16 @@ END {
     printf "bench_regression: BenchmarkParse allocs/op %d vs pinned %d = %.3f%% deviation (gate: <= %s%%)\n", parseallocs, parsepin, pdev, alloctol
     if (pdev > alloctol + 0) {
         print "bench_regression: FAIL: parse allocation count moved; a fact costs an allocation again, or the fast path stopped reading facts" > "/dev/stderr"
+        exit 1
+    }
+    if (explainallocs == "") {
+        print "bench_regression: FAIL: missing BenchmarkExplain allocs/op" > "/dev/stderr"
+        exit 1
+    }
+    edev = 100 * (explainallocs - explainpin) / explainpin; if (edev < 0) edev = -edev
+    printf "bench_regression: BenchmarkExplain allocs/op %d vs pinned %d = %.3f%% deviation (gate: <= %s%%)\n", explainallocs, explainpin, edev, alloctol
+    if (edev > alloctol + 0) {
+        print "bench_regression: FAIL: explanation allocation count moved; staging allocates per tuple again, or an explanation runs more than its rules" > "/dev/stderr"
         exit 1
     }
     print "bench_regression: PASS"
