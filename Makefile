@@ -40,8 +40,8 @@ test-procs:
 	GOMAXPROCS=4 $(GO) test -count=1 ./...
 
 # Tier-1 on a 32-bit platform: 386 binaries run natively on amd64.
-# There int is 32 bits and a uint64 aligns to 4 bytes, so a value is 12
-# bytes, not 16.
+# There int is 32 bits and a uint64 aligns to 4 bytes; a value is one
+# 8-byte word there too.
 test-386:
 	GOARCH=386 $(GO) test -count=1 ./...
 
@@ -56,8 +56,9 @@ test-386:
 race:
 	$(GO) test -race ./...
 
-# Short coverage-guided fuzz runs over the parser (and its fact fast
-# path against the general parser), the snapshot and WAL decoders, the
+# Short coverage-guided fuzz runs over the value word (against a
+# two-word reference), the parser (and its fact fast path against the
+# general parser), the snapshot and WAL decoders, the
 # serve tier's value codec and fact-array decoder (each against its
 # encoding/json reference), the relation generations
 # (clone, fork and copy-on-write against a map model) and the join
@@ -66,6 +67,7 @@ race:
 # tree of generations, so minimizing a new one is capped at a second to
 # leave the run time for fuzzing.
 fuzz:
+	$(GO) test ./internal/val -run '^$$' -fuzz '^FuzzValueWord$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/parser -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/parser -run '^$$' -fuzz '^FuzzFactFastPath$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime $(FUZZTIME)
@@ -90,8 +92,8 @@ wal-crash-test:
 serve-smoke:
 	sh scripts/serve-smoke.sh
 
-# Regression gate over ten counts (scripts/bench_regression.sh):
-# BenchmarkSolve's allocs/op, BenchmarkRelationInsert's bytes per row,
+# Regression gate over eleven counts (scripts/bench_regression.sh):
+# BenchmarkSolve's allocs/op and B/op, BenchmarkRelationInsert's bytes per row,
 # Example 4.3's index probes per solve, BenchmarkLoad/load's allocs/op, the
 # bytes and index probes of a chained SolveMore (solve-more-chain's B/op
 # and probes/op), BenchmarkServeRecover's allocs/op (crash recovery

@@ -243,7 +243,7 @@ type Value struct {
 }
 
 // Sym returns a symbol constant.
-func Sym(s string) Value { return Value{v: val.T{Kind: val.Sym}, text: s} }
+func Sym(s string) Value { return Value{v: val.Zero(val.Sym), text: s} }
 
 // Num returns a numeric constant.
 func Num(n float64) Value { return Value{v: val.Number(n)} }
@@ -252,26 +252,26 @@ func Num(n float64) Value { return Value{v: val.Number(n)} }
 func Bool(b bool) Value { return Value{v: val.Boolean(b)} }
 
 // Str returns a string constant.
-func Str(s string) Value { return Value{v: val.T{Kind: val.Str}, text: s} }
+func Str(s string) Value { return Value{v: val.Zero(val.Str), text: s} }
 
 // SetOf returns a set constant.
 func SetOf(elems ...Value) Value {
 	if len(elems) == 0 {
 		return Value{v: val.EmptySet.Value()}
 	}
-	return Value{v: val.T{Kind: val.SetKind}, elems: append([]Value(nil), elems...)}
+	return Value{v: val.Zero(val.SetKind), elems: append([]Value(nil), elems...)}
 }
 
 // resolve returns v's engine value. With intern set, constants new to the
 // process are interned (facts); otherwise ok is false for them (reads).
 func (v Value) resolve(intern bool) (_ val.T, ok bool) {
 	switch {
-	case v.text != "" && intern && v.v.Kind == val.Str:
+	case v.text != "" && intern && v.v.Kind() == val.Str:
 		return val.String(v.text), true
 	case v.text != "" && intern:
 		return val.Symbol(v.text), true
 	case v.text != "":
-		return val.Lookup(v.v.Kind, v.text)
+		return val.Lookup(v.v.Kind(), v.text)
 	case v.elems != nil:
 		raw := make([]val.T, len(v.elems))
 		for i, e := range v.elems {
@@ -294,7 +294,7 @@ func (v Value) hasNaN() bool {
 			return true
 		}
 	}
-	return v.v.Kind == val.Num && math.IsNaN(v.v.Num())
+	return v.v.Kind() == val.Num && math.IsNaN(v.v.Num())
 }
 
 // resolveAll resolves vs for a read (see resolve); ok is false when some
@@ -310,10 +310,10 @@ func resolveAll(vs []Value) ([]val.T, bool) {
 	return raw, true
 }
 
-// key returns v's canonical key (val.T.Key) without resolving v.
+// key returns v's display key (val.T.Key) without resolving v.
 func (v Value) key() string {
 	switch {
-	case v.text != "" && v.v.Kind == val.Str:
+	case v.text != "" && v.v.Kind() == val.Str:
 		return "q:" + v.text
 	case v.text != "":
 		return "s:" + v.text
@@ -341,7 +341,7 @@ func (v Value) String() string {
 	switch {
 	case v.wild:
 		return "_"
-	case v.text != "" && v.v.Kind == val.Str:
+	case v.text != "" && v.v.Kind() == val.Str:
 		return strconv.Quote(v.text)
 	case v.text != "":
 		return v.text
@@ -358,7 +358,7 @@ func (v Value) String() string {
 
 // Float returns the numeric value of a Num (or NaN-free zero otherwise).
 func (v Value) Float() (float64, bool) {
-	if v.v.Kind == val.Num {
+	if v.v.Kind() == val.Num {
 		return v.v.Num(), true
 	}
 	return 0, false
@@ -366,7 +366,7 @@ func (v Value) Float() (float64, bool) {
 
 // Truth returns the boolean value of a Bool.
 func (v Value) Truth() (bool, bool) {
-	if v.v.Kind == val.Bool {
+	if v.v.Kind() == val.Bool {
 		return v.v.Bool(), true
 	}
 	return false, false

@@ -91,7 +91,7 @@ func factArgs(edb []*ast.FactRows) []datalog.Fact {
 
 // valueOf returns the datalog.Value naming v.
 func valueOf(v val.T) datalog.Value {
-	switch v.Kind {
+	switch v.Kind() {
 	case val.Sym:
 		return datalog.Sym(v.Text())
 	case val.Str:

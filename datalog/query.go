@@ -38,7 +38,7 @@ func (v Value) Kind() ValueKind {
 	if v.wild {
 		return AnyValue
 	}
-	switch v.v.Kind {
+	switch v.v.Kind() {
 	case val.Num:
 		return NumValue
 	case val.Bool:
@@ -53,7 +53,7 @@ func (v Value) Kind() ValueKind {
 
 // Text returns the text of a Sym or Str value.
 func (v Value) Text() (string, bool) {
-	if !v.wild && (v.v.Kind == val.Sym || v.v.Kind == val.Str) {
+	if !v.wild && (v.v.Kind() == val.Sym || v.v.Kind() == val.Str) {
 		if v.text != "" {
 			return v.text, true
 		}
@@ -64,7 +64,7 @@ func (v Value) Text() (string, bool) {
 
 // Elems returns the elements of a set value in canonical order.
 func (v Value) Elems() ([]Value, bool) {
-	if v.wild || v.v.Kind != val.SetKind {
+	if v.wild || v.v.Kind() != val.SetKind {
 		return nil, false
 	}
 	if v.elems != nil {

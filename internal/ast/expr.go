@@ -133,7 +133,7 @@ func EvalExpr(e Expr, lookup func(Var) (val.T, bool)) (val.T, error) {
 // Arith applies an arithmetic operator to two values, which must be
 // numbers.
 func Arith(op ArithOp, l, r val.T) (val.T, error) {
-	if l.Kind != val.Num || r.Kind != val.Num {
+	if l.Kind() != val.Num || r.Kind() != val.Num {
 		return val.T{}, fmt.Errorf("arithmetic on non-numeric values %s, %s", l, r)
 	}
 	x, y := l.Num(), r.Num()
@@ -162,7 +162,7 @@ func Compare(op CmpOp, l, r val.T) (bool, error) {
 	case OpNe:
 		return !val.Equal(l, r), nil
 	}
-	if l.Kind != val.Num || r.Kind != val.Num {
+	if l.Kind() != val.Num || r.Kind() != val.Num {
 		return false, fmt.Errorf("ordered comparison of non-numeric values %s, %s", l, r)
 	}
 	x, y := l.Num(), r.Num()

@@ -507,18 +507,20 @@ func ConflictFree(p *ast.Program, s ast.Schemas) error {
 			proper[key] = append(proper[key], i)
 			continue
 		}
-		kbuf = append(kbuf[:0], key...)
+		// A fact is keyed by its predicate and its non-cost arguments'
+		// words (val.AppendWordKey); two facts conflict when their costs
+		// are not one value.
+		kbuf = append(append(kbuf[:0], key...), 0)
 		for k, t := range r.Head.Args {
 			if k == hp.CostIndex() {
 				continue
 			}
-			kbuf = append(kbuf, 0)
-			kbuf = val.AppendKey(kbuf, t.(ast.Const).V)
+			kbuf = val.AppendWordKey(kbuf, []val.T{t.(ast.Const).V})
 		}
 		if prev, dup := factKey[string(kbuf)]; dup {
 			c1 := prev.Head.Args[hp.CostIndex()].(ast.Const)
 			c2 := r.Head.Args[hp.CostIndex()].(ast.Const)
-			if c1.V.Key() != c2.V.Key() {
+			if !val.Same(c1.V, c2.V) {
 				return FactConflict(prev, r)
 			}
 		} else {

@@ -235,3 +235,17 @@ func TestFactsAndTheRulePairLoop(t *testing.T) {
 		t.Fatalf("err = %v, want the first pair in program order", err)
 	}
 }
+
+// TestFactIdentityIsWords: two ground facts conflict only when they give
+// one tuple two costs. Tuples are told apart by their values, not by
+// display keys, which a string holding a NUL byte can make coincide.
+func TestFactIdentityIsWords(t *testing.T) {
+	p, s := load(t, ".cost p/3 : minreal.\n"+`p("a\x00q:b", "c", 1). p("a", "b\x00q:c", 2).`)
+	if err := ConflictFree(p, s); err != nil {
+		t.Fatalf("distinct tuples reported as a conflict: %v", err)
+	}
+	p, s = load(t, ".cost p/3 : minreal.\n"+`p("a", "b", 1). p("a", "b", 2).`)
+	if err := ConflictFree(p, s); err == nil {
+		t.Fatal("one tuple with two costs must conflict")
+	}
+}

@@ -609,10 +609,11 @@ func (en *Engine) solveNaive(g *guard, db *relation.DB, ci int, stats *Stats) er
 			// Improvement relative to the previous round's
 			// interpretation (a plain re-derivation of a known tuple is
 			// budget work but not progress).
-			cur, _ := rel.Get(args)
+			id := rel.ID(args)
+			cur := rel.At(id)
 			old, had := db.Rel(p.head.Pred).Get(args)
 			improved := !had || (rel.Info.HasCost && !lattice.Eq(rel.Info.L, old.Cost, cur.Cost))
-			if err := g.derived(p.head.Pred, args, cur.Cost, rel.Info.HasCost, improved); err != nil {
+			if err := g.derived(rel, id, cur.Cost, improved); err != nil {
 				return err
 			}
 		}
@@ -892,8 +893,7 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 			}
 			h.record.add(id)
 		}
-		row := h.rel.At(id)
-		return g.derived(p.head.Pred, row.Args, row.Cost, h.rel.Info.HasCost, true)
+		return g.derived(h.rel, id, cost, true)
 	}
 	cfg := en.passConfig(g, db)
 	// endRound closes the current round, failed or not: its record, then
@@ -1024,7 +1024,7 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, stats *Stats,
 // improvement smaller than eps does not count as a change.
 func insertEps(rel *relation.Relation, args []val.T, cost lattice.Elem, eps float64) (int, bool) {
 	if eps > 0 {
-		if old, ok := rel.Get(args); ok && old.HasCost && old.Cost.Kind == val.Num && cost.Kind == val.Num {
+		if old, ok := rel.Get(args); ok && old.HasCost && old.Cost.Kind() == val.Num && cost.Kind() == val.Num {
 			j := rel.Info.L.Join(old.Cost, cost)
 			if math.Abs(j.Num()-old.Cost.Num()) <= eps {
 				return -1, false
@@ -1070,7 +1070,7 @@ func relLeqEps(a, b *relation.Relation, eps float64) bool {
 		if a.Info.L.Leq(row.Cost, o.Cost) {
 			return true
 		}
-		if eps > 0 && row.Cost.Kind == val.Num && o.Cost.Kind == val.Num &&
+		if eps > 0 && row.Cost.Kind() == val.Num && o.Cost.Kind() == val.Num &&
 			math.Abs(row.Cost.Num()-o.Cost.Num()) <= eps {
 			return true
 		}

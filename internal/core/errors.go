@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -261,8 +262,17 @@ func (g *guard) checkpoint(db *relation.DB) error {
 // left to the solve frame, which fills them from the Stats it returns.
 func (g *guard) fail(class, cause error) *EngineError {
 	e := &EngineError{Err: class, Component: g.comp, Cause: cause}
-	if d := &g.det; d.seen {
-		e.LastImproved = renderAtom(d.pred, d.args, d.cost, d.hasCost)
+	if d := &g.det; d.rel != nil {
+		row := d.rel.At(d.id)
+		e.LastImproved = renderAtom(d.rel.Info.Key, row.Args, row.Cost, row.HasCost)
+		if class == ErrDiverged && d.tripped() {
+			e.Divergence = &Divergence{
+				Pred:   d.rel.Info.Key,
+				Group:  append([]val.T{}, row.Args...),
+				Streak: d.streak,
+				Recent: append([]float64{}, d.recent...),
+			}
+		}
 	}
 	if g.rule != nil {
 		e.Rule = g.rule.String()
@@ -292,24 +302,21 @@ func (g *guard) check() error {
 	return g.poll()
 }
 
-// derived is called after every counted derivation. improved reports
-// whether the tuple's lattice value actually changed relative to the
-// current interpretation (always true in the semi-naive strategy, where
-// only changes are counted).
-func (g *guard) derived(pred ast.PredKey, args []val.T, cost lattice.Elem, hasCost, improved bool) error {
-	var d *Divergence
-	if improved {
-		d = g.det.observe(pred, args, cost, hasCost)
-	}
+// derived is called after every counted derivation, which wrote row id
+// of rel, with the derived cost (only a numeric one is read, for the
+// trajectory: a numeric join picks one of its operands, so it is the
+// stored cost). improved reports whether the tuple's lattice value
+// actually changed relative to the current interpretation (always true
+// in the semi-naive strategy, where only changes are counted).
+func (g *guard) derived(rel *relation.Relation, id int, cost lattice.Elem, improved bool) error {
+	tripped := improved && g.det.observe(rel, id, cost)
 	if g.budget != nil {
 		if err := g.budget.spend(g); err != nil {
 			return err
 		}
 	}
-	if d != nil {
-		e := g.fail(ErrDiverged, nil)
-		e.Divergence = d
-		return e
+	if tripped {
+		return g.fail(ErrDiverged, nil)
 	}
 	return nil
 }
@@ -338,58 +345,48 @@ func renderAtom(pred ast.PredKey, args []val.T, cost lattice.Elem, hasCost bool)
 // else changes. Legitimate convergent programs interleave improvements
 // across atoms, resetting the streak; the halfsum program of Example
 // 5.1 improves a single group forever and trips the threshold. It
-// holds the latest improved atom and its cost whether or not the
-// streak check is enabled (args is a reused copy — callers may pass
-// scratch slices).
+// holds the latest improved atom as its relation and row id whether or
+// not the streak check is enabled, and reads its arguments only to
+// render an error (this runs on every improvement).
 type divergeDetector struct {
 	threshold int
-	seen      bool
 	streak    int
-	pred      ast.PredKey
-	args      []val.T
-	cost      lattice.Elem
-	hasCost   bool
+	rel       *relation.Relation // nil until the first improvement
+	id        int
 	recent    []float64
 }
 
-// sameAtom compares the observed atom against the retained one without
-// building a key string (this runs on every improvement).
-func (d *divergeDetector) sameAtom(pred ast.PredKey, args []val.T) bool {
-	if !d.seen || pred != d.pred || len(args) != len(d.args) {
+// sameAtom reports whether row id of rel is the retained atom. The
+// naive strategy derives each round into fresh relations, so across
+// relations an atom is its predicate and arguments.
+func (d *divergeDetector) sameAtom(rel *relation.Relation, id int) bool {
+	switch {
+	case d.rel == nil:
 		return false
+	case rel == d.rel:
+		return id == d.id
 	}
-	for i := range args {
-		if !val.Equal(args[i], d.args[i]) {
-			return false
-		}
-	}
-	return true
+	return rel.Info.Key == d.rel.Info.Key && slices.Equal(rel.At(id).Args, d.rel.At(d.id).Args)
 }
 
-func (d *divergeDetector) observe(pred ast.PredKey, args []val.T, cost lattice.Elem, hasCost bool) *Divergence {
-	d.cost, d.hasCost = cost, hasCost
-	if !d.sameAtom(pred, args) {
-		d.seen = true
+// observe records that row id of rel improved to cost and reports
+// whether the streak reached the threshold.
+func (d *divergeDetector) observe(rel *relation.Relation, id int, cost lattice.Elem) bool {
+	if !d.sameAtom(rel, id) {
 		d.streak = 0
-		d.pred = pred
-		d.args = append(d.args[:0], args...)
+		d.rel, d.id = rel, id
 		d.recent = d.recent[:0]
 	}
 	d.streak++
-	if hasCost && cost.Kind == val.Num {
+	if rel.Info.HasCost && cost.Kind() == val.Num {
 		if len(d.recent) == divergenceTrajectoryLen {
 			copy(d.recent, d.recent[1:])
 			d.recent = d.recent[:divergenceTrajectoryLen-1]
 		}
 		d.recent = append(d.recent, cost.Num())
 	}
-	if d.threshold <= 0 || d.streak < d.threshold {
-		return nil
-	}
-	return &Divergence{
-		Pred:   d.pred,
-		Group:  append([]val.T{}, d.args...),
-		Streak: d.streak,
-		Recent: append([]float64{}, d.recent...),
-	}
+	return d.tripped()
 }
+
+// tripped reports whether the streak has reached an enabled threshold.
+func (d *divergeDetector) tripped() bool { return d.threshold > 0 && d.streak >= d.threshold }

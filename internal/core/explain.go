@@ -59,10 +59,10 @@ type Derivation struct {
 	Supports []Support
 }
 
-// atomKey identifies a ground atom by predicate name and non-cost
-// arguments.
+// atomKey identifies a ground atom by predicate name and the words of
+// its non-cost arguments (val.WordKey).
 func atomKey(s Support) string {
-	return s.Pred + "\x00" + val.KeyOf(s.Args)
+	return s.Pred + "\x00" + val.WordKey(s.Args)
 }
 
 // Provenance explains the tuples of one model, db, re-deriving each
@@ -279,7 +279,7 @@ func (en *Engine) derivesCost(p *plan, c lattice.Elem, stored relation.Row) bool
 		return true
 	}
 	eps := en.opts.Epsilon
-	return eps > 0 && c.Kind == val.Num && stored.Cost.Kind == val.Num && math.Abs(c.Num()-stored.Cost.Num()) <= eps
+	return eps > 0 && c.Kind() == val.Num && stored.Cost.Kind() == val.Num && math.Abs(c.Num()-stored.Cost.Num()) <= eps
 }
 
 // buildDerivation snapshots a satisfied instance, the registers r of a

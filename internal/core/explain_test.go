@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -243,6 +244,27 @@ func TestExplainConcurrentFirstUse(t *testing.T) {
 			if g != want {
 				t.Fatalf("goroutine %d read\n%s\nwant\n%s", i, g, want)
 			}
+		}
+	}
+}
+
+// TestExplainMemoIsByWords: explanations are cached per atom, and atoms
+// are told apart by their values' words, not by display keys, which a
+// string holding a NUL byte can make coincide.
+func TestExplainMemoIsByWords(t *testing.T) {
+	en := mustEngine(t, `p("a\x00q:b", "c"). p("a", "b\x00q:c"). q(X, Y) :- p(X, Y).`, Options{})
+	db, _, err := en.Solve(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pv := en.Provenance(db)
+	for _, args := range [][]val.T{
+		{val.String("a\x00q:b"), val.String("c")},
+		{val.String("a"), val.String("b\x00q:c")},
+	} {
+		d, ok := pv.Explain("q", args)
+		if !ok || len(d.Supports) != 1 || !slices.Equal(d.Supports[0].Args, args) {
+			t.Fatalf("q%v explained as %+v", args, d)
 		}
 	}
 }

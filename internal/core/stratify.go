@@ -35,20 +35,20 @@ func (en *Engine) GroupStratified(edb *relation.DB) (bool, error) {
 
 	// The atom graph: outs[v] lists the atoms atom v's instances read,
 	// and agg the edges that pass through an aggregate subgoal. An atom
-	// is keyed by its predicate and the keys of its non-cost arguments,
-	// built from the registers in one reused buffer.
+	// is keyed by its predicate and the words of its non-cost arguments
+	// (val.AppendWordKey), built from the registers in one reused buffer.
 	ids := map[string]int{}
 	var outs [][]int
 	var agg [][2]int
 	var key []byte
 	node := func(sp *exec.Atom, vals []val.T) int {
 		key = append(key[:0], sp.Pred...)
+		key = append(key, 0)
 		for j, v := range sp.ArgVar {
-			key = append(key, 0)
 			if v >= 0 {
-				key = val.AppendKey(key, vals[v])
+				key = val.AppendWordKey(key, vals[v:v+1])
 			} else {
-				key = val.AppendKey(key, sp.ArgVal[j])
+				key = val.AppendWordKey(key, sp.ArgVal[j:j+1])
 			}
 		}
 		if i, ok := ids[string(key)]; ok {

@@ -317,7 +317,7 @@ func splitEdge(e val.T) (string, string, bool) {
 	// Edges are "u->v" symbols (from Edge) or quoted strings (the form
 	// writable in program text, where '->' cannot appear inside a bare
 	// identifier).
-	if e.Kind != val.Sym && e.Kind != val.Str {
+	if e.Kind() != val.Sym && e.Kind() != val.Str {
 		return "", "", false
 	}
 	t := e.Text()

@@ -97,7 +97,7 @@ func (n *numeric) Meet(a, b Elem) Elem {
 }
 
 func (n *numeric) Contains(e Elem) bool {
-	if e.Kind != val.Num {
+	if e.Kind() != val.Num {
 		return false
 	}
 	x := e.Num()
@@ -111,7 +111,7 @@ func (n *numeric) Contains(e Elem) bool {
 }
 
 func (n *numeric) Parse(c val.T) (Elem, error) {
-	if c.Kind != val.Num {
+	if c.Kind() != val.Num {
 		return Elem{}, fmt.Errorf("lattice %s: %s is not numeric", n.name, c)
 	}
 	if !n.Contains(c) {
@@ -155,15 +155,15 @@ func (b *boolean) Meet(x, y Elem) Elem {
 	return x
 }
 
-func (b *boolean) Contains(e Elem) bool { return e.Kind == val.Bool }
+func (b *boolean) Contains(e Elem) bool { return e.Kind() == val.Bool }
 
 func (b *boolean) Parse(c val.T) (Elem, error) {
 	switch {
-	case c.Kind == val.Bool:
+	case c.Kind() == val.Bool:
 		return c, nil
-	case c.Kind == val.Num && c.Num() == 0:
+	case c.Kind() == val.Num && c.Num() == 0:
 		return val.Boolean(false), nil
-	case c.Kind == val.Num && c.Num() == 1:
+	case c.Kind() == val.Num && c.Num() == 1:
 		return val.Boolean(true), nil
 	}
 	return Elem{}, fmt.Errorf("lattice %s: %s is not boolean", b.name, c)

@@ -47,7 +47,7 @@ func (s *setUnion) Meet(a, b Elem) Elem {
 }
 
 func (s *setUnion) Contains(e Elem) bool {
-	if e.Kind != val.SetKind {
+	if e.Kind() != val.SetKind {
 		return false
 	}
 	return s.universe == nil || e.Set().SubsetOf(s.universe)
@@ -89,7 +89,7 @@ func (s *setIntersect) Meet(a, b Elem) Elem {
 }
 
 func (s *setIntersect) Contains(e Elem) bool {
-	return e.Kind == val.SetKind && e.Set().SubsetOf(s.universe)
+	return e.Kind() == val.SetKind && e.Set().SubsetOf(s.universe)
 }
 
 func (s *setIntersect) Parse(c val.T) (Elem, error) {

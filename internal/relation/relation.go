@@ -21,15 +21,17 @@
 // of pages of 1<<pageShift rows, allocated a chunk's worth at a time
 // (see page), so neither column is ever copied to grow.
 //
-// A val.T is a 16-byte pointer-free word pair (symbols and sets are
-// interned ids), so the arenas hold no pointers: chunks take no write
-// barriers to fill and the garbage collector does not scan them.
+// A val.T is one pointer-free 64-bit word (the value contract is in
+// package val's doc), so the arenas hold no pointers: chunks take no
+// write barriers to fill and the garbage collector does not scan them.
 //
 // The primary key — the cost functional dependency — is an
 // open-addressing table of row ids keyed by a hash of the values' words
 // (val.Hash) and confirmed by comparing them (val.Same); no key string is
-// built on any insert or lookup. Tuple identity is Key identity: two
-// tuples are one row exactly when their val.KeyOf encodings are equal.
+// built on any insert or lookup. Tuple identity is word identity: two
+// tuples are one row exactly when their values are Same position by
+// position. (Their val.KeyOf display keys can coincide when a text holds
+// a NUL byte; display keys only order and print.)
 // Intern ids, and so hashes, differ between processes, which is safe
 // because nothing ever iterates a table: every enumeration runs in row-id
 // order. GroupSet exposes the same table to γ (internal/exec,

@@ -461,8 +461,8 @@ func (d *decoder) val(depth int) (val.T, error) {
 }
 
 func encodeVal(b *bytes.Buffer, v val.T) {
-	b.WriteByte(byte(v.Kind))
-	switch v.Kind {
+	b.WriteByte(byte(v.Kind()))
+	switch v.Kind() {
 	case val.Sym, val.Str:
 		putString(b, v.Text())
 	case val.Num:

@@ -9,7 +9,7 @@ import (
 )
 
 // The intern tables give every symbol, string and set a small integer id,
-// the payload a T carries in place of a pointer. They are process-wide
+// the payload a T's word carries in place of a pointer. They are process-wide
 // rather than per engine because String, Compare and Key are called from
 // packages that never see an engine; ids are therefore meaningful only
 // inside one process and never reach disk or the wire (the snapshot, WAL
@@ -100,6 +100,11 @@ func (t *table[E]) intern(key string, build func(key string, id uint64) E) uint6
 	// snapshot) that the table must not keep alive.
 	key = strings.Clone(key)
 	id := t.vals.n
+	if id >= maxID {
+		// Unreachable: chunked's 40 chunks hold maxID entries. An id at
+		// or above it would reach T's tag bits.
+		panic("val: intern table full")
+	}
 	t.vals.push(build(key, id))
 	t.ids[key] = id
 	return id
@@ -119,8 +124,8 @@ var texts = func() *table[string] {
 	return t
 }()
 
-// sets hash-conses sets by their canonical key; id 0 is the empty set
-// (see EmptySet), so a zero-payload SetKind value is ∅.
+// sets hash-conses sets by their elements' words (NewSet); id 0 is the
+// empty set (see EmptySet), so a zero-payload SetKind value is ∅.
 var sets = newTable[*Set]()
 
 // textCache answers internText for a text met before without the
@@ -151,15 +156,17 @@ func internText(s string) uint64 {
 // matches nothing.
 func Lookup(k Kind, s string) (T, bool) {
 	id, ok := texts.lookup(s)
-	return T{Kind: k, p: id}, ok
+	if k == Str {
+		return T{strTag | id}, ok
+	}
+	return T{id}, ok
 }
 
 // LookupSet returns the set value with the given elements if that set
 // has been built, without interning it (see Lookup).
 func LookupSet(elems []T) (T, bool) {
-	key, _ := canonical(elems)
-	id, ok := sets.lookup(key)
-	return T{Kind: SetKind, p: id}, ok
+	id, ok := sets.lookup(string(AppendWordKey(nil, byWord(elems))))
+	return T{setTag | id}, ok
 }
 
 // Interned reports the sizes of the intern tables: distinct texts

@@ -153,7 +153,7 @@ func TestAppendKeyMatchesKey(t *testing.T) {
 		Symbol("a"), Symbol(""), Number(0), Number(-2.5), Number(1e300),
 		Boolean(true), Boolean(false), String("x\x00y"), String(""),
 		SetOf(), SetOf(Number(1)), SetOf(Symbol("b"), Number(3), Boolean(true)),
-		{Kind: SetKind},
+		Zero(SetKind),
 	}
 	for _, v := range vals {
 		if got, want := string(AppendKey(nil, v)), v.Key(); got != want {
@@ -202,7 +202,7 @@ func TestNegativeZeroCanonical(t *testing.T) {
 		t.Fatalf("ParseNumber(-0) = %v, %v", v, err)
 	}
 	// The zero Num is +0: the one value no constructor built.
-	if raw := (T{Kind: Num}); !Same(raw, z) || Hash(raw) != Hash(z) {
+	if raw := Zero(Num); !Same(raw, z) || Hash(raw) != Hash(z) {
 		t.Fatal("the zero Num must be Same as 0 and hash alike")
 	}
 	nan := Number(math.NaN())
@@ -219,7 +219,7 @@ func TestSameAndHashAgreeWithKey(t *testing.T) {
 		Symbol("a"), Symbol("b"), String("a"), Symbol(""), String(""),
 		Number(0), Number(1), Number(-2.5), Number(math.Inf(1)), Number(math.Inf(-1)),
 		Boolean(true), Boolean(false),
-		SetOf(), {Kind: SetKind}, SetOf(Number(1)), SetOf(Symbol("1")),
+		SetOf(), Zero(SetKind), SetOf(Number(1)), SetOf(Symbol("1")),
 		SetOf(Symbol("b"), Number(3)), SetOf(Number(3), Symbol("b")),
 		SetOf(SetOf(Symbol("x"))),
 	}
@@ -237,12 +237,10 @@ func TestSameAndHashAgreeWithKey(t *testing.T) {
 }
 
 // TestValueRepresentation pins the representation contract: a value is
-// a kind byte and a 64-bit payload, padded to the payload's alignment —
-// 16 bytes where a uint64 aligns to 8, 12 on a 32-bit platform (386)
-// where it aligns to 4 — and holds no pointer, so tuple arenas are plain
-// words the garbage collector never scans.
+// one 64-bit word on every platform, 386 included, and holds no pointer,
+// so tuple arenas are plain words the garbage collector never scans.
 func TestValueRepresentation(t *testing.T) {
-	if size, want := unsafe.Sizeof(T{}), 8+unsafe.Alignof(uint64(0)); size != want {
+	if size, want := unsafe.Sizeof(T{}), uintptr(8); size != want {
 		t.Errorf("val.T is %d bytes, want %d", size, want)
 	}
 	if path, ok := pointerIn(reflect.TypeOf(T{}), "T"); ok {
@@ -280,7 +278,7 @@ func TestLookupDoesNotIntern(t *testing.T) {
 	if got, ok := Lookup(Sym, "lookup-a"); !ok || got != a {
 		t.Fatalf("Lookup(lookup-a) = %v, %v", got, ok)
 	}
-	if got, ok := Lookup(Str, "lookup-a"); !ok || got.Kind != Str || got.Text() != "lookup-a" {
+	if got, ok := Lookup(Str, "lookup-a"); !ok || got.Kind() != Str || got.Text() != "lookup-a" {
 		t.Fatalf("Lookup(Str, lookup-a) = %v, %v", got, ok)
 	}
 	if got, ok := LookupSet([]T{Number(1), a, a}); !ok || got != set {

@@ -3,7 +3,7 @@ package wfs
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/ast"
 	"repro/internal/lattice"
@@ -316,9 +316,23 @@ func evalAgg(g *ast.Agg, roles ast.AggRoles, sb subst, sem *semantics, cont func
 		return err
 	}
 
-	groups := map[string][]aggMatch{}
+	// Groups are told apart by their keys' words and emitted in
+	// displayOrder.
+	type group struct {
+		key string
+		ms  []aggMatch
+	}
+	var groups []*group
+	byWords := map[string]*group{}
 	for _, m := range matches {
-		groups[val.KeyOf(m.key)] = append(groups[val.KeyOf(m.key)], m)
+		id := val.WordKey(m.key)
+		gr := byWords[id]
+		if gr == nil {
+			gr = &group{key: val.KeyOf(m.key)}
+			byWords[id] = gr
+			groups = append(groups, gr)
+		}
+		gr.ms = append(gr.ms, m)
 	}
 
 	emit := func(ms []aggMatch) error {
@@ -383,13 +397,9 @@ func evalAgg(g *ast.Agg, roles ast.AggRoles, sb subst, sem *semantics, cont func
 		}
 		return emit(nil) // total aggregate over the empty group
 	}
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if err := emit(groups[k]); err != nil {
+	slices.SortFunc(groups, func(a, b *group) int { return displayOrder(a.key, a.ms[0].key, b.key, b.ms[0].key) })
+	for _, gr := range groups {
+		if err := emit(gr.ms); err != nil {
 			return err
 		}
 	}

@@ -27,7 +27,10 @@
 package wfs
 
 import (
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/relation"
@@ -35,28 +38,36 @@ import (
 )
 
 // Store is a set of ground atoms (all arguments data, including costs).
+// An atom is identified by its arguments' words (val.WordKey) and
+// enumerated in the order of their display key (val.KeyOf).
 type Store struct {
-	m     map[ast.PredKey]map[string][]val.T
+	m     map[ast.PredKey]map[string]atom
 	count int
+}
+
+// atom is a stored tuple with its display key.
+type atom struct {
+	key  string
+	args []val.T
 }
 
 // NewStore returns an empty atom set.
 func NewStore() *Store {
-	return &Store{m: map[ast.PredKey]map[string][]val.T{}}
+	return &Store{m: map[ast.PredKey]map[string]atom{}}
 }
 
 // Add inserts a ground atom, reporting whether it was new.
 func (s *Store) Add(k ast.PredKey, args []val.T) bool {
 	t := s.m[k]
 	if t == nil {
-		t = map[string][]val.T{}
+		t = map[string]atom{}
 		s.m[k] = t
 	}
-	key := val.KeyOf(args)
-	if _, dup := t[key]; dup {
+	id := val.WordKey(args)
+	if _, dup := t[id]; dup {
 		return false
 	}
-	t[key] = append([]val.T{}, args...)
+	t[id] = atom{val.KeyOf(args), append([]val.T{}, args...)}
 	s.count++
 	return true
 }
@@ -67,26 +78,38 @@ func (s *Store) Has(k ast.PredKey, args []val.T) bool {
 	if t == nil {
 		return false
 	}
-	_, ok := t[val.KeyOf(args)]
+	var buf [64]byte
+	_, ok := t[string(val.AppendWordKey(buf[:0], args))]
 	return ok
 }
 
 // Len returns the number of atoms.
 func (s *Store) Len() int { return s.count }
 
-// Each iterates the atoms of predicate k in deterministic order.
+// displayOrder orders tuples a and b, whose display keys (val.KeyOf)
+// are ak and bk, by display key, and tuples that share one — a text
+// holding a NUL byte can make two — by val.Compare.
+func displayOrder(ak string, a []val.T, bk string, b []val.T) int {
+	if c := strings.Compare(ak, bk); c != 0 {
+		return c
+	}
+	return relation.CompareArgs(a, b)
+}
+
+// Each iterates the atoms of predicate k in deterministic order
+// (displayOrder).
 func (s *Store) Each(k ast.PredKey, f func(args []val.T) bool) {
 	t := s.m[k]
 	if t == nil {
 		return
 	}
-	keys := make([]string, 0, len(t))
-	for key := range t {
-		keys = append(keys, key)
+	atoms := make([]atom, 0, len(t))
+	for _, a := range t {
+		atoms = append(atoms, a)
 	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		if !f(t[key]) {
+	slices.SortFunc(atoms, func(a, b atom) int { return displayOrder(a.key, a.args, b.key, b.args) })
+	for _, a := range atoms {
+		if !f(a.args) {
 			return
 		}
 	}
@@ -106,11 +129,7 @@ func (s *Store) Preds() []ast.PredKey {
 func (s *Store) Clone() *Store {
 	c := NewStore()
 	for k, t := range s.m {
-		ct := make(map[string][]val.T, len(t))
-		for key, args := range t {
-			ct[key] = args
-		}
-		c.m[k] = ct
+		c.m[k] = maps.Clone(t)
 		c.count += len(t)
 	}
 	return c

@@ -258,3 +258,25 @@ func TestStoreBasics(t *testing.T) {
 		t.Fatal("Equal broken")
 	}
 }
+
+// TestStoreIdentityIsWords: atoms are told apart by their arguments'
+// words, not by their display key, which joins the argument keys with a
+// NUL byte — so strings holding a NUL cannot make two tuples one atom.
+func TestStoreIdentityIsWords(t *testing.T) {
+	const src = `p("a\x00q:b", "c"). p("a", "b\x00q:c"). q(X, Y) :- p(X, Y).`
+	res, err := wfs.Solve(mustParse(t, src), wfs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.True.Len(); got != 4 {
+		t.Fatalf("%d true atoms, want 4", got)
+	}
+	var got []string
+	res.True.Each("q/2", func(args []val.T) bool {
+		got = append(got, args[0].String()+","+args[1].String())
+		return true
+	})
+	if want := []string{`"a","b\x00q:c"`, `"a\x00q:b","c"`}; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("q = %q, want %q", got, want)
+	}
+}

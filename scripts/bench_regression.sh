@@ -5,7 +5,7 @@
 # BenchmarkRelationInsert, BenchmarkParty (Example 4.3), BenchmarkLoad,
 # BenchmarkServeRecover, BenchmarkParse and BenchmarkExplain at
 # -benchtime 3x, and BenchmarkIncrementalSolve/solve-more-chain at
-# -benchtime 100x, and enforces ten pins. All are counts, not timings, so they hold
+# -benchtime 100x, and enforces eleven pins. All are counts, not timings, so they hold
 # on any machine; there are no knobs. Re-pinning means editing the
 # constant below in the same commit as the code change that moves it.
 #
@@ -13,7 +13,7 @@
 #      configuration; the per-operator counters are always counted into
 #      the solve's Stats), BenchmarkSolve's allocs/op stays at
 #      SOLVE_ALLOCS (416) within ALLOC_TOL_PCT percent. Relations store
-#      rows in chunked arenas of 16-byte pointer-free values with
+#      rows in chunked arenas of 8-byte pointer-free values with
 #      value-hashed key tables, Δ sets hold row ids and γ keeps its
 #      groups in hash-keyed GroupSets (no key strings), so a solve that
 #      stores ~27k rows allocates per chunk and per table growth, not per
@@ -49,10 +49,12 @@
 #
 #   2. Row-size pin: BenchmarkRelationInsert's B/row — bytes allocated
 #      per stored row, arena, cost column and key table together — stays
-#      at INSERT_BYTES_PER_ROW (82.4) within ALLOC_TOL_PCT percent, so a
-#      value cannot silently grow back from 16 bytes (48-byte values with
-#      a string header and a set pointer read 187). It moved from 81.5
-#      when costs moved into 64-row pages: the page table's headers.
+#      at INSERT_BYTES_PER_ROW (58.4) within ALLOC_TOL_PCT percent, so a
+#      value cannot silently grow back from one 8-byte word (48-byte
+#      values with a string header and a set pointer read 187). It moved
+#      from 81.5 to 82.4 when costs moved into 64-row pages (the page
+#      table's headers), then to 58.4 when a value became one word
+#      instead of a kind byte padded to a 16-byte pair.
 #
 #   3. Party probe pin: BenchmarkParty/engine/n=64 reports the index
 #      probes of one Example 4.3 solve (probes/op), which must equal
@@ -83,7 +85,7 @@
 #   5. Chained-SolveMore byte pin: BenchmarkIncrementalSolve/solve-more-chain
 #      — 100 batches of two arcs, each solved into the model the previous
 #      one returned, on Example 2.6 over a 48-node cycle graph, as the
-#      served writer does — stays at CHAIN_BYTES (51,441) B/op within
+#      served writer does — stays at CHAIN_BYTES (34,535) B/op within
 #      ALLOC_TOL_PCT percent; it repeats to within a few bytes. Each
 #      SolveMore clones the dispatched component's relations, and a clone
 #      of the newest generation extends its storage in place, so what is
@@ -97,7 +99,9 @@
 #      512-row chunk (1 KB instead of up to 8 KB: 55,337 B less per
 #      batch), then 51,441 once Δ sets took their membership bitsets
 #      from the engine's pool instead of allocating each one to span its
-#      relation's row ids (7,228 B less).
+#      relation's row ids (7,228 B less), then 34,535 once a value became
+#      one 8-byte word (it read 49,516 just before: the copied cost pages
+#      and the derivations' arena growth halve).
 #
 #   6. Chained-SolveMore probe pin: the same benchmark reports the index
 #      probes per batch (probes/op), which must equal CHAIN_PROBES
@@ -163,20 +167,29 @@
 #      tuple-at-a-time interpreter re-derived explanations, filtering
 #      every row by its stage and collecting every group's supports as it
 #      enumerated, the same tree took 38,404 allocations.
+#
+#  11. Solve byte pin: BenchmarkSolve's B/op stays at SOLVE_BYTES
+#      (3,109,154) within ALLOC_TOL_PCT percent; it repeats to within
+#      a few dozen bytes. Pin 1 counts allocations, which do not move
+#      when what is allocated grows: a value that widened again would
+#      double the arenas, cost pages, γ group keys and fold accumulators
+#      with the allocation count unchanged. With 16-byte values the same
+#      solve allocated 4,505,042 B/op.
 set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 SOLVE_ALLOCS=416
-INSERT_BYTES_PER_ROW=82.4
+INSERT_BYTES_PER_ROW=58.4
 ALLOC_TOL_PCT=5
 PARTY_PROBES=1682
 LOAD_ALLOCS=305
-CHAIN_BYTES=51441
+CHAIN_BYTES=34535
 CHAIN_PROBES=277.6
 RECOVER_ALLOCS=13375
 RULES_ALLOCS=1834
 PARSE_ALLOCS=93
 EXPLAIN_ALLOCS=1994
+SOLVE_BYTES=3109154
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT INT TERM
 
@@ -187,9 +200,10 @@ echo "bench_regression: running BenchmarkIncrementalSolve/solve-more-chain (-ben
 ( cd "$ROOT" && go test . -run '^$' -bench '^BenchmarkIncrementalSolve$/^solve-more-chain$' -benchmem \
     -benchtime 100x ) | tee -a "$RAW"
 
-awk -v pinned="$SOLVE_ALLOCS" -v alloctol="$ALLOC_TOL_PCT" -v partypin="$PARTY_PROBES" -v rowpin="$INSERT_BYTES_PER_ROW" -v loadpin="$LOAD_ALLOCS" -v chainpin="$CHAIN_BYTES" -v chainprobepin="$CHAIN_PROBES" -v recoverpin="$RECOVER_ALLOCS" -v rulespin="$RULES_ALLOCS" -v parsepin="$PARSE_ALLOCS" -v explainpin="$EXPLAIN_ALLOCS" '
+awk -v pinned="$SOLVE_ALLOCS" -v alloctol="$ALLOC_TOL_PCT" -v partypin="$PARTY_PROBES" -v rowpin="$INSERT_BYTES_PER_ROW" -v loadpin="$LOAD_ALLOCS" -v chainpin="$CHAIN_BYTES" -v chainprobepin="$CHAIN_PROBES" -v recoverpin="$RECOVER_ALLOCS" -v rulespin="$RULES_ALLOCS" -v parsepin="$PARSE_ALLOCS" -v explainpin="$EXPLAIN_ALLOCS" -v solvebytespin="$SOLVE_BYTES" '
 /^BenchmarkSolve(-[0-9]+)?[ \t]/ && /allocs\/op/ {
     for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") allocs = $i
+    for (i = 2; i < NF; i++) if ($(i+1) == "B/op") solvebytes = $i
 }
 /^BenchmarkRelationInsert(-[0-9]+)?[ \t]/ && /B\/row/ {
     for (i = 2; i < NF; i++) if ($(i+1) == "B/row") rowbytes = $i
@@ -313,6 +327,16 @@ END {
     printf "bench_regression: BenchmarkExplain allocs/op %d vs pinned %d = %.3f%% deviation (gate: <= %s%%)\n", explainallocs, explainpin, edev, alloctol
     if (edev > alloctol + 0) {
         print "bench_regression: FAIL: explanation allocation count moved; staging allocates per tuple again, or an explanation runs more than its rules" > "/dev/stderr"
+        exit 1
+    }
+    if (solvebytes == "") {
+        print "bench_regression: FAIL: missing BenchmarkSolve B/op" > "/dev/stderr"
+        exit 1
+    }
+    sdev = 100 * (solvebytes - solvebytespin) / solvebytespin; if (sdev < 0) sdev = -sdev
+    printf "bench_regression: BenchmarkSolve B/op %d vs pinned %d = %.3f%% deviation (gate: <= %s%%)\n", solvebytes, solvebytespin, sdev, alloctol
+    if (sdev > alloctol + 0) {
+        print "bench_regression: FAIL: solve bytes moved; a value, row or scratch buffer changed size" > "/dev/stderr"
         exit 1
     }
     print "bench_regression: PASS"
