@@ -92,7 +92,7 @@ wal-crash-test:
 serve-smoke:
 	sh scripts/serve-smoke.sh
 
-# Regression gate over eleven counts (scripts/bench_regression.sh):
+# Regression gate over twelve counts (scripts/bench_regression.sh):
 # BenchmarkSolve's allocs/op and B/op, BenchmarkRelationInsert's bytes per row,
 # Example 4.3's index probes per solve, BenchmarkLoad/load's allocs/op, the
 # bytes and index probes of a chained SolveMore (solve-more-chain's B/op
@@ -100,8 +100,9 @@ serve-smoke:
 # over a 900-batch write-ahead log), BenchmarkLoad/rules's allocs/op
 # (the rules front end: Load of the six example programs' rule texts)
 # BenchmarkParse's allocs/op (the parser, facts through its fast
-# path) and BenchmarkExplain's allocs/op (a model's first explanation
-# tree, staging included).
+# path), BenchmarkExplain's allocs/op (a model's first explanation
+# tree, staging included) and BenchmarkWFS/acyclic's allocs/op (the
+# well-founded alternating fixpoint).
 bench-regression:
 	sh scripts/bench_regression.sh
 

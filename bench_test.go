@@ -21,7 +21,6 @@ import (
 	"repro/internal/rewrite"
 	"repro/internal/stable"
 	"repro/internal/val"
-	"repro/internal/wfs"
 )
 
 func mustEngine(b *testing.B, src string, opts core.Options) *core.Engine {
@@ -220,14 +219,14 @@ func BenchmarkMinimalModelSearch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	candidates := wfs.NewStore()
+	candidates := relation.NewDB(ast.Schemas{})
 	for _, a := range []string{"a", "b"} {
-		candidates.Add("p/1", []val.T{val.Symbol(a)})
-		candidates.Add("q/1", []val.T{val.Symbol(a)})
+		candidates.Rel("p/1").InsertJoin([]val.T{val.Symbol(a)}, val.T{})
+		candidates.Rel("q/1").InsertJoin([]val.T{val.Symbol(a)}, val.T{})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		models, err := stable.Enumerate(prog, candidates, nil, 8, wfs.Options{})
+		models, err := stable.Enumerate(prog, candidates, nil, 8, core.WFSOptions{})
 		if err != nil || len(models) != 2 {
 			b.Fatalf("models=%d err=%v", len(models), err)
 		}
@@ -253,11 +252,11 @@ func BenchmarkStableCheck(b *testing.B) {
 	m2 := m1.Clone()
 	m2.AddFact("s", []val.T{val.Symbol("a"), val.Symbol("b")}, val.Number(0))
 	m2.AddFact("path", []val.T{val.Symbol("a"), val.Symbol("b"), val.Symbol("b")}, val.Number(0))
-	s1, s2 := wfs.FromDB(m1), wfs.FromDB(m2)
+	s1, s2 := core.FlattenCosts(m1), core.FlattenCosts(m2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ok1, err1 := stable.IsStable(prog, s1, wfs.Options{})
-		ok2, err2 := stable.IsStable(prog, s2, wfs.Options{})
+		ok1, err1 := stable.IsStable(prog, s1, core.WFSOptions{})
+		ok2, err2 := stable.IsStable(prog, s2, core.WFSOptions{})
 		if !ok1 || !ok2 || err1 != nil || err2 != nil {
 			b.Fatal("both models must be stable")
 		}
@@ -281,7 +280,7 @@ func BenchmarkWFS(b *testing.B) {
 		}
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := wfs.Solve(prog, wfs.Options{}); err != nil {
+				if _, err := core.SolveWFS(prog, core.WFSOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -311,7 +310,7 @@ func BenchmarkGGZRewrite(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("ggz-wfs/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := wfs.Solve(norm, wfs.Options{MaxAtoms: 1000000}); err != nil {
+				if _, err := core.SolveWFS(norm, core.WFSOptions{MaxAtoms: 1000000}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -328,12 +328,59 @@ func (v Value) key() string {
 	return v.v.Key()
 }
 
-// canonicalElems returns a built set's elements in canonical order (by
-// key, duplicates dropped), the order val.Set keeps.
+// canonicalElems returns a built set's elements in canonical order
+// (compare's, duplicates dropped), the order val.Set keeps.
 func (v Value) canonicalElems() []Value {
 	out := append([]Value(nil), v.elems...)
-	slices.SortStableFunc(out, func(a, b Value) int { return strings.Compare(a.key(), b.key()) })
-	return slices.CompactFunc(out, func(a, b Value) bool { return a.key() == b.key() })
+	slices.SortStableFunc(out, Value.compare)
+	return slices.CompactFunc(out, func(a, b Value) bool { return a.compare(b) == 0 })
+}
+
+// compare orders values, resolved or not, as a val.Set orders its
+// elements: by display key, then structurally — by kind, text and
+// elements — so distinct values sharing a key, such as {"a;q:b"} and
+// {"a", "b"}, stay apart. The key only orders; it never decides identity.
+func (v Value) compare(o Value) int {
+	if c := strings.Compare(v.key(), o.key()); c != 0 {
+		return c
+	}
+	if c := int(v.v.Kind()) - int(o.v.Kind()); c != 0 {
+		return c
+	}
+	switch v.v.Kind() {
+	case val.Sym, val.Str:
+		return strings.Compare(v.textOf(), o.textOf())
+	case val.SetKind:
+		a, b := v.members(), o.members()
+		for i := range min(len(a), len(b)) {
+			if c := a[i].compare(b[i]); c != 0 {
+				return c
+			}
+		}
+		return len(a) - len(b)
+	}
+	return val.Compare(v.v, o.v)
+}
+
+// textOf returns a symbol's or string's text, resolved or not.
+func (v Value) textOf() string {
+	if v.text != "" {
+		return v.text
+	}
+	return v.v.Text()
+}
+
+// members returns a set's elements in canonical order, resolved or not.
+func (v Value) members() []Value {
+	if v.elems != nil {
+		return v.canonicalElems()
+	}
+	elems := v.v.Set().Elems()
+	out := make([]Value, len(elems))
+	for i, e := range elems {
+		out[i] = Value{v: e}
+	}
+	return out
 }
 
 // String renders the value in rule-language syntax ("_" for Any).
@@ -380,7 +427,7 @@ func (v Value) Equal(o Value) bool {
 	if v.text == "" && v.elems == nil && o.text == "" && o.elems == nil {
 		return val.Equal(v.v, o.v)
 	}
-	return v.key() == o.key()
+	return v.compare(o) == 0
 }
 
 // Fact is a ground input fact. For a cost predicate the final value is

@@ -281,3 +281,45 @@ func TestFactRejectionsStayAtLoad(t *testing.T) {
 		})
 	}
 }
+
+// TestFactCostConflictsJoinAsArguments pins the one difference between
+// the ingest routes: two text facts giving one tuple two costs are
+// refused at Load, while facts passed to Solve or SolveMore — against
+// each other or against a text fact — are joined in the cost lattice
+// (min for arc's minreal). Cold WAL recovery replays every logged fact
+// as one Solve, so a log that re-asserts a tuple at a new cost must load.
+func TestFactCostConflictsJoinAsArguments(t *testing.T) {
+	if _, err := datalog.Load(programs.ShortestPath+"arc(a, b, 1). arc(a, b, 3).", datalog.Options{}); !errors.Is(err, datalog.ErrStatic) {
+		t.Fatalf("conflicting text facts: err = %v, want ErrStatic", err)
+	}
+	arc := func(c float64) datalog.Fact {
+		return datalog.NewFact("arc", datalog.Sym("a"), datalog.Sym("b"), datalog.Num(c))
+	}
+	cost := func(m *datalog.Model) float64 {
+		t.Helper()
+		fs := m.Facts("arc")
+		if len(fs) != 1 {
+			t.Fatalf("arc = %v, want one tuple", fs)
+		}
+		c, _ := fs[0][2].Float()
+		return c
+	}
+	p, err := datalog.Load(programs.ShortestPath, datalog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := p.Solve(arc(3), arc(1))
+	if err != nil || cost(m) != 1 {
+		t.Fatalf("conflicting arguments: err = %v, want them joined to cost 1", err)
+	}
+	if m, _, err = p.SolveMore(m, arc(0.5)); err != nil || cost(m) != 0.5 {
+		t.Fatalf("conflicting SolveMore fact: err = %v, want it joined to cost 0.5", err)
+	}
+	pt, err := datalog.Load(programs.ShortestPath+"arc(a, b, 1).", datalog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, _, err = pt.Solve(arc(3)); err != nil || cost(m) != 1 {
+		t.Fatalf("argument against a text fact: err = %v, want them joined to cost 1", err)
+	}
+}

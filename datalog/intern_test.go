@@ -84,3 +84,45 @@ func TestBuiltValuesRenderCanonically(t *testing.T) {
 		t.Fatalf("interned %v disagrees with built %v", r, built)
 	}
 }
+
+// TestBuiltValuesCompareStructurally: a built set's identity is its
+// elements, not its display key, which joins element keys with an
+// unescaped ";" — so {"a", "b"} and {"a;q:b"} stay two values, and a set
+// holding both of {"x", "y"} and {"x;q:y"} keeps two elements.
+func TestBuiltValuesCompareStructurally(t *testing.T) {
+	two, one := SetOf(Str("a"), Str("b")), SetOf(Str("a;q:b"))
+	if two.Equal(one) || one.Equal(two) {
+		t.Fatalf("%v equals %v", two, one)
+	}
+	nested := SetOf(SetOf(Str("x"), Str("y")), SetOf(Str("x;q:y")))
+	if got, want := nested.String(), `{{"x", "y"}, {"x;q:y"}}`; got != want {
+		t.Fatalf("String = %s, want %s", got, want)
+	}
+	if elems, _ := nested.Elems(); len(elems) != 2 {
+		t.Fatalf("Elems = %v, want two", elems)
+	}
+	// The same sets, read back from a model, equal the built ones.
+	p, err := Load("q(X) :- p(X).", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := p.Solve(NewFact("p", two), NewFact("p", one), NewFact("p", nested))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := m.Facts("q")
+	if len(got) != 3 {
+		t.Fatalf("q = %v, want three sets", got)
+	}
+	for _, built := range []Value{two, one, nested} {
+		n := 0
+		for _, f := range got {
+			if f[0].Equal(built) && built.Equal(f[0]) {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("%v equals %d of the model's sets %v, want 1", built, n, got)
+		}
+	}
+}

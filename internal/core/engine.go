@@ -101,10 +101,12 @@ type Engine struct {
 	// excluded) and their compiled plans.
 	compRules [][]*ast.Rule
 	plans     [][]*plan
-	// compAdm holds the per-component admissibility verdict; wfsComp
-	// marks components evaluated by the well-founded fallback (§6.3).
-	compAdm []error
-	wfsComp []bool
+	// compAdm holds the per-component admissibility verdict; wfsProgs
+	// holds, for each component evaluated by the well-founded fallback
+	// (§6.3), its rules compiled for the alternating fixpoint (nil for
+	// the others).
+	compAdm  []error
+	wfsProgs []*WFSProgram
 	// compPreds renders each component's predicate list once at compile
 	// time, so events and stats never format in the fixpoint loops.
 	compPreds []string
@@ -264,7 +266,7 @@ func New(prog *ast.Program, opts Options) (*Engine, error) {
 	}
 	nc := len(en.comps)
 	en.compAdm = make([]error, nc)
-	en.compPreds, en.compLDB, en.wfsComp = make([]string, 0, nc), make([][]ast.PredKey, 0, nc), make([]bool, 0, nc)
+	en.compPreds, en.compLDB, en.wfsProgs = make([]string, 0, nc), make([][]ast.PredKey, 0, nc), make([]*WFSProgram, nc)
 	en.plans, en.compRecursive, en.compDelta = make([][]*plan, 0, nc), make([]bool, 0, nc), make([]deltaIndex, 0, nc)
 	for ci, c := range en.comps {
 		en.compPreds = append(en.compPreds, joinPreds(c.Preds))
@@ -272,7 +274,6 @@ func New(prog *ast.Program, opts Options) (*Engine, error) {
 		if len(rules) == 0 {
 			// A pure-EDB predicate: nothing to check or compile.
 			en.compLDB = append(en.compLDB, nil)
-			en.wfsComp = append(en.wfsComp, false)
 			en.plans = append(en.plans, nil)
 			en.compRecursive = append(en.compRecursive, false)
 			en.compDelta = append(en.compDelta, deltaIndex{})
@@ -288,11 +289,13 @@ func New(prog *ast.Program, opts Options) (*Engine, error) {
 		admErr := monotone.Admissible(rules, schemas, cdb)
 		en.compAdm[ci] = admErr
 		useWFS := admErr != nil && opts.WFSFallback
-		en.wfsComp = append(en.wfsComp, useWFS)
 		if admErr != nil && !useWFS && !opts.SkipChecks {
 			return nil, fmt.Errorf("core: program is not admissible (its least fixpoint may not exist): %w", admErr)
 		}
 		if useWFS {
+			if en.wfsProgs[ci], err = compileWFS(rules, nil, WFSOptions{}); err != nil {
+				return nil, err
+			}
 			en.plans = append(en.plans, nil)
 			en.compRecursive = append(en.compRecursive, false)
 			en.compDelta = append(en.compDelta, deltaIndex{})
@@ -475,7 +478,7 @@ func (en *Engine) fixpoint(ctx context.Context, db *relation.DB, lim Limits, bas
 // evaluable reports whether component ci has anything to evaluate
 // (EDB-only components carry no rules).
 func (en *Engine) evaluable(ci int) bool {
-	return en.wfsComp[ci] || len(en.plans[ci]) > 0
+	return en.wfsProgs[ci] != nil || len(en.plans[ci]) > 0
 }
 
 // solveComponent computes component ci's fixpoint over db (a walk
@@ -484,7 +487,7 @@ func (en *Engine) evaluable(ci int) bool {
 // record, when non-nil, collects every row the component changes.
 func (en *Engine) solveComponent(g *guard, db *relation.DB, ci int, stats *Stats, seed, record *deltaSet) error {
 	switch {
-	case en.wfsComp[ci]:
+	case en.wfsProgs[ci] != nil:
 		return en.solveWFSComponent(g, db, ci, stats)
 	case seed == nil && en.opts.Strategy == Naive:
 		return en.solveNaive(g, db, ci, stats)

@@ -54,7 +54,7 @@ func (en *Engine) SolveMoreContext(ctx context.Context, prev *relation.DB, added
 // prev's.
 func (en *Engine) SolveMoreFrom(ctx context.Context, prev *relation.DB, added *relation.DB, base Stats) (*relation.DB, Stats, error) {
 	return en.solve(ctx, en.opts.Limits, base, func(g *guard) (*relation.DB, error) {
-		if slices.Contains(en.wfsComp, true) {
+		if slices.ContainsFunc(en.wfsProgs, func(w *WFSProgram) bool { return w != nil }) {
 			return nil, fmt.Errorf("core: SolveMore is unsound with well-founded fallback components (negation is not insert-monotone)")
 		}
 		var addedPreds []ast.PredKey

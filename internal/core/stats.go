@@ -175,7 +175,7 @@ func (en *Engine) ensureStats(stats *Stats) {
 		for ci := range en.comps {
 			stats.Comps[ci] = ComponentStats{
 				Index: ci, Preds: en.compPreds[ci],
-				WFS: en.wfsComp[ci], Admissible: en.compAdm[ci] == nil,
+				WFS: en.wfsProgs[ci] != nil, Admissible: en.compAdm[ci] == nil,
 			}
 		}
 	}

@@ -4,50 +4,37 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/ast"
 	"repro/internal/relation"
 	"repro/internal/val"
-	"repro/internal/wfs"
 )
 
 // solveWFSComponent evaluates a non-admissible component under the
 // Kemp–Stuckey well-founded semantics, implementing the lowest rung of
 // §6.3's iterated construction: "at the lowest level in the component
 // hierarchy, we assume that the program is either monotonic, or has a
-// two-valued well-founded model". The component's LDB (everything
-// computed below it) is shipped to the WFS engine as facts; the
+// two-valued well-founded model". The component's rules were compiled
+// for the alternating fixpoint at New; its LDB (everything computed below
+// it) is handed to that program as its facts, the cost-free relations as
+// they are and the others with each cost as a final argument. The
 // well-founded model must be two-valued on the component's predicates,
 // and its true atoms become part of the base interpretation I for the
 // components above.
 func (en *Engine) solveWFSComponent(g *guard, db *relation.DB, ci int, stats *Stats) error {
 	c := en.comps[ci]
-	sub := &ast.Program{Rules: append([]*ast.Rule{}, en.compRules[ci]...)}
-
+	edb := relation.NewDB(en.Schemas)
 	for _, k := range en.compLDB[ci] {
 		pi := en.Schemas.Info(k)
 		if pi != nil && pi.HasDefault {
 			return fmt.Errorf("core: well-founded fallback cannot evaluate component %v: it reads the default-value predicate %s (the set-based comparator has no virtual rows)", c.Preds, k)
 		}
-		if !db.Has(k) {
-			continue
+		if db.Has(k) {
+			edb.SetRel(k, flatten(db.Rel(k)))
 		}
-		db.Rel(k).Each(func(row relation.Row) bool {
-			args := make([]ast.Term, 0, len(row.Args)+1)
-			for _, a := range row.Args {
-				args = append(args, ast.Const{V: a})
-			}
-			if row.HasCost {
-				args = append(args, ast.Const{V: row.Cost})
-			}
-			sub.Rules = append(sub.Rules, &ast.Rule{Head: ast.Atom{Pred: k.Name(), Args: args}})
-			return true
-		})
 	}
 
-	res, err := wfs.SolveContext(g.ctx, sub, wfs.Options{})
+	res, err := en.wfsProgs[ci].solve(g.ctx, edb)
 	if err != nil {
-		// Limit breaches keep their structured class; everything else
-		// (e.g. a genuinely three-valued model) stays a plain error.
+		// Limit breaches keep their structured class.
 		for _, class := range []error{ErrCanceled, ErrBudgetExceeded, ErrDiverged} {
 			if errors.Is(err, class) {
 				return g.fail(class, err)
@@ -59,16 +46,10 @@ func (en *Engine) solveWFSComponent(g *guard, db *relation.DB, ci int, stats *St
 
 	// §6.3 requires the well-founded model to be two-valued here.
 	for _, k := range c.Preds {
-		var undef []val.T
-		res.Possible.Each(k, func(args []val.T) bool {
-			if !res.True.Has(k, args) {
-				undef = args
-				return false
+		for _, row := range relOf(res.Possible, k).Rows() {
+			if !holds(res.True, k, row.Args) {
+				return fmt.Errorf("core: component %v has no two-valued well-founded model (%s%v is undefined); the iterated semantics of §6.3 is not defined for this input", c.Preds, k.Name(), row.Args)
 			}
-			return true
-		})
-		if undef != nil {
-			return fmt.Errorf("core: component %v has no two-valued well-founded model (%s%v is undefined); the iterated semantics of §6.3 is not defined for this input", c.Preds, k.Name(), undef)
 		}
 	}
 
@@ -76,29 +57,19 @@ func (en *Engine) solveWFSComponent(g *guard, db *relation.DB, ci int, stats *St
 	for _, k := range c.Preds {
 		pi := en.Schemas.Info(k)
 		rel := db.Rel(k)
-		var ierr error
-		res.True.Each(k, func(args []val.T) bool {
-			if pi != nil && pi.HasCost {
-				if len(args) == 0 {
-					ierr = fmt.Errorf("core: fallback derived %s with no cost argument", k)
-					return false
-				}
-				cost, err := pi.L.Parse(args[len(args)-1])
-				if err != nil {
-					ierr = fmt.Errorf("core: fallback derived %s with bad cost: %v", k, err)
-					return false
-				}
-				if err := rel.InsertStrict(args[:len(args)-1], cost); err != nil {
-					ierr = err
-					return false
-				}
-				return true
+		for _, row := range relOf(res.True, k).Rows() {
+			args := row.Args
+			if pi == nil || !pi.HasCost {
+				rel.InsertJoin(args, val.T{})
+				continue
 			}
-			rel.InsertJoin(args, val.T{})
-			return true
-		})
-		if ierr != nil {
-			return ierr
+			cost, err := pi.L.Parse(args[len(args)-1])
+			if err != nil {
+				return fmt.Errorf("core: fallback derived %s with bad cost: %v", k, err)
+			}
+			if err := rel.InsertStrict(args[:len(args)-1], cost); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

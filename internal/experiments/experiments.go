@@ -26,7 +26,6 @@ import (
 	"repro/internal/rewrite"
 	"repro/internal/stable"
 	"repro/internal/val"
-	"repro/internal/wfs"
 )
 
 // Config selects sizes and the experiment subset.
@@ -484,12 +483,12 @@ func (st *state) e7() {
 	fmt.Fprintf(st.w, "admissibility check: %v\n\n", err)
 	// Its two minimal Herbrand models, found by stable-model search over
 	// the four candidate atoms.
-	candidates := wfs.NewStore()
+	candidates := relation.NewDB(ast.Schemas{})
 	for _, a := range []string{"a", "b"} {
-		candidates.Add("p/1", []val.T{val.Symbol(a)})
-		candidates.Add("q/1", []val.T{val.Symbol(a)})
+		candidates.Rel("p/1").InsertJoin([]val.T{val.Symbol(a)}, val.T{})
+		candidates.Rel("q/1").InsertJoin([]val.T{val.Symbol(a)}, val.T{})
 	}
-	models, err := stable.Enumerate(prog, candidates, nil, 8, wfs.Options{})
+	models, err := stable.Enumerate(prog, candidates, nil, 8, core.WFSOptions{})
 	if err != nil {
 		fatal(err)
 	}
@@ -497,11 +496,9 @@ func (st *state) e7() {
 	for i, m := range models {
 		var atoms []string
 		for _, k := range m.Preds() {
-			k := k
-			m.Each(k, func(args []val.T) bool {
-				atoms = append(atoms, fmt.Sprintf("%s(%s)", k.Name(), args[0]))
-				return true
-			})
+			for _, row := range m.Rel(k).Rows() {
+				atoms = append(atoms, fmt.Sprintf("%s(%s)", k.Name(), row.Args[0]))
+			}
 		}
 		sort.Strings(atoms)
 		fmt.Fprintf(st.w, "  M%d = {%s}\n", i+1, strings.Join(atoms, ", "))
@@ -526,9 +523,9 @@ func (st *state) e8() {
 	m2 := m1.Clone()
 	m2.AddFact("s", []val.T{val.Symbol("a"), val.Symbol("b")}, val.Number(0))
 	m2.AddFact("path", []val.T{val.Symbol("a"), val.Symbol("b"), val.Symbol("b")}, val.Number(0))
-	s1, s2 := wfs.FromDB(m1), wfs.FromDB(m2)
-	ks1, _ := stable.IsStable(prog, s1, wfs.Options{})
-	ks2, _ := stable.IsStable(prog, s2, wfs.Options{})
+	s1, s2 := core.FlattenCosts(m1), core.FlattenCosts(m2)
+	ks1, _ := stable.IsStable(prog, s1, core.WFSOptions{})
+	ks2, _ := stable.IsStable(prog, s2, core.WFSOptions{})
 	ms1, _ := stable.IsMonotonicStable(prog, nil, m1, core.Options{})
 	ms2, _ := stable.IsMonotonicStable(prog, nil, m2, core.Options{})
 	st.row("model", "s(a,b)", "Kemp–Stuckey stable", "monotonic-reduct stable (§5.5)")
@@ -557,13 +554,13 @@ func (st *state) e9() {
 		if err != nil {
 			fatal(err)
 		}
-		res, err := wfs.Solve(prog, wfs.Options{})
+		res, err := core.SolveWFS(prog, core.WFSOptions{})
 		if err != nil {
 			fatal(err)
 		}
 		db, _ := mustSolve(c.src, core.Options{})
-		agrees := wfs.FromDB(db).Equal(res.True)
-		st.row(c.name, fmt.Sprint(res.True.Len()), fmt.Sprint(res.UndefinedCount()),
+		agrees := core.FlattenCosts(db).Equal(res.True, nil)
+		st.row(c.name, fmt.Sprint(core.CountAtoms(res.True)), fmt.Sprint(res.UndefinedCount()),
 			fmt.Sprint(res.TwoValued()), fmt.Sprint(agrees))
 	}
 	fmt.Fprintln(st.w, "\nOn cycles the Kemp–Stuckey WFS goes undefined exactly where the")
@@ -591,9 +588,9 @@ func (st *state) e10() {
 		if err != nil {
 			fatal(err)
 		}
-		var res *wfs.Result
+		var res *core.WFSResult
 		dGGZ := timeIt(func() {
-			res, err = wfs.Solve(norm, wfs.Options{MaxAtoms: 2000000})
+			res, err = core.SolveWFS(norm, core.WFSOptions{MaxAtoms: 2000000})
 		})
 		if err != nil {
 			fatal(err)
@@ -601,14 +598,12 @@ func (st *state) e10() {
 		agree := true
 		db.Rel("s/3").Each(func(r relation.Row) bool {
 			args := append(append([]val.T{}, r.Args...), r.Cost)
-			if res.Status("s/3", args) != wfs.True {
+			if res.Status("s/3", args) != core.True {
 				agree = false
 			}
 			return true
 		})
-		nWFS := 0
-		res.True.Each("s/3", func([]val.T) bool { nWFS++; return true })
-		if nWFS != db.Rel("s/3").Len() {
+		if res.True.Rel("s/3").Len() != db.Rel("s/3").Len() {
 			agree = false
 		}
 		st.row(fmt.Sprint(n), dNative.String(), dGGZ.String(), fmt.Sprint(agree),
@@ -618,7 +613,7 @@ func (st *state) e10() {
 	src := programs.ShortestPath + "arc(a,b,1).\narc(b,a,1).\n"
 	prog, _ := parser.Parse(src)
 	norm, _ := rewrite.MinMax(prog)
-	_, err := wfs.Solve(norm, wfs.Options{MaxAtoms: 400, MaxIters: 200})
+	_, err := core.SolveWFS(norm, core.WFSOptions{MaxAtoms: 400, MaxIters: 200})
 	db, _ := mustSolve(src, core.Options{})
 	r, _ := db.Rel("s/3").Get([]val.T{val.Symbol("a"), val.Symbol("a")})
 	fmt.Fprintf(st.w, "\nPositive cycle: native terminates (s(a,a)=%g); rewrite diverges: %v\n", r.Cost.Num(), err != nil)

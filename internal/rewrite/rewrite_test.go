@@ -10,7 +10,6 @@ import (
 	"repro/internal/programs"
 	"repro/internal/relation"
 	"repro/internal/val"
-	"repro/internal/wfs"
 )
 
 func mustParse(t *testing.T, src string) *ast.Program {
@@ -78,7 +77,7 @@ arc(c, d, 1).
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := wfs.Solve(norm, wfs.Options{})
+	res, err := core.SolveWFS(norm, core.WFSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +98,12 @@ arc(c, d, 1).
 	m.Rel("s/3").Each(func(row relationRow) bool {
 		sCount++
 		args := append(append([]val.T{}, row.Args...), row.Cost)
-		if res.Status("s/3", args) != wfs.True {
+		if res.Status("s/3", args) != core.True {
 			t.Errorf("s%v missing from the rewritten WF model", args)
 		}
 		return true
 	})
-	wfsCount := 0
-	res.True.Each("s/3", func([]val.T) bool { wfsCount++; return true })
-	if wfsCount != sCount {
+	if wfsCount := res.True.Rel("s/3").Len(); wfsCount != sCount {
 		t.Fatalf("rewritten WF model has %d s atoms, least model has %d", wfsCount, sCount)
 	}
 }
@@ -119,14 +116,14 @@ func TestRewriteZeroCycleAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := wfs.Solve(norm, wfs.Options{})
+	res, err := core.SolveWFS(norm, core.WFSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Status("s/3", nums("a", "b", 1)); got != wfs.True {
+	if got := res.Status("s/3", nums("a", "b", 1)); got != core.True {
 		t.Fatalf("s(a,b,1) = %v, want true (M1)", got)
 	}
-	if got := res.Status("s/3", nums("a", "b", 0)); got != wfs.False {
+	if got := res.Status("s/3", nums("a", "b", 0)); got != core.False {
 		t.Fatalf("s(a,b,0) = %v, want false (M2 is rejected by the rewriting)", got)
 	}
 }
@@ -141,7 +138,7 @@ func TestRewriteDivergesOnPositiveCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wfs.Solve(norm, wfs.Options{MaxAtoms: 400, MaxIters: 200}); err == nil {
+	if _, err := core.SolveWFS(norm, core.WFSOptions{MaxAtoms: 400, MaxIters: 200}); err == nil {
 		t.Fatal("the rewritten program must diverge on a positive cycle")
 	}
 	en, err := core.New(mustParse(t, src), core.Options{})
@@ -171,14 +168,14 @@ best(C) :- C ?= max D : score(X, D).
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := wfs.Solve(norm, wfs.Options{})
+	res, err := core.SolveWFS(norm, core.WFSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Status("best/1", nums(7)); got != wfs.True {
+	if got := res.Status("best/1", nums(7)); got != core.True {
 		t.Fatalf("best(7) = %v, want true", got)
 	}
-	if got := res.Status("best/1", nums(3)); got != wfs.False {
+	if got := res.Status("best/1", nums(3)); got != core.False {
 		t.Fatalf("best(3) = %v, want false", got)
 	}
 }

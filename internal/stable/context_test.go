@@ -7,28 +7,23 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/core"
 	"repro/internal/enginerr"
-	"repro/internal/val"
-	"repro/internal/wfs"
 )
 
 // TestEnumerateContextCanceled: the 2^k search over free atoms polls the
 // context between candidate masks and stops with ErrCanceled.
 func TestEnumerateContextCanceled(t *testing.T) {
 	prog, m1, m2, _ := example31(t)
-	candidates := wfs.FromDB(m1)
-	m2s := wfs.FromDB(m2)
+	candidates := core.FlattenCosts(m1)
+	m2s := core.FlattenCosts(m2)
 	for _, k := range m2s.Preds() {
-		k := k
-		m2s.Each(k, func(args []val.T) bool {
-			candidates.Add(k, args)
-			return true
-		})
+		candidates.Rel(k).Join(m2s.Rel(k))
 	}
 	fixed := map[ast.PredKey]bool{"arc/3": true}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := EnumerateContext(ctx, prog, candidates, fixed, 16, wfs.Options{})
+	_, err := EnumerateContext(ctx, prog, candidates, fixed, 16, core.WFSOptions{})
 	if !errors.Is(err, enginerr.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}

@@ -19,18 +19,23 @@ import (
 	"repro/internal/enginerr"
 	"repro/internal/relation"
 	"repro/internal/val"
-	"repro/internal/wfs"
 )
 
 // IsStable checks Kemp–Stuckey stability of the total interpretation m:
 // the least fixpoint of the program with negation and aggregates frozen
-// at m must reproduce m exactly.
-func IsStable(prog *ast.Program, m *wfs.Store, opts wfs.Options) (bool, error) {
-	lfp, err := wfs.ReductLfp(prog, m, opts)
+// at m must reproduce m exactly. m is cost-free, each cost an ordinary
+// final argument (core.FlattenCosts).
+func IsStable(prog *ast.Program, m *relation.DB, opts core.WFSOptions) (bool, error) {
+	w, err := core.CompileWFS(prog, opts)
 	if err != nil {
 		return false, err
 	}
-	return lfp.Equal(m), nil
+	return isStable(w, m)
+}
+
+func isStable(w *core.WFSProgram, m *relation.DB) (bool, error) {
+	lfp, err := w.ReductLfp(context.Background(), m)
+	return err == nil && lfp.Equal(m, nil), err
 }
 
 // IsMonotonicStable checks the §5.5 alternative: the reduct removes only
@@ -64,50 +69,48 @@ func IsMonotonicStable(prog *ast.Program, edb *relation.DB, m *relation.DB, opts
 // candidate atom set. Atoms of predicates in fixed are kept in every
 // candidate (typically the EDB); the remaining atoms are toggled. The
 // search is exponential and guarded by maxFree.
-func Enumerate(prog *ast.Program, candidates *wfs.Store, fixed map[ast.PredKey]bool, maxFree int, opts wfs.Options) ([]*wfs.Store, error) {
+func Enumerate(prog *ast.Program, candidates *relation.DB, fixed map[ast.PredKey]bool, maxFree int, opts core.WFSOptions) ([]*relation.DB, error) {
 	return EnumerateContext(context.Background(), prog, candidates, fixed, maxFree, opts)
 }
 
 // EnumerateContext is Enumerate with cooperative cancellation: the
 // candidate loop polls ctx and, when it fires, returns the stable
 // models found so far alongside an error wrapping core.ErrCanceled.
-func EnumerateContext(ctx context.Context, prog *ast.Program, candidates *wfs.Store, fixed map[ast.PredKey]bool, maxFree int, opts wfs.Options) ([]*wfs.Store, error) {
-	type atom struct {
-		k    ast.PredKey
-		args []val.T
-	}
-	var free []atom
-	base := wfs.NewStore()
+func EnumerateContext(ctx context.Context, prog *ast.Program, candidates *relation.DB, fixed map[ast.PredKey]bool, maxFree int, opts core.WFSOptions) (out []*relation.DB, err error) {
+	base := relation.NewDB(ast.Schemas{})
+	var free []ast.PredKey // free[i] is the predicate of atom i of rows
+	var rows []relation.Row
 	for _, k := range candidates.Preds() {
-		k := k
-		candidates.Each(k, func(args []val.T) bool {
-			if fixed[k] {
-				base.Add(k, args)
-			} else {
-				free = append(free, atom{k, args})
-			}
-			return true
-		})
+		if fixed[k] {
+			base.Rel(k).Join(candidates.Rel(k))
+			continue
+		}
+		for _, row := range candidates.Rel(k).Rows() {
+			free, rows = append(free, k), append(rows, row)
+		}
 	}
 	if len(free) > maxFree {
 		return nil, fmt.Errorf("stable: %d free atoms exceed the enumeration bound %d", len(free), maxFree)
 	}
-	var out []*wfs.Store
+	w, err := core.CompileWFS(prog, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		sort.Slice(out, func(i, j int) bool { return core.CountAtoms(out[i]) < core.CountAtoms(out[j]) })
+	}()
 	total := 1 << len(free)
 	for mask := 0; mask < total; mask++ {
-		select {
-		case <-ctx.Done():
-			sort.Slice(out, func(i, j int) bool { return out[i].Len() < out[j].Len() })
+		if ctx.Err() != nil {
 			return out, fmt.Errorf("stable: enumeration canceled after %d/%d candidates: %w (%v)", mask, total, enginerr.ErrCanceled, ctx.Err())
-		default:
 		}
 		m := base.Clone()
-		for i, a := range free {
+		for i, k := range free {
 			if mask&(1<<i) != 0 {
-				m.Add(a.k, a.args)
+				m.Rel(k).InsertJoin(rows[i].Args, val.T{})
 			}
 		}
-		ok, err := IsStable(prog, m, opts)
+		ok, err := isStable(w, m)
 		if err != nil {
 			return nil, err
 		}
@@ -115,6 +118,5 @@ func EnumerateContext(ctx context.Context, prog *ast.Program, candidates *wfs.St
 			out = append(out, m)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Len() < out[j].Len() })
 	return out, nil
 }

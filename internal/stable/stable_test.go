@@ -9,7 +9,6 @@ import (
 	"repro/internal/programs"
 	"repro/internal/relation"
 	"repro/internal/val"
-	"repro/internal/wfs"
 )
 
 func mustParse(t *testing.T, src string) *ast.Program {
@@ -44,16 +43,16 @@ func example31(t *testing.T) (*ast.Program, *relation.DB, *relation.DB, *core.En
 // Example 3.1 are stable in the Kemp–Stuckey sense.
 func TestExample31BothStable(t *testing.T) {
 	prog, m1, m2, _ := example31(t)
-	s1 := wfs.FromDB(m1)
-	s2 := wfs.FromDB(m2)
-	ok, err := IsStable(prog, s1, wfs.Options{})
+	s1 := core.FlattenCosts(m1)
+	s2 := core.FlattenCosts(m2)
+	ok, err := IsStable(prog, s1, core.WFSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
 		t.Fatal("M1 must be stable")
 	}
-	ok, err = IsStable(prog, s2, wfs.Options{})
+	ok, err = IsStable(prog, s2, core.WFSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +62,7 @@ func TestExample31BothStable(t *testing.T) {
 	// A non-model is not stable.
 	bad := m1.Clone()
 	bad.AddFact("s", []val.T{val.Symbol("a"), val.Symbol("b")}, val.Number(0.5))
-	if ok, _ := IsStable(prog, wfs.FromDB(bad), wfs.Options{}); ok {
+	if ok, _ := IsStable(prog, core.FlattenCosts(bad), core.WFSOptions{}); ok {
 		t.Fatal("an arbitrary cost improvement must not be stable")
 	}
 }
@@ -93,17 +92,13 @@ func TestExample31MonotonicStable(t *testing.T) {
 // finds exactly the two stable models of Example 3.1.
 func TestEnumerateFindsBothModels(t *testing.T) {
 	prog, m1, m2, _ := example31(t)
-	candidates := wfs.FromDB(m1)
-	m2s := wfs.FromDB(m2)
+	candidates := core.FlattenCosts(m1)
+	m2s := core.FlattenCosts(m2)
 	for _, k := range m2s.Preds() {
-		k := k
-		m2s.Each(k, func(args []val.T) bool {
-			candidates.Add(k, args)
-			return true
-		})
+		candidates.Rel(k).Join(m2s.Rel(k))
 	}
 	fixed := map[ast.PredKey]bool{"arc/3": true}
-	models, err := Enumerate(prog, candidates, fixed, 16, wfs.Options{})
+	models, err := Enumerate(prog, candidates, fixed, 16, core.WFSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +107,10 @@ func TestEnumerateFindsBothModels(t *testing.T) {
 	}
 	found1, found2 := false, false
 	for _, m := range models {
-		if m.Equal(wfs.FromDB(m1)) {
+		if m.Equal(core.FlattenCosts(m1), nil) {
 			found1 = true
 		}
-		if m.Equal(m2s) {
+		if m.Equal(m2s, nil) {
 			found2 = true
 		}
 	}
@@ -126,7 +121,7 @@ func TestEnumerateFindsBothModels(t *testing.T) {
 
 func TestEnumerateBound(t *testing.T) {
 	prog, m1, _, _ := example31(t)
-	if _, err := Enumerate(prog, wfs.FromDB(m1), nil, 2, wfs.Options{}); err == nil {
+	if _, err := Enumerate(prog, core.FlattenCosts(m1), nil, 2, core.WFSOptions{}); err == nil {
 		t.Fatal("exceeding maxFree must error")
 	}
 }
@@ -143,15 +138,15 @@ func TestAcyclicUniqueStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	candidates := wfs.FromDB(m)
+	candidates := core.FlattenCosts(m)
 	// Add a decoy: a worse claimed s cost.
-	candidates.Add("s/3", []val.T{val.Symbol("a"), val.Symbol("c"), val.Number(7)})
+	candidates.Rel("s/3").InsertJoin([]val.T{val.Symbol("a"), val.Symbol("c"), val.Number(7)}, val.T{})
 	fixed := map[ast.PredKey]bool{"arc/3": true}
-	models, err := Enumerate(prog, candidates, fixed, 16, wfs.Options{})
+	models, err := Enumerate(prog, candidates, fixed, 16, core.WFSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(models) != 1 || !models[0].Equal(wfs.FromDB(m)) {
+	if len(models) != 1 || !models[0].Equal(core.FlattenCosts(m), nil) {
 		t.Fatalf("acyclic graphs have the least model as unique stable model; got %d", len(models))
 	}
 }

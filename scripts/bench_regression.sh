@@ -4,8 +4,9 @@
 # Runs BenchmarkSolve (the shortest-path fixpoint on a cyclic graph),
 # BenchmarkRelationInsert, BenchmarkParty (Example 4.3), BenchmarkLoad,
 # BenchmarkServeRecover, BenchmarkParse and BenchmarkExplain at
-# -benchtime 3x, and BenchmarkIncrementalSolve/solve-more-chain at
-# -benchtime 100x, and enforces eleven pins. All are counts, not timings, so they hold
+# -benchtime 3x, BenchmarkIncrementalSolve/solve-more-chain at
+# -benchtime 100x and BenchmarkWFS/acyclic at -benchtime 5x, and
+# enforces twelve pins. All are counts, not timings, so they hold
 # on any machine; there are no knobs. Re-pinning means editing the
 # constant below in the same commit as the code change that moves it.
 #
@@ -175,6 +176,17 @@
 #      double the arenas, cost pages, γ group keys and fold accumulators
 #      with the allocation count unchanged. With 16-byte values the same
 #      solve allocated 4,505,042 B/op.
+#
+#  12. Well-founded allocation pin: BenchmarkWFS/acyclic — the
+#      Kemp–Stuckey alternating fixpoint of Example 2.6 on a 12-node
+#      layered DAG, compile included — stays at WFS_ALLOCS (3,928)
+#      allocs/op within ALLOC_TOL_PCT percent. Every lfp of the
+#      alternation is one solve of the rewritten program on the engine's
+#      plans, its negations and aggregate candidates read from shadow
+#      relations shared with the frozen side, so it allocates per solve
+#      and per arena growth, not per atom. When the comparator was an
+#      interpreter walking the rules with map substitutions over
+#      string-keyed atom sets, the same run made 48,928 allocations.
 set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
@@ -190,6 +202,7 @@ RULES_ALLOCS=1834
 PARSE_ALLOCS=93
 EXPLAIN_ALLOCS=1994
 SOLVE_BYTES=3109154
+WFS_ALLOCS=3928
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT INT TERM
 
@@ -199,8 +212,11 @@ echo "bench_regression: running BenchmarkSolve, BenchmarkRelationInsert, Benchma
 echo "bench_regression: running BenchmarkIncrementalSolve/solve-more-chain (-benchtime 100x)"
 ( cd "$ROOT" && go test . -run '^$' -bench '^BenchmarkIncrementalSolve$/^solve-more-chain$' -benchmem \
     -benchtime 100x ) | tee -a "$RAW"
+echo "bench_regression: running BenchmarkWFS/acyclic (-benchtime 5x)"
+( cd "$ROOT" && go test . -run '^$' -bench '^BenchmarkWFS$/^acyclic$' -benchmem \
+    -benchtime 5x ) | tee -a "$RAW"
 
-awk -v pinned="$SOLVE_ALLOCS" -v alloctol="$ALLOC_TOL_PCT" -v partypin="$PARTY_PROBES" -v rowpin="$INSERT_BYTES_PER_ROW" -v loadpin="$LOAD_ALLOCS" -v chainpin="$CHAIN_BYTES" -v chainprobepin="$CHAIN_PROBES" -v recoverpin="$RECOVER_ALLOCS" -v rulespin="$RULES_ALLOCS" -v parsepin="$PARSE_ALLOCS" -v explainpin="$EXPLAIN_ALLOCS" -v solvebytespin="$SOLVE_BYTES" '
+awk -v pinned="$SOLVE_ALLOCS" -v alloctol="$ALLOC_TOL_PCT" -v partypin="$PARTY_PROBES" -v rowpin="$INSERT_BYTES_PER_ROW" -v loadpin="$LOAD_ALLOCS" -v chainpin="$CHAIN_BYTES" -v chainprobepin="$CHAIN_PROBES" -v recoverpin="$RECOVER_ALLOCS" -v rulespin="$RULES_ALLOCS" -v parsepin="$PARSE_ALLOCS" -v explainpin="$EXPLAIN_ALLOCS" -v solvebytespin="$SOLVE_BYTES" -v wfspin="$WFS_ALLOCS" '
 /^BenchmarkSolve(-[0-9]+)?[ \t]/ && /allocs\/op/ {
     for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") allocs = $i
     for (i = 2; i < NF; i++) if ($(i+1) == "B/op") solvebytes = $i
@@ -225,6 +241,9 @@ awk -v pinned="$SOLVE_ALLOCS" -v alloctol="$ALLOC_TOL_PCT" -v partypin="$PARTY_P
 }
 /^BenchmarkServeRecover(-[0-9]+)?[ \t]/ && /allocs\/op/ {
     for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") recoverallocs = $i
+}
+/^BenchmarkWFS\/acyclic(-[0-9]+)?[ \t]/ && /allocs\/op/ {
+    for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") wfsallocs = $i
 }
 /^BenchmarkIncrementalSolve\/solve-more-chain(-[0-9]+)?[ \t]/ && /B\/op/ {
     for (i = 2; i < NF; i++) if ($(i+1) == "B/op") chainbytes = $i
@@ -337,6 +356,16 @@ END {
     printf "bench_regression: BenchmarkSolve B/op %d vs pinned %d = %.3f%% deviation (gate: <= %s%%)\n", solvebytes, solvebytespin, sdev, alloctol
     if (sdev > alloctol + 0) {
         print "bench_regression: FAIL: solve bytes moved; a value, row or scratch buffer changed size" > "/dev/stderr"
+        exit 1
+    }
+    if (wfsallocs == "") {
+        print "bench_regression: FAIL: missing BenchmarkWFS/acyclic allocs/op" > "/dev/stderr"
+        exit 1
+    }
+    wdev = 100 * (wfsallocs - wfspin) / wfspin; if (wdev < 0) wdev = -wdev
+    printf "bench_regression: BenchmarkWFS/acyclic allocs/op %d vs pinned %d = %.3f%% deviation (gate: <= %s%%)\n", wfsallocs, wfspin, wdev, alloctol
+    if (wdev > alloctol + 0) {
+        print "bench_regression: FAIL: well-founded allocation count moved; an lfp allocates per atom again, or the alternation compiles more than once" > "/dev/stderr"
         exit 1
     }
     print "bench_regression: PASS"
