@@ -60,7 +60,9 @@ race:
 # two-word reference), the parser (and its fact fast path against the
 # general parser), the snapshot and WAL decoders, the
 # serve tier's value codec and fact-array decoder (each against its
-# encoding/json reference), the relation generations
+# encoding/json reference), its WAL record replay (arbitrary payloads,
+# and generated batches through the binary row codec against Add), the
+# relation generations
 # (clone, fork and copy-on-write against a map model) and the join
 # property of min/max/or that γ's Δ-fold rests on; the seed corpora
 # alone run under plain `make test`. A FuzzGenerations input runs a whole
@@ -74,6 +76,7 @@ fuzz:
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeValue$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeFacts$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/relation -run '^$$' -fuzz '^FuzzGenerations$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/lattice -run '^$$' -fuzz '^FuzzJoinAggregate$$' -fuzztime $(FUZZTIME)
 
@@ -97,7 +100,7 @@ serve-smoke:
 # Example 4.3's index probes per solve, BenchmarkLoad/load's allocs/op, the
 # bytes and index probes of a chained SolveMore (solve-more-chain's B/op
 # and probes/op), BenchmarkServeRecover's allocs/op (crash recovery
-# over a 900-batch write-ahead log), BenchmarkLoad/rules's allocs/op
+# over a 900-batch write-ahead log of binary records), BenchmarkLoad/rules's allocs/op
 # (the rules front end: Load of the six example programs' rule texts)
 # BenchmarkParse's allocs/op (the parser, facts through its fast
 # path), BenchmarkExplain's allocs/op (a model's first explanation

@@ -30,7 +30,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -39,7 +38,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/core"
-	"repro/internal/lattice"
 	"repro/internal/parser"
 	"repro/internal/relation"
 	"repro/internal/snapshot"
@@ -287,16 +285,6 @@ func (v Value) resolve(intern bool) (_ val.T, ok bool) {
 	return v.v, true
 }
 
-// hasNaN reports whether v is a NaN number or a set holding one.
-func (v Value) hasNaN() bool {
-	for _, e := range v.elems {
-		if e.hasNaN() {
-			return true
-		}
-	}
-	return v.v.Kind() == val.Num && math.IsNaN(v.v.Num())
-}
-
 // resolveAll resolves vs for a read (see resolve); ok is false when some
 // value names a constant the process has never interned.
 func resolveAll(vs []Value) ([]val.T, bool) {
@@ -495,9 +483,19 @@ func (p *Program) Solve(facts ...Fact) (*Model, Stats, error) {
 // the matching sentinel (ErrCanceled, ErrBudgetExceeded, ErrDiverged —
 // test with errors.Is; extract the *EngineError with errors.As) and the
 // returned model is non-nil, holding the partial interpretation
-// computed so far.
+// computed so far. The facts are checked as Batch.Add checks them.
 func (p *Program) SolveContext(ctx context.Context, facts []Fact, opts ...SolveOption) (*Model, Stats, error) {
-	edb, err := p.edb(facts)
+	b := p.NewBatch()
+	if err := b.Add(facts...); err != nil {
+		return nil, Stats{}, err
+	}
+	return p.SolveBatch(ctx, b, opts...)
+}
+
+// SolveBatch is SolveContext over the facts of b, which it takes over:
+// b accepts no more facts afterwards.
+func (p *Program) SolveBatch(ctx context.Context, b *Batch, opts ...SolveOption) (*Model, Stats, error) {
+	edb, err := b.take(p)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -507,63 +505,6 @@ func (p *Program) SolveContext(ctx context.Context, facts []Fact, opts ...SolveO
 	}
 	db, stats, err := p.en.SolveLimits(ctx, edb, p.limitsFor(cfg))
 	return p.model(db, stats), stats, err
-}
-
-// edb stores caller-supplied facts as an extensional database over the
-// program's schemas — what the engine joins with the program's own facts
-// into a solve's starting interpretation.
-func (p *Program) edb(facts []Fact) (*relation.DB, error) {
-	l := factLoader{db: relation.NewDB(p.en.Schemas), schemas: p.en.Schemas}
-	for _, f := range facts {
-		if err := l.add(f); err != nil {
-			return nil, err
-		}
-	}
-	return l.db, nil
-}
-
-// factLoader stores facts in db. One argument buffer serves every fact,
-// since a relation copies a new row's arguments into its arena, and a run
-// of facts of one predicate — how facts usually come — builds its key
-// and finds its relation once.
-type factLoader struct {
-	db      *relation.DB
-	schemas ast.Schemas
-	keys    ast.KeyMemo
-	key     ast.PredKey
-	rel     *relation.Relation
-	pi      *ast.PredInfo
-	buf     []val.T
-}
-
-// add stores f. It refuses a NaN argument, which no snapshot of the
-// model could restore; the lattice refuses a NaN cost.
-func (l *factLoader) add(f Fact) error {
-	if key := l.keys.Key(f.Pred, len(f.Args)); key != l.key || l.rel == nil {
-		l.key, l.rel, l.pi = key, l.db.Rel(key), l.schemas.Info(key)
-	}
-	args, cost := f.Args, lattice.Elem{}
-	if l.pi != nil && l.pi.HasCost {
-		if len(f.Args) == 0 {
-			return fmt.Errorf("datalog: fact %s lacks its cost argument", f.Pred)
-		}
-		args = f.Args[:len(f.Args)-1]
-		c, _ := f.Args[len(args)].resolve(true)
-		var err error
-		if cost, err = l.pi.L.Parse(c); err != nil {
-			return fmt.Errorf("datalog: fact %s: %v", f.Pred, err)
-		}
-	}
-	l.buf = l.buf[:0]
-	for i, a := range args {
-		if a.hasNaN() {
-			return fmt.Errorf("datalog: fact %s: argument %d is NaN", f.Pred, i+1)
-		}
-		v, _ := a.resolve(true)
-		l.buf = append(l.buf, v)
-	}
-	l.rel.InsertJoin(l.buf, cost)
-	return nil
 }
 
 // SolveMore extends a previously computed model with additional
@@ -581,7 +522,17 @@ func (p *Program) SolveMore(m *Model, facts ...Fact) (*Model, Stats, error) {
 // SolveContext it returns the partially extended model alongside any
 // limit-breach error.
 func (p *Program) SolveMoreContext(ctx context.Context, m *Model, facts []Fact) (*Model, Stats, error) {
-	added, err := p.edb(facts)
+	b := p.NewBatch()
+	if err := b.Add(facts...); err != nil {
+		return nil, Stats{}, err
+	}
+	return p.SolveMoreBatch(ctx, m, b)
+}
+
+// SolveMoreBatch is SolveMoreContext over the facts of b, which it takes
+// over: b accepts no more facts afterwards.
+func (p *Program) SolveMoreBatch(ctx context.Context, m *Model, b *Batch) (*Model, Stats, error) {
+	added, err := b.take(p)
 	if err != nil {
 		return nil, Stats{}, err
 	}

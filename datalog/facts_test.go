@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -321,5 +322,103 @@ func TestFactCostConflictsJoinAsArguments(t *testing.T) {
 	}
 	if m, _, err = pt.Solve(arc(3)); err != nil || cost(m) != 1 {
 		t.Fatalf("argument against a text fact: err = %v, want them joined to cost 1", err)
+	}
+}
+
+// TestCallerFactsChecked: every route by which a caller's facts reach a
+// solve — Solve, SolveMore, and a batch read back from AppendFacts —
+// ends in one row sink with one set of refusals: a predicate the program
+// does not have, a known predicate at another arity, a NaN argument and
+// a cost outside the predicate's lattice. A refused fact leaves the
+// model and the program's predicates as they were.
+func TestCallerFactsChecked(t *testing.T) {
+	p, err := datalog.Load(programs.ShortestPath, datalog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := datalog.Sym("a"), datalog.Sym("b")
+	base, _, err := p.Solve(datalog.NewFact("arc", a, b, datalog.Num(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds := fmt.Sprint(p.Predicates())
+	for _, tc := range []struct {
+		name string
+		fact datalog.Fact
+		want string
+	}{
+		{"arity", datalog.NewFact("arc", b, datalog.Sym("c")),
+			"datalog: arc takes 3 arguments (cost last for cost predicates), got 2"},
+		{"unknown predicate", datalog.NewFact("nosuch", datalog.Sym("x")),
+			`datalog: program has no predicate "nosuch"`},
+		{"NaN argument", datalog.NewFact("arc", a, datalog.Num(math.NaN()), datalog.Num(1)),
+			"datalog: fact arc: argument 2 is NaN"},
+		{"NaN cost", datalog.NewFact("arc", a, b, datalog.Num(math.NaN())),
+			"datalog: fact arc: argument 3 is NaN"},
+		{"cost outside the lattice", datalog.NewFact("arc", a, b, datalog.Sym("far")),
+			"datalog: fact arc: "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			check := func(route string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s: err = %v, want %q", route, err, tc.want)
+				}
+			}
+			_, _, err := p.Solve(tc.fact)
+			check("Solve", err)
+			_, _, err = p.SolveMore(base, tc.fact)
+			check("SolveMore", err)
+			err = p.NewBatch().AddEncoded(datalog.AppendFacts(nil, []datalog.Fact{tc.fact}))
+			if tc.name == "NaN argument" || tc.name == "NaN cost" {
+				// The encoded route never gets a NaN past its decoder.
+				if !errors.Is(err, datalog.ErrSnapshotCorrupt) {
+					t.Errorf("AddEncoded: err = %v, want ErrSnapshotCorrupt", err)
+				}
+			} else {
+				check("AddEncoded", err)
+			}
+			if got := fmt.Sprint(base.Facts("arc")); got != "[[a b 1]]" {
+				t.Errorf("arc = %s after the refusal", got)
+			}
+			if got := fmt.Sprint(p.Predicates()); got != preds {
+				t.Errorf("predicates %s after the refusal, were %s", got, preds)
+			}
+		})
+	}
+}
+
+// TestBatchSolvedOnce: a solve takes its batch over, since the model it
+// returns may keep the batch's relations; adding to or solving the batch
+// again fails, and a program refuses another program's batch.
+func TestBatchSolvedOnce(t *testing.T) {
+	p, err := datalog.Load(programs.ShortestPath, datalog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arc := datalog.NewFact("arc", datalog.Sym("a"), datalog.Sym("b"), datalog.Num(1))
+	b := p.NewBatch()
+	if err := b.Add(arc); err != nil || b.Len() != 1 {
+		t.Fatalf("Add: %v, Len %d", err, b.Len())
+	}
+	m, _, err := p.SolveBatch(context.Background(), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Add(arc); err == nil {
+		t.Error("Add to a solved batch succeeded")
+	}
+	if _, _, err := p.SolveMoreBatch(context.Background(), m, b); err == nil {
+		t.Error("a batch was solved twice")
+	}
+	q, err := datalog.Load(programs.ShortestPath, datalog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := q.SolveBatch(context.Background(), p.NewBatch()); err == nil {
+		t.Error("a program solved another program's batch")
+	}
+	if got := fmt.Sprint(m.Facts("arc")); got != "[[a b 1]]" {
+		t.Errorf("arc = %s", got)
 	}
 }

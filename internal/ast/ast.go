@@ -424,14 +424,6 @@ func (m *KeyMemo) Of(a *Atom) PredKey {
 	return m.key
 }
 
-// Key returns the key of predicate pred with the given arity.
-func (m *KeyMemo) Key(pred string, arity int) PredKey {
-	if m.key == "" || pred != m.pred || arity != m.arity {
-		m.pred, m.arity, m.key = pred, arity, MakePredKey(pred, arity)
-	}
-	return m.key
-}
-
 // Preds returns the set of predicate keys appearing anywhere in the
 // program, sorted for determinism.
 func (p *Program) Preds() []PredKey {

@@ -114,8 +114,9 @@ func (j jsonRows) MarshalJSON() ([]byte, error) {
 //
 //	[{"pred":"arc","args":["a","b",1]}, ...]
 //
-// of a /v1/assert batch and of a WAL record payload, and the argument
-// lists of /v1/query and /v1/explain. All of them are read by one
+// of a /v1/assert batch and of a WAL record written before records were
+// binary (see wal.go), and the argument lists of /v1/query and
+// /v1/explain. All of them are read by one
 // single-pass scanner that checks the JSON syntax and builds the values
 // as it goes: no reflection, no json.RawMessage copies, and no
 // allocation beyond the facts, strings, sets and argument slices it
@@ -692,7 +693,7 @@ func (b *factBatch) UnmarshalJSON(data []byte) (err error) {
 	return err
 }
 
-// decodeFacts reads a fact array: a WAL record's payload, or the facts
+// decodeFacts reads a fact array: a JSON WAL record's payload, or the facts
 // of an /v1/assert body. It fails on a syntax error anywhere in data and
 // on a member of the wrong JSON type; it reads null as no facts.
 func decodeFacts(data []byte) (factBatch, error) {

@@ -162,6 +162,8 @@ type service struct {
 	replaying   atomic.Bool
 	replayDone  atomic.Uint64
 	replayTotal atomic.Uint64
+	// walBuf is the record buffer of walAppend, reused under writeMu.
+	walBuf []byte
 	// arity maps predicate name -> non-cost arity for every declared
 	// predicate, fixed at load time (so the read path never consults —
 	// or lazily extends — mutable schema state).
@@ -250,15 +252,19 @@ func (s *Server) logf(format string, args ...any) {
 // restored checkpoint's watermark are folded into the service's one
 // recovery solve (see recover). It must complete before the handler
 // serves queries; pair it with Drain (or Close) to stop the committers.
+// Each service logs how long its recovery took and what each phase of
+// it took: restoring the checkpoint, reading and decoding the WAL, and
+// the solve.
 func (s *Server) Materialize(ctx context.Context) error {
 	for _, name := range s.names {
 		svc := s.svcs[name]
 		start := time.Now()
-		m, warm, replayed, err := svc.recover(ctx)
+		rec, err := svc.recover(ctx)
 		if err != nil {
 			return fmt.Errorf("server: materialize %s: %w", name, err)
 		}
-		if replayed > 0 && svc.spec.Checkpoint != "" {
+		m := rec.model
+		if rec.batches > 0 && svc.spec.Checkpoint != "" {
 			// Fold the replay into a fresh checkpoint immediately so the
 			// next restart replays only what arrives from here on, and let
 			// the log drop segments the new watermark subsumes.
@@ -267,62 +273,86 @@ func (s *Server) Materialize(ctx context.Context) error {
 			}
 		}
 		s.metrics.commitSeq.With(name).Set(float64(svc.seq.Load()))
-		svc.cur.Store(&modelState{model: m, version: 1, warm: warm})
+		svc.cur.Store(&modelState{model: m, version: 1, warm: rec.warm})
 		s.metrics.publishModel(name, 1, m)
 		svc.committerUp.Store(true)
 		go svc.commitLoop()
 		how := "solved"
-		if warm {
+		if rec.warm {
 			how = "warm-started"
 		}
 		extra := ""
-		if replayed > 0 {
-			extra = fmt.Sprintf(", %d wal batches replayed", replayed)
+		if rec.batches > 0 {
+			extra = fmt.Sprintf(", %d wal batches replayed", rec.batches)
 		}
-		s.logf("program %s: %s in %s (%d tuples, %d rounds%s)",
-			name, how, time.Since(start).Round(time.Millisecond), m.Size(), m.Stats().Rounds, extra)
+		s.logf("program %s: %s in %s (restore %s, wal read+decode %s, solve %s; %d tuples, %d rounds%s)",
+			name, how, ms(time.Since(start)), ms(rec.restore), ms(rec.replay), ms(rec.solve),
+			m.Size(), m.Stats().Rounds, extra)
 	}
 	return nil
 }
 
+// ms renders d in milliseconds to a tenth.
+func ms(d time.Duration) string { return fmt.Sprintf("%.1fms", float64(d)/float64(time.Millisecond)) }
+
+// recovery is one service's first model and how recover reached it.
+type recovery struct {
+	model *datalog.Model
+	// warm is set when the model was resumed from a checkpoint, and
+	// batches counts the logged batches folded into it.
+	warm    bool
+	batches int
+	// The phases' wall times: reading the checkpoint, reading and
+	// decoding the WAL into the recovery batch, and the one solve
+	// (Resume and SolveMore on the warm path).
+	restore, replay, solve time.Duration
+}
+
 // recover computes one service's first model, the least model of the
 // base EDB ∪ every fact the WAL logged past the restored checkpoint, in
-// one solve: the log is read and decoded before anything is solved. A
-// cold start solves the program with the logged facts; a warm start
-// resumes the checkpoint and extends it with one SolveMore of them. It
-// also sets the service's commit sequence, and returns whether the model
-// was warm-started and how many logged batches it holds.
-func (svc *service) recover(ctx context.Context) (*datalog.Model, bool, int, error) {
+// one solve: the log is read and decoded into one batch before anything
+// is solved. A cold start solves the program with that batch; a warm
+// start resumes the checkpoint and extends it with one SolveMore of it.
+// It also sets the service's commit sequence.
+func (svc *service) recover(ctx context.Context) (recovery, error) {
+	var rec recovery
+	start := time.Now()
 	restored, watermark, err := svc.restore()
 	if err != nil {
-		return nil, false, 0, err
+		return rec, err
 	}
+	rec.warm = restored != nil
 	svc.seq.Store(watermark)
-	var facts []datalog.Fact
-	batches := 0
+	b := svc.prog.NewBatch()
+	replayStart := time.Now()
+	rec.restore = replayStart.Sub(start)
 	if svc.srv.cfg.WALDir != "" {
 		if err := svc.openWAL(watermark); err != nil {
-			return nil, false, 0, err
+			return rec, err
 		}
 		defer svc.replaying.Store(false)
-		if facts, batches, err = svc.replayWAL(ctx, watermark); err != nil {
-			return nil, false, 0, fmt.Errorf("wal replay: %w", err)
+		if rec.batches, err = svc.replayWAL(ctx, watermark, b); err != nil {
+			return rec, fmt.Errorf("wal replay: %w", err)
 		}
 		svc.seq.Store(svc.wal.LastSeq())
 	}
+	solveStart := time.Now()
+	rec.replay = solveStart.Sub(replayStart)
 	var m *datalog.Model
 	if restored == nil {
-		m, _, err = svc.prog.SolveContext(ctx, facts)
-	} else if m, _, err = svc.prog.Resume(ctx, restored); err == nil && len(facts) > 0 {
-		m, _, err = svc.prog.SolveMoreContext(ctx, m, facts)
+		m, _, err = svc.prog.SolveBatch(ctx, b)
+	} else if m, _, err = svc.prog.Resume(ctx, restored); err == nil && b.Len() > 0 {
+		m, _, err = svc.prog.SolveMoreBatch(ctx, m, b)
 	}
+	rec.solve = time.Since(solveStart)
 	if err != nil {
-		if batches > 0 {
-			err = fmt.Errorf("wal replay: solving with %d batches (%d facts): %w", batches, len(facts), err)
+		if rec.batches > 0 {
+			err = fmt.Errorf("wal replay: solving with %d batches (%d facts): %w", rec.batches, b.Len(), err)
 		}
-		return nil, false, 0, err
+		return rec, err
 	}
-	return m, restored != nil, batches, nil
+	rec.model = m
+	return rec, nil
 }
 
 // restore reads the service's warm-start snapshot: the model and its

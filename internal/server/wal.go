@@ -1,9 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -30,6 +28,11 @@ import (
 // EDB deltas does not depend on how the deltas are grouped or ordered
 // (Ross & Sagiv) — and it is why the recovered model equals a one-shot
 // solve of the base EDB plus every acked batch.
+//
+// Records: each record's payload is its batch's facts as binary rows
+// behind a byte naming the payload's kind (walRows, below; records
+// written before binary rows are JSON and still replay). Replay decodes
+// the rows straight into the recovery solve's one batch.
 //
 // Failure posture: a WAL append or fsync error fails the batch with
 // 500 (the published model is untouched), marks the service's log
@@ -110,46 +113,41 @@ func (svc *service) openWAL(watermark uint64) error {
 	return nil
 }
 
-// replayWAL reads every log record past the checkpoint watermark and
-// returns their facts, decoded and checked, and the number of batches
-// read. It solves nothing: the caller folds the facts into the recovery
-// solve. It publishes its progress through the service's replay
-// counters and sets replaying, which the caller clears once the
-// recovery solve returns, so /readyz reports the replay until the model
-// holds it.
-func (svc *service) replayWAL(ctx context.Context, watermark uint64) ([]datalog.Fact, int, error) {
+// replayWAL reads every log record past the checkpoint watermark into
+// b, each fact checked, and returns the number of batches read. It
+// solves nothing: the caller folds b into the recovery solve. It
+// publishes its progress through the service's replay counters and sets
+// replaying, which the caller clears once the recovery solve returns, so
+// /readyz reports the replay until the model holds it.
+func (svc *service) replayWAL(ctx context.Context, watermark uint64, b *datalog.Batch) (int, error) {
 	last := svc.wal.LastSeq()
 	if last <= watermark {
-		return nil, 0, nil
+		return 0, nil
 	}
 	svc.replayTotal.Store(last - watermark)
 	svc.replaying.Store(true)
-	var facts []datalog.Fact
 	batches := 0
 	err := svc.wal.Replay(watermark, func(seq uint64, payload []byte) error {
 		if err := faults.CheckCtx(ctx, faults.ServerWALReplay); err != nil {
 			return err
 		}
-		fs, err := svc.decodeWALPayload(payload)
-		if err != nil {
-			return fmt.Errorf("%w: record %d: %v", wal.ErrCorrupt, seq, err)
+		if err := svc.replayRecord(b, seq, payload); err != nil {
+			return err
 		}
-		facts = append(facts, fs...)
 		batches++
 		svc.replayDone.Add(1)
 		svc.srv.metrics.walReplayed.With(svc.name).Add(1)
 		return nil
 	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return facts, batches, nil
+	return batches, err
 }
 
 // walAppend logs one committed batch under seq and accounts the bytes;
-// fsyncing is the caller's job (policy-dependent, see commit).
+// fsyncing is the caller's job (policy-dependent, see commit). The
+// caller holds writeMu, which guards the service's record buffer.
 func (svc *service) walAppend(seq uint64, facts []datalog.Fact) error {
-	n, err := svc.wal.Append(seq, encodeWALPayload(facts))
+	svc.walBuf = datalog.AppendFacts(append(svc.walBuf[:0], walRows), facts)
+	n, err := svc.wal.Append(seq, svc.walBuf)
 	if err != nil {
 		return err
 	}
@@ -177,48 +175,52 @@ func (svc *service) walFail(op string, err error) error {
 	return fmt.Errorf("%w: %s: %v", errWALFailed, op, err)
 }
 
-// The WAL record payload is the batch's facts in the server's
-// deterministic JSON value encoding (see json.go):
+// A WAL record's payload is one committed batch of facts, led by a byte
+// that says how the rest is written:
 //
-//	[{"pred":"edge","args":[...]} , ...]
+//   - walRows (0x01): the facts in the binary row codec of
+//     datalog.AppendFacts — per fact its predicate's name and arity and
+//     its values in the snapshot value encoding. Every record written
+//     now is one. Replay decodes it straight into the recovery batch's
+//     rows (Batch.AddEncoded), which checks each fact against the
+//     program and refuses NaN and a cost outside its lattice.
+//   - '[': the facts as the JSON array of /v1/assert, the only format
+//     before binary records. Such a record still replays through the
+//     assert decoder and checks (decodeFacts, checkFacts).
 //
-// Decoding runs the /v1/assert decoder and checks (decodeFacts,
-// checkFacts), so a replayed record is held to exactly the contract its
-// original request passed.
+// The upgrade is one-way: a server built before binary records reads a
+// binary record as malformed JSON and fails its recovery with
+// wal.ErrCorrupt, while a log of JSON records, or of JSON records
+// followed by binary ones, replays under this one. The framing around
+// the payload (internal/wal) is unchanged.
+const walRows = 0x01
 
-// encodeWALPayload serializes one batch.
-func encodeWALPayload(facts []datalog.Fact) []byte {
-	var b bytes.Buffer
-	b.WriteByte('[')
-	for i, f := range facts {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(`{"pred":`)
-		name, _ := json.Marshal(f.Pred)
-		b.Write(name)
-		b.WriteString(`,"args":[`)
-		for j, a := range f.Args {
-			if j > 0 {
-				b.WriteByte(',')
-			}
-			encodeValue(&b, a)
-		}
-		b.WriteString(`]}`)
+// replayRecord adds the facts of record seq to b. Any failure is
+// wal.ErrCorrupt naming the record.
+func (svc *service) replayRecord(b *datalog.Batch, seq uint64, payload []byte) error {
+	if err := svc.addRecord(b, payload); err != nil {
+		return fmt.Errorf("%w: record %d: %v", wal.ErrCorrupt, seq, err)
 	}
-	b.WriteByte(']')
-	return b.Bytes()
+	return nil
 }
 
-// decodeWALPayload parses one record back into checked facts.
-func (svc *service) decodeWALPayload(payload []byte) ([]datalog.Fact, error) {
-	b, err := decodeFacts(payload)
+// addRecord adds the facts of one record payload to b, by its kind.
+func (svc *service) addRecord(b *datalog.Batch, payload []byte) error {
+	switch {
+	case len(payload) == 0:
+		return errors.New("empty payload")
+	case payload[0] == walRows:
+		return b.AddEncoded(payload[1:])
+	case payload[0] != '[':
+		return fmt.Errorf("unknown payload kind %#x", payload[0])
+	}
+	fb, err := decodeFacts(payload)
 	if err != nil {
-		return nil, fmt.Errorf("decoding payload: %v", err)
+		return fmt.Errorf("decoding payload: %v", err)
 	}
-	facts, ferr := svc.checkFacts(b)
+	facts, ferr := svc.checkFacts(fb)
 	if ferr != nil {
-		return nil, ferr
+		return ferr
 	}
-	return facts, nil
+	return b.Add(facts...)
 }

@@ -413,7 +413,9 @@ func TestParseFsyncPolicy(t *testing.T) {
 }
 
 // TestWALPayloadRoundTrip pins the record payload codec against the
-// assert validation path.
+// assert validation path: a binary record and a JSON record of the same
+// facts replay to the rows those facts solve to, and both kinds refuse
+// an unknown predicate and a bad arity, naming the record.
 func TestWALPayloadRoundTrip(t *testing.T) {
 	src := loadExample(t, "shortestpath.mdl")
 	s, err := New([]ProgramSpec{{Name: "sp", Source: src}}, Config{})
@@ -425,23 +427,33 @@ func TestWALPayloadRoundTrip(t *testing.T) {
 		datalog.NewFact("arc", datalog.Sym("a"), datalog.Sym("b c"), datalog.Num(1.5)),
 		datalog.NewFact("arc", datalog.Sym("x"), datalog.Sym("y"), datalog.Num(2)),
 	}
-	got, err := svc.decodeWALPayload(encodeWALPayload(facts))
+	want, _, err := svc.prog.Solve(facts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(facts) {
-		t.Fatalf("decoded %d facts, want %d", len(got), len(facts))
-	}
-	for i := range facts {
-		if got[i].Pred != facts[i].Pred || len(got[i].Args) != len(facts[i].Args) {
-			t.Fatalf("fact %d decoded as %+v, want %+v", i, got[i], facts[i])
+	for kind, payload := range map[string][]byte{"binary": binaryRecord(facts), "json": encodeWALPayload(facts)} {
+		got, err := replayed(svc, payload)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("%s record replays to\n%s\nwant\n%s", kind, got, want)
 		}
 	}
-	// Unknown predicates and bad arity are refused, mirroring assert.
-	if _, err := svc.decodeWALPayload([]byte(`[{"pred":"nosuch","args":[1]}]`)); err == nil || !strings.Contains(err.Error(), "no predicate") {
-		t.Fatalf("unknown predicate: err = %v", err)
-	}
-	if _, err := svc.decodeWALPayload([]byte(`[{"pred":"arc","args":[1]}]`)); err == nil {
-		t.Fatal("bad arity accepted")
+	nosuch := []datalog.Fact{datalog.NewFact("nosuch", datalog.Num(1))}
+	short := []datalog.Fact{datalog.NewFact("arc", datalog.Num(1))}
+	for _, c := range []struct {
+		payload []byte
+		want    string
+	}{
+		{binaryRecord(nosuch), `no predicate "nosuch"`},
+		{encodeWALPayload(nosuch), `no predicate "nosuch"`},
+		{binaryRecord(short), "arc takes 3 arguments (cost last for cost predicates), got 1"},
+		{encodeWALPayload(short), "arc takes 3 arguments (cost last for cost predicates), got 1"},
+	} {
+		err := svc.replayRecord(svc.prog.NewBatch(), 7, c.payload)
+		if !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), "record 7") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("replay of %q: err = %v, want wal.ErrCorrupt naming record 7 and %q", c.payload, err, c.want)
+		}
 	}
 }

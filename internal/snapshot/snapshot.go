@@ -30,7 +30,9 @@
 //
 // Values encode as a kind byte followed by a kind-specific body; sets
 // encode their elements in canonical order, so equal interpretations
-// encode to identical bytes. The trailer detects truncation and bit
+// encode to identical bytes. AppendVal and Decoder export this value
+// codec: the write-ahead log's fact records (datalog.AppendFacts) are
+// written in it too. The trailer detects truncation and bit
 // rot; Decode additionally bounds every count against the bytes that
 // remain, and never panics on arbitrary input.
 package snapshot
@@ -144,16 +146,26 @@ func Encode(s *Snapshot) []byte {
 		for _, row := range r.Rows() {
 			putUvarint(&b, uint64(len(row.Args)))
 			for _, a := range row.Args {
-				encodeVal(&b, a)
+				b.Write(AppendVal(b.AvailableBuffer(), a))
 			}
 			if r.Info.HasCost {
-				encodeVal(&b, row.Cost)
+				b.Write(AppendVal(b.AvailableBuffer(), row.Cost))
 			}
 		}
 	}
 	sum := sha256.Sum256(b.Bytes())
 	b.Write(sum[:])
 	return b.Bytes()
+}
+
+// putUvarint and putString write to b as Encode writes values: appended
+// in b's free space, with no scratch buffer in between.
+func putUvarint(b *bytes.Buffer, v uint64) {
+	b.Write(binary.AppendUvarint(b.AvailableBuffer(), v))
+}
+
+func putString(b *bytes.Buffer, s string) {
+	b.Write(AppendText(b.AvailableBuffer(), s))
 }
 
 // Decode parses a snapshot. schemas, when non-nil, supplies the
@@ -177,7 +189,7 @@ func Decode(data []byte, schemas ast.Schemas) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 
-	d := &decoder{buf: payload[len(magic)+1:]}
+	d := NewDecoder(payload[len(magic)+1:])
 	s := &Snapshot{}
 	if n := copy(s.Fingerprint[:], d.buf); n < len(s.Fingerprint) {
 		return nil, d.corrupt("fingerprint")
@@ -201,7 +213,7 @@ func Decode(data []byte, schemas ast.Schemas) (*Snapshot, error) {
 	db := relation.NewDB(sc)
 	s.DB = db
 
-	npreds, err := d.count("predicates")
+	npreds, err := d.Count("predicates")
 	if err != nil {
 		return nil, err
 	}
@@ -230,15 +242,27 @@ func (s *Snapshot) Verify(fingerprint [32]byte) error {
 // pathological input cannot overflow the stack.
 const maxSetDepth = 64
 
-type decoder struct {
+// Decoder reads the snapshot encoding from a byte slice: the value codec
+// (Val, the inverse of AppendVal) and the counts and texts around it. The
+// serve tier's write-ahead log reads its fact records with it. Every
+// method fails with ErrCorrupt on input it cannot decode and never
+// panics.
+type Decoder struct {
 	buf []byte
 }
 
-func (d *decoder) corrupt(what string) error {
+// NewDecoder returns a Decoder reading buf.
+func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
+
+// Len returns the number of bytes not yet read.
+func (d *Decoder) Len() int { return len(d.buf) }
+
+func (d *Decoder) corrupt(what string) error {
 	return fmt.Errorf("%w: truncated %s", ErrCorrupt, what)
 }
 
-func (d *decoder) uvarint(what string) (uint64, error) {
+// uvarint reads one uvarint; what names it in the error.
+func (d *Decoder) uvarint(what string) (uint64, error) {
 	v, n := binary.Uvarint(d.buf)
 	if n <= 0 {
 		return 0, d.corrupt(what)
@@ -247,11 +271,11 @@ func (d *decoder) uvarint(what string) (uint64, error) {
 	return v, nil
 }
 
-// count reads a uvarint that counts upcoming encoded items; since every
+// Count reads a uvarint that counts upcoming encoded items; since every
 // item occupies at least one byte, a count exceeding the remaining
 // bytes is corrupt (and this bound keeps allocations proportional to
 // the input).
-func (d *decoder) count(what string) (int, error) {
+func (d *Decoder) Count(what string) (int, error) {
 	v, err := d.uvarint(what)
 	if err != nil {
 		return 0, err
@@ -262,17 +286,24 @@ func (d *decoder) count(what string) (int, error) {
 	return int(v), nil
 }
 
-func (d *decoder) string(what string) (string, error) {
-	n, err := d.count(what)
+// Text reads a text written by AppendText. The result aliases the
+// decoder's input.
+func (d *Decoder) Text(what string) ([]byte, error) {
+	n, err := d.Count(what)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	s := string(d.buf[:n])
+	t := d.buf[:n:n]
 	d.buf = d.buf[n:]
-	return s, nil
+	return t, nil
 }
 
-func (d *decoder) byte(what string) (byte, error) {
+func (d *Decoder) string(what string) (string, error) {
+	t, err := d.Text(what)
+	return string(t), err
+}
+
+func (d *Decoder) byte(what string) (byte, error) {
 	if len(d.buf) == 0 {
 		return 0, d.corrupt(what)
 	}
@@ -281,7 +312,7 @@ func (d *decoder) byte(what string) (byte, error) {
 	return b, nil
 }
 
-func (d *decoder) stats() (Stats, error) {
+func (d *Decoder) stats() (Stats, error) {
 	var st Stats
 	comp, err := d.uvarint("stats")
 	if err != nil {
@@ -308,7 +339,7 @@ func (d *decoder) stats() (Stats, error) {
 	return st, nil
 }
 
-func (d *decoder) relation(db *relation.DB, schemas ast.Schemas) error {
+func (d *Decoder) relation(db *relation.DB, schemas ast.Schemas) error {
 	keyStr, err := d.string("predicate key")
 	if err != nil {
 		return err
@@ -358,7 +389,7 @@ func (d *decoder) relation(db *relation.DB, schemas ast.Schemas) error {
 	}
 
 	rel := db.Rel(key)
-	nrows, err := d.count("rows")
+	nrows, err := d.Count("rows")
 	if err != nil {
 		return err
 	}
@@ -372,7 +403,7 @@ func (d *decoder) relation(db *relation.DB, schemas ast.Schemas) error {
 	rel.Reserve(nrows)
 	var args []val.T
 	for i := 0; i < nrows; i++ {
-		nargs, err := d.count("arguments")
+		nargs, err := d.Count("arguments")
 		if err != nil {
 			return err
 		}
@@ -383,13 +414,13 @@ func (d *decoder) relation(db *relation.DB, schemas ast.Schemas) error {
 			args = make([]val.T, nargs)
 		}
 		for j := range args {
-			if args[j], err = d.val(0); err != nil {
+			if args[j], err = d.Val(); err != nil {
 				return err
 			}
 		}
 		cost := lattice.Elem{}
 		if hasCost {
-			if cost, err = d.val(0); err != nil {
+			if cost, err = d.Val(); err != nil {
 				return err
 			}
 			if !pi.L.Contains(cost) {
@@ -406,7 +437,12 @@ func (d *decoder) relation(db *relation.DB, schemas ast.Schemas) error {
 	return nil
 }
 
-func (d *decoder) val(depth int) (val.T, error) {
+// Val reads one value written by AppendVal. A symbol or string already
+// interned costs no allocation; NaN, which no value written by AppendVal
+// holds, is refused.
+func (d *Decoder) Val() (val.T, error) { return d.val(0) }
+
+func (d *Decoder) val(depth int) (val.T, error) {
 	if depth > maxSetDepth {
 		return val.T{}, fmt.Errorf("%w: set nesting exceeds depth %d", ErrCorrupt, maxSetDepth)
 	}
@@ -414,16 +450,13 @@ func (d *decoder) val(depth int) (val.T, error) {
 	if err != nil {
 		return val.T{}, err
 	}
-	switch val.Kind(kind) {
+	switch k := val.Kind(kind); k {
 	case val.Sym, val.Str:
-		s, err := d.string("value text")
+		t, err := d.Text("value text")
 		if err != nil {
 			return val.T{}, err
 		}
-		if val.Kind(kind) == val.Str {
-			return val.String(s), nil
-		}
-		return val.Symbol(s), nil
+		return val.TextBytes(k, t), nil
 	case val.Num:
 		if len(d.buf) < 8 {
 			return val.T{}, d.corrupt("number")
@@ -445,7 +478,7 @@ func (d *decoder) val(depth int) (val.T, error) {
 		}
 		return val.Boolean(b == 1), nil
 	case val.SetKind:
-		n, err := d.count("set elements")
+		n, err := d.Count("set elements")
 		if err != nil {
 			return val.T{}, err
 		}
@@ -460,38 +493,37 @@ func (d *decoder) val(depth int) (val.T, error) {
 	return val.T{}, fmt.Errorf("%w: unknown value kind %d", ErrCorrupt, kind)
 }
 
-func encodeVal(b *bytes.Buffer, v val.T) {
-	b.WriteByte(byte(v.Kind()))
+// AppendVal appends the encoding of v to dst: a kind byte, then a
+// symbol's or string's text (AppendText), a number's IEEE 754 bits (8
+// bytes, big-endian), a boolean byte, or a set's element count and its
+// elements in canonical order, so equal values encode alike.
+func AppendVal(dst []byte, v val.T) []byte {
+	dst = append(dst, byte(v.Kind()))
 	switch v.Kind() {
 	case val.Sym, val.Str:
-		putString(b, v.Text())
+		dst = AppendText(dst, v.Text())
 	case val.Num:
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], math.Float64bits(v.Num()))
-		b.Write(buf[:])
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v.Num()))
 	case val.Bool:
 		if v.Bool() {
-			b.WriteByte(1)
+			dst = append(dst, 1)
 		} else {
-			b.WriteByte(0)
+			dst = append(dst, 0)
 		}
 	case val.SetKind:
 		elems := v.Set().Elems() // already in canonical order
-		putUvarint(b, uint64(len(elems)))
+		dst = binary.AppendUvarint(dst, uint64(len(elems)))
 		for _, e := range elems {
-			encodeVal(b, e)
+			dst = AppendVal(dst, e)
 		}
 	}
+	return dst
 }
 
-func putUvarint(b *bytes.Buffer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	b.Write(buf[:binary.PutUvarint(buf[:], v)])
-}
-
-func putString(b *bytes.Buffer, s string) {
-	putUvarint(b, uint64(len(s)))
-	b.WriteString(s)
+// AppendText appends s as a uvarint length and its bytes.
+func AppendText(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
 }
 
 // splitKey parses "name/arity" back into its parts.

@@ -150,6 +150,24 @@ func internText(s string) uint64 {
 	return id
 }
 
+// internBytes is internText for a text in a byte slice, which it does
+// not retain: a text interned before costs no allocation, through the
+// cache or the table, so decoders need not make a string per occurrence.
+func internBytes(b []byte) uint64 {
+	slot := &textCache[maphash.Bytes(textSeed, b)%uint64(len(textCache))]
+	if id := slot.Load(); id != 0 && texts.vals.at(id-1) == string(b) {
+		return id - 1
+	}
+	texts.mu.RLock()
+	id, ok := texts.ids[string(b)]
+	texts.mu.RUnlock()
+	if !ok {
+		id = texts.intern(string(b), func(s string, _ uint64) string { return s })
+	}
+	slot.Store(id + 1)
+	return id
+}
+
 // Lookup returns the Sym or Str value with text s if s has been interned,
 // without interning it: a constant no value was ever built from cannot be
 // stored anywhere, so read paths resolve names this way and a miss

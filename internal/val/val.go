@@ -141,6 +141,16 @@ func Boolean(b bool) T {
 // String returns the string constant s, interning s.
 func String(s string) T { return T{strTag | internText(s)} }
 
+// TextBytes returns the symbol (k = Sym) or string (k = Str) constant
+// whose text is b, interning it; b is not retained, and a text interned
+// before costs no allocation.
+func TextBytes(k Kind, b []byte) T {
+	if k == Str {
+		return T{strTag | internBytes(b)}
+	}
+	return T{internBytes(b)}
+}
+
 // SetOf returns a set value containing the given elements (duplicates are
 // removed; order is irrelevant).
 func SetOf(elems ...T) T { return NewSet(elems).Value() }

@@ -2,6 +2,7 @@ package val
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"math/rand"
 	"reflect"
@@ -343,5 +344,37 @@ func TestInternCacheConcurrent(t *testing.T) {
 	}
 	if after, _ := Interned(); after-before != len(names) {
 		t.Fatalf("table grew by %d, want %d", after-before, len(names))
+	}
+}
+
+// TestTextBytes: a text read from bytes names the value its string
+// names, whether the text is new or was interned before, and once
+// interned it is found without an allocation — through the cache or,
+// when another text holds its slot, through the table.
+func TestTextBytes(t *testing.T) {
+	n, _ := Interned()
+	fresh := fmt.Sprintf("bytes-fresh-%d", n)
+	for _, s := range []string{"", "a", "é \x00;q:", `"x"`, fresh} {
+		for _, k := range []Kind{Sym, Str} {
+			got := TextBytes(k, []byte(s))
+			want := Symbol(s)
+			if k == Str {
+				want = String(s)
+			}
+			if got != want || got.Kind() != k || got.Text() != s {
+				t.Errorf("TextBytes(%v, %q) = %v, want %v", k, s, got, want)
+			}
+		}
+	}
+	b := []byte(fresh)
+	if n := testing.AllocsPerRun(100, func() { TextBytes(Sym, b) }); n != 0 {
+		t.Errorf("TextBytes of an interned text: %v allocs, want 0", n)
+	}
+	// Evict fresh from its cache slot: the table answers, still without
+	// allocating.
+	slot := &textCache[maphash.Bytes(textSeed, b)%uint64(len(textCache))]
+	slot.Store(0)
+	if n := testing.AllocsPerRun(1, func() { slot.Store(0); TextBytes(Sym, b) }); n != 0 {
+		t.Errorf("TextBytes past the cache: %v allocs, want 0", n)
 	}
 }

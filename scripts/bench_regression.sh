@@ -116,18 +116,21 @@
 #   7. Recovery allocation pin: BenchmarkServeRecover — Materialize of a
 #      served Example 2.6 over a write-ahead log of 900 two-arc batches
 #      on a 16-node, 48-arc cycle graph, with no checkpoint — stays at
-#      RECOVER_ALLOCS (13,375) allocs/op within ALLOC_TOL_PCT percent.
-#      Recovery reads and decodes the whole log, then derives the least
-#      model of the base EDB ∪ the logged facts in one solve. Each fact
-#      decodes in one pass over its record, with one allocation for its
-#      predicate name, one per symbol and one for its argument slice;
-#      the solve's EDB takes the facts through one reused argument
-#      buffer, building a predicate's key once per run of its facts.
-#      When a cold start solved the base EDB and then ran a second
-#      SolveMore over the log, and each record and each argument went
-#      through json.Unmarshal, the same recovery made 42,277
-#      allocations; it made 16,999 while the EDB allocated an argument
-#      slice and a key string per fact.
+#      RECOVER_ALLOCS (1,668) allocs/op within ALLOC_TOL_PCT percent.
+#      Recovery reads the whole log into one batch of rows, then derives
+#      the least model of the base EDB ∪ the logged facts in one solve.
+#      Records are binary rows: each fact decodes from its record
+#      straight into the batch's reused row buffer, with no allocation
+#      for a predicate or symbol interned before, and a run of facts of
+#      one predicate finds its relation once; what is left is the
+#      solve's own, the batch relation's growth and the segment scan's
+#      record index (about 70 of them outside the solve). While records
+#      were JSON the same recovery made 13,375 allocations: one for each
+#      fact's predicate name, one per symbol and one argument slice per
+#      fact. When a cold start solved the base EDB and then ran a
+#      second SolveMore over the log, and each record and each argument
+#      went through json.Unmarshal, it made 42,277; it made 16,999 while
+#      the EDB allocated an argument slice and a key string per fact.
 #
 #   8. Rules front-end pin: BenchmarkLoad/rules — datalog.Load of the
 #      rule texts of the six example programs of internal/programs
@@ -197,7 +200,7 @@ PARTY_PROBES=1682
 LOAD_ALLOCS=305
 CHAIN_BYTES=34535
 CHAIN_PROBES=277.6
-RECOVER_ALLOCS=13375
+RECOVER_ALLOCS=1668
 RULES_ALLOCS=1834
 PARSE_ALLOCS=93
 EXPLAIN_ALLOCS=1994
