@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet bench-vet fma-check test test-procs test-386 race fuzz wal-crash-test serve-smoke bench-regression ci clean
+.PHONY: all build vet bench-vet fma-check test test-procs test-386 race fuzz wal-crash-test serve-smoke bench-regression loc ci clean
 
 all: build
 
@@ -58,11 +58,11 @@ race:
 
 # Short coverage-guided fuzz runs over the value word (against a
 # two-word reference), the parser (and its fact fast path against the
-# general parser), the snapshot and WAL decoders, the
-# serve tier's value codec and fact-array decoder (each against its
-# encoding/json reference), its WAL record replay (arbitrary payloads,
-# and generated batches through the binary row codec against Add), the
-# relation generations
+# general parser), the snapshot and WAL decoders, the serve tier's
+# value codec and fact-array decoder (no panic, and what each decodes
+# encodes and decodes back unchanged), its WAL record replay (arbitrary
+# payloads, and generated batches through the binary row codec against
+# Add), the relation generations
 # (clone, fork and copy-on-write against a map model) and the join
 # property of min/max/or that γ's Δ-fold rests on; the seed corpora
 # alone run under plain `make test`. A FuzzGenerations input runs a whole
@@ -108,6 +108,11 @@ serve-smoke:
 # well-founded alternating fixpoint).
 bench-regression:
 	sh scripts/bench_regression.sh
+
+# Code lines per package of the root module and their total (non-test
+# Go files; blank and comment-only lines left out). A report, not a gate.
+loc:
+	GO=$(GO) sh scripts/loc.sh
 
 # CI's target set, plus one iteration of every root benchmark (proves
 # each still compiles and runs; timings that carry a conclusion come from

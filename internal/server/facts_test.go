@@ -1,149 +1,14 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"testing"
 
 	"repro/datalog"
 )
-
-// The reference decoders: the fact array and the wire value as they were
-// read with encoding/json — one json.Unmarshal per record and one per
-// argument. decodeFacts and decodeValue must accept exactly what these
-// accept and give the same values; FuzzDecodeFacts and FuzzDecodeValue
-// hold them to it.
-
-// refDecodeFacts reads a fact array through encoding/json and
-// refDecodeValue.
-func refDecodeFacts(data []byte) ([]datalog.Fact, error) {
-	var recs []struct {
-		Pred string            `json:"pred"`
-		Args []json.RawMessage `json:"args"`
-	}
-	if err := json.Unmarshal(data, &recs); err != nil {
-		return nil, err
-	}
-	facts := make([]datalog.Fact, len(recs))
-	for i, f := range recs {
-		args := make([]datalog.Value, len(f.Args))
-		for j, raw := range f.Args {
-			v, err := refDecodeValue(raw, false)
-			if err != nil {
-				return nil, fmt.Errorf("facts[%d]: args[%d]: %w", i, j, err)
-			}
-			args[j] = v
-		}
-		facts[i] = datalog.NewFact(f.Pred, args...)
-	}
-	return facts, nil
-}
-
-// refDecodeValue parses one wire value with encoding/json.
-func refDecodeValue(raw []byte, allowWild bool) (datalog.Value, error) {
-	trimmed := bytes.TrimSpace(raw)
-	if len(trimmed) == 0 {
-		return datalog.Value{}, fmt.Errorf("empty value")
-	}
-	switch trimmed[0] {
-	case 'n':
-		var z any
-		if err := json.Unmarshal(trimmed, &z); err != nil || z != nil {
-			return datalog.Value{}, fmt.Errorf("bad value %s", trimmed)
-		}
-		if !allowWild {
-			return datalog.Value{}, fmt.Errorf("null (wildcard) is not a constant")
-		}
-		return datalog.Any(), nil
-	case 't', 'f':
-		var b bool
-		if err := json.Unmarshal(trimmed, &b); err != nil {
-			return datalog.Value{}, fmt.Errorf("bad value %s", trimmed)
-		}
-		return datalog.Bool(b), nil
-	case '"':
-		var s string
-		if err := json.Unmarshal(trimmed, &s); err != nil {
-			return datalog.Value{}, fmt.Errorf("bad value %s", trimmed)
-		}
-		return datalog.Sym(s), nil
-	case '{':
-		var obj map[string]json.RawMessage
-		if err := json.Unmarshal(trimmed, &obj); err != nil {
-			return datalog.Value{}, fmt.Errorf("bad value %s", trimmed)
-		}
-		if len(obj) != 1 {
-			return datalog.Value{}, fmt.Errorf("value object must have exactly one member, got %s", trimmed)
-		}
-		for key, inner := range obj {
-			return refObjectValue(key, inner, trimmed)
-		}
-	case '[':
-		return datalog.Value{}, fmt.Errorf("bad value %s (sets are written {\"set\":[...]})", trimmed)
-	}
-	var n float64
-	if err := json.Unmarshal(trimmed, &n); err != nil {
-		return datalog.Value{}, fmt.Errorf("bad value %s", trimmed)
-	}
-	return datalog.Num(n), nil
-}
-
-// refObjectValue decodes the one member of a value object.
-func refObjectValue(key string, inner, raw []byte) (datalog.Value, error) {
-	switch key {
-	case "str":
-		var s string
-		if err := json.Unmarshal(inner, &s); err != nil {
-			return datalog.Value{}, fmt.Errorf("bad string value %s", raw)
-		}
-		return datalog.Str(s), nil
-	case "num":
-		var s string
-		if err := json.Unmarshal(inner, &s); err == nil {
-			switch s {
-			case "inf":
-				return datalog.Num(math.Inf(1)), nil
-			case "-inf":
-				return datalog.Num(math.Inf(-1)), nil
-			}
-			n, perr := strconv.ParseFloat(s, 64)
-			if perr != nil || math.IsNaN(n) {
-				return datalog.Value{}, fmt.Errorf("bad number %q", s)
-			}
-			return datalog.Num(n), nil
-		}
-		var n float64
-		if err := json.Unmarshal(inner, &n); err != nil {
-			return datalog.Value{}, fmt.Errorf("bad number value %s", raw)
-		}
-		return datalog.Num(n), nil
-	case "set":
-		var elems []json.RawMessage
-		if err := json.Unmarshal(inner, &elems); err != nil {
-			return datalog.Value{}, fmt.Errorf("bad set value %s", raw)
-		}
-		vs := make([]datalog.Value, len(elems))
-		for i, e := range elems {
-			v, err := refDecodeValue(e, false)
-			if err != nil {
-				return datalog.Value{}, fmt.Errorf("set element %d: %w", i, err)
-			}
-			vs[i] = v
-		}
-		return datalog.SetOf(vs...), nil
-	case "bool":
-		var b bool
-		if err := json.Unmarshal(inner, &b); err != nil {
-			return datalog.Value{}, fmt.Errorf("bad bool value %s", raw)
-		}
-		return datalog.Bool(b), nil
-	}
-	return datalog.Value{}, fmt.Errorf("unknown value form %q", key)
-}
 
 // sameValue reports whether two decoded values are the same value of the
 // same kind, down to a zero's sign: their wire encodings are equal.
@@ -169,17 +34,23 @@ func sameFacts(a, b []datalog.Fact) bool {
 	return true
 }
 
-// decodedFacts runs decodeFacts and reports any failure, an argument
-// that is no constant included, as an error.
+// decodedFacts decodes a fact array and every argument of it as a
+// constant, as checkFacts does, without holding the facts to a
+// program's declarations.
 func decodedFacts(data []byte) ([]datalog.Fact, error) {
-	b, err := decodeFacts(data)
-	if err != nil {
+	var fs []wireFact
+	if err := json.Unmarshal(data, &fs); err != nil {
 		return nil, err
 	}
-	if b.argErr != nil {
-		return nil, fmt.Errorf("facts[%d]: %w", b.argAt, b.argErr)
+	facts := make([]datalog.Fact, len(fs))
+	for i, f := range fs {
+		args, err := decodeArgs(f.Args, false)
+		if err != nil {
+			return nil, fmt.Errorf("facts[%d]: %w", i, err)
+		}
+		facts[i] = datalog.NewFact(f.Pred, args...)
 	}
-	return b.facts, nil
+	return facts, nil
 }
 
 // factsCorpus seeds FuzzDecodeFacts: every value case of json_test.go as
@@ -227,25 +98,17 @@ func factsCorpus() []string {
 	)
 }
 
-// FuzzDecodeFacts: decodeFacts reads untrusted bytes (HTTP bodies and WAL
-// records). It must never panic, it must fail exactly where the
-// encoding/json reference fails and otherwise give the same facts, and
-// what it gives must come back unchanged through encodeWALPayload.
+// FuzzDecodeFacts: a fact array is untrusted bytes (an HTTP body or a
+// JSON WAL record). Decoding it must never panic, and the facts it gives
+// must come back unchanged through encodeWALPayload and a second decode.
 func FuzzDecodeFacts(f *testing.F) {
 	for _, in := range factsCorpus() {
 		f.Add([]byte(in))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := decodedFacts(data)
-		want, refErr := refDecodeFacts(data)
-		if (err == nil) != (refErr == nil) {
-			t.Fatalf("decode(%q): error %v, reference error %v", data, err, refErr)
-		}
 		if err != nil {
 			return
-		}
-		if !sameFacts(got, want) {
-			t.Fatalf("decode(%q) = %v, reference %v", data, got, want)
 		}
 		enc := encodeWALPayload(got)
 		back, err := decodedFacts(enc)
@@ -255,17 +118,23 @@ func FuzzDecodeFacts(f *testing.F) {
 	})
 }
 
-// TestDecodeNestingLimit: like encoding/json, the scanner reads 10,000
-// nested arrays and objects and refuses one more.
+// TestDecodeNestingLimit: a JSON WAL record replays with encoding/json's
+// limit of 10,000 nested arrays and objects, and one level more fails
+// its replay.
 func TestDecodeNestingLimit(t *testing.T) {
+	s, err := New([]ProgramSpec{{Name: "sp", Source: recordSrc}}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := s.svcs["sp"]
+	const maxNesting = 10000
 	for _, depth := range []int{maxNesting, maxNesting + 1} {
 		// The fact array and its object are two levels; an unknown key
 		// holds the rest.
-		in := []byte(`[{"pred":"p","x":` + strings.Repeat(`[`, depth-2) + strings.Repeat(`]`, depth-2) + `}]`)
-		_, err := decodedFacts(in)
-		_, refErr := refDecodeFacts(in)
-		if (err == nil) != (depth <= maxNesting) || (refErr == nil) != (err == nil) {
-			t.Errorf("depth %d: error %v, reference error %v", depth, err, refErr)
+		in := []byte(`[{"pred":"p","args":["n"],"x":` + strings.Repeat(`[`, depth-2) + strings.Repeat(`]`, depth-2) + `}]`)
+		m, err := replayed(svc, in)
+		if ok := err == nil && m.Has("p", datalog.Sym("n")); ok != (depth <= maxNesting) {
+			t.Errorf("depth %d: error %v", depth, err)
 		}
 	}
 }
@@ -294,8 +163,8 @@ func TestDecodeFactsErrors(t *testing.T) {
 		{`[{"pred":"arc","args":["a",{"num":"x"}]}]`, `facts[0]: arc takes 3 arguments (cost last for cost predicates), got 2`, false},
 		{`[{"pred":"arc","args":["a","b",1]},{"pred":"arc","args":["a","b",{"set":[1,{"num":"nan"}]}]}]`, `facts[1]: args[2]: set element 1: bad number "nan"`, false},
 	} {
-		b, err := decodeFacts([]byte(c.in))
-		if err != nil {
+		var b []wireFact
+		if err := json.Unmarshal([]byte(c.in), &b); err != nil {
 			t.Fatalf("decode(%s): %v", c.in, err)
 		}
 		_, ferr := svc.checkFacts(b)

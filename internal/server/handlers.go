@@ -401,8 +401,9 @@ type queryRequest struct {
 }
 
 // resolve parses the common program/predicate/model triple of the read
-// and explain endpoints.
-func (s *Server) resolve(w http.ResponseWriter, program, pred string) (*service, *modelState, datalog.PredDecl, bool) {
+// and explain endpoints; n is the number of lookup arguments, which
+// picks the predicate among the arities of its name.
+func (s *Server) resolve(w http.ResponseWriter, program, pred string, n int) (*service, *modelState, datalog.PredDecl, bool) {
 	svc, err := s.lookup(program)
 	if err != nil {
 		writeErr(w, errNotFound(err.Error()))
@@ -417,7 +418,7 @@ func (s *Server) resolve(w http.ResponseWriter, program, pred string) (*service,
 		writeErr(w, errUsage("missing \"pred\""))
 		return nil, nil, datalog.PredDecl{}, false
 	}
-	decl, ok := svc.decls[pred]
+	decl, ok := svc.decl(pred, n, nonCostArity)
 	if !ok {
 		writeErr(w, errNotFound(fmt.Sprintf("program %s has no predicate %q", svc.name, pred)))
 		return nil, nil, datalog.PredDecl{}, false
@@ -434,6 +435,23 @@ func nonCostArity(d datalog.PredDecl) int {
 	return d.Arity
 }
 
+// decl returns the declaration of the predicate named name that takes n
+// arguments as arity counts them, the first of name's declarations when
+// none does (the caller words the mismatch), and false when the program
+// declares no predicate of that name.
+func (svc *service) decl(name string, n int, arity func(datalog.PredDecl) int) (datalog.PredDecl, bool) {
+	ds := svc.decls[name]
+	if len(ds) == 0 {
+		return datalog.PredDecl{}, false
+	}
+	for _, d := range ds {
+		if arity(d) == n {
+			return d, true
+		}
+	}
+	return ds[0], true
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
@@ -442,7 +460,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, errUsage("bad request body: "+err.Error()))
 		return
 	}
-	svc, st, decl, ok := s.resolve(w, req.Program, req.Pred)
+	svc, st, decl, ok := s.resolve(w, req.Program, req.Pred, len(req.Args))
 	if !ok {
 		return
 	}
@@ -516,8 +534,8 @@ type pointReply struct {
 
 // assertRequest is the /v1/assert body: one batch of EDB facts.
 type assertRequest struct {
-	Program string    `json:"program"`
-	Facts   factBatch `json:"facts"`
+	Program string     `json:"program"`
+	Facts   []wireFact `json:"facts"`
 }
 
 // factError is a decoded fact the program's declarations refuse.
@@ -530,26 +548,30 @@ type factError struct {
 
 func (e *factError) Error() string { return e.msg }
 
-// checkFacts holds a decoded batch to the load-time declarations, fact
-// by fact: predicate declared, arity (cost argument included), arguments
-// constants. /v1/assert and WAL replay both admit facts through it, so a
-// replayed record meets the contract its request met. The engine's
-// schema table is shared with concurrent readers and must not grow at
-// runtime, which is why unknown predicates stop here.
-func (svc *service) checkFacts(b factBatch) ([]datalog.Fact, *factError) {
-	for i, f := range b.facts {
-		decl, ok := svc.decls[f.Pred]
+// checkFacts holds a JSON fact array to the load-time declarations and
+// decodes it, fact by fact: predicate declared, arity (cost argument
+// included), arguments constants. /v1/assert and JSON WAL records both
+// admit facts through it, so a replayed record meets the contract its
+// request met. The engine's schema table is shared with concurrent
+// readers and must not grow at runtime, which is why unknown predicates
+// stop here.
+func (svc *service) checkFacts(fs []wireFact) ([]datalog.Fact, *factError) {
+	facts := make([]datalog.Fact, len(fs))
+	for i, f := range fs {
+		decl, ok := svc.decl(f.Pred, len(f.Args), func(d datalog.PredDecl) int { return d.Arity })
 		if !ok {
 			return nil, &factError{unknownPred: true, msg: fmt.Sprintf("program %s has no predicate %q", svc.name, f.Pred)}
 		}
 		if len(f.Args) != decl.Arity {
 			return nil, &factError{msg: fmt.Sprintf("facts[%d]: %s takes %d arguments (cost last for cost predicates), got %d", i, f.Pred, decl.Arity, len(f.Args))}
 		}
-		if b.argErr != nil && b.argAt == i {
-			return nil, &factError{msg: fmt.Sprintf("facts[%d]: %v", i, b.argErr)}
+		args, err := decodeArgs(f.Args, false)
+		if err != nil {
+			return nil, &factError{msg: fmt.Sprintf("facts[%d]: %v", i, err)}
 		}
+		facts[i] = datalog.NewFact(f.Pred, args...)
 	}
-	return b.facts, nil
+	return facts, nil
 }
 
 func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
@@ -579,7 +601,7 @@ func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
 		fail(errMaterializing())
 		return
 	}
-	if len(req.Facts.facts) == 0 {
+	if len(req.Facts) == 0 {
 		fail(errUsage("empty fact batch"))
 		return
 	}
@@ -664,7 +686,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, errUsage("bad request body: "+err.Error()))
 		return
 	}
-	svc, st, decl, ok := s.resolve(w, req.Program, req.Pred)
+	svc, st, decl, ok := s.resolve(w, req.Program, req.Pred, len(req.Args))
 	if !ok {
 		return
 	}

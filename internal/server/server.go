@@ -164,10 +164,11 @@ type service struct {
 	replayTotal atomic.Uint64
 	// walBuf is the record buffer of walAppend, reused under writeMu.
 	walBuf []byte
-	// arity maps predicate name -> non-cost arity for every declared
-	// predicate, fixed at load time (so the read path never consults —
-	// or lazily extends — mutable schema state).
-	decls map[string]datalog.PredDecl
+	// decls maps each predicate name to its declarations, fewest
+	// arguments first (a name may be declared at several arities), fixed
+	// at load time, so the read path never consults — or lazily extends —
+	// mutable schema state.
+	decls map[string][]datalog.PredDecl
 }
 
 // Server hosts a set of services and their HTTP API.
@@ -219,14 +220,10 @@ func New(specs []ProgramSpec, cfg Config) (*Server, error) {
 			srv:           s,
 			queue:         make(chan *commitReq, cfg.queueCap()),
 			committerDone: make(chan struct{}),
-			decls:         map[string]datalog.PredDecl{},
+			decls:         map[string][]datalog.PredDecl{},
 		}
 		for _, d := range p.Predicates() {
-			// On a name collision across arities keep the first (sorted)
-			// declaration; query handlers resolve by name only.
-			if _, ok := svc.decls[d.Name]; !ok {
-				svc.decls[d.Name] = d
-			}
+			svc.decls[d.Name] = append(svc.decls[d.Name], d)
 		}
 		s.svcs[spec.Name] = svc
 		s.names = append(s.names, spec.Name)

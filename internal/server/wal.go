@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -186,7 +187,8 @@ func (svc *service) walFail(op string, err error) error {
 //     program and refuses NaN and a cost outside its lattice.
 //   - '[': the facts as the JSON array of /v1/assert, the only format
 //     before binary records. Such a record still replays through the
-//     assert decoder and checks (decodeFacts, checkFacts).
+//     assert decoder and checks (json.Unmarshal into []wireFact, then
+//     checkFacts).
 //
 // The upgrade is one-way: a server built before binary records reads a
 // binary record as malformed JSON and fails its recovery with
@@ -214,8 +216,8 @@ func (svc *service) addRecord(b *datalog.Batch, payload []byte) error {
 	case payload[0] != '[':
 		return fmt.Errorf("unknown payload kind %#x", payload[0])
 	}
-	fb, err := decodeFacts(payload)
-	if err != nil {
+	var fb []wireFact
+	if err := json.Unmarshal(payload, &fb); err != nil {
 		return fmt.Errorf("decoding payload: %v", err)
 	}
 	facts, ferr := svc.checkFacts(fb)
