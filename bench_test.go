@@ -5,6 +5,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -366,7 +367,7 @@ func BenchmarkIncrementalSolve(b *testing.B) {
 	added.Rel("arc/3").InsertJoin([]val.T{val.Symbol("v0"), val.Symbol("v100")}, val.Number(1))
 	b.Run("solve-more", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := en.SolveMore(base, added); err != nil {
+			if _, _, err := en.SolveMore(context.Background(), base, added, core.Stats{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -403,7 +404,7 @@ func BenchmarkIncrementalSolve(b *testing.B) {
 		var probes int64
 		for _, added := range batches {
 			var st core.Stats
-			if m, st, err = en.SolveMore(m, added); err != nil {
+			if m, st, err = en.SolveMore(context.Background(), m, added, core.Stats{}); err != nil {
 				b.Fatal(err)
 			}
 			probes += st.Probes

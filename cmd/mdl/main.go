@@ -231,18 +231,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *ckptPath != "" {
 		solveOpts = append(solveOpts, datalog.WithCheckpoint(datalog.FileCheckpoint(*ckptPath), *ckptEvery))
 	}
-	var m *datalog.Model
-	var st datalog.Stats
+	var restored *datalog.Model
 	if *resumePath != "" {
-		restored, rerr := p.RestoreFile(*resumePath)
-		if rerr != nil {
+		var rerr error
+		if restored, _, rerr = p.RestoreFile(*resumePath); rerr != nil {
 			fmt.Fprintln(stderr, "mdl:", rerr)
 			return exitCheckpoint
 		}
-		m, st, err = p.Resume(ctx, restored, solveOpts...)
-	} else {
-		m, st, err = p.SolveContext(ctx, nil, solveOpts...)
 	}
+	m, st, err := p.Resume(ctx, restored, nil, solveOpts...)
 	if err != nil {
 		fmt.Fprintln(stderr, "mdl:", err)
 		// Limit breaches keep the work done so far: print the partial
@@ -252,7 +249,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// was the checkpoint sink itself.)
 		if m != nil {
 			if *ckptPath != "" && !errors.Is(err, datalog.ErrCheckpoint) {
-				if werr := m.WriteSnapshot(*ckptPath); werr != nil {
+				if werr := m.WriteSnapshot(*ckptPath, 0); werr != nil {
 					fmt.Fprintln(stderr, "mdl: final checkpoint:", werr)
 					return exitCheckpoint
 				}

@@ -21,17 +21,18 @@
 //	-eps ε         numeric convergence tolerance
 //	-max-rounds N  fixpoint round bound per component
 //	-max-facts N   derivation budget per solve and per assert batch; a
-//	               cold start's recovery of a -wal log is one solve
+//	               restart's recovery is one solve
 //	-timeout d     wall-clock budget per solve and per assert batch; a
-//	               cold start's recovery of a -wal log is one solve
+//	               restart's recovery is one solve
 //	-checkpoint f  warm-start from f when it exists; flush a final
 //	               snapshot to f on graceful shutdown (single program only)
 //	-resume f      warm-start from f, which must exist (single program only)
 //	-wal DIR       durable write-ahead log: every acked assert batch is
 //	               appended (and fsynced per -wal-fsync) under DIR/<name>/
-//	               before the ack; on restart the batches past the
-//	               checkpoint watermark and the base EDB are solved in
-//	               one solve — acked batches survive crashes
+//	               before the ack; a restart restores the checkpoint once,
+//	               reads the batches past its watermark once and runs one
+//	               fixpoint of the two (docs/SERVER.md, "Warm start and
+//	               graceful shutdown") — acked batches survive crashes
 //	-wal-fsync p   fsync policy: batch (one fsync per group-commit
 //	               drain, before any batch in it is acked; default) or
 //	               none (OS-paced; a power cut may lose recently acked

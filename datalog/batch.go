@@ -28,8 +28,7 @@ import (
 //   - a cost predicate's cost (its last argument) lies in its lattice.
 //
 // Facts that repeat a tuple join their costs. A Batch is solved once:
-// SolveBatch and SolveMoreBatch take it over, and adding to it
-// afterwards fails.
+// Resume takes it over, and adding to it afterwards fails.
 type Batch struct {
 	p  *Program
 	db *relation.DB

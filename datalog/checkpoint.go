@@ -101,17 +101,12 @@ func (m *Model) Snapshot() []byte {
 	})
 }
 
-// WriteSnapshot atomically persists the model's snapshot to path.
-func (m *Model) WriteSnapshot(path string) error {
-	return m.WriteSnapshotWatermark(path, 0)
-}
-
-// WriteSnapshotWatermark is WriteSnapshot stamping the checkpoint with
-// a commit-sequence watermark: the serve tier records the sequence
-// number of the last assert batch the model subsumes, so a recovering
-// server can replay its write-ahead log from seq+1 and compact the log
-// behind the checkpoint.
-func (m *Model) WriteSnapshotWatermark(path string, seq uint64) error {
+// WriteSnapshot atomically persists the model's snapshot to path,
+// stamped with the commit-sequence watermark seq: the serve tier records
+// the sequence number of the last assert batch the model subsumes, so a
+// recovering server can replay its write-ahead log from seq+1 and
+// compact the log behind the checkpoint. Other callers pass 0.
+func (m *Model) WriteSnapshot(path string, seq uint64) error {
 	return snapshot.WriteFile(path, &snapshot.Snapshot{
 		Fingerprint: m.prog.Fingerprint(),
 		Stats:       snapStats(m.stats),
@@ -136,16 +131,10 @@ func (p *Program) Restore(data []byte) (*Model, error) {
 	return p.model(s.DB, coreStats(s.Stats)), nil
 }
 
-// RestoreFile is Restore reading the checkpoint from a file.
-func (p *Program) RestoreFile(path string) (*Model, error) {
-	m, _, err := p.RestoreFileWatermark(path)
-	return m, err
-}
-
-// RestoreFileWatermark is RestoreFile additionally returning the
-// commit-sequence watermark stamped by WriteSnapshotWatermark (0 for
+// RestoreFile is Restore reading the checkpoint from a file; it also
+// returns the commit-sequence watermark WriteSnapshot stamped (0 for
 // engine checkpoints and version-1 snapshots).
-func (p *Program) RestoreFileWatermark(path string) (*Model, uint64, error) {
+func (p *Program) RestoreFile(path string) (*Model, uint64, error) {
 	s, err := snapshot.ReadFile(path, p.en.Schemas)
 	if err != nil {
 		if errors.Is(err, snapshot.ErrCorrupt) || errors.Is(err, snapshot.ErrVersion) {
@@ -159,17 +148,33 @@ func (p *Program) RestoreFileWatermark(path string) (*Model, uint64, error) {
 	return p.model(s.DB, coreStats(s.Stats)), s.Seq, nil
 }
 
-// Resume continues the fixpoint from a restored (or interrupted) model
-// until convergence, returning the same least model an uninterrupted
-// solve would have computed — sound because any checkpointed
-// interpretation lies between the EDB and the least model of a
-// monotonic program. Stats continue from the model's cumulative totals.
+// Resume runs the fixpoint from a restored (or interrupted) model m
+// with the facts of b until convergence, and returns the least model of
+// the program over its facts and every fact m and b hold: the model a
+// one-shot solve of all of them computes. It is sound because any
+// checkpointed interpretation lies between the EDB and the least model
+// of a monotonic program, and facts SolveMore accepts only raise that
+// model; b's facts are refused as SolveMore refuses them, and m is not
+// modified. A nil m is nothing restored (Resume is then SolveContext of
+// b's facts), and a nil b adds no facts. Resume takes b over: it accepts
+// no more facts afterwards. Stats continue from m's cumulative totals.
 // Options (including WithCheckpoint) apply as in SolveContext.
-func (p *Program) Resume(ctx context.Context, m *Model, opts ...SolveOption) (*Model, Stats, error) {
+func (p *Program) Resume(ctx context.Context, m *Model, b *Batch, opts ...SolveOption) (*Model, Stats, error) {
+	var prev, added *relation.DB
+	var base Stats
+	if m != nil {
+		prev, base = m.db, m.stats
+	}
+	if b != nil {
+		var err error
+		if added, err = b.take(p); err != nil {
+			return nil, Stats{}, err
+		}
+	}
 	var cfg solveConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	db, stats, err := p.en.Resume(ctx, m.db, p.limitsFor(cfg), m.stats)
+	db, stats, err := p.en.Resume(ctx, prev, added, p.limitsFor(cfg), base)
 	return p.model(db, stats), stats, err
 }

@@ -167,7 +167,7 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 			m, _, err := budgeted.SolveContext(ctx, nil, ck)
 			resumes := 0
 			for errors.Is(err, datalog.ErrBudgetExceeded) {
-				restored, rerr := p2.RestoreFile(ckpt)
+				restored, _, rerr := p2.RestoreFile(ckpt)
 				if rerr != nil {
 					t.Fatalf("restore after interrupt %d: %v", resumes, rerr)
 				}
@@ -178,9 +178,9 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 				// Keep the budget tight for a few resumes to exercise
 				// repeated interruption, then let it finish.
 				if resumes < 3 {
-					m, _, err = budgeted.Resume(ctx, restored, ck)
+					m, _, err = budgeted.Resume(ctx, restored, nil, ck)
 				} else {
-					m, _, err = p2.Resume(ctx, restored, ck)
+					m, _, err = p2.Resume(ctx, restored, nil, ck)
 				}
 			}
 			if err != nil {
@@ -230,11 +230,11 @@ func TestCrashRecovery(t *testing.T) {
 			}
 			faults.Reset()
 
-			restored, err := p2.RestoreFile(ckpt)
+			restored, _, err := p2.RestoreFile(ckpt)
 			if err != nil {
 				t.Fatalf("post-crash restore: %v", err)
 			}
-			m, _, err := p2.Resume(context.Background(), restored)
+			m, _, err := p2.Resume(context.Background(), restored, nil)
 			if err != nil {
 				t.Fatalf("post-crash resume: %v", err)
 			}
@@ -262,7 +262,7 @@ func TestCheckpointSinkFailureFacade(t *testing.T) {
 	}
 	// The first write landed before the fault armed its After count, so
 	// the file still restores.
-	if _, err := p.RestoreFile(ckpt); err != nil {
+	if _, _, err := p.RestoreFile(ckpt); err != nil {
 		t.Fatalf("surviving checkpoint must restore: %v", err)
 	}
 }
@@ -276,12 +276,12 @@ func TestTornCheckpointFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	ckpt := filepath.Join(t.TempDir(), "torn.ckpt")
-	if err := m.WriteSnapshot(ckpt); err != nil {
+	if err := m.WriteSnapshot(ckpt, 0); err != nil {
 		t.Fatal(err)
 	}
 	faults.Arm(faults.Fault{Point: faults.SnapshotRestoreRead, Sticky: true})
 	defer faults.Reset()
-	if _, err := p.RestoreFile(ckpt); !errors.Is(err, datalog.ErrSnapshotCorrupt) {
+	if _, _, err := p.RestoreFile(ckpt); !errors.Is(err, datalog.ErrSnapshotCorrupt) {
 		t.Fatalf("err = %v, want ErrSnapshotCorrupt", err)
 	}
 }
@@ -317,10 +317,10 @@ func TestWatermarkRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "wm.snap")
-	if err := m.WriteSnapshotWatermark(path, 42); err != nil {
+	if err := m.WriteSnapshot(path, 42); err != nil {
 		t.Fatal(err)
 	}
-	m2, seq, err := prog.RestoreFileWatermark(path)
+	m2, seq, err := prog.RestoreFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,11 +330,11 @@ func TestWatermarkRoundTrip(t *testing.T) {
 	if got, want := m2.Snapshot(), m.Snapshot(); !bytes.Equal(got, want) {
 		t.Fatal("restored model differs")
 	}
-	// Plain WriteSnapshot stamps watermark 0 and RestoreFile drops it.
-	if err := m.WriteSnapshot(path); err != nil {
+	// Watermark 0 reads back as 0.
+	if err := m.WriteSnapshot(path, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, seq, err = prog.RestoreFileWatermark(path); err != nil || seq != 0 {
+	if _, seq, err = prog.RestoreFile(path); err != nil || seq != 0 {
 		t.Fatalf("seq %d err %v, want 0 nil", seq, err)
 	}
 }

@@ -489,22 +489,7 @@ func (p *Program) SolveContext(ctx context.Context, facts []Fact, opts ...SolveO
 	if err := b.Add(facts...); err != nil {
 		return nil, Stats{}, err
 	}
-	return p.SolveBatch(ctx, b, opts...)
-}
-
-// SolveBatch is SolveContext over the facts of b, which it takes over:
-// b accepts no more facts afterwards.
-func (p *Program) SolveBatch(ctx context.Context, b *Batch, opts ...SolveOption) (*Model, Stats, error) {
-	edb, err := b.take(p)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	var cfg solveConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	db, stats, err := p.en.SolveLimits(ctx, edb, p.limitsFor(cfg))
-	return p.model(db, stats), stats, err
+	return p.Resume(ctx, nil, b, opts...)
 }
 
 // SolveMore extends a previously computed model with additional
@@ -526,17 +511,8 @@ func (p *Program) SolveMoreContext(ctx context.Context, m *Model, facts []Fact) 
 	if err := b.Add(facts...); err != nil {
 		return nil, Stats{}, err
 	}
-	return p.SolveMoreBatch(ctx, m, b)
-}
-
-// SolveMoreBatch is SolveMoreContext over the facts of b, which it takes
-// over: b accepts no more facts afterwards.
-func (p *Program) SolveMoreBatch(ctx context.Context, m *Model, b *Batch) (*Model, Stats, error) {
-	added, err := b.take(p)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	db, stats, err := p.en.SolveMoreFrom(ctx, m.db, added, m.stats)
+	added, _ := b.take(p) // a fresh batch of p: take cannot fail
+	db, stats, err := p.en.SolveMore(ctx, m.db, added, m.stats)
 	return p.model(db, stats), stats, err
 }
 
@@ -558,49 +534,42 @@ type OpStats = core.OpStats
 func (p *Program) Profile(st Stats) *Profile { return p.en.Profile(st) }
 
 // Has reports whether the ground atom (without cost) is in the model.
+// A name declared at two arities that take as many arguments (p/n, and
+// the cost predicate p/n+1) holds the atom when either predicate does.
 func (m *Model) Has(pred string, args ...Value) bool {
-	_, ok := m.lookup(pred, args)
+	_, ok := m.lookup(pred, args, false)
 	return ok
 }
 
 // Cost returns the cost value of the tuple identified by the non-cost
 // arguments of a cost predicate.
 func (m *Model) Cost(pred string, args ...Value) (Value, bool) {
-	row, ok := m.lookup(pred, args)
-	if !ok || !row.HasCost {
+	row, ok := m.lookup(pred, args, true)
+	if !ok {
 		return Value{}, false
 	}
 	return Value{v: row.Cost}, true
 }
 
-func (m *Model) lookup(pred string, args []Value) (relation.Row, bool) {
-	ks := m.predKeys(pred, len(args))
-	if len(ks) == 0 {
-		return relation.Row{}, false
-	}
+// lookup finds the model's tuple of a predicate named pred with the
+// non-cost arguments args (see relation.DB.TupleKeys) — of the cost
+// predicate alone when cost is set — a default predicate's virtual rows
+// included.
+func (m *Model) lookup(pred string, args []Value, cost bool) (relation.Row, bool) {
 	raw, ok := resolveAll(args)
 	if !ok {
 		return relation.Row{}, false
 	}
-	return m.db.Rel(ks[0]).GetOrDefault(raw)
-}
-
-// predKeys returns, in key order, the model's predicates named pred that
-// take n non-cost arguments. Only two keys can: pred/n (no cost) and
-// pred/n+1 (a cost predicate), so they are resolved directly rather than
-// by scanning the model's predicates.
-func (m *Model) predKeys(pred string, n int) []ast.PredKey {
-	ks := [2]ast.PredKey{ast.MakePredKey(pred, n), ast.MakePredKey(pred, n+1)}
-	if ks[1] < ks[0] {
-		ks[0], ks[1] = ks[1], ks[0]
-	}
-	out := ks[:0]
-	for _, k := range ks {
-		if pi := m.schemas.Info(k); pi != nil && pi.NonCost() == n && m.db.Has(k) {
-			out = append(out, k)
+	ks, n := m.db.TupleKeys(pred, len(args))
+	for _, k := range ks[:n] {
+		if cost && !m.db.Schemas.Info(k).HasCost {
+			continue
+		}
+		if row, ok := m.db.Rel(k).GetOrDefault(raw); ok {
+			return row, true
 		}
 	}
-	return out
+	return relation.Row{}, false
 }
 
 // Facts returns every tuple of the predicate (cost appended last for

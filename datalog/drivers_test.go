@@ -278,16 +278,16 @@ func TestDriverDifferential(t *testing.T) {
 			m, _, err := budgeted.SolveContext(ctx, nil, ck)
 			resumes := 0
 			for errors.Is(err, datalog.ErrBudgetExceeded) {
-				restored, rerr := p.RestoreFile(ckpt)
+				restored, _, rerr := p.RestoreFile(ckpt)
 				if rerr != nil {
 					t.Fatalf("restore after interrupt %d: %v", resumes, rerr)
 				}
 				resumes++
 				// Keep the budget for one more interruption, then finish.
 				if resumes < 2 {
-					m, _, err = budgeted.Resume(ctx, restored, ck)
+					m, _, err = budgeted.Resume(ctx, restored, nil, ck)
 				} else {
-					m, _, err = p.Resume(ctx, restored, ck)
+					m, _, err = p.Resume(ctx, restored, nil, ck)
 				}
 			}
 			if err != nil {
@@ -441,12 +441,12 @@ func TestDriverResumeParity(t *testing.T) {
 		if !errors.Is(err, datalog.ErrBudgetExceeded) {
 			t.Fatalf("GOMAXPROCS=%d budgeted solve: err = %v, want ErrBudgetExceeded", writePar, err)
 		}
-		restored, err := p.RestoreFile(path)
+		restored, _, err := p.RestoreFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		withProcs(t, resumePar)
-		m, _, err := p.Resume(ctx, restored)
+		m, _, err := p.Resume(ctx, restored, nil)
 		if err != nil {
 			t.Fatalf("resume GOMAXPROCS=%d: %v", resumePar, err)
 		}

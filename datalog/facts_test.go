@@ -401,21 +401,21 @@ func TestBatchSolvedOnce(t *testing.T) {
 	if err := b.Add(arc); err != nil || b.Len() != 1 {
 		t.Fatalf("Add: %v, Len %d", err, b.Len())
 	}
-	m, _, err := p.SolveBatch(context.Background(), b)
+	m, _, err := p.Resume(context.Background(), nil, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Add(arc); err == nil {
 		t.Error("Add to a solved batch succeeded")
 	}
-	if _, _, err := p.SolveMoreBatch(context.Background(), m, b); err == nil {
+	if _, _, err := p.Resume(context.Background(), m, b); err == nil {
 		t.Error("a batch was solved twice")
 	}
 	q, err := datalog.Load(programs.ShortestPath, datalog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := q.SolveBatch(context.Background(), p.NewBatch()); err == nil {
+	if _, _, err := q.Resume(context.Background(), nil, p.NewBatch()); err == nil {
 		t.Error("a program solved another program's batch")
 	}
 	if got := fmt.Sprint(m.Facts("arc")); got != "[[a b 1]]" {

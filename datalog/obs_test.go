@@ -361,10 +361,10 @@ func TestStatsBreakdownResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "sp.ckpt")
-	if err := m.WriteSnapshot(path); err != nil {
+	if err := m.WriteSnapshot(path, 0); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := p.RestoreFile(path)
+	restored, _, err := p.RestoreFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestStatsBreakdownResume(t *testing.T) {
 		rseed.Probes != 0 || len(rseed.Rules) != 0 {
 		t.Fatalf("restored seed %+v, want the persisted scalars of %+v", rseed, seed)
 	}
-	_, st, err := p.Resume(context.Background(), restored)
+	_, st, err := p.Resume(context.Background(), restored, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -301,11 +301,11 @@ func TestParallelKillResume(t *testing.T) {
 			}
 			faults.Reset()
 
-			restored, err := p.RestoreFile(ckpt)
+			restored, _, err := p.RestoreFile(ckpt)
 			if err != nil {
 				t.Fatalf("restore after crash: %v", err)
 			}
-			m, _, err := p.Resume(context.Background(), restored)
+			m, _, err := p.Resume(context.Background(), restored, nil)
 			if err != nil {
 				t.Fatalf("resume after crash: %v", err)
 			}

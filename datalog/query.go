@@ -101,7 +101,8 @@ func (m *Model) Match(pred string, args ...Value) [][]Value {
 		pattern[i] = &v
 	}
 	var out [][]Value
-	for _, k := range m.predKeys(pred, len(args)) {
+	ks, n := m.db.TupleKeys(pred, len(args))
+	for _, k := range ks[:n] {
 		var rows []relation.Row
 		m.db.Rel(k).Each(func(row relation.Row) bool {
 			if rowMatches(row, pattern) {

@@ -232,3 +232,35 @@ func TestMatchAgreesWithFullSort(t *testing.T) {
 		t.Fatalf("only %d patterns exercised", patterns)
 	}
 }
+
+// TestLookupAtTwoArities: a name declared at two arities that take as
+// many lookup arguments — p/2, and the cost predicate p/3 — answers Has
+// from either predicate and Cost from the cost predicate, as Match
+// lists both.
+func TestLookupAtTwoArities(t *testing.T) {
+	p, err := Load(".cost p/3 : minreal.\np(a, b).\np(a, c, 1).\n", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := p.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]Value{{Sym("a"), Sym("b")}, {Sym("a"), Sym("c")}} {
+		if !m.Has("p", args...) {
+			t.Errorf("Has(p, %v) = false", args)
+		}
+		if len(m.Match("p", args...)) != 1 {
+			t.Errorf("Match(p, %v) = %v", args, m.Match("p", args...))
+		}
+	}
+	if m.Has("p", Sym("a"), Sym("d")) {
+		t.Error("Has(p, a, d) = true")
+	}
+	if c, ok := m.Cost("p", Sym("a"), Sym("c")); !ok || c.String() != "1" {
+		t.Errorf("Cost(p, a, c) = %v, %v; want 1", c, ok)
+	}
+	if c, ok := m.Cost("p", Sym("a"), Sym("b")); ok {
+		t.Errorf("Cost(p, a, b) = %v: p/2 has no cost", c)
+	}
+}

@@ -44,7 +44,7 @@ func TestCheckpointCadence(t *testing.T) {
 		sink := &captureSink{}
 		en := mustEngine(t, chainProgram(12), Options{Strategy: strat})
 		lim := Limits{Checkpoint: sink.fn(), CheckpointEvery: 1}
-		db, stats, err := en.SolveLimits(context.Background(), nil, lim)
+		db, stats, err := en.Resume(context.Background(), nil, nil, lim, Stats{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestCheckpointCadence(t *testing.T) {
 func TestCheckpointEveryZeroStillCheckpointsComponents(t *testing.T) {
 	sink := &captureSink{}
 	en := mustEngine(t, chainProgram(12), Options{})
-	db, _, err := en.SolveLimits(context.Background(), nil, Limits{Checkpoint: sink.fn()})
+	db, _, err := en.Resume(context.Background(), nil, nil, Limits{Checkpoint: sink.fn()}, Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestCheckpointSinkError(t *testing.T) {
 	boom := errors.New("disk full")
 	sink := &captureSink{fail: boom}
 	en := mustEngine(t, chainProgram(12), Options{})
-	db, _, err := en.SolveLimits(context.Background(), nil, Limits{Checkpoint: sink.fn(), CheckpointEvery: 1})
+	db, _, err := en.Resume(context.Background(), nil, nil, Limits{Checkpoint: sink.fn(), CheckpointEvery: 1}, Stats{})
 	if !errors.Is(err, ErrCheckpoint) {
 		t.Fatalf("err = %v, want ErrCheckpoint", err)
 	}
@@ -119,8 +119,8 @@ func TestResumeFromCheckpoint(t *testing.T) {
 
 		sink := &captureSink{}
 		en := mustEngine(t, src, Options{Strategy: strat})
-		_, midStats, err := en.SolveLimits(context.Background(), nil,
-			Limits{MaxFacts: 60, Checkpoint: sink.fn(), CheckpointEvery: 1})
+		_, midStats, err := en.Resume(context.Background(), nil, nil,
+			Limits{MaxFacts: 60, Checkpoint: sink.fn(), CheckpointEvery: 1}, Stats{})
 		if !errors.Is(err, ErrBudgetExceeded) {
 			t.Fatalf("strategy %v: err = %v, want ErrBudgetExceeded", strat, err)
 		}
@@ -135,7 +135,7 @@ func TestResumeFromCheckpoint(t *testing.T) {
 		}
 		// Resume on a fresh engine, as a crash-recovery caller would.
 		en2 := mustEngine(t, src, Options{Strategy: strat})
-		db, stats, err := en2.Resume(context.Background(), last, Limits{}, lastStats)
+		db, stats, err := en2.Resume(context.Background(), last, nil, Limits{}, lastStats)
 		if err != nil {
 			t.Fatalf("strategy %v: resume: %v", strat, err)
 		}
@@ -158,7 +158,7 @@ func TestResumeFromCompleteModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, _, err := en.Resume(context.Background(), full, Limits{}, stats)
+	db, _, err := en.Resume(context.Background(), full, nil, Limits{}, stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,12 +178,12 @@ func TestSolveMoreFromAccumulatesStats(t *testing.T) {
 	}
 	add := relation.NewDB(en.Schemas)
 	add.AddFact("arc", []val.T{val.Symbol("b"), val.Symbol("c")}, val.Number(2))
-	db2, stats2, err := en.SolveMoreFrom(context.Background(), db, add, stats)
+	db2, stats2, err := en.SolveMore(context.Background(), db, add, stats)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats2.Rounds <= stats.Rounds || stats2.Derived <= stats.Derived {
-		t.Fatalf("SolveMoreFrom stats %+v must extend base %+v", stats2, stats)
+		t.Fatalf("SolveMore stats %+v must extend base %+v", stats2, stats)
 	}
 	if c, _ := costOf(t, db2, "s", "a", "c"); c != 3 {
 		t.Fatalf("s(a,c) = %v, want 3", c)

@@ -34,7 +34,7 @@ func TestSolveContextCanceled(t *testing.T) {
 	en := mustEngine(t, chainProgram(50), Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	db, stats, err := en.SolveContext(ctx, nil)
+	db, stats, err := en.Resume(ctx, nil, nil, en.opts.Limits, Stats{})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -177,7 +177,7 @@ func TestSolveMoreContextCanceled(t *testing.T) {
 	added := arcDB(en, [][3]any{{"n10", "x0", 1}})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	db, _, err := en.SolveMoreContext(ctx, base, added)
+	db, _, err := en.SolveMore(ctx, base, added, Stats{})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -196,7 +196,7 @@ move(a, b). move(b, c). move(c, d).
 	en := mustEngine(t, src, Options{WFSFallback: true})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := en.SolveContext(ctx, nil)
+	_, _, err := en.Resume(ctx, nil, nil, en.opts.Limits, Stats{})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}

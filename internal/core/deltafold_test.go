@@ -256,10 +256,10 @@ arc(d, a, 1). arc(a, e, 2). arc(e, b, -2).
 			}
 			checkSameRun(t, fmt.Sprintf("seed %d batch 0", seed), fold, regroup, fdb, rdb, fst, rst)
 			for i, b := range batches[1:] {
-				if fdb, fst, err = fold.SolveMoreFrom(context.Background(), fdb, b, fst); err != nil {
+				if fdb, fst, err = fold.SolveMore(context.Background(), fdb, b, fst); err != nil {
 					t.Fatal(err)
 				}
-				if rdb, rst, err = regroup.SolveMoreFrom(context.Background(), rdb, b, rst); err != nil {
+				if rdb, rst, err = regroup.SolveMore(context.Background(), rdb, b, rst); err != nil {
 					t.Fatal(err)
 				}
 				checkSameRun(t, fmt.Sprintf("seed %d batch %d", seed, i+1), fold, regroup, fdb, rdb, fst, rst)

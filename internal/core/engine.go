@@ -65,7 +65,7 @@ type Options struct {
 	Sink obs.Sink
 	// Limits bounds every Solve: derivation budget, wall-clock
 	// deadline, the ω-limit divergence threshold, and the checkpoint
-	// sink with its period. SolveLimits can override them per call.
+	// sink with its period. Resume takes them per call.
 	Limits
 }
 
@@ -388,51 +388,46 @@ func (en *Engine) Report() monotone.Report {
 // Solve computes the iterated minimal model: the least fixpoint of T_P
 // for each component in bottom-up order, starting from the EDB.
 func (en *Engine) Solve(edb *relation.DB) (*relation.DB, Stats, error) {
-	return en.SolveContext(context.Background(), edb)
+	return en.Resume(context.Background(), nil, edb, en.opts.Limits, Stats{})
 }
 
-// SolveContext is Solve with cooperative cancellation: the fixpoint
-// loops poll ctx (and the Options limits) and stop with an *EngineError
-// wrapping ErrCanceled, ErrBudgetExceeded or ErrDiverged. On any such
-// failure the partial interpretation computed so far is returned
-// alongside the error and the Stats, so no work is discarded.
-func (en *Engine) SolveContext(ctx context.Context, edb *relation.DB) (*relation.DB, Stats, error) {
-	return en.SolveLimits(ctx, edb, en.opts.Limits)
-}
-
-// SolveLimits is SolveContext with per-call limit overrides.
-func (en *Engine) SolveLimits(ctx context.Context, edb *relation.DB, lim Limits) (*relation.DB, Stats, error) {
-	return en.fixpoint(ctx, en.startFrom(edb), lim, Stats{})
-}
-
-// startFrom builds a solve's starting interpretation: the caller's rows
-// (an EDB, or a checkpointed interpretation being resumed) joined with
-// the engine's base EDB. Join re-homes the rows onto this engine's
-// schemas, so a DB decoded with foreign schema objects cannot leak them
-// into the evaluation.
-func (en *Engine) startFrom(rows *relation.DB) *relation.DB {
-	db := relation.NewDB(en.Schemas)
-	if rows != nil {
-		db.Join(rows)
-	}
-	db.Join(en.base)
-	return db
-}
-
-// Resume continues a fixpoint from a previously checkpointed
-// interpretation (see Limits.Checkpoint): the components are re-run
-// bottom-up starting from prev instead of from the bare EDB. Because
-// T_P is monotone, every checkpoint lies between the EDB and the least
-// model, so the resumed fixpoint converges to exactly the model an
-// uninterrupted solve would have produced. base seeds the returned
-// Stats so rounds/firings/derivations stay cumulative across resumes
-// (pass the stats recorded in the checkpoint).
+// Resume runs the iterated fixpoint from prev ∪ added ∪ the base EDB:
+// every component is re-run bottom-up from that start. A nil prev is a
+// cold solve of the EDB added. A non-nil prev is an interpretation
+// between an EDB and its least model — a checkpoint (see
+// Limits.Checkpoint), an interrupted solve's partial model or a model —
+// and added holds more EDB facts: because T_P is monotone, and an
+// insert-monotone fact only raises the least model, the start lies
+// between the grown EDB and its least model, so the fixpoint converges
+// to exactly the model a one-shot solve of all the facts produces. The
+// facts of added are refused as SolveMore refuses them when prev is
+// non-nil. prev and added are not modified.
 //
-// The caller is responsible for resuming against the same program the
-// checkpoint came from; the snapshot layer's fingerprint enforces this
-// for durable checkpoints.
-func (en *Engine) Resume(ctx context.Context, prev *relation.DB, lim Limits, base Stats) (*relation.DB, Stats, error) {
-	return en.fixpoint(ctx, en.startFrom(prev), lim, base)
+// ctx and lim stop the solve cooperatively: on a breach the error wraps
+// ErrCanceled, ErrBudgetExceeded or ErrDiverged (an *EngineError), and
+// the partial interpretation computed so far is returned with it and the
+// Stats, so no work is discarded. base seeds the returned Stats so
+// rounds/firings/derivations stay cumulative across resumes (pass the
+// stats recorded in the checkpoint).
+//
+// The caller is responsible for resuming against the same program prev
+// came from; the snapshot layer's fingerprint enforces this for durable
+// checkpoints.
+func (en *Engine) Resume(ctx context.Context, prev, added *relation.DB, lim Limits, base Stats) (*relation.DB, Stats, error) {
+	if prev != nil && added != nil {
+		if _, err := en.insertable(added); err != nil {
+			return nil, Stats{}, err
+		}
+	}
+	// Join re-homes the rows onto this engine's schemas, so a DB decoded
+	// with foreign schema objects cannot leak them into the evaluation.
+	db := relation.NewDB(en.Schemas)
+	for _, rows := range [...]*relation.DB{prev, added, en.base} {
+		if rows != nil {
+			db.Join(rows)
+		}
+	}
+	return en.fixpoint(ctx, db, lim, base)
 }
 
 // solve is the frame every solve entry point runs in: it folds

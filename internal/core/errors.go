@@ -17,9 +17,9 @@ import (
 )
 
 // Sentinel error classes, testable with errors.Is against any error
-// returned by Solve/SolveContext. They alias the shared internal set so
-// the WFS fallback and the stable-model enumerator report the same
-// classes without an import cycle.
+// returned by Solve, Resume or SolveMore. They alias the shared internal
+// set so the WFS fallback and the stable-model enumerator report the
+// same classes without an import cycle.
 var (
 	ErrCanceled       = enginerr.ErrCanceled
 	ErrBudgetExceeded = enginerr.ErrBudgetExceeded
@@ -281,8 +281,8 @@ func (g *guard) fail(class, cause error) *EngineError {
 }
 
 // poll checks for cancellation (context cancel, SIGINT via the caller's
-// context, or the MaxDuration deadline — SolveContext folds MaxDuration
-// into the context).
+// context, or the MaxDuration deadline — the solve frame folds
+// MaxDuration into the context).
 func (g *guard) poll() error {
 	select {
 	case <-g.ctx.Done():

@@ -235,15 +235,12 @@ func (pv *Provenance) stagesOf(ci int) *stages {
 	return st
 }
 
-// lookupTuple finds db's tuple of predicate pred with the given non-cost
-// arguments (pred/n without a cost, else pred/n+1 with one), without
-// materializing a missing relation.
+// lookupTuple finds db's tuple of a predicate named pred with the given
+// non-cost arguments (see relation.DB.TupleKeys), without materializing a
+// missing relation.
 func lookupTuple(db *relation.DB, pred string, args []val.T) (ast.PredKey, relation.Row, bool) {
-	for arity := len(args); arity <= len(args)+1; arity++ {
-		k := ast.MakePredKey(pred, arity)
-		if pi := db.Schemas.Info(k); pi == nil || pi.NonCost() != len(args) || !db.Has(k) {
-			continue
-		}
+	ks, n := db.TupleKeys(pred, len(args))
+	for _, k := range ks[:n] {
 		if row, ok := db.Rel(k).Get(args); ok {
 			return k, row, true
 		}

@@ -30,44 +30,24 @@ import (
 // relations of it that the added facts cannot change, and extends the
 // storage of the others in place (relation.Relation.Clone), so a second
 // SolveMore from the same previous model copies what it writes.
-func (en *Engine) SolveMore(prev *relation.DB, added *relation.DB) (*relation.DB, Stats, error) {
-	return en.SolveMoreContext(context.Background(), prev, added)
-}
-
-// SolveMoreContext is SolveMore with cooperative cancellation and the
-// engine's resource limits; on a limit breach it returns the partially
-// extended model alongside the *EngineError.
-func (en *Engine) SolveMoreContext(ctx context.Context, prev *relation.DB, added *relation.DB) (*relation.DB, Stats, error) {
-	return en.SolveMoreFrom(ctx, prev, added, Stats{})
-}
-
-// SolveMoreFrom is SolveMoreContext with the returned Stats seeded from
-// base: callers chaining incremental solves (or resuming from durable
-// checkpoints, whose metadata records cumulative work) pass the stats
-// of the model being extended, so rounds/firings/derivations report
-// running totals rather than per-resume counts.
+//
+// ctx and the engine's limits stop it as they stop Resume, which
+// returns the partially extended model alongside the *EngineError.
+// base seeds the returned Stats: callers chaining incremental solves
+// pass the stats of the model being extended, so rounds/firings/
+// derivations report running totals rather than per-call counts.
 //
 // It runs the component walk with a seed hook: each component the walk
 // dispatches resumes its Δ-driven loop from the changed rows it reads —
 // the added EDB rows plus what the components below it changed — and a
 // component that reads none settles unevaluated, its relations still
 // prev's.
-func (en *Engine) SolveMoreFrom(ctx context.Context, prev *relation.DB, added *relation.DB, base Stats) (*relation.DB, Stats, error) {
+func (en *Engine) SolveMore(ctx context.Context, prev, added *relation.DB, base Stats) (*relation.DB, Stats, error) {
+	addedPreds, err := en.insertable(added)
+	if err != nil {
+		return nil, Stats{}, err
+	}
 	return en.solve(ctx, en.opts.Limits, base, func(g *guard) (*relation.DB, error) {
-		if slices.ContainsFunc(en.wfsProgs, func(w *WFSProgram) bool { return w != nil }) {
-			return nil, fmt.Errorf("core: SolveMore is unsound with well-founded fallback components (negation is not insert-monotone)")
-		}
-		var addedPreds []ast.PredKey
-		for _, k := range added.Preds() {
-			if added.Rel(k).Len() == 0 {
-				continue
-			}
-			if why, blocked := en.insertBlocked[k]; blocked {
-				return nil, why.error(k)
-			}
-			addedPreds = append(addedPreds, k)
-		}
-
 		// The starting interpretation shares prev's relations. An added
 		// predicate is cloned here before its rows go in; a component's
 		// are cloned by the walk's private view when it is dispatched.
@@ -94,6 +74,29 @@ func (en *Engine) SolveMoreFrom(ctx context.Context, prev *relation.DB, added *r
 		}
 		return db, err
 	})
+}
+
+// insertable returns the predicates added holds facts for, refusing them
+// as a start above an existing model must (SolveMore, and Resume of a
+// model with more facts): a program with well-founded fallback
+// components takes none (negation is not insert-monotone), and no
+// predicate noteInsertMonotone blocked takes any.
+func (en *Engine) insertable(added *relation.DB) ([]ast.PredKey, error) {
+	wfs := slices.ContainsFunc(en.wfsProgs, func(w *WFSProgram) bool { return w != nil })
+	var preds []ast.PredKey
+	for _, k := range added.Preds() {
+		if added.Rel(k).Len() == 0 {
+			continue
+		}
+		if wfs {
+			return nil, fmt.Errorf("core: SolveMore is unsound with well-founded fallback components (negation is not insert-monotone)")
+		}
+		if why, blocked := en.insertBlocked[k]; blocked {
+			return nil, why.error(k)
+		}
+		preds = append(preds, k)
+	}
+	return preds, nil
 }
 
 // seed cuts component ci's Δ seed from the rows an incremental walk has

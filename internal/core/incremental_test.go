@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -41,7 +42,7 @@ func TestSolveMoreShortestPath(t *testing.T) {
 	if c, _ := costOf(t, base, "s", "a", "c"); c != 10 {
 		t.Fatalf("s(a,c) = %v, want 10", c)
 	}
-	inc, stats, err := en.SolveMore(base, arcDB(en, [][3]any{{"a", "c", 2}, {"c", "d", 1}}))
+	inc, stats, err := en.SolveMore(context.Background(), base, arcDB(en, [][3]any{{"a", "c", 2}, {"c", "d", 1}}), Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestSolveMorePropertyEquivalence(t *testing.T) {
 			t.Errorf("seed %d: %v", seed, err)
 			return false
 		}
-		inc, _, err := en.SolveMore(base, second)
+		inc, _, err := en.SolveMore(context.Background(), base, second, Stats{})
 		if err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 			return false
@@ -150,7 +151,7 @@ func TestSolveMoreCompanyControl(t *testing.T) {
 	}
 	// a buys 0.2 more of b (a separate intermediary records it, so the
 	// cost FD stays intact: model it as a distinct holding company).
-	inc, _, err := en.SolveMore(base, mk([][3]any{{"a2", "b", 0.2}, {"a", "a2", 0.9}}))
+	inc, _, err := en.SolveMore(context.Background(), base, mk([][3]any{{"a2", "b", 0.2}, {"a", "a2", 0.9}}), Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestSolveMoreRejections(t *testing.T) {
 	}
 	add := relation.NewDB(en.Schemas)
 	add.Rel("blocked/1").InsertJoin([]val.T{val.Symbol("x")}, val.T{})
-	if _, _, err := en.SolveMore(base, add); err == nil || !strings.Contains(err.Error(), "negation") {
+	if _, _, err := en.SolveMore(context.Background(), base, add, Stats{}); err == nil || !strings.Contains(err.Error(), "negation") {
 		t.Fatalf("err = %v, want negation rejection", err)
 	}
 	// Pseudo-monotone aggregate input.
@@ -184,7 +185,7 @@ func TestSolveMoreRejections(t *testing.T) {
 	}
 	add2 := relation.NewDB(en2.Schemas)
 	add2.Rel("connect/2").InsertJoin([]val.T{val.Symbol("g"), val.Symbol("w")}, val.T{})
-	if _, _, err := en2.SolveMore(base2, add2); err == nil || !strings.Contains(err.Error(), "non-monotone") {
+	if _, _, err := en2.SolveMore(context.Background(), base2, add2, Stats{}); err == nil || !strings.Contains(err.Error(), "non-monotone") {
 		t.Fatalf("err = %v, want pseudo-monotone rejection", err)
 	}
 	// Derived predicate.
@@ -195,7 +196,7 @@ func TestSolveMoreRejections(t *testing.T) {
 	}
 	add3 := relation.NewDB(en3.Schemas)
 	add3.Rel("s/3").InsertJoin([]val.T{val.Symbol("a"), val.Symbol("b")}, val.Number(1))
-	if _, _, err := en3.SolveMore(base3, add3); err == nil || !strings.Contains(err.Error(), "derived") {
+	if _, _, err := en3.SolveMore(context.Background(), base3, add3, Stats{}); err == nil || !strings.Contains(err.Error(), "derived") {
 		t.Fatalf("err = %v, want derived-predicate rejection", err)
 	}
 }
@@ -218,7 +219,7 @@ func TestSolveMorePartyGuests(t *testing.T) {
 	}
 	add := relation.NewDB(en.Schemas)
 	add.Rel("knows/2").InsertJoin([]val.T{val.Symbol("x"), val.Symbol("y")}, val.T{})
-	inc, _, err := en.SolveMore(base, add)
+	inc, _, err := en.SolveMore(context.Background(), base, add, Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestSolveMoreNegationThroughDerived(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = en.SolveMore(base, factsDB(t, en, "e(a)."))
+	_, _, err = en.SolveMore(context.Background(), base, factsDB(t, en, "e(a)."), Stats{})
 	if err == nil {
 		t.Fatal("SolveMore accepted a fact that reaches a negation through r/1")
 	}
@@ -314,7 +315,7 @@ func TestSolveMoreRefusesOrMatchesOneShot(t *testing.T) {
 				t.Fatal(err)
 			}
 			for k, more := range tc.more {
-				inc, _, err := en.SolveMore(base, factsDB(t, en, more))
+				inc, _, err := en.SolveMore(context.Background(), base, factsDB(t, en, more), Stats{})
 				if slices.Contains(tc.refuse, k) {
 					if err == nil || !strings.Contains(err.Error(), "cannot add facts for "+string(k)) {
 						t.Fatalf("%s: err = %v, want a refusal", k, err)
@@ -352,7 +353,7 @@ func TestSolveMoreCopiesOnlyDispatched(t *testing.T) {
 	}
 	encode := func(db *relation.DB) []byte { return snapshot.Encode(&snapshot.Snapshot{DB: db}) }
 	before := encode(prev)
-	inc, _, err := en.SolveMore(prev, factsDB(t, en, "arc(c, a, 1)."))
+	inc, _, err := en.SolveMore(context.Background(), prev, factsDB(t, en, "arc(c, a, 1)."), Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +390,7 @@ func TestSolveMoreCopiesOnlyDispatched(t *testing.T) {
 	}
 	more := func(what string, m *relation.DB, facts string) *relation.DB {
 		t.Helper()
-		next, _, err := en.SolveMore(m, factsDB(t, en, facts))
+		next, _, err := en.SolveMore(context.Background(), m, factsDB(t, en, facts), Stats{})
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
@@ -424,7 +425,7 @@ func TestSolveMoreCopiesOnlyDispatched(t *testing.T) {
 	check("after a fork")
 	forkBytes := encode(fork)
 	en.opts.Limits.MaxFacts = 5
-	_, _, err = en.SolveMore(fork, factsDB(t, en, chord))
+	_, _, err = en.SolveMore(context.Background(), fork, factsDB(t, en, chord), Stats{})
 	en.opts.Limits.MaxFacts = 0
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("the budgeted successor returned %v, want a budget breach", err)
@@ -453,7 +454,7 @@ func TestSolveMoreProbesFollowDelta(t *testing.T) {
 			t.Fatal(err)
 		}
 		batch := arcDB(en, [][3]any{{"fresh0", "fresh1", 3}, {fmt.Sprintf("v%d", n/4+1), fmt.Sprintf("v%d", n/2+1), 1}})
-		_, st, err := en.SolveMore(m, batch)
+		_, st, err := en.SolveMore(context.Background(), m, batch, Stats{})
 		if err != nil {
 			t.Fatal(err)
 		}

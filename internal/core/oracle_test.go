@@ -670,7 +670,7 @@ func TestSolveEqualsTPFixpoint(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				split, _, err := en.SolveMore(first, more)
+				split, _, err := en.SolveMore(context.Background(), first, more, Stats{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -720,7 +720,7 @@ func TestTextFactsEqualTPFixpoint(t *testing.T) {
 
 				sink := &captureSink{}
 				lim := Limits{Checkpoint: sink.fn(), CheckpointEvery: 1}
-				fresh, st, err := en.SolveLimits(context.Background(), nil, lim)
+				fresh, st, err := en.Resume(context.Background(), nil, nil, lim, Stats{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -739,13 +739,13 @@ func TestTextFactsEqualTPFixpoint(t *testing.T) {
 				sink = &captureSink{}
 				lim.Checkpoint = sink.fn()
 				faults.Arm(faults.Fault{Point: faults.CoreRound, After: 1, Panic: true})
-				_, _, err = en.SolveLimits(context.Background(), nil, lim)
+				_, _, err = en.Resume(context.Background(), nil, nil, lim, Stats{})
 				faults.Reset()
 				if !errors.Is(err, ErrInternal) {
 					t.Fatalf("GOMAXPROCS %d: injected crash: err = %v, want ErrInternal", par, err)
 				}
 				last := len(sink.dbs) - 1
-				resumed, _, err := en.Resume(context.Background(), sink.dbs[last], Limits{}, sink.stats[last])
+				resumed, _, err := en.Resume(context.Background(), sink.dbs[last], nil, Limits{}, sink.stats[last])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -762,7 +762,7 @@ func TestTextFactsEqualTPFixpoint(t *testing.T) {
 				}
 				all := mustEngine(t, tc.src+tc.edb+"\n"+tc.more, opts)
 				wantAll := tpLeastFixpoint(t, all, relation.NewDB(all.Schemas), tc.eps)
-				split, _, err := en.SolveMore(fresh, factsDB(t, en, tc.more))
+				split, _, err := en.SolveMore(context.Background(), fresh, factsDB(t, en, tc.more), Stats{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -286,7 +287,7 @@ func staticErrorRecord(t *testing.T) string {
 			if serr != nil {
 				t.Fatalf("%s: %v", c.name, serr)
 			}
-			_, _, merr := en.SolveMore(model, added)
+			_, _, merr := en.SolveMore(context.Background(), model, added, Stats{})
 			b.WriteString("more: " + text(merr) + "\n")
 		}
 	}

@@ -68,6 +68,24 @@ func (db *DB) Named(name string) []ast.PredKey {
 	return out
 }
 
+// TupleKeys returns, in keys[:count], the predicate keys named name with
+// a materialized relation that take n non-cost arguments, in arity
+// order: name/n without a cost, then the cost predicate name/n+1. A name
+// declared at two arities can have both, so a lookup by name and
+// arguments — the one resolver of Model.Has/Cost/Match and of
+// explanations — tries each. An array, not a slice, so a lookup
+// allocates nothing for it.
+func (db *DB) TupleKeys(name string, n int) (keys [2]ast.PredKey, count int) {
+	for arity := n; arity <= n+1; arity++ {
+		k := ast.MakePredKey(name, arity)
+		if pi := db.Schemas.Info(k); pi != nil && pi.NonCost() == n && db.Has(k) {
+			keys[count] = k
+			count++
+		}
+	}
+	return keys, count
+}
+
 // Share returns a new interpretation holding db's relations themselves,
 // not copies: a caller that SetRels a private copy of a relation before
 // writing to it leaves db untouched.

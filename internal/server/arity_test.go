@@ -78,3 +78,26 @@ func TestMultiArityReplay(t *testing.T) {
 		t.Fatalf("JSON record %s replayed to\n%s", legacy, m)
 	}
 }
+
+// TestMultiArityCostLookup: a name declared at p/2 and at the cost
+// predicate p/3 takes two lookup arguments at both; has finds a tuple of
+// either, and cost reads the cost predicate.
+func TestMultiArityCostLookup(t *testing.T) {
+	_, ts := startServer(t, []ProgramSpec{{Name: "ar", Source: ".cost p/3 : minreal.\np(a, b).\np(a, c, 1).\n"}}, Config{})
+	for _, c := range []struct {
+		body  string
+		field string
+		want  any
+	}{
+		{`{"op":"has","pred":"p","args":["a","b"]}`, "found", true},
+		{`{"op":"has","pred":"p","args":["a","c"]}`, "found", true},
+		{`{"op":"cost","pred":"p","args":["a","c"]}`, "cost", 1.0},
+		{`{"op":"cost","pred":"p","args":["a","b"]}`, "found", false},
+		{`{"op":"facts","pred":"p","args":["a",null]}`, "count", 2.0},
+	} {
+		code, resp := post(t, ts.URL+"/v1/query", c.body)
+		if code != http.StatusOK || resp[c.field] != c.want {
+			t.Errorf("%s: %d %v, want %s %v", c.body, code, resp, c.field, c.want)
+		}
+	}
+}

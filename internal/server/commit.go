@@ -269,7 +269,7 @@ func (svc *service) solveAndPublish(ctx context.Context, batch []*commitReq) (co
 				return commitResult{stats: stats, coalesced: coalesced, err: svc.walFail("append", err)}, nil
 			}
 		}
-		if svc.srv.walFsyncPolicy() == FsyncBatch {
+		if svc.srv.cfg.WALFsync == FsyncBatch {
 			// Group commit: one fsync covers the whole drain, before any
 			// batch in it is acked.
 			if err := svc.walSync(); err != nil {

@@ -375,7 +375,7 @@ func (s *Server) handleProgram(w http.ResponseWriter, r *http.Request) {
 		if svc.wal != nil {
 			info["wal"] = map[string]any{
 				"dir":      svc.wal.Dir(),
-				"fsync":    string(s.walFsyncPolicy()),
+				"fsync":    string(s.cfg.WALFsync),
 				"segments": svc.wal.Segments(),
 				"broken":   svc.walBroken.Load(),
 			}
@@ -438,18 +438,21 @@ func nonCostArity(d datalog.PredDecl) int {
 // decl returns the declaration of the predicate named name that takes n
 // arguments as arity counts them, the first of name's declarations when
 // none does (the caller words the mismatch), and false when the program
-// declares no predicate of that name.
+// declares no predicate of that name. Two declarations of a name take n
+// lookup arguments when one is p/n and the other the cost predicate
+// p/n+1; the cost predicate is returned then, so a cost lookup finds it.
 func (svc *service) decl(name string, n int, arity func(datalog.PredDecl) int) (datalog.PredDecl, bool) {
 	ds := svc.decls[name]
 	if len(ds) == 0 {
 		return datalog.PredDecl{}, false
 	}
-	for _, d := range ds {
-		if arity(d) == n {
-			return d, true
+	d := ds[0]
+	for _, c := range ds {
+		if arity(c) == n && (arity(d) != n || c.HasCost) {
+			d = c
 		}
 	}
-	return ds[0], true
+	return d, true
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {

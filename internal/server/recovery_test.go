@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -23,8 +24,10 @@ import (
 // one-shot Solve of the base plus the acked facts, with the same rounds,
 // firings and derivations: a cold solve followed by a SolveMore of the
 // log reaches the same model with more of each. With a checkpoint taken
-// halfway (the warm path: Resume, then one SolveMore of the log past
-// it), the model must be equal too.
+// halfway, the warm path keeps the same restart contract (docs/SERVER.md
+// "Warm start and graceful shutdown"): the model must be equal too, and
+// it and its rounds, firings and derivations must equal one Resume of
+// the checkpoint with the batches logged past it.
 func TestRecoveryIsOneSolve(t *testing.T) {
 	for _, procs := range []int{1, 2} {
 		for _, seed := range []int64{1, 2, 3} {
@@ -44,7 +47,7 @@ func TestRecoveryIsOneSolve(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				cold := recoverAfter(t, src, batches, "", len(batches))
+				cold, _ := recoverAfter(t, src, batches, "", len(batches))
 				if got := cold.String(); got != want.String() {
 					t.Fatalf("cold recovery:\n%s\nwant the one-shot solve:\n%s", got, want)
 				}
@@ -54,9 +57,29 @@ func TestRecoveryIsOneSolve(t *testing.T) {
 						got.Rounds, got.Firings, got.Derived, wantStats.Rounds, wantStats.Firings, wantStats.Derived)
 				}
 
-				warm := recoverAfter(t, src, batches, filepath.Join(t.TempDir(), "sp.snap"), len(batches)/2)
+				half := len(batches) / 2
+				warm, snap := recoverAfter(t, src, batches, filepath.Join(t.TempDir(), "sp.snap"), half)
 				if got := warm.String(); got != want.String() {
 					t.Fatalf("warm recovery:\n%s\nwant the one-shot solve:\n%s", got, want)
+				}
+				restored, err := p.Restore(snap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b := p.NewBatch()
+				for _, facts := range batches[half:] {
+					if err := b.Add(facts...); err != nil {
+						t.Fatal(err)
+					}
+				}
+				one, oneStats, err := p.Resume(context.Background(), restored, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = warm.Stats()
+				if warm.String() != one.String() || got.Rounds != oneStats.Rounds || got.Firings != oneStats.Firings || got.Derived != oneStats.Derived {
+					t.Fatalf("warm recovery took rounds=%d firings=%d derived=%d, one Resume of the checkpoint with the logged batches rounds=%d firings=%d derived=%d",
+						got.Rounds, got.Firings, got.Derived, oneStats.Rounds, oneStats.Firings, oneStats.Derived)
 				}
 			})
 		}
@@ -93,8 +116,9 @@ func recoveryWorkload(seed int64) (string, [][]datalog.Fact) {
 // recoverAfter serves src with a WAL (and the checkpoint path ckpt, if
 // any), asserts every batch over HTTP — flushing a checkpoint after the
 // first flushAt of them when ckpt is set — closes the server without a
-// final checkpoint, and returns the model a restart publishes.
-func recoverAfter(t *testing.T, src string, batches [][]datalog.Fact, ckpt string, flushAt int) *datalog.Model {
+// final checkpoint, and returns the model a restart publishes and the
+// checkpoint it restarted from (nil without ckpt).
+func recoverAfter(t *testing.T, src string, batches [][]datalog.Fact, ckpt string, flushAt int) (*datalog.Model, []byte) {
 	t.Helper()
 	cfg := Config{WALDir: t.TempDir()}
 	specs := []ProgramSpec{{Name: "sp", Source: src, Checkpoint: ckpt}}
@@ -119,6 +143,12 @@ func recoverAfter(t *testing.T, src string, batches [][]datalog.Fact, ckpt strin
 	}
 	ts.Close()
 	s1.Close()
+	var snap []byte
+	if ckpt != "" {
+		if snap, err = os.ReadFile(ckpt); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	s2, err := New(specs, cfg)
 	if err != nil {
@@ -135,5 +165,5 @@ func recoverAfter(t *testing.T, src string, batches [][]datalog.Fact, ckpt strin
 	if got, want := s2.svcs["sp"].seq.Load(), uint64(len(batches)); got != want {
 		t.Fatalf("recovered seq %d, want %d", got, want)
 	}
-	return st.model
+	return st.model, snap
 }

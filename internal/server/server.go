@@ -84,7 +84,8 @@ type Config struct {
 	// wal.go). Empty disables the log (acked batches survive restarts
 	// only up to the last checkpoint flush).
 	WALDir string
-	// WALFsync is the fsync policy for the log ("" selects batch).
+	// WALFsync is the fsync policy for the log ("" selects batch); New
+	// refuses any other value than FsyncBatch and FsyncNone.
 	WALFsync FsyncPolicy
 	// WALSegmentBytes caps each log segment before rotation; 0 selects
 	// the wal package default (64 MiB).
@@ -100,8 +101,11 @@ type ProgramSpec struct {
 	// Options configures evaluation.
 	Options datalog.Options
 	// Checkpoint, when non-empty, is a snapshot path: if the file exists
-	// the service warm-starts from it (RestoreFile + Resume) instead of
-	// solving from scratch, and Close flushes a final snapshot to it.
+	// the service warm-starts from it instead of solving from scratch —
+	// one restore and one Resume, with the WAL's batch past its watermark
+	// (the restart contract of docs/SERVER.md, "Warm start and graceful
+	// shutdown") — and FlushCheckpoints, which graceful shutdown calls,
+	// writes a snapshot to it.
 	Checkpoint string
 	// Resume, when non-empty, is an explicit warm-start source; it is
 	// read at Materialize time and must exist. It overrides Checkpoint
@@ -195,6 +199,11 @@ func New(specs []ProgramSpec, cfg Config) (*Server, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("server: no programs to serve")
 	}
+	fsync, err := ParseFsyncPolicy(string(cfg.WALFsync))
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
+	cfg.WALFsync = fsync
 	s := &Server{
 		cfg:     cfg,
 		svcs:    map[string]*service{},
@@ -300,17 +309,17 @@ type recovery struct {
 	warm    bool
 	batches int
 	// The phases' wall times: reading the checkpoint, reading and
-	// decoding the WAL into the recovery batch, and the one solve
-	// (Resume and SolveMore on the warm path).
+	// decoding the WAL into the recovery batch, and the solve — one
+	// Resume, cold or warm (the restart contract of docs/SERVER.md).
 	restore, replay, solve time.Duration
 }
 
 // recover computes one service's first model, the least model of the
-// base EDB ∪ every fact the WAL logged past the restored checkpoint, in
-// one solve: the log is read and decoded into one batch before anything
-// is solved. A cold start solves the program with that batch; a warm
-// start resumes the checkpoint and extends it with one SolveMore of it.
-// It also sets the service's commit sequence.
+// base EDB ∪ every fact the WAL logged past the restored checkpoint. It
+// keeps the restart contract of docs/SERVER.md ("Warm start and
+// graceful shutdown"): one restore, one read of the log into one batch,
+// and one fixpoint — Resume of the restored model, nil on a cold start,
+// with that batch. It also sets the service's commit sequence.
 func (svc *service) recover(ctx context.Context) (recovery, error) {
 	var rec recovery
 	start := time.Now()
@@ -335,12 +344,7 @@ func (svc *service) recover(ctx context.Context) (recovery, error) {
 	}
 	solveStart := time.Now()
 	rec.replay = solveStart.Sub(replayStart)
-	var m *datalog.Model
-	if restored == nil {
-		m, _, err = svc.prog.SolveBatch(ctx, b)
-	} else if m, _, err = svc.prog.Resume(ctx, restored); err == nil && b.Len() > 0 {
-		m, _, err = svc.prog.SolveMoreBatch(ctx, m, b)
-	}
+	m, _, err := svc.prog.Resume(ctx, restored, b)
 	rec.solve = time.Since(solveStart)
 	if err != nil {
 		if rec.batches > 0 {
@@ -365,7 +369,7 @@ func (svc *service) restore() (*datalog.Model, uint64, error) {
 	if from == "" {
 		return nil, 0, nil
 	}
-	m, watermark, err := svc.prog.RestoreFileWatermark(from)
+	m, watermark, err := svc.prog.RestoreFile(from)
 	if optional && errors.Is(err, fs.ErrNotExist) {
 		return nil, 0, nil
 	}
@@ -484,7 +488,7 @@ func (s *Server) FlushCheckpoints() error {
 // dropped) and updates mdl_wal_segments. The caller keeps commits from
 // moving the model past seq meanwhile.
 func (svc *service) checkpoint(m *datalog.Model, seq uint64) error {
-	if err := m.WriteSnapshotWatermark(svc.spec.Checkpoint, seq); err != nil {
+	if err := m.WriteSnapshot(svc.spec.Checkpoint, seq); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	if svc.wal == nil || svc.walBroken.Load() {

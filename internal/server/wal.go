@@ -20,15 +20,15 @@ import (
 // every committed batch is appended to a per-program log (one record
 // per batch, carrying the batch's commit sequence number) and fsynced
 // per the configured policy BEFORE the new model generation is
-// published or any waiter is acked. Startup restores the newest
-// checkpoint, reads every record past its watermark, and derives the
-// least model of the base EDB ∪ the logged facts in one solve: a cold
-// start solves the program once with the logged facts as extra EDB, a
-// warm start resumes the checkpoint and extends it with one SolveMore.
-// Monotonicity of T_P makes this sound — the least model of a union of
-// EDB deltas does not depend on how the deltas are grouped or ordered
-// (Ross & Sagiv) — and it is why the recovered model equals a one-shot
-// solve of the base EDB plus every acked batch.
+// published or any waiter is acked. Startup keeps the restart contract
+// of docs/SERVER.md ("Warm start and graceful shutdown"): it restores
+// the newest checkpoint once, reads every record past its watermark
+// once into one batch, and runs one fixpoint — Resume of the restored
+// model (nil on a cold start) with that batch. Monotonicity of T_P makes
+// this sound — the least model of a union of EDB deltas does not depend
+// on how the deltas are grouped or ordered (Ross & Sagiv) — and it is
+// why the recovered model equals a one-shot solve of the base EDB plus
+// every acked batch.
 //
 // Records: each record's payload is its batch's facts as binary rows
 // behind a byte naming the payload's kind (walRows, below; records
@@ -69,14 +69,6 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 // errWALFailed classifies write-ahead log failures on the commit path;
 // the API surfaces them as 500 "wal" (exit code 6).
 var errWALFailed = errors.New("server: write-ahead log failed")
-
-// walFsyncPolicy resolves the configured fsync policy ("" = batch).
-func (s *Server) walFsyncPolicy() FsyncPolicy {
-	if s.cfg.WALFsync == "" {
-		return FsyncBatch
-	}
-	return s.cfg.WALFsync
-}
 
 // openWAL opens (or creates) the service's log under Config.WALDir and
 // cross-checks it against the checkpoint watermark the model was
@@ -128,7 +120,7 @@ func (svc *service) replayWAL(ctx context.Context, watermark uint64, b *datalog.
 	svc.replayTotal.Store(last - watermark)
 	svc.replaying.Store(true)
 	batches := 0
-	err := svc.wal.Replay(watermark, func(seq uint64, payload []byte) error {
+	err := svc.wal.Replay(func(seq uint64, payload []byte) error {
 		if err := faults.CheckCtx(ctx, faults.ServerWALReplay); err != nil {
 			return err
 		}

@@ -412,6 +412,26 @@ func TestParseFsyncPolicy(t *testing.T) {
 	}
 }
 
+// TestNewRefusesUnknownFsync: a library caller's fsync policy passes
+// the CLI's check in New, so a misspelt one cannot turn fsync off while
+// batches are acked as durable; "" still selects batch.
+func TestNewRefusesUnknownFsync(t *testing.T) {
+	specs := []ProgramSpec{{Name: "ar", Source: arityProgram}}
+	for _, bad := range []FsyncPolicy{"Batch", "always", "none "} {
+		if _, err := New(specs, Config{WALDir: t.TempDir(), WALFsync: bad}); err == nil || !strings.Contains(err.Error(), "unknown fsync policy") {
+			t.Errorf("New with WALFsync %q: %v, want the unknown-policy refusal", bad, err)
+		}
+	}
+	s, err := New(specs, Config{WALDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.cfg.WALFsync != FsyncBatch {
+		t.Errorf("WALFsync \"\" resolved to %q, want batch", s.cfg.WALFsync)
+	}
+}
+
 // TestWALPayloadRoundTrip pins the record payload codec against the
 // assert validation path: a binary record and a JSON record of the same
 // facts replay to the rows those facts solve to, and both kinds refuse

@@ -54,7 +54,7 @@ func replayed(svc *service, payload []byte) (*datalog.Model, error) {
 	if err := svc.replayRecord(b, 1, payload); err != nil {
 		return nil, err
 	}
-	m, _, err := svc.prog.SolveBatch(context.Background(), b)
+	m, _, err := svc.prog.Resume(context.Background(), nil, b)
 	return m, err
 }
 
@@ -184,11 +184,11 @@ func FuzzWALRecord(f *testing.F) {
 		if addErr != nil {
 			return
 		}
-		wm, _, err := svc.prog.SolveBatch(context.Background(), want)
+		wm, _, err := svc.prog.Resume(context.Background(), nil, want)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gm, _, err := svc.prog.SolveBatch(context.Background(), got)
+		gm, _, err := svc.prog.Resume(context.Background(), nil, got)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +244,7 @@ func TestMixedLogReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := mid.WriteSnapshotWatermark(ckpt, uint64(split)); err != nil {
+			if err := mid.WriteSnapshot(ckpt, uint64(split)); err != nil {
 				t.Fatal(err)
 			}
 
@@ -303,7 +303,7 @@ func recordKinds(t *testing.T, dir string, fp [32]byte) string {
 	}
 	defer log.Close()
 	var jsonN, binN int
-	if err := log.Replay(0, func(_ uint64, payload []byte) error {
+	if err := log.Replay(func(_ uint64, payload []byte) error {
 		switch payload[0] {
 		case '[':
 			jsonN++

@@ -28,17 +28,24 @@
 //
 // # Recovery
 //
-// Open scans every segment. Damage in the final segment's tail — a
-// short frame, a body running past EOF, a zero-filled region, or a CRC
-// failure on the very last record — is the signature of a torn write:
-// the tail is truncated at the last valid record and the log stays
-// usable. Damage anywhere else (a non-final segment, a mid-segment CRC
+// Open reads every segment once and checks it. Damage in the final
+// segment's tail — a short frame, a body running past EOF, a zero-filled
+// region, or a CRC failure on the very last record — is the signature of
+// a torn write: the tail is truncated at the last valid record and the
+// log stays usable. Damage anywhere else (a non-final segment, a mid-segment CRC
 // failure with valid data after it, a sequence gap) cannot come from a
 // crash mid-append and means acked history is unrecoverable; Open
 // refuses with a structured *CorruptError (errors.Is ErrCorrupt)
 // rather than silently dropping committed batches. A fingerprint
 // mismatch refuses with ErrFingerprint: replaying another program's
 // batches would compute a wrong model.
+//
+// Open keeps the bytes it read and checked of each segment holding
+// records past Options.StartSeq, and Replay hands those records out from
+// them: a restart reads its log once (the serve tier's restart contract,
+// docs/SERVER.md "Warm start and graceful shutdown"). Until Replay lets
+// them go they hold the log past the watermark in memory, which the
+// recovery decodes into memory anyway.
 package wal
 
 import (
@@ -118,9 +125,10 @@ type Options struct {
 	// Fingerprint identifies the program; segments written under a
 	// different fingerprint are refused.
 	Fingerprint [32]byte
-	// StartSeq seeds sequence numbering when the directory holds no
-	// segments (typically the restored checkpoint's watermark): the
-	// first Append must then carry StartSeq+1.
+	// StartSeq is the watermark the log is replayed past, typically the
+	// restored checkpoint's: Open keeps the records after it for Replay.
+	// It also seeds sequence numbering when the directory holds no
+	// segments: the first Append must then carry StartSeq+1.
 	StartSeq uint64
 	// SegmentBytes rotates to a fresh segment once the current one
 	// would exceed this size (0 = DefaultSegmentBytes).
@@ -149,10 +157,20 @@ type Log struct {
 	repaired *Repair
 	broken   error // sticky first write/sync failure; nil while healthy
 	closed   bool
+	// pending is what Open read of each segment holding records past
+	// StartSeq, in order, until Replay hands the records out.
+	pending []segImage
+}
+
+// segImage is a segment's bytes as Open read and checked them, and the
+// records in them past StartSeq.
+type segImage struct {
+	data []byte
+	recs []segRec
 }
 
 // Open scans, repairs and opens the log at opts.Dir, creating it (and
-// a first segment) when empty. It returns ErrFingerprint or a
+// a first segment) when empty, and keeps what Replay hands out. It returns ErrFingerprint or a
 // *CorruptError as described in the package comment.
 func Open(opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
@@ -173,7 +191,7 @@ func Open(opts Options) (*Log, error) {
 		l.firstSeq = opts.StartSeq + 1
 		return l, nil
 	}
-	if err := l.recover(names); err != nil {
+	if err := l.recover(names, opts.StartSeq); err != nil {
 		return nil, err
 	}
 	return l, nil
@@ -210,8 +228,9 @@ func segmentName(first uint64) string {
 }
 
 // recover validates every existing segment, repairs a torn tail in the
-// last one, and positions the log for appending.
-func (l *Log) recover(names []string) error {
+// last one, keeps the records past start for Replay, and positions the
+// log for appending.
+func (l *Log) recover(names []string, start uint64) error {
 	prevLast := uint64(0)
 	records := 0
 	for i, name := range names {
@@ -254,6 +273,10 @@ func (l *Log) recover(names []string) error {
 		if n := len(scan.recs); n > 0 {
 			prevLast = scan.recs[n-1].seq
 			records += n
+			if prevLast > start {
+				from := sort.Search(n, func(j int) bool { return scan.recs[j].seq > start })
+				l.pending = append(l.pending, segImage{data: data, recs: scan.recs[from:]})
+			}
 		}
 		if last && !(scan.torn && scan.validEnd == 0) {
 			l.segments = append(l.segments, segment{name: name, first: first})
@@ -443,34 +466,20 @@ func (l *Log) usable() error {
 	return nil
 }
 
-// Replay streams every retained record with sequence number > after to
-// fn, in order. The payload slice is only valid during the call.
-func (l *Log) Replay(after uint64, fn func(seq uint64, payload []byte) error) error {
+// Replay hands fn, in order, every record Open read past
+// Options.StartSeq, from the bytes Open read and checked: the files are
+// not read again. It lets go of each segment's bytes once their records
+// are handed out, so the log replays once; records appended since Open
+// are not replayed. The payload slice is only valid during the call.
+func (l *Log) Replay(fn func(seq uint64, payload []byte) error) error {
 	l.mu.Lock()
-	segs := append([]segment(nil), l.segments...)
+	pending := l.pending
+	l.pending = nil
 	l.mu.Unlock()
-	for i, seg := range segs {
-		if i+1 < len(segs) && segs[i+1].first <= after+1 {
-			continue // wholly covered; the next segment starts at or before after+1
-		}
-		data, err := os.ReadFile(filepath.Join(l.dir, seg.name))
-		if err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		scan, err := parseSegment(data, l.fp, seg.first, i == len(segs)-1)
-		if err != nil {
-			decorate(err, seg.name)
-			return err
-		}
-		if scan.torn {
-			// Open repaired the tail; fresh damage since then is refused.
-			return &CorruptError{Segment: seg.name, Offset: int64(scan.validEnd), Reason: scan.reason}
-		}
-		for _, r := range scan.recs {
-			if r.seq <= after {
-				continue
-			}
-			if err := fn(r.seq, data[r.off:r.off+r.n]); err != nil {
+	for i, img := range pending {
+		pending[i] = segImage{}
+		for _, r := range img.recs {
+			if err := fn(r.seq, img.data[r.off:r.off+r.n]); err != nil {
 				return err
 			}
 		}

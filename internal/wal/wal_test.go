@@ -18,10 +18,10 @@ var (
 	otherFP = [32]byte{9, 9, 9, 9}
 )
 
-// collect replays the whole log into ordered (seq, payload) pairs.
-func collect(t *testing.T, l *Log, after uint64) (seqs []uint64, payloads [][]byte) {
+// collect replays the log into ordered (seq, payload) pairs.
+func collect(t *testing.T, l *Log) (seqs []uint64, payloads [][]byte) {
 	t.Helper()
-	err := l.Replay(after, func(seq uint64, payload []byte) error {
+	err := l.Replay(func(seq uint64, payload []byte) error {
 		seqs = append(seqs, seq)
 		payloads = append(payloads, append([]byte(nil), payload...))
 		return nil
@@ -60,7 +60,7 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, err := Open(Options{Dir: dir, Fingerprint: testFP})
+	l2, err := Open(Options{Dir: dir, Fingerprint: testFP, StartSeq: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 	if l2.LastSeq() != 5 || l2.FirstSeq() != 1 {
 		t.Fatalf("reopened: first %d last %d, want 1..5", l2.FirstSeq(), l2.LastSeq())
 	}
-	seqs, payloads := collect(t, l2, 2)
+	seqs, payloads := collect(t, l2)
 	if len(seqs) != 3 || seqs[0] != 3 || seqs[2] != 5 {
 		t.Fatalf("replay after 2: seqs %v", seqs)
 	}
@@ -113,9 +113,16 @@ func TestWALRotationAndCompaction(t *testing.T) {
 		t.Fatalf("expected rotation, got %d segment(s)", l.Segments())
 	}
 	total := l.Segments()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Replay over a rotated log sees every record exactly once.
-	seqs, _ := collect(t, l, 0)
+	l, err = Open(Options{Dir: dir, Fingerprint: testFP, SegmentBytes: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs, _ := collect(t, l)
 	if len(seqs) != 20 || seqs[0] != 1 || seqs[19] != 20 {
 		t.Fatalf("replay: %d records, first %d last %d", len(seqs), seqs[0], seqs[len(seqs)-1])
 	}
@@ -132,7 +139,14 @@ func TestWALRotationAndCompaction(t *testing.T) {
 	if l.FirstSeq() > 11 {
 		t.Fatalf("FirstSeq %d after compacting to 10: acked history dropped", l.FirstSeq())
 	}
-	seqs, _ = collect(t, l, 10)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err = Open(Options{Dir: dir, Fingerprint: testFP, SegmentBytes: 128, StartSeq: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs, _ = collect(t, l)
 	if len(seqs) != 10 || seqs[0] != 11 {
 		t.Fatalf("replay after compact: %v", seqs)
 	}
@@ -208,7 +222,7 @@ func TestWALTornTailEveryPrefix(t *testing.T) {
 					want++
 				}
 			}
-			seqs, _ := collect(t, l, 0)
+			seqs, _ := collect(t, l)
 			if len(seqs) != want {
 				t.Fatalf("prefix %d: recovered %d records, want %d", cut, len(seqs), want)
 			}
@@ -237,7 +251,7 @@ func TestWALTornFinalRecordCRCRecovers(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer l.Close()
-	seqs, payloads := collect(t, l, 0)
+	seqs, payloads := collect(t, l)
 	if len(seqs) != 1 || string(payloads[0]) != "alpha" {
 		t.Fatalf("recovered %v", seqs)
 	}
@@ -256,7 +270,7 @@ func TestWALZeroFilledTailRecovers(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer l.Close()
-	if seqs, _ := collect(t, l, 0); len(seqs) != 1 {
+	if seqs, _ := collect(t, l); len(seqs) != 1 {
 		t.Fatalf("recovered %v", seqs)
 	}
 }
@@ -379,6 +393,82 @@ func TestWALRecoverReadFaultTornTail(t *testing.T) {
 	}
 	if l2.LastSeq() >= 4 {
 		t.Fatalf("LastSeq %d survived a half-truncation", l2.LastSeq())
+	}
+}
+
+// TestWALReplayReadsOnce: Replay hands out the records Open read past
+// StartSeq from the bytes Open kept, so it replays every one of them
+// with the segment files gone, and a second Replay finds none.
+func TestWALReplayReadsOnce(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir, Fingerprint: testFP, SegmentBytes: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 1, 20)
+	l.Close()
+	l, err = Open(Options{Dir: dir, Fingerprint: testFP, SegmentBytes: 128, StartSeq: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if l.Segments() < 3 {
+		t.Fatalf("expected rotation, got %d segment(s)", l.Segments())
+	}
+	names, err := segmentNames(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seqs, payloads := collect(t, l)
+	if len(seqs) != 13 {
+		t.Fatalf("replayed %v, want 8..20", seqs)
+	}
+	for i, seq := range seqs {
+		if want := uint64(8 + i); seq != want || string(payloads[i]) != fmt.Sprintf("batch-%d", want) {
+			t.Fatalf("record %d: seq %d payload %q, want %d", i, seq, payloads[i], want)
+		}
+	}
+	if seqs, _ := collect(t, l); len(seqs) != 0 {
+		t.Fatalf("second replay: %v", seqs)
+	}
+}
+
+// TestWALRecoverReadFaultTornFinalRecord: a final record torn in the
+// bytes Open reads (bit rot in its last byte, through the recovery-read
+// fault) is repaired at Open and never replayed — neither from the bytes
+// Open kept nor after a reopen.
+func TestWALRecoverReadFaultTornFinalRecord(t *testing.T) {
+	defer faults.Reset()
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir, Fingerprint: testFP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 1, 4)
+	l.Close()
+	faults.Arm(faults.Fault{Point: faults.WALRecoverRead, Mangle: func(b []byte) []byte {
+		b = append([]byte(nil), b...)
+		b[len(b)-1] ^= 0xff
+		return b
+	}})
+	for _, reopen := range []bool{false, true} {
+		l, err := Open(Options{Dir: dir, Fingerprint: testFP})
+		if err != nil {
+			t.Fatalf("Open (reopen=%v): %v", reopen, err)
+		}
+		if !reopen && l.Repaired() == nil {
+			t.Fatal("no repair recorded")
+		}
+		seqs, _ := collect(t, l)
+		l.Close()
+		if len(seqs) != 3 || seqs[2] != 3 {
+			t.Fatalf("reopen=%v: replayed %v, want 1..3", reopen, seqs)
+		}
 	}
 }
 

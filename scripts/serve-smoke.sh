@@ -2,7 +2,9 @@
 # End-to-end smoke test for the mdl serve subsystem: build the binary,
 # start a server on a random port, exercise query/assert/explain/
 # metrics over HTTP with curl, assert on the responses, then shut down
-# gracefully and verify the checkpoint was flushed.
+# gracefully and verify the checkpoint was flushed. A second leg runs
+# with -wal and -checkpoint: assert, SIGTERM, restart, assert again,
+# SIGKILL, and restart warm from the checkpoint plus the logged batch.
 set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
@@ -26,6 +28,19 @@ fail() {
     exit 1
 }
 
+# wait_ready waits for /readyz: it answers 503 until every program is
+# materialized, so gating on it (not /healthz, which is liveness and
+# always 200) means the first query cannot race materialization.
+wait_ready() {
+    i=0
+    until curl -sf "$BASE/readyz" >/dev/null 2>&1; do
+        i=$((i + 1))
+        [ "$i" -lt 100 ] || fail "server did not become ready"
+        kill -0 "$PID" 2>/dev/null || fail "server exited early"
+        sleep 0.1
+    done
+}
+
 # The response must contain every expected fragment.
 expect() {
     resp=$1
@@ -45,17 +60,7 @@ echo "serve-smoke: starting server on $ADDR"
 "$WORK/mdl" serve -addr "$ADDR" -checkpoint "$CKPT" \
     "$ROOT/examples/programs/shortestpath.mdl" >"$LOG" 2>&1 &
 PID=$!
-
-# Wait for readiness: /readyz answers 503 until every program is
-# materialized, so gating on it (not /healthz, which is liveness and
-# always 200) means the first query below cannot race materialization.
-i=0
-until curl -sf "$BASE/readyz" >/dev/null 2>&1; do
-    i=$((i + 1))
-    [ "$i" -lt 100 ] || fail "server did not become ready"
-    kill -0 "$PID" 2>/dev/null || fail "server exited early"
-    sleep 0.1
-done
+wait_ready
 
 echo "serve-smoke: healthz and readyz"
 expect "$(curl -sf "$BASE/healthz")" '"status":"ok"' '"shortestpath"'
@@ -125,17 +130,52 @@ echo "serve-smoke: restart warm-starts with the asserted fact"
 "$WORK/mdl" serve -addr "$ADDR" -checkpoint "$CKPT" \
     "$ROOT/examples/programs/shortestpath.mdl" >"$LOG" 2>&1 &
 PID=$!
-i=0
-until curl -sf "$BASE/readyz" >/dev/null 2>&1; do
-    i=$((i + 1))
-    [ "$i" -lt 100 ] || fail "restarted server did not become ready"
-    sleep 0.1
-done
+wait_ready
 grep -q "warm-started" "$LOG" || fail "restart did not warm-start from the checkpoint"
 expect "$(curl -sf -d '{"op":"cost","pred":"s","args":["a","d"]}' "$BASE/v1/query")" \
     '"cost":2'
 kill -TERM "$PID"
 wait "$PID" || fail "restarted server exited non-zero"
+PID=""
+
+# The -wal leg: a restart restores the checkpoint once, reads the log
+# past its watermark once and runs one fixpoint of the two.
+WAL="$WORK/wal"
+CKPT="$WORK/wal-sp.ckpt"
+serve_wal() {
+    "$WORK/mdl" serve -addr "$ADDR" -checkpoint "$CKPT" -wal "$WAL" \
+        "$ROOT/examples/programs/shortestpath.mdl" >"$LOG" 2>&1 &
+    PID=$!
+    wait_ready
+}
+
+echo "serve-smoke: -wal: assert arc(a, d, 2), SIGTERM"
+serve_wal
+expect "$(curl -sf -d '{"facts":[{"pred":"arc","args":["a","d",2]}]}' "$BASE/v1/assert")" \
+    '"asserted":1'
+kill -TERM "$PID"
+wait "$PID" || fail "-wal server exited non-zero on SIGTERM"
+PID=""
+[ -s "$CKPT" ] || fail "-wal server flushed no checkpoint on shutdown"
+
+echo "serve-smoke: -wal: restart warm, assert arc(b, a, 1), SIGKILL"
+serve_wal
+grep -q "warm-started" "$LOG" || fail "-wal restart did not warm-start from the checkpoint"
+expect "$(curl -sf -d '{"op":"cost","pred":"s","args":["a","d"]}' "$BASE/v1/query")" '"cost":2'
+expect "$(curl -sf -d '{"facts":[{"pred":"arc","args":["b","a",1]}]}' "$BASE/v1/assert")" \
+    '"asserted":1'
+kill -KILL "$PID"
+wait "$PID" 2>/dev/null || true
+PID=""
+
+echo "serve-smoke: -wal: restart from the checkpoint and the logged batch"
+serve_wal
+grep -q "warm-started.*1 wal batches replayed" "$LOG" ||
+    fail "restart after SIGKILL did not warm-start and replay the logged batch"
+expect "$(curl -sf -d '{"op":"cost","pred":"s","args":["a","d"]}' "$BASE/v1/query")" '"cost":2'
+expect "$(curl -sf -d '{"op":"cost","pred":"s","args":["b","a"]}' "$BASE/v1/query")" '"cost":1'
+kill -TERM "$PID"
+wait "$PID" || fail "-wal server exited non-zero after recovery"
 PID=""
 
 echo "serve-smoke: PASS"

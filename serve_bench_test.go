@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -114,9 +116,39 @@ func BenchmarkServeAssert(b *testing.B) {
 // two fresh nodes and one between existing nodes. allocs/op is pinned by
 // scripts/bench_regression.sh (RECOVER_ALLOCS).
 func BenchmarkServeRecover(b *testing.B) {
+	specs, cfg := recoverLog(b, "")
+	benchRecover(b, specs, cfg, func() {})
+}
+
+// BenchmarkServeWarmRecover measures a warm restart over the same log
+// with a checkpoint taken after 450 of its 900 batches: each iteration
+// restores the checkpoint, reads the 450 batches logged past it and runs
+// one Resume of the two, then writes the post-replay checkpoint, as every
+// restart with a checkpoint path does. The checkpoint file is put back
+// between iterations, untimed.
+func BenchmarkServeWarmRecover(b *testing.B) {
+	ckpt := filepath.Join(b.TempDir(), "sp.snap")
+	specs, cfg := recoverLog(b, ckpt)
+	snap, err := os.ReadFile(ckpt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchRecover(b, specs, cfg, func() {
+		if err := os.WriteFile(ckpt, snap, 0o644); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
+// recoverLog serves Example 2.6 over a 16-node, 48-arc cycle graph with
+// a write-ahead log, asserts 900 two-arc batches over HTTP — flushing a
+// checkpoint to ckpt after the first 450 when ckpt is set — and closes
+// the server without a final checkpoint. It returns the spec and config
+// a restart recovers with.
+func recoverLog(b *testing.B, ckpt string) ([]server.ProgramSpec, server.Config) {
 	const n, batches = 16, 900
 	src := programs.ShortestPath + gen.GraphFacts(gen.Graph(gen.CycleGraph, n, 48, 9, 1))
-	specs := []server.ProgramSpec{{Name: "sp", Source: src}}
+	specs := []server.ProgramSpec{{Name: "sp", Source: src, Checkpoint: ckpt}}
 	cfg := server.Config{WALDir: b.TempDir(), WALFsync: server.FsyncNone}
 	s, err := server.New(specs, cfg)
 	if err != nil {
@@ -128,6 +160,11 @@ func BenchmarkServeRecover(b *testing.B) {
 	ts := httptest.NewServer(s.Handler())
 	r := rand.New(rand.NewSource(1))
 	for k := 0; k < batches; k++ {
+		if ckpt != "" && k == batches/2 {
+			if err := s.FlushCheckpoints(); err != nil {
+				b.Fatal(err)
+			}
+		}
 		body := fmt.Sprintf(`{"facts":[{"pred":"arc","args":["f%d","g%d",%d]},{"pred":"arc","args":["v%d","v%d",%d]}]}`,
 			k, k, 1+r.Intn(9), r.Intn(n), r.Intn(n), 1+r.Intn(9))
 		resp, err := ts.Client().Post(ts.URL+"/v1/assert", "application/json", strings.NewReader(body))
@@ -141,11 +178,17 @@ func BenchmarkServeRecover(b *testing.B) {
 	}
 	ts.Close()
 	s.Close()
+	return specs, cfg
+}
 
+// benchRecover times Materialize of a fresh server over specs and cfg,
+// running reset untimed before each restart.
+func benchRecover(b *testing.B, specs []server.ProgramSpec, cfg server.Config, reset func()) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
+		reset()
 		s, err := server.New(specs, cfg)
 		if err != nil {
 			b.Fatal(err)
